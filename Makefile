@@ -153,13 +153,16 @@ bench-smoke:
 	$(GO) test -run XXX -bench WAL -benchtime 1x .
 
 # Allocation regression guards: a segment scan, a put-record encode,
-# predicate evaluation, the watch hub's write-path notify, and the
-# observability hot path (counter bump, histogram record, span stage)
-# must stay within fixed testing.AllocsPerRun budgets (see
-# *_alloc_guard_test.go; skipped under -race). Predicate evaluation and
-# metrics recording in particular must allocate ZERO per op.
+# predicate evaluation, the watch hub's write-path notify, a late page
+# of a paginated events request, the observability hot path (counter
+# bump, histogram record, span stage), and the wire codec (encoding a
+# 500-event page, decoding it, and one SDK Events call end to end) must
+# stay within fixed testing.AllocsPerRun budgets (see
+# *alloc_guard_test.go; skipped under -race). Predicate evaluation,
+# metrics recording and row encoding in particular must allocate ZERO
+# per op.
 alloc-guard:
-	$(GO) test -run AllocBudget -count=1 ./internal/store/... ./internal/plan/ ./internal/server/ ./internal/obs/
+	$(GO) test -run AllocBudget -count=1 ./internal/store/... ./internal/plan/ ./internal/server/ ./internal/obs/ ./internal/api/ ./client/
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

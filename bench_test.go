@@ -8,15 +8,14 @@
 package hpclog_test
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"hpclog/client"
 	"hpclog/internal/analytics"
 	"hpclog/internal/bus"
 	"hpclog/internal/cluster"
@@ -238,15 +237,13 @@ func BenchmarkE3_EndToEndQuery(b *testing.B) {
 	f := getFixture(b)
 	srv := httptest.NewServer(server.New(f.q, f.db, f.eng))
 	defer srv.Close()
+	cli := client.New(srv.URL)
 	from, to := f.window()
-	reqBody, err := json.Marshal(query.Request{
+	req := query.Request{
 		Op: query.OpSynopsis,
 		Context: query.Context{
 			EventType: "MCE", From: from.Unix(), To: to.Unix(),
 		},
-	})
-	if err != nil {
-		b.Fatal(err)
 	}
 	// Synopsis must exist for the query to return data.
 	hours := model.HoursIn(from, to)
@@ -255,17 +252,8 @@ func BenchmarkE3_EndToEndQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := http.Post(srv.URL+"/api/query", "application/json", bytes.NewReader(reqBody))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var envelope server.Response
-		if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
-			b.Fatal(err)
-		}
-		resp.Body.Close()
-		if !envelope.OK {
-			b.Fatalf("query failed: %s", envelope.Error)
+		if _, err := cli.Do(context.Background(), req); err != nil {
+			b.Fatalf("query failed: %v", err)
 		}
 	}
 }

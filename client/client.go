@@ -147,8 +147,8 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body []byt
 	return req, nil
 }
 
-// call performs one enveloped exchange with retries; the decoded result
-// is unmarshaled into out when non-nil.
+// call performs one enveloped exchange with retries; the result is
+// decoded into out when non-nil.
 func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
 	var body []byte
 	if in != nil {
@@ -165,22 +165,12 @@ func (c *Client) call(ctx context.Context, method, path string, in, out any) err
 			}
 		}
 		attemptStart := time.Now()
-		result, err := c.once(ctx, method, path, body)
+		retry, err := c.once(ctx, method, path, body, out)
 		c.observed(method, path, attempt, attemptStart, err)
-		if err == nil {
-			if out == nil {
-				return nil
-			}
-			if err := json.Unmarshal(result, out); err != nil {
-				return fmt.Errorf("client: decode result: %w", err)
-			}
-			return nil
-		}
-		lastErr = err
-		var ae *api.Error
-		if errors.As(err, &ae) && !retryable(ae) {
+		if err == nil || !retry {
 			return err
 		}
+		lastErr = err
 		if ctx.Err() != nil {
 			return errors.Join(ctx.Err(), lastErr)
 		}
@@ -188,24 +178,36 @@ func (c *Client) call(ctx context.Context, method, path string, in, out any) err
 	return lastErr
 }
 
-// once performs a single enveloped exchange.
-func (c *Client) once(ctx context.Context, method, path string, body []byte) (json.RawMessage, error) {
+// once performs a single enveloped exchange: the body is read to EOF into
+// a pooled buffer — which also hands the connection back to the
+// transport for reuse — and the envelope and its result are decoded from
+// it in one scan. retry reports whether a failure is worth another
+// attempt: transport errors, retryable server codes, and an error status
+// whose body is not an envelope (a gateway's page, not this server's
+// answer). A 2xx that does not decode is final; it may have left out
+// partly filled.
+func (c *Client) once(ctx context.Context, method, path string, body []byte, out any) (retry bool, err error) {
 	req, err := c.newRequest(ctx, method, path, body)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
+		return true, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	var env api.Response
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		return nil, fmt.Errorf("client: %s %s: HTTP %d with undecodable envelope: %w",
+	buf := api.GetBuffer()
+	defer buf.Release()
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return true, fmt.Errorf("client: %s %s: read response: %w", method, path, err)
+	}
+	env, err := api.DecodeResponse(buf.B, out)
+	if err != nil {
+		return resp.StatusCode >= 300, fmt.Errorf("client: %s %s: HTTP %d with undecodable response: %w",
 			method, path, resp.StatusCode, err)
 	}
 	if env.Protocol != 0 && (env.Protocol < api.MinVersion || env.Protocol > api.Version) {
-		return nil, fmt.Errorf("client: server speaks protocol %d, this SDK speaks %d..%d",
+		return false, fmt.Errorf("client: server speaks protocol %d, this SDK speaks %d..%d",
 			env.Protocol, api.MinVersion, api.Version)
 	}
 	if !env.OK {
@@ -219,9 +221,26 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte) (js
 		if e.RequestID == "" {
 			e.RequestID = env.RequestID
 		}
-		return nil, e
+		return retryable(e), e
 	}
-	return env.Result, nil
+	return false, nil
+}
+
+// errorEnvelope reads the enveloped error a streaming endpoint answers
+// with when it fails before committing to a stream; nil when the body
+// holds none. The body is read to EOF so the connection is reusable.
+func errorEnvelope(resp *http.Response) *api.Error {
+	buf := api.GetBuffer()
+	defer buf.Release()
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return nil
+	}
+	env, err := api.DecodeResponse(buf.B, nil)
+	if err != nil || env.Err == nil {
+		return nil
+	}
+	env.Err.Status = resp.StatusCode
+	return env.Err
 }
 
 // sleepCtx sleeps for d or until ctx is done.
@@ -370,38 +389,26 @@ func (c *Client) MetricsText(ctx context.Context) (string, error) {
 
 // --- Pagination ---
 
-// page performs one paginated query exchange.
-func (c *Client) page(ctx context.Context, req api.QueryRequest, items any) (string, error) {
-	var pr api.PageResult
-	if err := c.call(ctx, http.MethodPost, "/v1/query", req, &pr); err != nil {
-		return "", err
-	}
-	if err := json.Unmarshal(pr.Items, items); err != nil {
-		return "", fmt.Errorf("client: decode page items: %w", err)
-	}
-	return pr.NextCursor, nil
-}
-
 // EventsPage returns one page of events plus the cursor resuming after
 // it ("" when exhausted). Cursors encode data positions, so they remain
 // valid across server restarts and compaction.
 func (c *Client) EventsPage(ctx context.Context, qc query.Context, limit int, cursor string) ([]query.EventRecord, string, error) {
-	var items []query.EventRecord
-	next, err := c.page(ctx, api.QueryRequest{
+	var pr api.PageResult[query.EventRecord]
+	err := c.call(ctx, http.MethodPost, "/v1/query", api.QueryRequest{
 		Request: query.Request{Op: query.OpEvents, Context: qc},
 		Page:    &api.Page{Limit: limit, Cursor: cursor},
-	}, &items)
-	return items, next, err
+	}, &pr)
+	return pr.Items, pr.NextCursor, err
 }
 
 // RunsPage returns one page of runs plus the resume cursor.
 func (c *Client) RunsPage(ctx context.Context, qc query.Context, limit int, cursor string) ([]query.RunRecord, string, error) {
-	var items []query.RunRecord
-	next, err := c.page(ctx, api.QueryRequest{
+	var pr api.PageResult[query.RunRecord]
+	err := c.call(ctx, http.MethodPost, "/v1/query", api.QueryRequest{
 		Request: query.Request{Op: query.OpRuns, Context: qc},
 		Page:    &api.Page{Limit: limit, Cursor: cursor},
-	}, &items)
-	return items, next, err
+	}, &pr)
+	return pr.Items, pr.NextCursor, err
 }
 
 // EachEvent pages through the full event result, calling fn once per

@@ -2,8 +2,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"hpclog/internal/api"
@@ -38,17 +36,10 @@ func (s *Session) Execute(ctx context.Context, stmt string) (*cql.Result, error)
 // returning the rows and the cursor resuming after them ("" when
 // exhausted). A statement-level LIMIT is honored across pages.
 func (s *Session) Page(ctx context.Context, stmt string, limit int, cursor string) ([]cql.ResultRow, string, error) {
-	var pr api.PageResult
+	var pr api.PageResult[cql.ResultRow]
 	err := s.c.call(ctx, http.MethodPost, "/v1/cql",
 		api.CQLRequest{Query: stmt, Consistency: s.Consistency, Page: &api.Page{Limit: limit, Cursor: cursor}}, &pr)
-	if err != nil {
-		return nil, "", err
-	}
-	var rows []cql.ResultRow
-	if err := json.Unmarshal(pr.Items, &rows); err != nil {
-		return nil, "", fmt.Errorf("client: decode cql page: %w", err)
-	}
-	return rows, pr.NextCursor, nil
+	return pr.Items, pr.NextCursor, err
 }
 
 // Stream runs a non-aggregate SELECT in NDJSON streaming mode, calling

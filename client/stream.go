@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -57,11 +58,9 @@ func stream[T any](ctx context.Context, c *Client, path string, body any, fn fun
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != api.MediaTypeNDJSON {
 		// The server answered with an enveloped error before streaming.
-		var env api.Response
-		if derr := json.NewDecoder(resp.Body).Decode(&env); derr == nil && env.Err != nil {
-			env.Err.Status = resp.StatusCode
-			c.observed(http.MethodPost, path, 0, started, env.Err)
-			return env.Err
+		if aerr := errorEnvelope(resp); aerr != nil {
+			c.observed(http.MethodPost, path, 0, started, aerr)
+			return aerr
 		}
 		err = fmt.Errorf("client: POST %s: HTTP %d with content type %q", path, resp.StatusCode, ct)
 		c.observed(http.MethodPost, path, 0, started, err)
@@ -73,9 +72,14 @@ func stream[T any](ctx context.Context, c *Client, path string, body any, fn fun
 
 // decodeNDJSON consumes data lines until the trailer. An EOF before the
 // trailer means the stream was truncated mid-flight and is an error.
-func decodeNDJSON[T any](r interface{ Read([]byte) (int, error) }, fn func(T) error) error {
+func decodeNDJSON[T any](r io.Reader, fn func(T) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
+	// One decoder and one heap slot serve every line: the decoder's
+	// string cache spans the stream, and &v converts to any without a
+	// fresh allocation per row.
+	var dec api.Decoder
+	var v, zero T
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(bytes.TrimSpace(line)) == 0 {
@@ -91,8 +95,8 @@ func decodeNDJSON[T any](r interface{ Read([]byte) (int, error) }, fn func(T) er
 			}
 			return nil
 		}
-		var v T
-		if err := json.Unmarshal(line, &v); err != nil {
+		v = zero
+		if err := dec.Unmarshal(line, &v); err != nil {
 			return fmt.Errorf("client: bad stream line: %w", err)
 		}
 		if err := fn(v); err != nil {

@@ -24,8 +24,11 @@ import (
 // goroutine at a time; Close may be called concurrently from another
 // (it unblocks a parked Next, like closing an http response body).
 type Watch struct {
-	body    interface{ Close() error }
-	sc      *bufio.Scanner
+	body interface{ Close() error }
+	sc   *bufio.Scanner
+	// dec and event are Next's, reused from line to line.
+	dec     api.Decoder
+	event   query.EventRecord
 	closed  atomic.Bool
 	mu      sync.Mutex
 	err     error
@@ -73,11 +76,9 @@ func (c *Client) Watch(ctx context.Context, eventType string, opts WatchOptions)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != api.MediaTypeNDJSON {
 		defer resp.Body.Close()
-		var env api.Response
-		if derr := json.NewDecoder(resp.Body).Decode(&env); derr == nil && env.Err != nil {
-			env.Err.Status = resp.StatusCode
-			c.observed(http.MethodGet, "/v1/watch", 0, started, env.Err)
-			return nil, env.Err
+		if aerr := errorEnvelope(resp); aerr != nil {
+			c.observed(http.MethodGet, "/v1/watch", 0, started, aerr)
+			return nil, aerr
 		}
 		err = fmt.Errorf("client: watch: HTTP %d with content type %q", resp.StatusCode, ct)
 		c.observed(http.MethodGet, "/v1/watch", 0, started, err)
@@ -114,12 +115,12 @@ func (w *Watch) Next() (query.EventRecord, bool) {
 			}
 			return zero, false
 		}
-		var e query.EventRecord
-		if err := json.Unmarshal(line, &e); err != nil {
+		w.event = zero
+		if err := w.dec.Unmarshal(line, &w.event); err != nil {
 			w.setErr(fmt.Errorf("client: bad watch line: %w", err))
 			return zero, false
 		}
-		return e, true
+		return w.event, true
 	}
 	if err := w.sc.Err(); err != nil && !w.closed.Load() {
 		w.setErr(fmt.Errorf("client: watch read: %w", err))

@@ -1,8 +1,7 @@
 // Command analyticsd is the analytic server of Fig 3: it hosts the
 // backend store cluster plus the co-located compute engine, and serves the
 // v1 REST/JSON wire protocol (typed queries, cursor pagination, NDJSON
-// streaming, push-based watch) with the pre-v1 /api/* routes kept as
-// shims.
+// streaming, push-based watch).
 //
 // Data comes from a durable data directory written by ingestd (or by a
 // previous durable analyticsd run — startup replays the commitlog), from a
@@ -153,7 +152,6 @@ func main() {
 	fmt.Println("  GET  /v1/metrics         Prometheus text exposition")
 	fmt.Println("  GET  /v1/debug/slow      slow-query log (see -slow-query)")
 	fmt.Println("  GET  /v1/protocol        version negotiation")
-	fmt.Println("  /api/*                   pre-v1 shims (query, cql, poll, ...)")
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -165,7 +163,7 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	// Graceful shutdown: wake and complete every parked watch/poll
+	// Graceful shutdown: wake and complete every parked watch
 	// subscriber first — long-lived streams would otherwise hold
 	// Shutdown open — then drain in-flight requests, then (deferred)
 	// close the storage engine.

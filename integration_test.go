@@ -6,20 +6,19 @@
 package hpclog_test
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"hpclog/client"
 	"hpclog/internal/core"
 	"hpclog/internal/logs"
 	"hpclog/internal/model"
 	"hpclog/internal/query"
-	"hpclog/internal/server"
 	"hpclog/internal/topology"
 )
 
@@ -27,6 +26,7 @@ type stack struct {
 	fw  *core.Framework
 	cfg logs.Config
 	ts  *httptest.Server
+	cli *client.Client
 }
 
 var (
@@ -58,30 +58,19 @@ func getStack(t testing.TB) *stack {
 		if res.EventsLoaded != len(corpus.Events) || res.RunsLoaded != len(corpus.Runs) {
 			panic(fmt.Sprintf("import incomplete: %+v", res))
 		}
-		theStack = &stack{fw: fw, cfg: cfg, ts: httptest.NewServer(fw.Server())}
+		ts := httptest.NewServer(fw.Server())
+		theStack = &stack{fw: fw, cfg: cfg, ts: ts, cli: client.New(ts.URL)}
 	})
 	return theStack
 }
 
 func (s *stack) query(t *testing.T, req query.Request, out any) {
 	t.Helper()
-	body, err := json.Marshal(req)
+	raw, err := s.cli.Do(context.Background(), req)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("op %s failed over the wire: %v", req.Op, err)
 	}
-	resp, err := http.Post(s.ts.URL+"/api/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var envelope server.Response
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
-		t.Fatal(err)
-	}
-	if !envelope.OK {
-		t.Fatalf("op %s failed over the wire: %s", req.Op, envelope.Error)
-	}
-	if err := json.Unmarshal(envelope.Result, out); err != nil {
+	if err := json.Unmarshal(raw, out); err != nil {
 		t.Fatalf("op %s: decode result: %v", req.Op, err)
 	}
 }
@@ -182,26 +171,9 @@ func TestIntegrationCQLOverWire(t *testing.T) {
 	s := getStack(t)
 	hour := model.HourOf(s.cfg.Start)
 	stmt := fmt.Sprintf("SELECT amount FROM event_by_time WHERE partition = '%d:MEM_ECC' LIMIT 5", hour)
-	body, _ := json.Marshal(map[string]string{"query": stmt})
-	resp, err := http.Post(s.ts.URL+"/api/cql", "application/json", bytes.NewReader(body))
+	result, err := s.cli.Session("").Execute(context.Background(), stmt)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var envelope server.Response
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
-		t.Fatal(err)
-	}
-	if !envelope.OK {
-		t.Fatalf("cql failed: %s", envelope.Error)
-	}
-	var result struct {
-		Rows []struct {
-			Key string `json:"key"`
-		} `json:"rows"`
-	}
-	if err := json.Unmarshal(envelope.Result, &result); err != nil {
-		t.Fatal(err)
+		t.Fatalf("cql failed: %v", err)
 	}
 	if len(result.Rows) == 0 || len(result.Rows) > 5 {
 		t.Fatalf("%d CQL rows", len(result.Rows))
@@ -246,17 +218,8 @@ func TestIntegrationStreamingIntoSameStore(t *testing.T) {
 
 func TestIntegrationQueryStatsAccumulate(t *testing.T) {
 	s := getStack(t)
-	resp, err := http.Get(s.ts.URL + "/api/stats")
+	stats, err := s.cli.Stats(context.Background())
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var envelope server.Response
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
-		t.Fatal(err)
-	}
-	var stats server.StatsPayload
-	if err := json.Unmarshal(envelope.Result, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Queries.Simple+stats.Queries.BigData == 0 {

@@ -116,7 +116,9 @@ func Errorf(code ErrorCode, format string, args ...any) *Error {
 	return &Error{Code: code, Message: fmt.Sprintf(format, args...)}
 }
 
-// Response is the v1 envelope of every non-streamed answer.
+// Response is the v1 envelope of every non-streamed answer. The server
+// writes it with AppendResponse and the SDK reads it with DecodeResponse,
+// which decodes Result in place instead of retaining it.
 type Response struct {
 	OK bool `json:"ok"`
 	// Protocol is the version the server answered in.
@@ -129,9 +131,8 @@ type Response struct {
 }
 
 // QueryRequest is the body of POST /v1/query: a query.Request plus
-// optional pagination. The embedded request flattens into the same JSON
-// shape the legacy /api/query endpoint accepts, so the v1 route is a
-// strict superset.
+// optional pagination; the embedded request flattens into the same JSON
+// object.
 type QueryRequest struct {
 	query.Request
 	// Page requests cursor pagination; only row-returning ops (events,
@@ -155,16 +156,6 @@ type Page struct {
 	// Cursor resumes after a previous page's NextCursor; empty starts
 	// from the beginning.
 	Cursor string `json:"cursor,omitempty"`
-}
-
-// PageResult is the result payload of a paginated request. Items holds
-// the page's rows in result order — concatenating Items across pages
-// reproduces the one-shot result exactly.
-type PageResult struct {
-	Items json.RawMessage `json:"items"`
-	// NextCursor resumes after the last item; empty means the result set
-	// is exhausted.
-	NextCursor string `json:"next_cursor,omitempty"`
 }
 
 // StreamTrailer is the terminal line of an NDJSON stream: after the data
@@ -214,7 +205,7 @@ type RouteStats struct {
 // HTTPStats aggregates the server's HTTP-surface counters for /v1/stats.
 type HTTPStats struct {
 	Routes map[string]RouteStats `json:"routes"`
-	// WatchSubscribers is the number of live watch/poll subscriptions.
+	// WatchSubscribers is the number of live watch subscriptions.
 	WatchSubscribers int64 `json:"watch_subscribers"`
 	// WatchDelivered counts events pushed to watch subscribers.
 	WatchDelivered int64 `json:"watch_delivered"`
@@ -236,8 +227,7 @@ type HTTPStats struct {
 	WatchShards map[string]int64 `json:"watch_shards,omitempty"`
 }
 
-// StatsPayload is the result of GET /v1/stats (and the legacy
-// /api/stats): routing-class totals, per-operation latency and cache
+// StatsPayload is the result of GET /v1/stats: routing-class totals, per-operation latency and cache
 // counters, compute/scan counters, storage-engine counters, and the HTTP
 // surface's limiter/watch counters.
 type StatsPayload struct {

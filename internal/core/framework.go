@@ -148,9 +148,9 @@ func (f *Framework) Close() error { return f.DB.Close() }
 
 // Server constructs the web-facing analytic server: the /v1 wire
 // protocol (typed envelopes, cursor pagination, NDJSON streaming, the
-// push-based watch hub) with the pre-v1 /api/* routes as shims. On
-// shutdown call server.Close before Framework.Close so parked watch
-// subscribers drain before the storage engine goes away.
+// push-based watch hub). On shutdown call server.Close before
+// Framework.Close so parked watch subscribers drain before the storage
+// engine goes away.
 func (f *Framework) Server() *server.Server {
 	return f.ServerWithConfig(server.Config{})
 }

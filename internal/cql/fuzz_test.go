@@ -5,7 +5,7 @@ import (
 )
 
 // FuzzCQLParse: the parser must never panic, whatever bytes arrive on
-// POST /api/cql. (Errors are fine — panics in the lexer, the recursive-
+// POST /v1/cql. (Errors are fine — panics in the lexer, the recursive-
 // descent predicate grammar, or partition extraction are not.) The seed
 // corpus doubles as a grammar regression suite under plain `go test`.
 func FuzzCQLParse(f *testing.F) {

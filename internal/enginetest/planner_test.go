@@ -2,10 +2,10 @@ package enginetest
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
@@ -30,7 +30,7 @@ import (
 //	    aggregate in straight-line test code)
 //
 // — all three byte-identical as JSON, before and after a Reopen restart,
-// and over the wire through POST /api/cql.
+// and over the wire through POST /v1/cql.
 
 // plannerCorpus builds the statement corpus against the harness's seeded
 // data: hour partitions of event_by_time keyed "<hour>:<TYPE>".
@@ -299,27 +299,10 @@ func runCorpusEquivalence(t *testing.T, h *Harness) (read, pruned int64) {
 			t.Fatalf("pushed-down vs oracle differ for %q:\npushed: %.400s\noracle: %.400s", src, pj, oj)
 		}
 
-		// Wire path: POST /api/cql through the analytic server.
-		body := mustJSON(t, map[string]string{"query": src})
-		resp, err := http.Post(h.TS.URL+"/api/cql", "application/json", bytes.NewReader(body))
+		// Wire path: POST /v1/cql through the analytic server and the SDK.
+		wire, err := h.Client.Session("").Execute(context.Background(), src)
 		if err != nil {
-			t.Fatal(err)
-		}
-		var envelope struct {
-			OK     bool            `json:"ok"`
-			Error  string          `json:"error"`
-			Result json.RawMessage `json:"result"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if !envelope.OK {
-			t.Fatalf("wire %q: %s", src, envelope.Error)
-		}
-		var wire cql.Result
-		if err := json.Unmarshal(envelope.Result, &wire); err != nil {
-			t.Fatal(err)
+			t.Fatalf("wire %q: %v", src, err)
 		}
 		wireRows := wire.Rows
 		if wireRows == nil {

@@ -132,7 +132,7 @@ func TestPruningSelectivePredicate(t *testing.T) {
 		t.Fatalf("pruned %.1f%% of %d blocks; acceptance requires >= 80%%", 100*ratio, total)
 	}
 
-	// The engine's aggregate counters surfaced through /api/stats must
+	// The engine's aggregate counters surfaced through /v1/stats must
 	// have absorbed the same numbers.
 	st := eng.Stats()
 	if st.BlocksPruned < int(pruned) || st.BlocksRead < int(read) {

@@ -39,7 +39,7 @@ type Expr interface {
 // "key" and evaluates against Row.Key.
 //
 // Resolution is a LOOKUP, never an intern: query text is untrusted
-// (POST /api/cql), and the process-wide dictionary is append-only —
+// (POST /v1/cql), and the process-wide dictionary is append-only —
 // interning attacker-chosen names would grow it without bound. A name no
 // write has ever interned cannot appear in any stored row, so Known ==
 // false simply means the column is absent everywhere (predicates on it

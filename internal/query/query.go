@@ -144,7 +144,7 @@ func (q *Engine) Stats() Stats {
 }
 
 // ScanTuning exposes the engine's scan parallelism and time-slice width
-// so other query surfaces (the CQL planner behind POST /api/cql) share
+// so other query surfaces (the CQL planner behind POST /v1/cql) share
 // one execution configuration.
 func (q *Engine) ScanTuning() (parallelism, sliceSeconds int) {
 	return q.opts.Parallelism, q.opts.SliceSeconds

@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"hpclog/internal/api"
+	"hpclog/internal/ingest"
 	"hpclog/internal/model"
+	"hpclog/internal/query"
 )
 
 // Allocation regression guard for the watch write path: publishing a
@@ -29,5 +32,48 @@ func TestHubNotifyAllocBudget(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, func() { h.notify(d) }); avg > 4 {
 		t.Fatalf("hub.notify allocates %.2f objects per single-row digest (budget 4); the watch write path must not scale allocations with subscribers", avg)
+	}
+}
+
+// TestEventsPageAllocBudget: serving a late page of a paginated events
+// request costs what the page holds, not what its hour holds — the scan
+// starts at the cursor and stops at the limit. Re-reading, decoding and
+// sorting the hour for every page (what eventsPage once did) allocates in
+// proportion to the hour's rows, so the budget is set far below them.
+func TestEventsPageAllocBudget(t *testing.T) {
+	srv, _ := newHardenedServer(t, Config{})
+	const limit, hourRows = 10, 1005
+	base := time.Date(2017, 8, 23, 6, 0, 0, 0, time.UTC)
+	events := make([]model.Event, hourRows)
+	for i := range events {
+		events[i] = model.Event{Time: base.Add(time.Duration(i) * time.Second), Type: model.MCE, Source: "c0-0c0s0n1", Count: 1, Raw: "mce"}
+	}
+	if err := ingest.NewLoader(srv.db).LoadEvents(events); err != nil {
+		t.Fatal(err)
+	}
+	qc := query.Context{EventType: "MCE", From: base.Unix(), To: base.Add(time.Hour).Unix()}
+	var cursor string
+	got := 0
+	for {
+		res, aerr := srv.eventsPage(qc, &api.Page{Limit: limit, Cursor: cursor})
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		page := res.(*api.PageResult[query.EventRecord])
+		if got += len(page.Items); page.NextCursor == "" {
+			break
+		}
+		cursor = page.NextCursor // ends up resuming just before the end of the hour
+	}
+	if got != hourRows {
+		t.Fatalf("paged through %d events, loaded %d", got, hourRows)
+	}
+	avg := testing.AllocsPerRun(50, func() {
+		if _, aerr := srv.eventsPage(qc, &api.Page{Limit: limit, Cursor: cursor}); aerr != nil {
+			t.Fatal(aerr)
+		}
+	})
+	if avg > hourRows/4 {
+		t.Fatalf("the last page allocates %.0f objects in an hour of %d rows (budget %d): a page must not re-read its hour", avg, hourRows, hourRows/4)
 	}
 }

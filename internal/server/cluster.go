@@ -127,6 +127,7 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 	}
 	defer it.Close()
 	nd := newNDJSON(w, reqID)
+	defer nd.release()
 	for {
 		row, ok := it.Next()
 		if !ok {

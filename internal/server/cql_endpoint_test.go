@@ -2,39 +2,22 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
 	"net/http"
 	"testing"
 
-	"hpclog/internal/cql"
+	"hpclog/internal/api"
 	"hpclog/internal/model"
 )
-
-func postCQL(t *testing.T, f *fixture, q, consistency string) (*http.Response, Response) {
-	t.Helper()
-	body, err := json.Marshal(map[string]string{"query": q, "consistency": consistency})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(f.ts.URL+"/api/cql", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, decodeResponse(t, resp)
-}
 
 func TestCQLSelectOverHTTP(t *testing.T) {
 	f := getFixture(t)
 	hour := model.HourOf(f.cfg.Start)
 	q := fmt.Sprintf("SELECT source, amount FROM event_by_time WHERE partition = '%d:MEM_ECC' LIMIT 10",
 		hour)
-	resp, r := postCQL(t, f, q, "QUORUM")
-	if resp.StatusCode != http.StatusOK || !r.OK {
-		t.Fatalf("status %d, %+v", resp.StatusCode, r)
-	}
-	var res cql.Result
-	if err := json.Unmarshal(r.Result, &res); err != nil {
+	res, err := f.cli.Session("QUORUM").Execute(context.Background(), q)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) == 0 || len(res.Rows) > 10 {
@@ -49,12 +32,8 @@ func TestCQLSelectOverHTTP(t *testing.T) {
 
 func TestCQLDescribeOverHTTP(t *testing.T) {
 	f := getFixture(t)
-	resp, r := postCQL(t, f, "DESCRIBE TABLES", "")
-	if resp.StatusCode != http.StatusOK || !r.OK {
-		t.Fatalf("status %d, %+v", resp.StatusCode, r)
-	}
-	var res cql.Result
-	if err := json.Unmarshal(r.Result, &res); err != nil {
+	res, err := f.cli.Session("").Execute(context.Background(), "DESCRIBE TABLES")
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Tables) != len(model.AllTables) {
@@ -64,20 +43,21 @@ func TestCQLDescribeOverHTTP(t *testing.T) {
 
 func TestCQLErrorsOverHTTP(t *testing.T) {
 	f := getFixture(t)
-	resp, r := postCQL(t, f, "DROP TABLE events", "")
-	if resp.StatusCode != http.StatusBadRequest || r.OK {
-		t.Fatalf("bad statement: status %d, %+v", resp.StatusCode, r)
+	ctx := context.Background()
+	_, err := f.cli.Session("").Execute(ctx, "DROP TABLE events")
+	if ae := errorOf(t, err); ae.Status != http.StatusBadRequest {
+		t.Fatalf("bad statement: %+v", ae)
 	}
-	resp, r = postCQL(t, f, "DESCRIBE TABLES", "EVENTUAL")
-	if resp.StatusCode != http.StatusBadRequest || r.OK {
-		t.Fatalf("bad consistency: status %d, %+v", resp.StatusCode, r)
+	_, err = f.cli.Session("EVENTUAL").Execute(ctx, "DESCRIBE TABLES")
+	if ae := errorOf(t, err); ae.Status != http.StatusBadRequest || ae.Code != api.CodeBadRequest {
+		t.Fatalf("bad consistency: %+v", ae)
 	}
-	resp2, err := http.Post(f.ts.URL+"/api/cql", "application/json", bytes.NewReader([]byte("{")))
+	resp, err := http.Post(f.ts.URL+"/v1/cql", "application/json", bytes.NewReader([]byte("{")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body: status %d", resp2.StatusCode)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed body: status %d", resp.StatusCode)
 	}
 }

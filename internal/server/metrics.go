@@ -57,7 +57,7 @@ func (s *Server) collectHTTPMetrics(w *obs.Writer) {
 
 func (s *Server) collectWatchMetrics(w *obs.Writer) {
 	h := s.hub
-	w.Gauge("hpclog_watch_subscribers", "Live watch/poll subscribers.", float64(h.subscribers.Load()))
+	w.Gauge("hpclog_watch_subscribers", "Live watch subscribers.", float64(h.subscribers.Load()))
 	w.Counter("hpclog_watch_delivered_total", "Events delivered to watch subscribers.", h.delivered.Load())
 	w.Counter("hpclog_watch_wakeups_total", "Subscriber wakeups signalled by shard dispatchers.", h.wakeups.Load())
 	w.Counter("hpclog_watch_coalesced_total", "Write digests coalesced into an already-pending dispatch.", h.coalesced.Load())

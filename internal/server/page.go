@@ -7,11 +7,11 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"sort"
+	"errors"
 	"time"
 
 	"hpclog/internal/api"
+	"hpclog/internal/cql"
 	"hpclog/internal/model"
 	"hpclog/internal/query"
 	"hpclog/internal/store"
@@ -29,8 +29,9 @@ func (s *Server) pageLimit(p *api.Page) int {
 	return limit
 }
 
-// pagedQuery dispatches a paginated query.Request.
-func (s *Server) pagedQuery(req api.QueryRequest) (*api.PageResult, *api.Error) {
+// pagedQuery dispatches a paginated query.Request; the result is an
+// *api.PageResult of the op's row shape.
+func (s *Server) pagedQuery(req api.QueryRequest) (any, *api.Error) {
 	switch req.Op {
 	case query.OpEvents:
 		return s.eventsPage(req.Context, req.Page)
@@ -40,15 +41,6 @@ func (s *Server) pagedQuery(req api.QueryRequest) (*api.PageResult, *api.Error) 
 		return nil, api.Errorf(api.CodeBadRequest,
 			"op %q does not support pagination (only events and runs return row sets)", req.Op)
 	}
-}
-
-// pageResult marshals a page's items.
-func pageResult(items any, next string) (*api.PageResult, *api.Error) {
-	data, err := json.Marshal(items)
-	if err != nil {
-		return nil, api.Errorf(api.CodeInternal, "marshal page: %v", err)
-	}
-	return &api.PageResult{Items: data, NextCursor: next}, nil
 }
 
 // --- Events ---
@@ -113,12 +105,6 @@ func specFor(c query.Context) eventSpec {
 	}
 }
 
-// keyedEvent is one decoded event with its order key.
-type keyedEvent struct {
-	key, disc string
-	rec       query.EventRecord
-}
-
 // eventRecord converts a model event into its wire record, the same
 // mapping the one-shot path uses.
 func eventRecord(e model.Event) query.EventRecord {
@@ -126,44 +112,6 @@ func eventRecord(e model.Event) query.EventRecord {
 		Time: e.Time.Unix(), Type: string(e.Type), Source: e.Source,
 		Count: e.Count, Raw: e.Raw, Attrs: e.Attrs,
 	}
-}
-
-// hourEvents reads one hour bucket of the spec, clipped to [from, to),
-// sorted by (clustering key, disc) — which equals the one-shot result
-// order (time, source, type): clustering keys are fixed-width-timestamp
-// prefixed, so byte order is time order, and the key's discriminator /
-// the partition type break ties identically to model.SortEvents.
-func (s *Server) hourEvents(spec eventSpec, hour int64, from, to time.Time) ([]keyedEvent, error) {
-	lo, hi := hourWindow(hour, from, to)
-	if !hi.After(lo) {
-		return nil, nil
-	}
-	rg := model.EventTimeRange(lo, hi)
-	var out []keyedEvent
-	for _, pkey := range spec.keysFor(hour) {
-		rows, err := s.db.Get(spec.table, pkey, rg, store.One)
-		if err != nil {
-			return nil, err
-		}
-		disc := spec.disc(pkey)
-		for _, row := range rows {
-			e, err := spec.decode(pkey, row)
-			if err != nil {
-				return nil, err
-			}
-			if spec.filterType != "" && string(e.Type) != spec.filterType {
-				continue
-			}
-			out = append(out, keyedEvent{key: row.Key, disc: disc, rec: eventRecord(e)})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].key != out[j].key {
-			return out[i].key < out[j].key
-		}
-		return out[i].disc < out[j].disc
-	})
-	return out, nil
 }
 
 // hourWindow clips [from, to) to hour bucket h.
@@ -178,14 +126,22 @@ func hourWindow(h int64, from, to time.Time) (time.Time, time.Time) {
 	return lo, hi
 }
 
-// eventsPage serves one page of an events request.
-func (s *Server) eventsPage(c query.Context, page *api.Page) (*api.PageResult, *api.Error) {
+// errPageFull stops an hour scan once the page holds limit rows.
+var errPageFull = errors.New("page full")
+
+// eventsPage serves one page of an events request off the same lazy
+// hour merge the NDJSON stream uses. The scan of the cursor's hour starts
+// at the cursor's key (rows at that key which the previous page already
+// delivered are dropped by the order tie-breaker) and stops at limit, so a
+// page costs the rows it returns, not the hour it sits in.
+func (s *Server) eventsPage(c query.Context, page *api.Page) (any, *api.Error) {
 	from, to := c.Window()
 	if !to.After(from) {
 		return nil, api.Errorf(api.CodeBadRequest, "op \"events\" requires a non-empty [from, to) window")
 	}
 	var cur api.Cursor
-	if page.Cursor != "" {
+	resume := page.Cursor != ""
+	if resume {
 		var err error
 		if cur, err = api.DecodeCursor(page.Cursor, "events"); err != nil {
 			return nil, toAPIError(err)
@@ -193,31 +149,42 @@ func (s *Server) eventsPage(c query.Context, page *api.Page) (*api.PageResult, *
 	}
 	limit := s.pageLimit(page)
 	spec := specFor(c)
-	items := make([]query.EventRecord, 0, limit)
-	var next string
+	out := &api.PageResult[query.EventRecord]{Items: make([]query.EventRecord, 0, limit)}
 	for _, hour := range model.HoursIn(from, to) {
-		if page.Cursor != "" && hour < cur.Hour {
+		if resume && hour < cur.Hour {
 			continue
 		}
-		evs, err := s.hourEvents(spec, hour, from, to)
+		lo, hi := hourWindow(hour, from, to)
+		if !hi.After(lo) {
+			continue
+		}
+		rg := model.EventTimeRange(lo, hi)
+		inCursorHour := resume && hour == cur.Hour
+		if inCursorHour && cur.Key > rg.From {
+			rg.From = cur.Key
+		}
+		err := s.scanHourMerged(spec, hour, rg, func(key, disc string, rec query.EventRecord) error {
+			if inCursorHour && !cur.After(key, disc) {
+				return nil
+			}
+			out.Items = append(out.Items, rec)
+			if len(out.Items) == limit {
+				out.NextCursor = api.Cursor{Op: "events", Hour: hour, Key: key, Disc: disc}.Encode()
+				return errPageFull
+			}
+			return nil
+		})
+		if err == errPageFull {
+			break
+		}
 		if err != nil {
 			// Same classification as the one-shot path (toAPIError), so the
 			// identical store failure gets the identical code and SDK retry
 			// behavior whichever way the result is delivered.
 			return nil, toAPIError(err)
 		}
-		for _, ke := range evs {
-			if page.Cursor != "" && hour == cur.Hour && !cur.After(ke.key, ke.disc) {
-				continue
-			}
-			items = append(items, ke.rec)
-			if len(items) == limit {
-				next = api.Cursor{Op: "events", Hour: hour, Key: ke.key, Disc: ke.disc}.Encode()
-				return pageResult(items, next)
-			}
-		}
 	}
-	return pageResult(items, "")
+	return out, nil
 }
 
 // --- Runs ---
@@ -226,7 +193,7 @@ func (s *Server) eventsPage(c query.Context, page *api.Page) (*api.PageResult, *
 // per job), so the page is cut from the deterministically ordered
 // one-shot result; the cursor still encodes a data position (start
 // timestamp + job ID), so it survives restart and compaction.
-func (s *Server) runsPage(req query.Request, page *api.Page) (*api.PageResult, *api.Error) {
+func (s *Server) runsPage(req query.Request, page *api.Page) (any, *api.Error) {
 	req.Op = query.OpRuns
 	result, err := s.q.Execute(req)
 	if err != nil {
@@ -243,20 +210,19 @@ func (s *Server) runsPage(req query.Request, page *api.Page) (*api.PageResult, *
 		}
 	}
 	limit := s.pageLimit(page)
-	items := make([]query.RunRecord, 0, limit)
-	var next string
+	out := &api.PageResult[query.RunRecord]{Items: make([]query.RunRecord, 0, limit)}
 	for _, run := range runs {
 		key := store.EncodeTS(run.Start) + ":" + run.JobID
 		if page.Cursor != "" && !cur.After(key, "") {
 			continue
 		}
-		items = append(items, run)
-		if len(items) == limit {
-			next = api.Cursor{Op: "runs", Key: key}.Encode()
+		out.Items = append(out.Items, run)
+		if len(out.Items) == limit {
+			out.NextCursor = api.Cursor{Op: "runs", Key: key}.Encode()
 			break
 		}
 	}
-	return pageResult(items, next)
+	return out, nil
 }
 
 // --- CQL ---
@@ -266,7 +232,7 @@ func (s *Server) runsPage(req query.Request, page *api.Page) (*api.PageResult, *
 // honor a statement-level LIMIT across pages); the next page re-plans the
 // statement with the scan range narrowed to keys strictly after the
 // cursor, so resumption costs one pruned partition scan, not a skip.
-func (s *Server) pagedCQL(ctx context.Context, req api.CQLRequest, cl store.Consistency) (*api.PageResult, *api.Error) {
+func (s *Server) pagedCQL(ctx context.Context, req api.CQLRequest, cl store.Consistency) (any, *api.Error) {
 	var cur api.Cursor
 	if req.Page.Cursor != "" {
 		var err error
@@ -278,9 +244,9 @@ func (s *Server) pagedCQL(ctx context.Context, req api.CQLRequest, cl store.Cons
 	if err != nil {
 		return nil, toAPIError(err)
 	}
-	var next string
+	out := &api.PageResult[cql.ResultRow]{Items: rows}
 	if more {
-		next = api.Cursor{Op: "cql", Key: nextKey, N: cur.N + int64(len(rows))}.Encode()
+		out.NextCursor = api.Cursor{Op: "cql", Key: nextKey, N: cur.N + int64(len(rows))}.Encode()
 	}
-	return pageResult(rows, next)
+	return out, nil
 }

@@ -8,8 +8,9 @@
 // internal/api: enveloped JSON with machine-readable error codes and
 // request IDs, cursor pagination and NDJSON streaming for row-returning
 // results, and a push-based /v1/watch subscription hub woken by the store
-// write path (no poll interval anywhere). The pre-v1 /api/* routes remain
-// as thin shims over the same handlers so existing clients keep working.
+// write path (no poll interval anywhere). Every enveloped answer leaves
+// through one writer, writeV1, and every streamed one through ndjson; both
+// build their bytes with the api package's wire codec.
 package server
 
 import (
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,7 +43,7 @@ type Config struct {
 	// MaxBodyBytes caps every POST body (http.MaxBytesReader); <= 0 means
 	// 1 MiB.
 	MaxBodyBytes int64
-	// MaxWatchTimeout caps the timeout_ms a poll/watch client may request;
+	// MaxWatchTimeout caps the timeout_ms a watch client may request;
 	// <= 0 means 2 minutes.
 	MaxWatchTimeout time.Duration
 	// DefaultPageLimit is the page size when a paginated request does not
@@ -216,15 +218,6 @@ func NewWithConfig(q *query.Engine, db *store.DB, eng *compute.Engine, cfg Confi
 	// Cluster-internal RPCs: replication, shard scatter-gather, status.
 	s.registerClusterRoutes()
 
-	// Legacy pre-v1 shims: same handlers, unversioned envelope.
-	s.handle("POST /api/query", s.limited("query", s.legacy(s.queryCore)))
-	s.handle("POST /api/cql", s.limited("cql", s.legacy(s.cqlCore)))
-	s.handle("GET /api/types", s.legacy(s.typesCore))
-	s.handle("GET /api/stats", s.legacy(s.statsCore))
-	s.handle("GET /api/storage", s.legacy(s.storageCore))
-	s.handle("POST /api/storage/compact", s.limited("storage", s.legacy(s.compactCore)))
-	s.handle("GET /api/poll", s.limited("watch", s.handlePoll))
-
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	return s
 }
@@ -256,7 +249,7 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 	})
 }
 
-// Close drains the watch hub (every live watch/poll subscriber is woken
+// Close drains the watch hub (every live watch subscriber is woken
 // and completes its response) and detaches the server from the store's
 // write-notification fan-out. Graceful shutdown calls Close before
 // http.Server.Shutdown so long-lived watch streams do not hold the
@@ -342,12 +335,8 @@ func (s *Server) limited(route string, h http.HandlerFunc) http.HandlerFunc {
 		if !l.acquire() {
 			s.lg.Warn("server: request rejected at in-flight limit",
 				"route", route, "limit", l.max, "request_id", s.requestID(r))
-			aerr := api.Errorf(api.CodeOverloaded, "route %s at its in-flight limit (%d)", route, l.max)
-			if strings.HasPrefix(r.URL.Path, "/api/") {
-				writeLegacy(w, s.now(), nil, aerr)
-			} else {
-				s.writeV1(w, s.now(), s.requestID(r), nil, aerr)
-			}
+			s.writeV1(w, s.now(), s.requestID(r), nil,
+				api.Errorf(api.CodeOverloaded, "route %s at its in-flight limit (%d)", route, l.max))
 			return
 		}
 		defer l.release()
@@ -369,83 +358,43 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) *ap
 	return nil
 }
 
-// --- Envelope writers ---
+// --- The envelope writer ---
 
-// writeV1 writes the v1 envelope for result (or apiErr).
+// protocolHeader is the VersionHeader value of every response.
+var protocolHeader = strconv.Itoa(api.Version)
+
+// writeV1 writes the v1 envelope for result (or apiErr) in one pass: the
+// envelope and the result are encoded straight into one pooled buffer —
+// row results by the wire codec, without reflection or an intermediate
+// copy — and leave in one Write with Content-Length set.
 func (s *Server) writeV1(w http.ResponseWriter, started time.Time, reqID string, result any, apiErr *api.Error) {
-	resp := api.Response{
-		OK:        apiErr == nil,
-		Protocol:  api.Version,
-		RequestID: reqID,
-		ElapsedMS: time.Since(started).Milliseconds(),
-	}
+	buf := api.GetBuffer()
+	defer buf.Release()
+	elapsed := time.Since(started).Milliseconds()
 	status := http.StatusOK
 	if apiErr != nil {
 		apiErr.RequestID = reqID
-		resp.Err = apiErr
 		status = apiErr.Code.HTTPStatus()
-	} else {
-		data, merr := json.Marshal(result)
-		if merr != nil {
-			resp.OK = false
-			resp.Err = api.Errorf(api.CodeInternal, "marshal result: %v", merr)
-			resp.Err.RequestID = reqID
-			status = http.StatusInternalServerError
-		} else {
-			resp.Result = data
-		}
+	}
+	var err error
+	if buf.B, err = api.AppendResponse(buf.B, reqID, elapsed, result, apiErr); err != nil {
+		apiErr = api.Errorf(api.CodeInternal, "marshal result: %v", err)
+		apiErr.RequestID = reqID
+		status = http.StatusInternalServerError
+		buf.B, _ = api.AppendResponse(buf.B, reqID, elapsed, nil, apiErr) // an error envelope cannot fail
 	}
 	h := w.Header()
 	h.Set("Content-Type", api.MediaTypeJSON)
-	h.Set(api.VersionHeader, fmt.Sprint(api.Version))
+	h.Set("Content-Length", strconv.Itoa(len(buf.B)))
+	h.Set(api.VersionHeader, protocolHeader)
 	h.Set(api.RequestIDHeader, reqID)
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(resp)
-}
-
-// Response is the envelope of every legacy /api/* answer, kept
-// byte-compatible with pre-v1 releases.
-type Response struct {
-	OK        bool            `json:"ok"`
-	Error     string          `json:"error,omitempty"`
-	ElapsedMS int64           `json:"elapsed_ms"`
-	Result    json.RawMessage `json:"result,omitempty"`
-}
-
-// writeLegacy writes the pre-v1 envelope.
-func writeLegacy(w http.ResponseWriter, started time.Time, result any, apiErr *api.Error) {
-	resp := Response{OK: apiErr == nil, ElapsedMS: time.Since(started).Milliseconds()}
-	status := http.StatusOK
-	if apiErr != nil {
-		resp.Error = apiErr.Message
-		status = apiErr.Code.HTTPStatus()
-	} else {
-		data, merr := json.Marshal(result)
-		if merr != nil {
-			status = http.StatusInternalServerError
-			resp.OK = false
-			resp.Error = fmt.Sprintf("server: marshal result: %v", merr)
-		} else {
-			resp.Result = data
-		}
-	}
-	w.Header().Set("Content-Type", api.MediaTypeJSON)
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(resp)
+	_, _ = w.Write(buf.B) // the client hanging up is the only failure, and there is no one left to tell
 }
 
 // coreFunc executes one request's business logic and returns the result
-// payload or a typed error; envelope writers wrap it for v1 and legacy.
+// payload or a typed error for writeV1.
 type coreFunc func(w http.ResponseWriter, r *http.Request) (any, *api.Error)
-
-// legacy adapts a core handler onto the pre-v1 envelope.
-func (s *Server) legacy(core coreFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		started := s.now()
-		result, apiErr := core(w, r)
-		writeLegacy(w, started, result, apiErr)
-	}
-}
 
 // v1 adapts a core handler onto the v1 envelope with protocol
 // negotiation and request IDs.
@@ -501,19 +450,6 @@ func (s *Server) handleQueryV1(w http.ResponseWriter, r *http.Request) {
 	})(w, r)
 }
 
-// queryCore is the legacy /api/query body: a bare query.Request.
-func (s *Server) queryCore(w http.ResponseWriter, r *http.Request) (any, *api.Error) {
-	var req query.Request
-	if aerr := s.decodeBody(w, r, &req); aerr != nil {
-		return nil, aerr
-	}
-	result, err := s.q.ExecuteCtx(r.Context(), req)
-	if err != nil {
-		return nil, toAPIError(err)
-	}
-	return result, nil
-}
-
 // --- CQL handlers ---
 
 // parseConsistency maps the wire consistency onto store levels.
@@ -565,23 +501,6 @@ func (s *Server) handleCQLV1(w http.ResponseWriter, r *http.Request) {
 	})(w, r)
 }
 
-// cqlCore is the legacy /api/cql body (no pagination).
-func (s *Server) cqlCore(w http.ResponseWriter, r *http.Request) (any, *api.Error) {
-	var req api.CQLRequest
-	if aerr := s.decodeBody(w, r, &req); aerr != nil {
-		return nil, aerr
-	}
-	cl, aerr := parseConsistency(req.Consistency)
-	if aerr != nil {
-		return nil, aerr
-	}
-	res, err := s.session(r.Context(), cl).Execute(req.Query)
-	if err != nil {
-		return nil, toAPIError(err)
-	}
-	return res, nil
-}
-
 // --- Catalog, stats, storage ---
 
 func (s *Server) typesCore(_ http.ResponseWriter, r *http.Request) (any, *api.Error) {
@@ -595,13 +514,6 @@ func (s *Server) typesCore(_ http.ResponseWriter, r *http.Request) (any, *api.Er
 func (s *Server) handleTypesV1(w http.ResponseWriter, r *http.Request) {
 	s.v1(s.typesCore)(w, r)
 }
-
-// StatsPayload is the stats result shape, re-exported for compatibility.
-type StatsPayload = api.StatsPayload
-
-// CompactResult is the compact result shape, re-exported for
-// compatibility.
-type CompactResult = api.CompactResult
 
 func (s *Server) statsCore(http.ResponseWriter, *http.Request) (any, *api.Error) {
 	routes := make(map[string]api.RouteStats, len(s.limiters))

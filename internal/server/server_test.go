@@ -2,13 +2,16 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
+	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"hpclog/client"
+	"hpclog/internal/analytics"
+	"hpclog/internal/api"
 	"hpclog/internal/compute"
 	"hpclog/internal/ingest"
 	"hpclog/internal/logs"
@@ -24,6 +27,7 @@ type fixture struct {
 	db     *store.DB
 	srv    *Server
 	ts     *httptest.Server
+	cli    *client.Client
 }
 
 var shared *fixture
@@ -52,42 +56,26 @@ func getFixture(t testing.TB) *fixture {
 	}
 	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
 	srv := New(query.New(db, eng), db, eng)
-	shared = &fixture{cfg: cfg, corpus: corpus, db: db, srv: srv, ts: httptest.NewServer(srv)}
+	ts := httptest.NewServer(srv)
+	shared = &fixture{cfg: cfg, corpus: corpus, db: db, srv: srv, ts: ts, cli: client.New(ts.URL)}
 	return shared
 }
 
-func decodeResponse(t *testing.T, resp *http.Response) Response {
+// errorOf returns err as the typed *api.Error the SDK surfaces for an
+// enveloped failure.
+func errorOf(t *testing.T, err error) *api.Error {
 	t.Helper()
-	defer resp.Body.Close()
-	var r Response
-	if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
-		t.Fatalf("decode response: %v", err)
+	var ae *api.Error
+	if !errors.As(err, &ae) {
+		t.Fatalf("error = %v (%T), want *api.Error", err, err)
 	}
-	return r
-}
-
-func postQuery(t *testing.T, f *fixture, req query.Request) (*http.Response, Response) {
-	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(f.ts.URL+"/api/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, decodeResponse(t, resp)
+	return ae
 }
 
 func TestHealthz(t *testing.T) {
 	f := getFixture(t)
-	resp, err := http.Get(f.ts.URL + "/healthz")
-	if err != nil {
+	if err := f.cli.Health(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz = %d", resp.StatusCode)
 	}
 }
 
@@ -95,20 +83,12 @@ func TestEndToEndQuery(t *testing.T) {
 	// E3: the full path of Fig 3 — JSON in, query engine, store/compute,
 	// JSON out.
 	f := getFixture(t)
-	req := query.Request{
-		Op: query.OpEvents,
-		Context: query.Context{
-			EventType: "MCE",
-			From:      f.cfg.Start.Unix(),
-			To:        f.cfg.Start.Add(f.cfg.Duration).Unix(),
-		},
-	}
-	resp, r := postQuery(t, f, req)
-	if resp.StatusCode != http.StatusOK || !r.OK {
-		t.Fatalf("status %d, body %+v", resp.StatusCode, r)
-	}
-	var events []query.EventRecord
-	if err := json.Unmarshal(r.Result, &events); err != nil {
+	events, err := f.cli.Events(context.Background(), query.Context{
+		EventType: "MCE",
+		From:      f.cfg.Start.Unix(),
+		To:        f.cfg.Start.Add(f.cfg.Duration).Unix(),
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(events) == 0 {
@@ -123,22 +103,15 @@ func TestEndToEndQuery(t *testing.T) {
 
 func TestBigDataQueryOverHTTP(t *testing.T) {
 	f := getFixture(t)
-	req := query.Request{
+	hm, err := client.Query[analytics.HeatMap](context.Background(), f.cli, query.Request{
 		Op: query.OpHeatmap,
 		Context: query.Context{
 			EventType: "MEM_ECC",
 			From:      f.cfg.Start.Unix(),
 			To:        f.cfg.Start.Add(f.cfg.Duration).Unix(),
 		},
-	}
-	resp, r := postQuery(t, f, req)
-	if resp.StatusCode != http.StatusOK || !r.OK {
-		t.Fatalf("status %d, body %+v", resp.StatusCode, r)
-	}
-	var hm struct {
-		Total int `json:"Total"`
-	}
-	if err := json.Unmarshal(r.Result, &hm); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if hm.Total == 0 {
@@ -148,36 +121,41 @@ func TestBigDataQueryOverHTTP(t *testing.T) {
 
 func TestQueryErrorsAreClientErrors(t *testing.T) {
 	f := getFixture(t)
-	resp, r := postQuery(t, f, query.Request{Op: "bogus"})
-	if resp.StatusCode != http.StatusBadRequest || r.OK {
-		t.Fatalf("status %d, body %+v", resp.StatusCode, r)
+	_, err := f.cli.Do(context.Background(), query.Request{Op: "bogus"})
+	if ae := errorOf(t, err); ae.Status != http.StatusBadRequest || ae.Message == "" {
+		t.Fatalf("bogus op: %+v", ae)
 	}
-	if r.Error == "" {
-		t.Fatal("error body empty")
-	}
-	// Malformed JSON.
-	resp2, err := http.Post(f.ts.URL+"/api/query", "application/json", bytes.NewReader([]byte("{nope")))
+	// Malformed JSON (the SDK cannot send it).
+	resp, err := http.Post(f.ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte("{nope")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := decodeResponse(t, resp2)
-	if resp2.StatusCode != http.StatusBadRequest || r2.OK {
-		t.Fatalf("malformed body: status %d %+v", resp2.StatusCode, r2)
+	env := decodeV1(t, resp)
+	if resp.StatusCode != http.StatusBadRequest || env.OK || env.Err == nil || env.Err.Code != api.CodeBadRequest {
+		t.Fatalf("malformed body: status %d %+v", resp.StatusCode, env)
+	}
+}
+
+// TestNoLegacyRoutes: the pre-v1 /api/* shims are gone, so writeV1 is the
+// only envelope writer.
+func TestNoLegacyRoutes(t *testing.T) {
+	f := getFixture(t)
+	for _, path := range []string{"/api/query", "/api/cql", "/api/types", "/api/stats", "/api/storage", "/api/poll"} {
+		resp, err := http.Post(f.ts.URL+path, "application/json", bytes.NewReader([]byte(`{"op":"types"}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
 func TestTypesEndpoint(t *testing.T) {
 	f := getFixture(t)
-	resp, err := http.Get(f.ts.URL + "/api/types")
+	types, err := f.cli.Types(context.Background())
 	if err != nil {
-		t.Fatal(err)
-	}
-	r := decodeResponse(t, resp)
-	if !r.OK {
-		t.Fatalf("types: %+v", r)
-	}
-	var types map[string]string
-	if err := json.Unmarshal(r.Result, &types); err != nil {
 		t.Fatal(err)
 	}
 	if len(types) != len(model.EventTypes) {
@@ -187,13 +165,8 @@ func TestTypesEndpoint(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	f := getFixture(t)
-	resp, err := http.Get(f.ts.URL + "/api/stats")
+	stats, err := f.cli.Stats(context.Background())
 	if err != nil {
-		t.Fatal(err)
-	}
-	r := decodeResponse(t, resp)
-	var stats StatsPayload
-	if err := json.Unmarshal(r.Result, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if len(stats.Tables) != len(model.AllTables) {
@@ -211,6 +184,7 @@ func TestStatsEndpoint(t *testing.T) {
 // stats endpoint reports its latency and cache-hit counters.
 func TestStatsPerOpCounters(t *testing.T) {
 	f := getFixture(t)
+	ctx := context.Background()
 	req := query.Request{
 		Op: query.OpHistogram,
 		Context: query.Context{
@@ -220,17 +194,12 @@ func TestStatsPerOpCounters(t *testing.T) {
 		},
 	}
 	for i := 0; i < 2; i++ {
-		if resp, r := postQuery(t, f, req); resp.StatusCode != http.StatusOK || !r.OK {
-			t.Fatalf("histogram query failed: %+v", r)
+		if _, err := f.cli.Do(ctx, req); err != nil {
+			t.Fatalf("histogram query failed: %v", err)
 		}
 	}
-	resp, err := http.Get(f.ts.URL + "/api/stats")
+	stats, err := f.cli.Stats(ctx)
 	if err != nil {
-		t.Fatal(err)
-	}
-	r := decodeResponse(t, resp)
-	var stats StatsPayload
-	if err := json.Unmarshal(r.Result, &stats); err != nil {
 		t.Fatal(err)
 	}
 	m, ok := stats.PerOp[string(query.OpHistogram)]
@@ -248,58 +217,36 @@ func TestStatsPerOpCounters(t *testing.T) {
 	}
 }
 
-func TestLongPollImmediateData(t *testing.T) {
+func TestWatchImmediateData(t *testing.T) {
 	f := getFixture(t)
-	url := fmt.Sprintf("%s/api/poll?type=MCE&since=%d&timeout_ms=1000",
-		f.ts.URL, f.cfg.Start.Unix())
-	resp, err := http.Get(url)
+	w, err := f.cli.Watch(context.Background(), "MCE", client.WatchOptions{Since: f.cfg.Start, Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := decodeResponse(t, resp)
-	if !r.OK {
-		t.Fatalf("poll: %+v", r)
-	}
-	var events []query.EventRecord
-	if err := json.Unmarshal(r.Result, &events); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("long poll returned no historical events")
+	defer w.Close()
+	if e, ok := w.Next(); !ok || e.Type != "MCE" {
+		t.Fatalf("watch returned no historical events: %+v, %v", e, w.Err())
 	}
 }
 
-func TestLongPollWaitsForNewEvents(t *testing.T) {
+func TestWatchWaitsForNewEvents(t *testing.T) {
 	f := getFixture(t)
-	// Start a poll in the future relative to corpus data; inject an event
-	// while it waits.
-	since := time.Now().UTC().Add(-time.Second)
-	type pollResult struct {
-		events []query.EventRecord
-		err    error
+	// Start a watch in the future relative to corpus data; inject an event
+	// while it is parked.
+	w, err := f.cli.Watch(context.Background(), "GPU_FAIL", client.WatchOptions{
+		Since: time.Now().UTC().Add(-time.Second), Timeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan pollResult, 1)
+	defer w.Close()
+	got := make(chan query.EventRecord, 1)
 	go func() {
-		url := fmt.Sprintf("%s/api/poll?type=GPU_FAIL&since=%d&timeout_ms=5000", f.ts.URL, since.Unix())
-		resp, err := http.Get(url)
-		if err != nil {
-			done <- pollResult{err: err}
-			return
+		if e, ok := w.Next(); ok {
+			got <- e
 		}
-		defer resp.Body.Close()
-		var r Response
-		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
-			done <- pollResult{err: err}
-			return
-		}
-		var events []query.EventRecord
-		if err := json.Unmarshal(r.Result, &events); err != nil {
-			done <- pollResult{err: err}
-			return
-		}
-		done <- pollResult{events: events}
+		close(got)
 	}()
-	time.Sleep(50 * time.Millisecond)
 	e := model.Event{
 		Time: time.Now().UTC(), Type: model.GPUFail,
 		Source: "c0-0c0s0n0", Count: 1, Raw: "injected",
@@ -308,51 +255,47 @@ func TestLongPollWaitsForNewEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case res := <-done:
-		if res.err != nil {
-			t.Fatal(res.err)
-		}
-		if len(res.events) == 0 {
-			t.Fatal("long poll missed the injected event")
+	case rec, ok := <-got:
+		if !ok || rec.Raw != "injected" {
+			t.Fatalf("watch missed the injected event: %+v, %v", rec, w.Err())
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("long poll never returned")
+		t.Fatal("watch never delivered")
 	}
 }
 
-func TestLongPollTimeoutEmpty(t *testing.T) {
+func TestWatchTimeoutEmpty(t *testing.T) {
 	f := getFixture(t)
-	url := fmt.Sprintf("%s/api/poll?type=KERNEL_PANIC&since=%d&timeout_ms=100",
-		f.ts.URL, time.Now().Add(time.Hour).Unix())
 	start := time.Now()
-	resp, err := http.Get(url)
+	w, err := f.cli.Watch(context.Background(), "KERNEL_PANIC", client.WatchOptions{
+		Since: time.Now().Add(time.Hour), Timeout: 100 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := decodeResponse(t, resp)
-	if !r.OK {
-		t.Fatalf("poll: %+v", r)
+	defer w.Close()
+	if e, ok := w.Next(); ok || w.Err() != nil {
+		t.Fatalf("empty watch delivered %+v (err %v), want a clean end", e, w.Err())
 	}
 	if elapsed := time.Since(start); elapsed < 80*time.Millisecond {
-		t.Fatalf("poll returned in %v, should have parked ~100ms", elapsed)
+		t.Fatalf("watch ended in %v, should have parked ~100ms", elapsed)
 	}
 }
 
-func TestLongPollValidation(t *testing.T) {
+func TestWatchValidation(t *testing.T) {
 	f := getFixture(t)
 	for _, u := range []string{
-		"/api/poll?since=1",                       // no type
-		"/api/poll?type=MCE",                      // no since
-		"/api/poll?type=MCE&since=x",              // bad since
-		"/api/poll?type=MCE&since=1&timeout_ms=x", // bad timeout
+		"/v1/watch?since=1",                       // no type
+		"/v1/watch?type=MCE&since=x",              // bad since
+		"/v1/watch?type=MCE&since=1&timeout_ms=x", // bad timeout
 	} {
 		resp, err := http.Get(f.ts.URL + u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", u, resp.StatusCode)
+		env := decodeV1(t, resp)
+		if resp.StatusCode != http.StatusBadRequest || env.Err == nil || env.Err.Code != api.CodeBadRequest {
+			t.Errorf("%s: status %d, error %+v, want 400 bad_request", u, resp.StatusCode, env.Err)
 		}
 	}
 }

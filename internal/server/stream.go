@@ -7,10 +7,7 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
-	"time"
 
 	"hpclog/internal/api"
 	"hpclog/internal/compute"
@@ -22,19 +19,23 @@ import (
 
 // ndjson writes one JSON document per line, deferring headers until the
 // first line so pre-stream failures can still answer with a plain
-// enveloped error and proper status code.
+// enveloped error and proper status code. Lines are encoded by the wire
+// codec into one pooled buffer that goes to the socket every flushEvery
+// rows. The creator must call release when the response is over.
 type ndjson struct {
-	w         http.ResponseWriter
-	enc       *json.Encoder
-	reqID     string
-	started   bool
-	rows      int64
-	unflushed int
+	w       http.ResponseWriter
+	buf     *api.Buffer
+	reqID   string
+	started bool
+	rows    int64
+	pending int // lines in buf
 }
 
 func newNDJSON(w http.ResponseWriter, reqID string) *ndjson {
-	return &ndjson{w: w, enc: json.NewEncoder(w), reqID: reqID}
+	return &ndjson{w: w, buf: api.GetBuffer(), reqID: reqID}
 }
+
+func (n *ndjson) release() { n.buf.Release() }
 
 // begin commits the response to streaming: headers plus 200.
 func (n *ndjson) begin() {
@@ -44,7 +45,7 @@ func (n *ndjson) begin() {
 	n.started = true
 	h := n.w.Header()
 	h.Set("Content-Type", api.MediaTypeNDJSON)
-	h.Set(api.VersionHeader, fmt.Sprint(api.Version))
+	h.Set(api.VersionHeader, protocolHeader)
 	h.Set(api.RequestIDHeader, n.reqID)
 	n.w.WriteHeader(http.StatusOK)
 }
@@ -52,22 +53,30 @@ func (n *ndjson) begin() {
 // flushEvery bounds how many lines buffer before an explicit flush.
 const flushEvery = 256
 
-func (n *ndjson) flush() {
-	n.unflushed = 0
+// flush sends the buffered lines down the socket.
+func (n *ndjson) flush() error {
+	_, err := n.w.Write(n.buf.B)
+	n.buf.B = n.buf.B[:0]
+	n.pending = 0
 	if f, ok := n.w.(http.Flusher); ok {
 		f.Flush()
 	}
+	return err
 }
 
-// emit writes one data line.
+// emit appends one data line. Passing a pointer to a row shape (see
+// api.AppendJSON) keeps the line free of reflection and allocation. A
+// write error — the client is gone — surfaces on the flush that hits it.
 func (n *ndjson) emit(v any) error {
 	n.begin()
-	if err := n.enc.Encode(v); err != nil {
+	var err error
+	if n.buf.B, err = api.AppendJSON(n.buf.B, v); err != nil {
 		return err
 	}
+	n.buf.B = append(n.buf.B, '\n')
 	n.rows++
-	if n.unflushed++; n.unflushed >= flushEvery {
-		n.flush()
+	if n.pending++; n.pending >= flushEvery {
+		return n.flush()
 	}
 	return nil
 }
@@ -80,8 +89,9 @@ func (n *ndjson) finish(err error) {
 		tr.Err = toAPIError(err)
 		tr.Err.RequestID = n.reqID
 	}
-	_ = n.enc.Encode(tr)
-	n.flush()
+	n.buf.B, _ = api.AppendJSON(n.buf.B, tr) // a trailer always marshals
+	n.buf.B = append(n.buf.B, '\n')
+	_ = n.flush()
 }
 
 // handleQueryStream answers POST /v1/query/stream: NDJSON rows for
@@ -99,6 +109,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	nd := newNDJSON(w, reqID)
+	defer nd.release()
 	var err error
 	switch req.Op {
 	case query.OpEvents:
@@ -136,8 +147,11 @@ func (s *Server) handleCQLStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	nd := newNDJSON(w, reqID)
+	defer nd.release()
+	var line cql.ResultRow // one heap slot for the whole stream, not one per row
 	err := s.session(r.Context(), cl).StreamSelect(req.Query, func(row cql.ResultRow) error {
-		return nd.emit(row)
+		line = row
+		return nd.emit(&line)
 	})
 	if err != nil && !nd.started {
 		if err == cql.ErrNotStreamable {
@@ -162,8 +176,8 @@ func (s *Server) streamRuns(req query.Request, nd *ndjson) error {
 	if !ok {
 		return api.Errorf(api.CodeInternal, "runs result has unexpected shape %T", result)
 	}
-	for _, run := range runs {
-		if err := nd.emit(run); err != nil {
+	for i := range runs {
+		if err := nd.emit(&runs[i]); err != nil {
 			return err
 		}
 	}
@@ -191,15 +205,16 @@ func (s *Server) streamEvents(c query.Context, nd *ndjson) error {
 		tasks = append(tasks, compute.ScanTask[query.EventRecord]{
 			Index: len(tasks),
 			Run: func(yield func(query.EventRecord) error) error {
-				return s.scanHourMerged(spec, hour, lo, hi, yield)
+				return s.scanHourMerged(spec, hour, model.EventTimeRange(lo, hi),
+					func(_, _ string, rec query.EventRecord) error { return yield(rec) })
 			},
 		})
 	}
 	par, _ := s.q.ScanTuning()
 	return compute.StreamScan(s.eng, compute.ScanOptions{Parallelism: par}, tasks,
 		func(_ int, batch []query.EventRecord) error {
-			for _, rec := range batch {
-				if err := nd.emit(rec); err != nil {
+			for i := range batch {
+				if err := nd.emit(&batch[i]); err != nil {
 					return err
 				}
 			}
@@ -207,13 +222,15 @@ func (s *Server) streamEvents(c query.Context, nd *ndjson) error {
 		})
 }
 
-// scanHourMerged streams one hour bucket of an event spec in result
-// order: the hour's partitions (one per event type for all-type scans)
-// are read through store iterators and merged lazily on (clustering key,
-// type) — the same total order model.SortEvents imposes — so nothing is
-// materialized beyond one row per open iterator.
-func (s *Server) scanHourMerged(spec eventSpec, hour int64, lo, hi time.Time, yield func(query.EventRecord) error) error {
-	rg := model.EventTimeRange(lo, hi)
+// scanHourMerged streams the rows of one hour bucket of an event spec
+// whose clustering keys fall in rg, in result order: the hour's
+// partitions (one per event type for all-type scans) are read through
+// store iterators and merged lazily on (clustering key, type) — the same
+// total order model.SortEvents imposes — so nothing is materialized beyond
+// one row per open iterator. yield receives each record with its order
+// key (clustering key, tie-breaker), which is what a page cursor encodes;
+// an error from yield ends the scan and is returned as is.
+func (s *Server) scanHourMerged(spec eventSpec, hour int64, rg store.Range, yield func(key, disc string, rec query.EventRecord) error) error {
 	type head struct {
 		it   store.RowIter
 		pkey string
@@ -262,7 +279,7 @@ func (s *Server) scanHourMerged(spec eventSpec, hour int64, lo, hi time.Time, yi
 			return err
 		}
 		if spec.filterType == "" || string(e.Type) == spec.filterType {
-			if err := yield(eventRecord(e)); err != nil {
+			if err := yield(min.row.Key, min.disc, eventRecord(e)); err != nil {
 				return err
 			}
 		}

@@ -212,52 +212,32 @@ func TestWatchDeliversSkewedTimestamp(t *testing.T) {
 	}
 }
 
-func TestPollTimeoutCapped(t *testing.T) {
+func TestWatchTimeoutCapped(t *testing.T) {
 	_, ts := newHardenedServer(t, Config{MaxWatchTimeout: 150 * time.Millisecond})
 	start := time.Now()
-	resp, err := http.Get(fmt.Sprintf("%s/api/poll?type=MCE&since=%d&timeout_ms=60000",
+	resp, err := http.Get(fmt.Sprintf("%s/v1/watch?type=MCE&since=%d&timeout_ms=60000",
 		ts.URL, time.Now().Add(time.Hour).Unix()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, err := io.ReadAll(resp.Body) // returns when the server ends the stream
 	resp.Body.Close()
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("poll parked %v despite the 150ms cap", elapsed)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("capped poll status %d", resp.StatusCode)
-	}
-}
-
-func TestLegacyShimEnvelopeShape(t *testing.T) {
-	f := getFixture(t)
-	// Errors on /api/* must keep the flat string error field.
-	resp, err := http.Post(f.ts.URL+"/api/query", "application/json",
-		strings.NewReader(`{"op":"bogus"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	var probe map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		t.Fatal(err)
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("watch parked %v despite the 150ms cap", elapsed)
 	}
-	if _, hasProto := probe["protocol"]; hasProto {
-		t.Fatalf("legacy envelope leaked v1 fields: %s", raw)
-	}
-	var errStr string
-	if err := json.Unmarshal(probe["error"], &errStr); err != nil || errStr == "" {
-		t.Fatalf("legacy error is not a flat string: %s", raw)
-	}
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(string(body), `{"trailer":true,"rows":0}`) {
+		t.Fatalf("capped watch: status %d, body %q", resp.StatusCode, body)
 	}
 }
 
-// TestV1QueryMatchesLegacy pins the shim contract: both routes answer
-// with byte-identical result payloads.
-func TestV1QueryMatchesLegacy(t *testing.T) {
+// TestEnvelopeIsOneSizedWrite: writeV1 builds the whole response before
+// sending it, so every envelope carries its Content-Length (none is
+// chunked) and a row result's bytes are exactly what encoding/json made
+// of the same rows before the wire codec existed.
+func TestEnvelopeIsOneSizedWrite(t *testing.T) {
 	f := getFixture(t)
 	body, _ := json.Marshal(query.Request{
 		Op: query.OpEvents,
@@ -267,20 +247,32 @@ func TestV1QueryMatchesLegacy(t *testing.T) {
 			To:        f.cfg.Start.Add(f.cfg.Duration).Unix(),
 		},
 	})
-	legacyResp, err := http.Post(f.ts.URL+"/api/query", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(f.ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := decodeResponse(t, legacyResp)
-	v1Resp, err := http.Post(f.ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := decodeV1(t, v1Resp)
-	if !legacy.OK || !v1.OK {
-		t.Fatalf("legacy %+v v1 %+v", legacy, v1)
+	if resp.ContentLength != int64(len(raw)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("Content-Length %d, transfer encoding %v, body %d bytes", resp.ContentLength, resp.TransferEncoding, len(raw))
 	}
-	if !bytes.Equal(legacy.Result, v1.Result) {
-		t.Fatalf("legacy and v1 results differ:\nlegacy %.200s\nv1     %.200s", legacy.Result, v1.Result)
+	var env api.Response
+	if err := json.Unmarshal(raw, &env); err != nil || !env.OK {
+		t.Fatalf("envelope: %v %+v", err, env)
+	}
+	var events []query.EventRecord
+	if err := json.Unmarshal(env.Result, &events); err != nil || len(events) == 0 {
+		t.Fatalf("result: %v, %d events", err, len(events))
+	}
+	env.Result, _ = json.Marshal(events)
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(env); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, want.Bytes()) {
+		t.Fatalf("response bytes differ from encoding/json's:\n got %.300s\nwant %.300s", raw, want.Bytes())
 	}
 }

@@ -15,9 +15,7 @@
 // path, never a substitute for its correctness: the per-subscription
 // delivered-key window keeps delivery exactly-once across both paths.
 //
-// GET /v1/watch streams matching events as NDJSON as they arrive; the
-// legacy GET /api/poll parks on the same shards and answers once with
-// the pre-v1 envelope.
+// GET /v1/watch streams matching events as NDJSON as they arrive.
 package server
 
 import (
@@ -40,8 +38,8 @@ import (
 // overflows when it has lagged a full burst of writes behind the head.
 const defaultTailRing = 4096
 
-// hub fans write digests out to parked watch/poll subscribers, sharded
-// by event type.
+// hub fans write digests out to parked watch subscribers, sharded by
+// event type.
 type hub struct {
 	ringSize int
 
@@ -107,7 +105,7 @@ type tailEntry struct {
 	rec query.EventRecord
 }
 
-// subscriber is one parked watch/poll request. Its channel has capacity
+// subscriber is one parked watch request. Its channel has capacity
 // one: a notification arriving while the subscriber is draining latches,
 // so the wake-drain loop can never miss a write (check, then park).
 // cursor and epoch are owned by the subscriber's handler goroutine.
@@ -446,9 +444,8 @@ func (t *eventTail) prune(now time.Time) {
 }
 
 // scanEventsSince walks the hour partitions of one event type over
-// [since, now+1s) in key order — the scan loop shared by the watch
-// fallback path and the legacy poll. visit receives each row's
-// clustering key and decoded record.
+// [since, now+1s) in key order — the watch fallback path's scan loop.
+// visit receives each row's clustering key and decoded record.
 func scanEventsSince(db *store.DB, typ model.EventType, since int64, now time.Time, visit func(key string, rec query.EventRecord)) error {
 	from := time.Unix(since, 0).UTC()
 	to := now.UTC().Add(time.Second)
@@ -535,6 +532,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	defer s.hub.unsubscribe(sub)
 	tail := newEventTail(model.EventType(typ), since)
 	nd := newNDJSON(w, reqID)
+	defer nd.release()
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	woken := false
@@ -563,15 +561,18 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		// historical events match.
 		eg := obs.StartSpan(r.Context(), "watch.emit")
 		nd.begin()
-		for _, e := range events {
-			if err := nd.emit(e); err != nil {
+		for i := range events {
+			if err := nd.emit(&events[i]); err != nil {
 				eg.End()
 				return // client gone
 			}
 		}
 		s.hub.delivered.Add(int64(len(events)))
-		nd.flush()
+		err = nd.flush()
 		eg.End()
+		if err != nil {
+			return // client gone
+		}
 		// A wake that found nothing may have been a scan-only write sitting
 		// past the clock-bounded scan edge (skewed timestamp): arm one
 		// bounded re-scan. A nil channel never fires, so idle parks stay
@@ -597,80 +598,4 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// handlePoll implements the legacy long-poll endpoint:
-//
-//	GET /api/poll?type=MCE&since=<unix>&timeout_ms=30000
-//
-// It answers as soon as events of the type with timestamp >= since
-// exist, or with an empty result after the (capped) timeout. The park is
-// shard-driven — the handler wakes only when a write of its event type
-// (or a digest-free notification) commits — so the pre-v1 50ms re-scan
-// tick is gone while the wire behavior is unchanged.
-func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
-	started := s.now()
-	typ := r.URL.Query().Get("type")
-	if typ == "" {
-		writeLegacy(w, started, nil, api.Errorf(api.CodeBadRequest, "server: poll requires type"))
-		return
-	}
-	since, err := strconv.ParseInt(r.URL.Query().Get("since"), 10, 64)
-	if err != nil {
-		writeLegacy(w, started, nil, api.Errorf(api.CodeBadRequest, "server: bad since: %v", err))
-		return
-	}
-	timeout, terr := s.watchTimeout(r.URL.Query().Get("timeout_ms"), 30*time.Second)
-	if terr != nil {
-		writeLegacy(w, started, nil, api.Errorf(api.CodeBadRequest, "server: %v", terr))
-		return
-	}
-	sub := s.hub.subscribe(model.EventType(typ))
-	defer s.hub.unsubscribe(sub)
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	woken := false
-	for {
-		events, err := s.eventsSince(model.EventType(typ), since)
-		if err != nil {
-			writeLegacy(w, started, nil, api.Errorf(api.CodeInternal, "%v", err))
-			return
-		}
-		if len(events) > 0 {
-			writeLegacy(w, started, events, nil)
-			return
-		}
-		var recheck <-chan time.Time
-		if woken {
-			recheck = time.After(skewRecheck)
-		}
-		woken = false
-		select {
-		case <-sub.ch:
-			woken = true
-		case <-recheck:
-			woken = true
-		case <-deadline.C:
-			writeLegacy(w, started, events, nil)
-			return
-		case <-s.hub.closed:
-			writeLegacy(w, started, events, nil)
-			return
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// eventsSince reads events of one type with Time >= since directly from
-// the store (hour partitions from since to now).
-func (s *Server) eventsSince(typ model.EventType, since int64) ([]query.EventRecord, error) {
-	var out []query.EventRecord
-	err := scanEventsSince(s.db, typ, since, s.now(), func(_ string, rec query.EventRecord) {
-		out = append(out, rec)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

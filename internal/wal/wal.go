@@ -457,6 +457,16 @@ func (l *Log) rotateLocked() error {
 	return nil
 }
 
+// synced reports whether every append issued so far is already durable.
+func (l *Log) synced() bool {
+	l.mu.Lock()
+	seq := l.appendSeq
+	l.mu.Unlock()
+	l.sm.Lock()
+	defer l.sm.Unlock()
+	return l.syncedSeq >= seq
+}
+
 func (l *Log) periodicSync() {
 	defer close(l.donePeriodic)
 	t := time.NewTicker(l.opts.SyncPeriod)
@@ -466,6 +476,13 @@ func (l *Log) periodicSync() {
 		case <-l.stopPeriodic:
 			return
 		case <-t.C:
+			if l.synced() {
+				// Nothing appended since the last sync: an fsync now would
+				// be a disk round trip that makes nothing more durable. An
+				// append landing right after this check waits for the next
+				// tick, as one landing right after a sync always has.
+				continue
+			}
 			target, err := l.flushAndSync()
 			l.sm.Lock()
 			if err != nil {

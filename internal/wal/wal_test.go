@@ -239,6 +239,37 @@ func TestPeriodicSyncMode(t *testing.T) {
 	}
 }
 
+// TestPeriodicSyncSkipsIdleTicks: the periodic ticker fsyncs only when
+// something was appended since the last sync — a read-only store must not
+// spend a disk flush every period — and an append is still made durable
+// by the next tick.
+func TestPeriodicSyncSkipsIdleTicks(t *testing.T) {
+	const period = time.Millisecond
+	l := mustOpen(t, Options{Dir: t.TempDir(), SyncPeriod: period})
+	defer l.Close()
+	time.Sleep(50 * period)
+	if n := l.Stats().Syncs; n != 0 {
+		t.Fatalf("idle log synced %d times in 50 periods, want 0", n)
+	}
+	if _, err := l.Append([]byte("wake")); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !l.synced() {
+		if time.Now().After(deadline) {
+			t.Fatal("append never synced by the periodic ticker")
+		}
+		time.Sleep(period)
+	}
+	if n, h := l.Stats().Syncs, l.FsyncHist().Count(); n != 1 || h != 1 {
+		t.Fatalf("one append: %d syncs, %d fsync latencies recorded, want 1 and 1", n, h)
+	}
+	time.Sleep(50 * period)
+	if n := l.Stats().Syncs; n != 1 {
+		t.Fatalf("log synced %d times, want 1: idle ticks after the sync must be skipped again", n)
+	}
+}
+
 func TestTornHeaderRewritten(t *testing.T) {
 	dir := t.TempDir()
 	// A crash during segment creation can leave a short header.
