@@ -11,7 +11,8 @@ BENCH_LABEL ?= dev
 
 .PHONY: ci vet build test test-fresh race bench bench-wal bench-api \
 	bench-json bench-smoke alloc-guard fmt-check test-wire \
-	bench-diff load-smoke bench-load cluster-smoke metrics-lint tier-smoke
+	bench-diff load-smoke bench-load cluster-smoke metrics-lint tier-smoke \
+	bench-test
 
 # alloc-guard runs inside the plain (non-race) test pass, but is also
 # listed explicitly so the allocation budgets cannot rot out of CI.
@@ -24,7 +25,14 @@ BENCH_LABEL ?= dev
 # against a self-hosted server, scrapes /v1/metrics mid-run, and fails
 # on errors or missing series; cluster-smoke proves the multi-process
 # replicated cluster survives a kill -9.
-ci: vet build race test-fresh alloc-guard test-wire metrics-lint bench-smoke bench-diff load-smoke cluster-smoke tier-smoke
+ci: vet build race test-fresh alloc-guard test-wire metrics-lint bench-smoke bench-diff load-smoke cluster-smoke tier-smoke bench-test
+
+# The benchmark is a module of its own (bench/, contract in
+# BENCHMARK.json), so the root test run never reaches it. Its tests drive
+# all four workloads at 1/50 scale — the only consumer of Flush, Compact
+# and TierSweep at thousands of segments per node.
+bench-test:
+	$(GO) test -C bench -count=1 ./...
 
 # Tiered-storage smoke: force-evict every sealed segment to a local-fs
 # object store and prove the engine corpus stays byte-identical through

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 )
@@ -14,9 +13,10 @@ import (
 // Manifest is the per-node record of segments that live in the object
 // store: which local sequence number maps to which object key, how big
 // the object is, and the Merkle root it must verify against. It is the
-// tiering crash-safety anchor — an entry is written (tmp + rename + dir
-// fsync) only after the object is uploaded AND read back verified, and
-// the local data file is released only after the entry is durable. So:
+// tiering crash-safety anchor — entries are appended (one fsynced record
+// per batch) only after their objects are uploaded, read back verified
+// AND made durable, and a local data file is released only after its
+// entry is durable. So:
 //
 //   - a crash mid-upload leaves no entry: recovery sees the local file
 //     as the only copy and the next sweep re-uploads;
@@ -29,11 +29,22 @@ import (
 // The manifest NEVER references a half-uploaded object (the upload is
 // verified before the entry is written), which the crash harness
 // asserts directly.
+//
+// On disk it is an append-only log: a snapshot image (EncodeManifest —
+// the whole file, for manifests written before the log existed) followed
+// by CRC-framed put and remove records. A record cut short by a crash is
+// a torn tail and is dropped at load — nothing acted on it, because
+// callers act only after the append returned; a complete record that
+// fails its CRC is corruption and refuses to load. When the log holds
+// more dead entries than live ones it is rewritten as one snapshot.
 type Manifest struct {
 	path string
 
 	mu      sync.Mutex
 	entries map[uint64]ManifestEntry
+	size    int64 // length of the valid log; the next record lands here
+	dead    int   // logged entries a snapshot would drop (superseded puts, removes)
+	torn    bool  // the file has bytes past size; cut before the next append
 }
 
 // ManifestEntry describes one uploaded segment.
@@ -49,16 +60,20 @@ type ManifestEntry struct {
 }
 
 // ErrBadManifest marks a manifest encoding that cannot be decoded.
-// Hostile or torn input yields it (never a panic); see
+// Hostile or corrupt input yields it (never a panic); see
 // FuzzDecodeManifest.
 var ErrBadManifest = errors.New("objstore: malformed tier manifest")
 
 const (
 	manifestMagic = "HPTIERM1"
-	// manifestTempExt matches the segment store's atomic-write discipline.
-	manifestTempExt = ".tmp"
 	// maxManifestEntries bounds decode allocation against hostile counts.
 	maxManifestEntries = 1 << 24
+
+	// Log record kinds. A record is kind | u32 payload length | payload |
+	// u32 crc32c(everything before).
+	recPut    = 1 // payload: uvarint count | entries
+	recRemove = 2 // payload: uvarint count | uvarint seqs
+	recHeader = 5
 )
 
 // LoadManifest opens the manifest at path; a missing file is an empty
@@ -72,13 +87,12 @@ func LoadManifest(path string) (*Manifest, error) {
 		}
 		return nil, err
 	}
-	entries, err := DecodeManifest(data)
+	valid, logged, err := replayManifest(data, m.entries)
 	if err != nil {
 		return nil, fmt.Errorf("objstore: %s: %w", path, err)
 	}
-	for _, e := range entries {
-		m.entries[e.Seq] = e
-	}
+	m.size, m.torn = int64(valid), valid < len(data)
+	m.dead = logged - len(m.entries)
 	return m, nil
 }
 
@@ -97,6 +111,10 @@ func (m *Manifest) Get(seq uint64) (ManifestEntry, bool) {
 func (m *Manifest) Entries() []ManifestEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.sortedLocked()
+}
+
+func (m *Manifest) sortedLocked() []ManifestEntry {
 	out := make([]ManifestEntry, 0, len(m.entries))
 	for _, e := range m.entries {
 		out = append(out, e)
@@ -127,186 +145,351 @@ func (m *Manifest) MaxSeq() uint64 {
 	return max
 }
 
-// Put durably records e, replacing any previous entry for the same Seq.
-func (m *Manifest) Put(e ManifestEntry) error {
+// Put durably records the entries with one log record, replacing any
+// previous entry of the same Seq.
+func (m *Manifest) Put(entries ...ManifestEntry) error {
+	if len(entries) == 0 {
+		return nil
+	}
+	payload := binary.AppendUvarint(nil, uint64(len(entries)))
+	for _, e := range entries {
+		payload = appendManifestEntry(payload, e)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	prev, had := m.entries[e.Seq]
-	m.entries[e.Seq] = e
-	if err := m.saveLocked(); err != nil {
-		if had {
-			m.entries[e.Seq] = prev
-		} else {
+	prev := make(map[uint64]ManifestEntry)
+	for _, e := range entries {
+		if p, had := m.entries[e.Seq]; had {
+			prev[e.Seq] = p
+		}
+		m.entries[e.Seq] = e
+	}
+	if err := m.logLocked(recPut, payload, len(prev)); err != nil {
+		for _, e := range entries {
 			delete(m.entries, e.Seq)
+		}
+		for seq, p := range prev {
+			m.entries[seq] = p
 		}
 		return err
 	}
 	return nil
 }
 
-// Remove durably drops the entry for seq. Removing an absent seq is a
-// no-op.
-func (m *Manifest) Remove(seq uint64) error {
+// Remove durably drops the entries for seqs with one log record. Absent
+// seqs are skipped; removing nothing writes nothing.
+func (m *Manifest) Remove(seqs ...uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	prev, had := m.entries[seq]
-	if !had {
+	var prev []ManifestEntry
+	for _, seq := range seqs {
+		if p, had := m.entries[seq]; had {
+			prev = append(prev, p)
+			delete(m.entries, seq)
+		}
+	}
+	if len(prev) == 0 {
 		return nil
 	}
-	delete(m.entries, seq)
-	if err := m.saveLocked(); err != nil {
-		m.entries[seq] = prev
+	payload := binary.AppendUvarint(nil, uint64(len(prev)))
+	for _, p := range prev {
+		payload = binary.AppendUvarint(payload, p.Seq)
+	}
+	// Each removed seq kills two logged entries: its put and itself.
+	if err := m.logLocked(recRemove, payload, 2*len(prev)); err != nil {
+		for _, p := range prev {
+			m.entries[p.Seq] = p
+		}
 		return err
 	}
 	return nil
 }
 
-// saveLocked writes the manifest atomically: tmp file, fsync, rename,
-// directory fsync — a crash leaves either the old or the new manifest,
-// never a torn one (the trailing CRC catches torn writes from filesystems
-// without atomic rename anyway).
-func (m *Manifest) saveLocked() error {
-	entries := make([]ManifestEntry, 0, len(m.entries))
-	for _, e := range m.entries {
-		entries = append(entries, e)
+// logLocked makes the already-applied change durable: one appended
+// record, or — when the file does not exist yet or dead entries would
+// outnumber live ones — one snapshot of the current state. dead is how
+// many logged entries the record kills.
+func (m *Manifest) logLocked(kind byte, payload []byte, dead int) error {
+	IO.ManifestWrites.Inc()
+	if m.size == 0 || m.dead+dead > len(m.entries) {
+		return m.snapshotLocked()
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Seq < entries[j].Seq })
-	data := EncodeManifest(entries)
-	tmp := m.path + manifestTempExt
-	f, err := os.Create(tmp)
+	rec := make([]byte, 0, recHeader+len(payload)+4)
+	rec = append(rec, kind)
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
+	rec = append(rec, payload...)
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(rec, manifestCRC))
+	f, err := os.OpenFile(m.path, os.O_WRONLY, 0)
 	if err != nil {
 		return err
 	}
-	_, werr := f.Write(data)
-	if werr == nil {
-		werr = f.Sync()
+	if m.torn {
+		err = f.Truncate(m.size)
 	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
+	if err == nil {
+		_, err = f.WriteAt(rec, m.size)
 	}
-	if werr != nil {
-		os.Remove(tmp)
-		return werr
+	if err == nil {
+		err = syncFile(f)
 	}
-	if err := os.Rename(tmp, m.path); err != nil {
-		os.Remove(tmp)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		// Whatever reached the file past size is an unacknowledged tail.
+		m.torn = true
 		return err
 	}
-	return syncDir(filepath.Dir(m.path))
+	m.torn = false
+	m.size += int64(len(rec))
+	m.dead += dead
+	return nil
+}
+
+// snapshotLocked rewrites the file as one image of the current entries,
+// atomically: a crash leaves either the old log or the new snapshot.
+func (m *Manifest) snapshotLocked() error {
+	data := EncodeManifest(m.sortedLocked())
+	if err := os.WriteFile(m.path+TempExt, data, 0o644); err != nil {
+		os.Remove(m.path + TempExt)
+		return err
+	}
+	if err := Commit([]string{m.path}, nil); err != nil {
+		m.size = 0 // the file may be either generation: snapshot again, never append
+		return err
+	}
+	m.size, m.dead, m.torn = int64(len(data)), 0, false
+	return nil
 }
 
 var manifestCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// EncodeManifest renders entries to the manifest wire format:
-// magic | uvarint count | entries | u32 crc32c(everything before).
-func EncodeManifest(entries []ManifestEntry) []byte {
-	b := []byte(manifestMagic)
-	b = binary.AppendUvarint(b, uint64(len(entries)))
+func appendManifestEntry(b []byte, e ManifestEntry) []byte {
 	appendStr := func(s string) {
 		b = binary.AppendUvarint(b, uint64(len(s)))
 		b = append(b, s...)
 	}
+	b = binary.AppendUvarint(b, e.Seq)
+	appendStr(e.Key)
+	b = binary.AppendUvarint(b, uint64(e.Size))
+	b = binary.AppendUvarint(b, uint64(e.DataLen))
+	b = binary.AppendUvarint(b, uint64(e.Rows))
+	appendStr(e.Table)
+	appendStr(e.Partition)
+	return append(b, e.Root[:]...)
+}
+
+// EncodeManifest renders entries to the snapshot image:
+// magic | uvarint count | entries | u32 crc32c(everything before).
+func EncodeManifest(entries []ManifestEntry) []byte {
+	b := []byte(manifestMagic)
+	b = binary.AppendUvarint(b, uint64(len(entries)))
 	for _, e := range entries {
-		b = binary.AppendUvarint(b, e.Seq)
-		appendStr(e.Key)
-		b = binary.AppendUvarint(b, uint64(e.Size))
-		b = binary.AppendUvarint(b, uint64(e.DataLen))
-		b = binary.AppendUvarint(b, uint64(e.Rows))
-		appendStr(e.Table)
-		appendStr(e.Partition)
-		b = append(b, e.Root[:]...)
+		b = appendManifestEntry(b, e)
 	}
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, manifestCRC))
+}
+
+// manifestDec reads the manifest's primitives off b; the first failure
+// sticks in err (always wrapping ErrBadManifest) and later reads return
+// zero values.
+type manifestDec struct {
+	b   []byte
+	err error
+}
+
+func (d *manifestDec) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %s", ErrBadManifest, what)
+	}
+}
+
+func (d *manifestDec) uvarint(what string) uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, k := binary.Uvarint(d.b)
+	if k <= 0 {
+		d.fail(what)
+		return 0
+	}
+	d.b = d.b[k:]
+	return v
+}
+
+func (d *manifestDec) str(what string) string {
+	n := d.uvarint(what)
+	if d.err != nil {
+		return ""
+	}
+	if n > uint64(len(d.b)) {
+		d.fail(what + " overruns buffer")
+		return ""
+	}
+	s := string(d.b[:n])
+	d.b = d.b[n:]
+	return s
+}
+
+// count reads an entry count, bounded against hostile values.
+func (d *manifestDec) count() uint64 {
+	n := d.uvarint("entry count")
+	if n > maxManifestEntries {
+		d.fail("entry count exceeds sanity bound")
+		return 0
+	}
+	return n
+}
+
+func (d *manifestDec) entry() (e ManifestEntry) {
+	e.Seq = d.uvarint("seq")
+	e.Key = d.str("key")
+	size, dataLen, rows := d.uvarint("size"), d.uvarint("data len"), d.uvarint("rows")
+	e.Table = d.str("table")
+	e.Partition = d.str("partition")
+	if d.err != nil {
+		return e
+	}
+	if size > 1<<62 || dataLen > size {
+		d.fail("implausible sizes")
+		return e
+	}
+	e.Size, e.DataLen, e.Rows = int64(size), int64(dataLen), int64(rows)
+	if len(d.b) < HashLen {
+		d.fail("root truncated")
+		return e
+	}
+	copy(e.Root[:], d.b)
+	d.b = d.b[HashLen:]
+	if validKey(e.Key) != nil {
+		d.fail("invalid object key")
+	}
+	return e
+}
+
+// decodeImage decodes the snapshot image at the front of data and returns
+// its entries and encoded length.
+func decodeImage(data []byte) ([]ManifestEntry, int, error) {
+	if len(data) < len(manifestMagic)+4 {
+		return nil, 0, fmt.Errorf("%w: too short", ErrBadManifest)
+	}
+	if string(data[:len(manifestMagic)]) != manifestMagic {
+		return nil, 0, fmt.Errorf("%w: bad magic", ErrBadManifest)
+	}
+	d := manifestDec{b: data[len(manifestMagic):]}
+	count := d.count()
+	entries := make([]ManifestEntry, 0, min(count, 1024))
+	for i := uint64(0); i < count && d.err == nil; i++ {
+		entries = append(entries, d.entry())
+	}
+	if d.err != nil {
+		return nil, 0, d.err
+	}
+	n := len(data) - len(d.b)
+	if len(d.b) < 4 || crc32.Checksum(data[:n], manifestCRC) != binary.LittleEndian.Uint32(d.b) {
+		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrBadManifest)
+	}
+	return entries, n + 4, nil
 }
 
 // DecodeManifest reverses EncodeManifest. Every malformation — bad
 // magic, torn tail, CRC mismatch, hostile counts, trailing garbage —
 // returns an error wrapping ErrBadManifest, never a panic.
 func DecodeManifest(data []byte) ([]ManifestEntry, error) {
-	fail := func(what string) ([]ManifestEntry, error) {
-		return nil, fmt.Errorf("%w: %s", ErrBadManifest, what)
-	}
-	if len(data) < len(manifestMagic)+4 {
-		return fail("too short")
-	}
-	if string(data[:len(manifestMagic)]) != manifestMagic {
-		return fail("bad magic")
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, manifestCRC) != binary.LittleEndian.Uint32(tail) {
-		return fail("checksum mismatch")
-	}
-	b := body[len(manifestMagic):]
-	uvarint := func(what string) (uint64, error) {
-		v, k := binary.Uvarint(b)
-		if k <= 0 {
-			return 0, fmt.Errorf("%w: %s", ErrBadManifest, what)
-		}
-		b = b[k:]
-		return v, nil
-	}
-	str := func(what string) (string, error) {
-		n, err := uvarint(what)
-		if err != nil {
-			return "", err
-		}
-		if n > uint64(len(b)) {
-			return "", fmt.Errorf("%w: %s overruns buffer", ErrBadManifest, what)
-		}
-		s := string(b[:n])
-		b = b[n:]
-		return s, nil
-	}
-	count, err := uvarint("entry count")
+	entries, n, err := decodeImage(data)
 	if err != nil {
 		return nil, err
 	}
-	if count > maxManifestEntries {
-		return fail("entry count exceeds sanity bound")
-	}
-	entries := make([]ManifestEntry, 0, min(count, 1024))
-	for i := uint64(0); i < count; i++ {
-		var e ManifestEntry
-		if e.Seq, err = uvarint("seq"); err != nil {
-			return nil, err
-		}
-		if e.Key, err = str("key"); err != nil {
-			return nil, err
-		}
-		size, err := uvarint("size")
-		if err != nil {
-			return nil, err
-		}
-		dataLen, err := uvarint("data len")
-		if err != nil {
-			return nil, err
-		}
-		rows, err := uvarint("rows")
-		if err != nil {
-			return nil, err
-		}
-		if size > 1<<62 || dataLen > size {
-			return fail("implausible sizes")
-		}
-		e.Size, e.DataLen, e.Rows = int64(size), int64(dataLen), int64(rows)
-		if e.Table, err = str("table"); err != nil {
-			return nil, err
-		}
-		if e.Partition, err = str("partition"); err != nil {
-			return nil, err
-		}
-		if len(b) < HashLen {
-			return fail("root truncated")
-		}
-		copy(e.Root[:], b)
-		b = b[HashLen:]
-		if err := validKey(e.Key); err != nil {
-			return fail("invalid object key")
-		}
-		entries = append(entries, e)
-	}
-	if len(b) != 0 {
-		return fail("trailing garbage")
+	if n != len(data) {
+		return nil, fmt.Errorf("%w: trailing garbage", ErrBadManifest)
 	}
 	return entries, nil
+}
+
+// replayManifest folds a manifest file — snapshot image, then records —
+// into entries. valid is the length of the whole-record prefix and logged
+// the number of entries (puts and removes) that prefix holds. Bytes past
+// valid are a torn tail: zero fill, or an incomplete record with no whole
+// record after it. A complete record that is malformed or fails its CRC
+// is corruption, as is an incomplete one followed by a whole record.
+func replayManifest(data []byte, entries map[uint64]ManifestEntry) (valid, logged int, err error) {
+	image, valid, err := decodeImage(data)
+	if err != nil {
+		return 0, 0, err
+	}
+	logged = len(image)
+	for _, e := range image {
+		entries[e.Seq] = e
+	}
+	for valid < len(data) {
+		rest := data[valid:]
+		payload, kind, n := nextRecord(rest)
+		if n <= 0 {
+			if allZero(rest) || (n == 0 && !recordFollows(rest[1:])) {
+				return valid, logged, nil // torn tail
+			}
+			return 0, 0, fmt.Errorf("%w: damaged record at offset %d", ErrBadManifest, valid)
+		}
+		d := manifestDec{b: payload}
+		count := d.count()
+		for i := uint64(0); i < count && d.err == nil; i++ {
+			if kind == recPut {
+				if e := d.entry(); d.err == nil {
+					entries[e.Seq] = e
+				}
+			} else {
+				delete(entries, d.uvarint("removed seq"))
+			}
+		}
+		if d.err == nil && len(d.b) != 0 {
+			d.fail("trailing bytes in record")
+		}
+		if d.err != nil {
+			return 0, 0, d.err
+		}
+		logged += int(count)
+		valid += n
+	}
+	return valid, logged, nil
+}
+
+// nextRecord frames the record at the front of b: n > 0 is its encoded
+// length, n == 0 means b ends before the record does, n < 0 that the
+// record is all there but its kind or CRC is wrong.
+func nextRecord(b []byte) (payload []byte, kind byte, n int) {
+	if len(b) < recHeader {
+		return nil, 0, 0
+	}
+	end := recHeader + int64(binary.LittleEndian.Uint32(b[1:recHeader]))
+	if end+4 > int64(len(b)) {
+		return nil, 0, 0
+	}
+	if kind = b[0]; kind != recPut && kind != recRemove {
+		return nil, 0, -1
+	}
+	if crc32.Checksum(b[:end], manifestCRC) != binary.LittleEndian.Uint32(b[end:]) {
+		return nil, 0, -1
+	}
+	return b[recHeader:end], kind, int(end) + 4
+}
+
+// recordFollows reports whether a whole, CRC-valid record starts at any
+// offset of b — what separates a damaged record in mid-log from a torn
+// tail.
+func recordFollows(b []byte) bool {
+	for i := range b {
+		if _, _, n := nextRecord(b[i:]); n > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }

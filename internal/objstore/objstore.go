@@ -39,11 +39,16 @@ var ErrIntegrity = errors.New("objstore: integrity verification failed")
 
 // ObjectStore is a minimal immutable object API: whole-object put,
 // ranged get, stat, delete, list. Implementations must make Put atomic —
-// a key either resolves to the complete object or to ErrNotExist, even
-// across a crash mid-upload.
+// a reader never sees a partial object under key — and Sync durable: once
+// Sync has returned for a key, the key resolves to the complete object
+// even across a crash. A crash between Put and Sync may leave anything
+// under the key; the tier records an object in its manifest only after
+// Sync and re-uploads to the same key otherwise.
 type ObjectStore interface {
 	// Put stores size bytes from r under key, atomically.
 	Put(ctx context.Context, key string, r io.Reader, size int64) error
+	// Sync makes every listed, already Put object durable with one barrier.
+	Sync(ctx context.Context, keys []string) error
 	// ReadRange returns n bytes of key starting at off.
 	ReadRange(ctx context.Context, key string, off, n int64) ([]byte, error)
 	// Stat returns the object's size, or ErrNotExist.
@@ -70,16 +75,12 @@ func validKey(key string) error {
 
 // FS is the local-filesystem ObjectStore: objects are plain files under
 // a root directory, keys with '/' map to subdirectories. Put writes to a
-// temporary name and renames into place with a directory fsync, so a
-// crash mid-put leaves at most a *.tmp file and never a torn object —
-// the same atomicity discipline the segment store itself uses.
+// temporary name and renames into place without syncing; Sync is the
+// barrier that fsyncs a batch of objects and their directories — the same
+// round discipline the segment store itself uses.
 type FS struct {
 	root string
 }
-
-// fsTempExt marks in-flight uploads; readers and List ignore it, and a
-// crash mid-put leaves it behind as garbage (swept on open).
-const fsTempExt = ".tmp"
 
 // OpenFS opens (creating if needed) a filesystem object store rooted at
 // dir, sweeping temp files left by a previous crash.
@@ -93,7 +94,7 @@ func OpenFS(dir string) (*FS, error) {
 	s := &FS{root: dir}
 	// Sweep crash leftovers: a *.tmp was never visible as an object.
 	_ = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && strings.HasSuffix(path, fsTempExt) {
+		if err == nil && !info.IsDir() && strings.HasSuffix(path, TempExt) {
 			os.Remove(path)
 		}
 		return nil
@@ -114,7 +115,7 @@ func (s *FS) Put(_ context.Context, key string, r io.Reader, size int64) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp := path + fsTempExt
+	tmp := path + TempExt
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
@@ -123,21 +124,34 @@ func (s *FS) Put(_ context.Context, key string, r io.Reader, size int64) error {
 	if err == nil && n != size {
 		err = fmt.Errorf("objstore: put %s: wrote %d of %d bytes", key, n, size)
 	}
-	if err == nil {
-		err = f.Sync()
-	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
 		os.Remove(tmp)
+	}
+	return err
+}
+
+// Sync implements ObjectStore: fsync every object, then each distinct
+// parent directory once.
+func (s *FS) Sync(_ context.Context, keys []string) error {
+	dirs := make([]string, len(keys))
+	err := Parallel(len(keys), syncWorkers, func(i int) error {
+		if err := validKey(keys[i]); err != nil {
+			return err
+		}
+		path := s.path(keys[i])
+		dirs[i] = filepath.Dir(path)
+		return syncPath(path)
+	})
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(filepath.Dir(path))
+	return syncDirs(dirs)
 }
 
 // ReadRange implements ObjectStore.
@@ -190,7 +204,7 @@ func (s *FS) Delete(_ context.Context, key string) error {
 func (s *FS) List(_ context.Context, prefix string) ([]string, error) {
 	var keys []string
 	err := filepath.Walk(s.root, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() || strings.HasSuffix(path, fsTempExt) {
+		if err != nil || info.IsDir() || strings.HasSuffix(path, TempExt) {
 			return err
 		}
 		rel, rerr := filepath.Rel(s.root, path)
@@ -208,14 +222,4 @@ func (s *FS) List(_ context.Context, prefix string) ([]string, error) {
 	}
 	sort.Strings(keys)
 	return keys, nil
-}
-
-// syncDir fsyncs a directory so a freshly renamed entry survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

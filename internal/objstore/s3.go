@@ -246,6 +246,9 @@ func (s *S3) Put(ctx context.Context, key string, r io.Reader, size int64) error
 	return nil
 }
 
+// Sync implements ObjectStore: an S3 PUT is durable once it returns 200.
+func (s *S3) Sync(context.Context, []string) error { return nil }
+
 // ReadRange implements ObjectStore.
 func (s *S3) ReadRange(ctx context.Context, key string, off, n int64) ([]byte, error) {
 	if err := validKey(key); err != nil {

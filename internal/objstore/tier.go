@@ -3,7 +3,6 @@ package objstore
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"time"
@@ -125,9 +124,10 @@ const uploadChunk = 1 << 20
 
 // UploadAndVerify streams size bytes from src into the object at key,
 // then reads the object back in full and byte-compares it against src.
-// Only after the read-back matches may the caller record the upload in
-// the manifest — this ordering is what guarantees the manifest never
-// references a half-uploaded (or bit-flipped) object. On verification
+// Only after the read-back matches — and the store's Sync barrier has
+// covered the key — may the caller record the upload in the manifest;
+// this ordering is what guarantees the manifest never references a
+// half-uploaded (or bit-flipped) object. On verification
 // failure the object is deleted and ErrIntegrity returned.
 func (t *Tier) UploadAndVerify(ctx context.Context, key string, src io.ReaderAt, size int64) error {
 	if err := t.store.Put(ctx, key, io.NewSectionReader(src, 0, size), size); err != nil {
@@ -141,9 +141,9 @@ func (t *Tier) UploadAndVerify(ctx context.Context, key string, src io.ReaderAt,
 		t.store.Delete(ctx, key)
 		return fmt.Errorf("%w: %s: uploaded %d bytes, object store reports %d", ErrIntegrity, key, size, got)
 	}
-	// Read back in chunks, comparing digests per chunk (constant memory,
-	// catches any divergence without trusting the backend's checksums).
-	local := make([]byte, uploadChunk)
+	// Read back in chunks and byte-compare (constant memory, catches any
+	// divergence without trusting the backend's checksums).
+	local := make([]byte, min(uploadChunk, size))
 	for off := int64(0); off < size; off += uploadChunk {
 		n := min(int64(uploadChunk), size-off)
 		remote, err := t.store.ReadRange(ctx, key, off, n)
@@ -153,7 +153,7 @@ func (t *Tier) UploadAndVerify(ctx context.Context, key string, src io.ReaderAt,
 		if _, err := src.ReadAt(local[:n], off); err != nil {
 			return fmt.Errorf("objstore: verify local read of %s: %w", key, err)
 		}
-		if sha256.Sum256(remote) != sha256.Sum256(local[:n]) || !bytes.Equal(remote, local[:n]) {
+		if !bytes.Equal(remote, local[:n]) {
 			t.store.Delete(ctx, key)
 			t.VerifyFailures.Inc()
 			return fmt.Errorf("%w: %s: read-back mismatch at offset %d", ErrIntegrity, key, off)

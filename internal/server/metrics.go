@@ -97,6 +97,7 @@ func (s *Server) collectStoreMetrics(w *obs.Writer) {
 	}
 	w.Hist("hpclog_wal_fsync_seconds", "Commitlog fsync latency (group commit and rotation).", fsync)
 	w.Counter("hpclog_store_flushes_total", "Memtable flushes to disk segments.", st.Flushes)
+	w.Counter("hpclog_store_flush_rounds_total", "Flush rounds (one durability barrier each, any number of segments).", st.FlushRounds)
 	w.Counter("hpclog_store_flushed_rows_total", "Rows flushed from memtables.", st.FlushedRows)
 	w.Counter("hpclog_store_compactions_total", "Partition compaction passes.", st.Compactions)
 	w.Counter("hpclog_store_compacted_segments_total", "Segments merged by compaction.", st.CompactedSegments)
@@ -105,7 +106,10 @@ func (s *Server) collectStoreMetrics(w *obs.Writer) {
 	w.Gauge("hpclog_store_disk_bytes", "On-disk data footprint.", float64(st.DiskBytes))
 	w.Counter("hpclog_store_replayed_records_total", "Commitlog records replayed at startup.", st.ReplayedRecords)
 	w.Counter("hpclog_store_replayed_rows_total", "Rows recovered from the commitlog at startup.", st.ReplayedRows)
-	w.Counter("hpclog_store_maintenance_errors_total", "Failed background compaction/truncation/tiering passes.", st.MaintenanceErrors)
+	w.Counter("hpclog_store_maintenance_errors_total", "Failed flush/compaction/truncation/tiering passes.", st.MaintenanceErrors)
+	flush, compact, sweep := s.db.RoundHists()
+	w.Hist("hpclog_store_flush_round_seconds", "Duration of a node's flush round (encode, barrier, publish).", flush)
+	w.Hist("hpclog_store_compact_round_seconds", "Duration of a node's compaction round (merge, barrier, retire).", compact)
 	if tier := s.db.Tier(); tier != nil {
 		ts := tier.Snapshot()
 		w.Gauge("hpclog_tier_segments", "Segments whose data lives in the object tier.", float64(st.TieredSegments))
@@ -121,6 +125,7 @@ func (s *Server) collectStoreMetrics(w *obs.Writer) {
 		w.Gauge("hpclog_tier_cache_bytes", "Bytes resident in the block cache.", float64(ts.CacheUsed))
 		w.Gauge("hpclog_tier_cache_capacity_bytes", "Block-cache budget in bytes.", float64(ts.CacheBudget))
 		w.Hist("hpclog_tier_fetch_seconds", "Object-store block fetch latency (including verification).", &tier.FetchHist)
+		w.Hist("hpclog_tier_sweep_seconds", "Duration of a node's tier sweep (upload, verify, record, evict).", sweep)
 	}
 }
 

@@ -14,8 +14,11 @@ import (
 
 	"hpclog/internal/api"
 	"hpclog/internal/compute"
+	"hpclog/internal/ingest"
+	"hpclog/internal/objstore"
 	"hpclog/internal/obs"
 	"hpclog/internal/query"
+	"hpclog/internal/store"
 )
 
 // expoSample is one parsed exposition sample line.
@@ -131,10 +134,7 @@ func metricsFixture(t *testing.T, threshold time.Duration) (*Server, *httptest.S
 }
 
 // TestMetricsExposition drives traffic through several routes, scrapes
-// /v1/metrics, and lints the exposition: every line parses, every
-// metric is typed exactly once before its samples, histogram buckets
-// are cumulative and monotone over an increasing le ladder with
-// +Inf == _count, and _sum/_count exist per histogram series.
+// /v1/metrics, lints the exposition and finds the traffic in it.
 func TestMetricsExposition(t *testing.T) {
 	_, ts := metricsFixture(t, 0)
 	for i := 0; i < 3; i++ {
@@ -147,7 +147,103 @@ func TestMetricsExposition(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/metrics")
+	samples := scrapeAndLint(t, ts.URL)
+
+	// The traffic we just offered must be visible.
+	var admitted, routeCount float64
+	for _, s := range samples {
+		if s.name == "hpclog_http_requests_total" {
+			admitted += s.value
+		}
+		if s.name == "hpclog_http_request_seconds_count" && strings.Contains(s.labels, "/v1/cql") {
+			routeCount += s.value
+		}
+	}
+	if admitted < 3 {
+		t.Errorf("hpclog_http_requests_total = %v after 3 requests", admitted)
+	}
+	if routeCount < 3 {
+		t.Errorf("/v1/cql route histogram count = %v after 3 requests", routeCount)
+	}
+}
+
+// TestMetricsExpositionBackgroundRounds lints the exposition of a
+// durable, tiered store after a flush round, a compaction round and a
+// tier sweep, and asserts each left its duration in its histogram.
+func TestMetricsExpositionBackgroundRounds(t *testing.T) {
+	db, err := store.OpenDurable(store.Config{
+		Nodes: 2, RF: 2, VNodes: 8, FlushThreshold: 64, Dir: t.TempDir(), CompactInterval: -1,
+		Tier: objstore.Config{Backend: "fs", Dir: t.TempDir(), CacheBytes: 1 << 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := ingest.Bootstrap(db, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable("rounds"); err != nil {
+		t.Fatal(err)
+	}
+	for gen := 0; gen < 2; gen++ { // two flush rounds: something to compact
+		for p := 0; p < 4; p++ {
+			rows := make([]store.Row, 10)
+			for i := range rows {
+				rows[i] = store.Row{Key: store.EncodeTS(int64(100*gen+i)) + ":src", Columns: map[string]string{"gen": fmt.Sprint(gen)}}
+			}
+			if err := db.PutBatch("rounds", fmt.Sprint("p", p), rows, store.All); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.TierSweep(true); err != nil {
+		t.Fatal(err)
+	}
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
+	srv := NewWithConfig(query.New(db, eng), db, eng, Config{})
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+
+	got := map[string]float64{}
+	for _, s := range scrapeAndLint(t, ts.URL) {
+		got[s.name] += s.value
+	}
+	for _, name := range []string{
+		"hpclog_store_flush_round_seconds_count",
+		"hpclog_store_compact_round_seconds_count",
+		"hpclog_tier_sweep_seconds_count",
+		"hpclog_store_flush_rounds_total",
+	} {
+		if got[name] < 1 {
+			t.Errorf("%s = %v after a flush, a compaction and a sweep", name, got[name])
+		}
+	}
+	// Rounds batch segments: fewer barriers than flushed segments.
+	if rounds, segs := got["hpclog_store_flush_rounds_total"], got["hpclog_store_flushes_total"]; rounds >= segs {
+		t.Errorf("%v flush rounds for %v flushed segments", rounds, segs)
+	}
+	if got["hpclog_store_maintenance_errors_total"] != 0 {
+		t.Errorf("maintenance errors = %v", got["hpclog_store_maintenance_errors_total"])
+	}
+}
+
+// scrapeAndLint scrapes /v1/metrics and lints the exposition: every line
+// parses, every metric is typed exactly once before its samples,
+// counters are named _total and non-negative, histogram buckets are
+// cumulative and monotone over an increasing le ladder with
+// +Inf == _count, and _sum/_count exist per histogram series.
+func scrapeAndLint(t *testing.T, url string) []expoSample {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,23 +344,7 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("histogram %s: no _sum sample", key)
 		}
 	}
-
-	// The traffic we just offered must be visible.
-	var admitted, routeCount float64
-	for _, s := range samples {
-		if s.name == "hpclog_http_requests_total" {
-			admitted += s.value
-		}
-		if s.name == "hpclog_http_request_seconds_count" && strings.Contains(s.labels, "/v1/cql") {
-			routeCount += s.value
-		}
-	}
-	if admitted < 3 {
-		t.Errorf("hpclog_http_requests_total = %v after 3 requests", admitted)
-	}
-	if routeCount < 3 {
-		t.Errorf("/v1/cql route histogram count = %v after 3 requests", routeCount)
-	}
+	return samples
 }
 
 // TestSlowQueryLog captures a CQL request under a 1ns threshold and

@@ -490,26 +490,33 @@ func (db *DB) compactorLoop() {
 	}
 }
 
-// maintain runs one compaction + commitlog-truncation + tiering pass.
-// Per-node failures are joined rather than aborting the pass — a broken
-// object-store endpoint must not stop other nodes from compacting — and
-// every failed pass increments MaintenanceErrors, whether it came from
-// the background compactor or an explicit Compact call.
+// eachDurableNode runs fn on every local durable node concurrently — each
+// owns its own directory, commitlog, manifest and object prefix — and
+// joins the per-node errors, so one node's failure stops no other node.
+func (db *DB) eachDurableNode(fn func(n *Node) error) error {
+	var nodes []*Node
+	for _, id := range db.NodeIDs() {
+		if n := db.Node(id); n.persist != nil {
+			nodes = append(nodes, n)
+		}
+	}
+	return objstore.Parallel(len(nodes), len(nodes), func(i int) error { return fn(nodes[i]) })
+}
+
+// maintain runs one compaction + commitlog-truncation + tiering pass,
+// every node at once. Per-node failures are joined rather than aborting
+// the pass — a broken object-store endpoint must not stop other nodes
+// from compacting — and every failed pass increments MaintenanceErrors,
+// whether it came from the background compactor or an explicit Compact
+// call.
 func (db *DB) maintain(threshold int) (int, error) {
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
-	total := 0
-	var errs []error
-	for _, id := range db.NodeIDs() {
-		n := db.Node(id)
-		if n.persist == nil {
-			continue
-		}
+	var total atomic.Int64
+	err := db.eachDurableNode(func(n *Node) error {
 		c, err := n.persist.CompactOverflow(threshold)
-		total += c
-		if err != nil {
-			errs = append(errs, err)
-		}
+		total.Add(int64(c))
+		errs := []error{err}
 		if _, err := n.truncateWAL(); err != nil {
 			errs = append(errs, err)
 		}
@@ -518,15 +525,15 @@ func (db *DB) maintain(threshold int) (int, error) {
 				errs = append(errs, err)
 			}
 		}
-	}
-	if total > 0 {
+		return errors.Join(errs...)
+	})
+	if total.Load() > 0 {
 		db.bumpGeneration()
 	}
-	err := errors.Join(errs...)
 	if err != nil {
 		db.maintErrors.Add(1)
 	}
-	return total, err
+	return int(total.Load()), err
 }
 
 // TierSweep flushes memtables and uploads+evicts segments to the object
@@ -539,29 +546,21 @@ func (db *DB) TierSweep(force bool) (uploaded, evicted int, err error) {
 		return 0, 0, nil
 	}
 	if err := db.Flush(); err != nil {
-		db.maintErrors.Add(1)
-		return 0, 0, err
+		return 0, 0, err // Flush counted it
 	}
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
-	var errs []error
-	for _, id := range db.NodeIDs() {
-		n := db.Node(id)
-		if n.persist == nil {
-			continue
-		}
-		up, ev, serr := n.persist.TierSweep(context.Background(), force)
-		uploaded += up
-		evicted += ev
-		if serr != nil {
-			errs = append(errs, serr)
-		}
-	}
-	err = errors.Join(errs...)
+	var up, ev atomic.Int64
+	err = db.eachDurableNode(func(n *Node) error {
+		u, e, err := n.persist.TierSweep(context.Background(), force)
+		up.Add(int64(u))
+		ev.Add(int64(e))
+		return err
+	})
 	if err != nil {
 		db.maintErrors.Add(1)
 	}
-	return uploaded, evicted, err
+	return int(up.Load()), int(ev.Load()), err
 }
 
 // Tier returns the object-storage tier, or nil when tiering is off. The
@@ -588,30 +587,32 @@ func (db *DB) SegmentInfos() []SegmentListing {
 	return out
 }
 
-// Flush forces every dirty memtable of a durable cluster onto disk and
-// truncates the commitlog accordingly. A no-op on in-memory clusters.
+// Flush forces every dirty memtable of a durable cluster onto disk — one
+// flush round per node, all nodes at once — and truncates the commitlog
+// accordingly. A node's failure is joined into the returned error, counts
+// once as a maintenance error, and leaves the other nodes flushed. A
+// no-op on in-memory clusters.
 func (db *DB) Flush() error {
 	if db.cfg.Dir == "" {
 		return nil
 	}
-	for _, id := range db.NodeIDs() {
-		n := db.Node(id)
+	err := db.eachDurableNode(func(n *Node) error {
 		if err := n.flushAll(); err != nil {
 			return err
 		}
 		// Seal the active commitlog segment so the flush acts as a full
 		// checkpoint: with every memtable clean, truncation can then
 		// retire the entire log and the next open replays ~nothing.
-		if n.wal != nil {
-			if err := n.wal.Rotate(); err != nil {
-				return err
-			}
-		}
-		if _, err := n.truncateWAL(); err != nil {
+		if err := n.wal.Rotate(); err != nil {
 			return err
 		}
+		_, err := n.truncateWAL()
+		return err
+	})
+	if err != nil {
+		db.maintErrors.Add(1)
 	}
-	return nil
+	return err
 }
 
 // Compact merges every multi-segment partition of a durable cluster down
@@ -622,7 +623,7 @@ func (db *DB) Compact() (int, error) {
 		return 0, nil
 	}
 	if err := db.Flush(); err != nil {
-		return 0, err
+		return 0, err // Flush counted it
 	}
 	return db.maintain(1)
 }
@@ -663,7 +664,8 @@ type StorageStats struct {
 	WALSegments          int64 `json:"wal_segments"`
 	WALTruncatedSegments int64 `json:"wal_truncated_segments"`
 
-	Flushes           int64 `json:"flushes"`
+	Flushes           int64 `json:"flushes"`      // segments written by flushes
+	FlushRounds       int64 `json:"flush_rounds"` // flush rounds, one durability barrier each
 	FlushedRows       int64 `json:"flushed_rows"`
 	Compactions       int64 `json:"compactions"`
 	CompactedSegments int64 `json:"compacted_segments"`
@@ -714,6 +716,7 @@ func (db *DB) StorageStats() StorageStats {
 		st.TornBytes += ws.TornBytes
 		ps := n.persist.Stats()
 		st.Flushes += ps.Flushes
+		st.FlushRounds += ps.FlushRounds
 		st.FlushedRows += ps.FlushedRows
 		st.Compactions += ps.Compactions
 		st.CompactedSegments += ps.CompactedSegments
@@ -741,6 +744,21 @@ func (db *DB) WALFsyncHists() []*obs.Hist {
 		}
 	}
 	return out
+}
+
+// RoundHists returns the duration histograms of the background storage
+// work, merged across local nodes: flush rounds, compaction rounds and
+// tier sweeps (empty on in-memory clusters).
+func (db *DB) RoundHists() (flush, compact, sweep *obs.Hist) {
+	flush, compact, sweep = &obs.Hist{}, &obs.Hist{}, &obs.Hist{}
+	for _, id := range db.NodeIDs() {
+		if ps := db.Node(id).persist; ps != nil {
+			flush.Merge(&ps.FlushRoundHist)
+			compact.Merge(&ps.CompactRoundHist)
+			sweep.Merge(&ps.SweepHist)
+		}
+	}
+	return flush, compact, sweep
 }
 
 // MemtableRows reports the rows currently buffered in memtables across

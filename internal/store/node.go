@@ -27,6 +27,11 @@ type partition struct {
 	table string
 	key   string
 	mem   []Row // sorted by clustering key
+	// flushing is the memtable a node flush round has taken over: an
+	// immutable run, still read like the memtable, until the round's
+	// barrier has passed and its segment is published. Writers meanwhile
+	// fill a fresh mem.
+	flushing []Row
 	// segments holds in-memory flushes (non-durable nodes only; durable
 	// flushes go to node.persist).
 	segments []segment
@@ -38,6 +43,17 @@ type partition struct {
 	// hasDirty.
 	dirtySeg uint64
 	hasDirty bool
+	// flushingSeg is dirtySeg's counterpart for the flushing run. Valid
+	// while flushing != nil and hasFlushingSeg.
+	flushingSeg    uint64
+	hasFlushingSeg bool
+}
+
+// noteDirty lowers dirtySeg to cover commitlog segment seg.
+func (p *partition) noteDirty(seg uint64) {
+	if !p.hasDirty || seg < p.dirtySeg {
+		p.dirtySeg, p.hasDirty = seg, true
+	}
 }
 
 func (p *partition) put(rows []Row, walSeg uint64) error {
@@ -46,11 +62,17 @@ func (p *partition) put(rows []Row, walSeg uint64) error {
 	for _, r := range rows {
 		p.insertLocked(r)
 	}
-	if walSeg != 0 && len(p.mem) > 0 && (!p.hasDirty || walSeg < p.dirtySeg) {
-		p.dirtySeg, p.hasDirty = walSeg, true
+	if walSeg != 0 && len(p.mem) > 0 {
+		p.noteDirty(walSeg)
 	}
 	if len(p.mem) >= p.node.flushThreshold {
 		if p.node.persist != nil {
+			if p.flushing != nil {
+				// A node flush round holds this partition's older rows and a
+				// lower sequence number; flushing mem past it would publish
+				// the two segments out of order. The next put retries.
+				return nil
+			}
 			return p.flushDiskLocked()
 		}
 		p.flushLocked()
@@ -90,10 +112,10 @@ func (p *partition) flushLocked() {
 	p.segments = append(p.segments, seg)
 }
 
-// flushDiskLocked writes the memtable as an immutable on-disk segment.
-// Only after the segment is durable (fsynced and renamed into place) is
-// the memtable dropped and the partition marked clean for commitlog
-// truncation.
+// flushDiskLocked writes the memtable as an immutable on-disk segment — a
+// flush round of one, inline on the write path when the memtable fills.
+// Only after the round's barrier is the memtable dropped and the
+// partition marked clean for commitlog truncation.
 func (p *partition) flushDiskLocked() error {
 	if len(p.mem) == 0 {
 		return nil
@@ -104,6 +126,34 @@ func (p *partition) flushDiskLocked() error {
 	p.mem = nil
 	p.hasDirty = false
 	return nil
+}
+
+// beginFlush hands the memtable to a flush round as the immutable
+// flushing run and returns it (nil when there is nothing to flush).
+func (p *partition) beginFlush() []Row {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.mem) == 0 {
+		return nil
+	}
+	p.flushing, p.mem = p.mem, nil
+	p.flushingSeg, p.hasFlushingSeg, p.hasDirty = p.dirtySeg, p.hasDirty, false
+	return p.flushing
+}
+
+// endFlush retires the flushing run once its round is over: dropped when
+// the segment holding it is published, merged back under the rows
+// written since when the round failed.
+func (p *partition) endFlush(published bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !published {
+		p.mem = mergeRows(p.flushing, p.mem)
+		if p.hasFlushingSeg {
+			p.noteDirty(p.flushingSeg)
+		}
+	}
+	p.flushing, p.hasFlushingSeg = nil, false
 }
 
 func (p *partition) compactLocked() {
@@ -156,19 +206,14 @@ func (p *partition) itersLocked(rg Range, pc *pruneCfg) ([]persist.Iterator, err
 			// i = segment i), then the in-memory inputs.
 			var inputs []persist.KeyRange
 			if pc != nil {
-				inputs = make([]persist.KeyRange, 0, len(over)+len(p.segments)+1)
+				inputs = make([]persist.KeyRange, 0, len(over)+len(p.segments)+2)
 				for _, seg := range over {
 					min, max := seg.KeyRange()
 					inputs = append(inputs, persist.KeyRange{Min: min, Max: max})
 				}
-				for _, s := range p.segments {
-					if n := len(s.rows); n > 0 {
-						inputs = append(inputs, persist.KeyRange{Min: s.rows[0].Key, Max: s.rows[n-1].Key})
-					}
-				}
-				if n := len(p.mem); n > 0 {
-					inputs = append(inputs, persist.KeyRange{Min: p.mem[0].Key, Max: p.mem[n-1].Key})
-				}
+				p.eachMemRun(func(rows []Row) {
+					inputs = append(inputs, persist.KeyRange{Min: rows[0].Key, Max: rows[len(rows)-1].Key})
+				})
 			}
 			for i, seg := range over {
 				var cfg persist.ScanConfig
@@ -199,6 +244,9 @@ func (p *partition) itersLocked(rg Range, pc *pruneCfg) ([]persist.Iterator, err
 			its = append(its, persist.NewSliceIter(in))
 		}
 	}
+	if in := sliceRange(p.flushing, rg); len(in) > 0 {
+		its = append(its, persist.NewSliceIter(in))
+	}
 	if in := sliceRange(p.mem, rg); len(in) > 0 {
 		memCopy := make([]Row, len(in))
 		copy(memCopy, in)
@@ -228,10 +276,27 @@ func (p *partition) read(rg Range) ([]Row, error) {
 	return out, m.Err()
 }
 
+// eachMemRun calls fn with each non-empty in-RAM merge input of the
+// partition, oldest first: in-memory segments, the flushing run, the
+// memtable.
+func (p *partition) eachMemRun(fn func(rows []Row)) {
+	for _, s := range p.segments {
+		if len(s.rows) > 0 {
+			fn(s.rows)
+		}
+	}
+	if len(p.flushing) > 0 {
+		fn(p.flushing)
+	}
+	if len(p.mem) > 0 {
+		fn(p.mem)
+	}
+}
+
 // snapshotIters captures a point-in-time view of the partition restricted
 // to rg, for use after the lock is released: disk segments are immutable
-// and refcounted, in-memory segment slices are never mutated after flush,
-// and the in-range memtable rows are copied.
+// and refcounted, in-memory segment slices and the flushing run are never
+// mutated, and the in-range memtable rows are copied.
 func (p *partition) snapshotIters(rg Range) ([]persist.Iterator, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -264,14 +329,7 @@ func (p *partition) keyBounds() (min, max string, ok bool) {
 			max = hi
 		}
 	}
-	if n := len(p.mem); n > 0 {
-		note(p.mem[0].Key, p.mem[n-1].Key)
-	}
-	for _, s := range p.segments {
-		if n := len(s.rows); n > 0 {
-			note(s.rows[0].Key, s.rows[n-1].Key)
-		}
-	}
+	p.eachMemRun(func(rows []Row) { note(rows[0].Key, rows[len(rows)-1].Key) })
 	if p.node.persist != nil {
 		for _, seg := range p.node.persist.Segments(p.table, p.key) {
 			if seg.Rows() > 0 {
@@ -286,10 +344,8 @@ func (p *partition) keyBounds() (min, max string, ok bool) {
 func (p *partition) rowCount() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	n := len(p.mem)
-	for _, s := range p.segments {
-		n += len(s.rows)
-	}
+	n := 0
+	p.eachMemRun(func(rows []Row) { n += len(rows) })
 	if p.node.persist != nil {
 		for _, seg := range p.node.persist.Segments(p.table, p.key) {
 			n += seg.Rows()
@@ -368,6 +424,10 @@ type Node struct {
 	// Durable state (nil on in-memory nodes).
 	wal     *wal.Log
 	persist *persist.Store
+	// flushMu serializes flushAll rounds, so at most one flushing run per
+	// partition exists and a returning Flush has seen every earlier row
+	// reach disk.
+	flushMu sync.Mutex
 	// truncMu fences commitlog truncation against in-flight applies: an
 	// apply holds it shared between the WAL append and the memtable
 	// insert, so the truncator can never observe "appended but not yet
@@ -506,45 +566,56 @@ func (n *Node) RowCount(tableName string) int {
 // node's memtables across all tables — the unflushed write volume a
 // crash would replay from the commitlog.
 func (n *Node) MemtableRows() int {
-	n.mu.RLock()
-	tables := make([]*table, 0, len(n.tables))
-	for _, t := range n.tables {
-		tables = append(tables, t)
-	}
-	n.mu.RUnlock()
 	total := 0
-	for _, t := range tables {
+	for _, t := range n.allTables() {
 		for _, p := range t.allPartitions() {
 			p.mu.RLock()
-			total += len(p.mem)
+			total += len(p.mem) + len(p.flushing)
 			p.mu.RUnlock()
 		}
 	}
 	return total
 }
 
-// flushAll flushes every dirty memtable of a durable node to disk.
+// flushAll flushes every dirty memtable of a durable node to disk as one
+// flush round. Each memtable is handed over as an immutable, still
+// readable flushing run — writers continue into a fresh memtable, readers
+// never lose sight of a row — and is dropped, with its commitlog mark,
+// only after the round's barrier has passed and its segment is published.
 func (n *Node) flushAll() error {
 	if n.persist == nil {
 		return nil
 	}
+	n.flushMu.Lock()
+	defer n.flushMu.Unlock()
+	var flushing []*partition
+	var parts []persist.FlushPart
+	for _, t := range n.allTables() {
+		for _, p := range t.allPartitions() {
+			if rows := p.beginFlush(); rows != nil {
+				flushing = append(flushing, p)
+				parts = append(parts, persist.FlushPart{Table: p.table, PKey: p.key, Rows: rows})
+			}
+		}
+	}
+	err := n.persist.FlushRound(parts)
+	for _, p := range flushing {
+		p.endFlush(err == nil)
+	}
+	if err != nil {
+		return fmt.Errorf("store: node %s: flush round of %d partitions: %w", n.id, len(parts), err)
+	}
+	return nil
+}
+
+func (n *Node) allTables() []*table {
 	n.mu.RLock()
+	defer n.mu.RUnlock()
 	tables := make([]*table, 0, len(n.tables))
 	for _, t := range n.tables {
 		tables = append(tables, t)
 	}
-	n.mu.RUnlock()
-	for _, t := range tables {
-		for _, p := range t.allPartitions() {
-			p.mu.Lock()
-			err := p.flushDiskLocked()
-			p.mu.Unlock()
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return tables
 }
 
 // truncateWAL removes commitlog segments whose every record has been
@@ -558,17 +629,14 @@ func (n *Node) truncateWAL() (int, error) {
 	n.truncMu.Lock()
 	defer n.truncMu.Unlock()
 	cut := n.wal.ActiveSeg()
-	n.mu.RLock()
-	tables := make([]*table, 0, len(n.tables))
-	for _, t := range n.tables {
-		tables = append(tables, t)
-	}
-	n.mu.RUnlock()
-	for _, t := range tables {
+	for _, t := range n.allTables() {
 		for _, p := range t.allPartitions() {
 			p.mu.RLock()
 			if p.hasDirty && p.dirtySeg < cut {
 				cut = p.dirtySeg
+			}
+			if p.hasFlushingSeg && p.flushingSeg < cut {
+				cut = p.flushingSeg
 			}
 			p.mu.RUnlock()
 		}

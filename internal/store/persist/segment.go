@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -68,7 +69,7 @@ const (
 	// region. Parsed exactly like a segment at open, so zone maps, Blooms,
 	// and the sparse index stay resident with zero object-store fetches.
 	segStubExt   = ".sft"
-	segTempExt   = ".tmp"
+	segTempExt   = objstore.TempExt
 	maxFooterLen = 256 << 20
 )
 
@@ -425,9 +426,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // appended in strictly ascending clustering-key order (the memtable and
 // the compaction merge both produce that order).
 type Writer struct {
-	path    string
-	tmpPath string
-	f       *os.File
+	path    string   // final name; written as path+segTempExt until its round commits
+	f       *os.File // the temp file
 	bw      *bufio.Writer
 	crc     uint32
 	off     int64
@@ -461,7 +461,7 @@ type blockAcc struct {
 }
 
 // NewWriter creates a segment writer targeting path (written via a
-// temporary file until Finish), at the current codec version.
+// temporary file until its round commits), at the current codec version.
 func NewWriter(path, table, pkey string, seq uint64) (*Writer, error) {
 	return NewWriterVersion(path, table, pkey, seq, SegVersion)
 }
@@ -482,13 +482,12 @@ func NewWriterVersion(path, table, pkey string, seq uint64, version int) (*Write
 	default:
 		return nil, fmt.Errorf("persist: unsupported segment codec version %d", version)
 	}
-	tmp := path + segTempExt
-	f, err := os.Create(tmp)
+	f, err := os.Create(path + segTempExt)
 	if err != nil {
 		return nil, fmt.Errorf("persist: create segment: %w", err)
 	}
 	w := &Writer{
-		path: path, tmpPath: tmp, f: f, bw: bufio.NewWriterSize(f, 64<<10),
+		path: path, f: f, bw: bufio.NewWriterSize(f, 64<<10),
 		meta:    footerMeta{Table: table, Partition: pkey, Seq: seq},
 		version: version,
 	}
@@ -500,7 +499,7 @@ func NewWriterVersion(path, table, pkey string, seq uint64, version int) (*Write
 		w.leafH.Write(objstore.LeafDomain)
 	}
 	if _, err := w.bw.WriteString(header); err != nil {
-		w.abort()
+		w.discard()
 		return nil, err
 	}
 	w.off = int64(len(header))
@@ -691,11 +690,12 @@ func (w *Writer) Append(r Row) error {
 	return nil
 }
 
-// Finish writes the footer, syncs the file to stable storage, renames it
-// into place, and returns an open Segment over it.
-func (w *Writer) Finish() (*Segment, error) {
+// seal writes the footer, hands every byte to the temp file and closes
+// it. Nothing is synced: the file becomes durable, and gets its final
+// name, in the barrier of the round that owns the writer.
+func (w *Writer) seal() error {
 	if w.done {
-		return nil, fmt.Errorf("persist: double Finish")
+		return fmt.Errorf("persist: double Finish")
 	}
 	w.done = true
 	w.finishBlock()
@@ -711,8 +711,8 @@ func (w *Writer) Finish() (*Segment, error) {
 	}
 	if w.version >= SegVersionV3 {
 		if len(w.meta.Blocks) != len(w.meta.Index) {
-			w.abort()
-			return nil, fmt.Errorf("persist: %d block stats for %d index entries", len(w.meta.Blocks), len(w.meta.Index))
+			w.discard()
+			return fmt.Errorf("persist: %d block stats for %d index entries", len(w.meta.Blocks), len(w.meta.Index))
 		}
 		// Zone columns land in the name table even when no row carries
 		// them: an all-absent column is the strongest pruning signal.
@@ -722,8 +722,8 @@ func (w *Writer) Finish() (*Segment, error) {
 		}
 	}
 	if w.version >= SegVersion && len(w.meta.Leaves) != len(w.meta.Index) {
-		w.abort()
-		return nil, fmt.Errorf("persist: %d merkle leaves for %d index entries", len(w.meta.Leaves), len(w.meta.Index))
+		w.discard()
+		return fmt.Errorf("persist: %d merkle leaves for %d index entries", len(w.meta.Leaves), len(w.meta.Index))
 	}
 	w.meta.ColNames = w.tb.names
 	fb := appendFooter(w.buf[:0], &w.meta, w.version, zoneLocal)
@@ -731,31 +731,30 @@ func (w *Writer) Finish() (*Segment, error) {
 	binary.LittleEndian.PutUint32(tail[0:4], uint32(len(fb)))
 	binary.LittleEndian.PutUint32(tail[4:8], crc32.Checksum(fb, crcTable))
 	copy(tail[8:], trailer)
-	if _, err := w.bw.Write(fb); err != nil {
-		w.abort()
-		return nil, err
+	_, err := w.bw.Write(fb)
+	if err == nil {
+		_, err = w.bw.Write(tail[:])
 	}
-	if _, err := w.bw.Write(tail[:]); err != nil {
-		w.abort()
-		return nil, err
+	if err == nil {
+		err = w.bw.Flush()
 	}
-	if err := w.bw.Flush(); err != nil {
-		w.abort()
-		return nil, err
-	}
-	if err := w.f.Sync(); err != nil {
-		w.abort()
-		return nil, err
+	if err != nil {
+		w.discard()
+		return err
 	}
 	if err := w.f.Close(); err != nil {
-		w.abort()
+		os.Remove(w.path + segTempExt)
+		return err
+	}
+	return nil
+}
+
+// Finish commits the segment as a round of one and returns it open.
+func (w *Writer) Finish() (*Segment, error) {
+	if err := w.seal(); err != nil {
 		return nil, err
 	}
-	if err := os.Rename(w.tmpPath, w.path); err != nil {
-		os.Remove(w.tmpPath)
-		return nil, err
-	}
-	if err := syncDir(w.path); err != nil {
+	if err := commitRound([]string{w.path}); err != nil {
 		return nil, err
 	}
 	return OpenSegment(w.path)
@@ -764,34 +763,14 @@ func (w *Writer) Finish() (*Segment, error) {
 // Abort discards the partially written segment.
 func (w *Writer) Abort() {
 	if !w.done {
-		w.abort()
+		w.discard()
 		w.done = true
 	}
 }
 
-func (w *Writer) abort() {
+func (w *Writer) discard() {
 	w.f.Close()
-	os.Remove(w.tmpPath)
-}
-
-// syncDir fsyncs the directory containing path so the directory entry of a
-// freshly renamed or created file survives a crash.
-func syncDir(path string) error {
-	d, err := os.Open(dirOf(path))
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' || path[i] == os.PathSeparator {
-			return path[:i+1]
-		}
-	}
-	return "."
+	os.Remove(w.path + segTempExt)
 }
 
 // Segment is an open, immutable segment. Resident segments share one
@@ -1009,11 +988,12 @@ func OpenTieredStub(path string, tier *objstore.Tier, e objstore.ManifestEntry) 
 	return s, nil
 }
 
-// FetchStub rebuilds a missing footer stub from the object store (the
+// fetchStub rebuilds a missing footer stub from the object store (the
 // local directory lost both the data file and the stub — e.g. a fresh
-// disk recovering from the manifest). Two ranged reads: the trailer to
-// size the footer, then header+footer+trailer written atomically.
-func FetchStub(ctx context.Context, tier *objstore.Tier, e objstore.ManifestEntry, path string) error {
+// disk recovering from the manifest) under path's temp name, for the
+// caller's round to commit. Three ranged reads: the trailer to size the
+// footer, the header, the footer.
+func fetchStub(ctx context.Context, tier *objstore.Tier, e objstore.ManifestEntry, path string) error {
 	tail, err := tier.Store().ReadRange(ctx, e.Key, e.Size-trailerLen, trailerLen)
 	if err != nil {
 		return fmt.Errorf("persist: fetch stub trailer for %s: %w", e.Key, err)
@@ -1036,34 +1016,13 @@ func FetchStub(ctx context.Context, tier *objstore.Tier, e objstore.ManifestEntr
 	return writeStub(path, head, foot, tail)
 }
 
-// writeStub writes header+footer+trailer to path atomically.
+// writeStub writes header+footer+trailer under path's temp name, unsynced.
 func writeStub(path string, head, foot, tail []byte) error {
-	tmp := path + segTempExt
-	f, err := os.Create(tmp)
+	err := os.WriteFile(path+segTempExt, slices.Concat(head, foot, tail), 0o644)
 	if err != nil {
-		return err
+		os.Remove(path + segTempExt)
 	}
-	var werr error
-	for _, b := range [][]byte{head, foot, tail} {
-		if _, werr = f.Write(b); werr != nil {
-			break
-		}
-	}
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return werr
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(path)
+	return err
 }
 
 // sortZones sorts a block's zone maps by dictionary ID (insertion sort;
@@ -1284,44 +1243,29 @@ func (s *Segment) MerkleRoot() (root [objstore.HashLen]byte, ok bool) {
 // codec v4 (Merkle leaves resident) with at least one block.
 func (s *Segment) CanTier() bool { return s.tree != nil }
 
-// EvictLocal releases the segment's local data file: it writes the
-// footer stub (tmp+rename), marks the segment tiered so new iterators
-// fetch from the object store, and unlinks the data file. Iterators
-// already open keep reading the unlinked file through the shared
-// descriptor; the descriptor closes when the last of them finishes. The
-// caller must have uploaded, verified, AND durably manifest-recorded the
-// object first — the stub is the point of no local return.
-func (s *Segment) EvictLocal() error {
-	s.lock()
-	if s.tiered || s.doomed || s.closed {
-		s.unlock()
-		return nil
-	}
-	if s.tierKey == "" || s.tree == nil {
-		s.unlock()
-		return fmt.Errorf("persist: %s: evict before verified upload", s.path)
-	}
-	s.unlock()
-
-	// Assemble the stub from the open descriptor (reads race nothing: the
-	// file is immutable).
+// writeStub writes the segment's footer stub under its temp name from the
+// open descriptor (reads race nothing: the file is immutable). The stub
+// becomes the point of no local return once its round's barrier has
+// passed and markEvicted has run, so the caller must have uploaded,
+// verified AND durably manifest-recorded the object first.
+func (s *Segment) writeStub() error {
 	head := make([]byte, len(segHeader))
 	if _, err := s.f.ReadAt(head, 0); err != nil {
 		return err
 	}
-	foot := make([]byte, s.size-trailerLen-s.footOff)
+	// Footer and trailer are contiguous at the end of the file.
+	foot := make([]byte, s.size-s.footOff)
 	if _, err := s.f.ReadAt(foot, s.footOff); err != nil {
 		return err
 	}
-	tail := make([]byte, trailerLen)
-	if _, err := s.f.ReadAt(tail, s.size-trailerLen); err != nil {
-		return err
-	}
-	if err := writeStub(stubPath(s.path), head, foot, tail); err != nil {
-		return err
-	}
-	tierHook("post-stub", s.meta.Seq)
+	return writeStub(stubPath(s.path), head, foot, nil)
+}
 
+// markEvicted releases the local data file of a segment whose stub is
+// durable: new iterators fetch from the object store, iterators already
+// open keep reading the unlinked file through the shared descriptor, and
+// the descriptor closes when the last of them finishes.
+func (s *Segment) markEvicted() {
 	s.lock()
 	s.tiered = true
 	closeF := s.localRefs == 0 && !s.fClosed
@@ -1333,7 +1277,6 @@ func (s *Segment) EvictLocal() error {
 	if closeF {
 		s.f.Close()
 	}
-	return nil
 }
 
 // startBlock returns the index of the first block that can contain keys

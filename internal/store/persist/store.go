@@ -10,8 +10,10 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hpclog/internal/objstore"
+	"hpclog/internal/obs"
 )
 
 // Store manages the immutable segment files of one storage node: flushes
@@ -38,7 +40,12 @@ type Store struct {
 	segs    map[segKey][]*Segment // ordered by Seq, oldest first
 	tables  map[string]bool       // durable table catalog (tables manifest)
 
+	// FlushRoundHist, CompactRoundHist and SweepHist record the duration of
+	// every flush round, compaction round and tier sweep of this node.
+	FlushRoundHist, CompactRoundHist, SweepHist obs.Hist
+
 	flushes           atomic.Int64
+	flushRounds       atomic.Int64
 	flushedRows       atomic.Int64
 	compactions       atomic.Int64
 	compactedSegments atomic.Int64
@@ -49,7 +56,8 @@ type segKey struct{ table, pkey string }
 
 // Stats is a snapshot of the store's counters and current on-disk state.
 type Stats struct {
-	Flushes           int64
+	Flushes           int64 // segments written by flush rounds
+	FlushRounds       int64 // flush rounds (one durability barrier each)
 	FlushedRows       int64
 	Compactions       int64
 	CompactedSegments int64
@@ -200,23 +208,11 @@ func (s *Store) AddTable(name string) error {
 	names = append(names, name)
 	sort.Strings(names)
 	path := filepath.Join(s.dir, tablesManifest)
-	tmp := path + segTempExt
-	if err := os.WriteFile(tmp, []byte(strings.Join(names, "\n")+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(path+segTempExt, []byte(strings.Join(names, "\n")+"\n"), 0o644); err != nil {
+		os.Remove(path + segTempExt)
 		return err
 	}
-	f, err := os.Open(tmp)
-	if err != nil {
-		return err
-	}
-	serr := f.Sync()
-	f.Close()
-	if serr != nil {
-		return serr
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if err := syncDir(path); err != nil {
+	if err := objstore.Commit([]string{path}, nil); err != nil {
 		return err
 	}
 	s.tables[name] = true
@@ -235,37 +231,98 @@ func (s *Store) Tables() []string {
 	return names
 }
 
-// Flush writes rows (sorted, unique clustering keys) as a new immutable
-// segment of the partition and registers it.
+// FlushPart is one partition's share of a flush round: rows sorted by
+// unique clustering key, destined to become one segment.
+type FlushPart struct {
+	Table, PKey string
+	Rows        []Row
+}
+
+// Flush writes rows as a new immutable segment of the partition — a
+// flush round of one.
 func (s *Store) Flush(table, pkey string, rows []Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	s.mu.Lock()
-	seq := s.nextSeq
-	s.nextSeq++
-	s.mu.Unlock()
-	w, err := s.newWriter(s.segPath(seq), table, pkey, seq)
-	if err != nil {
-		return err
+	return s.FlushRound([]FlushPart{{table, pkey, rows}})
+}
+
+// FlushRound writes every part (none empty) as a new immutable segment
+// and registers them all, with one durability barrier for the round. On
+// error nothing was registered and the caller still owns every row.
+func (s *Store) FlushRound(parts []FlushPart) error {
+	n := len(parts)
+	if n == 0 {
+		return nil
 	}
-	for _, r := range rows {
-		if err := w.Append(r); err != nil {
-			w.Abort()
+	defer hooked()()
+	start := time.Now()
+	s.mu.Lock()
+	first := s.nextSeq
+	s.nextSeq += uint64(n)
+	s.mu.Unlock()
+
+	paths := make([]string, n)
+	for i := range paths {
+		paths[i] = s.segPath(first + uint64(i))
+	}
+	err := objstore.Parallel(n, roundWorkers, func(i int) error {
+		p := parts[i]
+		w, err := s.newWriter(paths[i], p.Table, p.PKey, first+uint64(i))
+		if err != nil {
 			return err
 		}
+		for _, r := range p.Rows {
+			if err := w.Append(r); err != nil {
+				w.Abort()
+				return err
+			}
+		}
+		return w.seal()
+	})
+	if err != nil {
+		objstore.Discard(paths)
+		return err
 	}
-	seg, err := w.Finish()
+	if err := commitRound(paths); err != nil {
+		return err
+	}
+	segs, err := openAll(paths)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
-	k := segKey{table, pkey}
-	s.segs[k] = append(s.segs[k], seg)
+	for i, seg := range segs {
+		k := segKey{parts[i].Table, parts[i].PKey}
+		s.segs[k] = append(s.segs[k], seg)
+	}
 	s.mu.Unlock()
-	s.flushes.Add(1)
-	s.flushedRows.Add(int64(len(rows)))
+	for _, p := range parts {
+		s.flushedRows.Add(int64(len(p.Rows)))
+	}
+	s.flushes.Add(int64(n))
+	s.flushRounds.Add(1)
+	s.FlushRoundHist.Record(time.Since(start))
+	roundHook("published", paths)
 	return nil
+}
+
+// openAll opens the committed files of a round as segments.
+func openAll(paths []string) ([]*Segment, error) {
+	segs := make([]*Segment, len(paths))
+	err := objstore.Parallel(len(paths), roundWorkers, func(i int) (err error) {
+		segs[i], err = OpenSegment(paths[i])
+		return err
+	})
+	if err != nil {
+		for _, seg := range segs {
+			if seg != nil {
+				seg.Close()
+			}
+		}
+		return nil, err
+	}
+	return segs, nil
 }
 
 // Segments returns the partition's segment list, oldest first. The slice
@@ -314,87 +371,22 @@ func (s *Store) MaxWriteTS() int64 {
 
 // CompactPartition merges the partition's current segments into one when
 // it has more than threshold of them (threshold <= 1 forces a merge of any
-// multi-segment partition). Concurrent flushes are safe: segments
-// registered after the merge snapshot is taken are preserved behind the
-// merged segment. Callers must serialize CompactPartition calls per store.
+// multi-segment partition) — a compaction round of one. Callers must
+// serialize compaction calls per store.
 func (s *Store) CompactPartition(table, pkey string, threshold int) (bool, error) {
-	k := segKey{table, pkey}
-	s.mu.Lock()
-	list := s.segs[k]
-	if len(list) <= 1 || len(list) <= threshold {
-		s.mu.Unlock()
-		return false, nil
-	}
-	old := make([]*Segment, len(list))
-	copy(old, list)
-	seq := s.nextSeq
-	s.nextSeq++
-	s.mu.Unlock()
-
-	its := make([]Iterator, 0, len(old))
-	for _, seg := range old {
-		it, err := seg.Scan(Range{})
-		if err != nil {
-			for _, open := range its {
-				open.Close()
-			}
-			return false, err
-		}
-		its = append(its, it)
-	}
-	merged := MergeIters(its)
-	defer merged.Close()
-	w, err := s.newWriter(s.segPath(seq), table, pkey, seq)
-	if err != nil {
-		return false, err
-	}
-	rows := 0
-	for {
-		r, ok := merged.Next()
-		if !ok {
-			break
-		}
-		if err := w.Append(r); err != nil {
-			w.Abort()
-			return false, err
-		}
-		rows++
-	}
-	if err := merged.Err(); err != nil {
-		w.Abort()
-		return false, err
-	}
-	seg, err := w.Finish()
-	if err != nil {
-		return false, err
-	}
-
-	s.mu.Lock()
-	cur := s.segs[k]
-	// cur = old ++ segments flushed during the merge; keep the new ones.
-	tail := cur[len(old):]
-	next := make([]*Segment, 0, 1+len(tail))
-	next = append(next, seg)
-	next = append(next, tail...)
-	s.segs[k] = next
-	s.mu.Unlock()
-	var dropErrs []error
-	for _, o := range old {
-		// Drop the object-store copy before unlinking local state so the
-		// manifest never points at a segment the store no longer tracks.
-		if derr := s.dropTiered(context.Background(), o); derr != nil {
-			dropErrs = append(dropErrs, derr)
-		}
-		o.retire()
-	}
-	s.compactions.Add(1)
-	s.compactedSegments.Add(int64(len(old)))
-	s.compactedRows.Add(int64(rows))
-	return true, errors.Join(dropErrs...)
+	n, err := s.compactRound([]segKey{{table, pkey}}, threshold)
+	return n > 0, err
 }
 
-// CompactOverflow compacts every partition whose segment count exceeds
-// threshold, returning the number of partitions compacted.
+// compactBatch bounds the partitions of one compaction round, and with it
+// the disk space that holds inputs and outputs side by side until the
+// round's barrier.
+const compactBatch = 256
+
+// CompactOverflow compacts, in rounds of compactBatch, every partition
+// whose segment count exceeds threshold, returning the number of
+// partitions compacted. A failed round is reported in the joined error
+// and does not stop the next.
 func (s *Store) CompactOverflow(threshold int) (int, error) {
 	s.mu.Lock()
 	var keys []segKey
@@ -404,26 +396,145 @@ func (s *Store) CompactOverflow(threshold int) (int, error) {
 		}
 	}
 	s.mu.Unlock()
-	n := 0
+	total := 0
 	var errs []error
+	for len(keys) > 0 {
+		n := min(compactBatch, len(keys))
+		c, err := s.compactRound(keys[:n], threshold)
+		total, keys, errs = total+c, keys[n:], append(errs, err)
+	}
+	return total, errors.Join(errs...)
+}
+
+// merge is one partition's share of a compaction round.
+type merge struct {
+	key  segKey
+	old  []*Segment
+	rows int
+}
+
+// compactRound merges each listed partition that still overflows
+// threshold into one segment, with one durability barrier for the round:
+// the merged segments replace their inputs, and the inputs' object-store
+// copies and local files are dropped, only after every output is durable.
+// Concurrent flushes are safe: segments registered after a partition's
+// snapshot is taken are preserved behind its merged segment. A partition
+// whose merge fails is left as it was and reported in the joined error; a
+// failed drop of a retired segment's object copy is reported the same way
+// and stops nothing.
+func (s *Store) compactRound(keys []segKey, threshold int) (int, error) {
+	defer hooked()()
+	start := time.Now()
+	s.mu.Lock()
+	var merges []*merge
 	for _, k := range keys {
-		did, err := s.CompactPartition(k.table, k.pkey, threshold)
-		if err != nil {
-			// A failed drop of a retired segment's object copy doesn't stop
-			// other partitions from compacting; surface all failures joined.
-			errs = append(errs, err)
+		if list := s.segs[k]; len(list) > 1 && len(list) > threshold {
+			merges = append(merges, &merge{key: k, old: append([]*Segment(nil), list...)})
 		}
-		if did {
+	}
+	first := s.nextSeq
+	s.nextSeq += uint64(len(merges))
+	s.mu.Unlock()
+	if len(merges) == 0 {
+		return 0, nil
+	}
+
+	// Merge on the worker pool; a failed merge drops out of the round.
+	errs := make([]error, len(merges))
+	objstore.Parallel(len(merges), roundWorkers, func(i int) error {
+		errs[i] = s.mergeSegments(merges[i], first+uint64(i))
+		return nil
+	})
+	n := 0
+	var paths []string
+	for i, m := range merges {
+		if errs[i] == nil {
+			merges[n] = m
+			paths = append(paths, s.segPath(first+uint64(i)))
 			n++
 		}
 	}
-	return n, errors.Join(errs...)
+	merges = merges[:n]
+	mergeErr := errors.Join(errs...)
+	if n == 0 {
+		return 0, mergeErr
+	}
+	if err := commitRound(paths); err != nil {
+		return 0, errors.Join(mergeErr, err)
+	}
+	segs, err := openAll(paths)
+	if err != nil {
+		return 0, errors.Join(mergeErr, err)
+	}
+
+	s.mu.Lock()
+	for i, m := range merges {
+		// cur = old ++ segments flushed during the merge; keep the new ones.
+		tail := s.segs[m.key][len(m.old):]
+		s.segs[m.key] = append([]*Segment{segs[i]}, tail...)
+	}
+	s.mu.Unlock()
+	var retired []*Segment
+	for _, m := range merges {
+		retired = append(retired, m.old...)
+		s.compactedSegments.Add(int64(len(m.old)))
+		s.compactedRows.Add(int64(m.rows))
+	}
+	// Drop the object-store copies before unlinking local state so the
+	// manifest never points at a segment the store no longer tracks.
+	dropErr := s.dropTiered(context.Background(), retired)
+	for _, o := range retired {
+		o.retire()
+	}
+	s.compactions.Add(int64(n))
+	s.CompactRoundHist.Record(time.Since(start))
+	roundHook("published", paths)
+	return n, errors.Join(mergeErr, dropErr)
+}
+
+// mergeSegments streams the last-write-wins merge of m.old into a sealed,
+// uncommitted segment file.
+func (s *Store) mergeSegments(m *merge, seq uint64) error {
+	its := make([]Iterator, 0, len(m.old))
+	for _, seg := range m.old {
+		it, err := seg.Scan(Range{})
+		if err != nil {
+			for _, open := range its {
+				open.Close()
+			}
+			return err
+		}
+		its = append(its, it)
+	}
+	merged := MergeIters(its)
+	defer merged.Close()
+	w, err := s.newWriter(s.segPath(seq), m.key.table, m.key.pkey, seq)
+	if err != nil {
+		return err
+	}
+	for {
+		r, ok := merged.Next()
+		if !ok {
+			break
+		}
+		if err := w.Append(r); err != nil {
+			w.Abort()
+			return err
+		}
+		m.rows++
+	}
+	if err := merged.Err(); err != nil {
+		w.Abort()
+		return err
+	}
+	return w.seal()
 }
 
 // Stats returns a snapshot of counters plus the live segment totals.
 func (s *Store) Stats() Stats {
 	st := Stats{
 		Flushes:           s.flushes.Load(),
+		FlushRounds:       s.flushRounds.Load(),
 		FlushedRows:       s.flushedRows.Load(),
 		Compactions:       s.compactions.Load(),
 		CompactedSegments: s.compactedSegments.Load(),

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"hpclog/internal/objstore"
 )
@@ -25,16 +26,21 @@ type TierSetup struct {
 	Prefix string
 }
 
+// tierBatch is how many segments one pass of the sweep pipeline carries
+// between barriers: one object-store barrier, one manifest record and one
+// stub barrier per batch.
+const tierBatch = 128
+
 // TierCrashHook, when non-nil, is invoked at each durability boundary of
-// the upload/eviction pipeline with the stage name and the segment's
-// sequence number. The crash harness uses it to capture directory images
-// "mid-upload" and "mid-eviction" and prove recovery from each.
-// Stages, in pipeline order:
+// the upload/eviction pipeline with the stage name and the sequence
+// number of each segment in the batch at that stage. The crash harness
+// uses it to capture directory images "mid-upload" and "mid-eviction" and
+// prove recovery from each. Stages, in pipeline order:
 //
 //	pre-upload    — about to stream the segment to the object store
 //	post-upload   — object uploaded and read-back verified, manifest not yet written
-//	post-manifest — manifest entry durable, local data file still authoritative
-//	post-stub     — footer stub durable, data file not yet unlinked
+//	post-manifest — manifest record durable, local data files still authoritative
+//	post-stub     — footer stubs durable, data files not yet unlinked
 var TierCrashHook func(stage string, seq uint64)
 
 func tierHook(stage string, seq uint64) {
@@ -77,27 +83,38 @@ func (s *Store) reconcileTier() error {
 		}
 	}
 	live := make(map[string]bool)
+	var evicted []objstore.ManifestEntry
+	var rebuilt []string // stubs rebuilt from the object store, one round
 	for _, e := range s.manifest.Entries() {
 		sp := stubPath(s.segPath(e.Seq))
 		live[filepath.Base(sp)] = true
 		if seg, ok := bySeq[e.Seq]; ok {
 			root, hasRoot := seg.MerkleRoot()
 			if !hasRoot || root != e.Root {
+				objstore.Discard(rebuilt)
 				return fmt.Errorf("%w: %s: local segment does not match the manifest-recorded upload", objstore.ErrIntegrity, s.segPath(e.Seq))
 			}
 			seg.SetTier(s.tier, e.Key)
 			os.Remove(sp) // interrupted eviction: local file re-adopted
 			continue
 		}
+		evicted = append(evicted, e)
 		if _, err := os.Stat(sp); err != nil {
-			if !os.IsNotExist(err) {
+			if os.IsNotExist(err) {
+				err = fetchStub(ctx, s.tier, e, sp)
+			}
+			if err != nil {
+				objstore.Discard(rebuilt)
 				return err
 			}
-			if err := FetchStub(ctx, s.tier, e, sp); err != nil {
-				return err
-			}
+			rebuilt = append(rebuilt, sp)
 		}
-		seg, err := OpenTieredStub(sp, s.tier, e)
+	}
+	if err := objstore.Commit(rebuilt, nil); err != nil {
+		return err
+	}
+	for _, e := range evicted {
+		seg, err := OpenTieredStub(stubPath(s.segPath(e.Seq)), s.tier, e)
 		if err != nil {
 			return err
 		}
@@ -122,31 +139,54 @@ func (s *Store) reconcileTier() error {
 	return nil
 }
 
-// TierSweep uploads eligible segments to the object store and, when
-// evict is set, releases their local data files. Policy: a segment is
-// cold when a newer segment exists in its partition — the newest stays
-// resident as the partition's hot tail; force widens the sweep to every
-// eligible segment (the CLI/route trigger). Per-segment failures are
+// TierSweep uploads eligible segments to the object store and releases
+// their local data files. Policy: a segment is cold when a newer segment
+// exists in its partition — the newest stays resident as the partition's
+// hot tail; force widens the sweep to every eligible segment (the
+// CLI/route trigger). The sweep is a batched pipeline — upload and verify
+// a batch, one object-store barrier, one manifest record, the batch's
+// stubs and one barrier, unlink the batch — and upholds the round
+// invariant at each step: no manifest entry before its object is durable,
+// no stub before its entry is, no unlink before its stub is. Failures are
 // joined into the returned error and the sweep continues, so one bad
-// segment cannot shadow the rest of the node.
+// segment or batch cannot shadow the rest of the node.
 func (s *Store) TierSweep(ctx context.Context, force bool) (uploaded, evicted int, err error) {
 	if s.tier == nil {
 		return 0, 0, nil
 	}
+	defer hooked()()
+	start := time.Now()
 	s.mu.Lock()
 	var cands []*Segment
 	for _, list := range s.segs {
 		for i, seg := range list {
-			if i == len(list)-1 && !force {
-				continue
+			if (i < len(list)-1 || force) && seg.CanTier() {
+				cands = append(cands, seg)
 			}
-			cands = append(cands, seg)
 		}
 	}
 	s.mu.Unlock()
 	var errs []error
+	for len(cands) > 0 {
+		n := min(tierBatch, len(cands))
+		up, ev, berr := s.sweepBatch(ctx, cands[:n])
+		uploaded, evicted, cands = uploaded+up, evicted+ev, cands[n:]
+		if berr != nil {
+			errs = append(errs, berr)
+		}
+	}
+	if uploaded+evicted > 0 || len(errs) > 0 { // idle background passes are not sweeps
+		s.SweepHist.Record(time.Since(start))
+	}
+	return uploaded, evicted, errors.Join(errs...)
+}
+
+// sweepBatch carries one batch through the pipeline.
+func (s *Store) sweepBatch(ctx context.Context, cands []*Segment) (uploaded, evicted int, err error) {
+	// Pin the data files of the segments still resident.
+	batch := cands[:0:0]
 	for _, seg := range cands {
-		if !seg.CanTier() || seg.Tiered() {
+		if seg.Tiered() {
 			continue
 		}
 		local, aerr := seg.acquire()
@@ -157,72 +197,118 @@ func (s *Store) TierSweep(ctx context.Context, force bool) (uploaded, evicted in
 			seg.release(false)
 			continue
 		}
-		if !seg.Uploaded() {
-			if uerr := s.uploadSegment(ctx, seg); uerr != nil {
-				seg.release(true)
-				errs = append(errs, uerr)
-				continue
-			}
-			uploaded++
+		batch = append(batch, seg)
+	}
+	defer func() {
+		for _, seg := range batch {
+			seg.release(true)
 		}
-		everr := seg.EvictLocal()
-		seg.release(true)
-		if everr != nil {
-			errs = append(errs, everr)
+	}()
+	hookAll := func(stage string, segs []*Segment) {
+		for _, seg := range segs {
+			tierHook(stage, seg.Seq())
+		}
+	}
+
+	// Upload and read-back verify what has no object copy yet; a failed
+	// upload drops out of the batch.
+	var errs []error
+	var fresh []*Segment
+	var entries []objstore.ManifestEntry
+	var keys []string
+	ready := batch[:0:0]
+	for _, seg := range batch {
+		if seg.Uploaded() {
+			ready = append(ready, seg)
 			continue
 		}
-		s.tier.Evictions.Inc()
-		evicted++
+		e, uerr := s.uploadSegment(ctx, seg)
+		if uerr != nil {
+			errs = append(errs, uerr)
+			continue
+		}
+		fresh, entries, keys = append(fresh, seg), append(entries, e), append(keys, e.Key)
 	}
-	return uploaded, evicted, errors.Join(errs...)
+	if len(fresh) > 0 {
+		// The objects become durable, then — with one record — recorded.
+		err := s.tier.Store().Sync(ctx, keys)
+		if err == nil {
+			err = s.manifest.Put(entries...)
+		}
+		if err != nil {
+			errs = append(errs, fmt.Errorf("persist: record %d uploads: %w", len(fresh), err))
+		} else {
+			for i, seg := range fresh {
+				seg.SetTier(s.tier, keys[i])
+			}
+			hookAll("post-manifest", fresh)
+			uploaded, ready = len(fresh), append(ready, fresh...)
+		}
+	}
+
+	// Stubs for everything recorded, one barrier, then the unlinks.
+	stubs := make([]string, 0, len(ready))
+	for _, seg := range ready {
+		if serr := seg.writeStub(); serr != nil {
+			objstore.Discard(stubs)
+			return uploaded, 0, errors.Join(append(errs, serr)...)
+		}
+		stubs = append(stubs, stubPath(seg.path))
+	}
+	if err := objstore.Commit(stubs, nil); err != nil {
+		return uploaded, 0, errors.Join(append(errs, err)...)
+	}
+	hookAll("post-stub", ready)
+	for _, seg := range ready {
+		seg.markEvicted()
+		s.tier.Evictions.Inc()
+	}
+	return uploaded, len(ready), errors.Join(errs...)
 }
 
-// uploadSegment streams seg to the object store, verifies the object by
-// read-back, and durably records it in the manifest — in that order, so
-// the manifest can never reference a half-uploaded object.
-func (s *Store) uploadSegment(ctx context.Context, seg *Segment) error {
+// uploadSegment streams seg to the object store and verifies the object
+// by read-back, returning the manifest entry that will record it.
+func (s *Store) uploadSegment(ctx context.Context, seg *Segment) (objstore.ManifestEntry, error) {
 	key := s.tierObjKey(seg.Seq())
 	tierHook("pre-upload", seg.Seq())
 	if err := s.tier.UploadAndVerify(ctx, key, seg.f, seg.size); err != nil {
-		return fmt.Errorf("persist: upload %s: %w", seg.path, err)
+		return objstore.ManifestEntry{}, fmt.Errorf("persist: upload %s: %w", seg.path, err)
 	}
 	tierHook("post-upload", seg.Seq())
-	root, ok := seg.MerkleRoot()
-	if !ok {
-		return fmt.Errorf("persist: %s: no merkle tree to record", seg.path)
-	}
-	e := objstore.ManifestEntry{
+	root, _ := seg.MerkleRoot() // CanTier segments have one
+	return objstore.ManifestEntry{
 		Seq: seg.Seq(), Key: key, Size: seg.size, DataLen: seg.meta.DataLen,
 		Rows: int64(seg.Rows()), Table: seg.Table(), Partition: seg.Partition(),
 		Root: root,
-	}
-	if err := s.manifest.Put(e); err != nil {
-		return fmt.Errorf("persist: record upload of %s: %w", seg.path, err)
-	}
-	tierHook("post-manifest", seg.Seq())
-	seg.SetTier(s.tier, key)
-	return nil
+	}, nil
 }
 
-// dropTiered removes a retired segment's object-store presence: manifest
-// entry first (so a crash cannot resurrect the object as live data
-// beyond one LWW-harmless window), then cached blocks, then the object.
-func (s *Store) dropTiered(ctx context.Context, seg *Segment) error {
+// dropTiered removes retired segments' object-store presence: manifest
+// entries first, with one record (so a crash cannot resurrect the objects
+// as live data beyond one LWW-harmless window), then cached blocks, then
+// the objects.
+func (s *Store) dropTiered(ctx context.Context, segs []*Segment) error {
 	if s.tier == nil {
 		return nil
 	}
-	key := seg.TierKey()
-	if key == "" {
-		return nil
+	var seqs []uint64
+	var keys []string
+	for _, seg := range segs {
+		if key := seg.TierKey(); key != "" {
+			seqs, keys = append(seqs, seg.Seq()), append(keys, key)
+		}
 	}
-	if err := s.manifest.Remove(seg.Seq()); err != nil {
-		return fmt.Errorf("persist: drop manifest entry %d: %w", seg.Seq(), err)
+	if err := s.manifest.Remove(seqs...); err != nil {
+		return fmt.Errorf("persist: drop manifest entries %v: %w", seqs, err)
 	}
-	s.tier.Cache().DropKey(key)
-	if err := s.tier.Store().Delete(ctx, key); err != nil {
-		return fmt.Errorf("persist: delete retired object %s: %w", key, err)
+	var errs []error
+	for _, key := range keys {
+		s.tier.Cache().DropKey(key)
+		if err := s.tier.Store().Delete(ctx, key); err != nil {
+			errs = append(errs, fmt.Errorf("persist: delete retired object %s: %w", key, err))
+		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // SegmentInfo is the wire-facing description of one segment — the
