@@ -50,7 +50,8 @@ tier-smoke:
 # are cumulative with +Inf == _count, counters never go negative, the
 # slow-query log captures stage timings, per-peer replication series
 # appear on every cluster member, and one request ID traces across all
-# three processes of a replicated write.
+# three processes of a replicated write; batch partition scans show up by
+# read path (chained / merged).
 metrics-lint:
 	$(GO) test -count=1 -run 'TestMetricsExposition|TestSlowQueryLog' ./internal/server/
 	$(GO) test -count=1 -run 'TestMetricsClusterReplication|TestMetricsTracePropagation' ./internal/dist/
@@ -160,7 +161,8 @@ bench-json:
 bench-smoke:
 	$(GO) test -run XXX -bench WAL -benchtime 1x .
 
-# Allocation regression guards: a segment scan, a put-record encode,
+# Allocation regression guards: a segment scan, a batch histogram and
+# heat-map fold (constant per scan, zero per block), a put-record encode,
 # predicate evaluation, the watch hub's write-path notify, a late page
 # of a paginated events request, the observability hot path (counter
 # bump, histogram record, span stage), and the wire codec (encoding a
@@ -170,7 +172,7 @@ bench-smoke:
 # metrics recording and row encoding in particular must allocate ZERO
 # per op.
 alloc-guard:
-	$(GO) test -run AllocBudget -count=1 ./internal/store/... ./internal/plan/ ./internal/server/ ./internal/obs/ ./internal/api/ ./client/
+	$(GO) test -run AllocBudget -count=1 ./internal/store/... ./internal/analytics/ ./internal/plan/ ./internal/server/ ./internal/obs/ ./internal/api/ ./client/
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -1,7 +1,9 @@
 package analytics
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"regexp"
 	"testing"
 	"time"
@@ -457,6 +459,75 @@ func TestTokenize(t *testing.T) {
 	}
 	if len(Tokenize("")) != 0 {
 		t.Error("empty text should yield no tokens")
+	}
+}
+
+// TestTextFoldsMatchTokenize holds the streaming text folds — which learn
+// each spelling once instead of tokenizing every occurrence — to the
+// Tokenize reference on messages that mix case, stopwords in capitals,
+// single characters, digits and non-ASCII letters, split over several scan
+// tasks.
+func TestTextFoldsMatchTokenize(t *testing.T) {
+	docs := []string{
+		"LustreError: 11-0: atlas2-OST0012-osc failed with -110",
+		"The ERROR was On ost0012; THE operation Failed",
+		"Machine Check Exception: bank 4 status corrected",
+		"machine check exception: Bank 4 STATUS Corrected x y Z",
+		"ÉCHEC du nœud Ünit-7 — échec Du NŒUD ünit",
+		"a b c 1 22 333 A B C",
+		"",
+		"ost0012 OST0012 Ost0012 oST0012",
+	}
+	db := store.Open(store.Config{Nodes: 2, RF: 1})
+	if err := db.CreateTable(model.TableEventByTime); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Unix(1503468000, 0).UTC()
+	for i := 0; i < 5*len(docs); i++ {
+		e := model.Event{Time: start.Add(time.Duration(i) * 10 * time.Minute), Type: model.Lustre,
+			Source: "c0-0c0s0n0", Count: 1, Raw: docs[i%len(docs)]}
+		if err := db.Put(model.TableEventByTime, model.EventByTimeKey(e.Hour(), e.Type), model.EventToTimeRow(e), store.One); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
+	to := start.Add(time.Duration(5*len(docs)) * 10 * time.Minute)
+
+	tf, df, nDocs := map[string]int{}, map[string]int{}, 0
+	for i := 0; i < 5*len(docs); i++ {
+		doc := docs[i%len(docs)]
+		if doc == "" {
+			continue
+		}
+		nDocs++
+		seen := map[string]bool{}
+		for _, tok := range Tokenize(doc) {
+			tf[tok]++
+			if !seen[tok] {
+				seen[tok] = true
+				df[tok]++
+			}
+		}
+	}
+	counts, err := WordCountScan(eng, db, model.Lustre, start, to, ScanConfig{Parallelism: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(counts, tf) {
+		t.Fatalf("WordCountScan = %v, Tokenize reference = %v", counts, tf)
+	}
+	scores, err := TFIDFScan(eng, db, model.Lustre, start, to, ScanConfig{Parallelism: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scores) != len(tf) {
+		t.Fatalf("TFIDFScan scores %d terms, reference has %d", len(scores), len(tf))
+	}
+	for _, sc := range scores {
+		want := float64(tf[sc.Term]) * math.Log(float64(1+nDocs)/float64(1+df[sc.Term]))
+		if sc.Score != want {
+			t.Errorf("term %q scores %v, reference %v (tf %d df %d)", sc.Term, sc.Score, want, tf[sc.Term], df[sc.Term])
+		}
 	}
 }
 

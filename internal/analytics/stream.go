@@ -1,6 +1,7 @@
 package analytics
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -81,12 +82,10 @@ func hourWindow(h int64, from, to time.Time) (time.Time, time.Time) {
 	return lo, hi
 }
 
-// eventScanTasks builds the per-(partition, slice) scan tasks for a window
-// of one event table. keyFor maps an hour bucket to the partition key(s)
-// to scan in that hour; decode turns a stored row back into an event.
-func eventScanTasks(db *store.DB, table string, from, to time.Time, slice time.Duration,
-	keysFor func(hour int64) []string, decode func(pkey string, r store.Row) (model.Event, error)) []compute.ScanTask[model.Event] {
-	var tasks []compute.ScanTask[model.Event]
+// partSlices plans the scan units of a window: hour-major, then the
+// partition keys keysFor returns for that hour, then time slices.
+func partSlices(from, to time.Time, slice time.Duration, keysFor func(hour int64) []string) []partSlice {
+	var out []partSlice
 	for _, hour := range model.HoursIn(from, to) {
 		lo, hi := hourWindow(hour, from, to)
 		if !hi.After(lo) {
@@ -94,52 +93,57 @@ func eventScanTasks(db *store.DB, table string, from, to time.Time, slice time.D
 		}
 		for _, pkey := range keysFor(hour) {
 			for _, b := range sliceBounds(lo, hi, slice) {
-				ps := partSlice{pkey: pkey, rg: model.EventTimeRange(b[0], b[1])}
-				tasks = append(tasks, compute.ScanTask[model.Event]{
-					Index: len(tasks),
-					Run: func(yield func(model.Event) error) error {
-						it, err := db.ScanPartition(table, ps.pkey, ps.rg, store.One)
-						if err != nil {
-							return err
-						}
-						defer it.Close()
-						for {
-							r, ok := it.Next()
-							if !ok {
-								break
-							}
-							e, err := decode(ps.pkey, r)
-							if err != nil {
-								return err
-							}
-							if err := yield(e); err != nil {
-								return err
-							}
-						}
-						return it.Err()
-					},
-				})
+				out = append(out, partSlice{pkey: pkey, rg: model.EventTimeRange(b[0], b[1])})
 			}
 		}
+	}
+	return out
+}
+
+// typeKeys returns the event_by_time partition of one type per hour.
+func typeKeys(typ model.EventType) func(hour int64) []string {
+	return func(hour int64) []string { return []string{model.EventByTimeKey(hour, typ)} }
+}
+
+// eventScanTasks builds the per-(partition, slice) row scan tasks for a
+// window of one event table. keysFor maps an hour bucket to the partition
+// key(s) to scan in that hour; decode turns a stored row back into an
+// event.
+func eventScanTasks(db *store.DB, table string, from, to time.Time, slice time.Duration,
+	keysFor func(hour int64) []string, decode func(pkey string, r store.Row) (model.Event, error)) []compute.ScanTask[model.Event] {
+	var tasks []compute.ScanTask[model.Event]
+	for i, ps := range partSlices(from, to, slice, keysFor) {
+		tasks = append(tasks, compute.ScanTask[model.Event]{
+			Index: i,
+			Run: func(yield func(model.Event) error) error {
+				it, err := db.ScanPartition(table, ps.pkey, ps.rg, store.One)
+				if err != nil {
+					return err
+				}
+				defer it.Close()
+				for {
+					r, ok := it.Next()
+					if !ok {
+						break
+					}
+					e, err := decode(ps.pkey, r)
+					if err != nil {
+						return err
+					}
+					if err := yield(e); err != nil {
+						return err
+					}
+				}
+				return it.Err()
+			},
+		})
 	}
 	return tasks
 }
 
-// typeScanTasks plans a scan of one event type over event_by_time.
+// typeScanTasks plans a row scan of one event type over event_by_time.
 func typeScanTasks(db *store.DB, typ model.EventType, from, to time.Time, slice time.Duration) []compute.ScanTask[model.Event] {
-	return eventScanTasks(db, model.TableEventByTime, from, to, slice,
-		func(hour int64) []string { return []string{model.EventByTimeKey(hour, typ)} },
-		model.EventFromTimeRow)
-}
-
-// typeScanTasksLite is typeScanTasks with the attrs-free event decode: the
-// fold-based aggregations only touch time/source/count/raw, so decoding
-// skips the per-event Attrs map entirely. Collection scans that return
-// full events to callers keep the full decode.
-func typeScanTasksLite(db *store.DB, typ model.EventType, from, to time.Time, slice time.Duration) []compute.ScanTask[model.Event] {
-	return eventScanTasks(db, model.TableEventByTime, from, to, slice,
-		func(hour int64) []string { return []string{model.EventByTimeKey(hour, typ)} },
-		model.EventFromTimeRowLite)
+	return eventScanTasks(db, model.TableEventByTime, from, to, slice, typeKeys(typ), model.EventFromTimeRow)
 }
 
 // sourceScanTasks plans a scan of one component over event_by_location.
@@ -163,10 +167,52 @@ func allTypesScanTasks(db *store.DB, from, to time.Time, slice time.Duration) []
 		model.EventFromTimeRow)
 }
 
-// foldEvents runs tasks through ScanReduce with a map-free generic fold.
-func foldEvents[A any](eng *compute.Engine, cfg ScanConfig, tasks []compute.ScanTask[model.Event],
-	newAcc func() A, fold func(A, model.Event) A, merge func(A, A) A) (A, error) {
-	return compute.ScanReduce(eng, cfg.opts(), tasks, newAcc, fold, merge)
+// foldType is the aggregation path: it scans one event type over
+// event_by_time in (partition, slice) tasks and folds every task's batches
+// — clustering keys plus the projected columns, never a store.Row or a
+// model.Event — into the task's accumulator; accumulators merge in task
+// order. A batch dies when fold returns, so fold must clone any string it
+// keeps.
+func foldType[A any](eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig,
+	project []uint32, newAcc func() A, fold func(A, *store.Batch) (A, error), merge func(A, A) A) (A, error) {
+	units := partSlices(from, to, cfg.slice(), typeKeys(typ))
+	tasks := make([]compute.FoldTask[A], len(units))
+	for i, ps := range units {
+		tasks[i] = func(acc A) (A, int, error) {
+			rows := 0
+			err := db.ScanPartitionBatches(context.TODO(), model.TableEventByTime, ps.pkey, ps.rg, project, nil, nil,
+				func(b *store.Batch) (err error) {
+					rows += b.Len()
+					acc, err = fold(acc, b)
+					return err
+				})
+			return acc, rows, err
+		}
+	}
+	return compute.ScanFold(eng, cfg.opts(), tasks, newAcc, merge)
+}
+
+// Projections of the folds below.
+var (
+	projAmount       = []uint32{model.ColAmountID}
+	projSourceAmount = []uint32{model.ColSourceID, model.ColAmountID}
+	projRaw          = []uint32{model.ColRawID}
+)
+
+// foldCounts folds (source, amount) batches: each adds the row's
+// occurrence count under whatever its clustering key and source say.
+func foldCounts[A any](add func(acc A, key, source string, n int)) func(A, *store.Batch) (A, error) {
+	return func(acc A, b *store.Batch) (A, error) {
+		sources, amounts := b.Col(model.ColSourceID), b.Col(model.ColAmountID)
+		for i, key := range b.Keys {
+			n, err := model.EventCount(key, amounts[i])
+			if err != nil {
+				return acc, err
+			}
+			add(acc, key, sources[i], n)
+		}
+		return acc, nil
+	}
 }
 
 func newCountMap[K comparable]() map[K]int { return make(map[K]int) }
@@ -210,30 +256,31 @@ func EventsAllTypesScan(eng *compute.Engine, db *store.DB, from, to time.Time, c
 
 // --- Streaming aggregations ---
 
+func sumInts(a, b []int) []int {
+	for i, v := range b {
+		a[i] += v
+	}
+	return a
+}
+
+// heatFold counts occurrences per cabinet index.
+var heatFold = foldCounts(func(acc []int, _, source string, n int) {
+	// Non-compute sources (servers) have no floor position.
+	if loc, err := topology.ParseCName(source); err == nil {
+		acc[loc.Cabinet()] += n
+	}
+})
+
 // HeatmapScan computes the cabinet heat map on the streaming scan path.
 func HeatmapScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) (*HeatMap, error) {
-	counts, err := foldEvents(eng, cfg, typeScanTasksLite(db, typ, from, to, cfg.slice()),
-		newCountMap[int],
-		func(acc map[int]int, e model.Event) map[int]int {
-			loc, err := topology.ParseCName(e.Source)
-			if err != nil {
-				acc[-1] += e.Count
-			} else {
-				acc[loc.Cabinet()] += e.Count
-			}
-			return acc
-		},
-		mergeCountMaps[int])
+	counts, err := foldType(eng, db, typ, from, to, cfg, projSourceAmount,
+		func() []int { return make([]int, topology.Cabinets) }, heatFold, sumInts)
 	if err != nil {
 		return nil, err
 	}
 	hm := &HeatMap{Type: typ, From: from, To: to}
 	for cab, n := range counts {
-		if cab < 0 || cab >= topology.Cabinets {
-			continue // non-compute sources (servers) have no floor position
-		}
-		r, c := cab/topology.Cols, cab%topology.Cols
-		hm.Counts[r][c] = n
+		hm.Counts[cab/topology.Cols][cab%topology.Cols] = n
 		hm.Total += n
 		if n > hm.Max {
 			hm.Max = n
@@ -242,28 +289,36 @@ func HeatmapScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, t
 	return hm, nil
 }
 
+// distAcc counts occurrences per truncated location; sources that are not
+// node cnames count under their own name.
+type distAcc struct {
+	locs  map[topology.Location]int
+	other map[string]int
+}
+
 // DistributionByScan computes occurrence distributions at a topology level
 // on the streaming scan path.
 func DistributionByScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, level topology.Level, cfg ScanConfig) ([]Bucket, error) {
-	counts, err := foldEvents(eng, cfg, typeScanTasksLite(db, typ, from, to, cfg.slice()),
-		newCountMap[string],
-		func(acc map[string]int, e model.Event) map[string]int {
-			loc, err := topology.ParseCName(e.Source)
-			if err != nil {
-				// Non-cname sources key the result map directly; clone so
-				// the map never pins a decoded segment block.
-				countKey(acc, e.Source, e.Count)
+	acc, err := foldType(eng, db, typ, from, to, cfg, projSourceAmount,
+		func() distAcc { return distAcc{newCountMap[topology.Location](), newCountMap[string]()} },
+		foldCounts(func(acc distAcc, _, source string, n int) {
+			if loc, err := topology.ParseCName(source); err == nil {
+				acc.locs[truncateLoc(loc, level)] += n
 			} else {
-				comp := topology.Component{Level: level, Loc: truncateLoc(loc, level)}
-				acc[comp.String()] += e.Count
+				countKey(acc.other, source, n)
 			}
-			return acc
-		},
-		mergeCountMaps[string])
+		}),
+		func(a, b distAcc) distAcc {
+			return distAcc{mergeCountMaps(a.locs, b.locs), mergeCountMaps(a.other, b.other)}
+		})
 	if err != nil {
 		return nil, err
 	}
-	return sortBuckets(counts), nil
+	// One label per bucket, not per event.
+	for loc, n := range acc.locs {
+		acc.other[topology.Component{Level: level, Loc: loc}.String()] += n
+	}
+	return sortBuckets(acc.other), nil
 }
 
 // DistributionByAppScan attributes occurrences to running applications on
@@ -283,17 +338,26 @@ func DistributionByAppScan(eng *compute.Engine, db *store.DB, typ model.EventTyp
 			byNode[n] = append(byNode[n], span{r.Start, r.End, r.App})
 		}
 	}
-	counts, err := foldEvents(eng, cfg, typeScanTasksLite(db, typ, from, to, cfg.slice()),
+	counts, err := foldType(eng, db, typ, from, to, cfg, projSourceAmount,
 		newCountMap[string],
-		func(acc map[string]int, e model.Event) map[string]int {
-			for _, s := range byNode[e.Source] {
-				if !e.Time.Before(s.start) && e.Time.Before(s.end) {
-					acc[s.app] += e.Count
-					return acc
+		func(acc map[string]int, b *store.Batch) (map[string]int, error) {
+			sources, amounts := b.Col(model.ColSourceID), b.Col(model.ColAmountID)
+		rows:
+			for i, key := range b.Keys {
+				ts, n, err := model.EventTimeCount(key, amounts[i])
+				if err != nil {
+					return acc, err
 				}
+				at := time.Unix(ts, 0)
+				for _, s := range byNode[sources[i]] {
+					if !at.Before(s.start) && at.Before(s.end) {
+						acc[s.app] += n
+						continue rows
+					}
+				}
+				acc["(idle)"] += n
 			}
-			acc["(idle)"] += e.Count
-			return acc
+			return acc, nil
 		},
 		mergeCountMaps[string])
 	if err != nil {
@@ -305,19 +369,14 @@ func DistributionByAppScan(eng *compute.Engine, db *store.DB, typ model.EventTyp
 // EventSitesScan lists reporting nodes for one type and instant on the
 // streaming scan path.
 func EventSitesScan(eng *compute.Engine, db *store.DB, typ model.EventType, at time.Time, cfg ScanConfig) (map[string]int, error) {
-	return foldEvents(eng, cfg, typeScanTasksLite(db, typ, at, at.Add(time.Second), cfg.slice()),
+	return foldType(eng, db, typ, at, at.Add(time.Second), cfg, projSourceAmount,
 		newCountMap[string],
-		func(acc map[string]int, e model.Event) map[string]int {
-			// e.Source may be a zero-copy substring of a segment block; the
-			// result map outlives the scan, so clone new keys.
-			countKey(acc, e.Source, e.Count)
-			return acc
-		},
+		foldCounts(func(acc map[string]int, _, source string, n int) { countKey(acc, source, n) }),
 		mergeCountMaps[string])
 }
 
-// countKey adds n to acc[key], cloning key on first insert so long-lived
-// result maps never pin decoded segment blocks through substring keys.
+// countKey adds n to acc[key], cloning key on first insert: batch strings
+// die with their batch, and result maps outlive the scan.
 func countKey(acc map[string]int, key string, n int) {
 	if v, ok := acc[key]; ok {
 		acc[key] = v + n
@@ -335,24 +394,30 @@ func HistogramScan(eng *compute.Engine, db *store.DB, typ model.EventType, from,
 	if nbins < 1 {
 		return nil, fmt.Errorf("analytics: window %v shorter than bin %v", to.Sub(from), bin)
 	}
-	return foldEvents(eng, cfg, typeScanTasksLite(db, typ, from, to, cfg.slice()),
-		func() []int { return make([]int, nbins) },
-		func(acc []int, e model.Event) []int {
-			b := int(e.Time.Sub(from) / bin)
-			if b >= nbins {
-				b = nbins - 1
+	return foldType(eng, db, typ, from, to, cfg, projAmount,
+		func() []int { return make([]int, nbins) }, histFold(from, bin, nbins), sumInts)
+}
+
+// histFold bins (key, amount) batches into nbins bins of width bin
+// starting at from; later occurrences land in the last bin.
+func histFold(from time.Time, bin time.Duration, nbins int) func([]int, *store.Batch) ([]int, error) {
+	return func(acc []int, b *store.Batch) ([]int, error) {
+		amounts := b.Col(model.ColAmountID)
+		for i, key := range b.Keys {
+			ts, n, err := model.EventTimeCount(key, amounts[i])
+			if err != nil {
+				return acc, err
 			}
-			if b >= 0 {
-				acc[b] += e.Count
+			bi := int(time.Unix(ts, 0).Sub(from) / bin)
+			if bi >= nbins {
+				bi = nbins - 1
 			}
-			return acc
-		},
-		func(a, b []int) []int {
-			for i, v := range b {
-				a[i] += v
+			if bi >= 0 {
+				acc[bi] += n
 			}
-			return a
-		})
+		}
+		return acc, nil
+	}
 }
 
 // BuildSeriesScan builds a binned series on the streaming scan path.
@@ -387,37 +452,109 @@ func TransferEntropyBetweenScan(eng *compute.Engine, db *store.DB, a, b model.Ev
 	return TEResult{XToY: xy, YToX: yx}, nil
 }
 
-// WordCountScan runs the word count over raw messages of one type on the
-// streaming scan path. Events without raw text are skipped, matching
-// RawMessages + WordCount.
-func WordCountScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) (map[string]int, error) {
-	return foldEvents(eng, cfg, typeScanTasksLite(db, typ, from, to, cfg.slice()),
-		newCountMap[string],
-		func(acc map[string]int, e model.Event) map[string]int {
-			if e.Raw == "" {
-				return acc
-			}
-			EachToken(e.Raw, func(tok string) {
-				// Clone only new vocabulary: zero-copy tokens are substrings
-				// of the stored message, and map keys outlive the scan.
-				if n, ok := acc[tok]; ok {
-					acc[tok] = n + 1
-				} else {
-					acc[strings.Clone(tok)] = 1
-				}
-			})
-			return acc
-		},
-		mergeCountMaps[string])
+// termStat is one term's running statistics: occurrences, documents
+// containing it, and the last document that counted towards df.
+type termStat struct{ tf, df, lastDoc int }
+
+// termAcc is the vocabulary of a text fold. A token costs one map probe:
+// index knows every run the fold has seen, as spelled in the message, and
+// maps it to its term's position — or to -1 for a spelling that yields no
+// token (stopword, single character) — so case folding and the stopword
+// check run once per spelling, not once per occurrence. Every retained
+// key is a clone, never a substring of a (dying) batch.
+type termAcc struct {
+	index map[string]int32
+	terms []string // the term at each position
+	stats []termStat
+	docs  int
 }
 
-// tfidfAcc carries term/document frequencies plus the document count.
-// seen is a per-document scratch set, cleared and reused between documents
-// so each document costs map inserts, not a map allocation.
-type tfidfAcc struct {
-	tf, df map[string]int
-	docs   int
-	seen   map[string]bool
+func newTermAcc() *termAcc { return &termAcc{index: make(map[string]int32)} }
+
+// position returns the position of a term (an owned string), adding it on
+// first sight.
+func (a *termAcc) position(term string) int32 {
+	i, ok := a.index[term]
+	if !ok {
+		i = int32(len(a.terms))
+		a.index[term] = i
+		a.terms = append(a.terms, term)
+		a.stats = append(a.stats, termStat{})
+	}
+	return i
+}
+
+// learn files a spelling seen for the first time.
+func (a *termAcc) learn(run string, clean bool) int32 {
+	i := int32(-1)
+	if tok := tokenOf(run, clean); tok != "" {
+		if clean {
+			return a.position(strings.Clone(tok)) // the term itself
+		}
+		i = a.position(tok) // folding made tok a fresh string
+	}
+	a.index[strings.Clone(run)] = i
+	return i
+}
+
+// foldDocs counts every raw message of a batch as one document. Events
+// without raw text are skipped, matching RawMessages.
+func (a *termAcc) foldDocs(b *store.Batch) (*termAcc, error) {
+	count := func(run string, clean bool) {
+		i, ok := a.index[run]
+		if !ok {
+			i = a.learn(run, clean)
+		}
+		if i < 0 {
+			return
+		}
+		st := &a.stats[i]
+		st.tf++
+		if st.lastDoc != a.docs {
+			st.lastDoc = a.docs
+			st.df++
+		}
+	}
+	for _, raw := range b.Col(model.ColRawID) {
+		if raw != "" {
+			a.docs++
+			eachRun(raw, count)
+		}
+	}
+	return a, nil
+}
+
+func (a *termAcc) merge(b *termAcc) *termAcc {
+	if len(a.terms) == 0 {
+		b.docs += a.docs
+		return b
+	}
+	for j, term := range b.terms {
+		i := a.position(term)
+		a.stats[i].tf += b.stats[j].tf
+		a.stats[i].df += b.stats[j].df
+	}
+	a.docs += b.docs
+	return a
+}
+
+// scanTerms folds the raw messages of one type into a vocabulary.
+func scanTerms(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) (*termAcc, error) {
+	return foldType(eng, db, typ, from, to, cfg, projRaw, newTermAcc, (*termAcc).foldDocs, (*termAcc).merge)
+}
+
+// WordCountScan runs the word count over raw messages of one type on the
+// streaming scan path.
+func WordCountScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) (map[string]int, error) {
+	acc, err := scanTerms(eng, db, typ, from, to, cfg)
+	if err != nil {
+		return nil, err
+	}
+	counts := make(map[string]int, len(acc.terms))
+	for i, term := range acc.terms {
+		counts[term] = acc.stats[i].tf
+	}
+	return counts, nil
 }
 
 // TFIDFScan computes aggregate TF-IDF weights over raw messages of one
@@ -425,53 +562,18 @@ type tfidfAcc struct {
 // document, so the result is independent of how the scan is partitioned
 // and matches RawMessages + TFIDF exactly.
 func TFIDFScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) ([]TermScore, error) {
-	acc, err := foldEvents(eng, cfg, typeScanTasksLite(db, typ, from, to, cfg.slice()),
-		func() *tfidfAcc {
-			return &tfidfAcc{tf: make(map[string]int), df: make(map[string]int), seen: make(map[string]bool)}
-		},
-		func(a *tfidfAcc, e model.Event) *tfidfAcc {
-			if e.Raw == "" {
-				return a
-			}
-			a.docs++
-			clear(a.seen)
-			EachToken(e.Raw, func(tok string) {
-				// tf and df share one vocabulary, so cloning on a tf miss
-				// guarantees every retained key is a canonical copy, never a
-				// substring pinning the stored message.
-				if n, ok := a.tf[tok]; ok {
-					a.tf[tok] = n + 1
-				} else {
-					tok = strings.Clone(tok)
-					a.tf[tok] = 1
-				}
-				if !a.seen[tok] {
-					a.seen[tok] = true
-					a.df[tok]++
-				}
-			})
-			return a
-		},
-		func(a, b *tfidfAcc) *tfidfAcc {
-			for k, v := range b.tf {
-				a.tf[k] += v
-			}
-			for k, v := range b.df {
-				a.df[k] += v
-			}
-			a.docs += b.docs
-			return a
-		})
+	acc, err := scanTerms(eng, db, typ, from, to, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if acc.docs == 0 {
 		return nil, nil
 	}
-	out := make([]TermScore, 0, len(acc.tf))
-	for term, tf := range acc.tf {
-		idf := math.Log(float64(1+acc.docs) / float64(1+acc.df[term]))
-		out = append(out, TermScore{Term: term, Score: float64(tf) * idf})
+	out := make([]TermScore, 0, len(acc.terms))
+	for i, term := range acc.terms {
+		st := acc.stats[i]
+		idf := math.Log(float64(1+acc.docs) / float64(1+st.df))
+		out = append(out, TermScore{Term: term, Score: float64(st.tf) * idf})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 	"unicode"
-	"unicode/utf8"
 
 	"hpclog/internal/compute"
 	"hpclog/internal/model"
@@ -25,39 +24,23 @@ var stopwords = map[string]bool{
 // runs of letters/digits (so hexadecimal codes and component ids like
 // ost0012 survive), minus stopwords and single characters. Tokens are
 // fresh strings the caller owns outright — Dataset pipelines hold them in
-// long-lived maps, so they must not alias the message text. Streaming
-// folds that can manage retention themselves use EachToken instead.
+// long-lived maps, so they must not alias the message text. The streaming
+// folds work on eachRun directly and learn each spelling once (termAcc).
 func Tokenize(text string) []string {
 	var tokens []string
-	EachToken(text, func(tok string) { tokens = append(tokens, strings.Clone(tok)) })
+	eachRun(text, func(run string, clean bool) {
+		if tok := tokenOf(run, clean); tok != "" {
+			tokens = append(tokens, strings.Clone(tok))
+		}
+	})
 	return tokens
 }
 
-// EachToken calls yield for every Tokenize token of text, in order,
-// without building the token slice. Runs that are already lowercase — the
-// overwhelming case in log text — are yielded as zero-copy substrings;
-// only tokens that actually need case-folding allocate. This is the
-// streaming word-count/TF-IDF hot path.
-func EachToken(text string, yield func(tok string)) {
-	start := -1   // byte offset of the current run, -1 = between runs
-	clean := true // current run needs no case folding
-	var scratch []byte
-	flush := func(end int) {
-		if start < 0 {
-			return
-		}
-		tok := text[start:end]
-		if !clean {
-			scratch = scratch[:0]
-			for _, r := range tok {
-				scratch = utf8.AppendRune(scratch, unicode.ToLower(r))
-			}
-			tok = string(scratch)
-		}
-		if len(tok) >= 2 && !stopwords[tok] {
-			yield(tok)
-		}
-	}
+// eachRun calls yield for every maximal run of letters and digits in text,
+// in order — a substring of text, never a copy — and says whether the run
+// is clean: already lowercase, the overwhelming case in log text.
+func eachRun(text string, yield func(run string, clean bool)) {
+	start, clean := -1, true // start: byte offset of the current run, -1 between runs
 	for i, r := range text {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
 			if start < 0 {
@@ -68,10 +51,26 @@ func EachToken(text string, yield func(tok string)) {
 			}
 			continue
 		}
-		flush(i)
-		start = -1
+		if start >= 0 {
+			yield(text[start:i], clean)
+			start = -1
+		}
 	}
-	flush(len(text))
+	if start >= 0 {
+		yield(text[start:], clean)
+	}
+}
+
+// tokenOf turns a run into its analysis token: case-folded, or "" for a
+// stopword or a single character. Only folding allocates.
+func tokenOf(run string, clean bool) string {
+	if !clean {
+		run = strings.ToLower(run)
+	}
+	if len(run) < 2 || stopwords[run] {
+		return ""
+	}
+	return run
 }
 
 // RawMessages builds a dataset of raw message texts of one event type

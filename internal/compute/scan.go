@@ -10,7 +10,7 @@ import (
 // partition before acting, a scan fans per-partition streaming tasks out
 // over a bounded worker pool and merges results in partition order, so
 // memory stays proportional to the fan-out window (StreamScan) or to the
-// aggregation state (ScanReduce) rather than to the scanned data.
+// aggregation state (ScanFold) rather than to the scanned data.
 
 // ScanOptions parameterizes a partition-parallel scan.
 type ScanOptions struct {
@@ -32,8 +32,7 @@ func (o ScanOptions) parallelism() int {
 // must stop and return yield's error as soon as yield fails.
 type ScanTask[T any] struct {
 	// Index is the task's position in the scan's global order; StreamScan
-	// emits batches in ascending Index order and ScanReduce merges
-	// accumulators in ascending Index order.
+	// emits batches in ascending Index order.
 	Index int
 	// Run streams the task's items.
 	Run func(yield func(T) error) error
@@ -162,13 +161,20 @@ func StreamScan[T any](eng *Engine, opts ScanOptions, tasks []ScanTask[T], emit 
 	return firstErr
 }
 
-// ScanReduce executes tasks on a bounded pool, folding each task's stream
-// into its own accumulator, then merges the accumulators in ascending task
+// FoldTask is one unit of a ScanFold — typically one store partition, or
+// one clustering-key slice of it: it folds its whole stream (rows, or
+// batches of rows) into acc and reports the accumulator and how many rows
+// it scanned.
+type FoldTask[A any] func(acc A) (out A, rows int, err error)
+
+// ScanFold executes tasks on a bounded pool, each folding its stream into
+// a fresh accumulator of its own, then merges the accumulators in task
 // order. Aggregation state is the only memory the scan holds, so this is
-// the preferred path for heat maps, histograms, distributions, and word
-// counts. The in-order merge makes results deterministic even when the
-// merge operation is not commutative.
-func ScanReduce[T, A any](eng *Engine, opts ScanOptions, tasks []ScanTask[T], newAcc func() A, fold func(A, T) A, merge func(A, A) A) (A, error) {
+// the path of heat maps, histograms, distributions, word counts and CQL
+// aggregates. The in-order merge makes results deterministic even when
+// the merge operation is not commutative; the reported row counts land in
+// Stats.ScanRows.
+func ScanFold[A any](eng *Engine, opts ScanOptions, tasks []FoldTask[A], newAcc func() A, merge func(A, A) A) (A, error) {
 	out := newAcc()
 	if len(tasks) == 0 {
 		return out, nil
@@ -200,14 +206,11 @@ func ScanReduce[T, A any](eng *Engine, opts ScanOptions, tasks []ScanTask[T], ne
 				next++
 				mu.Unlock()
 
-				acc := newAcc()
+				var acc A
 				n := 0
-				err := safeRun(func() error {
-					return tasks[pos].Run(func(v T) error {
-						acc = fold(acc, v)
-						n++
-						return nil
-					})
+				err := safeRun(func() (err error) {
+					acc, n, err = tasks[pos](newAcc())
+					return err
 				})
 				mu.Lock()
 				if err != nil {

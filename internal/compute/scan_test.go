@@ -122,28 +122,20 @@ func TestStreamScanBoundedLookahead(t *testing.T) {
 	}
 }
 
-func TestScanReduceDeterministicOrder(t *testing.T) {
+func TestScanFoldDeterministicOrder(t *testing.T) {
 	eng := NewEngine(Config{})
 	// A non-commutative merge (string concatenation) must still produce
 	// the task-order result at any parallelism.
-	tasks := make([]ScanTask[string], 12)
-	for i := range tasks {
-		i := i
-		tasks[i] = ScanTask[string]{
-			Index: i,
-			Run: func(yield func(string) error) error {
-				return yield(fmt.Sprintf("<%d>", i))
-			},
-		}
-	}
+	tasks := make([]FoldTask[string], 12)
 	want := ""
 	for i := range tasks {
+		tasks[i] = func(acc string) (string, int, error) { return acc + fmt.Sprintf("<%d>", i), 1, nil }
 		want += fmt.Sprintf("<%d>", i)
 	}
 	for _, par := range []int{1, 3, 12} {
-		got, err := ScanReduce(eng, ScanOptions{Parallelism: par}, tasks,
+		eng.ResetStats()
+		got, err := ScanFold(eng, ScanOptions{Parallelism: par}, tasks,
 			func() string { return "" },
-			func(a string, v string) string { return a + v },
 			func(a, b string) string { return a + b })
 		if err != nil {
 			t.Fatal(err)
@@ -151,17 +143,22 @@ func TestScanReduceDeterministicOrder(t *testing.T) {
 		if got != want {
 			t.Fatalf("par=%d: got %q want %q", par, got, want)
 		}
+		if st := eng.Stats(); st.ScanTasks != 12 || st.ScanRows != 12 {
+			t.Fatalf("par=%d: scan stats = %+v, want 12 tasks / 12 rows", par, st)
+		}
 	}
 }
 
-func TestScanReduceError(t *testing.T) {
+func TestScanFoldError(t *testing.T) {
 	eng := NewEngine(Config{})
 	boom := errors.New("fold boom")
-	tasks := rangeTasks(8, 4)
-	tasks[6].Run = func(func(int) error) error { return boom }
-	_, err := ScanReduce(eng, ScanOptions{Parallelism: 4}, tasks,
+	tasks := make([]FoldTask[int], 8)
+	for i := range tasks {
+		tasks[i] = func(acc int) (int, int, error) { return acc + i, 4, nil }
+	}
+	tasks[6] = func(acc int) (int, int, error) { return acc, 0, boom }
+	_, err := ScanFold(eng, ScanOptions{Parallelism: 4}, tasks,
 		func() int { return 0 },
-		func(a, v int) int { return a + v },
 		func(a, b int) int { return a + b })
 	if !errors.Is(err, boom) {
 		t.Fatalf("want fold boom, got %v", err)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hpclog/internal/api"
+	"hpclog/internal/obs"
 )
 
 // ClassResult is one traffic class's outcome for one run.
@@ -20,8 +21,8 @@ type ClassResult struct {
 	Errors     int64 `json:"errors"`
 	Overloaded int64 `json:"overloaded"`
 	Timeouts   int64 `json:"timeouts"`
-	Percentiles
-	hist *Hist
+	obs.Percentiles
+	hist *obs.Hist
 }
 
 // Report is the outcome of one scenario repeat.
@@ -49,9 +50,9 @@ type Report struct {
 	// WatchLag is the write-to-delivery lag distribution: ingest ack to
 	// watch receipt, one sample per (event, watcher) delivery of an event
 	// this run ingested. WatchLagN counts the samples.
-	WatchLagN int64       `json:"watch_lag_n"`
-	WatchLag  Percentiles `json:"watch_lag"`
-	lagHist   *Hist
+	WatchLagN int64           `json:"watch_lag_n"`
+	WatchLag  obs.Percentiles `json:"watch_lag"`
+	lagHist   *obs.Hist
 
 	// Generator-side process accounting.
 	HTTPAttempts  int64  `json:"http_attempts"`
@@ -149,7 +150,7 @@ func WriteBenchLines(w io.Writer, reports []*Report) error {
 	type pooled struct {
 		scenario string
 		class    string
-		hist     *Hist
+		hist     *obs.Hist
 	}
 	var order []string
 	merged := map[string]*pooled{}
@@ -162,7 +163,7 @@ func WriteBenchLines(w io.Writer, reports []*Report) error {
 			key := rep.Scenario + "/" + class
 			p, ok := merged[key]
 			if !ok {
-				p = &pooled{scenario: rep.Scenario, class: class, hist: &Hist{}}
+				p = &pooled{scenario: rep.Scenario, class: class, hist: &obs.Hist{}}
 				merged[key] = p
 				order = append(order, key)
 			}
@@ -174,7 +175,7 @@ func WriteBenchLines(w io.Writer, reports []*Report) error {
 			key := rep.Scenario + "/watchlag"
 			p, ok := merged[key]
 			if !ok {
-				p = &pooled{scenario: rep.Scenario, class: "watchlag", hist: &Hist{}}
+				p = &pooled{scenario: rep.Scenario, class: "watchlag", hist: &obs.Hist{}}
 				merged[key] = p
 				order = append(order, key)
 			}

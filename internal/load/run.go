@@ -13,6 +13,7 @@ import (
 
 	"hpclog/client"
 	"hpclog/internal/api"
+	"hpclog/internal/obs"
 	"hpclog/internal/query"
 	"hpclog/internal/store"
 )
@@ -38,7 +39,7 @@ type Runner struct {
 
 // classRec accumulates one traffic class's counters during a run.
 type classRec struct {
-	hist       Hist
+	hist       obs.Hist
 	count      atomic.Int64
 	errs       atomic.Int64
 	overloaded atomic.Int64
@@ -71,7 +72,7 @@ func (c *classRec) record(d time.Duration, err error, timedOut bool) {
 // and every watcher of the event needs the stamp.
 type lagTracker struct {
 	acks    sync.Map // event source → time.Time (send, then ack)
-	hist    Hist
+	hist    obs.Hist
 	matched atomic.Int64
 }
 

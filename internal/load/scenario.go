@@ -1,3 +1,9 @@
+// Package load is the open-loop load harness behind cmd/loadgen: a
+// fixed-arrival-rate pacer, weighted traffic mixes over the hpclog/client
+// SDK, and reproducible experiment grids. Latencies are recorded in
+// obs.Hist — the histogram behind the server's own /v1/metrics — so a
+// loadgen p99 and a scraped hpclog_http_request_seconds p99 share one
+// bucket layout and error bound.
 package load
 
 import (

@@ -123,14 +123,17 @@ func HourOf(t time.Time) int64 { return t.Unix() / 3600 }
 
 // EventByTimeKey is the partition key of event_by_time: all events of one
 // type within one hour share a partition.
-func EventByTimeKey(hour int64, typ EventType) string {
-	return fmt.Sprintf("%d:%s", hour, typ)
-}
+func EventByTimeKey(hour int64, typ EventType) string { return hourKey(hour, string(typ)) }
 
 // EventByLocKey is the partition key of event_by_location: all events on
 // one component within one hour share a partition.
-func EventByLocKey(hour int64, source string) string {
-	return fmt.Sprintf("%d:%s", hour, source)
+func EventByLocKey(hour int64, source string) string { return hourKey(hour, source) }
+
+// hourKey renders "<hour>:<disc>".
+func hourKey(hour int64, disc string) string {
+	b := make([]byte, 0, 24+len(disc))
+	b = append(strconv.AppendInt(b, hour, 10), ':')
+	return string(append(b, disc...))
 }
 
 // AppByTimeKey partitions application runs by start hour.
@@ -176,34 +179,35 @@ const (
 
 // Interned column IDs for the hot encode/decode paths: rows are built and
 // read through the store's column dictionary (store.Row.ColID) so the
-// per-row work is integer-keyed with no map construction.
+// per-row work is integer-keyed with no map construction. Batch folds name
+// the columns they need by these IDs (store.DB.ScanPartitionBatches).
 var (
-	colTypeID   = store.InternColumn(ColType)
-	colSourceID = store.InternColumn(ColSource)
-	colAmountID = store.InternColumn(ColAmount)
-	colRawID    = store.InternColumn(ColRaw)
+	ColTypeID   = store.InternColumn(ColType)
+	ColSourceID = store.InternColumn(ColSource)
+	ColAmountID = store.InternColumn(ColAmount)
+	ColRawID    = store.InternColumn(ColRaw)
 )
 
 // EventToTimeRow renders the event for the event_by_time table, where the
 // partition key carries the type and the row stores the source.
 func EventToTimeRow(e Event) store.Row {
-	return eventRow(e, e.Source, colSourceID, e.Source)
+	return eventRow(e, e.Source, ColSourceID, e.Source)
 }
 
 // EventToLocRow renders the event for the event_by_location table, where
 // the partition key carries the source and the row stores the type.
 func EventToLocRow(e Event) store.Row {
-	return eventRow(e, string(e.Type), colTypeID, string(e.Type))
+	return eventRow(e, string(e.Type), ColTypeID, string(e.Type))
 }
 
 func eventRow(e Event, disc string, dualCol uint32, dualVal string) store.Row {
 	cols := make([]store.Col, 0, 3+len(e.Attrs))
 	cols = append(cols,
 		store.Col{ID: dualCol, Value: dualVal},
-		store.Col{ID: colAmountID, Value: strconv.Itoa(max(1, e.Count))},
+		store.Col{ID: ColAmountID, Value: strconv.Itoa(max(1, e.Count))},
 	)
 	if e.Raw != "" {
-		cols = append(cols, store.Col{ID: colRawID, Value: e.Raw})
+		cols = append(cols, store.Col{ID: ColRawID, Value: e.Raw})
 	}
 	for k, v := range e.Attrs {
 		cols = append(cols, store.C("attr."+k, v))
@@ -214,62 +218,63 @@ func eventRow(e Event, disc string, dualCol uint32, dualVal string) store.Row {
 // EventFromTimeRow decodes an event_by_time row. The partition key
 // supplies the type.
 func EventFromTimeRow(pkey string, r store.Row) (Event, error) {
-	return eventFromTimeRow(pkey, r, true)
-}
-
-// EventFromTimeRowLite is EventFromTimeRow without the Attrs map —
-// the zero-allocation decode for aggregation scans that fold on
-// time/source/count/raw and never touch per-event attributes.
-func EventFromTimeRowLite(pkey string, r store.Row) (Event, error) {
-	return eventFromTimeRow(pkey, r, false)
-}
-
-func eventFromTimeRow(pkey string, r store.Row, withAttrs bool) (Event, error) {
 	typ, err := typeFromKey(pkey)
 	if err != nil {
 		return Event{}, err
 	}
-	e, err := eventFromRow(r, withAttrs)
+	e, err := eventFromRow(r)
 	if err != nil {
 		return Event{}, err
 	}
 	e.Type = typ
-	e.Source = r.ColID(colSourceID)
+	e.Source = r.ColID(ColSourceID)
 	return e, nil
 }
 
 // EventFromLocRow decodes an event_by_location row. The partition key
-// supplies the source. (No Lite variant: every current loc-table scan
-// returns full events; add one alongside EventFromTimeRowLite if a fold
-// over event_by_location appears.)
+// supplies the source.
 func EventFromLocRow(pkey string, r store.Row) (Event, error) {
 	source, err := sourceFromKey(pkey)
 	if err != nil {
 		return Event{}, err
 	}
-	e, err := eventFromRow(r, true)
+	e, err := eventFromRow(r)
 	if err != nil {
 		return Event{}, err
 	}
 	e.Source = source
-	e.Type = EventType(r.ColID(colTypeID))
+	e.Type = EventType(r.ColID(ColTypeID))
 	return e, nil
 }
 
-func eventFromRow(r store.Row, withAttrs bool) (Event, error) {
-	ts, err := store.DecodeTS(r.Key)
+func eventFromRow(r store.Row) (Event, error) {
+	ts, amount, err := EventTimeCount(r.Key, r.ColID(ColAmountID))
 	if err != nil {
 		return Event{}, err
 	}
-	amount, err := strconv.Atoi(r.ColID(colAmountID))
-	if err != nil || amount < 1 {
-		return Event{}, fmt.Errorf("model: bad amount %q in row %q", r.ColID(colAmountID), r.Key)
-	}
-	e := Event{Time: time.Unix(ts, 0).UTC(), Count: amount, Raw: r.ColID(colRawID)}
-	if withAttrs {
-		e.Attrs = prefixedCols(r, "attr.", e.Attrs)
-	}
+	e := Event{Time: time.Unix(ts, 0).UTC(), Count: amount, Raw: r.ColID(ColRawID)}
+	e.Attrs = prefixedCols(r, "attr.", e.Attrs)
 	return e, nil
+}
+
+// EventTimeCount decodes what a time-binned fold needs of an event row:
+// the timestamp (unix seconds) of its clustering key and its count.
+func EventTimeCount(key, amount string) (ts int64, n int, err error) {
+	if ts, err = store.DecodeTS(key); err != nil {
+		return 0, 0, err
+	}
+	n, err = EventCount(key, amount)
+	return ts, n, err
+}
+
+// EventCount parses the amount cell of the event row at clustering key
+// key: the occurrence count, at least 1.
+func EventCount(key, amount string) (int, error) {
+	n, err := strconv.Atoi(amount)
+	if err != nil || n < 1 {
+		return 0, fmt.Errorf("model: bad amount %q in row %q", amount, key)
+	}
+	return n, nil
 }
 
 // prefixedCols collects the row's columns carrying the given name prefix

@@ -1,4 +1,4 @@
-package load
+package obs
 
 import (
 	"math"

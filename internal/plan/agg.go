@@ -13,7 +13,7 @@ import (
 
 // Aggregation state. Each scan task folds its rows into its own aggAcc
 // (no locking; rows are consumed while their backing block is live, and
-// everything retained is cloned), and ScanReduce merges the accumulators
+// everything retained is cloned), and ScanFold merges the accumulators
 // in ascending task order — the same order a serial execution uses, so
 // serial and parallel runs produce byte-identical results. Sums
 // accumulate exactly in int64 while every added value is integral (the
@@ -181,7 +181,7 @@ func mergeCell(dst, src *aggCell) {
 	dst.n += src.n
 }
 
-// merge folds src into a (ScanReduce's in-order accumulator merge).
+// merge folds src into a (ScanFold's in-order accumulator merge).
 func (a *aggAcc) merge(src *aggAcc) *aggAcc {
 	if a.global != nil {
 		for i := range a.global.cells {

@@ -230,28 +230,96 @@ func (ex *Executor) streamRows(p *Plan, slices []store.Range, pruner store.Prune
 }
 
 // runAggregate executes an aggregate plan: each slice folds into its own
-// accumulator on the compact row form (no materialization at all), and
-// ScanReduce merges accumulators in slice order — deterministic across
-// parallelism levels.
+// accumulator — at consistency One straight off the store's batches, which
+// carry only the columns the plan reads — and ScanFold merges the
+// accumulators in slice order, deterministic across parallelism levels.
 func (ex *Executor) runAggregate(p *Plan, slices []store.Range, pruner store.Pruner, stats *store.PruneStats) ([]ResultRow, error) {
-	tasks := make([]compute.ScanTask[store.Row], len(slices))
+	project := p.aggColumns()
+	tasks := make([]compute.FoldTask[*aggAcc], len(slices))
 	for i, rg := range slices {
-		rg := rg
-		tasks[i] = compute.ScanTask[store.Row]{
-			Index: i,
-			Run: func(yield func(store.Row) error) error {
-				return ex.scanTask(p, rg, pruner, stats, yield)
-			},
+		tasks[i] = func(a *aggAcc) (*aggAcc, int, error) {
+			rows := 0
+			fold := func(r store.Row) error {
+				a.fold(r)
+				rows++
+				return nil
+			}
+			if ex.CL != store.One {
+				// Reconciling reads materialize rows; fold those.
+				err := ex.scanTask(p, rg, pruner, stats, fold)
+				return a, rows, err
+			}
+			err := ex.DB.ScanPartitionBatches(ex.ctx(), p.Sel.Table, p.Sel.Partition, rg, project, pruner, stats,
+				func(b *store.Batch) error {
+					for i := range b.Keys {
+						if r := b.Row(i); p.Filter == nil || p.Filter.Eval(r) {
+							fold(r)
+						}
+					}
+					return nil
+				})
+			return a, rows, err
 		}
 	}
-	acc, err := compute.ScanReduce(ex.Eng, compute.ScanOptions{Parallelism: ex.Opt.Parallelism}, tasks,
+	acc, err := compute.ScanFold(ex.Eng, compute.ScanOptions{Parallelism: ex.Opt.Parallelism}, tasks,
 		func() *aggAcc { return newAggAcc(p.Sel.Aggs, p.Sel.GroupBy) },
-		func(a *aggAcc, r store.Row) *aggAcc { a.fold(r); return a },
 		func(a, b *aggAcc) *aggAcc { return a.merge(b) })
 	if err != nil {
 		return nil, err
 	}
 	return acc.rows(p.Sel.GroupBy, p.Sel.Limit), nil
+}
+
+// aggColumns lists the columns an aggregate plan reads — its residual
+// filter, aggregates and GROUP BY — as the projection its scan asks of the
+// store. nil (every column) when the filter holds a predicate this
+// function cannot see into.
+func (p *Plan) aggColumns() []uint32 {
+	cols := []uint32{}
+	add := func(c ColRef) {
+		if c.Known {
+			cols = append(cols, c.ID)
+		}
+	}
+	if !exprColumns(p.Filter, add) {
+		return nil
+	}
+	for _, a := range p.Sel.Aggs {
+		add(ColRef{ID: a.ID, Known: a.Known})
+	}
+	for _, g := range p.Sel.GroupBy {
+		add(NewColRef(g))
+	}
+	return cols
+}
+
+// exprColumns reports every column reference of e to add; false means e
+// contains a node of unknown shape.
+func exprColumns(e Expr, add func(ColRef)) bool {
+	var kids []Expr
+	switch e := e.(type) {
+	case nil:
+	case *Cmp:
+		add(e.Col)
+	case *In:
+		add(e.Col)
+	case *Like:
+		add(e.Col)
+	case *Not:
+		return exprColumns(e.Kid, add)
+	case *And:
+		kids = e.Kids
+	case *Or:
+		kids = e.Kids
+	default:
+		return false
+	}
+	for _, k := range kids {
+		if !exprColumns(k, add) {
+			return false
+		}
+	}
+	return true
 }
 
 // slices splits the plan's clustering range into parallel scan tasks on

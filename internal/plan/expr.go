@@ -8,7 +8,7 @@
 //   - logical→physical planning: a SELECT (arbitrary WHERE predicates,
 //     aggregates, GROUP BY, LIMIT) compiles into a
 //     Scan→Filter→Project/Aggregate→Limit operator tree that executes on
-//     the compute scan pool (StreamScan for row results, ScanReduce for
+//     the compute scan pool (StreamScan for row results, ScanFold for
 //     aggregations);
 //   - storage pushdown: the plan's top-level conjuncts compile into a
 //     persist.Pruner that skips segment blocks via zone maps and Bloom

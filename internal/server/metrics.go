@@ -81,6 +81,9 @@ func (s *Server) collectStoreMetrics(w *obs.Writer) {
 	w.Gauge("hpclog_store_memtable_rows", "Rows buffered in memtables (unflushed write volume).",
 		float64(s.db.MemtableRows()))
 	st := s.db.StorageStats()
+	const scansHelp = "Batch partition scans by read path: disjoint inputs chained off the block decoder, or overlapping inputs merged."
+	w.Counter("hpclog_store_partition_scans_total", scansHelp, st.ChainedScans, "path", "chained")
+	w.Counter("hpclog_store_partition_scans_total", scansHelp, st.MergedScans, "path", "merged")
 	if !st.Durable {
 		return
 	}

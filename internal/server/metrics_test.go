@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -233,6 +234,75 @@ func TestMetricsExpositionBackgroundRounds(t *testing.T) {
 	}
 	if got["hpclog_store_maintenance_errors_total"] != 0 {
 		t.Errorf("maintenance errors = %v", got["hpclog_store_maintenance_errors_total"])
+	}
+}
+
+// TestMetricsExpositionScanPaths drives one batch partition scan down each
+// read path — a flushed segment alone (chained), then the same keys
+// rewritten into the memtable above it (merged) — and finds both under
+// hpclog_store_partition_scans_total on /v1/metrics and in /v1/stats.
+func TestMetricsExpositionScanPaths(t *testing.T) {
+	db, err := store.OpenDurable(store.Config{Nodes: 1, RF: 1, FlushThreshold: 1 << 20, Dir: t.TempDir(), CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateTable("paths"); err != nil {
+		t.Fatal(err)
+	}
+	put := func() {
+		rows := make([]store.Row, 10)
+		for i := range rows {
+			rows[i] = store.Row{Key: store.EncodeTS(int64(i)) + ":src", Columns: map[string]string{"amount": "1"}}
+		}
+		if err := db.PutBatch("paths", "p", rows, store.All); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func() {
+		err := db.ScanPartitionBatches(context.Background(), "paths", "p", store.Range{}, nil, nil, nil,
+			func(*store.Batch) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	put()
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	scan() // one segment: chained
+	put()
+	scan() // the memtable shadows the segment: merged
+
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
+	srv := NewWithConfig(query.New(db, eng), db, eng, Config{})
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	byPath := map[string]float64{}
+	for _, s := range scrapeAndLint(t, ts.URL) {
+		if s.name == "hpclog_store_partition_scans_total" {
+			byPath[s.labels] += s.value
+		}
+	}
+	if byPath[`{path="chained"}`] != 1 || byPath[`{path="merged"}`] != 1 {
+		t.Errorf("hpclog_store_partition_scans_total = %v, want one chained and one merged scan", byPath)
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env struct {
+		Result api.StatsPayload `json:"result"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if st := env.Result.Storage; st.ChainedScans != 1 || st.MergedScans != 1 {
+		t.Errorf("/v1/stats storage scan paths = %d chained, %d merged, want 1 and 1", st.ChainedScans, st.MergedScans)
 	}
 }
 

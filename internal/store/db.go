@@ -688,11 +688,24 @@ type StorageStats struct {
 	// MaintenanceErrors counts failed background compaction/truncation
 	// passes — nonzero means the disk is misbehaving.
 	MaintenanceErrors int64 `json:"maintenance_errors"`
+
+	// ChainedScans and MergedScans count the batch partition scans (the
+	// aggregation read path) of the local nodes by the path their snapshot
+	// took: disjoint inputs chained off the block decoder, or overlapping
+	// inputs through the last-write-wins merge. Counted on in-memory
+	// clusters too.
+	ChainedScans int64 `json:"partition_scans_chained"`
+	MergedScans  int64 `json:"partition_scans_merged"`
 }
 
 // StorageStats returns a snapshot of the durable engine's counters.
 func (db *DB) StorageStats() StorageStats {
 	st := StorageStats{}
+	for _, id := range db.NodeIDs() {
+		n := db.Node(id)
+		st.ChainedScans += n.chainedScans.Load()
+		st.MergedScans += n.mergedScans.Load()
+	}
 	if db.cfg.Dir == "" {
 		return st
 	}

@@ -3,8 +3,11 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"hpclog/internal/objstore"
 	"hpclog/internal/store/persist"
@@ -176,90 +179,191 @@ type pruneCfg struct {
 	stats *persist.PruneStats
 }
 
-// itersLocked assembles the partition's merge inputs for rg, oldest first:
-// on-disk segments by sequence, then in-memory segments, then the
-// memtable. The iterators outlive the partition lock (reads drain after
-// releasing it), so the in-range memtable rows are always copied —
-// sharing the live slice would race with insertLocked's in-place insert.
-//
-// With a pruneCfg, each disk segment additionally receives the predicate
-// pruner and the key ranges of every OTHER merge input as shadows: a
-// block whose keys can collide with another input is never pruned, so
-// last-write-wins reconciliation across duplicate keys is preserved even
-// when the losing version fails the predicate.
-func (p *partition) itersLocked(rg Range, pc *pruneCfg) ([]persist.Iterator, error) {
-	var its []persist.Iterator
+func newPruneCfg(pr persist.Pruner, stats *persist.PruneStats) *pruneCfg {
+	if pr == nil {
+		return nil
+	}
+	return &pruneCfg{pr: pr, stats: stats}
+}
+
+// mergeInputs is a point-in-time view of the partition's merge inputs that
+// can hold keys of a range, oldest first: on-disk segments by sequence,
+// then the in-RAM runs (in-memory segments, the flushing run, the
+// memtable) cut to the range. The view outlives the partition lock (reads
+// drain after releasing it): disk segments are immutable and refcounted,
+// in-memory segment slices and the flushing run are never mutated, and the
+// in-range memtable rows are copied — sharing the live slice would race
+// with insertLocked's in-place insert.
+type mergeInputs struct {
+	segs []*persist.Segment
+	// cfgs, parallel to segs, carry (given a pruneCfg) the predicate pruner
+	// plus the key ranges of every OTHER merge input as shadows: a block
+	// whose keys can collide with another input is never pruned, so
+	// last-write-wins reconciliation across duplicate keys is preserved
+	// even when the losing version fails the predicate.
+	cfgs []persist.ScanConfig
+	runs [][]Row
+}
+
+func (p *partition) inputsLocked(rg Range, pc *pruneCfg) mergeInputs {
+	var in mergeInputs
 	if p.node.persist != nil {
-		// The segment list is a snapshot; the background compactor may
-		// retire a listed segment before Scan acquires it. The merged
-		// replacement holds the same rows, so re-fetch and retry.
-	retry:
-		for attempt := 0; ; attempt++ {
-			segs := p.node.persist.Segments(p.table, p.key)
-			over := segs[:0]
-			for _, seg := range segs {
-				if seg.Overlaps(rg) {
-					over = append(over, seg)
-				}
+		segs := p.node.persist.Segments(p.table, p.key)
+		in.segs = segs[:0]
+		for _, seg := range segs {
+			if seg.Overlaps(rg) {
+				in.segs = append(in.segs, seg)
 			}
-			// Key coverage of every merge input, disk segments first (index
-			// i = segment i), then the in-memory inputs.
-			var inputs []persist.KeyRange
-			if pc != nil {
-				inputs = make([]persist.KeyRange, 0, len(over)+len(p.segments)+2)
-				for _, seg := range over {
-					min, max := seg.KeyRange()
-					inputs = append(inputs, persist.KeyRange{Min: min, Max: max})
-				}
-				p.eachMemRun(func(rows []Row) {
-					inputs = append(inputs, persist.KeyRange{Min: rows[0].Key, Max: rows[len(rows)-1].Key})
-				})
-			}
-			for i, seg := range over {
-				var cfg persist.ScanConfig
-				if pc != nil {
-					shadows := make([]persist.KeyRange, 0, len(inputs)-1)
-					shadows = append(shadows, inputs[:i]...)
-					shadows = append(shadows, inputs[i+1:]...)
-					cfg = persist.ScanConfig{Pruner: pc.pr, Shadows: shadows, Stats: pc.stats}
-				}
-				it, err := seg.ScanPruned(rg, cfg)
-				if err != nil {
-					for _, open := range its {
-						open.Close()
-					}
-					its = its[:0]
-					if errors.Is(err, persist.ErrRetired) && attempt < 16 {
-						continue retry
-					}
-					return nil, err
-				}
-				its = append(its, it)
-			}
-			break
+		}
+	}
+	in.cfgs = make([]persist.ScanConfig, len(in.segs))
+	if pc != nil && len(in.segs) > 0 {
+		// Key coverage of every merge input, disk segments first (index i
+		// = segment i), then the in-memory inputs.
+		cover := make([]persist.KeyRange, 0, len(in.segs)+len(p.segments)+2)
+		for _, seg := range in.segs {
+			min, max := seg.KeyRange()
+			cover = append(cover, persist.KeyRange{Min: min, Max: max})
+		}
+		p.eachMemRun(func(rows []Row) {
+			cover = append(cover, persist.KeyRange{Min: rows[0].Key, Max: rows[len(rows)-1].Key})
+		})
+		for i := range in.segs {
+			shadows := make([]persist.KeyRange, 0, len(cover)-1)
+			shadows = append(append(shadows, cover[:i]...), cover[i+1:]...)
+			in.cfgs[i] = persist.ScanConfig{Pruner: pc.pr, Shadows: shadows, Stats: pc.stats}
 		}
 	}
 	for _, s := range p.segments {
-		if in := sliceRange(s.rows, rg); len(in) > 0 {
-			its = append(its, persist.NewSliceIter(in))
+		in.addRun(sliceRange(s.rows, rg))
+	}
+	in.addRun(sliceRange(p.flushing, rg))
+	in.addRun(slices.Clone(sliceRange(p.mem, rg)))
+	return in
+}
+
+func (in *mergeInputs) addRun(rows []Row) {
+	if len(rows) > 0 {
+		in.runs = append(in.runs, rows)
+	}
+}
+
+// openRows opens every input as a row iterator, for the last-write-wins
+// merge.
+func (in mergeInputs) openRows(rg Range) ([]persist.Iterator, error) {
+	its := make([]persist.Iterator, 0, len(in.segs)+len(in.runs))
+	for i, seg := range in.segs {
+		it, err := seg.ScanPruned(rg, in.cfgs[i])
+		if err != nil {
+			for _, open := range its {
+				open.Close()
+			}
+			return nil, err
 		}
+		its = append(its, it)
 	}
-	if in := sliceRange(p.flushing, rg); len(in) > 0 {
-		its = append(its, persist.NewSliceIter(in))
-	}
-	if in := sliceRange(p.mem, rg); len(in) > 0 {
-		memCopy := make([]Row, len(in))
-		copy(memCopy, in)
-		its = append(its, persist.NewSliceIter(memCopy))
+	for _, rows := range in.runs {
+		its = append(its, persist.NewSliceIter(rows))
 	}
 	return its, nil
+}
+
+// openBatches opens the inputs as batch sources to be drained in order.
+// Inputs whose key ranges clipped to rg are pairwise disjoint cannot hold
+// two versions of one key, so they are chained in key order straight from
+// the block decoder (in-RAM runs through the rows→Batch adapter); any
+// overlap sends every input through the last-write-wins merge, re-batched.
+func (in mergeInputs) openBatches(rg Range, project []uint32) (srcs []persist.BatchIterator, chained bool, err error) {
+	type span struct {
+		min, max string
+		input    int // < len(in.segs): a segment; otherwise a run
+	}
+	spans := make([]span, 0, len(in.segs)+len(in.runs))
+	for _, seg := range in.segs {
+		lo, hi := seg.KeyRange()
+		if rg.To != "" {
+			hi = min(hi, rg.To)
+		}
+		spans = append(spans, span{max(lo, rg.From), hi, len(spans)})
+	}
+	for _, rows := range in.runs {
+		spans = append(spans, span{rows[0].Key, rows[len(rows)-1].Key, len(spans)})
+	}
+	slices.SortFunc(spans, func(a, b span) int { return strings.Compare(a.min, b.min) })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].min <= spans[i-1].max {
+			its, err := in.openRows(rg)
+			if err != nil {
+				return nil, false, err
+			}
+			return []persist.BatchIterator{persist.BatchRows(persist.MergeIters(its), project)}, false, nil
+		}
+	}
+	for _, sp := range spans {
+		if sp.input >= len(in.segs) {
+			rows := in.runs[sp.input-len(in.segs)]
+			srcs = append(srcs, persist.BatchRows(persist.NewSliceIter(rows), project))
+			continue
+		}
+		cfg := in.cfgs[sp.input]
+		cfg.Project = project
+		bs, err := in.segs[sp.input].ScanBatches(rg, cfg)
+		if err != nil {
+			closeBatches(srcs)
+			return nil, false, err
+		}
+		srcs = append(srcs, bs)
+	}
+	return srcs, true, nil
+}
+
+func closeBatches(srcs []persist.BatchIterator) {
+	for _, src := range srcs {
+		src.Close()
+	}
+}
+
+// retryRetired runs open on a fresh snapshot of the partition's inputs.
+// The segment list of a snapshot may race the background compactor, which
+// can retire a listed segment before open acquires it; the merged
+// replacement holds the same rows, so re-fetch and retry.
+func retryRetired(open func() error) error {
+	for attempt := 0; ; attempt++ {
+		if err := open(); !errors.Is(err, persist.ErrRetired) || attempt >= 16 {
+			return err
+		}
+	}
+}
+
+// snapshotIters captures a point-in-time view of the partition restricted
+// to rg as merge inputs, oldest first, with block pruning on the disk
+// segments when pc is set.
+func (p *partition) snapshotIters(rg Range, pc *pruneCfg) (its []persist.Iterator, err error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	err = retryRetired(func() error {
+		its, err = p.inputsLocked(rg, pc).openRows(rg)
+		return err
+	})
+	return its, err
+}
+
+// snapshotBatches is snapshotIters for the batch path (see openBatches).
+func (p *partition) snapshotBatches(rg Range, pc *pruneCfg, project []uint32) (srcs []persist.BatchIterator, chained bool, err error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	err = retryRetired(func() error {
+		srcs, chained, err = p.inputsLocked(rg, pc).openBatches(rg, project)
+		return err
+	})
+	return srcs, chained, err
 }
 
 // read returns rows within rg merged across memtable and segments. It
 // drains a point-in-time snapshot after releasing the partition lock, so
 // segment-file I/O never stalls writers.
 func (p *partition) read(rg Range) ([]Row, error) {
-	its, err := p.snapshotIters(rg)
+	its, err := p.snapshotIters(rg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -291,24 +395,6 @@ func (p *partition) eachMemRun(fn func(rows []Row)) {
 	if len(p.mem) > 0 {
 		fn(p.mem)
 	}
-}
-
-// snapshotIters captures a point-in-time view of the partition restricted
-// to rg, for use after the lock is released: disk segments are immutable
-// and refcounted, in-memory segment slices and the flushing run are never
-// mutated, and the in-range memtable rows are copied.
-func (p *partition) snapshotIters(rg Range) ([]persist.Iterator, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.itersLocked(rg, nil)
-}
-
-// snapshotItersPruned is snapshotIters with block pruning on the disk
-// segments.
-func (p *partition) snapshotItersPruned(rg Range, pc *pruneCfg) ([]persist.Iterator, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.itersLocked(rg, pc)
 }
 
 // keyBounds returns the partition's smallest and largest clustering key
@@ -428,6 +514,9 @@ type Node struct {
 	// partition exists and a returning Flush has seen every earlier row
 	// reach disk.
 	flushMu sync.Mutex
+	// chainedScans and mergedScans count this node's batch partition
+	// scans by the path their snapshot took (see mergeInputs.openBatches).
+	chainedScans, mergedScans atomic.Int64
 	// truncMu fences commitlog truncation against in-flight applies: an
 	// apply holds it shared between the WAL append and the memtable
 	// insert, so the truncator can never observe "appended but not yet

@@ -40,11 +40,7 @@ func benchSegmentRows(n int) []Row {
 	return rows
 }
 
-// BenchmarkSegmentScan measures the block-batched on-disk read path: one
-// buffer read, one string conversion, and one column arena per 64-row
-// block, with zero per-row decode allocations.
-func BenchmarkSegmentScan(b *testing.B) {
-	rows := benchSegmentRows(8192)
+func benchSegment(b *testing.B, rows []Row) *Segment {
 	w, err := NewWriter(filepath.Join(b.TempDir(), "bench.seg"), "events", "p", 1)
 	if err != nil {
 		b.Fatal(err)
@@ -58,7 +54,16 @@ func BenchmarkSegmentScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer seg.Close()
+	b.Cleanup(func() { seg.Close() })
+	return seg
+}
+
+// BenchmarkSegmentScan measures the block-batched on-disk read path
+// through the Row adapter: one buffer read, one string conversion, and one
+// column arena per 64-row block, with zero per-row decode allocations.
+func BenchmarkSegmentScan(b *testing.B) {
+	rows := benchSegmentRows(8192)
+	seg := benchSegment(b, rows)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(rows)))
 	b.ResetTimer()
@@ -82,6 +87,43 @@ func BenchmarkSegmentScan(b *testing.B) {
 			b.Fatal(err)
 		}
 		it.Close()
+		if n != len(rows) {
+			b.Fatalf("scanned %d rows, want %d", n, len(rows))
+		}
+	}
+}
+
+// BenchmarkSegmentScanBatches measures the same read through the batch
+// path with a one-column projection: decode in place, nothing allocated
+// per block.
+func BenchmarkSegmentScanBatches(b *testing.B) {
+	rows := benchSegmentRows(8192)
+	seg := benchSegment(b, rows)
+	amount := InternColumn("amount")
+	cfg := ScanConfig{Project: []uint32{amount}}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(rows)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bs, err := seg.ScanBatches(Range{}, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for {
+			batch, ok := bs.Next()
+			if !ok {
+				break
+			}
+			if len(batch.Col(amount)) != batch.Len() {
+				b.Fatal("ragged batch")
+			}
+			n += batch.Len()
+		}
+		if err := bs.Err(); err != nil {
+			b.Fatal(err)
+		}
+		bs.Close()
 		if n != len(rows) {
 			b.Fatalf("scanned %d rows, want %d", n, len(rows))
 		}

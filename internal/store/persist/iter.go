@@ -117,6 +117,9 @@ type mergeIter struct {
 // MergeIters returns an Iterator over the last-write-wins merge of its.
 // It takes ownership of the inputs: closing the merge closes them all.
 func MergeIters(its []Iterator) Iterator {
+	if len(its) == 1 {
+		return its[0] // keys within one input are unique: nothing to reconcile
+	}
 	m := &mergeIter{its: its, heads: make([]Row, len(its))}
 	m.heap.keys = make([]string, len(its))
 	m.heap.idx = make([]int32, 0, len(its))

@@ -15,7 +15,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"hpclog/internal/objstore"
 )
@@ -1304,18 +1303,8 @@ func (s *Segment) blockBounds(i int) (lo, hi int64) {
 	return lo, s.meta.DataLen
 }
 
-// Block decode buffers, pooled across scans. The raw read buffer is
-// reused; the decoded rows slice is reused (yielded Row structs are copied
-// out by value); the block string and column arena are NOT reused — rows
-// reference them, and they stay alive exactly as long as a caller holds a
-// row.
-var (
-	blockBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 32<<10); return &b }}
-	rowBufPool   = sync.Pool{New: func() any { r := make([]Row, 0, indexEvery); return &r }}
-)
-
-// ScanConfig parameterizes a pruned scan (see ScanPruned). The zero value
-// scans every in-range block.
+// ScanConfig parameterizes a pruned scan (see ScanPruned and ScanBatches).
+// The zero value scans every in-range block and decodes every column.
 type ScanConfig struct {
 	// Pruner, when non-nil, is consulted before each block read on
 	// segments carrying block statistics: a pruned block is skipped
@@ -1332,185 +1321,16 @@ type ScanConfig struct {
 	Shadows []KeyRange
 	// Stats, when non-nil, accumulates block read/prune counters.
 	Stats *PruneStats
+	// Project lists the dictionary IDs of the columns a batch scan
+	// materializes (nil = every column; empty = keys and write timestamps
+	// only). Cells of other columns are skipped by their length. Row scans
+	// (ScanPruned) always decode every column.
+	Project []uint32
 }
 
 // Scan streams the segment's rows within rg in clustering-key order.
 func (s *Segment) Scan(rg Range) (Iterator, error) {
 	return s.ScanPruned(rg, ScanConfig{})
-}
-
-// ScanPruned streams the segment's rows within rg, skipping blocks the
-// configuration's Pruner proves irrelevant. On segments without block
-// statistics (codec v2) it behaves exactly like Scan.
-func (s *Segment) ScanPruned(rg Range, cfg ScanConfig) (Iterator, error) {
-	if !s.Overlaps(rg) {
-		return NewSliceIter(nil), nil
-	}
-	local, err := s.acquire()
-	if err != nil {
-		return nil, err
-	}
-	if len(s.meta.Blocks) == 0 {
-		cfg.Pruner = nil // v2 segment: nothing to prune on
-	}
-	return &segIter{
-		s:     s,
-		rg:    rg,
-		cfg:   cfg,
-		local: local,
-		block: s.startBlock(rg.From),
-		buf:   blockBufPool.Get().(*[]byte),
-		rows:  rowBufPool.Get().(*[]Row),
-	}, nil
-}
-
-// segIter decodes rows one block at a time — off the local file, or
-// through the tier's verified block cache when the segment is evicted.
-type segIter struct {
-	s     *Segment
-	rg    Range
-	cfg   ScanConfig
-	local bool // read via s.f (fenced open before any eviction)
-	block int  // next block to read
-	buf   *[]byte
-	rows  *[]Row
-	pos   int // next row within *rows
-	// arenaCap tracks the column count of the previous block, sizing the
-	// next block's arena so decode does one arena allocation per block.
-	arenaCap int
-	err      error
-	closed   bool
-}
-
-func (it *segIter) Next() (Row, bool) {
-	for {
-		if it.closed || it.err != nil {
-			return Row{}, false
-		}
-		rows := *it.rows
-		for it.pos < len(rows) {
-			r := rows[it.pos]
-			it.pos++
-			if it.rg.To != "" && r.Key >= it.rg.To {
-				return Row{}, false
-			}
-			if it.rg.From != "" && r.Key < it.rg.From {
-				continue // skipping from the sparse-index seek point
-			}
-			return r, true
-		}
-		if !it.fill() {
-			return Row{}, false
-		}
-	}
-}
-
-// prunable reports whether block i may be skipped: the pruner proves no
-// row can match AND no other merge input shadows the block's key range.
-func (it *segIter) prunable(i int) bool {
-	if it.cfg.Pruner == nil {
-		return false
-	}
-	b := &it.s.meta.Blocks[i]
-	for _, sh := range it.cfg.Shadows {
-		if sh.overlaps(b.MinKey, b.MaxKey) {
-			return false
-		}
-	}
-	return it.cfg.Pruner.PruneBlock(b)
-}
-
-// fill reads and decodes the next unpruned block.
-func (it *segIter) fill() bool {
-	ix := it.s.meta.Index
-	for {
-		if it.block >= len(ix) {
-			return false
-		}
-		if it.rg.To != "" && ix[it.block].Key >= it.rg.To {
-			return false // the block starts past the range
-		}
-		if !it.prunable(it.block) {
-			break
-		}
-		if it.cfg.Stats != nil {
-			it.cfg.Stats.BlocksPruned.Add(1)
-		}
-		it.block++
-	}
-	blk := it.block
-	lo, hi := it.s.blockBounds(blk)
-	it.block++
-	if it.cfg.Stats != nil {
-		it.cfg.Stats.BlocksRead.Add(1)
-	}
-	// One copy into an immutable string; every key and value decoded below
-	// is a zero-copy substring of it.
-	var blockStr string
-	if it.local {
-		buf := (*it.buf)[:0]
-		if n := int(hi - lo); cap(buf) < n {
-			buf = make([]byte, n)
-		} else {
-			buf = buf[:n]
-		}
-		*it.buf = buf
-		if _, err := it.s.f.ReadAt(buf, lo); err != nil {
-			it.err = fmt.Errorf("persist: %s: block read: %w", it.s.path, err)
-			return false
-		}
-		blockStr = string(buf)
-	} else {
-		// Evicted segment: Merkle-verified read-through the tier's block
-		// cache. The string conversion copies, so the cached bytes are
-		// released immediately.
-		data, release, err := it.s.tier.ReadBlock(context.Background(), it.s.tierKey, blk, lo, hi-lo, it.s.root, it.s.tree)
-		if err != nil {
-			it.err = fmt.Errorf("persist: %s: tier block read: %w", it.s.path, err)
-			return false
-		}
-		blockStr = string(data)
-		release()
-	}
-	d := StringDec{s: blockStr}
-	rows := (*it.rows)[:0]
-	if it.arenaCap == 0 {
-		it.arenaCap = 4 * indexEvery
-	}
-	arena := make([]Col, 0, it.arenaCap)
-	for d.Rest() > 0 {
-		r, err := d.Row(it.s.colIDs, &arena)
-		if err != nil {
-			it.err = fmt.Errorf("persist: %s: %w", it.s.path, err)
-			return false
-		}
-		rows = append(rows, r)
-	}
-	if len(arena) > it.arenaCap {
-		it.arenaCap = len(arena)
-	}
-	*it.rows = rows
-	it.pos = 0
-	return len(rows) > 0
-}
-
-func (it *segIter) Err() error { return it.err }
-
-func (it *segIter) Close() error {
-	if it.closed {
-		return nil
-	}
-	it.closed = true
-	it.s.release(it.local)
-	// Drop row references before pooling so recycled buffers don't pin
-	// block strings or arenas.
-	rows := (*it.rows)[:cap(*it.rows)]
-	clear(rows)
-	*it.rows = rows[:0]
-	rowBufPool.Put(it.rows)
-	blockBufPool.Put(it.buf)
-	it.rows, it.buf = nil, nil
-	return nil
 }
 
 // RewriteSegment re-encodes a segment file in place at the given codec

@@ -35,7 +35,7 @@ type Store struct {
 	manifest   *objstore.Manifest
 	tierPrefix string
 
-	mu      sync.Mutex
+	mu      sync.RWMutex // read-locked by the accessors every scan task goes through
 	nextSeq uint64
 	segs    map[segKey][]*Segment // ordered by Seq, oldest first
 	tables  map[string]bool       // durable table catalog (tables manifest)
@@ -221,8 +221,8 @@ func (s *Store) AddTable(name string) error {
 
 // Tables returns the manifest's table names, sorted.
 func (s *Store) Tables() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	names := make([]string, 0, len(s.tables))
 	for t := range s.tables {
 		names = append(names, t)
@@ -328,8 +328,8 @@ func openAll(paths []string) ([]*Segment, error) {
 // Segments returns the partition's segment list, oldest first. The slice
 // is a copy; the segments themselves are shared and immutable.
 func (s *Store) Segments(table, pkey string) []*Segment {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	list := s.segs[segKey{table, pkey}]
 	out := make([]*Segment, len(list))
 	copy(out, list)
@@ -340,8 +340,8 @@ func (s *Store) Segments(table, pkey string) []*Segment {
 // as table -> sorted partition keys. Used by recovery to materialize
 // partitions that exist only on disk.
 func (s *Store) Partitions() map[string][]string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	out := make(map[string][]string)
 	for k := range s.segs {
 		out[k.table] = append(out[k.table], k.pkey)
@@ -356,8 +356,8 @@ func (s *Store) Partitions() map[string][]string {
 // segments — recovery seeds the store's timestamp counter with it so
 // post-restart writes keep winning last-write-wins.
 func (s *Store) MaxWriteTS() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var max int64
 	for _, list := range s.segs {
 		for _, seg := range list {
@@ -388,14 +388,14 @@ const compactBatch = 256
 // partitions compacted. A failed round is reported in the joined error
 // and does not stop the next.
 func (s *Store) CompactOverflow(threshold int) (int, error) {
-	s.mu.Lock()
+	s.mu.RLock()
 	var keys []segKey
 	for k, list := range s.segs {
 		if len(list) > threshold && len(list) > 1 {
 			keys = append(keys, k)
 		}
 	}
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	total := 0
 	var errs []error
 	for len(keys) > 0 {
@@ -540,7 +540,7 @@ func (s *Store) Stats() Stats {
 		CompactedSegments: s.compactedSegments.Load(),
 		CompactedRows:     s.compactedRows.Load(),
 	}
-	s.mu.Lock()
+	s.mu.RLock()
 	for _, list := range s.segs {
 		st.Segments += int64(len(list))
 		for _, seg := range list {
@@ -551,7 +551,7 @@ func (s *Store) Stats() Stats {
 			}
 		}
 	}
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	return st
 }
 

@@ -156,7 +156,7 @@ func (s *Store) TierSweep(ctx context.Context, force bool) (uploaded, evicted in
 	}
 	defer hooked()()
 	start := time.Now()
-	s.mu.Lock()
+	s.mu.RLock()
 	var cands []*Segment
 	for _, list := range s.segs {
 		for i, seg := range list {
@@ -165,7 +165,7 @@ func (s *Store) TierSweep(ctx context.Context, force bool) (uploaded, evicted in
 			}
 		}
 	}
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	var errs []error
 	for len(cands) > 0 {
 		n := min(tierBatch, len(cands))
@@ -331,12 +331,12 @@ type SegmentInfo struct {
 
 // SegmentInfos snapshots every segment, ordered by table, partition, seq.
 func (s *Store) SegmentInfos() []SegmentInfo {
-	s.mu.Lock()
+	s.mu.RLock()
 	segs := make([]*Segment, 0, 16)
 	for _, list := range s.segs {
 		segs = append(segs, list...)
 	}
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	out := make([]SegmentInfo, 0, len(segs))
 	for _, seg := range segs {
 		min, max := seg.KeyRange()

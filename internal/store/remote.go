@@ -203,7 +203,7 @@ func (db *DB) ScanShard(nodeID, tableName, pkey string, rg Range) (RowIter, erro
 	if _, terr := n.table(tableName); terr != nil {
 		return NewSliceIter(nil), nil
 	}
-	return n.scanPartition(tableName, pkey, rg)
+	return n.scanPartitionPruned(tableName, pkey, rg, nil)
 }
 
 // ShardKeyBounds serves /v1/shard/bounds for one locally-hosted member.

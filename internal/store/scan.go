@@ -41,13 +41,9 @@ func (db *DB) ScanPartition(tableName, pkey string, rg Range, cl Consistency) (R
 	return db.ScanPartitionPrunedCtx(context.Background(), tableName, pkey, rg, cl, nil, nil)
 }
 
-// scanPartition streams one partition of this node: a lazy last-write-wins
-// k-way merge over the point-in-time snapshot captured by snapshotIters.
-func (n *Node) scanPartition(tableName, pkey string, rg Range) (RowIter, error) {
-	return n.scanPartitionPruned(tableName, pkey, rg, nil)
-}
-
-// scanPartitionPruned is scanPartition with block pruning (pc may be nil).
+// scanPartitionPruned streams one partition of this node: a lazy
+// last-write-wins k-way merge over the point-in-time snapshot captured by
+// snapshotIters, with block pruning when pc is set.
 func (n *Node) scanPartitionPruned(tableName, pkey string, rg Range, pc *pruneCfg) (RowIter, error) {
 	t, err := n.table(tableName)
 	if err != nil {
@@ -57,11 +53,55 @@ func (n *Node) scanPartitionPruned(tableName, pkey string, rg Range, pc *pruneCf
 	if p == nil {
 		return NewSliceIter(nil), nil
 	}
-	its, err := p.snapshotItersPruned(rg, pc)
+	its, err := p.snapshotIters(rg, pc)
 	if err != nil {
 		return nil, err
 	}
 	return persist.MergeIters(its), nil
+}
+
+// scanPartitionBatches streams one partition of this node to fn as
+// batches, chained off the block decoder when the snapshot's inputs are
+// disjoint and through the last-write-wins merge otherwise.
+func (n *Node) scanPartitionBatches(tableName, pkey string, rg Range, project []uint32, pc *pruneCfg, fn func(*Batch) error) error {
+	t, err := n.table(tableName)
+	if err != nil {
+		return err
+	}
+	p := t.partition(pkey, false)
+	if p == nil {
+		return nil
+	}
+	srcs, chained, err := p.snapshotBatches(rg, pc, project)
+	if err != nil {
+		return err
+	}
+	if chained {
+		n.chainedScans.Add(1)
+	} else {
+		n.mergedScans.Add(1)
+	}
+	return drainBatches(srcs, fn)
+}
+
+// drainBatches feeds every batch of srcs, in order, to fn and closes them.
+func drainBatches(srcs []persist.BatchIterator, fn func(*Batch) error) error {
+	defer closeBatches(srcs)
+	for _, src := range srcs {
+		for {
+			b, ok := src.Next()
+			if !ok {
+				break
+			}
+			if err := fn(b); err != nil {
+				return err
+			}
+		}
+		if err := src.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Pruner is re-exported from the persistence layer: a block-statistics
@@ -91,32 +131,71 @@ func (db *DB) ScanPartitionPruned(tableName, pkey string, rg Range, cl Consisten
 // forwards its request ID, so the scatter half of a distributed query
 // traces under the coordinator's ID on the peer.
 func (db *DB) ScanPartitionPrunedCtx(ctx context.Context, tableName, pkey string, rg Range, cl Consistency, pr Pruner, stats *PruneStats) (RowIter, error) {
-	if !db.HasTable(tableName) {
-		return nil, fmt.Errorf("store: no such table %q", tableName)
-	}
 	if cl != One {
+		if !db.HasTable(tableName) {
+			return nil, fmt.Errorf("store: no such table %q", tableName)
+		}
 		rows, err := db.GetCtx(ctx, tableName, pkey, rg, cl)
 		if err != nil {
 			return nil, err
 		}
 		return NewSliceIter(rows), nil
 	}
-	var pc *pruneCfg
-	if pr != nil {
-		pc = &pruneCfg{pr: pr, stats: stats}
+	tgt, err := db.scanTarget(tableName, pkey)
+	if err != nil {
+		return nil, err
 	}
-	live, _ := db.liveTargets(db.ring.Replicas(pkey))
-	if len(live) == 0 {
-		return nil, fmt.Errorf("%w: table %s partition %s needs 1, have 0 live",
-			ErrUnavailable, tableName, pkey)
-	}
-	if tgt := live[0]; tgt.n != nil {
-		return tgt.n.scanPartitionPruned(tableName, pkey, rg, pc)
+	if tgt.n != nil {
+		return tgt.n.scanPartitionPruned(tableName, pkey, rg, newPruneCfg(pr, stats))
 	}
 	// Remote shard: stream over the wire. Block pruning is not pushed
 	// down (the remote scans its own segments); callers filter row-by-row
 	// regardless, so the result stream is identical.
-	return live[0].r.Scan(ctx, tableName, pkey, rg)
+	return tgt.r.Scan(ctx, tableName, pkey, rg)
+}
+
+// scanTarget picks the replica a consistency-One scan of the partition
+// reads: the first live one, locals first.
+func (db *DB) scanTarget(tableName, pkey string) (replicaTarget, error) {
+	if !db.HasTable(tableName) {
+		return replicaTarget{}, fmt.Errorf("store: no such table %q", tableName)
+	}
+	live, _ := db.liveTargets(db.ring.Replicas(pkey))
+	if len(live) == 0 {
+		return replicaTarget{}, fmt.Errorf("%w: table %s partition %s needs 1, have 0 live",
+			ErrUnavailable, tableName, pkey)
+	}
+	return live[0], nil
+}
+
+// Batch is re-exported from the persistence layer: a run of rows in vector
+// form, valid only until the scan produces the next one (see
+// persist.Batch).
+type Batch = persist.Batch
+
+// ScanPartitionBatches streams the partition's rows within rg, in
+// clustering-key order, to fn as batches that carry the clustering keys,
+// the write timestamps and the projected columns (dictionary IDs; nil =
+// every column). It reads one live replica, like ScanPartition at
+// consistency One, and yields exactly the rows and cells
+// ScanPartitionPruned would: disjoint snapshot inputs are chained off the
+// segment block decoder without a merge, overlapping ones go through the
+// last-write-wins merge. A batch and every string in it is valid only
+// until fn returns; fn's error stops the scan and is returned.
+func (db *DB) ScanPartitionBatches(ctx context.Context, tableName, pkey string, rg Range, project []uint32, pr Pruner, stats *PruneStats, fn func(*Batch) error) error {
+	tgt, err := db.scanTarget(tableName, pkey)
+	if err != nil {
+		return err
+	}
+	if tgt.n != nil {
+		return tgt.n.scanPartitionBatches(tableName, pkey, rg, project, newPruneCfg(pr, stats), fn)
+	}
+	// Remote shard: the wire carries rows; re-batch them.
+	it, err := tgt.r.Scan(ctx, tableName, pkey, rg)
+	if err != nil {
+		return err
+	}
+	return drainBatches([]persist.BatchIterator{persist.BatchRows(it, project)}, fn)
 }
 
 // PartitionKeyBounds returns the smallest and largest clustering key of
@@ -130,15 +209,11 @@ func (db *DB) PartitionKeyBounds(tableName, pkey string) (min, max string, ok bo
 
 // PartitionKeyBoundsCtx is PartitionKeyBounds under the caller's context.
 func (db *DB) PartitionKeyBoundsCtx(ctx context.Context, tableName, pkey string) (min, max string, ok bool, err error) {
-	if !db.HasTable(tableName) {
-		return "", "", false, fmt.Errorf("store: no such table %q", tableName)
+	tgt, err := db.scanTarget(tableName, pkey)
+	if err != nil {
+		return "", "", false, err
 	}
-	live, _ := db.liveTargets(db.ring.Replicas(pkey))
-	if len(live) == 0 {
-		return "", "", false, fmt.Errorf("%w: table %s partition %s needs 1, have 0 live",
-			ErrUnavailable, tableName, pkey)
-	}
-	if tgt := live[0]; tgt.n != nil {
+	if tgt.n != nil {
 		t, terr := tgt.n.table(tableName)
 		if terr != nil {
 			return "", "", false, terr
@@ -150,5 +225,5 @@ func (db *DB) PartitionKeyBoundsCtx(ctx context.Context, tableName, pkey string)
 		min, max, ok = p.keyBounds()
 		return min, max, ok, nil
 	}
-	return live[0].r.KeyBounds(ctx, tableName, pkey)
+	return tgt.r.KeyBounds(ctx, tableName, pkey)
 }

@@ -150,17 +150,19 @@ type Component struct {
 
 // String renders the component in cname notation truncated to its level.
 func (c Component) String() string {
-	s := fmt.Sprintf("c%d-%d", c.Loc.Col, c.Loc.Row)
+	b := make([]byte, 0, 16)
+	b = strconv.AppendInt(append(b, 'c'), int64(c.Loc.Col), 10)
+	b = strconv.AppendInt(append(b, '-'), int64(c.Loc.Row), 10)
 	if c.Level >= LevelCage {
-		s += fmt.Sprintf("c%d", c.Loc.Cage)
+		b = strconv.AppendInt(append(b, 'c'), int64(c.Loc.Cage), 10)
 	}
 	if c.Level >= LevelBlade {
-		s += fmt.Sprintf("s%d", c.Loc.Slot)
+		b = strconv.AppendInt(append(b, 's'), int64(c.Loc.Slot), 10)
 	}
 	if c.Level >= LevelNode {
-		s += fmt.Sprintf("n%d", c.Loc.Node)
+		b = strconv.AppendInt(append(b, 'n'), int64(c.Loc.Node), 10)
 	}
-	return s
+	return string(b)
 }
 
 // ParseComponent parses a full or partial cname: c3-0, c3-0c2, c3-0c2s7,
