@@ -51,7 +51,8 @@ tier-smoke:
 # slow-query log captures stage timings, per-peer replication series
 # appear on every cluster member, and one request ID traces across all
 # three processes of a replicated write; batch partition scans show up by
-# read path (chained / merged).
+# read path (chained / merged) and memtable puts by write path (append /
+# merge).
 metrics-lint:
 	$(GO) test -count=1 -run 'TestMetricsExposition|TestSlowQueryLog' ./internal/server/
 	$(GO) test -count=1 -run 'TestMetricsClusterReplication|TestMetricsTracePropagation' ./internal/dist/
@@ -161,7 +162,9 @@ bench-json:
 bench-smoke:
 	$(GO) test -run XXX -bench WAL -benchtime 1x .
 
-# Allocation regression guards: a segment scan, a batch histogram and
+# Allocation regression guards: a segment scan, a flush round (constant
+# per round, small constant per segment, no file buffer per segment), a
+# bulk import (objects per imported event), a batch histogram and
 # heat-map fold (constant per scan, zero per block), a put-record encode,
 # predicate evaluation, the watch hub's write-path notify, a late page
 # of a paginated events request, the observability hot path (counter
@@ -172,7 +175,7 @@ bench-smoke:
 # metrics recording and row encoding in particular must allocate ZERO
 # per op.
 alloc-guard:
-	$(GO) test -run AllocBudget -count=1 ./internal/store/... ./internal/analytics/ ./internal/plan/ ./internal/server/ ./internal/obs/ ./internal/api/ ./client/
+	$(GO) test -run AllocBudget -count=1 ./internal/store/... ./internal/ingest/ ./internal/analytics/ ./internal/plan/ ./internal/server/ ./internal/obs/ ./internal/api/ ./client/
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -4,13 +4,22 @@
 // engine) and real-time streaming (event occurrences consumed from the
 // message bus, coalesced over a one-second window, and placed into the
 // right partitions).
+//
+// Every load, bulk or streamed, goes the same way: rows are bucketed by
+// store partition (batches), each bucket is sorted by clustering key, and
+// each leaves as ONE PutBatch — which the store's memtable appends rather
+// than merges, and which crosses the flush threshold at most once.
 package ingest
 
 import (
+	"cmp"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"hpclog/internal/bus"
@@ -53,16 +62,6 @@ func (l *Loader) putBatch(table, pkey string, rows []store.Row) error {
 	return err
 }
 
-// notify fires the OnWrite hook for each table written.
-func (l *Loader) notify(tables ...string) {
-	if l.OnWrite == nil {
-		return
-	}
-	for _, t := range tables {
-		l.OnWrite(t)
-	}
-}
-
 // NewLoader returns a loader writing at Quorum.
 func NewLoader(db *store.DB) *Loader { return &Loader{DB: db, CL: store.Quorum} }
 
@@ -99,11 +98,10 @@ func (l *Loader) LoadNodeInfos(n int) error {
 	if n <= 0 || n > topology.TotalNodes {
 		n = topology.TotalNodes
 	}
-	byCabinet := make(map[string][]store.Row)
+	byCabinet := make(batches)
 	for id := 0; id < n; id++ {
 		info := topology.Info(topology.NodeID(id))
-		pkey := fmt.Sprintf("c%d-%d", info.Loc.Col, info.Loc.Row)
-		byCabinet[pkey] = append(byCabinet[pkey], store.Row{
+		byCabinet.add(model.TableNodeInfos, fmt.Sprintf("c%d-%d", info.Loc.Col, info.Loc.Row), store.Row{
 			Key: info.CName,
 			Columns: map[string]string{
 				"id":     strconv.Itoa(int(info.ID)),
@@ -115,81 +113,103 @@ func (l *Loader) LoadNodeInfos(n int) error {
 			},
 		})
 	}
-	for pkey, rows := range byCabinet {
-		if err := l.putBatch(model.TableNodeInfos, pkey, rows); err != nil {
-			return err
-		}
-	}
-	l.notify(model.TableNodeInfos)
-	return nil
+	return l.load(byCabinet, model.TableNodeInfos)
 }
 
 // LoadEventTypes populates the eventtypes catalog table (single
 // partition; the catalog is tiny).
 func (l *Loader) LoadEventTypes() error {
-	rows := make([]store.Row, 0, len(model.EventTypes))
+	catalog := make(batches)
 	for _, et := range model.EventTypes {
-		rows = append(rows, store.Row{
+		catalog.add(model.TableEventTypes, "all", store.Row{
 			Key:     string(et),
 			Columns: map[string]string{"description": model.TypeDescriptions[et]},
 		})
 	}
-	if err := l.putBatch(model.TableEventTypes, "all", rows); err != nil {
-		return err
+	return l.load(catalog, model.TableEventTypes)
+}
+
+// batches buckets rows by the store partition they belong to, in arrival
+// order.
+type batches map[partKey][]store.Row
+
+type partKey struct{ table, pkey string }
+
+func (b batches) add(table, pkey string, r store.Row) {
+	k := partKey{table, pkey}
+	b[k] = append(b[k], r)
+}
+
+// addEvent buckets the event's rows for both event tables (the dual
+// schemas of Fig 1).
+func (b batches) addEvent(e model.Event) {
+	b.add(model.TableEventByTime, model.EventByTimeKey(e.Hour(), e.Type), model.EventToTimeRow(e))
+	b.add(model.TableEventByLoc, model.EventByLocKey(e.Hour(), e.Source), model.EventToLocRow(e))
+}
+
+// addRun buckets the run's rows for the three denormalized views of Fig 2.
+func (b batches) addRun(r model.AppRun) {
+	b.add(model.TableAppByTime, model.AppByTimeKey(r.Hour()), model.AppToTimeRow(r))
+	b.add(model.TableAppByLoc, model.AppByNameKey(r.App), model.AppToNameRow(r))
+	b.add(model.TableAppByUser, model.AppByUserKey(r.User), model.AppToUserRow(r))
+}
+
+// largestFirst lists the buckets by falling size (ties by name, so a
+// serial load stamps the same write timestamps every time): the long
+// writes start first and the pool drains evenly.
+func (b batches) largestFirst() []partKey {
+	keys := make([]partKey, 0, len(b))
+	for k := range b {
+		keys = append(keys, k)
 	}
-	l.notify(model.TableEventTypes)
+	slices.SortFunc(keys, func(x, y partKey) int {
+		return cmp.Or(cmp.Compare(len(b[y]), len(b[x])), strings.Compare(x.table, y.table), strings.Compare(x.pkey, y.pkey))
+	})
+	return keys
+}
+
+// write sends one bucket to the store as one batch in clustering-key
+// order. The sort is stable, so of two rows with one key the later
+// arrival is stamped last and wins.
+func (l *Loader) write(k partKey, rows []store.Row) error {
+	slices.SortStableFunc(rows, func(a, b store.Row) int { return strings.Compare(a.Key, b.Key) })
+	return l.putBatch(k.table, k.pkey, rows)
+}
+
+// load writes every bucket from the calling goroutine, then fires OnWrite
+// for the tables they belong to.
+func (l *Loader) load(b batches, tables ...string) error {
+	for _, k := range b.largestFirst() {
+		if err := l.write(k, b[k]); err != nil {
+			return err
+		}
+	}
+	if len(b) > 0 && l.OnWrite != nil {
+		for _, t := range tables {
+			l.OnWrite(t)
+		}
+	}
 	return nil
 }
 
-// LoadEvents writes events into both event tables (the dual schemas of
-// Fig 1), batching rows per partition to amortize coordination.
+// LoadEvents writes events into both event tables, one batch per
+// partition.
 func (l *Loader) LoadEvents(events []model.Event) error {
-	timeBatches := make(map[string][]store.Row)
-	locBatches := make(map[string][]store.Row)
+	b := make(batches)
 	for _, e := range events {
-		tk := model.EventByTimeKey(e.Hour(), e.Type)
-		lk := model.EventByLocKey(e.Hour(), e.Source)
-		timeBatches[tk] = append(timeBatches[tk], model.EventToTimeRow(e))
-		locBatches[lk] = append(locBatches[lk], model.EventToLocRow(e))
+		b.addEvent(e)
 	}
-	for pkey, rows := range timeBatches {
-		if err := l.DB.PutBatch(model.TableEventByTime, pkey, rows, l.CL); err != nil {
-			return err
-		}
-	}
-	for pkey, rows := range locBatches {
-		if err := l.DB.PutBatch(model.TableEventByLoc, pkey, rows, l.CL); err != nil {
-			return err
-		}
-	}
-	if len(events) > 0 {
-		l.notify(model.TableEventByTime, model.TableEventByLoc)
-	}
-	return nil
+	return l.load(b, model.TableEventByTime, model.TableEventByLoc)
 }
 
-// LoadRuns writes application runs into the three denormalized views of
-// Fig 2.
+// LoadRuns writes application runs into their three views, one batch per
+// partition.
 func (l *Loader) LoadRuns(runs []model.AppRun) error {
-	type batchKey struct{ table, pkey string }
-	batches := make(map[batchKey][]store.Row)
+	b := make(batches)
 	for _, r := range runs {
-		batches[batchKey{model.TableAppByTime, model.AppByTimeKey(r.Hour())}] =
-			append(batches[batchKey{model.TableAppByTime, model.AppByTimeKey(r.Hour())}], model.AppToTimeRow(r))
-		batches[batchKey{model.TableAppByLoc, model.AppByNameKey(r.App)}] =
-			append(batches[batchKey{model.TableAppByLoc, model.AppByNameKey(r.App)}], model.AppToNameRow(r))
-		batches[batchKey{model.TableAppByUser, model.AppByUserKey(r.User)}] =
-			append(batches[batchKey{model.TableAppByUser, model.AppByUserKey(r.User)}], model.AppToUserRow(r))
+		b.addRun(r)
 	}
-	for bk, rows := range batches {
-		if err := l.DB.PutBatch(bk.table, bk.pkey, rows, l.CL); err != nil {
-			return err
-		}
-	}
-	if len(runs) > 0 {
-		l.notify(model.TableAppByTime, model.TableAppByLoc, model.TableAppByUser)
-	}
-	return nil
+	return l.load(b, model.TableAppByTime, model.TableAppByLoc, model.TableAppByUser)
 }
 
 // BatchResult summarizes a batch import.
@@ -199,85 +219,118 @@ type BatchResult struct {
 	RunsLoaded   int
 }
 
-// BatchImport runs the parallel ETL of Section III-D: raw lines are split
-// into engine partitions, each task parses its shard with the regex
-// patterns and bulk-uploads the recognized events. Returns aggregate parse
-// statistics.
-func BatchImport(eng *compute.Engine, db *store.DB, lines []string, cl store.Consistency, nparts int) (BatchResult, error) {
-	loader := &Loader{DB: db, CL: cl}
-	type shardResult struct {
-		res    parse.Result
-		loaded int
-	}
-	ds := compute.Parallelize(eng, lines, nparts)
-	results, err := compute.MapPartitions(ds, func(shard []string) ([]shardResult, error) {
-		var events []model.Event
-		var res parse.Result
-		for _, line := range shard {
-			e, err := parse.ParseLine(line)
-			switch {
-			case err == nil:
-				res.Parsed++
-				events = append(events, e)
-			case err == parse.ErrNoMatch:
-				res.Unmatched++
-			default:
-				res.Malformed++
+// importChunk is the number of lines a bulk load parses and holds as rows
+// before it writes them out: large enough that a corpus of a few hundred
+// thousand lines is one chunk — every partition written exactly once —
+// and small enough that an arbitrarily large file is loaded in bounded
+// memory.
+const importChunk = 1 << 18
+
+// chunkLines is importChunk, lowered by tests to straddle chunk
+// boundaries with a small corpus.
+var chunkLines = importChunk
+
+// shard is what one parse task produces and what the tasks of a chunk
+// merge into, in line order.
+type shard struct {
+	b   batches
+	res parse.Result
+}
+
+// bulkLoad is the parallel ETL of Section III-D. Per chunk of lines:
+// nparts shards are parsed in parallel, each bucketing its rows straight
+// into per-partition batches; the shards' buckets are concatenated in
+// line order; then every partition is sorted and written as one batch,
+// largest first, on the same pool. parseInto turns one line into rows of
+// b or reports why it cannot.
+func (l *Loader) bulkLoad(eng *compute.Engine, lines []string, nparts int, parseInto func(b batches, line string) error) (parse.Result, error) {
+	var opts compute.ScanOptions // a pool the size of the machine
+	var total parse.Result
+	for len(lines) > 0 {
+		chunk := lines[:min(chunkLines, len(lines))]
+		lines = lines[len(chunk):]
+		n := min(max(nparts, 1), len(chunk))
+		parsers := make([]compute.FoldTask[*shard], 0, n)
+		for i := 0; i < n; i++ {
+			part := chunk[i*len(chunk)/n : (i+1)*len(chunk)/n]
+			parsers = append(parsers, func(s *shard) (*shard, int, error) {
+				for _, line := range part {
+					switch err := parseInto(s.b, line); {
+					case err == nil:
+						s.res.Parsed++
+					case errors.Is(err, parse.ErrNoMatch):
+						s.res.Unmatched++
+					default:
+						s.res.Malformed++
+					}
+				}
+				return s, len(part), nil
+			})
+		}
+		all, err := compute.ScanFold(eng, opts, parsers,
+			func() *shard { return &shard{b: make(batches)} },
+			func(all, s *shard) *shard {
+				addResult(&all.res, s.res)
+				for k, rows := range s.b {
+					if cur := all.b[k]; cur != nil {
+						rows = append(cur, rows...)
+					}
+					all.b[k] = rows
+				}
+				return all
+			})
+		if err != nil {
+			return total, err
+		}
+		keys := all.b.largestFirst()
+		writers := make([]compute.FoldTask[struct{}], len(keys))
+		for i, k := range keys {
+			writers[i] = func(struct{}) (struct{}, int, error) {
+				return struct{}{}, len(all.b[k]), l.write(k, all.b[k])
 			}
 		}
-		if err := loader.LoadEvents(events); err != nil {
-			return nil, err
+		_, err = compute.ScanFold(eng, opts, writers,
+			func() struct{} { return struct{}{} }, func(a, _ struct{}) struct{} { return a })
+		if err != nil {
+			return total, err
 		}
-		return []shardResult{{res: res, loaded: len(events)}}, nil
-	}).Collect()
-	if err != nil {
-		return BatchResult{}, err
+		addResult(&total, all.res)
 	}
-	var out BatchResult
-	for _, r := range results {
-		out.Parsed += r.res.Parsed
-		out.Unmatched += r.res.Unmatched
-		out.Malformed += r.res.Malformed
-		out.EventsLoaded += r.loaded
-	}
-	return out, nil
+	return total, nil
+}
+
+func addResult(sum *parse.Result, r parse.Result) {
+	sum.Parsed += r.Parsed
+	sum.Unmatched += r.Unmatched
+	sum.Malformed += r.Malformed
+}
+
+// BatchImport parses raw console lines with the regex patterns and bulk
+// uploads the recognized events (see bulkLoad). Returns aggregate parse
+// statistics.
+func BatchImport(eng *compute.Engine, db *store.DB, lines []string, cl store.Consistency, nparts int) (BatchResult, error) {
+	l := &Loader{DB: db, CL: cl}
+	res, err := l.bulkLoad(eng, lines, nparts, func(b batches, line string) error {
+		e, err := parse.ParseLine(line)
+		if err == nil {
+			b.addEvent(e)
+		}
+		return err
+	})
+	return BatchResult{Result: res, EventsLoaded: res.Parsed}, err
 }
 
 // BatchImportJobs parses and loads job-log lines.
 func BatchImportJobs(eng *compute.Engine, db *store.DB, lines []string, cl store.Consistency, nparts int) (BatchResult, error) {
-	loader := &Loader{DB: db, CL: cl}
-	type shardResult struct {
-		res    parse.Result
-		loaded int
-	}
-	ds := compute.Parallelize(eng, lines, nparts)
-	results, err := compute.MapPartitions(ds, func(shard []string) ([]shardResult, error) {
-		var runs []model.AppRun
-		var res parse.Result
-		for _, line := range shard {
-			run, err := parse.ParseJobLine(line)
-			if err != nil {
-				res.Malformed++
-				continue
-			}
-			res.Parsed++
-			runs = append(runs, run)
+	l := &Loader{DB: db, CL: cl}
+	res, err := l.bulkLoad(eng, lines, nparts, func(b batches, line string) error {
+		run, err := parse.ParseJobLine(line)
+		if err == nil {
+			b.addRun(run)
 		}
-		if err := loader.LoadRuns(runs); err != nil {
-			return nil, err
-		}
-		return []shardResult{{res: res, loaded: len(runs)}}, nil
-	}).Collect()
-	if err != nil {
-		return BatchResult{}, err
-	}
-	var out BatchResult
-	for _, r := range results {
-		out.Parsed += r.res.Parsed
-		out.Malformed += r.res.Malformed
-		out.RunsLoaded += r.loaded
-	}
-	return out, nil
+		return err
+	})
+	return BatchResult{Result: res, RunsLoaded: res.Parsed}, err
 }
 
 // --- Streaming ingestion ---
@@ -476,47 +529,48 @@ func (s *Streamer) Close() error {
 
 // RefreshSynopsis recomputes the eventsynopsis table for the given hours:
 // per (type, hour) total occurrence counts and distinct source counts,
-// computed with a parallel job over event_by_time partitions. The synopsis
-// gives the frontend its cheap per-hour histogram without scanning events.
+// folded from the (source, amount) columns of the event_by_time
+// partitions in parallel, each read from its first live replica. The
+// synopsis gives the frontend its cheap per-hour histogram without
+// scanning events.
 func RefreshSynopsis(eng *compute.Engine, db *store.DB, hours []int64, cl store.Consistency) error {
 	type synRow struct {
-		typ     model.EventType
-		hour    int64
-		count   int
-		sources int
+		typ            model.EventType
+		hour           int64
+		count, sources int
 	}
-	parts := make([]compute.Partition[synRow], 0, len(hours)*len(model.EventTypes))
+	project := []uint32{model.ColSourceID, model.ColAmountID}
+	var tasks []compute.FoldTask[[]synRow]
 	for _, hour := range hours {
 		for _, typ := range model.EventTypes {
-			hour, typ := hour, typ
-			pkey := model.EventByTimeKey(hour, typ)
-			parts = append(parts, compute.Partition[synRow]{
-				Index:     len(parts),
-				Preferred: db.PrimaryFor(pkey),
-				Compute: func() ([]synRow, error) {
-					rows, err := db.Get(model.TableEventByTime, pkey, store.Range{}, store.One)
-					if err != nil {
-						return nil, err
-					}
-					if len(rows) == 0 {
-						return nil, nil
-					}
-					total := 0
-					sources := make(map[string]bool)
-					for _, r := range rows {
-						e, err := model.EventFromTimeRow(pkey, r)
-						if err != nil {
-							return nil, err
+			tasks = append(tasks, func(out []synRow) ([]synRow, int, error) {
+				total, rows := 0, 0
+				sources := make(map[string]struct{})
+				err := db.ScanPartitionBatches(context.TODO(), model.TableEventByTime, model.EventByTimeKey(hour, typ),
+					store.Range{}, project, nil, nil, func(b *store.Batch) error {
+						srcs, amounts := b.Col(model.ColSourceID), b.Col(model.ColAmountID)
+						for i, key := range b.Keys {
+							n, err := model.EventCount(key, amounts[i])
+							if err != nil {
+								return err
+							}
+							total += n
+							if _, seen := sources[srcs[i]]; !seen {
+								sources[strings.Clone(srcs[i])] = struct{}{} // the batch dies with this call
+							}
 						}
-						total += e.Count
-						sources[e.Source] = true
-					}
-					return []synRow{{typ: typ, hour: hour, count: total, sources: len(sources)}}, nil
-				},
+						rows += b.Len()
+						return nil
+					})
+				if err != nil || rows == 0 {
+					return out, rows, err
+				}
+				return append(out, synRow{typ, hour, total, len(sources)}), rows, nil
 			})
 		}
 	}
-	results, err := compute.FromPartitions(eng, parts).Collect()
+	results, err := compute.ScanFold(eng, compute.ScanOptions{}, tasks,
+		func() []synRow { return nil }, func(a, b []synRow) []synRow { return append(a, b...) })
 	if err != nil {
 		return err
 	}

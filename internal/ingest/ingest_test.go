@@ -1,6 +1,11 @@
 package ingest
 
 import (
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -272,5 +277,134 @@ func TestRefreshSynopsis(t *testing.T) {
 		if got > truth[typ] || (truth[typ] > 0 && got == 0) {
 			t.Fatalf("synopsis for %s = %d, ground truth %d", typ, got, truth[typ])
 		}
+	}
+}
+
+// importOnce bulk-imports lines into a fresh durable store, chunked every
+// chunk lines, checks the loader's own count, flushes, and returns the
+// store with a digest of what the two event tables hold.
+func importOnce(t *testing.T, lines []string, chunk int) (*store.DB, uint64) {
+	t.Helper()
+	db, err := store.OpenDurable(store.Config{Nodes: 4, Dir: t.TempDir(), WALNoSync: true, CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	if err := Bootstrap(db, topology.NodesPerCabinet); err != nil {
+		t.Fatal(err)
+	}
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
+	chunkLines = chunk
+	defer func() { chunkLines = importChunk }()
+	res, err := BatchImport(eng, db, lines, store.Quorum, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Parsed != len(lines) || res.EventsLoaded != res.Parsed {
+		t.Fatalf("import of %d lines: %+v", len(lines), res)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, table := range []string{model.TableEventByTime, model.TableEventByLoc} {
+		for _, pkey := range db.PartitionKeys(table) {
+			rows, err := db.Get(table, pkey, store.Range{}, store.All)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rows {
+				cols := r.Compact().Cols()
+				fmt.Fprintf(h, "%s/%s/%s/%d", table, pkey, r.Key, len(cols))
+				for _, c := range cols {
+					fmt.Fprintf(h, "/%s=%s", store.ColumnName(c.ID), c.Value)
+				}
+			}
+		}
+	}
+	return db, h.Sum64()
+}
+
+// TestBatchImportOrderAndChunks: the store a bulk import leaves does not
+// depend on where the chunk boundaries fall nor — once no two lines share
+// a key, so that no line order decides a winner — on the order of the
+// lines; and a one-chunk import writes every partition exactly once, so
+// each is one segment per replica after the flush and nothing is left to
+// compact.
+func TestBatchImportOrderAndChunks(t *testing.T) {
+	corpus := smallCorpus()
+	seen := make(map[string]bool)
+	var lines, unique []string
+	for i, l := range corpus.Lines {
+		lines = append(lines, l.Format())
+		e := corpus.Events[i]
+		if k := fmt.Sprint(e.Time.Unix(), e.Type, e.Source); !seen[k] {
+			seen[k] = true
+			unique = append(unique, lines[i])
+		}
+	}
+	if len(unique) == len(lines) {
+		t.Fatal("corpus has no two lines with one key: last-line-wins goes untested")
+	}
+	shuffled := slices.Clone(unique)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+	db, whole := importOnce(t, lines, importChunk)
+	perPartition := make(map[string]int)
+	for _, node := range db.SegmentInfos() {
+		for _, seg := range node.Segments {
+			perPartition[node.Node+"/"+seg.Table+"/"+seg.Partition]++
+		}
+	}
+	for p, n := range perPartition {
+		if n != 1 {
+			t.Errorf("%s: %d segments after a one-chunk import and a flush, want 1", p, n)
+		}
+	}
+	if n, err := db.Compact(); err != nil || n != 0 {
+		t.Errorf("Compact after a one-chunk import merged %d partitions (err=%v), want 0", n, err)
+	}
+	if st := db.StorageStats(); st.MergePuts != 0 {
+		t.Errorf("%d of %d batches fell off the memtable's append path", st.MergePuts, st.MergePuts+st.AppendPuts)
+	}
+
+	// 2/7 of the corpus per chunk: four chunks, the hour partitions span
+	// several of them.
+	if _, chunked := importOnce(t, lines, len(lines)*2/7); chunked != whole {
+		t.Error("a chunked import leaves a different store than a one-chunk import")
+	}
+	_, ordered := importOnce(t, unique, importChunk)
+	if _, got := importOnce(t, shuffled, importChunk); got != ordered {
+		t.Error("shuffled lines leave a different store than ordered lines")
+	}
+	if _, got := importOnce(t, shuffled, len(shuffled)/3+1); got != ordered {
+		t.Error("shuffled, chunked lines leave a different store than ordered lines")
+	}
+}
+
+// TestLoadersTolerateUnavailable: with one node down, a quorum of two
+// replicas is out of reach for every partition that node serves. A plain
+// loader must say so; a loader told to tolerate it skips those partitions
+// — in every load, not only the bootstrap tables — and writes the rest.
+func TestLoadersTolerateUnavailable(t *testing.T) {
+	db, _ := testCluster(t, 4)
+	corpus := smallCorpus()
+	db.Ring().SetUp(db.NodeIDs()[0], false)
+	strict := NewLoader(db)
+	if err := strict.LoadEvents(corpus.Events); !errors.Is(err, store.ErrUnavailable) {
+		t.Fatalf("LoadEvents with a node down: %v, want ErrUnavailable", err)
+	}
+	if err := strict.LoadRuns(corpus.Runs); !errors.Is(err, store.ErrUnavailable) {
+		t.Fatalf("LoadRuns with a node down: %v, want ErrUnavailable", err)
+	}
+	tolerant := &Loader{DB: db, CL: store.Quorum, TolerateUnavailable: true}
+	if err := tolerant.LoadEvents(corpus.Events); err != nil {
+		t.Fatalf("tolerant LoadEvents: %v", err)
+	}
+	if err := tolerant.LoadRuns(corpus.Runs); err != nil {
+		t.Fatalf("tolerant LoadRuns: %v", err)
+	}
+	if db.TotalRows(model.TableEventByLoc) == 0 || db.TotalRows(model.TableAppByUser) == 0 {
+		t.Fatal("a tolerant load wrote nothing to the partitions that were available")
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"hpclog/internal/store"
@@ -131,8 +132,8 @@ func EventByLocKey(hour int64, source string) string { return hourKey(hour, sour
 
 // hourKey renders "<hour>:<disc>".
 func hourKey(hour int64, disc string) string {
-	b := make([]byte, 0, 24+len(disc))
-	b = append(strconv.AppendInt(b, hour, 10), ':')
+	var buf [48]byte // on the stack: the key string is the one allocation
+	b := append(strconv.AppendInt(buf[:0], hour, 10), ':')
 	return string(append(b, disc...))
 }
 
@@ -150,7 +151,9 @@ func AppByUserKey(user string) string { return user }
 // eventClustering orders events by timestamp, then by a discriminator that
 // keeps concurrent events from distinct sources/types distinct.
 func eventClustering(t time.Time, disc string) string {
-	return store.EncodeTS(t.Unix()) + ":" + disc
+	var buf [48]byte // on the stack: the key string is the one allocation
+	b := append(store.AppendTS(buf[:0], t.Unix()), ':')
+	return string(append(b, disc...))
 }
 
 // EventTimeRange converts a [from, to) time window into a clustering-key
@@ -210,9 +213,29 @@ func eventRow(e Event, disc string, dualCol uint32, dualVal string) store.Row {
 		cols = append(cols, store.Col{ID: ColRawID, Value: e.Raw})
 	}
 	for k, v := range e.Attrs {
-		cols = append(cols, store.C("attr."+k, v))
+		cols = append(cols, store.Col{ID: attrColID(k), Value: v})
 	}
 	return store.MakeRow(eventClustering(e.Time, disc), 0, cols)
+}
+
+// attrCols remembers the column ID of every attribute name seen, so an
+// event row spells "attr."+name once per name and not once per cell.
+var attrCols = struct {
+	sync.RWMutex
+	ids map[string]uint32
+}{ids: make(map[string]uint32)}
+
+func attrColID(name string) uint32 {
+	attrCols.RLock()
+	id, ok := attrCols.ids[name]
+	attrCols.RUnlock()
+	if !ok {
+		id = store.InternColumn("attr." + name)
+		attrCols.Lock()
+		attrCols.ids[name] = id
+		attrCols.Unlock()
+	}
+	return id
 }
 
 // EventFromTimeRow decodes an event_by_time row. The partition key

@@ -84,6 +84,9 @@ func (s *Server) collectStoreMetrics(w *obs.Writer) {
 	const scansHelp = "Batch partition scans by read path: disjoint inputs chained off the block decoder, or overlapping inputs merged."
 	w.Counter("hpclog_store_partition_scans_total", scansHelp, st.ChainedScans, "path", "chained")
 	w.Counter("hpclog_store_partition_scans_total", scansHelp, st.MergedScans, "path", "merged")
+	const putsHelp = "Batches taken by memtables by write path: appended in key order past the last key, or sorted and merged in."
+	w.Counter("hpclog_store_memtable_puts_total", putsHelp, st.AppendPuts, "path", "append")
+	w.Counter("hpclog_store_memtable_puts_total", putsHelp, st.MergePuts, "path", "merge")
 	if !st.Durable {
 		return
 	}

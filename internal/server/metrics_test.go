@@ -240,7 +240,10 @@ func TestMetricsExpositionBackgroundRounds(t *testing.T) {
 // TestMetricsExpositionScanPaths drives one batch partition scan down each
 // read path — a flushed segment alone (chained), then the same keys
 // rewritten into the memtable above it (merged) — and finds both under
-// hpclog_store_partition_scans_total on /v1/metrics and in /v1/stats.
+// hpclog_store_partition_scans_total on /v1/metrics and in /v1/stats. The
+// same puts exercise both memtable write paths — two batches into an
+// empty memtable (append), a third over the keys it holds (merge) — found
+// under hpclog_store_memtable_puts_total.
 func TestMetricsExpositionScanPaths(t *testing.T) {
 	db, err := store.OpenDurable(store.Config{Nodes: 1, RF: 1, FlushThreshold: 1 << 20, Dir: t.TempDir(), CompactInterval: -1})
 	if err != nil {
@@ -273,6 +276,7 @@ func TestMetricsExpositionScanPaths(t *testing.T) {
 	scan() // one segment: chained
 	put()
 	scan() // the memtable shadows the segment: merged
+	put()  // the memtable holds these keys: a merge, where the first two puts appended
 
 	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
 	srv := NewWithConfig(query.New(db, eng), db, eng, Config{})
@@ -281,14 +285,20 @@ func TestMetricsExpositionScanPaths(t *testing.T) {
 		ts.Close()
 		srv.Close()
 	}()
-	byPath := map[string]float64{}
+	byPath, putsByPath := map[string]float64{}, map[string]float64{}
 	for _, s := range scrapeAndLint(t, ts.URL) {
-		if s.name == "hpclog_store_partition_scans_total" {
+		switch s.name {
+		case "hpclog_store_partition_scans_total":
 			byPath[s.labels] += s.value
+		case "hpclog_store_memtable_puts_total":
+			putsByPath[s.labels] += s.value
 		}
 	}
 	if byPath[`{path="chained"}`] != 1 || byPath[`{path="merged"}`] != 1 {
 		t.Errorf("hpclog_store_partition_scans_total = %v, want one chained and one merged scan", byPath)
+	}
+	if putsByPath[`{path="append"}`] != 2 || putsByPath[`{path="merge"}`] != 1 {
+		t.Errorf("hpclog_store_memtable_puts_total = %v, want two appends and one merge", putsByPath)
 	}
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -303,6 +313,9 @@ func TestMetricsExpositionScanPaths(t *testing.T) {
 	}
 	if st := env.Result.Storage; st.ChainedScans != 1 || st.MergedScans != 1 {
 		t.Errorf("/v1/stats storage scan paths = %d chained, %d merged, want 1 and 1", st.ChainedScans, st.MergedScans)
+	}
+	if st := env.Result.Storage; st.AppendPuts != 2 || st.MergePuts != 1 {
+		t.Errorf("/v1/stats storage memtable puts = %d appended, %d merged, want 2 and 1", st.AppendPuts, st.MergePuts)
 	}
 }
 

@@ -696,6 +696,13 @@ type StorageStats struct {
 	// clusters too.
 	ChainedScans int64 `json:"partition_scans_chained"`
 	MergedScans  int64 `json:"partition_scans_merged"`
+
+	// AppendPuts and MergePuts count the batches the local nodes' memtables
+	// took by write path: appended past the memtable's last key, or sorted
+	// and merged into it. A writer whose batches arrive in key order stays
+	// on the append path. Counted on in-memory clusters too.
+	AppendPuts int64 `json:"memtable_puts_append"`
+	MergePuts  int64 `json:"memtable_puts_merge"`
 }
 
 // StorageStats returns a snapshot of the durable engine's counters.
@@ -705,6 +712,8 @@ func (db *DB) StorageStats() StorageStats {
 		n := db.Node(id)
 		st.ChainedScans += n.chainedScans.Load()
 		st.MergedScans += n.mergedScans.Load()
+		st.AppendPuts += n.appendPuts.Load()
+		st.MergePuts += n.mergePuts.Load()
 	}
 	if db.cfg.Dir == "" {
 		return st

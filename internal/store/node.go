@@ -59,11 +59,32 @@ func (p *partition) noteDirty(seg uint64) {
 	}
 }
 
+// put folds one batch into the sorted memtable as a unit. A batch that
+// arrives in key order and past the memtable's last key — a time-series
+// writer — is appended. Any other batch is merged last-write-wins (the
+// later row winning a WriteTS tie) over the memtable's tail from the
+// batch's first key on, after a stable sort on a copy when it was out of
+// order: the caller's slice is shared with the other replicas. Either way
+// a batch crosses the flush threshold at most once, so a partition-sized
+// batch leaves as one segment.
 func (p *partition) put(rows []Row, walSeg uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, r := range rows {
-		p.insertLocked(r)
+	if len(rows) > 0 {
+		mem, ok := appendSorted(slices.Grow(p.mem, len(rows)), rows)
+		if ok {
+			p.node.appendPuts.Add(1)
+		} else {
+			byKey := func(a, b Row) int { return strings.Compare(a.Key, b.Key) }
+			if !slices.IsSortedFunc(rows, byKey) {
+				rows = slices.Clone(rows)
+				slices.SortStableFunc(rows, byKey)
+			}
+			tail := sort.Search(len(mem), func(i int) bool { return mem[i].Key >= rows[0].Key })
+			mem = append(mem[:tail], mergeRows(mem[tail:], rows)...)
+			p.node.mergePuts.Add(1)
+		}
+		p.mem = mem
 	}
 	if walSeg != 0 && len(p.mem) > 0 {
 		p.noteDirty(walSeg)
@@ -86,24 +107,29 @@ func (p *partition) put(rows []Row, walSeg uint64) error {
 	return nil
 }
 
-// insertLocked places r into the sorted memtable. The common case for
-// time-series ingest is append-at-end, which is O(1).
-func (p *partition) insertLocked(r Row) {
-	n := len(p.mem)
-	if n == 0 || p.mem[n-1].Key < r.Key {
-		p.mem = append(p.mem, r)
-		return
-	}
-	i := sort.Search(n, func(i int) bool { return p.mem[i].Key >= r.Key })
-	if i < n && p.mem[i].Key == r.Key {
-		if r.WriteTS >= p.mem[i].WriteTS {
-			p.mem[i] = r
+// appendSorted appends rows to the sorted, duplicate-free mem for as long
+// as they arrive in key order past mem's last key, collapsing rows of one
+// key last-write-wins as it goes. At the first row that is out of order,
+// or that rewrites a key mem already held, it gives up: ok is false and
+// mem is returned as it came.
+func appendSorted(mem, rows []Row) (out []Row, ok bool) {
+	n := len(mem)
+	for _, r := range rows {
+		if last := len(mem) - 1; last >= 0 {
+			switch prev := &mem[last]; {
+			case prev.Key < r.Key:
+			case prev.Key == r.Key && last >= n:
+				if r.WriteTS >= prev.WriteTS {
+					*prev = r
+				}
+				continue
+			default:
+				return mem[:n], false
+			}
 		}
-		return
+		mem = append(mem, r)
 	}
-	p.mem = append(p.mem, Row{})
-	copy(p.mem[i+1:], p.mem[i:])
-	p.mem[i] = r
+	return mem, true
 }
 
 func (p *partition) flushLocked() {
@@ -193,7 +219,7 @@ func newPruneCfg(pr persist.Pruner, stats *persist.PruneStats) *pruneCfg {
 // drain after releasing it): disk segments are immutable and refcounted,
 // in-memory segment slices and the flushing run are never mutated, and the
 // in-range memtable rows are copied — sharing the live slice would race
-// with insertLocked's in-place insert.
+// with put's in-place merge over the memtable's tail.
 type mergeInputs struct {
 	segs []*persist.Segment
 	// cfgs, parallel to segs, carry (given a pruneCfg) the predicate pruner
@@ -515,8 +541,10 @@ type Node struct {
 	// reach disk.
 	flushMu sync.Mutex
 	// chainedScans and mergedScans count this node's batch partition
-	// scans by the path their snapshot took (see mergeInputs.openBatches).
+	// scans by the path their snapshot took (see mergeInputs.openBatches);
+	// appendPuts and mergePuts its memtable puts (see partition.put).
 	chainedScans, mergedScans atomic.Int64
+	appendPuts, mergePuts     atomic.Int64
 	// truncMu fences commitlog truncation against in-flight applies: an
 	// apply holds it shared between the WAL append and the memtable
 	// insert, so the truncator can never observe "appended but not yet

@@ -4,6 +4,7 @@ package persist
 
 import (
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -60,5 +61,51 @@ func TestSegmentScanAllocBudget(t *testing.T) {
 	if avg > budget {
 		t.Fatalf("segment scan of %d rows allocates %.0f objects/run, budget %d — "+
 			"did a per-row allocation sneak back into the decode path?", nRows, avg, budget)
+	}
+}
+
+// TestFlushRoundAllocBudget pins what a flush round may allocate: a
+// constant per round (the worker pool, the path, writer and segment
+// lists, one scratch set per worker) plus a small constant per part
+// (writer, footer metadata, file descriptors, segment). The 64 KiB file
+// buffer is borrowed from scratchPool, so a round of 256 parts must not
+// allocate 256 of them. Measured: 54 objects and 5.7 KiB per part; at the
+// parent commit (a writer per segment with its own buffers, the footer
+// read back and decoded) 78 objects and 72 KiB.
+func TestFlushRoundAllocBudget(t *testing.T) {
+	const (
+		parts         = 256
+		perRound      = 256
+		perPart       = 64
+		perPartBytes  = 16 << 10
+		smallPartRows = 8
+	)
+	s, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rows := benchSegmentRows(smallPartRows)
+	round := func(n int) (objects, bytes float64) {
+		ps := smallParts(n, rows)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if err := s.FlushRound(ps); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.Mallocs - m0.Mallocs), float64(m1.TotalAlloc - m0.TotalAlloc)
+	}
+	round(parts) // warm the scratch pool and the dictionary
+	o1, b1 := round(parts)
+	o2, b2 := round(2 * parts)
+	t.Logf("flush round of %d parts: %.0f objects, %.0f bytes; of %d: %.0f objects, %.0f bytes", parts, o1, b1, 2*parts, o2, b2)
+	if o1 > perRound+perPart*parts || o2 > perRound+perPart*2*parts {
+		t.Fatalf("flush rounds of %d and %d parts allocate %.0f and %.0f objects, budget %d per round plus %d per part",
+			parts, 2*parts, o1, o2, perRound, perPart)
+	}
+	if b2-b1 > perPartBytes*parts {
+		t.Fatalf("%d more parts cost a flush round %.0f more bytes, budget %d per part: "+
+			"is every segment writer buying its own file buffer again?", parts, b2-b1, perPartBytes)
 	}
 }

@@ -229,15 +229,23 @@ const encodedTSLen = 19
 // It runs on every write and every scan-task range construction, so it
 // writes digits directly instead of going through fmt.
 func EncodeTS(ts int64) string {
+	var b [encodedTSLen]byte
+	return string(AppendTS(b[:0], ts))
+}
+
+// AppendTS appends EncodeTS(ts) to b, for callers that build a longer key
+// in one buffer.
+func AppendTS(b []byte, ts int64) []byte {
 	if ts < 0 {
 		panic(fmt.Sprintf("store: EncodeTS(%d) negative", ts))
 	}
-	var b [encodedTSLen]byte
-	for i := encodedTSLen - 1; i >= 0; i-- {
+	n := len(b)
+	b = append(b, "0000000000000000000"[:encodedTSLen]...)
+	for i := n + encodedTSLen - 1; ts > 0; i-- {
 		b[i] = byte('0' + ts%10)
 		ts /= 10
 	}
-	return string(b[:])
+	return b
 }
 
 // DecodeTS reverses EncodeTS on the leading 19 bytes of a clustering key.

@@ -1,0 +1,71 @@
+package persist
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+)
+
+// TestSealedSegmentMatchesOpenSegment holds the shortcut to its
+// reference: the segments a flush round and a compaction round register
+// from their writers' in-memory footers are, field for field, what
+// OpenSegment parses back from the files they wrote — and scan the same.
+func TestSealedSegmentMatchesOpenSegment(t *testing.T) {
+	s, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.SetZoneColumns([]string{"count", "msg", "absent"})
+	check := func(what string) {
+		t.Helper()
+		for _, pkey := range []string{"p0", "p1"} {
+			for _, seg := range s.Segments("events", pkey) {
+				ref, err := OpenSegment(seg.path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(seg.meta, ref.meta) {
+					t.Errorf("%s %s: footer held by the writer differs from the parsed one:\n%+v\n%+v", what, pkey, seg.meta, ref.meta)
+				}
+				if !reflect.DeepEqual(seg.colIDs, ref.colIDs) || seg.size != ref.size || seg.footOff != ref.footOff ||
+					seg.version != ref.version || seg.root != ref.root || (seg.tree == nil) != (ref.tree == nil) {
+					t.Errorf("%s %s: colIDs %v/%v size %d/%d footOff %d/%d version %d/%d", what, pkey,
+						seg.colIDs, ref.colIDs, seg.size, ref.size, seg.footOff, ref.footOff, seg.version, ref.version)
+				}
+				if err := seg.Verify(); err != nil {
+					t.Errorf("%s %s: %v", what, pkey, err)
+				}
+				a, _ := seg.Scan(Range{})
+				b, _ := ref.Scan(Range{})
+				if !sameRows(drain(t, a), drain(t, b)) {
+					t.Errorf("%s %s: scans differ", what, pkey)
+				}
+				ref.Close()
+			}
+		}
+	}
+	// 200 rows = three full blocks and a short one; 1 row = one block.
+	if err := s.FlushRound([]FlushPart{{"events", "p0", testRows(200, 1)}, {"events", "p1", testRows(1, 1)}}); err != nil {
+		t.Fatal(err)
+	}
+	check("flushed")
+	if err := s.FlushRound([]FlushPart{{"events", "p0", testRows(90, 1000)}, {"events", "p1", testRows(70, 1000)}}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.CompactOverflow(1); err != nil || n != 2 {
+		t.Fatalf("compacted %d partitions, err=%v", n, err)
+	}
+	check("compacted")
+}
+
+// smallParts builds n single-block parts of rows that are already compact
+// and share their strings, so a round over them allocates only what the
+// round itself needs.
+func smallParts(n int, rows []Row) []FlushPart {
+	parts := make([]FlushPart, n)
+	for i := range parts {
+		parts[i] = FlushPart{"events", fmt.Sprintf("p%03d", i), rows}
+	}
+	return parts
+}

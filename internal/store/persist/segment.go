@@ -15,6 +15,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"hpclog/internal/objstore"
 )
@@ -425,23 +426,37 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // appended in strictly ascending clustering-key order (the memtable and
 // the compaction merge both produce that order).
 type Writer struct {
-	path    string   // final name; written as path+segTempExt until its round commits
-	f       *os.File // the temp file
-	bw      *bufio.Writer
+	path string   // final name; written as path+segTempExt until its round commits
+	f    *os.File // the temp file
+	*writerScratch
 	crc     uint32
 	off     int64
 	meta    footerMeta
-	tb      colTableEnc
-	buf     []byte
 	sinceIx int
 	done    bool
 	version int
+	// size and colIDs are set by seal: the file's length and the name
+	// table's local index → dictionary ID mapping, what open needs beside
+	// meta to stand in for a parse of the file.
+	size   int64
+	colIDs []uint32
 
 	// Block-statistics accumulation (version >= SegVersionV3).
 	zoneIDs   []uint32 // hot columns with per-block zone maps, sorted by ID
 	zoneNames []string // parallel to zoneIDs
 	blk       blockAcc
+}
 
+// writerScratch is the buffer space a Writer borrows from scratchPool for
+// its lifetime, so a round of N segments allocates it once per worker and
+// not once per segment: the 64 KiB file buffer, the row and footer
+// encoding buffer, the name table, the block's Bloom hashes and the leaf
+// hasher.
+type writerScratch struct {
+	bw  *bufio.Writer
+	buf []byte
+	tb  colTableEnc
+	bb  bloomBuilder
 	// leafH accumulates the Merkle leaf of the block being written
 	// (version >= SegVersion): seeded with objstore.LeafDomain, fed every
 	// encoded row, summed at each block boundary. The incremental sum
@@ -450,13 +465,16 @@ type Writer struct {
 	leafH hash.Hash
 }
 
+var scratchPool = sync.Pool{New: func() any {
+	return &writerScratch{bw: bufio.NewWriterSize(nil, 64<<10), leafH: sha256.New()}
+}}
+
 // blockAcc accumulates the statistics of the block being written.
 type blockAcc struct {
 	rows           int
 	maxKey         string
 	minWTS, maxWTS int64
 	zones          []ColZone // parallel to Writer.zoneIDs
-	bb             bloomBuilder
 }
 
 // NewWriter creates a segment writer targeting path (written via a
@@ -486,16 +504,16 @@ func NewWriterVersion(path, table, pkey string, seq uint64, version int) (*Write
 		return nil, fmt.Errorf("persist: create segment: %w", err)
 	}
 	w := &Writer{
-		path: path, f: f, bw: bufio.NewWriterSize(f, 64<<10),
+		path: path, f: f, writerScratch: scratchPool.Get().(*writerScratch),
 		meta:    footerMeta{Table: table, Partition: pkey, Seq: seq},
 		version: version,
 	}
+	w.bw.Reset(f)
+	w.tb.reset()
+	w.leafH.Reset()
+	w.leafH.Write(objstore.LeafDomain)
 	if version >= SegVersionV3 {
 		w.setZoneColumnNames(DefaultZoneColumns)
-	}
-	if version >= SegVersion {
-		w.leafH = sha256.New()
-		w.leafH.Write(objstore.LeafDomain)
 	}
 	if _, err := w.bw.WriteString(header); err != nil {
 		w.discard()
@@ -556,7 +574,7 @@ func (w *Writer) resetBlock() {
 	for i := range w.blk.zones {
 		w.blk.zones[i] = ColZone{ID: w.zoneIDs[i]}
 	}
-	w.blk.bb.reset()
+	w.bb.reset()
 }
 
 // finishBlock clones the accumulated block statistics into the footer.
@@ -580,7 +598,7 @@ func (w *Writer) finishBlock() {
 		MaxWriteTS: w.blk.maxWTS,
 		Rows:       w.blk.rows,
 		Zones:      make([]ColZone, len(w.blk.zones)),
-		bloom:      w.blk.bb.build(),
+		bloom:      w.bb.build(),
 	}
 	for i, z := range w.blk.zones {
 		z.MinVal = strings.Clone(z.MinVal)
@@ -620,7 +638,7 @@ func (w *Writer) noteRow(r Row) {
 			continue // absent for the expression engine; keep stats aligned
 		}
 		h1, h2 := BloomHash(defaultDict.Name(c.ID), c.Value)
-		b.bb.add(h1, h2)
+		w.bb.add(h1, h2)
 		for zi < len(w.zoneIDs) && w.zoneIDs[zi] < c.ID {
 			zi++
 		}
@@ -658,7 +676,10 @@ func (w *Writer) Append(r Row) error {
 	r = r.Compact() // stats and encoding both want the sorted []Col form
 	if w.sinceIx >= indexEvery {
 		w.finishBlock()
-		w.meta.Index = append(w.meta.Index, IndexEntry{Key: r.Key, Off: w.off})
+		// Cloned like the block statistics: the footer outlives the round
+		// as the resident segment's metadata and must not pin the caller's
+		// rows.
+		w.meta.Index = append(w.meta.Index, IndexEntry{Key: strings.Clone(r.Key), Off: w.off})
 		w.sinceIx = 0
 	}
 	w.sinceIx++
@@ -673,7 +694,7 @@ func (w *Writer) Append(r Row) error {
 	}
 	w.off += int64(len(w.buf))
 	if w.meta.Rows == 0 {
-		w.meta.MinKey = r.Key
+		w.meta.MinKey = w.meta.Index[0].Key
 		if ts, err := DecodeTS(r.Key); err == nil {
 			w.meta.MinTS = ts
 		}
@@ -724,8 +745,14 @@ func (w *Writer) seal() error {
 		w.discard()
 		return fmt.Errorf("persist: %d merkle leaves for %d index entries", len(w.meta.Leaves), len(w.meta.Index))
 	}
-	w.meta.ColNames = w.tb.names
+	w.meta.MaxKey = strings.Clone(w.meta.MaxKey)
+	w.meta.ColNames = slices.Clone(w.tb.names)
+	w.colIDs = make([]uint32, len(w.tb.names))
+	for id, local := range w.tb.local {
+		w.colIDs[local] = id
+	}
 	fb := appendFooter(w.buf[:0], &w.meta, w.version, zoneLocal)
+	w.size = w.off + int64(len(fb)) + trailerLen
 	var tail [trailerLen]byte
 	binary.LittleEndian.PutUint32(tail[0:4], uint32(len(fb)))
 	binary.LittleEndian.PutUint32(tail[4:8], crc32.Checksum(fb, crcTable))
@@ -741,6 +768,7 @@ func (w *Writer) seal() error {
 		w.discard()
 		return err
 	}
+	w.release()
 	if err := w.f.Close(); err != nil {
 		os.Remove(w.path + segTempExt)
 		return err
@@ -748,7 +776,15 @@ func (w *Writer) seal() error {
 	return nil
 }
 
-// Finish commits the segment as a round of one and returns it open.
+// release hands the scratch back to the pool; the writer is finished.
+func (w *Writer) release() {
+	w.bw.Reset(nil)
+	scratchPool.Put(w.writerScratch)
+	w.writerScratch = nil
+}
+
+// Finish commits the segment as a round of one and returns it open,
+// parsed back from the file.
 func (w *Writer) Finish() (*Segment, error) {
 	if err := w.seal(); err != nil {
 		return nil, err
@@ -757,6 +793,27 @@ func (w *Writer) Finish() (*Segment, error) {
 		return nil, err
 	}
 	return OpenSegment(w.path)
+}
+
+// open returns the segment of a sealed writer whose round has committed,
+// built from the footer the writer still holds instead of read back from
+// the file it just wrote (OpenSegment stays the way every other segment
+// is opened, recovery included).
+func (w *Writer) open() (*Segment, error) {
+	f, err := os.Open(w.path)
+	if err != nil {
+		return nil, err
+	}
+	meta := w.meta
+	s := &Segment{
+		path: w.path, f: f, meta: &meta, colIDs: w.colIDs, size: w.size,
+		footOff: meta.DataLen, version: w.version, mu: make(chan struct{}, 1),
+	}
+	if err := s.buildTree(); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return s, nil
 }
 
 // Abort discards the partially written segment.
@@ -768,6 +825,7 @@ func (w *Writer) Abort() {
 }
 
 func (w *Writer) discard() {
+	w.release()
 	w.f.Close()
 	os.Remove(w.path + segTempExt)
 }

@@ -266,6 +266,7 @@ func (s *Store) FlushRound(parts []FlushPart) error {
 	for i := range paths {
 		paths[i] = s.segPath(first + uint64(i))
 	}
+	writers := make([]*Writer, n)
 	err := objstore.Parallel(n, roundWorkers, func(i int) error {
 		p := parts[i]
 		w, err := s.newWriter(paths[i], p.Table, p.PKey, first+uint64(i))
@@ -278,6 +279,7 @@ func (s *Store) FlushRound(parts []FlushPart) error {
 				return err
 			}
 		}
+		writers[i] = w
 		return w.seal()
 	})
 	if err != nil {
@@ -287,7 +289,7 @@ func (s *Store) FlushRound(parts []FlushPart) error {
 	if err := commitRound(paths); err != nil {
 		return err
 	}
-	segs, err := openAll(paths)
+	segs, err := openSealed(writers)
 	if err != nil {
 		return err
 	}
@@ -307,20 +309,19 @@ func (s *Store) FlushRound(parts []FlushPart) error {
 	return nil
 }
 
-// openAll opens the committed files of a round as segments.
-func openAll(paths []string) ([]*Segment, error) {
-	segs := make([]*Segment, len(paths))
-	err := objstore.Parallel(len(paths), roundWorkers, func(i int) (err error) {
-		segs[i], err = OpenSegment(paths[i])
-		return err
-	})
-	if err != nil {
-		for _, seg := range segs {
-			if seg != nil {
-				seg.Close()
+// openSealed opens the committed files of a round as segments, each from
+// the footer its sealed writer still holds.
+func openSealed(writers []*Writer) ([]*Segment, error) {
+	segs := make([]*Segment, len(writers))
+	for i, w := range writers {
+		seg, err := w.open()
+		if err != nil {
+			for _, open := range segs[:i] {
+				open.Close()
 			}
+			return nil, err
 		}
-		return nil, err
+		segs[i] = seg
 	}
 	return segs, nil
 }
@@ -411,6 +412,7 @@ type merge struct {
 	key  segKey
 	old  []*Segment
 	rows int
+	w    *Writer // sealed output
 }
 
 // compactRound merges each listed partition that still overflows
@@ -462,7 +464,11 @@ func (s *Store) compactRound(keys []segKey, threshold int) (int, error) {
 	if err := commitRound(paths); err != nil {
 		return 0, errors.Join(mergeErr, err)
 	}
-	segs, err := openAll(paths)
+	writers := make([]*Writer, n)
+	for i, m := range merges {
+		writers[i] = m.w
+	}
+	segs, err := openSealed(writers)
 	if err != nil {
 		return 0, errors.Join(mergeErr, err)
 	}
@@ -527,6 +533,7 @@ func (s *Store) mergeSegments(m *merge, seq uint64) error {
 		w.Abort()
 		return err
 	}
+	m.w = w
 	return w.seal()
 }
 

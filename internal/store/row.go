@@ -67,6 +67,9 @@ func ColumnName(id uint32) string { return persist.ColumnName(id) }
 // a fixed-width decimal string whose bytewise order matches numeric order.
 func EncodeTS(ts int64) string { return persist.EncodeTS(ts) }
 
+// AppendTS appends EncodeTS(ts) to b; see persist.AppendTS.
+func AppendTS(b []byte, ts int64) []byte { return persist.AppendTS(b, ts) }
+
 // DecodeTS reverses EncodeTS on the leading 19 bytes of a clustering key.
 func DecodeTS(key string) (int64, error) { return persist.DecodeTS(key) }
 

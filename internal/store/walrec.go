@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"hpclog/internal/store/persist"
 )
@@ -30,9 +31,18 @@ func appendString(b []byte, s string) []byte {
 }
 
 // encodePutRecord encodes a put-batch commitlog record. rows are
-// normalized to the compact representation in place.
+// normalized to the compact representation in place. The buffer is grown
+// once, to an estimate of the record's size (exactness does not matter:
+// append covers a short guess).
 func encodePutRecord(buf []byte, table, pkey string, rows []Row) []byte {
-	buf = append(buf, recPut)
+	size := 256 + len(table) + len(pkey) // kind, lengths, name table
+	for _, r := range rows {
+		size += 16 + len(r.Key) // key length, WriteTS, column count
+		for _, c := range r.Cols() {
+			size += 4 + len(c.Value)
+		}
+	}
+	buf = append(slices.Grow(buf, size), recPut)
 	buf = appendString(buf, table)
 	buf = appendString(buf, pkey)
 	return persist.AppendRowsBlock(buf, rows)

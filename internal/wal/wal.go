@@ -286,8 +286,14 @@ func (l *Log) createSegmentLocked(seg uint64) error {
 			return err
 		}
 	}
+	w := &bufWriter{f: f}
+	if l.w != nil {
+		// A rotation flushed the old segment's buffer; keep its capacity
+		// instead of growing a new one for every segment.
+		w.buf = l.w.buf[:0]
+	}
 	l.f = f
-	l.w = &bufWriter{f: f}
+	l.w = w
 	l.seg = seg
 	l.size = int64(headerLen)
 	return nil
