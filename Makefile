@@ -2,7 +2,8 @@
 # vet + build + full test suite under the race detector (the scan
 # planner, result cache, commitlog, and store are all concurrent), a
 # cache-defeating plain test run, and a one-iteration smoke of the
-# durable-engine benchmarks so the WAL path cannot rot unexercised.
+# durable-engine benchmarks so the WAL path and the two block decoders (v4
+# fixture vs v5) cannot rot unexercised.
 
 GO ?= go
 
@@ -161,9 +162,11 @@ bench-json:
 
 bench-smoke:
 	$(GO) test -run XXX -bench WAL -benchtime 1x .
+	$(GO) test -run XXX -bench BenchmarkScanBatches -benchtime 1x ./internal/store/persist/
 
-# Allocation regression guards: a segment scan, a flush round (constant
-# per round, small constant per segment, no file buffer per segment), a
+# Allocation regression guards: a segment scan, a projected v5 block decode
+# (zero per block), a flush round (constant per round, small constant per
+# segment, no file buffer per segment), a
 # bulk import (objects per imported event), a batch histogram and
 # heat-map fold (constant per scan, zero per block), a put-record encode,
 # predicate evaluation, the watch hub's write-path notify, a late page

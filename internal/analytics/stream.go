@@ -199,17 +199,28 @@ var (
 	projRaw          = []uint32{model.ColRawID}
 )
 
-// foldCounts folds (source, amount) batches: each adds the row's
-// occurrence count under whatever its clustering key and source say.
-func foldCounts[A any](add func(acc A, key, source string, n int)) func(A, *store.Batch) (A, error) {
+// foldCounts folds (source, amount) batches: each row adds its occurrence
+// count under what resolve makes of its source. Where a batch carries the
+// sources as a dictionary, resolve runs once per distinct source of the
+// block, not once per row.
+func foldCounts[A, S any](resolve func(source string) S, add func(acc A, s S, n int)) func(A, *store.Batch) (A, error) {
 	return func(acc A, b *store.Batch) (A, error) {
-		sources, amounts := b.Col(model.ColSourceID), b.Col(model.ColAmountID)
-		for i, key := range b.Keys {
-			n, err := model.EventCount(key, amounts[i])
-			if err != nil {
-				return acc, err
+		var counts [store.MaxBatchRows]int
+		if err := model.EventCounts(b, counts[:b.Len()]); err != nil {
+			return acc, err
+		}
+		if codes, dict := b.Dict(model.ColSourceID); dict != nil {
+			var resolved [store.MaxBatchRows + 1]S
+			for k, source := range dict {
+				resolved[k] = resolve(source)
 			}
-			add(acc, key, sources[i], n)
+			for i, c := range codes {
+				add(acc, resolved[c], counts[i])
+			}
+			return acc, nil
+		}
+		for i, source := range b.Col(model.ColSourceID) {
+			add(acc, resolve(source), counts[i])
 		}
 		return acc, nil
 	}
@@ -264,12 +275,18 @@ func sumInts(a, b []int) []int {
 }
 
 // heatFold counts occurrences per cabinet index.
-var heatFold = foldCounts(func(acc []int, _, source string, n int) {
-	// Non-compute sources (servers) have no floor position.
-	if loc, err := topology.ParseCName(source); err == nil {
-		acc[loc.Cabinet()] += n
-	}
-})
+var heatFold = foldCounts(
+	func(source string) int {
+		if loc, err := topology.ParseCName(source); err == nil {
+			return loc.Cabinet()
+		}
+		return -1 // non-compute sources (servers) have no floor position
+	},
+	func(acc []int, cabinet, n int) {
+		if cabinet >= 0 {
+			acc[cabinet] += n
+		}
+	})
 
 // HeatmapScan computes the cabinet heat map on the streaming scan path.
 func HeatmapScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) (*HeatMap, error) {
@@ -299,15 +316,29 @@ type distAcc struct {
 // DistributionByScan computes occurrence distributions at a topology level
 // on the streaming scan path.
 func DistributionByScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, level topology.Level, cfg ScanConfig) ([]Bucket, error) {
+	// A source is a place on the floor, cut to the level, or — not a node
+	// cname — a name of its own.
+	type place struct {
+		loc   topology.Location
+		name  string
+		named bool
+	}
 	acc, err := foldType(eng, db, typ, from, to, cfg, projSourceAmount,
 		func() distAcc { return distAcc{newCountMap[topology.Location](), newCountMap[string]()} },
-		foldCounts(func(acc distAcc, _, source string, n int) {
-			if loc, err := topology.ParseCName(source); err == nil {
-				acc.locs[truncateLoc(loc, level)] += n
-			} else {
-				countKey(acc.other, source, n)
-			}
-		}),
+		foldCounts(
+			func(source string) place {
+				if loc, err := topology.ParseCName(source); err == nil {
+					return place{loc: truncateLoc(loc, level)}
+				}
+				return place{name: source, named: true}
+			},
+			func(acc distAcc, p place, n int) {
+				if p.named {
+					countKey(acc.other, p.name, n)
+				} else {
+					acc.locs[p.loc] += n
+				}
+			}),
 		func(a, b distAcc) distAcc {
 			return distAcc{mergeCountMaps(a.locs, b.locs), mergeCountMaps(a.other, b.other)}
 		})
@@ -341,15 +372,32 @@ func DistributionByAppScan(eng *compute.Engine, db *store.DB, typ model.EventTyp
 	counts, err := foldType(eng, db, typ, from, to, cfg, projSourceAmount,
 		newCountMap[string],
 		func(acc map[string]int, b *store.Batch) (map[string]int, error) {
-			sources, amounts := b.Col(model.ColSourceID), b.Col(model.ColAmountID)
+			var counts [store.MaxBatchRows]int
+			if err := model.EventCounts(b, counts[:b.Len()]); err != nil {
+				return acc, err
+			}
+			// The runs of a node, looked up once per distinct source where
+			// the block says which those are.
+			sources := b.Col(model.ColSourceID)
+			codes, dict := b.Dict(model.ColSourceID)
+			var runsOf [store.MaxBatchRows + 1][]span
+			for k, source := range dict {
+				runsOf[k] = byNode[source]
+			}
+			times, err := model.EventTimes(b)
+			if err != nil {
+				return acc, err
+			}
 		rows:
-			for i, key := range b.Keys {
-				ts, n, err := model.EventTimeCount(key, amounts[i])
-				if err != nil {
-					return acc, err
+			for i, n := range counts[:b.Len()] {
+				var spans []span
+				if dict != nil {
+					spans = runsOf[codes[i]]
+				} else {
+					spans = byNode[sources[i]]
 				}
-				at := time.Unix(ts, 0)
-				for _, s := range byNode[sources[i]] {
+				at := time.Unix(times[i], 0)
+				for _, s := range spans {
 					if !at.Before(s.start) && at.Before(s.end) {
 						acc[s.app] += n
 						continue rows
@@ -371,7 +419,7 @@ func DistributionByAppScan(eng *compute.Engine, db *store.DB, typ model.EventTyp
 func EventSitesScan(eng *compute.Engine, db *store.DB, typ model.EventType, at time.Time, cfg ScanConfig) (map[string]int, error) {
 	return foldType(eng, db, typ, at, at.Add(time.Second), cfg, projSourceAmount,
 		newCountMap[string],
-		foldCounts(func(acc map[string]int, _, source string, n int) { countKey(acc, source, n) }),
+		foldCounts(func(source string) string { return source }, countKey),
 		mergeCountMaps[string])
 }
 
@@ -402,13 +450,16 @@ func HistogramScan(eng *compute.Engine, db *store.DB, typ model.EventType, from,
 // starting at from; later occurrences land in the last bin.
 func histFold(from time.Time, bin time.Duration, nbins int) func([]int, *store.Batch) ([]int, error) {
 	return func(acc []int, b *store.Batch) ([]int, error) {
-		amounts := b.Col(model.ColAmountID)
-		for i, key := range b.Keys {
-			ts, n, err := model.EventTimeCount(key, amounts[i])
-			if err != nil {
-				return acc, err
-			}
-			bi := int(time.Unix(ts, 0).Sub(from) / bin)
+		var counts [store.MaxBatchRows]int
+		if err := model.EventCounts(b, counts[:b.Len()]); err != nil {
+			return acc, err
+		}
+		times, err := model.EventTimes(b)
+		if err != nil {
+			return acc, err
+		}
+		for i, n := range counts[:b.Len()] {
+			bi := int(time.Unix(times[i], 0).Sub(from) / bin)
 			if bi >= nbins {
 				bi = nbins - 1
 			}

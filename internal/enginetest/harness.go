@@ -130,28 +130,36 @@ func NewTiered(tb testing.TB) *Harness {
 
 func build(tb testing.TB, scfg store.Config) *Harness {
 	tb.Helper()
+	h := attach(tb, scfg)
+	if err := ingest.Bootstrap(h.DB, h.Cfg.Nodes); err != nil {
+		tb.Fatal(err)
+	}
+	loader := ingest.NewLoader(h.DB)
+	if err := loader.LoadEvents(h.Corpus.Events); err != nil {
+		tb.Fatal(err)
+	}
+	if err := loader.LoadRuns(h.Corpus.Runs); err != nil {
+		tb.Fatal(err)
+	}
+	if err := ingest.RefreshSynopsis(h.Comp, h.DB, model.HoursIn(h.Cfg.Start, h.Cfg.Start.Add(h.Cfg.Duration)), store.Quorum); err != nil {
+		tb.Fatal(err)
+	}
+	return h
+}
+
+// attach builds a harness over whatever the store at scfg already holds
+// and loads nothing: the corpus is generated only for the cases to ask
+// about.
+func attach(tb testing.TB, scfg store.Config) *Harness {
+	tb.Helper()
 	cfg := corpusConfig()
-	corpus := logs.Generate(cfg)
 	db, err := store.OpenDurable(scfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { db.Close() })
-	if err := ingest.Bootstrap(db, cfg.Nodes); err != nil {
-		tb.Fatal(err)
-	}
-	loader := ingest.NewLoader(db)
-	if err := loader.LoadEvents(corpus.Events); err != nil {
-		tb.Fatal(err)
-	}
-	if err := loader.LoadRuns(corpus.Runs); err != nil {
-		tb.Fatal(err)
-	}
 	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
-	if err := ingest.RefreshSynopsis(eng, db, model.HoursIn(cfg.Start, cfg.Start.Add(cfg.Duration)), store.Quorum); err != nil {
-		tb.Fatal(err)
-	}
-	h := &Harness{Cfg: cfg, Corpus: corpus, DB: db, Comp: eng, StoreCfg: scfg}
+	h := &Harness{Cfg: cfg, Corpus: logs.Generate(cfg), DB: db, Comp: eng, StoreCfg: scfg}
 	h.initEngines(tb)
 	return h
 }

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -338,50 +336,5 @@ func TestPlannerEquivalenceInMemory(t *testing.T) {
 	h := New(t)
 	if _, pruned := runCorpusEquivalence(t, h); pruned != 0 {
 		t.Fatalf("in-memory engine reported %d pruned blocks", pruned)
-	}
-}
-
-// TestPlannerV2SegmentsUnpruned rewrites every on-disk segment to codec
-// v2 (no zone maps / Bloom filters), reopens, and re-runs the corpus:
-// results must stay byte-identical to the oracle with zero blocks pruned
-// — old directories answer correctly, just without the speedup.
-func TestPlannerV2SegmentsUnpruned(t *testing.T) {
-	h := NewDurable(t)
-	// Flush memtables so the data lives in segment files, then close and
-	// downgrade every segment in place.
-	if _, err := h.DB.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	h.TS.Close()
-	if err := h.DB.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs := 0
-	err := filepath.WalkDir(h.StoreCfg.Dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".seg") {
-			return err
-		}
-		segs++
-		return persist.RewriteSegment(path, persist.SegVersionV2)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if segs == 0 {
-		t.Fatal("no segment files to downgrade")
-	}
-	db, err := store.OpenDurable(h.StoreCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	h.DB = db
-	h.initEngines(t)
-	read, pruned := runCorpusEquivalence(t, h)
-	if pruned != 0 {
-		t.Fatalf("v2 segments pruned %d blocks (no statistics should exist)", pruned)
-	}
-	if read == 0 {
-		t.Fatal("v2 corpus read no blocks; segments were not exercised")
 	}
 }

@@ -548,15 +548,14 @@ func RefreshSynopsis(eng *compute.Engine, db *store.DB, hours []int64, cl store.
 				sources := make(map[string]struct{})
 				err := db.ScanPartitionBatches(context.TODO(), model.TableEventByTime, model.EventByTimeKey(hour, typ),
 					store.Range{}, project, nil, nil, func(b *store.Batch) error {
-						srcs, amounts := b.Col(model.ColSourceID), b.Col(model.ColAmountID)
-						for i, key := range b.Keys {
-							n, err := model.EventCount(key, amounts[i])
-							if err != nil {
-								return err
-							}
-							total += n
-							if _, seen := sources[srcs[i]]; !seen {
-								sources[strings.Clone(srcs[i])] = struct{}{} // the batch dies with this call
+						var counts [store.MaxBatchRows]int
+						if err := model.EventCounts(b, counts[:b.Len()]); err != nil {
+							return err
+						}
+						for i, src := range b.Col(model.ColSourceID) {
+							total += counts[i]
+							if _, seen := sources[src]; !seen {
+								sources[strings.Clone(src)] = struct{}{} // the batch dies with this call
 							}
 						}
 						rows += b.Len()

@@ -300,6 +300,51 @@ func EventCount(key, amount string) (int, error) {
 	return n, nil
 }
 
+// EventCounts sets counts[i] to the occurrence count of row i of a batch
+// of event rows that projects the amount column. Where the batch carries
+// the column as a dictionary each distinct amount is parsed once — and a
+// block's amounts are, more often than not, all "1".
+func EventCounts(b *store.Batch, counts []int) error {
+	codes, dict := b.Dict(ColAmountID)
+	if dict == nil {
+		for i, amount := range b.Col(ColAmountID) {
+			n, err := EventCount(b.Keys[i], amount)
+			if err != nil {
+				return err
+			}
+			counts[i] = n
+		}
+		return nil
+	}
+	var parsed [store.MaxBatchRows + 1]int // by code; a count is never 0
+	for i, c := range codes {
+		if parsed[c] == 0 {
+			n, err := EventCount(b.Keys[i], dict[c])
+			if err != nil {
+				return err
+			}
+			parsed[c] = n
+		}
+		counts[i] = parsed[c]
+	}
+	return nil
+}
+
+// EventTimes returns the timestamps (unix seconds) of the rows of a batch
+// of event rows.
+func EventTimes(b *store.Batch) ([]int64, error) {
+	times := b.TS()
+	for i, ts := range times {
+		if ts < 0 {
+			if _, err := store.DecodeTS(b.Keys[i]); err != nil {
+				return nil, err
+			}
+			return nil, fmt.Errorf("model: timestamp of row %q overflows", b.Keys[i])
+		}
+	}
+	return times, nil
+}
+
 // prefixedCols collects the row's columns carrying the given name prefix
 // into dst (allocated exact-size on first hit), handling both row
 // representations. Column names resolved from the dictionary are canonical

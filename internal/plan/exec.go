@@ -235,6 +235,7 @@ func (ex *Executor) streamRows(p *Plan, slices []store.Range, pruner store.Prune
 // accumulators in slice order, deterministic across parallelism levels.
 func (ex *Executor) runAggregate(p *Plan, slices []store.Range, pruner store.Pruner, stats *store.PruneStats) ([]ResultRow, error) {
 	project := p.aggColumns()
+	filter := newBatchFilter(p.Filter, project != nil)
 	tasks := make([]compute.FoldTask[*aggAcc], len(slices))
 	for i, rg := range slices {
 		tasks[i] = func(a *aggAcc) (*aggAcc, int, error) {
@@ -251,9 +252,11 @@ func (ex *Executor) runAggregate(p *Plan, slices []store.Range, pruner store.Pru
 			}
 			err := ex.DB.ScanPartitionBatches(ex.ctx(), p.Sel.Table, p.Sel.Partition, rg, project, pruner, stats,
 				func(b *store.Batch) error {
-					for i := range b.Keys {
-						if r := b.Row(i); p.Filter == nil || p.Filter.Eval(r) {
-							fold(r)
+					var sel [store.MaxBatchRows]bool
+					filter.match(b, sel[:b.Len()])
+					for i, ok := range sel[:b.Len()] {
+						if ok {
+							fold(b.Row(i))
 						}
 					}
 					return nil
@@ -268,6 +271,65 @@ func (ex *Executor) runAggregate(p *Plan, slices []store.Range, pruner store.Pru
 		return nil, err
 	}
 	return acc.rows(p.Sel.GroupBy, p.Sel.Limit), nil
+}
+
+// batchFilter is a residual filter cut for batches: the top-level
+// conjuncts on one stored column each, which are decided on the column's
+// vector — once per dictionary entry where a block stores the column so —
+// and the rest, evaluated row by row on what those leave.
+type batchFilter struct {
+	cols []colPred
+	rest Expr
+}
+
+// newBatchFilter cuts e; vectors says the batches will carry a vector for
+// every known column e names.
+func newBatchFilter(e Expr, vectors bool) batchFilter {
+	var f batchFilter
+	var rest []Expr
+	for _, c := range Conjuncts(e) {
+		if cp, ok := c.(colPred); ok && vectors && !cp.column().IsKey {
+			f.cols = append(f.cols, cp)
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	f.rest = FromConjuncts(rest)
+	return f
+}
+
+// match sets sel[i] to what the filter says of row i of b.
+func (f batchFilter) match(b *store.Batch, sel []bool) {
+	for i := range sel {
+		sel[i] = true
+	}
+	for _, cp := range f.cols {
+		col := cp.column()
+		if !col.Known { // absent everywhere
+			if !cp.matchValue("") {
+				clear(sel)
+			}
+			continue
+		}
+		if codes, dict := b.Dict(col.ID); dict != nil {
+			var ok [store.MaxBatchRows + 1]bool
+			for k, v := range dict {
+				ok[k] = cp.matchValue(v)
+			}
+			for i, c := range codes {
+				sel[i] = sel[i] && ok[c]
+			}
+			continue
+		}
+		for i, v := range b.Col(col.ID) {
+			sel[i] = sel[i] && cp.matchValue(v)
+		}
+	}
+	if f.rest != nil {
+		for i := range sel {
+			sel[i] = sel[i] && f.rest.Eval(b.Row(i))
+		}
+	}
 }
 
 // aggColumns lists the columns an aggregate plan reads — its residual

@@ -34,6 +34,14 @@ type Expr interface {
 	String() string
 }
 
+// colPred is a predicate on the value of one column: Eval of a row is
+// matchValue of its cell ("" when absent), unless the column is the key.
+type colPred interface {
+	Expr
+	column() ColRef
+	matchValue(v string) bool
+}
+
 // ColRef names a column in a predicate, with the dictionary ID resolved
 // once at parse time. The clustering key is addressed as the pseudo-column
 // "key" and evaluates against Row.Key.
@@ -190,7 +198,12 @@ func (c *Cmp) Eval(r store.Row) bool {
 	if c.Col.IsKey {
 		return cmpStrings(r.Key, c.keyLit, c.Op)
 	}
-	v := c.Col.value(r)
+	return c.matchValue(c.Col.value(r))
+}
+
+func (c *Cmp) column() ColRef { return c.Col }
+
+func (c *Cmp) matchValue(v string) bool {
 	if v == "" {
 		return false
 	}
@@ -283,7 +296,12 @@ func (in *In) Eval(r store.Row) bool {
 		}
 		return false
 	}
-	v := in.Col.value(r)
+	return in.matchValue(in.Col.value(r))
+}
+
+func (in *In) column() ColRef { return in.Col }
+
+func (in *In) matchValue(v string) bool {
 	if v == "" {
 		return false
 	}
@@ -358,13 +376,11 @@ func (l *Like) Exact() bool {
 }
 
 // Eval implements Expr.
-func (l *Like) Eval(r store.Row) bool {
-	v := l.Col.value(r)
-	if v == "" {
-		return false
-	}
-	return l.match(v)
-}
+func (l *Like) Eval(r store.Row) bool { return l.matchValue(l.Col.value(r)) }
+
+func (l *Like) column() ColRef { return l.Col }
+
+func (l *Like) matchValue(v string) bool { return v != "" && l.match(v) }
 
 func (l *Like) match(v string) bool {
 	segs := l.segs

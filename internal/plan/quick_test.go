@@ -3,9 +3,11 @@ package plan
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"hpclog/internal/store"
+	"hpclog/internal/store/persist"
 )
 
 // Random-expression property tests for the evaluator: on arbitrary
@@ -121,5 +123,65 @@ func TestPrunerNeverLies(t *testing.T) {
 					e, r.ColumnsMap())
 			}
 		}
+	}
+}
+
+// TestBatchFilterMatchesEval: on random expressions over the batches of a
+// segment — whose low-cardinality columns come as dictionaries — and of
+// the rows→Batch adapter, the batch filter says of every row what Eval
+// says of it.
+func TestBatchFilterMatchesEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	rows := make([]store.Row, 300)
+	for i := range rows {
+		rows[i] = randRow(rng)
+		rows[i].Key = store.EncodeTS(int64(i)) + rows[i].Key
+	}
+	w, err := persist.NewWriter(filepath.Join(t.TempDir(), "f.seg"), "t", "p", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	dicts := 0
+	for i := 0; i < 400; i++ {
+		p := &Plan{Filter: randExpr(rng, 2), Sel: &Select{}}
+		project := p.aggColumns()
+		filter := newBatchFilter(p.Filter, project != nil)
+		sc, err := seg.ScanBatches(store.Range{}, persist.ScanConfig{Project: project})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []persist.BatchIterator{sc, persist.BatchRows(persist.NewSliceIter(rows), project)} {
+			for b, ok := src.Next(); ok; b, ok = src.Next() {
+				var sel [store.MaxBatchRows]bool
+				filter.match(b, sel[:b.Len()])
+				for j := range b.Keys {
+					if want := p.Filter.Eval(b.Row(j)); sel[j] != want {
+						t.Fatalf("%s on row %q %v: batch filter says %v, Eval %v", p.Filter, b.Keys[j], b.Row(j).ColumnsMap(), sel[j], want)
+					}
+				}
+				for _, id := range project {
+					if _, dict := b.Dict(id); dict != nil {
+						dicts++
+					}
+				}
+			}
+			if err := src.Err(); err != nil {
+				t.Fatal(err)
+			}
+			src.Close()
+		}
+	}
+	if dicts == 0 {
+		t.Fatal("no batch carried a dictionary: the test missed the path it is for")
 	}
 }

@@ -325,20 +325,37 @@ func (in mergeInputs) openBatches(rg Range, project []uint32) (srcs []persist.Ba
 			return []persist.BatchIterator{persist.BatchRows(persist.MergeIters(its), project)}, false, nil
 		}
 	}
+	// Consecutive segments share one scanner; a run breaks the chain.
+	var segs []*persist.Segment
+	var cfgs []persist.ScanConfig
+	chain := func() error {
+		if len(segs) == 0 {
+			return nil
+		}
+		bs, err := persist.ChainBatches(rg, segs, cfgs)
+		if err == nil {
+			srcs, segs, cfgs = append(srcs, bs), nil, nil
+		}
+		return err
+	}
 	for _, sp := range spans {
-		if sp.input >= len(in.segs) {
-			rows := in.runs[sp.input-len(in.segs)]
-			srcs = append(srcs, persist.BatchRows(persist.NewSliceIter(rows), project))
+		if sp.input < len(in.segs) {
+			cfg := in.cfgs[sp.input]
+			cfg.Project = project
+			segs, cfgs = append(segs, in.segs[sp.input]), append(cfgs, cfg)
 			continue
 		}
-		cfg := in.cfgs[sp.input]
-		cfg.Project = project
-		bs, err := in.segs[sp.input].ScanBatches(rg, cfg)
-		if err != nil {
-			closeBatches(srcs)
-			return nil, false, err
+		if err = chain(); err != nil {
+			break
 		}
-		srcs = append(srcs, bs)
+		srcs = append(srcs, persist.BatchRows(persist.NewSliceIter(in.runs[sp.input-len(in.segs)]), project))
+	}
+	if err == nil {
+		err = chain()
+	}
+	if err != nil {
+		closeBatches(srcs)
+		return nil, false, err
 	}
 	return srcs, true, nil
 }

@@ -3,6 +3,7 @@
 package persist
 
 import (
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -107,5 +108,39 @@ func TestFlushRoundAllocBudget(t *testing.T) {
 	if b2-b1 > perPartBytes*parts {
 		t.Fatalf("%d more parts cost a flush round %.0f more bytes, budget %d per part: "+
 			"is every segment writer buying its own file buffer again?", parts, b2-b1, perPartBytes)
+	}
+}
+
+// TestBlockDecodeAllocBudget pins the steady state of a projected batch
+// scan of v5 segments: nothing allocated per block — the block lands in
+// the pooled buffer, keys and long values in the pooled arena, values and
+// dictionaries in the batch's own vectors — and, chained, nothing per
+// segment beyond what acquiring it takes.
+func TestBlockDecodeAllocBudget(t *testing.T) {
+	hs := hostileSegs()[0]
+	dir := t.TempDir()
+	var segs []*Segment
+	var cfgs []ScanConfig
+	project := []uint32{InternColumn("hz-source"), InternColumn("hz-amount"), InternColumn("hz-raw")}
+	for i := 0; i < 40; i++ { // the same rows over and over: a chain scan checks no keys across segments
+		hs.name = fmt.Sprintf("chain%02d", i)
+		segs, cfgs = append(segs, writeV5(t, dir, hs, uint64(i+1))), append(cfgs, ScanConfig{Project: project})
+	}
+	sc, err := ChainBatches(Range{}, segs, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	blocks := len(segs) * len(segs[0].meta.Index)
+	next := func() {
+		if b, ok := sc.Next(); !ok || b.Len() == 0 {
+			t.Fatalf("chain ended early: %v", sc.Err())
+		}
+	}
+	for i := 0; i < 2*len(segs[0].meta.Index); i++ {
+		next() // the first segments size the arena and the slots
+	}
+	if avg := testing.AllocsPerRun(blocks/2, next); avg != 0 {
+		t.Fatalf("a steady-state projected v5 block costs %.2f allocations, want 0", avg)
 	}
 }

@@ -3,63 +3,69 @@ package persist
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 )
 
-// Batch is a run of at most indexEvery consecutive rows in vector form: a
+// MaxBatchRows is the most rows a Batch holds: one segment block.
+const MaxBatchRows = indexEvery
+
+// Batch is a run of at most MaxBatchRows consecutive rows in vector form: a
 // key vector, a write-timestamp vector and either one value vector per
 // projected column or, with no projection, every cell of every row. It is
 // what the block decoder produces and what the analytics folds and the
 // planner's aggregates consume; the Row iterator is an adapter over it.
 //
-// Lifetime: a Batch, its vectors and every string reachable from them are
-// valid only until the next batch is requested from the same source (or
-// the source is closed) — the batch scan decodes in place from a pooled
-// read buffer that the next block overwrites. A consumer that keeps a
-// string past that point must strings.Clone it.
+// Lifetime: a Batch, its vectors, its dictionaries and every string
+// reachable from them are valid only until the next batch is requested
+// from the same source (or the source is closed) — the batch scan decodes
+// in place from a pooled read buffer and a key arena that the next block
+// overwrites. A consumer that keeps a string past that point must
+// strings.Clone it.
 type Batch struct {
 	// Keys holds the clustering keys, ascending.
 	Keys []string
 	// WriteTS holds the logical write timestamps, parallel to Keys.
 	WriteTS []int64
 
-	project []uint32   // projected column IDs, ascending; nil = every column
-	vals    [][]string // one vector per projected column, parallel to Keys ("" = absent)
-	cells   []Col      // unprojected: every row's cells, each row sorted by ID
-	ends    []int32    // unprojected: ends[i] is the end of row i's cells
-	rowCols []Col      // Row's scratch on a projected batch
+	ts      []int64  // TS's vector, once asked for
+	project []uint32 // projected column IDs, ascending; nil = every column
+	cols    []colVec // one per projected column: its vector parallel to Keys ("" = absent)
+	lo, hi  int      // the rows of the decoded block that the batch shows
+	cells   []Col    // unprojected: every row's cells, each row sorted by ID
+	ends    []int32  // unprojected: ends[i] is the end of row i's cells
+	rowCols []Col    // Row's scratch on a projected batch
 
 	// Storage of the fixed-size vectors, in line so that a scanner and
 	// its batch are one allocation.
 	keyBuf [indexEvery]string
+	wtsBuf [indexEvery]int64
 	tsBuf  [indexEvery]int64
 	endBuf [indexEvery]int32
 }
 
 // setProject readies the batch, in place, for rows under a projection.
 func (b *Batch) setProject(project []uint32) {
-	b.Keys, b.WriteTS, b.ends = b.keyBuf[:0], b.tsBuf[:0], b.endBuf[:0]
-	if project == nil {
-		return
+	if project != nil {
+		b.project = slices.Clone(project)
+		slices.Sort(b.project)
+		b.project = slices.Compact(b.project)
+		b.cols = make([]colVec, len(b.project))
 	}
-	b.project = slices.Clone(project)
-	slices.Sort(b.project)
-	b.project = slices.Compact(b.project)
-	b.vals = make([][]string, len(b.project))
-	for j := range b.vals {
-		b.vals[j] = make([]string, 0, indexEvery)
-	}
+	b.reset()
 }
 
 // reset empties the batch for the next block, keeping its capacity.
 func (b *Batch) reset() {
-	b.Keys, b.WriteTS = b.Keys[:0], b.WriteTS[:0]
-	b.cells, b.ends = b.cells[:0], b.ends[:0]
-	for j := range b.vals {
-		b.vals[j] = b.vals[j][:0]
+	b.Keys, b.WriteTS, b.ts, b.ends = b.keyBuf[:0], b.wtsBuf[:0], nil, b.endBuf[:0]
+	b.cells = b.cells[:0]
+	b.lo, b.hi = 0, 0
+	for j := range b.cols {
+		c := &b.cols[j]
+		c.vals, c.dict = c.vec[:0], nil
 	}
 }
 
@@ -75,10 +81,45 @@ func (b *Batch) Len() int { return len(b.Keys) }
 func (b *Batch) Col(id uint32) []string {
 	for j, p := range b.project {
 		if p == id {
-			return b.vals[j]
+			return b.cols[j].vals
 		}
 	}
 	return nil
+}
+
+// TS returns the clustering timestamps, parallel to Keys: what DecodeTS
+// reads off Keys[i], or -1 where the key carries no timestamp. The vector
+// is built on the first call, a key that shares its predecessor's
+// timestamp digits taking over its value.
+func (b *Batch) TS() []int64 {
+	if b.ts == nil {
+		b.ts = b.tsBuf[:0]
+		for i, key := range b.Keys {
+			if i > 0 && len(key) >= encodedTSLen && len(b.Keys[i-1]) >= encodedTSLen && key[:encodedTSLen] == b.Keys[i-1][:encodedTSLen] {
+				b.ts = append(b.ts, b.ts[i-1])
+			} else {
+				b.ts = append(b.ts, tsOf(key))
+			}
+		}
+	}
+	return b.ts
+}
+
+// Dict returns a projected column in dictionary form when the batch's
+// block stores it so: Col(id)[i] == dict[codes[i]], with codes parallel
+// to Keys and every distinct value of the block once in dict (an absent
+// cell codes for a trailing ""; dict may hold values no row of the batch
+// uses). It returns nil, nil for every other column and batch — a consumer
+// falls back to Col. What a fold derives from a value (a parsed number, a
+// topology location, a predicate's verdict) it can derive once per dict
+// entry instead of once per row.
+func (b *Batch) Dict(id uint32) (codes []uint8, dict []string) {
+	for j, p := range b.project {
+		if p == id && len(b.cols[j].dict) > 0 {
+			return b.cols[j].codes[b.lo:b.hi], b.cols[j].dict
+		}
+	}
+	return nil, nil
 }
 
 // Row returns row i in the compact form. On a projected batch the row
@@ -98,7 +139,7 @@ func (b *Batch) Row(i int) Row {
 	}
 	b.rowCols = b.rowCols[:0]
 	for j, id := range b.project {
-		if v := b.vals[j][i]; v != "" {
+		if v := b.cols[j].vals[i]; v != "" {
 			b.rowCols = append(b.rowCols, Col{ID: id, Value: v})
 		}
 	}
@@ -118,7 +159,7 @@ func (b *Batch) appendRow(r Row) {
 		return
 	}
 	for j, id := range b.project {
-		b.vals[j] = append(b.vals[j], r.ColID(id))
+		b.cols[j].vals = append(b.cols[j].vals, r.ColID(id))
 	}
 }
 
@@ -168,72 +209,110 @@ func (rb *rowBatcher) Close() error {
 	return rb.it.Close()
 }
 
-// blockBufPool holds the raw block read buffers, pooled across scans.
-var blockBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 32<<10); return &b }}
+// scanBufs is what a block is decoded from: the raw block as read, and the
+// arena of what front coding makes the decoder rebuild — the keys, long
+// values. Pooled across scans.
+type scanBufs struct{ block, arena []byte }
+
+var scanBufPool = sync.Pool{New: func() any { return &scanBufs{block: make([]byte, 0, 32<<10)} }}
 
 // PoisonBatches is a test hook: while set, a batch scan overwrites its
-// block buffer before reading the next block and at Close, so a consumer
-// that kept a string past the Batch lifetime sees garbage instead of
-// silently correct data.
+// block buffer and key arena before reading the next block and at Close,
+// so a consumer that kept a string past the Batch lifetime sees garbage
+// instead of silently correct data.
 var PoisonBatches atomic.Bool
 
-// BatchScanner is THE segment block decoder, and the BatchIterator over one
-// segment: it reads the segment's unpruned in-range blocks in order — off
-// the local file, or through the tier's verified block cache when the
-// segment is evicted — and walks each block's length-prefixed cells once
-// into its Batch. Rows outside rg are stepped over by their cell lengths,
-// and so are the cells of columns outside the projection.
+func unsafeString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// scanInput is one segment of a batch scan, acquired.
+type scanInput struct {
+	s     *Segment
+	cfg   ScanConfig
+	local bool // read via s.f (fenced open before any eviction)
+}
+
+// BatchScanner is THE segment block decoder, and the BatchIterator over a
+// chain of segments with disjoint key ranges: it reads each segment's
+// unpruned in-range blocks in order — off the local file, or through the
+// tier's verified block cache when the segment is evicted — and decodes
+// each into its Batch, v4 and v5 blocks alike. Of a v5 block it visits the
+// chunks of the projected columns only; in a v4 block it steps over rows
+// outside rg and cells outside the projection by their lengths.
 type BatchScanner struct {
-	s  *Segment // nil: nothing to scan
-	rg Range
+	scanInput             // the segment being scanned; s == nil between segments
+	next      []scanInput // the segments still to come
+	rg        Range
 	// lo and hi are rg as far as it can cut the block being decoded: ""
 	// where the footer already proves every key of the block inside, so
 	// interior blocks compare no keys.
 	lo, hi string
-	cfg    ScanConfig
-	local  bool // read via s.f (fenced open before any eviction)
-	block  int  // next block to read
-	buf    *[]byte
+	block  int // next block to read
+	buf    *scanBufs
 	// slots maps the segment's local column indexes to projected vector
 	// indexes (-1 = skip the cell); nil keeps every cell.
 	slots []int32
 	// owned makes every batch self-contained: the block is copied into an
-	// immutable string and the cells go to a fresh arena, so rows handed
+	// immutable string, keys and cells go to fresh arenas, so rows handed
 	// out stay valid for as long as a caller holds them (the Row adapter).
-	// Otherwise strings alias buf and die with the next block.
+	// Otherwise strings alias buf and arena and die with the next block.
 	owned bool
-	// arenaCap tracks the cell count of the largest block so far, sizing
+	// arenaCap tracks the cell count of the largest v4 block so far, sizing
 	// the next owned arena so decode does one arena allocation per block.
 	arenaCap int
-	b        Batch
-	err      error
-	closed   bool
+	// Scratch of the v5 decoder: the column directory and — unprojected —
+	// the column being transposed into cells.
+	dir    []colChunk
+	tmp    *colVec
+	b      Batch
+	err    error
+	closed bool
+	// In-line storage of next and dir for the common scan: one segment, a
+	// handful of columns per block.
+	nextBuf [1]scanInput
+	dirBuf  [12]colChunk
 }
 
-// open acquires s for a scan of rg. A segment that cannot hold keys of rg
-// leaves the scanner empty.
-func (sc *BatchScanner) open(s *Segment, rg Range, cfg ScanConfig, owned bool) error {
-	if !s.Overlaps(rg) {
-		return nil
-	}
-	local, err := s.acquire()
-	if err != nil {
-		return err
-	}
-	if len(s.meta.Blocks) == 0 {
-		cfg.Pruner = nil // v2 segment: nothing to prune on
-	}
-	sc.s, sc.rg, sc.cfg, sc.local, sc.owned = s, rg, cfg, local, owned
-	sc.block = s.startBlock(rg.From)
-	sc.buf = blockBufPool.Get().(*[]byte)
-	sc.b.setProject(cfg.Project)
-	if cfg.Project != nil {
-		sc.slots = make([]int32, len(s.colIDs))
-		for i, id := range s.colIDs {
-			sc.slots[i] = int32(slices.Index(sc.b.project, id))
+// open acquires the segments of inputs that can hold keys of rg, for a
+// scan in the order given. On error nothing stays acquired.
+func (sc *BatchScanner) open(rg Range, owned bool, segs []*Segment, cfgs []ScanConfig) error {
+	sc.rg, sc.owned = rg, owned
+	sc.next, sc.dir = sc.nextBuf[:0], sc.dirBuf[:0]
+	for i, s := range segs {
+		if !s.Overlaps(rg) {
+			continue
 		}
+		local, err := s.acquire()
+		if err != nil {
+			sc.Close()
+			return err
+		}
+		sc.next = append(sc.next, scanInput{s, cfgs[i], local})
+	}
+	if len(sc.next) > 0 {
+		sc.buf = scanBufPool.Get().(*scanBufs)
+		sc.b.setProject(cfgs[0].Project)
 	}
 	return nil
+}
+
+// advance moves on to the next segment of the chain.
+func (sc *BatchScanner) advance() bool {
+	if sc.s != nil {
+		sc.s.release(sc.local)
+		sc.s = nil
+	}
+	if len(sc.next) == 0 {
+		return false
+	}
+	sc.scanInput, sc.next = sc.next[0], sc.next[1:]
+	sc.block = sc.s.startBlock(sc.rg.From)
+	if sc.b.project != nil {
+		sc.slots = sc.slots[:0]
+		for _, id := range sc.s.colIDs {
+			sc.slots = append(sc.slots, int32(slices.Index(sc.b.project, id)))
+		}
+	}
+	return true
 }
 
 // prunable reports whether block i may be skipped: the pruner proves no
@@ -253,19 +332,20 @@ func (sc *BatchScanner) prunable(i int) bool {
 
 // fill decodes blocks until one has rows in range.
 func (sc *BatchScanner) fill() bool {
-	if sc.s == nil || sc.closed || sc.err != nil {
+	if sc.closed || sc.err != nil || sc.buf == nil { // no buffer: no segment holds keys of rg
 		return false
 	}
 	if !sc.owned && PoisonBatches.Load() {
 		sc.poison()
 	}
-	ix := sc.s.meta.Index
 	for {
-		if sc.block >= len(ix) {
+		if sc.s == nil && !sc.advance() {
 			return false
 		}
-		if sc.rg.To != "" && ix[sc.block].Key >= sc.rg.To {
-			return false // the block starts past the range
+		ix := sc.s.meta.Index
+		if sc.block >= len(ix) || sc.rg.To != "" && ix[sc.block].Key >= sc.rg.To {
+			sc.advance() // past the segment, or the block starts past the range
+			continue
 		}
 		if sc.prunable(sc.block) {
 			if sc.cfg.Stats != nil {
@@ -283,12 +363,16 @@ func (sc *BatchScanner) fill() bool {
 		if ix[blk].Key >= sc.lo {
 			sc.lo = ""
 		}
-		if bs := sc.s.meta.Blocks; sc.hi != "" && len(bs) > 0 && bs[blk].MaxKey < sc.hi {
+		if sc.hi != "" && sc.s.meta.Blocks[blk].MaxKey < sc.hi {
 			sc.hi = ""
 		}
 		data, err := sc.read(blk)
 		if err == nil {
-			err = sc.decode(data)
+			if sc.s.version == SegVersion {
+				err = sc.decode(data)
+			} else {
+				err = sc.decodeV4(data)
+			}
 		}
 		if err != nil {
 			sc.err = fmt.Errorf("persist: %s: %w", sc.s.path, err)
@@ -305,10 +389,10 @@ func (sc *BatchScanner) fill() bool {
 // owns its batches, an alias of the pooled buffer otherwise.
 func (sc *BatchScanner) read(blk int) (string, error) {
 	lo, hi := sc.s.blockBounds(blk)
-	buf := (*sc.buf)[:0]
+	buf := sc.buf.block[:0]
 	if sc.local {
 		buf = slices.Grow(buf, int(hi-lo))[:hi-lo]
-		*sc.buf = buf
+		sc.buf.block = buf
 		if _, err := sc.s.f.ReadAt(buf, lo); err != nil {
 			return "", fmt.Errorf("block read: %w", err)
 		}
@@ -326,21 +410,125 @@ func (sc *BatchScanner) read(blk int) (string, error) {
 			return s, nil
 		}
 		buf = append(buf, data...)
-		*sc.buf = buf
+		sc.buf.block = buf
 		release()
 	}
 	if sc.owned {
 		return string(buf), nil
 	}
-	// Decode in place: every key and value of the batch is a substring of
-	// the read buffer, which stays untouched until the next fill.
-	return unsafe.String(unsafe.SliceData(buf), len(buf)), nil
+	// Decode in place: every value of the batch is a substring of the read
+	// buffer, which stays untouched until the next fill.
+	return unsafeString(buf), nil
 }
 
-// decode walks one block's rows into the batch. It accepts and rejects
-// exactly what StringDec.Row does, cell by cell, whether or not the cell
-// is kept.
+// decode expands one v5 block into the batch: the keys and write
+// timestamps, cut to the range, then the chunks of the columns the scan
+// wants and no others.
 func (sc *BatchScanner) decode(blk string) error {
+	b := &sc.b
+	b.reset()
+	var v5 blockV5
+	if err := v5.parse(blk, sc.s.colIDs, sc.dir); err != nil {
+		return err
+	}
+	sc.dir = v5.cols
+	n := v5.n
+
+	// Every string rebuilt from a front coding lives in one arena, sized
+	// up front so that it never moves under the strings already in it.
+	arena := sc.buf.arena[:0]
+	if need := v5.keyBytes + v5.frontBytes; sc.owned {
+		arena = make([]byte, 0, need)
+	} else if cap(arena) < need {
+		arena = make([]byte, 0, need)
+		sc.buf.arena = arena
+	}
+	arena, err := decodeFrontCoded(v5.keys, v5.keyBytes, b.keyBuf[:n], arena)
+	if err != nil {
+		return corrupt("keys: %w", err)
+	}
+	lo, hi := 0, n
+	if sc.lo != "" {
+		for lo < n && b.keyBuf[lo] < sc.lo {
+			lo++ // before the range, behind the sparse-index seek point
+		}
+	}
+	if sc.hi != "" {
+		for hi = lo; hi < n && b.keyBuf[hi] < sc.hi; hi++ {
+		}
+	}
+	if lo == hi {
+		return nil
+	}
+	if err := decodeWriteTS(v5.wts, b.wtsBuf[:n]); err != nil {
+		return err
+	}
+	b.Keys, b.WriteTS = b.keyBuf[lo:hi], b.wtsBuf[lo:hi]
+	b.lo, b.hi = lo, hi
+
+	if sc.slots != nil {
+		for i := range v5.cols {
+			c := &v5.cols[i]
+			j := sc.slots[c.local]
+			if j < 0 || len(b.cols[j].vals) > 0 {
+				continue // of two columns under one ID the first counts, as for Row.ColID
+			}
+			if arena, err = c.decode(n, &b.cols[j], arena); err != nil {
+				return fmt.Errorf("%w (column %q)", err, sc.s.meta.ColNames[c.local])
+			}
+			b.cols[j].vals = b.cols[j].vec[lo:hi]
+		}
+		for j := range b.cols {
+			if c := &b.cols[j]; len(c.vals) == 0 { // no cell of the column in this block
+				c.vals = c.vec[lo:hi]
+				clear(c.vals)
+			}
+		}
+		return nil
+	}
+
+	// Every column: count each row's cells off the presence bitmaps, then
+	// transpose column by column in ID order, which leaves every row's
+	// cells sorted as the Row form wants them.
+	window := ^uint64(0) >> (64 - (hi - lo)) << lo
+	var at [indexEvery + 1]int32 // at[i+1]: cells of row lo+i, then where its next cell goes
+	for i := range v5.cols {
+		for m := v5.cols[i].present & window; m != 0; m &= m - 1 {
+			at[bits.TrailingZeros64(m)-lo+1]++
+		}
+	}
+	for i := 1; i <= hi-lo; i++ {
+		at[i] += at[i-1]
+		b.ends = append(b.ends, at[i])
+	}
+	if total := int(at[hi-lo]); sc.owned {
+		b.cells = make([]Col, total)
+	} else {
+		b.cells = slices.Grow(b.cells, total)[:total]
+	}
+	slices.SortStableFunc(v5.cols, func(x, y colChunk) int { return int(x.id) - int(y.id) })
+	if sc.tmp == nil {
+		sc.tmp = new(colVec)
+	}
+	for i := range v5.cols {
+		c := &v5.cols[i]
+		if arena, err = c.decode(n, sc.tmp, arena); err != nil {
+			return fmt.Errorf("%w (column %q)", err, sc.s.meta.ColNames[c.local])
+		}
+		for m := c.present & window; m != 0; m &= m - 1 {
+			row := bits.TrailingZeros64(m)
+			b.cells[at[row-lo]] = Col{ID: c.id, Value: sc.tmp.vec[row]}
+			at[row-lo]++
+		}
+	}
+	return nil
+}
+
+// decodeV4 walks the rows of one v4 block — length-prefixed cells, row
+// after row — into the batch. Of a block of at most MaxBatchRows rows it
+// accepts and rejects exactly what StringDec.Row does, cell by cell,
+// whether or not the cell is kept.
+func (sc *BatchScanner) decodeV4(blk string) error {
 	b := &sc.b
 	b.reset()
 	if sc.owned {
@@ -372,6 +560,9 @@ func (sc *BatchScanner) decode(blk string) error {
 		}
 		keep := sc.lo == "" || key >= sc.lo // else: skipping from the sparse-index seek point
 		row, start := len(b.Keys), len(b.cells)
+		if keep && row == MaxBatchRows {
+			return fmt.Errorf("persist: block of more than %d rows", MaxBatchRows)
+		}
 		for i := uint64(0); i < ncols; i++ {
 			idx, v, short := d.shortCell()
 			if !short {
@@ -390,10 +581,10 @@ func (sc *BatchScanner) decode(blk string) error {
 			}
 			if sc.slots == nil {
 				b.cells = append(b.cells, Col{ID: ids[idx], Value: v})
-			} else if j := sc.slots[idx]; j >= 0 && len(b.vals[j]) == row {
+			} else if j := sc.slots[idx]; j >= 0 && len(b.cols[j].vals) == row {
 				// The length test keeps the first of duplicate cells, as
 				// Row.ColID does.
-				b.vals[j] = append(b.vals[j], v)
+				b.cols[j].vals = append(b.cols[j].vals, v)
 			}
 		}
 		if !keep {
@@ -409,9 +600,9 @@ func (sc *BatchScanner) decode(blk string) error {
 			b.ends = append(b.ends, int32(len(b.cells)))
 			continue
 		}
-		for j, vec := range b.vals {
-			if len(vec) == row {
-				b.vals[j] = append(vec, "") // column absent from this row
+		for j := range b.cols {
+			if c := &b.cols[j]; len(c.vals) == row {
+				c.vals = append(c.vals, "") // column absent from this row
 			}
 		}
 	}
@@ -421,8 +612,8 @@ func (sc *BatchScanner) decode(blk string) error {
 	return nil
 }
 
-// shortCell decodes one cell — column index, then length-prefixed value —
-// when both varints take one byte, which is every cell but a long raw
+// shortCell decodes one v4 cell — column index, then length-prefixed value
+// — when both varints take one byte, which is every cell but a long raw
 // message; small enough to inline into the walker's inner loop.
 func (d *StringDec) shortCell() (idx uint64, v string, ok bool) {
 	s, p := d.s, d.pos
@@ -435,28 +626,38 @@ func (d *StringDec) shortCell() (idx uint64, v string, ok bool) {
 	return 0, "", false
 }
 
-// poison scribbles over the block buffer (see PoisonBatches).
+// poison scribbles over the block buffer and the arena (see
+// PoisonBatches).
 func (sc *BatchScanner) poison() {
-	buf := (*sc.buf)[:cap(*sc.buf)]
-	for i := range buf {
-		buf[i] = 0xA5
+	for _, buf := range [][]byte{sc.buf.block[:cap(sc.buf.block)], sc.buf.arena[:cap(sc.buf.arena)]} {
+		for i := range buf {
+			buf[i] = 0xA5
+		}
 	}
 }
 
-// Close releases the segment and the read buffer. It is idempotent.
+// Close releases the segments and the read buffer. It is idempotent.
 func (sc *BatchScanner) Close() error {
-	if sc.closed || sc.s == nil {
-		sc.closed = true
+	if sc.closed {
 		return nil
 	}
 	sc.closed = true
-	sc.s.release(sc.local)
+	if sc.s != nil {
+		sc.s.release(sc.local)
+	}
+	for _, in := range sc.next {
+		in.s.release(in.local)
+	}
+	sc.s, sc.next = nil, nil
+	if sc.buf == nil {
+		return nil
+	}
 	if !sc.owned && PoisonBatches.Load() {
 		sc.poison()
 	}
 	sc.b.release()
-	blockBufPool.Put(sc.buf)
-	sc.buf = nil
+	scanBufPool.Put(sc.buf)
+	sc.buf, sc.dir, sc.tmp = nil, nil, nil
 	return nil
 }
 
@@ -465,8 +666,16 @@ func (sc *BatchScanner) Close() error {
 // the configuration's Pruner proves irrelevant. Batches alias the
 // scanner's read buffer; see Batch for the lifetime contract.
 func (s *Segment) ScanBatches(rg Range, cfg ScanConfig) (*BatchScanner, error) {
+	return ChainBatches(rg, []*Segment{s}, []ScanConfig{cfg})
+}
+
+// ChainBatches is ScanBatches over several segments whose key ranges
+// within rg are disjoint, in the order given: one scanner, one batch and
+// one set of column vectors serve them all. cfgs is parallel to segs; the
+// projection is that of cfgs[0].
+func ChainBatches(rg Range, segs []*Segment, cfgs []ScanConfig) (*BatchScanner, error) {
 	sc := &BatchScanner{}
-	if err := sc.open(s, rg, cfg, false); err != nil {
+	if err := sc.open(rg, false, segs, cfgs); err != nil {
 		return nil, err
 	}
 	return sc, nil
@@ -484,14 +693,13 @@ func (sc *BatchScanner) Next() (*Batch, bool) {
 func (sc *BatchScanner) Err() error { return sc.err }
 
 // ScanPruned streams the segment's rows within rg, skipping blocks the
-// configuration's Pruner proves irrelevant. On segments without block
-// statistics (codec v2) it behaves exactly like Scan. Rows stay valid for
-// as long as the caller holds them: their strings are substrings of one
-// immutable copy of the block.
+// configuration's Pruner proves irrelevant. Rows stay valid for as long as
+// the caller holds them: their strings are substrings of one immutable
+// copy of the block, or of an arena no later block reuses.
 func (s *Segment) ScanPruned(rg Range, cfg ScanConfig) (Iterator, error) {
 	cfg.Project = nil
 	it := &segIter{}
-	if err := it.sc.open(s, rg, cfg, true); err != nil {
+	if err := it.sc.open(rg, true, []*Segment{s}, []ScanConfig{cfg}); err != nil {
 		return nil, err
 	}
 	return it, nil

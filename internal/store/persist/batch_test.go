@@ -56,22 +56,40 @@ func checkBatch(t testing.TB, b *Batch, rows []Row, project []uint32) {
 	}
 }
 
-// decodeProjected runs the block decoder over raw block bytes.
-func decodeProjected(blk string, ids, project []uint32) (*Batch, error) {
-	sc := &BatchScanner{s: &Segment{path: "fuzz", colIDs: ids}}
+// blockScanner readies a scanner to decode raw block bytes of a segment
+// with the name table ids.
+func blockScanner(ids, project []uint32) *BatchScanner {
+	sc := &BatchScanner{buf: &scanBufs{}}
+	sc.s = &Segment{path: "fuzz", colIDs: ids, meta: &footerMeta{ColNames: make([]string, len(ids))}}
 	sc.b.setProject(project)
 	if project != nil {
-		sc.slots = make([]int32, len(ids))
-		for i, id := range ids {
-			sc.slots[i] = int32(slices.Index(sc.b.project, id))
+		for _, id := range ids {
+			sc.slots = append(sc.slots, int32(slices.Index(sc.b.project, id)))
 		}
 	}
-	return &sc.b, sc.decode(blk)
+	return sc
+}
+
+// rawBlocks returns the bytes of every block of seg.
+func rawBlocks(t testing.TB, seg *Segment) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for i := range seg.meta.Index {
+		lo, hi := seg.blockBounds(i)
+		blk := make([]byte, hi-lo)
+		if _, err := seg.f.ReadAt(blk, lo); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, blk)
+	}
+	return out
 }
 
 // FuzzDecodeBlockProjected: on arbitrary block bytes the block decoder —
 // with every projection of a small column table, including none and all —
-// accepts exactly what StringDec.Row accepts and yields the same cells.
+// reads a v4 block exactly as StringDec.Row does, accepting and rejecting
+// the same bytes, and reads a v5 block under a projection as it reads it
+// whole, never taking more arena than 64 times the block.
 func FuzzDecodeBlockProjected(f *testing.F) {
 	ids := []uint32{InternColumn("fz-a"), InternColumn("fz-b"), InternColumn("fz-c"), InternColumn("fz-a")}
 	var tb colTableEnc
@@ -85,10 +103,44 @@ func FuzzDecodeBlockProjected(f *testing.F) {
 	f.Add([]byte("\x01k\x02\x02\x00\x01a\x03\x01b"), uint8(0b001)) // columns 0 and 3 share an ID
 	f.Add([]byte("\x01k\x02\x01\x09\x00"), uint8(0))               // unknown column index
 	f.Add([]byte{}, uint8(0))
+	// v5 blocks in every encoding, over the same three names: constant,
+	// 4-bit and 8-bit dictionary, plain, front-coded, sparse.
+	var rows []Row
+	for i := 0; i < indexEvery+5; i++ {
+		cols := []Col{{ID: ids[0], Value: "x"}, {ID: ids[1], Value: fmt.Sprint(i % 20)}}
+		if i%3 > 0 {
+			cols = append(cols, Col{ID: ids[2], Value: strings.Repeat("long shared head ", 2) + fmt.Sprint(i*i)})
+		}
+		if i > indexEvery {
+			cols[1].Value = fmt.Sprint(i % 2)
+		}
+		rows = append(rows, Row{Key: EncodeTS(int64(i)) + ":k", WriteTS: int64(i * 3 % 7), cols: cols})
+	}
+	w, err := NewWriter(filepath.Join(f.TempDir(), "seed.seg"), "t", "p", 1)
+	if err == nil {
+		err = w.SetZoneColumns([]string{})
+	}
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range rows {
+		if err := w.Append(r); err != nil {
+			f.Fatal(err)
+		}
+	}
+	seg, err := w.Finish()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, blk := range rawBlocks(f, seg) {
+		f.Add(blk, uint8(0b110))
+		f.Add(blk[:len(blk)/2], uint8(0b011))
+	}
+	seg.Close()
+
 	f.Fuzz(func(t *testing.T, data []byte, mask uint8) {
 		blk := string(data)
-		want, wantErr := refBlock(blk, ids)
-		projections := [][]uint32{nil, {}}
+		projections := [][]uint32{{}}
 		var p []uint32
 		for j, id := range ids[:3] {
 			if mask&(1<<j) != 0 {
@@ -99,14 +151,41 @@ func FuzzDecodeBlockProjected(f *testing.F) {
 			slices.Reverse(p)
 		}
 		projections = append(projections, p)
-		for _, project := range projections {
-			b, err := decodeProjected(blk, ids, project)
+
+		want, wantErr := refBlock(blk, ids)
+		if wantErr == nil && len(want) > MaxBatchRows {
+			wantErr = fmt.Errorf("%d rows", len(want))
+		}
+		for _, project := range append(projections, nil) {
+			sc := blockScanner(ids, project)
+			b, err := &sc.b, sc.decodeV4(blk)
 			if (err != nil) != (wantErr != nil) {
-				t.Fatalf("projection %v: err = %v, StringDec.Row says %v", project, err, wantErr)
+				t.Fatalf("v4, projection %v: err = %v, StringDec.Row says %v", project, err, wantErr)
 			}
 			if err == nil {
 				checkBatch(t, b, want, project)
 			}
+		}
+
+		whole := blockScanner(ids, nil)
+		wholeErr := whole.decode(blk)
+		var rows []Row
+		for i := 0; wholeErr == nil && i < whole.b.Len(); i++ {
+			rows = append(rows, whole.b.Row(i))
+		}
+		for _, project := range projections {
+			sc := blockScanner(ids, project)
+			err := sc.decode(blk)
+			if cap(sc.buf.arena) > 64*len(data) {
+				t.Fatalf("a %d-byte block made the decoder take a %d-byte arena", len(data), cap(sc.buf.arena))
+			}
+			if wholeErr != nil {
+				continue // the damage may sit in a chunk the projection hops over
+			}
+			if err != nil {
+				t.Fatalf("v5, projection %v: %v, though the whole block decodes", project, err)
+			}
+			checkBatch(t, &sc.b, rows, project)
 		}
 	})
 }

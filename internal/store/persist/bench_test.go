@@ -130,6 +130,47 @@ func BenchmarkSegmentScanBatches(b *testing.B) {
 	}
 }
 
+// BenchmarkScanBatches holds the two block decoders side by side: the
+// event-shaped fixture as the v4 writer left it and re-encoded as v5,
+// batch-scanned whole, for a heat map's two columns, and for the raw text.
+// Run at -benchtime 1x by `make bench-smoke`, so neither reader can rot.
+func BenchmarkScanBatches(b *testing.B) {
+	hs := hostileSegs()[0]
+	projections := []struct {
+		name    string
+		project []uint32
+	}{
+		{"all", nil},
+		{"source+amount", []uint32{InternColumn("hz-source"), InternColumn("hz-amount")}},
+		{"raw", []uint32{InternColumn("hz-raw")}},
+	}
+	for _, gen := range []struct {
+		name string
+		seg  *Segment
+	}{{"v4", openV4(b, hs)}, {"v5", writeV5(b, b.TempDir(), hs, 1)}} {
+		for _, p := range projections {
+			b.Run(gen.name+"/"+p.name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(gen.seg.meta.DataLen)
+				for i := 0; i < b.N; i++ {
+					sc, err := gen.seg.ScanBatches(Range{}, ScanConfig{Project: p.project})
+					if err != nil {
+						b.Fatal(err)
+					}
+					n := 0
+					for batch, ok := sc.Next(); ok; batch, ok = sc.Next() {
+						n += batch.Len()
+					}
+					if err := sc.Err(); err != nil || n != len(hs.rows) {
+						b.Fatalf("scanned %d of %d rows: %v", n, len(hs.rows), err)
+					}
+					sc.Close()
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkRowsBlockCodec measures the commitlog record body codec: encode
 // writes each distinct column name once per unit, decode resolves IDs with
 // zero-copy values.

@@ -1,0 +1,711 @@
+package persist
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+)
+
+// Codec v5 block body. A block is the run of at most indexEvery rows
+// between two sparse-index offsets; v5 stores it column by column, every
+// chunk behind its length, so a reader hops over what it does not want:
+//
+//	uvarint nrows
+//	chunk   keys     uvarint total key bytes | per row: uvarint shared-prefix
+//	                 length with the previous key, uvarint suffix length, suffix
+//	chunk   writeTS  mode byte | varint first | wtsDeltas: varint delta per
+//	                 further row; wtsStride: the one varint delta of them all
+//	uvarint ncols    columns with at least one cell in the block
+//	per column, by ascending index into the segment's name table:
+//	    uvarint name index | tag byte | chunk
+//
+// where chunk = uvarint length | bytes. A column chunk opens with an 8-byte
+// little-endian presence bitmap when its tag carries encSparse (bit i set:
+// row i has the cell — an explicit empty value is a present cell), and then
+// holds the present cells in row order in the tag's encoding:
+//
+//	encConst  uvarint len | value                          every cell alike
+//	encDict4  uvarint n | n × (uvarint len | value) | 4-bit codes, low nibble first
+//	encDict8  the same with one code byte per cell
+//	encPlain  uvarint len per cell | the values back to back
+//	encFront  uvarint total value bytes | per cell: uvarint shared-prefix
+//	          length with the previous cell, uvarint suffix length, suffix
+const (
+	encConst = iota
+	encDict4
+	encDict8
+	encPlain
+	encFront
+	encKinds
+
+	encMask   = 0x07
+	encSparse = 0x08
+
+	wtsDeltas = 0
+	wtsStride = 1
+
+	// dict4Max is the largest dictionary 4-bit codes can address.
+	dict4Max = 16
+	// frontMinMean is the mean cell length from which a column may be
+	// front-coded: rebuilding a value in the arena costs a copy that short
+	// strings do not repay.
+	frontMinMean = 24
+)
+
+// Presence bitmaps and dictionary codes are sized for blocks of at most 64
+// rows.
+var _ [64 - indexEvery]struct{}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+func commonPrefix(a, b string) int {
+	n := min(len(a), len(b))
+	i := 0
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// appendChunk appends chunk behind its length.
+func appendChunk(b, chunk []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(chunk)))
+	return append(b, chunk...)
+}
+
+// appendFrontCoded appends vals front-coded, each against its predecessor.
+func appendFrontCoded(b []byte, total int, vals []string) []byte {
+	b = binary.AppendUvarint(b, uint64(total))
+	prev := ""
+	for _, v := range vals {
+		p := commonPrefix(prev, v)
+		b = binary.AppendUvarint(b, uint64(p))
+		b = binary.AppendUvarint(b, uint64(len(v)-p))
+		b = append(b, v[p:]...)
+		prev = v
+	}
+	return b
+}
+
+// blockEnc buffers the rows of the block a Writer is building and holds
+// the scratch its encoding needs; it lives in the writer's pooled scratch.
+type blockEnc struct {
+	rows  []Row
+	cols  []encCol // the block's columns, in order of first appearance
+	slot  []int32  // name-table index -> index into cols + 1 (0: not in this block)
+	dense []string // present cells of the column being encoded
+	set   valueSet
+	chunk []byte
+}
+
+// encCol is one column of the block: vals[i] is row i's cell where bit i
+// of present is set.
+type encCol struct {
+	local   int
+	id      uint32
+	present uint64
+	vals    []string
+}
+
+// valueSet finds the distinct values of one column of one block: an
+// open-addressing table over a hash of each value's length and ends, so an
+// all-distinct column costs a probe per cell and not a search.
+type valueSet struct {
+	table  [2 * indexEvery]uint8 // 0 = empty, else entry index + 1
+	hashes [indexEvery]uint32
+	vals   [indexEvery]string // distinct values, in order of first appearance
+	counts [indexEvery]int32
+	codes  [indexEvery]uint8 // per cell: index of its value
+	n      int
+}
+
+func endsHash(v string) uint32 {
+	var a, b uint64
+	if n := len(v); n >= 8 {
+		a, b = le64(v), le64(v[n-8:])
+	} else {
+		for i := 0; i < n; i++ {
+			a = a<<8 | uint64(v[i])
+		}
+	}
+	h := (a^uint64(len(v))*0x9E3779B97F4A7C15)*0xff51afd7ed558ccd ^ b*0xc4ceb9fe1a85ec53
+	return uint32(h >> 32)
+}
+
+// fill indexes cells (at most indexEvery of them).
+func (s *valueSet) fill(cells []string) {
+	clear(s.table[:])
+	s.n = 0
+	for k, v := range cells {
+		h := endsHash(v)
+		i := h % uint32(len(s.table))
+		for {
+			e := s.table[i]
+			if e == 0 {
+				s.table[i] = uint8(s.n + 1)
+				s.hashes[s.n], s.vals[s.n], s.counts[s.n] = h, v, 1
+				s.codes[k] = uint8(s.n)
+				s.n++
+				break
+			}
+			if s.hashes[e-1] == h && s.vals[e-1] == v {
+				s.counts[e-1]++
+				s.codes[k] = e - 1
+				break
+			}
+			if i++; i == uint32(len(s.table)) {
+				i = 0
+			}
+		}
+	}
+}
+
+// encodeBlock encodes the buffered rows as one v5 block into w.buf,
+// returning it with the bounds of the rows' write timestamps, and feeds
+// the block's Bloom filter and zone maps (w.bb, w.zones) once per distinct
+// value of each column. The rows are dropped.
+func (w *Writer) encodeBlock() (blk []byte, minWTS, maxWTS int64) {
+	e := &w.enc
+	rows := e.rows
+	n := len(rows)
+	out := binary.AppendUvarint(w.buf[:0], uint64(n))
+
+	total := 0
+	e.dense = e.dense[:0]
+	for _, r := range rows {
+		total += len(r.Key)
+		e.dense = append(e.dense, r.Key)
+	}
+	e.chunk = appendFrontCoded(e.chunk[:0], total, e.dense)
+	out = appendChunk(out, e.chunk)
+
+	first := rows[0].WriteTS
+	minWTS, maxWTS = first, first
+	stride, strided := int64(0), n > 1
+	if strided {
+		stride = rows[1].WriteTS - first
+	}
+	for i := 1; i < n; i++ {
+		ts := rows[i].WriteTS
+		minWTS, maxWTS = min(minWTS, ts), max(maxWTS, ts)
+		strided = strided && ts-rows[i-1].WriteTS == stride
+	}
+	chunk := e.chunk[:0]
+	if strided {
+		chunk = binary.AppendVarint(binary.AppendVarint(append(chunk, wtsStride), first), stride)
+	} else {
+		chunk = binary.AppendVarint(append(chunk, wtsDeltas), first)
+		for i := 1; i < n; i++ {
+			chunk = binary.AppendVarint(chunk, rows[i].WriteTS-rows[i-1].WriteTS)
+		}
+	}
+	out = appendChunk(out, chunk)
+	e.chunk = chunk
+
+	// Transpose the rows' cells into columns.
+	e.cols = e.cols[:0]
+	for i, r := range rows {
+		for _, c := range r.cols {
+			li := w.tb.localIdx(c)
+			if li >= len(e.slot) {
+				e.slot = append(e.slot, make([]int32, li+1-len(e.slot))...)
+			}
+			si := e.slot[li]
+			if si == 0 {
+				if len(e.cols) < cap(e.cols) {
+					e.cols = e.cols[:len(e.cols)+1] // with the vals of an earlier block's column
+				} else {
+					e.cols = append(e.cols, encCol{})
+				}
+				si = int32(len(e.cols))
+				e.slot[li] = si
+				col := &e.cols[si-1]
+				col.local, col.id, col.present = li, c.ID, 0
+				if col.vals == nil {
+					col.vals = make([]string, indexEvery)
+				}
+			}
+			col := &e.cols[si-1]
+			if col.present&(1<<i) == 0 { // of duplicate cells the first counts, as for Row.ColID
+				col.present |= 1 << i
+				col.vals[i] = c.Value
+			}
+		}
+	}
+	for i := 1; i < len(e.cols); i++ { // near-sorted: new names get the next index
+		for j := i; j > 0 && e.cols[j].local < e.cols[j-1].local; j-- {
+			e.cols[j], e.cols[j-1] = e.cols[j-1], e.cols[j]
+		}
+	}
+	out = binary.AppendUvarint(out, uint64(len(e.cols)))
+	for i := range e.cols {
+		col := &e.cols[i]
+		out = w.encodeCol(out, col, n)
+		e.slot[col.local] = 0
+		clear(col.vals) // the scratch outlives the block; pin no row
+	}
+	clear(rows)
+	e.rows = rows[:0]
+	w.buf = out
+	return out, minWTS, maxWTS
+}
+
+// encodeCol appends one column of an n-row block in whichever encoding is
+// smallest, and feeds the column's distinct values to the block statistics.
+func (w *Writer) encodeCol(out []byte, col *encCol, n int) []byte {
+	e := &w.enc
+	cells := e.dense[:0]
+	for m := col.present; m != 0; m &= m - 1 {
+		cells = append(cells, col.vals[bits.TrailingZeros64(m)])
+	}
+	e.dense = cells
+	set := &e.set
+	set.fill(cells)
+	w.noteColumn(col, set)
+
+	total, plain := 0, 0
+	for _, v := range cells {
+		total += len(v)
+		plain += uvarintLen(uint64(len(v)))
+	}
+	plain += total
+	enc, size := encPlain, plain
+	if set.n == 1 {
+		enc = encConst
+	} else {
+		dict, codes := uvarintLen(uint64(set.n)), encDict8
+		for _, v := range set.vals[:set.n] {
+			dict += uvarintLen(uint64(len(v))) + len(v)
+		}
+		if dict += len(cells); set.n <= dict4Max {
+			dict, codes = dict-len(cells)/2, encDict4
+		}
+		if dict <= plain {
+			enc, size = codes, dict
+		}
+		if total >= frontMinMean*len(cells) {
+			front := uvarintLen(uint64(total))
+			prev := ""
+			for _, v := range cells {
+				p := commonPrefix(prev, v)
+				front += uvarintLen(uint64(p)) + uvarintLen(uint64(len(v)-p)) + len(v) - p
+				prev = v
+			}
+			if front < size {
+				enc = encFront
+			}
+		}
+	}
+
+	tag := byte(enc)
+	chunk := e.chunk[:0]
+	if len(cells) < n {
+		tag |= encSparse
+		chunk = binary.LittleEndian.AppendUint64(chunk, col.present)
+	}
+	appendValue := func(v string) {
+		chunk = binary.AppendUvarint(chunk, uint64(len(v)))
+		chunk = append(chunk, v...)
+	}
+	switch enc {
+	case encConst:
+		appendValue(cells[0])
+	case encDict4, encDict8:
+		chunk = binary.AppendUvarint(chunk, uint64(set.n))
+		for _, v := range set.vals[:set.n] {
+			appendValue(v)
+		}
+		codes := set.codes[:len(cells)]
+		if enc == encDict8 {
+			chunk = append(chunk, codes...)
+			break
+		}
+		for k := 0; k < len(codes); k += 2 {
+			c := codes[k]
+			if k+1 < len(codes) {
+				c |= codes[k+1] << 4
+			}
+			chunk = append(chunk, c)
+		}
+	case encPlain:
+		for _, v := range cells {
+			chunk = binary.AppendUvarint(chunk, uint64(len(v)))
+		}
+		for _, v := range cells {
+			chunk = append(chunk, v...)
+		}
+	case encFront:
+		chunk = appendFrontCoded(chunk, total, cells)
+	}
+	e.chunk = chunk
+	out = binary.AppendUvarint(out, uint64(col.local))
+	out = append(out, tag)
+	return appendChunk(out, chunk)
+}
+
+// noteColumn folds one column's distinct values into the block's Bloom
+// filter and, for a hot column, its zone map — once per value, weighted by
+// the cells that carry it. Empty values are skipped: the statistics
+// describe what a predicate can match.
+func (w *Writer) noteColumn(col *encCol, set *valueSet) {
+	var z *ColZone
+	for zi, id := range w.zoneIDs {
+		if id == col.id {
+			z = &w.zones[zi]
+		}
+	}
+	seed := bloomSeed(w.tb.names[col.local])
+	for k, v := range set.vals[:set.n] {
+		if v == "" {
+			continue
+		}
+		cells := int(set.counts[k])
+		w.bb.add(bloomHashFrom(seed, v))
+		w.bb.cells += cells
+		if z == nil {
+			continue
+		}
+		if z.Cells == 0 || v < z.MinVal {
+			z.MinVal = v
+		}
+		if z.Cells == 0 || v > z.MaxVal {
+			z.MaxVal = v
+		}
+		z.Cells += cells
+		if f, ok := ParseNum(v); ok {
+			if z.NumCells == 0 || f < z.MinNum {
+				z.MinNum = f
+			}
+			if z.NumCells == 0 || f > z.MaxNum {
+				z.MaxNum = f
+			}
+			z.NumCells += cells
+		}
+	}
+}
+
+// colChunk is one column of a v5 block as its directory describes it.
+type colChunk struct {
+	id      uint32 // dictionary ID of the column
+	local   uint32 // index into the segment's name table
+	enc     byte
+	cells   int    // present cells
+	present uint64 // bit i: row i carries the column
+	body    string // the encoded cells
+	total   int    // encFront: bytes the rebuilt values take
+}
+
+// blockV5 is a parsed v5 block: the row count, the two fixed chunks and
+// the column directory.
+type blockV5 struct {
+	n          int
+	keys, wts  string
+	keyBytes   int        // bytes the rebuilt keys take
+	frontBytes int        // and the values of every front-coded column
+	cols       []colChunk // ascending name-table index
+}
+
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("persist: v5 block: "+format, args...)
+}
+
+// frontHeader splits a front-coded chunk of n strings into the byte total
+// it declares and the coded strings. A string is at most as long as all
+// suffixes together, which bounds what a corrupt total can make a reader
+// allocate.
+func frontHeader(chunk string, n int) (total int, body string, err error) {
+	d := StringDec{s: chunk}
+	t, err := d.Uvarint()
+	if err != nil {
+		return 0, "", err
+	}
+	if t > uint64(n)*uint64(len(chunk)) {
+		return 0, "", fmt.Errorf("%d bytes declared for %d strings in a %d-byte chunk", t, n, len(chunk))
+	}
+	return int(t), chunk[d.pos:], nil
+}
+
+// parse reads the block's header and column directory, resolving name
+// indexes through ids; dir is the directory's storage, reused.
+func (b *blockV5) parse(blk string, ids []uint32, dir []colChunk) error {
+	d := StringDec{s: blk}
+	n, err := d.Uvarint()
+	if err != nil {
+		return corrupt("row count: %w", err)
+	}
+	if n == 0 || n > indexEvery {
+		return corrupt("%d rows", n)
+	}
+	b.n = int(n)
+	keys, err := d.String()
+	if err == nil {
+		b.keyBytes, b.keys, err = frontHeader(keys, b.n)
+	}
+	if err != nil {
+		return corrupt("key chunk: %w", err)
+	}
+	if b.wts, err = d.String(); err != nil {
+		return corrupt("write-ts chunk: %w", err)
+	}
+	ncols, err := d.Uvarint()
+	if err != nil {
+		return corrupt("column count: %w", err)
+	}
+	if ncols > uint64(len(ids)) {
+		return corrupt("%d columns with a name table of %d", ncols, len(ids))
+	}
+	b.cols, b.frontBytes = dir[:0], 0
+	all := ^uint64(0) >> (64 - n)
+	for i := 0; i < int(ncols); i++ {
+		local, err := d.Uvarint()
+		if err != nil {
+			return corrupt("column %d: %w", i, err)
+		}
+		if local >= uint64(len(ids)) {
+			return corrupt("column %d references unknown column id %d (table has %d)", i, local, len(ids))
+		}
+		if i > 0 && uint32(local) <= b.cols[i-1].local {
+			return corrupt("column %d: name index %d not ascending", i, local)
+		}
+		if d.Rest() == 0 {
+			return corrupt("column %d: truncated", i)
+		}
+		tag := d.s[d.pos]
+		d.pos++
+		c := colChunk{id: ids[local], local: uint32(local), enc: tag & encMask, present: all}
+		if c.enc >= encKinds || tag&^(encMask|encSparse) != 0 {
+			return corrupt("column %d: unknown tag %#x", i, tag)
+		}
+		if c.body, err = d.String(); err != nil {
+			return corrupt("column %d chunk: %w", i, err)
+		}
+		if tag&encSparse != 0 {
+			if len(c.body) < 8 {
+				return corrupt("column %d: truncated presence bitmap", i)
+			}
+			c.present, c.body = le64(c.body), c.body[8:]
+			if c.present == 0 || c.present&^all != 0 {
+				return corrupt("column %d: presence bitmap %#x for %d rows", i, c.present, n)
+			}
+		}
+		c.cells = bits.OnesCount64(c.present)
+		if c.enc == encFront {
+			if c.total, c.body, err = frontHeader(c.body, c.cells); err != nil {
+				return corrupt("column %d: %w", i, err)
+			}
+			b.frontBytes += c.total
+		}
+		b.cols = append(b.cols, c)
+	}
+	if d.Rest() != 0 {
+		return corrupt("%d trailing bytes", d.Rest())
+	}
+	return nil
+}
+
+// decodeFrontCoded rebuilds len(dst) front-coded strings of total bytes at
+// the end of arena, which has room for them, and returns the arena
+// extended; the strings alias it.
+func decodeFrontCoded(body string, total int, dst []string, arena []byte) ([]byte, error) {
+	d := StringDec{s: body}
+	end := len(arena) + total
+	prev := ""
+	for i := range dst {
+		var shared, slen uint64
+		if s, p := d.s, d.pos; p+1 < len(s) && s[p] < 0x80 && s[p+1] < 0x80 {
+			shared, slen, d.pos = uint64(s[p]), uint64(s[p+1]), p+2 // both lengths in one byte each
+		} else {
+			var err error
+			if shared, err = d.Uvarint(); err == nil {
+				slen, err = d.Uvarint()
+			}
+			if err != nil {
+				return arena, err
+			}
+		}
+		if shared > uint64(len(prev)) || slen > uint64(d.Rest()) || uint64(len(arena))+shared+slen > uint64(end) {
+			return arena, fmt.Errorf("front-coded string %d: prefix %d of %d, suffix %d of %d", i, shared, len(prev), slen, d.Rest())
+		}
+		start := len(arena)
+		arena = append(arena, prev[:shared]...)
+		arena = append(arena, d.s[d.pos:d.pos+int(slen)]...)
+		d.pos += int(slen)
+		prev = unsafeString(arena[start:])
+		dst[i] = prev
+	}
+	if d.Rest() != 0 || len(arena) != end {
+		return arena, fmt.Errorf("front-coded strings end %d bytes early with %d bytes unread", end-len(arena), d.Rest())
+	}
+	return arena, nil
+}
+
+// tsOf is DecodeTS without the error: -1 where key carries no timestamp.
+func tsOf(key string) int64 {
+	if len(key) < encodedTSLen {
+		return -1
+	}
+	var ts int64
+	for i := 0; i < encodedTSLen; i++ {
+		c := key[i] - '0'
+		if c > 9 {
+			return -1
+		}
+		ts = ts*10 + int64(c)
+	}
+	return ts
+}
+
+// decodeWriteTS decodes the write-timestamp chunk into dst, one per row.
+func decodeWriteTS(chunk string, dst []int64) error {
+	if chunk == "" {
+		return corrupt("empty write-ts chunk")
+	}
+	d := StringDec{s: chunk, pos: 1}
+	ts, err := d.Varint()
+	if err != nil {
+		return corrupt("write-ts: %w", err)
+	}
+	dst[0] = ts
+	switch chunk[0] {
+	case wtsStride:
+		stride, err := d.Varint()
+		if err != nil {
+			return corrupt("write-ts stride: %w", err)
+		}
+		for i := 1; i < len(dst); i++ {
+			ts += stride
+			dst[i] = ts
+		}
+	case wtsDeltas:
+		for i := 1; i < len(dst); i++ {
+			delta, err := d.Varint()
+			if err != nil {
+				return corrupt("write-ts of row %d: %w", i, err)
+			}
+			ts += delta
+			dst[i] = ts
+		}
+	default:
+		return corrupt("unknown write-ts mode %d", chunk[0])
+	}
+	if d.Rest() != 0 {
+		return corrupt("%d trailing write-ts bytes", d.Rest())
+	}
+	return nil
+}
+
+// colVec is one column of a batch and where a decoded column lands:
+// vec[i] is row i's value ("" where the row has no cell). For a constant or
+// dictionary column of a v5 block, dict holds the distinct values — behind
+// them one "" if some row has no cell — and codes[i] indexes row i's; dict
+// is empty otherwise. The arrays are in line: a batch's columns are one
+// allocation.
+type colVec struct {
+	vals  []string // the rows of vec the batch shows
+	dict  []string // over dictBuf
+	vec   [indexEvery]string
+	codes [indexEvery]uint8
+
+	dictBuf [indexEvery + 1]string
+}
+
+// decode expands column c of an n-row block into v. Front-coded values are
+// rebuilt in arena, which has room for them; the rest alias the block.
+func (c *colChunk) decode(n int, v *colVec, arena []byte) ([]byte, error) {
+	d := StringDec{s: c.body}
+	vec, cells := v.vec[:n], c.cells
+	v.dict = v.dictBuf[:0]
+	switch c.enc {
+	case encConst, encDict4, encDict8:
+		nd := uint64(1)
+		if c.enc != encConst {
+			var err error
+			if nd, err = d.Uvarint(); err != nil {
+				return arena, corrupt("dictionary size: %w", err)
+			}
+			if nd == 0 || nd > uint64(cells) {
+				return arena, corrupt("dictionary of %d values for %d cells", nd, cells)
+			}
+		}
+		for k := uint64(0); k < nd; k++ {
+			s, err := d.String()
+			if err != nil {
+				return arena, corrupt("dictionary value %d: %w", k, err)
+			}
+			v.dict = append(v.dict, s)
+		}
+		codes, packed, want := v.codes[:cells], d.s[d.pos:], 0
+		switch c.enc {
+		case encDict8:
+			want = cells
+		case encDict4:
+			want = (cells + 1) / 2
+		}
+		if len(packed) != want {
+			return arena, corrupt("%d code bytes for %d cells", len(packed), cells)
+		}
+		switch c.enc {
+		case encConst:
+			clear(codes)
+		case encDict8:
+			copy(codes, packed)
+		case encDict4:
+			for k := range codes {
+				codes[k] = packed[k/2] >> (k % 2 * 4) & 0x0f
+			}
+		}
+		for k, code := range codes {
+			if uint64(code) >= nd {
+				return arena, corrupt("code %d beyond a dictionary of %d", code, nd)
+			}
+			vec[k] = v.dict[code]
+		}
+	case encPlain:
+		// Lengths first: the value bytes start where the last length ends.
+		var lens [indexEvery]int
+		sum := 0
+		for k := 0; k < cells; k++ {
+			l, err := d.Uvarint()
+			if err != nil {
+				return arena, corrupt("value length: %w", err)
+			}
+			if l > uint64(len(c.body)) {
+				return arena, corrupt("value of %d bytes in a %d-byte chunk", l, len(c.body))
+			}
+			lens[k] = int(l)
+			sum += int(l)
+		}
+		if sum != d.Rest() {
+			return arena, corrupt("%d value bytes where the lengths say %d", d.Rest(), sum)
+		}
+		pos := d.pos
+		for k, l := range lens[:cells] {
+			vec[k] = d.s[pos : pos+l]
+			pos += l
+		}
+	case encFront:
+		var err error
+		if arena, err = decodeFrontCoded(c.body, c.total, vec[:cells], arena); err != nil {
+			return arena, corrupt("%w", err)
+		}
+	}
+	if cells == n {
+		return arena, nil
+	}
+	// Spread the cells, decoded densely, over the rows that carry them;
+	// back to front, so that no cell is overwritten before it moves.
+	absent := uint8(len(v.dict))
+	if absent > 0 {
+		v.dict = append(v.dict, "")
+	}
+	k := cells
+	for i := n - 1; i >= 0; i-- {
+		if c.present&(1<<i) != 0 {
+			k--
+			vec[i], v.codes[i] = vec[k], v.codes[k]
+		} else {
+			vec[i], v.codes[i] = "", absent
+		}
+	}
+	return arena, nil
+}

@@ -4,7 +4,7 @@ import (
 	"sync/atomic"
 )
 
-// Block statistics (codec v3). Every segment block (one sparse-index
+// Block statistics. Every segment block (one sparse-index
 // stride, up to indexEvery rows) carries a zone map — the block's key and
 // WriteTS bounds plus per-column min/max for a configurable hot set — and
 // a Bloom filter over the block's (column name, value) cells. Scans that
@@ -73,8 +73,8 @@ func (b *BlockStats) Zone(id uint32) *ColZone {
 
 // MayContain reports whether the block may hold a cell whose
 // BloomHash is (h1, h2). False means definitely absent — equality
-// predicates prune on it. Blocks written without a filter (or before
-// codec v3) report true for everything.
+// predicates prune on it. Blocks written without a filter report true for
+// everything.
 func (b *BlockStats) MayContain(h1, h2 uint64) bool { return b.bloom.has(h1, h2) }
 
 // Pruner decides from a block's statistics whether a scan may skip the
@@ -147,37 +147,49 @@ func (f bloom) has(h1, h2 uint64) bool {
 // filters. Pruners hash their literals once at plan time and probe each
 // block with the two halves.
 func BloomHash(name, value string) (h1, h2 uint64) {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	return bloomHashFrom(bloomSeed(name), value)
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// bloomSeed is the state of BloomHash after the column name, from which
+// bloomHashFrom hashes any number of the column's values.
+func bloomSeed(name string) uint64 {
+	h := uint64(fnvOffset64)
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])
-		h *= prime64
+		h *= fnvPrime64
 	}
 	h ^= 0xff // separator outside both alphabets
-	h *= prime64
+	return h * fnvPrime64
+}
+
+func bloomHashFrom(h uint64, value string) (h1, h2 uint64) {
 	for i := 0; i < len(value); i++ {
 		h ^= uint64(value[i])
-		h *= prime64
+		h *= fnvPrime64
 	}
 	// Mix the upper half down for the second probe stride; force it odd so
 	// the probe sequence visits distinct bits.
 	return h, (h>>33 | h<<31) | 1
 }
 
-// bloomBuilder accumulates cell hashes for one block and encodes the
-// filter once the cell count is known.
+// bloomBuilder accumulates the cell hashes of one block — each distinct
+// cell once — and encodes the filter, sized by the number of cells hashed
+// or not, once that is known.
 type bloomBuilder struct {
 	hashes [][2]uint64
+	cells  int
 }
 
 func (bb *bloomBuilder) add(h1, h2 uint64) {
 	bb.hashes = append(bb.hashes, [2]uint64{h1, h2})
 }
 
-func (bb *bloomBuilder) reset() { bb.hashes = bb.hashes[:0] }
+func (bb *bloomBuilder) reset() { bb.hashes, bb.cells = bb.hashes[:0], 0 }
 
 // build encodes the filter and resets the builder.
 func (bb *bloomBuilder) build() bloom {
@@ -185,10 +197,7 @@ func (bb *bloomBuilder) build() bloom {
 		bb.reset()
 		return bloom{}
 	}
-	mbits := len(bb.hashes) * bloomBitsPerCell
-	if mbits < bloomMinBits {
-		mbits = bloomMinBits
-	}
+	mbits := max(bb.cells*bloomBitsPerCell, bloomMinBits)
 	mbits = (mbits + 7) &^ 7
 	bits := make([]byte, mbits/8)
 	m := uint64(mbits)

@@ -9,16 +9,14 @@ import (
 // writeStatsSegment writes rows where column "grp" cycles through g0..g3
 // per block of 64 rows and "amount" ascends, so zone maps differ sharply
 // between blocks.
-func writeStatsSegment(t *testing.T, path string, version int, nRows int) *Segment {
+func writeStatsSegment(t *testing.T, path string, nRows int) *Segment {
 	t.Helper()
-	w, err := NewWriterVersion(path, "events", "p", 1, version)
+	w, err := NewWriter(path, "events", "p", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if version >= SegVersion {
-		if err := w.SetZoneColumns([]string{"grp", "amount"}); err != nil {
-			t.Fatal(err)
-		}
+	if err := w.SetZoneColumns([]string{"grp", "amount"}); err != nil {
+		t.Fatal(err)
 	}
 	for i := 0; i < nRows; i++ {
 		r := MakeRow(EncodeTS(int64(1000+i)), int64(i+1), []Col{
@@ -40,7 +38,7 @@ func writeStatsSegment(t *testing.T, path string, version int, nRows int) *Segme
 
 func TestBlockStatsRoundTrip(t *testing.T) {
 	const nRows = 4*indexEvery + 17
-	seg := writeStatsSegment(t, filepath.Join(t.TempDir(), "a.seg"), SegVersion, nRows)
+	seg := writeStatsSegment(t, filepath.Join(t.TempDir(), "a.seg"), nRows)
 	blocks := seg.meta.Blocks
 	if len(blocks) != len(seg.meta.Index) {
 		t.Fatalf("%d blocks for %d index entries", len(blocks), len(seg.meta.Index))
@@ -91,7 +89,7 @@ func TestBlockStatsRoundTrip(t *testing.T) {
 	// written must report Cells == 0 — it is the strongest prune signal.
 	seg2 := func() *Segment {
 		path := filepath.Join(t.TempDir(), "b.seg")
-		w, err := NewWriterVersion(path, "events", "p", 2, SegVersion)
+		w, err := NewWriter(path, "events", "p", 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +129,7 @@ func (p zonePruner) PruneBlock(b *BlockStats) bool {
 
 func TestScanPrunedSkipsAndStaysExact(t *testing.T) {
 	const nRows = 8 * indexEvery
-	seg := writeStatsSegment(t, filepath.Join(t.TempDir(), "a.seg"), SegVersion, nRows)
+	seg := writeStatsSegment(t, filepath.Join(t.TempDir(), "a.seg"), nRows)
 	grpID := InternColumn("grp")
 
 	collect := func(it Iterator) []Row {
@@ -198,55 +196,6 @@ func TestScanPrunedSkipsAndStaysExact(t *testing.T) {
 	all := collect(it2)
 	if len(all) != nRows || stats2.BlocksPruned.Load() != 0 {
 		t.Fatalf("shadowed scan: %d rows, %d pruned", len(all), stats2.BlocksPruned.Load())
-	}
-}
-
-// TestSegmentV2Compat: v2 files written by NewWriterVersion read back
-// exactly, scan unpruned (no block stats), and upgrade in place via
-// RewriteSegment.
-func TestSegmentV2Compat(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "a.seg")
-	const nRows = 3 * indexEvery
-	segV2 := writeStatsSegment(t, path, SegVersionV2, nRows)
-	if len(segV2.meta.Blocks) != 0 {
-		t.Fatalf("v2 segment decoded %d block stats", len(segV2.meta.Blocks))
-	}
-	var stats PruneStats
-	it, err := segV2.ScanPruned(Range{}, ScanConfig{Pruner: zonePruner{InternColumn("grp"), "nope"}, Stats: &stats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		_, ok := it.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	it.Close()
-	if n != nRows || stats.BlocksPruned.Load() != 0 {
-		t.Fatalf("v2 pruned scan: %d rows, %d pruned (want all rows, 0 pruned)", n, stats.BlocksPruned.Load())
-	}
-	if err := segV2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Upgrade in place; zone maps appear and rows survive bit-for-bit.
-	if err := RewriteSegment(path, SegVersion); err != nil {
-		t.Fatal(err)
-	}
-	segV3, err := OpenSegment(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer segV3.Close()
-	if len(segV3.meta.Blocks) != len(segV3.meta.Index) {
-		t.Fatalf("upgraded segment has %d block stats for %d blocks", len(segV3.meta.Blocks), len(segV3.meta.Index))
-	}
-	if segV3.Rows() != nRows || segV3.Seq() != 1 || segV3.Table() != "events" {
-		t.Fatalf("upgrade changed identity: %d rows seq %d", segV3.Rows(), segV3.Seq())
 	}
 }
 

@@ -5,11 +5,12 @@ import (
 	"fmt"
 )
 
-// Binary row codec (v2) shared by segment files and commitlog record
-// payloads. Column names are never repeated per row: every encoding unit
-// (one commitlog put record, one segment file) carries a name table — each
-// distinct column name written once — and rows reference table-local
-// indexes. Within a unit, one row encodes as:
+// Binary row codec of commitlog record payloads and of the blocks of v4
+// segment files (v5 blocks are columnar, see block.go). Column names are
+// never repeated per row: every encoding unit (one commitlog put record,
+// one segment file) carries a name table — each distinct column name
+// written once — and rows reference table-local indexes. Within a unit,
+// one row encodes as:
 //
 //	uvarint len(Key)     | Key bytes
 //	varint  WriteTS
@@ -22,9 +23,9 @@ import (
 //	uvarint nNames | per name: uvarint len(name) | name bytes
 //
 // Commitlog put records carry the table inline before the rows (the batch
-// is known up front); segment files accumulate it while streaming rows and
-// store it in the footer, so a reader seeking into the middle of a segment
-// still resolves every column.
+// is known up front); segment files accumulate it while streaming blocks
+// and store it in the footer, so a reader seeking into the middle of a
+// segment still resolves every column.
 //
 // Decoding works over an immutable string: the decoder converts the unit's
 // bytes to a string once and every key and value is a zero-copy substring,
@@ -47,27 +48,29 @@ const maxCols = 1 << 20
 // The zero value is ready to use.
 type colTableEnc struct {
 	names []string
-	local map[uint32]int // global Dict ID -> local index
+	ids   []uint32 // the Dict ID of each name
+	local []int32  // Dict ID -> local index + 1 (0: not in the table)
 }
 
 func (t *colTableEnc) reset() {
-	t.names = t.names[:0]
+	t.names, t.ids = t.names[:0], t.ids[:0]
 	clear(t.local)
 }
 
 // localIdx returns the unit-local index for the column, assigning the next
 // one on first use.
 func (t *colTableEnc) localIdx(c Col) int {
-	if i, ok := t.local[c.ID]; ok {
-		return i
+	if int(c.ID) < len(t.local) {
+		if i := t.local[c.ID]; i > 0 {
+			return int(i) - 1
+		}
+	} else {
+		t.local = append(t.local, make([]int32, int(c.ID)+1-len(t.local))...)
 	}
-	if t.local == nil {
-		t.local = make(map[uint32]int, 8)
-	}
-	i := len(t.names)
 	t.names = append(t.names, defaultDict.Name(c.ID))
-	t.local[c.ID] = i
-	return i
+	t.ids = append(t.ids, c.ID)
+	t.local[c.ID] = int32(len(t.names))
+	return len(t.names) - 1
 }
 
 // appendColTable appends the name-table encoding.

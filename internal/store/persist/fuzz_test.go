@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"hpclog/internal/objstore"
 )
 
 // FuzzRowCodec round-trips structured rows derived from the fuzz input
@@ -86,31 +88,41 @@ func FuzzSegmentFooter(f *testing.F) {
 		DataLen: 100, DataCRC: 0xdeadbeef,
 		ColNames: []string{"amount", "source"},
 		Index:    []IndexEntry{{Key: "a", Off: 8}},
+		Blocks: []BlockStats{{MinKey: "a", MaxKey: "b", MinWriteTS: 3, MaxWriteTS: 9, Rows: 2,
+			Zones: []ColZone{{ID: 1, MinVal: "x", MaxVal: "y", Cells: 2, NumCells: 1, MinNum: 4, MaxNum: 4}},
+			bloom: bloom{bits: "\x01\x02\x03\x04\x05\x06\x07\x08", k: bloomHashes}}},
+		Leaves: make([][objstore.HashLen]byte, 1),
 	}
-	f.Add(appendFooter(nil, &meta, SegVersionV2, nil))
+	f.Add(appendFooter(nil, &meta, []int{1}))
 	f.Add([]byte(""))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The v3 decoder must never panic on arbitrary bytes (the block
-		// statistics section adds plenty of length-prefixed structure).
-		if m3, err := decodeFooter(data, SegVersion); err == nil {
-			if m3.Rows < 0 || m3.DataLen < 0 {
-				t.Fatalf("decoded nonsense counts from %x: %+v", data, m3)
-			}
-		}
-		m, err := decodeFooter(data, SegVersionV2)
+		m, err := decodeFooter(data)
 		if err != nil {
 			return
 		}
 		if m.Rows < 0 || m.DataLen < 0 {
 			t.Fatalf("decoded nonsense counts from %x: %+v", data, m)
 		}
-		round := appendFooter(nil, m, SegVersionV2, nil)
-		m2, err := decodeFooter(round, SegVersionV2)
+		// Zone IDs are still name-table indexes here, as on disk.
+		zoneLocal := []int{}
+		if len(m.Blocks) > 0 {
+			for _, z := range m.Blocks[0].Zones {
+				zoneLocal = append(zoneLocal, int(z.ID))
+			}
+		}
+		for _, b := range m.Blocks {
+			if len(b.Zones) != len(zoneLocal) {
+				return // only a writer's footer zones every block alike
+			}
+		}
+		round := appendFooter(nil, m, zoneLocal)
+		m2, err := decodeFooter(round)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded footer failed: %v", err)
 		}
-		if m2.Table != m.Table || m2.Rows != m.Rows || len(m2.Index) != len(m.Index) {
+		if m2.Table != m.Table || m2.Rows != m.Rows || len(m2.Index) != len(m.Index) ||
+			len(m2.Blocks) != len(m.Blocks) || len(m2.Leaves) != len(m.Leaves) {
 			t.Fatalf("footer round trip mismatch: %+v vs %+v", m, m2)
 		}
 	})
@@ -130,8 +142,10 @@ func TestFooterRoundTrip(t *testing.T) {
 			{Key: "0000000000000001500:m", Off: 4096},
 			{Key: "0000000000000001900:x", Off: 10240},
 		},
+		Blocks: make([]BlockStats, 3),
+		Leaves: make([][objstore.HashLen]byte, 3),
 	}
-	got, err := decodeFooter(appendFooter(nil, &meta, SegVersionV2, nil), SegVersionV2)
+	got, err := decodeFooter(appendFooter(nil, &meta, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func writeTestSegment(t *testing.T, path string, rows []Row) *Segment {
 	return seg
 }
 
-func drain(t *testing.T, it Iterator) []Row {
+func drain(t testing.TB, it Iterator) []Row {
 	t.Helper()
 	defer it.Close()
 	var out []Row

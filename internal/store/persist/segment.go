@@ -20,50 +20,44 @@ import (
 	"hpclog/internal/objstore"
 )
 
-// Segment file layout (codec v3):
+// Segment file layout (codec v5):
 //
-//	header  : "HPSEG003" (8 bytes)
-//	data    : rows in clustering-key order, binary row codec v2
+//	header  : "HPSEG005" (8 bytes)
+//	data    : blocks of at most indexEvery rows in clustering-key order,
+//	          each stored column by column (see block.go)
 //	footer  : binary footerMeta (own deterministic codec, no gob)
-//	trailer : u32 footerLen | u32 crc32(footer) | "HPSEGFT3" (8 bytes)
+//	trailer : u32 footerLen | u32 crc32(footer) | "HPSEGFT4" (8 bytes)
 //
 // The footer carries the partition identity, the key and time ranges used
-// for scan pruning, the segment's column-name table (rows reference
+// for scan pruning, the segment's column-name table (blocks reference
 // table-local indexes instead of repeating name strings), a sparse
 // clustering-key index (one entry every indexEvery rows) used to seek
-// near Range.From, a CRC of the data region, and — new in v3 — per-block
-// statistics: a zone map (key/WriteTS bounds, per-column min/max for the
-// writer's hot set) and a Bloom filter over the block's column cells (see
-// blockstats.go). Files are written to a temporary name and renamed into
-// place, so a segment either exists completely or not at all — torn
-// writes are the commitlog's problem, never the segment store's.
+// near Range.From, a CRC of the data region, per-block statistics — a zone
+// map (key/WriteTS bounds, per-column min/max for the writer's hot set)
+// and a Bloom filter over the block's column cells (see blockstats.go) —
+// and one Merkle leaf per block. Files are written to a temporary name and
+// renamed into place, so a segment either exists completely or not at all
+// — torn writes are the commitlog's problem, never the segment store's.
 //
-// The sparse index doubles as the block structure of the file: an index
-// entry starts every indexEvery rows, so consecutive entries delimit
-// blocks of exactly indexEvery rows (the final block may be short). Scans
-// read and decode one block at a time into pooled buffers — one read, one
-// buffer→string conversion, and one column arena per 64 rows instead of
-// per-row allocations. BlockStats[i] describes exactly the block starting
-// at Index[i].
+// The sparse index is the block structure of the file: consecutive entries
+// delimit blocks of exactly indexEvery rows (the final block may be
+// short), and BlockStats[i] and Leaves[i] describe exactly the block
+// starting at Index[i]. Scans read and decode one block at a time.
 //
-// Codec v2 files (header "HPSEG002", same data region, footer without
-// block statistics) remain fully readable: they scan correctly but offer
-// nothing to prune on. RewriteSegment upgrades them in place. Files
-// written before codec v2 (header "HPSEG001", gob footer) are rejected at
-// open with a clear error naming the version mismatch; re-ingest the data
-// or read it with a pre-v2 build.
+// There is one writer generation and two reader generations. A codec v4
+// file (header "HPSEG004") has the same footer and trailer — the trailer's
+// magic names the footer's format, which v5 did not change — and the same
+// block boundaries; only the bytes of a block differ (a run of
+// length-prefixed rows, codec.go's row encoding). v4 files stay readable,
+// resident or tiered, and ordinary compaction rewrites them as v5. Files
+// of codecs v1–v3 are refused at open with ErrVersion.
 const (
-	segHeader    = "HPSEG004"
-	segHeaderV3  = "HPSEG003"
-	segHeaderV2  = "HPSEG002"
-	segHeaderV1  = "HPSEG001"
-	segTrailer   = "HPSEGFT4"
-	segTrailerV3 = "HPSEGFT3"
-	segTrailerV2 = "HPSEGFT2"
-	segTrailerV1 = "HPSEGFT1"
-	trailerLen   = 4 + 4 + 8
-	indexEvery   = 64
-	segFileExt   = ".seg"
+	segHeader   = "HPSEG005"
+	segHeaderV4 = "HPSEG004"
+	segTrailer  = "HPSEGFT4"
+	trailerLen  = 4 + 4 + 8
+	indexEvery  = 64
+	segFileExt  = ".seg"
 	// segStubExt marks the footer stub left behind when a segment's data
 	// is evicted to the object store: header + footer + trailer, no data
 	// region. Parsed exactly like a segment at open, so zone maps, Blooms,
@@ -73,16 +67,11 @@ const (
 	maxFooterLen = 256 << 20
 )
 
-// Segment codec versions accepted by NewWriterVersion.
+// Segment codec generations: the one written, and the one before it, still
+// read.
 const (
-	// SegVersionV2 writes the pre-pruning format: no block statistics.
-	SegVersionV2 = 2
-	// SegVersionV3 adds per-block zone maps and Bloom filters.
-	SegVersionV3 = 3
-	// SegVersion is the current format: v3 plus a Merkle leaf array over
-	// the data blocks, enabling verified reads after the data region is
-	// evicted to the object store.
-	SegVersion = 4
+	SegVersion   = 5
+	segVersionV4 = 4
 )
 
 // IndexEntry is one sparse-index sample: the clustering key of a row and
@@ -100,8 +89,8 @@ type footerMeta struct {
 	Rows      int
 	MinKey    string
 	MaxKey    string
-	// MinTS/MaxTS are the clustering-time bounds (via DecodeTS) of the
-	// rows, or 0 when keys do not carry timestamps. Scans prune on the key
+	// MinTS/MaxTS are the clustering-time bounds (DecodeTS of MinKey and
+	// MaxKey), or 0 when keys do not carry timestamps. Scans prune on the key
 	// range; the time range is surfaced for observability.
 	MinTS      int64
 	MaxTS      int64
@@ -110,22 +99,21 @@ type footerMeta struct {
 	DataCRC    uint32
 	ColNames   []string // the segment's column-name table
 	Index      []IndexEntry
-	// Blocks holds per-block statistics, parallel to Index (codec v3;
-	// empty on v2 files). Zone IDs are segment-local name-table indexes on
-	// disk, remapped to process-wide dictionary IDs at open.
+	// Blocks holds per-block statistics, parallel to Index. Zone IDs are
+	// segment-local name-table indexes on disk, remapped to process-wide
+	// dictionary IDs at open.
 	Blocks []BlockStats
 	// Leaves holds the Merkle leaf hash of each data block, parallel to
-	// Index (codec v4; empty on older files). The leaves live in the
-	// footer so they stay resident after eviction; a fetched block is
-	// verified leaf-then-proof against the manifest-pinned root.
+	// Index. The leaves live in the footer so they stay resident after
+	// eviction; a fetched block is verified leaf-then-proof against the
+	// manifest-pinned root.
 	Leaves [][objstore.HashLen]byte
 }
 
 // appendFooter encodes the footer with the package's own codec —
-// deterministic, compact, and no encoding/gob dependency. version selects
-// whether the v3 block-statistics section is written; zoneLocal maps each
-// block's Zones (parallel slices) to name-table indexes.
-func appendFooter(b []byte, m *footerMeta, version int, zoneLocal []int) []byte {
+// deterministic, compact, and no encoding/gob dependency. zoneLocal maps
+// each block's Zones (parallel slices) to name-table indexes.
+func appendFooter(b []byte, m *footerMeta, zoneLocal []int) []byte {
 	appendStr := func(s string) {
 		b = binary.AppendUvarint(b, uint64(len(s)))
 		b = append(b, s...)
@@ -150,9 +138,6 @@ func appendFooter(b []byte, m *footerMeta, version int, zoneLocal []int) []byte 
 		b = binary.AppendUvarint(b, uint64(e.Off-prev))
 		prev = e.Off
 	}
-	if version < SegVersionV3 {
-		return b
-	}
 	b = binary.AppendUvarint(b, uint64(len(m.Blocks)))
 	for i := range m.Blocks {
 		blk := &m.Blocks[i]
@@ -176,9 +161,6 @@ func appendFooter(b []byte, m *footerMeta, version int, zoneLocal []int) []byte 
 		b = binary.AppendUvarint(b, uint64(blk.bloom.k))
 		appendStr(blk.bloom.bits)
 	}
-	if version < SegVersion {
-		return b
-	}
 	b = binary.AppendUvarint(b, uint64(len(m.Leaves)))
 	for i := range m.Leaves {
 		b = append(b, m.Leaves[i][:]...)
@@ -187,7 +169,7 @@ func appendFooter(b []byte, m *footerMeta, version int, zoneLocal []int) []byte 
 }
 
 // decodeFooter reverses appendFooter.
-func decodeFooter(fb []byte, version int) (*footerMeta, error) {
+func decodeFooter(fb []byte) (*footerMeta, error) {
 	d := NewStringDec(string(fb))
 	m := &footerMeta{}
 	var err error
@@ -280,9 +262,6 @@ func decodeFooter(fb []byte, version int) (*footerMeta, error) {
 		}
 		m.Index[i] = IndexEntry{Key: k, Off: prev}
 	}
-	if version < SegVersionV3 {
-		return m, nil
-	}
 	nBlocks, err := d.Uvarint()
 	if err != nil {
 		return nil, fail("blocks", err)
@@ -368,9 +347,6 @@ func decodeFooter(fb []byte, version int) (*footerMeta, error) {
 		}
 		blk.bloom = bloom{bits: bits, k: uint32(k)}
 	}
-	if version < SegVersion {
-		return m, nil
-	}
 	nLeaves, err := d.Uvarint()
 	if err != nil {
 		return nil, fail("merkle leaves", err)
@@ -414,54 +390,53 @@ func (d *StringDec) Uint64LE() (uint64, error) {
 	if d.Rest() < 8 {
 		return 0, io.ErrUnexpectedEOF
 	}
-	s := d.s[d.pos : d.pos+8]
 	d.pos += 8
+	return le64(d.s[d.pos-8:]), nil
+}
+
+// le64 reads the first 8 bytes of s, little-endian.
+func le64(s string) uint64 {
+	_ = s[7]
 	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56, nil
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Writer streams sorted rows into a new segment file. Rows must be
 // appended in strictly ascending clustering-key order (the memtable and
-// the compaction merge both produce that order).
+// the compaction merge both produce that order), and — a block is encoded
+// when it is full, not row by row — must stay untouched until the append
+// that follows their block's last row, or seal, returns.
 type Writer struct {
 	path string   // final name; written as path+segTempExt until its round commits
 	f    *os.File // the temp file
 	*writerScratch
-	crc     uint32
-	off     int64
-	meta    footerMeta
-	sinceIx int
-	done    bool
-	version int
+	crc  uint32
+	off  int64
+	meta footerMeta
+	done bool
 	// size and colIDs are set by seal: the file's length and the name
 	// table's local index → dictionary ID mapping, what open needs beside
 	// meta to stand in for a parse of the file.
 	size   int64
 	colIDs []uint32
 
-	// Block-statistics accumulation (version >= SegVersionV3).
-	zoneIDs   []uint32 // hot columns with per-block zone maps, sorted by ID
-	zoneNames []string // parallel to zoneIDs
-	blk       blockAcc
+	zoneIDs []uint32  // hot columns with per-block zone maps, sorted by ID
+	zones   []ColZone // the zone maps of the block under construction, parallel to zoneIDs
 }
 
 // writerScratch is the buffer space a Writer borrows from scratchPool for
 // its lifetime, so a round of N segments allocates it once per worker and
-// not once per segment: the 64 KiB file buffer, the row and footer
-// encoding buffer, the name table, the block's Bloom hashes and the leaf
-// hasher.
+// not once per segment: the 64 KiB file buffer, the block and footer
+// encoding buffer, the block under construction, the name table, the
+// block's Bloom hashes and the leaf hasher.
 type writerScratch struct {
-	bw  *bufio.Writer
-	buf []byte
-	tb  colTableEnc
-	bb  bloomBuilder
-	// leafH accumulates the Merkle leaf of the block being written
-	// (version >= SegVersion): seeded with objstore.LeafDomain, fed every
-	// encoded row, summed at each block boundary. The incremental sum
-	// equals objstore.HashBlock(block bytes), which is what verified
-	// fetches recompute.
+	bw    *bufio.Writer
+	buf   []byte
+	enc   blockEnc
+	tb    colTableEnc
+	bb    bloomBuilder
 	leafH hash.Hash
 }
 
@@ -469,72 +444,37 @@ var scratchPool = sync.Pool{New: func() any {
 	return &writerScratch{bw: bufio.NewWriterSize(nil, 64<<10), leafH: sha256.New()}
 }}
 
-// blockAcc accumulates the statistics of the block being written.
-type blockAcc struct {
-	rows           int
-	maxKey         string
-	minWTS, maxWTS int64
-	zones          []ColZone // parallel to Writer.zoneIDs
-}
-
 // NewWriter creates a segment writer targeting path (written via a
-// temporary file until its round commits), at the current codec version.
+// temporary file until its round commits).
 func NewWriter(path, table, pkey string, seq uint64) (*Writer, error) {
-	return NewWriterVersion(path, table, pkey, seq, SegVersion)
-}
-
-// NewWriterVersion creates a segment writer at an explicit codec version:
-// SegVersion (the default) records per-block zone maps and Bloom filters;
-// SegVersionV2 writes the pre-pruning format. The legacy version exists
-// for compatibility tests and for tooling that round-trips old
-// directories (see RewriteSegment).
-func NewWriterVersion(path, table, pkey string, seq uint64, version int) (*Writer, error) {
-	header := segHeader
-	switch version {
-	case SegVersion:
-	case SegVersionV3:
-		header = segHeaderV3
-	case SegVersionV2:
-		header = segHeaderV2
-	default:
-		return nil, fmt.Errorf("persist: unsupported segment codec version %d", version)
-	}
 	f, err := os.Create(path + segTempExt)
 	if err != nil {
 		return nil, fmt.Errorf("persist: create segment: %w", err)
 	}
 	w := &Writer{
 		path: path, f: f, writerScratch: scratchPool.Get().(*writerScratch),
-		meta:    footerMeta{Table: table, Partition: pkey, Seq: seq},
-		version: version,
+		meta: footerMeta{Table: table, Partition: pkey, Seq: seq},
 	}
 	w.bw.Reset(f)
 	w.tb.reset()
-	w.leafH.Reset()
-	w.leafH.Write(objstore.LeafDomain)
-	if version >= SegVersionV3 {
-		w.setZoneColumnNames(DefaultZoneColumns)
-	}
-	if _, err := w.bw.WriteString(header); err != nil {
+	w.setZoneColumnNames(DefaultZoneColumns)
+	if _, err := w.bw.WriteString(segHeader); err != nil {
 		w.discard()
 		return nil, err
 	}
-	w.off = int64(len(header))
-	w.crc = crc32.Update(0, crcTable, []byte(header))
-	w.sinceIx = indexEvery // force an index entry for the first row
+	w.off = int64(len(segHeader))
+	w.crc = crc32.Update(0, crcTable, []byte(segHeader))
 	return w, nil
 }
 
 // SetZoneColumns replaces the hot set of columns receiving per-block
 // min/max zone maps (default DefaultZoneColumns). Must be called before
-// the first Append; a no-op on legacy-version writers.
+// the first Append.
 func (w *Writer) SetZoneColumns(names []string) error {
 	if w.meta.Rows > 0 {
 		return fmt.Errorf("persist: SetZoneColumns after Append")
 	}
-	if w.version >= SegVersionV3 {
-		w.setZoneColumnNames(names)
-	}
+	w.setZoneColumnNames(names)
 	return nil
 }
 
@@ -543,129 +483,60 @@ func (w *Writer) setZoneColumnNames(names []string) {
 	for _, n := range names {
 		w.zoneIDs = append(w.zoneIDs, defaultDict.Intern(n))
 	}
-	sortIDs(w.zoneIDs)
-	w.zoneNames = make([]string, len(w.zoneIDs))
-	for i, id := range w.zoneIDs {
-		w.zoneNames[i] = defaultDict.Name(id)
-	}
-	w.blk.zones = make([]ColZone, len(w.zoneIDs))
+	slices.Sort(w.zoneIDs)
+	w.zones = make([]ColZone, len(w.zoneIDs))
 	w.resetBlock()
 }
 
-// sortIDs sorts a small ID slice in place (insertion sort, no allocs),
-// dropping duplicates is not needed — Intern never issues duplicates for
-// distinct names and duplicate names in the hot set are harmless.
-func sortIDs(ids []uint32) {
-	for i := 1; i < len(ids); i++ {
-		v := ids[i]
-		j := i - 1
-		for j >= 0 && ids[j] > v {
-			ids[j+1] = ids[j]
-			j--
-		}
-		ids[j+1] = v
-	}
-}
-
 func (w *Writer) resetBlock() {
-	w.blk.rows = 0
-	w.blk.maxKey = ""
-	w.blk.minWTS, w.blk.maxWTS = 0, 0
-	for i := range w.blk.zones {
-		w.blk.zones[i] = ColZone{ID: w.zoneIDs[i]}
+	for i := range w.zones {
+		w.zones[i] = ColZone{ID: w.zoneIDs[i]}
 	}
 	w.bb.reset()
 }
 
-// finishBlock clones the accumulated block statistics into the footer.
-// The min/max strings are cloned because the accumulator references cell
-// values owned by the caller (compaction feeds values that alias decoded
-// blocks of the inputs); the footer must not pin them.
-func (w *Writer) finishBlock() {
-	if w.version < SegVersionV3 || w.blk.rows == 0 {
-		return
+// finishBlock encodes and writes the buffered rows as one block and files
+// its offset's companions in the footer: the Merkle leaf and the block
+// statistics. The statistics' strings are cloned because the rows and the
+// zone maps reference values owned by the caller (compaction feeds values
+// that alias decoded blocks of the inputs); the footer must not pin them.
+func (w *Writer) finishBlock() error {
+	if len(w.enc.rows) == 0 {
+		return nil
 	}
-	if w.version >= SegVersion {
-		var leaf [objstore.HashLen]byte
-		w.leafH.Sum(leaf[:0])
-		w.meta.Leaves = append(w.meta.Leaves, leaf)
-		w.leafH.Reset()
-		w.leafH.Write(objstore.LeafDomain)
-	}
+	rows := w.enc.rows
 	bs := BlockStats{
-		MaxKey:     strings.Clone(w.blk.maxKey),
-		MinWriteTS: w.blk.minWTS,
-		MaxWriteTS: w.blk.maxWTS,
-		Rows:       w.blk.rows,
-		Zones:      make([]ColZone, len(w.blk.zones)),
-		bloom:      w.bb.build(),
+		MinKey: w.meta.Index[len(w.meta.Index)-1].Key,
+		MaxKey: strings.Clone(rows[len(rows)-1].Key),
+		Rows:   len(rows),
+		Zones:  make([]ColZone, len(w.zones)),
 	}
-	for i, z := range w.blk.zones {
+	var blk []byte
+	blk, bs.MinWriteTS, bs.MaxWriteTS = w.encodeBlock()
+	if _, err := w.bw.Write(blk); err != nil {
+		return err
+	}
+	w.crc = crc32.Update(w.crc, crcTable, blk)
+	w.off += int64(len(blk))
+	var leaf [objstore.HashLen]byte
+	w.leafH.Reset()
+	w.leafH.Write(objstore.LeafDomain)
+	w.leafH.Write(blk)
+	w.leafH.Sum(leaf[:0])
+	w.meta.Leaves = append(w.meta.Leaves, leaf)
+	for i, z := range w.zones {
 		z.MinVal = strings.Clone(z.MinVal)
 		z.MaxVal = strings.Clone(z.MaxVal)
 		bs.Zones[i] = z
 	}
-	// MinKey mirrors the index entry that opened the block.
-	bs.MinKey = w.meta.Index[len(w.meta.Index)-1].Key
+	bs.bloom = w.bb.build()
 	w.meta.Blocks = append(w.meta.Blocks, bs)
 	w.resetBlock()
+	return nil
 }
 
-// noteRow folds one row into the current block's statistics.
-func (w *Writer) noteRow(r Row) {
-	if w.version < SegVersionV3 {
-		return
-	}
-	b := &w.blk
-	if b.rows == 0 {
-		b.minWTS, b.maxWTS = r.WriteTS, r.WriteTS
-	} else {
-		if r.WriteTS < b.minWTS {
-			b.minWTS = r.WriteTS
-		}
-		if r.WriteTS > b.maxWTS {
-			b.maxWTS = r.WriteTS
-		}
-	}
-	b.rows++
-	b.maxKey = r.Key
-	// Rows are compact here (Append compacts first): cols sorted by ID.
-	// Merge-scan against the sorted zone set while filling the Bloom
-	// filter with every non-empty cell.
-	zi := 0
-	for _, c := range r.Cols() {
-		if c.Value == "" {
-			continue // absent for the expression engine; keep stats aligned
-		}
-		h1, h2 := BloomHash(defaultDict.Name(c.ID), c.Value)
-		w.bb.add(h1, h2)
-		for zi < len(w.zoneIDs) && w.zoneIDs[zi] < c.ID {
-			zi++
-		}
-		if zi >= len(w.zoneIDs) || w.zoneIDs[zi] != c.ID {
-			continue
-		}
-		z := &b.zones[zi]
-		if z.Cells == 0 || c.Value < z.MinVal {
-			z.MinVal = c.Value
-		}
-		if z.Cells == 0 || c.Value > z.MaxVal {
-			z.MaxVal = c.Value
-		}
-		z.Cells++
-		if n, ok := ParseNum(c.Value); ok {
-			if z.NumCells == 0 || n < z.MinNum {
-				z.MinNum = n
-			}
-			if z.NumCells == 0 || n > z.MaxNum {
-				z.MaxNum = n
-			}
-			z.NumCells++
-		}
-	}
-}
-
-// Append writes one row.
+// Append adds one row to the block under construction, writing the block
+// before it out if that one is full.
 func (w *Writer) Append(r Row) error {
 	if w.done {
 		return fmt.Errorf("persist: append after Finish")
@@ -673,36 +544,19 @@ func (w *Writer) Append(r Row) error {
 	if w.meta.Rows > 0 && r.Key <= w.meta.MaxKey {
 		return fmt.Errorf("persist: rows out of order: %q after %q", r.Key, w.meta.MaxKey)
 	}
-	r = r.Compact() // stats and encoding both want the sorted []Col form
-	if w.sinceIx >= indexEvery {
-		w.finishBlock()
+	if len(w.enc.rows) == indexEvery {
+		if err := w.finishBlock(); err != nil {
+			return err
+		}
+	}
+	if len(w.enc.rows) == 0 {
 		// Cloned like the block statistics: the footer outlives the round
 		// as the resident segment's metadata and must not pin the caller's
 		// rows.
 		w.meta.Index = append(w.meta.Index, IndexEntry{Key: strings.Clone(r.Key), Off: w.off})
-		w.sinceIx = 0
 	}
-	w.sinceIx++
-	w.noteRow(r)
-	w.buf = appendRowBody(w.buf[:0], r, &w.tb)
-	if _, err := w.bw.Write(w.buf); err != nil {
-		return err
-	}
-	w.crc = crc32.Update(w.crc, crcTable, w.buf)
-	if w.version >= SegVersion {
-		w.leafH.Write(w.buf)
-	}
-	w.off += int64(len(w.buf))
-	if w.meta.Rows == 0 {
-		w.meta.MinKey = w.meta.Index[0].Key
-		if ts, err := DecodeTS(r.Key); err == nil {
-			w.meta.MinTS = ts
-		}
-	}
+	w.enc.rows = append(w.enc.rows, r.Compact()) // the encoder wants the sorted []Col form
 	w.meta.MaxKey = r.Key
-	if ts, err := DecodeTS(r.Key); err == nil {
-		w.meta.MaxTS = ts
-	}
 	if r.WriteTS > w.meta.MaxWriteTS {
 		w.meta.MaxWriteTS = r.WriteTS
 	}
@@ -710,53 +564,39 @@ func (w *Writer) Append(r Row) error {
 	return nil
 }
 
-// seal writes the footer, hands every byte to the temp file and closes
-// it. Nothing is synced: the file becomes durable, and gets its final
-// name, in the barrier of the round that owns the writer.
+// seal writes the last block and the footer, hands every byte to the temp
+// file and closes it. Nothing is synced: the file becomes durable, and
+// gets its final name, in the barrier of the round that owns the writer.
 func (w *Writer) seal() error {
 	if w.done {
 		return fmt.Errorf("persist: double Finish")
 	}
 	w.done = true
-	w.finishBlock()
+	if err := w.finishBlock(); err != nil {
+		w.discard()
+		return err
+	}
 	w.meta.DataLen = w.off
 	w.meta.DataCRC = w.crc
-	var zoneLocal []int
-	trailer := segTrailer
-	switch w.version {
-	case SegVersionV2:
-		trailer = segTrailerV2
-	case SegVersionV3:
-		trailer = segTrailerV3
+	if w.meta.Rows > 0 {
+		w.meta.MinKey = w.meta.Index[0].Key
+		w.meta.MaxKey = strings.Clone(w.meta.MaxKey)
+		w.meta.MinTS, w.meta.MaxTS = max(tsOf(w.meta.MinKey), 0), max(tsOf(w.meta.MaxKey), 0)
 	}
-	if w.version >= SegVersionV3 {
-		if len(w.meta.Blocks) != len(w.meta.Index) {
-			w.discard()
-			return fmt.Errorf("persist: %d block stats for %d index entries", len(w.meta.Blocks), len(w.meta.Index))
-		}
-		// Zone columns land in the name table even when no row carries
-		// them: an all-absent column is the strongest pruning signal.
-		zoneLocal = make([]int, len(w.zoneIDs))
-		for i, id := range w.zoneIDs {
-			zoneLocal[i] = w.tb.localIdx(Col{ID: id})
-		}
+	// Zone columns land in the name table even when no row carries them:
+	// an all-absent column is the strongest pruning signal.
+	zoneLocal := make([]int, len(w.zoneIDs))
+	for i, id := range w.zoneIDs {
+		zoneLocal[i] = w.tb.localIdx(Col{ID: id})
 	}
-	if w.version >= SegVersion && len(w.meta.Leaves) != len(w.meta.Index) {
-		w.discard()
-		return fmt.Errorf("persist: %d merkle leaves for %d index entries", len(w.meta.Leaves), len(w.meta.Index))
-	}
-	w.meta.MaxKey = strings.Clone(w.meta.MaxKey)
 	w.meta.ColNames = slices.Clone(w.tb.names)
-	w.colIDs = make([]uint32, len(w.tb.names))
-	for id, local := range w.tb.local {
-		w.colIDs[local] = id
-	}
-	fb := appendFooter(w.buf[:0], &w.meta, w.version, zoneLocal)
+	w.colIDs = slices.Clone(w.tb.ids)
+	fb := appendFooter(w.buf[:0], &w.meta, zoneLocal)
 	w.size = w.off + int64(len(fb)) + trailerLen
 	var tail [trailerLen]byte
 	binary.LittleEndian.PutUint32(tail[0:4], uint32(len(fb)))
 	binary.LittleEndian.PutUint32(tail[4:8], crc32.Checksum(fb, crcTable))
-	copy(tail[8:], trailer)
+	copy(tail[8:], segTrailer)
 	_, err := w.bw.Write(fb)
 	if err == nil {
 		_, err = w.bw.Write(tail[:])
@@ -779,6 +619,8 @@ func (w *Writer) seal() error {
 // release hands the scratch back to the pool; the writer is finished.
 func (w *Writer) release() {
 	w.bw.Reset(nil)
+	clear(w.enc.rows) // pin no row of an aborted block
+	w.enc.rows = w.enc.rows[:0]
 	scratchPool.Put(w.writerScratch)
 	w.writerScratch = nil
 }
@@ -807,7 +649,7 @@ func (w *Writer) open() (*Segment, error) {
 	meta := w.meta
 	s := &Segment{
 		path: w.path, f: f, meta: &meta, colIDs: w.colIDs, size: w.size,
-		footOff: meta.DataLen, version: w.version, mu: make(chan struct{}, 1),
+		footOff: meta.DataLen, version: SegVersion, mu: make(chan struct{}, 1),
 	}
 	if err := s.buildTree(); err != nil {
 		f.Close()
@@ -854,9 +696,9 @@ type Segment struct {
 	footOff int64 // file offset of the footer (stub layout source)
 	version int
 
-	// Tiering state. tree/root are built at open for v4 segments (the
-	// leaves are in the footer); tier/tierKey are set once the segment has
-	// a manifest-recorded, verified object-store copy.
+	// Tiering state. tree/root are built at open from the footer's leaves;
+	// tier/tierKey are set once the segment has a manifest-recorded,
+	// verified object-store copy.
 	tree    *objstore.Tree
 	root    [objstore.HashLen]byte
 	tier    *objstore.Tier
@@ -871,8 +713,8 @@ type Segment struct {
 	closed    bool
 }
 
-// ErrVersion marks a segment or commitlog record written by an
-// incompatible (pre-v2) codec.
+// ErrVersion marks a segment or commitlog record written by a codec this
+// build no longer reads.
 var ErrVersion = errors.New("persist: incompatible codec version")
 
 // parseSegmentFile decodes the header, trailer, and footer of an open
@@ -885,15 +727,14 @@ func parseSegmentFile(f *os.File, path string, size int64) (meta *footerMeta, co
 	if _, err := f.ReadAt(head[:], 0); err != nil {
 		return nil, nil, 0, 0, err
 	}
-	version = SegVersion
 	switch string(head[:]) {
 	case segHeader:
-	case segHeaderV3:
-		version = SegVersionV3
-	case segHeaderV2:
-		version = SegVersionV2
-	case segHeaderV1:
-		return nil, nil, 0, 0, fmt.Errorf("%w: %s was written by codec v1 (gob footer, per-row column names); read it with a pre-v2 build or re-ingest the data", ErrVersion, path)
+		version = SegVersion
+	case segHeaderV4:
+		version = segVersionV4
+	case "HPSEG001", "HPSEG002", "HPSEG003":
+		return nil, nil, 0, 0, fmt.Errorf("%w: %s was written by segment codec v%c; this build reads v%d and v%d — compact the directory with a build that reads it, or re-ingest the data",
+			ErrVersion, path, head[7], segVersionV4, SegVersion)
 	default:
 		return nil, nil, 0, 0, fmt.Errorf("persist: %s: bad segment header %q", path, head)
 	}
@@ -901,17 +742,7 @@ func parseSegmentFile(f *os.File, path string, size int64) (meta *footerMeta, co
 	if _, err := f.ReadAt(tail[:], size-trailerLen); err != nil {
 		return nil, nil, 0, 0, err
 	}
-	wantTrailer := segTrailer
-	switch version {
-	case SegVersionV3:
-		wantTrailer = segTrailerV3
-	case SegVersionV2:
-		wantTrailer = segTrailerV2
-	}
-	if string(tail[8:]) == segTrailerV1 {
-		return nil, nil, 0, 0, fmt.Errorf("%w: %s has a codec v1 trailer; read it with a pre-v2 build or re-ingest the data", ErrVersion, path)
-	}
-	if string(tail[8:]) != wantTrailer {
+	if string(tail[8:]) != segTrailer {
 		return nil, nil, 0, 0, fmt.Errorf("persist: %s: bad segment trailer", path)
 	}
 	footLen := int64(binary.LittleEndian.Uint32(tail[0:4]))
@@ -927,7 +758,7 @@ func parseSegmentFile(f *os.File, path string, size int64) (meta *footerMeta, co
 	if crc32.Checksum(fb, crcTable) != footCRC {
 		return nil, nil, 0, 0, fmt.Errorf("persist: %s: footer checksum mismatch", path)
 	}
-	meta, err = decodeFooter(fb, version)
+	meta, err = decodeFooter(fb)
 	if err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("persist: %s: footer decode: %w", path, err)
 	}
@@ -984,7 +815,7 @@ func OpenSegment(path string) (*Segment, error) {
 }
 
 // buildTree materializes the Merkle tree from the footer's leaf array
-// (v4 segments with at least one block).
+// (segments with at least one block).
 func (s *Segment) buildTree() error {
 	if len(s.meta.Leaves) == 0 {
 		return nil
@@ -1023,9 +854,6 @@ func OpenTieredStub(path string, tier *objstore.Tier, e objstore.ManifestEntry) 
 	f.Close()
 	if err != nil {
 		return nil, err
-	}
-	if version < SegVersion {
-		return nil, fmt.Errorf("persist: %s: stub for pre-v4 segment cannot be tier-read", path)
 	}
 	if meta.Seq != e.Seq {
 		return nil, fmt.Errorf("persist: %s: stub seq %d does not match manifest seq %d", path, meta.Seq, e.Seq)
@@ -1121,8 +949,8 @@ func (s *Segment) TimeRange() (min, max int64) { return s.meta.MinTS, s.meta.Max
 // MaxWriteTS returns the largest logical write timestamp in the segment.
 func (s *Segment) MaxWriteTS() int64 { return s.meta.MaxWriteTS }
 
-// BlockStats returns the per-block statistics (codec v3; empty on v2
-// files), parallel to the sparse index. The slice and its contents are
+// BlockStats returns the per-block statistics, parallel to the sparse
+// index. The slice and its contents are
 // shared with the segment and must be treated as read-only.
 func (s *Segment) BlockStats() []BlockStats { return s.meta.Blocks }
 
@@ -1288,7 +1116,7 @@ func (s *Segment) TierKey() string {
 }
 
 // MerkleRoot returns the segment's Merkle root over its data blocks.
-// ok is false for pre-v4 segments (no leaf array in the footer).
+// ok is false for a segment without rows.
 func (s *Segment) MerkleRoot() (root [objstore.HashLen]byte, ok bool) {
 	if s.tree == nil {
 		return root, false
@@ -1297,7 +1125,7 @@ func (s *Segment) MerkleRoot() (root [objstore.HashLen]byte, ok bool) {
 }
 
 // CanTier reports whether the segment is eligible for upload/eviction:
-// codec v4 (Merkle leaves resident) with at least one block.
+// it has at least one block.
 func (s *Segment) CanTier() bool { return s.tree != nil }
 
 // writeStub writes the segment's footer stub under its temp name from the
@@ -1364,9 +1192,8 @@ func (s *Segment) blockBounds(i int) (lo, hi int64) {
 // ScanConfig parameterizes a pruned scan (see ScanPruned and ScanBatches).
 // The zero value scans every in-range block and decodes every column.
 type ScanConfig struct {
-	// Pruner, when non-nil, is consulted before each block read on
-	// segments carrying block statistics: a pruned block is skipped
-	// without touching the disk.
+	// Pruner, when non-nil, is consulted before each block read: a pruned
+	// block is skipped without touching the disk.
 	Pruner Pruner
 	// Shadows are the inclusive key ranges of the scan's OTHER merge
 	// inputs (sibling segments, memtable). A block whose key range
@@ -1381,7 +1208,7 @@ type ScanConfig struct {
 	Stats *PruneStats
 	// Project lists the dictionary IDs of the columns a batch scan
 	// materializes (nil = every column; empty = keys and write timestamps
-	// only). Cells of other columns are skipped by their length. Row scans
+	// only). Other columns are hopped over, chunk by chunk. Row scans
 	// (ScanPruned) always decode every column.
 	Project []uint32
 }
@@ -1389,54 +1216,4 @@ type ScanConfig struct {
 // Scan streams the segment's rows within rg in clustering-key order.
 func (s *Segment) Scan(rg Range) (Iterator, error) {
 	return s.ScanPruned(rg, ScanConfig{})
-}
-
-// RewriteSegment re-encodes a segment file in place at the given codec
-// version, preserving table, partition, sequence, and rows. Rewriting a
-// v2 file at SegVersion backfills zone maps and Bloom filters without
-// re-ingesting the data — the upgrade hook for pre-v3 directories — and
-// rewriting at SegVersionV2 produces legacy files for compatibility
-// tests. The segment must not be open elsewhere in this process.
-func RewriteSegment(path string, version int) error {
-	seg, err := OpenSegment(path)
-	if err != nil {
-		return err
-	}
-	it, err := seg.Scan(Range{})
-	if err != nil {
-		seg.Close()
-		return err
-	}
-	var rows []Row
-	for {
-		r, ok := it.Next()
-		if !ok {
-			break
-		}
-		rows = append(rows, r.Clone())
-	}
-	scanErr := it.Err()
-	it.Close()
-	table, pkey, seq := seg.Table(), seg.Partition(), seg.Seq()
-	if err := seg.Close(); err != nil {
-		return err
-	}
-	if scanErr != nil {
-		return scanErr
-	}
-	w, err := NewWriterVersion(path, table, pkey, seq, version)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := w.Append(r); err != nil {
-			w.Abort()
-			return err
-		}
-	}
-	out, err := w.Finish()
-	if err != nil {
-		return err
-	}
-	return out.Close()
 }

@@ -321,8 +321,8 @@ type SegmentInfo struct {
 	Bytes     int64  `json:"bytes"`
 	MinKey    string `json:"min_key"`
 	MaxKey    string `json:"max_key"`
-	// Root is the hex Merkle root over the segment's blocks (empty for
-	// pre-v4 segments, which carry no leaf array).
+	// Root is the hex Merkle root over the segment's blocks (empty for a
+	// segment without rows).
 	Root string `json:"merkle_root,omitempty"`
 	// Tier is "resident", "uploaded" (object copy exists, data local), or
 	// "evicted" (reads fetch from the object store).

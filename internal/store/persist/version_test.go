@@ -5,45 +5,33 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestV1SegmentRejectedClearly pins the upgrade story: a directory holding
-// a codec-v1 segment (old header/trailer magic) must fail OpenSegment with
-// ErrVersion and an actionable message, never a decode panic or a silent
-// skip.
-func TestV1SegmentRejectedClearly(t *testing.T) {
+// TestOldSegmentsRejectedClearly pins the upgrade story: a file of codec
+// v1, v2 or v3 (old header magic) fails OpenSegment with ErrVersion and a
+// message naming its version, never a decode panic or a silent skip — and
+// so does a store directory holding one.
+func TestOldSegmentsRejectedClearly(t *testing.T) {
 	dir := t.TempDir()
-	writeFile := func(name string, data []byte) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, data, 0o644); err != nil {
+	for v := 1; v <= 3; v++ {
+		file := []byte{'H', 'P', 'S', 'E', 'G', '0', '0', byte('0' + v)}
+		file = append(file, make([]byte, 64)...)
+		var tail [trailerLen]byte
+		binary.LittleEndian.PutUint32(tail[0:4], 8)
+		copy(tail[8:], []byte{'H', 'P', 'S', 'E', 'G', 'F', 'T', byte('0' + v)})
+		file = append(file, tail[:]...)
+		path := filepath.Join(dir, string(rune('0'+v))+".seg")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return p
+		_, err := OpenSegment(path)
+		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "codec v"+string(rune('0'+v))) {
+			t.Fatalf("v%d segment open: %v, want ErrVersion naming the version", v, err)
+		}
 	}
-
-	// Minimal v1-shaped file: v1 header, junk, v1 trailer magic.
-	v1 := []byte("HPSEG001")
-	v1 = append(v1, make([]byte, 64)...)
-	var tail [trailerLen]byte
-	binary.LittleEndian.PutUint32(tail[0:4], 8)
-	copy(tail[8:], "HPSEGFT1")
-	v1 = append(v1, tail[:]...)
-	if _, err := OpenSegment(writeFile("v1.seg", v1)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("v1 segment open: %v, want ErrVersion", err)
-	}
-
-	// A v2-headered file with a v1 trailer (half-upgraded garbage) is also
-	// a version error, not a generic corruption.
-	mixed := []byte(segHeader)
-	mixed = append(mixed, make([]byte, 64)...)
-	mixed = append(mixed, tail[:]...)
-	if _, err := OpenSegment(writeFile("mixed.seg", mixed)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("mixed segment open: %v, want ErrVersion", err)
-	}
-
-	// OpenStore surfaces the version error for the offending file.
 	if _, err := OpenStore(dir); !errors.Is(err, ErrVersion) {
-		t.Fatalf("OpenStore over v1 dir: %v, want ErrVersion", err)
+		t.Fatalf("OpenStore over a directory of old segments: %v, want ErrVersion", err)
 	}
 }

@@ -173,6 +173,9 @@ func (db *DB) scanTarget(tableName, pkey string) (replicaTarget, error) {
 // persist.Batch).
 type Batch = persist.Batch
 
+// MaxBatchRows is the most rows a Batch holds.
+const MaxBatchRows = persist.MaxBatchRows
+
 // ScanPartitionBatches streams the partition's rows within rg, in
 // clustering-key order, to fn as batches that carry the clustering keys,
 // the write timestamps and the projected columns (dictionary IDs; nil =

@@ -10,11 +10,10 @@ import (
 
 // Commitlog record payloads. Two record types cover every durable
 // mutation: a put-batch (one partition's worth of stamped rows) and a
-// table creation. Rows reuse the persist binary codec v2, so the commitlog
-// and the segment files share one row encoding: each put record carries a
-// name table (every distinct column name of the batch written once) and
-// rows reference table-local indexes — column names are never repeated per
-// row.
+// table creation. Rows are in the persist binary row codec: each put record
+// carries a name table (every distinct column name of the batch written
+// once) and rows reference table-local indexes — column names are never
+// repeated per row.
 //
 // Records written by the v1 codec (kind byte 1, per-row name strings) are
 // rejected at replay with a clear error; checkpoint (Flush) a node with a
