@@ -170,8 +170,10 @@ bench-smoke:
 # bulk import (objects per imported event), a batch histogram and
 # heat-map fold (constant per scan, zero per block), a put-record encode,
 # predicate evaluation, the watch hub's write-path notify, a late page
-# of a paginated events request, the observability hot path (counter
-# bump, histogram record, span stage), and the wire codec (encoding a
+# of a paginated events request, the row wire path (events one-shot,
+# stream and page, CQL SELECT, each served off a durable store at <= 0.2
+# allocations per row), the observability hot path (counter bump,
+# histogram record, span stage), and the wire codec (encoding a
 # 500-event page, decoding it, and one SDK Events call end to end) must
 # stay within fixed testing.AllocsPerRun budgets (see
 # *alloc_guard_test.go; skipped under -race). Predicate evaluation,

@@ -10,6 +10,12 @@
 //
 //	cli := client.New("http://localhost:8080")
 //	events, err := cli.Events(ctx, query.Context{EventType: "MCE", From: f, To: t})
+//
+// Decoded results share memory with their response: every plain string
+// value (no escapes, all ASCII) is a substring of one immutable copy of
+// the response body — of the line, for a stream — so a decoded row costs
+// little more than its attribute map, but a retained record pins its
+// whole response. strings.Clone what you keep from a large result.
 package client
 
 import (

@@ -149,6 +149,19 @@ func TestErrorPropagation(t *testing.T) {
 		t.Fatalf("missing window error = %v, want bad_request", err)
 	}
 
+	// The same empty window fails the same way however the events are
+	// asked for: one code, one message, one-shot, streamed or paged.
+	const wantMsg = `query: op "events" requires a non-empty [from, to) window`
+	empty := query.Context{EventType: "MCE", From: f.cfg.Start.Unix(), To: f.cfg.Start.Unix()}
+	_, oneShot := f.cli.Events(ctx, empty)
+	streamed := f.cli.StreamEvents(ctx, empty, func(query.EventRecord) error { return nil })
+	_, _, paged := f.cli.EventsPage(ctx, empty, 10, "")
+	for label, err := range map[string]error{"one-shot": oneShot, "stream": streamed, "page": paged} {
+		if !errors.As(err, &ae) || ae.Code != api.CodeBadRequest || ae.Message != wantMsg || ae.Status != http.StatusBadRequest {
+			t.Fatalf("%s empty window error = %v, want bad_request/400 %q", label, err, wantMsg)
+		}
+	}
+
 	// Transport failure (no server): NOT an *api.Error.
 	dead := New("http://127.0.0.1:1", WithRetries(0))
 	if _, err := dead.Types(ctx); err == nil || errors.As(err, &ae) {

@@ -11,6 +11,7 @@
 package analytics
 
 import (
+	"context"
 	"time"
 
 	"hpclog/internal/compute"
@@ -21,100 +22,57 @@ import (
 // estRowBytes is a rough per-row size estimate used for locality pricing.
 const estRowBytes = 160
 
+// hourly plans an events scan with one task per hour: one dataset
+// partition per store partition.
+var hourly = ScanConfig{Slice: time.Hour}
+
 // EventsByType builds a dataset of all events of one type within
 // [from, to), one partition per hour bucket, each preferring its primary
 // storage node.
 func EventsByType(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time) *compute.Dataset[model.Event] {
-	hours := model.HoursIn(from, to)
-	rg := model.EventTimeRange(from, to)
-	parts := make([]compute.Partition[model.Event], len(hours))
-	for i, hour := range hours {
-		pkey := model.EventByTimeKey(hour, typ)
-		parts[i] = compute.Partition[model.Event]{
-			Index:     i,
-			Preferred: db.PrimaryFor(pkey),
-			SizeHint:  estRowBytes * 256,
-			Compute: func() ([]model.Event, error) {
-				rows, err := db.Get(model.TableEventByTime, pkey, rg, store.One)
-				if err != nil {
-					return nil, err
-				}
-				events := make([]model.Event, 0, len(rows))
-				for _, r := range rows {
-					e, err := model.EventFromTimeRow(pkey, r)
-					if err != nil {
-						return nil, err
-					}
-					events = append(events, e)
-				}
-				return events, nil
-			},
-		}
-	}
-	return compute.FromPartitions(eng, parts)
+	return eventDataset(eng, db, PlanEvents(typ, "", from, to, hourly), estRowBytes*256)
 }
 
 // EventsBySource builds a dataset of all events reported by one component
 // within [from, to), using the event_by_location table.
 func EventsBySource(eng *compute.Engine, db *store.DB, source string, from, to time.Time) *compute.Dataset[model.Event] {
-	hours := model.HoursIn(from, to)
-	rg := model.EventTimeRange(from, to)
-	parts := make([]compute.Partition[model.Event], len(hours))
-	for i, hour := range hours {
-		pkey := model.EventByLocKey(hour, source)
-		parts[i] = compute.Partition[model.Event]{
-			Index:     i,
-			Preferred: db.PrimaryFor(pkey),
-			SizeHint:  estRowBytes * 64,
-			Compute: func() ([]model.Event, error) {
-				rows, err := db.Get(model.TableEventByLoc, pkey, rg, store.One)
-				if err != nil {
-					return nil, err
-				}
-				events := make([]model.Event, 0, len(rows))
-				for _, r := range rows {
-					e, err := model.EventFromLocRow(pkey, r)
-					if err != nil {
-						return nil, err
-					}
-					events = append(events, e)
-				}
-				return events, nil
-			},
-		}
-	}
-	return compute.FromPartitions(eng, parts)
+	return eventDataset(eng, db, PlanEvents("", source, from, to, hourly), estRowBytes*64)
 }
 
 // EventsAllTypes builds a dataset over every event type within [from, to),
 // one partition per (hour, type) pair.
 func EventsAllTypes(eng *compute.Engine, db *store.DB, from, to time.Time) *compute.Dataset[model.Event] {
-	hours := model.HoursIn(from, to)
-	rg := model.EventTimeRange(from, to)
-	parts := make([]compute.Partition[model.Event], 0, len(hours)*len(model.EventTypes))
-	for _, hour := range hours {
-		for _, typ := range model.EventTypes {
-			pkey := model.EventByTimeKey(hour, typ)
-			parts = append(parts, compute.Partition[model.Event]{
-				Index:     len(parts),
-				Preferred: db.PrimaryFor(pkey),
-				SizeHint:  estRowBytes * 256,
-				Compute: func() ([]model.Event, error) {
-					rows, err := db.Get(model.TableEventByTime, pkey, rg, store.One)
-					if err != nil {
-						return nil, err
-					}
-					events := make([]model.Event, 0, len(rows))
-					for _, r := range rows {
-						e, err := model.EventFromTimeRow(pkey, r)
-						if err != nil {
-							return nil, err
-						}
-						events = append(events, e)
-					}
-					return events, nil
-				},
-			})
+	byType := make([][]EventTask, len(model.EventTypes))
+	for i, typ := range model.EventTypes {
+		byType[i] = PlanEvents(typ, "", from, to, hourly)
+	}
+	var tasks []EventTask
+	for hour := range byType[0] {
+		for i := range byType {
+			tasks = append(tasks, byType[i][hour])
+		}
+	}
+	return eventDataset(eng, db, tasks, estRowBytes*256)
+}
+
+// eventDataset makes each single-partition task of an events scan a
+// dataset partition that prefers the partition's primary storage node.
+func eventDataset(eng *compute.Engine, db *store.DB, tasks []EventTask, sizeHint int) *compute.Dataset[model.Event] {
+	parts := make([]compute.Partition[model.Event], len(tasks))
+	for i, t := range tasks {
+		_, pkeys, _ := t.partitions()
+		parts[i] = compute.Partition[model.Event]{
+			Index:     i,
+			Preferred: db.PrimaryFor(pkeys[0]),
+			SizeHint:  sizeHint,
+			Compute: func() ([]model.Event, error) {
+				var events []model.Event
+				err := t.Run(context.TODO(), db, func(r *EventRow) error {
+					events = append(events, r.Event())
+					return nil
+				})
+				return events, err
+			},
 		}
 	}
 	return compute.FromPartitions(eng, parts)

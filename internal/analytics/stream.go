@@ -17,9 +17,9 @@ import (
 // This file is the streaming execution path for the big-data operations:
 // instead of materializing Datasets, events are scanned per ring partition
 // (further split into clustering-key time slices for parallelism beyond
-// the hour-partition count) through store.RowIter, fanned out on the
-// compute scan planner, and folded into small per-task accumulators that
-// are merged in task order. Results are identical to the Dataset path —
+// the hour-partition count) as store batches, fanned out on the compute
+// scan planner, and folded into small per-task accumulators that are
+// merged in task order. Results are identical to the Dataset path —
 // the engine-test corpus and TestScanParallelMatchesSerial enforce it —
 // but memory stays proportional to aggregation state and throughput
 // scales with GOMAXPROCS.
@@ -64,109 +64,6 @@ func sliceBounds(lo, hi time.Time, slice time.Duration) [][2]time.Time {
 	return out
 }
 
-// partSlice is one scan unit: a partition key plus a clustering range.
-type partSlice struct {
-	pkey string
-	rg   store.Range
-}
-
-// hourWindow clips [from, to) to hour bucket h.
-func hourWindow(h int64, from, to time.Time) (time.Time, time.Time) {
-	lo, hi := time.Unix(h*3600, 0).UTC(), time.Unix((h+1)*3600, 0).UTC()
-	if from.After(lo) {
-		lo = from
-	}
-	if to.Before(hi) {
-		hi = to
-	}
-	return lo, hi
-}
-
-// partSlices plans the scan units of a window: hour-major, then the
-// partition keys keysFor returns for that hour, then time slices.
-func partSlices(from, to time.Time, slice time.Duration, keysFor func(hour int64) []string) []partSlice {
-	var out []partSlice
-	for _, hour := range model.HoursIn(from, to) {
-		lo, hi := hourWindow(hour, from, to)
-		if !hi.After(lo) {
-			continue
-		}
-		for _, pkey := range keysFor(hour) {
-			for _, b := range sliceBounds(lo, hi, slice) {
-				out = append(out, partSlice{pkey: pkey, rg: model.EventTimeRange(b[0], b[1])})
-			}
-		}
-	}
-	return out
-}
-
-// typeKeys returns the event_by_time partition of one type per hour.
-func typeKeys(typ model.EventType) func(hour int64) []string {
-	return func(hour int64) []string { return []string{model.EventByTimeKey(hour, typ)} }
-}
-
-// eventScanTasks builds the per-(partition, slice) row scan tasks for a
-// window of one event table. keysFor maps an hour bucket to the partition
-// key(s) to scan in that hour; decode turns a stored row back into an
-// event.
-func eventScanTasks(db *store.DB, table string, from, to time.Time, slice time.Duration,
-	keysFor func(hour int64) []string, decode func(pkey string, r store.Row) (model.Event, error)) []compute.ScanTask[model.Event] {
-	var tasks []compute.ScanTask[model.Event]
-	for i, ps := range partSlices(from, to, slice, keysFor) {
-		tasks = append(tasks, compute.ScanTask[model.Event]{
-			Index: i,
-			Run: func(yield func(model.Event) error) error {
-				it, err := db.ScanPartition(table, ps.pkey, ps.rg, store.One)
-				if err != nil {
-					return err
-				}
-				defer it.Close()
-				for {
-					r, ok := it.Next()
-					if !ok {
-						break
-					}
-					e, err := decode(ps.pkey, r)
-					if err != nil {
-						return err
-					}
-					if err := yield(e); err != nil {
-						return err
-					}
-				}
-				return it.Err()
-			},
-		})
-	}
-	return tasks
-}
-
-// typeScanTasks plans a row scan of one event type over event_by_time.
-func typeScanTasks(db *store.DB, typ model.EventType, from, to time.Time, slice time.Duration) []compute.ScanTask[model.Event] {
-	return eventScanTasks(db, model.TableEventByTime, from, to, slice, typeKeys(typ), model.EventFromTimeRow)
-}
-
-// sourceScanTasks plans a scan of one component over event_by_location.
-func sourceScanTasks(db *store.DB, source string, from, to time.Time, slice time.Duration) []compute.ScanTask[model.Event] {
-	return eventScanTasks(db, model.TableEventByLoc, from, to, slice,
-		func(hour int64) []string { return []string{model.EventByLocKey(hour, source)} },
-		model.EventFromLocRow)
-}
-
-// allTypesScanTasks plans a scan of every event type over event_by_time,
-// hour-major and type-minor like EventsAllTypes.
-func allTypesScanTasks(db *store.DB, from, to time.Time, slice time.Duration) []compute.ScanTask[model.Event] {
-	return eventScanTasks(db, model.TableEventByTime, from, to, slice,
-		func(hour int64) []string {
-			keys := make([]string, len(model.EventTypes))
-			for i, typ := range model.EventTypes {
-				keys[i] = model.EventByTimeKey(hour, typ)
-			}
-			return keys
-		},
-		model.EventFromTimeRow)
-}
-
 // foldType is the aggregation path: it scans one event type over
 // event_by_time in (partition, slice) tasks and folds every task's batches
 // — clustering keys plus the projected columns, never a store.Row or a
@@ -175,12 +72,13 @@ func allTypesScanTasks(db *store.DB, from, to time.Time, slice time.Duration) []
 // keeps.
 func foldType[A any](eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig,
 	project []uint32, newAcc func() A, fold func(A, *store.Batch) (A, error), merge func(A, A) A) (A, error) {
-	units := partSlices(from, to, cfg.slice(), typeKeys(typ))
+	units := PlanEvents(typ, "", from, to, cfg)
 	tasks := make([]compute.FoldTask[A], len(units))
-	for i, ps := range units {
+	for i, u := range units {
+		pkey := model.EventByTimeKey(u.Hour, typ)
 		tasks[i] = func(acc A) (A, int, error) {
 			rows := 0
-			err := db.ScanPartitionBatches(context.TODO(), model.TableEventByTime, ps.pkey, ps.rg, project, nil, nil,
+			err := db.ScanPartitionBatches(context.TODO(), model.TableEventByTime, pkey, u.Range, project, nil, nil,
 				func(b *store.Batch) (err error) {
 					rows += b.Len()
 					acc, err = fold(acc, b)
@@ -233,36 +131,6 @@ func mergeCountMaps[K comparable](a, b map[K]int) map[K]int {
 		a[k] += v
 	}
 	return a
-}
-
-// collectEvents streams tasks in order and appends into one slice.
-func collectEvents(eng *compute.Engine, cfg ScanConfig, tasks []compute.ScanTask[model.Event]) ([]model.Event, error) {
-	var out []model.Event
-	err := compute.StreamScan(eng, cfg.opts(), tasks, func(_ int, batch []model.Event) error {
-		out = append(out, batch...)
-		return nil
-	})
-	return out, err
-}
-
-// --- Streaming event collections ---
-
-// EventsByTypeScan returns all events of one type in [from, to) via the
-// partition-parallel streaming path, in partition-then-clustering order.
-func EventsByTypeScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) ([]model.Event, error) {
-	return collectEvents(eng, cfg, typeScanTasks(db, typ, from, to, cfg.slice()))
-}
-
-// EventsBySourceScan returns all events reported by one component in
-// [from, to) via the streaming path.
-func EventsBySourceScan(eng *compute.Engine, db *store.DB, source string, from, to time.Time, cfg ScanConfig) ([]model.Event, error) {
-	return collectEvents(eng, cfg, sourceScanTasks(db, source, from, to, cfg.slice()))
-}
-
-// EventsAllTypesScan returns all events of every type in [from, to) via
-// the streaming path.
-func EventsAllTypesScan(eng *compute.Engine, db *store.DB, from, to time.Time, cfg ScanConfig) ([]model.Event, error) {
-	return collectEvents(eng, cfg, allTypesScanTasks(db, from, to, cfg.slice()))
 }
 
 // --- Streaming aggregations ---

@@ -46,10 +46,9 @@ func TestWireDecodeAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Per row: the message, the two attribute values, the attribute map
-	// (two objects); types, sources and attribute names come from the
-	// decoder's string cache. Plus the growth of the items slice.
-	const perRow = 6.5
+	// Per row: the attribute map (two objects) plus the growth of the
+	// items slice; every string is a substring of the body's one copy.
+	const perRow = 2.5
 	avg := testing.AllocsPerRun(50, func() {
 		var out PageResult[query.EventRecord]
 		if _, err := DecodeResponse(body, &out); err != nil || len(out.Items) != len(page.Items) {

@@ -17,6 +17,7 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -30,6 +31,7 @@ import (
 	"unicode/utf16"
 	"unicode/utf8"
 
+	"hpclog/internal/analytics"
 	"hpclog/internal/cql"
 	"hpclog/internal/plan"
 	"hpclog/internal/query"
@@ -105,16 +107,47 @@ var plainByte = func() (t [utf8.RuneSelf]bool) {
 	return t
 }()
 
+// Word-at-a-time byte tests (the bit-twiddling hacks' haszero and
+// hasless), for scanning a string eight bytes at a time: each is non-zero
+// when some byte of w is 0, below n (n <= 0x80, given no byte of w is
+// 0x80 or more), or c. They may point at the wrong byte, never at none.
+const lsb, msb = 0x0101010101010101, 0x8080808080808080
+
+func hasZero(w uint64) uint64           { return (w - lsb) & ^w & msb }
+func hasLess(w uint64, n uint64) uint64 { return (w - lsb*n) & ^w & msb }
+func hasByte(w uint64, c uint64) uint64 { return hasZero(w ^ lsb*c) }
+
+// word reads s[i:i+8] as a little-endian word.
+func word[S string | []byte](s S, i int) uint64 {
+	return uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
+		uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
+}
+
+// plainPrefix returns how many leading bytes of s stand for themselves in
+// a JSON string literal (see plainByte).
+func plainPrefix(s string) int {
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		w := word(s, i)
+		if w&msb|hasLess(w, 0x20)|hasByte(w, '"')|hasByte(w, '\\')|hasByte(w, '<')|hasByte(w, '>')|hasByte(w, '&') != 0 {
+			break
+		}
+	}
+	for i < len(s) && s[i] < utf8.RuneSelf && plainByte[s[i]] {
+		i++
+	}
+	return i
+}
+
 // appendString appends s as a JSON string literal.
 func appendString(b []byte, s string) []byte {
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {
+		if i += plainPrefix(s[i:]); i == len(s) {
+			break
+		}
 		if c := s[i]; c < utf8.RuneSelf {
-			if plainByte[c] {
-				i++
-				continue
-			}
 			b = append(b, s[start:i]...)
 			switch c {
 			case '\\', '"':
@@ -168,31 +201,19 @@ func appendStrings(b []byte, v []string) []byte {
 	return append(b, ']')
 }
 
-// appendStringMap appends a map[string]string with its keys sorted; nil
-// is null.
-func appendStringMap(b []byte, m map[string]string) []byte {
-	if m == nil {
-		return append(b, "null"...)
+// sortedPairs appends m's entries to dst sorted by key, as encoding/json
+// writes a map.
+func sortedPairs[T any](dst []T, m map[string]string, pair func(k, v string) T, key func(T) string) []T {
+	for k, v := range m {
+		dst = append(dst, pair(k, v))
 	}
-	var arr [16]string // event attrs and projected columns fit; more spills to the heap
-	keys := arr[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	b = append(b, '{')
-	for i, k := range keys {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendString(b, k)
-		b = append(b, ':')
-		b = appendString(b, m[k])
-	}
-	return append(b, '}')
+	slices.SortFunc(dst, func(a, b T) int { return strings.Compare(key(a), key(b)) })
+	return dst
 }
 
-func appendEvent(b []byte, e *query.EventRecord) []byte {
+// AppendEventRow appends one event as its JSON object: the encoder of
+// every event the protocol returns, read off a scan or built as a record.
+func AppendEventRow(b []byte, e *analytics.EventRow) []byte {
 	b = append(b, `{"ts":`...)
 	b = strconv.AppendInt(b, e.Time, 10)
 	b = append(b, `,"type":`...)
@@ -206,10 +227,28 @@ func appendEvent(b []byte, e *query.EventRecord) []byte {
 		b = appendString(b, e.Raw)
 	}
 	if len(e.Attrs) > 0 {
-		b = append(b, `,"attrs":`...)
-		b = appendStringMap(b, e.Attrs)
+		b = append(b, `,"attrs":{`...)
+		for i, a := range e.Attrs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, a.Name)
+			b = append(b, ':')
+			b = appendString(b, a.Value)
+		}
+		b = append(b, '}')
 	}
 	return append(b, '}')
+}
+
+// appendEvent encodes a record through the view it stands for.
+func appendEvent(b []byte, e *query.EventRecord) []byte {
+	var attrs [16]analytics.Attr // the common case stays on the stack; more spills to the heap
+	v := analytics.EventRow{Time: e.Time, Type: e.Type, Source: e.Source, Count: e.Count, Raw: e.Raw,
+		Attrs: sortedPairs(attrs[:0], e.Attrs,
+			func(k, v string) analytics.Attr { return analytics.Attr{Name: k, Value: v} },
+			func(a analytics.Attr) string { return a.Name })}
+	return AppendEventRow(b, &v)
 }
 
 func appendRun(b []byte, r *query.RunRecord) []byte {
@@ -230,12 +269,38 @@ func appendRun(b []byte, r *query.RunRecord) []byte {
 	return append(b, '}')
 }
 
-func appendResultRow(b []byte, r *plan.ResultRow) []byte {
+// AppendResultRow appends one CQL result row as its JSON object: the
+// clustering key and the columns, sorted by name as plan.Plan.Fields
+// returns them (nil is null) — the encoder of every result row, read off
+// a scan or built as a record.
+func AppendResultRow(b []byte, key string, cols []plan.Field) []byte {
 	b = append(b, `{"key":`...)
-	b = appendString(b, r.Key)
-	b = append(b, `,"columns":`...)
-	b = appendStringMap(b, r.Columns)
-	return append(b, '}')
+	b = appendString(b, key)
+	if cols == nil {
+		return append(b, `,"columns":null}`...)
+	}
+	b = append(b, `,"columns":{`...)
+	for i, c := range cols {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendString(b, c.Name)
+		b = append(b, ':')
+		b = appendString(b, c.Value)
+	}
+	return append(b, '}', '}')
+}
+
+// appendResultRow encodes a record through the columns it stands for.
+func appendResultRow(b []byte, r *plan.ResultRow) []byte {
+	var cols []plan.Field
+	if r.Columns != nil {
+		var arr [16]plan.Field // the common case stays on the stack; more spills to the heap
+		cols = sortedPairs(arr[:0], r.Columns,
+			func(k, v string) plan.Field { return plan.Field{Name: k, Value: v} },
+			func(f plan.Field) string { return f.Name })
+	}
+	return AppendResultRow(b, r.Key, cols)
 }
 
 // appendRows appends a row slice; nil is null.
@@ -292,12 +357,21 @@ func appendCQLResult(b []byte, r *cql.Result) []byte {
 	return append(b, '}')
 }
 
+// RowSet is a row result the server encoded straight off its scan, not
+// built as records: AppendJSON appends exactly what json.Marshal would
+// write for the records it stands for.
+type RowSet interface {
+	AppendJSON(b []byte) []byte
+}
+
 // AppendJSON appends v's JSON encoding to b: hand-encoded when v is a row
-// shape (a pointer to one row, a slice of rows, a *cql.Result or a
-// *PageResult), json.Marshal's output otherwise. On error b is returned
-// unchanged.
+// shape (a pointer to one row, a slice of rows, a *cql.Result, a
+// *PageResult or a RowSet), json.Marshal's output otherwise. On error b is
+// returned unchanged.
 func AppendJSON(b []byte, v any) ([]byte, error) {
 	switch v := v.(type) {
+	case RowSet:
+		return v.AppendJSON(b), nil
 	case *query.EventRecord:
 		if v != nil {
 			return appendEvent(b, v), nil
@@ -386,10 +460,18 @@ const maxDepth = 10000
 
 // Decoder decodes row shapes by hand and everything else through
 // encoding/json. The zero value is ready; reusing one Decoder for the
-// lines of a stream lets them share its string cache and scratch space.
-// A Decoder must not be used from two goroutines at once.
+// lines of a stream lets them share its scratch space. A Decoder must not
+// be used from two goroutines at once.
+//
+// Strings cost one allocation per input, not one per value: the first
+// string decoded copies the whole input into one immutable string, and
+// every plain literal — no escapes, all ASCII — becomes a substring of it.
+// Only the others are built on their own, through scratch. So nothing
+// decoded aliases the input, but every plain value pins the input's copy
+// for as long as it is held.
 type Decoder struct {
 	b     []byte
+	s     string // b as one immutable string, once a plain literal needs it
 	i     int
 	err   error // first failure; once set, i == len(b) so every loop ends
 	depth int
@@ -398,16 +480,15 @@ type Decoder struct {
 	opened bool
 	// scratch holds the most recent string that needed unescaping.
 	scratch []byte
-	// cache interns short strings that repeat from row to row (event
-	// types, sources, column names): a hit costs a hash and a compare
-	// instead of an allocation.
-	cache [64]string
+	// plain is where in b the last string strBytes read starts when it is
+	// a plain literal, -1 when it went through scratch.
+	plain int
 }
 
 // Unmarshal decodes data into out like json.Unmarshal. Nothing it stores
 // aliases data.
 func (d *Decoder) Unmarshal(data []byte, out any) error {
-	d.b, d.i, d.err, d.depth, d.opened = data, 0, nil, 0, false
+	d.b, d.s, d.i, d.err, d.depth, d.opened = data, "", 0, nil, 0, false
 	if !d.rowValue(out) {
 		return json.Unmarshal(data, out)
 	}
@@ -567,9 +648,9 @@ func (d *Decoder) event(e *query.EventRecord) {
 		case 0:
 			d.int64(&e.Time)
 		case 1:
-			d.shortStr(&e.Type)
+			d.str(&e.Type)
 		case 2:
-			d.shortStr(&e.Source)
+			d.str(&e.Source)
 		case 3:
 			d.int(&e.Count)
 		case 4:
@@ -591,15 +672,15 @@ func (d *Decoder) run(r *query.RunRecord) {
 		case 0:
 			d.str(&r.JobID)
 		case 1:
-			d.shortStr(&r.App)
+			d.str(&r.App)
 		case 2:
-			d.shortStr(&r.User)
+			d.str(&r.User)
 		case 3:
 			d.int64(&r.Start)
 		case 4:
 			d.int64(&r.End)
 		case 5:
-			decodeSlice(d, &r.Nodes, (*Decoder).shortStr)
+			decodeSlice(d, &r.Nodes, (*Decoder).str)
 		case 6:
 			d.bool(&r.ExitOK)
 		default:
@@ -701,7 +782,7 @@ func (d *Decoder) stringMap(m *map[string]string) {
 		*m = make(map[string]string)
 	}
 	for d.next('}') {
-		k := d.intern(d.key())
+		k := d.string(d.key())
 		var v string
 		d.str(&v)
 		(*m)[k] = v
@@ -960,64 +1041,63 @@ func (d *Decoder) str(v *string) {
 		return
 	}
 	if b := d.strBytes(); d.err == nil {
-		*v = string(b)
+		*v = d.string(b)
 	}
 }
 
-// shortStr is str for fields whose values repeat from row to row.
-func (d *Decoder) shortStr(v *string) {
-	if d.null() {
-		return
-	}
-	if b := d.strBytes(); d.err == nil {
-		*v = d.intern(b)
-	}
-}
-
-// intern returns b as a string, shared with an equal short string seen
-// recently.
-func (d *Decoder) intern(b []byte) string {
-	if len(b) == 0 || len(b) > 24 {
+// string returns what strBytes just read, b, as a string: a substring of
+// the input's copy for a plain literal, a copy of d.scratch otherwise.
+func (d *Decoder) string(b []byte) string {
+	if d.plain < 0 || len(b) == 0 {
 		return string(b)
 	}
-	h := uint32(2166136261)
-	for _, c := range b {
-		h = (h ^ uint32(c)) * 16777619
+	if d.s == "" {
+		d.s = string(d.b)
 	}
-	slot := &d.cache[h%uint32(len(d.cache))]
-	if *slot != string(b) {
-		*slot = string(b)
-	}
-	return *slot
+	return d.s[d.plain : d.plain+len(b)]
 }
 
 // strBytes consumes a string literal and returns its decoded bytes: a
 // slice of the input when the literal is plain ASCII without escapes,
 // d.scratch otherwise.
 func (d *Decoder) strBytes() []byte {
+	d.plain = -1
 	if d.ws() != '"' {
 		d.fail("expected a string")
 		return nil
 	}
 	d.i++
 	start := d.i
-	for d.i < len(d.b) {
-		c := d.b[d.i]
-		if c == '"' {
-			d.i++
-			return d.b[start : d.i-1]
-		}
-		if c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
-			break
-		}
-		d.i++
+	if n := bytes.IndexByte(d.b[start:], '"'); n >= 0 && plainASCII(d.b[start:start+n]) {
+		d.i += n + 1
+		d.plain = start
+		return d.b[start : start+n]
 	}
 	return d.unquote(start)
 }
 
-// unquote finishes strBytes for a literal with escapes or non-ASCII
-// bytes, whose first special byte is at d.i. Like encoding/json it turns
-// invalid UTF-8 and unpaired surrogate escapes into U+FFFD.
+// plainASCII reports whether b holds neither a backslash, nor a control
+// byte, nor a byte outside ASCII: a string literal's body that decodes to
+// itself.
+func plainASCII(b []byte) bool {
+	i := 0
+	for ; i+8 <= len(b); i += 8 {
+		if w := word(b, i); w&msb|hasLess(w, 0x20)|hasByte(w, '\\') != 0 {
+			return false
+		}
+	}
+	for ; i < len(b); i++ {
+		if c := b[i]; c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// unquote finishes strBytes for a literal with escapes, non-ASCII bytes
+// or no end, whose body starts at start and is read from d.i on. Like
+// encoding/json it turns invalid UTF-8 and unpaired surrogate escapes
+// into U+FFFD.
 func (d *Decoder) unquote(start int) []byte {
 	buf := append(d.scratch[:0], d.b[start:d.i]...)
 	for d.i < len(d.b) {

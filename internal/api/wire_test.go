@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"hpclog/internal/cql"
 	"hpclog/internal/plan"
@@ -34,13 +35,33 @@ func sameEncoding(t *testing.T, v any) []byte {
 	return got
 }
 
+// pooled copies doc into a pooled Buffer, as the SDK reads a body.
+func pooled(doc []byte) *Buffer {
+	buf := GetBuffer()
+	buf.B = append(buf.B[:0], doc...)
+	return buf
+}
+
+// scribble overwrites a decoded input and releases it: whatever was
+// decoded from it must survive, since no decoded value aliases it.
+func scribble(buf *Buffer) {
+	for i := range buf.B {
+		buf.B[i] = 0xA5
+	}
+	buf.Release()
+}
+
 // sameDecoding checks that the hand decoder and json.Unmarshal agree on
-// doc decoded into a fresh T: both fail, or both produce the same value.
+// doc decoded into a fresh T: both fail, or both produce the same value —
+// also once the pooled buffer the hand decoder read was scribbled over
+// and released.
 func sameDecoding[T any](t *testing.T, doc []byte) {
 	t.Helper()
 	var want, got T
 	werr := json.Unmarshal(doc, &want)
-	gerr := new(Decoder).Unmarshal(doc, &got)
+	buf := pooled(doc)
+	gerr := new(Decoder).Unmarshal(buf.B, &got)
+	scribble(buf)
 	if (werr == nil) != (gerr == nil) {
 		t.Fatalf("%T from %q: json.Unmarshal error %v, hand decoder error %v", want, doc, werr, gerr)
 	}
@@ -79,7 +100,9 @@ func sameEnvelope[T any](t *testing.T, doc []byte) {
 	} else if werr == nil && wenv.OK {
 		werr = json.Unmarshal(nil, &want) // an ok envelope must carry a result
 	}
-	genv, gerr := DecodeResponse(doc, &got)
+	buf := pooled(doc)
+	genv, gerr := DecodeResponse(buf.B, &got)
+	scribble(buf)
 	if (werr == nil) != (gerr == nil) {
 		t.Fatalf("envelope of %T from %q: reference error %v, DecodeResponse error %v", want, doc, werr, gerr)
 	}
@@ -346,7 +369,9 @@ func TestWireCodecGenerated(t *testing.T) {
 // FuzzWireRowCodec is the codec's contract with encoding/json. seed
 // drives the value generator (encoder equality; decoder equality on the
 // encoding, its truncations, its padded and its reordered form); doc is
-// decoded as is into every shape by both decoders.
+// decoded as is into every shape by both decoders. Every hand decode reads
+// a pooled buffer that is scribbled over and released before its result
+// is compared.
 func FuzzWireRowCodec(f *testing.F) {
 	for _, doc := range hostile {
 		f.Add([]byte(doc), []byte(doc))
@@ -433,6 +458,30 @@ func TestGoldenNDJSON(t *testing.T) {
 		var e query.EventRecord
 		if err := dec.Unmarshal(line, &e); err != nil || !reflect.DeepEqual(e, goldenEvents[i]) {
 			t.Fatalf("line %d: %+v, %v", i, e, err)
+		}
+	}
+}
+
+// TestWordScans holds the word-at-a-time scans to their byte-at-a-time
+// definitions: every byte value, at every position of a word and of the
+// tail.
+func TestWordScans(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		plain := c < utf8.RuneSelf && plainByte[c]
+		ascii := c != '\\' && c >= 0x20 && c < utf8.RuneSelf
+		for p := 0; p < 19; p++ {
+			b := []byte(strings.Repeat("a", 19))
+			b[p] = byte(c)
+			want := len(b)
+			if !plain {
+				want = p
+			}
+			if got := plainPrefix(string(b)); got != want {
+				t.Fatalf("plainPrefix with byte %#x at %d = %d, want %d", c, p, got, want)
+			}
+			if got := plainASCII(b); got != ascii {
+				t.Fatalf("plainASCII with byte %#x at %d = %v, want %v", c, p, got, ascii)
+			}
 		}
 	}
 }

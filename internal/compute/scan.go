@@ -38,6 +38,11 @@ type ScanTask[T any] struct {
 	Run func(yield func(T) error) error
 }
 
+// RowCounter is a scan item that stands for several rows — a chunk of
+// them, already encoded — and says how many, so that Stats.ScanRows
+// counts rows, not items.
+type RowCounter interface{ Rows() int }
+
 // scanStats accumulates into the engine's counters.
 func (e *Engine) noteScan(tasks, rows int) {
 	e.statsMu.Lock()
@@ -67,6 +72,8 @@ func StreamScan[T any](eng *Engine, opts ScanOptions, tasks []ScanTask[T], emit 
 		par = len(tasks)
 	}
 
+	var zero T
+	_, counted := any(zero).(RowCounter)
 	var (
 		mu       sync.Mutex
 		cond     = sync.NewCond(&mu)
@@ -123,9 +130,16 @@ func StreamScan[T any](eng *Engine, opts ScanOptions, tasks []ScanTask[T], emit 
 					return
 				}
 
+				n := len(batch)
+				if counted {
+					n = 0
+					for _, v := range batch {
+						n += any(v).(RowCounter).Rows()
+					}
+				}
 				mu.Lock()
 				ready[pos] = batch
-				rows += len(batch)
+				rows += n
 				done++
 				// Drain every consecutive ready batch from the emit
 				// cursor. Only the worker observing pos == nextEmit

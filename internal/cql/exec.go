@@ -60,8 +60,9 @@ func (s *Session) ctx() context.Context {
 	return context.Background()
 }
 
-// executor builds the plan executor sharing the session's context.
-func (s *Session) executor() *plan.Executor {
+// Executor builds the plan executor sharing the session's store,
+// consistency, engine, tuning and context.
+func (s *Session) Executor() *plan.Executor {
 	return &plan.Executor{DB: s.DB, Eng: s.engine(), CL: s.CL, Opt: s.Exec, Ctx: s.Ctx}
 }
 
@@ -77,21 +78,46 @@ func (s *Session) engine() *compute.Engine {
 
 // Execute parses and runs one statement.
 func (s *Session) Execute(src string) (*Result, error) {
-	obs.SpanFromContext(s.ctx()).SetQuery(src)
-	pg := obs.StartSpan(s.ctx(), "parse")
-	stmt, err := Parse(src)
-	pg.End()
+	stmt, p, err := s.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
-	return s.Run(stmt)
+	return s.Run(stmt, p)
 }
 
-// Run executes a parsed statement.
-func (s *Session) Run(stmt Statement) (*Result, error) {
+// Prepare parses one statement and, when it is a SELECT, compiles its
+// plan: the stages every way of executing it starts with, traced as parse
+// and plan.build. p is nil for every other statement.
+func (s *Session) Prepare(src string) (stmt Statement, p *plan.Plan, err error) {
+	obs.SpanFromContext(s.ctx()).SetQuery(src)
+	pg := obs.StartSpan(s.ctx(), "parse")
+	stmt, err = Parse(src)
+	pg.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	if st, ok := stmt.(*SelectStmt); ok {
+		p, err = s.build(st)
+	}
+	return stmt, p, err
+}
+
+// Run executes a parsed statement with the plan Prepare made for it (nil
+// plans a SELECT here).
+func (s *Session) Run(stmt Statement, p *plan.Plan) (*Result, error) {
 	switch st := stmt.(type) {
 	case *SelectStmt:
-		return s.runSelect(st)
+		var err error
+		if p == nil {
+			if p, err = s.build(st); err != nil {
+				return nil, err
+			}
+		}
+		rows, err := s.Executor().Run(p)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Rows: rows}, nil
 	case *ExplainStmt:
 		return s.runExplain(st)
 	case *InsertStmt:
@@ -124,27 +150,16 @@ var ErrNotPaginated = fmt.Errorf("cql: statement is not a paginatable SELECT (ag
 // stream.
 var ErrNotStreamable = fmt.Errorf("cql: statement is not a streamable SELECT (aggregates and DDL return single documents)")
 
-// parseSelect parses src and requires a row-returning SELECT plan.
-func (s *Session) parseSelect(src string, sentinel error) (*plan.Plan, *SelectStmt, error) {
-	obs.SpanFromContext(s.ctx()).SetQuery(src)
-	pg := obs.StartSpan(s.ctx(), "parse")
-	stmt, err := Parse(src)
-	pg.End()
+// rowPlan prepares src and requires a row-returning SELECT.
+func (s *Session) rowPlan(src string, sentinel error) (*plan.Plan, error) {
+	_, p, err := s.Prepare(src)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	st, ok := stmt.(*SelectStmt)
-	if !ok {
-		return nil, nil, sentinel
+	if p == nil || !p.Paginated() {
+		return nil, sentinel
 	}
-	p, err := s.build(st)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !p.Paginated() {
-		return nil, nil, sentinel
-	}
-	return p, st, nil
+	return p, nil
 }
 
 // build compiles the statement under a plan.build stage and attaches the
@@ -160,67 +175,41 @@ func (s *Session) build(st *SelectStmt) (*plan.Plan, error) {
 	return p, nil
 }
 
-// SelectPage executes a non-aggregate SELECT as one page of at most limit
-// rows. resume restarts strictly after afterKey (the previous page's last
-// clustering key); delivered is the row count already handed out, so a
-// statement-level LIMIT is honored across pages. It returns the page, the
-// last delivered key, and whether more rows may remain.
+// SelectPage plans one page of a non-aggregate SELECT: at most limit
+// rows, strictly after afterKey (the previous page's last clustering key)
+// when resuming, with a statement-level LIMIT honored across pages given
+// the rows already delivered. The plan's LIMIT is the page's row budget;
+// last reports that the budget is what remains of the statement's LIMIT,
+// so a full page ends the result. A nil plan means the statement's LIMIT
+// is spent: the page is empty and the last.
 //
 // Resumption re-plans the statement with the pushed-down scan range
 // narrowed to keys after afterKey — a data position, not server state —
 // so pages stay correct across restart and segment compaction.
-func (s *Session) SelectPage(src string, limit int, resume bool, afterKey string, delivered int64) ([]ResultRow, string, bool, error) {
-	p, st, err := s.parseSelect(src, ErrNotPaginated)
-	if err != nil {
-		return nil, "", false, err
+func (s *Session) SelectPage(src string, limit int, resume bool, afterKey string, delivered int64) (p *plan.Plan, last bool, err error) {
+	if p, err = s.rowPlan(src, ErrNotPaginated); err != nil {
+		return nil, false, err
 	}
-	eff := limit
-	if st.Limit > 0 {
-		remaining := int64(st.Limit) - delivered
+	if stmt := int64(p.Sel.Limit); stmt > 0 {
+		remaining := stmt - delivered
 		if remaining <= 0 {
-			return []ResultRow{}, afterKey, false, nil
+			return nil, true, nil
 		}
-		if int64(eff) > remaining {
-			eff = int(remaining)
+		if last = remaining <= int64(limit); last {
+			limit = int(remaining)
 		}
 	}
 	if resume {
 		p.ResumeAfter(afterKey)
 	}
-	p.Sel.Limit = eff
-	rows, err := s.executor().Run(p)
-	if err != nil {
-		return nil, "", false, err
-	}
-	nextKey := afterKey
-	if len(rows) > 0 {
-		nextKey = rows[len(rows)-1].Key
-	}
-	more := len(rows) == eff && (st.Limit == 0 || delivered+int64(len(rows)) < int64(st.Limit))
-	return rows, nextKey, more, nil
+	p.Sel.Limit = limit
+	return p, last, nil
 }
 
-// StreamSelect executes a non-aggregate SELECT and hands each result row
-// to emit in clustering order without materializing the result set — the
-// NDJSON streaming path of the analytic server.
-func (s *Session) StreamSelect(src string, emit func(ResultRow) error) error {
-	p, _, err := s.parseSelect(src, ErrNotStreamable)
-	if err != nil {
-		return err
-	}
-	return s.executor().Stream(p, emit)
-}
-
-func (s *Session) runSelect(st *SelectStmt) (*Result, error) {
-	p, err := s.build(st)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := s.executor().Run(p)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Rows: rows}, nil
+// StreamSelect plans a non-aggregate SELECT for a row stream;
+// ErrNotStreamable for any other statement.
+func (s *Session) StreamSelect(src string) (*plan.Plan, error) {
+	return s.rowPlan(src, ErrNotStreamable)
 }
 
 func (s *Session) runExplain(st *ExplainStmt) (*Result, error) {

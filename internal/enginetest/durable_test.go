@@ -21,6 +21,8 @@ func TestDurableEngineCorpus(t *testing.T) {
 		t.Fatal("durable harness produced no on-disk segments; lower FlushThreshold")
 	}
 
+	rows := rowResults(t, mem)
+	sameRowResults(t, "durable", rows, rowResults(t, dur))
 	cases := Cases(mem)
 	want := make(map[string][]byte, len(cases))
 	for _, c := range cases {
@@ -42,6 +44,7 @@ func TestDurableEngineCorpus(t *testing.T) {
 	if dur.DB.StorageStats().ReplayedRecords == 0 {
 		t.Fatal("reopen replayed no commitlog records; the harness should leave unflushed memtables behind")
 	}
+	sameRowResults(t, "durable after restart", rows, rowResults(t, dur))
 	for _, c := range Cases(dur) {
 		t.Run("reopen/"+c.Name, func(t *testing.T) {
 			got := dur.Run(t, c)

@@ -35,6 +35,8 @@ func TestTieredEngineCorpus(t *testing.T) {
 		t.Fatalf("want 100%% of segments evicted: %d tiered of %d", st.TieredSegments, st.DiskSegments)
 	}
 
+	rows := rowResults(t, mem)
+	sameRowResults(t, "tiered", rows, rowResults(t, tr))
 	cases := Cases(mem)
 	want := make(map[string][]byte, len(cases))
 	for _, c := range cases {
@@ -61,6 +63,7 @@ func TestTieredEngineCorpus(t *testing.T) {
 	if st.DiskSegments == 0 || st.TieredSegments != st.DiskSegments {
 		t.Fatalf("eviction lost across reopen: %d tiered of %d", st.TieredSegments, st.DiskSegments)
 	}
+	sameRowResults(t, "tiered after restart", rows, rowResults(t, tr))
 	for _, c := range Cases(tr) {
 		t.Run("reopen/"+c.Name, func(t *testing.T) {
 			got := tr.Run(t, c)

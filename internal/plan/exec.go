@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"hpclog/internal/compute"
 	"hpclog/internal/obs"
@@ -77,196 +78,171 @@ func (p *Plan) ResumeAfter(key string) {
 // aggregates collapse to one document and cannot be paginated.
 func (p *Plan) Paginated() bool { return len(p.Sel.Aggs) == 0 }
 
-// Stream executes a row-returning plan and hands each result row to emit
-// in clustering order, without materializing the result set — the NDJSON
-// streaming path of the analytic server. emit runs on one goroutine at a
-// time; returning an error cancels the remaining scan tasks. Aggregate
-// plans are rejected (use Run).
-func (ex *Executor) Stream(p *Plan, emit func(ResultRow) error) error {
-	if ex.DB == nil || ex.Eng == nil {
-		return fmt.Errorf("plan: executor needs a store and a compute engine")
-	}
-	if len(p.Sel.Aggs) > 0 {
-		return fmt.Errorf("plan: aggregate query does not stream rows")
-	}
-	slices, err := ex.slices(p)
-	if err != nil {
-		return err
-	}
-	pruner := p.Pruner
-	if ex.Opt.NoPrune {
-		pruner = nil
-	}
-	stats := ex.Stats
-	if stats == nil {
-		stats = &persist.PruneStats{}
-	}
-	st := obs.StartSpan(ex.ctx(), "scan")
-	err = ex.streamRows(p, slices, pruner, stats, emit)
-	st.End()
-	ex.Eng.NotePruning(int(stats.BlocksRead.Load()), int(stats.BlocksPruned.Load()))
-	return err
-}
-
-// Run executes the plan and returns the result rows.
+// Run executes the plan and returns the result rows — the in-process
+// sink of the row scan RowTasks plans, or the aggregate fold.
 func (ex *Executor) Run(p *Plan) ([]ResultRow, error) {
-	if ex.DB == nil || ex.Eng == nil {
-		return nil, fmt.Errorf("plan: executor needs a store and a compute engine")
+	if len(p.Sel.Aggs) > 0 {
+		return ex.runAggregate(p)
 	}
-	slices, err := ex.slices(p)
+	tasks, done, err := ex.RowTasks(p)
 	if err != nil {
 		return nil, err
 	}
-	pruner := p.Pruner
-	if ex.Opt.NoPrune {
-		pruner = nil
+	defer done()
+	limit := p.Sel.Limit
+	scan := make([]compute.ScanTask[ResultRow], len(tasks))
+	for i, task := range tasks {
+		scan[i] = compute.ScanTask[ResultRow]{Index: i, Run: func(yield func(ResultRow) error) error {
+			n := 0
+			var fields []Field
+			err := task(func(b *store.Batch, j int) error {
+				fields = p.Fields(fields[:0], b, j)
+				if err := yield(resultRow(b.Keys[j], fields)); err != nil {
+					return err
+				}
+				// A task alone may satisfy the limit: stop reading its slice.
+				if n++; limit > 0 && n >= limit {
+					return errLimitReached
+				}
+				return nil
+			})
+			if errors.Is(err, errLimitReached) {
+				return nil
+			}
+			return err
+		}}
 	}
-	stats := ex.Stats
-	if stats == nil {
-		stats = &persist.PruneStats{}
-	}
-	var out []ResultRow
-	st := obs.StartSpan(ex.ctx(), "scan")
-	if len(p.Sel.Aggs) > 0 {
-		out, err = ex.runAggregate(p, slices, pruner, stats)
-	} else {
-		out, err = ex.runStream(p, slices, pruner, stats)
-	}
-	st.End()
-	ex.Eng.NotePruning(int(stats.BlocksRead.Load()), int(stats.BlocksPruned.Load()))
-	if err != nil {
+	out := []ResultRow{}
+	err = compute.StreamScan(ex.Eng, compute.ScanOptions{Parallelism: ex.Opt.Parallelism}, scan,
+		func(_ int, batch []ResultRow) error {
+			if limit > 0 && len(batch) > limit-len(out) {
+				batch = batch[:limit-len(out)]
+			}
+			if out = append(out, batch...); limit > 0 && len(out) >= limit {
+				return errLimitReached
+			}
+			return nil
+		})
+	if err != nil && !errors.Is(err, errLimitReached) {
 		return nil, err
 	}
 	return out, nil
 }
 
-// scanTask streams one clustering slice of the partition through the
-// residual filter.
-func (ex *Executor) scanTask(p *Plan, rg store.Range, pruner store.Pruner, stats *store.PruneStats, each func(store.Row) error) error {
-	it, err := ex.DB.ScanPartitionPrunedCtx(ex.ctx(), p.Sel.Table, p.Sel.Partition, rg, ex.CL, pruner, stats)
+// resultRow copies one row out as a ResultRow.
+func resultRow(key string, fields []Field) ResultRow {
+	r := ResultRow{Key: strings.Clone(key)}
+	if fields != nil {
+		r.Columns = make(map[string]string, len(fields))
+		for _, f := range fields {
+			r.Columns[f.Name] = strings.Clone(f.Value)
+		}
+	}
+	return r
+}
+
+// RowTask is one scan task of a row-returning plan: it reads one
+// clustering slice of the partition and hands every row the plan's filter
+// selects — its batch and index, valid until each returns — to each, in
+// clustering order. each's error stops the task and is returned.
+type RowTask func(each func(b *store.Batch, i int) error) error
+
+// RowTasks cuts a plan into its scan tasks, one per clustering slice, in
+// clustering order: the one scan behind every SELECT result — rows encoded
+// for the wire, rows built as records by Run, rows folded into aggregates.
+// A task reads its slice as batches — projected to the columns the plan
+// reads, re-batched from the reconciled rows above consistency One — and
+// decides the filter on their vectors. The caller runs each task at most
+// once, then calls done, which closes the scan stage and notes the block
+// counters.
+func (ex *Executor) RowTasks(p *Plan) (tasks []RowTask, done func(), err error) {
+	if ex.DB == nil || ex.Eng == nil {
+		return nil, nil, fmt.Errorf("plan: executor needs a store and a compute engine")
+	}
+	slices, err := ex.slices(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	project := p.scanColumns()
+	filter := newBatchFilter(p.Filter, project != nil)
+	stats := ex.stats()
+	st := obs.StartSpan(ex.ctx(), "scan")
+	tasks = make([]RowTask, len(slices))
+	for i, rg := range slices {
+		tasks[i] = func(each func(*store.Batch, int) error) error {
+			return ex.scanBatches(p, rg, project, stats, func(b *store.Batch) error {
+				var sel [store.MaxBatchRows]bool
+				filter.match(b, sel[:b.Len()])
+				for j, ok := range sel[:b.Len()] {
+					if ok {
+						if err := each(b, j); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			})
+		}
+	}
+	return tasks, func() {
+		st.End()
+		ex.Eng.NotePruning(int(stats.BlocksRead.Load()), int(stats.BlocksPruned.Load()))
+	}, nil
+}
+
+// stats returns the block counters a scan accumulates into.
+func (ex *Executor) stats() *persist.PruneStats {
+	if ex.Stats != nil {
+		return ex.Stats
+	}
+	return &persist.PruneStats{}
+}
+
+// scanBatches streams one clustering slice of the plan's partition, at the
+// executor's consistency level, to fn as batches carrying project.
+func (ex *Executor) scanBatches(p *Plan, rg store.Range, project []uint32, stats *persist.PruneStats, fn func(*store.Batch) error) error {
+	pruner := p.Pruner
+	if ex.Opt.NoPrune {
+		pruner = nil
+	}
+	it, err := ex.DB.PartitionBatches(ex.ctx(), p.Sel.Table, p.Sel.Partition, rg, ex.CL, project, pruner, stats)
 	if err != nil {
 		return err
 	}
 	defer it.Close()
-	for {
-		r, ok := it.Next()
-		if !ok {
-			break
-		}
-		if p.Filter != nil && !p.Filter.Eval(r) {
-			continue
-		}
-		if err := each(r); err != nil {
+	for b, ok := it.Next(); ok; b, ok = it.Next() {
+		if err := fn(b); err != nil {
 			return err
 		}
 	}
 	return it.Err()
 }
 
-// runStream executes a row-returning plan: scan tasks project in
-// parallel, StreamScan delivers batches in clustering order, LIMIT stops
-// the scan early.
-func (ex *Executor) runStream(p *Plan, slices []store.Range, pruner store.Pruner, stats *store.PruneStats) ([]ResultRow, error) {
-	out := []ResultRow{}
-	err := ex.streamRows(p, slices, pruner, stats, func(r ResultRow) error {
-		out = append(out, r)
-		return nil
-	})
-	return out, err
-}
-
-// streamRows is the shared streaming core of runStream and Stream: it
-// fans the slices out on the scan pool and delivers projected rows to
-// emit one at a time, in clustering order, honoring the plan's LIMIT.
-func (ex *Executor) streamRows(p *Plan, slices []store.Range, pruner store.Pruner, stats *store.PruneStats, emit func(ResultRow) error) error {
-	limit := p.Sel.Limit
-	tasks := make([]compute.ScanTask[ResultRow], len(slices))
-	for i, rg := range slices {
-		rg := rg
-		tasks[i] = compute.ScanTask[ResultRow]{
-			Index: i,
-			Run: func(yield func(ResultRow) error) error {
-				n := 0
-				err := ex.scanTask(p, rg, pruner, stats, func(r store.Row) error {
-					if err := yield(p.project(r)); err != nil {
-						return err
-					}
-					n++
-					if limit > 0 && n >= limit {
-						// This task alone satisfies the global limit; stop
-						// reading the slice instead of draining it.
-						return errLimitReached
-					}
-					return nil
-				})
-				if errors.Is(err, errLimitReached) {
-					return nil
-				}
-				return err
-			},
-		}
+// runAggregate executes an aggregate plan: each slice's rows fold into an
+// accumulator of the slice's own, straight off the store's batches, and
+// ScanFold merges the accumulators in slice order, deterministic across
+// parallelism levels.
+func (ex *Executor) runAggregate(p *Plan) ([]ResultRow, error) {
+	tasks, done, err := ex.RowTasks(p)
+	if err != nil {
+		return nil, err
 	}
-	emitted := 0
-	err := compute.StreamScan(ex.Eng, compute.ScanOptions{Parallelism: ex.Opt.Parallelism}, tasks,
-		func(_ int, batch []ResultRow) error {
-			for _, r := range batch {
-				if limit > 0 && emitted >= limit {
-					return errLimitReached
-				}
-				if err := emit(r); err != nil {
-					return err
-				}
-				emitted++
-			}
-			if limit > 0 && emitted >= limit {
-				return errLimitReached
-			}
-			return nil
-		})
-	if err != nil && !errors.Is(err, errLimitReached) {
-		return err
-	}
-	return nil
-}
-
-// runAggregate executes an aggregate plan: each slice folds into its own
-// accumulator — at consistency One straight off the store's batches, which
-// carry only the columns the plan reads — and ScanFold merges the
-// accumulators in slice order, deterministic across parallelism levels.
-func (ex *Executor) runAggregate(p *Plan, slices []store.Range, pruner store.Pruner, stats *store.PruneStats) ([]ResultRow, error) {
-	project := p.aggColumns()
-	filter := newBatchFilter(p.Filter, project != nil)
-	tasks := make([]compute.FoldTask[*aggAcc], len(slices))
-	for i, rg := range slices {
-		tasks[i] = func(a *aggAcc) (*aggAcc, int, error) {
+	folds := make([]compute.FoldTask[*aggAcc], len(tasks))
+	for i, task := range tasks {
+		folds[i] = func(a *aggAcc) (*aggAcc, int, error) {
 			rows := 0
-			fold := func(r store.Row) error {
-				a.fold(r)
+			err := task(func(b *store.Batch, j int) error {
+				a.fold(b.Row(j))
 				rows++
 				return nil
-			}
-			if ex.CL != store.One {
-				// Reconciling reads materialize rows; fold those.
-				err := ex.scanTask(p, rg, pruner, stats, fold)
-				return a, rows, err
-			}
-			err := ex.DB.ScanPartitionBatches(ex.ctx(), p.Sel.Table, p.Sel.Partition, rg, project, pruner, stats,
-				func(b *store.Batch) error {
-					var sel [store.MaxBatchRows]bool
-					filter.match(b, sel[:b.Len()])
-					for i, ok := range sel[:b.Len()] {
-						if ok {
-							fold(b.Row(i))
-						}
-					}
-					return nil
-				})
+			})
 			return a, rows, err
 		}
 	}
-	acc, err := compute.ScanFold(ex.Eng, compute.ScanOptions{Parallelism: ex.Opt.Parallelism}, tasks,
+	acc, err := compute.ScanFold(ex.Eng, compute.ScanOptions{Parallelism: ex.Opt.Parallelism}, folds,
 		func() *aggAcc { return newAggAcc(p.Sel.Aggs, p.Sel.GroupBy) },
 		func(a, b *aggAcc) *aggAcc { return a.merge(b) })
+	done()
 	if err != nil {
 		return nil, err
 	}
@@ -330,29 +306,6 @@ func (f batchFilter) match(b *store.Batch, sel []bool) {
 			sel[i] = sel[i] && f.rest.Eval(b.Row(i))
 		}
 	}
-}
-
-// aggColumns lists the columns an aggregate plan reads — its residual
-// filter, aggregates and GROUP BY — as the projection its scan asks of the
-// store. nil (every column) when the filter holds a predicate this
-// function cannot see into.
-func (p *Plan) aggColumns() []uint32 {
-	cols := []uint32{}
-	add := func(c ColRef) {
-		if c.Known {
-			cols = append(cols, c.ID)
-		}
-	}
-	if !exprColumns(p.Filter, add) {
-		return nil
-	}
-	for _, a := range p.Sel.Aggs {
-		add(ColRef{ID: a.ID, Known: a.Known})
-	}
-	for _, g := range p.Sel.GroupBy {
-		add(NewColRef(g))
-	}
-	return cols
 }
 
 // exprColumns reports every column reference of e to add; false means e

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hpclog/internal/store"
@@ -25,6 +26,7 @@ type Plan struct {
 	Pruner persist.Pruner
 
 	projRefs  []projRef // resolved projection (nil = all columns)
+	outCols   []projRef // the known projected columns by name, each once (nil = all columns)
 	pruneDesc []string  // explain text of the prunable conjuncts
 }
 
@@ -111,6 +113,14 @@ func Build(sel *Select) (*Plan, error) {
 		for i, c := range sel.Columns {
 			id, ok := persist.DefaultDict().Lookup(c)
 			p.projRefs[i] = projRef{name: c, id: id, known: ok}
+			if ok {
+				p.outCols = append(p.outCols, p.projRefs[i])
+			}
+		}
+		slices.SortFunc(p.outCols, func(a, b projRef) int { return strings.Compare(a.name, b.name) })
+		p.outCols = slices.CompactFunc(p.outCols, func(a, b projRef) bool { return a.name == b.name })
+		if p.outCols == nil {
+			p.outCols = []projRef{}
 		}
 	}
 	return p, nil
@@ -128,24 +138,71 @@ func (p *Plan) tightenTo(to string) {
 	}
 }
 
-// project renders one row through the projection: only the selected
-// columns are materialized (nil projection = every column).
-func (p *Plan) project(r store.Row) ResultRow {
-	out := ResultRow{Key: r.Key}
-	if p.projRefs == nil {
-		out.Columns = r.ColumnsMap()
-		return out
-	}
-	out.Columns = make(map[string]string, len(p.projRefs))
-	for _, pr := range p.projRefs {
-		if !pr.known {
-			continue
+// Field is one column of a result row: its name and value.
+type Field struct{ Name, Value string }
+
+// Fields appends to dst the columns row i of b holds under the plan's
+// projection, sorted by name as the wire writes them: every projected
+// column with a value or, without a projection, every cell of the row —
+// nil when it has none. The values alias b.
+func (p *Plan) Fields(dst []Field, b *store.Batch, i int) []Field {
+	r := b.Row(i)
+	if p.outCols == nil {
+		cols := r.Cols()
+		if len(cols) == 0 {
+			return nil
 		}
-		if v := r.ColID(pr.id); v != "" {
-			out.Columns[pr.name] = v
+		for _, c := range cols {
+			f := Field{Name: store.ColumnName(c.ID), Value: c.Value}
+			j := len(dst)
+			for ; j > 0 && dst[j-1].Name > f.Name; j-- {
+			}
+			if j > 0 && dst[j-1].Name == f.Name {
+				dst[j-1] = f // a duplicated cell: the later one wins, as in a map
+				continue
+			}
+			dst = slices.Insert(dst, j, f)
+		}
+		return dst
+	}
+	if dst == nil {
+		dst = []Field{}
+	}
+	for _, c := range p.outCols {
+		if v := r.ColID(c.id); v != "" {
+			dst = append(dst, Field{Name: c.name, Value: v})
 		}
 	}
-	return out
+	return dst
+}
+
+// scanColumns is the projection a scan of the plan asks of the store:
+// the columns its filter reads plus those it returns — aggregated and
+// grouped, or projected; nil (every column) for SELECT * or a filter this
+// function cannot see into.
+func (p *Plan) scanColumns() []uint32 {
+	if len(p.Sel.Aggs) == 0 && p.outCols == nil {
+		return nil
+	}
+	cols := []uint32{}
+	add := func(c ColRef) {
+		if c.Known {
+			cols = append(cols, c.ID)
+		}
+	}
+	if !exprColumns(p.Filter, add) {
+		return nil
+	}
+	for _, a := range p.Sel.Aggs {
+		add(ColRef{ID: a.ID, Known: a.Known})
+	}
+	for _, g := range p.Sel.GroupBy {
+		add(NewColRef(g))
+	}
+	for _, c := range p.outCols {
+		cols = append(cols, c.id)
+	}
+	return cols
 }
 
 // Explain renders the operator tree, top operator first.

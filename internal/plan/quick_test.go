@@ -153,10 +153,10 @@ func TestBatchFilterMatchesEval(t *testing.T) {
 	defer seg.Close()
 	dicts := 0
 	for i := 0; i < 400; i++ {
-		p := &Plan{Filter: randExpr(rng, 2), Sel: &Select{}}
-		project := p.aggColumns()
+		p := &Plan{Filter: randExpr(rng, 2), Sel: &Select{}, outCols: []projRef{}} // a projection: the scan carries the filter's columns
+		project := p.scanColumns()
 		filter := newBatchFilter(p.Filter, project != nil)
-		sc, err := seg.ScanBatches(store.Range{}, persist.ScanConfig{Project: project})
+		sc, err := persist.ChainBatches(store.Range{}, []*persist.Segment{seg}, []persist.ScanConfig{{Project: project}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -300,16 +300,12 @@ func (q *Engine) ExecuteCtx(ctx context.Context, req Request) (any, error) {
 	if !known {
 		return nil, fmt.Errorf("query: unknown op %q", req.Op)
 	}
+	if !bigdata {
+		defer q.Track(ctx, req.Op)()
+		return q.dispatch(req)
+	}
 	obs.SpanFromContext(ctx).SetQuery("op:" + string(req.Op))
 	started := time.Now()
-	if !bigdata {
-		q.simple.Add(1)
-		st := obs.StartSpan(ctx, "query.exec")
-		res, err := q.dispatch(req)
-		st.End()
-		q.note(req.Op, time.Since(started), false)
-		return res, err
-	}
 	q.bigdata.Add(1)
 	gen := q.db.Generation()
 	key := cacheKey(req)
@@ -327,6 +323,22 @@ func (q *Engine) ExecuteCtx(ctx context.Context, req Request) (any, error) {
 	}
 	q.note(req.Op, time.Since(started), false)
 	return res, err
+}
+
+// Track opens the accounting of one simple operation — what ExecuteCtx
+// does around its own dispatch, for a result the caller produces itself
+// (the server encodes events straight off the scan): the operation counts
+// as simple and in its per-op counters, and the context's trace span gets
+// the operation name and a query.exec stage. The returned func closes it.
+func (q *Engine) Track(ctx context.Context, op Op) (end func()) {
+	obs.SpanFromContext(ctx).SetQuery("op:" + string(op))
+	started := time.Now()
+	q.simple.Add(1)
+	st := obs.StartSpan(ctx, "query.exec")
+	return func() {
+		st.End()
+		q.note(op, time.Since(started), false)
+	}
 }
 
 // dispatch routes one request to its implementation.
@@ -460,45 +472,34 @@ func mustLoc(cname string) topology.Location {
 	return l
 }
 
-func (q *Engine) events(req Request) ([]EventRecord, error) {
+// EventTasks plans the scan of an events request under the engine's scan
+// tuning — the one scan behind the records OpEvents returns and behind the
+// server's encoded one-shot, streamed and paged event results.
+func (q *Engine) EventTasks(req Request) ([]analytics.EventTask, error) {
 	from, to, err := req.window()
 	if err != nil {
 		return nil, err
 	}
-	var events []model.Event
-	switch {
-	case req.Context.Source != "":
-		events, err = analytics.EventsBySourceScan(q.compute, q.db, req.Context.Source, from, to, q.scanCfg())
-		if err != nil {
-			return nil, err
-		}
-		if req.Context.EventType != "" {
-			filtered := events[:0]
-			for _, e := range events {
-				if string(e.Type) == req.Context.EventType {
-					filtered = append(filtered, e)
-				}
-			}
-			events = filtered
-		}
-	case req.Context.EventType != "":
-		events, err = analytics.EventsByTypeScan(q.compute, q.db, model.EventType(req.Context.EventType), from, to, q.scanCfg())
-		if err != nil {
-			return nil, err
-		}
-	default:
-		events, err = analytics.EventsAllTypesScan(q.compute, q.db, from, to, q.scanCfg())
-		if err != nil {
-			return nil, err
-		}
+	return analytics.PlanEvents(model.EventType(req.Context.EventType), req.Context.Source, from, to, q.scanCfg()), nil
+}
+
+func (q *Engine) events(req Request) ([]EventRecord, error) {
+	tasks, err := q.EventTasks(req)
+	if err != nil {
+		return nil, err
 	}
-	model.SortEvents(events)
-	out := make([]EventRecord, len(events))
-	for i, e := range events {
-		out[i] = EventRecord{
-			Time: e.Time.Unix(), Type: string(e.Type), Source: e.Source,
+	out, err := analytics.EventRecords(q.compute, q.db, tasks, q.scanCfg(), func(r *analytics.EventRow) EventRecord {
+		e := r.Event()
+		return EventRecord{
+			Time: r.Time, Type: string(e.Type), Source: e.Source,
 			Count: e.Count, Raw: e.Raw, Attrs: e.Attrs,
 		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if out == nil {
+		out = []EventRecord{}
 	}
 	return out, nil
 }

@@ -7,12 +7,8 @@ package server
 
 import (
 	"context"
-	"errors"
-	"time"
 
 	"hpclog/internal/api"
-	"hpclog/internal/cql"
-	"hpclog/internal/model"
 	"hpclog/internal/query"
 	"hpclog/internal/store"
 )
@@ -29,12 +25,12 @@ func (s *Server) pageLimit(p *api.Page) int {
 	return limit
 }
 
-// pagedQuery dispatches a paginated query.Request; the result is an
-// *api.PageResult of the op's row shape.
-func (s *Server) pagedQuery(req api.QueryRequest) (any, *api.Error) {
+// pagedQuery dispatches a paginated query.Request; the result is a page
+// of the op's row shape.
+func (s *Server) pagedQuery(ctx context.Context, req api.QueryRequest) (any, *api.Error) {
 	switch req.Op {
 	case query.OpEvents:
-		return s.eventsPage(req.Context, req.Page)
+		return s.eventsPage(ctx, req.Request, req.Page)
 	case query.OpRuns:
 		return s.runsPage(req.Request, req.Page)
 	default:
@@ -45,146 +41,37 @@ func (s *Server) pagedQuery(req api.QueryRequest) (any, *api.Error) {
 
 // --- Events ---
 
-// eventSpec describes how one events-request shape maps onto store
-// partitions: which table, which partition keys per hour bucket, how a
-// row decodes, and the order tie-breaker within equal clustering keys.
-type eventSpec struct {
-	table string
-	// keysFor returns the hour's partition keys in canonical (type) order.
-	keysFor func(hour int64) []string
-	decode  func(pkey string, r store.Row) (model.Event, error)
-	// disc extracts the order tie-breaker of a partition's rows: the event
-	// type for hour-merged all-type scans, "" when the clustering key
-	// already totally orders the partition set.
-	disc func(pkey string) string
-	// filterType drops events of other types post-decode (source+type
-	// requests); "" keeps everything.
-	filterType string
-}
-
-// specFor maps a query context onto its scan shape, mirroring the
-// one-shot events dispatch in query.Engine exactly — same tables, same
-// decodes — so paginated pages concatenate to the one-shot result.
-func specFor(c query.Context) eventSpec {
-	switch {
-	case c.Source != "":
-		return eventSpec{
-			table:      model.TableEventByLoc,
-			keysFor:    func(hour int64) []string { return []string{model.EventByLocKey(hour, c.Source)} },
-			decode:     model.EventFromLocRow,
-			disc:       func(string) string { return "" },
-			filterType: c.EventType,
-		}
-	case c.EventType != "":
-		typ := model.EventType(c.EventType)
-		return eventSpec{
-			table:   model.TableEventByTime,
-			keysFor: func(hour int64) []string { return []string{model.EventByTimeKey(hour, typ)} },
-			decode:  model.EventFromTimeRow,
-			disc:    func(string) string { return "" },
-		}
-	default:
-		return eventSpec{
-			table: model.TableEventByTime,
-			keysFor: func(hour int64) []string {
-				keys := make([]string, len(model.EventTypes))
-				for i, typ := range model.EventTypes {
-					keys[i] = model.EventByTimeKey(hour, typ)
-				}
-				return keys
-			},
-			decode: model.EventFromTimeRow,
-			disc: func(pkey string) string {
-				typ, err := model.TypeFromKey(pkey)
-				if err != nil {
-					return ""
-				}
-				return string(typ)
-			},
-		}
+// eventsPage serves one page of an events request off the tasks the
+// one-shot and the stream run. The scan resumes at the cursor's hour and
+// key (rows at that key the previous page already delivered are dropped
+// by the order tie-breaker) and stops once the page is full, so a page
+// costs the rows it returns, not the hour it sits in.
+func (s *Server) eventsPage(ctx context.Context, req query.Request, page *api.Page) (any, *api.Error) {
+	tasks, err := s.q.EventTasks(req)
+	if err != nil {
+		return nil, toAPIError(err)
 	}
-}
-
-// eventRecord converts a model event into its wire record, the same
-// mapping the one-shot path uses.
-func eventRecord(e model.Event) query.EventRecord {
-	return query.EventRecord{
-		Time: e.Time.Unix(), Type: string(e.Type), Source: e.Source,
-		Count: e.Count, Raw: e.Raw, Attrs: e.Attrs,
-	}
-}
-
-// hourWindow clips [from, to) to hour bucket h.
-func hourWindow(h int64, from, to time.Time) (time.Time, time.Time) {
-	lo, hi := time.Unix(h*3600, 0).UTC(), time.Unix((h+1)*3600, 0).UTC()
-	if from.After(lo) {
-		lo = from
-	}
-	if to.Before(hi) {
-		hi = to
-	}
-	return lo, hi
-}
-
-// errPageFull stops an hour scan once the page holds limit rows.
-var errPageFull = errors.New("page full")
-
-// eventsPage serves one page of an events request off the same lazy
-// hour merge the NDJSON stream uses. The scan of the cursor's hour starts
-// at the cursor's key (rows at that key which the previous page already
-// delivered are dropped by the order tie-breaker) and stops at limit, so a
-// page costs the rows it returns, not the hour it sits in.
-func (s *Server) eventsPage(c query.Context, page *api.Page) (any, *api.Error) {
-	from, to := c.Window()
-	if !to.After(from) {
-		return nil, api.Errorf(api.CodeBadRequest, "op \"events\" requires a non-empty [from, to) window")
-	}
-	var cur api.Cursor
-	resume := page.Cursor != ""
-	if resume {
-		var err error
-		if cur, err = api.DecodeCursor(page.Cursor, "events"); err != nil {
+	var after *api.Cursor
+	if page.Cursor != "" {
+		cur, err := api.DecodeCursor(page.Cursor, "events")
+		if err != nil {
 			return nil, toAPIError(err)
 		}
+		after = &cur
 	}
 	limit := s.pageLimit(page)
-	spec := specFor(c)
-	out := &api.PageResult[query.EventRecord]{Items: make([]query.EventRecord, 0, limit)}
-	for _, hour := range model.HoursIn(from, to) {
-		if resume && hour < cur.Hour {
-			continue
-		}
-		lo, hi := hourWindow(hour, from, to)
-		if !hi.After(lo) {
-			continue
-		}
-		rg := model.EventTimeRange(lo, hi)
-		inCursorHour := resume && hour == cur.Hour
-		if inCursorHour && cur.Key > rg.From {
-			rg.From = cur.Key
-		}
-		err := s.scanHourMerged(spec, hour, rg, func(key, disc string, rec query.EventRecord) error {
-			if inCursorHour && !cur.After(key, disc) {
-				return nil
-			}
-			out.Items = append(out.Items, rec)
-			if len(out.Items) == limit {
-				out.NextCursor = api.Cursor{Op: "events", Hour: hour, Key: key, Disc: disc}.Encode()
-				return errPageFull
-			}
-			return nil
-		})
-		if err == errPageFull {
-			break
-		}
-		if err != nil {
-			// Same classification as the one-shot path (toAPIError), so the
-			// identical store failure gets the identical code and SDK retry
-			// behavior whichever way the result is delivered.
-			return nil, toAPIError(err)
-		}
+	rs, err := pageChunks(s.eventChunks(ctx, tasks, after), limit)
+	if err != nil {
+		// Same classification as the one-shot path (toAPIError), so the
+		// identical store failure gets the identical code and SDK retry
+		// behavior whichever way the result is delivered.
+		return nil, toAPIError(err)
 	}
-	return out, nil
+	if rs.rows == limit {
+		hour, key, disc := rs.last()
+		rs.cursor = api.Cursor{Op: "events", Hour: hour, Key: key, Disc: disc}.Encode()
+	}
+	return rs, nil
 }
 
 // --- Runs ---
@@ -240,13 +127,27 @@ func (s *Server) pagedCQL(ctx context.Context, req api.CQLRequest, cl store.Cons
 			return nil, toAPIError(err)
 		}
 	}
-	rows, nextKey, more, err := s.session(ctx, cl).SelectPage(req.Query, s.pageLimit(req.Page), req.Page.Cursor != "", cur.Key, cur.N)
+	sess := s.session(ctx, cl)
+	p, last, err := sess.SelectPage(req.Query, s.pageLimit(req.Page), req.Page.Cursor != "", cur.Key, cur.N)
 	if err != nil {
 		return nil, toAPIError(err)
 	}
-	out := &api.PageResult[cql.ResultRow]{Items: rows}
-	if more {
-		out.NextCursor = api.Cursor{Op: "cql", Key: nextKey, N: cur.N + int64(len(rows))}.Encode()
+	if p == nil {
+		return &rowSet{shape: rowPage}, nil // the statement's LIMIT is spent
 	}
-	return out, nil
+	tasks, done, err := planChunks(sess.Executor(), p)
+	if err != nil {
+		return nil, toAPIError(err)
+	}
+	limit := p.Sel.Limit
+	rs, err := pageChunks(tasks, limit)
+	done()
+	if err != nil {
+		return nil, toAPIError(err)
+	}
+	if rs.rows == limit && !last {
+		_, key, _ := rs.last()
+		rs.cursor = api.Cursor{Op: "cql", Key: key, N: cur.N + int64(rs.rows)}.Encode()
+	}
+	return rs, nil
 }

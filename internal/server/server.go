@@ -408,6 +408,9 @@ func (s *Server) v1(core coreFunc) http.HandlerFunc {
 		}
 		result, apiErr := core(w, r)
 		s.writeV1(w, started, reqID, result, apiErr)
+		if rs, ok := result.(*rowSet); ok {
+			rs.release()
+		}
 	}
 }
 
@@ -440,7 +443,10 @@ func (s *Server) handleQueryV1(w http.ResponseWriter, r *http.Request) {
 			return nil, aerr
 		}
 		if req.Page != nil {
-			return s.pagedQuery(req)
+			return s.pagedQuery(r.Context(), req)
+		}
+		if req.Op == query.OpEvents {
+			return s.eventsOneShot(r.Context(), req.Request)
 		}
 		result, err := s.q.ExecuteCtx(r.Context(), req.Request)
 		if err != nil {
@@ -493,11 +499,7 @@ func (s *Server) handleCQLV1(w http.ResponseWriter, r *http.Request) {
 		if req.Page != nil {
 			return s.pagedCQL(r.Context(), req, cl)
 		}
-		res, err := s.session(r.Context(), cl).Execute(req.Query)
-		if err != nil {
-			return nil, toAPIError(err)
-		}
-		return res, nil
+		return s.cqlOneShot(r.Context(), req.Query, cl)
 	})(w, r)
 }
 

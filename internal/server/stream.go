@@ -1,20 +1,18 @@
 // NDJSON streaming of row-returning results. Streamed responses are fed
 // directly from the compute scan planner (compute.StreamScan), so a large
-// scan flows from storage iterators to the socket without ever
+// scan flows from storage batches to the socket in chunks without ever
 // materializing server-side; the lines concatenate to exactly the
 // one-shot result, and a terminal api.StreamTrailer line carries the row
 // count or the error that cut the stream short.
 package server
 
 import (
+	"context"
 	"net/http"
 
 	"hpclog/internal/api"
-	"hpclog/internal/compute"
 	"hpclog/internal/cql"
-	"hpclog/internal/model"
 	"hpclog/internal/query"
-	"hpclog/internal/store"
 )
 
 // ndjson writes one JSON document per line, deferring headers until the
@@ -81,6 +79,22 @@ func (n *ndjson) emit(v any) error {
 	return nil
 }
 
+// lines writes the first rows rows of c as lines and releases c.
+func (n *ndjson) lines(c *chunk, rows int) error {
+	defer c.release()
+	n.begin()
+	for i := 0; i < rows; i++ {
+		n.buf.B = append(append(n.buf.B, c.row(i)...), '\n')
+		n.rows++
+		if n.pending++; n.pending >= flushEvery {
+			if err := n.flush(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // finish terminates the stream with the trailer line.
 func (n *ndjson) finish(err error) {
 	n.begin()
@@ -113,7 +127,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	var err error
 	switch req.Op {
 	case query.OpEvents:
-		err = s.streamEvents(req.Context, nd)
+		err = s.streamEvents(r.Context(), req.Request, nd)
 	case query.OpRuns:
 		err = s.streamRuns(req.Request, nd)
 	default:
@@ -148,11 +162,25 @@ func (s *Server) handleCQLStream(w http.ResponseWriter, r *http.Request) {
 	}
 	nd := newNDJSON(w, reqID)
 	defer nd.release()
-	var line cql.ResultRow // one heap slot for the whole stream, not one per row
-	err := s.session(r.Context(), cl).StreamSelect(req.Query, func(row cql.ResultRow) error {
-		line = row
-		return nd.emit(&line)
-	})
+	sess := s.session(r.Context(), cl)
+	p, err := sess.StreamSelect(req.Query)
+	if err == nil {
+		limit, taken := p.Sel.Limit, 0
+		err = s.scanPlan(sess.Executor(), p, func(c *chunk) error {
+			n := c.rows()
+			if limit > 0 {
+				n = min(n, limit-taken)
+			}
+			taken += n
+			if err := nd.lines(c, n); err != nil {
+				return err
+			}
+			if limit > 0 && taken >= limit {
+				return errEnough
+			}
+			return nil
+		})
+	}
 	if err != nil && !nd.started {
 		if err == cql.ErrNotStreamable {
 			s.writeV1(w, started, reqID, nil, api.Errorf(api.CodeNotStreamable, "%v", err))
@@ -184,111 +212,15 @@ func (s *Server) streamRuns(req query.Request, nd *ndjson) error {
 	return nil
 }
 
-// streamEvents streams an events result straight from the store: one
-// scan task per hour bucket, fanned out on the compute scan pool
-// (StreamScan delivers batches in hour order while later hours scan
-// ahead), each task streaming its partition iterators row by row. The
-// line order equals the one-shot result order.
-func (s *Server) streamEvents(c query.Context, nd *ndjson) error {
-	from, to := c.Window()
-	if !to.After(from) {
-		return api.Errorf(api.CodeBadRequest, "op \"events\" requires a non-empty [from, to) window")
+// streamEvents streams an events result straight off its scan: the
+// one-shot path's tasks, fanned out on the compute scan pool, their chunks
+// written as lines in result order while later slices scan ahead.
+func (s *Server) streamEvents(ctx context.Context, req query.Request, nd *ndjson) error {
+	tasks, err := s.q.EventTasks(req)
+	if err != nil {
+		return err
 	}
-	spec := specFor(c)
-	hours := model.HoursIn(from, to)
-	tasks := make([]compute.ScanTask[query.EventRecord], 0, len(hours))
-	for _, hour := range hours {
-		lo, hi := hourWindow(hour, from, to)
-		if !hi.After(lo) {
-			continue
-		}
-		tasks = append(tasks, compute.ScanTask[query.EventRecord]{
-			Index: len(tasks),
-			Run: func(yield func(query.EventRecord) error) error {
-				return s.scanHourMerged(spec, hour, model.EventTimeRange(lo, hi),
-					func(_, _ string, rec query.EventRecord) error { return yield(rec) })
-			},
-		})
-	}
-	par, _ := s.q.ScanTuning()
-	return compute.StreamScan(s.eng, compute.ScanOptions{Parallelism: par}, tasks,
-		func(_ int, batch []query.EventRecord) error {
-			for i := range batch {
-				if err := nd.emit(&batch[i]); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-}
-
-// scanHourMerged streams the rows of one hour bucket of an event spec
-// whose clustering keys fall in rg, in result order: the hour's
-// partitions (one per event type for all-type scans) are read through
-// store iterators and merged lazily on (clustering key, type) — the same
-// total order model.SortEvents imposes — so nothing is materialized beyond
-// one row per open iterator. yield receives each record with its order
-// key (clustering key, tie-breaker), which is what a page cursor encodes;
-// an error from yield ends the scan and is returned as is.
-func (s *Server) scanHourMerged(spec eventSpec, hour int64, rg store.Range, yield func(key, disc string, rec query.EventRecord) error) error {
-	type head struct {
-		it   store.RowIter
-		pkey string
-		disc string
-		row  store.Row
-		ok   bool
-	}
-	pkeys := spec.keysFor(hour)
-	heads := make([]*head, 0, len(pkeys))
-	defer func() {
-		for _, h := range heads {
-			h.it.Close()
-		}
-	}()
-	for _, pkey := range pkeys {
-		it, err := s.db.ScanPartition(spec.table, pkey, rg, store.One)
-		if err != nil {
-			return err
-		}
-		h := &head{it: it, pkey: pkey, disc: spec.disc(pkey)}
-		heads = append(heads, h)
-		if h.row, h.ok = it.Next(); !h.ok {
-			// ok==false is exhausted *or* failed; a priming-read failure
-			// must not pass off as an empty partition.
-			if err := it.Err(); err != nil {
-				return err
-			}
-		}
-	}
-	for {
-		var min *head
-		for _, h := range heads {
-			if !h.ok {
-				continue
-			}
-			if min == nil || h.row.Key < min.row.Key ||
-				(h.row.Key == min.row.Key && h.disc < min.disc) {
-				min = h
-			}
-		}
-		if min == nil {
-			break
-		}
-		e, err := spec.decode(min.pkey, min.row)
-		if err != nil {
-			return err
-		}
-		if spec.filterType == "" || string(e.Type) == spec.filterType {
-			if err := yield(min.row.Key, min.disc, eventRecord(e)); err != nil {
-				return err
-			}
-		}
-		min.row, min.ok = min.it.Next()
-		if !min.ok {
-			if err := min.it.Err(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return s.scanChunks(s.eventChunks(ctx, tasks, nil), 0, func(c *chunk) error {
+		return nd.lines(c, c.rows())
+	})
 }

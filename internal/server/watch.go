@@ -158,22 +158,28 @@ func (h *hub) notify(d *store.WriteDigest) {
 	}
 	// Decode outside the shard lock: one decode per row, shared by every
 	// subscriber of the type.
-	entries := make([]tailEntry, 0, len(d.Rows))
-	for _, row := range d.Rows {
-		e, derr := model.EventFromTimeRow(d.PKey, row)
-		if derr != nil {
+	entries := make([]tailEntry, len(d.Rows))
+	for i, row := range d.Rows {
+		var err error
+		if entries[i], err = decodeTail(d.PKey, row); err != nil {
 			// Undecodable rows can only be delivered by the scan path.
 			h.scanFallback()
 			return
 		}
-		ts, terr := store.DecodeTS(row.Key)
-		if terr != nil {
-			h.scanFallback()
-			return
-		}
-		entries = append(entries, tailEntry{key: row.Key, ts: ts, rec: eventRecord(e)})
 	}
 	sh.append(entries, h)
+}
+
+// decodeTail decodes one acked event_by_time row of partition pkey.
+func decodeTail(pkey string, row store.Row) (tailEntry, error) {
+	e, err := model.EventFromTimeRow(pkey, row)
+	if err != nil {
+		return tailEntry{}, err
+	}
+	return tailEntry{key: row.Key, ts: e.Time.Unix(), rec: query.EventRecord{
+		Time: e.Time.Unix(), Type: string(e.Type), Source: e.Source,
+		Count: e.Count, Raw: e.Raw, Attrs: e.Attrs,
+	}}, nil
 }
 
 // scanFallback wakes every shard with the scan-epoch advanced, forcing
@@ -460,11 +466,11 @@ func scanEventsSince(db *store.DB, typ model.EventType, since int64, now time.Ti
 			return err
 		}
 		for _, row := range rows {
-			e, err := model.EventFromTimeRow(pkey, row)
+			e, err := decodeTail(pkey, row)
 			if err != nil {
 				return err
 			}
-			visit(row.Key, eventRecord(e))
+			visit(e.key, e.rec)
 		}
 	}
 	return nil

@@ -1149,7 +1149,7 @@ func (db *DB) GetCtx(ctx context.Context, tableName, pkey string, rg Range, cl C
 
 // materializeRows converts rows to the API-boundary map representation in
 // place. Get hands rows to external consumers (CQL, snapshots, direct map
-// access); the streaming ScanPartition path keeps the compact form.
+// access); the streaming scans keep the compact form.
 func materializeRows(rows []Row) []Row {
 	for i := range rows {
 		rows[i] = rows[i].Materialize()

@@ -186,7 +186,7 @@ func TestDurableScanMatchesGet(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("durable Get(%+v) differs from in-memory: %d vs %d rows", rg, len(got), len(want))
 		}
-		it, err := ddb.ScanPartition("events", "p", rg, One)
+		it, err := ddb.ScanPartitionPruned("events", "p", rg, One, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestDurableScanMatchesGet(t *testing.T) {
 			t.Fatal(err)
 		}
 		it.Close()
-		// ScanPartition streams compact rows; compare logical content
+		// ScanPartitionPruned streams compact rows; compare logical content
 		// against the materialized Get result.
 		if !sameRows(streamed, want) {
 			t.Fatalf("durable scan(%+v) differs: %d vs %d rows", rg, len(streamed), len(want))

@@ -294,12 +294,12 @@ func (in mergeInputs) openRows(rg Range) ([]persist.Iterator, error) {
 	return its, nil
 }
 
-// openBatches opens the inputs as batch sources to be drained in order.
-// Inputs whose key ranges clipped to rg are pairwise disjoint cannot hold
-// two versions of one key, so they are chained in key order straight from
-// the block decoder (in-RAM runs through the rows→Batch adapter); any
-// overlap sends every input through the last-write-wins merge, re-batched.
-func (in mergeInputs) openBatches(rg Range, project []uint32) (srcs []persist.BatchIterator, chained bool, err error) {
+// openBatches opens the inputs as one batch source. Inputs whose key
+// ranges clipped to rg are pairwise disjoint cannot hold two versions of
+// one key, so they are chained in key order straight from the block
+// decoder (in-RAM runs through the rows→Batch adapter); any overlap sends
+// every input through the last-write-wins merge, re-batched.
+func (in mergeInputs) openBatches(rg Range, project []uint32) (_ persist.BatchIterator, chained bool, err error) {
 	type span struct {
 		min, max string
 		input    int // < len(in.segs): a segment; otherwise a run
@@ -322,10 +322,11 @@ func (in mergeInputs) openBatches(rg Range, project []uint32) (srcs []persist.Ba
 			if err != nil {
 				return nil, false, err
 			}
-			return []persist.BatchIterator{persist.BatchRows(persist.MergeIters(its), project)}, false, nil
+			return persist.BatchRows(persist.MergeIters(its), project), false, nil
 		}
 	}
 	// Consecutive segments share one scanner; a run breaks the chain.
+	var srcs []persist.BatchIterator
 	var segs []*persist.Segment
 	var cfgs []persist.ScanConfig
 	chain := func() error {
@@ -353,17 +354,12 @@ func (in mergeInputs) openBatches(rg Range, project []uint32) (srcs []persist.Ba
 	if err == nil {
 		err = chain()
 	}
+	it := persist.Concat(srcs)
 	if err != nil {
-		closeBatches(srcs)
+		it.Close()
 		return nil, false, err
 	}
-	return srcs, true, nil
-}
-
-func closeBatches(srcs []persist.BatchIterator) {
-	for _, src := range srcs {
-		src.Close()
-	}
+	return it, true, nil
 }
 
 // retryRetired runs open on a fresh snapshot of the partition's inputs.
@@ -392,14 +388,14 @@ func (p *partition) snapshotIters(rg Range, pc *pruneCfg) (its []persist.Iterato
 }
 
 // snapshotBatches is snapshotIters for the batch path (see openBatches).
-func (p *partition) snapshotBatches(rg Range, pc *pruneCfg, project []uint32) (srcs []persist.BatchIterator, chained bool, err error) {
+func (p *partition) snapshotBatches(rg Range, pc *pruneCfg, project []uint32) (it persist.BatchIterator, chained bool, err error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	err = retryRetired(func() error {
-		srcs, chained, err = p.inputsLocked(rg, pc).openBatches(rg, project)
+		it, chained, err = p.inputsLocked(rg, pc).openBatches(rg, project)
 		return err
 	})
-	return srcs, chained, err
+	return it, chained, err
 }
 
 // read returns rows within rg merged across memtable and segments. It

@@ -209,6 +209,42 @@ func (rb *rowBatcher) Close() error {
 	return rb.it.Close()
 }
 
+// Concat is one BatchIterator over srcs, drained one after the other, each
+// closed once exhausted. It takes ownership of srcs.
+func Concat(srcs []BatchIterator) BatchIterator {
+	if len(srcs) == 1 {
+		return srcs[0]
+	}
+	return &concat{srcs: srcs}
+}
+
+type concat struct {
+	srcs []BatchIterator
+	err  error
+}
+
+func (c *concat) Next() (*Batch, bool) {
+	for len(c.srcs) > 0 && c.err == nil {
+		if b, ok := c.srcs[0].Next(); ok {
+			return b, true
+		}
+		c.err = c.srcs[0].Err()
+		c.srcs[0].Close()
+		c.srcs = c.srcs[1:]
+	}
+	return nil, false
+}
+
+func (c *concat) Err() error { return c.err }
+
+func (c *concat) Close() error {
+	for _, src := range c.srcs {
+		src.Close()
+	}
+	c.srcs = nil
+	return nil
+}
+
 // scanBufs is what a block is decoded from: the raw block as read, and the
 // arena of what front coding makes the decoder rebuild — the keys, long
 // values. Pooled across scans.
@@ -661,18 +697,13 @@ func (sc *BatchScanner) Close() error {
 	return nil
 }
 
-// ScanBatches streams the segment's rows within rg as batches of at most
-// one block, materializing only cfg.Project's columns and skipping blocks
-// the configuration's Pruner proves irrelevant. Batches alias the
-// scanner's read buffer; see Batch for the lifetime contract.
-func (s *Segment) ScanBatches(rg Range, cfg ScanConfig) (*BatchScanner, error) {
-	return ChainBatches(rg, []*Segment{s}, []ScanConfig{cfg})
-}
-
-// ChainBatches is ScanBatches over several segments whose key ranges
-// within rg are disjoint, in the order given: one scanner, one batch and
-// one set of column vectors serve them all. cfgs is parallel to segs; the
-// projection is that of cfgs[0].
+// ChainBatches streams the rows within rg of segments whose key ranges
+// within rg are disjoint, in the order given, as batches of at most one
+// block: one scanner, one batch and one set of column vectors serve them
+// all. Only the projected columns are materialized and blocks a
+// configuration's Pruner proves irrelevant are skipped. cfgs is parallel
+// to segs; the projection is that of cfgs[0]. Batches alias the scanner's
+// read buffer; see Batch for the lifetime contract.
 func ChainBatches(rg Range, segs []*Segment, cfgs []ScanConfig) (*BatchScanner, error) {
 	sc := &BatchScanner{}
 	if err := sc.open(rg, false, segs, cfgs); err != nil {

@@ -290,7 +290,7 @@ func TestScanBatchesMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		it.Close()
-		bs, err := seg.ScanBatches(rg, ScanConfig{Project: project})
+		bs, err := ChainBatches(rg, []*Segment{seg}, []ScanConfig{{Project: project}})
 		if err != nil {
 			t.Fatal(err)
 		}

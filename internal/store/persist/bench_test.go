@@ -105,7 +105,7 @@ func BenchmarkSegmentScanBatches(b *testing.B) {
 	b.SetBytes(int64(len(rows)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bs, err := seg.ScanBatches(Range{}, cfg)
+		bs, err := ChainBatches(Range{}, []*Segment{seg}, []ScanConfig{cfg})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func BenchmarkScanBatches(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(gen.seg.meta.DataLen)
 				for i := 0; i < b.N; i++ {
-					sc, err := gen.seg.ScanBatches(Range{}, ScanConfig{Project: p.project})
+					sc, err := ChainBatches(Range{}, []*Segment{gen.seg}, []ScanConfig{{Project: p.project}})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -105,7 +105,7 @@ func imageOf(t testing.TB, b *Batch, project []uint32, generation int) batchImag
 
 func batchImages(t testing.TB, seg *Segment, rg Range, cfg ScanConfig) []batchImage {
 	t.Helper()
-	sc, err := seg.ScanBatches(rg, cfg)
+	sc, err := ChainBatches(rg, []*Segment{seg}, []ScanConfig{cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,14 +152,6 @@ func (r Row) ColID(id uint32) string {
 // the nil case by ranging Columns; resolve names with ColumnName.
 func (r Row) Cols() []Col { return r.cols }
 
-// NumColumns returns the number of cells.
-func (r Row) NumColumns() int {
-	if r.cols != nil {
-		return len(r.cols)
-	}
-	return len(r.Columns)
-}
-
 // ColumnsMap returns the row's cells as a name→value map, building one
 // when the row is compact. Mutating the result of a materialized row
 // mutates the row.

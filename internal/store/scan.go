@@ -22,25 +22,6 @@ type RowIter = persist.Iterator
 // RowIter. Used for the Quorum/All fallback and by tests.
 func NewSliceIter(rows []Row) RowIter { return persist.NewSliceIter(rows) }
 
-// ScanPartition opens a streaming scan over one partition's rows within
-// the clustering range. At consistency One the scan streams from a
-// snapshot of the first live replica — the fast path the partition-parallel
-// query planner uses. On durable nodes the snapshot's segment inputs are
-// pruned by each file's footer key range and decoded lazily off disk.
-// Quorum/All scans require cross-replica reconciliation and read repair,
-// which need the materialized row set, so they fall back to Get and stream
-// the reconciled result.
-//
-// Yielded rows are in the compact interned-column representation (their
-// Columns field is nil): read cells through Row.Col/ColID/Cols or
-// materialize with Row.ColumnsMap. Rows share storage with the store and
-// must be treated as read-only; on durable nodes their strings alias
-// decoded segment blocks, so callers retaining single cells long-term
-// should clone them.
-func (db *DB) ScanPartition(tableName, pkey string, rg Range, cl Consistency) (RowIter, error) {
-	return db.ScanPartitionPrunedCtx(context.Background(), tableName, pkey, rg, cl, nil, nil)
-}
-
 // scanPartitionPruned streams one partition of this node: a lazy
 // last-write-wins k-way merge over the point-in-time snapshot captured by
 // snapshotIters, with block pruning when pc is set.
@@ -60,48 +41,28 @@ func (n *Node) scanPartitionPruned(tableName, pkey string, rg Range, pc *pruneCf
 	return persist.MergeIters(its), nil
 }
 
-// scanPartitionBatches streams one partition of this node to fn as
-// batches, chained off the block decoder when the snapshot's inputs are
-// disjoint and through the last-write-wins merge otherwise.
-func (n *Node) scanPartitionBatches(tableName, pkey string, rg Range, project []uint32, pc *pruneCfg, fn func(*Batch) error) error {
+// partitionBatches opens one partition of this node as a batch scan,
+// chained off the block decoder when the snapshot's inputs are disjoint
+// and through the last-write-wins merge otherwise.
+func (n *Node) partitionBatches(tableName, pkey string, rg Range, project []uint32, pc *pruneCfg) (BatchIterator, error) {
 	t, err := n.table(tableName)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	p := t.partition(pkey, false)
 	if p == nil {
-		return nil
+		return persist.Concat(nil), nil
 	}
-	srcs, chained, err := p.snapshotBatches(rg, pc, project)
+	it, chained, err := p.snapshotBatches(rg, pc, project)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if chained {
 		n.chainedScans.Add(1)
 	} else {
 		n.mergedScans.Add(1)
 	}
-	return drainBatches(srcs, fn)
-}
-
-// drainBatches feeds every batch of srcs, in order, to fn and closes them.
-func drainBatches(srcs []persist.BatchIterator, fn func(*Batch) error) error {
-	defer closeBatches(srcs)
-	for _, src := range srcs {
-		for {
-			b, ok := src.Next()
-			if !ok {
-				break
-			}
-			if err := fn(b); err != nil {
-				return err
-			}
-		}
-		if err := src.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return it, nil
 }
 
 // Pruner is re-exported from the persistence layer: a block-statistics
@@ -112,30 +73,24 @@ type Pruner = persist.Pruner
 // counters accumulated across one scan's iterators.
 type PruneStats = persist.PruneStats
 
-// ScanPartitionPruned is ScanPartition with storage-level predicate
-// pushdown: on durable nodes, segment blocks whose zone maps and Bloom
-// filters prove that no row can satisfy the pruner's predicate are
-// skipped before they are read or decoded. Pruning is best-effort and
-// conservative — the result stream is always exactly the rows
-// ScanPartition would yield (callers still filter row-by-row); blocks
-// whose keys may collide with other merge inputs are scanned regardless,
-// preserving last-write-wins reconciliation. stats, when non-nil,
-// receives the block counters. At consistency levels above One the call
-// falls back to the reconciling ScanPartition path unpruned.
+// ScanPartitionPruned opens a streaming row scan over one partition's rows
+// within the clustering range. At consistency One it streams a snapshot
+// of the first live replica — on durable nodes pruned by each file's
+// footer key range and decoded lazily off disk, segment blocks whose zone
+// maps and Bloom filters prove that no row can satisfy pr skipped before
+// they are read (pruning is conservative: the stream is always every row
+// in range, and blocks whose keys may collide with other merge inputs are
+// read regardless, preserving last-write-wins reconciliation); stats, when
+// non-nil, receives the block counters. A remote shard streams over the
+// wire unpruned. Quorum/All need cross-replica reconciliation and read
+// repair, so they stream the rows of Get.
+//
+// Yielded rows are compact (their Columns field is nil): read cells
+// through Row.Col/ColID/Cols or materialize with Row.ColumnsMap. Rows
+// share storage with the store and must be treated as read-only.
 func (db *DB) ScanPartitionPruned(tableName, pkey string, rg Range, cl Consistency, pr Pruner, stats *PruneStats) (RowIter, error) {
-	return db.ScanPartitionPrunedCtx(context.Background(), tableName, pkey, rg, cl, pr, stats)
-}
-
-// ScanPartitionPrunedCtx is ScanPartitionPruned under the caller's
-// context: a remote shard scan derives its RPC deadline from ctx and
-// forwards its request ID, so the scatter half of a distributed query
-// traces under the coordinator's ID on the peer.
-func (db *DB) ScanPartitionPrunedCtx(ctx context.Context, tableName, pkey string, rg Range, cl Consistency, pr Pruner, stats *PruneStats) (RowIter, error) {
 	if cl != One {
-		if !db.HasTable(tableName) {
-			return nil, fmt.Errorf("store: no such table %q", tableName)
-		}
-		rows, err := db.GetCtx(ctx, tableName, pkey, rg, cl)
+		rows, err := db.Get(tableName, pkey, rg, cl)
 		if err != nil {
 			return nil, err
 		}
@@ -148,10 +103,7 @@ func (db *DB) ScanPartitionPrunedCtx(ctx context.Context, tableName, pkey string
 	if tgt.n != nil {
 		return tgt.n.scanPartitionPruned(tableName, pkey, rg, newPruneCfg(pr, stats))
 	}
-	// Remote shard: stream over the wire. Block pruning is not pushed
-	// down (the remote scans its own segments); callers filter row-by-row
-	// regardless, so the result stream is identical.
-	return tgt.r.Scan(ctx, tableName, pkey, rg)
+	return tgt.r.Scan(context.Background(), tableName, pkey, rg)
 }
 
 // scanTarget picks the replica a consistency-One scan of the partition
@@ -173,32 +125,59 @@ func (db *DB) scanTarget(tableName, pkey string) (replicaTarget, error) {
 // persist.Batch).
 type Batch = persist.Batch
 
+// BatchIterator is re-exported from the persistence layer: a pull scan of
+// one partition as batches (see persist.BatchIterator).
+type BatchIterator = persist.BatchIterator
+
 // MaxBatchRows is the most rows a Batch holds.
 const MaxBatchRows = persist.MaxBatchRows
 
-// ScanPartitionBatches streams the partition's rows within rg, in
-// clustering-key order, to fn as batches that carry the clustering keys,
-// the write timestamps and the projected columns (dictionary IDs; nil =
-// every column). It reads one live replica, like ScanPartition at
-// consistency One, and yields exactly the rows and cells
-// ScanPartitionPruned would: disjoint snapshot inputs are chained off the
-// segment block decoder without a merge, overlapping ones go through the
-// last-write-wins merge. A batch and every string in it is valid only
-// until fn returns; fn's error stops the scan and is returned.
-func (db *DB) ScanPartitionBatches(ctx context.Context, tableName, pkey string, rg Range, project []uint32, pr Pruner, stats *PruneStats, fn func(*Batch) error) error {
+// PartitionBatches opens a scan of the partition's rows within rg, in
+// clustering-key order, as batches that carry the clustering keys, the
+// write timestamps and the projected columns (dictionary IDs; nil = every
+// column). At consistency One it reads the first live replica and yields
+// exactly the rows and cells ScanPartitionPruned would: disjoint snapshot
+// inputs are chained off the segment block decoder without a merge,
+// overlapping ones go through the last-write-wins merge, and a remote
+// shard's row stream is re-batched. Above One it re-batches the
+// reconciled, read-repaired rows of GetCtx. A batch and every string in it
+// is valid only until the next Next; the caller closes the iterator.
+func (db *DB) PartitionBatches(ctx context.Context, tableName, pkey string, rg Range, cl Consistency, project []uint32, pr Pruner, stats *PruneStats) (BatchIterator, error) {
+	if cl != One {
+		rows, err := db.GetCtx(ctx, tableName, pkey, rg, cl)
+		if err != nil {
+			return nil, err
+		}
+		return persist.BatchRows(NewSliceIter(rows), project), nil
+	}
 	tgt, err := db.scanTarget(tableName, pkey)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if tgt.n != nil {
-		return tgt.n.scanPartitionBatches(tableName, pkey, rg, project, newPruneCfg(pr, stats), fn)
+		return tgt.n.partitionBatches(tableName, pkey, rg, project, newPruneCfg(pr, stats))
 	}
-	// Remote shard: the wire carries rows; re-batch them.
 	it, err := tgt.r.Scan(ctx, tableName, pkey, rg)
+	if err != nil {
+		return nil, err
+	}
+	return persist.BatchRows(it, project), nil
+}
+
+// ScanPartitionBatches drains PartitionBatches at consistency One into fn,
+// batch by batch; fn's error stops the scan and is returned.
+func (db *DB) ScanPartitionBatches(ctx context.Context, tableName, pkey string, rg Range, project []uint32, pr Pruner, stats *PruneStats, fn func(*Batch) error) error {
+	it, err := db.PartitionBatches(ctx, tableName, pkey, rg, One, project, pr, stats)
 	if err != nil {
 		return err
 	}
-	return drainBatches([]persist.BatchIterator{persist.BatchRows(it, project)}, fn)
+	defer it.Close()
+	for b, ok := it.Next(); ok; b, ok = it.Next() {
+		if err := fn(b); err != nil {
+			return err
+		}
+	}
+	return it.Err()
 }
 
 // PartitionKeyBounds returns the smallest and largest clustering key of

@@ -74,7 +74,7 @@ func TestScanMatchesGet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		it, err := db.ScanPartition("t", pkey, rg, One)
+		it, err := db.ScanPartitionPruned("t", pkey, rg, One, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestScanQuorumFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it, err := db.ScanPartition("t", "p", Range{}, Quorum)
+	it, err := db.ScanPartitionPruned("t", "p", Range{}, Quorum, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +105,14 @@ func TestScanQuorumFallback(t *testing.T) {
 func TestScanMissingPartitionAndTable(t *testing.T) {
 	db := Open(Config{Nodes: 2, RF: 1})
 	db.CreateTable("t")
-	it, err := db.ScanPartition("t", "nope", Range{}, One)
+	it, err := db.ScanPartitionPruned("t", "nope", Range{}, One, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := collectIter(t, it); len(got) != 0 {
 		t.Fatalf("expected empty scan, got %d rows", len(got))
 	}
-	if _, err := db.ScanPartition("missing", "p", Range{}, One); err == nil {
+	if _, err := db.ScanPartitionPruned("missing", "p", Range{}, One, nil, nil); err == nil {
 		t.Fatal("expected error for missing table")
 	}
 }
@@ -127,7 +127,7 @@ func TestScanSnapshotIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it, err := db.ScanPartition("t", "p", Range{}, One)
+	it, err := db.ScanPartitionPruned("t", "p", Range{}, One, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
