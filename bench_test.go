@@ -1,4 +1,4 @@
-// Benchmarks regenerating every figure/experiment of the paper (E1–E12 in
+// Benchmarks regenerating every figure/experiment of the paper (E1–E11 in
 // DESIGN.md / EXPERIMENTS.md). Each benchmark prints or reports the
 // quantity whose *shape* the paper claims; absolute numbers depend on the
 // in-process substrate and are not expected to match the CADES testbed.
@@ -99,7 +99,7 @@ func getFixture(b testing.TB) *benchFixture {
 		if err := loader.LoadRuns(corpus.Runs); err != nil {
 			panic(err)
 		}
-		eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
+		eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
 		fix = &benchFixture{
 			cfg: cfg, corpus: corpus, lines: lines,
 			db: db, eng: eng, q: query.New(db, eng),
@@ -334,7 +334,7 @@ func BenchmarkE5_Heatmap(b *testing.B) {
 	var hm *analytics.HeatMap
 	for i := 0; i < b.N; i++ {
 		var err error
-		hm, err = analytics.Heatmap(f.eng, f.db, model.MCE, from, to)
+		hm, err = analytics.HeatmapScan(f.eng, f.db, model.MCE, from, to, analytics.ScanConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -351,7 +351,7 @@ func BenchmarkE5_DistributionCabinet(b *testing.B) {
 	from, to := f.window()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buckets, err := analytics.DistributionBy(f.eng, f.db, model.MCE, from, to, topology.LevelCabinet)
+		buckets, err := analytics.DistributionByScan(f.eng, f.db, model.MCE, from, to, topology.LevelCabinet, analytics.ScanConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -366,7 +366,7 @@ func BenchmarkE5_DistributionByApp(b *testing.B) {
 	from, to := f.window()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analytics.DistributionByApp(f.eng, f.db, model.Lustre, from, to); err != nil {
+		if _, err := analytics.DistributionByAppScan(f.eng, f.db, model.Lustre, from, to, analytics.ScanConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -400,7 +400,7 @@ func BenchmarkE6_EventSites(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sites, err := analytics.EventSites(f.eng, f.db, model.Lustre, at)
+		sites, err := analytics.EventSitesScan(f.eng, f.db, model.Lustre, at, analytics.ScanConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -419,7 +419,7 @@ func BenchmarkE7_TransferEntropy(b *testing.B) {
 	var res analytics.TEResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = analytics.TransferEntropyBetween(f.eng, f.db, model.Lustre, model.AppAbort, from, to, 30*time.Second)
+		res, err = analytics.TransferEntropyBetweenScan(f.eng, f.db, model.Lustre, model.AppAbort, from, to, 30*time.Second, analytics.ScanConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -432,11 +432,11 @@ func BenchmarkE7_TransferEntropy(b *testing.B) {
 func BenchmarkE7_CrossCorrelation(b *testing.B) {
 	f := getFixture(b)
 	from, to := f.window()
-	sa, err := analytics.BuildSeries(f.eng, f.db, model.Lustre, from, to, 30*time.Second)
+	sa, err := analytics.BuildSeriesScan(f.eng, f.db, model.Lustre, from, to, 30*time.Second, analytics.ScanConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	sb, err := analytics.BuildSeries(f.eng, f.db, model.AppAbort, from, to, 30*time.Second)
+	sb, err := analytics.BuildSeriesScan(f.eng, f.db, model.AppAbort, from, to, 30*time.Second, analytics.ScanConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -458,8 +458,7 @@ func BenchmarkE8_WordCount(b *testing.B) {
 	var docCount int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		docs := analytics.RawMessages(f.eng, f.db, model.Lustre, from, to)
-		counts, err := analytics.WordCount(docs)
+		counts, err := analytics.WordCountScan(f.eng, f.db, model.Lustre, from, to, analytics.ScanConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -478,8 +477,7 @@ func BenchmarkE8_TFIDF(b *testing.B) {
 	from, to := storm.Start, storm.Start.Add(storm.Duration)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		docs := analytics.RawMessages(f.eng, f.db, model.Lustre, from, to)
-		scores, err := analytics.TFIDF(docs)
+		scores, err := analytics.TFIDFScan(f.eng, f.db, model.Lustre, from, to, analytics.ScanConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -501,7 +499,7 @@ func BenchmarkE9_BatchIngest(b *testing.B) {
 				if err := ingest.Bootstrap(db, f.cfg.Nodes); err != nil {
 					b.Fatal(err)
 				}
-				eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
+				eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
 				b.StartTimer()
 				res, err := ingest.BatchImport(eng, db, f.lines, store.Quorum, 4*workers)
 				if err != nil {
@@ -687,62 +685,4 @@ func BenchmarkE11_StoreConcurrentClients(b *testing.B) {
 			b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 		})
 	}
-}
-
-// --- E12: locality-aware vs random task placement -----------------------------
-
-// BenchmarkE12_Locality runs a full-table scan job (row counts over every
-// event_by_location partition — hundreds of tasks) with the simulated
-// network transfer penalty of Section III-A's co-location argument. The
-// locality-aware scheduler runs most tasks on the worker co-located with
-// the partition's primary replica and avoids the penalty; the
-// random-placement ablation pays it for (workers-1)/workers of tasks.
-func BenchmarkE12_Locality(b *testing.B) {
-	f := getFixture(b)
-	pkeys := f.db.PartitionKeys(model.TableEventByLoc)
-	if len(pkeys) < 32 {
-		b.Fatalf("only %d partitions", len(pkeys))
-	}
-	run := func(b *testing.B, disable bool) {
-		eng := compute.NewEngine(compute.Config{
-			Workers:            f.db.NodeIDs(),
-			Threads:            1,
-			RemotePenaltyPerMB: 40 * time.Millisecond, // ~10 GbE with protocol overhead
-			DisableLocality:    disable,
-		})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			parts := make([]compute.Partition[int], len(pkeys))
-			for j, pk := range pkeys {
-				pk := pk
-				parts[j] = compute.Partition[int]{
-					Index:     j,
-					Preferred: f.db.PrimaryFor(pk),
-					SizeHint:  1 << 20,
-					Compute: func() ([]int, error) {
-						rows, err := f.db.Get(model.TableEventByLoc, pk, store.Range{}, store.One)
-						if err != nil {
-							return nil, err
-						}
-						return []int{len(rows)}, nil
-					},
-				}
-			}
-			total, _, err := compute.Reduce(compute.FromPartitions(eng, parts),
-				func(a, c int) int { return a + c })
-			if err != nil {
-				b.Fatal(err)
-			}
-			if total == 0 {
-				b.Fatal("scan found no rows")
-			}
-		}
-		b.StopTimer()
-		st := eng.Stats()
-		if st.LocalHits+st.RemoteRuns > 0 {
-			b.ReportMetric(float64(st.LocalHits)/float64(st.LocalHits+st.RemoteRuns), "local-fraction")
-		}
-	}
-	b.Run("locality-aware", func(b *testing.B) { run(b, false) })
-	b.Run("random-placement", func(b *testing.B) { run(b, true) })
 }

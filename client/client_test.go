@@ -56,7 +56,7 @@ func getFixture(t testing.TB) *fixture {
 	if err := loader.LoadRuns(corpus.Runs); err != nil {
 		t.Fatal(err)
 	}
-	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
 	srv := server.New(query.New(db, eng), db, eng)
 	ts := httptest.NewServer(srv)
 	shared = &fixture{cfg: cfg, db: db, ts: ts, cli: New(ts.URL)}

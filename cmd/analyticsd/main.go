@@ -53,7 +53,6 @@ func main() {
 		cabinets    = flag.Int("cabinets", 8, "demo corpus cabinets (with -generate)")
 		storeNodes  = flag.Int("store-nodes", 32, "store cluster size")
 		rf          = flag.Int("rf", 3, "replication factor")
-		threads     = flag.Int("threads", 2, "task slots per compute worker")
 		drainWait   = flag.Duration("drain-timeout", 15*time.Second, "how long graceful shutdown waits for in-flight requests")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		logFormat   = flag.String("log-format", "text", "log format: text or json")
@@ -85,7 +84,7 @@ func main() {
 	}
 
 	fw, err := core.New(core.Options{
-		StoreNodes: *storeNodes, RF: *rf, Threads: *threads, DataDir: *dataDir,
+		StoreNodes: *storeNodes, RF: *rf, DataDir: *dataDir,
 		WALTolerateCorruptTail: *walTolerate,
 		Logger:                 lg,
 		Tier: objstore.Config{

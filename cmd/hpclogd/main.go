@@ -74,7 +74,6 @@ func main() {
 		rf        = flag.Int("rf", 3, "replication factor (capped at member count)")
 		vnodes    = flag.Int("vnodes", 64, "virtual nodes per member")
 		machines  = flag.Int("machine-nodes", 1024, "bootstrap topology size (nodeinfos)")
-		threads   = flag.Int("threads", 2, "task slots per compute worker")
 		hbEvery   = flag.Duration("heartbeat-interval", 250*time.Millisecond, "peer probe period")
 		failAfter = flag.Int("fail-after", 3, "consecutive missed heartbeats before a peer is marked down")
 		rpcWait   = flag.Duration("rpc-timeout", 5*time.Second, "cluster-internal RPC timeout")
@@ -134,7 +133,6 @@ func main() {
 		VNodes:            *vnodes,
 		DataDir:           *dataDir,
 		MachineNodes:      *machines,
-		Threads:           *threads,
 		HeartbeatInterval: *hbEvery,
 		FailAfter:         *failAfter,
 		RPCTimeout:        *rpcWait,

@@ -62,7 +62,6 @@ func run(ctx context.Context) error {
 		walTolerate = flag.Bool("wal-tolerate-corrupt", false, "truncate a corrupt commitlog tail instead of refusing to open; records after the damage are lost (with -data-dir)")
 		storeNodes  = flag.Int("store-nodes", 32, "store cluster size")
 		rf          = flag.Int("rf", 3, "replication factor")
-		threads     = flag.Int("threads", 2, "task slots per compute worker")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		logFormat   = flag.String("log-format", "text", "log format: text or json")
 	)
@@ -75,7 +74,7 @@ func run(ctx context.Context) error {
 	lg := obs.NewLogger(os.Stderr, lvl, *logFormat).With("component", "ingestd")
 
 	fw, err := core.New(core.Options{
-		StoreNodes: *storeNodes, RF: *rf, Threads: *threads,
+		StoreNodes: *storeNodes, RF: *rf,
 		DataDir: *dataDir, WALNoSync: *walNoSync, WALTolerateCorruptTail: *walTolerate,
 		Logger: lg,
 	})

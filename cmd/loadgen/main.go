@@ -99,7 +99,7 @@ func selfhost(maxWatchers int, durable bool) (*selfhosted, error) {
 		db.Close()
 		return nil, err
 	}
-	comp := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
+	comp := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
 	eng := query.NewWithOptions(db, comp, query.Options{CacheSize: -1})
 	srv := server.NewWithConfig(eng, db, comp, server.Config{WatchInFlight: watchLimit(maxWatchers)})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -67,18 +67,18 @@ func main() {
 
 	// The Fig 7-top plot: TE over sliding 30-minute sub-windows.
 	points, err := analytics.TransferEntropySeries(fw.Compute, fw.DB,
-		model.Lustre, model.AppAbort, from, to, 30*time.Second, 30*time.Minute, 10*time.Minute)
+		model.Lustre, model.AppAbort, from, to, 30*time.Second, 30*time.Minute, 10*time.Minute, analytics.ScanConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n%s", viz.TEPlot(points, 8))
 
 	// Cross-correlation locates the lag.
-	sa, err := analytics.BuildSeries(fw.Compute, fw.DB, model.Lustre, from, to, 30*time.Second)
+	sa, err := analytics.BuildSeriesScan(fw.Compute, fw.DB, model.Lustre, from, to, 30*time.Second, analytics.ScanConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	sb, err := analytics.BuildSeries(fw.Compute, fw.DB, model.AppAbort, from, to, 30*time.Second)
+	sb, err := analytics.BuildSeriesScan(fw.Compute, fw.DB, model.AppAbort, from, to, 30*time.Second, analytics.ScanConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

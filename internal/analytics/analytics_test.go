@@ -73,7 +73,7 @@ func getFixture(t testing.TB) *fixture {
 	if err := loader.LoadRuns(corpus.Runs); err != nil {
 		t.Fatal(err)
 	}
-	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
 	shared = &fixture{cfg: cfg, corpus: corpus, db: db, eng: eng}
 	return shared
 }
@@ -86,7 +86,7 @@ func TestHeatmapFindsHotspot(t *testing.T) {
 	// E5: the MCE heat map must be dominated by the injected hot cabinet.
 	f := getFixture(t)
 	from, to := f.window()
-	hm, err := Heatmap(f.eng, f.db, model.MCE, from, to)
+	hm, err := HeatmapScan(f.eng, f.db, model.MCE, from, to, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestHeatmapFindsHotspot(t *testing.T) {
 func TestHeatmapMatchesGroundTruth(t *testing.T) {
 	f := getFixture(t)
 	from, to := f.window()
-	hm, err := Heatmap(f.eng, f.db, model.MemECC, from, to)
+	hm, err := HeatmapScan(f.eng, f.db, model.MemECC, from, to, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestHeatmapMatchesGroundTruth(t *testing.T) {
 func TestDistributionLevels(t *testing.T) {
 	f := getFixture(t)
 	from, to := f.window()
-	cabs, err := DistributionBy(f.eng, f.db, model.MCE, from, to, topology.LevelCabinet)
+	cabs, err := DistributionByScan(f.eng, f.db, model.MCE, from, to, topology.LevelCabinet, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +160,11 @@ func TestDistributionLevels(t *testing.T) {
 			t.Fatal("distribution not sorted descending")
 		}
 	}
-	nodes, err := DistributionBy(f.eng, f.db, model.MCE, from, to, topology.LevelNode)
+	nodes, err := DistributionByScan(f.eng, f.db, model.MCE, from, to, topology.LevelNode, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blades, err := DistributionBy(f.eng, f.db, model.MCE, from, to, topology.LevelBlade)
+	blades, err := DistributionByScan(f.eng, f.db, model.MCE, from, to, topology.LevelBlade, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestDistributionLevels(t *testing.T) {
 func TestDistributionByApp(t *testing.T) {
 	f := getFixture(t)
 	from, to := f.window()
-	buckets, err := DistributionByApp(f.eng, f.db, model.Lustre, from, to)
+	buckets, err := DistributionByAppScan(f.eng, f.db, model.Lustre, from, to, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestPlacementAndEventSites(t *testing.T) {
 	if found.IsZero() {
 		t.Fatal("no lustre event after storm midpoint")
 	}
-	sites, err := EventSites(f.eng, f.db, model.Lustre, found)
+	sites, err := EventSitesScan(f.eng, f.db, model.Lustre, found, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestPlacementAndEventSites(t *testing.T) {
 func TestHistogramShowsStorm(t *testing.T) {
 	f := getFixture(t)
 	from, to := f.window()
-	hist, err := Histogram(f.eng, f.db, model.Lustre, from, to, time.Minute)
+	hist, err := HistogramScan(f.eng, f.db, model.Lustre, from, to, time.Minute, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,10 +273,10 @@ func TestHistogramShowsStorm(t *testing.T) {
 	if peakBin < stormBin || peakBin >= stormBin+4 {
 		t.Fatalf("histogram peak at bin %d, storm at bins [%d,%d)", peakBin, stormBin, stormBin+4)
 	}
-	if _, err := Histogram(f.eng, f.db, model.Lustre, from, to, 0); err == nil {
+	if _, err := HistogramScan(f.eng, f.db, model.Lustre, from, to, 0, ScanConfig{}); err == nil {
 		t.Fatal("zero bin accepted")
 	}
-	if _, err := Histogram(f.eng, f.db, model.Lustre, from, from, time.Minute); err == nil {
+	if _, err := HistogramScan(f.eng, f.db, model.Lustre, from, from, time.Minute, ScanConfig{}); err == nil {
 		t.Fatal("empty window accepted")
 	}
 }
@@ -286,7 +286,7 @@ func TestTransferEntropyDetectsInjectedCausality(t *testing.T) {
 	// transfer entropy must be asymmetric in that direction.
 	f := getFixture(t)
 	from, to := f.window()
-	res, err := TransferEntropyBetween(f.eng, f.db, model.Lustre, model.AppAbort, from, to, 30*time.Second)
+	res, err := TransferEntropyBetweenScan(f.eng, f.db, model.Lustre, model.AppAbort, from, to, 30*time.Second, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,8 +401,7 @@ func TestWordCountLocatesOST(t *testing.T) {
 	// OST as a dominant token.
 	f := getFixture(t)
 	storm := f.cfg.Storms[0]
-	docs := RawMessages(f.eng, f.db, model.Lustre, storm.Start, storm.Start.Add(storm.Duration))
-	counts, err := WordCount(docs)
+	counts, err := WordCountScan(f.eng, f.db, model.Lustre, storm.Start, storm.Start.Add(storm.Duration), ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,8 +421,7 @@ func TestWordCountLocatesOST(t *testing.T) {
 func TestTFIDFRanksCulpritHigh(t *testing.T) {
 	f := getFixture(t)
 	storm := f.cfg.Storms[0]
-	docs := RawMessages(f.eng, f.db, model.Lustre, storm.Start, storm.Start.Add(storm.Duration))
-	scores, err := TFIDF(docs)
+	scores, err := TFIDFScan(f.eng, f.db, model.Lustre, storm.Start, storm.Start.Add(storm.Duration), ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,13 +530,14 @@ func TestTextFoldsMatchTokenize(t *testing.T) {
 }
 
 func TestTFIDFEmptyCorpus(t *testing.T) {
+	// A window after the corpus holds no messages: no documents, no scores.
 	f := getFixture(t)
-	docs := compute.Parallelize[string](f.eng, nil, 1)
-	scores, err := TFIDF(docs)
+	_, to := f.window()
+	scores, err := TFIDFScan(f.eng, f.db, model.Lustre, to.Add(48*time.Hour), to.Add(49*time.Hour), ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scores) != 0 {
+	if scores != nil {
 		t.Fatalf("scores on empty corpus: %v", scores)
 	}
 }
@@ -583,11 +582,11 @@ func TestEventsBySourceMatchesByType(t *testing.T) {
 	if source == "" {
 		t.Skip("no MCE events")
 	}
-	bySource, err := EventsBySource(f.eng, f.db, source, from, to).Collect()
+	bySource, err := EventsBySourceScan(f.eng, f.db, source, from, to, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byType, err := EventsAllTypes(f.eng, f.db, from, to).Collect()
+	byType, err := EventsAllTypesScan(f.eng, f.db, from, to, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

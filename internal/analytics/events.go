@@ -298,8 +298,9 @@ func (s *eventScan) view(r *EventRow, c *eventCursor) error {
 
 // EventRecords runs an events scan's tasks on the compute pool and
 // returns what record makes of every row, in result order: the in-process
-// sink of the scan. A row dies when record returns, so record must copy
-// what it keeps (EventRow.Event does).
+// sink of the scan; a scan without rows returns an empty, non-nil slice.
+// A row dies when record returns, so record must copy what it keeps
+// (EventRow.Event does).
 func EventRecords[T any](eng *compute.Engine, db *store.DB, tasks []EventTask, cfg ScanConfig, record func(*EventRow) T) ([]T, error) {
 	scan := make([]compute.ScanTask[T], len(tasks))
 	for i, t := range tasks {
@@ -307,7 +308,7 @@ func EventRecords[T any](eng *compute.Engine, db *store.DB, tasks []EventTask, c
 			return t.Run(context.TODO(), db, func(r *EventRow) error { return yield(record(r)) })
 		}}
 	}
-	var out []T
+	out := []T{}
 	err := compute.StreamScan(eng, cfg.opts(), scan, func(_ int, batch []T) error {
 		out = append(out, batch...)
 		return nil
@@ -315,20 +316,20 @@ func EventRecords[T any](eng *compute.Engine, db *store.DB, tasks []EventTask, c
 	return out, err
 }
 
-// EventsByTypeScan returns all events of one type in [from, to) via the
-// partition-parallel streaming path, in clustering-key order.
+// EventsByTypeScan returns all events of one type in [from, to), in
+// clustering-key order.
 func EventsByTypeScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) ([]model.Event, error) {
 	return EventRecords(eng, db, PlanEvents(typ, "", from, to, cfg), cfg, (*EventRow).Event)
 }
 
 // EventsBySourceScan returns all events reported by one component in
-// [from, to) via the streaming path.
+// [from, to), read from event_by_location, in clustering-key order.
 func EventsBySourceScan(eng *compute.Engine, db *store.DB, source string, from, to time.Time, cfg ScanConfig) ([]model.Event, error) {
 	return EventRecords(eng, db, PlanEvents("", source, from, to, cfg), cfg, (*EventRow).Event)
 }
 
-// EventsAllTypesScan returns all events of every type in [from, to) via
-// the streaming path, ordered by clustering key, then type.
+// EventsAllTypesScan returns all events of every type in [from, to),
+// ordered by clustering key, then type.
 func EventsAllTypesScan(eng *compute.Engine, db *store.DB, from, to time.Time, cfg ScanConfig) ([]model.Event, error) {
 	return EventRecords(eng, db, PlanEvents("", "", from, to, cfg), cfg, (*EventRow).Event)
 }

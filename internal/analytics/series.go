@@ -19,15 +19,6 @@ type Series struct {
 	Counts []int
 }
 
-// BuildSeries bins occurrences of one type over [from, to).
-func BuildSeries(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, bin time.Duration) (*Series, error) {
-	hist, err := Histogram(eng, db, typ, from, to, bin)
-	if err != nil {
-		return nil, err
-	}
-	return &Series{Type: typ, From: from, Bin: bin, Counts: hist}, nil
-}
-
 // Binary reduces the series to presence indicators (count > 0), the
 // symbolization used for information-theoretic measures.
 func (s *Series) Binary() []int {
@@ -175,18 +166,18 @@ type TEPoint struct {
 // sub-windows of [from, to) — the data behind Fig 7-top's "transfer
 // entropy plot of two event types measured within a selected time
 // window". Each sub-window is subLen long and advances by step.
-func TransferEntropySeries(eng *compute.Engine, db *store.DB, a, b model.EventType, from, to time.Time, bin, subLen, step time.Duration) ([]TEPoint, error) {
+func TransferEntropySeries(eng *compute.Engine, db *store.DB, a, b model.EventType, from, to time.Time, bin, subLen, step time.Duration, cfg ScanConfig) ([]TEPoint, error) {
 	if subLen <= 0 || step <= 0 {
 		return nil, fmt.Errorf("analytics: sub-window and step must be positive")
 	}
 	if subLen < 2*bin {
 		return nil, fmt.Errorf("analytics: sub-window %v shorter than two bins (%v)", subLen, bin)
 	}
-	sa, err := BuildSeries(eng, db, a, from, to, bin)
+	sa, err := BuildSeriesScan(eng, db, a, from, to, bin, cfg)
 	if err != nil {
 		return nil, err
 	}
-	sb, err := BuildSeries(eng, db, b, from, to, bin)
+	sb, err := BuildSeriesScan(eng, db, b, from, to, bin, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -213,30 +204,4 @@ func TransferEntropySeries(eng *compute.Engine, db *store.DB, a, b model.EventTy
 		})
 	}
 	return points, nil
-}
-
-// TransferEntropyBetween builds binary series for two event types over the
-// window and measures transfer entropy in both directions — the
-// "investigation of correlation between two event occurrences within a
-// selected time interval, which can provide a causal relationship between
-// the two" (Section III-C).
-func TransferEntropyBetween(eng *compute.Engine, db *store.DB, a, b model.EventType, from, to time.Time, bin time.Duration) (TEResult, error) {
-	sa, err := BuildSeries(eng, db, a, from, to, bin)
-	if err != nil {
-		return TEResult{}, err
-	}
-	sb, err := BuildSeries(eng, db, b, from, to, bin)
-	if err != nil {
-		return TEResult{}, err
-	}
-	x, y := sa.Binary(), sb.Binary()
-	xy, err := TransferEntropy(x, y)
-	if err != nil {
-		return TEResult{}, err
-	}
-	yx, err := TransferEntropy(y, x)
-	if err != nil {
-		return TEResult{}, err
-	}
-	return TEResult{XToY: xy, YToX: yx}, nil
 }

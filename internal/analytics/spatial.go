@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"hpclog/internal/compute"
 	"hpclog/internal/model"
 	"hpclog/internal/store"
 	"hpclog/internal/topology"
@@ -50,23 +49,10 @@ func (h *HeatMap) HotCabinets(factor float64) []topology.Component {
 	return hot
 }
 
-// Heatmap computes the cabinet-level heat map of one event type over
-// [from, to) on the partition-parallel streaming scan path.
-func Heatmap(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time) (*HeatMap, error) {
-	return HeatmapScan(eng, db, typ, from, to, ScanConfig{})
-}
-
 // Bucket is one bar of a distribution.
 type Bucket struct {
 	Label string
 	Count int
-}
-
-// DistributionBy computes event occurrence distributions "over cabinets,
-// blades, nodes" (Fig 5) at the requested granularity, sorted by
-// descending count, on the streaming scan path.
-func DistributionBy(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, level topology.Level) ([]Bucket, error) {
-	return DistributionByScan(eng, db, typ, from, to, level, ScanConfig{})
 }
 
 func truncateLoc(l topology.Location, level topology.Level) topology.Location {
@@ -80,14 +66,6 @@ func truncateLoc(l topology.Location, level topology.Level) topology.Location {
 	default:
 		return l
 	}
-}
-
-// DistributionByApp attributes event occurrences to the applications that
-// were running on the reporting node at the reporting time (Fig 5's
-// per-application distribution), returning descending buckets keyed by
-// application name, on the streaming scan path.
-func DistributionByApp(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time) ([]Bucket, error) {
-	return DistributionByAppScan(eng, db, typ, from, to, ScanConfig{})
 }
 
 func sortBuckets(counts map[string]int) []Bucket {
@@ -121,18 +99,4 @@ func Placement(db *store.DB, at time.Time) (map[string]string, error) {
 		}
 	}
 	return placement, nil
-}
-
-// EventSites lists, for one event type and instant (to the second), the
-// nodes reporting it (Fig 6-top), with occurrence counts, on the
-// streaming scan path.
-func EventSites(eng *compute.Engine, db *store.DB, typ model.EventType, at time.Time) (map[string]int, error) {
-	return EventSitesScan(eng, db, typ, at, ScanConfig{})
-}
-
-// Histogram bins occurrences of one event type over [from, to) into
-// fixed-width bins — the temporal map's data (Fig 5-top) — on the
-// streaming scan path.
-func Histogram(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, bin time.Duration) ([]int, error) {
-	return HistogramScan(eng, db, typ, from, to, bin, ScanConfig{})
 }

@@ -14,17 +14,17 @@ import (
 	"hpclog/internal/topology"
 )
 
-// This file is the streaming execution path for the big-data operations:
-// instead of materializing Datasets, events are scanned per ring partition
-// (further split into clustering-key time slices for parallelism beyond
-// the hour-partition count) as store batches, fanned out on the compute
-// scan planner, and folded into small per-task accumulators that are
-// merged in task order. Results are identical to the Dataset path —
-// the engine-test corpus and TestScanParallelMatchesSerial enforce it —
-// but memory stays proportional to aggregation state and throughput
-// scales with GOMAXPROCS.
+// This file is the execution path of the aggregating operations: events
+// are scanned per ring partition (further split into clustering-key time
+// slices for parallelism beyond the hour-partition count) as store
+// batches, fanned out on the compute scan planner, and folded into small
+// per-task accumulators that are merged in task order. Results do not
+// depend on the slicing or the parallelism — the engine-test corpus and
+// TestScanParallelMatchesSerial enforce it — while memory stays
+// proportional to aggregation state and throughput scales with
+// GOMAXPROCS.
 
-// ScanConfig parameterizes the streaming scan path.
+// ScanConfig parameterizes a partition-parallel scan.
 type ScanConfig struct {
 	// Parallelism bounds concurrent scan tasks; <= 0 means GOMAXPROCS.
 	Parallelism int
@@ -156,7 +156,8 @@ var heatFold = foldCounts(
 		}
 	})
 
-// HeatmapScan computes the cabinet heat map on the streaming scan path.
+// HeatmapScan computes the cabinet-level heat map of one event type over
+// [from, to).
 func HeatmapScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) (*HeatMap, error) {
 	counts, err := foldType(eng, db, typ, from, to, cfg, projSourceAmount,
 		func() []int { return make([]int, topology.Cabinets) }, heatFold, sumInts)
@@ -181,8 +182,9 @@ type distAcc struct {
 	other map[string]int
 }
 
-// DistributionByScan computes occurrence distributions at a topology level
-// on the streaming scan path.
+// DistributionByScan computes event occurrence distributions "over
+// cabinets, blades, nodes" (Fig 5) at the requested granularity, sorted by
+// descending count.
 func DistributionByScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, level topology.Level, cfg ScanConfig) ([]Bucket, error) {
 	// A source is a place on the floor, cut to the level, or — not a node
 	// cname — a name of its own.
@@ -220,8 +222,10 @@ func DistributionByScan(eng *compute.Engine, db *store.DB, typ model.EventType, 
 	return sortBuckets(acc.other), nil
 }
 
-// DistributionByAppScan attributes occurrences to running applications on
-// the streaming scan path.
+// DistributionByAppScan attributes event occurrences to the applications
+// that were running on the reporting node at the reporting time (Fig 5's
+// per-application distribution), returning descending buckets keyed by
+// application name.
 func DistributionByAppScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) ([]Bucket, error) {
 	runs, err := RunsIn(db, from, to, 24*time.Hour)
 	if err != nil {
@@ -282,8 +286,8 @@ func DistributionByAppScan(eng *compute.Engine, db *store.DB, typ model.EventTyp
 	return sortBuckets(counts), nil
 }
 
-// EventSitesScan lists reporting nodes for one type and instant on the
-// streaming scan path.
+// EventSitesScan lists, for one event type and instant (to the second),
+// the nodes reporting it (Fig 6-top), with occurrence counts.
 func EventSitesScan(eng *compute.Engine, db *store.DB, typ model.EventType, at time.Time, cfg ScanConfig) (map[string]int, error) {
 	return foldType(eng, db, typ, at, at.Add(time.Second), cfg, projSourceAmount,
 		newCountMap[string],
@@ -301,7 +305,8 @@ func countKey(acc map[string]int, key string, n int) {
 	}
 }
 
-// HistogramScan bins occurrences on the streaming scan path.
+// HistogramScan bins occurrences of one event type over [from, to) into
+// fixed-width bins — the temporal map's data (Fig 5-top).
 func HistogramScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, bin time.Duration, cfg ScanConfig) ([]int, error) {
 	if bin <= 0 {
 		return nil, fmt.Errorf("analytics: non-positive bin %v", bin)
@@ -339,7 +344,8 @@ func histFold(from time.Time, bin time.Duration, nbins int) func([]int, *store.B
 	}
 }
 
-// BuildSeriesScan builds a binned series on the streaming scan path.
+// BuildSeriesScan bins occurrences of one type over [from, to) into a
+// series.
 func BuildSeriesScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, bin time.Duration, cfg ScanConfig) (*Series, error) {
 	hist, err := HistogramScan(eng, db, typ, from, to, bin, cfg)
 	if err != nil {
@@ -348,8 +354,11 @@ func BuildSeriesScan(eng *compute.Engine, db *store.DB, typ model.EventType, fro
 	return &Series{Type: typ, From: from, Bin: bin, Counts: hist}, nil
 }
 
-// TransferEntropyBetweenScan measures bidirectional transfer entropy with
-// both series built on the streaming scan path.
+// TransferEntropyBetweenScan builds binary series for two event types
+// over the window and measures transfer entropy in both directions — the
+// "investigation of correlation between two event occurrences within a
+// selected time interval, which can provide a causal relationship between
+// the two" (Section III-C).
 func TransferEntropyBetweenScan(eng *compute.Engine, db *store.DB, a, b model.EventType, from, to time.Time, bin time.Duration, cfg ScanConfig) (TEResult, error) {
 	sa, err := BuildSeriesScan(eng, db, a, from, to, bin, cfg)
 	if err != nil {
@@ -417,7 +426,7 @@ func (a *termAcc) learn(run string, clean bool) int32 {
 }
 
 // foldDocs counts every raw message of a batch as one document. Events
-// without raw text are skipped, matching RawMessages.
+// without raw text are skipped.
 func (a *termAcc) foldDocs(b *store.Batch) (*termAcc, error) {
 	count := func(run string, clean bool) {
 		i, ok := a.index[run]
@@ -462,8 +471,9 @@ func scanTerms(eng *compute.Engine, db *store.DB, typ model.EventType, from, to 
 	return foldType(eng, db, typ, from, to, cfg, projRaw, newTermAcc, (*termAcc).foldDocs, (*termAcc).merge)
 }
 
-// WordCountScan runs the word count over raw messages of one type on the
-// streaming scan path.
+// WordCountScan runs the word count over the raw messages of one type —
+// "a simple word counts, which is rapidly executed by Spark, can locate
+// the source of the problem".
 func WordCountScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) (map[string]int, error) {
 	acc, err := scanTerms(eng, db, typ, from, to, cfg)
 	if err != nil {
@@ -476,10 +486,14 @@ func WordCountScan(eng *compute.Engine, db *store.DB, typ model.EventType, from,
 	return counts, nil
 }
 
-// TFIDFScan computes aggregate TF-IDF weights over raw messages of one
-// type on the streaming scan path. Document frequency is counted once per
-// document, so the result is independent of how the scan is partitioned
-// and matches RawMessages + TFIDF exactly.
+// TFIDFScan computes aggregate TF-IDF weights over the raw messages of one
+// type. Each message is a document; term frequency is summed across
+// documents and weighted by inverse document frequency, so boilerplate
+// shared by every message scores near zero while discriminating
+// identifiers (an unresponsive OST, an error code) float to the top.
+// Document frequency is counted once per document, so the result does not
+// depend on how the scan is partitioned. Results are sorted by descending
+// score; a window without messages yields nil.
 func TFIDFScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) ([]TermScore, error) {
 	acc, err := scanTerms(eng, db, typ, from, to, cfg)
 	if err != nil {

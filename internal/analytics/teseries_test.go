@@ -11,7 +11,7 @@ func TestTransferEntropySeries(t *testing.T) {
 	f := getFixture(t)
 	from, to := f.window()
 	points, err := TransferEntropySeries(f.eng, f.db, model.Lustre, model.AppAbort,
-		from, to, 30*time.Second, 30*time.Minute, 15*time.Minute)
+		from, to, 30*time.Second, 30*time.Minute, 15*time.Minute, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +42,11 @@ func TestTransferEntropySeriesValidation(t *testing.T) {
 	f := getFixture(t)
 	from, to := f.window()
 	if _, err := TransferEntropySeries(f.eng, f.db, model.Lustre, model.AppAbort,
-		from, to, 30*time.Second, 0, time.Minute); err == nil {
+		from, to, 30*time.Second, 0, time.Minute, ScanConfig{}); err == nil {
 		t.Fatal("zero sub-window accepted")
 	}
 	if _, err := TransferEntropySeries(f.eng, f.db, model.Lustre, model.AppAbort,
-		from, to, 30*time.Second, 30*time.Second, time.Minute); err == nil {
+		from, to, 30*time.Second, 30*time.Second, time.Minute, ScanConfig{}); err == nil {
 		t.Fatal("sub-window shorter than two bins accepted")
 	}
 }

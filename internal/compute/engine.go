@@ -1,80 +1,35 @@
-// Package compute implements the in-memory distributed data processing
-// engine of the framework — the Apache Spark substitute of Section III-A.
-//
-// The execution model mirrors Spark's: a Dataset is a lazily evaluated,
-// partitioned collection; narrow transformations (Map, Filter, FlatMap)
-// fuse into the partition task; wide transformations (ReduceByKey,
-// GroupByKey) introduce a hash shuffle; actions (Collect, Count, Reduce)
-// trigger execution on a pool of workers. Each worker is pinned 1:1 with a
-// storage node ("a pair of a Spark worker node and a Cassandra node runs
-// together in each of the 32 VMs"), and the scheduler places each
-// partition task on the worker co-located with the partition's data,
-// falling back to work stealing — with a simulated network transfer
-// penalty — when the preferred worker is saturated.
+// Package compute is the framework's big data processing unit — the Apache
+// Spark substitute of Section III-A — reduced to the one job shape the
+// analytic server runs: a partition-parallel scan. A scan's tasks (one
+// store partition, or one clustering-key slice of it) run on a bounded
+// pool of goroutines; StreamScan hands every task's items to the caller in
+// task order, ScanFold folds each task into an accumulator of its own and
+// merges the accumulators in task order. The Engine names the workers —
+// one per storage node, as the paper pairs a Spark worker with every
+// Cassandra node — and counts what the scans did.
 package compute
 
-import (
-	"errors"
-	"fmt"
-	"sync"
-	"time"
-)
+import "sync"
 
 // Config parameterizes an Engine.
 type Config struct {
 	// Workers lists worker ids. Pinning a worker per storage node is done
 	// by using the storage node ids here.
 	Workers []string
-	// Threads is the number of concurrent task slots per worker
-	// (default 2).
-	Threads int
-	// RemotePenaltyPerMB simulates the network transfer cost a task pays
-	// when it runs on a worker other than the partition's preferred one.
-	// The in-process reproduction has no real network, so the locality
-	// ablation (experiment E12) injects this cost explicitly; zero
-	// disables it.
-	RemotePenaltyPerMB time.Duration
-	// DisableLocality makes the scheduler ignore placement preferences
-	// (round-robin assignment). Used by the E12 ablation baseline.
-	DisableLocality bool
-	// MaxRetries is the number of times a failed task is retried before
-	// the job aborts (default 2).
-	MaxRetries int
 }
 
-func (c Config) withDefaults() Config {
-	if len(c.Workers) == 0 {
-		c.Workers = []string{"worker0"}
-	}
-	if c.Threads <= 0 {
-		c.Threads = 2
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	return c
-}
-
-// Engine schedules partition tasks over a fixed worker pool.
+// Engine is the scan pool's worker roster and counters.
 type Engine struct {
-	cfg     Config
 	workers []string
-	index   map[string]int
 
 	statsMu sync.Mutex
 	stats   Stats
 }
 
-// Stats aggregates scheduler counters across all jobs run on the engine.
+// Stats aggregates scan counters across all scans run on the engine.
 type Stats struct {
-	TasksRun   int
-	LocalHits  int // tasks that ran on their preferred worker
-	RemoteRuns int // tasks with a preference that ran elsewhere
-	Retries    int
-	ScanTasks  int // partition scan tasks executed by the scan planner
-	ScanRows   int // rows streamed through the scan planner
+	ScanTasks int // partition scan tasks executed by the scan planner
+	ScanRows  int // rows streamed through the scan planner
 	// Storage-pushdown counters, reported by the CQL query planner: how
 	// many segment blocks pruned scans decoded vs. skipped via zone maps
 	// and Bloom filters.
@@ -84,18 +39,16 @@ type Stats struct {
 
 // NewEngine creates an engine with the given configuration.
 func NewEngine(cfg Config) *Engine {
-	cfg = cfg.withDefaults()
-	e := &Engine{cfg: cfg, workers: cfg.Workers, index: make(map[string]int, len(cfg.Workers))}
-	for i, w := range cfg.Workers {
-		e.index[w] = i
+	if len(cfg.Workers) == 0 {
+		cfg.Workers = []string{"worker0"}
 	}
-	return e
+	return &Engine{workers: cfg.Workers}
 }
 
 // Workers returns the worker ids.
 func (e *Engine) Workers() []string { return e.workers }
 
-// Stats returns a snapshot of scheduler counters.
+// Stats returns a snapshot of the scan counters.
 func (e *Engine) Stats() Stats {
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()
@@ -113,139 +66,9 @@ func (e *Engine) NotePruning(read, pruned int) {
 	e.statsMu.Unlock()
 }
 
-// ResetStats zeroes the scheduler counters.
+// ResetStats zeroes the scan counters.
 func (e *Engine) ResetStats() {
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()
 	e.stats = Stats{}
 }
-
-// task is one unit of scheduled work.
-type task struct {
-	preferred string // preferred worker id; "" = anywhere
-	sizeHint  int    // bytes moved if run remotely
-	run       func() error
-}
-
-// runTasks executes tasks across the worker pool, honouring locality
-// preferences, and returns the first error (after per-task retries).
-func (e *Engine) runTasks(tasks []task) error {
-	if len(tasks) == 0 {
-		return nil
-	}
-	queues := make([][]int, len(e.workers))
-	var anywhere []int
-	for i, t := range tasks {
-		if !e.cfg.DisableLocality && t.preferred != "" {
-			if w, ok := e.index[t.preferred]; ok {
-				queues[w] = append(queues[w], i)
-				continue
-			}
-		}
-		anywhere = append(anywhere, i)
-	}
-	// Spread unpinned tasks round-robin.
-	for i, ti := range anywhere {
-		w := i % len(e.workers)
-		queues[w] = append(queues[w], ti)
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	stats := Stats{}
-	next := func(self int) (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if len(queues[self]) > 0 {
-			ti := queues[self][0]
-			queues[self] = queues[self][1:]
-			return ti, true
-		}
-		// Steal from the most loaded queue.
-		victim, max := -1, 0
-		for w := range queues {
-			if len(queues[w]) > max {
-				victim, max = w, len(queues[w])
-			}
-		}
-		if victim == -1 {
-			return 0, false
-		}
-		// Steal from the tail to preserve the victim's local order.
-		ti := queues[victim][len(queues[victim])-1]
-		queues[victim] = queues[victim][:len(queues[victim])-1]
-		return ti, true
-	}
-
-	for w := range e.workers {
-		for th := 0; th < e.cfg.Threads; th++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					ti, ok := next(w)
-					if !ok {
-						return
-					}
-					// Stats fields are written single-threaded per task via
-					// the shared mutex to stay race-free.
-					mu.Lock()
-					t := tasks[ti]
-					local := t.preferred == "" || t.preferred == e.workers[w]
-					if t.preferred != "" {
-						if local {
-							stats.LocalHits++
-						} else {
-							stats.RemoteRuns++
-						}
-					}
-					mu.Unlock()
-					if !local && e.cfg.RemotePenaltyPerMB > 0 && t.sizeHint > 0 {
-						time.Sleep(time.Duration(float64(e.cfg.RemotePenaltyPerMB) * float64(t.sizeHint) / (1 << 20)))
-					}
-					var err error
-					for attempt := 0; ; attempt++ {
-						err = safeRun(t.run)
-						if err == nil || attempt >= e.cfg.MaxRetries {
-							break
-						}
-						mu.Lock()
-						stats.Retries++
-						mu.Unlock()
-					}
-					mu.Lock()
-					stats.TasksRun++
-					if err != nil && firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}(w)
-		}
-	}
-	wg.Wait()
-	e.statsMu.Lock()
-	e.stats.TasksRun += stats.TasksRun
-	e.stats.LocalHits += stats.LocalHits
-	e.stats.RemoteRuns += stats.RemoteRuns
-	e.stats.Retries += stats.Retries
-	e.statsMu.Unlock()
-	return firstErr
-}
-
-// safeRun converts panics in task bodies into errors so a bad record
-// cannot take down the whole engine.
-func safeRun(f func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("compute: task panic: %v", r)
-		}
-	}()
-	return f()
-}
-
-// ErrNoPartitions is returned by actions on datasets with no partitions.
-var ErrNoPartitions = errors.New("compute: dataset has no partitions")

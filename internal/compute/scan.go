@@ -1,15 +1,15 @@
 package compute
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 )
 
-// The scan planner is the streaming execution path for the analytic
-// server's big-data operations. Where the Dataset API materializes every
-// partition before acting, a scan fans per-partition streaming tasks out
-// over a bounded worker pool and merges results in partition order, so
-// memory stays proportional to the fan-out window (StreamScan) or to the
+// The scan planner is the execution path of the analytic server's
+// big-data operations: a scan fans per-partition streaming tasks out over
+// a bounded worker pool and merges results in partition order, so memory
+// stays proportional to the fan-out window (StreamScan) or to the
 // aggregation state (ScanFold) rather than to the scanned data.
 
 // ScanOptions parameterizes a partition-parallel scan.
@@ -43,12 +43,23 @@ type ScanTask[T any] struct {
 // counts rows, not items.
 type RowCounter interface{ Rows() int }
 
-// scanStats accumulates into the engine's counters.
+// noteScan accumulates into the engine's counters.
 func (e *Engine) noteScan(tasks, rows int) {
 	e.statsMu.Lock()
 	e.stats.ScanTasks += tasks
 	e.stats.ScanRows += rows
 	e.statsMu.Unlock()
+}
+
+// safeRun converts panics in task bodies into errors so a bad record
+// cannot take down the whole engine.
+func safeRun(f func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("compute: task panic: %v", r)
+		}
+	}()
+	return f()
 }
 
 // StreamScan executes tasks on a bounded pool and delivers each task's

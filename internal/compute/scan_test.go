@@ -3,6 +3,7 @@ package compute
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -162,6 +163,62 @@ func TestScanFoldError(t *testing.T) {
 		func(a, b int) int { return a + b })
 	if !errors.Is(err, boom) {
 		t.Fatalf("want fold boom, got %v", err)
+	}
+}
+
+func TestTaskErrorPropagates(t *testing.T) {
+	eng := NewEngine(Config{})
+	boom := errors.New("boom")
+	tasks := []FoldTask[int]{func(int) (int, int, error) { return 0, 0, boom }}
+	_, err := ScanFold(eng, ScanOptions{Parallelism: 1}, tasks,
+		func() int { return 0 },
+		func(a, b int) int { return a + b })
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if st := eng.Stats(); st.ScanTasks != 0 {
+		t.Fatalf("scan stats = %+v, want no completed tasks", st)
+	}
+}
+
+func TestScanFoldPanicRecovered(t *testing.T) {
+	eng := NewEngine(Config{})
+	var ran atomic.Int32
+	tasks := make([]FoldTask[int], 8)
+	for i := range tasks {
+		tasks[i] = func(acc int) (int, int, error) {
+			ran.Add(1)
+			return acc + i, 1, nil
+		}
+	}
+	tasks[2] = func(int) (int, int, error) { panic("bad record") }
+	// One worker claims tasks in order, so nothing after the panic may run.
+	_, err := ScanFold(eng, ScanOptions{Parallelism: 1}, tasks,
+		func() int { return 0 },
+		func(a, b int) int { return a + b })
+	if err == nil || !strings.Contains(err.Error(), "bad record") {
+		t.Fatalf("err = %v, want the panic as an error", err)
+	}
+	if n := ran.Load(); n != 2 {
+		t.Fatalf("%d tasks ran, want the 2 before the panic and none after", n)
+	}
+	if st := eng.Stats(); st.ScanTasks != 2 {
+		t.Fatalf("scan stats = %+v, want 2 completed tasks", st)
+	}
+}
+
+func TestEngineDefaults(t *testing.T) {
+	eng := NewEngine(Config{})
+	if len(eng.Workers()) != 1 {
+		t.Fatalf("default workers = %v", eng.Workers())
+	}
+	if err := StreamScan(eng, ScanOptions{}, rangeTasks(3, 2),
+		func(int, []int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	eng.ResetStats()
+	if eng.Stats() != (Stats{}) {
+		t.Fatal("ResetStats did not zero")
 	}
 }
 

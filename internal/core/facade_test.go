@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -8,12 +10,14 @@ import (
 	"hpclog/internal/logs"
 	"hpclog/internal/mining"
 	"hpclog/internal/model"
+	"hpclog/internal/query"
 	"hpclog/internal/topology"
 )
 
 // TestFacadeSurface exercises every analytic passthrough of the Framework
 // against one imported corpus, asserting the minimal correctness property
-// of each (non-empty, correctly keyed, or matching ground truth).
+// of each (non-empty, correctly keyed, or matching ground truth) and that
+// the facade and the query engine read through one path.
 func TestFacadeSurface(t *testing.T) {
 	fw, cfg, corpus := testFramework(t)
 	if err := fw.LoadGroundTruth(corpus); err != nil {
@@ -105,6 +109,69 @@ func TestFacadeSurface(t *testing.T) {
 	if stats.N < 2 || stats.MTBF <= 0 {
 		t.Fatalf("Reliability stats = %+v", stats)
 	}
+
+	// One path: each facade method answers exactly what the /v1 op it
+	// mirrors answers on the same window.
+	op := func(o query.Op, typ model.EventType, from, to time.Time) any {
+		t.Helper()
+		res, err := fw.Query.Execute(query.Request{Op: o, TopK: 1 << 20, Context: query.Context{
+			EventType: string(typ), From: from.Unix(), To: to.Unix()}})
+		if err != nil {
+			t.Fatalf("Execute(%s): %v", o, err)
+		}
+		return res
+	}
+	sameJSON := func(name string, facade, wire any) {
+		t.Helper()
+		f, err := json.Marshal(facade)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := json.Marshal(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(f, w) {
+			t.Fatalf("%s: facade and query op differ\nfacade %.300s\nop     %.300s", name, f, w)
+		}
+	}
+	wc := map[string]int{}
+	for _, e := range op(query.OpWordCount, model.Lustre, storm.Start, storm.Start.Add(storm.Duration)).([]query.WordCountEntry) {
+		wc[e.Term] = e.Count
+	}
+	sameJSON("WordCount", counts, wc)
+	sameJSON("TFIDF", scores, op(query.OpTFIDF, model.Lustre, storm.Start, storm.Start.Add(storm.Duration)))
+	hm, err := fw.Heatmap(model.MCE, from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameJSON("Heatmap", hm, op(query.OpHeatmap, model.MCE, from, to))
+	events, err := fw.Events(model.Lustre, from, to)
+	if err != nil || len(events) == 0 {
+		t.Fatalf("Events: %v (%d)", err, len(events))
+	}
+	recs := make([]query.EventRecord, len(events))
+	for i, e := range events {
+		recs[i] = query.EventRecord{Time: e.Time.Unix(), Type: string(e.Type), Source: e.Source,
+			Count: e.Count, Raw: e.Raw, Attrs: e.Attrs}
+	}
+	sameJSON("Events", recs, op(query.OpEvents, model.Lustre, from, to))
+	rules, err = fw.MineRules(from, to, time.Minute, 0.01, 0.2) // the op's thresholds
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameJSON("MineRules", rules, op(query.OpRules, "", from, to))
+	var rel struct {
+		Stats json.RawMessage `json:"stats"`
+	}
+	b, err := json.Marshal(op(query.OpReliability, "", from, to))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &rel); err != nil {
+		t.Fatal(err)
+	}
+	sameJSON("Reliability", stats, rel.Stats)
 
 	res, err := fw.CQL("DESCRIBE TABLES")
 	if err != nil {

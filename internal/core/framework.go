@@ -35,8 +35,6 @@ type Options struct {
 	StoreNodes int
 	// RF is the replication factor (default 3).
 	RF int
-	// Threads is the number of task slots per compute worker (default 2).
-	Threads int
 	// MachineNodes is the number of simulated Titan compute nodes loaded
 	// into nodeinfos (default: the full machine, 19200).
 	MachineNodes int
@@ -75,9 +73,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RF <= 0 {
 		o.RF = 3
-	}
-	if o.Threads <= 0 {
-		o.Threads = 2
 	}
 	if o.MachineNodes <= 0 || o.MachineNodes > topology.TotalNodes {
 		o.MachineNodes = topology.TotalNodes
@@ -118,7 +113,7 @@ func New(opts Options) (*Framework, error) {
 		db.Close()
 		return nil, fmt.Errorf("core: bootstrap: %w", err)
 	}
-	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: opts.Threads})
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
 	loader := &ingest.Loader{DB: db, CL: opts.Consistency}
 	q := query.New(db, eng)
 	// Ingest-driven cache invalidation: any write through the loader
@@ -221,42 +216,50 @@ func (f *Framework) Publish(topic string, e model.Event) error {
 }
 
 // --- Analytics convenience API ---
+//
+// Each method calls the analytics function the query engine dispatches
+// the matching /v1 operation to, so the facade and the wire read through
+// one path.
+
+// scan is the scan configuration of the facade's analytics: the query
+// engine's defaults.
+var scan = analytics.ScanConfig{}
 
 // Heatmap computes the per-cabinet heat map of one event type (Fig 5).
 func (f *Framework) Heatmap(typ model.EventType, from, to time.Time) (*analytics.HeatMap, error) {
-	return analytics.Heatmap(f.Compute, f.DB, typ, from, to)
+	return analytics.HeatmapScan(f.Compute, f.DB, typ, from, to, scan)
 }
 
 // Histogram bins occurrences over the window for the temporal map.
 func (f *Framework) Histogram(typ model.EventType, from, to time.Time, bin time.Duration) ([]int, error) {
-	return analytics.Histogram(f.Compute, f.DB, typ, from, to, bin)
+	return analytics.HistogramScan(f.Compute, f.DB, typ, from, to, bin, scan)
 }
 
 // Distribution computes occurrence distributions at a topology level.
 func (f *Framework) Distribution(typ model.EventType, from, to time.Time, level topology.Level) ([]analytics.Bucket, error) {
-	return analytics.DistributionBy(f.Compute, f.DB, typ, from, to, level)
+	return analytics.DistributionByScan(f.Compute, f.DB, typ, from, to, level, scan)
 }
 
 // DistributionByApp attributes occurrences to running applications.
 func (f *Framework) DistributionByApp(typ model.EventType, from, to time.Time) ([]analytics.Bucket, error) {
-	return analytics.DistributionByApp(f.Compute, f.DB, typ, from, to)
+	return analytics.DistributionByAppScan(f.Compute, f.DB, typ, from, to, scan)
 }
 
 // TransferEntropy measures directed information flow between two event
 // types (Fig 7-top).
 func (f *Framework) TransferEntropy(a, b model.EventType, from, to time.Time, bin time.Duration) (analytics.TEResult, error) {
-	return analytics.TransferEntropyBetween(f.Compute, f.DB, a, b, from, to, bin)
+	return analytics.TransferEntropyBetweenScan(f.Compute, f.DB, a, b, from, to, bin, scan)
 }
 
 // WordCount runs the distributed word count over raw messages of a type
 // within the window (Fig 7-bottom).
 func (f *Framework) WordCount(typ model.EventType, from, to time.Time) (map[string]int, error) {
-	return analytics.WordCount(analytics.RawMessages(f.Compute, f.DB, typ, from, to))
+	return analytics.WordCountScan(f.Compute, f.DB, typ, from, to, scan)
 }
 
 // TFIDF scores terms of raw messages of a type within the window.
 func (f *Framework) TFIDF(typ model.EventType, from, to time.Time) ([]analytics.TermScore, error) {
-	return analytics.TFIDF(analytics.RawMessages(f.Compute, f.DB, typ, from, to))
+	return analytics.TFIDFScan(f.Compute, f.DB, typ, from, to, scan)
 }
 
 // Placement reports application placement at an instant (Fig 6-bottom).
@@ -266,12 +269,13 @@ func (f *Framework) Placement(at time.Time) (map[string]string, error) {
 
 // EventSites reports nodes emitting a type at an instant (Fig 6-top).
 func (f *Framework) EventSites(typ model.EventType, at time.Time) (map[string]int, error) {
-	return analytics.EventSites(f.Compute, f.DB, typ, at)
+	return analytics.EventSitesScan(f.Compute, f.DB, typ, at, scan)
 }
 
-// Events returns decoded events of one type within [from, to).
+// Events returns decoded events of one type within [from, to), sorted by
+// model.SortEvents.
 func (f *Framework) Events(typ model.EventType, from, to time.Time) ([]model.Event, error) {
-	events, err := analytics.EventsByType(f.Compute, f.DB, typ, from, to).Collect()
+	events, err := analytics.EventsByTypeScan(f.Compute, f.DB, typ, from, to, scan)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +293,7 @@ func (f *Framework) Runs(from, to time.Time) ([]model.AppRun, error) {
 // MineRules mines association rules between event types over [from, to)
 // with the given co-occurrence window.
 func (f *Framework) MineRules(from, to time.Time, window time.Duration, minSupport, minConfidence float64) ([]mining.Rule, error) {
-	events, err := analytics.EventsAllTypes(f.Compute, f.DB, from, to).Collect()
+	events, err := analytics.EventsAllTypesScan(f.Compute, f.DB, from, to, scan)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +303,7 @@ func (f *Framework) MineRules(from, to time.Time, window time.Duration, minSuppo
 // MineSequences mines A-followed-by-B patterns over [from, to),
 // restricted to same-component pairs (the error propagation view).
 func (f *Framework) MineSequences(from, to time.Time, delta time.Duration, minCount int) ([]mining.SeqPattern, error) {
-	events, err := analytics.EventsAllTypes(f.Compute, f.DB, from, to).Collect()
+	events, err := analytics.EventsAllTypesScan(f.Compute, f.DB, from, to, scan)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +312,7 @@ func (f *Framework) MineSequences(from, to time.Time, delta time.Duration, minCo
 
 // Episodes coalesces one event type's occurrences into episodes.
 func (f *Framework) Episodes(typ model.EventType, from, to time.Time, window time.Duration, perSource bool) ([]mining.Episode, error) {
-	events, err := analytics.EventsByType(f.Compute, f.DB, typ, from, to).Collect()
+	events, err := analytics.EventsByTypeScan(f.Compute, f.DB, typ, from, to, scan)
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +322,7 @@ func (f *Framework) Episodes(typ model.EventType, from, to time.Time, window tim
 // DetectComposite scans [from, to) for a registered composite event
 // definition and returns the synthesized composite events.
 func (f *Framework) DetectComposite(def mining.CompositeDef, from, to time.Time) ([]model.Event, error) {
-	events, err := analytics.EventsAllTypes(f.Compute, f.DB, from, to).Collect()
+	events, err := analytics.EventsAllTypesScan(f.Compute, f.DB, from, to, scan)
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +331,7 @@ func (f *Framework) DetectComposite(def mining.CompositeDef, from, to time.Time)
 
 // Profiles builds per-application event profiles over [from, to).
 func (f *Framework) Profiles(from, to time.Time) (map[string]*profile.Profile, error) {
-	events, err := analytics.EventsAllTypes(f.Compute, f.DB, from, to).Collect()
+	events, err := analytics.EventsAllTypesScan(f.Compute, f.DB, from, to, scan)
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +344,7 @@ func (f *Framework) Profiles(from, to time.Time) (map[string]*profile.Profile, e
 
 // Reliability computes failure interarrival statistics over [from, to).
 func (f *Framework) Reliability(from, to time.Time) (analytics.InterarrivalStats, error) {
-	events, err := analytics.EventsAllTypes(f.Compute, f.DB, from, to).Collect()
+	events, err := analytics.EventsAllTypesScan(f.Compute, f.DB, from, to, scan)
 	if err != nil {
 		return analytics.InterarrivalStats{}, err
 	}
@@ -358,7 +362,7 @@ func (f *Framework) CQL(statement string) (*cql.Result, error) {
 // [from, to) (see internal/predict; the Section V "machine learning"
 // extension).
 func (f *Framework) TrainPredictor(from, to time.Time, cfg predict.Config) (*predict.Model, error) {
-	events, err := analytics.EventsAllTypes(f.Compute, f.DB, from, to).Collect()
+	events, err := analytics.EventsAllTypesScan(f.Compute, f.DB, from, to, scan)
 	if err != nil {
 		return nil, err
 	}

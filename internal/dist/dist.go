@@ -70,8 +70,6 @@ type Config struct {
 	Tier objstore.Config
 	// MachineNodes sizes the bootstrap nodeinfos load (default 1024).
 	MachineNodes int
-	// Threads is the compute engine's per-worker thread count (default 2).
-	Threads int
 
 	// HeartbeatInterval is the peer probe period (default 250ms).
 	HeartbeatInterval time.Duration
@@ -112,9 +110,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MachineNodes == 0 {
 		c.MachineNodes = 1024
-	}
-	if c.Threads <= 0 {
-		c.Threads = 2
 	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 250 * time.Millisecond
@@ -234,7 +229,7 @@ func Open(cfg Config) (*Node, error) {
 		db.Close()
 		return nil, err
 	}
-	n.Compute = compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: cfg.Threads})
+	n.Compute = compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
 	n.Query = query.NewWithOptions(db, n.Compute, query.Options{})
 	n.Server = server.NewWithConfig(n.Query, db, n.Compute, cfg.ServerConfig)
 	n.Server.AttachCluster(n)

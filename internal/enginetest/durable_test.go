@@ -76,7 +76,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if restored == 0 {
 		t.Fatal("snapshot restored zero rows")
 	}
-	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
 	serial := query.NewWithOptions(db, eng, query.Options{Parallelism: 1, CacheSize: -1})
 
 	for _, c := range Cases(src) {

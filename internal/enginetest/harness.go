@@ -158,7 +158,7 @@ func attach(tb testing.TB, scfg store.Config) *Harness {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { db.Close() })
-	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
 	h := &Harness{Cfg: cfg, Corpus: logs.Generate(cfg), DB: db, Comp: eng, StoreCfg: scfg}
 	h.initEngines(tb)
 	return h

@@ -30,7 +30,7 @@ func newTinyRingServer(t *testing.T, ring int) (*store.DB, *client.Client) {
 	if err := ingest.Bootstrap(db, 4); err != nil {
 		t.Fatal(err)
 	}
-	comp := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
+	comp := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
 	eng := query.NewWithOptions(db, comp, query.Options{CacheSize: -1})
 	srv := server.NewWithConfig(eng, db, comp, server.Config{WatchTailRing: ring})
 	ts := httptest.NewServer(srv)

@@ -24,7 +24,7 @@ func testCluster(t testing.TB, nodes int) (*store.DB, *compute.Engine) {
 	if err := Bootstrap(db, topology.NodesPerCabinet); err != nil {
 		t.Fatal(err)
 	}
-	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
 	return db, eng
 }
 

@@ -29,7 +29,7 @@ func newTestServer(t *testing.T) *httptest.Server {
 	if err := ingest.Bootstrap(db, 4); err != nil {
 		t.Fatal(err)
 	}
-	comp := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
+	comp := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
 	eng := query.NewWithOptions(db, comp, query.Options{CacheSize: -1})
 	srv := server.New(eng, db, comp)
 	ts := httptest.NewServer(srv)

@@ -498,9 +498,6 @@ func (q *Engine) events(req Request) ([]EventRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	if out == nil {
-		out = []EventRecord{}
-	}
 	return out, nil
 }
 

@@ -46,7 +46,7 @@ func getFixture(t testing.TB) *fixture {
 	if err := loader.LoadRuns(corpus.Runs); err != nil {
 		t.Fatal(err)
 	}
-	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
 	hours := model.HoursIn(cfg.Start, cfg.Start.Add(cfg.Duration))
 	if err := ingest.RefreshSynopsis(eng, db, hours, store.Quorum); err != nil {
 		t.Fatal(err)

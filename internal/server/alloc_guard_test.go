@@ -123,7 +123,7 @@ func TestRowWireAllocBudget(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
 	srv := NewWithConfig(query.New(db, eng), db, eng, Config{MaxPageLimit: hours * perHour})
 	t.Cleanup(srv.Close)
 

@@ -137,7 +137,6 @@ func (s *Server) collectStoreMetrics(w *obs.Writer) {
 
 func (s *Server) collectComputeMetrics(w *obs.Writer) {
 	cs := s.eng.Stats()
-	w.Counter("hpclog_compute_tasks_total", "Tasks executed on the compute pool.", int64(cs.TasksRun))
 	w.Counter("hpclog_compute_scan_tasks_total", "Partition scan tasks executed by the scan planner.", int64(cs.ScanTasks))
 	w.Counter("hpclog_compute_scan_rows_total", "Rows streamed through the scan planner.", int64(cs.ScanRows))
 	w.Counter("hpclog_store_blocks_read_total", "Segment blocks decoded by pruned scans.", int64(cs.BlocksRead))

@@ -124,7 +124,7 @@ func labelsWithoutLe(labels string) string {
 func metricsFixture(t *testing.T, threshold time.Duration) (*Server, *httptest.Server) {
 	t.Helper()
 	f := getFixture(t)
-	eng := compute.NewEngine(compute.Config{Workers: f.db.NodeIDs(), Threads: 2})
+	eng := compute.NewEngine(compute.Config{Workers: f.db.NodeIDs()})
 	srv := NewWithConfig(query.New(f.db, eng), f.db, eng, Config{SlowQueryThreshold: threshold})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
@@ -206,7 +206,7 @@ func TestMetricsExpositionBackgroundRounds(t *testing.T) {
 	if _, _, err := db.TierSweep(true); err != nil {
 		t.Fatal(err)
 	}
-	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
 	srv := NewWithConfig(query.New(db, eng), db, eng, Config{})
 	ts := httptest.NewServer(srv)
 	defer func() {
@@ -278,7 +278,7 @@ func TestMetricsExpositionScanPaths(t *testing.T) {
 	scan() // the memtable shadows the segment: merged
 	put()  // the memtable holds these keys: a merge, where the first two puts appended
 
-	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
 	srv := NewWithConfig(query.New(db, eng), db, eng, Config{})
 	ts := httptest.NewServer(srv)
 	defer func() {

@@ -28,7 +28,7 @@ func newHardenedServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if err := ingest.Bootstrap(db, 4); err != nil {
 		t.Fatal(err)
 	}
-	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Threads: 2})
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
 	srv := NewWithConfig(query.New(db, eng), db, eng, cfg)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {

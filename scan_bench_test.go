@@ -163,7 +163,7 @@ func TestScanParallelMatchesSerialDurable(t *testing.T) {
 		t.Fatal("durable cluster produced no on-disk segments")
 	}
 	df := &benchFixture{cfg: f.cfg, corpus: f.corpus, db: ddb,
-		eng: compute.NewEngine(compute.Config{Workers: ddb.NodeIDs(), Threads: 2})}
+		eng: compute.NewEngine(compute.Config{Workers: ddb.NodeIDs()})}
 	for _, op := range scanOps() {
 		t.Run(op.name, func(t *testing.T) {
 			memRes, err := op.run(f, scanCfg(1))
