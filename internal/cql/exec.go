@@ -222,7 +222,7 @@ func (s *Session) runExplain(st *ExplainStmt) (*Result, error) {
 
 func (s *Session) runInsert(st *InsertStmt) (*Result, error) {
 	row := store.Row{Key: st.Key, Columns: st.Columns}
-	if err := s.DB.PutCtx(s.ctx(), st.Table, st.Partition, row, s.CL); err != nil {
+	if err := s.DB.PutBatchCtx(s.ctx(), st.Table, st.Partition, []store.Row{row}, s.CL); err != nil {
 		return nil, err
 	}
 	return &Result{Applied: true}, nil

@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -78,7 +79,7 @@ func TestClusterCrashRecovery(t *testing.T) {
 	for {
 		missing := 0
 		for pkey, keys := range wantKeys {
-			rows, err := c.nodes[2].DB.ReadShard("n2", model.TableEventByTime, pkey, store.Range{})
+			rows, err := ownRows(c.nodes[2].DB, "n2", model.TableEventByTime, pkey)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +117,7 @@ func assertReplicasConverged(t *testing.T, c *testCluster, table string, parts m
 		for pkey := range parts {
 			var ref []string
 			for i, n := range c.nodes {
-				rows, err := n.DB.ReadShard(c.ids[i], table, pkey, store.Range{})
+				rows, err := ownRows(n.DB, c.ids[i], table, pkey)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,6 +143,15 @@ func assertReplicasConverged(t *testing.T, c *testCluster, table string, parts m
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// ownRows reads one member's own replica of a partition, not a quorum view.
+func ownRows(db *store.DB, id, table, pkey string) ([]store.Row, error) {
+	n, err := db.LocalReplica(id)
+	if err != nil {
+		return nil, err
+	}
+	return n.Read(context.Background(), table, pkey, store.Range{})
 }
 
 func equalStrings(a, b []string) bool {

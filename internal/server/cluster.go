@@ -2,8 +2,8 @@
 // scatter-gather (/v1/shard/*), and membership/status
 // (/v1/cluster, /v1/cluster/heartbeat). The data-path handlers work
 // directly against the store — ownership fencing lives in
-// store.ApplyReplicated and friends, keyed by the ring-member id every
-// request must carry — while liveness and status are delegated to a
+// store.ApplyReplicated and store.LocalReplica, keyed by the ring-member id
+// every request must carry — while liveness and status are delegated to a
 // ClusterBackend attached by the cluster runtime (internal/dist). Without
 // a backend the server still answers /v1/cluster with its single-process
 // view, so logctl cluster works against any deployment.
@@ -92,7 +92,11 @@ func (s *Server) handleShardRead(w http.ResponseWriter, r *http.Request) {
 		if aerr != nil {
 			return nil, aerr
 		}
-		rows, err := s.db.ReadShard(req.Node, req.Table, req.PKey, store.Range{From: req.From, To: req.To})
+		n, err := s.db.LocalReplica(req.Node)
+		if err != nil {
+			return nil, toAPIError(err)
+		}
+		rows, err := n.Read(r.Context(), req.Table, req.PKey, store.Range{From: req.From, To: req.To})
 		if err != nil {
 			return nil, toAPIError(err)
 		}
@@ -120,7 +124,12 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 		s.writeV1(w, started, reqID, nil, aerr)
 		return
 	}
-	it, err := s.db.ScanShard(req.Node, req.Table, req.PKey, store.Range{From: req.From, To: req.To})
+	n, err := s.db.LocalReplica(req.Node)
+	if err != nil {
+		s.writeV1(w, started, reqID, nil, toAPIError(err))
+		return
+	}
+	it, err := n.Scan(r.Context(), req.Table, req.PKey, store.Range{From: req.From, To: req.To})
 	if err != nil {
 		s.writeV1(w, started, reqID, nil, toAPIError(err))
 		return
@@ -152,7 +161,11 @@ func (s *Server) handleShardBounds(w http.ResponseWriter, r *http.Request) {
 		if aerr != nil {
 			return nil, aerr
 		}
-		min, max, ok, err := s.db.ShardKeyBounds(req.Node, req.Table, req.PKey)
+		n, err := s.db.LocalReplica(req.Node)
+		if err != nil {
+			return nil, toAPIError(err)
+		}
+		min, max, ok, err := n.KeyBounds(r.Context(), req.Table, req.PKey)
 		if err != nil {
 			return nil, toAPIError(err)
 		}
@@ -168,7 +181,11 @@ func (s *Server) handleShardPartitions(w http.ResponseWriter, r *http.Request) {
 		if node == "" || table == "" {
 			return nil, api.Errorf(api.CodeBadRequest, "node and table query parameters are required")
 		}
-		keys, err := s.db.ShardPartitionKeys(node, table)
+		n, err := s.db.LocalReplica(node)
+		if err != nil {
+			return nil, toAPIError(err)
+		}
+		keys, err := n.PartitionKeys(r.Context(), table)
 		if err != nil {
 			return nil, toAPIError(err)
 		}

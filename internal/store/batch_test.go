@@ -111,7 +111,7 @@ func (sc batchScenario) open(t *testing.T) *DB {
 	for _, st := range sc.steps {
 		// Rows carry their own write timestamps (ties included), so they
 		// go in the way replicated rows do.
-		if err := n.apply("t", "p", st.rows, nil); err != nil {
+		if err := n.apply(context.Background(), "t", "p", st.rows, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !st.flush {

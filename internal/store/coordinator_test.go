@@ -1,0 +1,223 @@
+package store
+
+import (
+	"context"
+	"errors"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"hpclog/internal/testutil"
+)
+
+var errFakeRemote = errors.New("fake remote: injected failure")
+
+// fakeRemote is an in-memory Remote whose Apply can be made to block or
+// fail: the stand-in for a member hosted by another process.
+type fakeRemote struct {
+	mu      sync.Mutex
+	parts   map[string][]Row // "table/pkey" -> rows sorted by key
+	fail    bool             // Apply returns errFakeRemote
+	block   chan struct{}    // non-nil: Apply waits to receive from it
+	applied chan struct{}    // one send per successful Apply; buffered past any test's count
+}
+
+func newFakeRemote() *fakeRemote {
+	return &fakeRemote{parts: make(map[string][]Row), applied: make(chan struct{}, 16)}
+}
+
+func (f *fakeRemote) setFail(fail bool) {
+	f.mu.Lock()
+	f.fail = fail
+	f.mu.Unlock()
+}
+
+func (f *fakeRemote) Apply(_ context.Context, table, pkey string, rows []Row) error {
+	if f.block != nil {
+		<-f.block
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.fail {
+		return errFakeRemote
+	}
+	f.parts[table+"/"+pkey] = mergeRows(f.parts[table+"/"+pkey], rows)
+	f.applied <- struct{}{}
+	return nil
+}
+
+func (f *fakeRemote) Read(_ context.Context, table, pkey string, rg Range) ([]Row, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Clone(sliceRange(f.parts[table+"/"+pkey], rg)), nil
+}
+
+func (f *fakeRemote) Scan(ctx context.Context, table, pkey string, rg Range) (RowIter, error) {
+	rows, err := f.Read(ctx, table, pkey, rg)
+	return NewSliceIter(rows), err
+}
+
+func (f *fakeRemote) KeyBounds(_ context.Context, table, pkey string) (string, string, bool, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	rows := f.parts[table+"/"+pkey]
+	if len(rows) == 0 {
+		return "", "", false, nil
+	}
+	return rows[0].Key, rows[len(rows)-1].Key, true, nil
+}
+
+func (f *fakeRemote) PartitionKeys(_ context.Context, table string) ([]string, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var keys []string
+	for k := range f.parts {
+		if pkey, ok := strings.CutPrefix(k, table+"/"); ok {
+			keys = append(keys, pkey)
+		}
+	}
+	slices.Sort(keys)
+	return keys, nil
+}
+
+// mixedRing opens an RF=3 ring of member a hosted in process and members
+// b and c behind fake Remotes, all up.
+func mixedRing(t *testing.T) (db *DB, b, c *fakeRemote) {
+	t.Helper()
+	db, err := OpenDurable(Config{Members: []string{"a", "b", "c"}, LocalMembers: []string{"a"}, RF: 3, VNodes: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable("events"); err != nil {
+		t.Fatal(err)
+	}
+	b, c = newFakeRemote(), newFakeRemote()
+	for id, r := range map[string]*fakeRemote{"b": b, "c": c} {
+		if err := db.AttachRemote(id, r); err != nil {
+			t.Fatal(err)
+		}
+		db.Ring().SetUp(id, true)
+	}
+	return db, b, c
+}
+
+func rowCount(t *testing.T, r interface {
+	Read(context.Context, string, string, Range) ([]Row, error)
+}, pkey string) int {
+	t.Helper()
+	rows, err := r.Read(context.Background(), "events", pkey, Range{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(rows)
+}
+
+// TestCoordinatorQuorumAcksWhileRemoteBlocks: a QUORUM write returns on
+// the in-process replica plus one remote while the other remote is still
+// blocked, and the straggler lands afterwards without a hint.
+func TestCoordinatorQuorumAcksWhileRemoteBlocks(t *testing.T) {
+	db, b, c := mixedRing(t)
+	c.block = make(chan struct{})
+	defer close(c.block)
+
+	done := make(chan error, 1)
+	go func() { done <- db.Put("events", "p", eventRow(1, "d", "MCE", "L"), Quorum) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(testutil.Scaled(10 * time.Second)):
+		t.Fatal("QUORUM write waited for the blocked remote")
+	}
+	a, err := db.LocalReplica("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rowCount(t, a, "p") != 1 || rowCount(t, b, "p") != 1 {
+		t.Fatal("acked write missing from the in-process replica or the acking remote")
+	}
+	if rowCount(t, c, "p") != 0 {
+		t.Fatal("blocked remote applied the write")
+	}
+	c.block <- struct{}{} // let the straggler's Apply through
+	<-c.applied
+	if rowCount(t, c, "p") != 1 || db.PendingHints("c") != 0 {
+		t.Fatalf("straggler holds %d rows with %d hinted; want 1 and 0", rowCount(t, c, "p"), db.PendingHints("c"))
+	}
+}
+
+// TestCoordinatorHintsFailedRemote: a remote that answers a write with an
+// error is hinted, a failed hint replay keeps every hint, and RecoverNode
+// delivers them once the remote is healthy.
+func TestCoordinatorHintsFailedRemote(t *testing.T) {
+	db, _, c := mixedRing(t)
+	c.setFail(true)
+	for i := int64(1); i <= 2; i++ {
+		// At ALL the write cannot return before c's answer is in.
+		err := db.Put("events", "p", eventRow(i, "d", "MCE", "L"), All)
+		if !errors.Is(err, errFakeRemote) {
+			t.Fatalf("ALL write with a failing remote: err = %v", err)
+		}
+	}
+	if got := db.PendingHints("c"); got != 2 {
+		t.Fatalf("pending hints for the failing remote = %d, want 2", got)
+	}
+	if _, err := db.RecoverNode("c"); !errors.Is(err, errFakeRemote) {
+		t.Fatalf("hint replay to a still-failing remote: err = %v", err)
+	}
+	if got := db.PendingHints("c"); got != 2 {
+		t.Fatalf("a failed replay left %d hinted rows, want 2", got)
+	}
+	c.setFail(false)
+	delivered, err := db.RecoverNode("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delivered != 2 || db.PendingHints("c") != 0 || rowCount(t, c, "p") != 2 {
+		t.Fatalf("recovery delivered %d rows, %d still pending, remote holds %d; want 2, 0, 2",
+			delivered, db.PendingHints("c"), rowCount(t, c, "p"))
+	}
+}
+
+// TestCoordinatorAllLocalReplicasHoldAckedWrite: on a ring hosted wholly
+// in process, every replica's own read holds a batch the moment PutBatch
+// returns at ONE — in-process replicas are always awaited.
+func TestCoordinatorAllLocalReplicasHoldAckedWrite(t *testing.T) {
+	db := testDB(t, 3, 3)
+	rows := []Row{eventRow(1, "a", "MCE", "L"), eventRow(2, "b", "MCE", "L")}
+	if err := db.PutBatch("events", "p", rows, One); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range db.Ring().Replicas("p") {
+		if got := rowCount(t, db.Node(id), "p"); got != len(rows) {
+			t.Fatalf("replica %s holds %d rows right after the ack, want %d", id, got, len(rows))
+		}
+	}
+}
+
+// TestCoordinatorHintsFailedLocalReplica: an in-process replica whose
+// apply fails (its commitlog is gone) is hinted like a failed remote, and
+// the write still acks on the others.
+func TestCoordinatorHintsFailedLocalReplica(t *testing.T) {
+	db, err := OpenDurable(Config{Nodes: 3, RF: 3, VNodes: 8, Dir: t.TempDir(), WALNoSync: true, CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateTable("events"); err != nil {
+		t.Fatal(err)
+	}
+	broken := db.Ring().Replicas("p")[1]
+	if err := db.Node(broken).wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put("events", "p", eventRow(1, "d", "MCE", "L"), Quorum); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.PendingHints(broken); got != 1 {
+		t.Fatalf("pending hints for the failed local replica = %d, want 1", got)
+	}
+}

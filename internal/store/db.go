@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -171,19 +174,16 @@ func (c Config) withDefaults() Config {
 // Any method may be called from any goroutine; every call acts as its own
 // coordinator, matching the masterless design.
 type DB struct {
-	cfg     Config
-	ring    *cluster.Ring
-	mu      sync.RWMutex
-	nodes   map[string]*Node
-	remotes map[string]Remote // transports for members hosted elsewhere
+	cfg  Config
+	ring *cluster.Ring
+	// nodes are the members this process hosts, sorted by id. Fixed at
+	// open, so it is read without a lock.
+	nodes   []*Node
+	mu      sync.RWMutex       // guards remotes and tables
+	remotes map[string]replica // transports for members hosted elsewhere
 	tables  map[string]bool
 	writeTS atomic.Int64
 	hintLog *hintLog
-
-	// hasRemotes flips once any Remote is attached; the write path uses it
-	// to choose between the fully-synchronous single-process replication
-	// and the W-of-RF early-ack distributed one.
-	hasRemotes atomic.Bool
 
 	readRepairs atomic.Int64
 	generation  atomic.Uint64
@@ -336,8 +336,7 @@ func OpenDurable(cfg Config) (*DB, error) {
 	db := &DB{
 		cfg:     cfg,
 		ring:    cluster.NewRing(cfg.RF, cfg.VNodes),
-		nodes:   make(map[string]*Node, cfg.Nodes),
-		remotes: make(map[string]Remote),
+		remotes: make(map[string]replica),
 		tables:  make(map[string]bool),
 		hintLog: newHintLog(),
 	}
@@ -398,8 +397,9 @@ func OpenDurable(cfg Config) (*DB, error) {
 				return nil, err
 			}
 		}
-		db.nodes[id] = n
+		db.nodes = append(db.nodes, n)
 	}
+	slices.SortFunc(db.nodes, func(a, b *Node) int { return strings.Compare(a.id, b.id) })
 	if cfg.Dir != "" {
 		if err := db.recover(); err != nil {
 			db.closeNodes()
@@ -418,11 +418,10 @@ func OpenDurable(cfg Config) (*DB, error) {
 // and restores the logical write-timestamp counter.
 func (db *DB) recover() error {
 	var maxTS int64
-	for _, id := range db.NodeIDs() {
-		n := db.Node(id)
+	for _, n := range db.nodes {
 		ts, records, rows, err := n.recover()
 		if err != nil {
-			return fmt.Errorf("store: recover node %s: %w", id, err)
+			return fmt.Errorf("store: recover node %s: %w", n.id, err)
 		}
 		if ts > maxTS {
 			maxTS = ts
@@ -433,8 +432,7 @@ func (db *DB) recover() error {
 	// Tables known to any node become cluster-wide (a put record implies
 	// its table, so recovery never loses a table that holds data).
 	names := make(map[string]bool)
-	for _, id := range db.NodeIDs() {
-		n := db.Node(id)
+	for _, n := range db.nodes {
 		n.mu.RLock()
 		for name := range n.tables {
 			names[name] = true
@@ -447,8 +445,8 @@ func (db *DB) recover() error {
 	}
 	db.mu.Unlock()
 	for name := range names {
-		for _, id := range db.NodeIDs() {
-			db.Node(id).createTableLocal(name)
+		for _, n := range db.nodes {
+			n.createTableLocal(name)
 		}
 	}
 	if maxTS > db.writeTS.Load() {
@@ -495,8 +493,8 @@ func (db *DB) compactorLoop() {
 // joins the per-node errors, so one node's failure stops no other node.
 func (db *DB) eachDurableNode(fn func(n *Node) error) error {
 	var nodes []*Node
-	for _, id := range db.NodeIDs() {
-		if n := db.Node(id); n.persist != nil {
+	for _, n := range db.nodes {
+		if n.persist != nil {
 			nodes = append(nodes, n)
 		}
 	}
@@ -577,12 +575,10 @@ type SegmentListing struct {
 // range, Merkle root, and tier placement — ordered by node id.
 func (db *DB) SegmentInfos() []SegmentListing {
 	var out []SegmentListing
-	for _, id := range db.NodeIDs() {
-		n := db.Node(id)
-		if n == nil || n.persist == nil {
-			continue
+	for _, n := range db.nodes {
+		if n.persist != nil {
+			out = append(out, SegmentListing{Node: n.id, Segments: n.persist.SegmentInfos()})
 		}
-		out = append(out, SegmentListing{Node: id, Segments: n.persist.SegmentInfos()})
 	}
 	return out
 }
@@ -641,8 +637,8 @@ func (db *DB) Close() error {
 		<-db.compactDone
 	}
 	var first error
-	for _, id := range db.NodeIDs() {
-		if err := db.Node(id).closeDurable(); err != nil && first == nil {
+	for _, n := range db.nodes {
+		if err := n.closeDurable(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -708,8 +704,7 @@ type StorageStats struct {
 // StorageStats returns a snapshot of the durable engine's counters.
 func (db *DB) StorageStats() StorageStats {
 	st := StorageStats{}
-	for _, id := range db.NodeIDs() {
-		n := db.Node(id)
+	for _, n := range db.nodes {
 		st.ChainedScans += n.chainedScans.Load()
 		st.MergedScans += n.mergedScans.Load()
 		st.AppendPuts += n.appendPuts.Load()
@@ -723,8 +718,7 @@ func (db *DB) StorageStats() StorageStats {
 	st.ReplayedRecords = db.replayStats.Records
 	st.ReplayedRows = db.replayStats.Rows
 	st.MaintenanceErrors = db.maintErrors.Load()
-	for _, id := range db.NodeIDs() {
-		n := db.Node(id)
+	for _, n := range db.nodes {
 		if n.wal == nil {
 			continue
 		}
@@ -760,8 +754,8 @@ func (db *DB) StorageStats() StorageStats {
 // handler merges them into one hpclog_wal_fsync_seconds series.
 func (db *DB) WALFsyncHists() []*obs.Hist {
 	var out []*obs.Hist
-	for _, id := range db.NodeIDs() {
-		if n := db.Node(id); n.wal != nil {
+	for _, n := range db.nodes {
+		if n.wal != nil {
 			out = append(out, n.wal.FsyncHist())
 		}
 	}
@@ -773,8 +767,8 @@ func (db *DB) WALFsyncHists() []*obs.Hist {
 // tier sweeps (empty on in-memory clusters).
 func (db *DB) RoundHists() (flush, compact, sweep *obs.Hist) {
 	flush, compact, sweep = &obs.Hist{}, &obs.Hist{}, &obs.Hist{}
-	for _, id := range db.NodeIDs() {
-		if ps := db.Node(id).persist; ps != nil {
+	for _, n := range db.nodes {
+		if ps := n.persist; ps != nil {
 			flush.Merge(&ps.FlushRoundHist)
 			compact.Merge(&ps.CompactRoundHist)
 			sweep.Merge(&ps.SweepHist)
@@ -787,8 +781,8 @@ func (db *DB) RoundHists() (flush, compact, sweep *obs.Hist) {
 // all local nodes — the unflushed write volume.
 func (db *DB) MemtableRows() int {
 	total := 0
-	for _, id := range db.NodeIDs() {
-		total += db.Node(id).MemtableRows()
+	for _, n := range db.nodes {
+		total += n.MemtableRows()
 	}
 	return total
 }
@@ -799,23 +793,23 @@ func (db *DB) Ring() *cluster.Ring { return db.ring }
 // Config returns the effective configuration.
 func (db *DB) Config() Config { return db.cfg }
 
-// NodeIDs returns the storage node ids in sorted order.
+// NodeIDs returns the ids of the storage nodes this process hosts, in
+// sorted order.
 func (db *DB) NodeIDs() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	ids := make([]string, 0, len(db.nodes))
-	for id := range db.nodes {
-		ids = append(ids, id)
+	ids := make([]string, len(db.nodes))
+	for i, n := range db.nodes {
+		ids[i] = n.id
 	}
-	sort.Strings(ids)
 	return ids
 }
 
-// Node returns the storage node with the given id, or nil.
+// Node returns the locally hosted storage node with the given id, or nil.
 func (db *DB) Node(id string) *Node {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.nodes[id]
+	i, ok := slices.BinarySearchFunc(db.nodes, id, func(n *Node, id string) int { return strings.Compare(n.id, id) })
+	if !ok {
+		return nil
+	}
+	return db.nodes[i]
 }
 
 // CreateTable declares a table on every node (and, on a durable cluster,
@@ -825,12 +819,8 @@ func (db *DB) Node(id string) *Node {
 func (db *DB) CreateTable(name string) error {
 	db.mu.Lock()
 	db.tables[name] = true
-	nodes := make([]*Node, 0, len(db.nodes))
-	for _, n := range db.nodes {
-		nodes = append(nodes, n)
-	}
 	db.mu.Unlock()
-	for _, n := range nodes {
+	for _, n := range db.nodes {
 		if err := n.createTable(name); err != nil {
 			return err
 		}
@@ -861,399 +851,28 @@ func (db *DB) HasTable(name string) bool {
 // NextWriteTS issues a monotonically increasing logical write timestamp.
 func (db *DB) NextWriteTS() int64 { return db.writeTS.Add(1) }
 
-// Put writes a single row into the partition identified by pkey.
-func (db *DB) Put(tableName, pkey string, row Row, cl Consistency) error {
-	return db.PutBatchCtx(context.Background(), tableName, pkey, []Row{row}, cl)
-}
-
-// PutCtx is Put under the caller's context (trace + request ID carry
-// through to replica transports).
-func (db *DB) PutCtx(ctx context.Context, tableName, pkey string, row Row, cl Consistency) error {
-	return db.PutBatchCtx(ctx, tableName, pkey, []Row{row}, cl)
-}
-
-// PutBatch writes rows into one partition, assigning write timestamps and
-// replicating to the ring's replica set. It blocks until the consistency
-// level is satisfied; remaining live replicas are written synchronously as
-// well (the in-process transport makes asynchronous trickle unnecessary,
-// but down replicas are skipped, so entropy between replicas still arises
-// and Repair reconciles it). On a durable cluster each replica appends the
-// batch to its commitlog before applying it, so an acknowledged batch
-// survives a crash.
-func (db *DB) PutBatch(tableName, pkey string, rows []Row, cl Consistency) error {
-	return db.PutBatchCtx(context.Background(), tableName, pkey, rows, cl)
-}
-
-// PutBatchCtx is PutBatch under the caller's context. The context's
-// request ID and trace span ride along: replica transports stamp the ID
-// onto their RPCs, and the write path's stages (WAL append, replicate
-// quorum ack, hint queueing) land on the trace. Replication itself is
-// shielded from request-scoped cancellation — an acked batch must keep
-// draining to stragglers after the handler returns.
-func (db *DB) PutBatchCtx(ctx context.Context, tableName, pkey string, rows []Row, cl Consistency) error {
-	if !db.HasTable(tableName) {
-		return fmt.Errorf("store: no such table %q", tableName)
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	// Stamp and compact in one pass: from here on the batch moves through
-	// the engine (commitlog codec, memtable, segment flush) in the
-	// interned-column representation; map-form rows are converted once at
-	// this boundary.
-	stamped := make([]Row, len(rows))
-	for i, r := range rows {
-		if r.WriteTS == 0 {
-			r.WriteTS = db.NextWriteTS()
-		}
-		stamped[i] = r.Compact()
-	}
-	replicas := db.ring.Replicas(pkey)
-	need := cl.required(len(replicas))
-	live, down := db.liveTargets(replicas)
-	if len(live) < need {
-		return fmt.Errorf("%w: table %s partition %s needs %d, have %d live",
-			ErrUnavailable, tableName, pkey, need, len(live))
-	}
-	// Hinted handoff: queue the rows for down replicas so a transient
-	// outage converges on recovery without a full repair.
-	if len(down) > 0 {
-		st := obs.StartSpan(ctx, "hint.queue")
-		for _, id := range down {
-			db.hintLog.add(id, hint{table: tableName, pkey: pkey, rows: stamped})
-		}
-		st.End()
-	}
-	// Replicas append byte-identical commitlog records: encode once, share
-	// the buffer (wal.Append copies it).
-	var encoded []byte
-	if db.cfg.Dir != "" {
-		encoded = encodePutRecord(nil, tableName, pkey, stamped)
-	}
-	// Replication must outlive the request: the handler returning (and the
-	// HTTP server cancelling its context) cannot abort straggler replicas
-	// of an already-acked batch. Values (request ID, trace span) survive.
-	applyCtx := context.WithoutCancel(ctx)
-	if !db.hasRemotes.Load() {
-		// Single-process cluster: write all live replicas synchronously (the
-		// in-process transport makes asynchronous trickle unnecessary).
-		st := obs.StartSpan(ctx, "replicate.all")
-		var wg sync.WaitGroup
-		errs := make([]error, len(live))
-		for i, tgt := range live {
-			wg.Add(1)
-			go func(i int, tgt replicaTarget) {
-				defer wg.Done()
-				errs[i] = tgt.apply(applyCtx, tableName, pkey, stamped, encoded)
-			}(i, tgt)
-		}
-		wg.Wait()
-		st.End()
-		acks := 0
-		for _, err := range errs {
-			if err == nil {
-				acks++
-			}
-		}
-		if acks > 0 {
-			// Even a failed batch may have applied rows on some replicas,
-			// which consistency-One reads can already observe — cached
-			// results must be revalidated and watchers notified either way.
-			db.notifyWrite(tableName, pkey, stamped)
-		}
-		if acks < need {
-			return fmt.Errorf("store: only %d/%d acks for %s/%s: %w",
-				acks, need, tableName, pkey, errors.Join(errs...))
-		}
-		return nil
-	}
-	return db.putBatchDistributed(applyCtx, tableName, pkey, stamped, encoded, live, need)
-}
-
-// putBatchDistributed replicates one stamped batch to live replica
-// targets over mixed local/wire transports, returning as soon as the
-// consistency level's W acks arrive. Stragglers keep writing in the
-// background; a replica that fails or times out gets the batch queued as
-// a hint, so an acked batch eventually reaches every replica (handoff on
-// recovery, anti-entropy as the backstop) even though only W were waited
-// on.
-func (db *DB) putBatchDistributed(ctx context.Context, tableName, pkey string, stamped []Row, encoded []byte, live []replicaTarget, need int) error {
-	type applyResult struct {
-		idx int
-		err error
-	}
-	st := obs.StartSpan(ctx, "replicate.quorum")
-	ch := make(chan applyResult, len(live))
-	for i, tgt := range live {
-		go func(i int, tgt replicaTarget) {
-			ch <- applyResult{i, tgt.apply(ctx, tableName, pkey, stamped, encoded)}
-		}(i, tgt)
-	}
-	acks, fails, received := 0, 0, 0
-	var errs []error
-	for received < len(live) {
-		res := <-ch
-		received++
-		if res.err == nil {
-			acks++
-		} else {
-			fails++
-			errs = append(errs, res.err)
-			// Handoff: the replica answered with an error (or its transport
-			// timed out) — queue the batch so recovery replays it.
-			db.hintLog.add(live[res.idx].id, hint{table: tableName, pkey: pkey, rows: stamped})
-		}
-		if acks >= need || len(live)-fails < need {
-			break
-		}
-	}
-	st.End()
-	if received < len(live) {
-		// Drain the stragglers off the request path: late failures become
-		// hints, late successes wake watchers/invalidate caches.
-		remaining := len(live) - received
-		go func() {
-			late := false
-			for i := 0; i < remaining; i++ {
-				res := <-ch
-				if res.err != nil {
-					db.hintLog.add(live[res.idx].id, hint{table: tableName, pkey: pkey, rows: stamped})
-				} else {
-					late = true
-				}
-			}
-			if late {
-				db.bumpGeneration()
-			}
-		}()
-	}
-	if acks > 0 {
-		db.notifyWrite(tableName, pkey, stamped)
-	}
-	if acks < need {
-		return fmt.Errorf("store: only %d/%d acks for %s/%s: %w",
-			acks, need, tableName, pkey, errors.Join(errs...))
-	}
-	return nil
-}
-
-// Get reads rows of one partition within the clustering range. At
-// consistency One the first live replica answers; at Quorum/All the
-// required number of replicas are read and reconciled last-write-wins.
-func (db *DB) Get(tableName, pkey string, rg Range, cl Consistency) ([]Row, error) {
-	return db.GetCtx(context.Background(), tableName, pkey, rg, cl)
-}
-
-// GetCtx is Get under the caller's context: replica transports derive
-// their deadline from it and forward its request ID, so a scatter-gather
-// read traces under one ID on every process it touches.
-func (db *DB) GetCtx(ctx context.Context, tableName, pkey string, rg Range, cl Consistency) ([]Row, error) {
-	if !db.HasTable(tableName) {
-		return nil, fmt.Errorf("store: no such table %q", tableName)
-	}
-	replicas := db.ring.Replicas(pkey)
-	need := cl.required(len(replicas))
-	live, _ := db.liveTargets(replicas)
-	if len(live) < need {
-		return nil, fmt.Errorf("%w: table %s partition %s needs %d, have %d live",
-			ErrUnavailable, tableName, pkey, need, len(live))
-	}
-	// A replica that errors (typically a peer that died inside the failure
-	// detector's window and is not yet marked down) is substituted by the
-	// next live target, so the read succeeds as long as `need` replicas
-	// answer. Consistency One walks the preference order inline (local
-	// first — the hot path stays goroutine-free).
-	if need == 1 {
-		var firstErr error
-		for _, tgt := range live {
-			rows, err := tgt.read(ctx, tableName, pkey, rg)
-			if err == nil {
-				return materializeRows(rows), nil
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-		return nil, fmt.Errorf("%w: table %s partition %s: no replica answered: %w",
-			ErrUnavailable, tableName, pkey, firstErr)
-	}
-	// Quorum/All: read the first `need` live replicas in parallel,
-	// substituting on failure.
-	type readRes struct {
-		idx  int
-		rows []Row
-		err  error
-	}
-	ch := make(chan readRes, len(live))
-	launch := func(i int) {
-		go func() {
-			rows, err := live[i].read(ctx, tableName, pkey, rg)
-			ch <- readRes{i, rows, err}
-		}()
-	}
-	next := need
-	for i := 0; i < need; i++ {
-		launch(i)
-	}
-	var answered []int
-	results := make([][]Row, len(live))
-	var firstErr error
-	for inflight := need; inflight > 0 && len(answered) < need; {
-		res := <-ch
-		inflight--
-		if res.err != nil {
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			if next < len(live) {
-				launch(next)
-				next++
-				inflight++
-			}
-			continue
-		}
-		results[res.idx] = res.rows
-		answered = append(answered, res.idx)
-	}
-	if len(answered) < need {
-		return nil, fmt.Errorf("%w: table %s partition %s: %d of %d required replicas answered: %w",
-			ErrUnavailable, tableName, pkey, len(answered), need, firstErr)
-	}
-	sort.Ints(answered)
-	read := make([][]Row, len(answered))
-	for i, idx := range answered {
-		read[i] = results[idx]
-	}
-	merged := mergeRows(read...)
-	// Read repair: patch replicas observed stale within the read range.
-	repaired := false
-	for _, idx := range answered {
-		missing := diffRows(merged, results[idx])
-		if len(missing) == 0 {
-			continue
-		}
-		if err := live[idx].apply(context.WithoutCancel(ctx), tableName, pkey, missing, nil); err == nil {
-			db.readRepairs.Add(int64(len(missing)))
-			repaired = true
-		}
-	}
-	if repaired {
-		// A previously stale replica can now answer consistency-One reads
-		// with more rows, so cached results must be revalidated and
-		// watchers woken (digest-free: the repaired rows may never have
-		// been digested on this coordinator).
-		db.notifyScan()
-	}
-	return materializeRows(merged), nil
-}
-
-// materializeRows converts rows to the API-boundary map representation in
-// place. Get hands rows to external consumers (CQL, snapshots, direct map
-// access); the streaming scans keep the compact form.
-func materializeRows(rows []Row) []Row {
-	for i := range rows {
-		rows[i] = rows[i].Materialize()
-	}
-	return rows
-}
-
-// ReadRepairs reports the total number of rows written back to stale
-// replicas by read repair.
-func (db *DB) ReadRepairs() int64 { return db.readRepairs.Load() }
-
 // PartitionKeys returns the union of partition keys for a table across the
-// whole cluster, sorted.
+// members this process hosts, sorted.
 func (db *DB) PartitionKeys(tableName string) []string {
 	seen := make(map[string]bool)
-	for _, id := range db.NodeIDs() {
-		for _, k := range db.Node(id).PartitionKeys(tableName) {
+	for _, n := range db.nodes {
+		keys, _ := n.PartitionKeys(context.Background(), tableName) // a local node never fails
+		for _, k := range keys {
 			seen[k] = true
 		}
 	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return slices.Sorted(maps.Keys(seen))
 }
 
 // PrimaryFor returns the primary storage node id for a partition key.
 func (db *DB) PrimaryFor(pkey string) string { return db.ring.Primary(pkey) }
 
-// Repair runs anti-entropy for one table: for every partition, the
-// reachable replicas (live local members and live attached remotes — a
-// down node cannot participate; it converges through hinted handoff and a
-// repair after it returns) exchange rows and converge on the
-// last-write-wins union. It returns the number of rows copied to lagging
-// replicas.
-func (db *DB) Repair(tableName string) (int, error) {
-	if !db.HasTable(tableName) {
-		return 0, fmt.Errorf("store: no such table %q", tableName)
-	}
-	ctx := context.Background()
-	pkeys, err := db.AllPartitionKeysCtx(ctx, tableName)
-	if err != nil {
-		return 0, err
-	}
-	copied := 0
-	for _, pkey := range pkeys {
-		live := db.repairTargets(db.ring.Replicas(pkey))
-		if len(live) < 2 {
-			continue
-		}
-		lists := make([][]Row, 0, len(live))
-		for _, tgt := range live {
-			rows, err := tgt.read(ctx, tableName, pkey, Range{})
-			if err != nil {
-				return copied, err
-			}
-			lists = append(lists, rows)
-		}
-		union := mergeRows(lists...)
-		for i, tgt := range live {
-			if len(lists[i]) == len(union) {
-				continue
-			}
-			missing := diffRows(union, lists[i])
-			if len(missing) == 0 {
-				continue
-			}
-			if err := tgt.apply(ctx, tableName, pkey, missing, nil); err != nil {
-				return copied, err
-			}
-			copied += len(missing)
-		}
-	}
-	if copied > 0 {
-		db.notifyScan()
-	}
-	return copied, nil
-}
-
-// diffRows returns rows in union that are absent from have (by clustering
-// key) or stale in have (smaller WriteTS). Both inputs are sorted by Key.
-func diffRows(union, have []Row) []Row {
-	var out []Row
-	j := 0
-	for _, r := range union {
-		for j < len(have) && have[j].Key < r.Key {
-			j++
-		}
-		if j < len(have) && have[j].Key == r.Key && have[j].WriteTS >= r.WriteTS {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
 // TotalRows reports the number of physical rows stored for a table across
 // all nodes (replicas counted separately).
 func (db *DB) TotalRows(tableName string) int {
 	total := 0
-	for _, id := range db.NodeIDs() {
-		total += db.Node(id).RowCount(tableName)
+	for _, n := range db.nodes {
+		total += n.RowCount(tableName)
 	}
 	return total
 }

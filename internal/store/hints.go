@@ -9,7 +9,7 @@ import (
 // Cassandra layers over the basic replication that our Repair (full
 // anti-entropy) complements:
 //
-//   - hinted handoff: when a replica is down at write time, the
+//   - hinted handoff: when a replica is down or fails at write time, the
 //     coordinator stores a hint (the row plus its destination) and replays
 //     it when the replica returns, so a brief outage does not require a
 //     full repair;
@@ -64,20 +64,21 @@ func (db *DB) PendingHints(nodeID string) int {
 }
 
 // DeliverHints replays all hints queued for a node (call after marking it
-// up), over the in-process transport for a local member or the wire for
-// an attached remote one. It returns the number of rows delivered.
+// up) to its replica, local or remote. It returns the number of rows
+// delivered.
 func (db *DB) DeliverHints(nodeID string) (int, error) {
-	tgt := replicaTarget{id: nodeID, n: db.Node(nodeID)}
-	if tgt.n == nil {
-		if tgt.r = db.remote(nodeID); tgt.r == nil {
-			return 0, nil
-		}
+	r := db.replicaOf(nodeID)
+	if r == nil {
+		return 0, nil
 	}
 	delivered := 0
-	for _, hn := range db.hintLog.take(nodeID) {
-		if err := tgt.apply(context.Background(), hn.table, hn.pkey, hn.rows, nil); err != nil {
-			// Requeue the failed hint and stop.
-			db.hintLog.add(nodeID, hn)
+	hints := db.hintLog.take(nodeID)
+	for i, hn := range hints {
+		if err := r.apply(context.Background(), hn.table, hn.pkey, hn.rows, nil); err != nil {
+			// Requeue the failed hint and every later one, and stop.
+			for _, hn := range hints[i:] {
+				db.hintLog.add(nodeID, hn)
+			}
 			return delivered, err
 		}
 		delivered += len(hn.rows)

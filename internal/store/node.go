@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"hpclog/internal/objstore"
+	"hpclog/internal/obs"
 	"hpclog/internal/store/persist"
 	"hpclog/internal/wal"
 )
@@ -620,12 +622,28 @@ func (n *Node) table(name string) (*table, error) {
 	return t, nil
 }
 
+// partition returns the node's partition pkey of tableName, or nil when
+// the node holds none of it. A table this node has never seen reads as
+// empty, exactly like a partition it has never seen: the coordinator knows
+// the table exists cluster-wide, and this replica may simply hold none of
+// its data yet.
+func (n *Node) partition(tableName, pkey string) *partition {
+	t, err := n.table(tableName)
+	if err != nil {
+		return nil
+	}
+	return t.partition(pkey, false)
+}
+
 // apply writes rows to this node's partition, going through the commitlog
-// first on durable nodes. encoded, when non-nil, is the pre-built put
-// record for (tableName, pkey, rows) — replicas append byte-identical
-// records, so the coordinator encodes once and shares it (wal.Append
-// copies the payload into its own buffer). nil means encode here.
-func (n *Node) apply(tableName, pkey string, rows []Row, encoded []byte) error {
+// first on durable nodes, and records the "wal.append" stage when ctx
+// carries a trace. encoded, when non-nil, is the pre-built put record for
+// (tableName, pkey, rows) — replicas append byte-identical records, so the
+// coordinator encodes once and shares it (wal.Append copies the payload
+// into its own buffer). nil means encode here.
+func (n *Node) apply(ctx context.Context, tableName, pkey string, rows []Row, encoded []byte) error {
+	st := obs.StartSpan(ctx, "wal.append")
+	defer st.End()
 	t, err := n.table(tableName)
 	if err != nil {
 		return err
@@ -658,24 +676,36 @@ func (n *Node) applyReplayed(tableName, pkey string, rows []Row, walSeg uint64) 
 }
 
 func (n *Node) readPartition(tableName, pkey string, rg Range) ([]Row, error) {
-	t, err := n.table(tableName)
-	if err != nil {
-		return nil, err
-	}
-	p := t.partition(pkey, false)
+	p := n.partition(tableName, pkey)
 	if p == nil {
 		return nil, nil
 	}
 	return p.read(rg)
 }
 
+// Read returns this node's rows of one partition within the clustering
+// range, merged across memtable and segments.
+func (n *Node) Read(_ context.Context, tableName, pkey string, rg Range) ([]Row, error) {
+	return n.readPartition(tableName, pkey, rg)
+}
+
+// KeyBounds returns the smallest and largest clustering key this node
+// holds for one partition without scanning: memtable ends and segment
+// footers. ok is false when the partition is empty or unknown.
+func (n *Node) KeyBounds(_ context.Context, tableName, pkey string) (min, max string, ok bool, err error) {
+	if p := n.partition(tableName, pkey); p != nil {
+		min, max, ok = p.keyBounds()
+	}
+	return min, max, ok, nil
+}
+
 // PartitionKeys lists the partition keys this node holds for a table.
-func (n *Node) PartitionKeys(tableName string) []string {
+func (n *Node) PartitionKeys(_ context.Context, tableName string) ([]string, error) {
 	t, err := n.table(tableName)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
-	return t.partitionKeys()
+	return t.partitionKeys(), nil
 }
 
 // RowCount reports the number of stored rows for a table on this node

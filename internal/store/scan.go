@@ -22,15 +22,11 @@ type RowIter = persist.Iterator
 // RowIter. Used for the Quorum/All fallback and by tests.
 func NewSliceIter(rows []Row) RowIter { return persist.NewSliceIter(rows) }
 
-// scanPartitionPruned streams one partition of this node: a lazy
-// last-write-wins k-way merge over the point-in-time snapshot captured by
-// snapshotIters, with block pruning when pc is set.
-func (n *Node) scanPartitionPruned(tableName, pkey string, rg Range, pc *pruneCfg) (RowIter, error) {
-	t, err := n.table(tableName)
-	if err != nil {
-		return nil, err
-	}
-	p := t.partition(pkey, false)
+// scan streams one partition of this node: a lazy last-write-wins k-way
+// merge over the point-in-time snapshot captured by snapshotIters, with
+// block pruning when pc is set.
+func (n *Node) scan(_ context.Context, tableName, pkey string, rg Range, pc *pruneCfg) (RowIter, error) {
+	p := n.partition(tableName, pkey)
 	if p == nil {
 		return NewSliceIter(nil), nil
 	}
@@ -41,15 +37,17 @@ func (n *Node) scanPartitionPruned(tableName, pkey string, rg Range, pc *pruneCf
 	return persist.MergeIters(its), nil
 }
 
-// partitionBatches opens one partition of this node as a batch scan,
-// chained off the block decoder when the snapshot's inputs are disjoint
-// and through the last-write-wins merge otherwise.
-func (n *Node) partitionBatches(tableName, pkey string, rg Range, project []uint32, pc *pruneCfg) (BatchIterator, error) {
-	t, err := n.table(tableName)
-	if err != nil {
-		return nil, err
-	}
-	p := t.partition(pkey, false)
+// Scan streams this node's rows of one partition within the clustering
+// range, unpruned.
+func (n *Node) Scan(ctx context.Context, tableName, pkey string, rg Range) (RowIter, error) {
+	return n.scan(ctx, tableName, pkey, rg, nil)
+}
+
+// batches opens one partition of this node as a batch scan, chained off
+// the block decoder when the snapshot's inputs are disjoint and through
+// the last-write-wins merge otherwise.
+func (n *Node) batches(_ context.Context, tableName, pkey string, rg Range, project []uint32, pc *pruneCfg) (BatchIterator, error) {
+	p := n.partition(tableName, pkey)
 	if p == nil {
 		return persist.Concat(nil), nil
 	}
@@ -100,10 +98,7 @@ func (db *DB) ScanPartitionPruned(tableName, pkey string, rg Range, cl Consisten
 	if err != nil {
 		return nil, err
 	}
-	if tgt.n != nil {
-		return tgt.n.scanPartitionPruned(tableName, pkey, rg, newPruneCfg(pr, stats))
-	}
-	return tgt.r.Scan(context.Background(), tableName, pkey, rg)
+	return tgt.scan(context.Background(), tableName, pkey, rg, newPruneCfg(pr, stats))
 }
 
 // scanTarget picks the replica a consistency-One scan of the partition
@@ -154,14 +149,7 @@ func (db *DB) PartitionBatches(ctx context.Context, tableName, pkey string, rg R
 	if err != nil {
 		return nil, err
 	}
-	if tgt.n != nil {
-		return tgt.n.partitionBatches(tableName, pkey, rg, project, newPruneCfg(pr, stats))
-	}
-	it, err := tgt.r.Scan(ctx, tableName, pkey, rg)
-	if err != nil {
-		return nil, err
-	}
-	return persist.BatchRows(it, project), nil
+	return tgt.batches(ctx, tableName, pkey, rg, project, newPruneCfg(pr, stats))
 }
 
 // ScanPartitionBatches drains PartitionBatches at consistency One into fn,
@@ -180,32 +168,15 @@ func (db *DB) ScanPartitionBatches(ctx context.Context, tableName, pkey string, 
 	return it.Err()
 }
 
-// PartitionKeyBounds returns the smallest and largest clustering key of
+// PartitionKeyBoundsCtx returns the smallest and largest clustering key of
 // one partition on the first live replica, without scanning (memtable
 // ends and segment footers). ok is false when the partition is empty or
 // unknown. The query planner uses it to slice a partition scan into
 // parallel clustering-range tasks.
-func (db *DB) PartitionKeyBounds(tableName, pkey string) (min, max string, ok bool, err error) {
-	return db.PartitionKeyBoundsCtx(context.Background(), tableName, pkey)
-}
-
-// PartitionKeyBoundsCtx is PartitionKeyBounds under the caller's context.
 func (db *DB) PartitionKeyBoundsCtx(ctx context.Context, tableName, pkey string) (min, max string, ok bool, err error) {
 	tgt, err := db.scanTarget(tableName, pkey)
 	if err != nil {
 		return "", "", false, err
 	}
-	if tgt.n != nil {
-		t, terr := tgt.n.table(tableName)
-		if terr != nil {
-			return "", "", false, terr
-		}
-		p := t.partition(pkey, false)
-		if p == nil {
-			return "", "", false, nil
-		}
-		min, max, ok = p.keyBounds()
-		return min, max, ok, nil
-	}
-	return tgt.r.KeyBounds(ctx, tableName, pkey)
+	return tgt.KeyBounds(ctx, tableName, pkey)
 }
