@@ -477,7 +477,7 @@ func BenchmarkE8_TFIDF(b *testing.B) {
 	from, to := storm.Start, storm.Start.Add(storm.Duration)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scores, err := analytics.TFIDFScan(f.eng, f.db, model.Lustre, from, to, analytics.ScanConfig{})
+		scores, err := analytics.TFIDFScan(f.eng, f.db, model.Lustre, from, to, 0, analytics.ScanConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}

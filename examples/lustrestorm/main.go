@@ -137,7 +137,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ndiscriminating terms (TF-IDF): ")
-	for _, ts := range analytics.TopTerms(scores, 5) {
+	for _, ts := range scores[:min(5, len(scores))] {
 		fmt.Printf("%s ", ts.Term)
 	}
 	fmt.Println()

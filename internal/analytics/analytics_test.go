@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"regexp"
+	"slices"
 	"testing"
 	"time"
 
@@ -421,14 +422,13 @@ func TestWordCountLocatesOST(t *testing.T) {
 func TestTFIDFRanksCulpritHigh(t *testing.T) {
 	f := getFixture(t)
 	storm := f.cfg.Storms[0]
-	scores, err := TFIDFScan(f.eng, f.db, model.Lustre, storm.Start, storm.Start.Add(storm.Duration), ScanConfig{})
+	top, err := TFIDFScan(f.eng, f.db, model.Lustre, storm.Start, storm.Start.Add(storm.Duration), 10, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scores) == 0 {
+	if len(top) == 0 {
 		t.Fatal("no TF-IDF scores")
 	}
-	top := TopTerms(scores, 10)
 	found := false
 	for _, ts := range top {
 		if ts.Term == "ost0012" {
@@ -437,6 +437,39 @@ func TestTFIDFRanksCulpritHigh(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("ost0012 not in top-10 TF-IDF terms: %v", top)
+	}
+}
+
+// TestTFIDFTopKIsSortedPrefix: the k-heap selection of TFIDFScan returns
+// exactly the first k terms of the fully sorted vocabulary, for k around
+// the edges, on three vocabularies — Lustre's storm words, MCE's unique
+// status words (far more than 50), MemECC's handful.
+func TestTFIDFTopKIsSortedPrefix(t *testing.T) {
+	f := getFixture(t)
+	from, to := f.window()
+	for _, typ := range []model.EventType{model.Lustre, model.MCE, model.MemECC} {
+		full, err := TFIDFScan(f.eng, f.db, typ, from, to, 0, ScanConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(full)
+		if n < 4 || typ == model.MCE && n <= 50 {
+			t.Fatalf("%s: a vocabulary of %d terms is too small to cut", typ, n)
+		}
+		for i := 1; i < n; i++ {
+			if a, b := full[i-1], full[i]; a.Score < b.Score || a.Score == b.Score && a.Term >= b.Term {
+				t.Fatalf("%s: %v before %v", typ, a, b)
+			}
+		}
+		for _, k := range []int{1, 2, 50, n - 1, n, n + 3} {
+			top, err := TFIDFScan(f.eng, f.db, typ, from, to, k, ScanConfig{Parallelism: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := full[:min(k, n)]; !slices.Equal(top, want) {
+				t.Fatalf("%s, k = %d: %d terms that are not the first %d of the full sort", typ, k, len(top), len(want))
+			}
+		}
 	}
 }
 
@@ -514,7 +547,7 @@ func TestTextFoldsMatchTokenize(t *testing.T) {
 	if !reflect.DeepEqual(counts, tf) {
 		t.Fatalf("WordCountScan = %v, Tokenize reference = %v", counts, tf)
 	}
-	scores, err := TFIDFScan(eng, db, model.Lustre, start, to, ScanConfig{Parallelism: 3})
+	scores, err := TFIDFScan(eng, db, model.Lustre, start, to, 0, ScanConfig{Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,11 +562,52 @@ func TestTextFoldsMatchTokenize(t *testing.T) {
 	}
 }
 
+// TestHistogramBadAmountNamesRow checks that a fold over an invalid amount
+// fails naming that row's key, whether the amount reaches it as a plain
+// vector (memtable) or through a block's dictionary (after a flush to v5,
+// with keys left front-coded until the error asks for one).
+func TestHistogramBadAmountNamesRow(t *testing.T) {
+	db, err := store.OpenDurable(store.Config{Nodes: 1, RF: 1, FlushThreshold: 1 << 20, CompactInterval: -1, Dir: t.TempDir(), WALNoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateTable(model.TableEventByTime); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Unix(1503468000, 0).UTC()
+	var badKey string
+	for i := 0; i < 100; i++ {
+		e := model.Event{Time: start.Add(time.Duration(i) * time.Second), Type: model.MCE, Source: "c0-0c0s0n0", Count: 1}
+		row := model.EventToTimeRow(e)
+		if i == 70 {
+			row = store.Row{Key: row.Key, Columns: map[string]string{model.ColSource: e.Source, model.ColAmount: "0"}}
+			badKey = row.Key
+		}
+		if err := db.Put(model.TableEventByTime, model.EventByTimeKey(e.Hour(), e.Type), row, store.One); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
+	want := `model: bad amount "0" in row "` + badKey + `"`
+	for _, stage := range []string{"memtable", "flushed"} {
+		if stage == "flushed" {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := HistogramScan(eng, db, model.MCE, start, start.Add(time.Hour), time.Minute, ScanConfig{})
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: HistogramScan error %v, want %s", stage, err, want)
+		}
+	}
+}
+
 func TestTFIDFEmptyCorpus(t *testing.T) {
 	// A window after the corpus holds no messages: no documents, no scores.
 	f := getFixture(t)
 	_, to := f.window()
-	scores, err := TFIDFScan(f.eng, f.db, model.Lustre, to.Add(48*time.Hour), to.Add(49*time.Hour), ScanConfig{})
+	scores, err := TFIDFScan(f.eng, f.db, model.Lustre, to.Add(48*time.Hour), to.Add(49*time.Hour), 0, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

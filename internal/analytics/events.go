@@ -189,7 +189,7 @@ func (c *eventCursor) advance() bool {
 
 // before orders two cursors' rows by (clustering key, tie-breaker).
 func (c *eventCursor) before(o *eventCursor) bool {
-	k, ok := c.b.Keys[c.i], o.b.Keys[o.i]
+	k, ok := c.b.Keys()[c.i], o.b.Keys()[o.i]
 	return k < ok || k == ok && c.disc < o.disc
 }
 
@@ -257,7 +257,7 @@ func (t EventTask) Run(ctx context.Context, db *store.DB, each func(*EventRow) e
 // not key by — and the count, text and attributes off its cells.
 func (s *eventScan) view(r *EventRow, c *eventCursor) error {
 	b, i := c.b, c.i
-	key := b.Keys[i]
+	key := b.Keys()[i]
 	ts := b.TS()[i]
 	if ts == -1 { // no timestamp digits: let DecodeTS say so
 		if _, err := store.DecodeTS(key); err != nil {

@@ -1,10 +1,10 @@
 package analytics
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -429,6 +429,9 @@ func (a *termAcc) learn(run string, clean bool) int32 {
 // without raw text are skipped.
 func (a *termAcc) foldDocs(b *store.Batch) (*termAcc, error) {
 	count := func(run string, clean bool) {
+		if len(run) < 2 {
+			return // one byte is one ASCII character: never a token
+		}
 		i, ok := a.index[run]
 		if !ok {
 			i = a.learn(run, clean)
@@ -492,9 +495,10 @@ func WordCountScan(eng *compute.Engine, db *store.DB, typ model.EventType, from,
 // shared by every message scores near zero while discriminating
 // identifiers (an unresponsive OST, an error code) float to the top.
 // Document frequency is counted once per document, so the result does not
-// depend on how the scan is partitioned. Results are sorted by descending
-// score; a window without messages yields nil.
-func TFIDFScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) ([]TermScore, error) {
+// depend on how the scan is partitioned. It returns the k best terms — all
+// of them when k <= 0 — by descending score, ties by term; a window
+// without messages yields nil.
+func TFIDFScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, k int, cfg ScanConfig) ([]TermScore, error) {
 	acc, err := scanTerms(eng, db, typ, from, to, cfg)
 	if err != nil {
 		return nil, err
@@ -502,17 +506,13 @@ func TFIDFScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to 
 	if acc.docs == 0 {
 		return nil, nil
 	}
-	out := make([]TermScore, 0, len(acc.terms))
+	out := make([]TermScore, len(acc.terms))
 	for i, term := range acc.terms {
 		st := acc.stats[i]
 		idf := math.Log(float64(1+acc.docs) / float64(1+st.df))
-		out = append(out, TermScore{Term: term, Score: float64(st.tf) * idf})
+		out[i] = TermScore{Term: term, Score: float64(st.tf) * idf}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Term < out[j].Term
-	})
-	return out, nil
+	return TopK(out, k, func(a, b TermScore) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), strings.Compare(a.Term, b.Term))
+	}), nil
 }

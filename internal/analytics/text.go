@@ -1,8 +1,10 @@
 package analytics
 
 import (
+	"slices"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // stopwords are tokens carrying no diagnostic signal in Cray/Lustre logs.
@@ -13,47 +15,56 @@ var stopwords = map[string]bool{
 	"error": true, "failed": true, "operation": true, // present in ~every line
 }
 
-// Tokenize splits raw log message text into analysis tokens: lowercased
-// runs of letters/digits (so hexadecimal codes and component ids like
-// ost0012 survive), minus stopwords and single characters. Tokens are
-// fresh strings the caller owns outright, never aliases of the message
-// text. It is the reference tokenization: the text folds of WordCountScan
-// and TFIDFScan work on eachRun directly and learn each spelling once
-// (termAcc), and must count exactly what Tokenize yields.
-func Tokenize(text string) []string {
-	var tokens []string
-	eachRun(text, func(run string, clean bool) {
-		if tok := tokenOf(run, clean); tok != "" {
-			tokens = append(tokens, strings.Clone(tok))
-		}
-	})
-	return tokens
-}
-
 // eachRun calls yield for every maximal run of letters and digits in text,
 // in order — a substring of text, never a copy — and says whether the run
-// is clean: already lowercase, the overwhelming case in log text.
+// is clean: already lowercase, the overwhelming case in log text. Only
+// bytes from utf8.RuneSelf up are decoded as runes; asciiClass has the rest.
 func eachRun(text string, yield func(run string, clean bool)) {
 	start, clean := -1, true // start: byte offset of the current run, -1 between runs
-	for i, r := range text {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+	for i := 0; i < len(text); {
+		class, size := asciiClass[text[i]&0x7f], 1
+		if text[i] >= utf8.RuneSelf {
+			var r rune
+			r, size = utf8.DecodeRuneInString(text[i:])
+			class = runeClass(r)
+		}
+		if class != 0 {
 			if start < 0 {
 				start, clean = i, true
 			}
-			if unicode.ToLower(r) != r {
-				clean = false
-			}
-			continue
-		}
-		if start >= 0 {
+			clean = clean && class == alnumLower
+		} else if start >= 0 {
 			yield(text[start:i], clean)
 			start = -1
 		}
+		i += size
 	}
 	if start >= 0 {
 		yield(text[start:], clean)
 	}
 }
+
+// The classes of a letter or digit, by whether ToLower leaves it alone.
+const alnumLower, alnumUpper = 1, 2
+
+// runeClass classifies r as the unicode package does (0: not alphanumeric).
+func runeClass(r rune) uint8 {
+	switch {
+	case !unicode.IsLetter(r) && !unicode.IsDigit(r):
+		return 0
+	case unicode.ToLower(r) != r:
+		return alnumUpper
+	}
+	return alnumLower
+}
+
+// asciiClass is runeClass of every byte below utf8.RuneSelf.
+var asciiClass = func() (t [utf8.RuneSelf]uint8) {
+	for c := range t {
+		t[c] = runeClass(rune(c))
+	}
+	return t
+}()
 
 // tokenOf turns a run into its analysis token: case-folded, or "" for a
 // stopword or a single character. Only folding allocates.
@@ -73,10 +84,41 @@ type TermScore struct {
 	Score float64
 }
 
-// TopTerms returns the k highest-scoring terms of a TF-IDF result.
-func TopTerms(scores []TermScore, k int) []TermScore {
-	if k > len(scores) {
-		k = len(scores)
+// TopK returns the first k items under cmp, a total order, sorted — all of
+// them when k <= 0 — selected in place in items, whose order and tail it
+// spends: items[:k] becomes a heap with the last on top, which a later item
+// must beat, so only k items are ever sorted.
+func TopK[T any](items []T, k int, cmp func(a, b T) int) []T {
+	if k > 0 && k < len(items) {
+		top := items[:k]
+		for i := k/2 - 1; i >= 0; i-- {
+			siftDown(top, i, cmp)
+		}
+		for _, x := range items[k:] {
+			if cmp(x, top[0]) < 0 {
+				top[0] = x
+				siftDown(top, 0, cmp)
+			}
+		}
+		items = top
 	}
-	return scores[:k]
+	slices.SortFunc(items, cmp)
+	return items
+}
+
+// siftDown moves h[i] down the heap h until no child comes after it.
+func siftDown[T any](h []T, i int, cmp func(a, b T) int) {
+	for {
+		last := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && cmp(h[c], h[last]) > 0 {
+				last = c
+			}
+		}
+		if last == i {
+			return
+		}
+		h[i], h[last] = h[last], h[i]
+		i = last
+	}
 }

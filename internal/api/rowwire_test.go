@@ -426,7 +426,7 @@ func scanSelect(tb testing.TB, ex *plan.Executor, p *plan.Plan) string {
 				return errStop
 			}
 			fields = p.Fields(fields[:0], b, i)
-			out = append(AppendResultRow(out, b.Keys[i], fields), '\n')
+			out = append(AppendResultRow(out, b.Keys()[i], fields), '\n')
 			n++
 			return nil
 		})

@@ -257,9 +257,9 @@ func (f *Framework) WordCount(typ model.EventType, from, to time.Time) (map[stri
 	return analytics.WordCountScan(f.Compute, f.DB, typ, from, to, scan)
 }
 
-// TFIDF scores terms of raw messages of a type within the window.
+// TFIDF scores terms of raw messages of a type within the window, best first.
 func (f *Framework) TFIDF(typ model.EventType, from, to time.Time) ([]analytics.TermScore, error) {
-	return analytics.TFIDFScan(f.Compute, f.DB, typ, from, to, scan)
+	return analytics.TFIDFScan(f.Compute, f.DB, typ, from, to, 0, scan)
 }
 
 // Placement reports application placement at an instant (Fig 6-bottom).

@@ -86,7 +86,7 @@ func TestBatchScanMatchesRowScanOnCorpus(t *testing.T) {
 					it.Close()
 					var got bytes.Buffer
 					err = h.DB.ScanPartitionBatches(context.Background(), table, pkey, rg, project, pruner, nil, func(b *store.Batch) error {
-						for i := range b.Keys {
+						for i := range b.Keys() {
 							r := b.Row(i)
 							for _, id := range project {
 								if b.Col(id)[i] != r.ColID(id) {

@@ -303,12 +303,19 @@ func EventCount(key, amount string) (int, error) {
 // EventCounts sets counts[i] to the occurrence count of row i of a batch
 // of event rows that projects the amount column. Where the batch carries
 // the column as a dictionary each distinct amount is parsed once — and a
-// block's amounts are, more often than not, all "1".
+// block's amounts are, more often than not, all "1". Only a bad amount
+// reads a key, for the error.
 func EventCounts(b *store.Batch, counts []int) error {
+	count := func(i int, amount string) (n int, err error) {
+		if n, err = EventCount("", amount); err != nil {
+			_, err = EventCount(b.Keys()[i], amount) // the same error, naming the row
+		}
+		return n, err
+	}
 	codes, dict := b.Dict(ColAmountID)
 	if dict == nil {
 		for i, amount := range b.Col(ColAmountID) {
-			n, err := EventCount(b.Keys[i], amount)
+			n, err := count(i, amount)
 			if err != nil {
 				return err
 			}
@@ -319,7 +326,7 @@ func EventCounts(b *store.Batch, counts []int) error {
 	var parsed [store.MaxBatchRows + 1]int // by code; a count is never 0
 	for i, c := range codes {
 		if parsed[c] == 0 {
-			n, err := EventCount(b.Keys[i], dict[c])
+			n, err := count(i, dict[c])
 			if err != nil {
 				return err
 			}
@@ -336,10 +343,10 @@ func EventTimes(b *store.Batch) ([]int64, error) {
 	times := b.TS()
 	for i, ts := range times {
 		if ts < 0 {
-			if _, err := store.DecodeTS(b.Keys[i]); err != nil {
+			if _, err := store.DecodeTS(b.Keys()[i]); err != nil {
 				return nil, err
 			}
-			return nil, fmt.Errorf("model: timestamp of row %q overflows", b.Keys[i])
+			return nil, fmt.Errorf("model: timestamp of row %q overflows", b.Keys()[i])
 		}
 	}
 	return times, nil

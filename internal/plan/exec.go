@@ -97,7 +97,7 @@ func (ex *Executor) Run(p *Plan) ([]ResultRow, error) {
 			var fields []Field
 			err := task(func(b *store.Batch, j int) error {
 				fields = p.Fields(fields[:0], b, j)
-				if err := yield(resultRow(b.Keys[j], fields)); err != nil {
+				if err := yield(resultRow(b.Keys()[j], fields)); err != nil {
 					return err
 				}
 				// A task alone may satisfy the limit: stop reading its slice.

@@ -164,9 +164,9 @@ func TestBatchFilterMatchesEval(t *testing.T) {
 			for b, ok := src.Next(); ok; b, ok = src.Next() {
 				var sel [store.MaxBatchRows]bool
 				filter.match(b, sel[:b.Len()])
-				for j := range b.Keys {
+				for j := range b.Keys() {
 					if want := p.Filter.Eval(b.Row(j)); sel[j] != want {
-						t.Fatalf("%s on row %q %v: batch filter says %v, Eval %v", p.Filter, b.Keys[j], b.Row(j).ColumnsMap(), sel[j], want)
+						t.Fatalf("%s on row %q %v: batch filter says %v, Eval %v", p.Filter, b.Keys()[j], b.Row(j).ColumnsMap(), sel[j], want)
 					}
 				}
 				for _, id := range project {

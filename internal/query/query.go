@@ -7,11 +7,13 @@
 package query
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -701,16 +703,9 @@ func (q *Engine) wordCount(req Request) ([]WordCountEntry, error) {
 	for term, c := range counts {
 		out = append(out, WordCountEntry{Term: term, Count: c})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Term < out[j].Term
-	})
-	if k := req.topK(); len(out) > k {
-		out = out[:k]
-	}
-	return out, nil
+	return analytics.TopK(out, req.topK(), func(a, b WordCountEntry) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), strings.Compare(a.Term, b.Term))
+	}), nil
 }
 
 func (q *Engine) tfidf(req Request) ([]analytics.TermScore, error) {
@@ -722,9 +717,5 @@ func (q *Engine) tfidf(req Request) ([]analytics.TermScore, error) {
 	if err != nil {
 		return nil, err
 	}
-	scores, err := analytics.TFIDFScan(q.compute, q.db, typ, from, to, q.scanCfg())
-	if err != nil {
-		return nil, err
-	}
-	return analytics.TopTerms(scores, req.topK()), nil
+	return analytics.TFIDFScan(q.compute, q.db, typ, from, to, req.topK(), q.scanCfg())
 }

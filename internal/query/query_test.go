@@ -2,6 +2,8 @@ package query
 
 import (
 	"encoding/json"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -308,6 +310,44 @@ func TestOpWordCountAndTFIDF(t *testing.T) {
 	scores := res.([]analytics.TermScore)
 	if len(scores) == 0 || len(scores) > 15 {
 		t.Fatalf("tfidf returned %d entries", len(scores))
+	}
+}
+
+// TestWordCountTopKIsSortedPrefix: the wordcount op's k-heap selection
+// returns exactly the first k entries of the whole vocabulary sorted by
+// descending count, ties by term, for k around the edges.
+func TestWordCountTopKIsSortedPrefix(t *testing.T) {
+	f := getFixture(t)
+	ctx := f.ctx()
+	for _, typ := range []model.EventType{model.Lustre, model.MCE, model.MemECC} {
+		counts, err := analytics.WordCountScan(f.q.compute, f.q.db, typ, f.cfg.Start, f.cfg.Start.Add(f.cfg.Duration), analytics.ScanConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var full []WordCountEntry
+		for term, c := range counts {
+			full = append(full, WordCountEntry{term, c})
+		}
+		sort.Slice(full, func(i, j int) bool {
+			if full[i].Count != full[j].Count {
+				return full[i].Count > full[j].Count
+			}
+			return full[i].Term < full[j].Term
+		})
+		n := len(full)
+		if n < 4 {
+			t.Fatalf("%s: a vocabulary of %d terms is too small to cut", typ, n)
+		}
+		ctx.EventType = string(typ)
+		for _, k := range []int{1, 2, 50, n - 1, n, n + 3} {
+			res, err := f.q.Execute(Request{Op: OpWordCount, Context: ctx, TopK: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := res.([]WordCountEntry), full[:min(k, n)]; !slices.Equal(got, want) {
+				t.Fatalf("%s, top_k %d: %d entries that are not the first %d of the full sort", typ, k, len(got), len(want))
+			}
+		}
 	}
 }
 

@@ -152,8 +152,8 @@ func planChunks(ex *plan.Executor, p *plan.Plan) (tasks []func(*chunk) error, do
 		tasks[i] = func(c *chunk) error {
 			return task(func(b *store.Batch, j int) error {
 				c.fields = p.Fields(c.fields[:0], b, j)
-				c.b = api.AppendResultRow(c.b, b.Keys[j], c.fields)
-				return c.add(b.Keys[j], "")
+				c.b = api.AppendResultRow(c.b, b.Keys()[j], c.fields)
+				return c.add(b.Keys()[j], "")
 			})
 		}
 	}

@@ -18,15 +18,21 @@ func collectBatchScan(t testing.TB, db *DB, table, pkey string, rg Range, projec
 	t.Helper()
 	var out []Row
 	err := db.ScanPartitionBatches(context.Background(), table, pkey, rg, project, pr, stats, func(b *Batch) error {
-		for i := range b.Keys {
+		for i := range b.Len() {
+			// The cells first, then the row — whose key the first row of a
+			// batch builds.
+			var vals []string
+			for _, id := range project {
+				vals = append(vals, strings.Clone(b.Col(id)[i]))
+			}
 			r := b.Row(i)
 			var cols []Col
 			for _, c := range r.Cols() {
 				cols = append(cols, Col{ID: c.ID, Value: strings.Clone(c.Value)})
 			}
-			for _, id := range project {
-				if got := b.Col(id)[i]; got != r.ColID(id) {
-					t.Fatalf("row %q: Col(%d) = %q but Row().ColID = %q", r.Key, id, got, r.ColID(id))
+			for k, id := range project {
+				if vals[k] != r.ColID(id) {
+					t.Fatalf("row %q: Col(%d) = %q but Row().ColID = %q", r.Key, id, vals[k], r.ColID(id))
 				}
 			}
 			out = append(out, MakeRow(strings.Clone(r.Key), r.WriteTS, cols))
@@ -292,7 +298,7 @@ func TestBatchScanConcurrentWithMaintenance(t *testing.T) {
 			var rows int64
 			last := ""
 			err := db.ScanPartitionBatches(context.Background(), "t", "p", Range{}, []uint32{amount}, nil, nil, func(b *Batch) error {
-				for i, k := range b.Keys {
+				for i, k := range b.Keys() {
 					if k <= last {
 						return fmt.Errorf("key %q after %q", k, last)
 					}

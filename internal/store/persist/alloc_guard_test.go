@@ -115,7 +115,8 @@ func TestFlushRoundAllocBudget(t *testing.T) {
 // scan of v5 segments: nothing allocated per block — the block lands in
 // the pooled buffer, keys and long values in the pooled arena, values and
 // dictionaries in the batch's own vectors — and, chained, nothing per
-// segment beyond what acquiring it takes.
+// segment beyond what acquiring it takes; whether a consumer builds the
+// keys or leaves them front-coded.
 func TestBlockDecodeAllocBudget(t *testing.T) {
 	hs := hostileSegs()[0]
 	dir := t.TempDir()
@@ -126,21 +127,30 @@ func TestBlockDecodeAllocBudget(t *testing.T) {
 		hs.name = fmt.Sprintf("chain%02d", i)
 		segs, cfgs = append(segs, writeV5(t, dir, hs, uint64(i+1))), append(cfgs, ScanConfig{Project: project})
 	}
-	sc, err := ChainBatches(Range{}, segs, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	blocks := len(segs) * len(segs[0].meta.Index)
-	next := func() {
-		if b, ok := sc.Next(); !ok || b.Len() == 0 {
-			t.Fatalf("chain ended early: %v", sc.Err())
-		}
-	}
-	for i := 0; i < 2*len(segs[0].meta.Index); i++ {
-		next() // the first segments size the arena and the slots
-	}
-	if avg := testing.AllocsPerRun(blocks/2, next); avg != 0 {
-		t.Fatalf("a steady-state projected v5 block costs %.2f allocations, want 0", avg)
+	for _, keys := range []bool{false, true} {
+		t.Run(fmt.Sprintf("keys=%v", keys), func(t *testing.T) {
+			sc, err := ChainBatches(Range{}, segs, cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sc.Close()
+			blocks := len(segs) * len(segs[0].meta.Index)
+			next := func() {
+				b, ok := sc.Next()
+				if !ok || b.Len() == 0 {
+					t.Fatalf("chain ended early: %v", sc.Err())
+				}
+				b.TS()
+				if keys && len(b.Keys()) != b.Len() {
+					t.Fatalf("%d keys for %d rows", len(b.Keys()), b.Len())
+				}
+			}
+			for i := 0; i < 2*len(segs[0].meta.Index); i++ {
+				next() // the first segments size the arena and the slots
+			}
+			if avg := testing.AllocsPerRun(blocks/2, next); avg != 0 {
+				t.Fatalf("a steady-state projected v5 block costs %.2f allocations, want 0", avg)
+			}
+		})
 	}
 }

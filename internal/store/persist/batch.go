@@ -26,14 +26,19 @@ const MaxBatchRows = indexEvery
 // overwrites. A consumer that keeps a string past that point must
 // strings.Clone it.
 type Batch struct {
-	// Keys holds the clustering keys, ascending.
-	Keys []string
-	// WriteTS holds the logical write timestamps, parallel to Keys.
+	// WriteTS holds the logical write timestamps, parallel to Keys().
 	WriteTS []int64
 
-	ts      []int64  // TS's vector, once asked for
+	keys []string // Keys' vector, once built
+	// keyChunk is the front-coded key chunk of a v5 block whose keys no one
+	// has asked for yet ("" once built): Keys rebuilds them in keyArena, the
+	// room at the head of the arena that the decoder left for them.
+	keyChunk string
+	keyArena []byte
+
+	ts      []int64  // TS's vector, once asked for or walked off keyChunk
 	project []uint32 // projected column IDs, ascending; nil = every column
-	cols    []colVec // one per projected column: its vector parallel to Keys ("" = absent)
+	cols    []colVec // one per projected column: its vector parallel to WriteTS ("" = absent)
 	lo, hi  int      // the rows of the decoded block that the batch shows
 	cells   []Col    // unprojected: every row's cells, each row sorted by ID
 	ends    []int32  // unprojected: ends[i] is the end of row i's cells
@@ -60,7 +65,7 @@ func (b *Batch) setProject(project []uint32) {
 
 // reset empties the batch for the next block, keeping its capacity.
 func (b *Batch) reset() {
-	b.Keys, b.WriteTS, b.ts, b.ends = b.keyBuf[:0], b.wtsBuf[:0], nil, b.endBuf[:0]
+	b.keys, b.keyChunk, b.keyArena, b.WriteTS, b.ts, b.ends = b.keyBuf[:0], "", nil, b.wtsBuf[:0], nil, b.endBuf[:0]
 	b.cells = b.cells[:0]
 	b.lo, b.hi = 0, 0
 	for j := range b.cols {
@@ -73,9 +78,28 @@ func (b *Batch) reset() {
 func (b *Batch) release() { *b = Batch{} }
 
 // Len returns the number of rows.
-func (b *Batch) Len() int { return len(b.Keys) }
+func (b *Batch) Len() int { return len(b.WriteTS) }
 
-// Col returns the value vector of a projected column, parallel to Keys; an
+// Keys returns the clustering keys, ascending. A v5 block's keys are built
+// on the first call; a consumer that reads none pays for none.
+func (b *Batch) Keys() []string {
+	if b.keyChunk != "" {
+		b.buildKeys()
+	}
+	return b.keys
+}
+
+// buildKeys rebuilds the keys of keyChunk, which frontTS accepted, out of
+// line so that Keys stays inlinable.
+func (b *Batch) buildKeys() {
+	b.keys = b.keyBuf[:len(b.WriteTS)]
+	if _, err := decodeFrontCoded(b.keyChunk, len(b.keyArena), b.keys, b.keyArena[:0]); err != nil {
+		panic(fmt.Sprintf("persist: key chunk accepted by frontTS: %v", err))
+	}
+	b.keyChunk, b.keyArena = "", nil
+}
+
+// Col returns the value vector of a projected column, parallel to WriteTS; an
 // absent cell reads "". It returns nil for a column outside the
 // projection and on an unprojected batch.
 func (b *Batch) Col(id uint32) []string {
@@ -87,19 +111,15 @@ func (b *Batch) Col(id uint32) []string {
 	return nil
 }
 
-// TS returns the clustering timestamps, parallel to Keys: what DecodeTS
-// reads off Keys[i], or -1 where the key carries no timestamp. The vector
-// is built on the first call, a key that shares its predecessor's
-// timestamp digits taking over its value.
+// TS returns the clustering timestamps, parallel to Keys(): what DecodeTS
+// reads off Keys()[i], or -1 where the key carries no timestamp. A v5
+// block's decoder walks them off the key chunk without building a key;
+// otherwise the vector is built off the keys on the first call.
 func (b *Batch) TS() []int64 {
 	if b.ts == nil {
 		b.ts = b.tsBuf[:0]
-		for i, key := range b.Keys {
-			if i > 0 && len(key) >= encodedTSLen && len(b.Keys[i-1]) >= encodedTSLen && key[:encodedTSLen] == b.Keys[i-1][:encodedTSLen] {
-				b.ts = append(b.ts, b.ts[i-1])
-			} else {
-				b.ts = append(b.ts, tsOf(key))
-			}
+		for _, key := range b.keys {
+			b.ts = append(b.ts, tsOf(key))
 		}
 	}
 	return b.ts
@@ -107,7 +127,7 @@ func (b *Batch) TS() []int64 {
 
 // Dict returns a projected column in dictionary form when the batch's
 // block stores it so: Col(id)[i] == dict[codes[i]], with codes parallel
-// to Keys and every distinct value of the block once in dict (an absent
+// to WriteTS and every distinct value of the block once in dict (an absent
 // cell codes for a trailing ""; dict may hold values no row of the batch
 // uses). It returns nil, nil for every other column and batch — a consumer
 // falls back to Col. What a fold derives from a value (a parsed number, a
@@ -126,7 +146,7 @@ func (b *Batch) Dict(id uint32) (codes []uint8, dict []string) {
 // carries only the projected, non-empty cells and is valid until the next
 // call of Row.
 func (b *Batch) Row(i int) Row {
-	r := Row{Key: b.Keys[i], WriteTS: b.WriteTS[i]}
+	r := Row{Key: b.Keys()[i], WriteTS: b.WriteTS[i]}
 	if b.project == nil {
 		lo := 0
 		if i > 0 {
@@ -151,7 +171,7 @@ func (b *Batch) Row(i int) Row {
 
 // appendRow adds a row (rows→Batch adapter).
 func (b *Batch) appendRow(r Row) {
-	b.Keys = append(b.Keys, r.Key)
+	b.keys = append(b.keys, r.Key)
 	b.WriteTS = append(b.WriteTS, r.WriteTS)
 	if b.project == nil {
 		b.cells = append(b.cells, r.Compact().cols...)
@@ -459,7 +479,9 @@ func (sc *BatchScanner) read(blk int) (string, error) {
 
 // decode expands one v5 block into the batch: the keys and write
 // timestamps, cut to the range, then the chunks of the columns the scan
-// wants and no others.
+// wants and no others. Where no key is compared (the range holds the
+// block) or kept past it, the keys stay front-coded until Keys is called;
+// only their timestamps are walked off the chunk.
 func (sc *BatchScanner) decode(blk string) error {
 	b := &sc.b
 	b.reset()
@@ -471,7 +493,8 @@ func (sc *BatchScanner) decode(blk string) error {
 	n := v5.n
 
 	// Every string rebuilt from a front coding lives in one arena, sized
-	// up front so that it never moves under the strings already in it.
+	// up front so that it never moves under the strings already in it;
+	// the keys take its head.
 	arena := sc.buf.arena[:0]
 	if need := v5.keyBytes + v5.frontBytes; sc.owned {
 		arena = make([]byte, 0, need)
@@ -479,27 +502,36 @@ func (sc *BatchScanner) decode(blk string) error {
 		arena = make([]byte, 0, need)
 		sc.buf.arena = arena
 	}
-	arena, err := decodeFrontCoded(v5.keys, v5.keyBytes, b.keyBuf[:n], arena)
-	if err != nil {
-		return corrupt("keys: %w", err)
-	}
+	var err error
 	lo, hi := 0, n
-	if sc.lo != "" {
-		for lo < n && b.keyBuf[lo] < sc.lo {
-			lo++ // before the range, behind the sparse-index seek point
+	if !sc.owned && sc.lo == "" && sc.hi == "" {
+		if err := frontTS(v5.keys, v5.keyBytes, b.tsBuf[:n]); err != nil {
+			return corrupt("keys: %w", err)
 		}
-	}
-	if sc.hi != "" {
-		for hi = lo; hi < n && b.keyBuf[hi] < sc.hi; hi++ {
+		b.ts, b.keyChunk, b.keyArena = b.tsBuf[:n], v5.keys, arena[:v5.keyBytes]
+		arena = b.keyArena
+	} else {
+		if arena, err = decodeFrontCoded(v5.keys, v5.keyBytes, b.keyBuf[:n], arena); err != nil {
+			return corrupt("keys: %w", err)
 		}
-	}
-	if lo == hi {
-		return nil
+		if sc.lo != "" {
+			for lo < n && b.keyBuf[lo] < sc.lo {
+				lo++ // before the range, behind the sparse-index seek point
+			}
+		}
+		if sc.hi != "" {
+			for hi = lo; hi < n && b.keyBuf[hi] < sc.hi; hi++ {
+			}
+		}
+		if lo == hi {
+			return nil
+		}
+		b.keys = b.keyBuf[lo:hi]
 	}
 	if err := decodeWriteTS(v5.wts, b.wtsBuf[:n]); err != nil {
 		return err
 	}
-	b.Keys, b.WriteTS = b.keyBuf[lo:hi], b.wtsBuf[lo:hi]
+	b.WriteTS = b.wtsBuf[lo:hi]
 	b.lo, b.hi = lo, hi
 
 	if sc.slots != nil {
@@ -595,7 +627,7 @@ func (sc *BatchScanner) decodeV4(blk string) error {
 			return fmt.Errorf("persist: column count %d exceeds sanity bound", ncols)
 		}
 		keep := sc.lo == "" || key >= sc.lo // else: skipping from the sparse-index seek point
-		row, start := len(b.Keys), len(b.cells)
+		row, start := len(b.keys), len(b.cells)
 		if keep && row == MaxBatchRows {
 			return fmt.Errorf("persist: block of more than %d rows", MaxBatchRows)
 		}
@@ -626,7 +658,7 @@ func (sc *BatchScanner) decodeV4(blk string) error {
 		if !keep {
 			continue
 		}
-		b.Keys = append(b.Keys, key)
+		b.keys = append(b.keys, key)
 		b.WriteTS = append(b.WriteTS, ts)
 		if sc.slots == nil {
 			// Writers emit columns in their dictionary order, which need

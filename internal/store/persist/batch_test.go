@@ -32,8 +32,8 @@ func checkBatch(t testing.TB, b *Batch, rows []Row, project []uint32) {
 		t.Fatalf("batch has %d rows (%d write timestamps), want %d", b.Len(), len(b.WriteTS), len(rows))
 	}
 	for i, want := range rows {
-		if b.Keys[i] != want.Key || b.WriteTS[i] != want.WriteTS {
-			t.Fatalf("row %d: (%q, %d), want (%q, %d)", i, b.Keys[i], b.WriteTS[i], want.Key, want.WriteTS)
+		if b.Keys()[i] != want.Key || b.WriteTS[i] != want.WriteTS {
+			t.Fatalf("row %d: (%q, %d), want (%q, %d)", i, b.Keys()[i], b.WriteTS[i], want.Key, want.WriteTS)
 		}
 		got := b.Row(i)
 		if got.Key != want.Key || got.WriteTS != want.WriteTS {
@@ -203,7 +203,28 @@ func collectBatches(t testing.TB, src BatchIterator) []Row {
 		if b.Len() == 0 || b.Len() > indexEvery {
 			t.Fatalf("batch of %d rows", b.Len())
 		}
-		for i := range b.Keys {
+		// Keys last: building them on first use must leave intact what was
+		// read before, and agree with the timestamps walked off the chunk.
+		ts := slices.Clone(b.TS())
+		var cols [][]string
+		for _, id := range b.project {
+			col := slices.Clone(b.Col(id))
+			for i, v := range col {
+				col[i] = strings.Clone(v)
+			}
+			cols = append(cols, col)
+		}
+		for i, k := range b.Keys() {
+			if ts[i] != tsOf(k) {
+				t.Fatalf("key %q: TS() read %d before the keys were built", k, ts[i])
+			}
+		}
+		for j, id := range b.project {
+			if !slices.Equal(b.Col(id), cols[j]) {
+				t.Fatalf("column %s changed when the keys were built", ColumnName(id))
+			}
+		}
+		for i := range b.Len() {
 			// Deep copy: the batch's strings die with the next block.
 			r := b.Row(i)
 			cp := Row{Key: strings.Clone(r.Key), WriteTS: r.WriteTS}
@@ -222,7 +243,7 @@ func collectBatches(t testing.TB, src BatchIterator) []Row {
 // TestScanBatchesMatchesScan: over random ranges and projections, the
 // batch scan of a segment yields the rows of the Row scan — whole, or cut
 // to the projection's non-empty cells — also when the block buffer is
-// poisoned between batches.
+// poisoned between batches and the keys are asked for after every column.
 func TestScanBatchesMatchesScan(t *testing.T) {
 	PoisonBatches.Store(true)
 	defer PoisonBatches.Store(false)
@@ -241,7 +262,11 @@ func TestScanBatchesMatchesScan(t *testing.T) {
 		var cols []Col
 		for j, id := range all {
 			if rng.Intn(3) > 0 {
-				cols = append(cols, Col{ID: id, Value: fmt.Sprintf("v%d-%d", j, rng.Intn(50))})
+				v := fmt.Sprintf("v%d-%d", j, rng.Intn(50))
+				if names[j] == "raw" {
+					v = "long enough to be front-coded next to the keys: " + v
+				}
+				cols = append(cols, Col{ID: id, Value: v})
 			}
 		}
 		if err := w.Append(MakeRow(EncodeTS(int64(1000+i))+":s", int64(i+1), cols)); err != nil {

@@ -539,6 +539,60 @@ func decodeFrontCoded(body string, total int, dst []string, arena []byte) ([]byt
 	return arena, nil
 }
 
+// frontTS walks len(ts) front-coded keys of total bytes as decodeFrontCoded
+// would rebuild them, accepting and rejecting exactly what it does, and
+// sets ts[i] to tsOf of key i without copying a byte. Of a key's first
+// encodedTSLen bytes, all tsOf reads, it keeps the length of their leading
+// run of digits and val[j], the value of the first j of those.
+func frontTS(body string, total int, ts []int64) error {
+	d := StringDec{s: body}
+	var val [encodedTSLen + 1]int64
+	digits, prev, sum := 0, 0, 0 // prev: the previous key's length; sum: bytes of the keys so far
+	for i := range ts {
+		var shared, slen uint64
+		if s, p := d.s, d.pos; p+1 < len(s) && s[p] < 0x80 && s[p+1] < 0x80 {
+			shared, slen, d.pos = uint64(s[p]), uint64(s[p+1]), p+2 // both lengths in one byte each
+		} else {
+			var err error
+			if shared, err = d.Uvarint(); err == nil {
+				slen, err = d.Uvarint()
+			}
+			if err != nil {
+				return err
+			}
+		}
+		if shared > uint64(prev) || slen > uint64(d.Rest()) || uint64(sum)+shared+slen > uint64(total) {
+			return fmt.Errorf("front-coded string %d: prefix %d of %d, suffix %d of %d", i, shared, prev, slen, d.Rest())
+		}
+		suffix := d.s[d.pos : d.pos+int(slen)]
+		d.pos += int(slen)
+		prev = int(shared + slen)
+		sum += prev
+		if shared >= encodedTSLen {
+			ts[i] = ts[i-1] // the predecessor's head; shared <= prev rules out i == 0
+			continue
+		}
+		if digits >= int(shared) { // the key's head: shared bytes of its predecessor's, then the suffix's
+			digits = int(shared)
+			for _, c := range []byte(suffix[:min(len(suffix), encodedTSLen-digits)]) {
+				if c -= '0'; c > 9 {
+					break
+				}
+				val[digits+1] = val[digits]*10 + int64(c)
+				digits++
+			}
+		}
+		ts[i] = -1
+		if digits == encodedTSLen {
+			ts[i] = val[encodedTSLen]
+		}
+	}
+	if d.Rest() != 0 || sum != total {
+		return fmt.Errorf("front-coded strings end %d bytes early with %d bytes unread", total-sum, d.Rest())
+	}
+	return nil
+}
+
 // tsOf is DecodeTS without the error: -1 where key carries no timestamp.
 func tsOf(key string) int64 {
 	if len(key) < encodedTSLen {

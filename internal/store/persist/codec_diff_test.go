@@ -65,7 +65,7 @@ type batchImage struct {
 func imageOf(t testing.TB, b *Batch, project []uint32, generation int) batchImage {
 	t.Helper()
 	im := batchImage{WriteTS: slices.Clone(b.WriteTS), TS: slices.Clone(b.TS())}
-	for i, k := range b.Keys {
+	for i, k := range b.Keys() {
 		im.Keys = append(im.Keys, strings.Clone(k))
 		r := b.Row(i)
 		cp := Row{Key: strings.Clone(r.Key), WriteTS: r.WriteTS}

@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"hpclog/internal/objstore"
@@ -75,6 +76,79 @@ func FuzzRowCodec(f *testing.F) {
 		if rows, err := DecodeRowsBlock(NewStringDec(string(data)), NewDict()); err == nil {
 			// Valid by chance is fine; re-encode must then round trip.
 			_ = rows
+		}
+	})
+}
+
+// checkFrontTS holds the timestamp walk of a key chunk to the key rebuild:
+// frontTS fails iff decodeFrontCoded does, and where both accept, ts[i] is
+// tsOf of the i-th rebuilt key. It reports whether the chunk was accepted.
+func checkFrontTS(t *testing.T, body string, total, n int) bool {
+	t.Helper()
+	keys := make([]string, n)
+	_, keyErr := decodeFrontCoded(body, total, keys, make([]byte, 0, total))
+	ts := make([]int64, n)
+	tsErr := frontTS(body, total, ts)
+	if (keyErr == nil) != (tsErr == nil) {
+		t.Fatalf("%q (%d keys, %d bytes): rebuild says %v, walk says %v", body, n, total, keyErr, tsErr)
+	}
+	if keyErr != nil {
+		if keyErr.Error() != tsErr.Error() {
+			t.Fatalf("%q: rebuild fails with %q, walk with %q", body, keyErr, tsErr)
+		}
+		return false
+	}
+	for i, key := range keys {
+		if ts[i] != tsOf(key) {
+			t.Fatalf("key %d %q: walk reads timestamp %d, tsOf %d", i, key, ts[i], tsOf(key))
+		}
+	}
+	return true
+}
+
+// FuzzFrontTS: on any key chunk the timestamp walk of a lazily decoded
+// block accepts what the key rebuild accepts and reads each key's
+// timestamp as tsOf does. data is tried twice: as a chunk of n keys of
+// total bytes, and as newline-separated keys, front-coded.
+func FuzzFrontTS(f *testing.F) {
+	ts := "1234567890123456789"
+	for _, keys := range [][]string{
+		{ts + ":a", ts[:18] + "8:b", ts[:18] + "8:c", ts[:18] + "8", ts[:18] + "85", ts[:18] + "8"}, // shared 18, 20, 19, 19, 19
+		{"", "1", "12", ts[:17], ts[:18], ts, ts + "0", ts[:18], ts},                                // keys shorter than 19 around ones that are not
+		{"x" + ts, ts[:5] + "x" + ts[6:], "-" + ts[1:], ts[:18] + "z", ts[:18] + "9:é", "ünï" + ts}, // non-digit heads
+		{"9999999999999999999:x", "9999999999999999999:y", "0000000000000000000"},                   // int64 overflow, zero
+		{EncodeTS(1503468000) + ":c0-0c0s0n0", EncodeTS(1503468001) + ":c0-0c0s0n0", EncodeTS(1503468001) + ":c11-7c2s7n3"},
+	} {
+		total := 0
+		for _, k := range keys {
+			total += len(k)
+		}
+		chunk := appendFrontCoded(nil, total, keys)
+		_, body, err := frontHeader(string(chunk), len(keys))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add([]byte(body), uint8(len(keys)-1), uint16(total))
+		f.Add([]byte(body[:len(body)-1]), uint8(len(keys)-1), uint16(total))
+		f.Add([]byte(body), uint8(len(keys)-2), uint16(total-1))
+		f.Add([]byte(strings.Join(keys, "\n")), uint8(0), uint16(0))
+	}
+	f.Add([]byte("\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01"), uint8(0), uint16(1))
+	f.Fuzz(func(t *testing.T, data []byte, n uint8, total uint16) {
+		checkFrontTS(t, string(data), int(total), int(n)%indexEvery+1)
+
+		keys := strings.Split(string(data), "\n")
+		keys = keys[:min(len(keys), indexEvery)]
+		sum := 0
+		for _, k := range keys {
+			sum += len(k)
+		}
+		_, body, err := frontHeader(string(appendFrontCoded(nil, sum, keys)), len(keys))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !checkFrontTS(t, body, sum, len(keys)) {
+			t.Fatalf("keys %q: front coding not accepted", keys)
 		}
 	})
 }

@@ -64,7 +64,7 @@ func scanOps() []scanOp {
 		}},
 		{"tfidf", func(f *benchFixture, cfg analytics.ScanConfig) (any, error) {
 			from, to := f.window()
-			return analytics.TFIDFScan(f.eng, f.db, model.Lustre, from, to, cfg)
+			return analytics.TFIDFScan(f.eng, f.db, model.Lustre, from, to, 0, cfg)
 		}},
 		{"events", func(f *benchFixture, cfg analytics.ScanConfig) (any, error) {
 			from, to := f.window()
