@@ -1,5 +1,5 @@
 # CI entry points. `make ci` is what a clean checkout must pass:
-# vet + build + full test suite under the race detector (the scan
+# gofmt + vet + build + full test suite under the race detector (the scan
 # planner, result cache, commitlog, and store are all concurrent), a
 # cache-defeating plain test run, and a one-iteration smoke of the
 # durable-engine benchmarks so the WAL path and the two block decoders (v4
@@ -26,7 +26,7 @@ BENCH_LABEL ?= dev
 # against a self-hosted server, scrapes /v1/metrics mid-run, and fails
 # on errors or missing series; cluster-smoke proves the multi-process
 # replicated cluster survives a kill -9.
-ci: vet build race test-fresh alloc-guard test-wire metrics-lint bench-smoke bench-diff load-smoke cluster-smoke tier-smoke bench-test
+ci: fmt-check vet build race test-fresh alloc-guard test-wire metrics-lint bench-smoke bench-diff load-smoke cluster-smoke tier-smoke bench-test
 
 # The benchmark is a module of its own (bench/, contract in
 # BENCHMARK.json), so the root test run never reaches it. Its tests drive
@@ -166,7 +166,8 @@ bench-smoke:
 
 # Allocation regression guards: a segment scan, a projected v5 block decode
 # (zero per block), a flush round (constant per round, small constant per
-# segment, no file buffer per segment), a
+# segment, no file buffer per segment), a durable partition read through
+# Get and through PartitionBatches at QUORUM (no per-row conversion), a
 # bulk import (objects per imported event), a batch histogram and
 # heat-map fold (constant per scan, zero per block), a put-record encode,
 # predicate evaluation, the watch hub's write-path notify, a late page

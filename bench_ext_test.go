@@ -163,24 +163,3 @@ func BenchmarkExt_PredictEvaluate(b *testing.B) {
 	b.ReportMetric(ev.Recall, "recall")
 	b.ReportMetric(ev.BaseRate, "base-rate")
 }
-
-func BenchmarkExt_SnapshotRestore(b *testing.B) {
-	f := getFixture(b)
-	b.Run("snapshot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var sink countingWriter
-			if err := f.db.Snapshot(&sink); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(sink))
-		}
-	})
-}
-
-// countingWriter discards bytes while counting them.
-type countingWriter int64
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	*w += countingWriter(len(p))
-	return len(p), nil
-}

@@ -593,7 +593,7 @@ func BenchmarkE11_StoreWrite(b *testing.B) {
 		b.Run(cl.String(), func(b *testing.B) {
 			db := store.Open(store.Config{Nodes: 8, RF: 3})
 			db.CreateTable("events")
-			row := store.Row{Columns: map[string]string{"type": "MCE", "amount": "1"}}
+			row := store.MapRow("", 0, map[string]string{"type": "MCE", "amount": "1"})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				row.Key = store.EncodeTS(int64(i)) + ":s"

@@ -4,9 +4,8 @@
 // streaming, push-based watch).
 //
 // Data comes from a durable data directory written by ingestd (or by a
-// previous durable analyticsd run — startup replays the commitlog), from a
-// snapshot file, or — for demos — from a corpus generated in-process with
-// -generate.
+// previous durable analyticsd run — startup replays the commitlog) or —
+// for demos — from a corpus generated in-process with -generate.
 //
 // SIGINT/SIGTERM shut down gracefully: the watch hub drains its
 // subscribers, in-flight requests complete under http.Server.Shutdown,
@@ -15,7 +14,6 @@
 // Usage:
 //
 //	analyticsd -data-dir /tmp/titan/data -addr :8080
-//	analyticsd -snapshot /tmp/titan/db.snap -addr :8080
 //	analyticsd -generate -hours 3 -addr :8080
 package main
 
@@ -45,10 +43,9 @@ func main() {
 	log.SetPrefix("analyticsd: ")
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		snapPath    = flag.String("snapshot", "", "snapshot file from ingestd")
 		dataDir     = flag.String("data-dir", "", "durable storage directory (from ingestd or a previous run); recovery replays the commitlog")
 		walTolerate = flag.Bool("wal-tolerate-corrupt", false, "truncate a corrupt commitlog tail instead of refusing to open; records after the damage are lost (with -data-dir)")
-		generate    = flag.Bool("generate", false, "generate a demo corpus instead of loading a snapshot")
+		generate    = flag.Bool("generate", false, "generate a demo corpus instead of serving a data directory")
 		hours       = flag.Float64("hours", 3, "demo corpus window (with -generate)")
 		cabinets    = flag.Int("cabinets", 8, "demo corpus cabinets (with -generate)")
 		storeNodes  = flag.Int("store-nodes", 32, "store cluster size")
@@ -118,24 +115,13 @@ func main() {
 			log.Fatal(err)
 		}
 		lg.Info("corpus imported", "events", res.EventsLoaded, "runs", res.RunsLoaded)
-	case *snapPath != "":
-		f, err := os.Open(*snapPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		n, err := fw.DB.Restore(f, fw.Loader.CL)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		lg.Info("snapshot restored", "rows", n, "path", *snapPath)
 	case *dataDir != "":
 		st := fw.DB.StorageStats()
 		lg.Info("durable store opened", "dir", *dataDir,
 			"disk_segments", st.DiskSegments, "disk_mb", float64(st.DiskBytes)/(1<<20),
 			"replayed_records", st.ReplayedRecords, "replayed_rows", st.ReplayedRows)
 	default:
-		log.Fatal("need -data-dir DIR, -snapshot FILE, or -generate")
+		log.Fatal("need -data-dir DIR or -generate")
 	}
 
 	srv := fw.ServerWithConfig(server.Config{SlowQueryThreshold: *slowQuery})

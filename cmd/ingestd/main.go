@@ -2,15 +2,13 @@
 // console and job logs, parses them in parallel with the regex pattern
 // tables, bulk-loads the events and application runs into an in-process
 // store cluster, refreshes the eventsynopsis table, and hands the result
-// to analyticsd either as a durable data directory (commitlog + on-disk
-// segment files, served directly with -data-dir) or as a database
-// snapshot file.
+// to analyticsd as a durable data directory (commitlog + on-disk segment
+// files, served directly with -data-dir).
 //
 // Usage:
 //
 //	ingestd -console /tmp/titan/console.log -jobs /tmp/titan/jobs.log \
-//	        -data-dir /tmp/titan/data -wal-nosync -snapshot "" -store-nodes 32
-//	ingestd -console /tmp/titan/console.log -snapshot /tmp/titan/db.snap
+//	        -data-dir /tmp/titan/data -wal-nosync -store-nodes 32
 package main
 
 import (
@@ -56,16 +54,18 @@ func run(ctx context.Context) error {
 	var (
 		consolePath = flag.String("console", "console.log", "console log file")
 		jobsPath    = flag.String("jobs", "", "job log file (optional)")
-		snapPath    = flag.String("snapshot", "db.snap", "output snapshot file (\"\" = skip)")
-		dataDir     = flag.String("data-dir", "", "durable storage directory (commitlog + segment files); analyticsd can serve it directly")
-		walNoSync   = flag.Bool("wal-nosync", false, "skip commitlog fsync during the bulk load (with -data-dir)")
-		walTolerate = flag.Bool("wal-tolerate-corrupt", false, "truncate a corrupt commitlog tail instead of refusing to open; records after the damage are lost (with -data-dir)")
+		dataDir     = flag.String("data-dir", "", "durable storage directory (commitlog + segment files) to load into; analyticsd serves it directly (required)")
+		walNoSync   = flag.Bool("wal-nosync", false, "skip commitlog fsync during the bulk load")
+		walTolerate = flag.Bool("wal-tolerate-corrupt", false, "truncate a corrupt commitlog tail instead of refusing to open; records after the damage are lost")
 		storeNodes  = flag.Int("store-nodes", 32, "store cluster size")
 		rf          = flag.Int("rf", 3, "replication factor")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		logFormat   = flag.String("log-format", "text", "log format: text or json")
 	)
 	flag.Parse()
+	if *dataDir == "" {
+		return fmt.Errorf("need -data-dir DIR: without it the load stays in RAM and is lost on exit")
+	}
 
 	lvl, err := obs.ParseLevel(*logLevel)
 	if err != nil {
@@ -133,38 +133,18 @@ func run(ctx context.Context) error {
 		return err
 	}
 
-	if *dataDir != "" {
-		if err := checkpoint(ctx, "compaction checkpoint"); err != nil {
-			return err
-		}
-		// Push every memtable into on-disk segments and truncate the
-		// commitlog so analyticsd opens the directory without replay work
-		// (Compact starts with a full Flush checkpoint).
-		if _, err := fw.DB.Compact(); err != nil {
-			return err
-		}
-		st := fw.DB.StorageStats()
-		fmt.Printf("durable: %s (%d segments, %.1f MB on disk)\n",
-			*dataDir, st.DiskSegments, float64(st.DiskBytes)/(1<<20))
+	if err := checkpoint(ctx, "compaction checkpoint"); err != nil {
+		return err
 	}
-	if *snapPath != "" {
-		if err := checkpoint(ctx, "snapshot"); err != nil {
-			return err
-		}
-		f, err := os.Create(*snapPath)
-		if err != nil {
-			return err
-		}
-		if err := fw.DB.Snapshot(f); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		info, _ := os.Stat(*snapPath)
-		fmt.Printf("snapshot: %s (%.1f MB, %d tables)\n",
-			*snapPath, float64(info.Size())/(1<<20), len(fw.DB.Tables()))
+	// Push every memtable into on-disk segments and truncate the commitlog
+	// so analyticsd opens the directory without replay work (Compact
+	// starts with a full Flush checkpoint).
+	if _, err := fw.DB.Compact(); err != nil {
+		return err
 	}
+	st := fw.DB.StorageStats()
+	fmt.Printf("durable: %s (%d segments, %.1f MB on disk)\n",
+		*dataDir, st.DiskSegments, float64(st.DiskBytes)/(1<<20))
 	return nil
 }
 

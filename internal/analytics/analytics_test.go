@@ -581,7 +581,7 @@ func TestHistogramBadAmountNamesRow(t *testing.T) {
 		e := model.Event{Time: start.Add(time.Duration(i) * time.Second), Type: model.MCE, Source: "c0-0c0s0n0", Count: 1}
 		row := model.EventToTimeRow(e)
 		if i == 70 {
-			row = store.Row{Key: row.Key, Columns: map[string]string{model.ColSource: e.Source, model.ColAmount: "0"}}
+			row = store.MapRow(row.Key, 0, map[string]string{model.ColSource: e.Source, model.ColAmount: "0"})
 			badKey = row.Key
 		}
 		if err := db.Put(model.TableEventByTime, model.EventByTimeKey(e.Hour(), e.Type), row, store.One); err != nil {

@@ -33,7 +33,7 @@ const (
 )
 
 // WireRow is one storage row on the wire: clustering key, logical write
-// timestamp, and materialized columns. Compact on purpose — replication
+// timestamp, and columns by name. Compact on purpose — replication
 // fans every acked batch out RF-1 times.
 type WireRow struct {
 	Key     string            `json:"k"`
@@ -55,10 +55,9 @@ func RowsToWire(rows []store.Row) []WireRow {
 	return out
 }
 
-// Row converts back to the storage representation (compact interned-column
-// form, the shape replicas store and merge).
+// Row converts back to a storage row.
 func (w WireRow) Row() store.Row {
-	return store.Row{Key: w.Key, WriteTS: w.WriteTS, Columns: w.Cols}.Compact()
+	return store.MapRow(w.Key, w.WriteTS, w.Cols)
 }
 
 // WireToRows converts a received batch back to storage rows.

@@ -161,7 +161,7 @@ func (g *gen) eventRows(hour int64, disc string) []store.Row {
 		if g.byte()%4 == 0 {
 			cols[g.pick([]string{"attr", "zz", "attrx"})] = g.pick(hostileValues)
 		}
-		rows = append(rows, store.Row{Key: key, Columns: cols})
+		rows = append(rows, store.MapRow(key, 0, cols))
 	}
 	return rows
 }
@@ -360,7 +360,7 @@ func (g *gen) tableRows() []store.Row {
 		for c := int(g.byte() % 6); c > 0; c-- {
 			cols[g.pick([]string{"c0", "c1", "c2", "c3", "attr.a", "raw"})] = g.pick(append([]string{"a", "b", "x1", "10"}, hostileValues...))
 		}
-		rows = append(rows, store.Row{Key: key, Columns: cols})
+		rows = append(rows, store.MapRow(key, 0, cols))
 	}
 	return rows
 }

@@ -114,22 +114,12 @@ func New(opts Options) (*Framework, error) {
 		return nil, fmt.Errorf("core: bootstrap: %w", err)
 	}
 	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
-	loader := &ingest.Loader{DB: db, CL: opts.Consistency}
-	q := query.New(db, eng)
-	// Ingest-driven cache invalidation: any write through the loader
-	// (batch ETL, streaming, snapshot restore helpers) eagerly drops
-	// cached big-data results. The store's generation counter already
-	// fences staleness; the hook just frees dead entries immediately.
-	// (The analytic server's push-based watch hub subscribes one level
-	// lower, via store.RegisterWriteNotify, so it also wakes on writes
-	// that bypass the loader — CQL INSERTs, repair, restore.)
-	loader.OnWrite = func(string) { q.InvalidateCache() }
 	return &Framework{
 		DB:      db,
 		Compute: eng,
 		Broker:  bus.NewBroker(),
-		Query:   q,
-		Loader:  loader,
+		Query:   query.New(db, eng),
+		Loader:  &ingest.Loader{DB: db, CL: opts.Consistency},
 		opts:    opts,
 	}, nil
 }

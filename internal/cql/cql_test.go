@@ -13,13 +13,10 @@ func session(t testing.TB) *Session {
 	db := store.Open(store.Config{Nodes: 4, RF: 2, VNodes: 16})
 	db.CreateTable("event_by_time")
 	for i := 0; i < 50; i++ {
-		row := store.Row{
-			Key: store.EncodeTS(int64(1000+i)) + ":src",
-			Columns: map[string]string{
-				"source": fmt.Sprintf("c0-0c0s0n%d", i%4),
-				"amount": "1",
-			},
-		}
+		row := store.MapRow(store.EncodeTS(int64(1000+i))+":src", 0, map[string]string{
+			"source": fmt.Sprintf("c0-0c0s0n%d", i%4),
+			"amount": "1",
+		})
 		if err := db.Put("event_by_time", "412:MCE", row, store.Quorum); err != nil {
 			t.Fatal(err)
 		}

@@ -221,7 +221,7 @@ func (s *Session) runExplain(st *ExplainStmt) (*Result, error) {
 }
 
 func (s *Session) runInsert(st *InsertStmt) (*Result, error) {
-	row := store.Row{Key: st.Key, Columns: st.Columns}
+	row := store.MapRow(st.Key, 0, st.Columns)
 	if err := s.DB.PutBatchCtx(s.ctx(), st.Table, st.Partition, []store.Row{row}, s.CL); err != nil {
 		return nil, err
 	}
@@ -250,8 +250,8 @@ func (s *Session) runDescribe(st *DescribeStmt) (*Result, error) {
 			if i >= 64 {
 				break
 			}
-			for c := range r.Columns {
-				cols[c] = true
+			for _, c := range r.Cols() {
+				cols[store.ColumnName(c.ID)] = true
 			}
 		}
 	}

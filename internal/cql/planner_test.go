@@ -16,17 +16,15 @@ func richSession(t testing.TB) *Session {
 	db := store.Open(store.Config{Nodes: 4, RF: 2, VNodes: 16})
 	db.CreateTable("events")
 	for i := 0; i < 60; i++ {
-		row := store.Row{
-			Key: store.EncodeTS(int64(1000 + i)),
-			Columns: map[string]string{
-				"source": fmt.Sprintf("c%d-0c0s0n%d", i%3, i%4),
-				"amount": fmt.Sprintf("%d", i),
-				"type":   []string{"MCE", "LUSTRE", "APP_ABORT"}[i%3],
-			},
+		cols := map[string]string{
+			"source": fmt.Sprintf("c%d-0c0s0n%d", i%3, i%4),
+			"amount": fmt.Sprintf("%d", i),
+			"type":   []string{"MCE", "LUSTRE", "APP_ABORT"}[i%3],
 		}
 		if i%3 == 0 {
-			row.Columns["sev"] = "high"
+			cols["sev"] = "high"
 		}
+		row := store.MapRow(store.EncodeTS(int64(1000+i)), 0, cols)
 		if err := db.Put("events", "p", row, store.Quorum); err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +176,7 @@ func TestRFC3339KeyBound(t *testing.T) {
 	db.CreateTable("t")
 	// 2017-08-23T06:00:00Z == 1503468000.
 	for i, ts := range []int64{1503467999, 1503468000, 1503468001} {
-		r := store.Row{Key: store.EncodeTS(ts), Columns: map[string]string{"i": fmt.Sprint(i)}}
+		r := store.MapRow(store.EncodeTS(ts), 0, map[string]string{"i": fmt.Sprint(i)})
 		if err := db.Put("t", "p", r, store.One); err != nil {
 			t.Fatal(err)
 		}

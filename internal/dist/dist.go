@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -83,12 +82,8 @@ type Config struct {
 	// ServerConfig tunes the HTTP surface (zero value = server defaults).
 	ServerConfig server.Config
 	// Logger receives cluster runtime events (peer up/down, hint
-	// delivery, repair results) as structured records; nil discards them
-	// unless Logf is set.
+	// delivery, repair results) as structured records; nil discards them.
 	Logger *slog.Logger
-	// Logf is the legacy printf sink; when set without Logger, runtime
-	// events are rendered to text and fed through it.
-	Logf func(format string, args ...any)
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -159,17 +154,6 @@ type Node struct {
 	hbRTT  map[string]*obs.Hist
 }
 
-// logfWriter adapts the legacy Config.Logf printf sink to an io.Writer
-// so it can back a slog text handler.
-type logfWriter struct {
-	f func(format string, args ...any)
-}
-
-func (w logfWriter) Write(p []byte) (int, error) {
-	w.f("%s", strings.TrimRight(string(p), "\n"))
-	return len(p), nil
-}
-
 // Open assembles and starts a cluster node: the member-sliced store with
 // wire transports to every peer, bootstrap at consistency One (peers may
 // be down), the compute and query engines, the HTTP server with the
@@ -199,9 +183,6 @@ func Open(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	lg := cfg.Logger
-	if lg == nil && cfg.Logf != nil {
-		lg = obs.NewLogger(logfWriter{cfg.Logf}, slog.LevelInfo, "text")
-	}
 	if lg == nil {
 		lg = obs.Discard()
 	}

@@ -35,15 +35,6 @@ type Loader struct {
 	DB *store.DB
 	// CL is the write consistency level (default Quorum).
 	CL store.Consistency
-	// OnWrite, when set, is invoked once per table a Load call wrote to,
-	// after the rows are durable. It is the ingest-driven invalidation
-	// hook: the analytic server subscribes its big-data result cache here
-	// (query.Engine.InvalidateCache). Correctness does not depend on it —
-	// every write already advances store.DB.Generation, which fences
-	// stale cache entries at their next lookup — but the hook releases
-	// the memory of known-stale entries eagerly instead of letting them
-	// age out of the LRU.
-	OnWrite func(table string)
 	// TolerateUnavailable skips partitions whose replica set has no live
 	// member instead of failing the load. Cluster bootstrap sets it: a
 	// node booting before its peers cannot write shards it does not own,
@@ -101,19 +92,16 @@ func (l *Loader) LoadNodeInfos(n int) error {
 	byCabinet := make(batches)
 	for id := 0; id < n; id++ {
 		info := topology.Info(topology.NodeID(id))
-		byCabinet.add(model.TableNodeInfos, fmt.Sprintf("c%d-%d", info.Loc.Col, info.Loc.Row), store.Row{
-			Key: info.CName,
-			Columns: map[string]string{
-				"id":     strconv.Itoa(int(info.ID)),
-				"gemini": strconv.Itoa(info.Gemini),
-				"pair":   strconv.Itoa(int(info.PairNode)),
-				"nic":    info.NIC,
-				"cpu":    info.Spec.CPUModel,
-				"gpu":    info.Spec.GPUModel,
-			},
-		})
+		byCabinet.add(model.TableNodeInfos, fmt.Sprintf("c%d-%d", info.Loc.Col, info.Loc.Row), store.MapRow(info.CName, 0, map[string]string{
+			"id":     strconv.Itoa(int(info.ID)),
+			"gemini": strconv.Itoa(info.Gemini),
+			"pair":   strconv.Itoa(int(info.PairNode)),
+			"nic":    info.NIC,
+			"cpu":    info.Spec.CPUModel,
+			"gpu":    info.Spec.GPUModel,
+		}))
 	}
-	return l.load(byCabinet, model.TableNodeInfos)
+	return l.load(byCabinet)
 }
 
 // LoadEventTypes populates the eventtypes catalog table (single
@@ -121,12 +109,10 @@ func (l *Loader) LoadNodeInfos(n int) error {
 func (l *Loader) LoadEventTypes() error {
 	catalog := make(batches)
 	for _, et := range model.EventTypes {
-		catalog.add(model.TableEventTypes, "all", store.Row{
-			Key:     string(et),
-			Columns: map[string]string{"description": model.TypeDescriptions[et]},
-		})
+		catalog.add(model.TableEventTypes, "all", store.MapRow(string(et), 0,
+			map[string]string{"description": model.TypeDescriptions[et]}))
 	}
-	return l.load(catalog, model.TableEventTypes)
+	return l.load(catalog)
 }
 
 // batches buckets rows by the store partition they belong to, in arrival
@@ -176,17 +162,11 @@ func (l *Loader) write(k partKey, rows []store.Row) error {
 	return l.putBatch(k.table, k.pkey, rows)
 }
 
-// load writes every bucket from the calling goroutine, then fires OnWrite
-// for the tables they belong to.
-func (l *Loader) load(b batches, tables ...string) error {
+// load writes every bucket from the calling goroutine.
+func (l *Loader) load(b batches) error {
 	for _, k := range b.largestFirst() {
 		if err := l.write(k, b[k]); err != nil {
 			return err
-		}
-	}
-	if len(b) > 0 && l.OnWrite != nil {
-		for _, t := range tables {
-			l.OnWrite(t)
 		}
 	}
 	return nil
@@ -199,7 +179,7 @@ func (l *Loader) LoadEvents(events []model.Event) error {
 	for _, e := range events {
 		b.addEvent(e)
 	}
-	return l.load(b, model.TableEventByTime, model.TableEventByLoc)
+	return l.load(b)
 }
 
 // LoadRuns writes application runs into their three views, one batch per
@@ -209,7 +189,7 @@ func (l *Loader) LoadRuns(runs []model.AppRun) error {
 	for _, r := range runs {
 		b.addRun(r)
 	}
-	return l.load(b, model.TableAppByTime, model.TableAppByLoc, model.TableAppByUser)
+	return l.load(b)
 }
 
 // BatchResult summarizes a batch import.
@@ -575,13 +555,10 @@ func RefreshSynopsis(eng *compute.Engine, db *store.DB, hours []int64, cl store.
 	}
 	byType := make(map[model.EventType][]store.Row)
 	for _, r := range results {
-		byType[r.typ] = append(byType[r.typ], store.Row{
-			Key: store.EncodeTS(r.hour),
-			Columns: map[string]string{
-				"count":   strconv.Itoa(r.count),
-				"sources": strconv.Itoa(r.sources),
-			},
-		})
+		byType[r.typ] = append(byType[r.typ], store.MapRow(store.EncodeTS(r.hour), 0, map[string]string{
+			"count":   strconv.Itoa(r.count),
+			"sources": strconv.Itoa(r.sources),
+		}))
 	}
 	for typ, rows := range byType {
 		if err := db.PutBatch(model.TableEventSynopsis, string(typ), rows, cl); err != nil {

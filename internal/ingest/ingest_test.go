@@ -314,7 +314,7 @@ func importOnce(t *testing.T, lines []string, chunk int) (*store.DB, uint64) {
 				t.Fatal(err)
 			}
 			for _, r := range rows {
-				cols := r.Compact().Cols()
+				cols := r.Cols()
 				fmt.Fprintf(h, "%s/%s/%s/%d", table, pkey, r.Key, len(cols))
 				for _, c := range cols {
 					fmt.Fprintf(h, "/%s=%s", store.ColumnName(c.ID), c.Value)

@@ -353,37 +353,27 @@ func EventTimes(b *store.Batch) ([]int64, error) {
 }
 
 // prefixedCols collects the row's columns carrying the given name prefix
-// into dst (allocated exact-size on first hit), handling both row
-// representations. Column names resolved from the dictionary are canonical
-// interned strings and the prefix cut is a substring, so a row without
-// prefixed columns costs nothing and a row with them costs only the map.
+// into dst (allocated exact-size on first hit). Column names resolved from
+// the dictionary are canonical interned strings and the prefix cut is a
+// substring, so a row without prefixed columns costs nothing and a row
+// with them costs only the map.
 func prefixedCols(r store.Row, prefix string, dst map[string]string) map[string]string {
-	if cols := r.Cols(); cols != nil {
-		n := 0
-		for _, c := range cols {
-			if strings.HasPrefix(store.ColumnName(c.ID), prefix) {
-				n++
-			}
+	cols := r.Cols()
+	n := 0
+	for _, c := range cols {
+		if strings.HasPrefix(store.ColumnName(c.ID), prefix) {
+			n++
 		}
-		if n == 0 {
-			return dst
-		}
-		if dst == nil {
-			dst = make(map[string]string, n)
-		}
-		for _, c := range cols {
-			if name := store.ColumnName(c.ID); strings.HasPrefix(name, prefix) {
-				dst[name[len(prefix):]] = c.Value
-			}
-		}
+	}
+	if n == 0 {
 		return dst
 	}
-	for k, v := range r.Columns {
-		if rest, ok := strings.CutPrefix(k, prefix); ok {
-			if dst == nil {
-				dst = make(map[string]string)
-			}
-			dst[rest] = v
+	if dst == nil {
+		dst = make(map[string]string, n)
+	}
+	for _, c := range cols {
+		if name := store.ColumnName(c.ID); strings.HasPrefix(name, prefix) {
+			dst[name[len(prefix):]] = c.Value
 		}
 	}
 	return dst

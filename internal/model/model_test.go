@@ -162,16 +162,16 @@ func TestAppClusteringDiffersByView(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := EventFromTimeRow("noseparator", store.Row{Key: store.EncodeTS(1), Columns: map[string]string{ColAmount: "1"}}); err == nil {
+	if _, err := EventFromTimeRow("noseparator", store.MapRow(store.EncodeTS(1), 0, map[string]string{ColAmount: "1"})); err == nil {
 		t.Error("malformed partition key accepted")
 	}
 	if _, err := EventFromTimeRow("1:MCE", store.Row{Key: "short"}); err == nil {
 		t.Error("short clustering key accepted")
 	}
-	if _, err := EventFromTimeRow("1:MCE", store.Row{Key: store.EncodeTS(1), Columns: map[string]string{ColAmount: "zero"}}); err == nil {
+	if _, err := EventFromTimeRow("1:MCE", store.MapRow(store.EncodeTS(1), 0, map[string]string{ColAmount: "zero"})); err == nil {
 		t.Error("bad amount accepted")
 	}
-	if _, err := AppFromRow(store.Row{Key: store.EncodeTS(1), Columns: map[string]string{ColEndTime: "bad"}}); err == nil {
+	if _, err := AppFromRow(store.MapRow(store.EncodeTS(1), 0, map[string]string{ColEndTime: "bad"})); err == nil {
 		t.Error("bad endtime accepted")
 	}
 }

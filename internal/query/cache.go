@@ -9,8 +9,8 @@ import (
 // canonical (op, context, parameters) encoding of a request. Every entry
 // records the store generation it was computed at; a lookup whose entry
 // predates the current generation is treated as a miss and evicted, so
-// ingest invalidates cached results simply by writing (see
-// store.DB.Generation and ingest.Loader.OnWrite).
+// every write invalidates cached results simply by landing (see
+// store.DB.Generation).
 //
 // Cached values are returned by reference and must be treated as
 // immutable by callers.
@@ -85,19 +85,6 @@ func (c *resultCache) put(key string, gen uint64, val any) {
 		c.ll.Remove(oldest)
 		delete(c.m, oldest.Value.(*cacheEntry).key)
 	}
-}
-
-// clear drops every entry (the explicit ingest-driven invalidation hook).
-func (c *resultCache) clear() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := c.ll.Len()
-	c.ll.Init()
-	c.m = make(map[string]*list.Element, c.cap)
-	c.invalidations += int64(n)
 }
 
 // CacheStats is a snapshot of result-cache counters.

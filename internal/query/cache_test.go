@@ -89,18 +89,6 @@ func TestCacheInvalidatedByWrite(t *testing.T) {
 	}
 }
 
-func TestInvalidateCacheExplicit(t *testing.T) {
-	q, _, cfg := cacheFixture(t)
-	req := heatmapReq(cfg)
-	if _, err := q.Execute(req); err != nil {
-		t.Fatal(err)
-	}
-	q.InvalidateCache()
-	if cs := q.CacheStats(); cs.Size != 0 {
-		t.Fatalf("cache size = %d after InvalidateCache, want 0", cs.Size)
-	}
-}
-
 func TestCacheDisabled(t *testing.T) {
 	_, db, cfg := cacheFixture(t)
 	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})

@@ -161,11 +161,6 @@ func (q *Engine) scanCfg() analytics.ScanConfig {
 	}
 }
 
-// InvalidateCache drops every cached big-data result. Ingest pipelines
-// call this through ingest.Loader.OnWrite; it is also safe to call at any
-// time (stale entries are additionally fenced by store generations).
-func (q *Engine) InvalidateCache() { q.cache.clear() }
-
 // CacheStats returns a snapshot of result-cache counters.
 func (q *Engine) CacheStats() CacheStats { return q.cache.stats() }
 
@@ -458,8 +453,8 @@ func (q *Engine) nodeInfo(req Request) (any, error) {
 			continue
 		}
 		m := map[string]string{"cname": r.Key}
-		for k, v := range r.Columns {
-			m[k] = v
+		for _, c := range r.Cols() {
+			m[store.ColumnName(c.ID)] = c.Value
 		}
 		out = append(out, m)
 	}

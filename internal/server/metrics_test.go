@@ -190,7 +190,7 @@ func TestMetricsExpositionBackgroundRounds(t *testing.T) {
 		for p := 0; p < 4; p++ {
 			rows := make([]store.Row, 10)
 			for i := range rows {
-				rows[i] = store.Row{Key: store.EncodeTS(int64(100*gen+i)) + ":src", Columns: map[string]string{"gen": fmt.Sprint(gen)}}
+				rows[i] = store.MapRow(store.EncodeTS(int64(100*gen+i))+":src", 0, map[string]string{"gen": fmt.Sprint(gen)})
 			}
 			if err := db.PutBatch("rounds", fmt.Sprint("p", p), rows, store.All); err != nil {
 				t.Fatal(err)
@@ -256,7 +256,7 @@ func TestMetricsExpositionScanPaths(t *testing.T) {
 	put := func() {
 		rows := make([]store.Row, 10)
 		for i := range rows {
-			rows[i] = store.Row{Key: store.EncodeTS(int64(i)) + ":src", Columns: map[string]string{"amount": "1"}}
+			rows[i] = store.MapRow(store.EncodeTS(int64(i))+":src", 0, map[string]string{"amount": "1"})
 		}
 		if err := db.PutBatch("paths", "p", rows, store.All); err != nil {
 			t.Fatal(err)

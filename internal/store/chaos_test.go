@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -154,53 +153,4 @@ func TestRepairAfterRollingOutage(t *testing.T) {
 			t.Fatalf("replica %s has %d rows after repair, want %d", id, len(rows), want)
 		}
 	}
-}
-
-// TestSnapshotUnderConcurrentWrites verifies a snapshot taken while
-// writers are active is internally consistent (decodable, monotone keys
-// per partition) even though its cut is not atomic.
-func TestSnapshotUnderConcurrentWrites(t *testing.T) {
-	db := testDB(t, 4, 2)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		i := 0
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			pkey := fmt.Sprintf("%d:NET", i%4)
-			_ = db.Put("events", pkey, eventRow(int64(i), "d", "NET", "L"), One)
-			i++
-		}
-	}()
-	for round := 0; round < 5; round++ {
-		var buf writerCounter
-		if err := db.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-
-	// Final snapshot restores cleanly into a fresh cluster.
-	var final bytes.Buffer
-	if err := db.Snapshot(&final); err != nil {
-		t.Fatal(err)
-	}
-	dst := Open(Config{Nodes: 2, RF: 1, VNodes: 8})
-	if _, err := dst.Restore(&final, One); err != nil {
-		t.Fatal(err)
-	}
-}
-
-type writerCounter int
-
-func (w *writerCounter) Write(p []byte) (int, error) {
-	*w += writerCounter(len(p))
-	return len(p), nil
 }

@@ -146,16 +146,13 @@ func (db *DB) PutBatchCtx(ctx context.Context, tableName, pkey string, rows []Ro
 	if len(rows) == 0 {
 		return nil
 	}
-	// Stamp and compact in one pass: from here on the batch moves through
-	// the engine (commitlog codec, memtable, segment flush) in the
-	// interned-column representation; map-form rows are converted once at
-	// this boundary.
+	// Stamp a copy: the caller's slice is left as it was passed.
 	stamped := make([]Row, len(rows))
 	for i, r := range rows {
 		if r.WriteTS == 0 {
 			r.WriteTS = db.NextWriteTS()
 		}
-		stamped[i] = r.Compact()
+		stamped[i] = r
 	}
 	replicas := db.ring.Replicas(pkey)
 	need := cl.required(len(replicas))
@@ -290,7 +287,7 @@ func (db *DB) GetCtx(ctx context.Context, tableName, pkey string, rg Range, cl C
 		for _, tgt := range live {
 			rows, err := tgt.Read(ctx, tableName, pkey, rg)
 			if err == nil {
-				return materializeRows(rows), nil
+				return rows, nil
 			}
 			if firstErr == nil {
 				firstErr = err
@@ -366,17 +363,7 @@ func (db *DB) GetCtx(ctx context.Context, tableName, pkey string, rg Range, cl C
 		// been digested on this coordinator).
 		db.notifyScan()
 	}
-	return materializeRows(merged), nil
-}
-
-// materializeRows converts rows to the API-boundary map representation in
-// place. Get hands rows to external consumers (CQL, snapshots, direct map
-// access); the streaming scans keep the compact form.
-func materializeRows(rows []Row) []Row {
-	for i := range rows {
-		rows[i] = rows[i].Materialize()
-	}
-	return rows
+	return merged, nil
 }
 
 // ReadRepairs reports the total number of rows written back to stale

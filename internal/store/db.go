@@ -218,11 +218,10 @@ type ReplayStats struct {
 func (db *DB) Generation() uint64 { return db.generation.Load() }
 
 // WriteDigest describes one acked batch of rows: which table and
-// partition they landed in and the rows themselves (stamped, in the
-// compact interned-column form). It is the typed payload of a write
-// notification, letting a push consumer (the watch hub) route the
-// notification by partition key and deliver the rows from memory
-// instead of re-scanning the store per subscriber.
+// partition they landed in and the rows themselves (stamped). It is the
+// typed payload of a write notification, letting a push consumer (the
+// watch hub) route the notification by partition key and deliver the rows
+// from memory instead of re-scanning the store per subscriber.
 //
 // Rows is shared with the write path and with every other notifier —
 // receivers must treat the slice and its rows as immutable.

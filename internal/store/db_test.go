@@ -16,10 +16,7 @@ func testDB(t testing.TB, nodes, rf int) *DB {
 }
 
 func eventRow(ts int64, disc, typ, loc string) Row {
-	return Row{
-		Key:     EncodeTS(ts) + ":" + disc,
-		Columns: map[string]string{"type": typ, "source": loc, "amount": "1"},
-	}
+	return MapRow(EncodeTS(ts)+":"+disc, 0, map[string]string{"type": typ, "source": loc, "amount": "1"})
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -110,8 +107,8 @@ func TestFlushCompactionPreservesData(t *testing.T) {
 
 func TestOverwriteLastWriteWins(t *testing.T) {
 	db := testDB(t, 3, 3)
-	r1 := Row{Key: "k", Columns: map[string]string{"v": "first"}}
-	r2 := Row{Key: "k", Columns: map[string]string{"v": "second"}}
+	r1 := MapRow("k", 0, map[string]string{"v": "first"})
+	r2 := MapRow("k", 0, map[string]string{"v": "second"})
 	if err := db.Put("events", "p", r1, All); err != nil {
 		t.Fatal(err)
 	}

@@ -91,10 +91,7 @@ func TestCrashRecoveryAckedBatches(t *testing.T) {
 	for b := 0; b < batches; b++ {
 		var rows []Row
 		for i := 0; i < rowsPerBatch; i++ {
-			rows = append(rows, Row{
-				Key:     EncodeTS(int64(5000+b*rowsPerBatch+i)) + ":src",
-				Columns: map[string]string{"batch": fmt.Sprint(b), "i": fmt.Sprint(i)},
-			})
+			rows = append(rows, MapRow(EncodeTS(int64(5000+b*rowsPerBatch+i))+":src", 0, map[string]string{"batch": fmt.Sprint(b), "i": fmt.Sprint(i)}))
 		}
 		pkey := fmt.Sprintf("part-%d", b%3)
 		if err := db.PutBatch("events", pkey, rows, All); err != nil {
@@ -131,8 +128,8 @@ func TestCrashRecoveryAckedBatches(t *testing.T) {
 				if !ok {
 					t.Fatalf("image@%d batches lost acked row %s (batch %d)", img.acked, key, b)
 				}
-				if r.Columns["batch"] != fmt.Sprint(b) {
-					t.Fatalf("image@%d batches: row %s has wrong content %+v", img.acked, key, r.Columns)
+				if r.Col("batch") != fmt.Sprint(b) {
+					t.Fatalf("image@%d batches: row %s has wrong content %+v", img.acked, key, r.ColumnsMap())
 				}
 			}
 		}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -17,11 +16,9 @@ func durableCfg(dir string) Config {
 	}
 }
 
-func durableRow(i int64) Row {
-	return Row{
-		Key:     EncodeTS(1000+i) + fmt.Sprintf(":n%04d", i),
-		Columns: map[string]string{"count": fmt.Sprint(i), "msg": "event payload"},
-	}
+func durableRow(i int64, extra ...Col) Row {
+	cols := append([]Col{C("count", fmt.Sprint(i)), C("msg", "event payload")}, extra...)
+	return MakeRow(EncodeTS(1000+i)+fmt.Sprintf(":n%04d", i), 0, cols)
 }
 
 func fillDurable(t *testing.T, db *DB, table string, parts, perPart int) {
@@ -100,8 +97,7 @@ func TestDurableWriteTSResumes(t *testing.T) {
 	if err := db.CreateTable("t"); err != nil {
 		t.Fatal(err)
 	}
-	row := durableRow(1)
-	row.Columns["v"] = "before"
+	row := durableRow(1, C("v", "before"))
 	if err := db.Put("t", "p", row, All); err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +108,7 @@ func TestDurableWriteTSResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	row2 := durableRow(1)
-	row2.Columns["v"] = "after"
+	row2 := durableRow(1, C("v", "after"))
 	if err := db2.Put("t", "p", row2, All); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +116,7 @@ func TestDurableWriteTSResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].Columns["v"] != "after" {
+	if len(rows) != 1 || rows[0].Col("v") != "after" {
 		t.Fatalf("post-restart write lost LWW: %+v", rows)
 	}
 }
@@ -153,9 +148,8 @@ func TestDurableScanMatchesGet(t *testing.T) {
 			var rows []Row
 			for i := 0; i < 50; i++ {
 				ts++
-				r := durableRow(int64((b*37 + i) % 120))
+				r := durableRow(int64((b*37+i)%120), C("batch", fmt.Sprint(b)))
 				r.WriteTS = ts
-				r.Columns["batch"] = fmt.Sprint(b)
 				rows = append(rows, r)
 			}
 			if err := db.PutBatch("events", "p", rows, All); err != nil {
@@ -202,8 +196,7 @@ func TestDurableScanMatchesGet(t *testing.T) {
 			t.Fatal(err)
 		}
 		it.Close()
-		// ScanPartitionPruned streams compact rows; compare logical content
-		// against the materialized Get result.
+		// Compare logical content against the Get result.
 		if !sameRows(streamed, want) {
 			t.Fatalf("durable scan(%+v) differs: %d vs %d rows", rg, len(streamed), len(want))
 		}
@@ -309,34 +302,6 @@ func TestDurableEmptyTableSurvivesCheckpoint(t *testing.T) {
 	}
 	if err := db2.Put("empty_table", "p", durableRow(1), Quorum); err != nil {
 		t.Fatalf("write to recovered empty table: %v", err)
-	}
-}
-
-func TestSnapshotRestoreOnDurable(t *testing.T) {
-	dir := t.TempDir()
-	db, err := OpenDurable(durableCfg(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	fillDurable(t, db, "events", 3, 60)
-	want := readAll(t, db, "events")
-
-	var buf bytes.Buffer
-	if err := db.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dir2 := t.TempDir()
-	db2, err := OpenDurable(durableCfg(dir2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if _, err := db2.Restore(&buf, Quorum); err != nil {
-		t.Fatal(err)
-	}
-	if got := readAll(t, db2, "events"); !reflect.DeepEqual(got, want) {
-		t.Fatal("snapshot->restore onto durable cluster mismatch")
 	}
 }
 

@@ -142,9 +142,8 @@ func (b *Batch) Dict(id uint32) (codes []uint8, dict []string) {
 	return nil, nil
 }
 
-// Row returns row i in the compact form. On a projected batch the row
-// carries only the projected, non-empty cells and is valid until the next
-// call of Row.
+// Row returns row i. On a projected batch the row carries only the
+// projected, non-empty cells and is valid until the next call of Row.
 func (b *Batch) Row(i int) Row {
 	r := Row{Key: b.Keys()[i], WriteTS: b.WriteTS[i]}
 	if b.project == nil {
@@ -174,7 +173,7 @@ func (b *Batch) appendRow(r Row) {
 	b.keys = append(b.keys, r.Key)
 	b.WriteTS = append(b.WriteTS, r.WriteTS)
 	if b.project == nil {
-		b.cells = append(b.cells, r.Compact().cols...)
+		b.cells = append(b.cells, r.cols...)
 		b.ends = append(b.ends, int32(len(b.cells)))
 		return
 	}

@@ -84,11 +84,8 @@ func appendColTable(b []byte, names []string) []byte {
 }
 
 // appendRowBody appends one row's encoding, resolving column names through
-// the unit table. Map rows are compacted on the fly.
+// the unit table.
 func appendRowBody(b []byte, r Row, t *colTableEnc) []byte {
-	if r.cols == nil && r.Columns != nil {
-		r = r.Compact()
-	}
 	b = binary.AppendUvarint(b, uint64(len(r.Key)))
 	b = append(b, r.Key...)
 	b = binary.AppendVarint(b, r.WriteTS)
@@ -107,11 +104,8 @@ func appendRowBody(b []byte, r Row, t *colTableEnc) []byte {
 func AppendRowsBlock(b []byte, rows []Row) []byte {
 	var t colTableEnc
 	// Prescan for the name table so it precedes the rows.
-	for i, r := range rows {
-		if r.cols == nil && r.Columns != nil {
-			rows[i] = r.Compact()
-		}
-		for _, c := range rows[i].cols {
+	for _, r := range rows {
+		for _, c := range r.cols {
 			t.localIdx(c)
 		}
 	}

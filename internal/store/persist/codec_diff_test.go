@@ -137,7 +137,7 @@ func scanRows(t testing.TB, seg *Segment, rg Range, cfg ScanConfig) []Row {
 // cell.
 func exactRows(a, b []Row) bool {
 	return slices.EqualFunc(a, b, func(x, y Row) bool {
-		return x.Key == y.Key && x.WriteTS == y.WriteTS && slices.Equal(x.Compact().Cols(), y.Compact().Cols())
+		return x.Key == y.Key && x.WriteTS == y.WriteTS && slices.Equal(x.Cols(), y.Cols())
 	})
 }
 

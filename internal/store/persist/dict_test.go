@@ -55,10 +55,10 @@ func TestDictInternStableAndConcurrent(t *testing.T) {
 // grow the decoder's dictionary incrementally, and every column resolves.
 func TestDictionaryGrowthAcrossUnits(t *testing.T) {
 	blockA := AppendRowsBlock(nil, []Row{
-		{Key: "a", WriteTS: 1, Columns: map[string]string{"shared": "1", "only-a": "x"}},
+		MapRow("a", 1, map[string]string{"shared": "1", "only-a": "x"}),
 	})
 	blockB := AppendRowsBlock(nil, []Row{
-		{Key: "b", WriteTS: 2, Columns: map[string]string{"shared": "2", "only-b": "y"}},
+		MapRow("b", 2, map[string]string{"shared": "2", "only-b": "y"}),
 	})
 	d := NewDict()
 	rowsA, err := DecodeRowsBlock(NewStringDec(string(blockA)), d)
@@ -101,8 +101,8 @@ func TestDictionaryGrowthAcrossUnits(t *testing.T) {
 func TestCrossRestartDictionaryRecovery(t *testing.T) {
 	dir := t.TempDir()
 	rows := []Row{
-		{Key: "k1", WriteTS: 1, Columns: map[string]string{"amount": "3", "source": "c0-0c0s0n0"}},
-		{Key: "k2", WriteTS: 2, Columns: map[string]string{"amount": "1", "attr.bank": "7"}},
+		MapRow("k1", 1, map[string]string{"amount": "3", "source": "c0-0c0s0n0"}),
+		MapRow("k2", 2, map[string]string{"amount": "1", "attr.bank": "7"}),
 	}
 	seg := writeTestSegment(t, filepath.Join(dir, "1.seg"), rows)
 	seg.Close()

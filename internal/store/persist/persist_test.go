@@ -33,11 +33,7 @@ func sameRows(a, b []Row) bool {
 func testRows(n int, writeTS int64) []Row {
 	rows := make([]Row, n)
 	for i := range rows {
-		rows[i] = Row{
-			Key:     EncodeTS(int64(1000+i)) + fmt.Sprintf(":src%03d", i),
-			WriteTS: writeTS + int64(i),
-			Columns: map[string]string{"count": fmt.Sprint(i), "msg": "hello world"},
-		}
+		rows[i] = MapRow(EncodeTS(int64(1000+i))+fmt.Sprintf(":src%03d", i), writeTS+int64(i), map[string]string{"count": fmt.Sprint(i), "msg": "hello world"})
 	}
 	return rows
 }
@@ -159,11 +155,7 @@ func TestStoreFlushCompactLWW(t *testing.T) {
 	for gen := int64(0); gen < 3; gen++ {
 		rows := make([]Row, 100)
 		for i := range rows {
-			rows[i] = Row{
-				Key:     fmt.Sprintf("k%03d", i),
-				WriteTS: gen*1000 + int64(i),
-				Columns: map[string]string{"gen": fmt.Sprint(gen)},
-			}
+			rows[i] = MapRow(fmt.Sprintf("k%03d", i), gen*1000+int64(i), map[string]string{"gen": fmt.Sprint(gen)})
 		}
 		if err := s.Flush("t", "p", rows); err != nil {
 			t.Fatal(err)
@@ -274,19 +266,19 @@ func TestCompactionSafeWithOpenIterator(t *testing.T) {
 
 func TestMergeItersLWW(t *testing.T) {
 	older := []Row{
-		{Key: "a", WriteTS: 1, Columns: map[string]string{"v": "old"}},
-		{Key: "b", WriteTS: 5, Columns: map[string]string{"v": "keep"}},
+		MapRow("a", 1, map[string]string{"v": "old"}),
+		MapRow("b", 5, map[string]string{"v": "keep"}),
 	}
 	newer := []Row{
-		{Key: "a", WriteTS: 2, Columns: map[string]string{"v": "new"}},
-		{Key: "b", WriteTS: 5, Columns: map[string]string{"v": "tie-later-wins"}},
-		{Key: "c", WriteTS: 1, Columns: map[string]string{"v": "only"}},
+		MapRow("a", 2, map[string]string{"v": "new"}),
+		MapRow("b", 5, map[string]string{"v": "tie-later-wins"}),
+		MapRow("c", 1, map[string]string{"v": "only"}),
 	}
 	got := drain(t, MergeIters([]Iterator{NewSliceIter(older), NewSliceIter(newer)}))
 	if len(got) != 3 {
 		t.Fatalf("merged %d rows, want 3", len(got))
 	}
-	if got[0].Columns["v"] != "new" || got[1].Columns["v"] != "tie-later-wins" || got[2].Columns["v"] != "only" {
+	if got[0].Col("v") != "new" || got[1].Col("v") != "tie-later-wins" || got[2].Col("v") != "only" {
 		t.Fatalf("LWW merge wrong: %+v", got)
 	}
 }

@@ -11,12 +11,14 @@
 // both packages share one definition without an import cycle.
 package persist
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// Col is one cell of a row in the compact representation: the column name
-// as a process-wide Dict ID plus the value. Rows store a []Col sorted by
-// ID, so a column read is a binary search over integers and a row carries
-// no map.
+// Col is one cell of a row: the column name as a process-wide Dict ID plus
+// the value. Rows store a []Col sorted by ID, so a column read is a binary
+// search over integers and a row carries no map.
 type Col struct {
 	// ID is the column name's ID in the process-wide dictionary.
 	ID uint32
@@ -34,35 +36,24 @@ func C(name, value string) Col { return Col{ID: defaultDict.Intern(name), Value:
 // its own set of columns ("each application run may include columns unique
 // to it", Section II-B of the paper).
 //
-// A row holds its columns in exactly one of two representations: the
-// public Columns map (how writers outside the hot path construct rows) or
-// the compact cols slice (how the storage engine moves rows internally —
-// decode paths and the memtable). Col, ColID, EachCol and ColumnsMap work
-// on either; the accessor methods are the supported way to read a row.
-// Rows produced by the engine's streaming reads are compact: their Columns
-// field is nil and their cells are reached through the accessors. API
-// boundaries that hand rows to external consumers (DB.Get, CQL results)
-// materialize the map via Materialize.
+// A row holds its cells in one form: a slice of interned (ID, value) pairs
+// sorted by ID. MakeRow and MapRow build rows; Col, ColID and Cols read
+// them, and ColumnsMap is the name→value view for API edges.
 type Row struct {
 	// Key is the clustering key. Rows in a partition are sorted by Key
 	// bytewise, so callers encode timestamps with EncodeTS to obtain
 	// chronological order.
 	Key string
-	// Columns holds the cell values of the row in map form. It is nil on
-	// compact rows; use the accessor methods unless the row is known to be
-	// materialized.
-	Columns map[string]string
 	// WriteTS is the logical write timestamp used for last-write-wins
 	// reconciliation between replicas and across segments.
 	WriteTS int64
 
-	// cols is the compact representation: cells sorted by dictionary ID.
-	// Invariant: at most one of cols and Columns is non-nil.
+	// cols holds the cells sorted by dictionary ID.
 	cols []Col
 }
 
-// MakeRow builds a compact row from cols, sorting them by dictionary ID in
-// place. Duplicate IDs are collapsed keeping the last occurrence.
+// MakeRow builds a row from cols, sorting them by dictionary ID in place.
+// Duplicate IDs are collapsed keeping the last occurrence.
 func MakeRow(key string, writeTS int64, cols []Col) Row {
 	sortCols(cols)
 	out := cols[:0]
@@ -74,6 +65,22 @@ func MakeRow(key string, writeTS int64, cols []Col) Row {
 		out = append(out, c)
 	}
 	return Row{Key: key, WriteTS: writeTS, cols: out}
+}
+
+// MapRow builds a row from a name→value map, interning the names in the
+// process-wide dictionary. It is for maps that arrive from outside the
+// engine (CQL INSERT, wire rows, ingest metadata); a nil or empty map
+// gives a row with no cells.
+func MapRow(key string, writeTS int64, m map[string]string) Row {
+	var cols []Col
+	if len(m) > 0 {
+		cols = make([]Col, 0, len(m))
+		for k, v := range m {
+			cols = append(cols, Col{ID: defaultDict.Intern(k), Value: v})
+		}
+		sortCols(cols)
+	}
+	return Row{Key: key, WriteTS: writeTS, cols: cols}
 }
 
 // sortCols sorts by ID with an insertion sort: column counts are small and
@@ -93,31 +100,16 @@ func sortCols(cols []Col) {
 
 // Clone returns a deep copy of the row.
 func (r Row) Clone() Row {
-	c := Row{Key: r.Key, WriteTS: r.WriteTS}
-	if r.cols != nil {
-		c.cols = make([]Col, len(r.cols))
-		copy(c.cols, r.cols)
-		return c
-	}
-	if r.Columns != nil {
-		c.Columns = make(map[string]string, len(r.Columns))
-		for k, v := range r.Columns {
-			c.Columns[k] = v
-		}
-	}
-	return c
+	return Row{Key: r.Key, WriteTS: r.WriteTS, cols: slices.Clone(r.cols)}
 }
 
 // Col returns the named column value, or "" if absent.
 func (r Row) Col(name string) string {
-	if r.cols != nil {
-		id, ok := defaultDict.Lookup(name)
-		if !ok {
-			return ""
-		}
-		return r.ColID(id)
+	id, ok := defaultDict.Lookup(name)
+	if !ok {
+		return ""
 	}
-	return r.Columns[name]
+	return r.ColID(id)
 }
 
 // ColID returns the column value for a process-wide dictionary ID, or ""
@@ -125,12 +117,6 @@ func (r Row) Col(name string) string {
 // their column names once.
 func (r Row) ColID(id uint32) string {
 	cols := r.cols
-	if cols == nil {
-		if r.Columns == nil {
-			return ""
-		}
-		return r.Columns[defaultDict.Name(id)]
-	}
 	lo, hi := 0, len(cols)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -146,52 +132,21 @@ func (r Row) ColID(id uint32) string {
 	return ""
 }
 
-// Cols returns the compact column slice of the row (sorted by ID), or nil
-// when the row holds a map instead. The slice is shared with the row and
-// must be treated as read-only. Callers iterating all columns must handle
-// the nil case by ranging Columns; resolve names with ColumnName.
+// Cols returns the row's cells sorted by ID. The slice is shared with the
+// row and must be treated as read-only; resolve names with ColumnName.
 func (r Row) Cols() []Col { return r.cols }
 
-// ColumnsMap returns the row's cells as a name→value map, building one
-// when the row is compact. Mutating the result of a materialized row
-// mutates the row.
+// ColumnsMap returns a new name→value map of the row's cells, or nil when
+// the row has none.
 func (r Row) ColumnsMap() map[string]string {
-	if r.cols == nil {
-		return r.Columns
+	if len(r.cols) == 0 {
+		return nil
 	}
 	m := make(map[string]string, len(r.cols))
 	for _, c := range r.cols {
 		m[defaultDict.Name(c.ID)] = c.Value
 	}
 	return m
-}
-
-// Materialize returns the row with its cells in the public Columns map —
-// the API-boundary form handed to external consumers (JSON, gob, direct
-// map access). Compact rows allocate the map; materialized rows pass
-// through unchanged.
-func (r Row) Materialize() Row {
-	if r.cols == nil {
-		return r
-	}
-	return Row{Key: r.Key, WriteTS: r.WriteTS, Columns: r.ColumnsMap()}
-}
-
-// Compact returns the row in compact representation, interning its column
-// names into the process-wide dictionary. Map rows are converted (one
-// []Col allocation); compact rows pass through unchanged. The storage
-// engine compacts rows once at the write boundary so the memtable, the
-// commitlog codec, and segment flushes all work ID-based.
-func (r Row) Compact() Row {
-	if r.Columns == nil {
-		return r
-	}
-	cols := make([]Col, 0, len(r.Columns))
-	for k, v := range r.Columns {
-		cols = append(cols, Col{ID: defaultDict.Intern(k), Value: v})
-	}
-	sortCols(cols)
-	return Row{Key: r.Key, WriteTS: r.WriteTS, cols: cols}
 }
 
 // Range selects clustering keys in [From, To). Zero-value fields mean

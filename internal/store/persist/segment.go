@@ -555,7 +555,7 @@ func (w *Writer) Append(r Row) error {
 		// rows.
 		w.meta.Index = append(w.meta.Index, IndexEntry{Key: strings.Clone(r.Key), Off: w.off})
 	}
-	w.enc.rows = append(w.enc.rows, r.Compact()) // the encoder wants the sorted []Col form
+	w.enc.rows = append(w.enc.rows, r)
 	w.meta.MaxKey = r.Key
 	if r.WriteTS > w.meta.MaxWriteTS {
 		w.meta.MaxWriteTS = r.WriteTS

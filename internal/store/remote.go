@@ -18,10 +18,10 @@ import (
 // Implementations (see internal/dist) speak the /v1/replicate and
 // /v1/shard/* RPCs over the hpclog/client SDK.
 //
-// Contract: Read and Scan return rows in the compact interned-column
-// representation, sorted by clustering key — the same shape a local
-// replica yields — and Apply is idempotent (rows carry their WriteTS;
-// replicas reconcile last-write-wins), so callers may safely retry.
+// Contract: Read and Scan return rows sorted by clustering key — the same
+// shape a local replica yields — and Apply is idempotent (rows carry their
+// WriteTS; replicas reconcile last-write-wins), so callers may safely
+// retry.
 //
 // Every method takes the coordinator's request context: transports
 // derive their RPC deadline from it and propagate the request ID it
@@ -139,20 +139,16 @@ func (db *DB) ApplyReplicated(nodeID, tableName, pkey string, rows []Row) error 
 		}
 	}
 	var maxTS int64
-	compacted := make([]Row, len(rows))
-	for i, r := range rows {
-		if r.WriteTS > maxTS {
-			maxTS = r.WriteTS
-		}
-		compacted[i] = r.Compact()
+	for _, r := range rows {
+		maxTS = max(maxTS, r.WriteTS)
 	}
-	if err := n.apply(context.Background(), tableName, pkey, compacted, nil); err != nil {
+	if err := n.apply(context.Background(), tableName, pkey, rows, nil); err != nil {
 		return err
 	}
 	db.observeWriteTS(maxTS)
 	// Publish the digest: this process's own watch subscribers see
 	// replicated writes exactly like locally coordinated ones (every
 	// cluster process is also a coordinator).
-	db.notifyWrite(tableName, pkey, compacted)
+	db.notifyWrite(tableName, pkey, rows)
 	return nil
 }

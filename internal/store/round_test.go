@@ -203,10 +203,10 @@ func TestFlushRoundsConcurrentWritersAndScanners(t *testing.T) {
 	batch := func(w, b int) []Row {
 		rows := make([]Row, 0, perBatch+1)
 		if b > 0 {
-			rows = append(rows, Row{Key: EncodeTS(int64((b-1)*perBatch)) + ":k", Columns: map[string]string{"v": fmt.Sprint(w, ".", b, ".over")}})
+			rows = append(rows, MapRow(EncodeTS(int64((b-1)*perBatch))+":k", 0, map[string]string{"v": fmt.Sprint(w, ".", b, ".over")}))
 		}
 		for i := 0; i < perBatch; i++ {
-			rows = append(rows, Row{Key: EncodeTS(int64(b*perBatch+i)) + ":k", Columns: map[string]string{"v": fmt.Sprint(w, ".", b)}})
+			rows = append(rows, MapRow(EncodeTS(int64(b*perBatch+i))+":k", 0, map[string]string{"v": fmt.Sprint(w, ".", b)}))
 		}
 		return rows
 	}
@@ -290,7 +290,7 @@ func TestFlushRoundsConcurrentWritersAndScanners(t *testing.T) {
 		out := make(map[string]map[string]string)
 		for pk, rows := range readAll(t, db, "events") {
 			for _, r := range rows {
-				out[pk+"/"+r.Key] = r.Columns
+				out[pk+"/"+r.Key] = r.ColumnsMap()
 			}
 		}
 		return out

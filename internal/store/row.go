@@ -24,9 +24,10 @@
 // commitlog into memtables on startup. With Dir empty everything stays in
 // RAM, exactly as before.
 //
-// Rows move through the engine in a compact interned-column representation
-// (persist.Col — column names as dictionary IDs) and the public Columns
-// map is materialized only at API boundaries; see persist.Row.
+// A row holds its cells in one form everywhere, from ingest to the wire:
+// interned (column ID, value) pairs sorted by ID (persist.Col). A map
+// becomes a row only through MapRow and a row becomes a map only through
+// Row.ColumnsMap, both at the API edge; see persist.Row.
 package store
 
 import (
@@ -40,17 +41,22 @@ import (
 // on-disk segment layer can share it without an import cycle.
 type Row = persist.Row
 
-// Col is one cell in the compact row representation; see persist.Col.
+// Col is one cell of a row; see persist.Col.
 type Col = persist.Col
 
 // Range selects clustering keys in [From, To); see persist.Range.
 type Range = persist.Range
 
-// MakeRow builds a compact row from cols; see persist.MakeRow. Writers on
-// hot ingest paths construct rows this way (with column IDs interned once
-// via InternColumn) to avoid the per-row map.
+// MakeRow builds a row from cols; see persist.MakeRow. Writers on hot
+// ingest paths intern their column IDs once via InternColumn.
 func MakeRow(key string, writeTS int64, cols []Col) Row {
 	return persist.MakeRow(key, writeTS, cols)
+}
+
+// MapRow builds a row from a name→value map that arrives from outside the
+// engine; see persist.MapRow.
+func MapRow(key string, writeTS int64, m map[string]string) Row {
+	return persist.MapRow(key, writeTS, m)
 }
 
 // C builds a Col by name; see persist.C.

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"testing"
@@ -69,8 +70,8 @@ func TestRangeContains(t *testing.T) {
 }
 
 func TestMergeRowsLastWriteWins(t *testing.T) {
-	a := []Row{{Key: "1", WriteTS: 1, Columns: map[string]string{"v": "old"}}}
-	b := []Row{{Key: "1", WriteTS: 2, Columns: map[string]string{"v": "new"}}}
+	a := []Row{MapRow("1", 1, map[string]string{"v": "old"})}
+	b := []Row{MapRow("1", 2, map[string]string{"v": "new"})}
 	got := mergeRows(a, b)
 	if len(got) != 1 || got[0].Col("v") != "new" {
 		t.Fatalf("mergeRows LWW got %+v", got)
@@ -162,13 +163,46 @@ func TestSliceRange(t *testing.T) {
 }
 
 func TestRowClone(t *testing.T) {
-	r := Row{Key: "k", WriteTS: 5, Columns: map[string]string{"a": "1"}}
+	r := MapRow("k", 5, map[string]string{"a": "1"})
 	c := r.Clone()
-	c.Columns["a"] = "2"
-	if r.Columns["a"] != "1" {
-		t.Fatal("Clone shares column map")
+	if &c.Cols()[0] == &r.Cols()[0] {
+		t.Fatal("Clone shares cells")
+	}
+	if c.Key != "k" || c.WriteTS != 5 || c.Col("a") != "1" {
+		t.Fatalf("Clone = %+v", c)
 	}
 	if r.Col("missing") != "" {
 		t.Fatal("Col on missing column should be empty")
+	}
+}
+
+func TestMapRow(t *testing.T) {
+	for name, m := range map[string]map[string]string{
+		"nil":   nil,
+		"empty": {},
+		"one":   {"amount": "1"},
+		"many":  {"zeta": "z", "source": "c0-0c0s0n0", "amount": "2", "attr.bank": "", "raw": "it's"},
+	} {
+		r := MapRow("k", 7, m)
+		if r.Key != "k" || r.WriteTS != 7 {
+			t.Fatalf("%s: MapRow = %+v", name, r)
+		}
+		cols := r.Cols()
+		if len(cols) != len(m) {
+			t.Fatalf("%s: %d cells, want %d", name, len(cols), len(m))
+		}
+		for i := 1; i < len(cols); i++ {
+			if cols[i-1].ID >= cols[i].ID {
+				t.Fatalf("%s: cells not sorted by ID: %v", name, cols)
+			}
+		}
+		if got := r.ColumnsMap(); !maps.Equal(got, m) {
+			t.Fatalf("%s: ColumnsMap(MapRow(m)) = %v, want %v", name, got, m)
+		}
+		for k, v := range m {
+			if r.Col(k) != v {
+				t.Fatalf("%s: Col(%q) = %q, want %q", name, k, r.Col(k), v)
+			}
+		}
 	}
 }

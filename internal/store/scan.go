@@ -83,9 +83,8 @@ type PruneStats = persist.PruneStats
 // wire unpruned. Quorum/All need cross-replica reconciliation and read
 // repair, so they stream the rows of Get.
 //
-// Yielded rows are compact (their Columns field is nil): read cells
-// through Row.Col/ColID/Cols or materialize with Row.ColumnsMap. Rows
-// share storage with the store and must be treated as read-only.
+// Read cells through Row.Col/ColID/Cols. Rows share storage with the
+// store and must be treated as read-only.
 func (db *DB) ScanPartitionPruned(tableName, pkey string, rg Range, cl Consistency, pr Pruner, stats *PruneStats) (RowIter, error) {
 	if cl != One {
 		rows, err := db.Get(tableName, pkey, rg, cl)

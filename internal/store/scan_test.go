@@ -32,8 +32,7 @@ func sameRows(a, b []Row) bool {
 		if a[i].Key != b[i].Key || a[i].WriteTS != b[i].WriteTS {
 			return false
 		}
-		// Compare logical cell content: streaming scans yield compact rows
-		// while Get materializes the map.
+		// Compare logical cell content.
 		am, bm := a[i].ColumnsMap(), b[i].ColumnsMap()
 		if len(am) != len(bm) {
 			return false
@@ -57,7 +56,7 @@ func TestScanMatchesGet(t *testing.T) {
 	// Enough rows to force several flushes and a compaction, plus
 	// overwrites of existing keys with newer write timestamps.
 	for i := 0; i < 100; i++ {
-		row := Row{Key: EncodeTS(int64(i % 40)), Columns: map[string]string{"v": fmt.Sprint(i)}}
+		row := MapRow(EncodeTS(int64(i%40)), 0, map[string]string{"v": fmt.Sprint(i)})
 		if err := db.Put("t", pkey, row, All); err != nil {
 			t.Fatal(err)
 		}

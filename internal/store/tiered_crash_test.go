@@ -41,10 +41,7 @@ func TestTieredCorruptionFallsBackToReplica(t *testing.T) {
 	const nRows = 200
 	rows := make([]Row, 0, nRows)
 	for i := 0; i < nRows; i++ {
-		rows = append(rows, Row{
-			Key:     EncodeTS(int64(5000+i)) + ":src",
-			Columns: map[string]string{"i": fmt.Sprint(i)},
-		})
+		rows = append(rows, MapRow(EncodeTS(int64(5000+i))+":src", 0, map[string]string{"i": fmt.Sprint(i)}))
 	}
 	if err := db.PutBatch("events", "hot", rows, All); err != nil {
 		t.Fatal(err)
@@ -105,10 +102,7 @@ func TestTieredCrashRecovery(t *testing.T) {
 	for b := 0; b < batches; b++ {
 		var rows []Row
 		for i := 0; i < rowsPerBatch; i++ {
-			rows = append(rows, Row{
-				Key:     EncodeTS(int64(5000+b*rowsPerBatch+i)) + ":src",
-				Columns: map[string]string{"batch": fmt.Sprint(b)},
-			})
+			rows = append(rows, MapRow(EncodeTS(int64(5000+b*rowsPerBatch+i))+":src", 0, map[string]string{"batch": fmt.Sprint(b)}))
 		}
 		if err := db.PutBatch("events", fmt.Sprintf("part-%d", b%3), rows, All); err != nil {
 			t.Fatal(err)

@@ -29,8 +29,7 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// encodePutRecord encodes a put-batch commitlog record. rows are
-// normalized to the compact representation in place. The buffer is grown
+// encodePutRecord encodes a put-batch commitlog record. The buffer is grown
 // once, to an estimate of the record's size (exactness does not matter:
 // append covers a short guess).
 func encodePutRecord(buf []byte, table, pkey string, rows []Row) []byte {

@@ -11,7 +11,7 @@ func TestPutRecordRoundTrip(t *testing.T) {
 	rows := []Row{
 		MakeRow("k1", 7, []Col{C("amount", "3"), C("source", "c0-0c0s0n0")}),
 		MakeRow("k2", 8, []Col{C("amount", "1")}),
-		{Key: "k3", WriteTS: 9, Columns: map[string]string{"raw": "boom"}},
+		MapRow("k3", 9, map[string]string{"raw": "boom"}),
 	}
 	payload := encodePutRecord(nil, "events", "412:MCE", rows)
 	rec, err := decodeWALRecord(payload)
