@@ -38,12 +38,19 @@ bench-test:
 # Tiered-storage smoke: force-evict every sealed segment to a local-fs
 # object store and prove the engine corpus stays byte-identical through
 # Merkle-verified read-through (including across a reopen), crash images
-# cut at every upload/eviction stage recover without losing acked rows,
-# a flipped object byte falls back to a replica, and the tiered scan
-# benchmark still runs (resident / cached / cold-fetch).
+# cut at every upload/eviction stage recover without losing acked rows —
+# for single-segment objects and for round objects of many sections —
+# a flipped object byte falls back to a replica, the sections of one round
+# object never read each other's cached blocks and outlive a retired
+# sibling, a round costs one file and a sweep one object and one stub,
+# a stub keeps the dead marks of the file it replaces and a crash never
+# revives a retired section through its object, the background sweep
+# takes mostly cold round files whole, and the tiered scan benchmark
+# still runs (resident / cached / cold-fetch).
 tier-smoke:
 	$(GO) test -count=1 -run TestTieredEngineCorpus ./internal/enginetest/
-	$(GO) test -count=1 -run 'TestTieredCrashRecovery|TestTieredCorruptionFallsBackToReplica' ./internal/store/
+	$(GO) test -count=1 -run 'TestTieredCrashRecovery|TestTieredRoundObjectCrashRecovery|TestTieredCorruptionFallsBackToReplica' ./internal/store/
+	$(GO) test -count=1 -run 'TestRoundObjectSectionsReadTheirOwnBlocks|TestRetiringOneSectionKeepsSiblings|TestCompactingOnePartitionLeavesNoDeadSection|TestRoundSyncBudget|TestEvictedFileKeepsItsDeadMarks|TestCrashBeforeEntryDropKeepsSectionDead|TestTierSweepColdPolicyAcrossRoundFiles' ./internal/store/persist/
 	$(GO) test -run XXX -bench BenchmarkTieredScan -benchtime 1x .
 
 # Exposition-format lint plus cluster observability: every /v1/metrics
@@ -166,7 +173,7 @@ bench-smoke:
 
 # Allocation regression guards: a segment scan, a projected v5 block decode
 # (zero per block), a flush round (constant per round, small constant per
-# segment, no file buffer per segment), a durable partition read through
+# segment, no image buffer and no file per segment), a durable partition read through
 # Get and through PartitionBatches at QUORUM (no per-row conversion), a
 # bulk import (objects per imported event), a batch histogram and
 # heat-map fold (constant per scan, zero per block), a put-record encode,

@@ -357,7 +357,7 @@ func printStorageStats(st store.StorageStats) {
 	fmt.Printf("  flush:     %d flushes, %d rows\n", st.Flushes, st.FlushedRows)
 	fmt.Printf("  compact:   %d compactions, %d segments in, %d rows out\n",
 		st.Compactions, st.CompactedSegments, st.CompactedRows)
-	fmt.Printf("  on disk:   %d segments, %.1f MB\n", st.DiskSegments, float64(st.DiskBytes)/(1<<20))
+	fmt.Printf("  on disk:   %d segments in %d files, %.1f MB\n", st.DiskSegments, st.DiskFiles, float64(st.DiskBytes)/(1<<20))
 	fmt.Printf("  recovery:  %d records / %d rows replayed, %d torn bytes ignored\n",
 		st.ReplayedRecords, st.ReplayedRows, st.TornBytes)
 	if st.Tier != nil {

@@ -23,9 +23,11 @@ type BlockCache struct {
 	evicted uint64
 }
 
+// blockID names a block by its object and its byte offset there, which
+// tells apart equal block indexes of the sections one object holds.
 type blockID struct {
-	key   string // object key
-	block int    // block index within the segment
+	key string // object key
+	off int64  // the block's offset within the object
 }
 
 type cacheEntry struct {
@@ -53,14 +55,15 @@ func NewBlockCache(budget int64) *BlockCache {
 	}
 }
 
-// GetOrFetch returns the cached block, or fetches it via fetch exactly
+// GetOrFetch returns the block at off of object key, cached, or fetches
+// it via fetch exactly
 // once per concurrent group of callers. The returned bytes are pinned —
 // the caller MUST call release (exactly once) when done, after which the
 // bytes may be evicted and must not be read. fetch runs without the
 // cache lock held; its error is returned to every waiter of the flight
 // and nothing is cached.
-func (c *BlockCache) GetOrFetch(key string, block int, fetch func() ([]byte, error)) (data []byte, release func(), err error) {
-	id := blockID{key: key, block: block}
+func (c *BlockCache) GetOrFetch(key string, off int64, fetch func() ([]byte, error)) (data []byte, release func(), err error) {
+	id := blockID{key: key, off: off}
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[id]; ok {
@@ -171,16 +174,15 @@ func (c *BlockCache) release(e *cacheEntry) {
 	}
 }
 
-// DropKey evicts every unpinned cached block of one object key —
-// compaction calls it when the segment is retired so dead blocks don't
-// squat in the budget.
-func (c *BlockCache) DropKey(key string) {
+// Drop evicts every unpinned cached block of object key in [lo, hi): the
+// range of a retired section, whose siblings' blocks stay.
+func (c *BlockCache) Drop(key string, lo, hi int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for el := c.lru.Back(); el != nil; {
 		prev := el.Prev()
 		e := el.Value.(*cacheEntry)
-		if e.id.key == key && e.refs == 0 {
+		if e.id.key == key && lo <= e.id.off && e.id.off < hi && e.refs == 0 {
 			c.lru.Remove(el)
 			delete(c.entries, e.id)
 			c.used -= int64(len(e.data))

@@ -13,7 +13,7 @@ func TestCacheHitMissAndLRU(t *testing.T) {
 	c := NewBlockCache(64) // room for two 32-byte blocks
 	fetches := 0
 	get := func(key string, block int) []byte {
-		data, release, err := c.GetOrFetch(key, block, func() ([]byte, error) {
+		data, release, err := c.GetOrFetch(key, int64(block), func() ([]byte, error) {
 			fetches++
 			return bytes.Repeat([]byte{byte(block)}, 32), nil
 		})
@@ -142,17 +142,22 @@ func TestCacheSingleFlight(t *testing.T) {
 	}
 }
 
+// TestCacheDropKey: dropping a section's range of one object evicts its
+// blocks and no other's — not another object's, not a sibling section's.
 func TestCacheDropKey(t *testing.T) {
 	c := NewBlockCache(1 << 20)
-	for i := 0; i < 3; i++ {
-		_, release, _ := c.GetOrFetch("dead", i, func() ([]byte, error) { return []byte{1, 2}, nil })
+	for i := int64(0); i < 6; i++ { // two sections of three blocks: [0, 30) and [30, 60)
+		_, release, _ := c.GetOrFetch("obj", 10*i, func() ([]byte, error) { return []byte{1, 2}, nil })
 		release()
 	}
 	_, keepRel, _ := c.GetOrFetch("live", 0, func() ([]byte, error) { return []byte{3}, nil })
-	c.DropKey("dead")
-	st := c.Stats()
-	if st.Entries != 1 || st.Used != 1 {
-		t.Fatalf("DropKey left %+v", st)
+	c.Drop("obj", 0, 30)
+	if st := c.Stats(); st.Entries != 4 || st.Used != 7 {
+		t.Fatalf("dropping one section left %+v", st)
+	}
+	c.Drop("obj", 30, 60)
+	if st := c.Stats(); st.Entries != 1 || st.Used != 1 {
+		t.Fatalf("dropping both sections left %+v", st)
 	}
 	keepRel()
 }

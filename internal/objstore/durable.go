@@ -10,12 +10,13 @@ import (
 )
 
 // IO counts every durability operation the segment store and the tier
-// issue: file fsyncs, directory fsyncs, and tier-manifest writes (one per
-// appended record or snapshot rewrite). It is the one seam all of them go
-// through, so a budget test can assert "a flush round of N segments costs
-// one directory fsync" from deltas of these counters.
+// issue: file creates, file fsyncs, directory fsyncs, and tier-manifest
+// writes (one per appended record or snapshot rewrite). It is the one seam
+// all of them go through, so a budget test can assert "a flush round of N
+// segments creates one file and costs one directory fsync" from deltas of
+// these counters.
 var IO struct {
-	FileSyncs, DirSyncs, ManifestWrites obs.Counter
+	Creates, FileSyncs, DirSyncs, ManifestWrites obs.Counter
 }
 
 // TempExt marks a file written under a temporary name until the barrier
@@ -23,6 +24,24 @@ var IO struct {
 // files sweeps leftovers at open: a *.tmp was never visible under its
 // final name.
 const TempExt = ".tmp"
+
+// CreateTemp creates path's temp file for a round to fill and commit. It
+// and WriteTemp create every file, so IO.Creates counts them all.
+func CreateTemp(path string) (*os.File, error) {
+	IO.Creates.Inc()
+	return os.Create(path + TempExt)
+}
+
+// WriteTemp writes data as path's temp file, unsynced, for a round to
+// commit. On error no temp file is left.
+func WriteTemp(path string, data []byte) error {
+	IO.Creates.Inc()
+	err := os.WriteFile(path+TempExt, data, 0o644)
+	if err != nil {
+		os.Remove(path + TempExt)
+	}
+	return err
+}
 
 // syncWorkers bounds the concurrent fsyncs of one barrier. The gain is
 // overlap of waits (the filesystem commits them as a group), not CPU.

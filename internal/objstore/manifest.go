@@ -11,8 +11,10 @@ import (
 )
 
 // Manifest is the per-node record of segments that live in the object
-// store: which local sequence number maps to which object key, how big
-// the object is, and the Merkle root it must verify against. It is the
+// store: which local sequence number maps to which object key and which
+// section of it, how big the object is, and the Merkle root the section
+// must verify against. An object stays live while any entry names it. It
+// is the
 // tiering crash-safety anchor — entries are appended (one fsynced record
 // per batch) only after their objects are uploaded, read back verified
 // AND made durable, and a local data file is released only after its
@@ -47,12 +49,13 @@ type Manifest struct {
 	torn    bool  // the file has bytes past size; cut before the next append
 }
 
-// ManifestEntry describes one uploaded segment.
+// ManifestEntry describes one uploaded segment: one section of an object.
 type ManifestEntry struct {
 	Seq       uint64
 	Key       string // object key
-	Size      int64  // full object (segment file) size
-	DataLen   int64  // end of the data region within the object
+	Size      int64  // full object (data file) size
+	Off       int64  // the section's offset within the object
+	DataLen   int64  // end of the data region within the section
 	Rows      int64
 	Table     string
 	Partition string
@@ -65,14 +68,18 @@ type ManifestEntry struct {
 var ErrBadManifest = errors.New("objstore: malformed tier manifest")
 
 const (
-	manifestMagic = "HPTIERM1"
+	manifestMagic = "HPTIERM2"
+	// manifestMagicV1 and recPutV1 are the image and put record of entries
+	// without an offset (Off 0), written while an object held one segment.
+	manifestMagicV1 = "HPTIERM1"
 	// maxManifestEntries bounds decode allocation against hostile counts.
 	maxManifestEntries = 1 << 24
 
 	// Log record kinds. A record is kind | u32 payload length | payload |
 	// u32 crc32c(everything before).
-	recPut    = 1 // payload: uvarint count | entries
+	recPutV1  = 1
 	recRemove = 2 // payload: uvarint count | uvarint seqs
+	recPut    = 3 // payload: uvarint count | entries
 	recHeader = 5
 )
 
@@ -250,8 +257,7 @@ func (m *Manifest) logLocked(kind byte, payload []byte, dead int) error {
 // atomically: a crash leaves either the old log or the new snapshot.
 func (m *Manifest) snapshotLocked() error {
 	data := EncodeManifest(m.sortedLocked())
-	if err := os.WriteFile(m.path+TempExt, data, 0o644); err != nil {
-		os.Remove(m.path + TempExt)
+	if err := WriteTemp(m.path, data); err != nil {
 		return err
 	}
 	if err := Commit([]string{m.path}, nil); err != nil {
@@ -272,6 +278,7 @@ func appendManifestEntry(b []byte, e ManifestEntry) []byte {
 	b = binary.AppendUvarint(b, e.Seq)
 	appendStr(e.Key)
 	b = binary.AppendUvarint(b, uint64(e.Size))
+	b = binary.AppendUvarint(b, uint64(e.Off))
 	b = binary.AppendUvarint(b, uint64(e.DataLen))
 	b = binary.AppendUvarint(b, uint64(e.Rows))
 	appendStr(e.Table)
@@ -341,20 +348,25 @@ func (d *manifestDec) count() uint64 {
 	return n
 }
 
-func (d *manifestDec) entry() (e ManifestEntry) {
+// entry decodes one entry; a v1 entry has no offset.
+func (d *manifestDec) entry(v1 bool) (e ManifestEntry) {
 	e.Seq = d.uvarint("seq")
 	e.Key = d.str("key")
-	size, dataLen, rows := d.uvarint("size"), d.uvarint("data len"), d.uvarint("rows")
+	size, off := d.uvarint("size"), uint64(0)
+	if !v1 {
+		off = d.uvarint("offset")
+	}
+	dataLen, rows := d.uvarint("data len"), d.uvarint("rows")
 	e.Table = d.str("table")
 	e.Partition = d.str("partition")
 	if d.err != nil {
 		return e
 	}
-	if size > 1<<62 || dataLen > size {
+	if size > 1<<62 || off > size || dataLen > size-off {
 		d.fail("implausible sizes")
 		return e
 	}
-	e.Size, e.DataLen, e.Rows = int64(size), int64(dataLen), int64(rows)
+	e.Size, e.Off, e.DataLen, e.Rows = int64(size), int64(off), int64(dataLen), int64(rows)
 	if len(d.b) < HashLen {
 		d.fail("root truncated")
 		return e
@@ -373,14 +385,15 @@ func decodeImage(data []byte) ([]ManifestEntry, int, error) {
 	if len(data) < len(manifestMagic)+4 {
 		return nil, 0, fmt.Errorf("%w: too short", ErrBadManifest)
 	}
-	if string(data[:len(manifestMagic)]) != manifestMagic {
+	magic := string(data[:len(manifestMagic)])
+	if magic != manifestMagic && magic != manifestMagicV1 {
 		return nil, 0, fmt.Errorf("%w: bad magic", ErrBadManifest)
 	}
 	d := manifestDec{b: data[len(manifestMagic):]}
 	count := d.count()
 	entries := make([]ManifestEntry, 0, min(count, 1024))
 	for i := uint64(0); i < count && d.err == nil; i++ {
-		entries = append(entries, d.entry())
+		entries = append(entries, d.entry(magic == manifestMagicV1))
 	}
 	if d.err != nil {
 		return nil, 0, d.err
@@ -433,8 +446,8 @@ func replayManifest(data []byte, entries map[uint64]ManifestEntry) (valid, logge
 		d := manifestDec{b: payload}
 		count := d.count()
 		for i := uint64(0); i < count && d.err == nil; i++ {
-			if kind == recPut {
-				if e := d.entry(); d.err == nil {
+			if kind != recRemove {
+				if e := d.entry(kind == recPutV1); d.err == nil {
 					entries[e.Seq] = e
 				}
 			} else {
@@ -464,7 +477,7 @@ func nextRecord(b []byte) (payload []byte, kind byte, n int) {
 	if end+4 > int64(len(b)) {
 		return nil, 0, 0
 	}
-	if kind = b[0]; kind != recPut && kind != recRemove {
+	if kind = b[0]; kind != recPut && kind != recPutV1 && kind != recRemove {
 		return nil, 0, -1
 	}
 	if crc32.Checksum(b[:end], manifestCRC) != binary.LittleEndian.Uint32(b[end:]) {

@@ -246,8 +246,13 @@ func FuzzDecodeManifest(f *testing.F) {
 			if !errors.Is(err, ErrBadManifest) {
 				t.Fatalf("non-typed decode error: %v", err)
 			}
+		} else if bytes.HasPrefix(data, []byte(manifestMagicV1)) {
+			// A v1 image re-encodes in the current format, to the same entries.
+			if again, err := DecodeManifest(EncodeManifest(entries)); err != nil || !reflect.DeepEqual(again, entries) {
+				t.Fatalf("v1 image does not survive re-encoding: %v", err)
+			}
 		} else if !bytes.Equal(EncodeManifest(entries), data) {
-			// Anything that decodes as an image must re-encode canonically.
+			// Anything else that decodes as an image must re-encode canonically.
 			t.Fatal("decode/encode not canonical")
 		}
 

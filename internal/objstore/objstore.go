@@ -8,10 +8,11 @@
 // single-flight fetches, and the Tier front door the segment store reads
 // evicted blocks through.
 //
-// Objects are immutable once written: a segment is uploaded exactly once
-// under a key derived from its sequence number and deleted only when
-// compaction retires it. There is no overwrite path, so the backends
-// need no versioning or conditional writes.
+// Objects are immutable once written: a data file (the segments of one
+// round, as sections) is uploaded exactly once under a key derived from
+// its name and deleted only when compaction has retired its last section.
+// There is no overwrite path, so the backends need no versioning or
+// conditional writes.
 package objstore
 
 import (
@@ -116,7 +117,7 @@ func (s *FS) Put(_ context.Context, key string, r io.Reader, size int64) error {
 		return err
 	}
 	tmp := path + TempExt
-	f, err := os.Create(tmp)
+	f, err := CreateTemp(path)
 	if err != nil {
 		return err
 	}

@@ -87,10 +87,10 @@ func (t *Tier) Store() ObjectStore { return t.store }
 // Cache returns the shared block cache.
 func (t *Tier) Cache() *BlockCache { return t.cache }
 
-// ReadBlock returns block `block` of the object at key — the bytes at
-// [off, off+n) — Merkle-verified against root before they are cached or
-// returned. tree must be the tree whose leaves are resident in the
-// segment footer; root is the pinned root from the manifest, so a
+// ReadBlock returns block `block` of a section of the object at key — the
+// bytes at [off, off+n) of the object — Merkle-verified against root
+// before they are cached or returned. tree must be the section's tree,
+// whose leaves are resident in its footer; root is the pinned root from the manifest, so a
 // tampered footer leaf array cannot satisfy the proof either. The caller
 // MUST call release when done with the bytes.
 //
@@ -98,7 +98,7 @@ func (t *Tier) Cache() *BlockCache { return t.cache }
 // key and block) and the bytes are never cached; the caller falls back
 // to a replica via the normal failover path.
 func (t *Tier) ReadBlock(ctx context.Context, key string, block int, off, n int64, root [HashLen]byte, tree *Tree) (data []byte, release func(), err error) {
-	return t.cache.GetOrFetch(key, block, func() ([]byte, error) {
+	return t.cache.GetOrFetch(key, off, func() ([]byte, error) {
 		start := time.Now()
 		b, err := t.store.ReadRange(ctx, key, off, n)
 		if err != nil {

@@ -119,7 +119,7 @@ func TestTierAnyFlippedByteDetected(t *testing.T) {
 			t.Fatalf("clean retry after flip at %d: %v", off, err)
 		}
 		release()
-		tier.Cache().DropKey(key) // next iteration must hit the store again
+		tier.Cache().Drop(key, 0, nBlocks*blockLen) // next iteration must hit the store again
 	}
 	if tier.VerifyFailures.Load() != int64(nBlocks*blockLen) {
 		t.Fatalf("verify failures = %d, want %d", tier.VerifyFailures.Load(), nBlocks*blockLen)

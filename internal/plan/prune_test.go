@@ -23,10 +23,7 @@ func buildBlockStats(t testing.TB, rows []store.Row) ([]store.Row, *persist.Bloc
 		}
 		kept = append(kept, r)
 	}
-	w, err := persist.NewWriter(filepath.Join(t.TempDir(), "b.seg"), "t", "p", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := persist.NewWriter("t", "p", 1)
 	if err := w.SetZoneColumns(quickCols); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +32,7 @@ func buildBlockStats(t testing.TB, rows []store.Row) ([]store.Row, *persist.Bloc
 			t.Fatal(err)
 		}
 	}
-	seg, err := w.Finish()
+	seg, err := w.Finish(filepath.Join(t.TempDir(), "b.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,16 +132,13 @@ func TestBatchFilterMatchesEval(t *testing.T) {
 		rows[i] = randRow(rng)
 		rows[i].Key = store.EncodeTS(int64(i)) + rows[i].Key
 	}
-	w, err := persist.NewWriter(filepath.Join(t.TempDir(), "f.seg"), "t", "p", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := persist.NewWriter("t", "p", 1)
 	for _, r := range rows {
 		if err := w.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	seg, err := w.Finish()
+	seg, err := w.Finish(filepath.Join(t.TempDir(), "f.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}

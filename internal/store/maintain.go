@@ -214,6 +214,7 @@ type StorageStats struct {
 	CompactedSegments int64 `json:"compacted_segments"`
 	CompactedRows     int64 `json:"compacted_rows"`
 	DiskSegments      int64 `json:"disk_segments"`
+	DiskFiles         int64 `json:"disk_files"` // data files and footer stubs holding the segments
 	DiskBytes         int64 `json:"disk_bytes"`
 
 	// TieredSegments/TieredBytes count segments whose data lives in the
@@ -285,6 +286,7 @@ func (db *DB) StorageStats() StorageStats {
 		st.CompactedSegments += ps.CompactedSegments
 		st.CompactedRows += ps.CompactedRows
 		st.DiskSegments += ps.Segments
+		st.DiskFiles += ps.Files
 		st.DiskBytes += ps.Bytes
 		st.TieredSegments += ps.TieredSegments
 		st.TieredBytes += ps.TieredBytes

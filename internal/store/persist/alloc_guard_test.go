@@ -18,16 +18,13 @@ import (
 func TestSegmentScanAllocBudget(t *testing.T) {
 	const nRows = 2048
 	rows := benchSegmentRows(nRows)
-	w, err := NewWriter(filepath.Join(t.TempDir(), "a.seg"), "events", "p", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := NewWriter("events", "p", 1)
 	for _, r := range rows {
 		if err := w.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	seg, err := w.Finish()
+	seg, err := w.Finish(filepath.Join(t.TempDir(), "a.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,19 +63,19 @@ func TestSegmentScanAllocBudget(t *testing.T) {
 }
 
 // TestFlushRoundAllocBudget pins what a flush round may allocate: a
-// constant per round (the worker pool, the path, writer and segment
-// lists, one scratch set per worker) plus a small constant per part
-// (writer, footer metadata, file descriptors, segment). The 64 KiB file
-// buffer is borrowed from scratchPool, so a round of 256 parts must not
-// allocate 256 of them. Measured: 54 objects and 5.7 KiB per part; at the
-// parent commit (a writer per segment with its own buffers, the footer
-// read back and decoded) 78 objects and 72 KiB.
+// constant per round (the worker pool, the round file, its index, the
+// writer and segment lists, one scratch set per worker) plus a small
+// constant per part (writer, footer metadata, segment). The image buffer
+// is borrowed from scratchPool and every part lands in the round's one
+// file, so a round of 256 parts must not allocate 256 buffers or open 256
+// files. Measured: 29 objects and 2.9 KiB per part; with a file per
+// segment, 52 objects and 4.9 KiB.
 func TestFlushRoundAllocBudget(t *testing.T) {
 	const (
 		parts         = 256
 		perRound      = 256
-		perPart       = 64
-		perPartBytes  = 16 << 10
+		perPart       = 40
+		perPartBytes  = 8 << 10
 		smallPartRows = 8
 	)
 	s, err := OpenStore(t.TempDir())
@@ -107,7 +104,7 @@ func TestFlushRoundAllocBudget(t *testing.T) {
 	}
 	if b2-b1 > perPartBytes*parts {
 		t.Fatalf("%d more parts cost a flush round %.0f more bytes, budget %d per part: "+
-			"is every segment writer buying its own file buffer again?", parts, b2-b1, perPartBytes)
+			"is every segment writer buying its own image buffer again?", parts, b2-b1, perPartBytes)
 	}
 }
 

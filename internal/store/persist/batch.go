@@ -283,7 +283,7 @@ func unsafeString(b []byte) string { return unsafe.String(unsafe.SliceData(b), l
 type scanInput struct {
 	s     *Segment
 	cfg   ScanConfig
-	local bool // read via s.f (fenced open before any eviction)
+	local bool // read off the local data file (fenced open before any eviction)
 }
 
 // BatchScanner is THE segment block decoder, and the BatchIterator over a
@@ -448,14 +448,14 @@ func (sc *BatchScanner) read(blk int) (string, error) {
 	if sc.local {
 		buf = slices.Grow(buf, int(hi-lo))[:hi-lo]
 		sc.buf.block = buf
-		if _, err := sc.s.f.ReadAt(buf, lo); err != nil {
+		if _, err := sc.s.file.f.ReadAt(buf, sc.s.base+lo); err != nil {
 			return "", fmt.Errorf("block read: %w", err)
 		}
 	} else {
 		// Evicted segment: Merkle-verified read-through the tier's block
 		// cache. The bytes are copied out, so the cache entry is released
 		// immediately.
-		data, release, err := sc.s.tier.ReadBlock(context.Background(), sc.s.tierKey, blk, lo, hi-lo, sc.s.root, sc.s.tree)
+		data, release, err := sc.s.tier.ReadBlock(context.Background(), sc.s.tierKey, blk, sc.s.base+lo, hi-lo, sc.s.root, sc.s.tree)
 		if err != nil {
 			return "", fmt.Errorf("tier block read: %w", err)
 		}

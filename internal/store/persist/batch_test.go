@@ -77,7 +77,7 @@ func rawBlocks(t testing.TB, seg *Segment) [][]byte {
 	for i := range seg.meta.Index {
 		lo, hi := seg.blockBounds(i)
 		blk := make([]byte, hi-lo)
-		if _, err := seg.f.ReadAt(blk, lo); err != nil {
+		if _, err := seg.file.f.ReadAt(blk, seg.base+lo); err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, blk)
@@ -116,11 +116,8 @@ func FuzzDecodeBlockProjected(f *testing.F) {
 		}
 		rows = append(rows, Row{Key: EncodeTS(int64(i)) + ":k", WriteTS: int64(i * 3 % 7), cols: cols})
 	}
-	w, err := NewWriter(filepath.Join(f.TempDir(), "seed.seg"), "t", "p", 1)
-	if err == nil {
-		err = w.SetZoneColumns([]string{})
-	}
-	if err != nil {
+	w := NewWriter("t", "p", 1)
+	if err := w.SetZoneColumns([]string{}); err != nil {
 		f.Fatal(err)
 	}
 	for _, r := range rows {
@@ -128,7 +125,7 @@ func FuzzDecodeBlockProjected(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	seg, err := w.Finish()
+	seg, err := w.Finish(filepath.Join(f.TempDir(), "seed.seg"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -254,10 +251,7 @@ func TestScanBatchesMatchesScan(t *testing.T) {
 		all = append(all, InternColumn(n))
 	}
 	const nRows = 1000
-	w, err := NewWriter(filepath.Join(t.TempDir(), "b.seg"), "events", "p", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := NewWriter("events", "p", 1)
 	for i := 0; i < nRows; i++ {
 		var cols []Col
 		for j, id := range all {
@@ -273,7 +267,7 @@ func TestScanBatchesMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seg, err := w.Finish()
+	seg, err := w.Finish(filepath.Join(t.TempDir(), "b.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,16 +41,13 @@ func benchSegmentRows(n int) []Row {
 }
 
 func benchSegment(b *testing.B, rows []Row) *Segment {
-	w, err := NewWriter(filepath.Join(b.TempDir(), "bench.seg"), "events", "p", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	w := NewWriter("events", "p", 1)
 	for _, r := range rows {
 		if err := w.Append(r); err != nil {
 			b.Fatal(err)
 		}
 	}
-	seg, err := w.Finish()
+	seg, err := w.Finish(filepath.Join(b.TempDir(), "bench.seg"))
 	if err != nil {
 		b.Fatal(err)
 	}

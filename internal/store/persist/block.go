@@ -160,15 +160,15 @@ func (s *valueSet) fill(cells []string) {
 	}
 }
 
-// encodeBlock encodes the buffered rows as one v5 block into w.buf,
-// returning it with the bounds of the rows' write timestamps, and feeds
+// encodeBlock appends the buffered rows to the image as one v5 block,
+// returning the bounds of the rows' write timestamps, and feeds
 // the block's Bloom filter and zone maps (w.bb, w.zones) once per distinct
 // value of each column. The rows are dropped.
-func (w *Writer) encodeBlock() (blk []byte, minWTS, maxWTS int64) {
+func (w *Writer) encodeBlock() (minWTS, maxWTS int64) {
 	e := &w.enc
 	rows := e.rows
 	n := len(rows)
-	out := binary.AppendUvarint(w.buf[:0], uint64(n))
+	out := binary.AppendUvarint(w.img, uint64(n))
 
 	total := 0
 	e.dense = e.dense[:0]
@@ -246,8 +246,8 @@ func (w *Writer) encodeBlock() (blk []byte, minWTS, maxWTS int64) {
 	}
 	clear(rows)
 	e.rows = rows[:0]
-	w.buf = out
-	return out, minWTS, maxWTS
+	w.img = out
+	return minWTS, maxWTS
 }
 
 // encodeCol appends one column of an n-row block in whichever encoding is

@@ -11,10 +11,7 @@ import (
 // between blocks.
 func writeStatsSegment(t *testing.T, path string, nRows int) *Segment {
 	t.Helper()
-	w, err := NewWriter(path, "events", "p", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := NewWriter("events", "p", 1)
 	if err := w.SetZoneColumns([]string{"grp", "amount"}); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +25,7 @@ func writeStatsSegment(t *testing.T, path string, nRows int) *Segment {
 			t.Fatal(err)
 		}
 	}
-	seg, err := w.Finish()
+	seg, err := w.Finish(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,18 +85,14 @@ func TestBlockStatsRoundTrip(t *testing.T) {
 	// The absent hot column case: a zone for a configured column never
 	// written must report Cells == 0 — it is the strongest prune signal.
 	seg2 := func() *Segment {
-		path := filepath.Join(t.TempDir(), "b.seg")
-		w, err := NewWriter(path, "events", "p", 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := NewWriter("events", "p", 2)
 		if err := w.SetZoneColumns([]string{"ghost"}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Append(MakeRow("k1", 1, []Col{C("raw", "x")})); err != nil {
 			t.Fatal(err)
 		}
-		s, err := w.Finish()
+		s, err := w.Finish(filepath.Join(t.TempDir(), "b.seg"))
 		if err != nil {
 			t.Fatal(err)
 		}

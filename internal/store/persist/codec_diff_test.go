@@ -17,10 +17,7 @@ var _ = [...]uint32{InternColumn("hz-ord-x"), InternColumn("hz-ord-y"), InternCo
 // writeV5 writes hs through the (only) writer, as seq.
 func writeV5(t testing.TB, dir string, hs hostileSeg, seq uint64) *Segment {
 	t.Helper()
-	w, err := NewWriter(filepath.Join(dir, hs.name+segFileExt), "hostile", hs.name, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := NewWriter("hostile", hs.name, seq)
 	if hs.zones != nil {
 		if err := w.SetZoneColumns(hs.zones); err != nil {
 			t.Fatal(err)
@@ -31,7 +28,7 @@ func writeV5(t testing.TB, dir string, hs hostileSeg, seq uint64) *Segment {
 			t.Fatal(err)
 		}
 	}
-	seg, err := w.Finish()
+	seg, err := w.Finish(filepath.Join(dir, hs.name+segFileExt))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,16 +58,13 @@ func TestRowCodecRoundTrip(t *testing.T) {
 
 func writeTestSegment(t *testing.T, path string, rows []Row) *Segment {
 	t.Helper()
-	w, err := NewWriter(path, "events", "p1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := NewWriter("events", "p1", 1)
 	for _, r := range rows {
 		if err := w.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	seg, err := w.Finish()
+	seg, err := w.Finish(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,16 @@
 package persist
 
 import (
+	"cmp"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"os"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"hpclog/internal/objstore"
 )
@@ -14,18 +23,41 @@ import (
 // to readers, dropped from a memtable, recorded in the tier manifest or
 // unlinked before the barrier that covers it. A crash before the barrier
 // leaves *.tmp garbage (swept at open) and every input intact.
+//
+// A round is also the unit of files: a flush or compaction round writes
+// its segments as the sections of ONE data file, named after the first
+// seq it allocates. Layout:
+//
+//	sections : back to back from 0, each a segment image (segment.go)
+//	index    : uvarint n | n × (uvarint seq | uvarint len), in file order,
+//	           then uvarint m | m × uvarint seq, the dead marks
+//	trailer  : u32 indexLen | u32 crc32(index) | "HPSEGRX1" (8 bytes)
+//
+// A dead mark names a section, of another file, that compaction retired
+// and left on disk (see compactRound): a seq once marked is dead in every
+// file. Each compaction file and each stub marks every dead section on
+// disk when it is written, so no dead section comes back at open.
+//
+// A file without the round trailer (one written before round files) is a
+// round of one section. A footer stub has the same layout; its sections
+// are the stubs of the data file's live ones.
+const roundTrailer = "HPSEGRX1"
+
+// minSection is the length of the smallest segment image: header and
+// trailer around an empty footer.
+const minSection = int64(len(segHeader)) + trailerLen
 
 // roundWorkers bounds the goroutines encoding one round's segments.
 const roundWorkers = 4
 
 // RoundCrashHook, when non-nil, is invoked at each boundary of a flush or
-// compaction round with the stage name and the final paths of the segment
-// files the round writes. The crash harness uses it to capture directory
+// compaction round with the stage name and the final path of the data
+// file the round writes. The crash harness uses it to capture directory
 // images mid-round and prove recovery from each. Stages:
 //
-//	written   — every file written under its temp name, nothing synced
-//	synced    — every file fsynced, none renamed
-//	renamed   — every file under its final name, directory not yet fsynced
+//	written   — the file written under its temp name, nothing synced
+//	synced    — the file fsynced, not renamed
+//	renamed   — the file under its final name, directory not yet fsynced
 //	published — barrier passed; segments visible, inputs retired
 var RoundCrashHook func(stage string, paths []string)
 
@@ -53,4 +85,306 @@ func roundHook(stage string, paths []string) {
 func commitRound(paths []string) error {
 	roundHook("written", paths)
 	return objstore.Commit(paths, func(stage string) { roundHook(stage, paths) })
+}
+
+// section locates one segment within a data file (or stub).
+type section struct {
+	seq      uint64
+	off, len int64
+}
+
+// ErrRoundIndex marks a round index or trailer that does not describe its
+// file: what hostile input yields, never a panic (see FuzzRoundIndex).
+var ErrRoundIndex = errors.New("persist: malformed round index")
+
+// appendRoundIndex appends the index and trailer of secs, in file order,
+// and of the dead marks.
+func appendRoundIndex(b []byte, secs []section, dead []uint64) []byte {
+	start := len(b)
+	b = binary.AppendUvarint(b, uint64(len(secs)))
+	for _, sc := range secs {
+		b = binary.AppendUvarint(binary.AppendUvarint(b, sc.seq), uint64(sc.len))
+	}
+	b = binary.AppendUvarint(b, uint64(len(dead)))
+	for _, seq := range dead {
+		b = binary.AppendUvarint(b, seq)
+	}
+	crc := crc32.Checksum(b[start:], crcTable)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(b)-start))
+	b = binary.LittleEndian.AppendUint32(b, crc)
+	return append(b, roundTrailer...)
+}
+
+// readSections returns the sections and dead marks of the data file or
+// stub r of size bytes; no sections when the file carries no round index
+// (one segment image).
+func readSections(r io.ReaderAt, size int64) ([]section, []uint64, error) {
+	if size < trailerLen {
+		return nil, nil, nil
+	}
+	var tail [trailerLen]byte
+	if _, err := r.ReadAt(tail[:], size-trailerLen); err != nil {
+		return nil, nil, err
+	}
+	if string(tail[8:]) != roundTrailer {
+		return nil, nil, nil
+	}
+	idxLen := int64(binary.LittleEndian.Uint32(tail[0:4]))
+	if idxLen > size-trailerLen {
+		return nil, nil, fmt.Errorf("%w: a %d-byte index in a %d-byte file", ErrRoundIndex, idxLen, size)
+	}
+	idx := make([]byte, idxLen)
+	if _, err := r.ReadAt(idx, size-trailerLen-idxLen); err != nil {
+		return nil, nil, err
+	}
+	if crc32.Checksum(idx, crcTable) != binary.LittleEndian.Uint32(tail[4:8]) {
+		return nil, nil, fmt.Errorf("%w: index checksum mismatch", ErrRoundIndex)
+	}
+	return decodeRoundIndex(idx, size-trailerLen-idxLen)
+}
+
+// decodeRoundIndex decodes an index whose sections must tile [0, end),
+// each under its own seq, and whose dead marks name none of them.
+func decodeRoundIndex(idx []byte, end int64) ([]section, []uint64, error) {
+	d := NewStringDec(string(idx))
+	n, err := d.Uvarint()
+	if err != nil || n == 0 || n > uint64(d.Rest()) {
+		return nil, nil, fmt.Errorf("%w: section count", ErrRoundIndex)
+	}
+	secs := make([]section, n)
+	seen := make(map[uint64]bool, n)
+	off := int64(0)
+	for i := range secs {
+		seq, err1 := d.Uvarint()
+		size, err2 := d.Uvarint()
+		switch {
+		case err1 != nil || err2 != nil:
+			return nil, nil, fmt.Errorf("%w: entry %d truncated", ErrRoundIndex, i)
+		case seen[seq]:
+			return nil, nil, fmt.Errorf("%w: seq %d listed twice", ErrRoundIndex, seq)
+		case size < uint64(minSection) || size > uint64(end-off):
+			return nil, nil, fmt.Errorf("%w: a %d-byte section at %d of a %d-byte data region", ErrRoundIndex, size, off, end)
+		}
+		seen[seq] = true
+		secs[i] = section{seq, off, int64(size)}
+		off += int64(size)
+	}
+	m, err := d.Uvarint()
+	if err != nil || m > uint64(d.Rest()) {
+		return nil, nil, fmt.Errorf("%w: dead mark count", ErrRoundIndex)
+	}
+	dead := make([]uint64, m)
+	for i := range dead {
+		if dead[i], err = d.Uvarint(); err != nil || seen[dead[i]] {
+			return nil, nil, fmt.Errorf("%w: dead mark %d truncated or naming a section of the file", ErrRoundIndex, i)
+		}
+	}
+	if d.Rest() != 0 || off != end {
+		return nil, nil, fmt.Errorf("%w: sections end at %d, the index starts at %d", ErrRoundIndex, off, end)
+	}
+	return secs, dead, nil
+}
+
+// parseSections parses the sections of a data file or stub of size bytes
+// read through r — of several, those keep accepts (nil keeps all) — and
+// returns them with its dead marks.
+func parseSections(r io.ReaderAt, size int64, path string, keep func(seq uint64) bool) ([]*Segment, []uint64, error) {
+	secs, dead, err := readSections(r, size)
+	if err != nil {
+		return nil, nil, fmt.Errorf("persist: %s: %w", path, err)
+	}
+	round := secs != nil
+	if !round {
+		secs = []section{{off: 0, len: size}}
+	}
+	var segs []*Segment
+	for _, sc := range secs {
+		if len(secs) > 1 && keep != nil && !keep(sc.seq) {
+			continue
+		}
+		seg, err := parseSection(r, path, sc.off, sc.len)
+		if err != nil {
+			return nil, nil, err
+		}
+		if round && seg.meta.Seq != sc.seq {
+			return nil, nil, fmt.Errorf("%w: %s: the section of seq %d holds segment %d", ErrRoundIndex, path, sc.seq, seg.meta.Seq)
+		}
+		seg.base = sc.off
+		segs = append(segs, seg)
+	}
+	return segs, dead, nil
+}
+
+// readIndex reads the sections and dead marks of the file at path.
+func readIndex(path string) ([]section, []uint64, error) {
+	f, size, err := openSized(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	return readSections(f, size)
+}
+
+// openSized opens path for reading and returns its size.
+func openSized(path string) (*os.File, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, st.Size(), nil
+}
+
+// dataFile is one data file. While its round writes it, workers fill it
+// in parallel, each reserving a sealed section's range with an atomic
+// add; from the barrier on, its sections share its descriptor (refs
+// counts their holds). The store unlinks it whole and once: once a sweep
+// evicts it, or compaction retires its last section or reclaims it.
+type dataFile struct {
+	path string
+	f    *os.File // the temp file until the barrier
+	size int64
+	segs []*Segment // its live sections
+	dead []section  // its sections compaction retired; changed under Store.mu
+	refs atomic.Int32
+	gone atomic.Bool
+	end  atomic.Int64 // the next free offset, while written
+}
+
+// openFile opens the data file at path with every section in it, not yet
+// owned, and returns its dead marks.
+func openFile(path string) (*dataFile, []uint64, error) {
+	f, size, err := openSized(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	segs, dead, err := parseSections(f, size, path, nil)
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return &dataFile{path: path, f: f, size: size, segs: segs}, dead, nil
+}
+
+// own makes the file of size bytes the one segs read.
+func (d *dataFile) own(segs []*Segment, size int64) {
+	d.size, d.segs = size, segs
+	d.refs.Store(int32(len(segs)))
+	for _, s := range segs {
+		s.file, s.path, s.held = d, d.path, true
+	}
+}
+
+// drop releases one section's reference to the descriptor.
+func (d *dataFile) drop() error {
+	if d.refs.Add(-1) == 0 {
+		return d.f.Close()
+	}
+	return nil
+}
+
+// unlink removes the file (once); open readers keep the descriptor.
+func (d *dataFile) unlink() {
+	if d.gone.CompareAndSwap(false, true) {
+		os.Remove(d.path)
+	}
+}
+
+// createRound starts the data file of a round at path.
+func createRound(path string) (*dataFile, error) {
+	f, err := objstore.CreateTemp(path)
+	if err != nil {
+		return nil, fmt.Errorf("persist: create round file: %w", err)
+	}
+	return &dataFile{path: path, f: f}, nil
+}
+
+// add writes img, the image of seg, into the next free range of the file.
+func (d *dataFile) add(seg *Segment, img []byte) error {
+	n := int64(len(img))
+	off := d.end.Add(n) - n
+	if _, err := d.f.WriteAt(img, off); err != nil {
+		return fmt.Errorf("persist: write round file: %w", err)
+	}
+	seg.base = off
+	return nil
+}
+
+// copySection byte-copies src, a live section of a resident file the round
+// reclaims, into the round's file: same seq, same footer, same Merkle root.
+func (d *dataFile) copySection(src *Segment) (*Segment, error) {
+	local, err := src.acquire()
+	if err != nil {
+		return nil, err
+	}
+	defer src.release(local)
+	if !local {
+		return nil, fmt.Errorf("persist: %s: segment %d is not resident", src.path, src.Seq())
+	}
+	sc := scratchPool.Get().(*writerScratch)
+	defer scratchPool.Put(sc)
+	sc.img = slices.Grow(sc.img[:0], int(src.size))[:src.size]
+	if _, err := src.file.f.ReadAt(sc.img, src.base); err != nil {
+		return nil, fmt.Errorf("persist: %s: copy segment %d: %w", src.path, src.Seq(), err)
+	}
+	cp := &Segment{
+		meta: src.meta, colIDs: src.colIDs, size: src.size, footOff: src.footOff,
+		version: src.version, tree: src.tree, root: src.root, mu: make(chan struct{}, 1),
+	}
+	return cp, d.add(cp, sc.img)
+}
+
+// finish writes the round index, with the dead marks, crosses the barrier
+// and hands the file to segs, its sections — unless the round failed with
+// err. On error no file is left.
+func (d *dataFile) finish(segs []*Segment, dead []uint64, err error) error {
+	var idx []byte
+	if err == nil {
+		idx = appendRoundIndex(nil, sectionsOf(segs), dead)
+		_, err = d.f.WriteAt(idx, d.end.Load())
+	}
+	if err == nil {
+		err = commitRound([]string{d.path})
+	}
+	if err != nil {
+		d.f.Close()
+		os.Remove(d.path + segTempExt)
+		return err
+	}
+	d.own(segs, d.end.Load()+int64(len(idx)))
+	return nil
+}
+
+// sectionsOf returns where segs lie in their file, in file order.
+func sectionsOf(segs []*Segment) []section {
+	secs := make([]section, len(segs))
+	for i, s := range segs {
+		secs[i] = section{s.Seq(), s.base, s.size}
+	}
+	slices.SortFunc(secs, func(a, b section) int { return cmp.Compare(a.off, b.off) })
+	return secs
+}
+
+// buildStub assembles the footer stub of the data file of segs, read
+// through r: each one's header, footer and trailer behind an index that
+// carries the dead marks.
+func buildStub(segs []*Segment, dead []uint64, r io.ReaderAt) ([]byte, error) {
+	var stub []byte
+	secs := make([]section, len(segs))
+	for i, seg := range segs {
+		start, head := len(stub), len(segHeader)
+		stub = append(stub, make([]byte, int64(head)+seg.size-seg.footOff)...)
+		if _, err := r.ReadAt(stub[start:start+head], seg.base); err != nil {
+			return nil, err
+		}
+		if _, err := r.ReadAt(stub[start+head:], seg.base+seg.footOff); err != nil {
+			return nil, err
+		}
+		secs[i] = section{seg.Seq(), int64(start), int64(len(stub) - start)}
+	}
+	return appendRoundIndex(stub, secs, dead), nil
 }

@@ -1,29 +1,38 @@
 package persist
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"hpclog/internal/objstore"
 )
 
-// ioDelta returns a function reporting the file fsyncs, directory fsyncs
-// and manifest writes issued since ioDelta was called.
-func ioDelta() func() (files, dirs, manifest int64) {
-	f0, d0, m0 := objstore.IO.FileSyncs.Load(), objstore.IO.DirSyncs.Load(), objstore.IO.ManifestWrites.Load()
-	return func() (int64, int64, int64) {
-		return objstore.IO.FileSyncs.Load() - f0, objstore.IO.DirSyncs.Load() - d0, objstore.IO.ManifestWrites.Load() - m0
+// ioDelta returns a function reporting the file creates, file fsyncs,
+// directory fsyncs and manifest writes issued since ioDelta was called.
+func ioDelta() func() (creates, files, dirs, manifest int64) {
+	c0, f0, d0, m0 := objstore.IO.Creates.Load(), objstore.IO.FileSyncs.Load(), objstore.IO.DirSyncs.Load(), objstore.IO.ManifestWrites.Load()
+	return func() (int64, int64, int64, int64) {
+		return objstore.IO.Creates.Load() - c0, objstore.IO.FileSyncs.Load() - f0, objstore.IO.DirSyncs.Load() - d0, objstore.IO.ManifestWrites.Load() - m0
 	}
 }
 
 // TestRoundSyncBudget pins what a round may cost: N segments share ONE
-// directory fsync per barrier and a sweep batch ONE manifest write —
-// where the per-segment path issued N of each.
+// data file, ONE file fsync and ONE directory fsync per barrier, a sweep
+// of that file ONE object, ONE stub and ONE manifest write — where the
+// per-segment path created, and fsynced, N of each.
 func TestRoundSyncBudget(t *testing.T) {
 	const n = 12
 	dir, objDir := t.TempDir(), t.TempDir()
-	s := openTiered(t, dir, newTestTier(t, objDir))
+	tier := newTestTier(t, objDir)
+	s := openTiered(t, dir, tier)
 	defer s.Close()
 	parts := func(gen int) []FlushPart {
 		var ps []FlushPart
@@ -32,33 +41,47 @@ func TestRoundSyncBudget(t *testing.T) {
 		}
 		return ps
 	}
+	objects := func() int {
+		keys, err := tier.Store().List(context.Background(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(keys)
+	}
 
 	since := ioDelta()
 	if err := s.FlushRound(parts(0)); err != nil {
 		t.Fatal(err)
 	}
-	if f, d, _ := since(); f != n || d != 1 {
-		t.Fatalf("flush round of %d segments: %d file fsyncs, %d directory fsyncs; want %d and 1", n, f, d, n)
+	if c, f, d, _ := since(); c != 1 || f != 1 || d != 1 {
+		t.Fatalf("flush round of %d segments: %d creates, %d file fsyncs, %d directory fsyncs; want 1 of each", n, c, f, d)
 	}
-	if st := s.Stats(); st.Flushes != n || st.FlushRounds != 1 {
-		t.Fatalf("flushes=%d rounds=%d, want %d and 1", st.Flushes, st.FlushRounds, n)
+	if st := s.Stats(); st.Flushes != n || st.FlushRounds != 1 || st.Segments != n || st.Files != 1 {
+		t.Fatalf("flushes=%d rounds=%d segments=%d files=%d, want %d, 1, %d, 1", st.Flushes, st.FlushRounds, st.Segments, st.Files, n, n)
 	}
 
-	// Sweep: n objects + n stubs + the manifest; one barrier each for the
-	// object directory, the manifest's first snapshot and the stubs.
+	// Sweep: one object, one stub and the manifest's first image (a
+	// create), each behind its own barrier, and one manifest write.
 	since = ioDelta()
 	up, ev, err := s.TierSweep(context.Background(), true)
 	if err != nil || up != n || ev != n {
 		t.Fatalf("sweep: uploaded=%d evicted=%d err=%v", up, ev, err)
 	}
-	if f, d, m := since(); m != 1 || d != 3 || f != 2*n+1 {
-		t.Fatalf("sweep batch of %d segments: %d manifest writes, %d directory fsyncs, %d file fsyncs; want 1, 3, %d", n, m, d, f, 2*n+1)
+	if c, f, d, m := since(); c != 3 || m != 1 || d != 3 || f != 3 {
+		t.Fatalf("sweep of a round of %d segments: %d creates, %d manifest writes, %d directory fsyncs, %d file fsyncs; want 3, 1, 3, 3", n, c, m, d, f)
+	}
+	if o, stubs := objects(), countFiles(t, dir, segStubExt); o != 1 || stubs != 1 {
+		t.Fatalf("sweep left %d objects and %d stubs, want 1 of each", o, stubs)
+	}
+	if st := s.Stats(); st.TieredSegments != n || st.Files != 1 {
+		t.Fatalf("tiered=%d files=%d, want %d and 1", st.TieredSegments, st.Files, n)
 	}
 
 	// A second generation makes every partition compactable; the round
-	// that merges them all costs one barrier and one manifest write (a
-	// snapshot, hence a second directory fsync: the removes leave nothing
-	// live in the log).
+	// that merges them all writes one data file, and one manifest record —
+	// a snapshot, hence a create and a second directory fsync: the removes
+	// leave nothing live in the log. The object and its stub go with the
+	// last entry.
 	if err := s.FlushRound(parts(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +90,423 @@ func TestRoundSyncBudget(t *testing.T) {
 	if err != nil || merged != n {
 		t.Fatalf("compacted %d partitions (err=%v), want %d", merged, err, n)
 	}
-	if f, d, m := since(); d != 2 || m != 1 || f != n+1 {
-		t.Fatalf("compaction round of %d partitions: %d directory fsyncs, %d manifest writes, %d file fsyncs; want 2, 1, %d", n, d, m, f, n+1)
+	if c, f, d, m := since(); c != 2 || d != 2 || m != 1 || f != 2 {
+		t.Fatalf("compaction round of %d partitions: %d creates, %d directory fsyncs, %d manifest writes, %d file fsyncs; want 2, 2, 1, 2", n, c, d, m, f)
 	}
+	if o, stubs, data := objects(), countFiles(t, dir, segStubExt), countFiles(t, dir, segFileExt); o != 0 || stubs != 0 || data != 1 {
+		t.Fatalf("compaction left %d objects, %d stubs, %d data files; want 0, 0, 1", o, stubs, data)
+	}
+}
+
+// TestCompactingOnePartitionLeavesNoDeadSection: compacting a partition
+// that holds more than a third of a resident flush-round file moves the
+// file's other sections, byte for byte, into the compaction's own file.
+// One data file remains, its index lists exactly the live segments, and
+// their bytes are all it holds but the index — before and after a reopen.
+func TestCompactingOnePartitionLeavesNoDeadSection(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+	want := map[string][]Row{"pa": testRows(100, 1), "pb": testRows(130, 1000), "pc": testRows(5, 2000)}
+	if err := s.FlushRound([]FlushPart{{"events", "pa", want["pa"]}, {"events", "pb", want["pb"]}, {"events", "pc", want["pc"]}}); err != nil {
+		t.Fatal(err)
+	}
+	roots := make(map[uint64][objstore.HashLen]byte)
+	for _, pkey := range []string{"pb", "pc"} {
+		seg := s.Segments("events", pkey)[0]
+		roots[seg.Seq()] = seg.root
+	}
+	want["pa"] = testRows(100, 9000)
+	if err := s.Flush("events", "pa", want["pa"]); err != nil {
+		t.Fatal(err)
+	}
+	if did, err := s.CompactPartition("events", "pa", 1); err != nil || !did {
+		t.Fatalf("compact pa: %v %v", did, err)
+	}
+	check := func(what string) {
+		t.Helper()
+		files, err := filepath.Glob(filepath.Join(dir, "*"+segFileExt))
+		if err != nil || len(files) != 1 {
+			t.Fatalf("%s: data files %v (%v), want one", what, files, err)
+		}
+		f, size, err := openSized(files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs, _, err := readSections(f, size)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		listed, liveBytes := make(map[uint64]bool), int64(0)
+		for _, sc := range secs {
+			listed[sc.seq] = true
+		}
+		for pkey, rows := range want {
+			segs := s.Segments("events", pkey)
+			if len(segs) != 1 || !listed[segs[0].Seq()] || !sameRows(scanAll(t, s, "events", pkey), rows) {
+				t.Fatalf("%s: %s is not the one live section of the file it should be", what, pkey)
+			}
+			if root, ok := roots[segs[0].Seq()]; ok && root != segs[0].root {
+				t.Fatalf("%s: the copy of %s changed its Merkle root", what, pkey)
+			}
+			liveBytes += segs[0].Size()
+			delete(listed, segs[0].Seq())
+		}
+		if len(listed) != 0 || secs[len(secs)-1].off+secs[len(secs)-1].len != liveBytes {
+			t.Fatalf("%s: %d dead sections; %d section bytes in the file, %d live", what, len(listed), secs[len(secs)-1].off+secs[len(secs)-1].len, liveBytes)
+		}
+		if st := s.Stats(); st.Files != 1 || st.Segments != 3 {
+			t.Fatalf("%s: %d segments in %d files", what, st.Segments, st.Files)
+		}
+	}
+	check("compacted")
+	s.Close()
+	if s, err = OpenStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	check("reopened")
+}
+
+// deadOnDisk returns the sections the store's data files hold and it does
+// not serve.
+func deadOnDisk(t *testing.T, s *Store) []section {
+	t.Helper()
+	live := make(map[uint64]bool)
+	for _, info := range s.SegmentInfos() {
+		live[info.Seq] = true
+	}
+	files, err := filepath.Glob(filepath.Join(s.dir, "*"+segFileExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dead []section
+	for _, path := range files {
+		secs, _, err := readIndex(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range secs {
+			if !live[sc.seq] {
+				dead = append(dead, sc)
+			}
+		}
+	}
+	return dead
+}
+
+// mergedRows reads a partition through the last-write-wins merge of its
+// segments.
+func mergedRows(t *testing.T, s *Store, pkey string) []Row {
+	t.Helper()
+	var its []Iterator
+	for _, seg := range s.Segments("events", pkey) {
+		it, err := seg.Scan(Range{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		its = append(its, it)
+	}
+	return drain(t, MergeIters(its))
+}
+
+// overwrite flushes n rows over the first n keys of pkey, as a segment of
+// its own, and returns want[pkey] after it.
+func overwrite(t *testing.T, s *Store, pkey string, n int, ts int64, want []Row) []Row {
+	t.Helper()
+	rows := testRows(n, ts)
+	if err := s.Flush("events", pkey, rows); err != nil {
+		t.Fatal(err)
+	}
+	return append(rows, want[n:]...)
+}
+
+// TestCompactionLeavesDeadSections: a compaction round copies no sibling
+// of the inputs it retires. It marks them dead in its own file, so no
+// reopen serves them, until a file's dead sections hold a third of its
+// bytes: then the file's live sections move and it goes. An explicit
+// compaction (threshold 1) follows the same rule.
+func TestCompactionLeavesDeadSections(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+	want := map[string][]Row{"pa": testRows(10, 1), "pb": testRows(200, 1), "pc": testRows(60, 1)}
+	if err := s.FlushRound([]FlushPart{{"events", "pa", want["pa"]}, {"events", "pb", want["pb"]}, {"events", "pc", want["pc"]}}); err != nil {
+		t.Fatal(err)
+	}
+	pc := s.Segments("events", "pc")[0]
+	ts := int64(1000)
+	// step overwrites pkey twice, compacts at threshold, and checks the
+	// rows, one segment per partition, and the dead sections on disk.
+	step := func(what, pkey string, threshold, dead int) {
+		t.Helper()
+		for i := 0; i < 2; i++ {
+			ts += 100
+			want[pkey] = overwrite(t, s, pkey, 10, ts, want[pkey])
+		}
+		if n, err := s.CompactOverflow(threshold); err != nil || n != 1 {
+			t.Fatalf("%s: compacted %d partitions (%v), want 1", what, n, err)
+		}
+		for _, reopen := range []bool{false, true} {
+			if reopen {
+				s.Close()
+				if s, err = OpenStore(dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for p, rows := range want {
+				if len(s.Segments("events", p)) != 1 || !sameRows(scanAll(t, s, "events", p), rows) {
+					t.Fatalf("%s (reopened %v): %s does not read back as one segment of its rows", what, reopen, p)
+				}
+			}
+			if got := deadOnDisk(t, s); len(got) != dead {
+				t.Fatalf("%s (reopened %v): %d dead sections on disk, want %d", what, reopen, len(got), dead)
+			}
+		}
+	}
+
+	// pa's first segment is a small part of the flush file: it stays there,
+	// dead, and the round's file holds pa's merged segment alone.
+	step("pa merged", "pa", 2, 1)
+	files, _ := filepath.Glob(filepath.Join(dir, "*"+segFileExt))
+	if len(files) != 2 {
+		t.Fatalf("%d data files, want the flush round's and the compaction's", len(files))
+	}
+	if secs, marks, err := readIndex(files[1]); err != nil || len(secs) != 1 || !slices.Contains(marks, uint64(0)) {
+		t.Fatalf("the compaction's file holds %d sections and marks %v (%v); want pa's merge, marking seq 0", len(secs), marks, err)
+	}
+	// pb's retire makes the flush file mostly dead: pc moves, byte for byte.
+	step("pb merged", "pb", 1, 0)
+	if moved := s.Segments("events", "pc")[0]; moved.Seq() != pc.Seq() || moved.root != pc.root || filepath.Base(moved.path) == filepath.Base(pc.path) {
+		t.Fatal("pc was not moved out of the reclaimed flush file as is")
+	}
+	// pc's retire leaves a dead section beside pb's larger merged one.
+	step("pc merged", "pc", 1, 1)
+}
+
+// TestCompactionRoundIsolatesAFailedMerge: one partition's merge fails —
+// a block of its tiered input no longer verifies — and the round compacts
+// the other partition anyway. The failed partition keeps its segments and
+// its resident one moves out of the file the round reclaims.
+func TestCompactionRoundIsolatesAFailedMerge(t *testing.T) {
+	dir, objDir := t.TempDir(), t.TempDir()
+	tier := newTestTier(t, objDir)
+	s := openTiered(t, dir, tier)
+	defer s.Close()
+	for _, pkey := range []string{"pa", "pb"} {
+		if err := s.Flush("events", pkey, testRows(80, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ev, err := s.TierSweep(context.Background(), true); err != nil || ev != 2 {
+		t.Fatalf("sweep evicted %d: %v", ev, err)
+	}
+	newer := testRows(80, 500)
+	if err := s.FlushRound([]FlushPart{{"events", "pa", newer}, {"events", "pb", newer}}); err != nil {
+		t.Fatal(err)
+	}
+	pa := s.Segments("events", "pa")
+	obj := filepath.Join(objDir, filepath.FromSlash(pa[0].TierKey()))
+	data, err := os.ReadFile(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[pa[0].base+int64(len(segHeader))] ^= 1
+	if err := os.WriteFile(obj, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	n, err := s.CompactOverflow(1)
+	if n != 1 || !errors.Is(err, objstore.ErrIntegrity) {
+		t.Fatalf("compacted %d partitions (%v); want pb alone, and pa's integrity error", n, err)
+	}
+	if segs := s.Segments("events", "pb"); len(segs) != 1 || !sameRows(scanAll(t, s, "events", "pb"), newer) {
+		t.Fatal("pb was not compacted to its newer rows")
+	}
+	after := s.Segments("events", "pa")
+	if len(after) != 2 || after[0] != pa[0] || after[1].Seq() != pa[1].Seq() || after[1].path == pa[1].path {
+		t.Fatal("pa's segments did not stay, its resident one moved out of the reclaimed file")
+	}
+	it, err := after[1].Scan(Range{})
+	if err != nil || !sameRows(drain(t, it), newer) {
+		t.Fatalf("pa's resident segment lost its rows (%v)", err)
+	}
+	if dead := deadOnDisk(t, s); len(dead) != 0 || countFiles(t, dir, segFileExt) != 1 {
+		t.Fatalf("%d dead sections in %d data files, want none in one", len(dead), countFiles(t, dir, segFileExt))
+	}
+}
+
+// TestDeadSectionsStayDeadCrashImages cuts an image at each stage of a
+// background round that leaves its inputs as dead sections of a live
+// file. Every image reopens to the acked rows; it serves the inputs until
+// the round's file has its final name and never after, and the flush file
+// that holds them stays.
+func TestDeadSectionsStayDeadCrashImages(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want := map[string][]Row{"pa": testRows(10, 1), "pb": testRows(200, 1)}
+	if err := s.FlushRound([]FlushPart{{"events", "pa", want["pa"]}, {"events", "pb", want["pb"]}}); err != nil {
+		t.Fatal(err)
+	}
+	flushFile := s.Segments("events", "pb")[0].path
+	for i := int64(1); i <= 2; i++ {
+		want["pa"] = overwrite(t, s, "pa", 10, 100*i, want["pa"])
+	}
+	type image struct{ stage, dir string }
+	var images []image
+	RoundCrashHook = func(stage string, _ []string) {
+		img := image{stage, t.TempDir()}
+		copyTreeT(t, dir, img.dir)
+		images = append(images, img)
+	}
+	n, err := s.CompactOverflow(2)
+	RoundCrashHook = nil
+	if err != nil || n != 1 || len(images) != 4 {
+		t.Fatalf("compacted %d (%v) in %d stage images, want 1 in 4", n, err, len(images))
+	}
+	for _, img := range images {
+		r, err := OpenStore(img.dir)
+		if err != nil {
+			t.Fatalf("%s: %v", img.stage, err)
+		}
+		segs := 3 // pa's inputs, before the round's file has its final name
+		if img.stage == "renamed" || img.stage == "published" {
+			segs = 1
+		}
+		if got := len(r.Segments("events", "pa")); got != segs {
+			t.Errorf("%s: pa reopens as %d segments, want %d", img.stage, got, segs)
+		}
+		for pkey, rows := range want {
+			if !sameRows(mergedRows(t, r, pkey), rows) {
+				t.Errorf("%s: %s lost acked rows", img.stage, pkey)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(img.dir, filepath.Base(flushFile))); err != nil {
+			t.Errorf("%s: the flush file holding pb went: %v", img.stage, err)
+		}
+		r.Close()
+	}
+}
+
+// roundFileBytes returns the bytes of a real round file of three sections
+// and the end of its data region.
+func roundFileBytes(t testing.TB) ([]byte, int64) {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.FlushRound([]FlushPart{{"events", "pa", testRows(3, 1)}, {"events", "pb", testRows(70, 1)}, {"events", "pc", testRows(1, 1)}}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(s.segPath(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, _, err := readSections(bytes.NewReader(data), int64(len(data)))
+	if err != nil || len(secs) != 3 {
+		t.Fatalf("%d sections: %v", len(secs), err)
+	}
+	return data, secs[2].off + secs[2].len
+}
+
+// hostileRoundFiles returns a real round file's data region under indexes
+// and trailers that lie about it, each of which must be refused with
+// ErrRoundIndex.
+func hostileRoundFiles(t testing.TB) map[string][]byte {
+	data, end := roundFileBytes(t)
+	secs, _, _ := readSections(bytes.NewReader(data), int64(len(data)))
+	region := data[:end]
+	index := func(secs ...section) []byte { return appendRoundIndex(slices.Clone(region), secs, nil) }
+	// raw frames idx with a valid trailer, whatever idx says.
+	raw := func(idx []byte) []byte {
+		b := append(slices.Clone(region), idx...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(idx)))
+		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(idx, crcTable))
+		return append(b, roundTrailer...)
+	}
+	a, b, c := secs[0], secs[1], secs[2]
+	flipped := slices.Clone(data)
+	flipped[end] ^= 1
+	pastEOF := slices.Clone(data)
+	binary.LittleEndian.PutUint32(pastEOF[len(pastEOF)-trailerLen:], uint32(len(data)))
+	return map[string][]byte{
+		"index checksum":         flipped,
+		"index past EOF":         pastEOF,
+		"index cut short":        append(slices.Clone(data[:end+1]), data[len(data)-trailerLen:]...),
+		"no sections":            raw([]byte{0}),
+		"entry truncated":        raw([]byte{2, 1, 0x80}),
+		"trailing index bytes":   raw(append(data[end:len(data)-trailerLen:len(data)-trailerLen], 0)),
+		"duplicate seq":          index(a, b, section{a.seq, c.off, c.len}),
+		"sections overlap":       index(a, section{b.seq, b.off, b.len + c.len}, c),
+		"section past the data":  index(a, b, section{c.seq, c.off, c.len + 1}),
+		"sections short":         index(a, b),
+		"section too small":      index(section{a.seq, 0, minSection - 1}),
+		"seq not the segment's":  index(a, b, section{c.seq + 100, c.off, c.len}),
+		"dead mark of a section": appendRoundIndex(slices.Clone(region), secs, []uint64{99, b.seq}),
+		"dead mark truncated":    raw(append(data[end:len(data)-trailerLen-1:len(data)-trailerLen-1], 1)),
+	}
+}
+
+func TestRoundIndexHostile(t *testing.T) {
+	dir := t.TempDir()
+	for name, file := range hostileRoundFiles(t) {
+		path := filepath.Join(dir, "hostile"+segFileExt) // names no seq: OpenSegment parses every section
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenSegment(path); !errors.Is(err, ErrRoundIndex) {
+			t.Errorf("%s: OpenSegment = %v, want ErrRoundIndex", name, err)
+		}
+		if _, err := OpenStore(dir); !errors.Is(err, ErrRoundIndex) {
+			t.Errorf("%s: OpenStore = %v, want ErrRoundIndex", name, err)
+		}
+	}
+}
+
+// FuzzRoundIndex: on arbitrary file bytes the round-index reader never
+// panics, fails only with ErrRoundIndex, and what it accepts tiles the
+// data region with distinct seqs; parsing the sections never panics.
+func FuzzRoundIndex(f *testing.F) {
+	data, _ := roundFileBytes(f)
+	f.Add(data)
+	for _, file := range hostileRoundFiles(f) {
+		f.Add(file)
+	}
+	f.Fuzz(func(t *testing.T, file []byte) {
+		r, size := bytes.NewReader(file), int64(len(file))
+		secs, dead, err := readSections(r, size)
+		if err != nil && !errors.Is(err, ErrRoundIndex) {
+			t.Fatalf("untyped error: %v", err)
+		}
+		off, seen := int64(0), make(map[uint64]bool)
+		for _, sc := range secs {
+			if sc.off != off || sc.len < minSection || seen[sc.seq] {
+				t.Fatalf("accepted section %+v after %d bytes", sc, off)
+			}
+			seen[sc.seq] = true
+			off += sc.len
+		}
+		if off > size {
+			t.Fatalf("sections run to %d of %d bytes", off, size)
+		}
+		for _, seq := range dead {
+			if seen[seq] {
+				t.Fatalf("accepted a dead mark of section %d", seq)
+			}
+		}
+		parseSections(r, size, "fuzz", nil)
+	})
 }

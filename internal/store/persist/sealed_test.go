@@ -2,16 +2,20 @@ package persist
 
 import (
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
 
 // TestSealedSegmentMatchesOpenSegment holds the shortcut to its
 // reference: the segments a flush round and a compaction round register
-// from their writers' in-memory footers are, field for field, what
-// OpenSegment parses back from the files they wrote — and scan the same.
+// from their writers' in-memory footers (or, for a compaction's copies,
+// from the footers they were copied from) are, field for field, what
+// OpenSegment parses back from the sections of the one file each round
+// wrote — at offset zero and beyond it — and scan the same.
 func TestSealedSegmentMatchesOpenSegment(t *testing.T) {
-	s, err := OpenStore(t.TempDir())
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,19 +23,26 @@ func TestSealedSegmentMatchesOpenSegment(t *testing.T) {
 	s.SetZoneColumns([]string{"count", "msg", "absent"})
 	check := func(what string) {
 		t.Helper()
-		for _, pkey := range []string{"p0", "p1"} {
+		inside := 0
+		for _, pkey := range []string{"p0", "p1", "p2"} {
 			for _, seg := range s.Segments("events", pkey) {
-				ref, err := OpenSegment(seg.path)
+				// Named by seq: a section past the first of its file is found
+				// by the round index, as the traced benchmark ladder opens it.
+				ref, err := OpenSegment(filepath.Join(dir, fmt.Sprintf("%020d%s", seg.Seq(), segFileExt)))
 				if err != nil {
 					t.Fatal(err)
+				}
+				if seg.base > 0 {
+					inside++
 				}
 				if !reflect.DeepEqual(seg.meta, ref.meta) {
 					t.Errorf("%s %s: footer held by the writer differs from the parsed one:\n%+v\n%+v", what, pkey, seg.meta, ref.meta)
 				}
-				if !reflect.DeepEqual(seg.colIDs, ref.colIDs) || seg.size != ref.size || seg.footOff != ref.footOff ||
-					seg.version != ref.version || seg.root != ref.root || (seg.tree == nil) != (ref.tree == nil) {
-					t.Errorf("%s %s: colIDs %v/%v size %d/%d footOff %d/%d version %d/%d", what, pkey,
-						seg.colIDs, ref.colIDs, seg.size, ref.size, seg.footOff, ref.footOff, seg.version, ref.version)
+				if !reflect.DeepEqual(seg.colIDs, ref.colIDs) || seg.size != ref.size || seg.footOff != ref.footOff || seg.base != ref.base ||
+					seg.path != ref.path || seg.version != ref.version || seg.root != ref.root || (seg.tree == nil) != (ref.tree == nil) {
+					t.Errorf("%s %s: colIDs %v/%v size %d/%d footOff %d/%d base %d/%d path %s/%s version %d/%d", what, pkey,
+						seg.colIDs, ref.colIDs, seg.size, ref.size, seg.footOff, ref.footOff, seg.base, ref.base,
+						seg.path, ref.path, seg.version, ref.version)
 				}
 				if err := seg.Verify(); err != nil {
 					t.Errorf("%s %s: %v", what, pkey, err)
@@ -44,12 +55,16 @@ func TestSealedSegmentMatchesOpenSegment(t *testing.T) {
 				ref.Close()
 			}
 		}
+		if inside == 0 {
+			t.Fatalf("%s: no segment at a non-zero offset of its file", what)
+		}
 	}
 	// 200 rows = three full blocks and a short one; 1 row = one block.
-	if err := s.FlushRound([]FlushPart{{"events", "p0", testRows(200, 1)}, {"events", "p1", testRows(1, 1)}}); err != nil {
+	if err := s.FlushRound([]FlushPart{{"events", "p0", testRows(200, 1)}, {"events", "p1", testRows(1, 1)}, {"events", "p2", testRows(70, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 	check("flushed")
+	// Compacting p0 and p1 re-homes p2, a byte copy, in the round's file.
 	if err := s.FlushRound([]FlushPart{{"events", "p0", testRows(90, 1000)}, {"events", "p1", testRows(70, 1000)}}); err != nil {
 		t.Fatal(err)
 	}

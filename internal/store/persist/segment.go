@@ -1,8 +1,6 @@
 package persist
 
 import (
-	"bufio"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -10,17 +8,20 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
-	"os"
+	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
 	"hpclog/internal/objstore"
 )
 
-// Segment file layout (codec v5):
+// Segment image layout (codec v5), one section of a round's data file
+// (round.go), offsets relative to the section:
 //
 //	header  : "HPSEG005" (8 bytes)
 //	data    : blocks of at most indexEvery rows in clustering-key order,
@@ -58,10 +59,9 @@ const (
 	trailerLen  = 4 + 4 + 8
 	indexEvery  = 64
 	segFileExt  = ".seg"
-	// segStubExt marks the footer stub left behind when a segment's data
-	// is evicted to the object store: header + footer + trailer, no data
-	// region. Parsed exactly like a segment at open, so zone maps, Blooms,
-	// and the sparse index stay resident with zero object-store fetches.
+	// segStubExt marks the footer stub of an evicted data file: per section
+	// header + footer + trailer, no data region, parsed like a data file at
+	// open, so zone maps, Blooms, and the sparse index stay resident.
 	segStubExt   = ".sft"
 	segTempExt   = objstore.TempExt
 	maxFooterLen = 256 << 20
@@ -403,23 +403,19 @@ func le64(s string) uint64 {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Writer streams sorted rows into a new segment file. Rows must be
+// Writer encodes sorted rows into a segment image in memory. Rows must be
 // appended in strictly ascending clustering-key order (the memtable and
 // the compaction merge both produce that order), and — a block is encoded
 // when it is full, not row by row — must stay untouched until the append
 // that follows their block's last row, or seal, returns.
 type Writer struct {
-	path string   // final name; written as path+segTempExt until its round commits
-	f    *os.File // the temp file
 	*writerScratch
 	crc  uint32
-	off  int64
 	meta footerMeta
 	done bool
-	// size and colIDs are set by seal: the file's length and the name
-	// table's local index → dictionary ID mapping, what open needs beside
-	// meta to stand in for a parse of the file.
-	size   int64
+	// colIDs is set by seal: the name table's local index → dictionary ID
+	// mapping, what a segment needs beside meta to stand in for a parse of
+	// the image.
 	colIDs []uint32
 
 	zoneIDs []uint32  // hot columns with per-block zone maps, sorted by ID
@@ -428,43 +424,29 @@ type Writer struct {
 
 // writerScratch is the buffer space a Writer borrows from scratchPool for
 // its lifetime, so a round of N segments allocates it once per worker and
-// not once per segment: the 64 KiB file buffer, the block and footer
-// encoding buffer, the block under construction, the name table, the
-// block's Bloom hashes and the leaf hasher.
+// not once per segment: the segment image, the block under construction,
+// the name table, the block's Bloom hashes and the leaf hasher.
 type writerScratch struct {
-	bw    *bufio.Writer
-	buf   []byte
+	img   []byte
 	enc   blockEnc
 	tb    colTableEnc
 	bb    bloomBuilder
 	leafH hash.Hash
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	return &writerScratch{bw: bufio.NewWriterSize(nil, 64<<10), leafH: sha256.New()}
-}}
+var scratchPool = sync.Pool{New: func() any { return &writerScratch{leafH: sha256.New()} }}
 
-// NewWriter creates a segment writer targeting path (written via a
-// temporary file until its round commits).
-func NewWriter(path, table, pkey string, seq uint64) (*Writer, error) {
-	f, err := os.Create(path + segTempExt)
-	if err != nil {
-		return nil, fmt.Errorf("persist: create segment: %w", err)
-	}
+// NewWriter returns a writer of segment seq of the partition.
+func NewWriter(table, pkey string, seq uint64) *Writer {
 	w := &Writer{
-		path: path, f: f, writerScratch: scratchPool.Get().(*writerScratch),
-		meta: footerMeta{Table: table, Partition: pkey, Seq: seq},
+		writerScratch: scratchPool.Get().(*writerScratch),
+		meta:          footerMeta{Table: table, Partition: pkey, Seq: seq},
 	}
-	w.bw.Reset(f)
 	w.tb.reset()
 	w.setZoneColumnNames(DefaultZoneColumns)
-	if _, err := w.bw.WriteString(segHeader); err != nil {
-		w.discard()
-		return nil, err
-	}
-	w.off = int64(len(segHeader))
-	w.crc = crc32.Update(0, crcTable, []byte(segHeader))
-	return w, nil
+	w.img = append(w.img[:0], segHeader...)
+	w.crc = crc32.Update(0, crcTable, w.img)
+	return w
 }
 
 // SetZoneColumns replaces the hot set of columns receiving per-block
@@ -495,14 +477,15 @@ func (w *Writer) resetBlock() {
 	w.bb.reset()
 }
 
-// finishBlock encodes and writes the buffered rows as one block and files
-// its offset's companions in the footer: the Merkle leaf and the block
-// statistics. The statistics' strings are cloned because the rows and the
-// zone maps reference values owned by the caller (compaction feeds values
-// that alias decoded blocks of the inputs); the footer must not pin them.
-func (w *Writer) finishBlock() error {
+// finishBlock encodes the buffered rows as one block of the image and
+// files its offset's companions in the footer: the Merkle leaf and the
+// block statistics. The statistics' strings are cloned because the rows
+// and the zone maps reference values owned by the caller (compaction
+// feeds values that alias decoded blocks of the inputs); the footer must
+// not pin them.
+func (w *Writer) finishBlock() {
 	if len(w.enc.rows) == 0 {
-		return nil
+		return
 	}
 	rows := w.enc.rows
 	bs := BlockStats{
@@ -511,13 +494,10 @@ func (w *Writer) finishBlock() error {
 		Rows:   len(rows),
 		Zones:  make([]ColZone, len(w.zones)),
 	}
-	var blk []byte
-	blk, bs.MinWriteTS, bs.MaxWriteTS = w.encodeBlock()
-	if _, err := w.bw.Write(blk); err != nil {
-		return err
-	}
+	start := len(w.img)
+	bs.MinWriteTS, bs.MaxWriteTS = w.encodeBlock()
+	blk := w.img[start:]
 	w.crc = crc32.Update(w.crc, crcTable, blk)
-	w.off += int64(len(blk))
 	var leaf [objstore.HashLen]byte
 	w.leafH.Reset()
 	w.leafH.Write(objstore.LeafDomain)
@@ -532,11 +512,10 @@ func (w *Writer) finishBlock() error {
 	bs.bloom = w.bb.build()
 	w.meta.Blocks = append(w.meta.Blocks, bs)
 	w.resetBlock()
-	return nil
 }
 
-// Append adds one row to the block under construction, writing the block
-// before it out if that one is full.
+// Append adds one row to the block under construction, encoding the block
+// before it if that one is full.
 func (w *Writer) Append(r Row) error {
 	if w.done {
 		return fmt.Errorf("persist: append after Finish")
@@ -545,15 +524,13 @@ func (w *Writer) Append(r Row) error {
 		return fmt.Errorf("persist: rows out of order: %q after %q", r.Key, w.meta.MaxKey)
 	}
 	if len(w.enc.rows) == indexEvery {
-		if err := w.finishBlock(); err != nil {
-			return err
-		}
+		w.finishBlock()
 	}
 	if len(w.enc.rows) == 0 {
 		// Cloned like the block statistics: the footer outlives the round
 		// as the resident segment's metadata and must not pin the caller's
 		// rows.
-		w.meta.Index = append(w.meta.Index, IndexEntry{Key: strings.Clone(r.Key), Off: w.off})
+		w.meta.Index = append(w.meta.Index, IndexEntry{Key: strings.Clone(r.Key), Off: int64(len(w.img))})
 	}
 	w.enc.rows = append(w.enc.rows, r)
 	w.meta.MaxKey = r.Key
@@ -564,19 +541,12 @@ func (w *Writer) Append(r Row) error {
 	return nil
 }
 
-// seal writes the last block and the footer, hands every byte to the temp
-// file and closes it. Nothing is synced: the file becomes durable, and
-// gets its final name, in the barrier of the round that owns the writer.
-func (w *Writer) seal() error {
-	if w.done {
-		return fmt.Errorf("persist: double Finish")
-	}
+// seal encodes the last block, the footer and the trailer: the image is
+// complete.
+func (w *Writer) seal() {
 	w.done = true
-	if err := w.finishBlock(); err != nil {
-		w.discard()
-		return err
-	}
-	w.meta.DataLen = w.off
+	w.finishBlock()
+	w.meta.DataLen = int64(len(w.img))
 	w.meta.DataCRC = w.crc
 	if w.meta.Rows > 0 {
 		w.meta.MinKey = w.meta.Index[0].Key
@@ -591,109 +561,84 @@ func (w *Writer) seal() error {
 	}
 	w.meta.ColNames = slices.Clone(w.tb.names)
 	w.colIDs = slices.Clone(w.tb.ids)
-	fb := appendFooter(w.buf[:0], &w.meta, zoneLocal)
-	w.size = w.off + int64(len(fb)) + trailerLen
-	var tail [trailerLen]byte
-	binary.LittleEndian.PutUint32(tail[0:4], uint32(len(fb)))
-	binary.LittleEndian.PutUint32(tail[4:8], crc32.Checksum(fb, crcTable))
-	copy(tail[8:], segTrailer)
-	_, err := w.bw.Write(fb)
-	if err == nil {
-		_, err = w.bw.Write(tail[:])
-	}
-	if err == nil {
-		err = w.bw.Flush()
-	}
-	if err != nil {
-		w.discard()
-		return err
-	}
-	w.release()
-	if err := w.f.Close(); err != nil {
-		os.Remove(w.path + segTempExt)
-		return err
-	}
-	return nil
+	foot := len(w.img)
+	w.img = appendFooter(w.img, &w.meta, zoneLocal)
+	fb := w.img[foot:]
+	crc := crc32.Checksum(fb, crcTable)
+	w.img = binary.LittleEndian.AppendUint32(w.img, uint32(len(fb)))
+	w.img = binary.LittleEndian.AppendUint32(w.img, crc)
+	w.img = append(w.img, segTrailer...)
 }
 
 // release hands the scratch back to the pool; the writer is finished.
 func (w *Writer) release() {
-	w.bw.Reset(nil)
 	clear(w.enc.rows) // pin no row of an aborted block
 	w.enc.rows = w.enc.rows[:0]
 	scratchPool.Put(w.writerScratch)
 	w.writerScratch = nil
 }
 
-// Finish commits the segment as a round of one and returns it open,
-// parsed back from the file.
-func (w *Writer) Finish() (*Segment, error) {
-	if err := w.seal(); err != nil {
-		return nil, err
+// writeTo seals the segment into the round file rf and returns it, built
+// from the footer the writer holds rather than parsed back.
+func (w *Writer) writeTo(rf *dataFile) (*Segment, error) {
+	if w.done {
+		return nil, fmt.Errorf("persist: double Finish")
 	}
-	if err := commitRound([]string{w.path}); err != nil {
-		return nil, err
-	}
-	return OpenSegment(w.path)
-}
-
-// open returns the segment of a sealed writer whose round has committed,
-// built from the footer the writer still holds instead of read back from
-// the file it just wrote (OpenSegment stays the way every other segment
-// is opened, recovery included).
-func (w *Writer) open() (*Segment, error) {
-	f, err := os.Open(w.path)
-	if err != nil {
-		return nil, err
-	}
+	w.seal()
 	meta := w.meta
 	s := &Segment{
-		path: w.path, f: f, meta: &meta, colIDs: w.colIDs, size: w.size,
+		meta: &meta, colIDs: w.colIDs, size: int64(len(w.img)),
 		footOff: meta.DataLen, version: SegVersion, mu: make(chan struct{}, 1),
 	}
-	if err := s.buildTree(); err != nil {
-		f.Close()
-		return nil, err
+	err := s.buildTree()
+	if err == nil {
+		err = rf.add(s, w.img)
 	}
-	return s, nil
+	w.release()
+	return s, err
 }
 
-// Abort discards the partially written segment.
+// Finish writes the segment to path, a data file of one section committed
+// as a round of its own, and returns it open.
+func (w *Writer) Finish(path string) (*Segment, error) {
+	d, err := createRound(path)
+	if err != nil {
+		w.Abort()
+		return nil, err
+	}
+	seg, err := w.writeTo(d)
+	return seg, d.finish([]*Segment{seg}, nil, err)
+}
+
+// Abort discards the writer and what it encoded.
 func (w *Writer) Abort() {
 	if !w.done {
-		w.discard()
+		w.release()
 		w.done = true
 	}
 }
 
-func (w *Writer) discard() {
-	w.release()
-	w.f.Close()
-	os.Remove(w.path + segTempExt)
-}
-
-// Segment is an open, immutable segment. Resident segments share one
-// file descriptor through ReadAt, so any number of iterators can stream
-// concurrently; a segment retired by compaction is unlinked immediately
-// and its descriptor closed once the last open iterator finishes.
+// Segment is an open, immutable segment: one section of a data file,
+// read through the file's shared descriptor at the section's base. A live
+// resident segment holds a reference to the file and so does every
+// iterator reading it, so a file that compaction reclaims or a sweep
+// evicts is unlinked at once and closed when its last reader finishes.
 //
-// A tiered segment's data region lives in the object store. Its footer
-// (sparse index, zone maps, Blooms, Merkle leaves) stays resident, so
-// pruning never fetches; block reads go through the tier's verified,
-// cached read path. Eviction fencing: iterators that acquired before the
-// eviction keep reading the unlinked local file through the still-open
-// descriptor (localRefs tracks them); the descriptor closes when the
-// last of them finishes, and iterators acquired after the eviction fetch
-// from the object store.
+// A tiered segment's data region lives in the object store, at the same
+// offset in the file's object. Its footer (sparse index, zone maps,
+// Blooms, Merkle leaves) stays resident, so pruning never fetches; block
+// reads go through the tier's verified, cached read path. Iterators
+// acquired before an eviction keep reading the local file.
 type Segment struct {
-	path string
-	f    *os.File // nil once fClosed (stub-opened or drained tiered)
+	path string    // the data file's
+	file *dataFile // nil when opened from a stub
+	base int64     // the section's offset within the data file and its object
 	meta *footerMeta
 	// colIDs maps the footer name table's local indexes to process-wide
 	// dictionary IDs, resolved once at open and shared by all iterators.
 	colIDs  []uint32
-	size    int64 // logical segment size (object size once tiered)
-	footOff int64 // file offset of the footer (stub layout source)
+	size    int64 // the section's length
+	footOff int64 // section offset of the footer
 	version int
 
 	// Tiering state. tree/root are built at open from the footer's leaves;
@@ -704,74 +649,73 @@ type Segment struct {
 	tier    *objstore.Tier
 	tierKey string
 
-	mu        chan struct{} // 1-buffered semaphore guarding the fields below
-	refs      int
-	localRefs int // iterators reading the local data file
-	tiered    bool
-	fClosed   bool
-	doomed    bool
-	closed    bool
+	mu     chan struct{} // 1-buffered semaphore guarding the fields below
+	held   bool          // the segment holds its reference to file
+	tiered bool
+	done   bool // retired or closed: no new iterator
 }
 
 // ErrVersion marks a segment or commitlog record written by a codec this
 // build no longer reads.
 var ErrVersion = errors.New("persist: incompatible codec version")
 
-// parseSegmentFile decodes the header, trailer, and footer of an open
-// segment (or footer stub — same layout minus the data region).
-func parseSegmentFile(f *os.File, path string, size int64) (meta *footerMeta, colIDs []uint32, version int, footOff int64, err error) {
-	if size < int64(len(segHeader))+trailerLen {
-		return nil, nil, 0, 0, fmt.Errorf("persist: %s: too short for a segment", path)
+// parseSection decodes the header, trailer, and footer of the segment
+// image (or footer stub — same layout minus the data region) at [base,
+// base+size) of r.
+func parseSection(r io.ReaderAt, path string, base, size int64) (*Segment, error) {
+	if size < minSection {
+		return nil, fmt.Errorf("persist: %s: too short for a segment", path)
 	}
 	var head [len(segHeader)]byte
-	if _, err := f.ReadAt(head[:], 0); err != nil {
-		return nil, nil, 0, 0, err
+	if _, err := r.ReadAt(head[:], base); err != nil {
+		return nil, err
 	}
+	s := &Segment{path: path, size: size, mu: make(chan struct{}, 1)}
 	switch string(head[:]) {
 	case segHeader:
-		version = SegVersion
+		s.version = SegVersion
 	case segHeaderV4:
-		version = segVersionV4
+		s.version = segVersionV4
 	case "HPSEG001", "HPSEG002", "HPSEG003":
-		return nil, nil, 0, 0, fmt.Errorf("%w: %s was written by segment codec v%c; this build reads v%d and v%d — compact the directory with a build that reads it, or re-ingest the data",
+		return nil, fmt.Errorf("%w: %s was written by segment codec v%c; this build reads v%d and v%d — compact the directory with a build that reads it, or re-ingest the data",
 			ErrVersion, path, head[7], segVersionV4, SegVersion)
 	default:
-		return nil, nil, 0, 0, fmt.Errorf("persist: %s: bad segment header %q", path, head)
+		return nil, fmt.Errorf("persist: %s: bad segment header %q", path, head)
 	}
 	var tail [trailerLen]byte
-	if _, err := f.ReadAt(tail[:], size-trailerLen); err != nil {
-		return nil, nil, 0, 0, err
+	if _, err := r.ReadAt(tail[:], base+size-trailerLen); err != nil {
+		return nil, err
 	}
 	if string(tail[8:]) != segTrailer {
-		return nil, nil, 0, 0, fmt.Errorf("persist: %s: bad segment trailer", path)
+		return nil, fmt.Errorf("persist: %s: bad segment trailer", path)
 	}
 	footLen := int64(binary.LittleEndian.Uint32(tail[0:4]))
 	footCRC := binary.LittleEndian.Uint32(tail[4:8])
 	if footLen > maxFooterLen || size-trailerLen-footLen < int64(len(segHeader)) {
-		return nil, nil, 0, 0, fmt.Errorf("persist: %s: implausible footer length %d", path, footLen)
+		return nil, fmt.Errorf("persist: %s: implausible footer length %d", path, footLen)
 	}
-	footOff = size - trailerLen - footLen
+	s.footOff = size - trailerLen - footLen
 	fb := make([]byte, footLen)
-	if _, err := f.ReadAt(fb, footOff); err != nil {
-		return nil, nil, 0, 0, err
+	if _, err := r.ReadAt(fb, base+s.footOff); err != nil {
+		return nil, err
 	}
 	if crc32.Checksum(fb, crcTable) != footCRC {
-		return nil, nil, 0, 0, fmt.Errorf("persist: %s: footer checksum mismatch", path)
+		return nil, fmt.Errorf("persist: %s: footer checksum mismatch", path)
 	}
-	meta, err = decodeFooter(fb)
+	meta, err := decodeFooter(fb)
 	if err != nil {
-		return nil, nil, 0, 0, fmt.Errorf("persist: %s: footer decode: %w", path, err)
+		return nil, fmt.Errorf("persist: %s: footer decode: %w", path, err)
 	}
-	colIDs = make([]uint32, len(meta.ColNames))
+	s.meta, s.colIDs = meta, make([]uint32, len(meta.ColNames))
 	for i, name := range meta.ColNames {
 		// Intern a copy, not the zero-copy footer substring — the dictionary
 		// outlives the segment and must not pin the footer buffer.
 		if id, ok := defaultDict.Lookup(name); ok {
-			colIDs[i] = id
+			s.colIDs[i] = id
 		} else {
-			colIDs[i] = defaultDict.Intern(strings.Clone(name))
+			s.colIDs[i] = defaultDict.Intern(strings.Clone(name))
 		}
-		meta.ColNames[i] = defaultDict.Name(colIDs[i]) // canonical instance
+		meta.ColNames[i] = defaultDict.Name(s.colIDs[i]) // canonical instance
 	}
 	// Zone maps reference the footer name table on disk; remap to
 	// process-wide dictionary IDs and restore the sorted-by-ID invariant
@@ -779,39 +723,50 @@ func parseSegmentFile(f *os.File, path string, size int64) (meta *footerMeta, co
 	for i := range meta.Blocks {
 		zones := meta.Blocks[i].Zones
 		for j := range zones {
-			zones[j].ID = colIDs[zones[j].ID]
+			zones[j].ID = s.colIDs[zones[j].ID]
 		}
 		sortZones(zones)
 	}
-	return meta, colIDs, version, footOff, nil
+	return s, s.buildTree()
 }
 
-// OpenSegment opens a segment file and decodes its footer.
+// OpenSegment opens one segment of the data file at path: its only one,
+// or the one whose seq the file name carries — given <seq>.seg where no
+// such file is, the segment of that seq in whichever file holds it.
 func OpenSegment(path string) (*Segment, error) {
-	f, err := os.Open(path)
+	seq, err := strconv.ParseUint(strings.TrimSuffix(filepath.Base(path), segFileExt), 10, 64)
+	named := err == nil
+	f, size, err := openSized(path)
+	if errors.Is(err, fs.ErrNotExist) && named {
+		if found := findSection(filepath.Dir(path), seq); found != "" {
+			path = found
+			f, size, err = openSized(path)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
+	segs, _, err := parseSections(f, size, path, func(s uint64) bool { return !named || s == seq })
+	if err == nil && len(segs) != 1 {
+		err = fmt.Errorf("persist: %s holds %d segments and no segment %d", path, len(segs), seq)
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	size := st.Size()
-	meta, colIDs, version, footOff, err := parseSegmentFile(f, path, size)
-	if err != nil {
-		f.Close()
-		return nil, err
+	(&dataFile{path: path, f: f}).own(segs, size)
+	return segs[0], nil
+}
+
+// findSection returns the round file in dir whose index lists seq, or "".
+func findSection(dir string, seq uint64) string {
+	paths, _ := filepath.Glob(filepath.Join(dir, "*"+segFileExt))
+	for _, path := range paths {
+		if secs, _, _ := readIndex(path); slices.ContainsFunc(secs, func(sc section) bool { return sc.seq == seq }) {
+			return path
+		}
 	}
-	s := &Segment{
-		path: path, f: f, meta: meta, colIDs: colIDs, size: size,
-		footOff: footOff, version: version, mu: make(chan struct{}, 1),
-	}
-	if err := s.buildTree(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return s, nil
+	return ""
 }
 
 // buildTree materializes the Merkle tree from the footer's leaf array
@@ -829,85 +784,9 @@ func (s *Segment) buildTree() error {
 	return nil
 }
 
-// stubPath returns the footer-stub path corresponding to the segment's
-// data file path.
-func stubPath(segPath string) string {
-	return strings.TrimSuffix(segPath, segFileExt) + segStubExt
-}
-
-// OpenTieredStub opens an evicted segment from its footer stub: the
-// footer parses exactly like a full segment (offsets in the sparse index
-// refer to the object's data region), the Merkle root must match the
-// manifest-pinned root, and all block reads go through tier. The stub's
-// descriptor is closed immediately — nothing local remains to read.
-func OpenTieredStub(path string, tier *objstore.Tier, e objstore.ManifestEntry) (*Segment, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	meta, colIDs, version, footOff, err := parseSegmentFile(f, path, st.Size())
-	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	if meta.Seq != e.Seq {
-		return nil, fmt.Errorf("persist: %s: stub seq %d does not match manifest seq %d", path, meta.Seq, e.Seq)
-	}
-	s := &Segment{
-		path: strings.TrimSuffix(path, segStubExt) + segFileExt, f: nil,
-		meta: meta, colIDs: colIDs, size: e.Size, footOff: footOff,
-		version: version, tier: tier, tierKey: e.Key,
-		tiered: true, fClosed: true, mu: make(chan struct{}, 1),
-	}
-	if err := s.buildTree(); err != nil {
-		return nil, err
-	}
-	if s.root != e.Root {
-		return nil, fmt.Errorf("%w: %s: stub merkle root does not match manifest", objstore.ErrIntegrity, path)
-	}
-	return s, nil
-}
-
-// fetchStub rebuilds a missing footer stub from the object store (the
-// local directory lost both the data file and the stub — e.g. a fresh
-// disk recovering from the manifest) under path's temp name, for the
-// caller's round to commit. Three ranged reads: the trailer to size the
-// footer, the header, the footer.
-func fetchStub(ctx context.Context, tier *objstore.Tier, e objstore.ManifestEntry, path string) error {
-	tail, err := tier.Store().ReadRange(ctx, e.Key, e.Size-trailerLen, trailerLen)
-	if err != nil {
-		return fmt.Errorf("persist: fetch stub trailer for %s: %w", e.Key, err)
-	}
-	footLen := int64(binary.LittleEndian.Uint32(tail[0:4]))
-	if footLen > maxFooterLen || e.Size-trailerLen-footLen < int64(len(segHeader)) {
-		return fmt.Errorf("%w: %s: implausible footer length %d in fetched trailer", objstore.ErrIntegrity, e.Key, footLen)
-	}
-	head, err := tier.Store().ReadRange(ctx, e.Key, 0, int64(len(segHeader)))
-	if err != nil {
-		return fmt.Errorf("persist: fetch stub header for %s: %w", e.Key, err)
-	}
-	foot, err := tier.Store().ReadRange(ctx, e.Key, e.Size-trailerLen-footLen, footLen)
-	if err != nil {
-		return fmt.Errorf("persist: fetch stub footer for %s: %w", e.Key, err)
-	}
-	if crc32.Checksum(foot, crcTable) != binary.LittleEndian.Uint32(tail[4:8]) {
-		return fmt.Errorf("%w: %s: fetched footer fails its checksum", objstore.ErrIntegrity, e.Key)
-	}
-	return writeStub(path, head, foot, tail)
-}
-
-// writeStub writes header+footer+trailer under path's temp name, unsynced.
-func writeStub(path string, head, foot, tail []byte) error {
-	err := os.WriteFile(path+segTempExt, slices.Concat(head, foot, tail), 0o644)
-	if err != nil {
-		os.Remove(path + segTempExt)
-	}
-	return err
+// stubPath returns the footer-stub path of a data file path.
+func stubPath(dataPath string) string {
+	return strings.TrimSuffix(dataPath, segFileExt) + segStubExt
 }
 
 // sortZones sorts a block's zone maps by dictionary ID (insertion sort;
@@ -936,7 +815,7 @@ func (s *Segment) Seq() uint64 { return s.meta.Seq }
 // Rows returns the row count.
 func (s *Segment) Rows() int { return s.meta.Rows }
 
-// Size returns the file size in bytes.
+// Size returns the section's size in bytes.
 func (s *Segment) Size() int64 { return s.size }
 
 // KeyRange returns the inclusive clustering-key bounds.
@@ -973,14 +852,13 @@ func (s *Segment) Overlaps(rg Range) bool {
 // Verify re-reads the local data region and checks it against the footer
 // CRC. Evicted segments verify per-block at fetch time instead.
 func (s *Segment) Verify() error {
-	s.lock()
-	noLocal := s.tiered || s.fClosed
-	s.unlock()
-	if noLocal {
-		return nil
+	local, err := s.acquire()
+	if err != nil || !local {
+		return err
 	}
+	defer s.release(local)
 	h := crc32.New(crcTable)
-	if _, err := io.Copy(h, io.NewSectionReader(s.f, 0, s.meta.DataLen)); err != nil {
+	if _, err := io.Copy(h, io.NewSectionReader(s.file.f, s.base, s.meta.DataLen)); err != nil {
 		return err
 	}
 	if h.Sum32() != s.meta.DataCRC {
@@ -999,88 +877,43 @@ var ErrRetired = errors.New("persist: segment retired")
 
 // acquire registers an iterator; it fails once the segment is retired.
 // The returned flag reports whether this iterator reads the local data
-// file (true) or fetches blocks through the tier (false); it must be
-// passed back to release.
+// file, holding it open (true), or fetches blocks through the tier
+// (false); it must be passed back to release.
 func (s *Segment) acquire() (local bool, err error) {
 	s.lock()
 	defer s.unlock()
-	if s.closed || s.doomed {
+	if s.done {
 		return false, fmt.Errorf("%w: %s", ErrRetired, s.path)
 	}
-	s.refs++
-	local = !s.tiered
-	if local {
-		s.localRefs++
+	if local = !s.tiered; local {
+		s.file.refs.Add(1)
 	}
 	return local, nil
 }
 
-// release drops an iterator reference, completing a pending retire when
-// the last reader finishes and closing an evicted segment's descriptor
-// when its last local reader drains.
+// release ends an iterator.
 func (s *Segment) release(local bool) {
-	s.lock()
-	s.refs--
 	if local {
-		s.localRefs--
-	}
-	var closeF bool
-	if s.doomed && s.refs == 0 && !s.closed {
-		s.closed = true
-		closeF = !s.fClosed
-		s.fClosed = true
-	} else if s.tiered && local && s.localRefs == 0 && !s.fClosed {
-		// Last pre-eviction reader done: the unlinked data file's
-		// descriptor can finally go.
-		closeF = true
-		s.fClosed = true
-	}
-	s.unlock()
-	if closeF {
-		s.f.Close()
+		s.file.drop()
 	}
 }
 
-// retire unlinks the local files and closes the descriptor as soon as no
-// iterator is using it (immediately when idle). Used by compaction after
-// the merged replacement is durable. Object-store cleanup of tiered
-// segments is the store's job (it owns the manifest).
-func (s *Segment) retire() {
+// letGo marks the segment tiered, or done, and drops its own reference
+// to the data file: the descriptor closes once no iterator reads it.
+func (s *Segment) letGo(tiered, done bool) error {
 	s.lock()
-	already := s.doomed
-	s.doomed = true
-	done := s.refs == 0 && !s.closed
-	if done {
-		s.closed = true
-	}
-	closeF := done && !s.fClosed
-	if done {
-		s.fClosed = true
-	}
+	held := s.held
+	s.held, s.tiered, s.done = false, s.tiered || tiered, s.done || done
 	s.unlock()
-	if !already {
-		os.Remove(s.path)
-		os.Remove(stubPath(s.path))
+	if held {
+		return s.file.drop()
 	}
-	if closeF {
-		s.f.Close()
-	}
+	return nil
 }
 
-// Close closes the descriptor of a non-doomed segment (store shutdown).
-func (s *Segment) Close() error {
-	s.lock()
-	defer s.unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if s.fClosed {
-		return nil
-	}
-	s.fClosed = true
-	return s.f.Close()
-}
+// Close ends a segment at store shutdown, or one compaction replaced: no
+// new iterator. The store unlinks files; tiered cleanup is its job too.
+func (s *Segment) Close() error { return s.letGo(false, true) }
 
 // SetTier records that the segment has a verified, manifest-recorded
 // copy in the object store under key. The local data file remains the
@@ -1128,41 +961,9 @@ func (s *Segment) MerkleRoot() (root [objstore.HashLen]byte, ok bool) {
 // it has at least one block.
 func (s *Segment) CanTier() bool { return s.tree != nil }
 
-// writeStub writes the segment's footer stub under its temp name from the
-// open descriptor (reads race nothing: the file is immutable). The stub
-// becomes the point of no local return once its round's barrier has
-// passed and markEvicted has run, so the caller must have uploaded,
-// verified AND durably manifest-recorded the object first.
-func (s *Segment) writeStub() error {
-	head := make([]byte, len(segHeader))
-	if _, err := s.f.ReadAt(head, 0); err != nil {
-		return err
-	}
-	// Footer and trailer are contiguous at the end of the file.
-	foot := make([]byte, s.size-s.footOff)
-	if _, err := s.f.ReadAt(foot, s.footOff); err != nil {
-		return err
-	}
-	return writeStub(stubPath(s.path), head, foot, nil)
-}
-
-// markEvicted releases the local data file of a segment whose stub is
-// durable: new iterators fetch from the object store, iterators already
-// open keep reading the unlinked file through the shared descriptor, and
-// the descriptor closes when the last of them finishes.
-func (s *Segment) markEvicted() {
-	s.lock()
-	s.tiered = true
-	closeF := s.localRefs == 0 && !s.fClosed
-	if closeF {
-		s.fClosed = true
-	}
-	s.unlock()
-	os.Remove(s.path)
-	if closeF {
-		s.f.Close()
-	}
-}
+// markEvicted turns a segment whose stub is durable to the object store;
+// iterators already open keep reading the local file through their hold.
+func (s *Segment) markEvicted() { s.letGo(true, false) }
 
 // startBlock returns the index of the first block that can contain keys
 // >= from: the block whose sampled key is the greatest one <= from.
@@ -1179,7 +980,7 @@ func (s *Segment) startBlock(from string) int {
 	return i - 1
 }
 
-// blockBounds returns the file-offset range of block i.
+// blockBounds returns the section-offset range of block i.
 func (s *Segment) blockBounds(i int) (lo, hi int64) {
 	ix := s.meta.Index
 	lo = ix[i].Off

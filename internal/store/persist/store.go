@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -16,12 +17,12 @@ import (
 	"hpclog/internal/obs"
 )
 
-// Store manages the immutable segment files of one storage node: flushes
+// Store manages the immutable segments of one storage node: flushes
 // append new segments, reads snapshot the per-partition segment list, and
 // compaction merges a partition's segments into one with last-write-wins
-// semantics. Files are named <seq>.seg with a node-wide sequence; the
-// footer identifies the table and partition, so no escaping of partition
-// keys into filenames is ever needed.
+// semantics. Segments live in round files (round.go) named <seq>.seg with
+// a node-wide sequence; the footer identifies the table and partition, so
+// no escaping of partition keys into filenames is ever needed.
 type Store struct {
 	dir string
 	// zoneCols, when non-nil, replaces DefaultZoneColumns as the hot set
@@ -57,12 +58,13 @@ type segKey struct{ table, pkey string }
 // Stats is a snapshot of the store's counters and current on-disk state.
 type Stats struct {
 	Flushes           int64 // segments written by flush rounds
-	FlushRounds       int64 // flush rounds (one durability barrier each)
+	FlushRounds       int64 // flush rounds (one durability barrier and one data file each)
 	FlushedRows       int64
 	Compactions       int64
 	CompactedSegments int64
 	CompactedRows     int64
 	Segments          int64
+	Files             int64 // data files and footer stubs holding them
 	Bytes             int64
 	// TieredSegments/TieredBytes count segments whose data file has been
 	// evicted to the object store (bytes are the logical object sizes).
@@ -109,33 +111,12 @@ func OpenStoreTiered(dir string, ts *TierSetup) (*Store, error) {
 	if err := s.loadTables(); err != nil {
 		return nil, err
 	}
-	entries, err := os.ReadDir(dir)
+	local, dead, err := s.openFiles()
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasSuffix(name, segTempExt) {
-			// Leftover of a flush cut short by a crash; the rows are still
-			// in the commitlog, so the partial file is just garbage.
-			os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		if !strings.HasSuffix(name, segFileExt) {
-			continue
-		}
-		seg, err := OpenSegment(filepath.Join(dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("persist: open %s: %w", name, err)
-		}
-		k := segKey{seg.Table(), seg.Partition()}
-		s.segs[k] = append(s.segs[k], seg)
-		if seg.Seq() >= s.nextSeq {
-			s.nextSeq = seg.Seq() + 1
-		}
-	}
 	if s.tier != nil {
-		if err := s.reconcileTier(); err != nil {
+		if err := s.reconcileTier(local, dead); err != nil {
 			return nil, err
 		}
 	}
@@ -143,6 +124,76 @@ func OpenStoreTiered(dir string, ts *TierSetup) (*Store, error) {
 		sort.Slice(list, func(i, j int) bool { return list[i].Seq() < list[j].Seq() })
 	}
 	return s, nil
+}
+
+// openFiles opens every data file and registers its live sections: those
+// no dead mark of any data file or stub names (dead). A seq live in two
+// files means a compaction round copied a file's live sections into its
+// own and crashed before unlinking it: the older file, wholly replaced,
+// is removed, as is a file with no live section.
+func (s *Store) openFiles() (local map[uint64]*Segment, dead map[uint64]bool, err error) {
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	var files []*dataFile
+	dead = make(map[uint64]bool)
+	for _, e := range entries {
+		name, path := e.Name(), filepath.Join(s.dir, e.Name())
+		var marks []uint64
+		switch {
+		case strings.HasSuffix(name, segTempExt):
+			// Leftover of a round cut short by a crash; its rows are still
+			// in the commitlog or its inputs, so it is just garbage.
+			os.Remove(path)
+		case strings.HasSuffix(name, segStubExt):
+			_, marks, err = readIndex(path)
+		case strings.HasSuffix(name, segFileExt):
+			var df *dataFile
+			if df, marks, err = openFile(path); err == nil {
+				files = append(files, df)
+			}
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("persist: open %s: %w", name, err)
+		}
+		for _, seq := range marks {
+			dead[seq] = true
+			s.nextSeq = max(s.nextSeq, seq+1)
+		}
+	}
+	owner, gone := make(map[uint64]*dataFile), make(map[*dataFile]bool) // files come oldest round first, by name
+	for _, df := range files {
+		all := df.segs
+		df.segs = nil
+		for _, seg := range all {
+			if dead[seg.Seq()] {
+				df.dead = append(df.dead, section{seg.Seq(), seg.base, seg.size})
+				continue
+			}
+			df.segs = append(df.segs, seg)
+			if prev := owner[seg.Seq()]; prev != nil {
+				gone[prev] = true
+			}
+			owner[seg.Seq()] = df
+		}
+	}
+	local = make(map[uint64]*Segment)
+	for _, df := range files {
+		if gone[df] || len(df.segs) == 0 {
+			df.f.Close()
+			df.unlink()
+			continue
+		}
+		df.own(df.segs, df.size)
+		for _, seg := range df.segs {
+			k := segKey{seg.Table(), seg.Partition()}
+			s.segs[k] = append(s.segs[k], seg)
+			local[seg.Seq()] = seg
+			s.nextSeq = max(s.nextSeq, seg.Seq()+1)
+		}
+	}
+	return local, dead, nil
 }
 
 func (s *Store) segPath(seq uint64) string {
@@ -158,18 +209,12 @@ func (s *Store) SetZoneColumns(names []string) {
 
 // newWriter creates a segment writer honoring the store's zone-column
 // configuration.
-func (s *Store) newWriter(path, table, pkey string, seq uint64) (*Writer, error) {
-	w, err := NewWriter(path, table, pkey, seq)
-	if err != nil {
-		return nil, err
-	}
+func (s *Store) newWriter(table, pkey string, seq uint64) *Writer {
+	w := NewWriter(table, pkey, seq)
 	if s.zoneCols != nil {
-		if err := w.SetZoneColumns(s.zoneCols); err != nil {
-			w.Abort()
-			return nil, err
-		}
+		w.setZoneColumnNames(s.zoneCols)
 	}
-	return w, nil
+	return w
 }
 
 // tablesManifest is the durable table catalog: one table name per line.
@@ -208,8 +253,7 @@ func (s *Store) AddTable(name string) error {
 	names = append(names, name)
 	sort.Strings(names)
 	path := filepath.Join(s.dir, tablesManifest)
-	if err := os.WriteFile(path+segTempExt, []byte(strings.Join(names, "\n")+"\n"), 0o644); err != nil {
-		os.Remove(path + segTempExt)
+	if err := objstore.WriteTemp(path, []byte(strings.Join(names, "\n")+"\n")); err != nil {
 		return err
 	}
 	if err := objstore.Commit([]string{path}, nil); err != nil {
@@ -247,9 +291,9 @@ func (s *Store) Flush(table, pkey string, rows []Row) error {
 	return s.FlushRound([]FlushPart{{table, pkey, rows}})
 }
 
-// FlushRound writes every part (none empty) as a new immutable segment
-// and registers them all, with one durability barrier for the round. On
-// error nothing was registered and the caller still owns every row.
+// FlushRound writes every part (none empty) as a segment of one new data
+// file and registers them all, with one durability barrier for the round.
+// On error nothing was registered and the caller still owns every row.
 func (s *Store) FlushRound(parts []FlushPart) error {
 	n := len(parts)
 	if n == 0 {
@@ -262,35 +306,24 @@ func (s *Store) FlushRound(parts []FlushPart) error {
 	s.nextSeq += uint64(n)
 	s.mu.Unlock()
 
-	paths := make([]string, n)
-	for i := range paths {
-		paths[i] = s.segPath(first + uint64(i))
+	rf, err := createRound(s.segPath(first))
+	if err != nil {
+		return err
 	}
-	writers := make([]*Writer, n)
-	err := objstore.Parallel(n, roundWorkers, func(i int) error {
+	segs := make([]*Segment, n)
+	err = objstore.Parallel(n, roundWorkers, func(i int) (err error) {
 		p := parts[i]
-		w, err := s.newWriter(paths[i], p.Table, p.PKey, first+uint64(i))
-		if err != nil {
-			return err
-		}
+		w := s.newWriter(p.Table, p.PKey, first+uint64(i))
 		for _, r := range p.Rows {
 			if err := w.Append(r); err != nil {
 				w.Abort()
 				return err
 			}
 		}
-		writers[i] = w
-		return w.seal()
+		segs[i], err = w.writeTo(rf)
+		return err
 	})
-	if err != nil {
-		objstore.Discard(paths)
-		return err
-	}
-	if err := commitRound(paths); err != nil {
-		return err
-	}
-	segs, err := openSealed(writers)
-	if err != nil {
+	if err := rf.finish(segs, nil, err); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -305,25 +338,8 @@ func (s *Store) FlushRound(parts []FlushPart) error {
 	s.flushes.Add(int64(n))
 	s.flushRounds.Add(1)
 	s.FlushRoundHist.Record(time.Since(start))
-	roundHook("published", paths)
+	roundHook("published", []string{rf.path})
 	return nil
-}
-
-// openSealed opens the committed files of a round as segments, each from
-// the footer its sealed writer still holds.
-func openSealed(writers []*Writer) ([]*Segment, error) {
-	segs := make([]*Segment, len(writers))
-	for i, w := range writers {
-		seg, err := w.open()
-		if err != nil {
-			for _, open := range segs[:i] {
-				open.Close()
-			}
-			return nil, err
-		}
-		segs[i] = seg
-	}
-	return segs, nil
 }
 
 // Segments returns the partition's segment list, oldest first. The slice
@@ -373,15 +389,15 @@ func (s *Store) MaxWriteTS() int64 {
 // CompactPartition merges the partition's current segments into one when
 // it has more than threshold of them (threshold <= 1 forces a merge of any
 // multi-segment partition) — a compaction round of one. Callers must
-// serialize compaction calls per store.
+// serialize compactions and tier sweeps per store.
 func (s *Store) CompactPartition(table, pkey string, threshold int) (bool, error) {
 	n, err := s.compactRound([]segKey{{table, pkey}}, threshold)
 	return n > 0, err
 }
 
-// compactBatch bounds the partitions of one compaction round, and with it
-// the disk space that holds inputs and outputs side by side until the
-// round's barrier.
+// compactBatch bounds the partitions of one compaction round, and with
+// them the merged segments a round holds beside their inputs until its
+// barrier.
 const compactBatch = 256
 
 // CompactOverflow compacts, in rounds of compactBatch, every partition
@@ -412,18 +428,26 @@ type merge struct {
 	key  segKey
 	old  []*Segment
 	rows int
-	w    *Writer // sealed output
 }
 
 // compactRound merges each listed partition that still overflows
 // threshold into one segment, with one durability barrier for the round:
 // the merged segments replace their inputs, and the inputs' object-store
-// copies and local files are dropped, only after every output is durable.
-// Concurrent flushes are safe: segments registered after a partition's
-// snapshot is taken are preserved behind its merged segment. A partition
-// whose merge fails is left as it was and reported in the joined error; a
-// failed drop of a retired segment's object copy is reported the same way
-// and stops nothing.
+// copies are dropped, only after every output is durable. Concurrent
+// flushes are safe: segments registered after a partition's snapshot is
+// taken are preserved behind its merged segment. Compactions and tier
+// sweeps must be serialized per store.
+//
+// A retired input stays on disk as a dead section of its data file, and
+// the round's file marks it dead (round.go). A file is reclaimed — its
+// live sections copied, byte for byte, into the round's file, and the file
+// unlinked — once its dead sections hold a third of its bytes, so copying
+// never outgrows twice what compaction retired and no file holds more
+// dead bytes than half its live ones.
+//
+// A merge that fails (an unreadable input) drops out alone and leaves its
+// partition as it was; a failed copy or write fails the round. A failed
+// drop of a retired segment's object copy is reported and stops nothing.
 func (s *Store) compactRound(keys []segKey, threshold int) (int, error) {
 	defer hooked()()
 	start := time.Now()
@@ -431,9 +455,10 @@ func (s *Store) compactRound(keys []segKey, threshold int) (int, error) {
 	var merges []*merge
 	for _, k := range keys {
 		if list := s.segs[k]; len(list) > 1 && len(list) > threshold {
-			merges = append(merges, &merge{key: k, old: append([]*Segment(nil), list...)})
+			merges = append(merges, &merge{key: k, old: slices.Clone(list)})
 		}
 	}
+	dirty := s.dirtyFiles()
 	first := s.nextSeq
 	s.nextSeq += uint64(len(merges))
 	s.mu.Unlock()
@@ -441,66 +466,137 @@ func (s *Store) compactRound(keys []segKey, threshold int) (int, error) {
 		return 0, nil
 	}
 
-	// Merge on the worker pool; a failed merge drops out of the round.
-	errs := make([]error, len(merges))
-	objstore.Parallel(len(merges), roundWorkers, func(i int) error {
-		errs[i] = s.mergeSegments(merges[i], first+uint64(i))
-		return nil
+	rf, err := createRound(s.segPath(first))
+	if err != nil {
+		return 0, err
+	}
+	outs, failed := make([]*Segment, len(merges)), make([]error, len(merges))
+	err = objstore.Parallel(len(merges), roundWorkers, func(i int) (err error) {
+		outs[i], failed[i], err = s.mergeSegments(rf, merges[i], first+uint64(i))
+		return err
 	})
-	n := 0
-	var paths []string
+	n, retired, marks := 0, make(map[*Segment]bool), []uint64(nil)
+	touched := make(map[*dataFile]bool) // the resident files holding an input
 	for i, m := range merges {
-		if errs[i] == nil {
-			merges[n] = m
-			paths = append(paths, s.segPath(first+uint64(i)))
-			n++
+		if failed[i] != nil {
+			continue
+		}
+		merges[n], outs[n], n = m, outs[i], n+1
+		for _, o := range m.old {
+			retired[o], marks = true, append(marks, o.Seq())
+			if o.file != nil && !o.Tiered() {
+				touched[o.file] = true
+			}
 		}
 	}
-	merges = merges[:n]
-	mergeErr := errors.Join(errs...)
-	if n == 0 {
-		return 0, mergeErr
+	merges, outs = merges[:n], outs[:n]
+	var moves []*Segment
+	var gone, kept []*dataFile
+	for df := range touched {
+		var survivors []*Segment
+		var dead, live int64
+		for _, sc := range df.dead {
+			dead += sc.len
+		}
+		for _, seg := range df.segs {
+			if retired[seg] {
+				dead += seg.size
+			} else {
+				survivors, live = append(survivors, seg), live+seg.size
+			}
+		}
+		if 2*dead >= live {
+			moves, gone = append(moves, survivors...), append(gone, df)
+		} else {
+			kept = append(kept, df)
+		}
 	}
-	if err := commitRound(paths); err != nil {
-		return 0, errors.Join(mergeErr, err)
+	if err == nil {
+		outs = append(outs, make([]*Segment, len(moves))...)
+		err = objstore.Parallel(len(moves), roundWorkers, func(j int) (err error) {
+			outs[n+j], err = rf.copySection(moves[j])
+			return err
+		})
 	}
-	writers := make([]*Writer, n)
-	for i, m := range merges {
-		writers[i] = m.w
+	if err == nil && len(outs) == 0 {
+		err = errors.New("persist: every merge of the compaction round failed")
 	}
-	segs, err := openSealed(writers)
-	if err != nil {
-		return 0, errors.Join(mergeErr, err)
+	if err := rf.finish(outs, deadMarks(dirty, marks), err); err != nil {
+		return 0, errors.Join(append(failed, err)...)
 	}
 
 	s.mu.Lock()
 	for i, m := range merges {
 		// cur = old ++ segments flushed during the merge; keep the new ones.
 		tail := s.segs[m.key][len(m.old):]
-		s.segs[m.key] = append([]*Segment{segs[i]}, tail...)
+		s.segs[m.key] = append([]*Segment{outs[i]}, tail...)
+	}
+	for j, o := range moves {
+		list := s.segs[segKey{o.Table(), o.Partition()}]
+		list[slices.Index(list, o)] = outs[n+j]
+	}
+	for _, df := range kept {
+		df.segs = slices.DeleteFunc(df.segs, func(seg *Segment) bool {
+			if retired[seg] {
+				df.dead = append(df.dead, section{seg.Seq(), seg.base, seg.size})
+			}
+			return retired[seg]
+		})
 	}
 	s.mu.Unlock()
-	var retired []*Segment
+	replaced := moves
 	for _, m := range merges {
-		retired = append(retired, m.old...)
+		replaced = append(replaced, m.old...)
 		s.compactedSegments.Add(int64(len(m.old)))
 		s.compactedRows.Add(int64(m.rows))
 	}
 	// Drop the object-store copies before unlinking local state so the
 	// manifest never points at a segment the store no longer tracks.
-	dropErr := s.dropTiered(context.Background(), retired)
-	for _, o := range retired {
-		o.retire()
+	dropErr := s.dropTiered(context.Background(), replaced)
+	for _, o := range replaced {
+		o.Close()
 	}
-	s.compactions.Add(int64(n))
+	for _, df := range gone {
+		df.unlink()
+	}
+	s.compactions.Add(int64(len(merges)))
 	s.CompactRoundHist.Record(time.Since(start))
-	roundHook("published", paths)
-	return n, errors.Join(mergeErr, dropErr)
+	roundHook("published", []string{rf.path})
+	return len(merges), errors.Join(append(failed, dropErr)...)
 }
 
-// mergeSegments streams the last-write-wins merge of m.old into a sealed,
-// uncommitted segment file.
-func (s *Store) mergeSegments(m *merge, seq uint64) error {
+// dirtyFiles returns the resident data files holding a dead section. The
+// caller holds s.mu.
+func (s *Store) dirtyFiles() []*dataFile {
+	var out []*dataFile
+	seen := make(map[*dataFile]bool)
+	for _, list := range s.segs {
+		for _, seg := range list {
+			if df := seg.file; df != nil && len(df.dead) > 0 && !seen[df] && !seg.Tiered() {
+				seen[df] = true
+				out = append(out, df)
+			}
+		}
+	}
+	return out
+}
+
+// deadMarks returns the seqs of the dead sections of files, and more,
+// sorted and distinct: the dead marks of a file the caller writes.
+func deadMarks(files []*dataFile, more []uint64) []uint64 {
+	for _, df := range files {
+		for _, sc := range df.dead {
+			more = append(more, sc.seq)
+		}
+	}
+	slices.Sort(more)
+	return slices.Compact(more)
+}
+
+// mergeSegments streams the last-write-wins merge of m.old into the round
+// file as segment seq. A failure to read the inputs is mergeErr, and
+// leaves the file as it was; one to write the file is err.
+func (s *Store) mergeSegments(rf *dataFile, m *merge, seq uint64) (out *Segment, mergeErr, err error) {
 	its := make([]Iterator, 0, len(m.old))
 	for _, seg := range m.old {
 		it, err := seg.Scan(Range{})
@@ -508,16 +604,13 @@ func (s *Store) mergeSegments(m *merge, seq uint64) error {
 			for _, open := range its {
 				open.Close()
 			}
-			return err
+			return nil, err, nil
 		}
 		its = append(its, it)
 	}
 	merged := MergeIters(its)
 	defer merged.Close()
-	w, err := s.newWriter(s.segPath(seq), m.key.table, m.key.pkey, seq)
-	if err != nil {
-		return err
-	}
+	w := s.newWriter(m.key.table, m.key.pkey, seq)
 	for {
 		r, ok := merged.Next()
 		if !ok {
@@ -525,16 +618,16 @@ func (s *Store) mergeSegments(m *merge, seq uint64) error {
 		}
 		if err := w.Append(r); err != nil {
 			w.Abort()
-			return err
+			return nil, err, nil
 		}
 		m.rows++
 	}
 	if err := merged.Err(); err != nil {
 		w.Abort()
-		return err
+		return nil, err, nil
 	}
-	m.w = w
-	return w.seal()
+	out, err = w.writeTo(rf)
+	return out, nil, err
 }
 
 // Stats returns a snapshot of counters plus the live segment totals.
@@ -547,6 +640,7 @@ func (s *Store) Stats() Stats {
 		CompactedSegments: s.compactedSegments.Load(),
 		CompactedRows:     s.compactedRows.Load(),
 	}
+	files := make(map[any]bool) // a resident segment's data file, a tiered one's object
 	s.mu.RLock()
 	for _, list := range s.segs {
 		st.Segments += int64(len(list))
@@ -555,14 +649,18 @@ func (s *Store) Stats() Stats {
 			if seg.Tiered() {
 				st.TieredSegments++
 				st.TieredBytes += seg.Size()
+				files[seg.TierKey()] = true
+			} else {
+				files[seg.file] = true
 			}
 		}
 	}
 	s.mu.RUnlock()
+	st.Files = int64(len(files))
 	return st
 }
 
-// Close closes every open segment descriptor.
+// Close lets go of every open data file.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,12 +1,14 @@
 package persist
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"os"
+	"path"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -22,11 +24,11 @@ type TierSetup struct {
 	// Tier is the process-wide tier (object store + shared block cache).
 	Tier *objstore.Tier
 	// Prefix namespaces this node's objects within the store (e.g.
-	// "node-3"); object keys are <prefix>/<seq>.seg.
+	// "node-3"); object keys are <prefix>/<data file name>.
 	Prefix string
 }
 
-// tierBatch is how many segments one pass of the sweep pipeline carries
+// tierBatch is how many data files one pass of the sweep pipeline carries
 // between barriers: one object-store barrier, one manifest record and one
 // stub barrier per batch.
 const tierBatch = 128
@@ -37,15 +39,17 @@ const tierBatch = 128
 // uses it to capture directory images "mid-upload" and "mid-eviction" and
 // prove recovery from each. Stages, in pipeline order:
 //
-//	pre-upload    — about to stream the segment to the object store
+//	pre-upload    — about to stream the segment's file to the object store
 //	post-upload   — object uploaded and read-back verified, manifest not yet written
 //	post-manifest — manifest record durable, local data files still authoritative
 //	post-stub     — footer stubs durable, data files not yet unlinked
 var TierCrashHook func(stage string, seq uint64)
 
-func tierHook(stage string, seq uint64) {
+func tierHook(stage string, segs []*Segment) {
 	if TierCrashHook != nil {
-		TierCrashHook(stage, seq)
+		for _, seg := range segs {
+			TierCrashHook(stage, seg.Seq())
+		}
 	}
 }
 
@@ -54,54 +58,60 @@ func tierHook(stage string, seq uint64) {
 // open beats silently serving partial data.
 var ErrTierRequired = errors.New("persist: segment data is evicted to an object store; tier configuration required")
 
-// tierObjKey is the deterministic object key for a segment: crash
+// tierObjKey is the deterministic object key of a data file: crash
 // recovery re-uploads to the same key, so an interrupted upload can
 // never leak an orphan object.
-func (s *Store) tierObjKey(seq uint64) string {
-	return fmt.Sprintf("%s/%020d%s", s.tierPrefix, seq, segFileExt)
+func (s *Store) tierObjKey(df *dataFile) string {
+	return s.tierPrefix + "/" + filepath.Base(df.path)
+}
+
+// keyStub returns the local footer-stub path of the object at key.
+func (s *Store) keyStub(key string) string {
+	return stubPath(filepath.Join(s.dir, path.Base(key)))
 }
 
 // reconcileTier replays the manifest against the local directory after
-// the resident segments are opened:
+// the resident data files are opened (local: their live segments by seq;
+// dead: the seqs dead marks name):
 //
-//   - entry + local data file (crash between manifest write and unlink,
-//     or eviction never ran): re-adopt the local file and remember the
-//     upload — a later eviction needs no second transfer;
-//   - entry + stub: open the evicted segment, reads go through the tier;
-//   - entry alone (fresh disk): rebuild the stub from the object store;
-//   - stub without entry (crash mid-retire after the manifest entry was
-//     removed): garbage, swept.
+//   - entry + its section in its object's local file (crash between
+//     manifest write and unlink, or eviction never ran): re-adopt the
+//     local file — a later eviction needs no second transfer;
+//   - entry of a section since copied into another file, or marked dead
+//     (crash before compaction dropped the entries): stale, removed;
+//   - entry + stub: open the evicted section, reads go through the tier;
+//   - entry alone (fresh disk): rebuild the object's stub from the object;
+//   - stub without an entry (crash mid-retire after the manifest entries
+//     were removed): garbage, swept.
 //
 // nextSeq is seeded past every manifest seq so an evicted segment's
 // number is never reissued to a new file.
-func (s *Store) reconcileTier() error {
+func (s *Store) reconcileTier(local map[uint64]*Segment, dead map[uint64]bool) error {
 	ctx := context.Background()
-	bySeq := make(map[uint64]*Segment)
-	for _, list := range s.segs {
-		for _, seg := range list {
-			bySeq[seg.Seq()] = seg
-		}
-	}
-	live := make(map[string]bool)
-	var evicted []objstore.ManifestEntry
-	var rebuilt []string // stubs rebuilt from the object store, one round
+	var stale []objstore.ManifestEntry
+	evicted := make(map[string][]objstore.ManifestEntry) // by object key
 	for _, e := range s.manifest.Entries() {
-		sp := stubPath(s.segPath(e.Seq))
-		live[filepath.Base(sp)] = true
-		if seg, ok := bySeq[e.Seq]; ok {
-			root, hasRoot := seg.MerkleRoot()
-			if !hasRoot || root != e.Root {
-				objstore.Discard(rebuilt)
-				return fmt.Errorf("%w: %s: local segment does not match the manifest-recorded upload", objstore.ErrIntegrity, s.segPath(e.Seq))
+		name := path.Base(e.Key)
+		seg, ok := local[e.Seq]
+		switch {
+		case ok && filepath.Base(seg.path) == name:
+			if root, hasRoot := seg.MerkleRoot(); !hasRoot || root != e.Root {
+				return fmt.Errorf("%w: %s: local segment %d does not match the manifest-recorded upload", objstore.ErrIntegrity, seg.path, e.Seq)
 			}
 			seg.SetTier(s.tier, e.Key)
-			os.Remove(sp) // interrupted eviction: local file re-adopted
-			continue
+			os.Remove(s.keyStub(e.Key)) // interrupted eviction: local file re-adopted
+		case ok || dead[e.Seq]:
+			stale = append(stale, e)
+		default:
+			evicted[e.Key] = append(evicted[e.Key], e)
 		}
-		evicted = append(evicted, e)
+	}
+	var rebuilt []string // stubs rebuilt from the object store, one round
+	for key, es := range evicted {
+		sp := s.keyStub(key)
 		if _, err := os.Stat(sp); err != nil {
 			if os.IsNotExist(err) {
-				err = fetchStub(ctx, s.tier, e, sp)
+				err = fetchStub(ctx, s.tier, es[0], sp)
 			}
 			if err != nil {
 				objstore.Discard(rebuilt)
@@ -113,19 +123,24 @@ func (s *Store) reconcileTier() error {
 	if err := objstore.Commit(rebuilt, nil); err != nil {
 		return err
 	}
-	for _, e := range evicted {
-		seg, err := OpenTieredStub(stubPath(s.segPath(e.Seq)), s.tier, e)
+	live := make(map[string]bool)
+	for key, es := range evicted {
+		sp := s.keyStub(key)
+		live[filepath.Base(sp)] = true
+		segs, err := openStub(sp, s.tier, es)
 		if err != nil {
 			return err
 		}
-		k := segKey{seg.Table(), seg.Partition()}
-		s.segs[k] = append(s.segs[k], seg)
-		if e.Seq >= s.nextSeq {
-			s.nextSeq = e.Seq + 1
+		for _, seg := range segs {
+			k := segKey{seg.Table(), seg.Partition()}
+			s.segs[k] = append(s.segs[k], seg)
 		}
 	}
 	if ms := s.manifest.MaxSeq(); ms >= s.nextSeq {
 		s.nextSeq = ms + 1
+	}
+	if err := s.dropEntries(ctx, stale); err != nil {
+		return err
 	}
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -139,38 +154,114 @@ func (s *Store) reconcileTier() error {
 	return nil
 }
 
-// TierSweep uploads eligible segments to the object store and releases
-// their local data files. Policy: a segment is cold when a newer segment
-// exists in its partition — the newest stays resident as the partition's
-// hot tail; force widens the sweep to every eligible segment (the
-// CLI/route trigger). The sweep is a batched pipeline — upload and verify
-// a batch, one object-store barrier, one manifest record, the batch's
-// stubs and one barrier, unlink the batch — and upholds the round
-// invariant at each step: no manifest entry before its object is durable,
-// no stub before its entry is, no unlink before its stub is. Failures are
-// joined into the returned error and the sweep continues, so one bad
-// segment or batch cannot shadow the rest of the node.
+// openStub opens the evicted segments of one object from its footer stub:
+// those its manifest entries es name, each at its entry's offset. Every
+// footer parses as in the data file, every Merkle root must match its
+// manifest-pinned root, and all block reads go through tier.
+func openStub(stub string, tier *objstore.Tier, es []objstore.ManifestEntry) ([]*Segment, error) {
+	bySeq := make(map[uint64]objstore.ManifestEntry, len(es))
+	for _, e := range es {
+		bySeq[e.Seq] = e
+	}
+	f, size, err := openSized(stub)
+	if err != nil {
+		return nil, err
+	}
+	segs, _, err := parseSections(f, size, stub, func(seq uint64) bool { _, ok := bySeq[seq]; return ok })
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
+	if len(segs) != len(es) {
+		return nil, fmt.Errorf("persist: %s holds %d of the %d segments the manifest places in its object", stub, len(segs), len(es))
+	}
+	for _, seg := range segs {
+		e, ok := bySeq[seg.Seq()]
+		if !ok || seg.root != e.Root {
+			return nil, fmt.Errorf("%w: %s: stub segment %d does not match the manifest", objstore.ErrIntegrity, stub, seg.Seq())
+		}
+		seg.path = strings.TrimSuffix(stub, segStubExt) + segFileExt
+		seg.base, seg.size, seg.footOff = e.Off, seg.meta.DataLen+seg.size-seg.footOff, seg.meta.DataLen
+		seg.tier, seg.tierKey, seg.tiered = tier, e.Key, true
+	}
+	return segs, nil
+}
+
+// readerFunc adapts a function to io.ReaderAt.
+type readerFunc func(p []byte, off int64) (int, error)
+
+func (f readerFunc) ReadAt(p []byte, off int64) (int, error) { return f(p, off) }
+
+// fetchStub rebuilds the missing footer stub of e's object from the object
+// store by ranged reads (the local directory lost both the data file and
+// the stub — e.g. a fresh disk recovering from the manifest) under path's
+// temp name, for the caller's round to commit.
+func fetchStub(ctx context.Context, tier *objstore.Tier, e objstore.ManifestEntry, path string) error {
+	at := readerFunc(func(p []byte, off int64) (int, error) {
+		b, err := tier.Store().ReadRange(ctx, e.Key, off, int64(len(p)))
+		return copy(p, b), err
+	})
+	segs, dead, err := parseSections(at, e.Size, e.Key, nil)
+	var stub []byte
+	if err == nil {
+		stub, err = buildStub(segs, dead, at)
+	}
+	if err != nil {
+		return fmt.Errorf("persist: fetch the stub of %s: %w", e.Key, err)
+	}
+	return objstore.WriteTemp(path, stub)
+}
+
+// TierSweep uploads eligible data files to the object store and releases
+// them locally, counting segments. Policy: a segment is cold when a newer
+// one exists in its partition, and a data file goes when cold segments
+// hold at least half its live bytes — so local disk keeps no more cold
+// bytes than hot, and no mostly cold file for the sake of one newest
+// segment; force sweeps every file. A file with a segment without rows
+// stays. The sweep is a batched pipeline — upload and verify a batch of
+// files, one object-store barrier, one manifest record, one stub per file
+// and one barrier, unlink the batch — and upholds the round invariant at
+// each step: no manifest entry before its object is durable, no stub
+// before its entries are, no unlink before its stub is. Failures are
+// joined into the returned error and the sweep continues.
 func (s *Store) TierSweep(ctx context.Context, force bool) (uploaded, evicted int, err error) {
 	if s.tier == nil {
 		return 0, 0, nil
 	}
 	defer hooked()()
 	start := time.Now()
+	type load struct {
+		cold, live int64
+		empty      bool // a segment without rows: no Merkle root to pin
+	}
+	loads := make(map[*dataFile]load)
 	s.mu.RLock()
-	var cands []*Segment
 	for _, list := range s.segs {
 		for i, seg := range list {
-			if (i < len(list)-1 || force) && seg.CanTier() {
-				cands = append(cands, seg)
+			if seg.file != nil && !seg.Tiered() {
+				l := loads[seg.file]
+				if l.live += seg.size; i < len(list)-1 || force {
+					l.cold += seg.size
+				}
+				l.empty = l.empty || !seg.CanTier()
+				loads[seg.file] = l
 			}
 		}
 	}
+	marks := deadMarks(s.dirtyFiles(), nil)
 	s.mu.RUnlock()
+	var files []*dataFile
+	for df, l := range loads {
+		if !l.empty && 2*l.cold >= l.live {
+			files = append(files, df)
+		}
+	}
+	slices.SortFunc(files, func(a, b *dataFile) int { return strings.Compare(a.path, b.path) })
 	var errs []error
-	for len(cands) > 0 {
-		n := min(tierBatch, len(cands))
-		up, ev, berr := s.sweepBatch(ctx, cands[:n])
-		uploaded, evicted, cands = uploaded+up, evicted+ev, cands[n:]
+	for len(files) > 0 {
+		n := min(tierBatch, len(files))
+		up, ev, berr := s.sweepBatch(ctx, files[:n], marks)
+		uploaded, evicted, files = uploaded+up, evicted+ev, files[n:]
 		if berr != nil {
 			errs = append(errs, berr)
 		}
@@ -181,53 +272,42 @@ func (s *Store) TierSweep(ctx context.Context, force bool) (uploaded, evicted in
 	return uploaded, evicted, errors.Join(errs...)
 }
 
-// sweepBatch carries one batch through the pipeline.
-func (s *Store) sweepBatch(ctx context.Context, cands []*Segment) (uploaded, evicted int, err error) {
-	// Pin the data files of the segments still resident.
-	batch := cands[:0:0]
-	for _, seg := range cands {
-		if seg.Tiered() {
-			continue
+// sweepBatch carries one batch of data files through the pipeline; their
+// stubs carry the dead marks.
+func (s *Store) sweepBatch(ctx context.Context, files []*dataFile, marks []uint64) (uploaded, evicted int, err error) {
+	// Pin every section of the files still wholly resident.
+	var batch []*dataFile
+	for _, df := range files {
+		if pinFile(df) {
+			batch = append(batch, df)
 		}
-		local, aerr := seg.acquire()
-		if aerr != nil {
-			continue // retired while sweeping
-		}
-		if !local {
-			seg.release(false)
-			continue
-		}
-		batch = append(batch, seg)
 	}
 	defer func() {
-		for _, seg := range batch {
-			seg.release(true)
+		for _, df := range batch {
+			for _, seg := range df.segs {
+				seg.release(true)
+			}
 		}
 	}()
-	hookAll := func(stage string, segs []*Segment) {
-		for _, seg := range segs {
-			tierHook(stage, seg.Seq())
-		}
-	}
 
 	// Upload and read-back verify what has no object copy yet; a failed
 	// upload drops out of the batch.
 	var errs []error
-	var fresh []*Segment
+	var fresh []*dataFile
 	var entries []objstore.ManifestEntry
 	var keys []string
 	ready := batch[:0:0]
-	for _, seg := range batch {
-		if seg.Uploaded() {
-			ready = append(ready, seg)
+	for _, df := range batch {
+		if df.segs[0].Uploaded() {
+			ready = append(ready, df)
 			continue
 		}
-		e, uerr := s.uploadSegment(ctx, seg)
+		es, uerr := s.uploadFile(ctx, df)
 		if uerr != nil {
 			errs = append(errs, uerr)
 			continue
 		}
-		fresh, entries, keys = append(fresh, seg), append(entries, e), append(keys, e.Key)
+		fresh, entries, keys = append(fresh, df), append(entries, es...), append(keys, es[0].Key)
 	}
 	if len(fresh) > 0 {
 		// The objects become durable, then — with one record — recorded.
@@ -238,74 +318,131 @@ func (s *Store) sweepBatch(ctx context.Context, cands []*Segment) (uploaded, evi
 		if err != nil {
 			errs = append(errs, fmt.Errorf("persist: record %d uploads: %w", len(fresh), err))
 		} else {
-			for i, seg := range fresh {
-				seg.SetTier(s.tier, keys[i])
+			for i, df := range fresh {
+				for _, seg := range df.segs {
+					seg.SetTier(s.tier, keys[i])
+				}
+				tierHook("post-manifest", df.segs)
+				uploaded += len(df.segs)
 			}
-			hookAll("post-manifest", fresh)
-			uploaded, ready = len(fresh), append(ready, fresh...)
+			ready = append(ready, fresh...)
 		}
 	}
 
-	// Stubs for everything recorded, one barrier, then the unlinks.
+	// One stub per file, one barrier, then the unlinks.
 	stubs := make([]string, 0, len(ready))
-	for _, seg := range ready {
-		if serr := seg.writeStub(); serr != nil {
+	for _, df := range ready {
+		if serr := writeStub(df, marks); serr != nil {
 			objstore.Discard(stubs)
 			return uploaded, 0, errors.Join(append(errs, serr)...)
 		}
-		stubs = append(stubs, stubPath(seg.path))
+		stubs = append(stubs, stubPath(df.path))
 	}
 	if err := objstore.Commit(stubs, nil); err != nil {
 		return uploaded, 0, errors.Join(append(errs, err)...)
 	}
-	hookAll("post-stub", ready)
-	for _, seg := range ready {
-		seg.markEvicted()
-		s.tier.Evictions.Inc()
+	for _, df := range ready {
+		tierHook("post-stub", df.segs)
 	}
-	return uploaded, len(ready), errors.Join(errs...)
+	for _, df := range ready {
+		for _, seg := range df.segs {
+			seg.markEvicted()
+			s.tier.Evictions.Inc()
+		}
+		df.unlink()
+		evicted += len(df.segs)
+	}
+	return uploaded, evicted, errors.Join(errs...)
 }
 
-// uploadSegment streams seg to the object store and verifies the object
-// by read-back, returning the manifest entry that will record it.
-func (s *Store) uploadSegment(ctx context.Context, seg *Segment) (objstore.ManifestEntry, error) {
-	key := s.tierObjKey(seg.Seq())
-	tierHook("pre-upload", seg.Seq())
-	if err := s.tier.UploadAndVerify(ctx, key, seg.f, seg.size); err != nil {
-		return objstore.ManifestEntry{}, fmt.Errorf("persist: upload %s: %w", seg.path, err)
+// pinFile acquires every section of df as a local reader, or none when
+// one was retired or evicted while sweeping.
+func pinFile(df *dataFile) bool {
+	for i, seg := range df.segs {
+		if local, _ := seg.acquire(); !local {
+			for _, pinned := range df.segs[:i] {
+				pinned.release(true)
+			}
+			return false
+		}
 	}
-	tierHook("post-upload", seg.Seq())
-	root, _ := seg.MerkleRoot() // CanTier segments have one
-	return objstore.ManifestEntry{
-		Seq: seg.Seq(), Key: key, Size: seg.size, DataLen: seg.meta.DataLen,
-		Rows: int64(seg.Rows()), Table: seg.Table(), Partition: seg.Partition(),
-		Root: root,
-	}, nil
+	return true
 }
 
-// dropTiered removes retired segments' object-store presence: manifest
-// entries first, with one record (so a crash cannot resurrect the objects
-// as live data beyond one LWW-harmless window), then cached blocks, then
-// the objects.
+// uploadFile streams df to the object store and verifies it by read-back,
+// returning the manifest entries that will record its sections.
+func (s *Store) uploadFile(ctx context.Context, df *dataFile) ([]objstore.ManifestEntry, error) {
+	key := s.tierObjKey(df)
+	tierHook("pre-upload", df.segs)
+	if err := s.tier.UploadAndVerify(ctx, key, df.f, df.size); err != nil {
+		return nil, fmt.Errorf("persist: upload %s: %w", df.path, err)
+	}
+	tierHook("post-upload", df.segs)
+	es := make([]objstore.ManifestEntry, len(df.segs))
+	for i, seg := range df.segs {
+		es[i] = objstore.ManifestEntry{
+			Seq: seg.Seq(), Key: key, Size: df.size, Off: seg.base, DataLen: seg.meta.DataLen,
+			Rows: int64(seg.Rows()), Table: seg.Table(), Partition: seg.Partition(),
+			Root: seg.root, // eligible segments have rows, hence a root
+		}
+	}
+	return es, nil
+}
+
+// writeStub writes the footer stub of df, with the dead marks, under its
+// temp name. Once its barrier has passed the file may go, so the caller
+// must have uploaded, verified AND durably manifest-recorded the object
+// first.
+func writeStub(df *dataFile, marks []uint64) error {
+	stub, err := buildStub(df.segs, marks, df.f)
+	if err != nil {
+		return err
+	}
+	return objstore.WriteTemp(stubPath(df.path), stub)
+}
+
+// dropTiered removes retired segments' object-store presence: cached
+// blocks, then manifest entries with one record (so a crash cannot
+// resurrect them beyond one LWW-harmless window), then dead objects.
 func (s *Store) dropTiered(ctx context.Context, segs []*Segment) error {
 	if s.tier == nil {
 		return nil
 	}
-	var seqs []uint64
-	var keys []string
+	var drop []objstore.ManifestEntry
 	for _, seg := range segs {
 		if key := seg.TierKey(); key != "" {
-			seqs, keys = append(seqs, seg.Seq()), append(keys, key)
+			drop = append(drop, objstore.ManifestEntry{Seq: seg.Seq(), Key: key})
+			s.tier.Cache().Drop(key, seg.base, seg.base+seg.size)
 		}
+	}
+	return s.dropEntries(ctx, drop)
+}
+
+// dropEntries durably removes the manifest entries es with one record,
+// then deletes each object (and stub) no entry names any more.
+func (s *Store) dropEntries(ctx context.Context, es []objstore.ManifestEntry) error {
+	if len(es) == 0 {
+		return nil
+	}
+	seqs := make([]uint64, len(es))
+	for i, e := range es {
+		seqs[i] = e.Seq
 	}
 	if err := s.manifest.Remove(seqs...); err != nil {
 		return fmt.Errorf("persist: drop manifest entries %v: %w", seqs, err)
 	}
+	named := make(map[string]bool)
+	for _, e := range s.manifest.Entries() {
+		named[e.Key] = true
+	}
 	var errs []error
-	for _, key := range keys {
-		s.tier.Cache().DropKey(key)
-		if err := s.tier.Store().Delete(ctx, key); err != nil {
-			errs = append(errs, fmt.Errorf("persist: delete retired object %s: %w", key, err))
+	for _, e := range es {
+		if !named[e.Key] {
+			named[e.Key] = true // delete once
+			os.Remove(s.keyStub(e.Key))
+			if err := s.tier.Store().Delete(ctx, e.Key); err != nil {
+				errs = append(errs, fmt.Errorf("persist: delete retired object %s: %w", e.Key, err))
+			}
 		}
 	}
 	return errors.Join(errs...)
@@ -355,15 +492,8 @@ func (s *Store) SegmentInfos() []SegmentInfo {
 		}
 		out = append(out, info)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Table != b.Table {
-			return a.Table < b.Table
-		}
-		if a.Partition != b.Partition {
-			return a.Partition < b.Partition
-		}
-		return a.Seq < b.Seq
+	slices.SortFunc(out, func(a, b SegmentInfo) int {
+		return cmp.Or(strings.Compare(a.Table, b.Table), strings.Compare(a.Partition, b.Partition), cmp.Compare(a.Seq, b.Seq))
 	})
 	return out
 }

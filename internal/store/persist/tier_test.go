@@ -125,6 +125,153 @@ func TestTierSweepColdPolicyKeepsNewest(t *testing.T) {
 	}
 }
 
+// TestTierSweepColdPolicyAcrossRoundFiles: round files mix cold segments
+// (each but its partition's newest) with newest ones. After a background
+// compaction, pc has stopped: its newest segment shares the compaction's
+// file with merged segments newer flushes made cold. That file goes whole,
+// with every cold segment a per-segment policy would evict; a flush file
+// whose newest segments hold most of its bytes stays, its small cold
+// segment with it.
+func TestTierSweepColdPolicyAcrossRoundFiles(t *testing.T) {
+	tier := newTestTier(t, t.TempDir())
+	s := openTiered(t, t.TempDir(), tier)
+	defer s.Close()
+	ts := int64(0)
+	round := func(rows map[string]int) {
+		t.Helper()
+		var parts []FlushPart
+		for _, pkey := range []string{"pa", "pb", "pc", "pd"} {
+			if n := rows[pkey]; n > 0 {
+				ts += 1000
+				parts = append(parts, FlushPart{"events", pkey, testRows(n, ts)})
+			}
+		}
+		if err := s.FlushRound(parts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round(map[string]int{"pa": 100, "pb": 100, "pc": 20})
+	round(map[string]int{"pa": 100, "pb": 100, "pc": 20})
+	round(map[string]int{"pa": 100, "pb": 100})
+	if n, err := s.CompactOverflow(2); err != nil || n != 2 {
+		t.Fatalf("compacted %d: %v", n, err)
+	}
+	merged := s.Segments("events", "pa")[0].file
+	round(map[string]int{"pa": 100, "pb": 100, "pd": 20})
+	round(map[string]int{"pd": 20})
+
+	coldSet := make(map[*Segment]bool) // what a per-segment policy evicts
+	for _, pkey := range []string{"pa", "pb", "pc", "pd"} {
+		segs := s.Segments("events", pkey)
+		for _, seg := range segs[:len(segs)-1] {
+			coldSet[seg] = true
+		}
+	}
+	_, ev, err := s.TierSweep(context.Background(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkey := range []string{"pa", "pb", "pc", "pd"} {
+		for _, seg := range s.Segments("events", pkey) {
+			// pc's two segments sit in the merged file beside pa's and pb's.
+			wantTiered := seg.file == merged
+			if seg.Tiered() != wantTiered || wantTiered && pkey != "pc" && !coldSet[seg] {
+				t.Fatalf("%s segment %d: tiered %v, want %v", pkey, seg.Seq(), seg.Tiered(), wantTiered)
+			}
+			if coldSet[seg] && !seg.Tiered() && pkey != "pd" {
+				t.Fatalf("cold segment %d of %s stayed resident", seg.Seq(), pkey)
+			}
+		}
+	}
+	if ev != len(merged.segs) || ev != 4 {
+		t.Fatalf("evicted %d segments, want the merged file's 4", ev)
+	}
+}
+
+// TestEvictedFileKeepsItsDeadMarks: the compaction file that marks a dead
+// section is swept to the object store while the section's own file
+// stays. Its stub carries the marks, so a reopen still does not serve the
+// section.
+func TestEvictedFileKeepsItsDeadMarks(t *testing.T) {
+	dir := t.TempDir()
+	tier := newTestTier(t, t.TempDir())
+	s := openTiered(t, dir, tier)
+	defer func() { s.Close() }()
+	want := map[string][]Row{"pa": testRows(10, 1), "pb": testRows(200, 1)}
+	if err := s.FlushRound([]FlushPart{{"events", "pa", want["pa"]}, {"events", "pb", want["pb"]}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 2; i++ {
+		want["pa"] = overwrite(t, s, "pa", 10, 100*i, want["pa"])
+	}
+	if n, err := s.CompactOverflow(2); err != nil || n != 1 {
+		t.Fatalf("compacted %d: %v", n, err)
+	}
+	want["pa"] = overwrite(t, s, "pa", 10, 300, want["pa"]) // the merged segment turns cold
+	if _, ev, err := s.TierSweep(context.Background(), false); err != nil || ev != 1 {
+		t.Fatalf("sweep evicted %d segments (%v), want the compaction file's one", ev, err)
+	}
+	s.Close()
+	s = openTiered(t, dir, tier)
+	if segs := s.Segments("events", "pa"); len(segs) != 2 || !segs[0].Tiered() {
+		t.Fatalf("pa reopens as %d segments, want its tiered merge and its newest", len(segs))
+	}
+	for pkey, rows := range want {
+		if !sameRows(mergedRows(t, s, pkey), rows) {
+			t.Fatalf("%s rows changed", pkey)
+		}
+	}
+	if dead := deadOnDisk(t, s); len(dead) != 1 {
+		t.Fatalf("%d dead sections on disk, want pa's first in the flush file", len(dead))
+	}
+}
+
+// TestCrashBeforeEntryDropKeepsSectionDead: a crash after a background
+// round's barrier, before the round drops its inputs' manifest entries,
+// leaves an entry of an evicted section the round's file marks dead. The
+// reopen drops the entry and serves the section from neither stub nor
+// object, while its sibling in the object stays readable.
+func TestCrashBeforeEntryDropKeepsSectionDead(t *testing.T) {
+	dir, objDir := t.TempDir(), t.TempDir()
+	s := openTiered(t, dir, newTestTier(t, objDir))
+	defer s.Close()
+	want := map[string][]Row{"pa": testRows(10, 1), "pb": testRows(200, 1)}
+	if err := s.FlushRound([]FlushPart{{"events", "pa", want["pa"]}, {"events", "pb", want["pb"]}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.TierSweep(context.Background(), true); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 2; i++ {
+		want["pa"] = overwrite(t, s, "pa", 10, 100*i, want["pa"])
+	}
+	imgDir, imgObj := t.TempDir(), t.TempDir()
+	RoundCrashHook = func(stage string, _ []string) {
+		if stage == "renamed" {
+			copyTreeT(t, dir, imgDir)
+			copyTreeT(t, objDir, imgObj)
+		}
+	}
+	n, err := s.CompactOverflow(2)
+	RoundCrashHook = nil
+	if err != nil || n != 1 {
+		t.Fatalf("compacted %d: %v", n, err)
+	}
+	r := openTiered(t, imgDir, newTestTier(t, imgObj))
+	defer r.Close()
+	if segs := r.Segments("events", "pa"); len(segs) != 1 || segs[0].Tiered() {
+		t.Fatalf("pa reopens as %d segments, want its merge alone", len(segs))
+	}
+	for pkey, rows := range want {
+		if !sameRows(mergedRows(t, r, pkey), rows) {
+			t.Fatalf("%s rows changed", pkey)
+		}
+	}
+	if r.manifest.Len() != 1 {
+		t.Fatalf("%d manifest entries, want pb's alone", r.manifest.Len())
+	}
+}
+
 func TestTieredReopen(t *testing.T) {
 	dir, objDir := t.TempDir(), t.TempDir()
 	tier := newTestTier(t, objDir)
@@ -438,5 +585,120 @@ func copyTreeT(t *testing.T, src, dst string) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRoundObjectSectionsReadTheirOwnBlocks: two sections of one object
+// both start with block 0 and differ in every byte after the header;
+// through the shared block cache — cold, warm, and after a reopen over the
+// same tier — each reads back its own rows.
+func TestRoundObjectSectionsReadTheirOwnBlocks(t *testing.T) {
+	dir := t.TempDir()
+	tier := newTestTier(t, t.TempDir())
+	s := openTiered(t, dir, tier)
+	want := map[string][]Row{"pa": testRows(60, 1), "pb": testRows(60, 5000)}
+	if err := s.FlushRound([]FlushPart{{"events", "pa", want["pa"]}, {"events", "pb", want["pb"]}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ev, err := s.TierSweep(context.Background(), true); err != nil || ev != 2 {
+		t.Fatalf("sweep evicted %d: %v", ev, err)
+	}
+	if keys, _ := tier.Store().List(context.Background(), ""); len(keys) != 1 {
+		t.Fatalf("a round of two sections became %d objects", len(keys))
+	}
+	check := func(s *Store, what string) {
+		t.Helper()
+		for _, pkey := range []string{"pa", "pb", "pa", "pb"} {
+			if !sameRows(scanAll(t, s, "events", pkey), want[pkey]) {
+				t.Fatalf("%s: %s reads back rows that are not its own", what, pkey)
+			}
+		}
+	}
+	check(s, "evicted")
+	fetched := tier.FetchedBlocks.Load()
+	if fetched != 2 {
+		t.Fatalf("%d blocks fetched, want one per section", fetched)
+	}
+	s.Close()
+	s = openTiered(t, dir, tier)
+	defer s.Close()
+	check(s, "reopened")
+	if n := tier.FetchedBlocks.Load(); n != fetched {
+		t.Fatalf("reads after the reopen fetched %d blocks; the cache held them", n-fetched)
+	}
+}
+
+// TestRetiringOneSectionKeepsSiblings: compaction retires one section of
+// a round object; the others stay readable — their cached blocks too —
+// before and after a reopen, and the object and its stub go only with the
+// last manifest entry that names them.
+func TestRetiringOneSectionKeepsSiblings(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	tier := newTestTier(t, t.TempDir())
+	s := openTiered(t, dir, tier)
+	defer func() { s.Close() }()
+	want := map[string][]Row{"pa": testRows(70, 1), "pb": testRows(80, 1000), "pc": testRows(90, 2000)}
+	if err := s.FlushRound([]FlushPart{{"events", "pa", want["pa"]}, {"events", "pb", want["pb"]}, {"events", "pc", want["pc"]}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.TierSweep(ctx, true); err != nil {
+		t.Fatal(err)
+	}
+	objects := func() int {
+		keys, err := tier.Store().List(ctx, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(keys)
+	}
+	check := func(what string) {
+		t.Helper()
+		for pkey, rows := range want {
+			if !sameRows(scanAll(t, s, "events", pkey), rows) {
+				t.Fatalf("%s: %s rows changed", what, pkey)
+			}
+		}
+	}
+	check("evicted")
+
+	want["pa"] = testRows(70, 9000) // newer writes win the merge
+	if err := s.Flush("events", "pa", want["pa"]); err != nil {
+		t.Fatal(err)
+	}
+	fetched, cached := tier.FetchedBlocks.Load(), tier.Cache().Stats().Entries
+	if did, err := s.CompactPartition("events", "pa", 1); err != nil || !did {
+		t.Fatalf("compact pa: %v %v", did, err)
+	}
+	if n := tier.Cache().Stats().Entries; n != cached-2 { // pa's two blocks, and no sibling's
+		t.Fatalf("the retire left %d of %d cached blocks, want %d", n, cached, cached-2)
+	}
+	if s.manifest.Len() != 2 || objects() != 1 || countFiles(t, dir, segStubExt) != 1 {
+		t.Fatalf("retiring one section left %d entries, %d objects, %d stubs; want 2, 1, 1",
+			s.manifest.Len(), objects(), countFiles(t, dir, segStubExt))
+	}
+	check("one section retired")
+	if n := tier.FetchedBlocks.Load(); n != fetched {
+		t.Fatalf("the siblings' reads fetched %d blocks; the retire dropped their cache entries", n-fetched)
+	}
+	s.Close()
+	s = openTiered(t, dir, tier)
+	check("reopened")
+	if st := s.Stats(); st.TieredSegments != 2 || st.Segments != 3 || st.Files != 2 {
+		t.Fatalf("reopened: %d of %d segments tiered in %d files; want 2 of 3 in 2", st.TieredSegments, st.Segments, st.Files)
+	}
+
+	// The last entries go, and the object and its stub with them.
+	for _, pkey := range []string{"pb", "pc"} {
+		want[pkey] = testRows(10, 9000)
+		if err := s.Flush("events", pkey, want[pkey]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := s.CompactOverflow(1); err != nil || n != 2 {
+		t.Fatalf("compacted %d: %v", n, err)
+	}
+	if s.manifest.Len() != 0 || objects() != 0 || countFiles(t, dir, segStubExt) != 0 {
+		t.Fatalf("after the last retire: %d entries, %d objects, %d stubs", s.manifest.Len(), objects(), countFiles(t, dir, segStubExt))
 	}
 }

@@ -68,6 +68,16 @@ func captureRounds(t *testing.T, dir string, op func() error) []roundImage {
 	return images
 }
 
+// countDataFiles counts the data files of every node under dir.
+func countDataFiles(t *testing.T, dir string) int {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "node-*", "seg", "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(files)
+}
+
 func exists(path string) bool {
 	_, err := os.Stat(path)
 	return err == nil
@@ -102,6 +112,15 @@ func checkRoundImage(t *testing.T, img roundImage, cfg Config, want map[string][
 	if got := readAll(t, rdb, "events"); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s image lost acked rows: %d partitions vs %d", img.stage, len(got), len(want))
 	}
+	for _, l := range rdb.SegmentInfos() {
+		seen := make(map[uint64]bool)
+		for _, si := range l.Segments {
+			if seen[si.Seq] {
+				t.Fatalf("%s: node %s serves segment %d twice", img.stage, l.Node, si.Seq)
+			}
+			seen[si.Seq] = true
+		}
+	}
 	filepath.Walk(img.dir, func(path string, _ os.FileInfo, _ error) error {
 		if strings.HasSuffix(path, objstore.TempExt) {
 			t.Errorf("%s: %s survived recovery", img.stage, path)
@@ -125,12 +144,21 @@ func TestFlushRoundCrashImages(t *testing.T) {
 		t.Fatal("no dirty memtables to flush")
 	}
 	want := readAll(t, db, "events")
+	st0, files0 := db.StorageStats(), countDataFiles(t, dir)
 
 	for _, img := range captureRounds(t, dir, db.Flush) {
-		if len(img.paths) < 2 {
-			t.Fatalf("%s: a node round of %d segments proves nothing about batching", img.stage, len(img.paths))
+		if len(img.paths) != 1 {
+			t.Fatalf("%s: a round wrote %d data files, want 1", img.stage, len(img.paths))
 		}
 		checkRoundImage(t, img, cfg, want)
+	}
+	// Each node's round wrote its segments into its one file.
+	st := db.StorageStats()
+	if rounds, files, segs := st.FlushRounds-st0.FlushRounds, int64(countDataFiles(t, dir)-files0), st.Flushes-st0.Flushes; files != rounds || segs <= files {
+		t.Fatalf("%d flush rounds wrote %d segments in %d data files", rounds, segs, files)
+	}
+	if st.DiskFiles != int64(countDataFiles(t, dir)) {
+		t.Fatalf("disk_files = %d, the directory holds %d", st.DiskFiles, countDataFiles(t, dir))
 	}
 	if db.MemtableRows() != 0 {
 		t.Fatalf("%d rows left in memtables after Flush", db.MemtableRows())
@@ -158,13 +186,10 @@ func TestCompactRoundCrashImages(t *testing.T) {
 		t.Fatalf("no compaction inputs (err=%v)", err)
 	}
 
-	images := captureRounds(t, dir, func() error { _, err := db.Compact(); return err })
-	for _, img := range images {
-		checkRoundImage(t, img, cfg, want)
-	}
 	// Inputs are unlinked only after the barrier: every image before
-	// "published" still holds every input of the round's node.
-	for _, img := range images {
+	// "published" still holds every input of the round's node, until
+	// recovery removes the inputs the round's file marks dead.
+	for _, img := range captureRounds(t, dir, func() error { _, err := db.Compact(); return err }) {
 		node := filepath.Dir(img.paths[0])
 		missing := 0
 		for _, in := range inputs {
@@ -176,6 +201,54 @@ func TestCompactRoundCrashImages(t *testing.T) {
 		if (img.stage == "published") != (missing > 0) {
 			t.Fatalf("%s: %d inputs of the round unlinked", img.stage, missing)
 		}
+		checkRoundImage(t, img, cfg, want)
+	}
+	if got := readAll(t, db, "events"); !reflect.DeepEqual(got, want) {
+		t.Fatal("rows changed across the compaction round")
+	}
+}
+
+// TestCompactRoundRehomesSurvivorsCrashImages: compacting one partition,
+// more than a third of a flush round's file, out of it moves the file's
+// other sections into the compaction's own. Every stage's image recovers
+// every acked row and serves each segment once: where the new file and
+// its input both survive the crash, the input, wholly replaced, goes at
+// open.
+func TestCompactRoundRehomesSurvivorsCrashImages(t *testing.T) {
+	dir := t.TempDir()
+	cfg := crashCfg(dir)
+	cfg.FlushThreshold = 1 << 20 // nothing flushes inline: one file per node per Flush
+	db, err := OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	fillDurable(t, db, "events", 5, 30)
+	put := func(from, n int) {
+		t.Helper()
+		var rows []Row
+		for i := from; i < from+n; i++ {
+			rows = append(rows, durableRow(int64(i)))
+		}
+		if err := db.PutBatch("events", "part-00", rows, All); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(2000, 60) // part-00: 90 rows of the 210 in its first file
+	put(1000, 10)
+	want := readAll(t, db, "events")
+	st0 := db.StorageStats()
+
+	for _, img := range captureRounds(t, dir, func() error { _, err := db.Compact(); return err }) {
+		checkRoundImage(t, img, cfg, want)
+	}
+	// Per node: part-00 merged; the four others re-homed, not compacted.
+	st := db.StorageStats()
+	if n := st.CompactedSegments - st0.CompactedSegments; n != 4 || st.DiskSegments != st0.DiskSegments-2 || st.DiskFiles != 2 {
+		t.Fatalf("compaction retired %d segments, left %d in %d files (%d before)", n, st.DiskSegments, st.DiskFiles, st0.DiskSegments)
 	}
 	if got := readAll(t, db, "events"); !reflect.DeepEqual(got, want) {
 		t.Fatal("rows changed across the compaction round")
