@@ -41,7 +41,6 @@ type Client struct {
 	hc      *http.Client
 	retries int
 	backoff time.Duration
-	observe Observer
 }
 
 // Option customizes a Client.
@@ -62,49 +61,6 @@ func WithRetries(n int) Option { return func(c *Client) { c.retries = n } }
 // WithBackoff sets the base retry backoff (default 100ms, doubling per
 // attempt).
 func WithBackoff(d time.Duration) Option { return func(c *Client) { c.backoff = d } }
-
-// ObservedCall describes one HTTP attempt the SDK issued. For enveloped
-// calls Elapsed covers the full exchange (request to decoded envelope);
-// for streaming endpoints (query/cql streams, watch) it covers request to
-// response headers, since the body is consumed by the caller afterwards.
-type ObservedCall struct {
-	Method string
-	Path   string
-	// Attempt is 0 for the first try, 1.. for retries.
-	Attempt int
-	Elapsed time.Duration
-	// Err is the attempt's failure (possibly an *api.Error); nil on
-	// success.
-	Err error
-	// Code is the machine-readable error code when Err is an *api.Error.
-	Code api.ErrorCode
-}
-
-// Observer receives one record per HTTP attempt, including each retry of
-// a failed call. It runs synchronously on the calling goroutine and may
-// be invoked concurrently from different goroutines, so implementations
-// must be cheap and thread-safe (the load harness feeds histograms and
-// per-code counters from here).
-type Observer func(ObservedCall)
-
-// WithObserver installs a per-attempt instrumentation hook.
-func WithObserver(fn Observer) Option { return func(c *Client) { c.observe = fn } }
-
-// observed reports one attempt to the observer, classifying api errors.
-func (c *Client) observed(method, path string, attempt int, started time.Time, err error) {
-	if c.observe == nil {
-		return
-	}
-	oc := ObservedCall{
-		Method: method, Path: path, Attempt: attempt,
-		Elapsed: time.Since(started), Err: err,
-	}
-	var ae *api.Error
-	if errors.As(err, &ae) {
-		oc.Code = ae.Code
-	}
-	c.observe(oc)
-}
 
 // New creates a client for the server at base (e.g.
 // "http://localhost:8080").
@@ -170,9 +126,7 @@ func (c *Client) call(ctx context.Context, method, path string, in, out any) err
 				return errors.Join(err, lastErr)
 			}
 		}
-		attemptStart := time.Now()
 		retry, err := c.once(ctx, method, path, body, out)
-		c.observed(method, path, attempt, attemptStart, err)
 		if err == nil || !retry {
 			return err
 		}

@@ -11,9 +11,9 @@ import (
 
 // Cluster-internal calls. hpclogd processes replicate writes and
 // scatter-gather reads to each other through these methods over the same
-// SDK the public API uses — retries, protocol negotiation, and observers
-// included. Replication is idempotent (rows carry their write timestamps
-// and replicas reconcile last-write-wins), so the SDK's transport retry
+// SDK the public API uses — retries and protocol negotiation included.
+// Replication is idempotent (rows carry their write timestamps and
+// replicas reconcile last-write-wins), so the SDK's transport retry
 // policy is safe here.
 
 // Replicate applies one pre-stamped batch to a ring member hosted by the

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"hpclog/internal/api"
 	"hpclog/internal/query"
@@ -48,25 +47,18 @@ func stream[T any](ctx context.Context, c *Client, path string, body any, fn fun
 	if err != nil {
 		return err
 	}
-	started := time.Now()
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		err = fmt.Errorf("client: POST %s: %w", path, err)
-		c.observed(http.MethodPost, path, 0, started, err)
-		return err
+		return fmt.Errorf("client: POST %s: %w", path, err)
 	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != api.MediaTypeNDJSON {
 		// The server answered with an enveloped error before streaming.
 		if aerr := errorEnvelope(resp); aerr != nil {
-			c.observed(http.MethodPost, path, 0, started, aerr)
 			return aerr
 		}
-		err = fmt.Errorf("client: POST %s: HTTP %d with content type %q", path, resp.StatusCode, ct)
-		c.observed(http.MethodPost, path, 0, started, err)
-		return err
+		return fmt.Errorf("client: POST %s: HTTP %d with content type %q", path, resp.StatusCode, ct)
 	}
-	c.observed(http.MethodPost, path, 0, started, nil)
 	return decodeNDJSON(resp.Body, fn)
 }
 

@@ -67,24 +67,17 @@ func (c *Client) Watch(ctx context.Context, eventType string, opts WatchOptions)
 	if err != nil {
 		return nil, err
 	}
-	started := time.Now()
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		err = fmt.Errorf("client: watch: %w", err)
-		c.observed(http.MethodGet, "/v1/watch", 0, started, err)
-		return nil, err
+		return nil, fmt.Errorf("client: watch: %w", err)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != api.MediaTypeNDJSON {
 		defer resp.Body.Close()
 		if aerr := errorEnvelope(resp); aerr != nil {
-			c.observed(http.MethodGet, "/v1/watch", 0, started, aerr)
 			return nil, aerr
 		}
-		err = fmt.Errorf("client: watch: HTTP %d with content type %q", resp.StatusCode, ct)
-		c.observed(http.MethodGet, "/v1/watch", 0, started, err)
-		return nil, err
+		return nil, fmt.Errorf("client: watch: HTTP %d with content type %q", resp.StatusCode, ct)
 	}
-	c.observed(http.MethodGet, "/v1/watch", 0, started, nil)
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	return &Watch{body: resp.Body, sc: sc}, nil

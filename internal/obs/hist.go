@@ -1,12 +1,11 @@
 // Package obs is the in-process observability kit: a lock-free
-// HDR-style latency histogram and atomic counter (shared by the inside
-// instrumentation and the outside load harness, so both carry the same
-// ~3% error bound), a Prometheus-text exposition writer behind
-// /v1/metrics, request-scoped spans keyed by X-Request-Id feeding a
-// bounded slow-query log behind /v1/debug/slow, and log/slog
-// constructors for the daemons. Hot-path recording (Counter.Inc,
-// Hist.Record) is zero-alloc: atomics over preallocated buckets,
-// guarded by TestMetricsAllocBudget in `make alloc-guard`.
+// HDR-style latency histogram (~3% error bound) and atomic counter, a
+// Prometheus-text exposition writer behind /v1/metrics, request-scoped
+// spans keyed by X-Request-Id feeding a bounded slow-query log behind
+// /v1/debug/slow, and log/slog constructors for the daemons. Hot-path
+// recording (Counter.Inc, Hist.Record) is zero-alloc: atomics over
+// preallocated buckets, guarded by TestMetricsAllocBudget in
+// `make alloc-guard`.
 package obs
 
 import (
@@ -91,8 +90,8 @@ func (h *Hist) Record(d time.Duration) {
 	}
 }
 
-// Merge folds other into h (used to pool repeats of one scenario and to
-// aggregate per-node histograms at scrape time).
+// Merge folds other into h (used to aggregate per-node histograms at
+// scrape time).
 func (h *Hist) Merge(other *Hist) {
 	if other.total.Load() == 0 {
 		return
@@ -182,16 +181,6 @@ func (h *Hist) Quantile(q float64) time.Duration {
 	return time.Duration(max)
 }
 
-// Snapshot returns the canonical percentile summary.
-func (h *Hist) Snapshot() Percentiles {
-	return Percentiles{
-		P50:  h.Quantile(0.50),
-		P99:  h.Quantile(0.99),
-		P999: h.Quantile(0.999),
-		Max:  h.Max(),
-	}
-}
-
 // CumulativeAt returns the number of samples <= bound. Used by the
 // exposition writer to collapse the 2048 internal buckets onto a fixed
 // Prometheus `le` ladder at scrape time.
@@ -213,14 +202,6 @@ func (h *Hist) CumulativeAt(bound time.Duration) uint64 {
 		seen += h.counts[last].Load()
 	}
 	return seen
-}
-
-// Percentiles is the latency summary recorded per traffic class.
-type Percentiles struct {
-	P50  time.Duration `json:"p50_ns"`
-	P99  time.Duration `json:"p99_ns"`
-	P999 time.Duration `json:"p999_ns"`
-	Max  time.Duration `json:"max_ns"`
 }
 
 // Counter is a monotonically increasing metric. The zero value is ready

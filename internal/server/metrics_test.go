@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"hpclog/internal/api"
 	"hpclog/internal/compute"
 	"hpclog/internal/ingest"
+	"hpclog/internal/model"
 	"hpclog/internal/objstore"
 	"hpclog/internal/obs"
 	"hpclog/internal/query"
@@ -170,7 +172,10 @@ func TestMetricsExposition(t *testing.T) {
 
 // TestMetricsExpositionBackgroundRounds lints the exposition of a
 // durable, tiered store after a flush round, a compaction round and a
-// tier sweep, and asserts each left its duration in its histogram.
+// tier sweep, and asserts each left its duration in its histogram. The
+// scrape runs mid-traffic: a watch subscription is still open after one
+// event was pushed to it from the tail ring, so the watch, commitlog
+// fsync and request-trace series must all show that traffic.
 func TestMetricsExpositionBackgroundRounds(t *testing.T) {
 	db, err := store.OpenDurable(store.Config{
 		Nodes: 2, RF: 2, VNodes: 8, FlushThreshold: 64, Dir: t.TempDir(), CompactInterval: -1,
@@ -214,6 +219,23 @@ func TestMetricsExpositionBackgroundRounds(t *testing.T) {
 		srv.Close()
 	}()
 
+	// The subscription is parked once its headers arrive, so the event
+	// written next reaches it through the tail ring, not the initial scan.
+	since := time.Now().Unix()
+	resp, err := http.Get(fmt.Sprintf("%s/v1/watch?type=MCE&since=%d&timeout_ms=10000", ts.URL, since))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := ingest.NewLoader(db).LoadEvents([]model.Event{{
+		Time: time.Unix(since, 0).UTC(), Type: model.MCE, Source: "c0-0c0s0n1", Count: 1, Raw: "watched",
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if sc := bufio.NewScanner(resp.Body); !sc.Scan() || !strings.Contains(sc.Text(), "watched") {
+		t.Fatalf("watch delivered %q (%v), want the written event", sc.Text(), sc.Err())
+	}
+
 	got := map[string]float64{}
 	for _, s := range scrapeAndLint(t, ts.URL) {
 		got[s.name] += s.value
@@ -223,9 +245,14 @@ func TestMetricsExpositionBackgroundRounds(t *testing.T) {
 		"hpclog_store_compact_round_seconds_count",
 		"hpclog_tier_sweep_seconds_count",
 		"hpclog_store_flush_rounds_total",
+		"hpclog_watch_subscribers",
+		"hpclog_watch_wakeups_total",
+		"hpclog_watch_tail_hits_total",
+		"hpclog_wal_fsync_seconds_count",
+		"hpclog_trace_requests_total",
 	} {
 		if got[name] < 1 {
-			t.Errorf("%s = %v after a flush, a compaction and a sweep", name, got[name])
+			t.Errorf("%s = %v after rounds, a sweep and a watched write", name, got[name])
 		}
 	}
 	// Rounds batch segments: fewer barriers than flushed segments.

@@ -1,36 +1,110 @@
-// Benchmarks and identity tests for the partition-parallel streaming scan
-// path: every big-data operation is run with scan parallelism 1 (the
-// serial baseline) and with a GOMAXPROCS-sized pool, on the standard
-// benchmark corpus. TestScanParallelMatchesSerial asserts the two paths
-// byte-for-byte identical; the benchmark pair quantifies the speedup
-// (≥2× expected at 4+ cores; the scan splits hour partitions into
-// 5-minute clustering slices, so task count far exceeds typical core
-// counts).
-//
-// Run:  go test -bench 'BenchmarkScan(Serial|Parallel)' -benchmem
+// Identity tests for the partition-parallel streaming scan path: every
+// big-data operation is run with scan parallelism 1 (the serial
+// baseline) and with several larger pools, on a seeded corpus, and the
+// results must be byte-for-byte identical — in memory and off on-disk
+// segments. The scan splits hour partitions into 5-minute clustering
+// slices, so the task count far exceeds typical core counts.
 package hpclog_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"hpclog/internal/analytics"
 	"hpclog/internal/compute"
 	"hpclog/internal/ingest"
+	"hpclog/internal/logs"
 	"hpclog/internal/model"
 	"hpclog/internal/store"
 	"hpclog/internal/store/persist"
 	"hpclog/internal/topology"
 )
 
-// scanOp is one benchmarked big-data operation executed at a given scan
+// scanFixture is the seeded corpus loaded into an in-memory cluster,
+// built once and shared by every test in this file.
+type scanFixture struct {
+	cfg    logs.Config
+	corpus *logs.Corpus
+	db     *store.DB
+	eng    *compute.Engine
+}
+
+var (
+	fixOnce sync.Once
+	fix     *scanFixture
+)
+
+// scanCorpusConfig is the standard corpus: 8 cabinets, 3 hours, MCE
+// hotspot + Lustre storm + causal chain (the Figs 5–7 ingredients).
+func scanCorpusConfig() logs.Config {
+	cfg := logs.DefaultConfig()
+	cfg.Nodes = 8 * topology.NodesPerCabinet
+	cfg.Duration = 3 * time.Hour
+	cfg.BaseRates[model.Lustre] = 0.3
+	// Strong causal coupling so transfer entropy has clean statistics,
+	// matching the analytics-package fixture.
+	cfg.Causal = []logs.CausalRule{{
+		Cause:  model.Lustre,
+		Effect: model.AppAbort,
+		Prob:   0.3,
+		Lag:    30 * time.Second,
+		Jitter: 20 * time.Second,
+	}}
+	cfg.Hotspots = []logs.Hotspot{
+		{Component: topology.CabinetAt(0, 2), Type: model.MCE, Multiplier: 40},
+	}
+	cfg.Storms = []logs.Storm{{
+		Type:         model.Lustre,
+		Start:        cfg.Start.Add(90 * time.Minute),
+		Duration:     5 * time.Minute,
+		NodeFraction: 0.7,
+		EventsPerSec: 60,
+		Attrs: map[string]string{
+			"ost": "OST0012", "op": "ost_read", "errno": "-110",
+			"peer": "10.36.226.77@o2ib",
+		},
+	}}
+	cfg.Jobs.MaxNodes = 128
+	return cfg
+}
+
+func getFixture(t testing.TB) *scanFixture {
+	t.Helper()
+	fixOnce.Do(func() {
+		cfg := scanCorpusConfig()
+		corpus := logs.Generate(cfg)
+		db := store.Open(store.Config{Nodes: 8, RF: 3, FlushThreshold: 4096})
+		if err := ingest.Bootstrap(db, cfg.Nodes); err != nil {
+			panic(err)
+		}
+		loader := ingest.NewLoader(db)
+		if err := loader.LoadEvents(corpus.Events); err != nil {
+			panic(err)
+		}
+		if err := loader.LoadRuns(corpus.Runs); err != nil {
+			panic(err)
+		}
+		fix = &scanFixture{
+			cfg: cfg, corpus: corpus, db: db,
+			eng: compute.NewEngine(compute.Config{Workers: db.NodeIDs()}),
+		}
+	})
+	return fix
+}
+
+func (f *scanFixture) window() (time.Time, time.Time) {
+	return f.cfg.Start, f.cfg.Start.Add(f.cfg.Duration)
+}
+
+// scanOp is one big-data operation executed at a given scan
 // parallelism.
 type scanOp struct {
 	name string
-	run  func(f *benchFixture, cfg analytics.ScanConfig) (any, error)
+	run  func(f *scanFixture, cfg analytics.ScanConfig) (any, error)
 }
 
 // scanCfg slices hour partitions into 5-minute clustering ranges so a
@@ -42,63 +116,40 @@ func scanCfg(parallelism int) analytics.ScanConfig {
 
 func scanOps() []scanOp {
 	return []scanOp{
-		{"heatmap", func(f *benchFixture, cfg analytics.ScanConfig) (any, error) {
+		{"heatmap", func(f *scanFixture, cfg analytics.ScanConfig) (any, error) {
 			from, to := f.window()
 			return analytics.HeatmapScan(f.eng, f.db, model.MCE, from, to, cfg)
 		}},
-		{"distribution", func(f *benchFixture, cfg analytics.ScanConfig) (any, error) {
+		{"distribution", func(f *scanFixture, cfg analytics.ScanConfig) (any, error) {
 			from, to := f.window()
 			return analytics.DistributionByScan(f.eng, f.db, model.MCE, from, to, topology.LevelCabinet, cfg)
 		}},
-		{"histogram", func(f *benchFixture, cfg analytics.ScanConfig) (any, error) {
+		{"histogram", func(f *scanFixture, cfg analytics.ScanConfig) (any, error) {
 			from, to := f.window()
 			return analytics.HistogramScan(f.eng, f.db, model.Lustre, from, to, time.Minute, cfg)
 		}},
-		{"transfer_entropy", func(f *benchFixture, cfg analytics.ScanConfig) (any, error) {
+		{"transfer_entropy", func(f *scanFixture, cfg analytics.ScanConfig) (any, error) {
 			from, to := f.window()
 			return analytics.TransferEntropyBetweenScan(f.eng, f.db, model.Lustre, model.AppAbort, from, to, 30*time.Second, cfg)
 		}},
-		{"wordcount", func(f *benchFixture, cfg analytics.ScanConfig) (any, error) {
+		{"wordcount", func(f *scanFixture, cfg analytics.ScanConfig) (any, error) {
 			from, to := f.window()
 			return analytics.WordCountScan(f.eng, f.db, model.Lustre, from, to, cfg)
 		}},
-		{"tfidf", func(f *benchFixture, cfg analytics.ScanConfig) (any, error) {
+		{"tfidf", func(f *scanFixture, cfg analytics.ScanConfig) (any, error) {
 			from, to := f.window()
 			return analytics.TFIDFScan(f.eng, f.db, model.Lustre, from, to, 0, cfg)
 		}},
-		{"events", func(f *benchFixture, cfg analytics.ScanConfig) (any, error) {
+		{"events", func(f *scanFixture, cfg analytics.ScanConfig) (any, error) {
 			from, to := f.window()
 			return analytics.EventsByTypeScan(f.eng, f.db, model.Lustre, from, to, cfg)
 		}},
 	}
 }
 
-func benchScan(b *testing.B, parallelism int) {
-	f := getFixture(b)
-	for _, op := range scanOps() {
-		b.Run(op.name, func(b *testing.B) {
-			cfg := scanCfg(parallelism)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := op.run(f, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkScanSerial is the single-task baseline: the same streaming
-// scan pipeline, but at most one partition task in flight.
-func BenchmarkScanSerial(b *testing.B) { benchScan(b, 1) }
-
-// BenchmarkScanParallel fans partition tasks out over a GOMAXPROCS-sized
-// pool. Compare per-op ns/op against BenchmarkScanSerial.
-func BenchmarkScanParallel(b *testing.B) { benchScan(b, runtime.GOMAXPROCS(0)) }
-
 // TestScanParallelMatchesSerial proves, for every big-data operation,
 // that the partition-parallel scan computes byte-for-byte the same result
-// as the serial scan on the seeded benchmark corpus — at several
+// as the serial scan on the seeded corpus — at several
 // parallelism levels above the local core count.
 func TestScanParallelMatchesSerial(t *testing.T) {
 	f := getFixture(t)
@@ -162,7 +213,7 @@ func TestScanParallelMatchesSerialDurable(t *testing.T) {
 	if ddb.StorageStats().DiskSegments == 0 {
 		t.Fatal("durable cluster produced no on-disk segments")
 	}
-	df := &benchFixture{cfg: f.cfg, corpus: f.corpus, db: ddb,
+	df := &scanFixture{cfg: f.cfg, corpus: f.corpus, db: ddb,
 		eng: compute.NewEngine(compute.Config{Workers: ddb.NodeIDs()})}
 	for _, op := range scanOps() {
 		t.Run(op.name, func(t *testing.T) {
@@ -192,9 +243,9 @@ func TestScanParallelMatchesSerialDurable(t *testing.T) {
 	}
 }
 
-// TestScanFanOutAvailable guards the speedup claim's precondition: the
+// TestScanFanOutAvailable guards the parallel scan's precondition: the
 // planner must produce substantially more tasks than a typical core
-// count, so BenchmarkScanParallel can actually use 4+ cores.
+// count, so a GOMAXPROCS-sized pool can actually use 4+ cores.
 func TestScanFanOutAvailable(t *testing.T) {
 	f := getFixture(t)
 	before := f.eng.Stats().ScanTasks
@@ -209,7 +260,7 @@ func TestScanFanOutAvailable(t *testing.T) {
 
 // TestScanSpeedupReport measures and reports the serial/parallel wall
 // clock ratio for the heatmap scan without failing on single-core
-// machines (the ≥2× criterion applies at 4+ cores; benchmarks are the
+// machines (the ≥2× criterion applies at 4+ cores; bench/ is the
 // authoritative measurement).
 func TestScanSpeedupReport(t *testing.T) {
 	if testing.Short() {

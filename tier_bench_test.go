@@ -6,8 +6,7 @@
 // Run:  go test -bench BenchmarkTieredScan -benchmem
 //
 // `make tier-smoke` (in `make ci`) runs these with -benchtime=1x so the
-// fetch path cannot rot unexercised; `make bench-json` records them into
-// BENCH_tier.json for the benchdiff gate.
+// fetch path cannot rot unexercised.
 package hpclog_test
 
 import (

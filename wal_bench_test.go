@@ -1,5 +1,5 @@
-// Benchmarks for the durable storage engine, alongside the scan
-// benchmarks: raw commitlog append throughput (group-commit fsync vs
+// Benchmarks for the durable storage engine: raw commitlog append
+// throughput (group-commit fsync vs
 // nosync) and end-to-end durable ingest through the store write path.
 //
 // Run:  go test -bench 'WAL|DurableIngest' -benchmem
