@@ -2,9 +2,10 @@
 # gofmt + vet + build + full test suite under the race detector (the scan
 # planner, result cache, commitlog, and store are all concurrent), a
 # cache-defeating plain test run, a one-iteration smoke of the
-# durable-engine benchmarks so the WAL path and the two block decoders (v4
-# fixture vs v5) cannot rot unexercised, and the benchmark's own tests
-# (bench-test) — the one performance entry point.
+# durable-engine benchmarks (so the WAL path and the two block decoders,
+# v4 fixture vs v5, cannot rot unexercised) and of the watch hub's notify
+# benchmark, and the benchmark's own tests (bench-test) — the one
+# performance entry point.
 
 GO ?= go
 
@@ -95,6 +96,7 @@ race:
 bench-smoke:
 	$(GO) test -run XXX -bench WAL -benchtime 1x .
 	$(GO) test -run XXX -bench BenchmarkScanBatches -benchtime 1x ./internal/store/persist/
+	$(GO) test -run XXX -bench BenchmarkHubNotify -benchtime 1x ./internal/server/
 
 # Allocation regression guards: a segment scan, a projected v5 block decode
 # (zero per block), a flush round (constant per round, small constant per
@@ -102,13 +104,14 @@ bench-smoke:
 # Get and through PartitionBatches at QUORUM (no per-row conversion), a
 # bulk import (objects per imported event), a batch histogram and
 # heat-map fold (constant per scan, zero per block), a put-record encode,
-# predicate evaluation, the watch hub's write-path notify, a late page
-# of a paginated events request, the row wire path (events one-shot,
+# predicate evaluation, the watch hub's write-path notify (one
+# allocation per digest, its encoded lines, at any subscriber count), a
+# late page of a paginated events request, the row wire path (events one-shot,
 # stream and page, CQL SELECT, each served off a durable store at <= 0.2
 # allocations per row), the observability hot path (counter bump,
 # histogram record, span stage), and the wire codec (encoding a
-# 500-event page, decoding it, and one SDK Events call end to end) must
-# stay within fixed testing.AllocsPerRun budgets (see
+# 500-run page, decoding a 500-event page, and one SDK Events call end
+# to end) must stay within fixed testing.AllocsPerRun budgets (see
 # *alloc_guard_test.go; skipped under -race). Predicate evaluation,
 # metrics recording and row encoding in particular must allocate ZERO
 # per op.

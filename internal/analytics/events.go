@@ -225,7 +225,6 @@ func (t EventTask) Run(ctx context.Context, db *store.DB, each func(*EventRow) e
 		}
 	}
 	r := &EventRow{}
-	r.Attrs = r.attrs[:0]
 	for len(live) > 0 {
 		m := 0
 		for k := 1; k < len(live); k++ {
@@ -252,37 +251,53 @@ func (t EventTask) Run(ctx context.Context, db *store.DB, each func(*EventRow) e
 	return nil
 }
 
-// view fills r with the cursor's row: the time off its key, the type and
-// the source off the partition key or a cell — whichever the table does
-// not key by — and the count, text and attributes off its cells.
+// view fills r with the cursor's row.
 func (s *eventScan) view(r *EventRow, c *eventCursor) error {
-	b, i := c.b, c.i
-	key := b.Keys()[i]
-	ts := b.TS()[i]
-	if ts == -1 { // no timestamp digits: let DecodeTS say so
-		if _, err := store.DecodeTS(key); err != nil {
+	r.Disc = c.disc
+	return r.fill(c.b.Keys()[c.i], c.b.TS()[c.i], c.part, s.source != "", c.b.Row(c.i).Cols())
+}
+
+// ViewTimeRow fills r with one event_by_time row of type typ — an acked
+// row of a write digest, say — exactly as an events scan of typ yields
+// it. r's strings are row's.
+func (r *EventRow) ViewTimeRow(typ string, row store.Row) error {
+	r.Disc = ""
+	return r.fill(row.Key, -1, typ, false, row.Cols())
+}
+
+// fill sets r to the event read at clustering key key, stamped ts (-1:
+// read it off the key): what its partition key holds, part, is the source
+// when bySource and the type otherwise; the cells give the other, the
+// count, the text and the attributes.
+func (r *EventRow) fill(key string, ts int64, part string, bySource bool, cells []store.Col) error {
+	if ts == -1 { // no timestamp digits in a batch, or none decoded yet
+		var err error
+		if ts, err = store.DecodeTS(key); err != nil {
 			return err
 		}
 	}
-	r.Key, r.Disc, r.Time, r.Raw, r.Attrs = key, c.disc, ts, "", r.Attrs[:0]
-	if s.source != "" {
-		r.Source, r.Type = c.part, ""
+	if r.Attrs == nil {
+		r.Attrs = r.attrs[:0]
+	}
+	r.Key, r.Time, r.Raw, r.Attrs = key, ts, "", r.Attrs[:0]
+	if bySource {
+		r.Source, r.Type = part, ""
 	} else {
-		r.Type, r.Source = c.part, ""
+		r.Type, r.Source = part, ""
 	}
 	amount := ""
-	for _, cell := range b.Row(i).Cols() {
+	for _, cell := range cells {
 		switch cell.ID {
 		case model.ColAmountID:
 			amount = cell.Value
 		case model.ColRawID:
 			r.Raw = cell.Value
 		case model.ColSourceID:
-			if s.source == "" {
+			if !bySource {
 				r.Source = cell.Value
 			}
 		case model.ColTypeID:
-			if s.source != "" {
+			if bySource {
 				r.Type = cell.Value
 			}
 		default:

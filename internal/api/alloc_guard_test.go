@@ -27,8 +27,18 @@ func budgetPage() *PageResult[query.EventRecord] {
 	return p
 }
 
+// TestWireEncodeAllocBudget encodes a runs page, the record shape the
+// server still encodes (an event leaves it off its scan view, guarded by
+// the server's TestRowWireAllocBudget).
 func TestWireEncodeAllocBudget(t *testing.T) {
-	page := budgetPage()
+	page := &PageResult[query.RunRecord]{NextCursor: "eyJ2IjoxLCJvcCI6InJ1bnMifQ"}
+	for i := 0; i < 500; i++ {
+		page.Items = append(page.Items, query.RunRecord{
+			JobID: fmt.Sprintf("job-%d", i), App: "vasp <mpi> & co", User: fmt.Sprintf("u%d", i%7),
+			Start: 1501426800 + int64(i), End: 1501430400 + int64(i), ExitOK: i%5 != 0,
+			Nodes: []string{fmt.Sprintf("c%d-0c1s%dn2", i%4, i%8), fmt.Sprintf("c%d-0c1s%dn3", i%4, i%8)},
+		})
+	}
 	buf, err := AppendResponse(nil, "req-1", 3, page, nil) // warm the buffer
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +46,7 @@ func TestWireEncodeAllocBudget(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, func() {
 		buf, _ = AppendResponse(buf[:0], "req-1", 3, page, nil)
 	}); avg != 0 {
-		t.Fatalf("encoding a 500-event page into a warmed buffer allocates %.1f objects, want 0", avg)
+		t.Fatalf("encoding a 500-run page into a warmed buffer allocates %.1f objects, want 0", avg)
 	}
 }
 

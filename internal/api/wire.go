@@ -1,9 +1,11 @@
 // The wire codec: one hand-written, append-style JSON encoder and decoder
-// for the row shapes the /v1 protocol returns — query.EventRecord,
-// query.RunRecord, plan.ResultRow — and the PageResult, cql.Result and
-// Response wrappers around them. Row results are nearly all of the bytes
-// the protocol moves, so they bypass reflection; every other payload
-// (stats, heat maps, trailers, cluster RPCs) goes through encoding/json.
+// for the row shapes the /v1 protocol returns — events, query.RunRecord,
+// plan.ResultRow — and the PageResult, cql.Result and Response wrappers
+// around them. Row results are nearly all of the bytes the protocol
+// moves, so they bypass reflection; every other payload (stats, heat
+// maps, trailers, cluster RPCs) goes through encoding/json. The server
+// encodes an event off its scan view (AppendEventRow), never as a
+// query.EventRecord: that record is only decoded, by the SDK.
 //
 // The codec is a drop-in for encoding/json on these shapes, not a new
 // format. The encoder emits exactly json.Marshal's bytes: struct fields in
@@ -201,18 +203,8 @@ func appendStrings(b []byte, v []string) []byte {
 	return append(b, ']')
 }
 
-// sortedPairs appends m's entries to dst sorted by key, as encoding/json
-// writes a map.
-func sortedPairs[T any](dst []T, m map[string]string, pair func(k, v string) T, key func(T) string) []T {
-	for k, v := range m {
-		dst = append(dst, pair(k, v))
-	}
-	slices.SortFunc(dst, func(a, b T) int { return strings.Compare(key(a), key(b)) })
-	return dst
-}
-
 // AppendEventRow appends one event as its JSON object: the encoder of
-// every event the protocol returns, read off a scan or built as a record.
+// every event the protocol returns, read off a scan or a write digest.
 func AppendEventRow(b []byte, e *analytics.EventRow) []byte {
 	b = append(b, `{"ts":`...)
 	b = strconv.AppendInt(b, e.Time, 10)
@@ -239,16 +231,6 @@ func AppendEventRow(b []byte, e *analytics.EventRow) []byte {
 		b = append(b, '}')
 	}
 	return append(b, '}')
-}
-
-// appendEvent encodes a record through the view it stands for.
-func appendEvent(b []byte, e *query.EventRecord) []byte {
-	var attrs [16]analytics.Attr // the common case stays on the stack; more spills to the heap
-	v := analytics.EventRow{Time: e.Time, Type: e.Type, Source: e.Source, Count: e.Count, Raw: e.Raw,
-		Attrs: sortedPairs(attrs[:0], e.Attrs,
-			func(k, v string) analytics.Attr { return analytics.Attr{Name: k, Value: v} },
-			func(a analytics.Attr) string { return a.Name })}
-	return AppendEventRow(b, &v)
 }
 
 func appendRun(b []byte, r *query.RunRecord) []byte {
@@ -296,9 +278,12 @@ func appendResultRow(b []byte, r *plan.ResultRow) []byte {
 	var cols []plan.Field
 	if r.Columns != nil {
 		var arr [16]plan.Field // the common case stays on the stack; more spills to the heap
-		cols = sortedPairs(arr[:0], r.Columns,
-			func(k, v string) plan.Field { return plan.Field{Name: k, Value: v} },
-			func(f plan.Field) string { return f.Name })
+		cols = arr[:0]
+		for k, v := range r.Columns {
+			cols = append(cols, plan.Field{Name: k, Value: v})
+		}
+		// Sorted by name, as encoding/json writes a map.
+		slices.SortFunc(cols, func(a, b plan.Field) int { return strings.Compare(a.Name, b.Name) })
 	}
 	return AppendResultRow(b, r.Key, cols)
 }
@@ -365,17 +350,13 @@ type RowSet interface {
 }
 
 // AppendJSON appends v's JSON encoding to b: hand-encoded when v is a row
-// shape (a pointer to one row, a slice of rows, a *cql.Result, a
-// *PageResult or a RowSet), json.Marshal's output otherwise. On error b is
-// returned unchanged.
+// shape the server builds as records (a pointer to a run or result row, a
+// slice of them, a *cql.Result, a *PageResult of them or a RowSet),
+// json.Marshal's output otherwise. On error b is returned unchanged.
 func AppendJSON(b []byte, v any) ([]byte, error) {
 	switch v := v.(type) {
 	case RowSet:
 		return v.AppendJSON(b), nil
-	case *query.EventRecord:
-		if v != nil {
-			return appendEvent(b, v), nil
-		}
 	case *query.RunRecord:
 		if v != nil {
 			return appendRun(b, v), nil
@@ -384,8 +365,6 @@ func AppendJSON(b []byte, v any) ([]byte, error) {
 		if v != nil {
 			return appendResultRow(b, v), nil
 		}
-	case []query.EventRecord:
-		return appendRows(b, v, appendEvent), nil
 	case []query.RunRecord:
 		return appendRows(b, v, appendRun), nil
 	case []plan.ResultRow:
@@ -393,10 +372,6 @@ func AppendJSON(b []byte, v any) ([]byte, error) {
 	case *cql.Result:
 		if v != nil {
 			return appendCQLResult(b, v), nil
-		}
-	case *PageResult[query.EventRecord]:
-		if v != nil {
-			return appendPage(b, v, appendEvent), nil
 		}
 	case *PageResult[query.RunRecord]:
 		if v != nil {

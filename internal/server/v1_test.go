@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -209,6 +210,106 @@ func TestWatchDeliversSkewedTimestamp(t *testing.T) {
 		case <-deadline:
 			t.Fatal("skewed event not delivered within the re-check horizon")
 		}
+	}
+}
+
+// TestWatchLinesEqualStreamLines: a /v1/watch data line is byte for byte
+// the /v1/query/stream line of the same row, whichever path delivered it
+// — the initial scan, the tail ring, or the scan a subscriber lagging
+// past a one-row ring falls back to — with quotes, backslashes, HTML
+// characters, U+2028 and invalid UTF-8 in the text and the source, and
+// an attribute written empty.
+func TestWatchLinesEqualStreamLines(t *testing.T) {
+	for _, ring := range []int{0, 1} { // 0: the default ring
+		t.Run(fmt.Sprintf("ring%d", ring), func(t *testing.T) {
+			srv, ts := newHardenedServer(t, Config{WatchTailRing: ring})
+			base := time.Now().UTC().Add(-time.Minute).Truncate(time.Second)
+			n := 0
+			load := func(k int) {
+				t.Helper()
+				events := make([]model.Event, k)
+				for i := range events {
+					n++
+					events[i] = model.Event{
+						Time: base.Add(time.Duration(n) * time.Second), Type: model.MCE, Count: n,
+						Source: fmt.Sprintf("c0-0c0s%dn0 \"\\<>&\u2028\xff", n),
+						Raw:    fmt.Sprintf("bank %d \"q\" \\ <b>&amp; \u2028\xfe\xff end", n),
+						Attrs:  map[string]string{"bank": fmt.Sprint(n), "empty": "", "x<&>": "\u2029\"\\\x01"},
+					}
+				}
+				if err := ingest.NewLoader(srv.db).LoadEvents(events); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			load(3) // history, for the initial scan
+			resp, err := http.Get(fmt.Sprintf("%s/v1/watch?type=MCE&since=%d&timeout_ms=20000", ts.URL, base.Unix()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			lines := make(chan string, 16)
+			go func() {
+				sc := bufio.NewScanner(resp.Body)
+				for sc.Scan() {
+					lines <- sc.Text()
+				}
+				close(lines)
+			}()
+			var got []string
+			read := func(k int) {
+				t.Helper()
+				for ; k > 0; k-- {
+					select {
+					case line, ok := <-lines:
+						if !ok || strings.HasPrefix(line, `{"trailer"`) {
+							t.Fatalf("watch ended after %d lines: %q", len(got), line)
+						}
+						got = append(got, line)
+					case <-time.After(10 * time.Second):
+						t.Fatalf("watch delivered %d lines, want %d more", len(got), k)
+					}
+				}
+			}
+			read(3)
+
+			// One-row digests fit any ring.
+			hits, misses := srv.hub.tailHits.Load(), srv.hub.tailMisses.Load()
+			for i := 0; i < 3; i++ {
+				load(1)
+				read(1)
+			}
+			if srv.hub.tailHits.Load() == hits || srv.hub.tailMisses.Load() != misses {
+				t.Fatalf("ring deliveries: tail hits %d -> %d, misses %d -> %d", hits, srv.hub.tailHits.Load(), misses, srv.hub.tailMisses.Load())
+			}
+			if ring == 1 {
+				// A three-row digest overflows the one-row ring.
+				load(3)
+				read(3)
+				if srv.hub.tailMisses.Load() == misses {
+					t.Fatal("a digest larger than the ring did not fall back to the scan")
+				}
+			}
+
+			body, _ := json.Marshal(api.QueryRequest{Request: query.Request{Op: query.OpEvents,
+				Context: query.Context{EventType: "MCE", From: base.Unix(), To: base.Add(time.Hour).Unix()}}})
+			sresp, err := http.Post(ts.URL+"/v1/query/stream", api.MediaTypeJSON, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(sresp.Body)
+			sresp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+			want = want[:len(want)-1] // the trailer
+			slices.Sort(got)
+			slices.Sort(want)
+			if len(got) != n || !slices.Equal(got, want) {
+				t.Fatalf("watch lines differ from stream lines (%d events):\n got %q\nwant %q", n, got, want)
+			}
+		})
 	}
 }
 

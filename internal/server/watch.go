@@ -1,35 +1,41 @@
 // Push-based event watching. The hub replaces the pre-v1 50ms poll tick:
 // every acked store write publishes a typed digest (table, partition key,
 // acked rows) through store.RegisterWriteNotify, which the hub routes to
-// the one shard responsible for the write's event type. The shard appends
-// the decoded rows to a bounded in-memory tail ring and signals its
-// dispatcher, which wakes exactly the parked subscribers of that type —
-// no fixed interval anywhere, and a woken subscriber reads the delta
-// since its cursor straight from the ring instead of re-scanning the
-// store, so a write burst costs each subscriber one coalesced wakeup and
-// one O(delta) memory read rather than O(scan).
+// the one shard responsible for the write's event type. The shard encodes
+// the acked rows once, as the wire lines every subscriber writes, into a
+// bounded in-memory tail ring and signals its dispatcher, which wakes
+// exactly the parked subscribers of that type — no fixed interval
+// anywhere, and a woken subscriber copies the lines since its cursor
+// straight from the ring instead of re-scanning the store, so a write
+// burst costs each subscriber one coalesced wakeup and one O(delta)
+// memory read rather than O(scan). A shard lives as long as its
+// subscribers: the last one to leave frees its ring and dispatcher.
 //
 // Subscribers that lag past the ring, and digest-free notifications (a
 // peer's heartbeat advancing remote progress, anti-entropy repair), fall
-// back to the stability-window scan — the ring is a cache over the scan
-// path, never a substitute for its correctness: the per-subscription
-// delivered-key window keeps delivery exactly-once across both paths.
+// back to the events scan from the subscription's since — the ring is a
+// cache over the scan path, never a substitute for its correctness: the
+// per-subscription delivered-key window keeps delivery exactly-once
+// across both paths. Both paths encode through api.AppendEventRow, so a
+// watch line is byte for byte the /v1/query/stream line of its row.
 //
 // GET /v1/watch streams matching events as NDJSON as they arrive.
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"hpclog/internal/analytics"
 	"hpclog/internal/api"
 	"hpclog/internal/model"
 	"hpclog/internal/obs"
-	"hpclog/internal/query"
 	"hpclog/internal/store"
 )
 
@@ -65,7 +71,7 @@ type hub struct {
 	coalesced atomic.Int64
 	// tailHits counts subscriber wakes served entirely from the shard's
 	// tail ring; tailMisses counts wakes that had to fall back to the
-	// stability-window scan (ring overflow or a scan-epoch advance).
+	// events scan (ring overflow or a scan-epoch advance).
 	tailHits   atomic.Int64
 	tailMisses atomic.Int64
 }
@@ -89,20 +95,36 @@ type watchShard struct {
 	// into the pending pass instead of signaling again.
 	dirty bool
 
-	// subCount mirrors len(subs) for the write path's lock-free "anyone
-	// listening?" check.
-	subCount atomic.Int64
-
-	// wake signals the shard's dispatcher (capacity 1: a latch).
+	// wake signals the shard's dispatcher (capacity 1: a latch); stop,
+	// closed when the last subscriber leaves, ends it.
 	wake chan struct{}
+	stop chan struct{}
 }
 
-// tailEntry is one acked row in a shard's tail ring, pre-decoded so a
-// thousand subscribers share one decode.
+// tailEntry is one acked row in a shard's tail ring, encoded once so a
+// thousand subscribers share one encoding.
 type tailEntry struct {
-	key string
-	ts  int64 // event unix seconds, decoded once from the clustering key
-	rec query.EventRecord
+	key  string
+	ts   int64  // event unix seconds, read once off the clustering key
+	line string // the row's wire line, without its newline
+}
+
+// digestScratch is where notify encodes one digest: the view of the row
+// at hand, the lines back to back, where each ends, and the entries that
+// will slice their copy.
+type digestScratch struct {
+	row     analytics.EventRow
+	b       []byte
+	ends    []int
+	entries []tailEntry
+}
+
+var digestPool = sync.Pool{New: func() any { return new(digestScratch) }}
+
+func (sc *digestScratch) release() {
+	if cap(sc.b) <= maxPooledChunk {
+		digestPool.Put(sc)
+	}
 }
 
 // subscriber is one parked watch request. Its channel has capacity
@@ -130,9 +152,10 @@ func newHub(ringSize int) *hub {
 
 // notify routes one write digest to its event type's shard. It runs
 // synchronously on the store's write path, so it must stay cheap: a
-// type lookup, one bounded ring append under the shard lock, and a
-// non-blocking dispatcher signal. Writes to types nobody watches — and
-// to tables that are not the event-by-time table — cost one map lookup.
+// type lookup, one encoding of the rows, one bounded ring append under
+// the shard lock, and a non-blocking dispatcher signal. Writes to types
+// nobody watches — a type has a shard only while it has subscribers —
+// and to tables that are not the event-by-time table cost one map lookup.
 // A nil digest (remote progress, repair) advances the scan epoch and
 // wakes every shard: the rows are only discoverable by scanning.
 func (h *hub) notify(d *store.WriteDigest) {
@@ -153,47 +176,43 @@ func (h *hub) notify(d *store.WriteDigest) {
 	h.mu.RLock()
 	sh := h.shards[typ]
 	h.mu.RUnlock()
-	if sh == nil || sh.subCount.Load() == 0 {
+	if sh == nil {
 		return
 	}
-	// Decode outside the shard lock: one decode per row, shared by every
-	// subscriber of the type.
-	entries := make([]tailEntry, len(d.Rows))
-	for i, row := range d.Rows {
-		var err error
-		if entries[i], err = decodeTail(d.PKey, row); err != nil {
+	// Encode outside the shard lock, once per digest: every subscriber of
+	// the type writes the same lines, and they share one allocation.
+	sc := digestPool.Get().(*digestScratch)
+	defer sc.release()
+	sc.b, sc.ends, sc.entries = sc.b[:0], sc.ends[:0], sc.entries[:0]
+	for _, row := range d.Rows {
+		if err := sc.row.ViewTimeRow(string(typ), row); err != nil {
 			// Undecodable rows can only be delivered by the scan path.
 			h.scanFallback()
 			return
 		}
+		sc.b = api.AppendEventRow(sc.b, &sc.row)
+		sc.ends = append(sc.ends, len(sc.b))
+		sc.entries = append(sc.entries, tailEntry{key: row.Key, ts: sc.row.Time})
 	}
-	sh.append(entries, h)
-}
-
-// decodeTail decodes one acked event_by_time row of partition pkey.
-func decodeTail(pkey string, row store.Row) (tailEntry, error) {
-	e, err := model.EventFromTimeRow(pkey, row)
-	if err != nil {
-		return tailEntry{}, err
+	lines, start := string(sc.b), 0
+	for i, end := range sc.ends {
+		sc.entries[i].line, start = lines[start:end], end
 	}
-	return tailEntry{key: row.Key, ts: e.Time.Unix(), rec: query.EventRecord{
-		Time: e.Time.Unix(), Type: string(e.Type), Source: e.Source,
-		Count: e.Count, Raw: e.Raw, Attrs: e.Attrs,
-	}}, nil
+	sh.append(sc.entries, h)
 }
 
 // scanFallback wakes every shard with the scan-epoch advanced, forcing
-// each subscriber's next wake through the stability-window scan.
+// each subscriber's next wake through the events scan.
 func (h *hub) scanFallback() {
 	h.scanEpoch.Add(1)
 	h.mu.RLock()
 	for _, sh := range h.shards {
-		sh.signal(h)
+		sh.append(nil, h) // nothing to append: everyone must scan
 	}
 	h.mu.RUnlock()
 }
 
-// append adds entries to the shard's tail ring and signals the
+// append adds entries to the shard's tail ring, if any, and signals the
 // dispatcher. With no subscribers the append is skipped entirely (the
 // subscribe path initializes each new cursor to the current head and
 // catches up by scanning, so unobserved history need not be buffered).
@@ -226,36 +245,17 @@ func (sh *watchShard) append(entries []tailEntry, h *hub) {
 	}
 }
 
-// signal marks the shard dirty and pokes its dispatcher (the digest-free
-// path: nothing to append, everyone must scan).
-func (sh *watchShard) signal(h *hub) {
-	sh.mu.Lock()
-	if len(sh.subs) == 0 {
-		sh.mu.Unlock()
-		return
-	}
-	pending := sh.dirty
-	sh.dirty = true
-	sh.mu.Unlock()
-	if pending {
-		h.coalesced.Add(1)
-		return
-	}
-	select {
-	case sh.wake <- struct{}{}:
-	default:
-	}
-}
-
 // dispatch is the shard's wakeup batcher, one goroutine per shard: each
 // pass latches every parked subscriber of the type once, so N writes
 // arriving while a pass runs produce one more pass, not N more. Exits
-// when the hub closes.
+// when the hub closes or the shard's last subscriber leaves.
 func (sh *watchShard) dispatch(h *hub) {
 	var subs []*subscriber
 	for {
 		select {
 		case <-h.closed:
+			return
+		case <-sh.stop:
 			return
 		case <-sh.wake:
 		}
@@ -281,9 +281,13 @@ func (sh *watchShard) dispatch(h *hub) {
 // subscribe parks a new subscriber on the event type's shard, creating
 // the shard (and its dispatcher) on first use. The cursor starts at the
 // ring head: history before the subscription is the initial scan's job.
+//
+// h.mu is held throughout, and by unsubscribe, so a shard is never joined
+// while its last subscriber tears it down.
 func (h *hub) subscribe(typ model.EventType) *subscriber {
 	sub := &subscriber{ch: make(chan struct{}, 1)}
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	sh := h.shards[typ]
 	if sh == nil {
 		sh = &watchShard{
@@ -291,37 +295,37 @@ func (h *hub) subscribe(typ model.EventType) *subscriber {
 			subs: make(map[*subscriber]struct{}),
 			ring: make([]tailEntry, h.ringSize),
 			wake: make(chan struct{}, 1),
+			stop: make(chan struct{}),
 		}
 		h.shards[typ] = sh
 		if !h.done {
 			go sh.dispatch(h)
 		}
 	}
-	h.mu.Unlock()
 	sh.mu.Lock()
 	sh.subs[sub] = struct{}{}
 	sub.shard = sh
 	sub.cursor = sh.head
-	sh.subCount.Store(int64(len(sh.subs)))
 	sh.mu.Unlock()
 	h.subscribers.Add(1)
 	return sub
 }
 
+// unsubscribe removes a subscriber; the last one of a shard drops the
+// shard and stops its dispatcher — type= is any string a client sends,
+// so a shard must not outlive its watches. The next subscriber of the
+// type starts a fresh shard and scans for history anyway.
 func (h *hub) unsubscribe(sub *subscriber) {
 	sh := sub.shard
+	h.mu.Lock()
 	sh.mu.Lock()
 	delete(sh.subs, sub)
-	sh.subCount.Store(int64(len(sh.subs)))
 	if len(sh.subs) == 0 {
-		// Release the buffered rows; the next subscriber starts at the
-		// head and scans for history anyway.
-		for i := range sh.ring {
-			sh.ring[i] = tailEntry{}
-		}
-		sh.count = 0
+		delete(h.shards, sh.typ)
+		close(sh.stop)
 	}
 	sh.mu.Unlock()
+	h.mu.Unlock()
 	h.subscribers.Add(-1)
 }
 
@@ -334,12 +338,9 @@ func (h *hub) shardCounts() map[string]int64 {
 	}
 	out := make(map[string]int64, len(h.shards))
 	for typ, sh := range h.shards {
-		if n := sh.subCount.Load(); n > 0 {
-			out[string(typ)] = n
-		}
-	}
-	if len(out) == 0 {
-		return nil
+		sh.mu.Lock()
+		out[string(typ)] = int64(len(sh.subs)) // never 0: the last subscriber drops its shard
+		sh.mu.Unlock()
 	}
 	return out
 }
@@ -356,14 +357,15 @@ func (h *hub) close() {
 	h.mu.Unlock()
 }
 
-// collect gathers the newly arrived events for one watch subscription:
-// the delta since the subscriber's ring cursor when the ring still holds
-// it, or a stability-window scan when forced (initial catch-up, skew
+// collect gathers the newly arrived events for one watch subscription as
+// wire lines, in a chunk the caller releases: the delta since the
+// subscriber's ring cursor when the ring still holds it, or an events
+// scan from the tail's lower bound when forced (initial catch-up, skew
 // re-check), lagged past the ring, or behind the scan epoch. Ring
 // entries drained alongside a scan cover rows the scan's clock-bounded
 // window cannot see yet (writer clocks ahead); the delivered-key window
 // dedups across both sources.
-func (h *hub) collect(sub *subscriber, tail *eventTail, db *store.DB, now time.Time, forceScan bool) ([]query.EventRecord, error) {
+func (h *hub) collect(sub *subscriber, tail *eventTail, db *store.DB, now time.Time, forceScan bool) (*chunk, error) {
 	sh := sub.shard
 	epoch := h.scanEpoch.Load()
 	sh.mu.Lock()
@@ -381,18 +383,24 @@ func (h *hub) collect(sub *subscriber, tail *eventTail, db *store.DB, now time.T
 	sh.mu.Unlock()
 	sub.scratch = pending
 
-	mustScan := forceScan || lagged || epoch != sub.epoch
-	var out []query.EventRecord
-	if mustScan {
-		err := scanEventsSince(db, tail.typ, tail.from, now, func(key string, rec query.EventRecord) {
-			if tail.delivered[key] {
-				return
+	c := chunkPool.Get().(*chunk)
+	c.limit, c.cursors = 0, false
+	if forceScan || lagged || epoch != sub.epoch {
+		// The tasks run in order, one per hour of [from, now+1s).
+		from, to := time.Unix(tail.from, 0).UTC(), now.UTC().Add(time.Second)
+		for _, t := range analytics.PlanEvents(tail.typ, "", from, to, analytics.ScanConfig{Slice: time.Hour}) {
+			err := t.Run(tail.ctx, db, func(r *analytics.EventRow) error {
+				if tail.delivered[r.Key] {
+					return nil
+				}
+				tail.delivered[strings.Clone(r.Key)] = true // the view's strings die with the callback
+				c.b = api.AppendEventRow(c.b, r)
+				return c.add(r.Key, "")
+			})
+			if err != nil {
+				c.release()
+				return nil, err
 			}
-			tail.delivered[key] = true
-			out = append(out, rec)
-		})
-		if err != nil {
-			return nil, err
 		}
 		if !forceScan {
 			// Overflow/epoch fallback (the initial catch-up and skew
@@ -408,12 +416,13 @@ func (h *hub) collect(sub *subscriber, tail *eventTail, db *store.DB, now time.T
 			continue
 		}
 		tail.delivered[e.key] = true
-		out = append(out, e.rec)
+		c.b = append(c.b, e.line...)
+		_ = c.add(e.key, "") // c has no row limit, so add cannot fail
 	}
 	tail.prune(now)
 	sub.cursor = head
 	sub.epoch = epoch
-	return out, nil
+	return c, nil
 }
 
 // eventTail tracks a watch subscription's position in the event stream
@@ -425,13 +434,14 @@ func (h *hub) collect(sub *subscriber, tail *eventTail, db *store.DB, now time.T
 // than the previous hour is pruned — an event arriving with a timestamp
 // more than an hour in the past is beyond the tail and is not delivered.
 type eventTail struct {
+	ctx       context.Context // the watch request's; it bounds the fallback scans
 	typ       model.EventType
 	from      int64 // rescan/ring lower bound, unix seconds
 	delivered map[string]bool
 }
 
 func newEventTail(typ model.EventType, since int64) *eventTail {
-	return &eventTail{typ: typ, from: since, delivered: make(map[string]bool)}
+	return &eventTail{ctx: context.Background(), typ: typ, from: since, delivered: make(map[string]bool)}
 }
 
 // prune slides the stability window: state older than the previous full
@@ -447,33 +457,6 @@ func (t *eventTail) prune(now time.Time) {
 		}
 	}
 	t.from = cut
-}
-
-// scanEventsSince walks the hour partitions of one event type over
-// [since, now+1s) in key order — the watch fallback path's scan loop.
-// visit receives each row's clustering key and decoded record.
-func scanEventsSince(db *store.DB, typ model.EventType, since int64, now time.Time, visit func(key string, rec query.EventRecord)) error {
-	from := time.Unix(since, 0).UTC()
-	to := now.UTC().Add(time.Second)
-	if !to.After(from) {
-		return nil
-	}
-	rg := model.EventTimeRange(from, to)
-	for _, hour := range model.HoursIn(from, to) {
-		pkey := model.EventByTimeKey(hour, typ)
-		rows, err := db.Get(model.TableEventByTime, pkey, rg, store.One)
-		if err != nil {
-			return err
-		}
-		for _, row := range rows {
-			e, err := decodeTail(pkey, row)
-			if err != nil {
-				return err
-			}
-			visit(e.key, e.rec)
-		}
-	}
-	return nil
 }
 
 // skewRecheck bounds how long a committed-but-future-timestamped event
@@ -537,6 +520,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	sub := s.hub.subscribe(model.EventType(typ))
 	defer s.hub.unsubscribe(sub)
 	tail := newEventTail(model.EventType(typ), since)
+	tail.ctx = r.Context()
 	nd := newNDJSON(w, reqID)
 	defer nd.release()
 	deadline := time.NewTimer(timeout)
@@ -551,7 +535,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		// pushing it down the wire. The span's stage list is bounded, so a
 		// long-lived watch records its first wakes and counts the rest.
 		cg := obs.StartSpan(r.Context(), "watch.collect")
-		events, err := s.hub.collect(sub, tail, s.db, s.now(), forceScan)
+		c, err := s.hub.collect(sub, tail, s.db, s.now(), forceScan)
 		cg.End()
 		if err != nil {
 			if !nd.started {
@@ -566,15 +550,11 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		// client observes an established subscription even when no
 		// historical events match.
 		eg := obs.StartSpan(r.Context(), "watch.emit")
-		nd.begin()
-		for i := range events {
-			if err := nd.emit(&events[i]); err != nil {
-				eg.End()
-				return // client gone
-			}
+		n := c.rows()
+		if err = nd.lines(c, n); err == nil {
+			s.hub.delivered.Add(int64(n))
+			err = nd.flush()
 		}
-		s.hub.delivered.Add(int64(len(events)))
-		err = nd.flush()
 		eg.End()
 		if err != nil {
 			return // client gone
@@ -584,7 +564,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		// bounded re-scan. A nil channel never fires, so idle parks stay
 		// pure push.
 		var recheck <-chan time.Time
-		if woken && len(events) == 0 {
+		if woken && n == 0 {
 			recheck = time.After(skewRecheck)
 		}
 		woken = false

@@ -1,12 +1,15 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"hpclog/internal/ingest"
 	"hpclog/internal/model"
+	"hpclog/internal/query"
 	"hpclog/internal/store"
 )
 
@@ -22,6 +25,21 @@ func testDigest(typ model.EventType, ts int64, src string) *store.WriteDigest {
 		PKey:  model.EventByTimeKey(ts/3600, typ),
 		Rows:  []store.Row{model.EventToTimeRow(e)},
 	}
+}
+
+// records reads a collect result as the records its lines encode.
+func records(c *chunk, err error) ([]query.EventRecord, error) {
+	if err != nil {
+		return nil, err
+	}
+	defer c.release()
+	out := make([]query.EventRecord, c.rows())
+	for i := range out {
+		if err := json.Unmarshal(c.row(i), &out[i]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // waitWake asserts the subscriber's latch fires within the deadline.
@@ -50,7 +68,7 @@ func TestHubShardIsolation(t *testing.T) {
 	waitWake(t, subA)
 
 	tail := newEventTail(model.GPUFail, now.Add(-time.Minute).Unix())
-	out, err := h.collect(subA, tail, nil, now, false)
+	out, err := records(h.collect(subA, tail, nil, now, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +155,7 @@ func TestHubRingOverflowFallsBackToScan(t *testing.T) {
 	if err := loader.LoadEvents([]model.Event{write(0)}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := h.collect(sub, tail, db, time.Now(), true)
+	out, err := records(h.collect(sub, tail, db, time.Now(), true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +174,7 @@ func TestHubRingOverflowFallsBackToScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, err = h.collect(sub, tail, db, time.Now(), false)
+	out, err = records(h.collect(sub, tail, db, time.Now(), false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +198,7 @@ func TestHubRingOverflowFallsBackToScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, err = h.collect(sub, tail, db, time.Now(), false)
+	out, err = records(h.collect(sub, tail, db, time.Now(), false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,6 +226,33 @@ func TestHubCoalescedWakeups(t *testing.T) {
 		t.Fatalf("coalesced = %d, want 2 of 3 back-to-back digests", got)
 	}
 	h.unsubscribe(sub)
+}
+
+// TestHubFreesShards: a shard lives as long as its subscribers. Short
+// watches on 200 distinct types — type= is whatever a client sends —
+// leave no shard, ring or dispatcher goroutine behind.
+func TestHubFreesShards(t *testing.T) {
+	h := newHub(defaultTailRing)
+	defer h.close()
+	base := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		sub := h.subscribe(model.EventType(fmt.Sprintf("NO_SUCH_TYPE_%d", i)))
+		h.unsubscribe(sub)
+	}
+	h.mu.RLock()
+	shards := len(h.shards)
+	h.mu.RUnlock()
+	if shards != 0 {
+		t.Fatalf("%d shards left after every watch ended, want 0", shards)
+	}
+	// The dispatchers exit on their own goroutines; wait for the last.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after every watch ended, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // BenchmarkHubNotify measures the write path's cost of publishing one
