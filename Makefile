@@ -41,10 +41,13 @@ bench-test:
 # sibling, a round costs one file and a sweep one object and one stub,
 # a stub keeps the dead marks of the file it replaces and a crash never
 # revives a retired section through its object, the background sweep
-# takes mostly cold round files whole, and the tiered scan benchmark
-# still runs (resident / cached / cold-fetch).
+# takes mostly cold round files whole, a histogram or transfer-entropy
+# fold that takes evicted blocks from their footers without fetching them
+# answers exactly as the row path (TestHistogramTakesBlocksExactly/tiered),
+# and the tiered scan benchmark still runs (resident / cached / cold-fetch).
 tier-smoke:
 	$(GO) test -count=1 -run TestTieredEngineCorpus ./internal/enginetest/
+	$(GO) test -count=1 -run 'TestHistogramTakesBlocksExactly/tiered' ./internal/analytics/
 	$(GO) test -count=1 -run 'TestTieredCrashRecovery|TestTieredRoundObjectCrashRecovery|TestTieredCorruptionFallsBackToReplica' ./internal/store/
 	$(GO) test -count=1 -run 'TestRoundObjectSectionsReadTheirOwnBlocks|TestRetiringOneSectionKeepsSiblings|TestCompactingOnePartitionLeavesNoDeadSection|TestRoundSyncBudget|TestEvictedFileKeepsItsDeadMarks|TestCrashBeforeEntryDropKeepsSectionDead|TestTierSweepColdPolicyAcrossRoundFiles' ./internal/store/persist/
 	$(GO) test -run XXX -bench BenchmarkTieredScan -benchtime 1x .
@@ -109,14 +112,17 @@ bench-smoke:
 # late page of a paginated events request, the row wire path (events one-shot,
 # stream and page, CQL SELECT, each served off a durable store at <= 0.2
 # allocations per row), the observability hot path (counter bump,
-# histogram record, span stage), and the wire codec (encoding a
+# histogram record, span stage), the wire codec (encoding a
 # 500-run page, decoding a 500-event page, and one SDK Events call end
-# to end) must stay within fixed testing.AllocsPerRun budgets (see
-# *alloc_guard_test.go; skipped under -race). Predicate evaluation,
-# metrics recording and row encoding in particular must allocate ZERO
-# per op.
+# to end) and the cname parser must stay within fixed
+# testing.AllocsPerRun budgets (see *alloc_guard_test.go; skipped under
+# -race). Predicate evaluation, metrics recording, row encoding and
+# parsing a valid cname in particular must allocate ZERO per op. A
+# 30-day histogram of 60 s bins must allocate under 8 MB, its task
+# accumulators holding only the bins they touch
+# (TestHistogramLongWindowAllocs).
 alloc-guard:
-	$(GO) test -run AllocBudget -count=1 ./internal/store/... ./internal/ingest/ ./internal/analytics/ ./internal/plan/ ./internal/server/ ./internal/obs/ ./internal/api/ ./client/
+	$(GO) test -run 'AllocBudget|TestHistogramLongWindowAllocs' -count=1 ./internal/store/... ./internal/ingest/ ./internal/analytics/ ./internal/plan/ ./internal/server/ ./internal/obs/ ./internal/api/ ./client/ ./internal/topology/
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

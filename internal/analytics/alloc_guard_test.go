@@ -4,9 +4,13 @@ package analytics
 
 import (
 	"context"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"hpclog/internal/compute"
 	"hpclog/internal/model"
 	"hpclog/internal/store"
 	"hpclog/internal/topology"
@@ -46,15 +50,16 @@ func TestBatchFoldAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hist := histFold(start, time.Minute, 120)
+	hist := histFold(bins{from: start, width: time.Minute, n: 120})
+	var histAcc binCounts
+	heatAcc := make([]int, topology.Cabinets)
 	folds := []struct {
 		name    string
 		project []uint32
-		acc     []int
-		fold    func([]int, *store.Batch) ([]int, error)
+		fold    func(*store.Batch) error
 	}{
-		{"histogram", projAmount, make([]int, 120), hist},
-		{"heatmap", projSourceAmount, make([]int, topology.Cabinets), heatFold},
+		{"histogram", projAmount, func(b *store.Batch) (err error) { histAcc, err = hist(histAcc, b); return err }},
+		{"heatmap", projSourceAmount, func(b *store.Batch) (err error) { heatAcc, err = heatFold(heatAcc, b); return err }},
 	}
 	for _, f := range folds {
 		perScan := map[string]float64{}
@@ -62,10 +67,9 @@ func TestBatchFoldAllocBudget(t *testing.T) {
 			scan := func() {
 				rows := 0
 				err := db.ScanPartitionBatches(context.Background(), model.TableEventByTime, pkey, store.Range{}, f.project, nil, nil,
-					func(b *store.Batch) (err error) {
+					func(b *store.Batch) error {
 						rows += b.Len()
-						f.acc, err = f.fold(f.acc, b)
-						return err
+						return f.fold(b)
 					})
 				if err != nil || rows != n {
 					t.Fatalf("%s: scanned %d rows of %d: %v", f.name, rows, n, err)
@@ -82,5 +86,34 @@ func TestBatchFoldAllocBudget(t *testing.T) {
 			t.Errorf("%s scan allocates %.0f objects over %d rows but %.0f over %d: something allocates per block",
 				f.name, perScan["small"], sizes["small"], perScan["large"], sizes["large"])
 		}
+	}
+}
+
+// TestHistogramLongWindowAllocs bounds what one histogram over a long
+// window allocates on an empty store: a task's accumulator holds only the
+// bins its rows touch, so a 30-day window of 60 s bins costs its one
+// 43 200-bin result and the tasks' bookkeeping, not 43 200 bins for each
+// of its 2 880 tasks. A window of more than MaxBins bins is refused,
+// naming the limit.
+func TestHistogramLongWindowAllocs(t *testing.T) {
+	db := store.Open(store.Config{Nodes: 1, RF: 1})
+	if err := db.CreateTable(model.TableEventByTime); err != nil {
+		t.Fatal(err)
+	}
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
+	from := time.Unix(1503468000, 0).UTC()
+	to := from.Add(30 * 24 * time.Hour)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	hist, err := HistogramScan(eng, db, model.MCE, from, to, time.Minute, ScanConfig{})
+	runtime.ReadMemStats(&after)
+	if err != nil || len(hist) != 30*24*60 {
+		t.Fatalf("%d bins: %v", len(hist), err)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 8 {
+		t.Errorf("a 30-day histogram of 60 s bins allocates %.1f MB, budget 8 MB", mb)
+	}
+	if _, err := HistogramScan(eng, db, model.MCE, from, to, time.Second, ScanConfig{}); err == nil || !strings.Contains(err.Error(), strconv.Itoa(MaxBins)) {
+		t.Errorf("%d bins of 1 s: error %v, want one naming the limit %d", 30*24*3600, err, MaxBins)
 	}
 }

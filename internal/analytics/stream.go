@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"hpclog/internal/compute"
@@ -69,16 +70,24 @@ func sliceBounds(lo, hi time.Time, slice time.Duration) [][2]time.Time {
 // — clustering keys plus the projected columns, never a store.Row or a
 // model.Event — into the task's accumulator; accumulators merge in task
 // order. A batch dies when fold returns, so fold must clone any string it
-// keeps.
+// keeps. A fold of occurrence counts by time alone passes whole, which
+// takes blocks without reading them (see taker); others pass nil.
 func foldType[A any](eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig,
-	project []uint32, newAcc func() A, fold func(A, *store.Batch) (A, error), merge func(A, A) A) (A, error) {
+	project []uint32, newAcc func() A, fold func(A, *store.Batch) (A, error), whole wholeFunc[A], merge func(A, A) A) (A, error) {
 	units := PlanEvents(typ, "", from, to, cfg)
 	tasks := make([]compute.FoldTask[A], len(units))
+	var taken atomic.Int64
 	for i, u := range units {
 		pkey := model.EventByTimeKey(u.Hour, typ)
 		tasks[i] = func(acc A) (A, int, error) {
 			rows := 0
-			err := db.ScanPartitionBatches(context.TODO(), model.TableEventByTime, pkey, u.Range, project, nil, nil,
+			var pr store.Pruner
+			if whole != nil {
+				t := &taker[A]{rg: u.Range, whole: whole, acc: &acc, rows: &rows}
+				defer func() { taken.Add(int64(t.blocks)) }()
+				pr = t
+			}
+			err := db.ScanPartitionBatches(context.TODO(), model.TableEventByTime, pkey, u.Range, project, pr, nil,
 				func(b *store.Batch) (err error) {
 					rows += b.Len()
 					acc, err = fold(acc, b)
@@ -87,7 +96,47 @@ func foldType[A any](eng *compute.Engine, db *store.DB, typ model.EventType, fro
 			return acc, rows, err
 		}
 	}
-	return compute.ScanFold(eng, cfg.opts(), tasks, newAcc, merge)
+	acc, err := compute.ScanFold(eng, cfg.opts(), tasks, newAcc, merge)
+	eng.NoteTaken(int(taken.Load()))
+	return acc, err
+}
+
+// wholeFunc adds to acc a block of rows whose clustering timestamps lie in
+// [minTS, maxTS] and whose occurrence counts sum to sum (wrapping as int64
+// does), reporting false — acc unchanged — when the fold cannot place the
+// block without its rows.
+type wholeFunc[A any] func(acc A, minTS, maxTS, sum int64) (A, bool)
+
+// taker is the Pruner through which a fold task takes blocks whole. A
+// block inside the task's range, whose footer says every key carries a
+// timestamp and every amount is an occurrence count, and which whole
+// accepts from its first and last timestamps and its count sum, is added
+// to the accumulator from the footer and skipped: never read, fetched or
+// decoded. The store offers only blocks no other merge input shadows, so
+// the rows taken are exactly the rows the scan would have folded; they
+// count in the task's rows as if read.
+type taker[A any] struct {
+	rg     store.Range
+	whole  wholeFunc[A]
+	acc    *A
+	rows   *int
+	blocks int // taken
+}
+
+func (t *taker[A]) PruneBlock(b *store.BlockStats) bool {
+	if b.MinKey < t.rg.From || b.MaxKey >= t.rg.To {
+		return false
+	}
+	lo, hi, timed := b.TimeBounds()
+	counts, sum := b.Counts(model.ColAmountID)
+	if !timed || counts != b.Rows {
+		return false
+	}
+	acc, ok := t.whole(*t.acc, lo, hi, sum)
+	if ok {
+		*t.acc, *t.rows, t.blocks = acc, *t.rows+b.Rows, t.blocks+1
+	}
+	return ok
 }
 
 // Projections of the folds below.
@@ -160,7 +209,7 @@ var heatFold = foldCounts(
 // [from, to).
 func HeatmapScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) (*HeatMap, error) {
 	counts, err := foldType(eng, db, typ, from, to, cfg, projSourceAmount,
-		func() []int { return make([]int, topology.Cabinets) }, heatFold, sumInts)
+		func() []int { return make([]int, topology.Cabinets) }, heatFold, nil, sumInts)
 	if err != nil {
 		return nil, err
 	}
@@ -209,6 +258,7 @@ func DistributionByScan(eng *compute.Engine, db *store.DB, typ model.EventType, 
 					acc.locs[p.loc] += n
 				}
 			}),
+		nil,
 		func(a, b distAcc) distAcc {
 			return distAcc{mergeCountMaps(a.locs, b.locs), mergeCountMaps(a.other, b.other)}
 		})
@@ -279,7 +329,7 @@ func DistributionByAppScan(eng *compute.Engine, db *store.DB, typ model.EventTyp
 			}
 			return acc, nil
 		},
-		mergeCountMaps[string])
+		nil, mergeCountMaps[string])
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +342,7 @@ func EventSitesScan(eng *compute.Engine, db *store.DB, typ model.EventType, at t
 	return foldType(eng, db, typ, at, at.Add(time.Second), cfg, projSourceAmount,
 		newCountMap[string],
 		foldCounts(func(source string) string { return source }, countKey),
-		mergeCountMaps[string])
+		nil, mergeCountMaps[string])
 }
 
 // countKey adds n to acc[key], cloning key on first insert: batch strings
@@ -305,24 +355,108 @@ func countKey(acc map[string]int, key string, n int) {
 	}
 }
 
+// MaxBins is the most bins a histogram (and so a transfer-entropy series)
+// may have.
+const MaxBins = 1 << 20
+
 // HistogramScan bins occurrences of one event type over [from, to) into
-// fixed-width bins — the temporal map's data (Fig 5-top).
+// fixed-width bins — the temporal map's data (Fig 5-top). A block that
+// lies in one bin is counted from its footer.
 func HistogramScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, bin time.Duration, cfg ScanConfig) ([]int, error) {
-	if bin <= 0 {
-		return nil, fmt.Errorf("analytics: non-positive bin %v", bin)
+	h, err := binning(from, to, bin)
+	if err != nil {
+		return nil, err
 	}
-	nbins := int(to.Sub(from) / bin)
-	if nbins < 1 {
-		return nil, fmt.Errorf("analytics: window %v shorter than bin %v", to.Sub(from), bin)
+	acc, err := foldType(eng, db, typ, from, to, cfg, projAmount, newBinCounts, histFold(h), h.whole, h.merge)
+	if err != nil {
+		return nil, err
 	}
-	return foldType(eng, db, typ, from, to, cfg, projAmount,
-		func() []int { return make([]int, nbins) }, histFold(from, bin, nbins), sumInts)
+	return h.merge(acc, binCounts{}).counts, nil
 }
 
-// histFold bins (key, amount) batches into nbins bins of width bin
-// starting at from; later occurrences land in the last bin.
-func histFold(from time.Time, bin time.Duration, nbins int) func([]int, *store.Batch) ([]int, error) {
-	return func(acc []int, b *store.Batch) ([]int, error) {
+// bins is the binning of a histogram: n bins of the width, the first
+// starting at from.
+type bins struct {
+	from  time.Time
+	width time.Duration
+	n     int
+}
+
+// binning validates a histogram request.
+func binning(from, to time.Time, width time.Duration) (bins, error) {
+	if width <= 0 {
+		return bins{}, fmt.Errorf("analytics: non-positive bin %v", width)
+	}
+	n := int(to.Sub(from) / width)
+	if n < 1 {
+		return bins{}, fmt.Errorf("analytics: window %v shorter than bin %v", to.Sub(from), width)
+	}
+	if n > MaxBins {
+		return bins{}, fmt.Errorf("analytics: window %v in bins of %v is %d bins, more than the limit of %d", to.Sub(from), width, n, MaxBins)
+	}
+	return bins{from: from, width: width, n: n}, nil
+}
+
+// of returns the bin of an occurrence at ts (unix seconds); later
+// occurrences land in the last bin, and a negative bin counts nowhere. It
+// never decreases as ts grows, so a block whose first and last rows share
+// a bin lies in it whole.
+func (h bins) of(ts int64) int {
+	return min(int(time.Unix(ts, 0).Sub(h.from)/h.width), h.n-1)
+}
+
+// whole takes a block whose first and last rows fall in one bin.
+func (h bins) whole(acc binCounts, minTS, maxTS, sum int64) (binCounts, bool) {
+	bi := h.of(minTS)
+	if bi != h.of(maxTS) {
+		return acc, false
+	}
+	if bi >= 0 {
+		acc.add(bi, int(sum))
+	}
+	return acc, true
+}
+
+// merge adds a task's counts into out, which spans all n bins once merged
+// into.
+func (h bins) merge(out, a binCounts) binCounts {
+	if out.counts == nil {
+		out.counts = make([]int, h.n) // out.lo is 0
+	}
+	for i, n := range a.counts {
+		out.counts[a.lo+i] += n
+	}
+	return out
+}
+
+// binCounts is a histogram task's accumulator: the counts of bins lo,
+// lo+1, … as far as the task's rows reach. It grows on first use, so a
+// task that folds nothing allocates nothing, and one over a 15-minute
+// slice of a 30-day window of 60 s bins holds 15 bins, not 43 200.
+type binCounts struct {
+	lo     int
+	counts []int
+}
+
+func newBinCounts() binCounts { return binCounts{} }
+
+// add adds n to bin i.
+func (c *binCounts) add(i, n int) {
+	switch {
+	case c.counts == nil:
+		c.lo, c.counts = i, make([]int, 1)
+	case i < c.lo:
+		c.counts = append(make([]int, c.lo-i, c.lo-i+len(c.counts)), c.counts...)
+		c.lo = i
+	case i >= c.lo+len(c.counts):
+		c.counts = append(c.counts, make([]int, i+1-c.lo-len(c.counts))...)
+	}
+	c.counts[i-c.lo] += n
+}
+
+// histFold bins (key, amount) batches.
+func histFold(h bins) func(binCounts, *store.Batch) (binCounts, error) {
+	return func(acc binCounts, b *store.Batch) (binCounts, error) {
 		var counts [store.MaxBatchRows]int
 		if err := model.EventCounts(b, counts[:b.Len()]); err != nil {
 			return acc, err
@@ -332,12 +466,8 @@ func histFold(from time.Time, bin time.Duration, nbins int) func([]int, *store.B
 			return acc, err
 		}
 		for i, n := range counts[:b.Len()] {
-			bi := int(time.Unix(times[i], 0).Sub(from) / bin)
-			if bi >= nbins {
-				bi = nbins - 1
-			}
-			if bi >= 0 {
-				acc[bi] += n
+			if bi := h.of(times[i]); bi >= 0 {
+				acc.add(bi, n)
 			}
 		}
 		return acc, nil
@@ -471,7 +601,7 @@ func (a *termAcc) merge(b *termAcc) *termAcc {
 
 // scanTerms folds the raw messages of one type into a vocabulary.
 func scanTerms(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) (*termAcc, error) {
-	return foldType(eng, db, typ, from, to, cfg, projRaw, newTermAcc, (*termAcc).foldDocs, (*termAcc).merge)
+	return foldType(eng, db, typ, from, to, cfg, projRaw, newTermAcc, (*termAcc).foldDocs, nil, (*termAcc).merge)
 }
 
 // WordCountScan runs the word count over the raw messages of one type —

@@ -1,0 +1,279 @@
+package analytics
+
+import (
+	"fmt"
+	"reflect"
+	"strconv"
+	"testing"
+	"time"
+
+	"hpclog/internal/compute"
+	"hpclog/internal/model"
+	"hpclog/internal/objstore"
+	"hpclog/internal/store"
+)
+
+// rowHistogram is HistogramScan on the row path: the same fold with no
+// block taken whole — the oracle of a histogram that takes blocks.
+func rowHistogram(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, bin time.Duration, cfg ScanConfig) ([]int, error) {
+	h, err := binning(from, to, bin)
+	if err != nil {
+		return nil, err
+	}
+	acc, err := foldType(eng, db, typ, from, to, cfg, projAmount, newBinCounts, histFold(h), nil, h.merge)
+	if err != nil {
+		return nil, err
+	}
+	return h.merge(acc, binCounts{}).counts, nil
+}
+
+// rowTE is TransferEntropyBetweenScan over rowHistogram.
+func rowTE(eng *compute.Engine, db *store.DB, a, b model.EventType, from, to time.Time, bin time.Duration, cfg ScanConfig) (TEResult, error) {
+	x, err := rowHistogram(eng, db, a, from, to, bin, cfg)
+	if err != nil {
+		return TEResult{}, err
+	}
+	y, err := rowHistogram(eng, db, b, from, to, bin, cfg)
+	if err != nil {
+		return TEResult{}, err
+	}
+	sx, sy := (&Series{Counts: x}).Binary(), (&Series{Counts: y}).Binary()
+	xy, err := TransferEntropy(sx, sy)
+	if err != nil {
+		return TEResult{}, err
+	}
+	yx, err := TransferEntropy(sy, sx)
+	return TEResult{XToY: xy, YToX: yx}, err
+}
+
+// takeStart is the first second of the taker's test corpus, an hour
+// boundary; the corpus spans two hours.
+var takeStart = time.Unix(1503468000, 0).UTC()
+
+// absent, as an amount, leaves the amount cell out of the row.
+const absent = "\x00"
+
+// takeRows renders n events of typ from takeStart on, three a second from
+// distinct sources, amount(i) giving row i's amount cell.
+func takeRows(typ model.EventType, n int, amount func(i int) string) []store.Row {
+	rows := make([]store.Row, n)
+	for i := range rows {
+		e := model.Event{Time: takeStart.Add(time.Duration(i/3) * time.Second), Type: typ,
+			Source: fmt.Sprintf("c0-0c0s%dn%d", i/4%8, i%4)}
+		cells := map[string]string{model.ColSource: e.Source}
+		if a := amount(i); a != absent {
+			cells[model.ColAmount] = a
+		}
+		rows[i] = store.MapRow(model.EventToTimeRow(e).Key, 0, cells)
+	}
+	return rows
+}
+
+// putRows writes rows into their hour partitions of typ.
+func putRows(db *store.DB, typ model.EventType, rows []store.Row) error {
+	byHour := map[int64][]store.Row{}
+	for _, r := range rows {
+		ts, err := store.DecodeTS(r.Key)
+		if err != nil {
+			ts = takeStart.Unix() // a key without a timestamp lives in the first hour
+		}
+		byHour[ts/3600] = append(byHour[ts/3600], r)
+	}
+	for hour, rows := range byHour {
+		if err := db.PutBatch(model.TableEventByTime, model.EventByTimeKey(hour, typ), rows, store.One); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestHistogramTakesBlocksExactly holds the histogram and transfer-entropy
+// folds, which take a block from its footer when it lies in one bin, to
+// the row path — the same folds taking nothing — on a durable store, and
+// on one whose segments are evicted to an object store: the results and
+// the errors must be identical. The corpus tempts the taker with amounts
+// that are counts only by strconv.Atoi's reading ("+2", "01"), a sum that
+// wraps, amounts that are not counts ("0", "-1", "1.0", empty, absent), a
+// key without a timestamp inside a block and one written later over a
+// flushed block; the store holds overlapping segments, a memtable, and
+// flushing runs while a writer rewrites rows with their own values; the
+// windows cut blocks. A taken block's rows count as scanned. (Section-less footers, the v4 store's, are
+// enginetest's TestCorpusFoldsTakeBlocks.)
+func TestHistogramTakesBlocksExactly(t *testing.T) {
+	for _, tiered := range []bool{false, true} {
+		name := "resident"
+		if tiered {
+			name = "tiered"
+		}
+		t.Run(name, func(t *testing.T) { testTakesBlocksExactly(t, tiered) })
+	}
+}
+
+func testTakesBlocksExactly(t *testing.T, tiered bool) {
+	cfg := store.Config{Nodes: 1, RF: 1, FlushThreshold: 1 << 20, CompactInterval: -1, Dir: t.TempDir(), WALNoSync: true}
+	if tiered {
+		cfg.Tier = objstore.Config{Backend: "fs", Dir: t.TempDir(), CacheBytes: 1 << 16}
+	}
+	db, err := store.OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateTable(model.TableEventByTime); err != nil {
+		t.Fatal(err)
+	}
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
+	flush := func() {
+		t.Helper()
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if tiered {
+			if _, _, err := db.TierSweep(true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	const n = 3 * 7200 // two hours
+	good := []string{"1", "+2", "01", "7", "1", "1", "3"}
+	counts := func(i int) string {
+		if i == 5000 || i == 5001 { // one block: their sum wraps
+			return strconv.FormatInt(1<<63-1, 10)
+		}
+		return good[i%len(good)]
+	}
+	bad := func(at int, v string) func(int) string {
+		return func(i int) string {
+			if i == at {
+				return v
+			}
+			return counts(i)
+		}
+	}
+	ok, ok2 := model.EventType("TAKE_OK"), model.EventType("TAKE_OK2")
+	types := map[model.EventType]func(int) string{
+		ok:          counts,
+		ok2:         func(i int) string { return good[(i/5)%len(good)] },
+		"TAKE_ZERO": bad(1234, "0"), "TAKE_NEG": bad(2345, "-1"), "TAKE_FRAC": bad(6001, "1.0"),
+		"TAKE_EMPTY": bad(9000, ""), "TAKE_ABSENT": bad(17000, absent),
+		"TAKE_NOTS": counts, "TAKE_NOTS_LATE": counts,
+	}
+	// noTS is a key without a timestamp that sorts after the keys of
+	// second s and before those of s+1 (s ends in 9).
+	noTS := func(s int64) store.Row {
+		return store.MapRow(store.EncodeTS(takeStart.Unix() + s)[:18]+"x", 0,
+			map[string]string{model.ColSource: "c0-0c0s0n0", model.ColAmount: "1"})
+	}
+	put := func(typ model.EventType, rows []store.Row) {
+		t.Helper()
+		if err := putRows(db, typ, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for typ, amount := range types {
+		rows := takeRows(typ, n, amount)
+		if typ == "TAKE_NOTS" {
+			rows = append(rows, noTS(1209)) // inside a block of rows
+		}
+		put(typ, rows)
+	}
+	flush()
+
+	type query struct {
+		name     string
+		from, to time.Time
+		bin      time.Duration
+		cfg      ScanConfig
+	}
+	var queries []query
+	for wi, w := range [][2]time.Duration{{0, 2 * time.Hour}, {37 * time.Second, 5013 * time.Second}, {59*time.Minute + 50*time.Second, 61 * time.Minute}} {
+		for _, bin := range []time.Duration{7 * time.Second, time.Minute, 10 * time.Minute, time.Hour} {
+			for si, sc := range []ScanConfig{{}, {Slice: 10 * time.Minute, Parallelism: 1}} {
+				if w[1]-w[0] < bin || si > 0 && wi > 0 {
+					continue
+				}
+				queries = append(queries, query{fmt.Sprintf("[%v,%v)/%v/slice%v", w[0], w[1], bin, sc.Slice),
+					takeStart.Add(w[0]), takeStart.Add(w[1]), bin, sc})
+			}
+		}
+	}
+	sameErr := func(a, b error) bool { return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error()) }
+	// compare runs every query of every type both ways and returns how many
+	// blocks the taking side took.
+	compare := func(stage string) int {
+		t.Helper()
+		before := eng.Stats().BlocksTaken
+		for _, q := range queries {
+			for typ := range types {
+				rows := eng.Stats().ScanRows
+				want, wantErr := rowHistogram(eng, db, typ, q.from, q.to, q.bin, q.cfg)
+				rows, wantRows := eng.Stats().ScanRows, eng.Stats().ScanRows-rows
+				got, err := HistogramScan(eng, db, typ, q.from, q.to, q.bin, q.cfg)
+				if !sameErr(err, wantErr) || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %s %s: histogram %v (%v), row path %v (%v)", stage, q.name, typ, got, err, want, wantErr)
+				}
+				if gotRows := eng.Stats().ScanRows - rows; err == nil && gotRows != wantRows {
+					t.Fatalf("%s %s %s: %d rows scanned, row path %d", stage, q.name, typ, gotRows, wantRows)
+				}
+			}
+			for _, pair := range [][2]model.EventType{{ok, ok2}, {ok2, ok}, {ok, "TAKE_ZERO"}, {"TAKE_NOTS", ok}} {
+				want, wantErr := rowTE(eng, db, pair[0], pair[1], q.from, q.to, q.bin, q.cfg)
+				got, err := TransferEntropyBetweenScan(eng, db, pair[0], pair[1], q.from, q.to, q.bin, q.cfg)
+				if !sameErr(err, wantErr) || got != want {
+					t.Fatalf("%s %s %v: TE %+v (%v), row path %+v (%v)", stage, q.name, pair, got, err, want, wantErr)
+				}
+			}
+		}
+		return eng.Stats().BlocksTaken - before
+	}
+	mustTake := func(stage string) {
+		t.Helper()
+		if taken := compare(stage); taken == 0 {
+			t.Fatalf("%s: no block taken", stage)
+		}
+	}
+
+	mustTake("flushed")
+
+	// Rewrite rows with their own values: a second segment overlapping the
+	// first, then a memtable over both. The late key without a timestamp
+	// lands in the memtable over a block the taker took before.
+	rewrite := func(typ model.EventType, lo, hi int) {
+		put(typ, takeRows(typ, n, types[typ])[lo:hi])
+	}
+	rewrite(ok, 3000, 3500)
+	rewrite(ok2, 100, 12000)
+	flush()
+	mustTake("overlapping segments")
+	rewrite(ok, 4000, 4100)
+	put("TAKE_NOTS_LATE", []store.Row{noTS(609)})
+	mustTake("memtable")
+
+	// Flushing runs: a writer rewrites and flushes while the queries run.
+	okRows := takeRows(ok, n, counts)
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		var err error
+		for i := 0; i < 60 && err == nil; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			lo := 300 * i
+			if err = putRows(db, ok, okRows[lo:lo+150]); err == nil {
+				err = db.Flush()
+			}
+		}
+		done <- err
+	}()
+	defer func() { // before db.Close
+		close(stop)
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}()
+	compare("flushing")
+}

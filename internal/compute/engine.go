@@ -35,6 +35,9 @@ type Stats struct {
 	// and Bloom filters.
 	BlocksRead   int
 	BlocksPruned int
+	// BlocksTaken counts segment blocks the count folds answered from
+	// their footer statistics without reading them.
+	BlocksTaken int
 }
 
 // NewEngine creates an engine with the given configuration.
@@ -63,6 +66,13 @@ func (e *Engine) NotePruning(read, pruned int) {
 	e.statsMu.Lock()
 	e.stats.BlocksRead += read
 	e.stats.BlocksPruned += pruned
+	e.statsMu.Unlock()
+}
+
+// NoteTaken accumulates blocks a fold took from their statistics.
+func (e *Engine) NoteTaken(blocks int) {
+	e.statsMu.Lock()
+	e.stats.BlocksTaken += blocks
 	e.statsMu.Unlock()
 }
 

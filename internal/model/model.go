@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"hpclog/internal/store"
+	"hpclog/internal/store/persist"
 )
 
 // Table names, one per schema in Section II-B.
@@ -291,10 +292,10 @@ func EventTimeCount(key, amount string) (ts int64, n int, err error) {
 }
 
 // EventCount parses the amount cell of the event row at clustering key
-// key: the occurrence count, at least 1.
+// key: the occurrence count, as persist.PosInt defines it.
 func EventCount(key, amount string) (int, error) {
-	n, err := strconv.Atoi(amount)
-	if err != nil || n < 1 {
+	n, ok := persist.PosInt(amount)
+	if !ok {
 		return 0, fmt.Errorf("model: bad amount %q in row %q", amount, key)
 	}
 	return n, nil

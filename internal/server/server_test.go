@@ -6,6 +6,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -124,6 +126,12 @@ func TestQueryErrorsAreClientErrors(t *testing.T) {
 	_, err := f.cli.Do(context.Background(), query.Request{Op: "bogus"})
 	if ae := errorOf(t, err); ae.Status != http.StatusBadRequest || ae.Message == "" {
 		t.Fatalf("bogus op: %+v", ae)
+	}
+	// A histogram of more bins than the limit.
+	_, err = f.cli.Do(context.Background(), query.Request{Op: query.OpHistogram, BinSeconds: 1,
+		Context: query.Context{EventType: "MCE", From: 1, To: time.Now().Unix()}})
+	if ae := errorOf(t, err); ae.Code != api.CodeBadRequest || !strings.Contains(ae.Message, strconv.Itoa(analytics.MaxBins)) {
+		t.Fatalf("histogram of %d bins: %+v", time.Now().Unix(), ae)
 	}
 	// Malformed JSON (the SDK cannot send it).
 	resp, err := http.Post(f.ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte("{nope")))

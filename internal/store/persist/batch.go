@@ -316,8 +316,11 @@ type BatchScanner struct {
 	arenaCap int
 	// Scratch of the v5 decoder: the column directory and — unprojected —
 	// the column being transposed into cells.
-	dir    []colChunk
-	tmp    *colVec
+	dir []colChunk
+	tmp *colVec
+	// offer is what a Pruner is shown of a block: its statistics with its
+	// fold record attached.
+	offer  BlockStats
 	b      Batch
 	err    error
 	closed bool
@@ -381,6 +384,11 @@ func (sc *BatchScanner) prunable(i int) bool {
 		if sh.overlaps(b.MinKey, b.MaxKey) {
 			return false
 		}
+	}
+	if sc.s.fold != nil {
+		sc.offer = *b
+		sc.offer.fold = &sc.s.fold[i]
+		b = &sc.offer
 	}
 	return sc.cfg.Pruner.PruneBlock(b)
 }

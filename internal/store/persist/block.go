@@ -344,14 +344,15 @@ func (w *Writer) encodeCol(out []byte, col *encCol, n int) []byte {
 }
 
 // noteColumn folds one column's distinct values into the block's Bloom
-// filter and, for a hot column, its zone map — once per value, weighted by
-// the cells that carry it. Empty values are skipped: the statistics
-// describe what a predicate can match.
+// filter and, for a hot column, its zone map and count sums — once per
+// value, weighted by the cells that carry it. Empty values are skipped:
+// the statistics describe what a predicate can match.
 func (w *Writer) noteColumn(col *encCol, set *valueSet) {
 	var z *ColZone
+	var counts *colCounts
 	for zi, id := range w.zoneIDs {
 		if id == col.id {
-			z = &w.zones[zi]
+			z, counts = &w.zones[zi], &w.counts[zi]
 		}
 	}
 	seed := bloomSeed(w.tb.names[col.local])
@@ -380,6 +381,12 @@ func (w *Writer) noteColumn(col *encCol, set *valueSet) {
 				z.MaxNum = f
 			}
 			z.NumCells += cells
+			// Inside the ParseNum test: PosInt accepts only decimal
+			// integers, and Atoi allocates its error for anything else.
+			if n, ok := PosInt(v); ok {
+				counts.cells += cells
+				counts.sum += int64(n) * int64(cells)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"strconv"
 	"sync/atomic"
 )
 
@@ -55,6 +56,51 @@ type BlockStats struct {
 	Zones []ColZone
 	// bloom indexes the block's (column name, value) cells.
 	bloom bloom
+	// fold is the block's record in the footer's fold section. A segment
+	// keeps the records beside its footer statistics, which then read the
+	// same for both codec generations, and attaches one only to the copy a
+	// scan offers its Pruner; nil when the footer has no fold section.
+	fold *blockFold
+}
+
+// blockFold is a block's record in the footer's fold section: the facts a
+// fold of occurrence counts takes the block whole from.
+type blockFold struct {
+	timed  bool        // every key carries a clustering timestamp (tsOf >= 0)
+	counts []colCounts // one per hot column with numeric cells
+}
+
+// colCounts tells of one column's cells in a block how many PosInt
+// accepts and their sum, wrapping as int64 does.
+type colCounts struct {
+	id    uint32 // dictionary ID (in the footer, a name-table index until open)
+	cells int
+	sum   int64
+}
+
+// TimeBounds returns the clustering timestamps of the block's first and
+// last key. ok is false unless the footer records that every key of the
+// block carries one; keys then ascend with their timestamps, so every row
+// lies in [min, max].
+func (b *BlockStats) TimeBounds() (min, max int64, ok bool) {
+	if b.fold == nil || !b.fold.timed {
+		return 0, 0, false
+	}
+	return tsOf(b.MinKey), tsOf(b.MaxKey), true
+}
+
+// Counts returns how many of the block's cells of column id are
+// occurrence counts (PosInt accepts them) and their sum, wrapping as int64
+// does: 0, 0 where the footer does not say.
+func (b *BlockStats) Counts(id uint32) (cells int, sum int64) {
+	if b.fold != nil {
+		for _, c := range b.fold.counts {
+			if c.id == id {
+				return c.cells, c.sum
+			}
+		}
+	}
+	return 0, 0
 }
 
 // Zone returns the zone map for a column ID, or nil when the column is
@@ -79,10 +125,15 @@ func (b *BlockStats) MayContain(h1, h2 uint64) bool { return b.bloom.has(h1, h2)
 
 // Pruner decides from a block's statistics whether a scan may skip the
 // block entirely. PruneBlock must return true only when NO row of the
-// block can satisfy the caller's predicate; implementations unsure about
-// a block must return false. The same Pruner is shared by every iterator
-// of a scan and must be safe for concurrent use (the planner's pruners
-// are immutable after construction).
+// block can satisfy the caller's predicate, or when the caller has
+// accounted for every row of the block from its statistics (a fold that
+// takes the block whole); implementations unsure about a block must
+// return false. A block another merge input could shadow is never offered
+// (see ScanConfig.Shadows), so a skipped block's rows are exactly the rows
+// the scan would have read from it. The same Pruner is shared by every
+// iterator of a scan and must be safe for concurrent use (the planner's
+// pruners are immutable after construction); a pruner that keeps state
+// serves one scan, whose iterators one goroutine drains.
 type Pruner interface {
 	PruneBlock(b *BlockStats) bool
 }
@@ -268,4 +319,14 @@ func ParseNum(s string) (float64, bool) {
 		f = -f
 	}
 	return f, true
+}
+
+// PosInt parses an occurrence count: what strconv.Atoi accepts, at least
+// 1. It is the one definition of a count — the event model parses amounts
+// with it and the writer sums a block's counts with it — so a fold that
+// takes a block from its footer sums counts exactly what reading its rows
+// would.
+func PosInt(v string) (int, bool) {
+	n, err := strconv.Atoi(v)
+	return n, err == nil && n >= 1
 }

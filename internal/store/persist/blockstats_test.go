@@ -75,6 +75,32 @@ func TestBlockStatsRoundTrip(t *testing.T) {
 		if !b.MayContain(h1, h2) {
 			t.Fatalf("block %d bloom rejects its own grp value", i)
 		}
+		// Fold facts: every key carries a timestamp, and the amounts
+		// i*64 .. i*64+Rows-1 are counts but for 0.
+		if b.fold != nil {
+			t.Fatalf("block %d: the segment's own statistics carry a fold record", i)
+		}
+		offered := b
+		offered.fold = &seg.fold[i]
+		lo, hi, ok := offered.TimeBounds()
+		if !ok || lo != int64(1000+i*indexEvery) || hi != int64(1000+i*indexEvery+b.Rows-1) {
+			t.Fatalf("block %d time bounds [%d, %d] %v", i, lo, hi, ok)
+		}
+		wantCells, wantSum := 0, int64(0)
+		for v := i * indexEvery; v < i*indexEvery+b.Rows; v++ {
+			if v > 0 {
+				wantCells, wantSum = wantCells+1, wantSum+int64(v)
+			}
+		}
+		if cells, sum := offered.Counts(amountID); cells != wantCells || sum != wantSum {
+			t.Fatalf("block %d amount counts %d sum %d, want %d and %d", i, cells, sum, wantCells, wantSum)
+		}
+		if cells, sum := offered.Counts(grpID); cells != 0 || sum != 0 {
+			t.Fatalf("block %d counts %d grp cells summing to %d", i, cells, sum)
+		}
+	}
+	if len(seg.fold) != len(blocks) {
+		t.Fatalf("%d fold records for %d blocks", len(seg.fold), len(blocks))
 	}
 	if rows != nRows {
 		t.Fatalf("block row counts sum to %d, want %d", rows, nRows)
@@ -102,6 +128,9 @@ func TestBlockStatsRoundTrip(t *testing.T) {
 	z := seg2.meta.Blocks[0].Zone(InternColumn("ghost"))
 	if z == nil || z.Cells != 0 {
 		t.Fatalf("absent hot column zone = %+v, want Cells=0", z)
+	}
+	if seg2.fold[0].timed {
+		t.Fatal(`key "k1" carries no timestamp, yet the block is flagged timed`)
 	}
 }
 

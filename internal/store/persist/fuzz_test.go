@@ -3,6 +3,9 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -153,6 +156,55 @@ func FuzzFrontTS(f *testing.F) {
 	})
 }
 
+// foldedFooter is a footer of two blocks with a fold section: one whose
+// keys all carry timestamps and whose numeric zone holds counts, one
+// whose keys do not. Zone IDs are name-table indexes, as on disk.
+func foldedFooter() (*footerMeta, []blockFold, []int) {
+	zones := func(num int) []ColZone {
+		return []ColZone{
+			{ID: 0, MinVal: "1", MaxVal: "9", Cells: num, NumCells: num, MinNum: 1, MaxNum: 9},
+			{ID: 1, MinVal: "c0-0c0s0n0", MaxVal: "c0-0c0s0n3", Cells: 2},
+		}
+	}
+	meta := &footerMeta{
+		Table: "event_by_time", Partition: "417631:MCE", Seq: 3, Rows: 66,
+		MinKey: "0000000001503468000:a", MaxKey: "x", MinTS: 1503468000, MaxWriteTS: 70,
+		DataLen: 4096, DataCRC: 0x1234,
+		ColNames: []string{"amount", "source"},
+		Index:    []IndexEntry{{Key: "0000000001503468000:a", Off: 8}, {Key: "0000000001503468063:a", Off: 2048}},
+		Blocks: []BlockStats{
+			{MinKey: "0000000001503468000:a", MaxKey: "0000000001503468062:z", Rows: 64, Zones: zones(64)},
+			{MinKey: "0000000001503468063:a", MaxKey: "x", Rows: 2, Zones: zones(2)},
+		},
+		Leaves: make([][objstore.HashLen]byte, 2),
+	}
+	fold := []blockFold{
+		{timed: true, counts: []colCounts{{id: 0, cells: 63, sum: -9223372036854775000}}},
+		{counts: []colCounts{{id: 0, cells: 2, sum: 3}}},
+	}
+	return meta, fold, []int{0, 1}
+}
+
+// hostileFoldSections are footers whose fold section is damaged: each must
+// fail to decode.
+func hostileFoldSections() map[string][]byte {
+	meta, fold, local := foldedFooter()
+	good := appendFooter(nil, meta, fold, local)
+	bare := appendFooter(nil, meta, nil, local)
+	flag := slices.Clone(good)
+	flag[len(bare)+1] = 2 // the first block's flag
+	return map[string][]byte{
+		"truncated":     good[:len(good)-1],
+		"count only":    binary.AppendUvarint(slices.Clone(bare), uint64(len(fold))),
+		"fewer blocks":  appendFoldSection(slices.Clone(bare), fold[:1]),
+		"more blocks":   appendFoldSection(slices.Clone(bare), append(fold, fold[1])),
+		"bad flag":      flag,
+		"trailing byte": append(slices.Clone(good), 0),
+		"counts beyond cells": appendFoldSection(slices.Clone(bare),
+			[]blockFold{fold[0], {counts: []colCounts{{id: 0, cells: 3, sum: 3}}}}),
+	}
+}
+
 // FuzzSegmentFooter feeds arbitrary bytes to the footer decoder: any
 // outcome but a panic is acceptable, and a valid decode must re-encode.
 func FuzzSegmentFooter(f *testing.F) {
@@ -167,16 +219,26 @@ func FuzzSegmentFooter(f *testing.F) {
 			bloom: bloom{bits: "\x01\x02\x03\x04\x05\x06\x07\x08", k: bloomHashes}}},
 		Leaves: make([][objstore.HashLen]byte, 1),
 	}
-	f.Add(appendFooter(nil, &meta, []int{1}))
+	f.Add(appendFooter(nil, &meta, nil, []int{1}))
 	f.Add([]byte(""))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	f.Add(appendFooter(nil, &meta, []blockFold{{timed: true, counts: []colCounts{{id: 1, cells: 1, sum: 4}}}}, []int{1}))
+	fm, fold, local := foldedFooter()
+	f.Add(appendFooter(nil, fm, fold, local))
+	hostile := hostileFoldSections()
+	for _, name := range slices.Sorted(maps.Keys(hostile)) {
+		f.Add(hostile[name])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeFooter(data)
+		m, fold, err := decodeFooter(data)
 		if err != nil {
 			return
 		}
 		if m.Rows < 0 || m.DataLen < 0 {
 			t.Fatalf("decoded nonsense counts from %x: %+v", data, m)
+		}
+		if fold != nil && len(fold) != len(m.Blocks) {
+			t.Fatalf("fold section of %d records for %d blocks", len(fold), len(m.Blocks))
 		}
 		// Zone IDs are still name-table indexes here, as on disk.
 		zoneLocal := []int{}
@@ -190,8 +252,8 @@ func FuzzSegmentFooter(f *testing.F) {
 				return // only a writer's footer zones every block alike
 			}
 		}
-		round := appendFooter(nil, m, zoneLocal)
-		m2, err := decodeFooter(round)
+		round := appendFooter(nil, m, fold, zoneLocal)
+		m2, fold2, err := decodeFooter(round)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded footer failed: %v", err)
 		}
@@ -199,11 +261,15 @@ func FuzzSegmentFooter(f *testing.F) {
 			len(m2.Blocks) != len(m.Blocks) || len(m2.Leaves) != len(m.Leaves) {
 			t.Fatalf("footer round trip mismatch: %+v vs %+v", m, m2)
 		}
+		if !reflect.DeepEqual(fold, fold2) {
+			t.Fatalf("fold section round trip: %+v vs %+v", fold, fold2)
+		}
 	})
 }
 
-// TestFooterRoundTrip pins the binary footer codec on a representative
-// value, including delta-encoded index offsets.
+// TestFooterRoundTrip pins the binary footer codec on representative
+// values, including delta-encoded index offsets, with and without the fold
+// section, and refuses a damaged fold section.
 func TestFooterRoundTrip(t *testing.T) {
 	meta := footerMeta{
 		Table: "events", Partition: "412:MCE", Seq: 1 << 40, Rows: 12345,
@@ -219,9 +285,12 @@ func TestFooterRoundTrip(t *testing.T) {
 		Blocks: make([]BlockStats, 3),
 		Leaves: make([][objstore.HashLen]byte, 3),
 	}
-	got, err := decodeFooter(appendFooter(nil, &meta, nil))
+	got, fold, err := decodeFooter(appendFooter(nil, &meta, nil, nil))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fold != nil {
+		t.Fatalf("a footer without a fold section decodes one: %+v", fold)
 	}
 	if got.Table != meta.Table || got.Partition != meta.Partition || got.Seq != meta.Seq ||
 		got.Rows != meta.Rows || got.MinKey != meta.MinKey || got.MaxKey != meta.MaxKey ||
@@ -240,6 +309,28 @@ func TestFooterRoundTrip(t *testing.T) {
 	for i := range meta.Index {
 		if got.Index[i] != meta.Index[i] {
 			t.Fatalf("index entry %d: %+v want %+v", i, got.Index[i], meta.Index[i])
+		}
+	}
+
+	fm, wantFold, local := foldedFooter()
+	img := appendFooter(nil, fm, wantFold, local)
+	bare, noFold, err := decodeFooter(appendFooter(nil, fm, nil, local))
+	if err != nil || noFold != nil {
+		t.Fatalf("footer without its fold section: %v, fold %+v", err, noFold)
+	}
+	withFold, gotFold, err := decodeFooter(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(withFold, bare) {
+		t.Fatalf("the fold section changes the footer it follows:\nwith    %+v\nwithout %+v", withFold, bare)
+	}
+	if !reflect.DeepEqual(gotFold, wantFold) {
+		t.Fatalf("fold section: got %+v, want %+v", gotFold, wantFold)
+	}
+	for name, fb := range hostileFoldSections() {
+		if _, _, err := decodeFooter(fb); err == nil {
+			t.Errorf("%s: decoded", name)
 		}
 	}
 }

@@ -36,9 +36,12 @@ import (
 // near Range.From, a CRC of the data region, per-block statistics — a zone
 // map (key/WriteTS bounds, per-column min/max for the writer's hot set)
 // and a Bloom filter over the block's column cells (see blockstats.go) —
-// and one Merkle leaf per block. Files are written to a temporary name and
-// renamed into place, so a segment either exists completely or not at all
-// — torn writes are the commitlog's problem, never the segment store's.
+// one Merkle leaf per block and, last, the fold section: per block whether
+// every key carries a timestamp and, per hot column, how many cells are
+// occurrence counts and their sum (appendFoldSection). Files are written
+// to a temporary name and renamed into place, so a segment either exists
+// completely or not at all — torn writes are the commitlog's problem,
+// never the segment store's.
 //
 // The sparse index is the block structure of the file: consecutive entries
 // delimit blocks of exactly indexEvery rows (the final block may be
@@ -46,9 +49,10 @@ import (
 // starting at Index[i]. Scans read and decode one block at a time.
 //
 // There is one writer generation and two reader generations. A codec v4
-// file (header "HPSEG004") has the same footer and trailer — the trailer's
-// magic names the footer's format, which v5 did not change — and the same
-// block boundaries; only the bytes of a block differ (a run of
+// file (header "HPSEG004") has the same footer, without the fold section
+// that came after the last v4 writer, and the same trailer — the trailer's
+// magic names the footer's format, which the section only extends — and
+// the same block boundaries; only the bytes of a block differ (a run of
 // length-prefixed rows, codec.go's row encoding). v4 files stay readable,
 // resident or tiered, and ordinary compaction rewrites them as v5. Files
 // of codecs v1–v3 are refused at open with ErrVersion.
@@ -111,9 +115,10 @@ type footerMeta struct {
 }
 
 // appendFooter encodes the footer with the package's own codec —
-// deterministic, compact, and no encoding/gob dependency. zoneLocal maps
+// deterministic, compact, and no encoding/gob dependency — and, unless fold
+// is nil, its fold section (fold parallel to m.Blocks). zoneLocal maps
 // each block's Zones (parallel slices) to name-table indexes.
-func appendFooter(b []byte, m *footerMeta, zoneLocal []int) []byte {
+func appendFooter(b []byte, m *footerMeta, fold []blockFold, zoneLocal []int) []byte {
 	appendStr := func(s string) {
 		b = binary.AppendUvarint(b, uint64(len(s)))
 		b = append(b, s...)
@@ -165,12 +170,98 @@ func appendFooter(b []byte, m *footerMeta, zoneLocal []int) []byte {
 	for i := range m.Leaves {
 		b = append(b, m.Leaves[i][:]...)
 	}
+	if fold == nil {
+		return b
+	}
+	return appendFoldSection(b, fold)
+}
+
+// appendFoldSection appends the footer's last part, the facts a fold of
+// occurrence counts takes a block whole from: their count, then per block
+// a flag byte (1: every key carries a timestamp) and, for each of its zones
+// with numeric cells in footer order, how many are counts (uvarint) and
+// their sum (varint). Footers written before it end at the leaves and
+// decode with no fold facts, so their blocks are never taken.
+func appendFoldSection(b []byte, fold []blockFold) []byte {
+	b = binary.AppendUvarint(b, uint64(len(fold)))
+	for _, f := range fold {
+		flag := byte(0)
+		if f.timed {
+			flag = 1
+		}
+		b = append(b, flag)
+		for _, c := range f.counts {
+			b = binary.AppendUvarint(b, uint64(c.cells))
+			b = binary.AppendVarint(b, c.sum)
+		}
+	}
 	return b
 }
 
-// decodeFooter reverses appendFooter.
-func decodeFooter(fb []byte) (*footerMeta, error) {
+// decodeFoldSection reads what appendFoldSection wrote, strictly: it must
+// describe exactly the footer's blocks and end the footer. Column IDs are
+// the zones' name-table indexes, as on disk.
+func decodeFoldSection(d *StringDec, m *footerMeta) ([]blockFold, error) {
+	fail := func(what string, e error) error {
+		return fmt.Errorf("persist: footer fold section %s: %w", what, e)
+	}
+	n, err := d.Uvarint()
+	if err != nil {
+		return nil, fail("blocks", err)
+	}
+	if n != uint64(len(m.Blocks)) {
+		return nil, fail("blocks", fmt.Errorf("%d records for %d blocks", n, len(m.Blocks)))
+	}
+	fold := make([]blockFold, n)
+	for i := range fold {
+		flag, err := d.Raw(1)
+		if err != nil {
+			return nil, fail("flag", err)
+		}
+		if flag[0] > 1 {
+			return nil, fail("flag", fmt.Errorf("block %d: flag %d", i, flag[0]))
+		}
+		fold[i].timed = flag[0] == 1
+		for _, z := range m.Blocks[i].Zones {
+			if z.NumCells == 0 {
+				continue
+			}
+			cells, err := d.Uvarint()
+			if err != nil {
+				return nil, fail("counts", err)
+			}
+			if cells > uint64(z.NumCells) {
+				return nil, fail("counts", fmt.Errorf("block %d: %d counts among %d numeric cells", i, cells, z.NumCells))
+			}
+			sum, err := d.Varint()
+			if err != nil {
+				return nil, fail("sum", err)
+			}
+			fold[i].counts = append(fold[i].counts, colCounts{id: z.ID, cells: int(cells), sum: sum})
+		}
+	}
+	if d.Rest() > 0 {
+		return nil, fail("end", fmt.Errorf("%d trailing bytes", d.Rest()))
+	}
+	return fold, nil
+}
+
+// decodeFooter reverses appendFooter; fold is nil when the footer has no
+// fold section.
+func decodeFooter(fb []byte) (_ *footerMeta, fold []blockFold, _ error) {
 	d := NewStringDec(string(fb))
+	m, err := decodeMeta(d)
+	if err == nil && d.Rest() > 0 {
+		fold, err = decodeFoldSection(d, m)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, fold, nil
+}
+
+// decodeMeta decodes the footer up to its fold section.
+func decodeMeta(d *StringDec) (*footerMeta, error) {
 	m := &footerMeta{}
 	var err error
 	fail := func(what string, e error) error {
@@ -237,7 +328,7 @@ func decodeFooter(fb []byte) (*footerMeta, error) {
 	if err != nil {
 		return nil, fail("index", err)
 	}
-	if nIdx > uint64(len(fb)) {
+	if nIdx > uint64(len(d.s)) {
 		return nil, fail("index", fmt.Errorf("size %d overruns footer", nIdx))
 	}
 	m.Index = make([]IndexEntry, nIdx)
@@ -418,8 +509,10 @@ type Writer struct {
 	// the image.
 	colIDs []uint32
 
-	zoneIDs []uint32  // hot columns with per-block zone maps, sorted by ID
-	zones   []ColZone // the zone maps of the block under construction, parallel to zoneIDs
+	zoneIDs []uint32    // hot columns with per-block zone maps, sorted by ID
+	zones   []ColZone   // the zone maps of the block under construction, parallel to zoneIDs
+	counts  []colCounts // its counts, parallel to zoneIDs
+	fold    []blockFold // the fold section, parallel to meta.Blocks
 }
 
 // writerScratch is the buffer space a Writer borrows from scratchPool for
@@ -467,22 +560,24 @@ func (w *Writer) setZoneColumnNames(names []string) {
 	}
 	slices.Sort(w.zoneIDs)
 	w.zones = make([]ColZone, len(w.zoneIDs))
+	w.counts = make([]colCounts, len(w.zoneIDs))
 	w.resetBlock()
 }
 
 func (w *Writer) resetBlock() {
 	for i := range w.zones {
 		w.zones[i] = ColZone{ID: w.zoneIDs[i]}
+		w.counts[i] = colCounts{id: w.zoneIDs[i]}
 	}
 	w.bb.reset()
 }
 
 // finishBlock encodes the buffered rows as one block of the image and
-// files its offset's companions in the footer: the Merkle leaf and the
-// block statistics. The statistics' strings are cloned because the rows
-// and the zone maps reference values owned by the caller (compaction
-// feeds values that alias decoded blocks of the inputs); the footer must
-// not pin them.
+// files its offset's companions in the footer: the Merkle leaf, the block
+// statistics and the fold record. The statistics' strings are cloned
+// because the rows and the zone maps reference values owned by the caller
+// (compaction feeds values that alias decoded blocks of the inputs); the
+// footer must not pin them.
 func (w *Writer) finishBlock() {
 	if len(w.enc.rows) == 0 {
 		return
@@ -493,6 +588,10 @@ func (w *Writer) finishBlock() {
 		MaxKey: strings.Clone(rows[len(rows)-1].Key),
 		Rows:   len(rows),
 		Zones:  make([]ColZone, len(w.zones)),
+	}
+	fold := blockFold{timed: true}
+	for _, r := range rows {
+		fold.timed = fold.timed && tsOf(r.Key) >= 0
 	}
 	start := len(w.img)
 	bs.MinWriteTS, bs.MaxWriteTS = w.encodeBlock()
@@ -508,9 +607,13 @@ func (w *Writer) finishBlock() {
 		z.MinVal = strings.Clone(z.MinVal)
 		z.MaxVal = strings.Clone(z.MaxVal)
 		bs.Zones[i] = z
+		if z.NumCells > 0 {
+			fold.counts = append(fold.counts, w.counts[i])
+		}
 	}
 	bs.bloom = w.bb.build()
 	w.meta.Blocks = append(w.meta.Blocks, bs)
+	w.fold = append(w.fold, fold)
 	w.resetBlock()
 }
 
@@ -562,7 +665,7 @@ func (w *Writer) seal() {
 	w.meta.ColNames = slices.Clone(w.tb.names)
 	w.colIDs = slices.Clone(w.tb.ids)
 	foot := len(w.img)
-	w.img = appendFooter(w.img, &w.meta, zoneLocal)
+	w.img = appendFooter(w.img, &w.meta, w.fold, zoneLocal)
 	fb := w.img[foot:]
 	crc := crc32.Checksum(fb, crcTable)
 	w.img = binary.LittleEndian.AppendUint32(w.img, uint32(len(fb)))
@@ -587,7 +690,7 @@ func (w *Writer) writeTo(rf *dataFile) (*Segment, error) {
 	w.seal()
 	meta := w.meta
 	s := &Segment{
-		meta: &meta, colIDs: w.colIDs, size: int64(len(w.img)),
+		meta: &meta, fold: w.fold, colIDs: w.colIDs, size: int64(len(w.img)),
 		footOff: meta.DataLen, version: SegVersion, mu: make(chan struct{}, 1),
 	}
 	err := s.buildTree()
@@ -634,6 +737,9 @@ type Segment struct {
 	file *dataFile // nil when opened from a stub
 	base int64     // the section's offset within the data file and its object
 	meta *footerMeta
+	// fold is the footer's fold section, parallel to meta.Blocks with
+	// dictionary IDs; nil when the footer has none.
+	fold []blockFold
 	// colIDs maps the footer name table's local indexes to process-wide
 	// dictionary IDs, resolved once at open and shared by all iterators.
 	colIDs  []uint32
@@ -702,11 +808,11 @@ func parseSection(r io.ReaderAt, path string, base, size int64) (*Segment, error
 	if crc32.Checksum(fb, crcTable) != footCRC {
 		return nil, fmt.Errorf("persist: %s: footer checksum mismatch", path)
 	}
-	meta, err := decodeFooter(fb)
+	meta, fold, err := decodeFooter(fb)
 	if err != nil {
 		return nil, fmt.Errorf("persist: %s: footer decode: %w", path, err)
 	}
-	s.meta, s.colIDs = meta, make([]uint32, len(meta.ColNames))
+	s.meta, s.fold, s.colIDs = meta, fold, make([]uint32, len(meta.ColNames))
 	for i, name := range meta.ColNames {
 		// Intern a copy, not the zero-copy footer substring — the dictionary
 		// outlives the segment and must not pin the footer buffer.
@@ -726,6 +832,11 @@ func parseSection(r io.ReaderAt, path string, base, size int64) (*Segment, error
 			zones[j].ID = s.colIDs[zones[j].ID]
 		}
 		sortZones(zones)
+	}
+	for i := range fold {
+		for j := range fold[i].counts {
+			fold[i].counts[j].id = s.colIDs[fold[i].counts[j].id]
+		}
 	}
 	return s, s.buildTree()
 }

@@ -64,8 +64,13 @@ func (n *Node) batches(_ context.Context, tableName, pkey string, rg Range, proj
 }
 
 // Pruner is re-exported from the persistence layer: a block-statistics
-// predicate that lets scans skip segment blocks (see persist.Pruner).
+// predicate that lets scans skip segment blocks, or a fold that takes
+// them whole from their statistics (see persist.Pruner).
 type Pruner = persist.Pruner
+
+// BlockStats is re-exported from the persistence layer: the footer
+// statistics of one segment block, what a Pruner decides on.
+type BlockStats = persist.BlockStats
 
 // PruneStats is re-exported from the persistence layer: block read/prune
 // counters accumulated across one scan's iterators.

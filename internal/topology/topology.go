@@ -13,8 +13,8 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"strconv"
-	"strings"
 )
 
 // Titan dimensions from the paper.
@@ -166,90 +166,67 @@ func (c Component) String() string {
 }
 
 // ParseComponent parses a full or partial cname: c3-0, c3-0c2, c3-0c2s7,
-// c3-0c2s7n1.
+// c3-0c2s7n1. The column may carry a '+' sign. It allocates only for an
+// error.
 func ParseComponent(s string) (Component, error) {
-	orig := s
-	fail := func() (Component, error) {
-		return Component{}, fmt.Errorf("topology: invalid cname %q", orig)
-	}
 	if len(s) < 2 || s[0] != 'c' {
-		return fail()
+		return Component{}, invalidCName(s)
 	}
-	s = s[1:]
-	dash := strings.IndexByte(s, '-')
-	if dash <= 0 {
-		return fail()
-	}
-	col, err := strconv.Atoi(s[:dash])
-	if err != nil {
-		return fail()
-	}
-	s = s[dash+1:]
-	// Row runs until the next letter or end of string.
-	i := 0
-	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
+	i := 1
+	if s[i] == '+' {
 		i++
 	}
-	if i == 0 {
-		return fail()
+	col, i, ok := parseDigits(s, i)
+	if !ok || i == len(s) || s[i] != '-' {
+		return Component{}, invalidCName(s)
 	}
-	row, err := strconv.Atoi(s[:i])
-	if err != nil {
-		return fail()
+	row, i, ok := parseDigits(s, i+1)
+	if !ok {
+		return Component{}, invalidCName(s)
 	}
-	s = s[i:]
 	c := Component{Level: LevelCabinet, Loc: Location{Row: row, Col: col}}
-
-	next := func(prefix byte) (int, bool, error) {
-		if len(s) == 0 {
-			return 0, false, nil
+	// Cage, slot and node follow in order, each a letter and digits; the
+	// name may end before any of them.
+	for _, sub := range [...]struct {
+		prefix byte
+		level  Level
+		coord  *int
+	}{{'c', LevelCage, &c.Loc.Cage}, {'s', LevelBlade, &c.Loc.Slot}, {'n', LevelNode, &c.Loc.Node}} {
+		if i == len(s) {
+			break
 		}
-		if s[0] != prefix {
-			return 0, false, fmt.Errorf("bad prefix")
+		if s[i] != sub.prefix {
+			return Component{}, invalidCName(s)
 		}
-		s = s[1:]
-		j := 0
-		for j < len(s) && s[j] >= '0' && s[j] <= '9' {
-			j++
+		if *sub.coord, i, ok = parseDigits(s, i+1); !ok {
+			return Component{}, invalidCName(s)
 		}
-		if j == 0 {
-			return 0, false, fmt.Errorf("missing digits")
-		}
-		v, err := strconv.Atoi(s[:j])
-		s = s[j:]
-		return v, true, err
+		c.Level = sub.level
 	}
-
-	if v, ok, err := next('c'); err != nil {
-		return fail()
-	} else if ok {
-		c.Level, c.Loc.Cage = LevelCage, v
-	} else {
-		return finishComponent(c, s, orig)
-	}
-	if v, ok, err := next('s'); err != nil {
-		return fail()
-	} else if ok {
-		c.Level, c.Loc.Slot = LevelBlade, v
-	} else {
-		return finishComponent(c, s, orig)
-	}
-	if v, ok, err := next('n'); err != nil {
-		return fail()
-	} else if ok {
-		c.Level, c.Loc.Node = LevelNode, v
-	}
-	return finishComponent(c, s, orig)
-}
-
-func finishComponent(c Component, rest, orig string) (Component, error) {
-	if rest != "" {
-		return Component{}, fmt.Errorf("topology: invalid cname %q: trailing %q", orig, rest)
+	if i < len(s) {
+		return Component{}, fmt.Errorf("topology: invalid cname %q: trailing %q", s, s[i:])
 	}
 	if !c.Loc.Valid() {
-		return Component{}, fmt.Errorf("topology: cname %q out of Titan bounds", orig)
+		return Component{}, fmt.Errorf("topology: cname %q out of Titan bounds", s)
 	}
 	return c, nil
+}
+
+func invalidCName(s string) error { return fmt.Errorf("topology: invalid cname %q", s) }
+
+// parseDigits reads the decimal number of the digits of s from i on: its
+// value and where the digits end. ok is false when there are none or the
+// value overflows an int, where strconv.Atoi fails.
+func parseDigits(s string, i int) (v, end int, ok bool) {
+	start := i
+	for ; i < len(s) && s[i] >= '0' && s[i] <= '9'; i++ {
+		d := int(s[i] - '0')
+		if v > (math.MaxInt-d)/10 {
+			return 0, i, false
+		}
+		v = v*10 + d
+	}
+	return v, i, i > start
 }
 
 // Contains reports whether node location l falls within component c.

@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -186,4 +189,114 @@ func TestLevelString(t *testing.T) {
 	if Level(99).String() != "Level(99)" {
 		t.Errorf("unknown level formatting wrong")
 	}
+}
+
+// parseComponentRef is ParseComponent as it was written first, with
+// strconv.Atoi and a closure per level: the reference the allocation-free
+// parser must agree with.
+func parseComponentRef(s string) (Component, error) {
+	orig := s
+	fail := func() (Component, error) {
+		return Component{}, fmt.Errorf("topology: invalid cname %q", orig)
+	}
+	if len(s) < 2 || s[0] != 'c' {
+		return fail()
+	}
+	s = s[1:]
+	dash := strings.IndexByte(s, '-')
+	if dash <= 0 {
+		return fail()
+	}
+	col, err := strconv.Atoi(s[:dash])
+	if err != nil {
+		return fail()
+	}
+	s = s[dash+1:]
+	// Row runs until the next letter or end of string.
+	i := 0
+	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
+		i++
+	}
+	if i == 0 {
+		return fail()
+	}
+	row, err := strconv.Atoi(s[:i])
+	if err != nil {
+		return fail()
+	}
+	s = s[i:]
+	c := Component{Level: LevelCabinet, Loc: Location{Row: row, Col: col}}
+
+	next := func(prefix byte) (int, bool, error) {
+		if len(s) == 0 {
+			return 0, false, nil
+		}
+		if s[0] != prefix {
+			return 0, false, fmt.Errorf("bad prefix")
+		}
+		s = s[1:]
+		j := 0
+		for j < len(s) && s[j] >= '0' && s[j] <= '9' {
+			j++
+		}
+		if j == 0 {
+			return 0, false, fmt.Errorf("missing digits")
+		}
+		v, err := strconv.Atoi(s[:j])
+		s = s[j:]
+		return v, true, err
+	}
+
+	if v, ok, err := next('c'); err != nil {
+		return fail()
+	} else if ok {
+		c.Level, c.Loc.Cage = LevelCage, v
+	} else {
+		return finishComponentRef(c, s, orig)
+	}
+	if v, ok, err := next('s'); err != nil {
+		return fail()
+	} else if ok {
+		c.Level, c.Loc.Slot = LevelBlade, v
+	} else {
+		return finishComponentRef(c, s, orig)
+	}
+	if v, ok, err := next('n'); err != nil {
+		return fail()
+	} else if ok {
+		c.Level, c.Loc.Node = LevelNode, v
+	}
+	return finishComponentRef(c, s, orig)
+}
+
+func finishComponentRef(c Component, rest, orig string) (Component, error) {
+	if rest != "" {
+		return Component{}, fmt.Errorf("topology: invalid cname %q: trailing %q", orig, rest)
+	}
+	if !c.Loc.Valid() {
+		return Component{}, fmt.Errorf("topology: cname %q out of Titan bounds", orig)
+	}
+	return c, nil
+}
+
+// FuzzParseComponentMatchesReference: on any string ParseComponent accepts
+// what the reference accepts, with the same component, and fails with the
+// same error text.
+func FuzzParseComponentMatchesReference(f *testing.F) {
+	for _, s := range []string{
+		"", "c", "c0", "c-", "c0-", "c-0", "c+3-0c0s0n0", "c+-3-0", "c++3-0", "c03-007c01s7n03",
+		"c3-10", "c3-10c1", "c3-10c1s5", "c3-10c1s5n2", "c7-24c2s7n3", "c8-0", "c0-25c0s0n0",
+		"c0-0c0s0n0x", "c0-0c0s0n", "c0-0c0x", "c0-0s0", "c0-0c0s0n0n0", "c0 -0", "c٣-0",
+		"c9223372036854775807-0", "c9223372036854775808-0", "c0-9223372036854775807c0",
+		"c0-0c99999999999999999999", "c00000000000000000000000003-0c0", "x0-0c0s0n0",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseComponent(s)
+		want, wantErr := parseComponentRef(s)
+		if got != want || (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("ParseComponent(%q) = %+v, %v; reference %+v, %v", s, got, err, want, wantErr)
+		}
+	})
 }
