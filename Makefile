@@ -10,7 +10,7 @@
 GO ?= go
 
 .PHONY: ci vet build test test-fresh race bench-smoke alloc-guard fmt-check \
-	test-wire cluster-smoke metrics-lint tier-smoke bench-test
+	test-wire cluster-smoke metrics-lint tier-smoke fault-smoke bench-test
 
 # alloc-guard runs inside the plain (non-race) test pass, but is also
 # listed explicitly so the allocation budgets cannot rot out of CI.
@@ -21,7 +21,7 @@ GO ?= go
 # internally consistent and shows mid-traffic activity; cluster-smoke
 # proves the multi-process replicated cluster survives a kill -9;
 # bench-test drives every benchmark workload at small scale.
-ci: fmt-check vet build race test-fresh alloc-guard test-wire metrics-lint bench-smoke cluster-smoke tier-smoke bench-test
+ci: fmt-check vet build race test-fresh alloc-guard test-wire metrics-lint bench-smoke cluster-smoke tier-smoke fault-smoke bench-test
 
 # The benchmark is a module of its own (bench/, contract in
 # BENCHMARK.json), so the root test run never reaches it. Its tests drive
@@ -51,6 +51,19 @@ tier-smoke:
 	$(GO) test -count=1 -run 'TestTieredCrashRecovery|TestTieredRoundObjectCrashRecovery|TestTieredCorruptionFallsBackToReplica' ./internal/store/
 	$(GO) test -count=1 -run 'TestRoundObjectSectionsReadTheirOwnBlocks|TestRetiringOneSectionKeepsSiblings|TestCompactingOnePartitionLeavesNoDeadSection|TestRoundSyncBudget|TestEvictedFileKeepsItsDeadMarks|TestCrashBeforeEntryDropKeepsSectionDead|TestTierSweepColdPolicyAcrossRoundFiles' ./internal/store/persist/
 	$(GO) test -run XXX -bench BenchmarkTieredScan -benchtime 1x .
+
+# Fault smoke: the commitlog, the object store and the segment store reach
+# the disk only through internal/fsys (no `os` import, and a failed open
+# is a nil File), and under a recording FS that fails one operation: a
+# failed fsync or rotation poisons the commitlog and loses no acked
+# record; a failed flush round (write, fsync or rename) publishes nothing
+# and keeps its rows; a failed tier-manifest write or catalog commit
+# leaves them as they were; a retired object outlives the scan that holds
+# it, and one a crash or a failed delete strands is collected at open.
+fault-smoke:
+	$(GO) test -count=1 -run 'TestDurableLayersDoNotImportOS|TestOSFailedOpenIsNilFile' ./internal/fsys/
+	$(GO) test -count=1 -run 'TestFault' ./internal/wal/ ./internal/objstore/ ./internal/store/
+	$(GO) test -count=1 -run 'TestFault|TestRetiredObject' ./internal/store/persist/
 
 # Exposition-format lint plus cluster observability: every /v1/metrics
 # line must parse, each metric is typed exactly once, histogram buckets

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
+	"io/fs"
 	"sort"
 	"sync"
+
+	"hpclog/internal/fsys"
 )
 
 // Manifest is the per-node record of segments that live in the object
@@ -87,9 +89,9 @@ const (
 // manifest (the node has uploaded nothing yet).
 func LoadManifest(path string) (*Manifest, error) {
 	m := &Manifest{path: path, entries: make(map[uint64]ManifestEntry)}
-	data, err := os.ReadFile(path)
+	data, err := fsys.ReadFile(path)
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return m, nil
 		}
 		return nil, err
@@ -217,7 +219,6 @@ func (m *Manifest) Remove(seqs ...uint64) error {
 // outnumber live ones — one snapshot of the current state. dead is how
 // many logged entries the record kills.
 func (m *Manifest) logLocked(kind byte, payload []byte, dead int) error {
-	IO.ManifestWrites.Inc()
 	if m.size == 0 || m.dead+dead > len(m.entries) {
 		return m.snapshotLocked()
 	}
@@ -226,7 +227,7 @@ func (m *Manifest) logLocked(kind byte, payload []byte, dead int) error {
 	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
 	rec = append(rec, payload...)
 	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(rec, manifestCRC))
-	f, err := os.OpenFile(m.path, os.O_WRONLY, 0)
+	f, err := fsys.OS.OpenFile(m.path, fsys.O_WRONLY, 0)
 	if err != nil {
 		return err
 	}
@@ -237,7 +238,7 @@ func (m *Manifest) logLocked(kind byte, payload []byte, dead int) error {
 		_, err = f.WriteAt(rec, m.size)
 	}
 	if err == nil {
-		err = syncFile(f)
+		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -257,10 +258,10 @@ func (m *Manifest) logLocked(kind byte, payload []byte, dead int) error {
 // atomically: a crash leaves either the old log or the new snapshot.
 func (m *Manifest) snapshotLocked() error {
 	data := EncodeManifest(m.sortedLocked())
-	if err := WriteTemp(m.path, data); err != nil {
+	if err := fsys.WriteTemp(m.path, data); err != nil {
 		return err
 	}
-	if err := Commit([]string{m.path}, nil); err != nil {
+	if err := fsys.Commit([]string{m.path}, nil); err != nil {
 		m.size = 0 // the file may be either generation: snapshot again, never append
 		return err
 	}

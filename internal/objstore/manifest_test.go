@@ -6,7 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"hpclog/internal/fsys"
+	"hpclog/internal/fsys/fsystest"
 )
 
 func testEntry(seq uint64) ManifestEntry {
@@ -131,9 +135,10 @@ func logBytes(t testing.TB, snapshot []ManifestEntry, ops ...int) []byte {
 }
 
 func TestManifestLogAppendsAndSnapshots(t *testing.T) {
+	rec := fsystest.Install(t)
 	path := filepath.Join(t.TempDir(), "TIER")
 	m, _ := LoadManifest(path)
-	writes := IO.ManifestWrites.Load()
+	writes := manifestWrites(rec)
 	var batch []ManifestEntry
 	for seq := uint64(1); seq <= 100; seq++ {
 		batch = append(batch, testEntry(seq))
@@ -145,7 +150,7 @@ func TestManifestLogAppendsAndSnapshots(t *testing.T) {
 	if err := m.Put(testEntry(101), testEntry(102)); err != nil {
 		t.Fatal(err)
 	}
-	if n := IO.ManifestWrites.Load() - writes; n != 2 {
+	if n := manifestWrites(rec) - writes; n != 2 {
 		t.Fatalf("%d manifest writes for two batches, want 2", n)
 	}
 	grown, _ := os.Stat(path)
@@ -321,4 +326,65 @@ func FuzzManifestLogModel(f *testing.F) {
 			}
 		}
 	})
+}
+
+// manifestWrites counts the manifest writes rec saw: appended records and
+// snapshot images.
+func manifestWrites(rec *fsystest.FS) int {
+	return rec.Count("openfile", "TIER") + rec.Count("create", "TIER"+fsys.TempExt)
+}
+
+// TestFaultManifestWriteRollsBack: a Put or Remove whose record write, or
+// whose snapshot's rename, fails leaves Entries() and the reloaded file as
+// they were before the call, and the next Put cuts the unacknowledged tail
+// the failed write left.
+func TestFaultManifestWriteRollsBack(t *testing.T) {
+	rec := fsystest.Install(t)
+	path := filepath.Join(t.TempDir(), "TIER")
+	m, err := LoadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 10; seq++ {
+		if err := m.Put(testEntry(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	injected := errors.New("injected manifest fault")
+	replaced := testEntry(3)
+	replaced.Rows = 7
+	cases := []struct {
+		name, kind string
+		op         func() error
+	}{
+		{"put record", "write", func() error { return m.Put(testEntry(50), replaced) }},
+		{"remove record", "write", func() error { return m.Remove(2, 4) }},
+		{"remove snapshot", "rename", func() error { return m.Remove(1, 2, 3, 4, 5, 6, 7, 8) }},
+	}
+	for i, c := range cases {
+		before := m.Entries()
+		rec.Fail(func(op fsystest.Op) error {
+			if op.Kind == c.kind && strings.HasPrefix(filepath.Base(op.Path), "TIER") {
+				return injected
+			}
+			return nil
+		})
+		err := c.op()
+		rec.Fail(nil)
+		if !errors.Is(err, injected) {
+			t.Fatalf("%s: error %v, want the injected fault", c.name, err)
+		}
+		if !reflect.DeepEqual(m.Entries(), before) {
+			t.Fatalf("%s: a failed write changed the entries", c.name)
+		}
+		if re, err := LoadManifest(path); err != nil || !reflect.DeepEqual(re.Entries(), before) {
+			t.Fatalf("%s: the reloaded file is not the one before the call (%v)", c.name, err)
+		}
+		if err := m.Put(testEntry(uint64(100 + i))); err != nil {
+			t.Fatalf("%s: the next put: %v", c.name, err)
+		}
+		if re, err := LoadManifest(path); err != nil || !reflect.DeepEqual(re.Entries(), m.Entries()) {
+			t.Fatalf("%s: after the next put the file reloads to other entries (%v)", c.name, err)
+		}
+	}
 }

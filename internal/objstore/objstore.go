@@ -20,10 +20,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"hpclog/internal/fsys"
 )
 
 // ErrNotExist marks a read of an object key that is absent from the
@@ -89,18 +91,17 @@ func OpenFS(dir string) (*FS, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("objstore: fs store needs a root directory")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.OS.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &FS{root: dir}
 	// Sweep crash leftovers: a *.tmp was never visible as an object.
-	_ = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && strings.HasSuffix(path, TempExt) {
-			os.Remove(path)
+	fsys.WalkFiles(dir, func(path string) error {
+		if strings.HasSuffix(path, fsys.TempExt) {
+			fsys.OS.Remove(path)
 		}
 		return nil
 	})
-	return s, nil
+	return &FS{root: dir}, nil
 }
 
 func (s *FS) path(key string) string {
@@ -113,11 +114,10 @@ func (s *FS) Put(_ context.Context, key string, r io.Reader, size int64) error {
 		return err
 	}
 	path := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := fsys.OS.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp := path + TempExt
-	f, err := CreateTemp(path)
+	f, err := fsys.CreateTemp(path)
 	if err != nil {
 		return err
 	}
@@ -129,10 +129,10 @@ func (s *FS) Put(_ context.Context, key string, r io.Reader, size int64) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = fsys.Publish(path)
 	}
 	if err != nil {
-		os.Remove(tmp)
+		fsys.Discard(path)
 	}
 	return err
 }
@@ -140,19 +140,14 @@ func (s *FS) Put(_ context.Context, key string, r io.Reader, size int64) error {
 // Sync implements ObjectStore: fsync every object, then each distinct
 // parent directory once.
 func (s *FS) Sync(_ context.Context, keys []string) error {
-	dirs := make([]string, len(keys))
-	err := Parallel(len(keys), syncWorkers, func(i int) error {
-		if err := validKey(keys[i]); err != nil {
+	paths := make([]string, len(keys))
+	for i, key := range keys {
+		if err := validKey(key); err != nil {
 			return err
 		}
-		path := s.path(keys[i])
-		dirs[i] = filepath.Dir(path)
-		return syncPath(path)
-	})
-	if err != nil {
-		return err
+		paths[i] = s.path(key)
 	}
-	return syncDirs(dirs)
+	return fsys.Sync(paths)
 }
 
 // ReadRange implements ObjectStore.
@@ -160,9 +155,9 @@ func (s *FS) ReadRange(_ context.Context, key string, off, n int64) ([]byte, err
 	if err := validKey(key); err != nil {
 		return nil, err
 	}
-	f, err := os.Open(s.path(key))
+	f, err := fsys.OS.Open(s.path(key))
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return nil, fmt.Errorf("%w: %s", ErrNotExist, key)
 		}
 		return nil, err
@@ -180,9 +175,9 @@ func (s *FS) Stat(_ context.Context, key string) (int64, error) {
 	if err := validKey(key); err != nil {
 		return 0, err
 	}
-	st, err := os.Stat(s.path(key))
+	st, err := fsys.OS.Stat(s.path(key))
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return 0, fmt.Errorf("%w: %s", ErrNotExist, key)
 		}
 		return 0, err
@@ -195,7 +190,7 @@ func (s *FS) Delete(_ context.Context, key string) error {
 	if err := validKey(key); err != nil {
 		return err
 	}
-	if err := os.Remove(s.path(key)); err != nil && !os.IsNotExist(err) {
+	if err := fsys.OS.Remove(s.path(key)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
 	return nil
@@ -204,9 +199,9 @@ func (s *FS) Delete(_ context.Context, key string) error {
 // List implements ObjectStore.
 func (s *FS) List(_ context.Context, prefix string) ([]string, error) {
 	var keys []string
-	err := filepath.Walk(s.root, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() || strings.HasSuffix(path, TempExt) {
-			return err
+	err := fsys.WalkFiles(s.root, func(path string) error {
+		if strings.HasSuffix(path, fsys.TempExt) {
+			return nil
 		}
 		rel, rerr := filepath.Rel(s.root, path)
 		if rerr != nil {

@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"hpclog/internal/fsys"
 )
 
 // testObjectStore is the conformance suite both backends must pass.
@@ -102,7 +104,7 @@ func TestFSPutAtomicAndTempSweep(t *testing.T) {
 
 	// Plant a stray tmp file (crash between create and rename): reopen
 	// sweeps it, and List never shows it.
-	stray := filepath.Join(dir, "x", "stray.seg"+TempExt)
+	stray := filepath.Join(dir, "x", "stray.seg"+fsys.TempExt)
 	os.MkdirAll(filepath.Dir(stray), 0o755)
 	if err := os.WriteFile(stray, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)

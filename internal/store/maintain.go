@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hpclog/internal/fsys"
 	"hpclog/internal/objstore"
 	"hpclog/internal/obs"
 	"hpclog/internal/store/persist"
@@ -45,7 +46,7 @@ func (db *DB) eachDurableNode(fn func(n *Node) error) error {
 			nodes = append(nodes, n)
 		}
 	}
-	return objstore.Parallel(len(nodes), len(nodes), func(i int) error { return fn(nodes[i]) })
+	return fsys.Parallel(len(nodes), len(nodes), func(i int) error { return fn(nodes[i]) })
 }
 
 // maintain runs one compaction + commitlog-truncation + tiering pass,

@@ -356,7 +356,7 @@ func (sc *BatchScanner) open(rg Range, owned bool, segs []*Segment, cfgs []ScanC
 // advance moves on to the next segment of the chain.
 func (sc *BatchScanner) advance() bool {
 	if sc.s != nil {
-		sc.s.release(sc.local)
+		sc.s.release()
 		sc.s = nil
 	}
 	if len(sc.next) == 0 {
@@ -718,10 +718,10 @@ func (sc *BatchScanner) Close() error {
 	}
 	sc.closed = true
 	if sc.s != nil {
-		sc.s.release(sc.local)
+		sc.s.release()
 	}
 	for _, in := range sc.next {
-		in.s.release(in.local)
+		in.s.release()
 	}
 	sc.s, sc.next = nil, nil
 	if sc.buf == nil {

@@ -7,18 +7,17 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
 
-	"hpclog/internal/objstore"
+	"hpclog/internal/fsys"
 )
 
 // A round is the unit of durability of everything the store writes:
 // flushes, compactions, footer stubs, the table catalog. It writes all of
 // its files under temp names with no sync, crosses ONE barrier
-// (objstore.Commit: fsync every file, rename all, one directory fsync),
+// (fsys.Commit: fsync every file, rename all, one directory fsync),
 // and only then acts on them. The round invariant: nothing is published
 // to readers, dropped from a memtable, recorded in the tier manifest or
 // unlinked before the barrier that covers it. A crash before the barrier
@@ -84,7 +83,7 @@ func roundHook(stage string, paths []string) {
 // commitRound is the barrier of a segment round.
 func commitRound(paths []string) error {
 	roundHook("written", paths)
-	return objstore.Commit(paths, func(stage string) { roundHook(stage, paths) })
+	return fsys.Commit(paths, func(stage string) { roundHook(stage, paths) })
 }
 
 // section locates one segment within a data file (or stub).
@@ -226,8 +225,8 @@ func readIndex(path string) ([]section, []uint64, error) {
 }
 
 // openSized opens path for reading and returns its size.
-func openSized(path string) (*os.File, int64, error) {
-	f, err := os.Open(path)
+func openSized(path string) (fsys.File, int64, error) {
+	f, err := fsys.OS.Open(path)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -241,18 +240,23 @@ func openSized(path string) (*os.File, int64, error) {
 
 // dataFile is one data file. While its round writes it, workers fill it
 // in parallel, each reserving a sealed section's range with an atomic
-// add; from the barrier on, its sections share its descriptor (refs
-// counts their holds). The store unlinks it whole and once: once a sweep
-// evicts it, or compaction retires its last section or reclaims it.
+// add; from the barrier on, its sections share its descriptor. refs counts
+// the holds on the file, resident or evicted: one per resident section
+// and one per reader. The store unlinks it whole and once: once a sweep
+// evicts it, or compaction retires its last section or reclaims it. Its
+// object goes once compaction has retired it and no reader holds it.
 type dataFile struct {
 	path string
-	f    *os.File // the temp file until the barrier
+	f    fsys.File // the temp file until the barrier; nil for a stub's
 	size int64
 	segs []*Segment // its live sections
 	dead []section  // its sections compaction retired; changed under Store.mu
 	refs atomic.Int32
 	gone atomic.Bool
 	end  atomic.Int64 // the next free offset, while written
+	// closed ends the descriptor once; del, set by retire, the object.
+	closed atomic.Bool
+	del    atomic.Pointer[func()]
 }
 
 // openFile opens the data file at path with every section in it, not yet
@@ -279,24 +283,44 @@ func (d *dataFile) own(segs []*Segment, size int64) {
 	}
 }
 
-// drop releases one section's reference to the descriptor.
-func (d *dataFile) drop() error {
+// drop releases one hold. At the last the descriptor closes — once: an
+// evicted file gains holds again from readers through the tier — and a
+// retired object goes.
+func (d *dataFile) drop() (err error) {
 	if d.refs.Add(-1) == 0 {
-		return d.f.Close()
+		if d.f != nil && d.closed.CompareAndSwap(false, true) {
+			err = d.f.Close()
+		}
+		d.reap()
 	}
-	return nil
+	return err
+}
+
+// retire hands the file's object to del, which runs once no hold is left:
+// a reader that acquired a section before its retire still reads it.
+func (d *dataFile) retire(del func()) {
+	d.del.Store(&del)
+	d.reap()
+}
+
+func (d *dataFile) reap() {
+	if d.refs.Load() == 0 {
+		if del := d.del.Swap(nil); del != nil {
+			(*del)()
+		}
+	}
 }
 
 // unlink removes the file (once); open readers keep the descriptor.
 func (d *dataFile) unlink() {
 	if d.gone.CompareAndSwap(false, true) {
-		os.Remove(d.path)
+		fsys.OS.Remove(d.path)
 	}
 }
 
 // createRound starts the data file of a round at path.
 func createRound(path string) (*dataFile, error) {
-	f, err := objstore.CreateTemp(path)
+	f, err := fsys.CreateTemp(path)
 	if err != nil {
 		return nil, fmt.Errorf("persist: create round file: %w", err)
 	}
@@ -321,7 +345,7 @@ func (d *dataFile) copySection(src *Segment) (*Segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer src.release(local)
+	defer src.release()
 	if !local {
 		return nil, fmt.Errorf("persist: %s: segment %d is not resident", src.path, src.Seq())
 	}
@@ -352,7 +376,7 @@ func (d *dataFile) finish(segs []*Segment, dead []uint64, err error) error {
 	}
 	if err != nil {
 		d.f.Close()
-		os.Remove(d.path + segTempExt)
+		fsys.Discard(d.path)
 		return err
 	}
 	d.own(segs, d.end.Load()+int64(len(idx)))

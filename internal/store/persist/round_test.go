@@ -7,20 +7,29 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
+	"hpclog/internal/fsys"
+	"hpclog/internal/fsys/fsystest"
 	"hpclog/internal/objstore"
 )
 
 // ioDelta returns a function reporting the file creates, file fsyncs,
-// directory fsyncs and manifest writes issued since ioDelta was called.
-func ioDelta() func() (creates, files, dirs, manifest int64) {
-	c0, f0, d0, m0 := objstore.IO.Creates.Load(), objstore.IO.FileSyncs.Load(), objstore.IO.DirSyncs.Load(), objstore.IO.ManifestWrites.Load()
-	return func() (int64, int64, int64, int64) {
-		return objstore.IO.Creates.Load() - c0, objstore.IO.FileSyncs.Load() - f0, objstore.IO.DirSyncs.Load() - d0, objstore.IO.ManifestWrites.Load() - m0
+// directory fsyncs and manifest writes rec saw since ioDelta was called.
+func ioDelta(rec *fsystest.FS) func() (creates, files, dirs, manifest int) {
+	count := func() (int, int, int, int) {
+		return rec.Count("create", "*"), rec.Count("sync", "*"), rec.Count("syncdir", "*"),
+			rec.Count("openfile", tierManifestName) + rec.Count("create", tierManifestName+fsys.TempExt)
+	}
+	c0, f0, d0, m0 := count()
+	return func() (int, int, int, int) {
+		c, f, d, m := count()
+		return c - c0, f - f0, d - d0, m - m0
 	}
 }
 
@@ -30,6 +39,7 @@ func ioDelta() func() (creates, files, dirs, manifest int64) {
 // per-segment path created, and fsynced, N of each.
 func TestRoundSyncBudget(t *testing.T) {
 	const n = 12
+	rec := fsystest.Install(t)
 	dir, objDir := t.TempDir(), t.TempDir()
 	tier := newTestTier(t, objDir)
 	s := openTiered(t, dir, tier)
@@ -49,7 +59,7 @@ func TestRoundSyncBudget(t *testing.T) {
 		return len(keys)
 	}
 
-	since := ioDelta()
+	since := ioDelta(rec)
 	if err := s.FlushRound(parts(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +72,7 @@ func TestRoundSyncBudget(t *testing.T) {
 
 	// Sweep: one object, one stub and the manifest's first image (a
 	// create), each behind its own barrier, and one manifest write.
-	since = ioDelta()
+	since = ioDelta(rec)
 	up, ev, err := s.TierSweep(context.Background(), true)
 	if err != nil || up != n || ev != n {
 		t.Fatalf("sweep: uploaded=%d evicted=%d err=%v", up, ev, err)
@@ -85,7 +95,7 @@ func TestRoundSyncBudget(t *testing.T) {
 	if err := s.FlushRound(parts(1)); err != nil {
 		t.Fatal(err)
 	}
-	since = ioDelta()
+	since = ioDelta(rec)
 	merged, err := s.CompactOverflow(1)
 	if err != nil || merged != n {
 		t.Fatalf("compacted %d partitions (err=%v), want %d", merged, err, n)
@@ -509,4 +519,45 @@ func FuzzRoundIndex(f *testing.F) {
 		}
 		parseSections(r, size, "fuzz", nil)
 	})
+}
+
+// TestFaultAddTableLeavesCatalog: an AddTable whose commit fails leaves
+// the catalog, in memory and on disk, as it was, and no temp file behind.
+func TestFaultAddTableLeavesCatalog(t *testing.T) {
+	rec := fsystest.Install(t)
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+	if err := s.AddTable("events"); err != nil {
+		t.Fatal(err)
+	}
+	fault := errors.New("injected rename failure")
+	rec.Fail(func(op fsystest.Op) error {
+		if op.Kind == "rename" && filepath.Base(op.Path) == tablesManifest+fsys.TempExt {
+			return fault
+		}
+		return nil
+	})
+	err = s.AddTable("jobs")
+	rec.Fail(nil)
+	if !errors.Is(err, fault) {
+		t.Fatalf("AddTable under a failing rename: %v, want %v", err, fault)
+	}
+	want := []string{"events"}
+	if got := s.Tables(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tables %v after the failed commit, want %v", got, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, tablesManifest+fsys.TempExt)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the failed commit left its temp file: %v", err)
+	}
+	s.Close()
+	if s, err = OpenStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Tables(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tables %v after a reopen, want %v", got, want)
+	}
 }

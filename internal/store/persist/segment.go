@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync"
 
+	"hpclog/internal/fsys"
 	"hpclog/internal/objstore"
 )
 
@@ -67,7 +68,6 @@ const (
 	// header + footer + trailer, no data region, parsed like a data file at
 	// open, so zone maps, Blooms, and the sparse index stay resident.
 	segStubExt   = ".sft"
-	segTempExt   = objstore.TempExt
 	maxFooterLen = 256 << 20
 )
 
@@ -734,7 +734,7 @@ func (w *Writer) Abort() {
 // acquired before an eviction keep reading the local file.
 type Segment struct {
 	path string    // the data file's
-	file *dataFile // nil when opened from a stub
+	file *dataFile // held by each reader, resident or evicted
 	base int64     // the section's offset within the data file and its object
 	meta *footerMeta
 	// fold is the footer's fold section, parallel to meta.Blocks with
@@ -871,8 +871,12 @@ func OpenSegment(path string) (*Segment, error) {
 
 // findSection returns the round file in dir whose index lists seq, or "".
 func findSection(dir string, seq uint64) string {
-	paths, _ := filepath.Glob(filepath.Join(dir, "*"+segFileExt))
-	for _, path := range paths {
+	entries, _ := fsys.OS.ReadDir(dir)
+	for _, e := range entries {
+		path := filepath.Join(dir, e.Name())
+		if !strings.HasSuffix(path, segFileExt) {
+			continue
+		}
 		if secs, _, _ := readIndex(path); slices.ContainsFunc(secs, func(sc section) bool { return sc.seq == seq }) {
 			return path
 		}
@@ -964,10 +968,13 @@ func (s *Segment) Overlaps(rg Range) bool {
 // CRC. Evicted segments verify per-block at fetch time instead.
 func (s *Segment) Verify() error {
 	local, err := s.acquire()
-	if err != nil || !local {
+	if err != nil {
 		return err
 	}
-	defer s.release(local)
+	defer s.release()
+	if !local {
+		return nil
+	}
 	h := crc32.New(crcTable)
 	if _, err := io.Copy(h, io.NewSectionReader(s.file.f, s.base, s.meta.DataLen)); err != nil {
 		return err
@@ -986,28 +993,22 @@ func (s *Segment) unlock() { <-s.mu }
 // replacement holds the same rows) and retry.
 var ErrRetired = errors.New("persist: segment retired")
 
-// acquire registers an iterator; it fails once the segment is retired.
-// The returned flag reports whether this iterator reads the local data
-// file, holding it open (true), or fetches blocks through the tier
-// (false); it must be passed back to release.
+// acquire registers an iterator, holding the segment's file — the local
+// one or its object — until release; it fails once the segment is
+// retired. The returned flag reports whether this iterator reads the local
+// data file (true) or fetches blocks through the tier (false).
 func (s *Segment) acquire() (local bool, err error) {
 	s.lock()
 	defer s.unlock()
 	if s.done {
 		return false, fmt.Errorf("%w: %s", ErrRetired, s.path)
 	}
-	if local = !s.tiered; local {
-		s.file.refs.Add(1)
-	}
-	return local, nil
+	s.file.refs.Add(1)
+	return !s.tiered, nil
 }
 
 // release ends an iterator.
-func (s *Segment) release(local bool) {
-	if local {
-		s.file.drop()
-	}
-}
+func (s *Segment) release() { s.file.drop() }
 
 // letGo marks the segment tiered, or done, and drops its own reference
 // to the data file: the descriptor closes once no iterator reads it.

@@ -1,10 +1,9 @@
 package persist
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -13,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hpclog/internal/fsys"
 	"hpclog/internal/objstore"
 	"hpclog/internal/obs"
 )
@@ -86,7 +86,7 @@ func OpenStore(dir string) (*Store, error) {
 // fresh), local files that were uploaded but not yet evicted are
 // re-adopted, and orphan stubs from interrupted retires are swept.
 func OpenStoreTiered(dir string, ts *TierSetup) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.OS.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	s := &Store{dir: dir, segs: make(map[segKey][]*Segment), tables: make(map[string]bool)}
@@ -132,7 +132,7 @@ func OpenStoreTiered(dir string, ts *TierSetup) (*Store, error) {
 // own and crashed before unlinking it: the older file, wholly replaced,
 // is removed, as is a file with no live section.
 func (s *Store) openFiles() (local map[uint64]*Segment, dead map[uint64]bool, err error) {
-	entries, err := os.ReadDir(s.dir)
+	entries, err := fsys.OS.ReadDir(s.dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -142,10 +142,10 @@ func (s *Store) openFiles() (local map[uint64]*Segment, dead map[uint64]bool, er
 		name, path := e.Name(), filepath.Join(s.dir, e.Name())
 		var marks []uint64
 		switch {
-		case strings.HasSuffix(name, segTempExt):
+		case strings.HasSuffix(name, fsys.TempExt):
 			// Leftover of a round cut short by a crash; its rows are still
 			// in the commitlog or its inputs, so it is just garbage.
-			os.Remove(path)
+			fsys.OS.Remove(path)
 		case strings.HasSuffix(name, segStubExt):
 			_, marks, err = readIndex(path)
 		case strings.HasSuffix(name, segFileExt):
@@ -224,9 +224,9 @@ func (s *Store) newWriter(table, pkey string, seq uint64) *Writer {
 const tablesManifest = "TABLES"
 
 func (s *Store) loadTables() error {
-	data, err := os.ReadFile(filepath.Join(s.dir, tablesManifest))
+	data, err := fsys.ReadFile(filepath.Join(s.dir, tablesManifest))
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return nil
 		}
 		return err
@@ -253,10 +253,10 @@ func (s *Store) AddTable(name string) error {
 	names = append(names, name)
 	sort.Strings(names)
 	path := filepath.Join(s.dir, tablesManifest)
-	if err := objstore.WriteTemp(path, []byte(strings.Join(names, "\n")+"\n")); err != nil {
+	if err := fsys.WriteTemp(path, []byte(strings.Join(names, "\n")+"\n")); err != nil {
 		return err
 	}
-	if err := objstore.Commit([]string{path}, nil); err != nil {
+	if err := fsys.Commit([]string{path}, nil); err != nil {
 		return err
 	}
 	s.tables[name] = true
@@ -311,7 +311,7 @@ func (s *Store) FlushRound(parts []FlushPart) error {
 		return err
 	}
 	segs := make([]*Segment, n)
-	err = objstore.Parallel(n, roundWorkers, func(i int) (err error) {
+	err = fsys.Parallel(n, roundWorkers, func(i int) (err error) {
 		p := parts[i]
 		w := s.newWriter(p.Table, p.PKey, first+uint64(i))
 		for _, r := range p.Rows {
@@ -447,7 +447,8 @@ type merge struct {
 //
 // A merge that fails (an unreadable input) drops out alone and leaves its
 // partition as it was; a failed copy or write fails the round. A failed
-// drop of a retired segment's object copy is reported and stops nothing.
+// drop of the retired segments' manifest entries is reported and stops
+// nothing. Their objects go with their last reader (dataFile.retire).
 func (s *Store) compactRound(keys []segKey, threshold int) (int, error) {
 	defer hooked()()
 	start := time.Now()
@@ -471,7 +472,7 @@ func (s *Store) compactRound(keys []segKey, threshold int) (int, error) {
 		return 0, err
 	}
 	outs, failed := make([]*Segment, len(merges)), make([]error, len(merges))
-	err = objstore.Parallel(len(merges), roundWorkers, func(i int) (err error) {
+	err = fsys.Parallel(len(merges), roundWorkers, func(i int) (err error) {
 		outs[i], failed[i], err = s.mergeSegments(rf, merges[i], first+uint64(i))
 		return err
 	})
@@ -484,7 +485,7 @@ func (s *Store) compactRound(keys []segKey, threshold int) (int, error) {
 		merges[n], outs[n], n = m, outs[i], n+1
 		for _, o := range m.old {
 			retired[o], marks = true, append(marks, o.Seq())
-			if o.file != nil && !o.Tiered() {
+			if !o.Tiered() {
 				touched[o.file] = true
 			}
 		}
@@ -513,7 +514,7 @@ func (s *Store) compactRound(keys []segKey, threshold int) (int, error) {
 	}
 	if err == nil {
 		outs = append(outs, make([]*Segment, len(moves))...)
-		err = objstore.Parallel(len(moves), roundWorkers, func(j int) (err error) {
+		err = fsys.Parallel(len(moves), roundWorkers, func(j int) (err error) {
 			outs[n+j], err = rf.copySection(moves[j])
 			return err
 		})
@@ -550,12 +551,12 @@ func (s *Store) compactRound(keys []segKey, threshold int) (int, error) {
 		s.compactedSegments.Add(int64(len(m.old)))
 		s.compactedRows.Add(int64(m.rows))
 	}
-	// Drop the object-store copies before unlinking local state so the
-	// manifest never points at a segment the store no longer tracks.
-	dropErr := s.dropTiered(context.Background(), replaced)
 	for _, o := range replaced {
 		o.Close()
 	}
+	// Drop the object-store copies before unlinking local state so the
+	// manifest never points at a segment the store no longer tracks.
+	dropErr := s.dropTiered(replaced)
 	for _, df := range gone {
 		df.unlink()
 	}

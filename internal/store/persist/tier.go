@@ -5,13 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path"
 	"path/filepath"
 	"slices"
 	"strings"
 	"time"
 
+	"hpclog/internal/fsys"
 	"hpclog/internal/objstore"
 )
 
@@ -82,13 +83,15 @@ func (s *Store) keyStub(key string) string {
 //   - entry + stub: open the evicted section, reads go through the tier;
 //   - entry alone (fresh disk): rebuild the object's stub from the object;
 //   - stub without an entry (crash mid-retire after the manifest entries
-//     were removed): garbage, swept.
+//     were removed): garbage, swept;
+//   - object without an entry (a crash, or a failed delete, after its
+//     retire): garbage, deleted. No upload is in flight at open.
 //
 // nextSeq is seeded past every manifest seq so an evicted segment's
 // number is never reissued to a new file.
 func (s *Store) reconcileTier(local map[uint64]*Segment, dead map[uint64]bool) error {
 	ctx := context.Background()
-	var stale []objstore.ManifestEntry
+	var stale []uint64 // seqs
 	evicted := make(map[string][]objstore.ManifestEntry) // by object key
 	for _, e := range s.manifest.Entries() {
 		name := path.Base(e.Key)
@@ -99,9 +102,9 @@ func (s *Store) reconcileTier(local map[uint64]*Segment, dead map[uint64]bool) e
 				return fmt.Errorf("%w: %s: local segment %d does not match the manifest-recorded upload", objstore.ErrIntegrity, seg.path, e.Seq)
 			}
 			seg.SetTier(s.tier, e.Key)
-			os.Remove(s.keyStub(e.Key)) // interrupted eviction: local file re-adopted
+			fsys.OS.Remove(s.keyStub(e.Key)) // interrupted eviction: local file re-adopted
 		case ok || dead[e.Seq]:
-			stale = append(stale, e)
+			stale = append(stale, e.Seq)
 		default:
 			evicted[e.Key] = append(evicted[e.Key], e)
 		}
@@ -109,18 +112,18 @@ func (s *Store) reconcileTier(local map[uint64]*Segment, dead map[uint64]bool) e
 	var rebuilt []string // stubs rebuilt from the object store, one round
 	for key, es := range evicted {
 		sp := s.keyStub(key)
-		if _, err := os.Stat(sp); err != nil {
-			if os.IsNotExist(err) {
+		if _, err := fsys.OS.Stat(sp); err != nil {
+			if errors.Is(err, fs.ErrNotExist) {
 				err = fetchStub(ctx, s.tier, es[0], sp)
 			}
 			if err != nil {
-				objstore.Discard(rebuilt)
+				fsys.Discard(rebuilt...)
 				return err
 			}
 			rebuilt = append(rebuilt, sp)
 		}
 	}
-	if err := objstore.Commit(rebuilt, nil); err != nil {
+	if err := fsys.Commit(rebuilt, nil); err != nil {
 		return err
 	}
 	live := make(map[string]bool)
@@ -139,19 +142,36 @@ func (s *Store) reconcileTier(local map[uint64]*Segment, dead map[uint64]bool) e
 	if ms := s.manifest.MaxSeq(); ms >= s.nextSeq {
 		s.nextSeq = ms + 1
 	}
-	if err := s.dropEntries(ctx, stale); err != nil {
-		return err
+	if err := s.manifest.Remove(stale...); err != nil {
+		return fmt.Errorf("persist: drop manifest entries %v: %w", stale, err)
 	}
-	entries, err := os.ReadDir(s.dir)
+	entries, err := fsys.OS.ReadDir(s.dir)
 	if err != nil {
 		return err
 	}
 	for _, de := range entries {
 		if strings.HasSuffix(de.Name(), segStubExt) && !live[de.Name()] {
-			os.Remove(filepath.Join(s.dir, de.Name()))
+			fsys.OS.Remove(filepath.Join(s.dir, de.Name()))
+		}
+	}
+	// A failed listing or delete only leaves garbage for the next open.
+	keys, _ := s.tier.Store().List(ctx, s.tierPrefix+"/")
+	named := s.namedKeys()
+	for _, key := range keys {
+		if !named[key] {
+			s.tier.Store().Delete(ctx, key)
 		}
 	}
 	return nil
+}
+
+// namedKeys returns the object keys the manifest names.
+func (s *Store) namedKeys() map[string]bool {
+	named := make(map[string]bool)
+	for _, e := range s.manifest.Entries() {
+		named[e.Key] = true
+	}
+	return named
 }
 
 // openStub opens the evicted segments of one object from its footer stub:
@@ -172,6 +192,7 @@ func openStub(stub string, tier *objstore.Tier, es []objstore.ManifestEntry) ([]
 	if err != nil {
 		return nil, err
 	}
+	df := &dataFile{path: strings.TrimSuffix(stub, segStubExt) + segFileExt, segs: segs}
 	if len(segs) != len(es) {
 		return nil, fmt.Errorf("persist: %s holds %d of the %d segments the manifest places in its object", stub, len(segs), len(es))
 	}
@@ -180,7 +201,7 @@ func openStub(stub string, tier *objstore.Tier, es []objstore.ManifestEntry) ([]
 		if !ok || seg.root != e.Root {
 			return nil, fmt.Errorf("%w: %s: stub segment %d does not match the manifest", objstore.ErrIntegrity, stub, seg.Seq())
 		}
-		seg.path = strings.TrimSuffix(stub, segStubExt) + segFileExt
+		seg.file, seg.path = df, df.path
 		seg.base, seg.size, seg.footOff = e.Off, seg.meta.DataLen+seg.size-seg.footOff, seg.meta.DataLen
 		seg.tier, seg.tierKey, seg.tiered = tier, e.Key, true
 	}
@@ -209,7 +230,7 @@ func fetchStub(ctx context.Context, tier *objstore.Tier, e objstore.ManifestEntr
 	if err != nil {
 		return fmt.Errorf("persist: fetch the stub of %s: %w", e.Key, err)
 	}
-	return objstore.WriteTemp(path, stub)
+	return fsys.WriteTemp(path, stub)
 }
 
 // TierSweep uploads eligible data files to the object store and releases
@@ -238,7 +259,7 @@ func (s *Store) TierSweep(ctx context.Context, force bool) (uploaded, evicted in
 	s.mu.RLock()
 	for _, list := range s.segs {
 		for i, seg := range list {
-			if seg.file != nil && !seg.Tiered() {
+			if !seg.Tiered() {
 				l := loads[seg.file]
 				if l.live += seg.size; i < len(list)-1 || force {
 					l.cold += seg.size
@@ -285,7 +306,7 @@ func (s *Store) sweepBatch(ctx context.Context, files []*dataFile, marks []uint6
 	defer func() {
 		for _, df := range batch {
 			for _, seg := range df.segs {
-				seg.release(true)
+				seg.release()
 			}
 		}
 	}()
@@ -333,12 +354,12 @@ func (s *Store) sweepBatch(ctx context.Context, files []*dataFile, marks []uint6
 	stubs := make([]string, 0, len(ready))
 	for _, df := range ready {
 		if serr := writeStub(df, marks); serr != nil {
-			objstore.Discard(stubs)
+			fsys.Discard(stubs...)
 			return uploaded, 0, errors.Join(append(errs, serr)...)
 		}
 		stubs = append(stubs, stubPath(df.path))
 	}
-	if err := objstore.Commit(stubs, nil); err != nil {
+	if err := fsys.Commit(stubs, nil); err != nil {
 		return uploaded, 0, errors.Join(append(errs, err)...)
 	}
 	for _, df := range ready {
@@ -359,9 +380,12 @@ func (s *Store) sweepBatch(ctx context.Context, files []*dataFile, marks []uint6
 // one was retired or evicted while sweeping.
 func pinFile(df *dataFile) bool {
 	for i, seg := range df.segs {
-		if local, _ := seg.acquire(); !local {
+		if local, err := seg.acquire(); !local {
+			if err == nil {
+				seg.release()
+			}
 			for _, pinned := range df.segs[:i] {
-				pinned.release(true)
+				pinned.release()
 			}
 			return false
 		}
@@ -398,54 +422,38 @@ func writeStub(df *dataFile, marks []uint64) error {
 	if err != nil {
 		return err
 	}
-	return objstore.WriteTemp(stubPath(df.path), stub)
+	return fsys.WriteTemp(stubPath(df.path), stub)
 }
 
-// dropTiered removes retired segments' object-store presence: cached
-// blocks, then manifest entries with one record (so a crash cannot
-// resurrect them beyond one LWW-harmless window), then dead objects.
-func (s *Store) dropTiered(ctx context.Context, segs []*Segment) error {
+// dropTiered removes the object-store presence of retired segments, which
+// take no new reader: cached blocks, then manifest entries with one record
+// (so a crash cannot resurrect them beyond one LWW-harmless window), then
+// the stub of each object no entry names any more. Such an object goes
+// with its file's last reader; one a crash or a failed delete strands, at
+// the next open.
+func (s *Store) dropTiered(segs []*Segment) error {
 	if s.tier == nil {
 		return nil
 	}
-	var drop []objstore.ManifestEntry
+	var seqs []uint64
+	files := make(map[string]*dataFile) // by object key
 	for _, seg := range segs {
 		if key := seg.TierKey(); key != "" {
-			drop = append(drop, objstore.ManifestEntry{Seq: seg.Seq(), Key: key})
+			seqs, files[key] = append(seqs, seg.Seq()), seg.file
 			s.tier.Cache().Drop(key, seg.base, seg.base+seg.size)
 		}
-	}
-	return s.dropEntries(ctx, drop)
-}
-
-// dropEntries durably removes the manifest entries es with one record,
-// then deletes each object (and stub) no entry names any more.
-func (s *Store) dropEntries(ctx context.Context, es []objstore.ManifestEntry) error {
-	if len(es) == 0 {
-		return nil
-	}
-	seqs := make([]uint64, len(es))
-	for i, e := range es {
-		seqs[i] = e.Seq
 	}
 	if err := s.manifest.Remove(seqs...); err != nil {
 		return fmt.Errorf("persist: drop manifest entries %v: %w", seqs, err)
 	}
-	named := make(map[string]bool)
-	for _, e := range s.manifest.Entries() {
-		named[e.Key] = true
-	}
-	var errs []error
-	for _, e := range es {
-		if !named[e.Key] {
-			named[e.Key] = true // delete once
-			os.Remove(s.keyStub(e.Key))
-			if err := s.tier.Store().Delete(ctx, e.Key); err != nil {
-				errs = append(errs, fmt.Errorf("persist: delete retired object %s: %w", e.Key, err))
-			}
+	named := s.namedKeys()
+	for key, df := range files {
+		if !named[key] {
+			fsys.OS.Remove(s.keyStub(key))
+			df.retire(func() { s.tier.Store().Delete(context.Background(), key) })
 		}
 	}
-	return errors.Join(errs...)
+	return nil
 }
 
 // SegmentInfo is the wire-facing description of one segment — the

@@ -6,9 +6,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"hpclog/internal/fsys/fsystest"
 	"hpclog/internal/objstore"
 )
 
@@ -700,5 +702,137 @@ func TestRetiringOneSectionKeepsSiblings(t *testing.T) {
 	}
 	if s.manifest.Len() != 0 || objects() != 0 || countFiles(t, dir, segStubExt) != 0 {
 		t.Fatalf("after the last retire: %d entries, %d objects, %d stubs", s.manifest.Len(), objects(), countFiles(t, dir, segStubExt))
+	}
+}
+
+// retireUnderScan evicts two partitions' files, one object each, and
+// opens a batch scan on pa's evicted segment; then compaction retires it.
+// It returns the open scan, pa's object key and the rows pa held.
+func retireUnderScan(t *testing.T, s *Store) (*BatchScanner, string, []Row) {
+	t.Helper()
+	rows := testRows(300, 1)
+	for _, pkey := range []string{"pa", "pb"} {
+		if err := s.Flush("events", pkey, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ev, err := s.TierSweep(context.Background(), true); err != nil || ev != 2 {
+		t.Fatalf("sweep evicted %d: %v", ev, err)
+	}
+	if err := s.Flush("events", "pa", testRows(10, 5000)); err != nil {
+		t.Fatal(err)
+	}
+	evicted := s.Segments("events", "pa")[0]
+	sc, err := ChainBatches(Range{}, []*Segment{evicted}, []ScanConfig{{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if did, err := s.CompactPartition("events", "pa", 1); err != nil || !did {
+		t.Fatalf("compact pa: %v %v", did, err)
+	}
+	return sc, evicted.TierKey(), rows
+}
+
+func listObjects(t *testing.T, tier *objstore.Tier) []string {
+	t.Helper()
+	keys, err := tier.Store().List(context.Background(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys
+}
+
+// namedObjects returns the distinct object keys the manifest names, sorted.
+func namedObjects(s *Store) []string {
+	var keys []string
+	for _, e := range s.manifest.Entries() {
+		if len(keys) == 0 || keys[len(keys)-1] != e.Key {
+			keys = append(keys, e.Key)
+		}
+	}
+	return keys
+}
+
+// TestRetiredObjectOutlivesItsScan: a batch scan holds an evicted section
+// that compaction retires before the scan reads a block. The scan reads
+// every row; the object goes with the scan's release, not before.
+func TestRetiredObjectOutlivesItsScan(t *testing.T) {
+	tier := newTestTier(t, t.TempDir())
+	s := openTiered(t, t.TempDir(), tier)
+	defer s.Close()
+	sc, key, rows := retireUnderScan(t, s)
+	if keys := listObjects(t, tier); len(keys) != 2 || keys[0] != key {
+		t.Fatalf("objects %v under the scan, want the retired %s still there", keys, key)
+	}
+	n := 0
+	for b, ok := sc.Next(); ok; b, ok = sc.Next() {
+		n += b.Len()
+	}
+	if err := sc.Err(); err != nil || n != len(rows) {
+		t.Fatalf("the scan of the retired section read %d of %d rows: %v", n, len(rows), err)
+	}
+	sc.Close()
+	if keys := listObjects(t, tier); !reflect.DeepEqual(keys, namedObjects(s)) || len(keys) != 1 {
+		t.Fatalf("objects %v after the release, want only the named %v", keys, namedObjects(s))
+	}
+}
+
+// TestRetiredObjectCrashImageCollected: a crash image cut while a scan
+// holds a retired object — after its manifest entry went, before its
+// delete — reopens to a bucket of exactly the objects the manifest names.
+func TestRetiredObjectCrashImageCollected(t *testing.T) {
+	dir, objDir := t.TempDir(), t.TempDir()
+	s := openTiered(t, dir, newTestTier(t, objDir))
+	defer s.Close()
+	sc, _, _ := retireUnderScan(t, s)
+	defer sc.Close()
+	imgDir, imgObj := t.TempDir(), t.TempDir()
+	copyTreeT(t, dir, imgDir)
+	copyTreeT(t, objDir, imgObj)
+	tier := newTestTier(t, imgObj)
+	if n := len(listObjects(t, tier)); n != 2 {
+		t.Fatalf("the image holds %d objects, want the retired one and pb's", n)
+	}
+	r := openTiered(t, imgDir, tier)
+	defer r.Close()
+	if keys := listObjects(t, tier); !reflect.DeepEqual(keys, namedObjects(r)) || len(keys) != 1 {
+		t.Fatalf("reopened bucket holds %v, the manifest names %v", keys, namedObjects(r))
+	}
+}
+
+// TestFaultObjectDeleteCollectedAtOpen: the delete of a retired object
+// fails once; the object stays until the next open collects it.
+func TestFaultObjectDeleteCollectedAtOpen(t *testing.T) {
+	rec := fsystest.Install(t)
+	dir, objDir := t.TempDir(), t.TempDir()
+	tier := newTestTier(t, objDir)
+	s := openTiered(t, dir, tier)
+	defer func() { s.Close() }()
+	for _, pkey := range []string{"pa", "pa", "pb"} {
+		if err := s.Flush("events", pkey, testRows(80, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.TierSweep(context.Background(), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fault := errors.New("injected delete failure")
+	rec.Fail(func(op fsystest.Op) error {
+		if op.Kind == "remove" && strings.HasPrefix(op.Path, objDir) {
+			rec.Fail(nil)
+			return fault
+		}
+		return nil
+	})
+	if did, err := s.CompactPartition("events", "pa", 1); err != nil || !did {
+		t.Fatalf("compact pa: %v %v", did, err)
+	}
+	if n := len(listObjects(t, tier)); n != 2 {
+		t.Fatalf("%d objects after the failed delete, want one of pa's and pb's", n)
+	}
+	s.Close()
+	s = openTiered(t, dir, tier)
+	if keys := listObjects(t, tier); !reflect.DeepEqual(keys, namedObjects(s)) || len(keys) != 1 {
+		t.Fatalf("reopened bucket holds %v, the manifest names %v", keys, namedObjects(s))
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"hpclog/internal/fsys/fsystest"
 )
 
 // TestPartitionPutMatchesOracle drives partition.put with random batches —
@@ -119,6 +121,7 @@ func mustDecodeTS(t *testing.T, key string) int64 {
 // all there, each key once, whichever of commitlog and segment supplies
 // them.
 func TestInlineFlushCrashImages(t *testing.T) {
+	rec := fsystest.Install(t)
 	dir := t.TempDir()
 	cfg := crashCfg(dir)
 	db, err := OpenDurable(cfg)
@@ -132,7 +135,7 @@ func TestInlineFlushCrashImages(t *testing.T) {
 	for i := range batch {
 		batch[i] = durableRow(int64(1000 + i))
 	}
-	images := captureRounds(t, dir, func() error { return db.PutBatch("events", "part-00", batch, All) })
+	images := captureRounds(t, rec, dir, func() error { return db.PutBatch("events", "part-00", batch, All) })
 	if got := db.StorageStats().Flushes - before; got != int64(cfg.RF) {
 		t.Fatalf("a batch of three thresholds flushed %d segments on %d replicas, want one each", got, cfg.RF)
 	}

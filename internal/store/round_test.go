@@ -5,6 +5,7 @@ package store
 // and the error contract of a node-parallel Flush.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,36 +15,38 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"hpclog/internal/objstore"
+	"hpclog/internal/fsys"
+	"hpclog/internal/fsys/fsystest"
 	"hpclog/internal/store/persist"
 )
 
 // roundImage is a crash image cut inside a round: the copied data
 // directory, the round's segment paths rebased into the copy, and the
-// file fsyncs the process had issued since the round began.
+// fsyncs of round files rec saw since the round began.
 type roundImage struct {
 	stage     string
 	dir       string
 	paths     []string
-	fileSyncs int64
+	fileSyncs int
 }
 
 // captureRounds runs op with a round hook that cuts one image per stage
 // (the first round to reach it) and returns them in stage order.
-func captureRounds(t *testing.T, dir string, op func() error) []roundImage {
+func captureRounds(t *testing.T, rec *fsystest.FS, dir string, op func() error) []roundImage {
 	t.Helper()
 	var images []roundImage
-	var syncs0 int64
+	var syncs0 int
+	roundSyncs := func() int { return rec.Count("sync", "*.seg"+fsys.TempExt) }
 	persist.RoundCrashHook = func(stage string, paths []string) {
 		if stage == "written" {
-			syncs0 = objstore.IO.FileSyncs.Load()
+			syncs0 = roundSyncs()
 		}
 		for _, img := range images {
 			if img.stage == stage {
 				return
 			}
 		}
-		img := roundImage{stage: stage, dir: t.TempDir(), fileSyncs: objstore.IO.FileSyncs.Load() - syncs0}
+		img := roundImage{stage: stage, dir: t.TempDir(), fileSyncs: roundSyncs() - syncs0}
 		copyTree(t, dir, img.dir)
 		for _, p := range paths {
 			rel, err := filepath.Rel(dir, p)
@@ -92,14 +95,14 @@ func checkRoundImage(t *testing.T, img roundImage, cfg Config, want map[string][
 	t.Helper()
 	renamed := img.stage == "renamed" || img.stage == "published"
 	for _, p := range img.paths {
-		if exists(p) != renamed || exists(p+objstore.TempExt) == renamed {
-			t.Fatalf("%s: %s final=%v temp=%v", img.stage, filepath.Base(p), exists(p), exists(p+objstore.TempExt))
+		if exists(p) != renamed || exists(p+fsys.TempExt) == renamed {
+			t.Fatalf("%s: %s final=%v temp=%v", img.stage, filepath.Base(p), exists(p), exists(p+fsys.TempExt))
 		}
 	}
 	if img.stage == "written" && img.fileSyncs != 0 {
 		t.Fatalf("written: %d file fsyncs before the barrier", img.fileSyncs)
 	}
-	if img.stage != "written" && img.fileSyncs != int64(len(img.paths)) {
+	if img.stage != "written" && img.fileSyncs != len(img.paths) {
 		t.Fatalf("%s: %d file fsyncs for %d files", img.stage, img.fileSyncs, len(img.paths))
 	}
 
@@ -122,7 +125,7 @@ func checkRoundImage(t *testing.T, img roundImage, cfg Config, want map[string][
 		}
 	}
 	filepath.Walk(img.dir, func(path string, _ os.FileInfo, _ error) error {
-		if strings.HasSuffix(path, objstore.TempExt) {
+		if strings.HasSuffix(path, fsys.TempExt) {
 			t.Errorf("%s: %s survived recovery", img.stage, path)
 		}
 		return nil
@@ -130,6 +133,7 @@ func checkRoundImage(t *testing.T, img roundImage, cfg Config, want map[string][
 }
 
 func TestFlushRoundCrashImages(t *testing.T) {
+	rec := fsystest.Install(t)
 	dir := t.TempDir()
 	cfg := crashCfg(dir)
 	db, err := OpenDurable(cfg)
@@ -146,7 +150,7 @@ func TestFlushRoundCrashImages(t *testing.T) {
 	want := readAll(t, db, "events")
 	st0, files0 := db.StorageStats(), countDataFiles(t, dir)
 
-	for _, img := range captureRounds(t, dir, db.Flush) {
+	for _, img := range captureRounds(t, rec, dir, db.Flush) {
 		if len(img.paths) != 1 {
 			t.Fatalf("%s: a round wrote %d data files, want 1", img.stage, len(img.paths))
 		}
@@ -169,6 +173,7 @@ func TestFlushRoundCrashImages(t *testing.T) {
 }
 
 func TestCompactRoundCrashImages(t *testing.T) {
+	rec := fsystest.Install(t)
 	dir := t.TempDir()
 	cfg := crashCfg(dir)
 	db, err := OpenDurable(cfg)
@@ -189,7 +194,7 @@ func TestCompactRoundCrashImages(t *testing.T) {
 	// Inputs are unlinked only after the barrier: every image before
 	// "published" still holds every input of the round's node, until
 	// recovery removes the inputs the round's file marks dead.
-	for _, img := range captureRounds(t, dir, func() error { _, err := db.Compact(); return err }) {
+	for _, img := range captureRounds(t, rec, dir, func() error { _, err := db.Compact(); return err }) {
 		node := filepath.Dir(img.paths[0])
 		missing := 0
 		for _, in := range inputs {
@@ -215,6 +220,7 @@ func TestCompactRoundCrashImages(t *testing.T) {
 // its input both survive the crash, the input, wholly replaced, goes at
 // open.
 func TestCompactRoundRehomesSurvivorsCrashImages(t *testing.T) {
+	rec := fsystest.Install(t)
 	dir := t.TempDir()
 	cfg := crashCfg(dir)
 	cfg.FlushThreshold = 1 << 20 // nothing flushes inline: one file per node per Flush
@@ -242,7 +248,7 @@ func TestCompactRoundRehomesSurvivorsCrashImages(t *testing.T) {
 	want := readAll(t, db, "events")
 	st0 := db.StorageStats()
 
-	for _, img := range captureRounds(t, dir, func() error { _, err := db.Compact(); return err }) {
+	for _, img := range captureRounds(t, rec, dir, func() error { _, err := db.Compact(); return err }) {
 		checkRoundImage(t, img, cfg, want)
 	}
 	// Per node: part-00 merged; the four others re-homed, not compacted.
@@ -393,7 +399,7 @@ func TestFlushJoinsNodeErrors(t *testing.T) {
 	bad, good := db.Node(ids[0]), db.Node(ids[1])
 	var squats []string
 	for seq := 0; seq < 16; seq++ {
-		squat := filepath.Join(dir, "node-"+bad.ID(), "seg", fmt.Sprintf("%020d.seg%s", seq, objstore.TempExt))
+		squat := filepath.Join(dir, "node-"+bad.ID(), "seg", fmt.Sprintf("%020d.seg%s", seq, fsys.TempExt))
 		if err := os.MkdirAll(filepath.Join(squat, "keep"), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -432,5 +438,62 @@ func TestFlushJoinsNodeErrors(t *testing.T) {
 	}
 	if got := readAll(t, db, "events"); !reflect.DeepEqual(got, want) {
 		t.Fatal("rows changed across the retried round")
+	}
+}
+
+// TestFaultFlushRoundPublishesNothing: a flush round whose data file write,
+// fsync or rename fails publishes nothing. No segment appears, no temp
+// file stays, every row reads back from the memtables its run merged back
+// into, and a retry once the fault clears publishes them, as a reopen
+// shows.
+func TestFaultFlushRoundPublishesNothing(t *testing.T) {
+	for _, kind := range []string{"write", "sync", "rename"} {
+		t.Run(kind, func(t *testing.T) {
+			rec := fsystest.Install(t)
+			dir := t.TempDir()
+			cfg := crashCfg(dir)
+			cfg.FlushThreshold = 1 << 20 // nothing flushes inline
+			db, err := OpenDurable(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { db.Close() }()
+			fillDurable(t, db, "events", 5, 30)
+			want, infos := readAll(t, db, "events"), db.SegmentInfos()
+			fault := errors.New("injected " + kind + " failure")
+			rec.Fail(func(op fsystest.Op) error {
+				if op.Kind == kind && strings.HasSuffix(op.Path, ".seg"+fsys.TempExt) {
+					return fault
+				}
+				return nil
+			})
+			err = db.Flush()
+			rec.Fail(nil)
+			if !errors.Is(err, fault) {
+				t.Fatalf("Flush under the fault: %v, want %v", err, fault)
+			}
+			if got := db.SegmentInfos(); !reflect.DeepEqual(got, infos) {
+				t.Fatal("a failed round published segments")
+			}
+			if tmps, _ := filepath.Glob(filepath.Join(dir, "node-*", "seg", "*"+fsys.TempExt)); len(tmps) != 0 {
+				t.Fatalf("a failed round left %v", tmps)
+			}
+			if db.MemtableRows() == 0 || !reflect.DeepEqual(readAll(t, db, "events"), want) {
+				t.Fatalf("a failed round lost rows: %d left in memtables", db.MemtableRows())
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if db.MemtableRows() != 0 || reflect.DeepEqual(db.SegmentInfos(), infos) {
+				t.Fatal("the retry did not publish the rows")
+			}
+			db.Close()
+			if db, err = OpenDurable(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(readAll(t, db, "events"), want) {
+				t.Fatal("the reopened store reads other rows")
+			}
+		})
 	}
 }

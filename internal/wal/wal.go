@@ -22,14 +22,15 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"log/slog"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"hpclog/internal/fsys"
 	"hpclog/internal/obs"
 )
 
@@ -117,7 +118,7 @@ type Log struct {
 	opts Options
 
 	mu        sync.Mutex // guards the file state below
-	f         *os.File
+	f         fsys.File
 	w         *bufWriter
 	seg       uint64 // active segment index
 	size      int64  // bytes written to the active segment (incl. header)
@@ -167,7 +168,7 @@ func (l *Log) logger() *slog.Logger {
 // bufWriter is a minimal buffered writer (bufio.Writer without the
 // interface indirection) so Append's hot path stays allocation-free.
 type bufWriter struct {
-	f   *os.File
+	f   fsys.File
 	buf []byte
 }
 
@@ -192,7 +193,7 @@ func (b *bufWriter) flush() error {
 // and Open fails with ErrCorrupt rather than discarding the valid data.
 func Open(opts Options) (*Log, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+	if err := fsys.OS.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
 	l := &Log{opts: opts}
@@ -209,30 +210,25 @@ func Open(opts Options) (*Log, error) {
 	} else {
 		l.firstSeg = segs[0]
 		last := segs[len(segs)-1]
-		cleanEnd, tornBytes, err := scanSegment(segPath(opts.Dir, last), last, opts.TolerateCorruptTail)
+		cleanEnd, tornBytes, err := scanSegment(segPath(opts.Dir, last), opts.TolerateCorruptTail)
+		if err != nil {
+			return nil, err
+		}
+		if cleanEnd == 0 {
+			// Header itself torn (crash during segment creation): the whole
+			// file is garbage; start it afresh.
+			err = l.createSegmentLocked(last)
+		} else {
+			err = l.reopenSegment(last, cleanEnd, tornBytes > 0)
+		}
 		if err != nil {
 			return nil, err
 		}
 		if tornBytes > 0 {
-			if err := os.Truncate(segPath(opts.Dir, last), cleanEnd); err != nil {
-				return nil, err
-			}
 			l.torn.Add(tornBytes)
 			l.logger().Warn("wal: truncated torn tail",
-				"segment", last, "bytes", tornBytes, "clean_end", cleanEnd)
+				"segment", last, "bytes", tornBytes, "clean_end", l.size)
 		}
-		f, err := os.OpenFile(segPath(opts.Dir, last), os.O_WRONLY, 0)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := f.Seek(cleanEnd, io.SeekStart); err != nil {
-			f.Close()
-			return nil, err
-		}
-		l.f = f
-		l.w = &bufWriter{f: f}
-		l.seg = last
-		l.size = cleanEnd
 	}
 	if opts.SyncPeriod > 0 {
 		l.stopPeriodic = make(chan struct{})
@@ -247,7 +243,7 @@ func segPath(dir string, seg uint64) string {
 }
 
 func listSegments(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
+	entries, err := fsys.OS.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -262,10 +258,31 @@ func listSegments(dir string) ([]uint64, error) {
 	return segs, nil
 }
 
-// createSegmentLocked starts a fresh segment file (caller holds mu, or the
-// log is not yet shared).
+// reopenSegment resumes appending to segment seg at cleanEnd, cutting the
+// torn tail after it first.
+func (l *Log) reopenSegment(seg uint64, cleanEnd int64, torn bool) error {
+	f, err := fsys.OS.OpenFile(segPath(l.opts.Dir, seg), fsys.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	if torn {
+		err = f.Truncate(cleanEnd)
+	}
+	if err == nil {
+		_, err = f.Seek(cleanEnd, io.SeekStart)
+	}
+	if err != nil {
+		f.Close()
+		return err
+	}
+	l.f, l.w, l.seg, l.size = f, &bufWriter{f: f}, seg, cleanEnd
+	return nil
+}
+
+// createSegmentLocked starts segment seg as a fresh file, emptying one of
+// its name (caller holds mu, or the log is not yet shared).
 func (l *Log) createSegmentLocked(seg uint64) error {
-	f, err := os.Create(segPath(l.opts.Dir, seg))
+	f, err := fsys.OS.Create(segPath(l.opts.Dir, seg))
 	if err != nil {
 		return err
 	}
@@ -281,7 +298,7 @@ func (l *Log) createSegmentLocked(seg uint64) error {
 			f.Close()
 			return err
 		}
-		if err := syncDir(l.opts.Dir); err != nil {
+		if err := fsys.SyncPath(l.opts.Dir); err != nil {
 			f.Close()
 			return err
 		}
@@ -297,15 +314,6 @@ func (l *Log) createSegmentLocked(seg uint64) error {
 	l.seg = seg
 	l.size = int64(headerLen)
 	return nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // Append writes one record and, in batch mode, blocks until it is durable.
@@ -524,19 +532,21 @@ func (l *Log) Rotate() error {
 	return l.rotateLocked()
 }
 
-// Sync forces an fsync of everything appended so far.
+// Sync forces an fsync of everything appended so far. It fails once a
+// write, sync or rotation has failed, even when every append it covers is
+// durable.
 func (l *Log) Sync() error {
 	l.mu.Lock()
-	seq := l.appendSeq
+	seq, err := l.appendSeq, l.wErr
 	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	if l.opts.NoSync {
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		if l.closed {
 			return nil
-		}
-		if l.wErr != nil {
-			return l.wErr
 		}
 		if err := l.w.flush(); err != nil {
 			// Latch the failure: bufWriter.flush drops its buffer, so the
@@ -595,7 +605,7 @@ func (l *Log) Replay(fn func(lsn LSN, payload []byte) error) (ReplayStats, error
 		if err != nil {
 			if errors.Is(err, ErrCorrupt) {
 				if l.opts.TolerateCorruptTail {
-					if fi, serr := os.Stat(path); serr == nil {
+					if fi, serr := fsys.OS.Stat(path); serr == nil {
 						if skipped := fi.Size() - int64(headerLen) - b; skipped > 0 {
 							l.torn.Add(skipped)
 							l.logger().Warn("wal: skipped corrupt segment remainder",
@@ -619,7 +629,7 @@ func (l *Log) Replay(fn func(lsn LSN, payload []byte) error) (ReplayStats, error
 // (Replay may tolerate it). Errors from fn are returned unwrapped so the
 // caller can tell structural damage from callback failure.
 func replaySegment(path string, seg uint64, end int64, fn func(LSN, []byte) error) (int64, int64, error) {
-	f, err := os.Open(path)
+	f, err := fsys.OS.Open(path)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -691,9 +701,10 @@ func replaySegment(path string, seg uint64, end int64, fn func(LSN, []byte) erro
 // ErrCorrupt rather than a silent truncation of the valid records behind
 // it — unless tolerateCorrupt downgrades that to the torn-tail treatment.
 // (A corrupted length field makes resynchronization impossible, so that
-// case is still treated as a torn tail.)
-func scanSegment(path string, seg uint64, tolerateCorrupt bool) (cleanEnd int64, tornBytes int64, err error) {
-	f, err := os.Open(path)
+// case is still treated as a torn tail.) cleanEnd is 0 when the header
+// itself is torn.
+func scanSegment(path string, tolerateCorrupt bool) (cleanEnd int64, tornBytes int64, err error) {
+	f, err := fsys.OS.Open(path)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -705,12 +716,7 @@ func scanSegment(path string, seg uint64, tolerateCorrupt bool) (cleanEnd int64,
 	size := st.Size()
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil || string(hdr[:len(fileHeader)]) != fileHeader {
-		// Header itself torn (crash during segment creation): the whole
-		// file is garbage; rewrite it from scratch.
-		if werr := rewriteHeader(path, seg); werr != nil {
-			return 0, 0, werr
-		}
-		return int64(headerLen), size, nil
+		return 0, size, nil
 	}
 	off := int64(headerLen)
 	var frame [frameLen]byte
@@ -758,7 +764,7 @@ func scanSegment(path string, seg uint64, tolerateCorrupt bool) (cleanEnd int64,
 // long as their length fields survived. An all-zero frame (plen=0, crc=0 —
 // and CRC32C of an empty payload is 0) is never evidence and stops the
 // walk: zero-filled pages are the signature of a torn write, not bit rot.
-func framesResume(f *os.File, off, size int64) bool {
+func framesResume(f fsys.File, off, size int64) bool {
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		return false
 	}
@@ -791,19 +797,6 @@ func framesResume(f *os.File, off, size int64) bool {
 	return false
 }
 
-func rewriteHeader(path string, seg uint64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var hdr [headerLen]byte
-	copy(hdr[:], fileHeader)
-	binary.LittleEndian.PutUint64(hdr[len(fileHeader):], seg)
-	_, err = f.Write(hdr[:])
-	return err
-}
-
 // TruncateBelow removes sealed segment files with index < cut. The active
 // segment is never removed. Returns the number of files deleted.
 func (l *Log) TruncateBelow(cut uint64) (int, error) {
@@ -817,7 +810,7 @@ func (l *Log) TruncateBelow(cut uint64) (int, error) {
 	}
 	removed := 0
 	for seg := l.firstSeg; seg < cut; seg++ {
-		if err := os.Remove(segPath(l.opts.Dir, seg)); err != nil && !os.IsNotExist(err) {
+		if err := fsys.OS.Remove(segPath(l.opts.Dir, seg)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return removed, err
 		}
 		l.firstSeg = seg + 1

@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"hpclog/internal/fsys/fsystest"
 )
 
 func mustOpen(t *testing.T, opts Options) *Log {
@@ -512,5 +515,99 @@ func TestSealedSegmentDamageToleratedOnReplay(t *testing.T) {
 	}
 	if l3.Stats().TornBytes == 0 {
 		t.Fatal("expected TornBytes > 0 for the skipped sealed-segment damage")
+	}
+}
+
+// checkLatched asserts that the log answers every Append, Sync and Rotate
+// with the fault that poisoned it, though the disk is healthy again.
+func checkLatched(t *testing.T, l *Log, fault error) {
+	t.Helper()
+	if _, err := l.Append([]byte("after the fault")); !errors.Is(err, fault) {
+		t.Fatalf("Append after the fault: %v, want %v", err, fault)
+	}
+	if err := l.Sync(); !errors.Is(err, fault) {
+		t.Fatalf("Sync after the fault: %v, want %v", err, fault)
+	}
+	if err := l.Rotate(); !errors.Is(err, fault) {
+		t.Fatalf("Rotate after the fault: %v, want %v", err, fault)
+	}
+}
+
+// TestFaultSyncLatches: a failed fsync of the active segment fails the
+// Append waiting on it and poisons the log. A reopen replays exactly the
+// records acked before the fault once the unsynced pages are lost.
+func TestFaultSyncLatches(t *testing.T) {
+	rec := fsystest.Install(t)
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir})
+	var acked [][]byte
+	for i := 0; i < 5; i++ {
+		p := []byte(fmt.Sprintf("acked-%d", i))
+		if _, err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		acked = append(acked, p)
+	}
+	st, err := os.Stat(segPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault := errors.New("injected fsync failure")
+	rec.Fail(func(op fsystest.Op) error {
+		if op.Kind == "sync" && op.Path == segPath(dir, 1) {
+			return fault
+		}
+		return nil
+	})
+	if _, err := l.Append([]byte("never acked")); !errors.Is(err, fault) {
+		t.Fatalf("Append under a failing fsync: %v, want %v", err, fault)
+	}
+	rec.Fail(nil)
+	checkLatched(t, l, fault)
+	l.Close()
+	// A failed fsync may drop the dirty pages it was to write.
+	if err := os.Truncate(segPath(dir, 1), st.Size()); err != nil {
+		t.Fatal(err)
+	}
+	l2 := mustOpen(t, Options{Dir: dir})
+	defer l2.Close()
+	if got := collect(t, l2); !reflect.DeepEqual(got, acked) {
+		t.Fatalf("reopen replayed %q, want the acked %q", got, acked)
+	}
+}
+
+// TestFaultRotationDirSyncLatches: a rotation whose directory fsync fails
+// poisons the log the same way; a reopen replays every acked record.
+func TestFaultRotationDirSyncLatches(t *testing.T) {
+	rec := fsystest.Install(t)
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir, SegmentBytes: 256})
+	fault := errors.New("injected directory fsync failure")
+	rec.Fail(func(op fsystest.Op) error {
+		if op.Kind == "syncdir" && op.Path == dir {
+			return fault
+		}
+		return nil
+	})
+	var acked [][]byte
+	var err error
+	for i := 0; err == nil && i < 100; i++ {
+		p := []byte(fmt.Sprintf("record-%03d-%048d", i, i))
+		if _, err = l.Append(p); err == nil {
+			acked = append(acked, p)
+		}
+	}
+	if !errors.Is(err, fault) || len(acked) == 0 {
+		t.Fatalf("%d appends, then %v; want the rotation's injected fault", len(acked), err)
+	}
+	rec.Fail(nil)
+	checkLatched(t, l, fault)
+	l.Close()
+	l2 := mustOpen(t, Options{Dir: dir})
+	defer l2.Close()
+	// The record whose Append failed was sealed by the rotation before its
+	// new segment failed; it may replay, after every acked one.
+	if got := collect(t, l2); len(got) < len(acked) || len(got) > len(acked)+1 || !reflect.DeepEqual(got[:len(acked)], acked) {
+		t.Fatalf("reopen replayed %d records, want the %d acked first", len(got), len(acked))
 	}
 }
