@@ -10,7 +10,7 @@
 GO ?= go
 
 .PHONY: ci vet build test test-fresh race bench-smoke alloc-guard fmt-check \
-	test-wire cluster-smoke metrics-lint tier-smoke fault-smoke bench-test
+	test-wire cluster-smoke metrics-lint tier-smoke fault-smoke bench-test loc
 
 # alloc-guard runs inside the plain (non-race) test pass, but is also
 # listed explicitly so the allocation budgets cannot rot out of CI.
@@ -92,6 +92,12 @@ cluster-smoke:
 # engine-test corpus over the SDK.
 test-wire:
 	$(GO) test -count=1 ./internal/api/ ./client/ ./internal/server/ ./internal/enginetest/
+
+# Root non-test Go: the line count ROADMAP's rider rule tracks —
+# internal/, cmd/ and client/ without their _test.go files (bench/ is a
+# module of its own and not counted). Informational; not part of ci.
+loc:
+	@find internal cmd client -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
 
 vet:
 	$(GO) vet ./...

@@ -1,6 +1,7 @@
 // Package client is the typed Go SDK for the analytic server's /v1 wire
-// protocol — the one HTTP client in the repo: logctl, the examples, and
-// the engine-test wire harness all speak to the server through it.
+// protocol — the one HTTP client in the repo: logctl, the cluster
+// runtime's peer calls, the integration test and the engine-test wire
+// harness all speak to the server through it.
 //
 // It wraps the contract defined in internal/api: enveloped JSON with
 // machine-readable error codes (surfaced as *api.Error), request IDs,

@@ -35,6 +35,7 @@ import (
 	"hpclog/internal/objstore"
 	"hpclog/internal/obs"
 	"hpclog/internal/server"
+	"hpclog/internal/store"
 	"hpclog/internal/topology"
 )
 
@@ -80,8 +81,8 @@ func main() {
 		lg.Info("pprof listening", "addr", *pprofAddr)
 	}
 
-	fw, err := core.New(core.Options{
-		StoreNodes: *storeNodes, RF: *rf, DataDir: *dataDir,
+	fw, err := core.New(core.Options{Store: store.Config{
+		Nodes: *storeNodes, RF: *rf, Dir: *dataDir,
 		WALTolerateCorruptTail: *walTolerate,
 		Logger:                 lg,
 		Tier: objstore.Config{
@@ -94,7 +95,7 @@ func main() {
 			SecretKey:  os.Getenv("HPCLOG_TIER_SECRET_KEY"),
 			CacheBytes: *tierCacheMB << 20,
 		},
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func main() {
 		log.Fatal("need -data-dir DIR or -generate")
 	}
 
-	srv := fw.ServerWithConfig(server.Config{SlowQueryThreshold: *slowQuery})
+	srv := fw.Server(server.Config{SlowQueryThreshold: *slowQuery})
 	hs := &http.Server{Addr: *addr, Handler: srv}
 
 	fmt.Printf("serving on %s\n", *addr)

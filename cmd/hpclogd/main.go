@@ -38,6 +38,7 @@ import (
 	"hpclog/internal/objstore"
 	"hpclog/internal/obs"
 	"hpclog/internal/server"
+	"hpclog/internal/store"
 )
 
 // parsePeers parses "id=url,id=url" into a map.
@@ -126,28 +127,30 @@ func main() {
 	}
 
 	node, err := dist.Open(dist.Config{
-		ID:                *id,
-		AdvertiseURL:      adv,
-		Peers:             peers,
-		RF:                *rf,
-		VNodes:            *vnodes,
-		DataDir:           *dataDir,
+		ID:           *id,
+		AdvertiseURL: adv,
+		Peers:        peers,
+		Store: store.Config{
+			RF:     *rf,
+			VNodes: *vnodes,
+			Dir:    *dataDir,
+			Logger: lg,
+			Tier: objstore.Config{
+				Backend:    *tierBackend,
+				Dir:        *tierDir,
+				Endpoint:   *tierEndpoint,
+				Bucket:     *tierBucket,
+				Region:     *tierRegion,
+				AccessKey:  os.Getenv("HPCLOG_TIER_ACCESS_KEY"),
+				SecretKey:  os.Getenv("HPCLOG_TIER_SECRET_KEY"),
+				CacheBytes: *tierCacheMB << 20,
+			},
+		},
 		MachineNodes:      *machines,
 		HeartbeatInterval: *hbEvery,
 		FailAfter:         *failAfter,
 		RPCTimeout:        *rpcWait,
-		Logger:            lg,
 		ServerConfig:      server.Config{Logger: lg, SlowQueryThreshold: *slowQuery},
-		Tier: objstore.Config{
-			Backend:    *tierBackend,
-			Dir:        *tierDir,
-			Endpoint:   *tierEndpoint,
-			Bucket:     *tierBucket,
-			Region:     *tierRegion,
-			AccessKey:  os.Getenv("HPCLOG_TIER_ACCESS_KEY"),
-			SecretKey:  os.Getenv("HPCLOG_TIER_SECRET_KEY"),
-			CacheBytes: *tierCacheMB << 20,
-		},
 	})
 	if err != nil {
 		log.Fatal(err)

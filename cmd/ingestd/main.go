@@ -26,6 +26,7 @@ import (
 	"hpclog/internal/ingest"
 	"hpclog/internal/model"
 	"hpclog/internal/obs"
+	"hpclog/internal/store"
 )
 
 func main() {
@@ -73,11 +74,11 @@ func run(ctx context.Context) error {
 	}
 	lg := obs.NewLogger(os.Stderr, lvl, *logFormat).With("component", "ingestd")
 
-	fw, err := core.New(core.Options{
-		StoreNodes: *storeNodes, RF: *rf,
-		DataDir: *dataDir, WALNoSync: *walNoSync, WALTolerateCorruptTail: *walTolerate,
+	fw, err := core.New(core.Options{Store: store.Config{
+		Nodes: *storeNodes, RF: *rf,
+		Dir: *dataDir, WALNoSync: *walNoSync, WALTolerateCorruptTail: *walTolerate,
 		Logger: lg,
-	})
+	}})
 	if err != nil {
 		return err
 	}

@@ -19,6 +19,8 @@ import (
 	"hpclog/internal/logs"
 	"hpclog/internal/model"
 	"hpclog/internal/query"
+	"hpclog/internal/server"
+	"hpclog/internal/store"
 	"hpclog/internal/topology"
 )
 
@@ -37,7 +39,7 @@ var (
 func getStack(t testing.TB) *stack {
 	t.Helper()
 	stackOnce.Do(func() {
-		fw, err := core.New(core.Options{StoreNodes: 6, RF: 3, MachineNodes: 4 * topology.NodesPerCabinet})
+		fw, err := core.New(core.Options{Store: store.Config{Nodes: 6, RF: 3}, MachineNodes: 4 * topology.NodesPerCabinet})
 		if err != nil {
 			panic(err)
 		}
@@ -58,7 +60,7 @@ func getStack(t testing.TB) *stack {
 		if res.EventsLoaded != len(corpus.Events) || res.RunsLoaded != len(corpus.Runs) {
 			panic(fmt.Sprintf("import incomplete: %+v", res))
 		}
-		ts := httptest.NewServer(fw.Server())
+		ts := httptest.NewServer(fw.Server(server.Config{}))
 		theStack = &stack{fw: fw, cfg: cfg, ts: ts, cli: client.New(ts.URL)}
 	})
 	return theStack

@@ -683,3 +683,104 @@ func TestEventsBySourceMatchesByType(t *testing.T) {
 		}
 	}
 }
+
+// TestDistributionByAppAttributesAborts: the APP_ABORT distribution by
+// application credits each abort to the run that held its node at that
+// second, or to "(idle)", exactly as the corpus's runs say.
+func TestDistributionByAppAttributesAborts(t *testing.T) {
+	f := getFixture(t)
+	from, to := f.window()
+	buckets, err := DistributionByAppScan(f.eng, f.db, model.AppAbort, from, to, ScanConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int{}
+	for _, b := range buckets {
+		got[b.Label] = b.Count
+	}
+	want := map[string]int{}
+	seen := map[string]bool{}
+	for _, e := range f.corpus.Events {
+		// Collapse duplicates exactly like the store's LWW does.
+		key := e.Time.String() + e.Source
+		if e.Type != model.AppAbort || seen[key] || e.Time.Before(from) || !e.Time.Before(to) {
+			continue
+		}
+		seen[key] = true
+		app := "(idle)"
+		for _, r := range f.corpus.Runs {
+			if !e.Time.Before(r.Start) && e.Time.Before(r.End) && slices.Contains(r.Nodes, e.Source) {
+				app = r.App
+				break
+			}
+		}
+		want[app] += e.Count
+	}
+	if len(want) < 2 {
+		t.Fatalf("aborts fall on %v only; the check needs running applications", want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("aborts by application = %v, the corpus's runs say %v", got, want)
+	}
+}
+
+// TestRunsInReportsFailedRuns: every run of the window reads back with
+// its exit status, so the failed-run share is the corpus's.
+func TestRunsInReportsFailedRuns(t *testing.T) {
+	f := getFixture(t)
+	from, to := f.window()
+	runs, err := RunsIn(f.db, from, to, 24*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, r := range f.corpus.Runs {
+		want[r.JobID] = r.ExitOK
+	}
+	if len(runs) != len(want) {
+		t.Fatalf("%d runs read back of %d", len(runs), len(want))
+	}
+	failed := 0
+	for _, r := range runs {
+		ok, found := want[r.JobID]
+		if !found || ok != r.ExitOK {
+			t.Fatalf("run %s: exit ok %v, corpus has %v (found %v)", r.JobID, r.ExitOK, ok, found)
+		}
+		if !r.ExitOK {
+			failed++
+		}
+	}
+	if failed == 0 || failed == len(runs) {
+		t.Fatalf("%d of %d runs failed; want a share strictly between 0 and 1", failed, len(runs))
+	}
+}
+
+// TestCrossCorrelationFindsInjectedLag: aborts follow Lustre errors by
+// 30-50 s, so over 30 s bins the correlation of the two event series
+// peaks at a positive lag of one or two bins (Lustre leads).
+func TestCrossCorrelationFindsInjectedLag(t *testing.T) {
+	f := getFixture(t)
+	from, to := f.window()
+	lustre, err := BuildSeriesScan(f.eng, f.db, model.Lustre, from, to, 30*time.Second, ScanConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aborts, err := BuildSeriesScan(f.eng, f.db, model.AppAbort, from, to, 30*time.Second, ScanConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxLag = 6
+	cc, err := CrossCorrelation(lustre.Binary(), aborts.Binary(), maxLag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := 0
+	for i := range cc {
+		if cc[i] > cc[best] {
+			best = i
+		}
+	}
+	if lag := best - maxLag; lag < 1 || lag > 2 {
+		t.Fatalf("correlation peaks at lag %+d, want +1 or +2 (by lag: %.3f)", lag, cc)
+	}
+}

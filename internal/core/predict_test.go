@@ -7,11 +7,12 @@ import (
 	"hpclog/internal/logs"
 	"hpclog/internal/model"
 	"hpclog/internal/predict"
+	"hpclog/internal/store"
 	"hpclog/internal/topology"
 )
 
 func TestTrainPredictorThroughFramework(t *testing.T) {
-	fw, err := New(Options{StoreNodes: 4, RF: 2, MachineNodes: 2 * topology.NodesPerCabinet})
+	fw, err := New(Options{Store: store.Config{Nodes: 4, RF: 2}, MachineNodes: 2 * topology.NodesPerCabinet})
 	if err != nil {
 		t.Fatal(err)
 	}

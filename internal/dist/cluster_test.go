@@ -121,14 +121,16 @@ func (c *testCluster) config(i int) dist.Config {
 		}
 	}
 	cfg := dist.Config{
-		ID:             c.ids[i],
-		AdvertiseURL:   c.urls[i],
-		Peers:          peers,
-		RF:             c.rf,
-		VNodes:         32,
-		DataDir:        c.dirs[i],
-		MachineNodes:   c.machines,
-		FlushThreshold: c.flushThreshold,
+		ID:           c.ids[i],
+		AdvertiseURL: c.urls[i],
+		Peers:        peers,
+		Store: store.Config{
+			RF:             c.rf,
+			VNodes:         32,
+			Dir:            c.dirs[i],
+			FlushThreshold: c.flushThreshold,
+		},
+		MachineNodes: c.machines,
 		// Fast failure detection keeps the crash tests quick; scaled so
 		// loaded CI boxes do not false-positive a down mark.
 		HeartbeatInterval: testutil.Scaled(50 * time.Millisecond),
@@ -137,7 +139,7 @@ func (c *testCluster) config(i int) dist.Config {
 		ServerConfig:      c.serverCfg,
 	}
 	if c.tierDir != "" {
-		cfg.Tier = objstore.Config{Backend: "fs", Dir: c.tierDir, CacheBytes: 1 << 20}
+		cfg.Store.Tier = objstore.Config{Backend: "fs", Dir: c.tierDir, CacheBytes: 1 << 20}
 	}
 	return cfg
 }

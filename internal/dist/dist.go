@@ -31,7 +31,6 @@ import (
 	"hpclog/internal/api"
 	"hpclog/internal/compute"
 	"hpclog/internal/ingest"
-	"hpclog/internal/objstore"
 	"hpclog/internal/obs"
 	"hpclog/internal/query"
 	"hpclog/internal/server"
@@ -49,24 +48,14 @@ type Config struct {
 	// list. The same membership (Peers ∪ {ID}) must be configured on every
 	// process so all of them compute identical replica placement.
 	Peers map[string]string
-	// RF is the replication factor (default min(3, members)).
-	RF int
-	// VNodes is the per-member virtual node count (default 64).
-	VNodes int
-	// DataDir roots this member's commitlog and segments ("" = in-memory).
-	DataDir string
-	// WALSyncPeriod selects the commitlog sync mode (see
-	// store.Config.WALSyncPeriod): 0 is per-ack group commit, > 0 is
-	// periodic background fsync.
-	WALSyncPeriod time.Duration
-	// FlushThreshold is the store's memtable flush threshold (default
-	// store's own).
-	FlushThreshold int
-	// Tier, when Tier.Backend is non-empty, attaches the object-storage
-	// tier to this member's durable store (see store.Config.Tier).
-	// Requires DataDir. Each cluster process should point at the same
-	// bucket; objects are namespaced per member id.
-	Tier objstore.Config
+	// Store configures this member's store (RF, virtual nodes, Dir for
+	// its commitlog and segments, the object-storage tier: each cluster
+	// process should point at the same bucket, whose objects are
+	// namespaced per member id). Open sets Members and LocalMembers from
+	// ID and Peers. Store.Logger also receives the cluster runtime's
+	// events (peer up/down, hint delivery, repair results); nil discards
+	// them.
+	Store store.Config
 	// MachineNodes sizes the bootstrap nodeinfos load (default 1024).
 	MachineNodes int
 
@@ -81,9 +70,6 @@ type Config struct {
 
 	// ServerConfig tunes the HTTP surface (zero value = server defaults).
 	ServerConfig server.Config
-	// Logger receives cluster runtime events (peer up/down, hint
-	// delivery, repair results) as structured records; nil discards them.
-	Logger *slog.Logger
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -92,16 +78,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if _, clash := c.Peers[c.ID]; clash {
 		return c, fmt.Errorf("dist: Peers contains own id %q", c.ID)
-	}
-	members := len(c.Peers) + 1
-	if c.RF <= 0 {
-		c.RF = 3
-	}
-	if c.RF > members {
-		c.RF = members
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
 	}
 	if c.MachineNodes == 0 {
 		c.MachineNodes = 1024
@@ -169,20 +145,13 @@ func Open(cfg Config) (*Node, error) {
 		members = append(members, id)
 	}
 	sort.Strings(members)
-	db, err := store.OpenDurable(store.Config{
-		Members:        members,
-		LocalMembers:   []string{cfg.ID},
-		RF:             cfg.RF,
-		VNodes:         cfg.VNodes,
-		FlushThreshold: cfg.FlushThreshold,
-		Dir:            cfg.DataDir,
-		WALSyncPeriod:  cfg.WALSyncPeriod,
-		Tier:           cfg.Tier,
-	})
+	cfg.Store.Members = members
+	cfg.Store.LocalMembers = []string{cfg.ID}
+	db, err := store.OpenDurable(cfg.Store)
 	if err != nil {
 		return nil, err
 	}
-	lg := cfg.Logger
+	lg := cfg.Store.Logger
 	if lg == nil {
 		lg = obs.Discard()
 	}

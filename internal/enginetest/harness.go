@@ -52,8 +52,8 @@ type Harness struct {
 	// Srv is the analytic server behind TS.
 	Srv *server.Server
 	// Client is the SDK client the wire path goes through — the same
-	// code every production consumer (logctl, examples) uses, so a green
-	// corpus run also proves the SDK decodes faithfully.
+	// code every production consumer (logctl, the cluster runtime) uses,
+	// so a green corpus run also proves the SDK decodes faithfully.
 	Client *client.Client
 	// StoreCfg is the store configuration, kept so Reopen can recover a
 	// durable harness from its directory.

@@ -80,9 +80,10 @@ func (c Config) diurnalWeight(t time.Time) float64 {
 	return 1 + c.Diurnal*math.Sin(2*math.Pi*(dayFrac-14.0/24)+math.Pi/2)
 }
 
-// DefaultConfig returns a corpus configuration used by examples and
-// benchmarks: six hours of Titan operation with an MCE hotspot, a Lustre
-// storm, and a Lustre→AppAbort causal chain.
+// DefaultConfig returns a corpus configuration used by loggen,
+// analyticsd -generate, tests and benchmarks: six hours of Titan
+// operation with an MCE hotspot, a Lustre storm, and a Lustre→AppAbort
+// causal chain.
 func DefaultConfig() Config {
 	start := time.Date(2017, 8, 23, 6, 0, 0, 0, time.UTC)
 	return Config{

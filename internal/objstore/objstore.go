@@ -10,9 +10,11 @@
 //
 // Objects are immutable once written: a data file (the segments of one
 // round, as sections) is uploaded exactly once under a key derived from
-// its name and deleted only when compaction has retired its last section.
-// There is no overwrite path, so the backends need no versioning or
-// conditional writes.
+// its name. Once compaction has retired the last of its sections the
+// manifest names, the object is deleted when the last reader of a retired
+// section lets go of it; at open, every object the manifest does not name
+// is collected. There is no overwrite path, so the backends need no
+// versioning or conditional writes.
 package objstore
 
 import (

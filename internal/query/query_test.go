@@ -2,6 +2,7 @@ package query
 
 import (
 	"encoding/json"
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -432,6 +433,91 @@ func TestResultsAreJSONSerializable(t *testing.T) {
 		}
 		if _, err := json.Marshal(res); err != nil {
 			t.Fatalf("%s result not JSON-serializable: %v", req.Op, err)
+		}
+	}
+}
+
+// TestOpAnswers checks one property of each op's answer on the shared
+// fixture that the per-op tests above leave out.
+func TestOpAnswers(t *testing.T) {
+	f := getFixture(t)
+	window := f.ctx()
+	mce, lustre := window, window
+	mce.EventType, lustre.EventType = "MCE", "LUSTRE"
+	storm := f.cfg.Storms[0]
+	stormLustre := Context{EventType: "LUSTRE", From: storm.Start.Unix(), To: storm.Start.Add(storm.Duration).Unix()}
+	for _, tc := range []struct {
+		name  string
+		req   Request
+		check func(res any) string
+	}{
+		{"distribution by cabinet is not empty",
+			Request{Op: OpDistribution, Context: mce, Level: "cabinet"},
+			func(res any) string {
+				if len(res.([]analytics.Bucket)) == 0 {
+					return "no buckets"
+				}
+				return ""
+			}},
+		{"distribution by app names a running application",
+			Request{Op: OpDistribution, Context: lustre, Level: "app"},
+			func(res any) string {
+				for _, b := range res.([]analytics.Bucket) {
+					if b.Label != "(idle)" {
+						return ""
+					}
+				}
+				return fmt.Sprintf("only idle buckets: %v", res)
+			}},
+		{"transfer entropy is non-negative both ways",
+			Request{Op: OpTE, Context: lustre, SecondType: "APP_ABORT", BinSeconds: 30},
+			func(res any) string {
+				if te := res.(TEResponse); te.TEForward < 0 || te.TEReverse < 0 {
+					return fmt.Sprintf("%+v", te)
+				}
+				return ""
+			}},
+		{"wordcount over the storm holds the template token",
+			Request{Op: OpWordCount, Context: stormLustre, TopK: 1 << 20},
+			func(res any) string {
+				for _, w := range res.([]WordCountEntry) {
+					if w.Term == "lustreerror" && w.Count > 0 {
+						return ""
+					}
+				}
+				return "no lustreerror token"
+			}},
+		{"the storm's events come from most of the machine",
+			Request{Op: OpEvents, Context: stormLustre},
+			func(res any) string {
+				sources := map[string]bool{}
+				for _, e := range res.([]EventRecord) {
+					sources[e.Source] = true
+				}
+				if len(sources) < f.cfg.Nodes/2 {
+					return fmt.Sprintf("%d distinct sources of %d nodes", len(sources), f.cfg.Nodes)
+				}
+				return ""
+			}},
+		{"reliability has a positive MTBF",
+			Request{Op: OpReliability, Context: window},
+			func(res any) string {
+				stats := res.(struct {
+					Stats      analytics.InterarrivalStats   `json:"stats"`
+					TopFailing []analytics.ComponentFailures `json:"top_failing"`
+				}).Stats
+				if stats.N < 2 || stats.MTBF <= 0 {
+					return fmt.Sprintf("stats %+v", stats)
+				}
+				return ""
+			}},
+	} {
+		res, err := f.q.Execute(tc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if msg := tc.check(res); msg != "" {
+			t.Errorf("%s: %s", tc.name, msg)
 		}
 	}
 }

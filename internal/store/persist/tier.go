@@ -91,7 +91,7 @@ func (s *Store) keyStub(key string) string {
 // number is never reissued to a new file.
 func (s *Store) reconcileTier(local map[uint64]*Segment, dead map[uint64]bool) error {
 	ctx := context.Background()
-	var stale []uint64 // seqs
+	var stale []uint64                                   // seqs
 	evicted := make(map[string][]objstore.ManifestEntry) // by object key
 	for _, e := range s.manifest.Entries() {
 		name := path.Base(e.Key)

@@ -4,8 +4,8 @@
 // placement maps, and the word-bubble view of text-analytics results (Fig
 // 7-bottom). The browser/D3 frontend is out of scope for a reproduction;
 // these renderers compute the same visual encodings (spatial binning,
-// density shading, bubble sizing) deterministically so examples and tests
-// can assert on them.
+// density shading, bubble sizing) deterministically so tests can assert
+// on them. logctl is the only program that renders with them.
 package viz
 
 import (
