@@ -2,8 +2,8 @@
 # gofmt + vet + build + full test suite under the race detector (the scan
 # planner, result cache, commitlog, and store are all concurrent), a
 # cache-defeating plain test run, a one-iteration smoke of the
-# durable-engine benchmarks (so the WAL path and the two block decoders,
-# v4 fixture vs v5, cannot rot unexercised) and of the watch hub's notify
+# durable-engine benchmarks (so the WAL path and the two block generations,
+# v5 fixture vs v6, cannot rot unexercised) and of the watch hub's notify
 # benchmark, and the benchmark's own tests (bench-test) — the one
 # performance entry point.
 
@@ -44,10 +44,12 @@ bench-test:
 # takes mostly cold round files whole, a histogram or transfer-entropy
 # fold that takes evicted blocks from their footers without fetching them
 # answers exactly as the row path (TestHistogramTakesBlocksExactly/tiered),
+# word count and TF-IDF through evicted v6 templates answer exactly as over
+# the reassembled messages (TestTextFoldsTemplatesMatchStrings/tiered),
 # and the tiered scan benchmark still runs (resident / cached / cold-fetch).
 tier-smoke:
 	$(GO) test -count=1 -run TestTieredEngineCorpus ./internal/enginetest/
-	$(GO) test -count=1 -run 'TestHistogramTakesBlocksExactly/tiered' ./internal/analytics/
+	$(GO) test -count=1 -run 'TestHistogramTakesBlocksExactly/tiered|TestTextFoldsTemplatesMatchStrings/tiered' ./internal/analytics/
 	$(GO) test -count=1 -run 'TestTieredCrashRecovery|TestTieredRoundObjectCrashRecovery|TestTieredCorruptionFallsBackToReplica' ./internal/store/
 	$(GO) test -count=1 -run 'TestRoundObjectSectionsReadTheirOwnBlocks|TestRetiringOneSectionKeepsSiblings|TestCompactingOnePartitionLeavesNoDeadSection|TestRoundSyncBudget|TestEvictedFileKeepsItsDeadMarks|TestCrashBeforeEntryDropKeepsSectionDead|TestTierSweepColdPolicyAcrossRoundFiles' ./internal/store/persist/
 	$(GO) test -run XXX -bench BenchmarkTieredScan -benchtime 1x .
@@ -120,9 +122,10 @@ bench-smoke:
 	$(GO) test -run XXX -bench BenchmarkScanBatches -benchtime 1x ./internal/store/persist/
 	$(GO) test -run XXX -bench BenchmarkHubNotify -benchtime 1x ./internal/server/
 
-# Allocation regression guards: a segment scan, a projected v5 block decode
-# (zero per block), a flush round (constant per round, small constant per
-# segment, no image buffer and no file per segment), a durable partition read through
+# Allocation regression guards: a segment scan, a projected v6 block
+# decode, templated cells reassembled or not (zero per block), a flush
+# round (constant per round, small constant per segment, no image buffer
+# and no file per segment), a durable partition read through
 # Get and through PartitionBatches at QUORUM (no per-row conversion), a
 # bulk import (objects per imported event), a batch histogram and
 # heat-map fold (constant per scan, zero per block), a put-record encode,

@@ -8,10 +8,12 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"hpclog/internal/compute"
 	"hpclog/internal/model"
 	"hpclog/internal/store"
+	"hpclog/internal/store/persist"
 	"hpclog/internal/topology"
 )
 
@@ -147,31 +149,41 @@ var (
 )
 
 // foldCounts folds (source, amount) batches: each row adds its occurrence
-// count under what resolve makes of its source. Where a batch carries the
-// sources as a dictionary, resolve runs once per distinct source of the
-// block, not once per row.
-func foldCounts[A, S any](resolve func(source string) S, add func(acc A, s S, n int)) func(A, *store.Batch) (A, error) {
+// count under its source and what resolve makes of it. Where a batch
+// carries the sources as a dictionary, resolve runs once per distinct
+// source of the block — and of a section dictionary once for good — not
+// once per row.
+func foldCounts[A, S any](resolve *persist.DictFunc[S], add func(acc A, source string, s S, n int)) func(A, *store.Batch) (A, error) {
 	return func(acc A, b *store.Batch) (A, error) {
 		var counts [store.MaxBatchRows]int
 		if err := model.EventCounts(b, counts[:b.Len()]); err != nil {
 			return acc, err
 		}
-		if codes, dict := b.Dict(model.ColSourceID); dict != nil {
-			var resolved [store.MaxBatchRows + 1]S
-			for k, source := range dict {
-				resolved[k] = resolve(source)
-			}
+		var buf [persist.MaxDictLen]S
+		if codes, dict, resolved := resolve.Resolve(b, model.ColSourceID, &buf); dict != nil {
 			for i, c := range codes {
-				add(acc, resolved[c], counts[i])
+				add(acc, dict[c], resolved[c], counts[i])
 			}
 			return acc, nil
 		}
 		for i, source := range b.Col(model.ColSourceID) {
-			add(acc, resolve(source), counts[i])
+			add(acc, source, resolve.Of(source), counts[i])
 		}
 		return acc, nil
 	}
 }
+
+// cname is a source parsed as a node cname: its location, if it is one.
+type cname struct {
+	loc  topology.Location
+	node bool
+}
+
+// cnameOf parses sources, once per entry of a section dictionary.
+var cnameOf = persist.NewDictFunc(func(source string) cname {
+	loc, err := topology.ParseCName(source)
+	return cname{loc, err == nil}
+})
 
 func newCountMap[K comparable]() map[K]int { return make(map[K]int) }
 
@@ -191,19 +203,13 @@ func sumInts(a, b []int) []int {
 	return a
 }
 
-// heatFold counts occurrences per cabinet index.
-var heatFold = foldCounts(
-	func(source string) int {
-		if loc, err := topology.ParseCName(source); err == nil {
-			return loc.Cabinet()
-		}
-		return -1 // non-compute sources (servers) have no floor position
-	},
-	func(acc []int, cabinet, n int) {
-		if cabinet >= 0 {
-			acc[cabinet] += n
-		}
-	})
+// heatFold counts occurrences per cabinet index; non-compute sources
+// (servers) have no floor position.
+var heatFold = foldCounts(cnameOf, func(acc []int, _ string, c cname, n int) {
+	if c.node {
+		acc[c.loc.Cabinet()] += n
+	}
+})
 
 // HeatmapScan computes the cabinet-level heat map of one event type over
 // [from, to).
@@ -237,27 +243,15 @@ type distAcc struct {
 func DistributionByScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, level topology.Level, cfg ScanConfig) ([]Bucket, error) {
 	// A source is a place on the floor, cut to the level, or — not a node
 	// cname — a name of its own.
-	type place struct {
-		loc   topology.Location
-		name  string
-		named bool
-	}
 	acc, err := foldType(eng, db, typ, from, to, cfg, projSourceAmount,
 		func() distAcc { return distAcc{newCountMap[topology.Location](), newCountMap[string]()} },
-		foldCounts(
-			func(source string) place {
-				if loc, err := topology.ParseCName(source); err == nil {
-					return place{loc: truncateLoc(loc, level)}
-				}
-				return place{name: source, named: true}
-			},
-			func(acc distAcc, p place, n int) {
-				if p.named {
-					countKey(acc.other, p.name, n)
-				} else {
-					acc.locs[p.loc] += n
-				}
-			}),
+		foldCounts(cnameOf, func(acc distAcc, source string, c cname, n int) {
+			if c.node {
+				acc.locs[truncateLoc(c.loc, level)] += n
+			} else {
+				countKey(acc.other, source, n)
+			}
+		}),
 		nil,
 		func(a, b distAcc) distAcc {
 			return distAcc{mergeCountMaps(a.locs, b.locs), mergeCountMaps(a.other, b.other)}
@@ -291,20 +285,27 @@ func DistributionByAppScan(eng *compute.Engine, db *store.DB, typ model.EventTyp
 			byNode[n] = append(byNode[n], span{r.Start, r.End, r.App})
 		}
 	}
-	counts, err := foldType(eng, db, typ, from, to, cfg, projSourceAmount,
-		newCountMap[string],
-		func(acc map[string]int, b *store.Batch) (map[string]int, error) {
+	// A task's counts by application, and the runs of each node its
+	// batches name, looked up once per distinct source where a block says
+	// which those are — and once per section where it codes them into the
+	// section's dictionary.
+	type appAcc struct {
+		counts map[string]int
+		runsOf *persist.DictMemo[[]span]
+	}
+	acc, err := foldType(eng, db, typ, from, to, cfg, projSourceAmount,
+		func() appAcc { return appAcc{newCountMap[string](), new(persist.DictMemo[[]span])} },
+		func(acc appAcc, b *store.Batch) (appAcc, error) {
 			var counts [store.MaxBatchRows]int
 			if err := model.EventCounts(b, counts[:b.Len()]); err != nil {
 				return acc, err
 			}
-			// The runs of a node, looked up once per distinct source where
-			// the block says which those are.
 			sources := b.Col(model.ColSourceID)
-			codes, dict := b.Dict(model.ColSourceID)
-			var runsOf [store.MaxBatchRows + 1][]span
-			for k, source := range dict {
-				runsOf[k] = byNode[source]
+			codes, dict, runsOf, fresh := acc.runsOf.Resolve(b, model.ColSourceID)
+			if fresh {
+				for k, source := range dict {
+					runsOf[k] = byNode[source]
+				}
 			}
 			times, err := model.EventTimes(b)
 			if err != nil {
@@ -321,19 +322,19 @@ func DistributionByAppScan(eng *compute.Engine, db *store.DB, typ model.EventTyp
 				at := time.Unix(times[i], 0)
 				for _, s := range spans {
 					if !at.Before(s.start) && at.Before(s.end) {
-						acc[s.app] += n
+						acc.counts[s.app] += n
 						continue rows
 					}
 				}
-				acc["(idle)"] += n
+				acc.counts["(idle)"] += n
 			}
 			return acc, nil
 		},
-		nil, mergeCountMaps[string])
+		nil, func(a, b appAcc) appAcc { return appAcc{mergeCountMaps(a.counts, b.counts), a.runsOf} })
 	if err != nil {
 		return nil, err
 	}
-	return sortBuckets(counts), nil
+	return sortBuckets(acc.counts), nil
 }
 
 // EventSitesScan lists, for one event type and instant (to the second),
@@ -341,7 +342,7 @@ func DistributionByAppScan(eng *compute.Engine, db *store.DB, typ model.EventTyp
 func EventSitesScan(eng *compute.Engine, db *store.DB, typ model.EventType, at time.Time, cfg ScanConfig) (map[string]int, error) {
 	return foldType(eng, db, typ, at, at.Add(time.Second), cfg, projSourceAmount,
 		newCountMap[string],
-		foldCounts(func(source string) string { return source }, countKey),
+		foldCounts(cnameOf, func(acc map[string]int, source string, _ cname, n int) { countKey(acc, source, n) }),
 		nil, mergeCountMaps[string])
 }
 
@@ -525,9 +526,43 @@ type termAcc struct {
 	terms []string // the term at each position
 	stats []termStat
 	docs  int
+
+	tmpls map[*persist.Template]*tmplTerms // what the task made of each template it met
+	holes []*holeTerms                     // and of each hole column's dictionary
 }
 
-func newTermAcc() *termAcc { return &termAcc{index: make(map[string]int32)} }
+// tmplTerms is what a text fold makes of a template, once per section:
+// the positions of its constants' tokens, as often as each occurs, whether
+// its cells tokenise as constants and holes apart — no hole touching a
+// letter or digit of the constants, or another hole — and whether it has
+// no constant text.
+type tmplTerms struct {
+	terms []int32
+	apart bool
+	bare  bool
+}
+
+// holeTerms is what a text fold makes of the dictionary of a hole column:
+// the positions of each entry's tokens, in flat, once per section.
+type holeTerms struct {
+	id    uint32
+	spans persist.DictMemo[termSpan]
+	flat  []int32
+}
+
+// termSpan is where an entry's token positions lie in its holeTerms.flat.
+type termSpan struct {
+	lo, hi int32
+	done   bool
+}
+
+// templateFolds switches the text folds' template path; off, they
+// tokenise every cell reassembled (the differential tests' reference).
+var templateFolds = true
+
+func newTermAcc() *termAcc {
+	return &termAcc{index: make(map[string]int32), tmpls: make(map[*persist.Template]*tmplTerms)}
+}
 
 // position returns the position of a term (an owned string), adding it on
 // first sight.
@@ -555,34 +590,161 @@ func (a *termAcc) learn(run string, clean bool) int32 {
 	return i
 }
 
+// position returns the position of a run's term, or -1 for a run that is
+// none.
+func (a *termAcc) positionOf(run string, clean bool) int32 {
+	if len(run) < 2 {
+		return -1 // one byte is one ASCII character: never a token
+	}
+	i, ok := a.index[run]
+	if !ok {
+		i = a.learn(run, clean)
+	}
+	return i
+}
+
+// note counts an occurrence of the term at i in the current document.
+func (a *termAcc) note(i int32) {
+	st := &a.stats[i]
+	st.tf++
+	if st.lastDoc != a.docs {
+		st.lastDoc = a.docs
+		st.df++
+	}
+}
+
 // foldDocs counts every raw message of a batch as one document. Events
-// without raw text are skipped.
+// without raw text are skipped. Where the batch holds the messages in
+// template form, a template's constants are tokenised once per section
+// and a hole value once per entry of its column's dictionary.
 func (a *termAcc) foldDocs(b *store.Batch) (*termAcc, error) {
 	count := func(run string, clean bool) {
-		if len(run) < 2 {
-			return // one byte is one ASCII character: never a token
-		}
-		i, ok := a.index[run]
-		if !ok {
-			i = a.learn(run, clean)
-		}
-		if i < 0 {
-			return
-		}
-		st := &a.stats[i]
-		st.tf++
-		if st.lastDoc != a.docs {
-			st.lastDoc = a.docs
-			st.df++
+		if i := a.positionOf(run, clean); i >= 0 {
+			a.note(i)
 		}
 	}
-	for _, raw := range b.Col(model.ColRawID) {
-		if raw != "" {
-			a.docs++
-			eachRun(raw, count)
+	codes, tmpls, cells := b.Template(model.ColRawID)
+	if codes == nil || !templateFolds {
+		for _, raw := range b.Col(model.ColRawID) {
+			if raw != "" {
+				a.docs++
+				eachRun(raw, count)
+			}
+		}
+		return a, nil
+	}
+	var byCode [persist.MaxDictLen]*tmplTerms
+	for i, c := range codes {
+		if c == 0 {
+			if cells[i] != "" {
+				a.docs++
+				eachRun(cells[i], count)
+			}
+			continue
+		}
+		t := &tmpls[c-1]
+		tt := byCode[c]
+		if tt == nil {
+			tt = a.template(t)
+			byCode[c] = tt
+		}
+		if !tt.apart {
+			if raw := b.Col(model.ColRawID)[i]; raw != "" {
+				a.docs++
+				eachRun(raw, count)
+			}
+			continue
+		}
+		if tt.bare && !holeText(b, t, i) {
+			continue // the cell is ""
+		}
+		a.docs++
+		for _, p := range tt.terms {
+			a.note(p)
+		}
+		for _, id := range t.Holes {
+			a.holeDoc(b, id, i, count)
 		}
 	}
 	return a, nil
+}
+
+// holeText reports whether row i fills any hole of t with text.
+func holeText(b *store.Batch, t *persist.Template, i int) bool {
+	for _, id := range t.Holes {
+		if b.Col(id)[i] != "" {
+			return true
+		}
+	}
+	return false
+}
+
+// template returns what the fold makes of t, made on first sight.
+func (a *termAcc) template(t *persist.Template) *tmplTerms {
+	if tt, ok := a.tmpls[t]; ok {
+		return tt
+	}
+	tt := &tmplTerms{apart: true, bare: true}
+	for k := range t.Holes {
+		before, after := t.Consts[k], t.Consts[k+1]
+		if before != "" && wordByte(before[len(before)-1]) || after != "" && wordByte(after[0]) ||
+			after == "" && k+1 < len(t.Holes) {
+			tt.apart = false
+		}
+	}
+	for _, c := range t.Consts {
+		tt.bare = tt.bare && c == ""
+		if tt.apart { // else the fold reads the reassembled cells: a term learnt here would show with no count
+			eachRun(c, func(run string, clean bool) {
+				if i := a.positionOf(run, clean); i >= 0 {
+					tt.terms = append(tt.terms, i)
+				}
+			})
+		}
+	}
+	a.tmpls[t] = tt
+	return tt
+}
+
+// wordByte reports whether c may be part of a run: a letter or digit, or
+// a byte of a multi-byte character.
+func wordByte(c byte) bool { return c >= utf8.RuneSelf || asciiClass[c] != 0 }
+
+// holeDoc counts the tokens of row i's cell of hole column id in the
+// current document: off the column's dictionary, tokenised once per entry
+// per section, where the batch codes it so.
+func (a *termAcc) holeDoc(b *store.Batch, id uint32, i int, count func(string, bool)) {
+	var h *holeTerms
+	for _, x := range a.holes {
+		if x.id == id {
+			h = x
+		}
+	}
+	if h == nil {
+		h = &holeTerms{id: id}
+		a.holes = append(a.holes, h)
+	}
+	codes, dict, spans, fresh := h.spans.Resolve(b, id)
+	if dict == nil {
+		eachRun(b.Col(id)[i], count)
+		return
+	}
+	if fresh {
+		h.flat = h.flat[:0]
+	}
+	sp := &spans[codes[i]]
+	if !sp.done {
+		lo := len(h.flat)
+		eachRun(dict[codes[i]], func(run string, clean bool) {
+			if p := a.positionOf(run, clean); p >= 0 {
+				h.flat = append(h.flat, p)
+			}
+		})
+		*sp = termSpan{int32(lo), int32(len(h.flat)), true}
+	}
+	for _, p := range h.flat[sp.lo:sp.hi] {
+		a.note(p)
+	}
 }
 
 func (a *termAcc) merge(b *termAcc) *termAcc {

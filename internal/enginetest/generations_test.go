@@ -83,21 +83,22 @@ func generations(t *testing.T, root string) map[string]int {
 }
 
 // TestMixedCodecGenerations opens a store directory written at the last
-// commit that wrote codec v4 — testdata/v4store.tar.gz: the engine corpus
-// on two nodes, 821 resident v4 segments, 49 more evicted to a local-fs
-// object store behind footer stubs and a TIER manifest, each shadowed by a
-// resident segment holding the same keys, and the synopsis rows once more
-// in the commitlog — and asks it the whole corpus: as found, after the
-// compaction that merges every two-segment partition into a v5 segment,
-// after a forced tier sweep that evicts v4 and v5 segments alike, and
-// after a restart. Every answer is, byte for byte, the in-memory
-// harness's.
+// commit that wrote codec v5 — testdata/v5store.tar.gz: the engine corpus
+// on two nodes in round files, the first half of its events loaded,
+// flushed and evicted to a local-fs object store behind footer stubs and a
+// TIER manifest, then every event loaded again — so each evicted segment
+// is shadowed by a resident one holding the same keys — with the runs and
+// the synopsis, and the synopsis rows once more in the commitlog — and
+// asks it the whole corpus: as found, after the compaction that merges
+// every two-segment partition into a v6 segment, after a forced tier sweep
+// that evicts v5 and v6 segments alike, and after a restart. Every answer
+// is, byte for byte, the in-memory harness's.
 func TestMixedCodecGenerations(t *testing.T) {
 	root := t.TempDir()
-	untar(t, filepath.Join("testdata", "v4store.tar.gz"), root)
+	untar(t, filepath.Join("testdata", "v5store.tar.gz"), root)
 	storeDir, objDir := filepath.Join(root, "store"), filepath.Join(root, "objects")
-	if g := generations(t, root); g["HPSEG004.seg"] == 0 || g["HPSEG004.sft"] == 0 || len(g) != 2 {
-		t.Fatalf("the fixture should hold v4 segments and v4 stubs only: %v", g)
+	if g := generations(t, root); g["HPSEG005.seg"] == 0 || g["HPSEG005.sft"] == 0 || len(g) != 2 {
+		t.Fatalf("the fixture should hold v5 segments and v5 stubs only: %v", g)
 	}
 
 	mem := New(t)
@@ -133,20 +134,20 @@ func TestMixedCodecGenerations(t *testing.T) {
 		}
 	}
 
-	answer("v4")
+	answer("v5")
 	if h.DB.Tier().FetchedBlocks.Load() == 0 {
-		t.Fatal("the corpus ran without fetching a block of an evicted v4 segment")
+		t.Fatal("the corpus ran without fetching a block of an evicted v5 segment")
 	}
 
-	// Ordinary compaction is the upgrade: what it merges, it writes as v5,
-	// and drops the v4 inputs, evicted ones included.
+	// Ordinary compaction is the upgrade: what it merges, it writes as v6,
+	// and drops the v5 inputs, evicted ones included.
 	merged, err := h.DB.Compact()
 	if err != nil || merged == 0 {
 		t.Fatalf("compacted %d partitions: %v", merged, err)
 	}
 	g := generations(t, root)
-	if g["HPSEG005.seg"] == 0 || g["HPSEG004.seg"] == 0 || g["HPSEG004.sft"] != 0 {
-		t.Fatalf("after compaction want v5 beside v4 segments and no v4 stub left: %v", g)
+	if g["HPSEG006.seg"] == 0 || g["HPSEG005.seg"] == 0 || g["HPSEG005.sft"] != 0 {
+		t.Fatalf("after compaction want v6 beside v5 segments and no v5 stub left: %v", g)
 	}
 	answer("compacted")
 
@@ -154,7 +155,7 @@ func TestMixedCodecGenerations(t *testing.T) {
 	if err != nil || up == 0 || ev == 0 {
 		t.Fatalf("forced sweep: uploaded=%d evicted=%d: %v", up, ev, err)
 	}
-	if g = generations(t, storeDir); g["HPSEG004.sft"] == 0 || g["HPSEG005.sft"] == 0 || len(g) != 2 {
+	if g = generations(t, storeDir); g["HPSEG005.sft"] == 0 || g["HPSEG006.sft"] == 0 || len(g) != 2 {
 		t.Fatalf("after the sweep want stubs of both generations and nothing resident: %v", g)
 	}
 	answer("swept")

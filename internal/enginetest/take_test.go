@@ -42,9 +42,9 @@ func takenBy(t *testing.T, h *Harness, stage string, want map[string][]byte) int
 // TestCorpusFoldsTakeBlocks keeps the footer path of the count folds from
 // switching off unseen: on the durable corpus the histogram and
 // transfer-entropy cases take blocks from their footers, with answers equal
-// to the in-memory harness's (which has no segment to take). The v4 store
-// of testdata, whose footers have no fold section, never has a block
-// taken, until compaction rewrites it as v5.
+// to the in-memory harness's (which has no segment to take) — and so they
+// do on the v5 store of testdata, whose footers carry the fold section
+// too, as found and once compaction rewrote it as v6.
 func TestCorpusFoldsTakeBlocks(t *testing.T) {
 	mem := New(t)
 	want := make(map[string][]byte)
@@ -61,21 +61,21 @@ func TestCorpusFoldsTakeBlocks(t *testing.T) {
 	}
 
 	root := t.TempDir()
-	untar(t, filepath.Join("testdata", "v4store.tar.gz"), root)
-	v4 := attach(t, store.Config{
+	untar(t, filepath.Join("testdata", "v5store.tar.gz"), root)
+	v5 := attach(t, store.Config{
 		Nodes: 2, RF: 1, VNodes: 32,
 		FlushThreshold:  512,
 		CompactInterval: -1,
 		Dir:             filepath.Join(root, "store"),
 		Tier:            objstore.Config{Backend: "fs", Dir: filepath.Join(root, "objects"), CacheBytes: 1 << 20},
 	})
-	if n := takenBy(t, v4, "v4", want); n != 0 {
-		t.Errorf("%d blocks of v4 segments taken: their footers carry no fold section", n)
+	if n := takenBy(t, v5, "v5", want); n == 0 {
+		t.Error("no block of the v5 store taken")
 	}
-	if merged, err := v4.DB.Compact(); err != nil || merged == 0 {
+	if merged, err := v5.DB.Compact(); err != nil || merged == 0 {
 		t.Fatalf("compacted %d partitions: %v", merged, err)
 	}
-	if n := takenBy(t, v4, "compacted", want); n == 0 {
-		t.Error("no block taken after compaction rewrote the v4 store as v5")
+	if n := takenBy(t, v5, "compacted", want); n == 0 {
+		t.Error("no block taken after compaction rewrote the v5 store as v6")
 	}
 }

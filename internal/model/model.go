@@ -303,40 +303,40 @@ func EventCount(key, amount string) (int, error) {
 
 // EventCounts sets counts[i] to the occurrence count of row i of a batch
 // of event rows that projects the amount column. Where the batch carries
-// the column as a dictionary each distinct amount is parsed once — and a
-// block's amounts are, more often than not, all "1". Only a bad amount
-// reads a key, for the error.
+// the column as a dictionary each distinct amount is parsed once — per
+// block, or for a section dictionary once for good — and a block's
+// amounts are, more often than not, all "1". Only a bad amount reads a
+// key, for the error.
 func EventCounts(b *store.Batch, counts []int) error {
-	count := func(i int, amount string) (n int, err error) {
-		if n, err = EventCount("", amount); err != nil {
-			_, err = EventCount(b.Keys()[i], amount) // the same error, naming the row
-		}
-		return n, err
-	}
-	codes, dict := b.Dict(ColAmountID)
+	var buf [persist.MaxDictLen]int
+	codes, dict, parsed := countOf.Resolve(b, ColAmountID, &buf)
 	if dict == nil {
 		for i, amount := range b.Col(ColAmountID) {
-			n, err := count(i, amount)
+			n, err := EventCount("", amount)
 			if err != nil {
+				_, err = EventCount(b.Keys()[i], amount) // the same error, naming the row
 				return err
 			}
 			counts[i] = n
 		}
 		return nil
 	}
-	var parsed [store.MaxBatchRows + 1]int // by code; a count is never 0
 	for i, c := range codes {
-		if parsed[c] == 0 {
-			n, err := count(i, dict[c])
-			if err != nil {
-				return err
-			}
-			parsed[c] = n
+		if counts[i] = parsed[c]; counts[i] == 0 { // a count is never 0
+			_, err := EventCount(b.Keys()[i], dict[c])
+			return err
 		}
-		counts[i] = parsed[c]
 	}
 	return nil
 }
+
+// countOf is an amount's occurrence count, 0 for a bad amount.
+var countOf = persist.NewDictFunc(func(amount string) int {
+	if n, ok := persist.PosInt(amount); ok {
+		return n
+	}
+	return 0
+})
 
 // EventTimes returns the timestamps (unix seconds) of the rows of a batch
 // of event rows.

@@ -170,9 +170,10 @@ func (ex *Executor) RowTasks(p *Plan) (tasks []RowTask, done func(), err error) 
 	tasks = make([]RowTask, len(slices))
 	for i, rg := range slices {
 		tasks[i] = func(each func(*store.Batch, int) error) error {
+			verdicts := filter.memos()
 			return ex.scanBatches(p, rg, project, stats, func(b *store.Batch) error {
 				var sel [store.MaxBatchRows]bool
-				filter.match(b, sel[:b.Len()])
+				filter.match(b, sel[:b.Len()], verdicts)
 				for j, ok := range sel[:b.Len()] {
 					if ok {
 						if err := each(b, j); err != nil {
@@ -251,8 +252,9 @@ func (ex *Executor) runAggregate(p *Plan) ([]ResultRow, error) {
 
 // batchFilter is a residual filter cut for batches: the top-level
 // conjuncts on one stored column each, which are decided on the column's
-// vector — once per dictionary entry where a block stores the column so —
-// and the rest, evaluated row by row on what those leave.
+// vector — once per dictionary entry where a block stores the column so,
+// and once per section where a section's dictionary codes it — and the
+// rest, evaluated row by row on what those leave.
 type batchFilter struct {
 	cols []colPred
 	rest Expr
@@ -274,12 +276,19 @@ func newBatchFilter(e Expr, vectors bool) batchFilter {
 	return f
 }
 
-// match sets sel[i] to what the filter says of row i of b.
-func (f batchFilter) match(b *store.Batch, sel []bool) {
+// memos returns what a scan task keeps of the column conjuncts' verdicts
+// on dictionary entries, one per conjunct (see match).
+func (f batchFilter) memos() []persist.DictMemo[bool] {
+	return make([]persist.DictMemo[bool], len(f.cols))
+}
+
+// match sets sel[i] to what the filter says of row i of b; verdicts are
+// the scan task's memos.
+func (f batchFilter) match(b *store.Batch, sel []bool, verdicts []persist.DictMemo[bool]) {
 	for i := range sel {
 		sel[i] = true
 	}
-	for _, cp := range f.cols {
+	for j, cp := range f.cols {
 		col := cp.column()
 		if !col.Known { // absent everywhere
 			if !cp.matchValue("") {
@@ -287,10 +296,11 @@ func (f batchFilter) match(b *store.Batch, sel []bool) {
 			}
 			continue
 		}
-		if codes, dict := b.Dict(col.ID); dict != nil {
-			var ok [store.MaxBatchRows + 1]bool
-			for k, v := range dict {
-				ok[k] = cp.matchValue(v)
+		if codes, dict, ok, fresh := verdicts[j].Resolve(b, col.ID); dict != nil {
+			if fresh {
+				for k, v := range dict {
+					ok[k] = cp.matchValue(v)
+				}
 			}
 			for i, c := range codes {
 				sel[i] = sel[i] && ok[c]

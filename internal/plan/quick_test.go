@@ -153,9 +153,10 @@ func TestBatchFilterMatchesEval(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, src := range []persist.BatchIterator{sc, persist.BatchRows(persist.NewSliceIter(rows), project)} {
+			verdicts := filter.memos()
 			for b, ok := src.Next(); ok; b, ok = src.Next() {
 				var sel [store.MaxBatchRows]bool
-				filter.match(b, sel[:b.Len()])
+				filter.match(b, sel[:b.Len()], verdicts)
 				for j := range b.Keys() {
 					if want := p.Filter.Eval(b.Row(j)); sel[j] != want {
 						t.Fatalf("%s on row %q %v: batch filter says %v, Eval %v", p.Filter, b.Keys()[j], b.Row(j).ColumnsMap(), sel[j], want)

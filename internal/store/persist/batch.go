@@ -13,6 +13,9 @@ import (
 // MaxBatchRows is the most rows a Batch holds: one segment block.
 const MaxBatchRows = indexEvery
 
+// MaxDictLen is the most entries a dictionary Batch.Dict returns holds.
+const MaxDictLen = sectionDictMax
+
 // Batch is a run of at most MaxBatchRows consecutive rows in vector form: a
 // key vector, a write-timestamp vector and either one value vector per
 // projected column or, with no projection, every cell of every row. It is
@@ -30,7 +33,7 @@ type Batch struct {
 	WriteTS []int64
 
 	keys []string // Keys' vector, once built
-	// keyChunk is the front-coded key chunk of a v5 block whose keys no one
+	// keyChunk is the front-coded key chunk of a block whose keys no one
 	// has asked for yet ("" once built): Keys rebuilds them in keyArena, the
 	// room at the head of the arena that the decoder left for them.
 	keyChunk string
@@ -38,11 +41,17 @@ type Batch struct {
 
 	ts      []int64  // TS's vector, once asked for or walked off keyChunk
 	project []uint32 // projected column IDs, ascending; nil = every column
-	cols    []colVec // one per projected column: its vector parallel to WriteTS ("" = absent)
-	lo, hi  int      // the rows of the decoded block that the batch shows
-	cells   []Col    // unprojected: every row's cells, each row sorted by ID
-	ends    []int32  // unprojected: ends[i] is the end of row i's cells
-	rowCols []Col    // Row's scratch on a projected batch
+	// cols holds one vector per projected column, parallel to WriteTS (""
+	// = absent), then one per hole column of a projected column in
+	// template form that the projection lacks (holes, their IDs).
+	cols    []colVec
+	holes   []uint32
+	slots   []int32 // the segment's name-table index -> index into cols (-1: none)
+	text    []byte  // room for the templated cells, filled on first ask
+	lo, hi  int     // the rows of the decoded block that the batch shows
+	cells   []Col   // unprojected: every row's cells, each row sorted by ID
+	ends    []int32 // unprojected: ends[i] is the end of row i's cells
+	rowCols []Col   // Row's scratch on a projected batch
 
 	// Storage of the fixed-size vectors, in line so that a scanner and
 	// its batch are one allocation.
@@ -70,7 +79,7 @@ func (b *Batch) reset() {
 	b.lo, b.hi = 0, 0
 	for j := range b.cols {
 		c := &b.cols[j]
-		c.vals, c.dict = c.vec[:0], nil
+		c.vals, c.dict, c.sdict, c.tmpls = c.vec[:0], nil, nil, nil
 	}
 }
 
@@ -80,7 +89,7 @@ func (b *Batch) release() { *b = Batch{} }
 // Len returns the number of rows.
 func (b *Batch) Len() int { return len(b.WriteTS) }
 
-// Keys returns the clustering keys, ascending. A v5 block's keys are built
+// Keys returns the clustering keys, ascending. A block's keys are built
 // on the first call; a consumer that reads none pays for none.
 func (b *Batch) Keys() []string {
 	if b.keyChunk != "" {
@@ -100,15 +109,56 @@ func (b *Batch) buildKeys() {
 }
 
 // Col returns the value vector of a projected column, parallel to WriteTS; an
-// absent cell reads "". It returns nil for a column outside the
-// projection and on an unprojected batch.
+// absent cell reads "". A column in template form is reassembled on the
+// first call. Col also serves the hole columns of such a column. It
+// returns nil for any other column and on an unprojected batch.
 func (b *Batch) Col(id uint32) []string {
+	c := b.colOf(id)
+	if c == nil {
+		return nil
+	}
+	if c.tmpls != nil && !c.filled {
+		b.fill(c)
+	}
+	return c.vals
+}
+
+// colOf returns the vector of a projected or hole column, or nil.
+func (b *Batch) colOf(id uint32) *colVec {
 	for j, p := range b.project {
 		if p == id {
-			return b.cols[j].vals
+			return &b.cols[j]
+		}
+	}
+	for j, h := range b.holes {
+		if h == id {
+			return &b.cols[len(b.project)+j]
 		}
 	}
 	return nil
+}
+
+// fill reassembles the templated cells of c into b.text, sized for them
+// when the block was decoded.
+func (b *Batch) fill(c *colVec) {
+	b.text = fillTemplates(c, b.lo, b.hi, b.text, b.cols, b.slots)
+}
+
+// Template returns a projected column in template form when the batch's
+// block stores it so: row i with codes[i] > 0 reads tmpls[codes[i]-1]
+// filled with the row's cells of its holes — which Col and Dict serve —
+// and any other row reads cells[i] ("" for a row without the cell). tmpls
+// is the section's table, the same slice for every block of the section.
+// It returns nils for every other column and batch. A fold that derives
+// something from the text can derive it once per template of a section
+// and once per hole value, without reassembling a cell.
+func (b *Batch) Template(id uint32) (codes []uint8, tmpls []Template, cells []string) {
+	for j, p := range b.project {
+		if c := &b.cols[j]; p == id && c.tmpls != nil {
+			return c.codes[b.lo:b.hi], c.tmpls, c.vals
+		}
+	}
+	return nil, nil, nil
 }
 
 // TS returns the clustering timestamps, parallel to Keys(): what DecodeTS
@@ -125,21 +175,98 @@ func (b *Batch) TS() []int64 {
 	return b.ts
 }
 
-// Dict returns a projected column in dictionary form when the batch's
-// block stores it so: Col(id)[i] == dict[codes[i]], with codes parallel
-// to WriteTS and every distinct value of the block once in dict (an absent
-// cell codes for a trailing ""; dict may hold values no row of the batch
-// uses). It returns nil, nil for every other column and batch — a consumer
-// falls back to Col. What a fold derives from a value (a parsed number, a
-// topology location, a predicate's verdict) it can derive once per dict
-// entry instead of once per row.
+// Dict returns a projected column — or a hole column Col serves — in
+// dictionary form when the batch's block stores it so: Col(id)[i] ==
+// dict[codes[i]], with codes parallel to WriteTS and every distinct value
+// of the block once in dict (an absent cell codes for a ""; dict may hold
+// values no row of the batch uses). Where the block codes the column into
+// its section's dictionary, dict is that dictionary: the same slice for
+// every block of the section. It returns nil, nil for every other column
+// and batch — a consumer falls back to Col. What a fold derives from a
+// value (a parsed number, a topology location, a predicate's verdict) it
+// can derive once per dict entry instead of once per row, and with a
+// DictMemo once per section.
 func (b *Batch) Dict(id uint32) (codes []uint8, dict []string) {
-	for j, p := range b.project {
-		if p == id && len(b.cols[j].dict) > 0 {
-			return b.cols[j].codes[b.lo:b.hi], b.cols[j].dict
-		}
+	codes, dict, _ = b.dictOf(id)
+	return codes, dict
+}
+
+// dictOf is Dict, and the section dictionary dict is, if it is one.
+func (b *Batch) dictOf(id uint32) (codes []uint8, dict []string, sd *sectionDict) {
+	if c := b.colOf(id); c != nil && len(c.dict) > 0 {
+		return c.codes[b.lo:b.hi], c.dict, c.sdict
 	}
-	return nil, nil
+	return nil, nil, nil
+}
+
+// DictMemo keeps what a fold derives from each entry of a column's
+// dictionary (Batch.Dict) for as long as the batches it is shown share
+// their section's dictionary: the entries are resolved once per section
+// and not once per block. Not safe for concurrent use.
+type DictMemo[S any] struct {
+	sd   *sectionDict // the dictionary vals belong to; nil: a block's own
+	vals []S
+}
+
+// Resolve returns column id of b in dictionary form, as Dict does, and
+// vals, parallel to dict, where the fold keeps what it derives from each
+// entry. fresh reports vals zeroed for a dictionary other than the one
+// the memo held last; otherwise they are as the fold left them.
+func (m *DictMemo[S]) Resolve(b *Batch, id uint32) (codes []uint8, dict []string, vals []S, fresh bool) {
+	codes, dict, sd := b.dictOf(id)
+	if dict == nil {
+		return nil, nil, nil, false
+	}
+	if sd != nil && sd == m.sd {
+		return codes, dict, m.vals, false
+	}
+	m.sd = sd
+	m.vals = slices.Grow(m.vals[:0], len(dict))[:len(dict)]
+	clear(m.vals)
+	return codes, dict, m.vals, true
+}
+
+// DictFunc is a function of dictionary values whose results a section
+// dictionary keeps: whichever scan asks first, it runs once per entry of a
+// section's dictionary for the life of the section — and once per entry of
+// a block's own dictionary per block.
+type DictFunc[S any] struct {
+	f    func(string) S
+	slot int32
+}
+
+var dictFuncs atomic.Int32
+
+// NewDictFunc returns f as a DictFunc. Make one per function, at init: a
+// section dictionary keeps results per DictFunc.
+func NewDictFunc[S any](f func(string) S) *DictFunc[S] {
+	return &DictFunc[S]{f: f, slot: dictFuncs.Add(1)}
+}
+
+// Of returns the function of v.
+func (r *DictFunc[S]) Of(v string) S { return r.f(v) }
+
+// Resolve returns column id of b in dictionary form, as Dict does, and
+// vals, the function of each entry: held by a section dictionary, or — for
+// a block's own — computed into buf; nils where Dict returns nil.
+func (r *DictFunc[S]) Resolve(b *Batch, id uint32, buf *[MaxDictLen]S) (codes []uint8, dict []string, vals []S) {
+	codes, dict, sd := b.dictOf(id)
+	if sd == nil {
+		vals = buf[:len(dict)]
+		for k, v := range dict {
+			vals[k] = r.f(v)
+		}
+		return codes, dict, vals
+	}
+	if v, ok := sd.derived.Load(r.slot); ok {
+		return codes, dict, v.([]S)
+	}
+	kept := make([]S, len(dict))
+	for k, v := range dict {
+		kept[k] = r.f(v)
+	}
+	sd.derived.Store(r.slot, kept)
+	return codes, dict, kept
 }
 
 // Row returns row i. On a projected batch the row carries only the
@@ -158,6 +285,9 @@ func (b *Batch) Row(i int) Row {
 	}
 	b.rowCols = b.rowCols[:0]
 	for j, id := range b.project {
+		if c := &b.cols[j]; c.tmpls != nil && !c.filled {
+			b.fill(c)
+		}
 		if v := b.cols[j].vals[i]; v != "" {
 			b.rowCols = append(b.rowCols, Col{ID: id, Value: v})
 		}
@@ -264,10 +394,17 @@ func (c *concat) Close() error {
 	return nil
 }
 
-// scanBufs is what a block is decoded from: the raw block as read, and the
+// scanBufs is what a block is decoded from: the raw block as read, the
 // arena of what front coding makes the decoder rebuild — the keys, long
-// values. Pooled across scans.
-type scanBufs struct{ block, arena []byte }
+// values — and the room for the cells templates make it reassemble.
+// Pooled across scans.
+type scanBufs struct {
+	block, arena, text []byte
+	// An unprojected decode's columns, and the place of each name-table
+	// index among them.
+	vecs []colVec
+	at   []int32
+}
 
 var scanBufPool = sync.Pool{New: func() any { return &scanBufs{block: make([]byte, 0, 32<<10)} }}
 
@@ -290,9 +427,9 @@ type scanInput struct {
 // chain of segments with disjoint key ranges: it reads each segment's
 // unpruned in-range blocks in order — off the local file, or through the
 // tier's verified block cache when the segment is evicted — and decodes
-// each into its Batch, v4 and v5 blocks alike. Of a v5 block it visits the
-// chunks of the projected columns only; in a v4 block it steps over rows
-// outside rg and cells outside the projection by their lengths.
+// each into its Batch, v5 and v6 blocks alike, visiting the chunks of the
+// projected columns only and of the hole columns of a projected column in
+// template form.
 type BatchScanner struct {
 	scanInput             // the segment being scanned; s == nil between segments
 	next      []scanInput // the segments still to come
@@ -311,30 +448,28 @@ type BatchScanner struct {
 	// out stay valid for as long as a caller holds them (the Row adapter).
 	// Otherwise strings alias buf and arena and die with the next block.
 	owned bool
-	// arenaCap tracks the cell count of the largest v4 block so far, sizing
-	// the next owned arena so decode does one arena allocation per block.
-	arenaCap int
-	// Scratch of the v5 decoder: the column directory and — unprojected —
-	// the column being transposed into cells.
-	dir []colChunk
-	tmp *colVec
+	// Scratch of the decoder: the column directory and — unprojected — the
+	// order in which its columns are transposed into cells.
+	dir   []colChunk
+	order []int
 	// offer is what a Pruner is shown of a block: its statistics with its
 	// fold record attached.
 	offer  BlockStats
 	b      Batch
 	err    error
 	closed bool
-	// In-line storage of next and dir for the common scan: one segment, a
-	// handful of columns per block.
-	nextBuf [1]scanInput
-	dirBuf  [12]colChunk
+	// In-line storage of next, dir and order for the common scan: one
+	// segment, a handful of columns per block.
+	nextBuf  [1]scanInput
+	dirBuf   [12]colChunk
+	orderBuf [12]int
 }
 
 // open acquires the segments of inputs that can hold keys of rg, for a
 // scan in the order given. On error nothing stays acquired.
 func (sc *BatchScanner) open(rg Range, owned bool, segs []*Segment, cfgs []ScanConfig) error {
 	sc.rg, sc.owned = rg, owned
-	sc.next, sc.dir = sc.nextBuf[:0], sc.dirBuf[:0]
+	sc.next, sc.dir, sc.order = sc.nextBuf[:0], sc.dirBuf[:0], sc.orderBuf[:0]
 	for i, s := range segs {
 		if !s.Overlaps(rg) {
 			continue
@@ -369,8 +504,34 @@ func (sc *BatchScanner) advance() bool {
 		for _, id := range sc.s.colIDs {
 			sc.slots = append(sc.slots, int32(slices.Index(sc.b.project, id)))
 		}
+		sc.widen()
 	}
 	return true
+}
+
+// widen adds to the batch the hole columns of the segment's templates
+// that the projection lacks, where it holds the template column.
+func (sc *BatchScanner) widen() {
+	b, m := &sc.b, sc.s.meta
+	b.cols, b.holes, b.slots = b.cols[:len(b.project)], b.holes[:0], sc.slots
+	if len(m.Templates) == 0 || sc.slots[m.TmplCol] < 0 {
+		return
+	}
+	for _, t := range m.Templates {
+		for _, local := range t.local {
+			if sc.slots[local] >= 0 {
+				continue
+			}
+			id := sc.s.colIDs[local]
+			j := slices.Index(b.holes, id)
+			if j < 0 {
+				j = len(b.holes)
+				b.holes = append(b.holes, id)
+			}
+			sc.slots[local] = int32(len(b.project) + j)
+		}
+	}
+	b.cols = slices.Grow(b.cols, len(b.holes))[:len(b.project)+len(b.holes)]
 }
 
 // prunable reports whether block i may be skipped: the pruner proves no
@@ -431,11 +592,7 @@ func (sc *BatchScanner) fill() bool {
 		}
 		data, err := sc.read(blk)
 		if err == nil {
-			if sc.s.version == SegVersion {
-				err = sc.decode(data)
-			} else {
-				err = sc.decodeV4(data)
-			}
+			err = sc.decode(data)
 		}
 		if err != nil {
 			sc.err = fmt.Errorf("persist: %s: %w", sc.s.path, err)
@@ -484,26 +641,29 @@ func (sc *BatchScanner) read(blk int) (string, error) {
 	return unsafeString(buf), nil
 }
 
-// decode expands one v5 block into the batch: the keys and write
+// decode expands one block into the batch: the keys and write
 // timestamps, cut to the range, then the chunks of the columns the scan
 // wants and no others. Where no key is compared (the range holds the
 // block) or kept past it, the keys stay front-coded until Keys is called;
-// only their timestamps are walked off the chunk.
+// only their timestamps are walked off the chunk. A column in template
+// form is decoded after its holes, and its templated cells are
+// reassembled — in room sized here — when first asked for, or at once
+// where the batch is unprojected.
 func (sc *BatchScanner) decode(blk string) error {
 	b := &sc.b
 	b.reset()
-	var v5 blockV5
-	if err := v5.parse(blk, sc.s.colIDs, sc.dir); err != nil {
+	var pb parsedBlock
+	if err := pb.parse(blk, sc.s.meta, sc.s.colIDs, sc.dir); err != nil {
 		return err
 	}
-	sc.dir = v5.cols
-	n := v5.n
+	sc.dir = pb.cols
+	n := pb.n
 
 	// Every string rebuilt from a front coding lives in one arena, sized
 	// up front so that it never moves under the strings already in it;
 	// the keys take its head.
 	arena := sc.buf.arena[:0]
-	if need := v5.keyBytes + v5.frontBytes; sc.owned {
+	if need := pb.keyBytes + pb.frontBytes; sc.owned {
 		arena = make([]byte, 0, need)
 	} else if cap(arena) < need {
 		arena = make([]byte, 0, need)
@@ -512,13 +672,13 @@ func (sc *BatchScanner) decode(blk string) error {
 	var err error
 	lo, hi := 0, n
 	if !sc.owned && sc.lo == "" && sc.hi == "" {
-		if err := frontTS(v5.keys, v5.keyBytes, b.tsBuf[:n]); err != nil {
+		if err := frontTS(pb.keys, pb.keyBytes, b.tsBuf[:n]); err != nil {
 			return corrupt("keys: %w", err)
 		}
-		b.ts, b.keyChunk, b.keyArena = b.tsBuf[:n], v5.keys, arena[:v5.keyBytes]
+		b.ts, b.keyChunk, b.keyArena = b.tsBuf[:n], pb.keys, arena[:pb.keyBytes]
 		arena = b.keyArena
 	} else {
-		if arena, err = decodeFrontCoded(v5.keys, v5.keyBytes, b.keyBuf[:n], arena); err != nil {
+		if arena, err = decodeFrontCoded(pb.keys, pb.keyBytes, b.keyBuf[:n], arena); err != nil {
 			return corrupt("keys: %w", err)
 		}
 		if sc.lo != "" {
@@ -535,29 +695,44 @@ func (sc *BatchScanner) decode(blk string) error {
 		}
 		b.keys = b.keyBuf[lo:hi]
 	}
-	if err := decodeWriteTS(v5.wts, b.wtsBuf[:n]); err != nil {
+	if err := decodeWriteTS(pb.wts, b.wtsBuf[:n]); err != nil {
 		return err
 	}
 	b.WriteTS = b.wtsBuf[lo:hi]
 	b.lo, b.hi = lo, hi
 
 	if sc.slots != nil {
-		for i := range v5.cols {
-			c := &v5.cols[i]
+		var tc *colChunk
+		for i := range pb.cols {
+			c := &pb.cols[i]
 			j := sc.slots[c.local]
 			if j < 0 || len(b.cols[j].vals) > 0 {
 				continue // of two columns under one ID the first counts, as for Row.ColID
 			}
+			b.cols[j].vals = b.cols[j].vec[lo:hi]
+			if c.enc == encTemplate {
+				tc = c // after the columns its holes name
+				continue
+			}
 			if arena, err = c.decode(n, &b.cols[j], arena); err != nil {
 				return fmt.Errorf("%w (column %q)", err, sc.s.meta.ColNames[c.local])
 			}
-			b.cols[j].vals = b.cols[j].vec[lo:hi]
 		}
 		for j := range b.cols {
 			if c := &b.cols[j]; len(c.vals) == 0 { // no cell of the column in this block
 				c.vals = c.vec[lo:hi]
 				clear(c.vals)
 			}
+		}
+		if tc == nil {
+			return nil
+		}
+		v := &b.cols[sc.slots[tc.local]]
+		if _, err = tc.decode(n, v, nil); err == nil {
+			b.text, err = sc.textRoom(v, n, lo, hi, pb.cols, b.cols, sc.slots)
+		}
+		if err != nil {
+			return fmt.Errorf("%w (column %q)", err, sc.s.meta.ColNames[tc.local])
 		}
 		return nil
 	}
@@ -567,8 +742,8 @@ func (sc *BatchScanner) decode(blk string) error {
 	// cells sorted as the Row form wants them.
 	window := ^uint64(0) >> (64 - (hi - lo)) << lo
 	var at [indexEvery + 1]int32 // at[i+1]: cells of row lo+i, then where its next cell goes
-	for i := range v5.cols {
-		for m := v5.cols[i].present & window; m != 0; m &= m - 1 {
+	for i := range pb.cols {
+		for m := pb.cols[i].present & window; m != 0; m &= m - 1 {
 			at[bits.TrailingZeros64(m)-lo+1]++
 		}
 	}
@@ -581,130 +756,74 @@ func (sc *BatchScanner) decode(blk string) error {
 	} else {
 		b.cells = slices.Grow(b.cells, total)[:total]
 	}
-	slices.SortStableFunc(v5.cols, func(x, y colChunk) int { return int(x.id) - int(y.id) })
-	if sc.tmp == nil {
-		sc.tmp = new(colVec)
+	// Decode every column into a vector of its own, one in template form
+	// after the rest, then transpose them in ID order.
+	if len(sc.buf.vecs) < len(pb.cols) {
+		sc.buf.vecs = make([]colVec, len(pb.cols))
 	}
-	for i := range v5.cols {
-		c := &v5.cols[i]
-		if arena, err = c.decode(n, sc.tmp, arena); err != nil {
+	vecs, tc := sc.buf.vecs[:len(pb.cols)], -1
+	sc.order = sc.order[:0]
+	for i := range pb.cols {
+		c := &pb.cols[i]
+		sc.order = append(sc.order, i)
+		if c.enc == encTemplate {
+			tc = i
+			continue
+		}
+		if arena, err = c.decode(n, &vecs[i], arena); err != nil {
 			return fmt.Errorf("%w (column %q)", err, sc.s.meta.ColNames[c.local])
 		}
+	}
+	if tc >= 0 {
+		c := &pb.cols[tc]
+		place := slices.Grow(sc.buf.at[:0], len(sc.s.colIDs))[:len(sc.s.colIDs)]
+		sc.buf.at = place
+		for i := range pb.cols {
+			place[pb.cols[i].local] = int32(i)
+		}
+		var text []byte
+		if _, err = c.decode(n, &vecs[tc], nil); err == nil {
+			text, err = sc.textRoom(&vecs[tc], n, lo, hi, pb.cols, vecs, place)
+		}
+		if err != nil {
+			return fmt.Errorf("%w (column %q)", err, sc.s.meta.ColNames[c.local])
+		}
+		fillTemplates(&vecs[tc], lo, hi, text, vecs, place)
+	}
+	slices.SortStableFunc(sc.order, func(x, y int) int { return int(pb.cols[x].id) - int(pb.cols[y].id) })
+	for _, i := range sc.order {
+		c := &pb.cols[i]
 		for m := c.present & window; m != 0; m &= m - 1 {
 			row := bits.TrailingZeros64(m)
-			b.cells[at[row-lo]] = Col{ID: c.id, Value: sc.tmp.vec[row]}
+			b.cells[at[row-lo]] = Col{ID: c.id, Value: vecs[i].vec[row]}
 			at[row-lo]++
 		}
 	}
 	return nil
 }
 
-// decodeV4 walks the rows of one v4 block — length-prefixed cells, row
-// after row — into the batch. Of a block of at most MaxBatchRows rows it
-// accepts and rejects exactly what StringDec.Row does, cell by cell,
-// whether or not the cell is kept.
-func (sc *BatchScanner) decodeV4(blk string) error {
-	b := &sc.b
-	b.reset()
+// textRoom returns empty room for the templated cells of rows [lo, hi) of
+// v, a column in template form of a block of n rows whose directory is
+// dir, its holes vecs[at[local]]: the pooled buffer, or a fresh one where
+// the scan owns its batches.
+func (sc *BatchScanner) textRoom(v *colVec, n, lo, hi int, dir []colChunk, vecs []colVec, at []int32) ([]byte, error) {
+	need, err := templateBytes(v, n, lo, hi, dir, vecs, at)
+	if err != nil {
+		return nil, err
+	}
 	if sc.owned {
-		if sc.arenaCap == 0 {
-			sc.arenaCap = 4 * indexEvery
-		}
-		b.cells = make([]Col, 0, sc.arenaCap)
+		return make([]byte, 0, need), nil
 	}
-	ids := sc.s.colIDs
-	d := StringDec{s: blk}
-	for d.Rest() > 0 {
-		key, err := d.String()
-		if err != nil {
-			return fmt.Errorf("persist: row key: %w", err)
-		}
-		if sc.hi != "" && key >= sc.hi {
-			break // keys ascend: the rest of the block is out of range
-		}
-		ts, err := d.Varint()
-		if err != nil {
-			return fmt.Errorf("persist: row write-ts: %w", err)
-		}
-		ncols, err := d.Uvarint()
-		if err != nil {
-			return fmt.Errorf("persist: row column count: %w", err)
-		}
-		if ncols > maxCols {
-			return fmt.Errorf("persist: column count %d exceeds sanity bound", ncols)
-		}
-		keep := sc.lo == "" || key >= sc.lo // else: skipping from the sparse-index seek point
-		row, start := len(b.keys), len(b.cells)
-		if keep && row == MaxBatchRows {
-			return fmt.Errorf("persist: block of more than %d rows", MaxBatchRows)
-		}
-		for i := uint64(0); i < ncols; i++ {
-			idx, v, short := d.shortCell()
-			if !short {
-				if idx, err = d.Uvarint(); err != nil {
-					return fmt.Errorf("persist: row column %d: %w", i, err)
-				}
-				if v, err = d.String(); err != nil {
-					return fmt.Errorf("persist: row column %d value: %w", i, err)
-				}
-			}
-			if idx >= uint64(len(ids)) {
-				return fmt.Errorf("persist: row %q references unknown column id %d (table has %d)", key, idx, len(ids))
-			}
-			if !keep {
-				continue
-			}
-			if sc.slots == nil {
-				b.cells = append(b.cells, Col{ID: ids[idx], Value: v})
-			} else if j := sc.slots[idx]; j >= 0 && len(b.cols[j].vals) == row {
-				// The length test keeps the first of duplicate cells, as
-				// Row.ColID does.
-				b.cols[j].vals = append(b.cols[j].vals, v)
-			}
-		}
-		if !keep {
-			continue
-		}
-		b.keys = append(b.keys, key)
-		b.WriteTS = append(b.WriteTS, ts)
-		if sc.slots == nil {
-			// Writers emit columns in their dictionary order, which need
-			// not match this process's; restore the sorted-by-ID invariant
-			// (near-sorted in practice, so the insertion sort is ~free).
-			sortCols(b.cells[start:])
-			b.ends = append(b.ends, int32(len(b.cells)))
-			continue
-		}
-		for j := range b.cols {
-			if c := &b.cols[j]; len(c.vals) == row {
-				c.vals = append(c.vals, "") // column absent from this row
-			}
-		}
+	if cap(sc.buf.text) < need {
+		sc.buf.text = make([]byte, 0, need)
 	}
-	if len(b.cells) > sc.arenaCap {
-		sc.arenaCap = len(b.cells)
-	}
-	return nil
+	return sc.buf.text[:0:need], nil
 }
 
-// shortCell decodes one v4 cell — column index, then length-prefixed value
-// — when both varints take one byte, which is every cell but a long raw
-// message; small enough to inline into the walker's inner loop.
-func (d *StringDec) shortCell() (idx uint64, v string, ok bool) {
-	s, p := d.s, d.pos
-	if p+1 < len(s) && s[p] < 0x80 && s[p+1] < 0x80 {
-		if end := p + 2 + int(s[p+1]); end <= len(s) {
-			d.pos = end
-			return uint64(s[p]), s[p+2 : end], true
-		}
-	}
-	return 0, "", false
-}
-
-// poison scribbles over the block buffer and the arena (see
-// PoisonBatches).
+// poison scribbles over the block buffer, the arena and the room for
+// templated cells (see PoisonBatches).
 func (sc *BatchScanner) poison() {
-	for _, buf := range [][]byte{sc.buf.block[:cap(sc.buf.block)], sc.buf.arena[:cap(sc.buf.arena)]} {
+	for _, buf := range [][]byte{sc.buf.block[:cap(sc.buf.block)], sc.buf.arena[:cap(sc.buf.arena)], sc.buf.text[:cap(sc.buf.text)]} {
 		for i := range buf {
 			buf[i] = 0xA5
 		}
@@ -732,7 +851,7 @@ func (sc *BatchScanner) Close() error {
 	}
 	sc.b.release()
 	scanBufPool.Put(sc.buf)
-	sc.buf, sc.dir, sc.tmp = nil, nil, nil
+	sc.buf, sc.dir = nil, nil
 	return nil
 }
 

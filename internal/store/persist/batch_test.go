@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -8,22 +9,6 @@ import (
 	"strings"
 	"testing"
 )
-
-// refBlock decodes a block the reference way: StringDec.Row until the
-// bytes run out.
-func refBlock(blk string, ids []uint32) ([]Row, error) {
-	d := NewStringDec(blk)
-	var rows []Row
-	var arena []Col
-	for d.Rest() > 0 {
-		r, err := d.Row(ids, &arena)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
-}
 
 // checkBatch asserts b holds exactly rows, restricted to project.
 func checkBatch(t testing.TB, b *Batch, rows []Row, project []uint32) {
@@ -56,16 +41,16 @@ func checkBatch(t testing.TB, b *Batch, rows []Row, project []uint32) {
 	}
 }
 
-// blockScanner readies a scanner to decode raw block bytes of a segment
-// with the name table ids.
-func blockScanner(ids, project []uint32) *BatchScanner {
+// blockScanner readies a scanner to decode raw block bytes of seg.
+func blockScanner(seg *Segment, project []uint32) *BatchScanner {
 	sc := &BatchScanner{buf: &scanBufs{}}
-	sc.s = &Segment{path: "fuzz", colIDs: ids, meta: &footerMeta{ColNames: make([]string, len(ids))}}
+	sc.s = seg
 	sc.b.setProject(project)
 	if project != nil {
-		for _, id := range ids {
+		for _, id := range seg.colIDs {
 			sc.slots = append(sc.slots, int32(slices.Index(sc.b.project, id)))
 		}
+		sc.widen()
 	}
 	return sc
 }
@@ -85,93 +70,106 @@ func rawBlocks(t testing.TB, seg *Segment) [][]byte {
 	return out
 }
 
-// FuzzDecodeBlockProjected: on arbitrary block bytes the block decoder —
-// with every projection of a small column table, including none and all —
-// reads a v4 block exactly as StringDec.Row does, accepting and rejecting
-// the same bytes, and reads a v5 block under a projection as it reads it
-// whole, never taking more arena than 64 times the block.
-func FuzzDecodeBlockProjected(f *testing.F) {
-	ids := []uint32{InternColumn("fz-a"), InternColumn("fz-b"), InternColumn("fz-c"), InternColumn("fz-a")}
-	var tb colTableEnc
-	var blk []byte
-	for i, r := range benchSegmentRows(3) {
-		r.cols = []Col{{ID: ids[0], Value: "x"}, {ID: ids[1], Value: fmt.Sprint(i)}, {ID: ids[2], Value: ""}}
-		blk = appendRowBody(blk, r, &tb)
-	}
-	f.Add(blk, uint8(0b101))
-	f.Add(blk[:len(blk)-3], uint8(0b111))
-	f.Add([]byte("\x01k\x02\x02\x00\x01a\x03\x01b"), uint8(0b001)) // columns 0 and 3 share an ID
-	f.Add([]byte("\x01k\x02\x01\x09\x00"), uint8(0))               // unknown column index
-	f.Add([]byte{}, uint8(0))
-	// v5 blocks in every encoding, over the same three names: constant,
-	// 4-bit and 8-bit dictionary, plain, front-coded, sparse.
+// fuzzSection writes the section the block fuzzer reads its bytes
+// against: over six names, blocks in every encoding — constant (fz-a),
+// section codes of both widths (fz-b), front-coded (fz-c), 4-bit and 8-bit
+// dictionary (fz-d, whose rows without a cell keep it out of a section
+// dictionary), plain (fz-e) and templates (raw), with cells that fit no
+// template — most of them sparse.
+func fuzzSection(t testing.TB) (*Segment, []uint32) {
+	ids := []uint32{InternColumn("fz-a"), InternColumn("fz-b"), InternColumn("fz-c"), templateColID,
+		InternColumn("fz-d"), InternColumn("fz-e")}
 	var rows []Row
-	for i := 0; i < indexEvery+5; i++ {
-		cols := []Col{{ID: ids[0], Value: "x"}, {ID: ids[1], Value: fmt.Sprint(i % 20)}}
+	for i := 0; i < 3*indexEvery+5; i++ {
+		b, d := fmt.Sprint(i%20), fmt.Sprint(i%7)
+		if i > 2*indexEvery {
+			b, d = fmt.Sprint(i%2), fmt.Sprint(i%19)
+		}
+		cols := []Col{{ID: ids[0], Value: "x"}, {ID: ids[1], Value: b}, {ID: ids[5], Value: fmt.Sprint(i * 7919)}}
 		if i%3 > 0 {
 			cols = append(cols, Col{ID: ids[2], Value: strings.Repeat("long shared head ", 2) + fmt.Sprint(i*i)})
 		}
-		if i > indexEvery {
-			cols[1].Value = fmt.Sprint(i % 2)
+		if i%4 > 0 {
+			raw := "b=" + b + " seen"
+			if i%4 == 3 {
+				raw = fmt.Sprintf("free text %d", i*i)
+			}
+			cols = append(cols, Col{ID: ids[3], Value: raw})
 		}
-		rows = append(rows, Row{Key: EncodeTS(int64(i)) + ":k", WriteTS: int64(i * 3 % 7), cols: cols})
+		if i%5 > 0 {
+			cols = append(cols, Col{ID: ids[4], Value: d})
+		}
+		rows = append(rows, MakeRow(EncodeTS(int64(i))+":k", int64(i*3%7), cols))
 	}
 	w := NewWriter("t", "p", 1)
 	if err := w.SetZoneColumns([]string{}); err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
 	for _, r := range rows {
 		if err := w.Append(r); err != nil {
-			f.Fatal(err)
+			t.Fatal(err)
 		}
 	}
-	seg, err := w.Finish(filepath.Join(f.TempDir(), "seed.seg"))
+	seg, err := w.Finish(filepath.Join(t.TempDir(), "seed.seg"))
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { seg.Close() })
+	return seg, ids
+}
+
+// FuzzDecodeBlockProjected: on arbitrary block bytes, read against the
+// dictionaries and templates of a v6 section, the block decoder — with
+// every projection of the section's column table, including none and all —
+// reads a block under a projection as it reads it whole, and reassembles
+// a templated cell as it does whole, never taking more arena than 64
+// times the block. Codes past their tables and holes in columns the block
+// lacks fail, whole and projected alike (TestDecodeRejectsCodesPastTables).
+func FuzzDecodeBlockProjected(f *testing.F) {
+	seg, ids := fuzzSection(f)
+	encs := make(map[byte]bool)
 	for _, blk := range rawBlocks(f, seg) {
-		f.Add(blk, uint8(0b110))
-		f.Add(blk[:len(blk)/2], uint8(0b011))
+		var v parsedBlock
+		if err := v.parse(string(blk), seg.meta, seg.colIDs, nil); err != nil {
+			f.Fatal(err)
+		}
+		for _, c := range v.cols {
+			encs[c.enc] = true
+		}
+		f.Add(blk, uint8(0b0110110))
+		f.Add(blk, uint8(0b1001000))
+		f.Add(blk[:len(blk)/2], uint8(0b0010011))
 	}
-	seg.Close()
+	if len(encs) != encKinds {
+		f.Fatalf("the seed section uses encodings %v, not all %d", encs, encKinds)
+	}
+	for _, blk := range hostileBlocks(f, seg) {
+		f.Add(blk, uint8(0b0111111))
+	}
+	f.Add([]byte{}, uint8(0))
 
 	f.Fuzz(func(t *testing.T, data []byte, mask uint8) {
 		blk := string(data)
 		projections := [][]uint32{{}}
 		var p []uint32
-		for j, id := range ids[:3] {
+		for j, id := range ids {
 			if mask&(1<<j) != 0 {
 				p = append(p, id)
 			}
 		}
-		if mask&(1<<3) != 0 {
+		if mask&(1<<6) != 0 {
 			slices.Reverse(p)
 		}
 		projections = append(projections, p)
 
-		want, wantErr := refBlock(blk, ids)
-		if wantErr == nil && len(want) > MaxBatchRows {
-			wantErr = fmt.Errorf("%d rows", len(want))
-		}
-		for _, project := range append(projections, nil) {
-			sc := blockScanner(ids, project)
-			b, err := &sc.b, sc.decodeV4(blk)
-			if (err != nil) != (wantErr != nil) {
-				t.Fatalf("v4, projection %v: err = %v, StringDec.Row says %v", project, err, wantErr)
-			}
-			if err == nil {
-				checkBatch(t, b, want, project)
-			}
-		}
-
-		whole := blockScanner(ids, nil)
+		whole := blockScanner(seg, nil)
 		wholeErr := whole.decode(blk)
 		var rows []Row
 		for i := 0; wholeErr == nil && i < whole.b.Len(); i++ {
 			rows = append(rows, whole.b.Row(i))
 		}
 		for _, project := range projections {
-			sc := blockScanner(ids, project)
+			sc := blockScanner(seg, project)
 			err := sc.decode(blk)
 			if cap(sc.buf.arena) > 64*len(data) {
 				t.Fatalf("a %d-byte block made the decoder take a %d-byte arena", len(data), cap(sc.buf.arena))
@@ -180,11 +178,133 @@ func FuzzDecodeBlockProjected(f *testing.F) {
 				continue // the damage may sit in a chunk the projection hops over
 			}
 			if err != nil {
-				t.Fatalf("v5, projection %v: %v, though the whole block decodes", project, err)
+				t.Fatalf("projection %v: %v, though the whole block decodes", project, err)
 			}
 			checkBatch(t, &sc.b, rows, project)
 		}
 	})
+}
+
+// rawChunk is one column of a block's directory as its bytes lie: name
+// index, tag and chunk, which starts at off in the block.
+type rawChunk struct {
+	local uint64
+	tag   byte
+	off   int
+	data  string
+}
+
+// blockDir walks the directory of a well-formed block: its head (row
+// count, key and write-ts chunks) and its columns.
+func blockDir(t testing.TB, blk string) (head string, cols []rawChunk) {
+	t.Helper()
+	d := StringDec{s: blk}
+	n, err := d.Uvarint()
+	if err == nil {
+		_, err = d.String()
+	}
+	if err == nil {
+		_, err = d.String()
+	}
+	head = blk[:d.pos]
+	ncols, err2 := d.Uvarint()
+	if err != nil || err2 != nil || n == 0 {
+		t.Fatalf("block head: %v %v", err, err2)
+	}
+	for i := uint64(0); i < ncols; i++ {
+		var c rawChunk
+		c.local, err = d.Uvarint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.tag = blk[d.pos]
+		d.pos++
+		if c.data, err = d.String(); err != nil {
+			t.Fatal(err)
+		}
+		c.off = d.pos - len(c.data)
+		cols = append(cols, c)
+	}
+	return head, cols
+}
+
+// hostileBlocks returns blocks of seg (fuzzSection's) damaged where v6
+// reads its tables: a section code and a template code past their tables,
+// and a block that uses a template without its hole column.
+func hostileBlocks(t testing.TB, seg *Segment) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	bLocal := uint64(slices.Index(seg.colIDs, InternColumn("fz-b")))
+	for _, blk := range rawBlocks(t, seg) {
+		head, cols := blockDir(t, string(blk))
+		templated := false
+		for _, c := range cols {
+			at := c.off
+			if c.tag&encSparse != 0 {
+				at += 8
+			}
+			switch c.tag & encMask {
+			case encSection:
+				if out["section"] == nil && blk[at] == 8 {
+					bad := slices.Clone(blk)
+					bad[at+1] = byte(len(seg.meta.Dicts[c.local].vals))
+					out["section"] = bad
+				}
+			case encTemplate:
+				for k := at; k < len(blk) && k < at+indexEvery; k++ {
+					if blk[k] > 0 {
+						templated = true
+						if out["template"] == nil {
+							bad := slices.Clone(blk)
+							bad[k] = byte(len(seg.meta.Templates) + 1)
+							out["template"] = bad
+						}
+						break
+					}
+				}
+			}
+		}
+		if !templated || out["hole"] != nil {
+			continue
+		}
+		// Drop the templates' hole column from the block.
+		var kept []rawChunk
+		for _, c := range cols {
+			if c.local != bLocal {
+				kept = append(kept, c)
+			}
+		}
+		bad := binary.AppendUvarint([]byte(head), uint64(len(kept)))
+		for _, c := range kept {
+			bad = append(binary.AppendUvarint(bad, c.local), c.tag)
+			bad = appendChunk(bad, []byte(c.data))
+		}
+		out["hole"] = bad
+	}
+	for _, name := range []string{"section", "template", "hole"} {
+		if out[name] == nil {
+			t.Fatalf("the seed section has no block to damage as %q", name)
+		}
+	}
+	return out
+}
+
+// TestDecodeRejectsCodesPastTables: a section code or a template code past
+// its table, and a template whose hole column the block lacks, fail the
+// block, whole and under every projection that reads the column.
+func TestDecodeRejectsCodesPastTables(t *testing.T) {
+	seg, ids := fuzzSection(t)
+	for name, blk := range hostileBlocks(t, seg) {
+		for _, project := range [][]uint32{nil, ids, {templateColID}, {InternColumn("fz-b")}} {
+			if name != "section" && slices.Equal(project, []uint32{InternColumn("fz-b")}) {
+				continue // a projection that reads no template
+			}
+			sc := blockScanner(seg, project)
+			if err := sc.decode(string(blk)); err == nil {
+				t.Errorf("%s, projection %v: decoded", name, project)
+			}
+		}
+	}
 }
 
 // collectBatches drains a batch iterator into deep-copied rows.

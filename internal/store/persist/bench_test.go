@@ -3,6 +3,7 @@ package persist
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -127,24 +128,37 @@ func BenchmarkSegmentScanBatches(b *testing.B) {
 	}
 }
 
-// BenchmarkScanBatches holds the two block decoders side by side: the
-// event-shaped fixture as the v4 writer left it and re-encoded as v5,
-// batch-scanned whole, for a heat map's two columns, and for the raw text.
-// Run at -benchtime 1x by `make bench-smoke`, so neither reader can rot.
+// BenchmarkScanBatches holds the two block generations side by side: the
+// event-shaped fixture as the v5 writer left it and re-encoded as v6 with
+// its raw text under the column name templates code, batch-scanned whole,
+// for a heat map's two columns, and for the raw text. Run at -benchtime 1x
+// by `make bench-smoke`, so neither reader can rot.
 func BenchmarkScanBatches(b *testing.B) {
 	hs := hostileSegs()[0]
-	projections := []struct {
-		name    string
-		project []uint32
-	}{
-		{"all", nil},
-		{"source+amount", []uint32{InternColumn("hz-source"), InternColumn("hz-amount")}},
-		{"raw", []uint32{InternColumn("hz-raw")}},
+	v5 := openV5(b, hs)
+	rawID := InternColumn("hz-raw")
+	for i, r := range hs.rows {
+		cols := slices.Clone(r.Cols())
+		for k := range cols {
+			if cols[k].ID == rawID {
+				cols[k].ID = templateColID
+			}
+		}
+		hs.rows[i] = MakeRow(r.Key, r.WriteTS, cols)
 	}
 	for _, gen := range []struct {
 		name string
 		seg  *Segment
-	}{{"v4", openV4(b, hs)}, {"v5", writeV5(b, b.TempDir(), hs, 1)}} {
+		raw  uint32
+	}{{"v5", v5, rawID}, {"v6", writeV6(b, b.TempDir(), hs, 1), templateColID}} {
+		projections := []struct {
+			name    string
+			project []uint32
+		}{
+			{"all", nil},
+			{"source+amount", []uint32{InternColumn("hz-source"), InternColumn("hz-amount")}},
+			{"raw", []uint32{gen.raw}},
+		}
 		for _, p := range projections {
 			b.Run(gen.name+"/"+p.name, func(b *testing.B) {
 				b.ReportAllocs()
@@ -157,6 +171,7 @@ func BenchmarkScanBatches(b *testing.B) {
 					n := 0
 					for batch, ok := sc.Next(); ok; batch, ok = sc.Next() {
 						n += batch.Len()
+						batch.Col(gen.raw)
 					}
 					if err := sc.Err(); err != nil || n != len(hs.rows) {
 						b.Fatalf("scanned %d of %d rows: %v", n, len(hs.rows), err)

@@ -4,11 +4,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
+	"sort"
+	"strings"
 )
 
-// Codec v5 block body. A block is the run of at most indexEvery rows
-// between two sparse-index offsets; v5 stores it column by column, every
-// chunk behind its length, so a reader hops over what it does not want:
+// Codec v6 block body. A block is the run of at most indexEvery rows
+// between two sparse-index offsets, stored column by column, every chunk
+// behind its length, so a reader hops over what it does not want:
 //
 //	uvarint nrows
 //	chunk   keys     uvarint total key bytes | per row: uvarint shared-prefix
@@ -24,18 +27,29 @@ import (
 // row i has the cell — an explicit empty value is a present cell), and then
 // holds the present cells in row order in the tag's encoding:
 //
-//	encConst  uvarint len | value                          every cell alike
-//	encDict4  uvarint n | n × (uvarint len | value) | 4-bit codes, low nibble first
-//	encDict8  the same with one code byte per cell
-//	encPlain  uvarint len per cell | the values back to back
-//	encFront  uvarint total value bytes | per cell: uvarint shared-prefix
-//	          length with the previous cell, uvarint suffix length, suffix
+//	encConst    uvarint len | value                          every cell alike
+//	encDict4    uvarint n | n × (uvarint len | value) | 4-bit codes, low nibble first
+//	encDict8    the same with one code byte per cell
+//	encPlain    uvarint len per cell | the values back to back
+//	encFront    uvarint total value bytes | per cell: uvarint shared-prefix
+//	            length with the previous cell, uvarint suffix length, suffix
+//	encSection  width byte | codes into the column's section dictionary (in
+//	            the footer): width 0, one code byte for every cell; 4, 4-bit
+//	            codes, low nibble first; 8, a code byte per cell. A row
+//	            without the cell reads the dictionary's "".
+//	encTemplate a code byte per cell | per cell of code 0: uvarint len | value.
+//	            Code k > 0 is the section's template k-1 (footer) filled with
+//	            the row's cells of its holes, which the block carries.
+//
+// A v5 block is the same without the last two encodings.
 const (
 	encConst = iota
 	encDict4
 	encDict8
 	encPlain
 	encFront
+	encSection
+	encTemplate
 	encKinds
 
 	encMask   = 0x07
@@ -50,7 +64,17 @@ const (
 	// front-coded: rebuilding a value in the arena costs a copy that short
 	// strings do not repay.
 	frontMinMean = 24
+	// sectionDictMax is the largest section dictionary, and maxTemplates
+	// the largest template table: a code byte addresses either.
+	sectionDictMax = 256
+	maxTemplates   = 255
 )
+
+// The template column is the raw message kept beside the fields cut out of
+// it: its cells are coded as templates over their row's other cells. The
+// amount column never fills a hole — a count of 1 would cut any digit out
+// of the text.
+var templateColID, holelessColID = defaultDict.Intern("raw"), defaultDict.Intern("amount")
 
 // Presence bitmaps and dictionary codes are sized for blocks of at most 64
 // rows.
@@ -96,6 +120,20 @@ type blockEnc struct {
 	dense []string // present cells of the column being encoded
 	set   valueSet
 	chunk []byte
+	// dicts holds, by name-table index, each column's section dictionary so
+	// far; tcodes and scodes the template and section codes of the column
+	// being encoded, per present cell and per distinct value.
+	dicts  []secDict
+	tcodes [indexEvery]uint8
+	scodes [indexEvery]uint8
+	cands  []holeCand
+}
+
+// secDict is one column's section dictionary while the section is written:
+// its values in code order, owned, and the code of each.
+type secDict struct {
+	vals  []string
+	codes map[string]uint8
 }
 
 // encCol is one column of the block: vals[i] is row i's cell where bit i
@@ -160,7 +198,7 @@ func (s *valueSet) fill(cells []string) {
 	}
 }
 
-// encodeBlock appends the buffered rows to the image as one v5 block,
+// encodeBlock appends the buffered rows to the image as one block,
 // returning the bounds of the rows' write timestamps, and feeds
 // the block's Bloom filter and zone maps (w.bb, w.zones) once per distinct
 // value of each column. The rows are dropped.
@@ -235,12 +273,15 @@ func (w *Writer) encodeBlock() (minWTS, maxWTS int64) {
 	for i := 1; i < len(e.cols); i++ { // near-sorted: new names get the next index
 		for j := i; j > 0 && e.cols[j].local < e.cols[j-1].local; j-- {
 			e.cols[j], e.cols[j-1] = e.cols[j-1], e.cols[j]
+			e.slot[e.cols[j].local], e.slot[e.cols[j-1].local] = int32(j+1), int32(j)
 		}
 	}
 	out = binary.AppendUvarint(out, uint64(len(e.cols)))
 	for i := range e.cols {
+		out = w.encodeCol(out, &e.cols[i], n)
+	}
+	for i := range e.cols {
 		col := &e.cols[i]
-		out = w.encodeCol(out, col, n)
 		e.slot[col.local] = 0
 		clear(col.vals) // the scratch outlives the block; pin no row
 	}
@@ -271,7 +312,7 @@ func (w *Writer) encodeCol(out []byte, col *encCol, n int) []byte {
 	plain += total
 	enc, size := encPlain, plain
 	if set.n == 1 {
-		enc = encConst
+		enc, size = encConst, uvarintLen(uint64(len(cells[0])))+len(cells[0])
 	} else {
 		dict, codes := uvarintLen(uint64(set.n)), encDict8
 		for _, v := range set.vals[:set.n] {
@@ -292,9 +333,19 @@ func (w *Writer) encodeCol(out []byte, col *encCol, n int) []byte {
 				prev = v
 			}
 			if front < size {
-				enc = encFront
+				enc, size = encFront, front
 			}
 		}
+	}
+	if col.id == templateColID {
+		if tsize := w.templateCodes(col, cells); tsize < size {
+			enc, size = encTemplate, tsize
+		}
+	}
+	ssize, width, ok := w.sectionCodes(col, set, len(cells), len(cells) < n)
+	if ok && ssize <= size {
+		enc = encSection
+		w.addSection(col, set, len(cells) < n)
 	}
 
 	tag := byte(enc)
@@ -336,11 +387,247 @@ func (w *Writer) encodeCol(out []byte, col *encCol, n int) []byte {
 		}
 	case encFront:
 		chunk = appendFrontCoded(chunk, total, cells)
+	case encSection:
+		chunk = append(chunk, byte(width))
+		codes := set.codes[:len(cells)]
+		switch width {
+		case 0:
+			chunk = append(chunk, e.scodes[0])
+		case 4:
+			for k := 0; k < len(codes); k += 2 {
+				c := e.scodes[codes[k]]
+				if k+1 < len(codes) {
+					c |= e.scodes[codes[k+1]] << 4
+				}
+				chunk = append(chunk, c)
+			}
+		case 8:
+			for _, v := range codes {
+				chunk = append(chunk, e.scodes[v])
+			}
+		}
+	case encTemplate:
+		codes := e.tcodes[:len(cells)]
+		chunk = append(chunk, codes...)
+		for k, v := range cells {
+			if codes[k] == 0 {
+				appendValue(v)
+			}
+		}
 	}
 	e.chunk = chunk
 	out = binary.AppendUvarint(out, uint64(col.local))
 	out = append(out, tag)
 	return appendChunk(out, chunk)
+}
+
+// sectionCodes sets e.scodes[k] to the section code distinct value k of
+// the column would take, and returns the width of the codes and what the
+// column then costs: its codes and, at most once per section, the
+// dictionary entries it adds — "" among them where rows lack the cell. ok
+// is false when the dictionary cannot take them all.
+func (w *Writer) sectionCodes(col *encCol, set *valueSet, cells int, sparse bool) (size, width int, ok bool) {
+	e := &w.enc
+	if col.local >= len(e.dicts) {
+		e.dicts = append(e.dicts, make([]secDict, col.local+1-len(e.dicts))...)
+	}
+	d := &e.dicts[col.local]
+	next := len(d.vals)
+	_, hasEmpty := d.codes[""]
+	for k, v := range set.vals[:set.n] {
+		c, known := d.codes[v]
+		if !known {
+			if next == sectionDictMax {
+				return 0, 0, false
+			}
+			c = uint8(next)
+			next++
+			size += uvarintLen(uint64(len(v))) + len(v)
+		}
+		hasEmpty = hasEmpty || v == ""
+		e.scodes[k] = c
+	}
+	if sparse && !hasEmpty {
+		if next == sectionDictMax {
+			return 0, 0, false
+		}
+		size++
+	}
+	switch {
+	case set.n == 1:
+		return size + 2, 0, true
+	case slices.Max(e.scodes[:set.n]) < dict4Max:
+		return size + 1 + (cells+1)/2, 4, true
+	}
+	return size + 1 + cells, 8, true
+}
+
+// addSection files in the column's section dictionary the values of set
+// that sectionCodes found new, and "" where rows lack the cell.
+func (w *Writer) addSection(col *encCol, set *valueSet, sparse bool) {
+	d := &w.enc.dicts[col.local]
+	if d.codes == nil {
+		d.codes = make(map[string]uint8)
+	}
+	add := func(v string) {
+		if _, ok := d.codes[v]; !ok {
+			v = strings.Clone(v) // the footer outlives the rows
+			d.codes[v] = uint8(len(d.vals))
+			d.vals = append(d.vals, v)
+		}
+	}
+	for _, v := range set.vals[:set.n] {
+		add(v)
+	}
+	if sparse {
+		add("")
+	}
+}
+
+// holeCand is a cell of a row that may fill a hole of the template of its
+// template cell.
+type holeCand struct {
+	local uint32
+	val   string
+	at    int // where the hole lands in the text, once placed; -1 until
+}
+
+// templateCodes sets e.tcodes[k] to the code of the section template that
+// the template column's present cell k reassembles from, adding templates
+// to the section's table as it must — 0 where none fits — and returns what
+// the column then costs.
+func (w *Writer) templateCodes(col *encCol, cells []string) int {
+	e := &w.enc
+	size := len(cells)
+	k := 0
+	for m := col.present; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		c := w.templateOf(cells[k], i)
+		e.tcodes[k] = c
+		if c == 0 {
+			size += uvarintLen(uint64(len(cells[k]))) + len(cells[k])
+		}
+		k++
+	}
+	return size
+}
+
+// templateOf returns the code of the section template that, filled with
+// row i's cells of its holes, is v byte for byte: one of the known
+// templates, tried last hit first, or one derived from v and added — 0
+// where none can be.
+func (w *Writer) templateOf(v string, i int) uint8 {
+	if v == "" {
+		return 0
+	}
+	for k := range w.tmpls {
+		t := (w.lastTmpl + k) % len(w.tmpls)
+		if w.fits(&w.tmpls[t], v, i) {
+			w.lastTmpl = t
+			return uint8(t + 1)
+		}
+	}
+	if len(w.tmpls) == maxTemplates {
+		return 0
+	}
+	t, ok := w.deriveTemplate(v, i)
+	if !ok || !w.fits(&t, v, i) {
+		return 0
+	}
+	w.tmpls = append(w.tmpls, t)
+	w.lastTmpl = len(w.tmpls) - 1
+	return uint8(len(w.tmpls))
+}
+
+// fits reports whether t filled with row i's cells of its holes is v. A
+// hole whose column row i lacks fits nothing.
+func (w *Writer) fits(t *Template, v string, i int) bool {
+	if t.size > len(v) || !strings.HasPrefix(v, t.Consts[0]) {
+		return false
+	}
+	v = v[len(t.Consts[0]):]
+	e := &w.enc
+	for k, local := range t.local {
+		if int(local) >= len(e.slot) || e.slot[local] == 0 {
+			return false
+		}
+		col := &e.cols[e.slot[local]-1]
+		if col.present&(1<<i) == 0 || !strings.HasPrefix(v, col.vals[i]) {
+			return false
+		}
+		v = v[len(col.vals[i]):]
+		if !strings.HasPrefix(v, t.Consts[k+1]) {
+			return false
+		}
+		v = v[len(t.Consts[k+1]):]
+	}
+	return v == ""
+}
+
+// deriveTemplate cuts holes in v for row i's other cells, the longest
+// first, each where it first occurs in what is still constant text; the
+// amount and empty cells cut none. ok is false where no cell occurs.
+func (w *Writer) deriveTemplate(v string, i int) (t Template, ok bool) {
+	e := &w.enc
+	cands := e.cands[:0]
+	for k := range e.cols {
+		col := &e.cols[k]
+		if col.id == templateColID || col.id == holelessColID || col.present&(1<<i) == 0 || col.vals[i] == "" {
+			continue
+		}
+		cands = append(cands, holeCand{uint32(col.local), col.vals[i], -1})
+	}
+	e.cands = cands
+	slices.SortFunc(cands, func(a, b holeCand) int {
+		if len(a.val) != len(b.val) {
+			return len(b.val) - len(a.val)
+		}
+		return int(a.local) - int(b.local)
+	})
+	// taken marks the bytes of v already cut out.
+	var taken []bool
+	holes := 0
+	for k := range cands {
+		c := &cands[k]
+		for from := 0; from+len(c.val) <= len(v); {
+			at := strings.Index(v[from:], c.val)
+			if at < 0 {
+				break
+			}
+			at += from
+			if taken == nil || !slices.Contains(taken[at:at+len(c.val)], true) {
+				if taken == nil {
+					taken = make([]bool, len(v))
+				}
+				for j := at; j < at+len(c.val); j++ {
+					taken[j] = true
+				}
+				c.at = at
+				holes++
+				break
+			}
+			from = at + 1
+		}
+	}
+	if holes == 0 {
+		return Template{}, false
+	}
+	slices.SortFunc(cands, func(a, b holeCand) int { return a.at - b.at })
+	prev := 0
+	for _, c := range cands {
+		if c.at < 0 {
+			continue
+		}
+		t.Consts = append(t.Consts, strings.Clone(v[prev:c.at]))
+		t.local = append(t.local, c.local)
+		t.Holes = append(t.Holes, w.tb.ids[c.local])
+		prev = c.at + len(c.val)
+	}
+	t.Consts = append(t.Consts, strings.Clone(v[prev:]))
+	for _, c := range t.Consts {
+		t.size += len(c)
+	}
+	return t, true
 }
 
 // noteColumn folds one column's distinct values into the block's Bloom
@@ -391,7 +678,7 @@ func (w *Writer) noteColumn(col *encCol, set *valueSet) {
 	}
 }
 
-// colChunk is one column of a v5 block as its directory describes it.
+// colChunk is one column of a block as its directory describes it.
 type colChunk struct {
 	id      uint32 // dictionary ID of the column
 	local   uint32 // index into the segment's name table
@@ -400,11 +687,15 @@ type colChunk struct {
 	present uint64 // bit i: row i carries the column
 	body    string // the encoded cells
 	total   int    // encFront: bytes the rebuilt values take
+	// The section's dictionary of the column (encSection) or its template
+	// table (encTemplate).
+	sdict *sectionDict
+	tmpls []Template
 }
 
-// blockV5 is a parsed v5 block: the row count, the two fixed chunks and
-// the column directory.
-type blockV5 struct {
+// parsedBlock is a parsed block: the row count, the two fixed chunks and the
+// column directory.
+type parsedBlock struct {
 	n          int
 	keys, wts  string
 	keyBytes   int        // bytes the rebuilt keys take
@@ -413,7 +704,7 @@ type blockV5 struct {
 }
 
 func corrupt(format string, args ...any) error {
-	return fmt.Errorf("persist: v5 block: "+format, args...)
+	return fmt.Errorf("persist: block: "+format, args...)
 }
 
 // frontHeader splits a front-coded chunk of n strings into the byte total
@@ -433,8 +724,9 @@ func frontHeader(chunk string, n int) (total int, body string, err error) {
 }
 
 // parse reads the block's header and column directory, resolving name
-// indexes through ids; dir is the directory's storage, reused.
-func (b *blockV5) parse(blk string, ids []uint32, dir []colChunk) error {
+// indexes through ids and section codes through m; dir is the directory's
+// storage, reused.
+func (b *parsedBlock) parse(blk string, m *footerMeta, ids []uint32, dir []colChunk) error {
 	d := StringDec{s: blk}
 	n, err := d.Uvarint()
 	if err != nil {
@@ -496,6 +788,18 @@ func (b *blockV5) parse(blk string, ids []uint32, dir []colChunk) error {
 			}
 		}
 		c.cells = bits.OnesCount64(c.present)
+		switch c.enc {
+		case encSection:
+			if int(local) >= len(m.Dicts) || len(m.Dicts[local].vals) == 0 {
+				return corrupt("column %d: section codes where the section has no dictionary", i)
+			}
+			c.sdict = &m.Dicts[local]
+		case encTemplate:
+			if len(m.Templates) == 0 || int(local) != m.TmplCol {
+				return corrupt("column %d: template codes where the section has no templates", i)
+			}
+			c.tmpls = m.Templates
+		}
 		if c.enc == encFront {
 			if c.total, c.body, err = frontHeader(c.body, c.cells); err != nil {
 				return corrupt("column %d: %w", i, err)
@@ -657,15 +961,21 @@ func decodeWriteTS(chunk string, dst []int64) error {
 
 // colVec is one column of a batch and where a decoded column lands:
 // vec[i] is row i's value ("" where the row has no cell). For a constant or
-// dictionary column of a v5 block, dict holds the distinct values — behind
-// them one "" if some row has no cell — and codes[i] indexes row i's; dict
-// is empty otherwise. The arrays are in line: a batch's columns are one
-// allocation.
+// dictionary column, dict holds the block's distinct values over dictBuf —
+// behind them one "" if some row has no cell — or, for a column in section
+// codes, the section's dictionary (sdict); codes[i] indexes row i's. dict
+// is empty otherwise. For a column in template form, tmpls is the
+// section's template table and codes[i] > 0 names row i's template; vec
+// holds the other rows' cells, and the templated ones once filled. The
+// arrays are in line: a batch's columns are one allocation.
 type colVec struct {
-	vals  []string // the rows of vec the batch shows
-	dict  []string // over dictBuf
-	vec   [indexEvery]string
-	codes [indexEvery]uint8
+	vals   []string // the rows of vec the batch shows
+	dict   []string
+	sdict  *sectionDict // dict's, where it is a section's
+	tmpls  []Template
+	filled bool
+	vec    [indexEvery]string
+	codes  [indexEvery]uint8
 
 	dictBuf [indexEvery + 1]string
 }
@@ -675,7 +985,7 @@ type colVec struct {
 func (c *colChunk) decode(n int, v *colVec, arena []byte) ([]byte, error) {
 	d := StringDec{s: c.body}
 	vec, cells := v.vec[:n], c.cells
-	v.dict = v.dictBuf[:0]
+	v.dict, v.sdict, v.tmpls, v.filled = v.dictBuf[:0], nil, nil, false
 	switch c.enc {
 	case encConst, encDict4, encDict8:
 		nd := uint64(1)
@@ -749,6 +1059,14 @@ func (c *colChunk) decode(n int, v *colVec, arena []byte) ([]byte, error) {
 		if arena, err = decodeFrontCoded(c.body, c.total, vec[:cells], arena); err != nil {
 			return arena, corrupt("%w", err)
 		}
+	case encSection:
+		if err := c.decodeSection(v); err != nil {
+			return arena, err
+		}
+	case encTemplate:
+		if err := c.decodeTemplate(v); err != nil {
+			return arena, err
+		}
 	}
 	if cells == n {
 		return arena, nil
@@ -756,7 +1074,13 @@ func (c *colChunk) decode(n int, v *colVec, arena []byte) ([]byte, error) {
 	// Spread the cells, decoded densely, over the rows that carry them;
 	// back to front, so that no cell is overwritten before it moves.
 	absent := uint8(len(v.dict))
-	if absent > 0 {
+	switch {
+	case c.enc == encSection:
+		if c.sdict.empty < 0 {
+			return arena, corrupt("rows without the cell and no \"\" in a section dictionary")
+		}
+		absent = uint8(c.sdict.empty)
+	case absent > 0:
 		v.dict = append(v.dict, "")
 	}
 	k := cells
@@ -769,4 +1093,129 @@ func (c *colChunk) decode(n int, v *colVec, arena []byte) ([]byte, error) {
 		}
 	}
 	return arena, nil
+}
+
+// decodeSection expands the section codes of c's present cells into v.
+func (c *colChunk) decodeSection(v *colVec) error {
+	cells, vals := c.cells, c.sdict.vals
+	if c.body == "" {
+		return corrupt("empty section-code chunk")
+	}
+	width, packed := c.body[0], c.body[1:]
+	want := 0
+	switch width {
+	case 0:
+		want = 1
+	case 4:
+		want = (cells + 1) / 2
+	case 8:
+		want = cells
+	default:
+		return corrupt("section code width %d", width)
+	}
+	if len(packed) != want {
+		return corrupt("%d section code bytes for %d cells of width %d", len(packed), cells, width)
+	}
+	codes := v.codes[:cells]
+	for k := range codes {
+		switch width {
+		case 0:
+			codes[k] = packed[0]
+		case 4:
+			codes[k] = packed[k/2] >> (k % 2 * 4) & 0x0f
+		case 8:
+			codes[k] = packed[k]
+		}
+		if int(codes[k]) >= len(vals) {
+			return corrupt("section code %d past a dictionary of %d", codes[k], len(vals))
+		}
+		v.vec[k] = vals[codes[k]]
+	}
+	v.dict, v.sdict = vals, c.sdict
+	return nil
+}
+
+// decodeTemplate reads the template codes of c's present cells into v and
+// the cells stored whole into v.vec; the templated ones stay "" until
+// filled.
+func (c *colChunk) decodeTemplate(v *colVec) error {
+	cells := c.cells
+	if len(c.body) < cells {
+		return corrupt("%d template code bytes for %d cells", len(c.body), cells)
+	}
+	d := StringDec{s: c.body, pos: cells}
+	for k := 0; k < cells; k++ {
+		code := c.body[k]
+		v.codes[k], v.vec[k] = code, ""
+		if int(code) > len(c.tmpls) {
+			return corrupt("template code %d past a table of %d", code, len(c.tmpls))
+		}
+		if code > 0 {
+			continue
+		}
+		s, err := d.String()
+		if err != nil {
+			return corrupt("cell %d: %w", k, err)
+		}
+		v.vec[k] = s
+	}
+	if d.Rest() != 0 {
+		return corrupt("%d trailing template-chunk bytes", d.Rest())
+	}
+	v.tmpls = c.tmpls
+	return nil
+}
+
+// templateBytes returns what the rows [lo, hi) of v, a column in template
+// form decoded from a block whose directory is dir, take once filled: the
+// hole of name-table index l is vecs[at[l]]. It fails where a template a
+// row of the block takes has a hole column the block lacks.
+func templateBytes(v *colVec, n, lo, hi int, dir []colChunk, vecs []colVec, at []int32) (int, error) {
+	var checked [4]uint64 // by template code
+	need := 0
+	for i := 0; i < n; i++ {
+		code := v.codes[i]
+		if code == 0 {
+			continue
+		}
+		t := &v.tmpls[code-1]
+		if checked[code/64]&(1<<(code%64)) == 0 {
+			checked[code/64] |= 1 << (code % 64)
+			for _, local := range t.local {
+				if k := sort.Search(len(dir), func(k int) bool { return dir[k].local >= local }); k == len(dir) || dir[k].local != local {
+					return 0, corrupt("template %d has a hole in column %d, which the block lacks", code, local)
+				}
+			}
+		}
+		if i < lo || i >= hi {
+			continue
+		}
+		need += t.size
+		for _, local := range t.local {
+			need += len(vecs[at[local]].vec[i])
+		}
+	}
+	return need, nil
+}
+
+// fillTemplates reassembles the templated cells of rows [lo, hi) of v at
+// the end of text, which has room for them, and returns text extended; the
+// cells alias it. The hole of name-table index l is vecs[at[l]].
+func fillTemplates(v *colVec, lo, hi int, text []byte, vecs []colVec, at []int32) []byte {
+	for i := lo; i < hi; i++ {
+		code := v.codes[i]
+		if code == 0 {
+			continue
+		}
+		t := &v.tmpls[code-1]
+		start := len(text)
+		text = append(text, t.Consts[0]...)
+		for k, local := range t.local {
+			text = append(text, vecs[at[local]].vec[i]...)
+			text = append(text, t.Consts[k+1]...)
+		}
+		v.vec[i] = unsafeString(text[start:])
+	}
+	v.filled = true
+	return text
 }

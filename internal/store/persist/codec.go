@@ -5,8 +5,8 @@ import (
 	"fmt"
 )
 
-// Binary row codec of commitlog record payloads and of the blocks of v4
-// segment files (v5 blocks are columnar, see block.go). Column names are
+// Binary row codec of commitlog record payloads (segment blocks are
+// columnar, see block.go). Column names are
 // never repeated per row: every encoding unit (one commitlog put record,
 // one segment file) carries a name table — each distinct column name
 // written once — and rows reference table-local indexes. Within a unit,

@@ -205,8 +205,9 @@ func hostileFoldSections() map[string][]byte {
 	}
 }
 
-// FuzzSegmentFooter feeds arbitrary bytes to the footer decoder: any
-// outcome but a panic is acceptable, and a valid decode must re-encode.
+// FuzzSegmentFooter feeds arbitrary bytes to the footer decoder, as a v5
+// and as a v6 footer: any outcome but a panic is acceptable, and a valid
+// decode must re-encode.
 func FuzzSegmentFooter(f *testing.F) {
 	meta := footerMeta{
 		Table: "events", Partition: "p1", Seq: 7, Rows: 2,
@@ -229,8 +230,22 @@ func FuzzSegmentFooter(f *testing.F) {
 	for _, name := range slices.Sorted(maps.Keys(hostile)) {
 		f.Add(hostile[name])
 	}
+	cm, cfold, clocal := codecFooter()
+	f.Add(appendCodecSection(appendFooter(nil, cm, cfold, clocal), cm))
+	for _, name := range slices.Sorted(maps.Keys(hostileCodecSections())) {
+		f.Add(hostileCodecSections()[name])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, fold, err := decodeFooter(data)
+		checkFooterRoundTrip(t, data, segVersionV5)
+		checkFooterRoundTrip(t, data, SegVersion)
+	})
+}
+
+// checkFooterRoundTrip decodes data as a footer of codec version and, if
+// that succeeds, holds the re-encoding to it.
+func checkFooterRoundTrip(t *testing.T, data []byte, version int) {
+	{
+		m, fold, err := decodeFooter(data, version)
 		if err != nil {
 			return
 		}
@@ -253,9 +268,15 @@ func FuzzSegmentFooter(f *testing.F) {
 			}
 		}
 		round := appendFooter(nil, m, fold, zoneLocal)
-		m2, fold2, err := decodeFooter(round)
+		if version == SegVersion {
+			round = appendCodecSection(round, m)
+		}
+		m2, fold2, err := decodeFooter(round, version)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded footer failed: %v", err)
+		}
+		if !reflect.DeepEqual(m.Dicts, m2.Dicts) || !reflect.DeepEqual(m.Templates, m2.Templates) || m.TmplCol != m2.TmplCol && m.Templates != nil {
+			t.Fatalf("codec section round trip: %+v %+v vs %+v %+v", m.Dicts, m.Templates, m2.Dicts, m2.Templates)
 		}
 		if m2.Table != m.Table || m2.Rows != m.Rows || len(m2.Index) != len(m.Index) ||
 			len(m2.Blocks) != len(m.Blocks) || len(m2.Leaves) != len(m.Leaves) {
@@ -264,7 +285,7 @@ func FuzzSegmentFooter(f *testing.F) {
 		if !reflect.DeepEqual(fold, fold2) {
 			t.Fatalf("fold section round trip: %+v vs %+v", fold, fold2)
 		}
-	})
+	}
 }
 
 // TestFooterRoundTrip pins the binary footer codec on representative
@@ -285,7 +306,7 @@ func TestFooterRoundTrip(t *testing.T) {
 		Blocks: make([]BlockStats, 3),
 		Leaves: make([][objstore.HashLen]byte, 3),
 	}
-	got, fold, err := decodeFooter(appendFooter(nil, &meta, nil, nil))
+	got, fold, err := decodeFooter(appendFooter(nil, &meta, nil, nil), segVersionV5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,11 +335,11 @@ func TestFooterRoundTrip(t *testing.T) {
 
 	fm, wantFold, local := foldedFooter()
 	img := appendFooter(nil, fm, wantFold, local)
-	bare, noFold, err := decodeFooter(appendFooter(nil, fm, nil, local))
+	bare, noFold, err := decodeFooter(appendFooter(nil, fm, nil, local), segVersionV5)
 	if err != nil || noFold != nil {
 		t.Fatalf("footer without its fold section: %v, fold %+v", err, noFold)
 	}
-	withFold, gotFold, err := decodeFooter(img)
+	withFold, gotFold, err := decodeFooter(img, segVersionV5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,9 +350,87 @@ func TestFooterRoundTrip(t *testing.T) {
 		t.Fatalf("fold section: got %+v, want %+v", gotFold, wantFold)
 	}
 	for name, fb := range hostileFoldSections() {
-		if _, _, err := decodeFooter(fb); err == nil {
+		if _, _, err := decodeFooter(fb, segVersionV5); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
+	}
+}
+
+// codecFooter is foldedFooter with a codec section: a dictionary of
+// "amount" holding "", and two templates over "source", of no hole and of
+// two.
+func codecFooter() (*footerMeta, []blockFold, []int) {
+	m, fold, local := foldedFooter()
+	m.ColNames = append(m.ColNames, "raw")
+	m.Dicts = []sectionDict{{vals: []string{"1", "", "7"}, empty: 1}, {}, {}}
+	m.TmplCol = 2
+	m.Templates = []Template{
+		{Consts: []string{"all constant"}, Holes: []uint32{}, local: []uint32{}, size: 12},
+		{Consts: []string{"at ", " and ", ""}, Holes: []uint32{1, 1}, local: []uint32{1, 1}, size: 8},
+	}
+	return m, fold, local
+}
+
+// hostileCodecSections are v6 footers whose codec section is damaged:
+// each must fail to decode.
+func hostileCodecSections() map[string][]byte {
+	m, fold, local := foldedFooter()
+	bare := appendFooter(nil, m, fold, local)
+	with := func(codec ...uint64) []byte {
+		b := slices.Clone(bare)
+		for _, v := range codec {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	cm, cfold, clocal := codecFooter()
+	good := appendCodecSection(appendFooter(nil, cm, cfold, clocal), cm)
+	return map[string][]byte{
+		"missing":                  bare,
+		"truncated":                good[:len(good)-1],
+		"trailing byte":            append(slices.Clone(good), 0),
+		"dictionary past table":    with(1, 2, 1, 1, 'x', 0),
+		"empty dictionary":         with(1, 0, 0, 0),
+		"dictionaries descending":  append(with(2, 1, 1, 1, 'x'), append(binary.AppendUvarint(nil, 0), 1, 1, 'y', 0)...),
+		"too large dictionary":     with(1, 0, sectionDictMax+1),
+		"too many templates":       with(0, maxTemplates+1),
+		"template column past":     with(0, 1, 2, 0, 0),
+		"hole past table":          with(0, 1, 0, 1, 0, 5, 0),
+		"hole in template column":  with(0, 1, 0, 1, 0, 0, 0),
+		"hole count past the rest": with(0, 1, 1, 200, 0),
+	}
+}
+
+// TestCodecSectionRoundTrip pins the v6 footer's codec section: the
+// dictionaries and templates come back as written, a v6 footer without a
+// codec section or with a damaged one is refused, and a v5 footer carries
+// none.
+func TestCodecSectionRoundTrip(t *testing.T) {
+	m, fold, local := codecFooter()
+	got, gotFold, err := decodeFooter(appendCodecSection(appendFooter(nil, m, fold, local), m), SegVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDicts := len(got.Dicts) == len(m.Dicts)
+	for i := 0; sameDicts && i < len(m.Dicts); i++ {
+		sameDicts = slices.Equal(got.Dicts[i].vals, m.Dicts[i].vals) && (len(m.Dicts[i].vals) == 0 || got.Dicts[i].empty == m.Dicts[i].empty)
+	}
+	if !sameDicts || got.TmplCol != m.TmplCol || !reflect.DeepEqual(gotFold, fold) {
+		t.Fatalf("dictionaries %+v (column %d), want %+v (%d)", got.Dicts, got.TmplCol, m.Dicts, m.TmplCol)
+	}
+	for i := range m.Templates {
+		w, g := m.Templates[i], got.Templates[i]
+		if !slices.Equal(w.Consts, g.Consts) || !slices.Equal(w.local, g.local) || w.size != g.size {
+			t.Fatalf("template %d: %+v, want %+v", i, g, w)
+		}
+	}
+	for name, fb := range hostileCodecSections() {
+		if _, _, err := decodeFooter(fb, SegVersion); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+	if v5, _, err := decodeFooter(appendFooter(nil, m, fold, local), segVersionV5); err != nil || v5.Dicts != nil || v5.Templates != nil {
+		t.Fatalf("v5 footer: %v, %+v %+v", err, v5.Dicts, v5.Templates)
 	}
 }
 

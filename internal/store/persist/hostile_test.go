@@ -16,10 +16,12 @@ type hostileSeg struct {
 }
 
 // hostileSegs is THE generator of the codec differential: the same rows
-// were written through the v4 writer at the last commit that had one
-// (testdata/v4/<name>.seg) and are written through the v5 writer by the
+// were written through the v5 writer at the last commit that had one
+// (testdata/v5/<name>.seg) and are written through the v6 writer by the
 // tests. Deterministic; the names it interns are its own ("hz-" prefix), in
-// an order the differential test's process deliberately pre-empts.
+// an order the differential test's process deliberately pre-empts — but
+// for "raw" and "amount", the names the v6 writer's templates key on, in
+// the segments written for them.
 func hostileSegs() []hostileSeg {
 	rng := rand.New(rand.NewSource(26))
 	ts := func(i int) string { return EncodeTS(int64(4102732800 + i)) }
@@ -159,5 +161,81 @@ func hostileSegs() []hostileSeg {
 		rows = append(rows, MakeRow(ts(i), int64(i), cols))
 	}
 	add("shifting", []string{"hz-ord-x", "hz-ord-y", "hz-w00"}, rows)
+
+	// Raw text that a template over its row's other cells gets wrong if it
+	// can get anything wrong: a sibling value twice, or inside constant
+	// text, or equal to the whole text; holes next to letters and next to
+	// each other; an empty text; a hole column some rows lack; an explicit
+	// empty sibling; non-ASCII text; the amount in the text; a source
+	// column some rows lack.
+	rows = nil
+	for i := 0; i < 4*indexEvery+5; i++ {
+		n, amount := fmt.Sprint(i%4), fmt.Sprint(1+i%3)
+		ost := fmt.Sprintf("OST%04x", i%5)
+		cols := []Col{C("amount", amount)}
+		if i%11 != 4 {
+			cols = append(cols, C("hz-source", fmt.Sprintf("c0-0c0s%dn%d", i%3, i%4)))
+		}
+		var raw string
+		switch k := i % 13; k {
+		case 0:
+			raw = "Bank " + n + ": " + n + " errors on Bank " + n
+			cols = append(cols, C("hz-attr.bank", n))
+		case 1:
+			raw = "Bank an: an"
+			cols = append(cols, C("hz-attr.word", "an"))
+		case 2:
+			raw = ost
+			cols = append(cols, C("hz-attr.ost", ost))
+		case 3:
+			cols = append(cols, C("hz-attr.ost", ost))
+		case 4:
+			raw = "error at DIMM" + n + " (node)"
+			cols = append(cols, C("hz-attr.dimm", n))
+		case 5:
+			raw = "atlas2-" + ost[:3] + ost[3:] + "-osc"
+			cols = append(cols, C("hz-attr.ostA", ost[:3]), C("hz-attr.ostB", ost[3:]))
+		case 6, 7:
+			raw = "node c" + n + " down, node c" + n + " up"
+			if k == 6 {
+				cols = append(cols, C("hz-attr.node", "c"+n))
+			}
+		case 8:
+			raw = "ÉCHEC du nœud Ünit-" + n + " — échec " + ost
+			cols = append(cols, C("hz-attr.unit", "Ünit-"+n), C("hz-attr.ost", ost))
+		case 9:
+			raw = "count " + amount + " seen " + amount
+		case 10:
+			raw = "x= y " + ost
+			cols = append(cols, C("hz-attr.x", ""), C("hz-attr.ost", ost))
+		case 11:
+			raw = "Machine Check Exception: CORRECTED Bank " + n + ": 0x" + hex(16)
+			cols = append(cols, C("hz-attr.bank", n))
+		case 12:
+			raw = "ab" + n + "cd" + n + "ef"
+			cols = append(cols, C("hz-attr.bank", n), C("hz-attr.ost", "cd"))
+		}
+		if raw != "" || i%13 == 3 {
+			cols = append(cols, C("raw", raw))
+		}
+		rows = append(rows, MakeRow(ts(i), int64(i), cols))
+	}
+	add("templates", []string{"hz-source", "amount"}, rows)
+
+	// Sources around the section dictionary's size, each in two rows:
+	// 256 distinct values (and, in the last block, rows without one), and
+	// 257.
+	for _, distinct := range []int{256, 257} {
+		rows = nil
+		for i := 0; i < 10*indexEvery; i++ {
+			j := i / 2 % distinct
+			cols := []Col{C("amount", "1")}
+			if distinct == 257 || i < 9*indexEvery || i%5 != 0 {
+				cols = append(cols, C("hz-source", fmt.Sprintf("c%d-%dc%ds%dn%d", j/128, j/64%2, j/8%8, j/4%2, j%4)))
+			}
+			rows = append(rows, MakeRow(ts(i), int64(i), cols))
+		}
+		add(fmt.Sprintf("sources%d", distinct), []string{"hz-source"}, rows)
+	}
 	return segs
 }

@@ -21,10 +21,10 @@ import (
 	"hpclog/internal/objstore"
 )
 
-// Segment image layout (codec v5), one section of a round's data file
+// Segment image layout (codec v6), one section of a round's data file
 // (round.go), offsets relative to the section:
 //
-//	header  : "HPSEG005" (8 bytes)
+//	header  : "HPSEG006" (8 bytes)
 //	data    : blocks of at most indexEvery rows in clustering-key order,
 //	          each stored column by column (see block.go)
 //	footer  : binary footerMeta (own deterministic codec, no gob)
@@ -37,29 +37,30 @@ import (
 // near Range.From, a CRC of the data region, per-block statistics — a zone
 // map (key/WriteTS bounds, per-column min/max for the writer's hot set)
 // and a Bloom filter over the block's column cells (see blockstats.go) —
-// one Merkle leaf per block and, last, the fold section: per block whether
-// every key carries a timestamp and, per hot column, how many cells are
-// occurrence counts and their sum (appendFoldSection). Files are written
-// to a temporary name and renamed into place, so a segment either exists
-// completely or not at all — torn writes are the commitlog's problem,
-// never the segment store's.
+// one Merkle leaf per block, the fold section: per block whether every key
+// carries a timestamp and, per hot column, how many cells are occurrence
+// counts and their sum (appendFoldSection) and, last, the codec section:
+// the section dictionaries and the template table that the blocks' codes
+// index (appendCodecSection). Files are written to a temporary name and
+// renamed into place, so a segment either exists completely or not at
+// all — torn writes are the commitlog's problem, never the segment
+// store's.
 //
 // The sparse index is the block structure of the file: consecutive entries
 // delimit blocks of exactly indexEvery rows (the final block may be
 // short), and BlockStats[i] and Leaves[i] describe exactly the block
 // starting at Index[i]. Scans read and decode one block at a time.
 //
-// There is one writer generation and two reader generations. A codec v4
-// file (header "HPSEG004") has the same footer, without the fold section
-// that came after the last v4 writer, and the same trailer — the trailer's
-// magic names the footer's format, which the section only extends — and
-// the same block boundaries; only the bytes of a block differ (a run of
-// length-prefixed rows, codec.go's row encoding). v4 files stay readable,
-// resident or tiered, and ordinary compaction rewrites them as v5. Files
-// of codecs v1–v3 are refused at open with ErrVersion.
+// There is one writer generation and two reader generations. A codec v5
+// section (header "HPSEG005") has the same footer without the codec
+// section — and with the fold section optional — the same trailer and the
+// same block boundaries; its blocks use neither section codes nor
+// templates. v5 sections stay readable, resident or tiered, and ordinary
+// compaction rewrites them as v6. Files of codecs v1–v4 are refused at
+// open with ErrVersion.
 const (
-	segHeader   = "HPSEG005"
-	segHeaderV4 = "HPSEG004"
+	segHeader   = "HPSEG006"
+	segHeaderV5 = "HPSEG005"
 	segTrailer  = "HPSEGFT4"
 	trailerLen  = 4 + 4 + 8
 	indexEvery  = 64
@@ -74,8 +75,8 @@ const (
 // Segment codec generations: the one written, and the one before it, still
 // read.
 const (
-	SegVersion   = 5
-	segVersionV4 = 4
+	SegVersion   = 6
+	segVersionV5 = 5
 )
 
 // IndexEntry is one sparse-index sample: the clustering key of a row and
@@ -112,12 +113,180 @@ type footerMeta struct {
 	// eviction; a fetched block is verified leaf-then-proof against the
 	// manifest-pinned root.
 	Leaves [][objstore.HashLen]byte
+	// Dicts holds the section dictionary of each column that has one, by
+	// name-table index (no values where none does): what encSection codes
+	// index.
+	Dicts []sectionDict
+	// Templates is the section's template table, what the encTemplate codes
+	// of column TmplCol (a name-table index) index.
+	Templates []Template
+	TmplCol   int
+}
+
+// sectionDict is one column's section dictionary: its values in code
+// order, the code of "" — what a row without the cell reads — or -1, and
+// what DictFuncs made of the values, by DictFunc.
+type sectionDict struct {
+	vals    []string
+	empty   int
+	derived *sync.Map
+}
+
+// Template is one entry of a section's template table. The cell it codes
+// for is Consts[0], then the row's cell of column Holes[0], Consts[1], and
+// so on: len(Consts) == len(Holes)+1. A row's template and hole cells
+// reassemble its cell byte for byte.
+type Template struct {
+	Consts []string
+	Holes  []uint32 // dictionary IDs
+	local  []uint32 // name-table indexes of Holes
+	size   int      // bytes of the constants
+}
+
+// appendCodecSection appends the footer's last part, v6's: the section
+// dictionaries — their count, then per column by ascending name-table index
+// the index, the value count and the values — and the template table: its
+// count, then unless 0 the template column's name-table index and per
+// template the hole count, the first constant and per hole its column's
+// name-table index and the constant behind it.
+func appendCodecSection(b []byte, m *footerMeta) []byte {
+	appendStr := func(s string) {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	n := 0
+	for _, d := range m.Dicts {
+		if len(d.vals) > 0 {
+			n++
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(n))
+	for local, d := range m.Dicts {
+		if len(d.vals) == 0 {
+			continue
+		}
+		b = binary.AppendUvarint(b, uint64(local))
+		b = binary.AppendUvarint(b, uint64(len(d.vals)))
+		for _, v := range d.vals {
+			appendStr(v)
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(m.Templates)))
+	if len(m.Templates) == 0 {
+		return b
+	}
+	b = binary.AppendUvarint(b, uint64(m.TmplCol))
+	for _, t := range m.Templates {
+		b = binary.AppendUvarint(b, uint64(len(t.local)))
+		appendStr(t.Consts[0])
+		for k, local := range t.local {
+			b = binary.AppendUvarint(b, uint64(local))
+			appendStr(t.Consts[k+1])
+		}
+	}
+	return b
+}
+
+// decodeCodecSection reads what appendCodecSection wrote, strictly, into
+// m; hole columns stay name-table indexes until open.
+func decodeCodecSection(d *StringDec, m *footerMeta) error {
+	fail := func(what string, e error) error {
+		return fmt.Errorf("persist: footer codec section %s: %w", what, e)
+	}
+	cols := uint64(len(m.ColNames))
+	n, err := d.Uvarint()
+	if err != nil {
+		return fail("dictionaries", err)
+	}
+	if n > cols {
+		return fail("dictionaries", fmt.Errorf("%d for %d columns", n, cols))
+	}
+	if n > 0 {
+		m.Dicts = make([]sectionDict, cols)
+	}
+	prev := -1
+	for i := uint64(0); i < n; i++ {
+		local, err := d.Uvarint()
+		if err != nil {
+			return fail("dictionary column", err)
+		}
+		if local >= cols || int(local) <= prev {
+			return fail("dictionary column", fmt.Errorf("index %d after %d, table of %d", local, prev, cols))
+		}
+		prev = int(local)
+		size, err := d.Uvarint()
+		if err != nil {
+			return fail("dictionary size", err)
+		}
+		if size == 0 || size > sectionDictMax {
+			return fail("dictionary size", fmt.Errorf("%d values", size))
+		}
+		sd := sectionDict{vals: make([]string, size), empty: -1, derived: new(sync.Map)}
+		for k := range sd.vals {
+			if sd.vals[k], err = d.String(); err != nil {
+				return fail("dictionary value", err)
+			}
+			if sd.vals[k] == "" && sd.empty < 0 {
+				sd.empty = k
+			}
+		}
+		m.Dicts[local] = sd
+	}
+	nt, err := d.Uvarint()
+	if err != nil {
+		return fail("templates", err)
+	}
+	if nt > maxTemplates {
+		return fail("templates", fmt.Errorf("%d templates", nt))
+	}
+	if nt == 0 {
+		return nil
+	}
+	tc, err := d.Uvarint()
+	if err != nil {
+		return fail("template column", err)
+	}
+	if tc >= cols {
+		return fail("template column", fmt.Errorf("index %d beyond name table (%d)", tc, cols))
+	}
+	m.TmplCol = int(tc)
+	m.Templates = make([]Template, nt)
+	for i := range m.Templates {
+		t := &m.Templates[i]
+		holes, err := d.Uvarint()
+		if err != nil {
+			return fail("template holes", err)
+		}
+		if holes > uint64(d.Rest()) {
+			return fail("template holes", fmt.Errorf("%d holes in %d bytes", holes, d.Rest()))
+		}
+		t.Consts, t.local = make([]string, holes+1), make([]uint32, holes)
+		for k := range t.Consts {
+			if k > 0 {
+				local, err := d.Uvarint()
+				if err != nil {
+					return fail("template hole", err)
+				}
+				if local >= cols || local == tc {
+					return fail("template hole", fmt.Errorf("column %d of a table of %d, template column %d", local, cols, tc))
+				}
+				t.local[k-1] = uint32(local)
+			}
+			if t.Consts[k], err = d.String(); err != nil {
+				return fail("template constant", err)
+			}
+			t.size += len(t.Consts[k])
+		}
+	}
+	return nil
 }
 
 // appendFooter encodes the footer with the package's own codec —
 // deterministic, compact, and no encoding/gob dependency — and, unless fold
-// is nil, its fold section (fold parallel to m.Blocks). zoneLocal maps
-// each block's Zones (parallel slices) to name-table indexes.
+// is nil, its fold section (fold parallel to m.Blocks): a v5 footer. A v6
+// footer always has the fold section, and the codec section behind it.
+// zoneLocal maps each block's Zones (parallel slices) to name-table
+// indexes.
 func appendFooter(b []byte, m *footerMeta, fold []blockFold, zoneLocal []int) []byte {
 	appendStr := func(s string) {
 		b = binary.AppendUvarint(b, uint64(len(s)))
@@ -176,12 +345,12 @@ func appendFooter(b []byte, m *footerMeta, fold []blockFold, zoneLocal []int) []
 	return appendFoldSection(b, fold)
 }
 
-// appendFoldSection appends the footer's last part, the facts a fold of
-// occurrence counts takes a block whole from: their count, then per block
-// a flag byte (1: every key carries a timestamp) and, for each of its zones
-// with numeric cells in footer order, how many are counts (uvarint) and
-// their sum (varint). Footers written before it end at the leaves and
-// decode with no fold facts, so their blocks are never taken.
+// appendFoldSection appends the facts a fold of occurrence counts takes a
+// block whole from: their count, then per block a flag byte (1: every key
+// carries a timestamp) and, for each of its zones with numeric cells in
+// footer order, how many are counts (uvarint) and their sum (varint). v5
+// footers written before it end at the leaves and decode with no fold
+// facts, so their blocks are never taken.
 func appendFoldSection(b []byte, fold []blockFold) []byte {
 	b = binary.AppendUvarint(b, uint64(len(fold)))
 	for _, f := range fold {
@@ -199,8 +368,8 @@ func appendFoldSection(b []byte, fold []blockFold) []byte {
 }
 
 // decodeFoldSection reads what appendFoldSection wrote, strictly: it must
-// describe exactly the footer's blocks and end the footer. Column IDs are
-// the zones' name-table indexes, as on disk.
+// describe exactly the footer's blocks. Column IDs are the zones'
+// name-table indexes, as on disk.
 func decodeFoldSection(d *StringDec, m *footerMeta) ([]blockFold, error) {
 	fail := func(what string, e error) error {
 		return fmt.Errorf("persist: footer fold section %s: %w", what, e)
@@ -240,19 +409,22 @@ func decodeFoldSection(d *StringDec, m *footerMeta) ([]blockFold, error) {
 			fold[i].counts = append(fold[i].counts, colCounts{id: z.ID, cells: int(cells), sum: sum})
 		}
 	}
-	if d.Rest() > 0 {
-		return nil, fail("end", fmt.Errorf("%d trailing bytes", d.Rest()))
-	}
 	return fold, nil
 }
 
-// decodeFooter reverses appendFooter; fold is nil when the footer has no
-// fold section.
-func decodeFooter(fb []byte) (_ *footerMeta, fold []blockFold, _ error) {
+// decodeFooter reverses appendFooter of a section of codec version; fold
+// is nil when a v5 footer has no fold section.
+func decodeFooter(fb []byte, version int) (_ *footerMeta, fold []blockFold, _ error) {
 	d := NewStringDec(string(fb))
 	m, err := decodeMeta(d)
-	if err == nil && d.Rest() > 0 {
+	if err == nil && (d.Rest() > 0 || version == SegVersion) {
 		fold, err = decodeFoldSection(d, m)
+	}
+	if err == nil && version == SegVersion {
+		err = decodeCodecSection(d, m)
+	}
+	if err == nil && d.Rest() > 0 {
+		err = fmt.Errorf("persist: footer: %d trailing bytes", d.Rest())
 	}
 	if err != nil {
 		return nil, nil, err
@@ -513,6 +685,9 @@ type Writer struct {
 	zones   []ColZone   // the zone maps of the block under construction, parallel to zoneIDs
 	counts  []colCounts // its counts, parallel to zoneIDs
 	fold    []blockFold // the fold section, parallel to meta.Blocks
+
+	tmpls    []Template // the section's template table so far
+	lastTmpl int        // the template the last templated cell took
 }
 
 // writerScratch is the buffer space a Writer borrows from scratchPool for
@@ -536,6 +711,11 @@ func NewWriter(table, pkey string, seq uint64) *Writer {
 		meta:          footerMeta{Table: table, Partition: pkey, Seq: seq},
 	}
 	w.tb.reset()
+	for i := range w.enc.dicts {
+		d := &w.enc.dicts[i]
+		d.vals = nil // the last section's footer holds them
+		clear(d.codes)
+	}
 	w.setZoneColumnNames(DefaultZoneColumns)
 	w.img = append(w.img[:0], segHeader...)
 	w.crc = crc32.Update(0, crcTable, w.img)
@@ -662,10 +842,26 @@ func (w *Writer) seal() {
 	for i, id := range w.zoneIDs {
 		zoneLocal[i] = w.tb.localIdx(Col{ID: id})
 	}
+	for local, d := range w.enc.dicts[:min(len(w.enc.dicts), len(w.tb.names))] {
+		if len(d.vals) == 0 {
+			continue
+		}
+		if w.meta.Dicts == nil {
+			w.meta.Dicts = make([]sectionDict, len(w.tb.names))
+		}
+		w.meta.Dicts[local] = sectionDict{vals: d.vals, empty: slices.Index(d.vals, ""), derived: new(sync.Map)}
+	}
+	if len(w.tmpls) > 0 {
+		w.meta.Templates, w.meta.TmplCol = w.tmpls, w.tb.localIdx(Col{ID: templateColID})
+	}
 	w.meta.ColNames = slices.Clone(w.tb.names)
 	w.colIDs = slices.Clone(w.tb.ids)
 	foot := len(w.img)
-	w.img = appendFooter(w.img, &w.meta, w.fold, zoneLocal)
+	fold := w.fold
+	if fold == nil {
+		fold = []blockFold{}
+	}
+	w.img = appendCodecSection(appendFooter(w.img, &w.meta, fold, zoneLocal), &w.meta)
 	fb := w.img[foot:]
 	crc := crc32.Checksum(fb, crcTable)
 	w.img = binary.LittleEndian.AppendUint32(w.img, uint32(len(fb)))
@@ -780,11 +976,11 @@ func parseSection(r io.ReaderAt, path string, base, size int64) (*Segment, error
 	switch string(head[:]) {
 	case segHeader:
 		s.version = SegVersion
-	case segHeaderV4:
-		s.version = segVersionV4
-	case "HPSEG001", "HPSEG002", "HPSEG003":
+	case segHeaderV5:
+		s.version = segVersionV5
+	case "HPSEG001", "HPSEG002", "HPSEG003", "HPSEG004":
 		return nil, fmt.Errorf("%w: %s was written by segment codec v%c; this build reads v%d and v%d — compact the directory with a build that reads it, or re-ingest the data",
-			ErrVersion, path, head[7], segVersionV4, SegVersion)
+			ErrVersion, path, head[7], segVersionV5, SegVersion)
 	default:
 		return nil, fmt.Errorf("persist: %s: bad segment header %q", path, head)
 	}
@@ -808,7 +1004,7 @@ func parseSection(r io.ReaderAt, path string, base, size int64) (*Segment, error
 	if crc32.Checksum(fb, crcTable) != footCRC {
 		return nil, fmt.Errorf("persist: %s: footer checksum mismatch", path)
 	}
-	meta, fold, err := decodeFooter(fb)
+	meta, fold, err := decodeFooter(fb, s.version)
 	if err != nil {
 		return nil, fmt.Errorf("persist: %s: footer decode: %w", path, err)
 	}
@@ -836,6 +1032,13 @@ func parseSection(r io.ReaderAt, path string, base, size int64) (*Segment, error
 	for i := range fold {
 		for j := range fold[i].counts {
 			fold[i].counts[j].id = s.colIDs[fold[i].counts[j].id]
+		}
+	}
+	for i := range meta.Templates {
+		t := &meta.Templates[i]
+		t.Holes = make([]uint32, len(t.local))
+		for k, local := range t.local {
+			t.Holes[k] = s.colIDs[local]
 		}
 	}
 	return s, s.buildTree()

@@ -573,7 +573,7 @@ func (s *Store) dirtyFiles() []*dataFile {
 	seen := make(map[*dataFile]bool)
 	for _, list := range s.segs {
 		for _, seg := range list {
-			if df := seg.file; df != nil && len(df.dead) > 0 && !seen[df] && !seg.Tiered() {
+			if df := seg.file; len(df.dead) > 0 && !seen[df] && !seg.Tiered() {
 				seen[df] = true
 				out = append(out, df)
 			}

@@ -10,12 +10,12 @@ import (
 )
 
 // TestOldSegmentsRejectedClearly pins the upgrade story: a file of codec
-// v1, v2 or v3 (old header magic) fails OpenSegment with ErrVersion and a
-// message naming its version, never a decode panic or a silent skip — and
-// so does a store directory holding one.
+// v1, v2, v3 or v4 (old header magic) fails OpenSegment with ErrVersion
+// and a message naming its version, never a decode panic or a silent skip
+// — and so does a store directory holding one.
 func TestOldSegmentsRejectedClearly(t *testing.T) {
 	dir := t.TempDir()
-	for v := 1; v <= 3; v++ {
+	for v := 1; v <= 4; v++ {
 		file := []byte{'H', 'P', 'S', 'E', 'G', '0', '0', byte('0' + v)}
 		file = append(file, make([]byte, 64)...)
 		var tail [trailerLen]byte
