@@ -62,9 +62,14 @@ tier-smoke:
 # and keeps its rows; a failed tier-manifest write or catalog commit
 # leaves them as they were; a retired object outlives the scan that holds
 # it, and one a crash or a failed delete strands is collected at open.
+# The one replica read fails whole: a scan that breaks off after some rows
+# never answers a Get (another replica does) and fails a Repair, and a
+# remote scan fails when its peer makes no progress within the RPC
+# timeout but not when a flowing stream outlasts it, and is retried when
+# turned away before it opens (./internal/dist/).
 fault-smoke:
 	$(GO) test -count=1 -run 'TestDurableLayersDoNotImportOS|TestOSFailedOpenIsNilFile' ./internal/fsys/
-	$(GO) test -count=1 -run 'TestFault' ./internal/wal/ ./internal/objstore/ ./internal/store/
+	$(GO) test -count=1 -run 'TestFault' ./internal/wal/ ./internal/objstore/ ./internal/store/ ./internal/dist/
 	$(GO) test -count=1 -run 'TestFault|TestRetiredObject' ./internal/store/persist/
 
 # Exposition-format lint plus cluster observability: every /v1/metrics

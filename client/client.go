@@ -120,14 +120,20 @@ func (c *Client) call(ctx context.Context, method, path string, in, out any) err
 			return fmt.Errorf("client: marshal request: %w", err)
 		}
 	}
+	return c.retry(ctx, c.retries, func() (bool, error) { return c.once(ctx, method, path, body, out) })
+}
+
+// retry runs attempt until it succeeds, fails for good, or has been
+// retried n times, backing off exponentially in between.
+func (c *Client) retry(ctx context.Context, n int, attempt func() (retry bool, err error)) error {
 	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
-			if err := sleepCtx(ctx, c.backoff<<(attempt-1)); err != nil {
+	for i := 0; i <= n; i++ {
+		if i > 0 {
+			if err := sleepCtx(ctx, c.backoff<<(i-1)); err != nil {
 				return errors.Join(err, lastErr)
 			}
 		}
-		retry, err := c.once(ctx, method, path, body, out)
+		retry, err := attempt()
 		if err == nil || !retry {
 			return err
 		}

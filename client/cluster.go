@@ -24,21 +24,14 @@ func (c *Client) Replicate(ctx context.Context, req api.ReplicateRequest) (api.R
 	return out, err
 }
 
-// ShardRead fetches one partition's rows from a member hosted by the
-// target process (POST /v1/shard/read).
-func (c *Client) ShardRead(ctx context.Context, req api.ShardReadRequest) ([]api.WireRow, error) {
-	var out api.ShardReadResult
-	if err := c.call(ctx, http.MethodPost, "/v1/shard/read", req, &out); err != nil {
-		return nil, err
-	}
-	return out.Rows, nil
-}
-
 // ShardScan streams one partition's rows from a member hosted by the
 // target process (POST /v1/shard/scan, NDJSON), invoking fn per row in
-// clustering-key order. fn returning an error cancels the stream.
+// clustering-key order. fn returning an error cancels the stream. A
+// failure before the peer opens the stream — a transport error, or the
+// peer overloaded or unavailable — is retried like a call; a failure once
+// rows flow is not, as fn has seen part of the partition.
 func (c *Client) ShardScan(ctx context.Context, req api.ShardScanRequest, fn func(api.WireRow) error) error {
-	return stream(ctx, c, "/v1/shard/scan", req, fn)
+	return stream(ctx, c, "/v1/shard/scan", req, c.retries, fn)
 }
 
 // ShardBounds fetches a partition's clustering-key bounds on one member

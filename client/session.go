@@ -46,7 +46,7 @@ func (s *Session) Page(ctx context.Context, stmt string, limit int, cursor strin
 // fn once per row in clustering order.
 func (s *Session) Stream(ctx context.Context, stmt string, fn func(cql.ResultRow) error) error {
 	return stream(ctx, s.c, "/v1/cql/stream",
-		api.CQLRequest{Query: stmt, Consistency: s.Consistency}, fn)
+		api.CQLRequest{Query: stmt, Consistency: s.Consistency}, 0, fn)
 }
 
 // Each pages through the full SELECT result, calling fn once per row.

@@ -22,13 +22,13 @@ const maxLineBytes = 4 << 20
 // sequence concatenates to exactly the one-shot Events result.
 func (c *Client) StreamEvents(ctx context.Context, qc query.Context, fn func(query.EventRecord) error) error {
 	return stream(ctx, c, "/v1/query/stream",
-		api.QueryRequest{Request: query.Request{Op: query.OpEvents, Context: qc}}, fn)
+		api.QueryRequest{Request: query.Request{Op: query.OpEvents, Context: qc}}, 0, fn)
 }
 
 // StreamRuns executes a runs query in NDJSON streaming mode.
 func (c *Client) StreamRuns(ctx context.Context, qc query.Context, fn func(query.RunRecord) error) error {
 	return stream(ctx, c, "/v1/query/stream",
-		api.QueryRequest{Request: query.Request{Op: query.OpRuns, Context: qc}}, fn)
+		api.QueryRequest{Request: query.Request{Op: query.OpRuns, Context: qc}}, 0, fn)
 }
 
 // trailerPrefix identifies the terminal line of every NDJSON stream:
@@ -36,30 +36,49 @@ func (c *Client) StreamRuns(ctx context.Context, qc query.Context, fn func(query
 var trailerPrefix = []byte(`{"trailer":`)
 
 // stream POSTs body and decodes the NDJSON response line by line into T.
-// Streams are not retried — a mid-stream failure surfaces to the caller,
-// who can re-issue (or resume via pagination).
-func stream[T any](ctx context.Context, c *Client, path string, body any, fn func(T) error) error {
+// A failure before the server commits to the stream — a transport error
+// or a retryable enveloped error — is retried up to retries times with
+// the client's backoff. Once lines flow nothing is retried: a mid-stream
+// failure surfaces to the caller, who can re-issue (or resume via
+// pagination). The public streams pass 0.
+func stream[T any](ctx context.Context, c *Client, path string, body any, retries int, fn func(T) error) error {
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return fmt.Errorf("client: marshal request: %w", err)
 	}
-	req, err := c.newRequest(ctx, http.MethodPost, path, payload)
+	var resp *http.Response
+	err = c.retry(ctx, retries, func() (retry bool, err error) {
+		resp, retry, err = c.openStream(ctx, path, payload)
+		return retry, err
+	})
 	if err != nil {
 		return err
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("client: POST %s: %w", path, err)
-	}
 	defer resp.Body.Close()
+	return decodeNDJSON(resp.Body, fn)
+}
+
+// openStream POSTs payload and returns the response once the server has
+// committed to NDJSON. retry reports whether a failure is worth another
+// attempt, as for an enveloped exchange.
+func (c *Client) openStream(ctx context.Context, path string, payload []byte) (resp *http.Response, retry bool, err error) {
+	req, err := c.newRequest(ctx, http.MethodPost, path, payload)
+	if err != nil {
+		return nil, false, err
+	}
+	resp, err = c.hc.Do(req)
+	if err != nil {
+		return nil, true, fmt.Errorf("client: POST %s: %w", path, err)
+	}
 	if ct := resp.Header.Get("Content-Type"); ct != api.MediaTypeNDJSON {
 		// The server answered with an enveloped error before streaming.
+		defer resp.Body.Close()
 		if aerr := errorEnvelope(resp); aerr != nil {
-			return aerr
+			return nil, retryable(aerr), aerr
 		}
-		return fmt.Errorf("client: POST %s: HTTP %d with content type %q", path, resp.StatusCode, ct)
+		return nil, resp.StatusCode >= 300, fmt.Errorf("client: POST %s: HTTP %d with content type %q", path, resp.StatusCode, ct)
 	}
-	return decodeNDJSON(resp.Body, fn)
+	return resp, false, nil
 }
 
 // decodeNDJSON consumes data lines until the trailer. An EOF before the

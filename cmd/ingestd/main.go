@@ -122,7 +122,11 @@ func run(ctx context.Context) error {
 	}
 	// Synopsis over every hour present in the imported data.
 	var hours []int64
-	for _, pkey := range fw.DB.PartitionKeys(model.TableEventByTime) {
+	pkeys, err := fw.DB.PartitionKeys(ctx, model.TableEventByTime)
+	if err != nil {
+		return err
+	}
+	for _, pkey := range pkeys {
 		var h int64
 		var typ string
 		if _, err := fmt.Sscanf(pkey, "%d:%s", &h, &typ); err == nil {

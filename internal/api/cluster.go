@@ -9,8 +9,9 @@ import (
 )
 
 // Cluster-internal wire types: the /v1/replicate replication RPC, the
-// /v1/shard/* scatter-gather RPCs, and the /v1/cluster membership and
-// status surface. These routes are spoken between hpclogd processes over
+// /v1/shard/* scatter-gather RPCs (scan, the one row read of a peer's
+// replica, plus its key bounds and partition keys), and the /v1/cluster
+// membership and status surface. These routes are spoken between hpclogd processes over
 // the same versioned envelope as the public API; the decoders below are
 // deliberately strict — a replication payload from a misconfigured or
 // hostile peer must produce a typed *Error, never a panic and never a
@@ -88,26 +89,17 @@ type ReplicateResult struct {
 	WriteTS int64 `json:"write_ts"`
 }
 
-// ShardReadRequest is the body of POST /v1/shard/read: fetch one
-// partition's rows from one locally-hosted member. From/To bound the
+// ShardScanRequest is the body of POST /v1/shard/scan, the one shard row
+// read: one partition's rows from one locally-hosted member as an NDJSON
+// stream (one WireRow per line, StreamTrailer last). From/To bound the
 // clustering range ("" = open).
-type ShardReadRequest struct {
+type ShardScanRequest struct {
 	Node  string `json:"node"`
 	Table string `json:"table"`
 	PKey  string `json:"pkey"`
 	From  string `json:"from,omitempty"`
 	To    string `json:"to,omitempty"`
 }
-
-// ShardReadResult carries the partition rows.
-type ShardReadResult struct {
-	Rows []WireRow `json:"rows"`
-}
-
-// ShardScanRequest is the body of POST /v1/shard/scan, the NDJSON
-// streaming variant of shard/read (one WireRow per line, StreamTrailer
-// last).
-type ShardScanRequest = ShardReadRequest
 
 // ShardBoundsRequest is the body of POST /v1/shard/bounds.
 type ShardBoundsRequest struct {
@@ -248,10 +240,9 @@ func DecodeReplicateRequest(data []byte) (*ReplicateRequest, *Error) {
 	return &req, nil
 }
 
-// DecodeShardReadRequest parses and validates a /v1/shard/read or
-// /v1/shard/scan body.
-func DecodeShardReadRequest(data []byte) (*ShardReadRequest, *Error) {
-	var req ShardReadRequest
+// DecodeShardScanRequest parses and validates a /v1/shard/scan body.
+func DecodeShardScanRequest(data []byte) (*ShardScanRequest, *Error) {
+	var req ShardScanRequest
 	if e := strictDecode(data, &req); e != nil {
 		return nil, e
 	}

@@ -73,10 +73,10 @@ func FuzzReplicateDecode(f *testing.F) {
 			t.Fatalf("rejection without an error code")
 		}
 
-		// Shard read/bounds and heartbeat paths: same no-panic, typed-error
+		// Shard scan/bounds and heartbeat paths: same no-panic, typed-error
 		// contract.
-		if _, e := DecodeShardReadRequest(data); e != nil && e.Code == "" {
-			t.Fatalf("shard read rejection without an error code")
+		if _, e := DecodeShardScanRequest(data); e != nil && e.Code == "" {
+			t.Fatalf("shard scan rejection without an error code")
 		}
 		if _, e := DecodeShardBoundsRequest(data); e != nil && e.Code == "" {
 			t.Fatalf("shard bounds rejection without an error code")

@@ -235,9 +235,13 @@ func (s *Session) runDescribe(st *DescribeStmt) (*Result, error) {
 	if !s.DB.HasTable(st.Table) {
 		return nil, fmt.Errorf("cql: no such table %q", st.Table)
 	}
-	// Schema-on-read: sample partitions to report observed columns.
+	// Schema-on-read: sample partitions, cluster-wide, to report observed
+	// columns.
 	cols := map[string]bool{}
-	pkeys := s.DB.PartitionKeys(st.Table)
+	pkeys, err := s.DB.PartitionKeys(s.ctx(), st.Table)
+	if err != nil {
+		return nil, err
+	}
 	if len(pkeys) > 8 {
 		pkeys = pkeys[:8]
 	}

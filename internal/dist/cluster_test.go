@@ -434,6 +434,35 @@ func TestClusterCorpusByteIdentityRF1(t *testing.T) {
 	runCorpusIdentity(t, ref, c)
 }
 
+// TestClusterDescribeSeesPeerPartitions: DESCRIBE TABLE samples the
+// table's partitions cluster-wide, so on an RF=1 cluster a member that
+// hosts none of a table still reports its schema — the same one the
+// single-process stack reports.
+func TestClusterDescribeSeesPeerPartitions(t *testing.T) {
+	ref := enginetest.New(t)
+	c := startCluster(t, 3, 1, ref.Cfg.Nodes, false)
+	c.waitAllUp()
+	c.loadCorpus(ref)
+	ctx := context.Background()
+	for _, table := range []string{model.TableEventTypes, model.TableNodeInfos, model.TableEventSynopsis} {
+		stmt := "DESCRIBE TABLE " + table
+		want, err := ref.Client.Session("ONE").Execute(ctx, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Schema) == 0 {
+			t.Fatalf("reference schema of %s is empty", table)
+		}
+		for i, cli := range c.clients {
+			got, err := cli.Session("ONE").Execute(ctx, stmt)
+			if err != nil {
+				t.Fatalf("node %s: %v", c.ids[i], err)
+			}
+			assertSameJSON(t, mustJSON(t, want.Schema), got.Schema, stmt+" via "+c.ids[i])
+		}
+	}
+}
+
 // TestClusterCorpusByteIdentityTiered repeats the identity run on a
 // durable 3-node cluster whose members share one fs-backed object store,
 // with every sealed segment force-evicted on every member first: the

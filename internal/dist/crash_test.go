@@ -151,7 +151,16 @@ func ownRows(db *store.DB, id, table, pkey string) ([]store.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return n.Read(context.Background(), table, pkey, store.Range{})
+	it, err := n.Scan(context.Background(), table, pkey, store.Range{})
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	var rows []store.Row
+	for r, ok := it.Next(); ok; r, ok = it.Next() {
+		rows = append(rows, r)
+	}
+	return rows, it.Err()
 }
 
 func equalStrings(a, b []string) bool {

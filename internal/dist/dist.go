@@ -65,7 +65,9 @@ type Config struct {
 	// failures (default 3).
 	FailAfter int
 	// RPCTimeout bounds every cluster-internal RPC: replication applies,
-	// shard reads, heartbeats (default 5s).
+	// shard bounds and partition lists, heartbeats, and each wait for a
+	// shard scan's progress (its headers, then every next row) — a
+	// flowing scan has no total deadline (default 5s).
 	RPCTimeout time.Duration
 
 	// ServerConfig tunes the HTTP surface (zero value = server defaults).
@@ -180,7 +182,7 @@ func Open(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n.Compute = compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
-	n.Query = query.NewWithOptions(db, n.Compute, query.Options{})
+	n.Query = query.New(db, n.Compute)
 	n.Server = server.NewWithConfig(n.Query, db, n.Compute, cfg.ServerConfig)
 	n.Server.AttachCluster(n)
 	go n.heartbeatLoop()

@@ -2,6 +2,9 @@ package dist
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"net/http/httptrace"
 	"time"
 
 	"hpclog/client"
@@ -68,63 +71,74 @@ func (r *remoteReplica) Apply(parent context.Context, table, pkey string, rows [
 	return nil
 }
 
-func (r *remoteReplica) Read(parent context.Context, table, pkey string, rg store.Range) ([]store.Row, error) {
-	ctx, cancel := r.ctx(parent)
-	defer cancel()
-	wire, err := r.cli.ShardRead(ctx, api.ShardReadRequest{
-		Node: r.id, Table: table, PKey: pkey, From: rg.From, To: rg.To,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return api.WireToRows(wire), nil
-}
+// errScanClosed is the cancellation cause of a scan its consumer closed:
+// the stream's end is then no error.
+var errScanClosed = errors.New("dist: shard scan closed")
 
 // Scan streams the partition over /v1/shard/scan, adapting the push-style
 // SDK callback to the store's pull-style RowIter through a channel. The
 // stream goroutine exits when the server finishes, errors, or the
 // iterator is closed (which cancels the request context).
+//
+// The peer must make progress within the RPC timeout — answer the
+// request (it sends its headers as soon as the scan is open), then send
+// each next row — or the scan fails. Time the consumer takes to pull a
+// row is not the peer's, and a stream that keeps flowing has no total
+// deadline: a scan legitimately outlives an RPC, and closing the iterator
+// cancels it instead. The parent's cancellation (client gone) propagates,
+// and its request ID rides the wire.
 func (r *remoteReplica) Scan(parent context.Context, table, pkey string, rg store.Range) (store.RowIter, error) {
-	// No per-call timeout: a scan legitimately outlives an RPC deadline.
-	// Closing the iterator cancels the stream instead. The parent's
-	// cancellation (client gone) propagates, and its request ID rides the
-	// wire.
 	if parent == nil {
 		parent = context.Background()
 	}
-	ctx, cancel := context.WithCancel(parent)
+	ctx, cancel := context.WithCancelCause(parent)
+	stall := time.AfterFunc(r.timeout, func() {
+		cancel(fmt.Errorf("dist: shard scan of %s: no progress within %v: %w", r.id, r.timeout, context.DeadlineExceeded))
+	})
+	ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
+		GotFirstResponseByte: func() { stall.Reset(r.timeout) },
+	})
 	it := &remoteScanIter{
 		rows:   make(chan store.Row, 256),
 		done:   make(chan struct{}),
-		cancel: cancel,
+		cancel: func() { cancel(errScanClosed) },
 	}
 	go func() {
-		defer close(it.done)
 		err := r.cli.ShardScan(ctx, api.ShardScanRequest{
 			Node: r.id, Table: table, PKey: pkey, From: rg.From, To: rg.To,
 		}, func(w api.WireRow) error {
+			stall.Stop()
 			select {
 			case it.rows <- w.Row():
+				stall.Reset(r.timeout)
 				return nil
 			case <-ctx.Done():
 				return ctx.Err()
 			}
 		})
-		if err != nil && ctx.Err() == nil {
+		stall.Stop()
+		if err != nil && ctx.Err() != nil {
+			err = context.Cause(ctx)
+		}
+		if !errors.Is(err, errScanClosed) {
 			it.err = err
 		}
+		// done closes before rows: a consumer that has drained rows sees
+		// the final err.
+		close(it.done)
 		close(it.rows)
 	}()
 	return it, nil
 }
 
 // remoteScanIter is the pull side of a streamed shard scan. err is written
-// by the stream goroutine strictly before rows is closed, and read by the
-// consumer strictly after rows is drained, so no lock is needed.
+// by the stream goroutine strictly before done and rows are closed, and
+// read by the consumer strictly after one of them is, so no lock is
+// needed.
 type remoteScanIter struct {
 	rows   chan store.Row
 	done   chan struct{}
-	cancel context.CancelFunc
+	cancel func()
 	err    error
 	closed bool
 }
@@ -138,9 +152,6 @@ func (it *remoteScanIter) Next() (store.Row, bool) {
 }
 
 func (it *remoteScanIter) Err() error {
-	if it.closed {
-		return it.err
-	}
 	select {
 	case <-it.done:
 		return it.err

@@ -41,7 +41,7 @@ func TestBatchScanMatchesRowScanOnCorpus(t *testing.T) {
 			rng := rand.New(rand.NewSource(23))
 			from, to := h.Window()
 			for _, table := range []string{model.TableEventByTime, model.TableEventByLoc, model.TableAppByTime} {
-				pkeys, err := h.DB.AllPartitionKeysCtx(context.Background(), table)
+				pkeys, err := h.DB.PartitionKeys(context.Background(), table)
 				if err != nil || len(pkeys) == 0 {
 					t.Fatalf("partitions of %s: %v (%d)", table, err, len(pkeys))
 				}

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -26,6 +27,16 @@ func testCluster(t testing.TB, nodes int) (*store.DB, *compute.Engine) {
 	}
 	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
 	return db, eng
+}
+
+// partitionKeys is DB.PartitionKeys with a failure fatal to the test.
+func partitionKeys(t testing.TB, db *store.DB, table string) []string {
+	t.Helper()
+	keys, err := db.PartitionKeys(context.Background(), table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys
 }
 
 func smallCorpus() *logs.Corpus {
@@ -71,7 +82,7 @@ func TestLoadAndReadBackEvents(t *testing.T) {
 	// Count events back out of event_by_time across all partitions and
 	// compare with ground truth.
 	total := 0
-	for _, pkey := range db.PartitionKeys(model.TableEventByTime) {
+	for _, pkey := range partitionKeys(t, db, model.TableEventByTime) {
 		rows, err := db.Get(model.TableEventByTime, pkey, store.Range{}, store.Quorum)
 		if err != nil {
 			t.Fatal(err)
@@ -85,7 +96,7 @@ func TestLoadAndReadBackEvents(t *testing.T) {
 	}
 	// The dual table must hold the same logical rows.
 	locTotal := 0
-	for _, pkey := range db.PartitionKeys(model.TableEventByLoc) {
+	for _, pkey := range partitionKeys(t, db, model.TableEventByLoc) {
 		rows, err := db.Get(model.TableEventByLoc, pkey, store.Range{}, store.Quorum)
 		if err != nil {
 			t.Fatal(err)
@@ -308,7 +319,7 @@ func importOnce(t *testing.T, lines []string, chunk int) (*store.DB, uint64) {
 	}
 	h := fnv.New64a()
 	for _, table := range []string{model.TableEventByTime, model.TableEventByLoc} {
-		for _, pkey := range db.PartitionKeys(table) {
+		for _, pkey := range partitionKeys(t, db, table) {
 			rows, err := db.Get(table, pkey, store.Range{}, store.All)
 			if err != nil {
 				t.Fatal(err)

@@ -92,22 +92,9 @@ type Options struct {
 	// Parallelism bounds concurrent scan tasks for big-data operations;
 	// <= 0 means GOMAXPROCS.
 	Parallelism int
-	// SliceSeconds is the clustering-key time-slice width used to split
-	// hour partitions into finer scan tasks; <= 0 means 900 (15 minutes).
-	SliceSeconds int
 	// CacheSize is the big-data result cache capacity in entries; 0 means
 	// 256, negative disables caching.
 	CacheSize int
-}
-
-func (o Options) withDefaults() Options {
-	if o.SliceSeconds <= 0 {
-		o.SliceSeconds = 900
-	}
-	if o.CacheSize == 0 {
-		o.CacheSize = 256
-	}
-	return o
 }
 
 // Engine is the query processing engine.
@@ -132,7 +119,9 @@ func New(db *store.DB, eng *compute.Engine) *Engine {
 
 // NewWithOptions creates a query engine with explicit execution options.
 func NewWithOptions(db *store.DB, eng *compute.Engine, opts Options) *Engine {
-	opts = opts.withDefaults()
+	if opts.CacheSize == 0 {
+		opts.CacheSize = 256
+	}
 	return &Engine{
 		db: db, compute: eng, opts: opts,
 		cache: newResultCache(opts.CacheSize),
@@ -145,20 +134,18 @@ func (q *Engine) Stats() Stats {
 	return Stats{Simple: q.simple.Load(), BigData: q.bigdata.Load()}
 }
 
-// ScanTuning exposes the engine's scan parallelism and time-slice width
-// so other query surfaces (the CQL planner behind POST /v1/cql) share
-// one execution configuration.
-func (q *Engine) ScanTuning() (parallelism, sliceSeconds int) {
-	return q.opts.Parallelism, q.opts.SliceSeconds
+// ScanTuning exposes the engine's scan parallelism so other query
+// surfaces (the CQL planner behind POST /v1/cql) share one execution
+// configuration. Every surface slices hour partitions into the same
+// default 15-minute scan tasks.
+func (q *Engine) ScanTuning() (parallelism int) {
+	return q.opts.Parallelism
 }
 
 // scanCfg is the streaming-scan configuration the engine plans big-data
 // operations with.
 func (q *Engine) scanCfg() analytics.ScanConfig {
-	return analytics.ScanConfig{
-		Parallelism: q.opts.Parallelism,
-		Slice:       time.Duration(q.opts.SliceSeconds) * time.Second,
-	}
+	return analytics.ScanConfig{Parallelism: q.opts.Parallelism}
 }
 
 // CacheStats returns a snapshot of result-cache counters.

@@ -36,8 +36,7 @@ func (s *Server) AttachCluster(b ClusterBackend) { s.cluster = b }
 // registerClusterRoutes wires the cluster-internal routes onto the mux.
 func (s *Server) registerClusterRoutes() {
 	s.handle("POST /v1/replicate", s.limited("cluster", s.handleReplicate))
-	s.handle("POST /v1/shard/read", s.limited("cluster", s.handleShardRead))
-	s.handle("POST /v1/shard/scan", s.limited("stream", s.handleShardScan))
+	s.handle("POST /v1/shard/scan", s.limited("cluster", s.handleShardScan))
 	s.handle("POST /v1/shard/bounds", s.limited("cluster", s.handleShardBounds))
 	s.handle("GET /v1/shard/partitions", s.handleShardPartitions)
 	s.handle("GET /v1/shard/segments", s.handleShardSegments)
@@ -60,11 +59,11 @@ func readRawBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, *
 }
 
 // handleReplicate answers POST /v1/replicate: apply one pre-stamped batch
-// to a locally-hosted ring member. The body cap is its own knob — a
-// replica batch legitimately outgrows the public-API limit.
+// to a locally-hosted ring member. The body cap is apart from
+// MaxBodyBytes: a replica batch legitimately outgrows the public-API limit.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	s.v1(func(w http.ResponseWriter, r *http.Request) (any, *api.Error) {
-		data, aerr := readRawBody(w, r, s.cfg.ReplicateMaxBodyBytes)
+		data, aerr := readRawBody(w, r, replicateMaxBodyBytes)
 		if aerr != nil {
 			return nil, aerr
 		}
@@ -80,33 +79,12 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	})(w, r)
 }
 
-// handleShardRead answers POST /v1/shard/read: one partition's rows from
-// one locally-hosted member.
-func (s *Server) handleShardRead(w http.ResponseWriter, r *http.Request) {
-	s.v1(func(w http.ResponseWriter, r *http.Request) (any, *api.Error) {
-		data, aerr := readRawBody(w, r, s.cfg.MaxBodyBytes)
-		if aerr != nil {
-			return nil, aerr
-		}
-		req, aerr := api.DecodeShardReadRequest(data)
-		if aerr != nil {
-			return nil, aerr
-		}
-		n, err := s.db.LocalReplica(req.Node)
-		if err != nil {
-			return nil, toAPIError(err)
-		}
-		rows, err := n.Read(r.Context(), req.Table, req.PKey, store.Range{From: req.From, To: req.To})
-		if err != nil {
-			return nil, toAPIError(err)
-		}
-		return api.ShardReadResult{Rows: api.RowsToWire(rows)}, nil
-	})(w, r)
-}
-
 // handleShardScan answers POST /v1/shard/scan: the partition as an NDJSON
 // stream of WireRows, trailer last — the transport behind a remote
-// coordinator's store.RowIter.
+// coordinator's store.RowIter, and the one row read a peer serves. The
+// headers go out as soon as the scan is open: the coordinator bounds the
+// wait for them, and for each next row, by its RPC timeout, never the
+// whole stream.
 func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 	started := s.now()
 	reqID := s.requestID(r)
@@ -119,7 +97,7 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 		s.writeV1(w, started, reqID, nil, aerr)
 		return
 	}
-	req, aerr := api.DecodeShardReadRequest(data)
+	req, aerr := api.DecodeShardScanRequest(data)
 	if aerr != nil {
 		s.writeV1(w, started, reqID, nil, aerr)
 		return
@@ -137,6 +115,10 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 	defer it.Close()
 	nd := newNDJSON(w, reqID)
 	defer nd.release()
+	nd.begin()
+	if nd.flush() != nil {
+		return
+	}
 	for {
 		row, ok := it.Next()
 		if !ok {

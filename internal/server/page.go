@@ -15,7 +15,7 @@ import (
 
 // pageLimit clamps a requested page size into the configured window.
 func (s *Server) pageLimit(p *api.Page) int {
-	limit := s.cfg.DefaultPageLimit
+	limit := defaultPageLimit
 	if p != nil && p.Limit > 0 {
 		limit = p.Limit
 	}

@@ -98,7 +98,7 @@ func (s *Server) scanChunks(tasks []func(*chunk) error, limit int, emit func(*ch
 			return yield(c)
 		}}
 	}
-	par, _ := s.q.ScanTuning()
+	par := s.q.ScanTuning()
 	err := compute.StreamScan(s.eng, compute.ScanOptions{Parallelism: par}, scan, func(_ int, cs []*chunk) error {
 		for _, c := range cs {
 			if err := emit(c); err != nil {

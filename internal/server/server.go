@@ -46,27 +46,12 @@ type Config struct {
 	// MaxWatchTimeout caps the timeout_ms a watch client may request;
 	// <= 0 means 2 minutes.
 	MaxWatchTimeout time.Duration
-	// DefaultPageLimit is the page size when a paginated request does not
-	// set one; <= 0 means 1000.
-	DefaultPageLimit int
 	// MaxPageLimit caps the page size a client may request; <= 0 means
 	// 10000.
 	MaxPageLimit int
-	// QueryInFlight, CQLInFlight, StreamInFlight, WatchInFlight and
-	// StorageInFlight are per-route concurrency caps; 0 selects the
-	// defaults (64, 64, 16, 256, 4), negative disables the route's limit.
-	QueryInFlight   int
-	CQLInFlight     int
-	StreamInFlight  int
-	WatchInFlight   int
-	StorageInFlight int
-	// ClusterInFlight caps concurrent cluster-internal RPCs (replication,
-	// shard reads, heartbeats); 0 selects 128, negative disables.
-	ClusterInFlight int
-	// ReplicateMaxBodyBytes caps /v1/replicate bodies separately from
-	// MaxBodyBytes — a replica batch legitimately outgrows a public API
-	// request; <= 0 means 32 MiB.
-	ReplicateMaxBodyBytes int64
+	// WatchInFlight caps concurrent watch subscriptions; 0 selects 256,
+	// negative disables the limit.
+	WatchInFlight int
 	// WatchTailRing is the per-event-type tail-ring capacity in rows: a
 	// watch subscriber lagging more than this many writes behind the
 	// shard head falls back to a stability-window scan. <= 0 means 4096.
@@ -77,13 +62,25 @@ type Config struct {
 	// /v1/debug/slow; <= 0 means 500ms. Tests set it to 1ns to capture
 	// everything.
 	SlowQueryThreshold time.Duration
-	// SlowQueryLog caps the retained slow traces (a bounded in-memory
-	// ring, newest win); <= 0 means 128.
-	SlowQueryLog int
 	// Logger receives the server's structured log records; nil discards
 	// them.
 	Logger *slog.Logger
 }
+
+// Fixed surface limits: the page size of a paginated request that sets
+// none, the per-route in-flight caps (the watch cap is
+// Config.WatchInFlight), the /v1/replicate body cap — a replica batch
+// legitimately outgrows a public request — and the slow-trace ring size.
+const (
+	defaultPageLimit      = 1000
+	queryInFlight         = 64
+	cqlInFlight           = 64
+	streamInFlight        = 16
+	storageInFlight       = 4
+	clusterInFlight       = 128
+	replicateMaxBodyBytes = 32 << 20
+	slowQueryLog          = 128
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
@@ -92,38 +89,20 @@ func (c Config) withDefaults() Config {
 	if c.MaxWatchTimeout <= 0 {
 		c.MaxWatchTimeout = 2 * time.Minute
 	}
-	if c.DefaultPageLimit <= 0 {
-		c.DefaultPageLimit = 1000
-	}
 	if c.MaxPageLimit <= 0 {
 		c.MaxPageLimit = 10000
 	}
-	def := func(v, d int) int {
-		if v == 0 {
-			return d
-		}
-		if v < 0 {
-			return 0 // unlimited
-		}
-		return v
-	}
-	c.QueryInFlight = def(c.QueryInFlight, 64)
-	c.CQLInFlight = def(c.CQLInFlight, 64)
-	c.StreamInFlight = def(c.StreamInFlight, 16)
-	c.WatchInFlight = def(c.WatchInFlight, 256)
-	c.StorageInFlight = def(c.StorageInFlight, 4)
-	c.ClusterInFlight = def(c.ClusterInFlight, 128)
-	if c.ReplicateMaxBodyBytes <= 0 {
-		c.ReplicateMaxBodyBytes = 32 << 20
+	switch {
+	case c.WatchInFlight == 0:
+		c.WatchInFlight = 256
+	case c.WatchInFlight < 0:
+		c.WatchInFlight = 0 // unlimited
 	}
 	if c.WatchTailRing <= 0 {
 		c.WatchTailRing = defaultTailRing
 	}
 	if c.SlowQueryThreshold <= 0 {
 		c.SlowQueryThreshold = 500 * time.Millisecond
-	}
-	if c.SlowQueryLog <= 0 {
-		c.SlowQueryLog = 128
 	}
 	return c
 }
@@ -178,19 +157,19 @@ func NewWithConfig(q *query.Engine, db *store.DB, eng *compute.Engine, cfg Confi
 		reqPrefix: hex.EncodeToString(pfx[:]),
 		routeHist: make(map[string]*obs.Hist),
 	}
-	s.tracer = obs.NewTracer(s.cfg.SlowQueryThreshold, s.cfg.SlowQueryLog)
+	s.tracer = obs.NewTracer(s.cfg.SlowQueryThreshold, slowQueryLog)
 	s.lg = s.cfg.Logger
 	if s.lg == nil {
 		s.lg = obs.Discard()
 	}
 	s.hub = newHub(s.cfg.WatchTailRing)
 	s.limiters = map[string]*limiter{
-		"query":   {max: int64(s.cfg.QueryInFlight)},
-		"cql":     {max: int64(s.cfg.CQLInFlight)},
-		"stream":  {max: int64(s.cfg.StreamInFlight)},
+		"query":   {max: queryInFlight},
+		"cql":     {max: cqlInFlight},
+		"stream":  {max: streamInFlight},
 		"watch":   {max: int64(s.cfg.WatchInFlight)},
-		"storage": {max: int64(s.cfg.StorageInFlight)},
-		"cluster": {max: int64(s.cfg.ClusterInFlight)},
+		"storage": {max: storageInFlight},
+		"cluster": {max: clusterInFlight},
 	}
 	// The watch hub is fed by the store's write path: every acked write
 	// publishes a digest (table, partition key, acked rows) that routes to
@@ -477,10 +456,9 @@ func parseConsistency(c string) (store.Consistency, *api.Error) {
 // pool. ctx carries the request ID and trace span through parsing,
 // planning, and the (possibly remote) scan.
 func (s *Server) session(ctx context.Context, cl store.Consistency) *cql.Session {
-	par, slice := s.q.ScanTuning()
 	return &cql.Session{
 		DB: s.db, CL: cl, Eng: s.eng, Ctx: ctx,
-		Exec: plan.ExecOptions{Parallelism: par, SliceSeconds: slice},
+		Exec: plan.ExecOptions{Parallelism: s.q.ScanTuning()},
 	}
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -145,7 +146,7 @@ func TestRepairAfterRollingOutage(t *testing.T) {
 	}
 	want := rowsPerPhase * len(ids)
 	for _, id := range db.Ring().Replicas(pkey) {
-		rows, err := db.Node(id).readPartition("events", pkey, Range{})
+		rows, err := readReplica(context.Background(), db.Node(id), "events", pkey, Range{})
 		if err != nil {
 			t.Fatal(err)
 		}

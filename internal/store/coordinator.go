@@ -14,13 +14,13 @@ import (
 
 // replica is one ring member as the coordinator reaches it: a *Node hosted
 // in this process, or a wireReplica around the Remote of a member hosted
-// elsewhere. Read, KeyBounds and PartitionKeys are Remote's own methods
-// (and the /v1/shard/* routes serve a Node's); the lowercase three carry
-// what only an in-process node can use — the put record encoded once per
-// batch, block pruning and column projection — and a wire replica drops it.
+// elsewhere. KeyBounds and PartitionKeys are Remote's own methods (and the
+// /v1/shard/* routes serve a Node's); the lowercase three carry what only
+// an in-process node can use — the put record encoded once per batch,
+// block pruning and column projection — and a wire replica drops it. scan
+// is the one row read: Get and Repair drain it (see readReplica).
 type replica interface {
 	apply(ctx context.Context, table, pkey string, rows []Row, encoded []byte) error
-	Read(ctx context.Context, table, pkey string, rg Range) ([]Row, error)
 	scan(ctx context.Context, table, pkey string, rg Range, pc *pruneCfg) (RowIter, error)
 	batches(ctx context.Context, table, pkey string, rg Range, project []uint32, pc *pruneCfg) (BatchIterator, error)
 	KeyBounds(ctx context.Context, table, pkey string) (min, max string, ok bool, err error)
@@ -73,7 +73,7 @@ func (db *DB) replicaOf(id string) replica {
 
 // LocalReplica returns the locally hosted ring member nodeID, fenced: a
 // member this process does not host is ErrWrongShard. The /v1/shard/*
-// routes serve its Read, Scan, KeyBounds and PartitionKeys.
+// routes serve its Scan, KeyBounds and PartitionKeys.
 func (db *DB) LocalReplica(nodeID string) (*Node, error) {
 	if n := db.Node(nodeID); n != nil {
 		return n, nil
@@ -263,6 +263,24 @@ func (db *DB) Get(tableName, pkey string, rg Range, cl Consistency) ([]Row, erro
 	return db.GetCtx(context.Background(), tableName, pkey, rg, cl)
 }
 
+// readReplica drains one replica's unpruned scan of a partition within rg. A
+// stream that fails part-way returns its error and no rows, so a caller
+// never takes a partial list for a replica's answer.
+func readReplica(ctx context.Context, r replica, tableName, pkey string, rg Range) ([]Row, error) {
+	it, err := r.scan(ctx, tableName, pkey, rg, nil)
+	if err != nil {
+		return nil, err
+	}
+	var rows []Row
+	for row, ok := it.Next(); ok; row, ok = it.Next() {
+		rows = append(rows, row)
+	}
+	if err := errors.Join(it.Err(), it.Close()); err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
 // GetCtx is Get under the caller's context: replica transports derive
 // their deadline from it and forward its request ID, so a scatter-gather
 // read traces under one ID on every process it touches.
@@ -285,7 +303,7 @@ func (db *DB) GetCtx(ctx context.Context, tableName, pkey string, rg Range, cl C
 	if need == 1 {
 		var firstErr error
 		for _, tgt := range live {
-			rows, err := tgt.Read(ctx, tableName, pkey, rg)
+			rows, err := readReplica(ctx, tgt, tableName, pkey, rg)
 			if err == nil {
 				return rows, nil
 			}
@@ -306,7 +324,7 @@ func (db *DB) GetCtx(ctx context.Context, tableName, pkey string, rg Range, cl C
 	ch := make(chan readRes, len(live))
 	launch := func(i int) {
 		go func() {
-			rows, err := live[i].Read(ctx, tableName, pkey, rg)
+			rows, err := readReplica(ctx, live[i], tableName, pkey, rg)
 			ch <- readRes{i, rows, err}
 		}()
 	}
@@ -339,24 +357,16 @@ func (db *DB) GetCtx(ctx context.Context, tableName, pkey string, rg Range, cl C
 			ErrUnavailable, tableName, pkey, len(answered), need, firstErr)
 	}
 	sort.Ints(answered)
-	read := make([][]Row, len(answered))
+	targets := make([]replicaTarget, len(answered))
+	lists := make([][]Row, len(answered))
 	for i, idx := range answered {
-		read[i] = results[idx]
+		targets[i], lists[i] = live[idx], results[idx]
 	}
-	merged := mergeRows(read...)
-	// Read repair: patch replicas observed stale within the read range.
-	repaired := false
-	for _, idx := range answered {
-		missing := diffRows(merged, results[idx])
-		if len(missing) == 0 {
-			continue
-		}
-		if err := live[idx].apply(context.WithoutCancel(ctx), tableName, pkey, missing, nil); err == nil {
-			db.readRepairs.Add(int64(len(missing)))
-			repaired = true
-		}
-	}
-	if repaired {
+	// Read repair: patch replicas observed stale within the read range. A
+	// failed write-back leaves the replica to hints and anti-entropy.
+	merged, repaired, _ := reconcile(context.WithoutCancel(ctx), tableName, pkey, targets, lists)
+	if repaired > 0 {
+		db.readRepairs.Add(int64(repaired))
 		// A previously stale replica can now answer consistency-One reads
 		// with more rows, so cached results must be revalidated and
 		// watchers woken (digest-free: the repaired rows may never have
@@ -370,11 +380,34 @@ func (db *DB) GetCtx(ctx context.Context, tableName, pkey string, rg Range, cl C
 // replicas by read repair.
 func (db *DB) ReadRepairs() int64 { return db.readRepairs.Load() }
 
-// AllPartitionKeysCtx returns the union of a table's partition keys across
-// the whole cluster: local members directly, live attached remote members
-// over the wire. Anti-entropy repair walks this so a coordinator that
-// holds none of a partition's replicas still repairs it.
-func (db *DB) AllPartitionKeysCtx(ctx context.Context, tableName string) ([]string, error) {
+// reconcile is the one convergence step of read repair and anti-entropy:
+// it merges lists — what each of targets answered for one partition —
+// last-write-wins, and writes back to every target the rows its list
+// lacks or holds stale. It returns the merged rows, the rows written back
+// and the first failed write-back; a failure does not stop the others.
+func reconcile(ctx context.Context, tableName, pkey string, targets []replicaTarget, lists [][]Row) (merged []Row, copied int, err error) {
+	merged = mergeRows(lists...)
+	for i, tgt := range targets {
+		missing := diffRows(merged, lists[i])
+		if len(missing) == 0 {
+			continue
+		}
+		if werr := tgt.apply(ctx, tableName, pkey, missing, nil); werr != nil {
+			if err == nil {
+				err = werr
+			}
+			continue
+		}
+		copied += len(missing)
+	}
+	return merged, copied, err
+}
+
+// PartitionKeys returns the union of a table's partition keys across the
+// whole cluster, sorted: local members directly, live attached remote
+// members over the wire. Anti-entropy repair walks it, so a coordinator
+// that holds none of a partition's replicas still repairs it.
+func (db *DB) PartitionKeys(ctx context.Context, tableName string) ([]string, error) {
 	seen := make(map[string]bool)
 	for _, tgt := range db.repairTargets(db.Members()) {
 		keys, err := tgt.PartitionKeys(ctx, tableName)
@@ -393,13 +426,14 @@ func (db *DB) AllPartitionKeysCtx(ctx context.Context, tableName string) ([]stri
 // down node cannot participate; it converges through hinted handoff and a
 // repair after it returns) exchange rows and converge on the
 // last-write-wins union. It returns the number of rows copied to lagging
-// replicas.
+// replicas; a replica that fails to answer or to take its rows stops the
+// walk with that error.
 func (db *DB) Repair(tableName string) (int, error) {
 	if !db.HasTable(tableName) {
 		return 0, fmt.Errorf("store: no such table %q", tableName)
 	}
 	ctx := context.Background()
-	pkeys, err := db.AllPartitionKeysCtx(ctx, tableName)
+	pkeys, err := db.PartitionKeys(ctx, tableName)
 	if err != nil {
 		return 0, err
 	}
@@ -409,33 +443,25 @@ func (db *DB) Repair(tableName string) (int, error) {
 		if len(live) < 2 {
 			continue
 		}
-		lists := make([][]Row, 0, len(live))
-		for _, tgt := range live {
-			rows, err := tgt.Read(ctx, tableName, pkey, Range{})
-			if err != nil {
-				return copied, err
-			}
-			lists = append(lists, rows)
-		}
-		union := mergeRows(lists...)
+		lists := make([][]Row, len(live))
 		for i, tgt := range live {
-			if len(lists[i]) == len(union) {
-				continue
+			if lists[i], err = readReplica(ctx, tgt, tableName, pkey, Range{}); err != nil {
+				break
 			}
-			missing := diffRows(union, lists[i])
-			if len(missing) == 0 {
-				continue
-			}
-			if err := tgt.apply(ctx, tableName, pkey, missing, nil); err != nil {
-				return copied, err
-			}
-			copied += len(missing)
+		}
+		if err == nil {
+			var n int
+			_, n, err = reconcile(ctx, tableName, pkey, live, lists)
+			copied += n
+		}
+		if err != nil {
+			break
 		}
 	}
 	if copied > 0 {
 		db.notifyScan()
 	}
-	return copied, nil
+	return copied, err
 }
 
 // diffRows returns rows in union that are absent from have (by clustering

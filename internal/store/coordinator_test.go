@@ -22,6 +22,9 @@ type fakeRemote struct {
 	fail    bool             // Apply returns errFakeRemote
 	block   chan struct{}    // non-nil: Apply waits to receive from it
 	applied chan struct{}    // one send per successful Apply; buffered past any test's count
+	// scanFailAfter > 0 makes a Scan of more rows than that break off
+	// after them with errFakeRemote.
+	scanFailAfter int
 }
 
 func newFakeRemote() *fakeRemote {
@@ -48,16 +51,21 @@ func (f *fakeRemote) Apply(_ context.Context, table, pkey string, rows []Row) er
 	return nil
 }
 
-func (f *fakeRemote) Read(_ context.Context, table, pkey string, rg Range) ([]Row, error) {
+func (f *fakeRemote) Scan(_ context.Context, table, pkey string, rg Range) (RowIter, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return slices.Clone(sliceRange(f.parts[table+"/"+pkey], rg)), nil
+	rows := slices.Clone(sliceRange(f.parts[table+"/"+pkey], rg))
+	if k := f.scanFailAfter; k > 0 && k < len(rows) {
+		return brokenIter{NewSliceIter(rows[:k])}, nil
+	}
+	return NewSliceIter(rows), nil
 }
 
-func (f *fakeRemote) Scan(ctx context.Context, table, pkey string, rg Range) (RowIter, error) {
-	rows, err := f.Read(ctx, table, pkey, rg)
-	return NewSliceIter(rows), err
-}
+// brokenIter is a stream that broke off: its rows end early and Err
+// reports why.
+type brokenIter struct{ RowIter }
+
+func (brokenIter) Err() error { return errFakeRemote }
 
 func (f *fakeRemote) KeyBounds(_ context.Context, table, pkey string) (string, string, bool, error) {
 	f.mu.Lock()
@@ -104,14 +112,22 @@ func mixedRing(t *testing.T) (db *DB, b, c *fakeRemote) {
 }
 
 func rowCount(t *testing.T, r interface {
-	Read(context.Context, string, string, Range) ([]Row, error)
+	Scan(context.Context, string, string, Range) (RowIter, error)
 }, pkey string) int {
 	t.Helper()
-	rows, err := r.Read(context.Background(), "events", pkey, Range{})
+	it, err := r.Scan(context.Background(), "events", pkey, Range{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return len(rows)
+	defer it.Close()
+	n := 0
+	for _, ok := it.Next(); ok; _, ok = it.Next() {
+		n++
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestCoordinatorQuorumAcksWhileRemoteBlocks: a QUORUM write returns on
@@ -219,5 +235,62 @@ func TestCoordinatorHintsFailedLocalReplica(t *testing.T) {
 	}
 	if got := db.PendingHints(broken); got != 1 {
 		t.Fatalf("pending hints for the failed local replica = %d, want 1", got)
+	}
+}
+
+// partitionRows writes n rows of partition p at ALL, so every replica of
+// a mixed ring holds all of them.
+func partitionRows(t *testing.T, db *DB, n int) {
+	t.Helper()
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = eventRow(int64(i), "d", "MCE", "L")
+	}
+	if err := db.PutBatch("events", "p", rows, All); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFaultPartialScanNeverAnswersGet: a remote whose scan breaks off
+// after a few rows is a failed replica, not a short answer. Get at One and
+// at Quorum returns another replica's complete rows, and the partial list
+// never reaches read repair.
+func TestFaultPartialScanNeverAnswersGet(t *testing.T) {
+	db, b, c := mixedRing(t)
+	const n = 10
+	partitionRows(t, db, n)
+	// Break the remote read first: Quorum reads the local replica and it,
+	// One (with the local replica down) reads it alone.
+	var first *fakeRemote
+	for _, id := range db.Ring().Replicas("p") {
+		if id == "b" || id == "c" {
+			first = map[string]*fakeRemote{"b": b, "c": c}[id]
+			break
+		}
+	}
+	first.scanFailAfter = 3
+
+	rows, err := db.Get("events", "p", Range{}, Quorum)
+	if err != nil || len(rows) != n {
+		t.Fatalf("QUORUM read with a broken remote: %d rows, %v; want %d", len(rows), err, n)
+	}
+	if got := db.ReadRepairs(); got != 0 {
+		t.Fatalf("read repair wrote back %d rows: a partial list was taken for an answer", got)
+	}
+	db.Ring().SetUp("a", false)
+	rows, err = db.Get("events", "p", Range{}, One)
+	if err != nil || len(rows) != n {
+		t.Fatalf("ONE read with a broken remote: %d rows, %v; want %d", len(rows), err, n)
+	}
+}
+
+// TestFaultPartialScanFailsRepair: anti-entropy over a replica whose scan
+// breaks off returns the error instead of reconciling a partial list.
+func TestFaultPartialScanFailsRepair(t *testing.T) {
+	db, b, _ := mixedRing(t)
+	partitionRows(t, db, 10)
+	b.scanFailAfter = 3
+	if _, err := db.Repair("events"); !errors.Is(err, errFakeRemote) {
+		t.Fatalf("repair over a broken scan: err = %v, want %v", err, errFakeRemote)
 	}
 }

@@ -1,11 +1,9 @@
 package store
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
-	"maps"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -524,19 +522,6 @@ func (db *DB) HasTable(name string) bool {
 
 // NextWriteTS issues a monotonically increasing logical write timestamp.
 func (db *DB) NextWriteTS() int64 { return db.writeTS.Add(1) }
-
-// PartitionKeys returns the union of partition keys for a table across the
-// members this process hosts, sorted.
-func (db *DB) PartitionKeys(tableName string) []string {
-	seen := make(map[string]bool)
-	for _, n := range db.nodes {
-		keys, _ := n.PartitionKeys(context.Background(), tableName) // a local node never fails
-		for _, k := range keys {
-			seen[k] = true
-		}
-	}
-	return slices.Sorted(maps.Keys(seen))
-}
 
 // PrimaryFor returns the primary storage node id for a partition key.
 func (db *DB) PrimaryFor(pkey string) string { return db.ring.Primary(pkey) }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -13,6 +14,16 @@ func testDB(t testing.TB, nodes, rf int) *DB {
 	db := Open(Config{Nodes: nodes, RF: rf, VNodes: 32, FlushThreshold: 64, MaxSegments: 3})
 	db.CreateTable("events")
 	return db
+}
+
+// partitionKeys is DB.PartitionKeys with a failure fatal to the test.
+func partitionKeys(t testing.TB, db *DB, table string) []string {
+	t.Helper()
+	keys, err := db.PartitionKeys(context.Background(), table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys
 }
 
 func eventRow(ts int64, disc, typ, loc string) Row {
@@ -175,7 +186,7 @@ func TestRepairConvergesReplicas(t *testing.T) {
 	}
 	db.Ring().SetUp(replicas[2], true)
 	// The recovered node missed all writes.
-	rows, err := db.Node(replicas[2]).readPartition("events", pkey, Range{})
+	rows, err := readReplica(context.Background(), db.Node(replicas[2]), "events", pkey, Range{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +200,7 @@ func TestRepairConvergesReplicas(t *testing.T) {
 	if copied != 50 {
 		t.Fatalf("repair copied %d rows, want 50", copied)
 	}
-	rows, err = db.Node(replicas[2]).readPartition("events", pkey, Range{})
+	rows, err = readReplica(context.Background(), db.Node(replicas[2]), "events", pkey, Range{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +214,45 @@ func TestRepairConvergesReplicas(t *testing.T) {
 	}
 	if copied != 0 {
 		t.Fatalf("second repair copied %d rows, want 0", copied)
+	}
+}
+
+// TestRepairPatchesMissedOverwrite: a replica that holds every key of a
+// partition but missed one overwrite is as stale as one that missed a
+// row, and anti-entropy copies it the newer version.
+func TestRepairPatchesMissedOverwrite(t *testing.T) {
+	db := testDB(t, 5, 3)
+	pkey := "p"
+	for i := 0; i < 10; i++ {
+		if err := db.Put("events", pkey, eventRow(int64(i), "d", "T", "L"), All); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim := db.Ring().Replicas(pkey)[2]
+	db.Ring().SetUp(victim, false)
+	key := EncodeTS(3) + ":d"
+	over := MapRow(key, 0, map[string]string{"type": "T", "source": "L", "amount": "99"})
+	if err := db.Put("events", pkey, over, Quorum); err != nil {
+		t.Fatal(err)
+	}
+	db.hintLog.take(victim) // as a coordinator restart drops them
+	db.Ring().SetUp(victim, true)
+
+	copied, err := db.Repair("events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := db.Node(victim).Scan(context.Background(), "events", pkey, Range{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range collectIter(t, it) {
+		if r.Key == key && r.Col("amount") != "99" {
+			t.Fatalf("after repair the replica holds amount %q for %s, want 99", r.Col("amount"), key)
+		}
+	}
+	if copied != 1 {
+		t.Fatalf("repair copied %d rows, want 1", copied)
 	}
 }
 
@@ -243,7 +293,7 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 	wg.Wait()
 	total := 0
-	for _, pkey := range db.PartitionKeys("events") {
+	for _, pkey := range partitionKeys(t, db, "events") {
 		rows, err := db.Get("events", pkey, Range{}, Quorum)
 		if err != nil {
 			t.Fatal(err)
@@ -289,7 +339,7 @@ func TestPartitionKeysUnion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := db.PartitionKeys("events")
+	got := partitionKeys(t, db, "events")
 	if len(got) != len(want) {
 		t.Fatalf("PartitionKeys = %v", got)
 	}

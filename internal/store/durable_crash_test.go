@@ -112,7 +112,7 @@ func TestCrashRecoveryAckedBatches(t *testing.T) {
 			t.Fatalf("recover image@%d batches: %v", img.acked, err)
 		}
 		got := make(map[string]Row)
-		for _, pkey := range rdb.PartitionKeys("events") {
+		for _, pkey := range partitionKeys(t, rdb, "events") {
 			rows, err := rdb.Get("events", pkey, Range{}, All)
 			if err != nil {
 				t.Fatal(err)

@@ -46,7 +46,7 @@ func fillDurable(t *testing.T, db *DB, table string, parts, perPart int) {
 func readAll(t *testing.T, db *DB, table string) map[string][]Row {
 	t.Helper()
 	out := make(map[string][]Row)
-	for _, pkey := range db.PartitionKeys(table) {
+	for _, pkey := range partitionKeys(t, db, table) {
 		rows, err := db.Get(table, pkey, Range{}, Quorum)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -21,7 +22,7 @@ func TestHintedHandoffDelivery(t *testing.T) {
 		t.Fatalf("pending hints = %d, want 30", got)
 	}
 	// The down node has nothing yet.
-	rows, err := db.Node(victim).readPartition("events", pkey, Range{})
+	rows, err := readReplica(context.Background(), db.Node(victim), "events", pkey, Range{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestHintedHandoffDelivery(t *testing.T) {
 	if got := db.PendingHints(victim); got != 0 {
 		t.Fatalf("pending after delivery = %d", got)
 	}
-	rows, err = db.Node(victim).readPartition("events", pkey, Range{})
+	rows, err = readReplica(context.Background(), db.Node(victim), "events", pkey, Range{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestReadRepairPatchesStaleReplica(t *testing.T) {
 	}
 	// Bring the node back WITHOUT hint delivery or repair: it is stale.
 	db.Ring().SetUp(victim, true)
-	stale, err := db.Node(victim).readPartition("events", pkey, Range{})
+	stale, err := readReplica(context.Background(), db.Node(victim), "events", pkey, Range{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestReadRepairPatchesStaleReplica(t *testing.T) {
 	if db.ReadRepairs() < 20 {
 		t.Fatalf("read repairs = %d, want >= 20", db.ReadRepairs())
 	}
-	patched, err := db.Node(victim).readPartition("events", pkey, Range{})
+	patched, err := readReplica(context.Background(), db.Node(victim), "events", pkey, Range{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestReadRepairScopedToRange(t *testing.T) {
 	if _, err := db.Get("events", pkey, rg, All); err != nil {
 		t.Fatal(err)
 	}
-	patched, err := db.Node(victim).readPartition("events", pkey, Range{})
+	patched, err := readReplica(context.Background(), db.Node(victim), "events", pkey, Range{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -400,27 +400,6 @@ func (p *partition) snapshotBatches(rg Range, pc *pruneCfg, project []uint32) (i
 	return it, chained, err
 }
 
-// read returns rows within rg merged across memtable and segments. It
-// drains a point-in-time snapshot after releasing the partition lock, so
-// segment-file I/O never stalls writers.
-func (p *partition) read(rg Range) ([]Row, error) {
-	its, err := p.snapshotIters(rg, nil)
-	if err != nil {
-		return nil, err
-	}
-	m := persist.MergeIters(its)
-	defer m.Close()
-	var out []Row
-	for {
-		r, ok := m.Next()
-		if !ok {
-			break
-		}
-		out = append(out, r)
-	}
-	return out, m.Err()
-}
-
 // eachMemRun calls fn with each non-empty in-RAM merge input of the
 // partition, oldest first: in-memory segments, the flushing run, the
 // memtable.
@@ -673,20 +652,6 @@ func (n *Node) applyReplayed(tableName, pkey string, rows []Row, walSeg uint64) 
 		return err
 	}
 	return t.partition(pkey, true).put(rows, walSeg)
-}
-
-func (n *Node) readPartition(tableName, pkey string, rg Range) ([]Row, error) {
-	p := n.partition(tableName, pkey)
-	if p == nil {
-		return nil, nil
-	}
-	return p.read(rg)
-}
-
-// Read returns this node's rows of one partition within the clustering
-// range, merged across memtable and segments.
-func (n *Node) Read(_ context.Context, tableName, pkey string, rg Range) ([]Row, error) {
-	return n.readPartition(tableName, pkey, rg)
 }
 
 // KeyBounds returns the smallest and largest clustering key this node

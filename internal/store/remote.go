@@ -18,10 +18,12 @@ import (
 // Implementations (see internal/dist) speak the /v1/replicate and
 // /v1/shard/* RPCs over the hpclog/client SDK.
 //
-// Contract: Read and Scan return rows sorted by clustering key — the same
-// shape a local replica yields — and Apply is idempotent (rows carry their
-// WriteTS; replicas reconcile last-write-wins), so callers may safely
-// retry.
+// Contract: Scan is the one row read — the coordinator drains it for Get,
+// read repair and anti-entropy, and re-batches it for batch scans. It
+// yields rows sorted by clustering key, the same shape a local replica
+// yields, and reports a stream that broke off through Err, never as a
+// short clean stream. Apply is idempotent (rows carry their WriteTS;
+// replicas reconcile last-write-wins), so callers may safely retry.
 //
 // Every method takes the coordinator's request context: transports
 // derive their RPC deadline from it and propagate the request ID it
@@ -33,10 +35,8 @@ type Remote interface {
 	// Apply writes pre-stamped rows into one partition of the remote
 	// member — the replication RPC.
 	Apply(ctx context.Context, table, pkey string, rows []Row) error
-	// Read returns the remote member's rows for one partition within the
+	// Scan streams the remote member's rows for one partition within the
 	// clustering range.
-	Read(ctx context.Context, table, pkey string, rg Range) ([]Row, error)
-	// Scan streams the remote member's rows for one partition.
 	Scan(ctx context.Context, table, pkey string, rg Range) (RowIter, error)
 	// KeyBounds returns the smallest and largest clustering key the
 	// remote member holds for one partition (ok=false when empty).
