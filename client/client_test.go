@@ -57,7 +57,7 @@ func getFixture(t testing.TB) *fixture {
 		t.Fatal(err)
 	}
 	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
-	srv := server.New(query.New(db, eng), db, eng)
+	srv := server.NewWithConfig(query.New(db, eng), db, eng, server.Config{})
 	ts := httptest.NewServer(srv)
 	shared = &fixture{cfg: cfg, db: db, ts: ts, cli: New(ts.URL)}
 	return shared

@@ -1,8 +1,8 @@
 // End-to-end acceptance test: the full Fig 3 stack assembled the way a
 // deployment would run it — corpus batch-imported through the parallel
 // ETL, analytic server over real HTTP, every query class exercised over
-// the wire, streaming ingest feeding the same store — with assertions on
-// the paper's headline behaviours.
+// the wire, CQL inserts feeding the same store — with assertions on the
+// paper's headline behaviours.
 package hpclog_test
 
 import (
@@ -184,13 +184,10 @@ func TestIntegrationCQLOverWire(t *testing.T) {
 
 func TestIntegrationStreamingIntoSameStore(t *testing.T) {
 	s := getStack(t)
-	streamer, err := s.fw.NewStreamer("integration-events", "it-1", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer streamer.Close()
-	// Stream events into an hour far from the corpus.
+	// Write events into an hour far from the corpus, one CQL INSERT each,
+	// through the live write path every client uses.
 	base := s.cfg.Start.Add(48 * time.Hour)
+	sess := s.cli.Session("")
 	for i := 0; i < 20; i++ {
 		e := model.Event{
 			Time:   base.Add(time.Duration(i) * time.Second),
@@ -198,14 +195,13 @@ func TestIntegrationStreamingIntoSameStore(t *testing.T) {
 			Source: "c0-0c0s0n0",
 			Count:  1,
 		}
-		if err := s.fw.Publish("integration-events", e); err != nil {
+		stmt := fmt.Sprintf("INSERT INTO event_by_time (partition, key, source, amount) VALUES ('%s', '%s', '%s', '1')",
+			model.EventByTimeKey(model.HourOf(e.Time), e.Type), model.EventToTimeRow(e).Key, e.Source)
+		if _, err := sess.Execute(context.Background(), stmt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := streamer.Drain(64); err != nil {
-		t.Fatal(err)
-	}
-	// The streamed data answers queries over the same HTTP surface.
+	// The written data answers queries over the same HTTP surface.
 	var events []query.EventRecord
 	ctx := query.Context{
 		EventType: "GPU_DBE",
@@ -214,7 +210,7 @@ func TestIntegrationStreamingIntoSameStore(t *testing.T) {
 	}
 	s.query(t, query.Request{Op: query.OpEvents, Context: ctx}, &events)
 	if len(events) != 20 {
-		t.Fatalf("%d streamed events visible over the wire, want 20", len(events))
+		t.Fatalf("%d inserted events visible over the wire, want 20", len(events))
 	}
 }
 

@@ -133,40 +133,3 @@ func FailuresByComponent(events []model.Event, failureTypes map[model.EventType]
 	})
 	return out, nil
 }
-
-// FailureCDF returns the empirical CDF of failure interarrival times
-// evaluated at the given quantile grid (0 < q < 1): the durations t such
-// that a fraction q of gaps are <= t. Used to compare against the
-// exponential (memoryless) baseline in reliability studies.
-func FailureCDF(events []model.Event, failureTypes map[model.EventType]bool, quantiles []float64) ([]time.Duration, error) {
-	if failureTypes == nil {
-		failureTypes = FailureTypes
-	}
-	var failures []model.Event
-	for _, e := range events {
-		if failureTypes[e.Type] {
-			failures = append(failures, e)
-		}
-	}
-	if len(failures) < 2 {
-		return nil, fmt.Errorf("analytics: need >= 2 failures for a CDF")
-	}
-	model.SortEvents(failures)
-	gaps := make([]time.Duration, 0, len(failures)-1)
-	for i := 1; i < len(failures); i++ {
-		gaps = append(gaps, failures[i].Time.Sub(failures[i-1].Time))
-	}
-	sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
-	out := make([]time.Duration, len(quantiles))
-	for i, q := range quantiles {
-		if q <= 0 || q >= 1 {
-			return nil, fmt.Errorf("analytics: quantile %v out of (0,1)", q)
-		}
-		idx := int(q * float64(len(gaps)))
-		if idx >= len(gaps) {
-			idx = len(gaps) - 1
-		}
-		out[i] = gaps[idx]
-	}
-	return out, nil
-}

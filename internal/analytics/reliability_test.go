@@ -91,25 +91,6 @@ func TestFailuresByComponent(t *testing.T) {
 	}
 }
 
-func TestFailureCDF(t *testing.T) {
-	events := regularFailures(101, time.Minute, "c0-0c0s0n0")
-	cdf, err := FailureCDF(events, nil, []float64{0.25, 0.5, 0.95})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range cdf {
-		if d != time.Minute {
-			t.Fatalf("regular gaps should give constant CDF, got %v", cdf)
-		}
-	}
-	if _, err := FailureCDF(events, nil, []float64{1.5}); err == nil {
-		t.Fatal("quantile > 1 accepted")
-	}
-	if _, err := FailureCDF(events[:1], nil, []float64{0.5}); err == nil {
-		t.Fatal("single failure accepted")
-	}
-}
-
 func TestReliabilityOnFixtureCorpus(t *testing.T) {
 	f := getFixture(t)
 	st, err := Interarrivals(f.corpus.Events, nil)

@@ -5,9 +5,7 @@ import (
 	"math"
 	"time"
 
-	"hpclog/internal/compute"
 	"hpclog/internal/model"
-	"hpclog/internal/store"
 )
 
 // Series is a regularly binned event-count time series.
@@ -29,60 +27,6 @@ func (s *Series) Binary() []int {
 		}
 	}
 	return out
-}
-
-// CrossCorrelation computes the normalized cross-correlation of two
-// equal-length series at lags in [-maxLag, maxLag]. Index maxLag is lag 0;
-// a peak at positive lag means x leads y.
-func CrossCorrelation(x, y []int, maxLag int) ([]float64, error) {
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("analytics: series lengths differ: %d vs %d", len(x), len(y))
-	}
-	n := len(x)
-	if n == 0 {
-		return nil, fmt.Errorf("analytics: empty series")
-	}
-	if maxLag >= n {
-		maxLag = n - 1
-	}
-	meanX, meanY := mean(x), mean(y)
-	sdX, sdY := stddev(x, meanX), stddev(y, meanY)
-	out := make([]float64, 2*maxLag+1)
-	if sdX == 0 || sdY == 0 {
-		return out, nil // a constant series correlates with nothing
-	}
-	for lag := -maxLag; lag <= maxLag; lag++ {
-		sum, cnt := 0.0, 0
-		for t := 0; t < n; t++ {
-			u := t + lag
-			if u < 0 || u >= n {
-				continue
-			}
-			sum += (float64(x[t]) - meanX) * (float64(y[u]) - meanY)
-			cnt++
-		}
-		if cnt > 0 {
-			out[lag+maxLag] = sum / (float64(cnt) * sdX * sdY)
-		}
-	}
-	return out, nil
-}
-
-func mean(v []int) float64 {
-	s := 0
-	for _, x := range v {
-		s += x
-	}
-	return float64(s) / float64(len(v))
-}
-
-func stddev(v []int, m float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		d := float64(x) - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(v)))
 }
 
 // TransferEntropy computes TE(X→Y) in bits for binary series with history
@@ -154,54 +98,4 @@ func (r TEResult) Direction(tol float64) string {
 	default:
 		return ""
 	}
-}
-
-// TEPoint is one sliding-window transfer entropy measurement.
-type TEPoint struct {
-	Start time.Time
-	TEResult
-}
-
-// TransferEntropySeries computes TE in both directions over sliding
-// sub-windows of [from, to) — the data behind Fig 7-top's "transfer
-// entropy plot of two event types measured within a selected time
-// window". Each sub-window is subLen long and advances by step.
-func TransferEntropySeries(eng *compute.Engine, db *store.DB, a, b model.EventType, from, to time.Time, bin, subLen, step time.Duration, cfg ScanConfig) ([]TEPoint, error) {
-	if subLen <= 0 || step <= 0 {
-		return nil, fmt.Errorf("analytics: sub-window and step must be positive")
-	}
-	if subLen < 2*bin {
-		return nil, fmt.Errorf("analytics: sub-window %v shorter than two bins (%v)", subLen, bin)
-	}
-	sa, err := BuildSeriesScan(eng, db, a, from, to, bin, cfg)
-	if err != nil {
-		return nil, err
-	}
-	sb, err := BuildSeriesScan(eng, db, b, from, to, bin, cfg)
-	if err != nil {
-		return nil, err
-	}
-	x, y := sa.Binary(), sb.Binary()
-	binsPerSub := int(subLen / bin)
-	binsPerStep := int(step / bin)
-	if binsPerStep < 1 {
-		binsPerStep = 1
-	}
-	var points []TEPoint
-	for lo := 0; lo+binsPerSub <= len(x); lo += binsPerStep {
-		xs, ys := x[lo:lo+binsPerSub], y[lo:lo+binsPerSub]
-		xy, err := TransferEntropy(xs, ys)
-		if err != nil {
-			return nil, err
-		}
-		yx, err := TransferEntropy(ys, xs)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, TEPoint{
-			Start:    from.Add(time.Duration(lo) * bin),
-			TEResult: TEResult{XToY: xy, YToX: yx},
-		})
-	}
-	return points, nil
 }

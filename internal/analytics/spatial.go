@@ -21,34 +21,6 @@ type HeatMap struct {
 	Max    int
 }
 
-// HotCabinets returns cabinets whose count exceeds factor × the mean of
-// non-zero cabinets — the "unusually higher in some parts of the system"
-// signal the heat map view exists to surface.
-func (h *HeatMap) HotCabinets(factor float64) []topology.Component {
-	nonZero, sum := 0, 0
-	for r := 0; r < topology.Rows; r++ {
-		for c := 0; c < topology.Cols; c++ {
-			if h.Counts[r][c] > 0 {
-				nonZero++
-				sum += h.Counts[r][c]
-			}
-		}
-	}
-	if nonZero == 0 {
-		return nil
-	}
-	mean := float64(sum) / float64(nonZero)
-	var hot []topology.Component
-	for r := 0; r < topology.Rows; r++ {
-		for c := 0; c < topology.Cols; c++ {
-			if float64(h.Counts[r][c]) > factor*mean {
-				hot = append(hot, topology.CabinetAt(r, c))
-			}
-		}
-	}
-	return hot
-}
-
 // Bucket is one bar of a distribution.
 type Bucket struct {
 	Label string

@@ -94,25 +94,8 @@ func (r *Ring) AddNode(id string) {
 	})
 }
 
-// RemoveNode removes a node and all its vnodes from the ring.
-func (r *Ring) RemoveNode(id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.up[id]; !ok {
-		return
-	}
-	delete(r.up, id)
-	kept := r.ring[:0]
-	for _, v := range r.ring {
-		if v.owner != id {
-			kept = append(kept, v)
-		}
-	}
-	r.ring = kept
-}
-
 // SetUp marks a node as up (true) or down (false) without changing ring
-// ownership; replicas on a down node are skipped by LiveReplicas.
+// ownership.
 func (r *Ring) SetUp(id string, up bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -161,9 +144,6 @@ func (r *Ring) Size() int {
 func (r *Ring) Replicas(key string) []string {
 	return r.replicasFromToken(HashKey(key))
 }
-
-// ReplicasForToken is Replicas for a pre-computed token.
-func (r *Ring) ReplicasForToken(t Token) []string { return r.replicasFromToken(t) }
 
 func (r *Ring) replicasFromToken(t Token) []string {
 	r.mu.RLock()
@@ -222,18 +202,4 @@ func (r *Ring) Ownership() map[string]float64 {
 		out[v.owner] += float64(arc) / whole
 	}
 	return out
-}
-
-// LiveReplicas returns the replicas for key that are currently up.
-func (r *Ring) LiveReplicas(key string) []string {
-	reps := r.Replicas(key)
-	live := reps[:0]
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, id := range reps {
-		if r.up[id] {
-			live = append(live, id)
-		}
-	}
-	return live
 }

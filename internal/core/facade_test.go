@@ -7,45 +7,14 @@ import (
 
 	"hpclog/internal/cql"
 	"hpclog/internal/logs"
-	"hpclog/internal/mining"
 	"hpclog/internal/model"
 	"hpclog/internal/store"
 	"hpclog/internal/topology"
 )
 
-// TestFacadeSurface exercises the Framework's one analytic entry that no
-// /v1 op serves: composite event detection (Section V). Every other
-// analytic is asked of the query engine and tested there.
-func TestFacadeSurface(t *testing.T) {
-	fw, cfg, corpus := testFramework(t)
-	if err := fw.LoadGroundTruth(corpus); err != nil {
-		t.Fatal(err)
-	}
-	from, to := cfg.Start, cfg.Start.Add(cfg.Duration)
-	pairs, err := fw.DetectComposite(mining.CompositeDef{
-		Name:       "PAIR",
-		Members:    []model.EventType{model.Lustre, model.AppAbort},
-		Window:     time.Minute,
-		SameSource: true,
-	}, from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The corpus's causal rule puts an abort on the node of a Lustre
-	// error 30-50 s later, so same-node pairs within a minute exist.
-	if len(pairs) == 0 {
-		t.Fatal("DetectComposite found no Lustre/abort pair on a causal corpus")
-	}
-	for _, p := range pairs {
-		if p.Type != "PAIR" || p.Time.Before(from) || !p.Time.Before(to) {
-			t.Fatalf("composite %+v outside the definition or window", p)
-		}
-	}
-}
-
 func TestRefreshSynopsisThroughFacade(t *testing.T) {
 	fw, cfg, corpus := testFramework(t)
-	if err := fw.LoadGroundTruth(corpus); err != nil {
+	if err := fw.Loader.LoadEvents(corpus.Events); err != nil {
 		t.Fatal(err)
 	}
 	from, to := cfg.Start, cfg.Start.Add(cfg.Duration)

@@ -1,24 +1,19 @@
 // Package core wires the complete log analytics framework of the paper
 // (Fig 3) in one process: the backend distributed NoSQL database, the big
-// data processing engine co-located with it, the message bus for
-// streaming ingestion, the query processing engine, and the web-facing
-// analytic server. Analytics are asked of the query engine (the /v1 ops);
-// core adds only the ingest entries the daemons use and the Section V
-// work that has no op.
+// data processing engine co-located with it, the query processing
+// engine, and the web-facing analytic server. Analytics are asked of the
+// query engine (the /v1 ops); core adds only the ingest entries the
+// daemons use.
 package core
 
 import (
 	"fmt"
 	"time"
 
-	"hpclog/internal/analytics"
-	"hpclog/internal/bus"
 	"hpclog/internal/compute"
 	"hpclog/internal/ingest"
 	"hpclog/internal/logs"
-	"hpclog/internal/mining"
 	"hpclog/internal/model"
-	"hpclog/internal/predict"
 	"hpclog/internal/query"
 	"hpclog/internal/server"
 	"hpclog/internal/store"
@@ -43,14 +38,13 @@ type Options struct {
 type Framework struct {
 	DB      *store.DB
 	Compute *compute.Engine
-	Broker  *bus.Broker
 	Query   *query.Engine
 	Loader  *ingest.Loader
 }
 
 // New builds a framework: it opens the store cluster, bootstraps the data
 // model, pairs one compute worker with every store node (the data-locality
-// deployment of Section III-A), and starts a message broker for streaming.
+// deployment of Section III-A).
 func New(opts Options) (*Framework, error) {
 	db, err := store.OpenDurable(opts.Store)
 	if err != nil {
@@ -64,7 +58,6 @@ func New(opts Options) (*Framework, error) {
 	return &Framework{
 		DB:      db,
 		Compute: eng,
-		Broker:  bus.NewBroker(),
 		Query:   query.New(db, eng),
 		Loader:  &ingest.Loader{DB: db, CL: opts.Consistency},
 	}, nil
@@ -114,57 +107,7 @@ func (f *Framework) ImportCorpus(c *logs.Corpus) (ingest.BatchResult, error) {
 	return res, nil
 }
 
-// LoadGroundTruth loads pre-parsed events and runs directly, bypassing the
-// text parsing step (useful for benchmarks isolating the storage path).
-func (f *Framework) LoadGroundTruth(c *logs.Corpus) error {
-	if err := f.Loader.LoadEvents(c.Events); err != nil {
-		return err
-	}
-	return f.Loader.LoadRuns(c.Runs)
-}
-
 // RefreshSynopsis recomputes the eventsynopsis table over [from, to).
 func (f *Framework) RefreshSynopsis(from, to time.Time) error {
 	return ingest.RefreshSynopsis(f.Compute, f.DB, model.HoursIn(from, to), f.Loader.CL)
-}
-
-// NewStreamer creates (or reuses) the streaming topic and returns a
-// streamer that consumes it into the store.
-func (f *Framework) NewStreamer(topic, consumerID string, partitions int) (*ingest.Streamer, error) {
-	if err := f.Broker.CreateTopic(topic, partitions); err != nil {
-		return nil, err
-	}
-	return ingest.NewStreamer(f.Broker, topic, consumerID, f.Loader)
-}
-
-// Publish sends one event occurrence onto a streaming topic.
-func (f *Framework) Publish(topic string, e model.Event) error {
-	return ingest.PublishEvent(f.Broker, topic, e)
-}
-
-// --- Section V work without a /v1 op ---
-
-// scan is the scan configuration of the Section V entries: the query
-// engine's defaults.
-var scan = analytics.ScanConfig{}
-
-// DetectComposite scans [from, to) for a registered composite event
-// definition and returns the synthesized composite events.
-func (f *Framework) DetectComposite(def mining.CompositeDef, from, to time.Time) ([]model.Event, error) {
-	events, err := analytics.EventsAllTypesScan(f.Compute, f.DB, from, to, scan)
-	if err != nil {
-		return nil, err
-	}
-	return mining.DetectComposite(events, def)
-}
-
-// TrainPredictor fits a failure-prediction model on the events of
-// [from, to) (see internal/predict; the Section V "machine learning"
-// extension).
-func (f *Framework) TrainPredictor(from, to time.Time, cfg predict.Config) (*predict.Model, error) {
-	events, err := analytics.EventsAllTypesScan(f.Compute, f.DB, from, to, scan)
-	if err != nil {
-		return nil, err
-	}
-	return predict.Train(events, cfg)
 }

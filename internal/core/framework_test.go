@@ -68,52 +68,6 @@ func TestEndToEndImportAndAnalyze(t *testing.T) {
 	}
 }
 
-func TestStreamingThroughFramework(t *testing.T) {
-	fw, _, _ := testFramework(t)
-	s, err := fw.NewStreamer("raw-events", "worker-1", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	base := time.Date(2017, 8, 23, 12, 0, 0, 0, time.UTC)
-	// Five occurrences per second for ten seconds, published in event-time
-	// order as real-time producers do.
-	for sec := 0; sec < 10; sec++ {
-		for j := 0; j < 5; j++ {
-			e := model.Event{
-				Time:   base.Add(time.Duration(sec) * time.Second),
-				Type:   model.Network,
-				Source: "c0-0c0s7n0",
-				Count:  1,
-			}
-			if err := fw.Publish("raw-events", e); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	consumed, written, err := s.Drain(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if consumed != 50 {
-		t.Fatalf("consumed %d", consumed)
-	}
-	// 50 occurrences over 10 distinct seconds on one node coalesce into
-	// exactly 10 rows: watermark buffering merges across poll batches.
-	if written != 10 {
-		t.Fatalf("written %d rows, want 10 coalesced windows", written)
-	}
-	events := execute(t, fw, query.Request{Op: query.OpEvents, Context: query.Context{
-		EventType: string(model.Network), From: base.Unix(), To: base.Add(time.Minute).Unix()}}).([]query.EventRecord)
-	total := 0
-	for _, e := range events {
-		total += e.Count
-	}
-	if total != 50 {
-		t.Fatalf("occurrence mass = %d, want 50 preserved through coalescing", total)
-	}
-}
-
 // TestFrameworkDefaults: zero Options open the paper's deployment, 32
 // store nodes at RF 3, with the whole machine in nodeinfos.
 func TestFrameworkDefaults(t *testing.T) {

@@ -169,7 +169,7 @@ func attach(tb testing.TB, scfg store.Config) *Harness {
 func (h *Harness) initEngines(tb testing.TB) {
 	h.Serial = query.NewWithOptions(h.DB, h.Comp, query.Options{Parallelism: 1, CacheSize: -1})
 	h.Parallel = query.NewWithOptions(h.DB, h.Comp, query.Options{CacheSize: -1})
-	h.Srv = server.New(h.Parallel, h.DB, h.Comp)
+	h.Srv = server.NewWithConfig(h.Parallel, h.DB, h.Comp, server.Config{})
 	h.TS = httptest.NewServer(h.Srv)
 	h.Client = client.New(h.TS.URL)
 	srv, ts := h.Srv, h.TS

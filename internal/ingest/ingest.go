@@ -1,28 +1,23 @@
-// Package ingest implements the two data ingestion modes of Section III-D:
-// batch import (the traditional ETL procedure — collocate, parse with the
-// per-type regex patterns, bulk upload — parallelized over the compute
-// engine) and real-time streaming (event occurrences consumed from the
-// message bus, coalesced over a one-second window, and placed into the
-// right partitions).
+// Package ingest implements the batch import of Section III-D: the
+// traditional ETL procedure — collocate, parse with the per-type regex
+// patterns, bulk upload — parallelized over the compute engine. Live
+// writes arrive as /v1 CQL INSERTs instead.
 //
-// Every load, bulk or streamed, goes the same way: rows are bucketed by
-// store partition (batches), each bucket is sorted by clustering key, and
-// each leaves as ONE PutBatch — which the store's memtable appends rather
-// than merges, and which crosses the flush threshold at most once.
+// Every load goes the same way: rows are bucketed by store partition
+// (batches), each bucket is sorted by clustering key, and each leaves as
+// ONE PutBatch — which the store's memtable appends rather than merges,
+// and which crosses the flush threshold at most once.
 package ingest
 
 import (
 	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
-	"hpclog/internal/bus"
 	"hpclog/internal/compute"
 	"hpclog/internal/model"
 	"hpclog/internal/parse"
@@ -311,200 +306,6 @@ func BatchImportJobs(eng *compute.Engine, db *store.DB, lines []string, cl store
 		return err
 	})
 	return BatchResult{Result: res, RunsLoaded: res.Parsed}, err
-}
-
-// --- Streaming ingestion ---
-
-// wireEvent is the bus encoding of an event occurrence, as published by
-// the OLCF-style event producers.
-type wireEvent struct {
-	Time   int64             `json:"ts"`
-	Type   string            `json:"type"`
-	Source string            `json:"src"`
-	Count  int               `json:"n,omitempty"`
-	Raw    string            `json:"raw,omitempty"`
-	Attrs  map[string]string `json:"attrs,omitempty"`
-}
-
-// PublishEvent serializes an event occurrence onto the bus, keyed by
-// source so per-component ordering is preserved.
-func PublishEvent(b *bus.Broker, topic string, e model.Event) error {
-	w := wireEvent{
-		Time: e.Time.Unix(), Type: string(e.Type), Source: e.Source,
-		Count: e.Count, Raw: e.Raw, Attrs: e.Attrs,
-	}
-	data, err := json.Marshal(w)
-	if err != nil {
-		return err
-	}
-	_, _, err = b.Produce(topic, e.Source, string(data), e.Time)
-	return err
-}
-
-// Streamer consumes event occurrences from the bus and places them into
-// the store, coalescing duplicates within a one-second window: "Event
-// occurrences of the same type and same location are coalesced into a
-// single event if they are timestamped the same."
-//
-// Because one coalescing window can span multiple poll batches, windows
-// are buffered until the event-time watermark (the newest window bucket
-// seen) passes them, then written as a single merged row. Flush forces out
-// everything still pending; Drain flushes automatically when the topic is
-// exhausted. Offsets are committed when the corresponding windows are
-// written, giving at-least-once delivery into the store.
-type Streamer struct {
-	consumer *bus.Consumer
-	loader   *Loader
-	// Window is the coalescing granularity (default one second, per the
-	// paper's Spark streaming configuration).
-	Window time.Duration
-
-	pending   map[coalesceKey]*model.Event
-	order     []coalesceKey
-	watermark int64
-
-	received  int
-	coalesced int
-	loaded    int
-}
-
-// NewStreamer subscribes a consumer (group "ingest") to the topic and
-// returns a streamer writing through loader.
-func NewStreamer(b *bus.Broker, topic, consumerID string, loader *Loader) (*Streamer, error) {
-	c, err := b.Subscribe("ingest", topic, consumerID)
-	if err != nil {
-		return nil, err
-	}
-	return &Streamer{
-		consumer: c,
-		loader:   loader,
-		Window:   time.Second,
-		pending:  make(map[coalesceKey]*model.Event),
-	}, nil
-}
-
-// coalesceKey identifies one (type, source, window) cell.
-type coalesceKey struct {
-	typ    string
-	source string
-	bucket int64
-}
-
-// Step polls up to max messages, merges them into pending windows, and
-// writes out every window older than the watermark. It returns the number
-// of raw occurrences consumed and the number of rows written; consumed ==
-// 0 means the topic is currently drained (pending windows may remain —
-// see Flush).
-func (s *Streamer) Step(max int) (consumed, written int, err error) {
-	msgs, err := s.consumer.Poll(max)
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(msgs) == 0 {
-		return 0, 0, nil
-	}
-	window := int64(s.Window / time.Second)
-	if window < 1 {
-		window = 1
-	}
-	for _, m := range msgs {
-		var w wireEvent
-		if err := json.Unmarshal([]byte(m.Value), &w); err != nil {
-			return 0, 0, fmt.Errorf("ingest: bad wire event at %s[%d]@%d: %v",
-				m.Topic, m.Partition, m.Offset, err)
-		}
-		count := w.Count
-		if count < 1 {
-			count = 1
-		}
-		k := coalesceKey{typ: w.Type, source: w.Source, bucket: w.Time / window}
-		if e, ok := s.pending[k]; ok {
-			e.Count += count
-			s.coalesced++
-		} else {
-			s.pending[k] = &model.Event{
-				Time:   time.Unix(w.Time, 0).UTC(),
-				Type:   model.EventType(w.Type),
-				Source: w.Source,
-				Count:  count,
-				Raw:    w.Raw,
-				Attrs:  w.Attrs,
-			}
-			s.order = append(s.order, k)
-		}
-		if k.bucket > s.watermark {
-			s.watermark = k.bucket
-		}
-	}
-	s.received += len(msgs)
-	written, err = s.flushOlderThan(s.watermark)
-	return len(msgs), written, err
-}
-
-// Flush writes out all pending windows regardless of the watermark.
-func (s *Streamer) Flush() (written int, err error) {
-	return s.flushOlderThan(s.watermark + 1)
-}
-
-func (s *Streamer) flushOlderThan(bucket int64) (int, error) {
-	if len(s.order) == 0 {
-		return 0, nil
-	}
-	var events []model.Event
-	kept := s.order[:0]
-	for _, k := range s.order {
-		if k.bucket < bucket {
-			events = append(events, *s.pending[k])
-			delete(s.pending, k)
-		} else {
-			kept = append(kept, k)
-		}
-	}
-	s.order = kept
-	if len(events) == 0 {
-		return 0, nil
-	}
-	if err := s.loader.LoadEvents(events); err != nil {
-		return 0, err
-	}
-	s.consumer.Commit()
-	s.loaded += len(events)
-	return len(events), nil
-}
-
-// Drain repeatedly Steps until the topic has no new messages, then
-// flushes all pending windows, returning totals for the drain.
-func (s *Streamer) Drain(batch int) (consumed, written int, err error) {
-	for {
-		c, w, err := s.Step(batch)
-		if err != nil {
-			return consumed, written, err
-		}
-		written += w
-		if c == 0 {
-			w, err := s.Flush()
-			written += w
-			return consumed, written, err
-		}
-		consumed += c
-	}
-}
-
-// Totals reports lifetime counters: raw occurrences received, occurrences
-// absorbed by coalescing, and rows written.
-func (s *Streamer) Totals() (received, coalesced, loaded int) {
-	return s.received, s.coalesced, s.loaded
-}
-
-// Pending reports the number of buffered, unwritten windows.
-func (s *Streamer) Pending() int { return len(s.order) }
-
-// Close flushes pending windows and leaves the consumer group.
-func (s *Streamer) Close() error {
-	if _, err := s.Flush(); err != nil {
-		return err
-	}
-	return s.consumer.Close()
 }
 
 // RefreshSynopsis recomputes the eventsynopsis table for the given hours:

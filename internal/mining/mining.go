@@ -3,16 +3,14 @@
 // capturing the complete status of the system. This will involve event
 // mining techniques rather than text pattern matching."
 //
-// It provides four mining primitives over event streams:
+// It provides three mining primitives over event streams:
 //
 //   - Coalesce: time coalescing of bursts into episodes (the technique of
 //     the paper's related work [17], Di Martino et al., DSN 2012);
 //   - MineRules: association rules between event types co-occurring in
 //     time windows (reference [1], support/confidence/lift);
 //   - MineSequences: directed A-followed-by-B patterns with lag statistics,
-//     the building block for failure precursors;
-//   - DetectComposite: scanning for registered composite event definitions
-//     (e.g. a node-failure cascade), emitting synthesized composite events.
+//     the building block for failure precursors.
 package mining
 
 import (
@@ -33,9 +31,6 @@ type Episode struct {
 	// Sources lists the distinct reporting components, sorted.
 	Sources []string
 }
-
-// Duration returns the episode length.
-func (e Episode) Duration() time.Duration { return e.End.Sub(e.Start) }
 
 // Coalesce merges events of the same type whose interarrival gap is at
 // most window into episodes. If perSource is true, events only merge when
@@ -267,82 +262,5 @@ func MineSequences(events []model.Event, delta time.Duration, minCount int, same
 		}
 		return out[i].Then < out[j].Then
 	})
-	return out, nil
-}
-
-// CompositeDef declares a named composite event: Members co-occurring
-// within Window (optionally on the same source) constitute one composite
-// occurrence.
-type CompositeDef struct {
-	// Name becomes the synthesized event's type.
-	Name string
-	// Members are the constituent event types; all must appear.
-	Members []model.EventType
-	// Window bounds the spread of the constituent occurrences.
-	Window time.Duration
-	// SameSource requires all members on one component.
-	SameSource bool
-}
-
-// DetectComposite scans the events for occurrences of the definition and
-// returns synthesized composite events (type = def.Name, time = anchor
-// member's time, count = members matched). The scan is greedy
-// left-to-right: any member occurrence can anchor a window, members may
-// appear in any order within it, and each raw event participates in at
-// most one composite.
-func DetectComposite(events []model.Event, def CompositeDef) ([]model.Event, error) {
-	if def.Name == "" || len(def.Members) < 2 {
-		return nil, fmt.Errorf("mining: composite needs a name and >= 2 members")
-	}
-	if def.Window <= 0 {
-		return nil, fmt.Errorf("mining: composite needs a positive window")
-	}
-	want := make(map[model.EventType]bool, len(def.Members))
-	for _, m := range def.Members {
-		want[m] = true
-	}
-	sorted := make([]model.Event, 0, len(events))
-	for _, e := range events {
-		if want[e.Type] {
-			sorted = append(sorted, e)
-		}
-	}
-	model.SortEvents(sorted)
-
-	used := make([]bool, len(sorted))
-	var out []model.Event
-	for i := range sorted {
-		if used[i] {
-			continue
-		}
-		found := map[model.EventType]int{sorted[i].Type: i}
-		for j := i + 1; j < len(sorted) && len(found) < len(def.Members); j++ {
-			if used[j] {
-				continue
-			}
-			if sorted[j].Time.Sub(sorted[i].Time) > def.Window {
-				break
-			}
-			if def.SameSource && sorted[j].Source != sorted[i].Source {
-				continue
-			}
-			if _, have := found[sorted[j].Type]; !have {
-				found[sorted[j].Type] = j
-			}
-		}
-		if len(found) < len(def.Members) {
-			continue
-		}
-		for _, idx := range found {
-			used[idx] = true
-		}
-		out = append(out, model.Event{
-			Time:   sorted[i].Time,
-			Type:   model.EventType(def.Name),
-			Source: sorted[i].Source,
-			Count:  len(found),
-			Attrs:  map[string]string{"composite": "true"},
-		})
-	}
 	return out, nil
 }

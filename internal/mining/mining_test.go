@@ -29,8 +29,8 @@ func TestCoalesceMergesBursts(t *testing.T) {
 	if first.Type != model.Lustre || first.Count != 3 || len(first.Sources) != 2 {
 		t.Fatalf("first episode = %+v", first)
 	}
-	if first.Duration() != 4*time.Second {
-		t.Fatalf("duration = %v", first.Duration())
+	if d := first.End.Sub(first.Start); d != 4*time.Second {
+		t.Fatalf("duration = %v", d)
 	}
 }
 
@@ -209,65 +209,5 @@ func TestMineSequencesOnGeneratedCorpus(t *testing.T) {
 func TestMineSequencesErrors(t *testing.T) {
 	if _, err := MineSequences(nil, 0, 1, false); err == nil {
 		t.Fatal("zero delta accepted")
-	}
-}
-
-func TestDetectComposite(t *testing.T) {
-	def := CompositeDef{
-		Name:       "NODE_FAILURE_CASCADE",
-		Members:    []model.EventType{model.KernelPanic, model.AppAbort},
-		Window:     time.Minute,
-		SameSource: true,
-	}
-	events := []model.Event{
-		ev(0, model.KernelPanic, "n1"),
-		ev(10, model.AppAbort, "n1"), // matches
-		ev(200, model.KernelPanic, "n2"),
-		ev(210, model.AppAbort, "n3"), // different source: no match
-		ev(400, model.KernelPanic, "n4"),
-		ev(500, model.AppAbort, "n4"), // outside window: no match
-		ev(600, model.MCE, "n5"),      // irrelevant type
-	}
-	composites, err := DetectComposite(events, def)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(composites) != 1 {
-		t.Fatalf("%d composites, want 1: %+v", len(composites), composites)
-	}
-	c := composites[0]
-	if c.Type != "NODE_FAILURE_CASCADE" || c.Source != "n1" || c.Count != 2 {
-		t.Fatalf("composite = %+v", c)
-	}
-}
-
-func TestDetectCompositeGreedyNoReuse(t *testing.T) {
-	def := CompositeDef{
-		Name:    "PAIR",
-		Members: []model.EventType{model.MCE, model.GPUDBE},
-		Window:  time.Minute,
-	}
-	// Two MCEs, one DBE: only one composite (the DBE is consumed once).
-	events := []model.Event{
-		ev(0, model.MCE, "a"), ev(1, model.MCE, "b"), ev(2, model.GPUDBE, "c"),
-	}
-	composites, err := DetectComposite(events, def)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(composites) != 1 {
-		t.Fatalf("%d composites, want 1 (no member reuse)", len(composites))
-	}
-}
-
-func TestDetectCompositeValidation(t *testing.T) {
-	if _, err := DetectComposite(nil, CompositeDef{Name: "x", Members: []model.EventType{model.MCE}}); err == nil {
-		t.Fatal("single-member composite accepted")
-	}
-	if _, err := DetectComposite(nil, CompositeDef{Name: "", Members: []model.EventType{model.MCE, model.DVS}, Window: time.Second}); err == nil {
-		t.Fatal("unnamed composite accepted")
-	}
-	if _, err := DetectComposite(nil, CompositeDef{Name: "x", Members: []model.EventType{model.MCE, model.DVS}}); err == nil {
-		t.Fatal("zero window accepted")
 	}
 }

@@ -90,8 +90,8 @@ type Event struct {
 	// Source is the reporting component in cname form (e.g. c3-0c1s2n0)
 	// or a service name for off-machine sources (e.g. Lustre OSSes).
 	Source string
-	// Count is the number of coalesced occurrences (>= 1). Streaming
-	// ingestion merges same-type, same-source, same-second events.
+	// Count is the number of occurrences the event stands for (>= 1),
+	// stored in its row's amount cell.
 	Count int
 	// Raw is the original log message text.
 	Raw string

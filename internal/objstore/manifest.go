@@ -105,17 +105,6 @@ func LoadManifest(path string) (*Manifest, error) {
 	return m, nil
 }
 
-// Path returns the manifest's file path.
-func (m *Manifest) Path() string { return m.path }
-
-// Get returns the entry for seq.
-func (m *Manifest) Get(seq uint64) (ManifestEntry, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.entries[seq]
-	return e, ok
-}
-
 // Entries returns every entry, sorted by Seq.
 func (m *Manifest) Entries() []ManifestEntry {
 	m.mu.Lock()
@@ -404,20 +393,6 @@ func decodeImage(data []byte) ([]ManifestEntry, int, error) {
 		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrBadManifest)
 	}
 	return entries, n + 4, nil
-}
-
-// DecodeManifest reverses EncodeManifest. Every malformation — bad
-// magic, torn tail, CRC mismatch, hostile counts, trailing garbage —
-// returns an error wrapping ErrBadManifest, never a panic.
-func DecodeManifest(data []byte) ([]ManifestEntry, error) {
-	entries, n, err := decodeImage(data)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(data) {
-		return nil, fmt.Errorf("%w: trailing garbage", ErrBadManifest)
-	}
-	return entries, nil
 }
 
 // replayManifest folds a manifest file — snapshot image, then records —

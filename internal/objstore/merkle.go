@@ -2,7 +2,6 @@ package objstore
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -89,9 +88,6 @@ func (t *Tree) N() int { return len(t.levels[0]) }
 // Root returns the tree root.
 func (t *Tree) Root() [HashLen]byte { return t.levels[len(t.levels)-1][0] }
 
-// Leaf returns leaf i.
-func (t *Tree) Leaf(i int) [HashLen]byte { return t.levels[0][i] }
-
 // Proof is the sibling path proving one leaf against the root: Sibs[k]
 // is the sibling consumed at level k's pairing (levels where the node
 // rides up unpaired consume nothing, so len(Sibs) <= ceil(log2 N)).
@@ -150,71 +146,4 @@ func VerifyProof(root, leaf [HashLen]byte, p Proof) bool {
 		n = (n + 1) / 2
 	}
 	return sib == len(p.Sibs) && h == root
-}
-
-// ErrBadProof marks a proof encoding that cannot be decoded. Hostile
-// input yields it (never a panic); see FuzzDecodeProof.
-var ErrBadProof = errors.New("objstore: malformed merkle proof")
-
-// proofMagic versions the proof wire encoding.
-const proofMagic = "HPMPRF1\x00"
-
-// maxProofSibs bounds decode allocation: 64 levels covers 2^64 leaves.
-const maxProofSibs = 64
-
-// AppendProof appends the wire encoding of p to b:
-// magic | uvarint index | uvarint n | uvarint len(sibs) | sibs.
-func AppendProof(b []byte, p Proof) []byte {
-	b = append(b, proofMagic...)
-	b = binary.AppendUvarint(b, uint64(p.Index))
-	b = binary.AppendUvarint(b, uint64(p.N))
-	b = binary.AppendUvarint(b, uint64(len(p.Sibs)))
-	for _, s := range p.Sibs {
-		b = append(b, s[:]...)
-	}
-	return b
-}
-
-// DecodeProof reverses AppendProof. Every malformation returns an error
-// wrapping ErrBadProof.
-func DecodeProof(b []byte) (Proof, error) {
-	fail := func(what string) (Proof, error) {
-		return Proof{}, fmt.Errorf("%w: %s", ErrBadProof, what)
-	}
-	if len(b) < len(proofMagic) || string(b[:len(proofMagic)]) != proofMagic {
-		return fail("bad magic")
-	}
-	b = b[len(proofMagic):]
-	idx, k := binary.Uvarint(b)
-	if k <= 0 {
-		return fail("index")
-	}
-	b = b[k:]
-	n, k := binary.Uvarint(b)
-	if k <= 0 {
-		return fail("leaf count")
-	}
-	b = b[k:]
-	nSibs, k := binary.Uvarint(b)
-	if k <= 0 {
-		return fail("sibling count")
-	}
-	b = b[k:]
-	if maxInt := uint64(int(^uint(0) >> 1)); idx > maxInt || n > maxInt {
-		return fail("value overflows int")
-	}
-	if n == 0 || idx >= n {
-		return fail("index outside tree")
-	}
-	if nSibs > maxProofSibs {
-		return fail("sibling count exceeds sanity bound")
-	}
-	if int64(len(b)) != int64(nSibs)*HashLen {
-		return fail("sibling bytes truncated or trailing garbage")
-	}
-	p := Proof{Index: int(idx), N: int(n), Sibs: make([][HashLen]byte, nSibs)}
-	for i := range p.Sibs {
-		copy(p.Sibs[i][:], b[i*HashLen:])
-	}
-	return p, nil
 }

@@ -1,10 +1,6 @@
 package objstore
 
-import (
-	"bytes"
-	"errors"
-	"testing"
-)
+import "testing"
 
 func testLeaves(n int) [][HashLen]byte {
 	leaves := make([][HashLen]byte, n)
@@ -18,7 +14,8 @@ func TestMerkleProofAllShapes(t *testing.T) {
 	// Every leaf of every tree size through a few non-powers-of-two must
 	// prove against the root, and against no other root.
 	for n := 1; n <= 33; n++ {
-		tree, err := NewTree(testLeaves(n))
+		leaves := testLeaves(n)
+		tree, err := NewTree(leaves)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -31,11 +28,11 @@ func TestMerkleProofAllShapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d proof(%d): %v", n, i, err)
 			}
-			if !VerifyProof(root, tree.Leaf(i), p) {
+			if !VerifyProof(root, leaves[i], p) {
 				t.Fatalf("n=%d: proof for leaf %d rejected", n, i)
 			}
 			// Wrong leaf must fail.
-			wrong := tree.Leaf(i)
+			wrong := leaves[i]
 			wrong[0] ^= 1
 			if VerifyProof(root, wrong, p) {
 				t.Fatalf("n=%d: tampered leaf %d accepted", n, i)
@@ -43,7 +40,7 @@ func TestMerkleProofAllShapes(t *testing.T) {
 			// Wrong root must fail.
 			badRoot := root
 			badRoot[HashLen-1] ^= 1
-			if VerifyProof(badRoot, tree.Leaf(i), p) {
+			if VerifyProof(badRoot, leaves[i], p) {
 				t.Fatalf("n=%d: proof for leaf %d accepted against wrong root", n, i)
 			}
 		}
@@ -75,72 +72,4 @@ func TestMerkleEmptyRejected(t *testing.T) {
 	if _, err := NewTree(nil); err == nil {
 		t.Fatal("empty tree accepted")
 	}
-}
-
-func TestProofCodecRoundTrip(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 8, 33} {
-		tree, _ := NewTree(testLeaves(n))
-		for i := 0; i < n; i++ {
-			p, _ := tree.Proof(i)
-			enc := AppendProof(nil, p)
-			got, err := DecodeProof(enc)
-			if err != nil {
-				t.Fatalf("n=%d i=%d: %v", n, i, err)
-			}
-			if got.Index != p.Index || got.N != p.N || len(got.Sibs) != len(p.Sibs) {
-				t.Fatalf("n=%d i=%d: round trip mismatch: %+v vs %+v", n, i, got, p)
-			}
-			for k := range p.Sibs {
-				if got.Sibs[k] != p.Sibs[k] {
-					t.Fatalf("n=%d i=%d: sib %d mismatch", n, i, k)
-				}
-			}
-			if !VerifyProof(tree.Root(), tree.Leaf(i), got) {
-				t.Fatalf("n=%d i=%d: decoded proof rejected", n, i)
-			}
-		}
-	}
-}
-
-func TestDecodeProofHostile(t *testing.T) {
-	tree, _ := NewTree(testLeaves(5))
-	p, _ := tree.Proof(3)
-	good := AppendProof(nil, p)
-	cases := [][]byte{
-		nil,
-		{},
-		[]byte("HPMPRF1"),
-		[]byte("XXMPRF1\x00rest"),
-		good[:len(good)-1],                      // truncated sib bytes
-		append(good[:0:0], good...)[:9],         // magic + partial varint
-		append(append([]byte{}, good...), 0xFF), // trailing garbage
-	}
-	for i, c := range cases {
-		if _, err := DecodeProof(c); !errors.Is(err, ErrBadProof) {
-			t.Fatalf("case %d: want ErrBadProof, got %v", i, err)
-		}
-	}
-}
-
-func FuzzDecodeProof(f *testing.F) {
-	tree, _ := NewTree(testLeaves(9))
-	for i := 0; i < 9; i++ {
-		p, _ := tree.Proof(i)
-		f.Add(AppendProof(nil, p))
-	}
-	f.Add([]byte("HPMPRF1\x00"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodeProof(data) // must never panic
-		if err != nil {
-			if !errors.Is(err, ErrBadProof) {
-				t.Fatalf("non-typed decode error: %v", err)
-			}
-			return
-		}
-		// A decoded proof must re-encode to the same bytes (canonical form).
-		if !bytes.Equal(AppendProof(nil, p), data) {
-			t.Fatalf("decode/encode not canonical")
-		}
-	})
 }

@@ -150,14 +150,6 @@ func (t *Tracer) Start(ctx context.Context, name, requestID string) (context.Con
 	return ContextWithSpan(ctx, sp), sp
 }
 
-// RequestID returns the request ID the span was started with.
-func (sp *Span) RequestID() string {
-	if sp == nil {
-		return ""
-	}
-	return sp.reqID
-}
-
 // SetQuery attaches the CQL (or request) text rendered in the slow log.
 func (sp *Span) SetQuery(q string) {
 	if sp == nil {

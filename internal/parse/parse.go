@@ -9,9 +9,7 @@
 package parse
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"regexp"
 	"strconv"
 	"strings"
@@ -173,56 +171,9 @@ func ParseJobLine(line string) (model.AppRun, error) {
 	return run, nil
 }
 
-// Result summarizes one ReadEvents pass.
+// Result counts the lines of one bulk parse by outcome.
 type Result struct {
 	Parsed    int
 	Unmatched int
 	Malformed int
-}
-
-// ReadEvents parses every line from r, invoking emit for each recognized
-// event. Unmatched and malformed lines are counted but do not stop the
-// scan — production log archives always contain noise.
-func ReadEvents(r io.Reader, emit func(model.Event)) (Result, error) {
-	var res Result
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		e, err := ParseLine(line)
-		switch {
-		case err == nil:
-			res.Parsed++
-			emit(e)
-		case err == ErrNoMatch:
-			res.Unmatched++
-		default:
-			res.Malformed++
-		}
-	}
-	return res, sc.Err()
-}
-
-// ReadJobs parses every job record from r, invoking emit per run.
-func ReadJobs(r io.Reader, emit func(model.AppRun)) (Result, error) {
-	var res Result
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		run, err := ParseJobLine(line)
-		if err != nil {
-			res.Malformed++
-			continue
-		}
-		res.Parsed++
-		emit(run)
-	}
-	return res, sc.Err()
 }

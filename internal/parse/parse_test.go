@@ -1,7 +1,6 @@
 package parse
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -114,20 +113,13 @@ func TestRoundTripThroughGenerator(t *testing.T) {
 	cfg.Jobs.MaxNodes = 32
 	corpus := logs.Generate(cfg)
 
-	var sb strings.Builder
-	for _, l := range corpus.Lines {
-		sb.WriteString(l.Format())
-		sb.WriteByte('\n')
-	}
 	var parsed []model.Event
-	res, err := ReadEvents(strings.NewReader(sb.String()), func(e model.Event) {
+	for i, l := range corpus.Lines {
+		e, err := ParseLine(l.Format())
+		if err != nil {
+			t.Fatalf("generator line %d not parsed: %v", i, err)
+		}
 		parsed = append(parsed, e)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Unmatched != 0 || res.Malformed != 0 {
-		t.Fatalf("generator lines not fully parsed: %+v", res)
 	}
 	if len(parsed) != len(corpus.Events) {
 		t.Fatalf("parsed %d events, ground truth %d", len(parsed), len(corpus.Events))
@@ -175,14 +167,15 @@ func TestJobRoundTrip(t *testing.T) {
 	cfg.Jobs.MaxNodes = 16
 	corpus := logs.Generate(cfg)
 	var runs []model.AppRun
-	res, err := ReadJobs(strings.NewReader(strings.Join(corpus.JobLines, "\n")), func(r model.AppRun) {
+	for i, line := range corpus.JobLines {
+		r, err := ParseJobLine(line)
+		if err != nil {
+			t.Fatalf("job line %d not parsed: %v", i, err)
+		}
 		runs = append(runs, r)
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if res.Malformed != 0 || len(runs) != len(corpus.Runs) {
-		t.Fatalf("job parse: %+v, %d runs of %d", res, len(runs), len(corpus.Runs))
+	if len(runs) != len(corpus.Runs) {
+		t.Fatalf("job parse: %d runs of %d", len(runs), len(corpus.Runs))
 	}
 	for i, r := range runs {
 		want := corpus.Runs[i]
@@ -191,22 +184,5 @@ func TestJobRoundTrip(t *testing.T) {
 			r.ExitOK != want.ExitOK || len(r.Nodes) != len(want.Nodes) {
 			t.Fatalf("run %d mismatch:\n got %+v\nwant %+v", i, r, want)
 		}
-	}
-}
-
-func TestReadEventsSkipsNoise(t *testing.T) {
-	input := strings.Join([]string{
-		"2017-08-23T10:11:12Z c0-0c0s0n0 Kernel panic - not syncing: boom",
-		"",
-		"garbage line",
-		"2017-08-23T10:11:12Z c0-0c0s0n0 unrecognized but well formed",
-	}, "\n")
-	n := 0
-	res, err := ReadEvents(strings.NewReader(input), func(model.Event) { n++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 || res.Parsed != 1 || res.Unmatched != 1 || res.Malformed != 1 {
-		t.Fatalf("res = %+v, emitted %d", res, n)
 	}
 }

@@ -36,14 +36,6 @@ type Profile struct {
 	Rates map[model.EventType]float64
 }
 
-// FailureRate returns the fraction of failed runs.
-func (p *Profile) FailureRate() float64 {
-	if p.Runs == 0 {
-		return 0
-	}
-	return float64(p.FailedRuns) / float64(p.Runs)
-}
-
 // Build scans events and runs and produces one profile per application.
 // An event is attributed to a run when its source node belongs to the
 // run's allocation and its timestamp falls within [Start, End).

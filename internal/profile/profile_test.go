@@ -52,9 +52,6 @@ func TestBuildProfiles(t *testing.T) {
 	if got := lm.Rates[model.MCE]; got != 2.0/3.0 {
 		t.Fatalf("LAMMPS MCE rate = %v", got)
 	}
-	if fr := lm.FailureRate(); fr != 0.5 {
-		t.Fatalf("failure rate = %v", fr)
-	}
 	s3d := profiles["S3D"]
 	if s3d.Counts[model.GPUDBE] != 1 || s3d.Counts[model.MCE] != 0 {
 		t.Fatalf("S3D counts = %v", s3d.Counts)

@@ -250,11 +250,6 @@ func AllOps() []Op {
 	return ops
 }
 
-// IsBigData reports whether an operation routes to the big data
-// processing unit (and therefore through the scan planner and result
-// cache).
-func IsBigData(op Op) bool { return opClass[op] }
-
 // cacheKey canonically encodes a request for the result cache. Request is
 // a flat struct, so its JSON encoding is deterministic.
 func cacheKey(req Request) string {

@@ -139,12 +139,6 @@ type Server struct {
 	closeOnce    sync.Once
 }
 
-// New creates a server over the query engine and its backends with
-// default hardening (see Config).
-func New(q *query.Engine, db *store.DB, eng *compute.Engine) *Server {
-	return NewWithConfig(q, db, eng, Config{})
-}
-
 // NewWithConfig creates a server with explicit surface hardening.
 func NewWithConfig(q *query.Engine, db *store.DB, eng *compute.Engine, cfg Config) *Server {
 	var pfx [4]byte

@@ -57,7 +57,7 @@ func getFixture(t testing.TB) *fixture {
 		t.Fatal(err)
 	}
 	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
-	srv := New(query.New(db, eng), db, eng)
+	srv := NewWithConfig(query.New(db, eng), db, eng, Config{})
 	ts := httptest.NewServer(srv)
 	shared = &fixture{cfg: cfg, corpus: corpus, db: db, srv: srv, ts: ts, cli: client.New(ts.URL)}
 	return shared

@@ -525,13 +525,3 @@ func (db *DB) NextWriteTS() int64 { return db.writeTS.Add(1) }
 
 // PrimaryFor returns the primary storage node id for a partition key.
 func (db *DB) PrimaryFor(pkey string) string { return db.ring.Primary(pkey) }
-
-// TotalRows reports the number of physical rows stored for a table across
-// all nodes (replicas counted separately).
-func (db *DB) TotalRows(tableName string) int {
-	total := 0
-	for _, n := range db.nodes {
-		total += n.RowCount(tableName)
-	}
-	return total
-}

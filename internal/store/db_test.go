@@ -264,7 +264,7 @@ func TestReplicationPlacesRFCopies(t *testing.T) {
 	}
 	holders := 0
 	for _, id := range db.NodeIDs() {
-		if db.Node(id).RowCount("events") > 0 {
+		if rowCount(t, db.Node(id), pkey) > 0 {
 			holders++
 		}
 	}

@@ -447,19 +447,6 @@ func (p *partition) keyBounds() (min, max string, ok bool) {
 	return min, max, ok
 }
 
-func (p *partition) rowCount() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	n := 0
-	p.eachMemRun(func(rows []Row) { n += len(rows) })
-	if p.node.persist != nil {
-		for _, seg := range p.node.persist.Segments(p.table, p.key) {
-			n += seg.Rows()
-		}
-	}
-	return n
-}
-
 func (p *partition) segmentCount() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -673,20 +660,6 @@ func (n *Node) PartitionKeys(_ context.Context, tableName string) ([]string, err
 	return t.partitionKeys(), nil
 }
 
-// RowCount reports the number of stored rows for a table on this node
-// (counting duplicates across segments once per physical copy).
-func (n *Node) RowCount(tableName string) int {
-	t, err := n.table(tableName)
-	if err != nil {
-		return 0
-	}
-	total := 0
-	for _, p := range t.allPartitions() {
-		total += p.rowCount()
-	}
-	return total
-}
-
 // MemtableRows reports the number of rows currently buffered in this
 // node's memtables across all tables — the unflushed write volume a
 // crash would replay from the commitlog.
@@ -810,8 +783,8 @@ func (n *Node) openDurable(dir string, cfg Config, tier *objstore.Tier) error {
 // Replay may re-insert rows already persisted in on-disk segments: a crash
 // between a memtable flush and the next commitlog truncation leaves the
 // flushed records in the log. Last-write-wins merging keeps every read
-// correct, but rowCount/RowCount count the duplicate physical copies until
-// compaction merges them away, and each crash/restart cycle before a
+// correct, but the duplicate physical copies stay until compaction merges
+// them away, and each crash/restart cycle before a
 // truncation can re-flush the same rows into a new segment. This is the
 // standard LSM recovery tradeoff (idempotent replay instead of a
 // flushed-through LSN per partition).

@@ -52,13 +52,3 @@ func Info(id NodeID) NodeInfo {
 		Spec:     TitanNodeSpec,
 	}
 }
-
-// AllNodes returns NodeInfo records for the full machine in dense ID order.
-// The slice is freshly allocated on every call.
-func AllNodes() []NodeInfo {
-	infos := make([]NodeInfo, TotalNodes)
-	for id := 0; id < TotalNodes; id++ {
-		infos[id] = Info(NodeID(id))
-	}
-	return infos
-}

@@ -1,5 +1,5 @@
 // Package viz renders the frontend's visualization components (Section
-// III-B) as text and SVG: the physical system map with heat-map shading
+// III-B) as text: the physical system map with heat-map shading
 // (Fig 5/6), temporal histograms for the temporal map, application
 // placement maps, and the word-bubble view of text-analytics results (Fig
 // 7-bottom). The browser/D3 frontend is out of scope for a reproduction;
@@ -49,32 +49,6 @@ func SystemMap(hm *analytics.HeatMap) string {
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
-}
-
-// HeatmapSVG renders the heat map as a standalone SVG document, the
-// export format a web frontend would embed.
-func HeatmapSVG(hm *analytics.HeatMap) string {
-	const cell = 20
-	var b strings.Builder
-	w := topology.Cols * cell
-	h := topology.Rows * cell
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">`, w, h)
-	b.WriteByte('\n')
-	for r := 0; r < topology.Rows; r++ {
-		for c := 0; c < topology.Cols; c++ {
-			intensity := 0.0
-			if hm.Max > 0 {
-				intensity = float64(hm.Counts[r][c]) / float64(hm.Max)
-			}
-			red := int(255 * intensity)
-			fmt.Fprintf(&b,
-				`<rect x="%d" y="%d" width="%d" height="%d" fill="rgb(%d,%d,64)"><title>c%d-%d: %d</title></rect>`,
-				c*cell, r*cell, cell, cell, red, 64+int(128*(1-intensity)), c, r, hm.Counts[r][c])
-			b.WriteByte('\n')
-		}
-	}
-	b.WriteString("</svg>\n")
 	return b.String()
 }
 
@@ -208,54 +182,6 @@ func PlacementMap(placement map[string]string) string {
 	for _, t := range tops {
 		fmt.Fprintf(&b, "  %-12s %5d nodes\n", t.app, t.n)
 	}
-	return b.String()
-}
-
-// TEPlot renders a sliding-window transfer entropy series as a two-track
-// ASCII line chart (Fig 7-top): '>' marks the forward direction, '<' the
-// reverse, '#' where both coincide.
-func TEPlot(points []analytics.TEPoint, height int) string {
-	if height < 2 {
-		height = 8
-	}
-	var b strings.Builder
-	if len(points) == 0 {
-		b.WriteString("(no transfer entropy points)\n")
-		return b.String()
-	}
-	maxTE := 0.0
-	for _, p := range points {
-		if p.XToY > maxTE {
-			maxTE = p.XToY
-		}
-		if p.YToX > maxTE {
-			maxTE = p.YToX
-		}
-	}
-	fmt.Fprintf(&b, "transfer entropy, %d windows, max %.4f bits ('>' forward, '<' reverse)\n",
-		len(points), maxTE)
-	if maxTE == 0 {
-		return b.String()
-	}
-	level := func(v float64) int { return int(v / maxTE * float64(height-1)) }
-	for row := height - 1; row >= 0; row-- {
-		for _, p := range points {
-			f, r := level(p.XToY), level(p.YToX)
-			switch {
-			case f == row && r == row:
-				b.WriteByte('#')
-			case f == row:
-				b.WriteByte('>')
-			case r == row:
-				b.WriteByte('<')
-			default:
-				b.WriteByte(' ')
-			}
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString(strings.Repeat("-", len(points)))
-	b.WriteByte('\n')
 	return b.String()
 }
 

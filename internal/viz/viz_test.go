@@ -55,19 +55,6 @@ func TestShadeBounds(t *testing.T) {
 	}
 }
 
-func TestHeatmapSVG(t *testing.T) {
-	svg := HeatmapSVG(sampleHeatmap())
-	if !strings.HasPrefix(svg, "<svg") || !strings.Contains(svg, "</svg>") {
-		t.Fatal("not an SVG document")
-	}
-	if got := strings.Count(svg, "<rect"); got != topology.Cabinets {
-		t.Fatalf("%d rects, want %d", got, topology.Cabinets)
-	}
-	if !strings.Contains(svg, "<title>c3-12: 100</title>") {
-		t.Fatal("hot cabinet tooltip missing")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	out := Histogram([]int{0, 1, 5, 10, 5, 1, 0}, 5)
 	if !strings.Contains(out, "peak 10 over 7 bins") {
@@ -138,36 +125,6 @@ func TestPlacementMap(t *testing.T) {
 	lines := strings.Split(out, "\n")
 	if !strings.Contains(lines[1+3], "@") {
 		t.Fatalf("full cabinet row not dark: %q", lines[1+3])
-	}
-}
-
-func TestTEPlot(t *testing.T) {
-	base := time.Unix(0, 0)
-	points := []analytics.TEPoint{
-		{Start: base, TEResult: analytics.TEResult{XToY: 0.5, YToX: 0.1}},
-		{Start: base.Add(time.Minute), TEResult: analytics.TEResult{XToY: 1.0, YToX: 0.2}},
-		{Start: base.Add(2 * time.Minute), TEResult: analytics.TEResult{XToY: 0.3, YToX: 0.3}},
-	}
-	out := TEPlot(points, 5)
-	if !strings.Contains(out, "max 1.0000 bits") {
-		t.Fatalf("header = %q", strings.SplitN(out, "\n", 2)[0])
-	}
-	if !strings.Contains(out, ">") || !strings.Contains(out, "<") {
-		t.Fatal("plot lacks direction markers")
-	}
-	if !strings.Contains(out, "#") {
-		t.Fatal("coincident point not marked")
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 1+5+1 {
-		t.Fatalf("%d lines", len(lines))
-	}
-	if !strings.Contains(TEPlot(nil, 5), "no transfer entropy") {
-		t.Fatal("empty series not labelled")
-	}
-	flat := []analytics.TEPoint{{Start: base}}
-	if !strings.Contains(TEPlot(flat, 5), "max 0.0000") {
-		t.Fatal("all-zero series should render header only")
 	}
 }
 
