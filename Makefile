@@ -97,13 +97,15 @@ metrics-lint:
 	$(GO) test -count=1 -run '^(TestMetricsExposition|TestMetricsExpositionBackgroundRounds|TestMetricsExpositionScanPaths|TestSlowQueryLog)$$' ./internal/server/
 	$(GO) test -count=1 -run 'TestMetricsClusterReplication|TestMetricsTracePropagation' ./internal/dist/
 
-# Multi-process cluster smoke: build cmd/hpclogd, spawn a 3-process RF=3
-# cluster on loopback ports, drive quorum writes and reads through the
-# public wire protocol, kill -9 one process mid-traffic (quorum must keep
-# acking), restart it, and assert its own replica converges to every
-# acked write.
+# Process smoke: build cmd/hpclogd, spawn a 3-process RF=3 cluster on
+# loopback ports, drive quorum writes and reads through the public wire
+# protocol, kill -9 one process mid-traffic (quorum must keep acking),
+# restart it, and assert its own replica converges to every acked write;
+# then run one process without -peers over a generated durable corpus,
+# SIGTERM it (exit 0 within -drain-timeout), restart it on the same
+# directory, and assert the same heat-map bytes.
 cluster-smoke:
-	HPCLOG_CLUSTER_SMOKE=1 $(GO) test -count=1 -run TestClusterProcessSmoke ./internal/dist/
+	HPCLOG_CLUSTER_SMOKE=1 $(GO) test -count=1 -run 'TestClusterProcessSmoke|TestSingleProcessSmoke' ./internal/dist/
 
 # The v1 wire protocol: contract types, client SDK (error propagation,
 # retries, pagination/stream equality), server surface hardening, and the

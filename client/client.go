@@ -36,7 +36,7 @@ import (
 	"hpclog/internal/store"
 )
 
-// Client talks to one analyticsd base URL.
+// Client talks to one hpclogd base URL.
 type Client struct {
 	base    string
 	hc      *http.Client

@@ -1,15 +1,25 @@
-// Command hpclogd is one node of a multi-process hpclog cluster. Each
-// process owns a slice of the consistent-hash ring — its own commitlog and
-// segment files under -data-dir — and is configured with the same static
-// member list (-id plus -peers) on every node. Writes it coordinates
+// Command hpclogd is the analytic server of Fig 3: the backend store, the
+// co-located compute engine, and the v1 REST/JSON wire protocol (typed
+// queries, cursor pagination, NDJSON streaming, push-based watch).
+//
+// Without -peers one process hosts every store member. It serves a durable
+// directory written by ingestd or a previous run (startup replays the
+// commitlog), or a demo corpus generated with -generate:
+//
+//	hpclogd -data-dir /tmp/titan/data
+//	hpclogd -generate -hours 3
+//
+// With -id and -peers the process is one node of a multi-process cluster.
+// Each process owns a slice of the consistent-hash ring — its own
+// commitlog and segment files under -data-dir — and is configured with
+// the same static member list on every node. Writes it coordinates
 // replicate to peer processes over /v1/replicate with quorum acks; reads
 // and queries scatter-gather over /v1/shard/*, so any node answers any
 // query with exactly the bytes a single-process server would produce.
 // Liveness is heartbeat-based: a peer missing -fail-after consecutive
 // probes is marked down (writes queue hints for it), and on its return
-// hinted handoff plus anti-entropy repair re-converge it.
-//
-// A 3-node cluster on one machine:
+// hinted handoff plus anti-entropy repair re-converge it. A 3-node
+// cluster on one machine:
 //
 //	hpclogd -id a -listen :8081 -peers b=http://localhost:8082,c=http://localhost:8083 -data-dir /tmp/hpclog/a
 //	hpclogd -id b -listen :8082 -peers a=http://localhost:8081,c=http://localhost:8083 -data-dir /tmp/hpclog/b
@@ -29,24 +39,22 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
 
 	"hpclog/internal/dist"
+	"hpclog/internal/logs"
 	"hpclog/internal/objstore"
 	"hpclog/internal/obs"
 	"hpclog/internal/server"
 	"hpclog/internal/store"
+	"hpclog/internal/topology"
 )
 
 // parsePeers parses "id=url,id=url" into a map.
 func parsePeers(s string) (map[string]string, error) {
 	peers := make(map[string]string)
-	if s == "" {
-		return peers, nil
-	}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -66,23 +74,29 @@ func parsePeers(s string) (map[string]string, error) {
 
 func main() {
 	log.SetFlags(0)
+	log.SetPrefix("hpclogd: ")
 	var (
-		id        = flag.String("id", "", "this node's ring member id (required, unique per cluster)")
-		listen    = flag.String("listen", ":8081", "listen address")
-		advertise = flag.String("advertise", "", "base URL peers reach this node at (default derived from -listen)")
-		peersFlag = flag.String("peers", "", "comma-separated id=url list of every other member")
-		dataDir   = flag.String("data-dir", "", "durable storage directory for this node's shard (empty = in-memory)")
-		rf        = flag.Int("rf", 3, "replication factor (capped at member count)")
-		vnodes    = flag.Int("vnodes", 64, "virtual nodes per member")
-		machines  = flag.Int("machine-nodes", 1024, "bootstrap topology size (nodeinfos)")
-		hbEvery   = flag.Duration("heartbeat-interval", 250*time.Millisecond, "peer probe period")
-		failAfter = flag.Int("fail-after", 3, "consecutive missed heartbeats before a peer is marked down")
-		rpcWait   = flag.Duration("rpc-timeout", 5*time.Second, "cluster-internal RPC timeout")
-		drainWait = flag.Duration("drain-timeout", 15*time.Second, "how long graceful shutdown waits for in-flight requests")
-		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		logFormat = flag.String("log-format", "text", "log format: text or json")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060); empty disables")
-		slowQuery = flag.Duration("slow-query", 0, "slow-query log threshold for /v1/debug/slow (0 = 500ms)")
+		id          = flag.String("id", "", "this node's ring member id (required with -peers, unique per cluster)")
+		listen      = flag.String("listen", ":8080", "listen address")
+		advertise   = flag.String("advertise", "", "base URL peers reach this node at (default derived from -listen)")
+		peersFlag   = flag.String("peers", "", "comma-separated id=url list of every other member (empty = this process hosts every member)")
+		dataDir     = flag.String("data-dir", "", "durable storage directory (from ingestd or a previous run; empty = in-memory); recovery replays the commitlog")
+		walTolerate = flag.Bool("wal-tolerate-corrupt", false, "truncate a corrupt commitlog tail instead of refusing to open; records after the damage are lost (with -data-dir)")
+		generate    = flag.Bool("generate", false, "generate and import a demo corpus at startup")
+		hours       = flag.Float64("hours", 3, "demo corpus window (with -generate)")
+		cabinets    = flag.Int("cabinets", 8, "demo corpus cabinets (with -generate)")
+		storeNodes  = flag.Int("store-nodes", 32, "store members hosted in this process (without -peers)")
+		rf          = flag.Int("rf", 3, "replication factor (capped at member count)")
+		vnodes      = flag.Int("vnodes", 64, "virtual nodes per member")
+		machines    = flag.Int("machine-nodes", 0, "bootstrap topology size (nodeinfos; 0 = the whole machine)")
+		hbEvery     = flag.Duration("heartbeat-interval", 250*time.Millisecond, "peer probe period")
+		failAfter   = flag.Int("fail-after", 3, "consecutive missed heartbeats before a peer is marked down")
+		rpcWait     = flag.Duration("rpc-timeout", 5*time.Second, "cluster-internal RPC timeout")
+		drainWait   = flag.Duration("drain-timeout", 15*time.Second, "how long graceful shutdown waits for in-flight requests")
+		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
+		logFormat   = flag.String("log-format", "text", "log format: text or json")
+		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060); empty disables")
+		slowQuery   = flag.Duration("slow-query", 0, "slow-query log threshold for /v1/debug/slow (0 = 500ms)")
 
 		tierBackend  = flag.String("tier", "", "object-storage tier backend: fs or s3 (empty disables; requires -data-dir)")
 		tierDir      = flag.String("tier-dir", "", "fs tier: object root directory")
@@ -92,11 +106,7 @@ func main() {
 		tierCacheMB  = flag.Int64("tier-cache-mb", 64, "block-cache budget for evicted reads, in MiB")
 	)
 	flag.Parse()
-	log.SetPrefix("hpclogd[" + *id + "]: ")
 
-	if *id == "" {
-		log.Fatal("-id is required")
-	}
 	lvl, err := obs.ParseLevel(*logLevel)
 	if err != nil {
 		log.Fatal(err)
@@ -109,7 +119,7 @@ func main() {
 
 	if *pprofAddr != "" {
 		// pprof handlers register on http.DefaultServeMux; serve them on a
-		// side listener so profiling never rides the cluster address.
+		// side listener so profiling never rides the public API address.
 		go func() {
 			lg.Error("pprof listener failed", "err", http.ListenAndServe(*pprofAddr, nil))
 		}()
@@ -131,10 +141,12 @@ func main() {
 		AdvertiseURL: adv,
 		Peers:        peers,
 		Store: store.Config{
-			RF:     *rf,
-			VNodes: *vnodes,
-			Dir:    *dataDir,
-			Logger: lg,
+			Nodes:                  *storeNodes,
+			RF:                     *rf,
+			VNodes:                 *vnodes,
+			Dir:                    *dataDir,
+			WALTolerateCorruptTail: *walTolerate,
+			Logger:                 lg,
 			Tier: objstore.Config{
 				Backend:    *tierBackend,
 				Dir:        *tierDir,
@@ -157,13 +169,32 @@ func main() {
 	}
 	defer node.Close()
 
-	members := make([]string, 0, len(peers)+1)
-	members = append(members, *id)
-	for p := range peers {
-		members = append(members, p)
+	if *dataDir != "" {
+		st := node.DB.StorageStats()
+		lg.Info("durable store opened", "dir", *dataDir,
+			"disk_segments", st.DiskSegments, "disk_mb", float64(st.DiskBytes)/(1<<20),
+			"replayed_records", st.ReplayedRecords, "replayed_rows", st.ReplayedRows)
 	}
-	sort.Strings(members)
-	lg.Info("cluster member serving", "id", *id, "members", members,
+	if *generate {
+		cfg := logs.DefaultConfig()
+		cfg.Duration = time.Duration(*hours * float64(time.Hour))
+		cfg.Nodes = *cabinets * topology.NodesPerCabinet
+		for i := range cfg.Storms {
+			cfg.Storms[i].Start = cfg.Start.Add(cfg.Duration / 2)
+		}
+		lg.Info("generating demo corpus", "window", cfg.Duration, "nodes", cfg.Nodes)
+		corpus := logs.Generate(cfg)
+		lines := make([]string, len(corpus.Lines))
+		for i, l := range corpus.Lines {
+			lines[i] = l.Format()
+		}
+		res, err := node.Import(context.Background(), lines, corpus.JobLines)
+		if err != nil {
+			log.Fatal(err)
+		}
+		lg.Info("corpus imported", "events", res.EventsLoaded, "runs", res.RunsLoaded)
+	}
+	lg.Info("serving", "id", *id, "members", node.DB.Members(),
 		"rf", node.DB.Ring().ReplicationFactor(), "listen", *listen)
 
 	hs := &http.Server{Addr: *listen, Handler: node.Server}
@@ -187,5 +218,5 @@ func main() {
 	if err := hs.Shutdown(shCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		lg.Warn("shutdown error", "err", err)
 	}
-	lg.Info("drained; closing cluster node")
+	lg.Info("drained; closing node")
 }

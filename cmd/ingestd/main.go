@@ -2,8 +2,9 @@
 // console and job logs, parses them in parallel with the regex pattern
 // tables, bulk-loads the events and application runs into an in-process
 // store cluster, refreshes the eventsynopsis table, and hands the result
-// to analyticsd as a durable data directory (commitlog + on-disk segment
-// files, served directly with -data-dir).
+// to hpclogd as a durable data directory (commitlog + on-disk segment
+// files, served directly with -data-dir). It opens hpclogd's stack but
+// never serves it, so -wal-nosync stays a load-time knob.
 //
 // Usage:
 //
@@ -22,9 +23,7 @@ import (
 	"syscall"
 	"time"
 
-	"hpclog/internal/core"
-	"hpclog/internal/ingest"
-	"hpclog/internal/model"
+	"hpclog/internal/dist"
 	"hpclog/internal/obs"
 	"hpclog/internal/store"
 )
@@ -33,7 +32,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ingestd: ")
 	// SIGINT/SIGTERM abort between pipeline stages; the deferred
-	// Framework.Close always runs, so the commitlog and segment files are
+	// Node.Close always runs, so the commitlog and segment files are
 	// closed cleanly and a durable directory stays recoverable.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -55,7 +54,7 @@ func run(ctx context.Context) error {
 	var (
 		consolePath = flag.String("console", "console.log", "console log file")
 		jobsPath    = flag.String("jobs", "", "job log file (optional)")
-		dataDir     = flag.String("data-dir", "", "durable storage directory (commitlog + segment files) to load into; analyticsd serves it directly (required)")
+		dataDir     = flag.String("data-dir", "", "durable storage directory (commitlog + segment files) to load into; hpclogd serves it directly (required)")
 		walNoSync   = flag.Bool("wal-nosync", false, "skip commitlog fsync during the bulk load")
 		walTolerate = flag.Bool("wal-tolerate-corrupt", false, "truncate a corrupt commitlog tail instead of refusing to open; records after the damage are lost")
 		storeNodes  = flag.Int("store-nodes", 32, "store cluster size")
@@ -74,7 +73,7 @@ func run(ctx context.Context) error {
 	}
 	lg := obs.NewLogger(os.Stderr, lvl, *logFormat).With("component", "ingestd")
 
-	fw, err := core.New(core.Options{Store: store.Config{
+	node, err := dist.Open(dist.Config{Store: store.Config{
 		Nodes: *storeNodes, RF: *rf,
 		Dir: *dataDir, WALNoSync: *walNoSync, WALTolerateCorruptTail: *walTolerate,
 		Logger: lg,
@@ -82,72 +81,41 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	defer fw.Close()
+	defer node.Close()
 
 	lines, err := readLines(*consolePath)
 	if err != nil {
 		return err
 	}
-	if err := checkpoint(ctx, "console import"); err != nil {
+	var jobLines []string
+	if *jobsPath != "" {
+		if jobLines, err = readLines(*jobsPath); err != nil {
+			return err
+		}
+	}
+	if err := checkpoint(ctx, "import"); err != nil {
 		return err
 	}
 	started := time.Now()
-	nparts := 4 * len(fw.Compute.Workers())
-	res, err := ingest.BatchImport(fw.Compute, fw.DB, lines, fw.Loader.CL, nparts)
+	res, err := node.Import(ctx, lines, jobLines)
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(started)
-	fmt.Printf("console: parsed %d, unmatched %d, malformed %d in %v (%.0f lines/s)\n",
-		res.Parsed, res.Unmatched, res.Malformed, elapsed.Round(time.Millisecond),
-		float64(len(lines))/elapsed.Seconds())
-
-	if *jobsPath != "" {
-		if err := checkpoint(ctx, "job import"); err != nil {
-			return err
-		}
-		jobLines, err := readLines(*jobsPath)
-		if err != nil {
-			return err
-		}
-		jres, err := ingest.BatchImportJobs(fw.Compute, fw.DB, jobLines, fw.Loader.CL, nparts)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("jobs: parsed %d, malformed %d\n", jres.Parsed, jres.Malformed)
-	}
-
-	if err := checkpoint(ctx, "synopsis refresh"); err != nil {
-		return err
-	}
-	// Synopsis over every hour present in the imported data.
-	var hours []int64
-	pkeys, err := fw.DB.PartitionKeys(ctx, model.TableEventByTime)
-	if err != nil {
-		return err
-	}
-	for _, pkey := range pkeys {
-		var h int64
-		var typ string
-		if _, err := fmt.Sscanf(pkey, "%d:%s", &h, &typ); err == nil {
-			hours = append(hours, h)
-		}
-	}
-	hours = dedupe(hours)
-	if err := ingest.RefreshSynopsis(fw.Compute, fw.DB, hours, fw.Loader.CL); err != nil {
-		return err
-	}
+	fmt.Printf("imported %d events (unmatched %d) and %d runs, malformed %d, in %v (%.0f lines/s)\n",
+		res.EventsLoaded, res.Unmatched, res.RunsLoaded, res.Malformed, elapsed.Round(time.Millisecond),
+		float64(len(lines)+len(jobLines))/elapsed.Seconds())
 
 	if err := checkpoint(ctx, "compaction checkpoint"); err != nil {
 		return err
 	}
 	// Push every memtable into on-disk segments and truncate the commitlog
-	// so analyticsd opens the directory without replay work (Compact
-	// starts with a full Flush checkpoint).
-	if _, err := fw.DB.Compact(); err != nil {
+	// so hpclogd opens the directory without replay work (Compact starts
+	// with a full Flush checkpoint).
+	if _, err := node.DB.Compact(); err != nil {
 		return err
 	}
-	st := fw.DB.StorageStats()
+	st := node.DB.StorageStats()
 	fmt.Printf("durable: %s (%d segments, %.1f MB on disk)\n",
 		*dataDir, st.DiskSegments, float64(st.DiskBytes)/(1<<20))
 	return nil
@@ -166,16 +134,4 @@ func readLines(path string) ([]string, error) {
 		lines = append(lines, sc.Text())
 	}
 	return lines, sc.Err()
-}
-
-func dedupe(in []int64) []int64 {
-	seen := map[int64]bool{}
-	var out []int64
-	for _, v := range in {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
 }

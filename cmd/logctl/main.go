@@ -1,4 +1,4 @@
-// Command logctl is a CLI frontend for analyticsd: it issues queries
+// Command logctl is a CLI frontend for hpclogd: it issues queries
 // through the v1 Go client SDK (hpclog/client) and renders the results in
 // the terminal, standing in for the paper's web UI. Subcommands mirror
 // the frontend's views:
@@ -63,7 +63,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("logctl: ")
-	server := flag.String("server", "http://localhost:8080", "analyticsd base URL")
+	server := flag.String("server", "http://localhost:8080", "hpclogd base URL")
 	flag.Parse()
 	if flag.NArg() < 1 {
 		usageExit("usage: logctl [-server URL] <types|heatmap|hist|dist|te|words|tfidf|events|runs|watch|placement|cql|rules|sequences|episodes|reliability|profiles|storage-stats|compact|tier|segments|cluster|slow> [flags]")

@@ -15,17 +15,15 @@ import (
 	"time"
 
 	"hpclog/client"
-	"hpclog/internal/core"
+	"hpclog/internal/dist"
 	"hpclog/internal/logs"
 	"hpclog/internal/model"
 	"hpclog/internal/query"
-	"hpclog/internal/server"
 	"hpclog/internal/store"
 	"hpclog/internal/topology"
 )
 
 type stack struct {
-	fw  *core.Framework
 	cfg logs.Config
 	ts  *httptest.Server
 	cli *client.Client
@@ -39,7 +37,7 @@ var (
 func getStack(t testing.TB) *stack {
 	t.Helper()
 	stackOnce.Do(func() {
-		fw, err := core.New(core.Options{Store: store.Config{Nodes: 6, RF: 3}, MachineNodes: 4 * topology.NodesPerCabinet})
+		node, err := dist.Open(dist.Config{Store: store.Config{Nodes: 6, RF: 3}, MachineNodes: 4 * topology.NodesPerCabinet})
 		if err != nil {
 			panic(err)
 		}
@@ -53,15 +51,19 @@ func getStack(t testing.TB) *stack {
 		cfg.Storms[0].Attrs["peer"] = "10.36.226.77@o2ib"
 		cfg.Jobs.MaxNodes = 64
 		corpus := logs.Generate(cfg)
-		res, err := fw.ImportCorpus(corpus)
+		lines := make([]string, len(corpus.Lines))
+		for i, l := range corpus.Lines {
+			lines[i] = l.Format()
+		}
+		res, err := node.Import(context.Background(), lines, corpus.JobLines)
 		if err != nil {
 			panic(err)
 		}
 		if res.EventsLoaded != len(corpus.Events) || res.RunsLoaded != len(corpus.Runs) {
 			panic(fmt.Sprintf("import incomplete: %+v", res))
 		}
-		ts := httptest.NewServer(fw.Server(server.Config{}))
-		theStack = &stack{fw: fw, cfg: cfg, ts: ts, cli: client.New(ts.URL)}
+		ts := httptest.NewServer(node.Server)
+		theStack = &stack{cfg: cfg, ts: ts, cli: client.New(ts.URL)}
 	})
 	return theStack
 }

@@ -1,13 +1,14 @@
-// Package dist is the multi-process cluster runtime: it turns the
-// in-process ring/replication substrate (internal/store, internal/cluster)
-// into a real distributed system. Each hpclogd process hosts exactly one
-// ring member — its own slice of the consistent-hash ring with its own
-// commitlog and segment files — and reaches every peer member through the
-// hpclog/client SDK: writes it coordinates replicate over /v1/replicate
-// with W-of-RF quorum acks, reads and scans of foreign shards
-// scatter-gather over /v1/shard/*, and the unchanged compute/query stack
-// on top re-merges them deterministically, so a query answered by any
-// node is byte-identical to the single-process answer.
+// Package dist is the server runtime: it turns the in-process
+// ring/replication substrate (internal/store, internal/cluster) into a
+// served node. Without peers one process hosts every ring member. With
+// peers each hpclogd process hosts exactly one ring member — its own slice
+// of the consistent-hash ring with its own commitlog and segment files —
+// and reaches every peer member through the hpclog/client SDK: writes it
+// coordinates replicate over /v1/replicate with W-of-RF quorum acks, reads
+// and scans of foreign shards scatter-gather over /v1/shard/*, and the
+// unchanged compute/query stack on top re-merges them deterministically,
+// so a query answered by any node is byte-identical to the single-process
+// answer.
 //
 // Membership is a static seed list (every process is configured with the
 // same member set — gossip can later replace the seed list without
@@ -23,7 +24,10 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -31,32 +35,36 @@ import (
 	"hpclog/internal/api"
 	"hpclog/internal/compute"
 	"hpclog/internal/ingest"
+	"hpclog/internal/model"
 	"hpclog/internal/obs"
 	"hpclog/internal/query"
 	"hpclog/internal/server"
 	"hpclog/internal/store"
 )
 
-// Config parameterizes one cluster node.
+// Config parameterizes one node.
 type Config struct {
-	// ID is this process's ring member id (must be unique in the cluster).
+	// ID is this process's ring member id, unique in the cluster;
+	// required only with Peers.
 	ID string
 	// AdvertiseURL is the base URL peers reach this process at; carried in
 	// heartbeats for status display.
 	AdvertiseURL string
 	// Peers maps every other member id to its base URL — the static seed
 	// list. The same membership (Peers ∪ {ID}) must be configured on every
-	// process so all of them compute identical replica placement.
+	// process so all of them compute identical replica placement. Empty:
+	// this process hosts all Store.Nodes members.
 	Peers map[string]string
 	// Store configures this member's store (RF, virtual nodes, Dir for
 	// its commitlog and segments, the object-storage tier: each cluster
 	// process should point at the same bucket, whose objects are
-	// namespaced per member id). Open sets Members and LocalMembers from
-	// ID and Peers. Store.Logger also receives the cluster runtime's
-	// events (peer up/down, hint delivery, repair results); nil discards
-	// them.
+	// namespaced per member id). With Peers, Open sets Members and
+	// LocalMembers from ID and Peers. Store.Logger also receives the
+	// cluster runtime's events (peer up/down, hint delivery, repair
+	// results); nil discards them.
 	Store store.Config
-	// MachineNodes sizes the bootstrap nodeinfos load (default 1024).
+	// MachineNodes sizes the bootstrap nodeinfos load (0: the full
+	// machine, 19200).
 	MachineNodes int
 
 	// HeartbeatInterval is the peer probe period (default 250ms).
@@ -75,14 +83,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() (Config, error) {
-	if c.ID == "" {
-		return c, fmt.Errorf("dist: Config.ID is required")
+	if len(c.Peers) > 0 && c.ID == "" {
+		return c, fmt.Errorf("dist: Config.ID is required with Peers")
 	}
 	if _, clash := c.Peers[c.ID]; clash {
 		return c, fmt.Errorf("dist: Peers contains own id %q", c.ID)
-	}
-	if c.MachineNodes == 0 {
-		c.MachineNodes = 1024
 	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 250 * time.Millisecond
@@ -105,9 +110,9 @@ type peerState struct {
 	lastSeen time.Time
 }
 
-// Node is one running cluster member: the sharded store plus compute and
-// query engines, the HTTP server (serve it yourself — Node does not
-// listen), and the heartbeat/repair runtime.
+// Node is one running server: the store (all members, or one member of a
+// cluster) plus compute and query engines, the HTTP server (serve it
+// yourself — Node does not listen), and the heartbeat/repair runtime.
 type Node struct {
 	Cfg     Config
 	DB      *store.DB
@@ -132,23 +137,26 @@ type Node struct {
 	hbRTT  map[string]*obs.Hist
 }
 
-// Open assembles and starts a cluster node: the member-sliced store with
-// wire transports to every peer, bootstrap at consistency One (peers may
-// be down), the compute and query engines, the HTTP server with the
-// cluster backend attached, and the heartbeat loop.
+// Open assembles and starts a node: the store (every member local, or
+// this member's slice with wire transports to every peer), bootstrap at
+// consistency One (peers may be down), the compute and query engines
+// (one worker per local member), the HTTP server with the cluster backend
+// attached, and the heartbeat loop.
 func Open(cfg Config) (*Node, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	members := make([]string, 0, len(cfg.Peers)+1)
-	members = append(members, cfg.ID)
-	for id := range cfg.Peers {
-		members = append(members, id)
+	if len(cfg.Peers) > 0 {
+		members := make([]string, 0, len(cfg.Peers)+1)
+		members = append(members, cfg.ID)
+		for id := range cfg.Peers {
+			members = append(members, id)
+		}
+		sort.Strings(members)
+		cfg.Store.Members = members
+		cfg.Store.LocalMembers = []string{cfg.ID}
 	}
-	sort.Strings(members)
-	cfg.Store.Members = members
-	cfg.Store.LocalMembers = []string{cfg.ID}
 	db, err := store.OpenDurable(cfg.Store)
 	if err != nil {
 		return nil, err
@@ -206,6 +214,37 @@ func (n *Node) Close() error {
 	return n.DB.Close()
 }
 
+// Import is the batch ETL of Section III-D: it parses console lines and
+// job-log lines in parallel and loads events and application runs at
+// consistency One, then refreshes the eventsynopsis row of every hour
+// that holds events.
+func (n *Node) Import(ctx context.Context, lines, jobLines []string) (ingest.BatchResult, error) {
+	nparts := 4 * len(n.Compute.Workers())
+	res, err := ingest.BatchImport(n.Compute, n.DB, lines, store.One, nparts)
+	if err != nil {
+		return res, err
+	}
+	jres, err := ingest.BatchImportJobs(n.Compute, n.DB, jobLines, store.One, nparts)
+	if err != nil {
+		return res, err
+	}
+	res.RunsLoaded = jres.RunsLoaded
+	res.Malformed += jres.Malformed
+	pkeys, err := n.DB.PartitionKeys(ctx, model.TableEventByTime)
+	if err != nil {
+		return res, err
+	}
+	var hours []int64 // from the "<hour>:<type>" partition keys
+	for _, pkey := range pkeys {
+		h, _, _ := strings.Cut(pkey, ":")
+		if hour, err := strconv.ParseInt(h, 10, 64); err == nil {
+			hours = append(hours, hour)
+		}
+	}
+	slices.Sort(hours)
+	return res, ingest.RefreshSynopsis(n.Compute, n.DB, slices.Compact(hours), store.One)
+}
+
 // CollectMetrics implements obs.Collector: the server folds per-peer
 // replication latency, heartbeat RTT, liveness, and hint backlog into
 // /v1/metrics.
@@ -230,7 +269,7 @@ func (n *Node) CollectMetrics(w *obs.Writer) {
 			"Liveness verdict for one ring member (1 = up).", up, "peer", id)
 	}
 	for _, id := range n.DB.Members() {
-		if id == n.Cfg.ID {
+		if n.DB.IsLocalMember(id) {
 			continue
 		}
 		w.Gauge("hpclog_dist_hint_backlog_rows",
@@ -400,7 +439,7 @@ func (n *Node) Status() api.ClusterStatus {
 	for _, id := range n.DB.Members() {
 		m := api.MemberStatus{
 			ID:           id,
-			Local:        id == n.Cfg.ID,
+			Local:        n.DB.IsLocalMember(id),
 			Up:           ring.IsUp(id),
 			Share:        shares[id],
 			PendingHints: n.DB.PendingHints(id),

@@ -1,7 +1,9 @@
 package dist_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -13,8 +15,34 @@ import (
 	"time"
 
 	"hpclog/client"
+	"hpclog/internal/logs"
+	"hpclog/internal/model"
+	"hpclog/internal/query"
 	"hpclog/internal/testutil"
 )
+
+// buildHpclogd compiles cmd/hpclogd into a temp directory.
+func buildHpclogd(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "hpclogd")
+	build := exec.Command("go", "build", "-o", bin, "hpclog/cmd/hpclogd")
+	build.Stdout, build.Stderr = os.Stderr, os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("build hpclogd: %v", err)
+	}
+	return bin
+}
+
+// freeAddr reserves a loopback port, then frees it for a daemon.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
 
 // TestClusterProcessSmoke is the real-process acceptance behind
 // `make cluster-smoke`: it builds cmd/hpclogd, spawns a 3-process RF=3
@@ -32,25 +60,14 @@ func TestClusterProcessSmoke(t *testing.T) {
 		t.Skip("set HPCLOG_CLUSTER_SMOKE=1 to run the multi-process cluster smoke test")
 	}
 
-	bin := filepath.Join(t.TempDir(), "hpclogd")
-	build := exec.Command("go", "build", "-o", bin, "hpclog/cmd/hpclogd")
-	build.Stdout, build.Stderr = os.Stderr, os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("build hpclogd: %v", err)
-	}
+	bin := buildHpclogd(t)
 
-	// Reserve three loopback ports, then free them for the daemons.
 	const n = 3
 	addrs := make([]string, n)
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
+		addrs[i] = freeAddr(t)
 		urls[i] = "http://" + addrs[i]
-		ln.Close()
 	}
 	ids := []string{"a", "b", "c"}
 	dirs := make([]string, n)
@@ -216,4 +233,112 @@ func TestClusterProcessSmoke(t *testing.T) {
 			t.Fatalf("node %s sees %d/100 rows after recovery", ids[i], got)
 		}
 	}
+}
+
+// TestSingleProcessSmoke is the real-process acceptance of the default
+// shape, hpclogd without -peers: one process generates and imports a demo
+// corpus into a durable directory, serves a non-empty heat map with every
+// member local, exits 0 on SIGTERM within -drain-timeout, and, restarted
+// on the same directory without -generate, replays it into the same
+// heat-map bytes.
+//
+// Gated behind HPCLOG_CLUSTER_SMOKE=1 with TestClusterProcessSmoke.
+func TestSingleProcessSmoke(t *testing.T) {
+	if os.Getenv("HPCLOG_CLUSTER_SMOKE") != "1" {
+		t.Skip("set HPCLOG_CLUSTER_SMOKE=1 to run the single-process smoke test")
+	}
+	bin := buildHpclogd(t)
+	addr, dir := freeAddr(t), t.TempDir()
+	cli := client.New("http://" + addr)
+	ctx := context.Background()
+	const drain = 5 * time.Second
+
+	var (
+		proc   *exec.Cmd
+		exited chan error // receives proc's Wait result; nil once taken
+	)
+	start := func(extra ...string) {
+		t.Helper()
+		args := append([]string{"-listen", addr, "-data-dir", dir, "-store-nodes", "4",
+			"-drain-timeout", drain.String()}, extra...)
+		proc = exec.Command(bin, args...)
+		proc.Stdout, proc.Stderr = os.Stderr, os.Stderr
+		if err := proc.Start(); err != nil {
+			t.Fatalf("start hpclogd: %v", err)
+		}
+		exited = make(chan error, 1)
+		go func(p *exec.Cmd, done chan<- error) { done <- p.Wait() }(proc, exited)
+		deadline := time.Now().Add(testutil.Scaled(120 * time.Second))
+		for cli.Health(ctx) != nil {
+			select {
+			case err := <-exited:
+				exited = nil
+				t.Fatalf("hpclogd exited before serving: %v", err)
+			default:
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("hpclogd never became healthy")
+			}
+			time.Sleep(100 * time.Millisecond)
+		}
+	}
+	t.Cleanup(func() {
+		if exited != nil {
+			proc.Process.Kill()
+			<-exited
+		}
+	})
+
+	start("-generate", "-hours", "1", "-cabinets", "2")
+	from := logs.DefaultConfig().Start
+	req := query.Request{Op: query.OpHeatmap, Context: query.Context{
+		EventType: string(model.MCE), From: from.Unix(), To: from.Add(time.Hour).Unix()}}
+	heatmap := func() json.RawMessage {
+		t.Helper()
+		raw, err := cli.Do(ctx, req)
+		if err != nil {
+			t.Fatalf("heatmap: %v", err)
+		}
+		return raw
+	}
+	first := heatmap()
+	var hm struct{ Total int }
+	if err := json.Unmarshal(first, &hm); err != nil || hm.Total == 0 {
+		t.Fatalf("empty MCE heat map (err %v): %s", err, first)
+	}
+	st, err := cli.ClusterStatus(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Members) != 4 {
+		t.Fatalf("%d members, want 4", len(st.Members))
+	}
+	for _, m := range st.Members {
+		if !m.Local || !m.Up {
+			t.Fatalf("member %+v not local and up", m)
+		}
+	}
+
+	stop := func() {
+		t.Helper()
+		if err := proc.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-exited:
+			exited = nil
+			if err != nil {
+				t.Fatalf("hpclogd exited with %v after SIGTERM, want 0", err)
+			}
+		case <-time.After(testutil.Scaled(drain)):
+			t.Fatal("hpclogd did not exit within -drain-timeout of SIGTERM")
+		}
+	}
+	stop()
+
+	start()
+	if again := heatmap(); !bytes.Equal(again, first) {
+		t.Fatalf("heat map after restart:\n%s\nwant:\n%s", again, first)
+	}
+	stop()
 }

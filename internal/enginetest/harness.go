@@ -176,7 +176,7 @@ func (h *Harness) initEngines(tb testing.TB) {
 	tb.Cleanup(func() {
 		// Hub first: httptest.Server.Close blocks on outstanding requests,
 		// and a parked watch only completes once the hub drains it (the
-		// same order analyticsd shuts down in).
+		// same order hpclogd shuts down in).
 		srv.Close()
 		ts.Close()
 	})

@@ -81,7 +81,7 @@ func (c Config) diurnalWeight(t time.Time) float64 {
 }
 
 // DefaultConfig returns a corpus configuration used by loggen,
-// analyticsd -generate, tests and benchmarks: six hours of Titan
+// hpclogd -generate, tests and benchmarks: six hours of Titan
 // operation with an MCE hotspot, a Lustre storm, and a Lustre→AppAbort
 // causal chain.
 func DefaultConfig() Config {
