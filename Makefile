@@ -3,7 +3,7 @@
 # planner, result cache, commitlog, and store are all concurrent), a
 # cache-defeating plain test run, a one-iteration smoke of the
 # durable-engine benchmarks (so the WAL path and the two block generations,
-# v5 fixture vs v6, cannot rot unexercised) and of the watch hub's notify
+# v6 fixture vs v7, cannot rot unexercised) and of the watch hub's notify
 # benchmark, the linker check that every function is reachable (reach),
 # and the benchmark's own tests (bench-test) — the one performance entry
 # point.
@@ -45,7 +45,7 @@ bench-test:
 # takes mostly cold round files whole, a histogram or transfer-entropy
 # fold that takes evicted blocks from their footers without fetching them
 # answers exactly as the row path (TestHistogramTakesBlocksExactly/tiered),
-# word count and TF-IDF through evicted v6 templates answer exactly as over
+# word count and TF-IDF through evicted templates answer exactly as over
 # the reassembled messages (TestTextFoldsTemplatesMatchStrings/tiered),
 # and the tiered scan benchmark still runs (resident / cached / cold-fetch).
 tier-smoke:
@@ -140,7 +140,7 @@ bench-smoke:
 	$(GO) test -run XXX -bench BenchmarkScanBatches -benchtime 1x ./internal/store/persist/
 	$(GO) test -run XXX -bench BenchmarkHubNotify -benchtime 1x ./internal/server/
 
-# Allocation regression guards: a segment scan, a projected v6 block
+# Allocation regression guards: a segment scan, a projected v7 block
 # decode, templated cells reassembled or not (zero per block), a flush
 # round (constant per round, small constant per segment, no image buffer
 # and no file per segment), a durable partition read through

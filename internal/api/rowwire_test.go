@@ -456,7 +456,7 @@ func checkResultRowBatchEncode(t *testing.T, rs *rowStores, seed []byte) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ex := &plan.Executor{DB: db, Eng: rs.eng, CL: cl, Opt: plan.ExecOptions{SliceSeconds: 300}}
+				ex := &plan.Executor{DB: db, Eng: rs.eng, CL: cl}
 				if got, want := scanSelect(t, ex, p), oracleSelect(t, db, p, cl); got != want {
 					t.Fatalf("%s at %v: the batch encoder writes\n%s\nthe row chain\n%s", src, cl, got, want)
 				}

@@ -282,7 +282,7 @@ func runCorpusEquivalence(t *testing.T, h *Harness) (read, pruned int64) {
 		pruned += stats.BlocksPruned.Load()
 
 		serial := &plan.Executor{DB: h.DB, Eng: h.Comp, CL: store.One,
-			Opt: plan.ExecOptions{NoPrune: true, Parallelism: 1, SliceSeconds: 1 << 30}}
+			Opt: plan.ExecOptions{NoPrune: true, Parallelism: 1}}
 		serialRows, err := serial.Run(p)
 		if err != nil {
 			t.Fatalf("serial run %q: %v", src, err)

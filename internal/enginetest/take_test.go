@@ -43,8 +43,8 @@ func takenBy(t *testing.T, h *Harness, stage string, want map[string][]byte) int
 // switching off unseen: on the durable corpus the histogram and
 // transfer-entropy cases take blocks from their footers, with answers equal
 // to the in-memory harness's (which has no segment to take) — and so they
-// do on the v5 store of testdata, whose footers carry the fold section
-// too, as found and once compaction rewrote it as v6.
+// do on the v6 store of testdata, whose footers carry the fold section
+// too, as found and once compaction rewrote it as v7.
 func TestCorpusFoldsTakeBlocks(t *testing.T) {
 	mem := New(t)
 	want := make(map[string][]byte)
@@ -61,21 +61,21 @@ func TestCorpusFoldsTakeBlocks(t *testing.T) {
 	}
 
 	root := t.TempDir()
-	untar(t, filepath.Join("testdata", "v5store.tar.gz"), root)
-	v5 := attach(t, store.Config{
+	untar(t, filepath.Join("testdata", "v6store.tar.gz"), root)
+	v6 := attach(t, store.Config{
 		Nodes: 2, RF: 1, VNodes: 32,
 		FlushThreshold:  512,
 		CompactInterval: -1,
 		Dir:             filepath.Join(root, "store"),
 		Tier:            objstore.Config{Backend: "fs", Dir: filepath.Join(root, "objects"), CacheBytes: 1 << 20},
 	})
-	if n := takenBy(t, v5, "v5", want); n == 0 {
-		t.Error("no block of the v5 store taken")
+	if n := takenBy(t, v6, "v6", want); n == 0 {
+		t.Error("no block of the v6 store taken")
 	}
-	if merged, err := v5.DB.Compact(); err != nil || merged == 0 {
+	if merged, err := v6.DB.Compact(); err != nil || merged == 0 {
 		t.Fatalf("compacted %d partitions: %v", merged, err)
 	}
-	if n := takenBy(t, v5, "compacted", want); n == 0 {
-		t.Error("no block taken after compaction rewrote the v5 store as v6")
+	if n := takenBy(t, v6, "compacted", want); n == 0 {
+		t.Error("no block taken after compaction rewrote the v6 store as v7")
 	}
 }

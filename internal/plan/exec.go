@@ -24,17 +24,18 @@ type ResultRow struct {
 type ExecOptions struct {
 	// Parallelism bounds concurrent scan tasks; <= 0 means GOMAXPROCS.
 	Parallelism int
-	// SliceSeconds is the clustering-key time-slice width used to split a
-	// partition scan into parallel tasks on time-clustered tables; <= 0
-	// means 900.
-	SliceSeconds int
 	// NoPrune disables storage-level block pruning (benchmarks and
 	// equivalence baselines; results are identical either way).
 	NoPrune bool
 }
 
+// sliceSeconds is the clustering-key time-slice width that splits a
+// partition scan into parallel tasks on time-clustered tables, and
 // maxSlices bounds the scan-task fan-out of one partition query.
-const maxSlices = 64
+const (
+	sliceSeconds = 900
+	maxSlices    = 64
+)
 
 // Executor runs physical plans against a store through the compute scan
 // pool.
@@ -377,10 +378,7 @@ func (ex *Executor) slices(p *Plan) ([]store.Range, error) {
 	if err0 != nil || err1 != nil || t1 < t0 {
 		return whole, nil
 	}
-	width := int64(ex.Opt.SliceSeconds)
-	if width <= 0 {
-		width = 900
-	}
+	width := int64(sliceSeconds)
 	n := (t1-t0)/width + 1
 	if n > maxSlices {
 		width = (t1 - t0 + maxSlices) / maxSlices

@@ -162,9 +162,10 @@ func (b *Batch) Template(id uint32) (codes []uint8, tmpls []Template, cells []st
 }
 
 // TS returns the clustering timestamps, parallel to Keys(): what DecodeTS
-// reads off Keys()[i], or -1 where the key carries no timestamp. A v5
-// block's decoder walks them off the key chunk without building a key;
-// otherwise the vector is built off the keys on the first call.
+// reads off Keys()[i], or -1 where the key carries no timestamp. Of a
+// block the scan's range does not cut, the decoder walks them off the key
+// chunk without building a key; otherwise the vector is built off the keys
+// on the first call.
 func (b *Batch) TS() []int64 {
 	if b.ts == nil {
 		b.ts = b.tsBuf[:0]
@@ -427,7 +428,7 @@ type scanInput struct {
 // chain of segments with disjoint key ranges: it reads each segment's
 // unpruned in-range blocks in order — off the local file, or through the
 // tier's verified block cache when the segment is evicted — and decodes
-// each into its Batch, v5 and v6 blocks alike, visiting the chunks of the
+// each into its Batch, v6 and v7 blocks alike, visiting the chunks of the
 // projected columns only and of the hole columns of a projected column in
 // template form.
 type BatchScanner struct {

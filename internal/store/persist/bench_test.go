@@ -128,14 +128,14 @@ func BenchmarkSegmentScanBatches(b *testing.B) {
 	}
 }
 
-// BenchmarkScanBatches holds the two block generations side by side: the
-// event-shaped fixture as the v5 writer left it and re-encoded as v6 with
+// BenchmarkScanBatches holds the two codec generations side by side: the
+// event-shaped fixture as the v6 writer left it and re-encoded as v7 with
 // its raw text under the column name templates code, batch-scanned whole,
 // for a heat map's two columns, and for the raw text. Run at -benchtime 1x
 // by `make bench-smoke`, so neither reader can rot.
 func BenchmarkScanBatches(b *testing.B) {
 	hs := hostileSegs()[0]
-	v5 := openV5(b, hs)
+	v6 := openV6(b, hs)
 	rawID := InternColumn("hz-raw")
 	for i, r := range hs.rows {
 		cols := slices.Clone(r.Cols())
@@ -150,7 +150,7 @@ func BenchmarkScanBatches(b *testing.B) {
 		name string
 		seg  *Segment
 		raw  uint32
-	}{{"v5", v5, rawID}, {"v6", writeV6(b, b.TempDir(), hs, 1), templateColID}} {
+	}{{"v6", v6, rawID}, {"v7", writeV7(b, b.TempDir(), hs, 1), templateColID}} {
 		projections := []struct {
 			name    string
 			project []uint32

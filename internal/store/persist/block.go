@@ -9,9 +9,10 @@ import (
 	"strings"
 )
 
-// Codec v6 block body. A block is the run of at most indexEvery rows
-// between two sparse-index offsets, stored column by column, every chunk
-// behind its length, so a reader hops over what it does not want:
+// Block body, codecs v6 and v7 alike. A block is the run of at most
+// indexEvery rows between two sparse-index offsets, stored column by
+// column, every chunk behind its length, so a reader hops over what it
+// does not want:
 //
 //	uvarint nrows
 //	chunk   keys     uvarint total key bytes | per row: uvarint shared-prefix
@@ -40,8 +41,6 @@ import (
 //	encTemplate a code byte per cell | per cell of code 0: uvarint len | value.
 //	            Code k > 0 is the section's template k-1 (footer) filled with
 //	            the row's cells of its holes, which the block carries.
-//
-// A v5 block is the same without the last two encodings.
 const (
 	encConst = iota
 	encDict4
@@ -647,12 +646,11 @@ func (w *Writer) noteColumn(col *encCol, set *valueSet) {
 		if v == "" {
 			continue
 		}
-		cells := int(set.counts[k])
 		w.bb.add(bloomHashFrom(seed, v))
-		w.bb.cells += cells
 		if z == nil {
 			continue
 		}
+		cells := int(set.counts[k])
 		if z.Cells == 0 || v < z.MinVal {
 			z.MinVal = v
 		}

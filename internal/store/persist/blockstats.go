@@ -161,10 +161,12 @@ func (kr KeyRange) overlaps(min, max string) bool {
 
 // The filter is a standard double-hashing Bloom filter over FNV-1a: cell
 // i probes bit (h1 + i*h2) mod m. Sizing is bloomBitsPerCell bits per
-// inserted cell with bloomHashes probes (~1% false positives), which for
-// a 64-row block of ~8 columns costs ~640 bytes. Hashes cover the column
-// NAME and value (never the process-local dictionary ID), so filters are
-// portable across processes.
+// distinct inserted cell with bloomHashes probes (~1% false positives):
+// a 64-row event block of ~8 columns holds ~150 distinct cells, so its
+// filter costs ~190 bytes. (A v6 footer's filters are sized by the
+// block's cells.)
+// Hashes cover the column NAME and value (never the process-local
+// dictionary ID), so filters are portable across processes.
 const (
 	bloomBitsPerCell = 10
 	bloomHashes      = 7
@@ -229,26 +231,23 @@ func bloomHashFrom(h uint64, value string) (h1, h2 uint64) {
 }
 
 // bloomBuilder accumulates the cell hashes of one block — each distinct
-// cell once — and encodes the filter, sized by the number of cells hashed
-// or not, once that is known.
+// cell once — and encodes the filter, sized by their number.
 type bloomBuilder struct {
 	hashes [][2]uint64
-	cells  int
 }
 
 func (bb *bloomBuilder) add(h1, h2 uint64) {
 	bb.hashes = append(bb.hashes, [2]uint64{h1, h2})
 }
 
-func (bb *bloomBuilder) reset() { bb.hashes, bb.cells = bb.hashes[:0], 0 }
+func (bb *bloomBuilder) reset() { bb.hashes = bb.hashes[:0] }
 
 // build encodes the filter and resets the builder.
 func (bb *bloomBuilder) build() bloom {
 	if len(bb.hashes) == 0 {
-		bb.reset()
 		return bloom{}
 	}
-	mbits := max(bb.cells*bloomBitsPerCell, bloomMinBits)
+	mbits := max(len(bb.hashes)*bloomBitsPerCell, bloomMinBits)
 	mbits = (mbits + 7) &^ 7
 	bits := make([]byte, mbits/8)
 	m := uint64(mbits)

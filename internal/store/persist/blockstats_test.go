@@ -244,3 +244,42 @@ func TestParseNum(t *testing.T) {
 		}
 	}
 }
+
+// TestBloomSizedByDistinctCells holds the block Bloom filters, sized at
+// bloomBitsPerCell bits per distinct cell, to what pruning needs of them on
+// the hostile segments: every written (column, value) cell probes
+// MayContain in its block — no false negative — and of at least 10 000
+// probes of values never written, at most 2 % come back true.
+func TestBloomSizedByDistinctCells(t *testing.T) {
+	dir := t.TempDir()
+	probes, hits := 0, 0
+	for i, hs := range hostileSegs() {
+		seg := writeV7(t, dir, hs, uint64(i+1))
+		blocks := seg.meta.Blocks
+		b := 0
+		for _, r := range hs.rows {
+			for r.Key > blocks[b].MaxKey {
+				b++
+			}
+			for _, c := range r.Cols() {
+				if h1, h2 := BloomHash(ColumnName(c.ID), c.Value); c.Value != "" && !blocks[b].MayContain(h1, h2) {
+					t.Fatalf("%s block %d: the filter misses %s=%q", hs.name, b, ColumnName(c.ID), c.Value)
+				}
+			}
+		}
+		for b := range blocks {
+			for _, name := range seg.meta.ColNames {
+				for k := 0; k < 64; k++ {
+					probes++
+					if blocks[b].MayContain(BloomHash(name, fmt.Sprintf("never written %d", k))) {
+						hits++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d of %d probes of values never written pass the filters", hits, probes)
+	if probes < 10000 || hits*50 > probes {
+		t.Fatalf("%d of %d probes of values never written pass the filters, want at most 2 %% of at least 10 000", hits, probes)
+	}
+}

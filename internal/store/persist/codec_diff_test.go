@@ -12,11 +12,11 @@ import (
 
 // This process interns the ordered columns of the hostile generator in the
 // reverse of the order the fixtures' writer did, so that the name tables of
-// testdata/v5 list columns in an order that is not this reader's ID order.
+// testdata/v6 list columns in an order that is not this reader's ID order.
 var _ = [...]uint32{InternColumn("hz-ord-x"), InternColumn("hz-ord-y"), InternColumn("hz-ord-z")}
 
-// writeV6 writes hs through the (only) writer, as seq.
-func writeV6(t testing.TB, dir string, hs hostileSeg, seq uint64) *Segment {
+// writeV7 writes hs through the (only) writer, as seq.
+func writeV7(t testing.TB, dir string, hs hostileSeg, seq uint64) *Segment {
 	t.Helper()
 	w := NewWriter("hostile", hs.name, seq)
 	if hs.zones != nil {
@@ -37,22 +37,19 @@ func writeV6(t testing.TB, dir string, hs hostileSeg, seq uint64) *Segment {
 	return seg
 }
 
-// writeV5 is writeV6 under the name the allocation guards were written
-// against (alloc_guard_test.go): what they measure is whatever the one
-// writer writes.
-func writeV5(t testing.TB, dir string, hs hostileSeg, seq uint64) *Segment {
-	t.Helper()
-	return writeV6(t, dir, hs, seq)
-}
+// v6Fixture is the path of the checked-in v6 rendering of hs: the v6
+// writer's round file of one section, written at the last commit that had
+// one.
+func v6Fixture(hs hostileSeg) string { return filepath.Join("testdata", "v6", hs.name+segFileExt) }
 
-// openV5 opens the checked-in v5 rendering of hs.
-func openV5(t testing.TB, hs hostileSeg) *Segment {
+// openV6 opens the checked-in v6 rendering of hs.
+func openV6(t testing.TB, hs hostileSeg) *Segment {
 	t.Helper()
-	seg, err := OpenSegment(filepath.Join("testdata", "v5", hs.name+segFileExt))
+	seg, err := OpenSegment(v6Fixture(hs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg.version != segVersionV5 {
+	if seg.version != segVersionV6 {
 		t.Fatalf("fixture %s is codec v%d", hs.name, seg.version)
 	}
 	t.Cleanup(func() { seg.Close() })
@@ -178,60 +175,77 @@ func exactRows(a, b []Row) bool {
 	})
 }
 
-// TestCodecGenerationsAgree holds the v6 codec to the v5 one on the
-// hostile generator's segments: the v5 reader still returns what was
-// written at the last commit with a v5 writer, and the same rows through
-// the v6 writer give the same footer statistics (zone maps, Bloom bits,
-// key bounds), the same rows through the Row adapter, the same batch under
-// every projection and range cut — a column in template form reassembling
-// as its templates say — and the same pruning decisions.
+// TestCodecGenerationsAgree holds the v7 codec to the v6 one on the
+// hostile generator's segments: the v6 reader still returns what was
+// written at the last commit with a v6 writer, and the same rows through
+// the v7 writer give the same data region behind the header and so the
+// same Merkle leaves, the same footer statistics (zone maps, key bounds)
+// but for the Bloom filters' sizes, Bloom filters with no false negative,
+// the same rows through the Row adapter, the same batch under every
+// projection and range cut — a column in template form reassembling as its
+// templates say — and the same pruning decisions, from a smaller file.
 func TestCodecGenerationsAgree(t *testing.T) {
 	PoisonBatches.Store(true)
 	defer PoisonBatches.Store(false)
 	dir := t.TempDir()
 	for i, hs := range hostileSegs() {
 		t.Run(hs.name, func(t *testing.T) {
-			v5, v6 := openV5(t, hs), writeV6(t, dir, hs, uint64(i+1))
-			if err := v6.Verify(); err != nil {
-				t.Fatal(err)
+			v6, v7 := openV6(t, hs), writeV7(t, dir, hs, uint64(i+1))
+			for _, seg := range []*Segment{v6, v7} {
+				if err := seg.Verify(); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			// Rows.
-			got5, got6 := scanRows(t, v5, Range{}, ScanConfig{}), scanRows(t, v6, Range{}, ScanConfig{})
-			if !exactRows(got5, hs.rows) {
-				t.Fatalf("the v5 fixture no longer reads back the generator's %d rows (%d read)", len(hs.rows), len(got5))
-			}
+			got6, got7 := scanRows(t, v6, Range{}, ScanConfig{}), scanRows(t, v7, Range{}, ScanConfig{})
 			if !exactRows(got6, hs.rows) {
-				t.Fatalf("v6 reads back %d rows that differ from the %d written", len(got6), len(hs.rows))
+				t.Fatalf("the v6 fixture no longer reads back the generator's %d rows (%d read)", len(hs.rows), len(got6))
+			}
+			if !exactRows(got7, hs.rows) {
+				t.Fatalf("v7 reads back %d rows that differ from the %d written", len(got7), len(hs.rows))
 			}
 
-			// Footer: all but what depends on the blocks' bytes.
-			m5, m6 := *v5.meta, *v6.meta
-			if !reflect.DeepEqual(m5.Blocks, m6.Blocks) {
-				for b := range m5.Blocks {
-					if !reflect.DeepEqual(m5.Blocks[b], m6.Blocks[b]) {
-						t.Fatalf("block %d statistics differ:\nv5 %+v\nv6 %+v", b, m5.Blocks[b], m6.Blocks[b])
+			// Data region: the blocks byte for byte, so the leaves — but for
+			// "shifting", whose blocks name columns by their index in a name
+			// table in the writing process's dictionary order.
+			if hs.name != "shifting" {
+				data6, data7 := sectionData(t, v6), sectionData(t, v7)
+				if string(data6[:len(segHeader)]) != segHeaderV6 || string(data7[:len(segHeader)]) != segHeader ||
+					string(data6[len(segHeader):]) != string(data7[len(segHeader):]) {
+					t.Fatalf("the v7 data region (%d bytes) is not the v6 one (%d) behind a new header", len(data7), len(data6))
+				}
+				if !reflect.DeepEqual(v6.meta.Leaves, v7.meta.Leaves) || v6.root != v7.root {
+					t.Fatal("the Merkle leaves differ")
+				}
+			}
+
+			// Footer: all but the Bloom filters' bits, the data CRC, which
+			// covers the header, and the leaves.
+			m6, m7 := *v6.meta, *v7.meta
+			m6.Blocks, m7.Blocks = withoutBlooms(m6.Blocks), withoutBlooms(m7.Blocks)
+			if !reflect.DeepEqual(m6.Blocks, m7.Blocks) {
+				for b := range m6.Blocks {
+					if !reflect.DeepEqual(m6.Blocks[b], m7.Blocks[b]) {
+						t.Fatalf("block %d statistics differ:\nv6 %+v\nv7 %+v", b, m6.Blocks[b], m7.Blocks[b])
 					}
 				}
-				t.Fatalf("%d v5 block statistics, %d v6", len(m5.Blocks), len(m6.Blocks))
+				t.Fatalf("%d v6 block statistics, %d v7", len(m6.Blocks), len(m7.Blocks))
 			}
-			for b := range m5.Index {
-				if m5.Index[b].Key != m6.Index[b].Key {
-					t.Fatalf("block %d starts at %q in v5, %q in v6", b, m5.Index[b].Key, m6.Index[b].Key)
-				}
+			d6, t6 := codecOf(&m6)
+			if d7, t7 := codecOf(&m7); !reflect.DeepEqual(d6, d7) || !slices.Equal(t6, t7) {
+				t.Fatalf("codec sections differ:\nv6 %q %q\nv7 %q %q", d6, t6, d7, t7)
 			}
-			for _, m := range []*footerMeta{&m5, &m6} {
-				m.DataLen, m.DataCRC, m.Index, m.Leaves, m.Blocks = 0, 0, nil, nil, nil
-				// The codec section is v6's alone.
-				m.Dicts, m.Templates, m.TmplCol = nil, nil, 0
+			for _, m := range []*footerMeta{&m6, &m7} {
+				m.DataCRC, m.Leaves, m.Blocks, m.Dicts, m.Templates, m.TmplCol = 0, nil, nil, nil, nil, 0
 				// The name table is in the writing process's dictionary order.
 				m.ColNames = slices.Sorted(slices.Values(m.ColNames))
 			}
-			if !reflect.DeepEqual(m5, m6) {
-				t.Fatalf("footers differ:\nv5 %+v\nv6 %+v", m5, m6)
+			if !reflect.DeepEqual(m6, m7) {
+				t.Fatalf("footers differ:\nv6 %+v\nv7 %+v", m6, m7)
 			}
 
-			// Bloom answers: every cell written, and probes that were not.
+			// Bloom answers: every cell written is in its block's filter.
 			var names []uint32
 			for _, r := range hs.rows {
 				for _, c := range r.Cols() {
@@ -239,10 +253,11 @@ func TestCodecGenerationsAgree(t *testing.T) {
 						names = append(names, c.ID)
 					}
 					h1, h2 := BloomHash(ColumnName(c.ID), c.Value)
-					for b := range v6.meta.Blocks {
-						in := v6.meta.Blocks[b].MinKey <= r.Key && r.Key <= v6.meta.Blocks[b].MaxKey
-						if may := v6.meta.Blocks[b].MayContain(h1, h2); may != v5.meta.Blocks[b].MayContain(h1, h2) || (in && c.Value != "" && !may) {
-							t.Fatalf("block %d Bloom on %s=%q: v6 says %v", b, ColumnName(c.ID), c.Value, may)
+					for _, seg := range []*Segment{v6, v7} {
+						for b, blk := range seg.meta.Blocks {
+							if in := blk.MinKey <= r.Key && r.Key <= blk.MaxKey; in && c.Value != "" && !blk.MayContain(h1, h2) {
+								t.Fatalf("v%d block %d Bloom misses %s=%q", seg.version, b, ColumnName(c.ID), c.Value)
+							}
 						}
 					}
 				}
@@ -263,13 +278,13 @@ func TestCodecGenerationsAgree(t *testing.T) {
 					Range{From: hs.rows[n/2].Key + "\x00"}, Range{To: hs.rows[n/2].Key}, Range{From: hs.rows[n/2].Key, To: hs.rows[n/2].Key + "\x00"})
 			}
 			for _, rg := range ranges {
-				if r5, r6 := scanRows(t, v5, rg, ScanConfig{}), scanRows(t, v6, rg, ScanConfig{}); !exactRows(r5, r6) {
-					t.Fatalf("range %q: %d rows from v5, %d from v6", rg, len(r5), len(r6))
+				if r6, r7 := scanRows(t, v6, rg, ScanConfig{}), scanRows(t, v7, rg, ScanConfig{}); !exactRows(r6, r7) {
+					t.Fatalf("range %q: %d rows from v6, %d from v7", rg, len(r6), len(r7))
 				}
 				for _, project := range projections {
 					cfg := ScanConfig{Project: project}
-					if b5, b6 := batchImages(t, v5, rg, cfg), batchImages(t, v6, rg, cfg); !reflect.DeepEqual(b5, b6) {
-						t.Fatalf("range %q projection %v: batches differ\nv5 %+v\nv6 %+v", rg, project, b5, b6)
+					if b6, b7 := batchImages(t, v6, rg, cfg), batchImages(t, v7, rg, cfg); !reflect.DeepEqual(b6, b7) {
+						t.Fatalf("range %q projection %v: batches differ\nv6 %+v\nv7 %+v", rg, project, b6, b7)
 					}
 				}
 			}
@@ -278,28 +293,76 @@ func TestCodecGenerationsAgree(t *testing.T) {
 			for _, zone := range hs.zones {
 				id := InternColumn(zone)
 				for _, want := range []string{"", "0", "g1", "c1-0c1s1n1", "zzz"} {
-					var s5, s6 PruneStats
-					r5 := scanRows(t, v5, Range{}, ScanConfig{Pruner: zonePruner{id, want}, Stats: &s5})
+					var s6, s7 PruneStats
 					r6 := scanRows(t, v6, Range{}, ScanConfig{Pruner: zonePruner{id, want}, Stats: &s6})
-					if !exactRows(r5, r6) || s5.BlocksRead.Load() != s6.BlocksRead.Load() || s5.BlocksPruned.Load() != s6.BlocksPruned.Load() {
-						t.Fatalf("pruning %s=%q: v5 read %d pruned %d, v6 read %d pruned %d", zone, want,
-							s5.BlocksRead.Load(), s5.BlocksPruned.Load(), s6.BlocksRead.Load(), s6.BlocksPruned.Load())
+					r7 := scanRows(t, v7, Range{}, ScanConfig{Pruner: zonePruner{id, want}, Stats: &s7})
+					if !exactRows(r6, r7) || s6.BlocksRead.Load() != s7.BlocksRead.Load() || s6.BlocksPruned.Load() != s7.BlocksPruned.Load() {
+						t.Fatalf("pruning %s=%q: v6 read %d pruned %d, v7 read %d pruned %d", zone, want,
+							s6.BlocksRead.Load(), s6.BlocksPruned.Load(), s7.BlocksRead.Load(), s7.BlocksPruned.Load())
 					}
 				}
 			}
 
 			switch hs.name {
-			case "events", "sources256", "sources257":
-				if v6.Size() >= v5.Size() {
-					t.Fatalf("the segment takes %d bytes in v6, %d in v5", v6.Size(), v5.Size())
+			case "events", "distinct", "templates", "sources256", "sources257":
+				if f6, f7 := fileSize(t, v6.path), fileSize(t, v7.path); f7 >= f6 {
+					t.Fatalf("the segment's file takes %d bytes in v7, %d in v6", f7, f6)
 				}
-			case "templates":
-				if len(v6.meta.Templates) == 0 {
-					t.Fatal("no raw cell of the segment took a template")
-				}
+			}
+			if hs.name == "templates" && len(v7.meta.Templates) == 0 {
+				t.Fatal("no raw cell of the segment took a template")
 			}
 		})
 	}
+}
+
+// sectionData reads the data region of a resident segment.
+func sectionData(t testing.TB, seg *Segment) []byte {
+	t.Helper()
+	b := make([]byte, seg.meta.DataLen)
+	if _, err := seg.file.f.ReadAt(b, seg.base); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// codecOf renders a footer's codec section by column name, not name-table
+// index: the section dictionaries, and each template as its column, its
+// constants and its holes' columns.
+func codecOf(m *footerMeta) (map[string][]string, []string) {
+	dicts := make(map[string][]string)
+	for local, d := range m.Dicts {
+		if len(d.vals) > 0 {
+			dicts[m.ColNames[local]] = d.vals
+		}
+	}
+	var tmpls []string
+	for _, tm := range m.Templates {
+		s := m.ColNames[m.TmplCol] + ": " + tm.Consts[0]
+		for k, local := range tm.local {
+			s += "<" + m.ColNames[local] + ">" + tm.Consts[k+1]
+		}
+		tmpls = append(tmpls, s)
+	}
+	return dicts, tmpls
+}
+
+// withoutBlooms copies block statistics without their Bloom filters.
+func withoutBlooms(blocks []BlockStats) []BlockStats {
+	out := slices.Clone(blocks)
+	for i := range out {
+		out[i].bloom = bloom{}
+	}
+	return out
+}
+
+func fileSize(t testing.TB, path string) int64 {
+	t.Helper()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
 }
 
 // TestV5WriterOrderNotReaders writes rows whose cells are in an order that
@@ -317,7 +380,7 @@ func TestV5WriterOrderNotReaders(t *testing.T) {
 		rows = append(rows, Row{Key: key, WriteTS: 1, cols: cols})
 		want = append(want, MakeRow(key, 1, slices.Clone(cols)))
 	}
-	seg := writeV6(t, t.TempDir(), hostileSeg{name: "order", rows: rows}, 1)
+	seg := writeV7(t, t.TempDir(), hostileSeg{name: "order", rows: rows}, 1)
 	if names := seg.meta.ColNames[:3]; !slices.Equal(names, []string{"hz-ord-z", "hz-ord-y", "hz-ord-x"}) {
 		t.Fatalf("name table %v: the test did not get the writer order it wanted", names)
 	}
@@ -340,7 +403,7 @@ func TestTemplatesAcrossColumnOrders(t *testing.T) {
 		}
 		rows = append(rows, MakeRow(EncodeTS(int64(i)), 1, cols))
 	}
-	seg := writeV6(t, t.TempDir(), hostileSeg{name: "orders", rows: rows}, 1)
+	seg := writeV7(t, t.TempDir(), hostileSeg{name: "orders", rows: rows}, 1)
 	sc, err := ChainBatches(Range{}, []*Segment{seg}, []ScanConfig{{Project: []uint32{templateColID}}})
 	if err != nil {
 		t.Fatal(err)
@@ -360,11 +423,11 @@ func TestTemplatesAcrossColumnOrders(t *testing.T) {
 }
 
 // TestMixedGenerationCrashImages cuts crash images at the four stages of a
-// compaction round over a directory that mixes v5 sections — the hostile
-// fixtures — and v6 sections written over half their keys: every image
-// reopens with every partition's last-write-wins rows, served by its v5
-// and v6 sections until the round's file has its final name and by one
-// v6 section after.
+// compaction round over a directory that mixes v6 sections — the hostile
+// fixtures — and v7 sections written over half their keys: every image
+// reopens with every partition's last-write-wins rows, served by its v6
+// and v7 sections until the round's file has its final name and by one
+// v7 section after.
 func TestMixedGenerationCrashImages(t *testing.T) {
 	dir := t.TempDir()
 	want := make(map[string][]Row)
@@ -373,7 +436,7 @@ func TestMixedGenerationCrashImages(t *testing.T) {
 		if hs.name != "events" && hs.name != "templates" && hs.name != "sources257" {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join("testdata", "v5", hs.name+segFileExt))
+		data, err := os.ReadFile(v6Fixture(hs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +445,7 @@ func TestMixedGenerationCrashImages(t *testing.T) {
 		}
 		var over []Row
 		for _, r := range hs.rows[:len(hs.rows)/2] {
-			over = append(over, MakeRow(r.Key, r.WriteTS+1<<20, append(slices.Clone(r.Cols()), C("hz-v6", "over"))))
+			over = append(over, MakeRow(r.Key, r.WriteTS+1<<20, append(slices.Clone(r.Cols()), C("hz-v7", "over"))))
 		}
 		want[hs.name] = append(slices.Clone(over), hs.rows[len(over):]...)
 		parts = append(parts, FlushPart{"hostile", hs.name, over})
@@ -412,7 +475,7 @@ func TestMixedGenerationCrashImages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", img.stage, err)
 		}
-		versions := []int{segVersionV5, SegVersion}
+		versions := []int{segVersionV6, SegVersion}
 		if img.stage == "renamed" || img.stage == "published" {
 			versions = []int{SegVersion}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"maps"
+	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -158,8 +159,9 @@ func FuzzFrontTS(f *testing.F) {
 
 // foldedFooter is a footer of two blocks with a fold section: one whose
 // keys all carry timestamps and whose numeric zone holds counts, one
-// whose keys do not. Zone IDs are name-table indexes, as on disk.
-func foldedFooter() (*footerMeta, []blockFold, []int) {
+// whose keys do not. Zone IDs are name-table indexes, as on disk, so the
+// name table maps to itself.
+func foldedFooter() (*footerMeta, []blockFold, []uint32) {
 	zones := func(num int) []ColZone {
 		return []ColZone{
 			{ID: 0, MinVal: "1", MaxVal: "9", Cells: num, NumCells: num, MinNum: 1, MaxNum: 9},
@@ -182,32 +184,74 @@ func foldedFooter() (*footerMeta, []blockFold, []int) {
 		{timed: true, counts: []colCounts{{id: 0, cells: 63, sum: -9223372036854775000}}},
 		{counts: []colCounts{{id: 0, cells: 2, sum: 3}}},
 	}
-	return meta, fold, []int{0, 1}
+	return meta, fold, []uint32{0, 1}
 }
 
-// hostileFoldSections are footers whose fold section is damaged: each must
-// fail to decode.
+// selfIDs is the name table of m mapped to itself: what a footer decoded
+// but not opened re-encodes through.
+func selfIDs(m *footerMeta) []uint32 {
+	ids := make([]uint32, len(m.ColNames))
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	return ids
+}
+
+// fuzzTable is the string table the footer fuzzer decodes v7 footers
+// against: what the seeds' footers were encoded with.
+func fuzzTable() *strTable {
+	tab := &strTable{}
+	for _, s := range []string{"amount", "source", "raw", "all constant", "at ", " and ", ""} {
+		tab.ref(s)
+	}
+	return tab
+}
+
+// hostileFoldSections are v7 footers, against fuzzTable, whose fold
+// section is damaged: each must fail to decode.
 func hostileFoldSections() map[string][]byte {
-	meta, fold, local := foldedFooter()
-	good := appendFooter(nil, meta, fold, local)
-	bare := appendFooter(nil, meta, nil, local)
+	meta, fold, ids := foldedFooter()
+	tab := fuzzTable()
+	bare := appendMeta(nil, meta, ids, tab)
+	good := appendFooter(nil, meta, fold, ids, tab)
 	flag := slices.Clone(good)
 	flag[len(bare)+1] = 2 // the first block's flag
 	return map[string][]byte{
-		"truncated":     good[:len(good)-1],
+		"truncated":     good[:len(bare)+3],
 		"count only":    binary.AppendUvarint(slices.Clone(bare), uint64(len(fold))),
-		"fewer blocks":  appendFoldSection(slices.Clone(bare), fold[:1]),
-		"more blocks":   appendFoldSection(slices.Clone(bare), append(fold, fold[1])),
+		"fewer blocks":  appendFoldSection(slices.Clone(bare), meta.Blocks, fold[:1]),
+		"more blocks":   appendFoldSection(slices.Clone(bare), append(slices.Clone(meta.Blocks), meta.Blocks[1]), append(fold, fold[1])),
 		"bad flag":      flag,
 		"trailing byte": append(slices.Clone(good), 0),
-		"counts beyond cells": appendFoldSection(slices.Clone(bare),
-			[]blockFold{fold[0], {counts: []colCounts{{id: 0, cells: 3, sum: 3}}}}),
+		"counts beyond cells": appendCodecSection(appendFoldSection(slices.Clone(bare), meta.Blocks,
+			[]blockFold{fold[0], {counts: []colCounts{{id: 0, cells: 3, sum: 3}}}}), meta, tab),
 	}
 }
 
-// FuzzSegmentFooter feeds arbitrary bytes to the footer decoder, as a v5
-// and as a v6 footer: any outcome but a panic is acceptable, and a valid
-// decode must re-encode.
+// v6Footers returns the footers of the checked-in v6 fixtures.
+func v6Footers(t testing.TB) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, hs := range hostileSegs() {
+		data, err := os.ReadFile(v6Fixture(hs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs, _, _, err := readSections(bytes.NewReader(data), int64(len(data)))
+		if err != nil || len(secs) != 1 {
+			t.Fatalf("%s: %d sections: %v", hs.name, len(secs), err)
+		}
+		sec := data[:secs[0].len]
+		foot := int(binary.LittleEndian.Uint32(sec[len(sec)-trailerLen:]))
+		out = append(out, sec[len(sec)-trailerLen-foot:len(sec)-trailerLen])
+	}
+	return out
+}
+
+// FuzzSegmentFooter feeds arbitrary bytes to the footer decoder, as a v6
+// footer and as a v7 one against fuzzTable: any outcome but a panic is
+// acceptable, and a valid decode must re-encode as v7 — what compaction
+// does with a v6 section it moves.
 func FuzzSegmentFooter(f *testing.F) {
 	meta := footerMeta{
 		Table: "events", Partition: "p1", Seq: 7, Rows: 2,
@@ -220,77 +264,77 @@ func FuzzSegmentFooter(f *testing.F) {
 			bloom: bloom{bits: "\x01\x02\x03\x04\x05\x06\x07\x08", k: bloomHashes}}},
 		Leaves: make([][objstore.HashLen]byte, 1),
 	}
-	f.Add(appendFooter(nil, &meta, nil, []int{1}))
+	tab := fuzzTable()
+	f.Add(appendFooter(nil, &meta, []blockFold{{}}, selfIDs(&meta), tab))
 	f.Add([]byte(""))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
-	f.Add(appendFooter(nil, &meta, []blockFold{{timed: true, counts: []colCounts{{id: 1, cells: 1, sum: 4}}}}, []int{1}))
-	fm, fold, local := foldedFooter()
-	f.Add(appendFooter(nil, fm, fold, local))
+	f.Add(appendFooter(nil, &meta, []blockFold{{timed: true, counts: []colCounts{{id: 1, cells: 1, sum: 4}}}}, selfIDs(&meta), tab))
+	fm, fold, ids := foldedFooter()
+	f.Add(appendFooter(nil, fm, fold, ids, tab))
 	hostile := hostileFoldSections()
 	for _, name := range slices.Sorted(maps.Keys(hostile)) {
 		f.Add(hostile[name])
 	}
-	cm, cfold, clocal := codecFooter()
-	f.Add(appendCodecSection(appendFooter(nil, cm, cfold, clocal), cm))
+	cm, cfold, cids := codecFooter()
+	f.Add(appendFooter(nil, cm, cfold, cids, tab))
 	for _, name := range slices.Sorted(maps.Keys(hostileCodecSections())) {
 		f.Add(hostileCodecSections()[name])
 	}
+	for _, fb := range v6Footers(f) {
+		f.Add(fb)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkFooterRoundTrip(t, data, segVersionV5)
-		checkFooterRoundTrip(t, data, SegVersion)
+		checkFooterRoundTrip(t, data, segVersionV6, nil)
+		checkFooterRoundTrip(t, data, SegVersion, fuzzTable())
 	})
 }
 
-// checkFooterRoundTrip decodes data as a footer of codec version and, if
-// that succeeds, holds the re-encoding to it.
-func checkFooterRoundTrip(t *testing.T, data []byte, version int) {
-	{
-		m, fold, err := decodeFooter(data, version)
-		if err != nil {
-			return
-		}
-		if m.Rows < 0 || m.DataLen < 0 {
-			t.Fatalf("decoded nonsense counts from %x: %+v", data, m)
-		}
-		if fold != nil && len(fold) != len(m.Blocks) {
-			t.Fatalf("fold section of %d records for %d blocks", len(fold), len(m.Blocks))
-		}
-		// Zone IDs are still name-table indexes here, as on disk.
-		zoneLocal := []int{}
-		if len(m.Blocks) > 0 {
-			for _, z := range m.Blocks[0].Zones {
-				zoneLocal = append(zoneLocal, int(z.ID))
+// checkFooterRoundTrip decodes data as a footer of codec version against
+// tab and, if that succeeds, holds its v7 re-encoding to it.
+func checkFooterRoundTrip(t *testing.T, data []byte, version int, tab *strTable) {
+	m, fold, err := decodeFooter(data, version, tab)
+	if err != nil {
+		return
+	}
+	if m.Rows < 0 || m.DataLen < 0 {
+		t.Fatalf("decoded nonsense counts from %x: %+v", data, m)
+	}
+	if len(fold) != len(m.Blocks) {
+		t.Fatalf("fold section of %d records for %d blocks", len(fold), len(m.Blocks))
+	}
+	for _, b := range m.Blocks {
+		for j := range b.Zones {
+			if slices.ContainsFunc(b.Zones[:j], func(z ColZone) bool { return z.ID == b.Zones[j].ID }) {
+				return // only a writer's footer zones a column once
 			}
 		}
-		for _, b := range m.Blocks {
-			if len(b.Zones) != len(zoneLocal) {
-				return // only a writer's footer zones every block alike
-			}
-		}
-		round := appendFooter(nil, m, fold, zoneLocal)
-		if version == SegVersion {
-			round = appendCodecSection(round, m)
-		}
-		m2, fold2, err := decodeFooter(round, version)
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded footer failed: %v", err)
-		}
-		if !reflect.DeepEqual(m.Dicts, m2.Dicts) || !reflect.DeepEqual(m.Templates, m2.Templates) || m.TmplCol != m2.TmplCol && m.Templates != nil {
-			t.Fatalf("codec section round trip: %+v %+v vs %+v %+v", m.Dicts, m.Templates, m2.Dicts, m2.Templates)
-		}
-		if m2.Table != m.Table || m2.Rows != m.Rows || len(m2.Index) != len(m.Index) ||
-			len(m2.Blocks) != len(m.Blocks) || len(m2.Leaves) != len(m.Leaves) {
-			t.Fatalf("footer round trip mismatch: %+v vs %+v", m, m2)
-		}
-		if !reflect.DeepEqual(fold, fold2) {
-			t.Fatalf("fold section round trip: %+v vs %+v", fold, fold2)
-		}
+	}
+	// Zone IDs are still name-table indexes here, as on disk.
+	out := &strTable{}
+	m2, fold2, err := decodeFooter(appendFooter(nil, m, fold, selfIDs(m), out), SegVersion, out)
+	if err != nil {
+		t.Fatalf("re-decode of re-encoded footer failed: %v", err)
+	}
+	m2.nameRefs = nil
+	if !reflect.DeepEqual(m.Dicts, m2.Dicts) || !reflect.DeepEqual(m.Templates, m2.Templates) || m.TmplCol != m2.TmplCol && m.Templates != nil {
+		t.Fatalf("codec section round trip: %+v %+v vs %+v %+v", m.Dicts, m.Templates, m2.Dicts, m2.Templates)
+	}
+	if m2.Table != m.Table || m2.Rows != m.Rows || !slices.Equal(m2.ColNames, m.ColNames) || !slices.Equal(m2.Index, m.Index) ||
+		!reflect.DeepEqual(m2.Blocks, m.Blocks) || !slices.Equal(m2.Leaves, m.Leaves) {
+		t.Fatalf("footer round trip mismatch: %+v vs %+v", m, m2)
+	}
+	if len(m.Index) > 0 && m2.MinKey != m.Index[0].Key {
+		t.Fatalf("v7 minimum key %q, first index key %q", m2.MinKey, m.Index[0].Key)
+	}
+	if !reflect.DeepEqual(fold, fold2) {
+		t.Fatalf("fold section round trip: %+v vs %+v", fold, fold2)
 	}
 }
 
 // TestFooterRoundTrip pins the binary footer codec on representative
-// values, including delta-encoded index offsets, with and without the fold
-// section, and refuses a damaged fold section.
+// values, including delta-encoded index offsets, names and constants
+// through the file's string table, the minimum key taken from the index,
+// and the fold section; and refuses a damaged fold section.
 func TestFooterRoundTrip(t *testing.T) {
 	meta := footerMeta{
 		Table: "events", Partition: "412:MCE", Seq: 1 << 40, Rows: 12345,
@@ -306,12 +350,17 @@ func TestFooterRoundTrip(t *testing.T) {
 		Blocks: make([]BlockStats, 3),
 		Leaves: make([][objstore.HashLen]byte, 3),
 	}
-	got, fold, err := decodeFooter(appendFooter(nil, &meta, nil, nil), segVersionV5)
+	tab := &strTable{}
+	fb := appendFooter(nil, &meta, make([]blockFold, 3), selfIDs(&meta), tab)
+	if !slices.Equal(tab.strs, meta.ColNames) {
+		t.Fatalf("string table %q, want the names %q", tab.strs, meta.ColNames)
+	}
+	if bytes.Contains(fb, []byte(meta.ColNames[1])) || bytes.Count(fb, []byte(meta.MinKey)) != 1 {
+		t.Fatal("the footer holds a name, or the minimum key beside the first index key")
+	}
+	got, _, err := decodeFooter(fb, SegVersion, tab)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if fold != nil {
-		t.Fatalf("a footer without a fold section decodes one: %+v", fold)
 	}
 	if got.Table != meta.Table || got.Partition != meta.Partition || got.Seq != meta.Seq ||
 		got.Rows != meta.Rows || got.MinKey != meta.MinKey || got.MaxKey != meta.MaxKey ||
@@ -319,38 +368,20 @@ func TestFooterRoundTrip(t *testing.T) {
 		got.DataLen != meta.DataLen || got.DataCRC != meta.DataCRC {
 		t.Fatalf("footer scalar mismatch:\ngot  %+v\nwant %+v", got, meta)
 	}
-	if len(got.ColNames) != len(meta.ColNames) || len(got.Index) != len(meta.Index) {
-		t.Fatalf("footer table sizes: %+v", got)
-	}
-	for i := range meta.ColNames {
-		if got.ColNames[i] != meta.ColNames[i] {
-			t.Fatalf("col name %d: %q", i, got.ColNames[i])
-		}
-	}
-	for i := range meta.Index {
-		if got.Index[i] != meta.Index[i] {
-			t.Fatalf("index entry %d: %+v want %+v", i, got.Index[i], meta.Index[i])
-		}
+	if !slices.Equal(got.ColNames, meta.ColNames) || !slices.Equal(got.Index, meta.Index) || !slices.Equal(got.nameRefs, []uint32{0, 1, 2, 3}) {
+		t.Fatalf("footer tables: %+v", got)
 	}
 
-	fm, wantFold, local := foldedFooter()
-	img := appendFooter(nil, fm, wantFold, local)
-	bare, noFold, err := decodeFooter(appendFooter(nil, fm, nil, local), segVersionV5)
-	if err != nil || noFold != nil {
-		t.Fatalf("footer without its fold section: %v, fold %+v", err, noFold)
-	}
-	withFold, gotFold, err := decodeFooter(img, segVersionV5)
+	fm, wantFold, ids := foldedFooter()
+	withFold, gotFold, err := decodeFooter(appendFooter(nil, fm, wantFold, ids, tab), SegVersion, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(withFold, bare) {
-		t.Fatalf("the fold section changes the footer it follows:\nwith    %+v\nwithout %+v", withFold, bare)
-	}
-	if !reflect.DeepEqual(gotFold, wantFold) {
+	if !reflect.DeepEqual(gotFold, wantFold) || !reflect.DeepEqual(withFold.Blocks, fm.Blocks) {
 		t.Fatalf("fold section: got %+v, want %+v", gotFold, wantFold)
 	}
 	for name, fb := range hostileFoldSections() {
-		if _, _, err := decodeFooter(fb, segVersionV5); err == nil {
+		if _, _, err := decodeFooter(fb, SegVersion, fuzzTable()); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
 	}
@@ -359,23 +390,25 @@ func TestFooterRoundTrip(t *testing.T) {
 // codecFooter is foldedFooter with a codec section: a dictionary of
 // "amount" holding "", and two templates over "source", of no hole and of
 // two.
-func codecFooter() (*footerMeta, []blockFold, []int) {
-	m, fold, local := foldedFooter()
+func codecFooter() (*footerMeta, []blockFold, []uint32) {
+	m, fold, ids := foldedFooter()
 	m.ColNames = append(m.ColNames, "raw")
 	m.Dicts = []sectionDict{{vals: []string{"1", "", "7"}, empty: 1}, {}, {}}
 	m.TmplCol = 2
 	m.Templates = []Template{
-		{Consts: []string{"all constant"}, Holes: []uint32{}, local: []uint32{}, size: 12},
-		{Consts: []string{"at ", " and ", ""}, Holes: []uint32{1, 1}, local: []uint32{1, 1}, size: 8},
+		{Consts: []string{"all constant"}, local: []uint32{}, size: 12},
+		{Consts: []string{"at ", " and ", ""}, local: []uint32{1, 1}, size: 8},
 	}
-	return m, fold, local
+	return m, fold, append(ids, 2)
 }
 
-// hostileCodecSections are v6 footers whose codec section is damaged:
-// each must fail to decode.
+// hostileCodecSections are v7 footers, against fuzzTable, whose codec
+// section is damaged or names strings past the table: each must fail to
+// decode.
 func hostileCodecSections() map[string][]byte {
-	m, fold, local := foldedFooter()
-	bare := appendFooter(nil, m, fold, local)
+	m, fold, ids := foldedFooter()
+	tab := fuzzTable()
+	bare := appendFoldSection(appendMeta(nil, m, ids, tab), m.Blocks, fold)
 	with := func(codec ...uint64) []byte {
 		b := slices.Clone(bare)
 		for _, v := range codec {
@@ -383,31 +416,37 @@ func hostileCodecSections() map[string][]byte {
 		}
 		return b
 	}
-	cm, cfold, clocal := codecFooter()
-	good := appendCodecSection(appendFooter(nil, cm, cfold, clocal), cm)
+	cm, cfold, cids := codecFooter()
+	good := appendFooter(nil, cm, cfold, cids, tab)
+	pastNames := appendMeta(nil, m, ids, &strTable{strs: []string{"amount"}, refs: map[string]uint32{"amount": 0, "source": 99}})
 	return map[string][]byte{
 		"missing":                  bare,
 		"truncated":                good[:len(good)-1],
 		"trailing byte":            append(slices.Clone(good), 0),
-		"dictionary past table":    with(1, 2, 1, 1, 'x', 0),
+		"dictionary past table":    with(1, 2, 1, 0, 0),
 		"empty dictionary":         with(1, 0, 0, 0),
-		"dictionaries descending":  append(with(2, 1, 1, 1, 'x'), append(binary.AppendUvarint(nil, 0), 1, 1, 'y', 0)...),
+		"dictionaries descending":  with(2, 1, 1, 0, 0, 1, 1, 0),
+		"value past the table":     with(1, 0, 1, 7, 0),
 		"too large dictionary":     with(1, 0, sectionDictMax+1),
 		"too many templates":       with(0, maxTemplates+1),
 		"template column past":     with(0, 1, 2, 0, 0),
 		"hole past table":          with(0, 1, 0, 1, 0, 5, 0),
 		"hole in template column":  with(0, 1, 0, 1, 0, 0, 0),
 		"hole count past the rest": with(0, 1, 1, 200, 0),
+		"constant past the table":  with(0, 1, 0, 0, 7),
+		"name past the table":      appendCodecSection(appendFoldSection(pastNames, m.Blocks, fold), m, tab),
 	}
 }
 
-// TestCodecSectionRoundTrip pins the v6 footer's codec section: the
-// dictionaries and templates come back as written, a v6 footer without a
-// codec section or with a damaged one is refused, and a v5 footer carries
-// none.
+// TestCodecSectionRoundTrip pins the footer's codec section: the
+// dictionaries and templates come back as written, a footer without a
+// codec section or with a damaged one is refused, and a v7 footer read
+// without a string table is refused too.
 func TestCodecSectionRoundTrip(t *testing.T) {
-	m, fold, local := codecFooter()
-	got, gotFold, err := decodeFooter(appendCodecSection(appendFooter(nil, m, fold, local), m), SegVersion)
+	m, fold, ids := codecFooter()
+	tab := fuzzTable()
+	fb := appendFooter(nil, m, fold, ids, tab)
+	got, gotFold, err := decodeFooter(fb, SegVersion, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,12 +464,12 @@ func TestCodecSectionRoundTrip(t *testing.T) {
 		}
 	}
 	for name, fb := range hostileCodecSections() {
-		if _, _, err := decodeFooter(fb, SegVersion); err == nil {
+		if _, _, err := decodeFooter(fb, SegVersion, fuzzTable()); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
 	}
-	if v5, _, err := decodeFooter(appendFooter(nil, m, fold, local), segVersionV5); err != nil || v5.Dicts != nil || v5.Templates != nil {
-		t.Fatalf("v5 footer: %v, %+v %+v", err, v5.Dicts, v5.Templates)
+	if _, _, err := decodeFooter(fb, SegVersion, nil); err == nil {
+		t.Error("a v7 footer decoded without its string table")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -28,19 +29,32 @@ import (
 // seq it allocates. Layout:
 //
 //	sections : back to back from 0, each a segment image (segment.go)
+//	strings  : uvarint n | n × (uvarint len | bytes), the string table
 //	index    : uvarint n | n × (uvarint seq | uvarint len), in file order,
 //	           then uvarint m | m × uvarint seq, the dead marks
-//	trailer  : u32 indexLen | u32 crc32(index) | "HPSEGRX1" (8 bytes)
+//	trailer  : u32 stringsLen | u32 crc32(strings) | u32 indexLen |
+//	           u32 crc32(index) | "HPSEGRX2" (24 bytes)
+//
+// The string table holds, each once, the column names, dictionary values
+// and template constants of the file's v7 sections, which their footers
+// name by entry number. A file of v6's rounds ends in u32 indexLen | u32
+// crc32(index) | "HPSEGRX1", with no string table: it holds v6 sections
+// only.
 //
 // A dead mark names a section, of another file, that compaction retired
 // and left on disk (see compactRound): a seq once marked is dead in every
 // file. Each compaction file and each stub marks every dead section on
 // disk when it is written, so no dead section comes back at open.
 //
-// A file without the round trailer (one written before round files) is a
-// round of one section. A footer stub has the same layout; its sections
-// are the stubs of the data file's live ones.
-const roundTrailer = "HPSEGRX1"
+// A file without a round trailer (one written before round files) is a
+// round of one v6 section. A footer stub has the same layout; its sections
+// are the stubs of the data file's live ones, and its string table is the
+// data file's.
+const (
+	roundTrailer    = "HPSEGRX2"
+	roundTrailerV6  = "HPSEGRX1"
+	roundTrailerLen = 4 + 4 + 4 + 4 + 8
+)
 
 // minSection is the length of the smallest segment image: header and
 // trailer around an empty footer.
@@ -96,10 +110,16 @@ type section struct {
 // file: what hostile input yields, never a panic (see FuzzRoundIndex).
 var ErrRoundIndex = errors.New("persist: malformed round index")
 
-// appendRoundIndex appends the index and trailer of secs, in file order,
-// and of the dead marks.
-func appendRoundIndex(b []byte, secs []section, dead []uint64) []byte {
+// appendRoundIndex appends the string table strs, the index of secs, in
+// file order, and of the dead marks, and the trailer.
+func appendRoundIndex(b []byte, strs []string, secs []section, dead []uint64) []byte {
 	start := len(b)
+	b = binary.AppendUvarint(b, uint64(len(strs)))
+	for _, s := range strs {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	mid := len(b)
 	b = binary.AppendUvarint(b, uint64(len(secs)))
 	for _, sc := range secs {
 		b = binary.AppendUvarint(binary.AppendUvarint(b, sc.seq), uint64(sc.len))
@@ -108,38 +128,150 @@ func appendRoundIndex(b []byte, secs []section, dead []uint64) []byte {
 	for _, seq := range dead {
 		b = binary.AppendUvarint(b, seq)
 	}
-	crc := crc32.Checksum(b[start:], crcTable)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(b)-start))
-	b = binary.LittleEndian.AppendUint32(b, crc)
+	end := len(b)
+	b = binary.LittleEndian.AppendUint32(b, uint32(mid-start))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[start:mid], crcTable))
+	b = binary.LittleEndian.AppendUint32(b, uint32(end-mid))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[mid:end], crcTable))
 	return append(b, roundTrailer...)
 }
 
-// readSections returns the sections and dead marks of the data file or
-// stub r of size bytes; no sections when the file carries no round index
-// (one segment image).
-func readSections(r io.ReaderAt, size int64) ([]section, []uint64, error) {
-	if size < trailerLen {
-		return nil, nil, nil
+// readSections returns the sections, dead marks and string table of the
+// data file or stub r of size bytes; no sections when the file carries no
+// round index (one segment image), and no table when it is v6's.
+func readSections(r io.ReaderAt, size int64) ([]section, []uint64, *strTable, error) {
+	var tail [roundTrailerLen]byte
+	n := min(size, roundTrailerLen)
+	if n < trailerLen {
+		return nil, nil, nil, nil
 	}
-	var tail [trailerLen]byte
-	if _, err := r.ReadAt(tail[:], size-trailerLen); err != nil {
-		return nil, nil, err
+	if _, err := r.ReadAt(tail[roundTrailerLen-n:], size-n); err != nil {
+		return nil, nil, nil, err
 	}
-	if string(tail[8:]) != roundTrailer {
-		return nil, nil, nil
+	// region reads the bytes that end at end, as many as the length word of
+	// w says, checks them against its CRC word and returns where they start.
+	region := func(what string, end int64, w []byte) ([]byte, int64, error) {
+		l := int64(binary.LittleEndian.Uint32(w[0:4]))
+		if l > end {
+			return nil, 0, fmt.Errorf("%w: a %d-byte %s in a %d-byte file", ErrRoundIndex, l, what, size)
+		}
+		b := make([]byte, l)
+		if _, err := r.ReadAt(b, end-l); err != nil {
+			return nil, 0, err
+		}
+		if crc32.Checksum(b, crcTable) != binary.LittleEndian.Uint32(w[4:8]) {
+			return nil, 0, fmt.Errorf("%w: %s checksum mismatch", ErrRoundIndex, what)
+		}
+		return b, end - l, nil
 	}
-	idxLen := int64(binary.LittleEndian.Uint32(tail[0:4]))
-	if idxLen > size-trailerLen {
-		return nil, nil, fmt.Errorf("%w: a %d-byte index in a %d-byte file", ErrRoundIndex, idxLen, size)
+	switch string(tail[roundTrailerLen-8:]) {
+	case roundTrailerV6:
+		idx, end, err := region("index", size-trailerLen, tail[roundTrailerLen-trailerLen:])
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		secs, dead, err := decodeRoundIndex(idx, end)
+		return secs, dead, nil, err
+	case roundTrailer:
+		if size < roundTrailerLen {
+			return nil, nil, nil, fmt.Errorf("%w: a %d-byte file", ErrRoundIndex, size)
+		}
+		idx, end, err := region("index", size-roundTrailerLen, tail[8:16])
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		strs, end, err := region("string table", end, tail[0:8])
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		tab, err := decodeStrTable(strs)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		secs, dead, err := decodeRoundIndex(idx, end)
+		return secs, dead, tab, err
 	}
-	idx := make([]byte, idxLen)
-	if _, err := r.ReadAt(idx, size-trailerLen-idxLen); err != nil {
-		return nil, nil, err
+	return nil, nil, nil, nil
+}
+
+// strTable is the string table of a round file: the column names,
+// dictionary values and template constants of its v7 sections' footers,
+// each once, which the footers name by entry number. The writers of a
+// round intern into it in parallel; a reader decodes it once per file and
+// resolves an entry that names a column to its dictionary ID once.
+type strTable struct {
+	mu   sync.Mutex
+	strs []string
+	refs map[string]uint32 // the entry of each string, while written
+	ids  []uint32          // the dictionary ID + 1 of an entry read as a column name, 0 until then
+}
+
+// ref returns the entry of s, adding it to the table on first use.
+func (t *strTable) ref(s string) uint32 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e, ok := t.refs[s]
+	if !ok {
+		if t.refs == nil {
+			t.refs = make(map[string]uint32)
+		}
+		s = strings.Clone(s) // the table outlives what its writers hand it
+		e = uint32(len(t.strs))
+		t.refs[s] = e
+		t.strs = append(t.strs, s)
 	}
-	if crc32.Checksum(idx, crcTable) != binary.LittleEndian.Uint32(tail[4:8]) {
-		return nil, nil, fmt.Errorf("%w: index checksum mismatch", ErrRoundIndex)
+	return e
+}
+
+// list returns the entries in order; nil for no table.
+func (t *strTable) list() []string {
+	if t == nil {
+		return nil
 	}
-	return decodeRoundIndex(idx, size-trailerLen-idxLen)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.strs
+}
+
+// at returns entry e.
+func (t *strTable) at(e uint64) (string, error) {
+	if e >= uint64(len(t.strs)) {
+		return "", fmt.Errorf("string table entry %d past a table of %d", e, len(t.strs))
+	}
+	return t.strs[e], nil
+}
+
+// colID returns the dictionary ID of entry e, a column name.
+func (t *strTable) colID(e uint32) uint32 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.ids == nil {
+		t.ids = make([]uint32, len(t.strs))
+	}
+	if t.ids[e] == 0 {
+		t.ids[e] = columnID(t.strs[e]) + 1
+	}
+	return t.ids[e] - 1
+}
+
+// decodeStrTable decodes a string table, strictly; its strings share one
+// allocation.
+func decodeStrTable(b []byte) (*strTable, error) {
+	d := NewStringDec(string(b))
+	n, err := d.Uvarint()
+	if err != nil || n > uint64(d.Rest()) {
+		return nil, fmt.Errorf("%w: string table size", ErrRoundIndex)
+	}
+	t := &strTable{strs: make([]string, n)}
+	for i := range t.strs {
+		if t.strs[i], err = d.String(); err != nil {
+			return nil, fmt.Errorf("%w: string table entry %d: %v", ErrRoundIndex, i, err)
+		}
+	}
+	if d.Rest() != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the string table", ErrRoundIndex, d.Rest())
+	}
+	return t, nil
 }
 
 // decodeRoundIndex decodes an index whose sections must tile [0, end),
@@ -186,11 +318,11 @@ func decodeRoundIndex(idx []byte, end int64) ([]section, []uint64, error) {
 
 // parseSections parses the sections of a data file or stub of size bytes
 // read through r — of several, those keep accepts (nil keeps all) — and
-// returns them with its dead marks.
-func parseSections(r io.ReaderAt, size int64, path string, keep func(seq uint64) bool) ([]*Segment, []uint64, error) {
-	secs, dead, err := readSections(r, size)
+// returns them with its dead marks and string table.
+func parseSections(r io.ReaderAt, size int64, path string, keep func(seq uint64) bool) ([]*Segment, []uint64, *strTable, error) {
+	secs, dead, tab, err := readSections(r, size)
 	if err != nil {
-		return nil, nil, fmt.Errorf("persist: %s: %w", path, err)
+		return nil, nil, nil, fmt.Errorf("persist: %s: %w", path, err)
 	}
 	round := secs != nil
 	if !round {
@@ -201,17 +333,17 @@ func parseSections(r io.ReaderAt, size int64, path string, keep func(seq uint64)
 		if len(secs) > 1 && keep != nil && !keep(sc.seq) {
 			continue
 		}
-		seg, err := parseSection(r, path, sc.off, sc.len)
+		seg, err := parseSection(r, path, sc.off, sc.len, tab)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		if round && seg.meta.Seq != sc.seq {
-			return nil, nil, fmt.Errorf("%w: %s: the section of seq %d holds segment %d", ErrRoundIndex, path, sc.seq, seg.meta.Seq)
+			return nil, nil, nil, fmt.Errorf("%w: %s: the section of seq %d holds segment %d", ErrRoundIndex, path, sc.seq, seg.meta.Seq)
 		}
 		seg.base = sc.off
 		segs = append(segs, seg)
 	}
-	return segs, dead, nil
+	return segs, dead, tab, nil
 }
 
 // readIndex reads the sections and dead marks of the file at path.
@@ -221,7 +353,8 @@ func readIndex(path string) ([]section, []uint64, error) {
 		return nil, nil, err
 	}
 	defer f.Close()
-	return readSections(f, size)
+	secs, dead, _, err := readSections(f, size)
+	return secs, dead, err
 }
 
 // openSized opens path for reading and returns its size.
@@ -249,6 +382,7 @@ type dataFile struct {
 	path string
 	f    fsys.File // the temp file until the barrier; nil for a stub's
 	size int64
+	strs *strTable  // its string table; nil in a file of v6's rounds
 	segs []*Segment // its live sections
 	dead []section  // its sections compaction retired; changed under Store.mu
 	refs atomic.Int32
@@ -266,12 +400,12 @@ func openFile(path string) (*dataFile, []uint64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	segs, dead, err := parseSections(f, size, path, nil)
+	segs, dead, tab, err := parseSections(f, size, path, nil)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	return &dataFile{path: path, f: f, size: size, segs: segs}, dead, nil
+	return &dataFile{path: path, f: f, size: size, segs: segs, strs: tab}, dead, nil
 }
 
 // own makes the file of size bytes the one segs read.
@@ -324,7 +458,7 @@ func createRound(path string) (*dataFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: create round file: %w", err)
 	}
-	return &dataFile{path: path, f: f}, nil
+	return &dataFile{path: path, f: f, strs: &strTable{}}, nil
 }
 
 // add writes img, the image of seg, into the next free range of the file.
@@ -338,8 +472,10 @@ func (d *dataFile) add(seg *Segment, img []byte) error {
 	return nil
 }
 
-// copySection byte-copies src, a live section of a resident file the round
-// reclaims, into the round's file: same seq, same footer, same Merkle root.
+// copySection copies src, a live section of a resident file the round
+// reclaims, into the round's file as a v7 section: its data region byte for
+// byte, so the same seq, blocks and Merkle root, behind its footer encoded
+// anew against the round's string table.
 func (d *dataFile) copySection(src *Segment) (*Segment, error) {
 	local, err := src.acquire()
 	if err != nil {
@@ -349,26 +485,33 @@ func (d *dataFile) copySection(src *Segment) (*Segment, error) {
 	if !local {
 		return nil, fmt.Errorf("persist: %s: segment %d is not resident", src.path, src.Seq())
 	}
+	m := *src.meta
 	sc := scratchPool.Get().(*writerScratch)
 	defer scratchPool.Put(sc)
-	sc.img = slices.Grow(sc.img[:0], int(src.size))[:src.size]
+	sc.img = slices.Grow(sc.img[:0], int(m.DataLen))[:m.DataLen]
 	if _, err := src.file.f.ReadAt(sc.img, src.base); err != nil {
 		return nil, fmt.Errorf("persist: %s: copy segment %d: %w", src.path, src.Seq(), err)
 	}
+	if crc32.Checksum(sc.img, crcTable) != m.DataCRC {
+		return nil, fmt.Errorf("persist: %s: copy segment %d: data checksum mismatch", src.path, src.Seq())
+	}
+	copy(sc.img, segHeader)
+	m.DataCRC = crc32.Checksum(sc.img, crcTable)
+	sc.img = sealFooter(sc.img, &m, src.fold, src.colIDs, d.strs)
 	cp := &Segment{
-		meta: src.meta, colIDs: src.colIDs, size: src.size, footOff: src.footOff,
-		version: src.version, tree: src.tree, root: src.root, mu: make(chan struct{}, 1),
+		meta: &m, fold: src.fold, colIDs: src.colIDs, size: int64(len(sc.img)), footOff: m.DataLen,
+		version: SegVersion, tree: src.tree, root: src.root, mu: make(chan struct{}, 1),
 	}
 	return cp, d.add(cp, sc.img)
 }
 
-// finish writes the round index, with the dead marks, crosses the barrier
-// and hands the file to segs, its sections — unless the round failed with
-// err. On error no file is left.
+// finish writes the string table and the round index, with the dead
+// marks, crosses the barrier and hands the file to segs, its sections —
+// unless the round failed with err. On error no file is left.
 func (d *dataFile) finish(segs []*Segment, dead []uint64, err error) error {
 	var idx []byte
 	if err == nil {
-		idx = appendRoundIndex(nil, sectionsOf(segs), dead)
+		idx = appendRoundIndex(nil, d.strs.list(), sectionsOf(segs), dead)
 		_, err = d.f.WriteAt(idx, d.end.Load())
 	}
 	if err == nil {
@@ -394,9 +537,9 @@ func sectionsOf(segs []*Segment) []section {
 }
 
 // buildStub assembles the footer stub of the data file of segs, read
-// through r: each one's header, footer and trailer behind an index that
-// carries the dead marks.
-func buildStub(segs []*Segment, dead []uint64, r io.ReaderAt) ([]byte, error) {
+// through r: each one's header, footer and trailer, and the file's string
+// table tab, behind an index that carries the dead marks.
+func buildStub(segs []*Segment, dead []uint64, tab *strTable, r io.ReaderAt) ([]byte, error) {
 	var stub []byte
 	secs := make([]section, len(segs))
 	for i, seg := range segs {
@@ -410,5 +553,5 @@ func buildStub(segs []*Segment, dead []uint64, r io.ReaderAt) ([]byte, error) {
 		}
 		secs[i] = section{seg.Seq(), int64(start), int64(len(stub) - start)}
 	}
-	return appendRoundIndex(stub, secs, dead), nil
+	return appendRoundIndex(stub, tab.list(), secs, dead), nil
 }

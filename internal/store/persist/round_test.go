@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -110,9 +111,10 @@ func TestRoundSyncBudget(t *testing.T) {
 
 // TestCompactingOnePartitionLeavesNoDeadSection: compacting a partition
 // that holds more than a third of a resident flush-round file moves the
-// file's other sections, byte for byte, into the compaction's own file.
-// One data file remains, its index lists exactly the live segments, and
-// their bytes are all it holds but the index — before and after a reopen.
+// file's other sections — their data regions byte for byte — into the
+// compaction's own file. One data file remains, its index lists exactly
+// the live segments, and their bytes are all it holds but the string table
+// and the index — before and after a reopen.
 func TestCompactingOnePartitionLeavesNoDeadSection(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(dir)
@@ -146,7 +148,7 @@ func TestCompactingOnePartitionLeavesNoDeadSection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		secs, _, err := readSections(f, size)
+		secs, _, _, err := readSections(f, size)
 		f.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -291,7 +293,8 @@ func TestCompactionLeavesDeadSections(t *testing.T) {
 	if secs, marks, err := readIndex(files[1]); err != nil || len(secs) != 1 || !slices.Contains(marks, uint64(0)) {
 		t.Fatalf("the compaction's file holds %d sections and marks %v (%v); want pa's merge, marking seq 0", len(secs), marks, err)
 	}
-	// pb's retire makes the flush file mostly dead: pc moves, byte for byte.
+	// pb's retire makes the flush file mostly dead: pc moves, its data
+	// region byte for byte.
 	step("pb merged", "pb", 1, 0)
 	if moved := s.Segments("events", "pc")[0]; moved.Seq() != pc.Seq() || moved.root != pc.root || filepath.Base(moved.path) == filepath.Base(pc.path) {
 		t.Fatal("pc was not moved out of the reclaimed flush file as is")
@@ -425,48 +428,68 @@ func roundFileBytes(t testing.TB) ([]byte, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs, _, err := readSections(bytes.NewReader(data), int64(len(data)))
-	if err != nil || len(secs) != 3 {
-		t.Fatalf("%d sections: %v", len(secs), err)
+	secs, _, tab, err := readSections(bytes.NewReader(data), int64(len(data)))
+	if err != nil || len(secs) != 3 || len(tab.strs) == 0 {
+		t.Fatalf("%d sections, string table %v: %v", len(secs), tab, err)
 	}
 	return data, secs[2].off + secs[2].len
 }
 
-// hostileRoundFiles returns a real round file's data region under indexes
-// and trailers that lie about it, each of which must be refused with
-// ErrRoundIndex.
+// roundTail frames a string table and an index behind region with a
+// trailer that vouches for both, whatever they say.
+func roundTail(region, strs, idx []byte) []byte {
+	b := append(append(slices.Clone(region), strs...), idx...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(strs)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(strs, crcTable))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(idx)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(idx, crcTable))
+	return append(b, roundTrailer...)
+}
+
+// hostileRoundFiles returns a real round file's data region under string
+// tables, indexes and trailers that lie about it, each of which must be
+// refused with ErrRoundIndex.
 func hostileRoundFiles(t testing.TB) map[string][]byte {
 	data, end := roundFileBytes(t)
-	secs, _, _ := readSections(bytes.NewReader(data), int64(len(data)))
+	secs, _, tab, _ := readSections(bytes.NewReader(data), int64(len(data)))
 	region := data[:end]
-	index := func(secs ...section) []byte { return appendRoundIndex(slices.Clone(region), secs, nil) }
-	// raw frames idx with a valid trailer, whatever idx says.
-	raw := func(idx []byte) []byte {
-		b := append(slices.Clone(region), idx...)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(idx)))
-		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(idx, crcTable))
-		return append(b, roundTrailer...)
-	}
+	tail := data[len(data)-roundTrailerLen:]
+	strLen := int64(binary.LittleEndian.Uint32(tail[0:4]))
+	strs, idx := data[end:end+strLen], data[end+strLen:len(data)-roundTrailerLen]
+	index := func(secs ...section) []byte { return appendRoundIndex(slices.Clone(region), tab.strs, secs, nil) }
+	raw := func(idx []byte) []byte { return roundTail(region, strs, idx) }
 	a, b, c := secs[0], secs[1], secs[2]
-	flipped := slices.Clone(data)
-	flipped[end] ^= 1
-	pastEOF := slices.Clone(data)
-	binary.LittleEndian.PutUint32(pastEOF[len(pastEOF)-trailerLen:], uint32(len(data)))
+	flip := func(at int64) []byte {
+		f := slices.Clone(data)
+		f[at] ^= 1
+		return f
+	}
+	past := func(word int) []byte {
+		f := slices.Clone(data)
+		binary.LittleEndian.PutUint32(f[len(f)-roundTrailerLen+word:], uint32(len(data)))
+		return f
+	}
 	return map[string][]byte{
-		"index checksum":         flipped,
-		"index past EOF":         pastEOF,
-		"index cut short":        append(slices.Clone(data[:end+1]), data[len(data)-trailerLen:]...),
-		"no sections":            raw([]byte{0}),
-		"entry truncated":        raw([]byte{2, 1, 0x80}),
-		"trailing index bytes":   raw(append(data[end:len(data)-trailerLen:len(data)-trailerLen], 0)),
-		"duplicate seq":          index(a, b, section{a.seq, c.off, c.len}),
-		"sections overlap":       index(a, section{b.seq, b.off, b.len + c.len}, c),
-		"section past the data":  index(a, b, section{c.seq, c.off, c.len + 1}),
-		"sections short":         index(a, b),
-		"section too small":      index(section{a.seq, 0, minSection - 1}),
-		"seq not the segment's":  index(a, b, section{c.seq + 100, c.off, c.len}),
-		"dead mark of a section": appendRoundIndex(slices.Clone(region), secs, []uint64{99, b.seq}),
-		"dead mark truncated":    raw(append(data[end:len(data)-trailerLen-1:len(data)-trailerLen-1], 1)),
+		"index checksum":             flip(end + strLen),
+		"index past EOF":             past(8),
+		"index cut short":            append(slices.Clone(data[:end+strLen+1]), tail...),
+		"no sections":                raw([]byte{0}),
+		"entry truncated":            raw([]byte{2, 1, 0x80}),
+		"trailing index bytes":       raw(append(slices.Clone(idx), 0)),
+		"duplicate seq":              index(a, b, section{a.seq, c.off, c.len}),
+		"sections overlap":           index(a, section{b.seq, b.off, b.len + c.len}, c),
+		"section past the data":      index(a, b, section{c.seq, c.off, c.len + 1}),
+		"sections short":             index(a, b),
+		"section too small":          index(section{a.seq, 0, minSection - 1}),
+		"seq not the segment's":      index(a, b, section{c.seq + 100, c.off, c.len}),
+		"dead mark of a section":     appendRoundIndex(slices.Clone(region), tab.strs, secs, []uint64{99, b.seq}),
+		"dead mark truncated":        raw(append(slices.Clone(idx[:len(idx)-1]), 1)),
+		"string table checksum":      flip(end),
+		"string table past EOF":      past(0),
+		"string table truncated":     roundTail(region, strs[:len(strs)-1], idx),
+		"string table count":         roundTail(region, append(binary.AppendUvarint(nil, uint64(len(tab.strs)+1)), strs[1:]...), idx),
+		"string table trailing byte": roundTail(region, append(slices.Clone(strs), 0), idx),
+		"short of a trailer":         []byte("0123456789" + roundTrailer),
 	}
 }
 
@@ -486,18 +509,67 @@ func TestRoundIndexHostile(t *testing.T) {
 	}
 }
 
+// hostileTableFiles returns round files whose index is sound but whose v7
+// sections name strings their file does not hold: each must fail to open,
+// with an error.
+func hostileTableFiles(t testing.TB) map[string][]byte {
+	data, end := roundFileBytes(t)
+	secs, _, tab, _ := readSections(bytes.NewReader(data), int64(len(data)))
+	region := data[:end]
+	// v6Index frames the region under a v6 round trailer: no string table.
+	v6Index := func() []byte {
+		idx := binary.AppendUvarint(nil, uint64(len(secs)))
+		for _, sc := range secs {
+			idx = binary.AppendUvarint(binary.AppendUvarint(idx, sc.seq), uint64(sc.len))
+		}
+		idx = binary.AppendUvarint(idx, 0)
+		b := append(slices.Clone(region), idx...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(idx)))
+		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(idx, crcTable))
+		return append(b, roundTrailerV6...)
+	}
+	return map[string][]byte{
+		"entry past the table":         appendRoundIndex(slices.Clone(region), tab.strs[:len(tab.strs)-1], secs, nil),
+		"empty table":                  appendRoundIndex(slices.Clone(region), nil, secs, nil),
+		"v7 sections under v6's index": v6Index(),
+		"a v7 section alone":           slices.Clone(region[:secs[0].len]),
+	}
+}
+
+// TestStringTableHostile: a v7 section that names an entry past its file's
+// string table, or lies in a file without one, fails to open with an
+// error — never a panic, never a section with a missing name.
+func TestStringTableHostile(t *testing.T) {
+	dir := t.TempDir()
+	for name, file := range hostileTableFiles(t) {
+		path := filepath.Join(dir, "hostile"+segFileExt)
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenSegment(path); err == nil {
+			t.Errorf("%s: OpenSegment succeeded", name)
+		}
+		if _, err := OpenStore(dir); err == nil {
+			t.Errorf("%s: OpenStore succeeded", name)
+		}
+	}
+}
+
 // FuzzRoundIndex: on arbitrary file bytes the round-index reader never
 // panics, fails only with ErrRoundIndex, and what it accepts tiles the
-// data region with distinct seqs; parsing the sections never panics.
+// data region with distinct seqs beside a string table that fits the file;
+// parsing the sections never panics.
 func FuzzRoundIndex(f *testing.F) {
 	data, _ := roundFileBytes(f)
 	f.Add(data)
-	for _, file := range hostileRoundFiles(f) {
-		f.Add(file)
+	for _, files := range []map[string][]byte{hostileRoundFiles(f), hostileTableFiles(f)} {
+		for _, name := range slices.Sorted(maps.Keys(files)) {
+			f.Add(files[name])
+		}
 	}
 	f.Fuzz(func(t *testing.T, file []byte) {
 		r, size := bytes.NewReader(file), int64(len(file))
-		secs, dead, err := readSections(r, size)
+		secs, dead, tab, err := readSections(r, size)
 		if err != nil && !errors.Is(err, ErrRoundIndex) {
 			t.Fatalf("untyped error: %v", err)
 		}
@@ -509,8 +581,12 @@ func FuzzRoundIndex(f *testing.F) {
 			seen[sc.seq] = true
 			off += sc.len
 		}
-		if off > size {
-			t.Fatalf("sections run to %d of %d bytes", off, size)
+		strBytes := int64(0)
+		for _, s := range tab.list() {
+			strBytes += int64(len(s))
+		}
+		if off+strBytes > size {
+			t.Fatalf("sections run to %d and strings take %d of %d bytes", off, strBytes, size)
 		}
 		for _, seq := range dead {
 			if seen[seq] {

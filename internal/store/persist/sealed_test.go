@@ -64,7 +64,8 @@ func TestSealedSegmentMatchesOpenSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("flushed")
-	// Compacting p0 and p1 re-homes p2, a byte copy, in the round's file.
+	// Compacting p0 and p1 re-homes p2, its data region copied and its
+	// footer encoded anew, in the round's file.
 	if err := s.FlushRound([]FlushPart{{"events", "p0", testRows(90, 1000)}, {"events", "p1", testRows(70, 1000)}}); err != nil {
 		t.Fatal(err)
 	}

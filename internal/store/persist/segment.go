@@ -21,10 +21,10 @@ import (
 	"hpclog/internal/objstore"
 )
 
-// Segment image layout (codec v6), one section of a round's data file
+// Segment image layout (codec v7), one section of a round's data file
 // (round.go), offsets relative to the section:
 //
-//	header  : "HPSEG006" (8 bytes)
+//	header  : "HPSEG007" (8 bytes)
 //	data    : blocks of at most indexEvery rows in clustering-key order,
 //	          each stored column by column (see block.go)
 //	footer  : binary footerMeta (own deterministic codec, no gob)
@@ -36,31 +36,35 @@ import (
 // clustering-key index (one entry every indexEvery rows) used to seek
 // near Range.From, a CRC of the data region, per-block statistics — a zone
 // map (key/WriteTS bounds, per-column min/max for the writer's hot set)
-// and a Bloom filter over the block's column cells (see blockstats.go) —
-// one Merkle leaf per block, the fold section: per block whether every key
-// carries a timestamp and, per hot column, how many cells are occurrence
-// counts and their sum (appendFoldSection) and, last, the codec section:
-// the section dictionaries and the template table that the blocks' codes
-// index (appendCodecSection). Files are written to a temporary name and
-// renamed into place, so a segment either exists completely or not at
-// all — torn writes are the commitlog's problem, never the segment
-// store's.
+// and a Bloom filter over the block's distinct column cells (see
+// blockstats.go) — one Merkle leaf per block, the fold section: per block
+// whether every key carries a timestamp and, per hot column, how many
+// cells are occurrence counts and their sum (appendFoldSection) and, last,
+// the codec section: the section dictionaries and the template table that
+// the blocks' codes index (appendCodecSection). Column names, dictionary
+// values and template constants are entry numbers into the round file's
+// string table, which every section of the file shares; the minimum key is
+// the first index key. Files are written to a temporary name and renamed into place, so a
+// segment either exists completely or not at all — torn writes are the
+// commitlog's problem, never the segment store's.
 //
 // The sparse index is the block structure of the file: consecutive entries
 // delimit blocks of exactly indexEvery rows (the final block may be
 // short), and BlockStats[i] and Leaves[i] describe exactly the block
 // starting at Index[i]. Scans read and decode one block at a time.
 //
-// There is one writer generation and two reader generations. A codec v5
-// section (header "HPSEG005") has the same footer without the codec
-// section — and with the fold section optional — the same trailer and the
-// same block boundaries; its blocks use neither section codes nor
-// templates. v5 sections stay readable, resident or tiered, and ordinary
-// compaction rewrites them as v6. Files of codecs v1–v4 are refused at
-// open with ErrVersion.
+// There is one writer generation and two reader generations. A codec v6
+// section (header "HPSEG006") has the same blocks, trailer and block
+// boundaries; its footer holds its strings itself — the minimum key, the
+// column names, the dictionary values, the template constants — and its
+// Bloom filters are sized
+// by the block's cells, not its distinct ones. v6 sections stay readable,
+// resident or tiered; compaction rewrites them as v7, whether it merges
+// them or moves them out of a file it reclaims. Files of codecs v1–v5 are
+// refused at open with ErrVersion.
 const (
-	segHeader   = "HPSEG006"
-	segHeaderV5 = "HPSEG005"
+	segHeader   = "HPSEG007"
+	segHeaderV6 = "HPSEG006"
 	segTrailer  = "HPSEGFT4"
 	trailerLen  = 4 + 4 + 8
 	indexEvery  = 64
@@ -75,8 +79,8 @@ const (
 // Segment codec generations: the one written, and the one before it, still
 // read.
 const (
-	SegVersion   = 6
-	segVersionV5 = 5
+	SegVersion   = 7
+	segVersionV6 = 6
 )
 
 // IndexEntry is one sparse-index sample: the clustering key of a row and
@@ -121,6 +125,9 @@ type footerMeta struct {
 	// of column TmplCol (a name-table index) index.
 	Templates []Template
 	TmplCol   int
+	// nameRefs holds, from the decode of a v7 footer to its open, the
+	// string-table entry of each name of ColNames.
+	nameRefs []uint32
 }
 
 // sectionDict is one column's section dictionary: its values in code
@@ -143,17 +150,14 @@ type Template struct {
 	size   int      // bytes of the constants
 }
 
-// appendCodecSection appends the footer's last part, v6's: the section
+// appendCodecSection appends the footer's last part: the section
 // dictionaries — their count, then per column by ascending name-table index
 // the index, the value count and the values — and the template table: its
 // count, then unless 0 the template column's name-table index and per
 // template the hole count, the first constant and per hole its column's
-// name-table index and the constant behind it.
-func appendCodecSection(b []byte, m *footerMeta) []byte {
-	appendStr := func(s string) {
-		b = binary.AppendUvarint(b, uint64(len(s)))
-		b = append(b, s...)
-	}
+// name-table index and the constant behind it. Values and constants are
+// entries of tab.
+func appendCodecSection(b []byte, m *footerMeta, tab *strTable) []byte {
 	n := 0
 	for _, d := range m.Dicts {
 		if len(d.vals) > 0 {
@@ -168,7 +172,7 @@ func appendCodecSection(b []byte, m *footerMeta) []byte {
 		b = binary.AppendUvarint(b, uint64(local))
 		b = binary.AppendUvarint(b, uint64(len(d.vals)))
 		for _, v := range d.vals {
-			appendStr(v)
+			b = binary.AppendUvarint(b, uint64(tab.ref(v)))
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(m.Templates)))
@@ -178,18 +182,37 @@ func appendCodecSection(b []byte, m *footerMeta) []byte {
 	b = binary.AppendUvarint(b, uint64(m.TmplCol))
 	for _, t := range m.Templates {
 		b = binary.AppendUvarint(b, uint64(len(t.local)))
-		appendStr(t.Consts[0])
+		b = binary.AppendUvarint(b, uint64(tab.ref(t.Consts[0])))
 		for k, local := range t.local {
 			b = binary.AppendUvarint(b, uint64(local))
-			appendStr(t.Consts[k+1])
+			b = binary.AppendUvarint(b, uint64(tab.ref(t.Consts[k+1])))
 		}
 	}
 	return b
 }
 
+// footerDec decodes one footer: a v7 one's strings are entries of tab, a
+// v6 one's (tab nil) are inline.
+type footerDec struct {
+	*StringDec
+	tab *strTable
+}
+
+// str decodes a string the footer names: an entry of the table, or inline.
+func (d footerDec) str() (string, error) {
+	if d.tab == nil {
+		return d.String()
+	}
+	e, err := d.Uvarint()
+	if err != nil {
+		return "", err
+	}
+	return d.tab.at(e)
+}
+
 // decodeCodecSection reads what appendCodecSection wrote, strictly, into
 // m; hole columns stay name-table indexes until open.
-func decodeCodecSection(d *StringDec, m *footerMeta) error {
+func decodeCodecSection(d footerDec, m *footerMeta) error {
 	fail := func(what string, e error) error {
 		return fmt.Errorf("persist: footer codec section %s: %w", what, e)
 	}
@@ -223,7 +246,7 @@ func decodeCodecSection(d *StringDec, m *footerMeta) error {
 		}
 		sd := sectionDict{vals: make([]string, size), empty: -1, derived: new(sync.Map)}
 		for k := range sd.vals {
-			if sd.vals[k], err = d.String(); err != nil {
+			if sd.vals[k], err = d.str(); err != nil {
 				return fail("dictionary value", err)
 			}
 			if sd.vals[k] == "" && sd.empty < 0 {
@@ -272,7 +295,7 @@ func decodeCodecSection(d *StringDec, m *footerMeta) error {
 				}
 				t.local[k-1] = uint32(local)
 			}
-			if t.Consts[k], err = d.String(); err != nil {
+			if t.Consts[k], err = d.str(); err != nil {
 				return fail("template constant", err)
 			}
 			t.size += len(t.Consts[k])
@@ -281,29 +304,41 @@ func decodeCodecSection(d *StringDec, m *footerMeta) error {
 	return nil
 }
 
-// appendFooter encodes the footer with the package's own codec —
-// deterministic, compact, and no encoding/gob dependency — and, unless fold
-// is nil, its fold section (fold parallel to m.Blocks): a v5 footer. A v6
-// footer always has the fold section, and the codec section behind it.
-// zoneLocal maps each block's Zones (parallel slices) to name-table
-// indexes.
-func appendFooter(b []byte, m *footerMeta, fold []blockFold, zoneLocal []int) []byte {
+// appendFooter encodes m, a v7 footer, with the package's own codec —
+// deterministic, compact, and no encoding/gob dependency: the metadata,
+// the fold section (fold parallel to m.Blocks) and the codec section.
+// Column names and template constants are entries of tab, the round file's
+// string table; colIDs maps the name table to the dictionary IDs the zone
+// maps and fold records carry.
+func appendFooter(b []byte, m *footerMeta, fold []blockFold, colIDs []uint32, tab *strTable) []byte {
+	b = appendMeta(b, m, colIDs, tab)
+	return appendCodecSection(appendFoldSection(b, m.Blocks, fold), m, tab)
+}
+
+// appendMeta appends the footer up to its fold section.
+func appendMeta(b []byte, m *footerMeta, colIDs []uint32, tab *strTable) []byte {
 	appendStr := func(s string) {
 		b = binary.AppendUvarint(b, uint64(len(s)))
 		b = append(b, s...)
+	}
+	local := make(map[uint32]int, len(colIDs))
+	for i := len(colIDs) - 1; i >= 0; i-- {
+		local[colIDs[i]] = i
 	}
 	appendStr(m.Table)
 	appendStr(m.Partition)
 	b = binary.AppendUvarint(b, m.Seq)
 	b = binary.AppendUvarint(b, uint64(m.Rows))
-	appendStr(m.MinKey)
 	appendStr(m.MaxKey)
 	b = binary.AppendVarint(b, m.MinTS)
 	b = binary.AppendVarint(b, m.MaxTS)
 	b = binary.AppendVarint(b, m.MaxWriteTS)
 	b = binary.AppendUvarint(b, uint64(m.DataLen))
 	b = binary.LittleEndian.AppendUint32(b, m.DataCRC)
-	b = appendColTable(b, m.ColNames)
+	b = binary.AppendUvarint(b, uint64(len(m.ColNames)))
+	for _, name := range m.ColNames {
+		b = binary.AppendUvarint(b, uint64(tab.ref(name)))
+	}
 	b = binary.AppendUvarint(b, uint64(len(m.Index)))
 	prev := int64(0)
 	for _, e := range m.Index {
@@ -322,7 +357,7 @@ func appendFooter(b []byte, m *footerMeta, fold []blockFold, zoneLocal []int) []
 		b = binary.AppendUvarint(b, uint64(len(blk.Zones)))
 		for j := range blk.Zones {
 			z := &blk.Zones[j]
-			b = binary.AppendUvarint(b, uint64(zoneLocal[j]))
+			b = binary.AppendUvarint(b, uint64(local[z.ID]))
 			appendStr(z.MinVal)
 			appendStr(z.MaxVal)
 			b = binary.AppendUvarint(b, uint64(z.Cells))
@@ -339,27 +374,41 @@ func appendFooter(b []byte, m *footerMeta, fold []blockFold, zoneLocal []int) []
 	for i := range m.Leaves {
 		b = append(b, m.Leaves[i][:]...)
 	}
-	if fold == nil {
-		return b
-	}
-	return appendFoldSection(b, fold)
+	return b
+}
+
+// sealFooter appends the v7 footer of m and the section trailer to img, the
+// section's data region: the section is complete.
+func sealFooter(img []byte, m *footerMeta, fold []blockFold, colIDs []uint32, tab *strTable) []byte {
+	foot := len(img)
+	img = appendFooter(img, m, fold, colIDs, tab)
+	fb := img[foot:]
+	crc := crc32.Checksum(fb, crcTable)
+	img = binary.LittleEndian.AppendUint32(img, uint32(len(fb)))
+	img = binary.LittleEndian.AppendUint32(img, crc)
+	return append(img, segTrailer...)
 }
 
 // appendFoldSection appends the facts a fold of occurrence counts takes a
 // block whole from: their count, then per block a flag byte (1: every key
 // carries a timestamp) and, for each of its zones with numeric cells in
-// footer order, how many are counts (uvarint) and their sum (varint). v5
-// footers written before it end at the leaves and decode with no fold
-// facts, so their blocks are never taken.
-func appendFoldSection(b []byte, fold []blockFold) []byte {
+// footer order, how many are counts (uvarint) and their sum (varint).
+func appendFoldSection(b []byte, blocks []BlockStats, fold []blockFold) []byte {
 	b = binary.AppendUvarint(b, uint64(len(fold)))
-	for _, f := range fold {
+	for i, f := range fold {
 		flag := byte(0)
 		if f.timed {
 			flag = 1
 		}
 		b = append(b, flag)
-		for _, c := range f.counts {
+		for _, z := range blocks[i].Zones {
+			if z.NumCells == 0 {
+				continue
+			}
+			var c colCounts
+			if k := slices.IndexFunc(f.counts, func(c colCounts) bool { return c.id == z.ID }); k >= 0 {
+				c = f.counts[k]
+			}
 			b = binary.AppendUvarint(b, uint64(c.cells))
 			b = binary.AppendVarint(b, c.sum)
 		}
@@ -412,15 +461,22 @@ func decodeFoldSection(d *StringDec, m *footerMeta) ([]blockFold, error) {
 	return fold, nil
 }
 
-// decodeFooter reverses appendFooter of a section of codec version; fold
-// is nil when a v5 footer has no fold section.
-func decodeFooter(fb []byte, version int) (_ *footerMeta, fold []blockFold, _ error) {
-	d := NewStringDec(string(fb))
-	m, err := decodeMeta(d)
-	if err == nil && (d.Rest() > 0 || version == SegVersion) {
-		fold, err = decodeFoldSection(d, m)
+// decodeFooter reverses appendFooter for a section of codec version, whose
+// strings a v7 footer names in tab, its file's string table.
+func decodeFooter(fb []byte, version int, tab *strTable) (*footerMeta, []blockFold, error) {
+	if version == SegVersion && tab == nil {
+		return nil, nil, errors.New("persist: footer: a v7 section in a file without a string table")
 	}
-	if err == nil && version == SegVersion {
+	if version != SegVersion {
+		tab = nil
+	}
+	d := footerDec{NewStringDec(string(fb)), tab}
+	m, err := decodeMeta(d)
+	var fold []blockFold
+	if err == nil {
+		fold, err = decodeFoldSection(d.StringDec, m)
+	}
+	if err == nil {
 		err = decodeCodecSection(d, m)
 	}
 	if err == nil && d.Rest() > 0 {
@@ -433,7 +489,7 @@ func decodeFooter(fb []byte, version int) (_ *footerMeta, fold []blockFold, _ er
 }
 
 // decodeMeta decodes the footer up to its fold section.
-func decodeMeta(d *StringDec) (*footerMeta, error) {
+func decodeMeta(d footerDec) (*footerMeta, error) {
 	m := &footerMeta{}
 	var err error
 	fail := func(what string, e error) error {
@@ -453,8 +509,10 @@ func decodeMeta(d *StringDec) (*footerMeta, error) {
 		return nil, fail("rows", err)
 	}
 	m.Rows = int(rows)
-	if m.MinKey, err = d.String(); err != nil {
-		return nil, fail("min key", err)
+	if d.tab == nil {
+		if m.MinKey, err = d.String(); err != nil {
+			return nil, fail("min key", err)
+		}
 	}
 	if m.MaxKey, err = d.String(); err != nil {
 		return nil, fail("max key", err)
@@ -485,16 +543,28 @@ func decodeMeta(d *StringDec) (*footerMeta, error) {
 	if err != nil {
 		return nil, fail("name table", err)
 	}
-	if nNames > maxCols {
+	if nNames > maxCols || nNames > uint64(d.Rest()) {
 		return nil, fail("name table", fmt.Errorf("size %d exceeds sanity bound", nNames))
 	}
 	m.ColNames = make([]string, nNames)
+	if d.tab != nil {
+		m.nameRefs = make([]uint32, nNames)
+	}
 	for i := range m.ColNames {
-		s, err := d.String()
-		if err != nil {
+		if d.tab != nil {
+			e, err := d.Uvarint()
+			if err == nil {
+				m.ColNames[i], err = d.tab.at(e)
+			}
+			if err != nil {
+				return nil, fail("name table entry", err)
+			}
+			m.nameRefs[i] = uint32(e)
+			continue
+		}
+		if m.ColNames[i], err = d.String(); err != nil {
 			return nil, fail("name table entry", err)
 		}
-		m.ColNames[i] = s
 	}
 	nIdx, err := d.Uvarint()
 	if err != nil {
@@ -524,6 +594,9 @@ func decodeMeta(d *StringDec) (*footerMeta, error) {
 			return nil, fail("index offset", fmt.Errorf("entry %d offset %d outside data region [%d, %d)", i, prev, len(segHeader), m.DataLen))
 		}
 		m.Index[i] = IndexEntry{Key: k, Off: prev}
+	}
+	if d.tab != nil && len(m.Index) > 0 {
+		m.MinKey = m.Index[0].Key
 	}
 	nBlocks, err := d.Uvarint()
 	if err != nil {
@@ -824,9 +897,10 @@ func (w *Writer) Append(r Row) error {
 	return nil
 }
 
-// seal encodes the last block, the footer and the trailer: the image is
-// complete.
-func (w *Writer) seal() {
+// seal encodes the last block, the footer — its strings interned in tab,
+// the string table of the round file the segment goes to — and the
+// trailer: the image is complete.
+func (w *Writer) seal(tab *strTable) {
 	w.done = true
 	w.finishBlock()
 	w.meta.DataLen = int64(len(w.img))
@@ -838,9 +912,8 @@ func (w *Writer) seal() {
 	}
 	// Zone columns land in the name table even when no row carries them:
 	// an all-absent column is the strongest pruning signal.
-	zoneLocal := make([]int, len(w.zoneIDs))
-	for i, id := range w.zoneIDs {
-		zoneLocal[i] = w.tb.localIdx(Col{ID: id})
+	for _, id := range w.zoneIDs {
+		w.tb.localIdx(Col{ID: id})
 	}
 	for local, d := range w.enc.dicts[:min(len(w.enc.dicts), len(w.tb.names))] {
 		if len(d.vals) == 0 {
@@ -856,17 +929,7 @@ func (w *Writer) seal() {
 	}
 	w.meta.ColNames = slices.Clone(w.tb.names)
 	w.colIDs = slices.Clone(w.tb.ids)
-	foot := len(w.img)
-	fold := w.fold
-	if fold == nil {
-		fold = []blockFold{}
-	}
-	w.img = appendCodecSection(appendFooter(w.img, &w.meta, fold, zoneLocal), &w.meta)
-	fb := w.img[foot:]
-	crc := crc32.Checksum(fb, crcTable)
-	w.img = binary.LittleEndian.AppendUint32(w.img, uint32(len(fb)))
-	w.img = binary.LittleEndian.AppendUint32(w.img, crc)
-	w.img = append(w.img, segTrailer...)
+	w.img = sealFooter(w.img, &w.meta, w.fold, w.colIDs, tab)
 }
 
 // release hands the scratch back to the pool; the writer is finished.
@@ -883,7 +946,7 @@ func (w *Writer) writeTo(rf *dataFile) (*Segment, error) {
 	if w.done {
 		return nil, fmt.Errorf("persist: double Finish")
 	}
-	w.seal()
+	w.seal(rf.strs)
 	meta := w.meta
 	s := &Segment{
 		meta: &meta, fold: w.fold, colIDs: w.colIDs, size: int64(len(w.img)),
@@ -963,8 +1026,8 @@ var ErrVersion = errors.New("persist: incompatible codec version")
 
 // parseSection decodes the header, trailer, and footer of the segment
 // image (or footer stub — same layout minus the data region) at [base,
-// base+size) of r.
-func parseSection(r io.ReaderAt, path string, base, size int64) (*Segment, error) {
+// base+size) of r, a file whose string table is tab.
+func parseSection(r io.ReaderAt, path string, base, size int64, tab *strTable) (*Segment, error) {
 	if size < minSection {
 		return nil, fmt.Errorf("persist: %s: too short for a segment", path)
 	}
@@ -976,11 +1039,11 @@ func parseSection(r io.ReaderAt, path string, base, size int64) (*Segment, error
 	switch string(head[:]) {
 	case segHeader:
 		s.version = SegVersion
-	case segHeaderV5:
-		s.version = segVersionV5
-	case "HPSEG001", "HPSEG002", "HPSEG003", "HPSEG004":
+	case segHeaderV6:
+		s.version = segVersionV6
+	case "HPSEG001", "HPSEG002", "HPSEG003", "HPSEG004", "HPSEG005":
 		return nil, fmt.Errorf("%w: %s was written by segment codec v%c; this build reads v%d and v%d — compact the directory with a build that reads it, or re-ingest the data",
-			ErrVersion, path, head[7], segVersionV5, SegVersion)
+			ErrVersion, path, head[7], segVersionV6, SegVersion)
 	default:
 		return nil, fmt.Errorf("persist: %s: bad segment header %q", path, head)
 	}
@@ -1004,21 +1067,20 @@ func parseSection(r io.ReaderAt, path string, base, size int64) (*Segment, error
 	if crc32.Checksum(fb, crcTable) != footCRC {
 		return nil, fmt.Errorf("persist: %s: footer checksum mismatch", path)
 	}
-	meta, fold, err := decodeFooter(fb, s.version)
+	meta, fold, err := decodeFooter(fb, s.version, tab)
 	if err != nil {
 		return nil, fmt.Errorf("persist: %s: footer decode: %w", path, err)
 	}
 	s.meta, s.fold, s.colIDs = meta, fold, make([]uint32, len(meta.ColNames))
 	for i, name := range meta.ColNames {
-		// Intern a copy, not the zero-copy footer substring — the dictionary
-		// outlives the segment and must not pin the footer buffer.
-		if id, ok := defaultDict.Lookup(name); ok {
-			s.colIDs[i] = id
+		if meta.nameRefs != nil {
+			s.colIDs[i] = tab.colID(meta.nameRefs[i]) // once per entry of the file
 		} else {
-			s.colIDs[i] = defaultDict.Intern(strings.Clone(name))
+			s.colIDs[i] = columnID(name)
 		}
 		meta.ColNames[i] = defaultDict.Name(s.colIDs[i]) // canonical instance
 	}
+	meta.nameRefs = nil
 	// Zone maps reference the footer name table on disk; remap to
 	// process-wide dictionary IDs and restore the sorted-by-ID invariant
 	// (this process's ID order need not match the writer's).
@@ -1044,6 +1106,16 @@ func parseSection(r io.ReaderAt, path string, base, size int64) (*Segment, error
 	return s, s.buildTree()
 }
 
+// columnID returns the dictionary ID of a column name decoded from a
+// footer or string table, interning a copy, not the zero-copy substring:
+// the dictionary outlives the buffer the name is cut from.
+func columnID(name string) uint32 {
+	if id, ok := defaultDict.Lookup(name); ok {
+		return id
+	}
+	return defaultDict.Intern(strings.Clone(name))
+}
+
 // OpenSegment opens one segment of the data file at path: its only one,
 // or the one whose seq the file name carries — given <seq>.seg where no
 // such file is, the segment of that seq in whichever file holds it.
@@ -1060,7 +1132,7 @@ func OpenSegment(path string) (*Segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	segs, _, err := parseSections(f, size, path, func(s uint64) bool { return !named || s == seq })
+	segs, _, _, err := parseSections(f, size, path, func(s uint64) bool { return !named || s == seq })
 	if err == nil && len(segs) != 1 {
 		err = fmt.Errorf("persist: %s holds %d segments and no segment %d", path, len(segs), seq)
 	}

@@ -440,10 +440,10 @@ type merge struct {
 //
 // A retired input stays on disk as a dead section of its data file, and
 // the round's file marks it dead (round.go). A file is reclaimed — its
-// live sections copied, byte for byte, into the round's file, and the file
-// unlinked — once its dead sections hold a third of its bytes, so copying
-// never outgrows twice what compaction retired and no file holds more
-// dead bytes than half its live ones.
+// live sections copied, data regions byte for byte, into the round's file
+// (copySection), and the file unlinked — once its dead sections hold a
+// third of its bytes, so copying never outgrows twice what compaction
+// retired and no file holds more dead bytes than half its live ones.
 //
 // A merge that fails (an unreadable input) drops out alone and leaves its
 // partition as it was; a failed copy or write fails the round. A failed

@@ -187,7 +187,7 @@ func openStub(stub string, tier *objstore.Tier, es []objstore.ManifestEntry) ([]
 	if err != nil {
 		return nil, err
 	}
-	segs, _, err := parseSections(f, size, stub, func(seq uint64) bool { _, ok := bySeq[seq]; return ok })
+	segs, _, _, err := parseSections(f, size, stub, func(seq uint64) bool { _, ok := bySeq[seq]; return ok })
 	f.Close()
 	if err != nil {
 		return nil, err
@@ -222,10 +222,10 @@ func fetchStub(ctx context.Context, tier *objstore.Tier, e objstore.ManifestEntr
 		b, err := tier.Store().ReadRange(ctx, e.Key, off, int64(len(p)))
 		return copy(p, b), err
 	})
-	segs, dead, err := parseSections(at, e.Size, e.Key, nil)
+	segs, dead, tab, err := parseSections(at, e.Size, e.Key, nil)
 	var stub []byte
 	if err == nil {
-		stub, err = buildStub(segs, dead, at)
+		stub, err = buildStub(segs, dead, tab, at)
 	}
 	if err != nil {
 		return fmt.Errorf("persist: fetch the stub of %s: %w", e.Key, err)
@@ -418,7 +418,7 @@ func (s *Store) uploadFile(ctx context.Context, df *dataFile) ([]objstore.Manife
 // must have uploaded, verified AND durably manifest-recorded the object
 // first.
 func writeStub(df *dataFile, marks []uint64) error {
-	stub, err := buildStub(df.segs, marks, df.f)
+	stub, err := buildStub(df.segs, marks, df.strs, df.f)
 	if err != nil {
 		return err
 	}
