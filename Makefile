@@ -103,7 +103,10 @@ metrics-lint:
 # restart it, and assert its own replica converges to every acked write;
 # then run one process without -peers over a generated durable corpus,
 # SIGTERM it (exit 0 within -drain-timeout), restart it on the same
-# directory, and assert the same heat-map bytes.
+# directory, and assert the same heat-map bytes; then run it without
+# -data-dir (it stores under a directory of its own in TMPDIR and leaves
+# TMPDIR empty at exit), and check it refuses -tier without -data-dir and
+# leaves the tier's objects untouched.
 cluster-smoke:
 	HPCLOG_CLUSTER_SMOKE=1 $(GO) test -count=1 -run 'TestClusterProcessSmoke|TestSingleProcessSmoke' ./internal/dist/
 

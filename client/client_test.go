@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,6 +22,32 @@ import (
 	"hpclog/internal/store"
 	"hpclog/internal/topology"
 )
+
+// openShared opens the store of the fixture the package's tests share,
+// under a directory of its own that TestMain removes.
+func openShared(t testing.TB, cfg store.Config) *store.DB {
+	t.Helper()
+	dir, err := os.MkdirTemp("", "hpclog-fixture-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Dir, cfg.WALNoSync = dir, true
+	db, err := store.OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestMain closes the shared fixture's store and removes its directory.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if shared != nil {
+		shared.db.Close()
+		os.RemoveAll(shared.db.Config().Dir)
+	}
+	os.Exit(code)
+}
 
 type fixture struct {
 	cfg logs.Config
@@ -45,7 +72,7 @@ func getFixture(t testing.TB) *fixture {
 	// events to cut into pages.
 	cfg.Hotspots = []logs.Hotspot{{Component: topology.CabinetAt(0, 0), Type: model.MCE, Multiplier: 50}}
 	corpus := logs.Generate(cfg)
-	db := store.Open(store.Config{Nodes: 2, RF: 2, VNodes: 8, FlushThreshold: 1024})
+	db := openShared(t, store.Config{Nodes: 2, RF: 2, VNodes: 8, FlushThreshold: 1024})
 	if err := ingest.Bootstrap(db, cfg.Nodes); err != nil {
 		t.Fatal(err)
 	}

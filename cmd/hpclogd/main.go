@@ -2,9 +2,11 @@
 // co-located compute engine, and the v1 REST/JSON wire protocol (typed
 // queries, cursor pagination, NDJSON streaming, push-based watch).
 //
-// Without -peers one process hosts every store member. It serves a durable
+// Without -peers one process hosts every store member. It serves a
 // directory written by ingestd or a previous run (startup replays the
-// commitlog), or a demo corpus generated with -generate:
+// commitlog), or a demo corpus generated with -generate — without
+// -data-dir into a fresh temporary directory, commitlog unsynced, that is
+// removed when the process exits:
 //
 //	hpclogd -data-dir /tmp/titan/data
 //	hpclogd -generate -hours 3
@@ -72,49 +74,73 @@ func parsePeers(s string) (map[string]string, error) {
 	return peers, nil
 }
 
+var (
+	id          = flag.String("id", "", "this node's ring member id (required with -peers, unique per cluster)")
+	listen      = flag.String("listen", ":8080", "listen address")
+	advertise   = flag.String("advertise", "", "base URL peers reach this node at (default derived from -listen)")
+	peersFlag   = flag.String("peers", "", "comma-separated id=url list of every other member (empty = this process hosts every member)")
+	dataDir     = flag.String("data-dir", "", "storage directory (from ingestd or a previous run); recovery replays the commitlog. Empty = a fresh temporary directory, commitlog unsynced, removed at exit")
+	walTolerate = flag.Bool("wal-tolerate-corrupt", false, "truncate a corrupt commitlog tail instead of refusing to open; records after the damage are lost")
+	generate    = flag.Bool("generate", false, "generate and import a demo corpus at startup")
+	hours       = flag.Float64("hours", 3, "demo corpus window (with -generate)")
+	cabinets    = flag.Int("cabinets", 8, "demo corpus cabinets (with -generate)")
+	storeNodes  = flag.Int("store-nodes", 32, "store members hosted in this process (without -peers)")
+	rf          = flag.Int("rf", 3, "replication factor (capped at member count)")
+	vnodes      = flag.Int("vnodes", 64, "virtual nodes per member")
+	machines    = flag.Int("machine-nodes", 0, "bootstrap topology size (nodeinfos; 0 = the whole machine)")
+	hbEvery     = flag.Duration("heartbeat-interval", 250*time.Millisecond, "peer probe period")
+	failAfter   = flag.Int("fail-after", 3, "consecutive missed heartbeats before a peer is marked down")
+	rpcWait     = flag.Duration("rpc-timeout", 5*time.Second, "cluster-internal RPC timeout")
+	drainWait   = flag.Duration("drain-timeout", 15*time.Second, "how long graceful shutdown waits for in-flight requests")
+	logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
+	logFormat   = flag.String("log-format", "text", "log format: text or json")
+	pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060); empty disables")
+	slowQuery   = flag.Duration("slow-query", 0, "slow-query log threshold for /v1/debug/slow (0 = 500ms)")
+
+	tierBackend  = flag.String("tier", "", "object-storage tier backend: fs or s3 (empty disables; requires -data-dir)")
+	tierDir      = flag.String("tier-dir", "", "fs tier: object root directory")
+	tierEndpoint = flag.String("tier-endpoint", "", "s3 tier: endpoint URL (e.g. http://minio:9000)")
+	tierBucket   = flag.String("tier-bucket", "", "s3 tier: bucket name")
+	tierRegion   = flag.String("tier-region", "", "s3 tier: region (default us-east-1)")
+	tierCacheMB  = flag.Int64("tier-cache-mb", 64, "block-cache budget for evicted reads, in MiB")
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hpclogd: ")
-	var (
-		id          = flag.String("id", "", "this node's ring member id (required with -peers, unique per cluster)")
-		listen      = flag.String("listen", ":8080", "listen address")
-		advertise   = flag.String("advertise", "", "base URL peers reach this node at (default derived from -listen)")
-		peersFlag   = flag.String("peers", "", "comma-separated id=url list of every other member (empty = this process hosts every member)")
-		dataDir     = flag.String("data-dir", "", "durable storage directory (from ingestd or a previous run; empty = in-memory); recovery replays the commitlog")
-		walTolerate = flag.Bool("wal-tolerate-corrupt", false, "truncate a corrupt commitlog tail instead of refusing to open; records after the damage are lost (with -data-dir)")
-		generate    = flag.Bool("generate", false, "generate and import a demo corpus at startup")
-		hours       = flag.Float64("hours", 3, "demo corpus window (with -generate)")
-		cabinets    = flag.Int("cabinets", 8, "demo corpus cabinets (with -generate)")
-		storeNodes  = flag.Int("store-nodes", 32, "store members hosted in this process (without -peers)")
-		rf          = flag.Int("rf", 3, "replication factor (capped at member count)")
-		vnodes      = flag.Int("vnodes", 64, "virtual nodes per member")
-		machines    = flag.Int("machine-nodes", 0, "bootstrap topology size (nodeinfos; 0 = the whole machine)")
-		hbEvery     = flag.Duration("heartbeat-interval", 250*time.Millisecond, "peer probe period")
-		failAfter   = flag.Int("fail-after", 3, "consecutive missed heartbeats before a peer is marked down")
-		rpcWait     = flag.Duration("rpc-timeout", 5*time.Second, "cluster-internal RPC timeout")
-		drainWait   = flag.Duration("drain-timeout", 15*time.Second, "how long graceful shutdown waits for in-flight requests")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		logFormat   = flag.String("log-format", "text", "log format: text or json")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060); empty disables")
-		slowQuery   = flag.Duration("slow-query", 0, "slow-query log threshold for /v1/debug/slow (0 = 500ms)")
-
-		tierBackend  = flag.String("tier", "", "object-storage tier backend: fs or s3 (empty disables; requires -data-dir)")
-		tierDir      = flag.String("tier-dir", "", "fs tier: object root directory")
-		tierEndpoint = flag.String("tier-endpoint", "", "s3 tier: endpoint URL (e.g. http://minio:9000)")
-		tierBucket   = flag.String("tier-bucket", "", "s3 tier: bucket name")
-		tierRegion   = flag.String("tier-region", "", "s3 tier: region (default us-east-1)")
-		tierCacheMB  = flag.Int64("tier-cache-mb", 64, "block-cache budget for evicted reads, in MiB")
-	)
 	flag.Parse()
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run serves until SIGINT/SIGTERM. Every exit returns through it, so a
+// temporary store directory is removed on failures too.
+func run() error {
 	lvl, err := obs.ParseLevel(*logLevel)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	lg := obs.NewLogger(os.Stderr, lvl, *logFormat).With("component", "hpclogd")
 	peers, err := parsePeers(*peersFlag)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	// Caught from here on, so a signal during startup still unwinds run.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	dir := *dataDir
+	if dir == "" {
+		if *tierBackend != "" {
+			// A fresh directory has an empty TIER manifest, and open deletes
+			// every object under the node's prefix that the manifest does not
+			// name: the tier would lose whatever a real directory put there.
+			return errors.New("-tier requires -data-dir")
+		}
+		if dir, err = os.MkdirTemp("", "hpclogd-"); err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
 	}
 
 	if *pprofAddr != "" {
@@ -144,7 +170,8 @@ func main() {
 			Nodes:                  *storeNodes,
 			RF:                     *rf,
 			VNodes:                 *vnodes,
-			Dir:                    *dataDir,
+			Dir:                    dir,
+			WALNoSync:              *dataDir == "",
 			WALTolerateCorruptTail: *walTolerate,
 			Logger:                 lg,
 			Tier: objstore.Config{
@@ -165,16 +192,14 @@ func main() {
 		ServerConfig:      server.Config{Logger: lg, SlowQueryThreshold: *slowQuery},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer node.Close()
 
-	if *dataDir != "" {
-		st := node.DB.StorageStats()
-		lg.Info("durable store opened", "dir", *dataDir,
-			"disk_segments", st.DiskSegments, "disk_mb", float64(st.DiskBytes)/(1<<20),
-			"replayed_records", st.ReplayedRecords, "replayed_rows", st.ReplayedRows)
-	}
+	st := node.DB.StorageStats()
+	lg.Info("durable store opened", "dir", dir,
+		"disk_segments", st.DiskSegments, "disk_mb", float64(st.DiskBytes)/(1<<20),
+		"replayed_records", st.ReplayedRecords, "replayed_rows", st.ReplayedRows)
 	if *generate {
 		cfg := logs.DefaultConfig()
 		cfg.Duration = time.Duration(*hours * float64(time.Hour))
@@ -190,7 +215,7 @@ func main() {
 		}
 		res, err := node.Import(context.Background(), lines, corpus.JobLines)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		lg.Info("corpus imported", "events", res.EventsLoaded, "runs", res.RunsLoaded)
 	}
@@ -198,13 +223,11 @@ func main() {
 		"rf", node.DB.Ring().ReplicationFactor(), "listen", *listen)
 
 	hs := &http.Server{Addr: *listen, Handler: node.Server}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	select {
 	case err := <-errc:
-		log.Fatal(err)
+		return err
 	case <-ctx.Done():
 	}
 
@@ -219,4 +242,5 @@ func main() {
 		lg.Warn("shutdown error", "err", err)
 	}
 	lg.Info("drained; closing node")
+	return nil
 }

@@ -25,7 +25,7 @@
 //	logctl episodes  -type LUSTRE -from ... -to ... (time coalescing)
 //	logctl reliability -from ... -to ...          (MTBF, top failing)
 //	logctl profiles  [-type LUSTRE] -from ... -to ... (app profiles/exposure)
-//	logctl storage-stats                          (durable engine counters)
+//	logctl storage-stats                          (storage engine counters)
 //	logctl compact                                (flush + compact + WAL truncate)
 //	logctl tier                                   (force upload + evict sealed
 //	                 segments to the object-store tier)
@@ -346,11 +346,7 @@ func runWatch(ctx context.Context, cli *client.Client, typ, since string, timeou
 }
 
 func printStorageStats(st store.StorageStats) {
-	if !st.Durable {
-		fmt.Println("storage: in-memory (no durable engine)")
-		return
-	}
-	fmt.Printf("storage: durable at %s\n", st.Dir)
+	fmt.Printf("storage: %s\n", st.Dir)
 	fmt.Printf("  commitlog: %d appends, %d syncs, %d rotations, %.1f MB, %d live segments (%d truncated)\n",
 		st.WALAppends, st.WALSyncs, st.WALRotations, float64(st.WALBytes)/(1<<20),
 		st.WALSegments, st.WALTruncatedSegments)
@@ -388,7 +384,7 @@ func printSegments(p api.SegmentsPayload) {
 		total += len(n.Segments)
 	}
 	if total == 0 {
-		fmt.Println("no on-disk segments (in-memory store, or nothing flushed yet)")
+		fmt.Println("no on-disk segments (nothing flushed yet)")
 		return
 	}
 	for _, n := range p.Nodes {

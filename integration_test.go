@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -24,9 +25,10 @@ import (
 )
 
 type stack struct {
-	cfg logs.Config
-	ts  *httptest.Server
-	cli *client.Client
+	cfg  logs.Config
+	node *dist.Node
+	ts   *httptest.Server
+	cli  *client.Client
 }
 
 var (
@@ -37,7 +39,11 @@ var (
 func getStack(t testing.TB) *stack {
 	t.Helper()
 	stackOnce.Do(func() {
-		node, err := dist.Open(dist.Config{Store: store.Config{Nodes: 6, RF: 3}, MachineNodes: 4 * topology.NodesPerCabinet})
+		dir, err := os.MkdirTemp("", "hpclog-integration-")
+		if err != nil {
+			panic(err)
+		}
+		node, err := dist.Open(dist.Config{Store: store.Config{Nodes: 6, RF: 3, Dir: dir, WALNoSync: true}, MachineNodes: 4 * topology.NodesPerCabinet})
 		if err != nil {
 			panic(err)
 		}
@@ -63,7 +69,7 @@ func getStack(t testing.TB) *stack {
 			panic(fmt.Sprintf("import incomplete: %+v", res))
 		}
 		ts := httptest.NewServer(node.Server)
-		theStack = &stack{cfg: cfg, ts: ts, cli: client.New(ts.URL)}
+		theStack = &stack{cfg: cfg, node: node, ts: ts, cli: client.New(ts.URL)}
 	})
 	return theStack
 }

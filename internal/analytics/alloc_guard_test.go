@@ -96,7 +96,7 @@ func TestBatchFoldAllocBudget(t *testing.T) {
 // of its 2 880 tasks. A window of more than MaxBins bins is refused,
 // naming the limit.
 func TestHistogramLongWindowAllocs(t *testing.T) {
-	db := store.Open(store.Config{Nodes: 1, RF: 1})
+	db := openStore(t, store.Config{Nodes: 1, RF: 1})
 	if err := db.CreateTable(model.TableEventByTime); err != nil {
 		t.Fatal(err)
 	}

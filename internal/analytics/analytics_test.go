@@ -3,6 +3,7 @@ package analytics
 import (
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"regexp"
 	"slices"
@@ -16,6 +17,45 @@ import (
 	"hpclog/internal/store"
 	"hpclog/internal/topology"
 )
+
+// openShared opens the store of the fixture the package's tests share,
+// under a directory of its own that TestMain removes.
+func openShared(t testing.TB, cfg store.Config) *store.DB {
+	t.Helper()
+	dir, err := os.MkdirTemp("", "hpclog-fixture-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Dir, cfg.WALNoSync = dir, true
+	db, err := store.OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestMain closes the shared fixture's store and removes its directory.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if shared != nil {
+		shared.db.Close()
+		os.RemoveAll(shared.db.Config().Dir)
+	}
+	os.Exit(code)
+}
+
+// openStore opens cfg under a fresh test directory with the commitlog
+// unsynced, and closes it when the test ends.
+func openStore(t testing.TB, cfg store.Config) *store.DB {
+	t.Helper()
+	cfg.Dir, cfg.WALNoSync = t.TempDir(), true
+	db, err := store.OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
 
 // fixture loads one deterministic corpus into a small cluster, shared by
 // all tests in the package.
@@ -63,7 +103,7 @@ func getFixture(t testing.TB) *fixture {
 	cfg.Jobs.MaxNodes = 64
 	corpus := logs.Generate(cfg)
 
-	db := store.Open(store.Config{Nodes: 8, RF: 2, VNodes: 32, FlushThreshold: 2048})
+	db := openShared(t, store.Config{Nodes: 8, RF: 2, VNodes: 32, FlushThreshold: 2048})
 	if err := ingest.Bootstrap(db, cfg.Nodes); err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +496,7 @@ func TestTextFoldsMatchTokenize(t *testing.T) {
 		"",
 		"ost0012 OST0012 Ost0012 oST0012",
 	}
-	db := store.Open(store.Config{Nodes: 2, RF: 1})
+	db := openStore(t, store.Config{Nodes: 2, RF: 1})
 	if err := db.CreateTable(model.TableEventByTime); err != nil {
 		t.Fatal(err)
 	}

@@ -31,12 +31,13 @@ import (
 // error a bad row fails the read with, must be the same.
 
 // rowStores are the stores every differential input is written to, each
-// input under a partition of its own. They are replaced every
-// storeInputs inputs, so that a long fuzzing run does not pile up open
-// segment files.
+// input under a partition of its own: a store that keeps every row in its
+// memtables, so it never encodes a block, and one that flushes half of
+// each input to a segment. They are replaced every storeInputs inputs, so
+// that a long fuzzing run does not pile up open segment files.
 type rowStores struct {
 	dir  string
-	dbs  []*store.DB
+	dbs  []*store.DB // the memtable-resident store, then the flushing one
 	eng  *compute.Engine
 	next int64
 }
@@ -60,12 +61,17 @@ func (rs *rowStores) close() {
 func (rs *rowStores) input(tb testing.TB) int64 {
 	if rs.next++; rs.dbs == nil || rs.next%storeInputs == 0 {
 		rs.close()
-		dir := filepath.Join(rs.dir, fmt.Sprint(rs.next))
-		durable, err := store.OpenDurable(store.Config{Nodes: 2, RF: 2, VNodes: 8, Dir: dir, WALNoSync: true})
-		if err != nil {
-			tb.Fatal(err)
+		for i, flushes := range []bool{false, true} {
+			cfg := store.Config{Nodes: 2, RF: 2, VNodes: 8, Dir: filepath.Join(rs.dir, fmt.Sprint(rs.next, "-", i)), WALNoSync: true}
+			if !flushes {
+				cfg.FlushThreshold, cfg.CompactInterval = 1<<30, -1
+			}
+			db, err := store.OpenDurable(cfg)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			rs.dbs = append(rs.dbs, db)
 		}
-		rs.dbs = []*store.DB{store.Open(store.Config{Nodes: 2, RF: 2, VNodes: 8}), durable}
 		for _, db := range rs.dbs {
 			for _, table := range []string{model.TableEventByTime, model.TableEventByLoc, "t"} {
 				if err := db.CreateTable(table); err != nil {
@@ -78,19 +84,25 @@ func (rs *rowStores) input(tb testing.TB) int64 {
 }
 
 // put writes rows to partition pkey of every store: the first half, then
-// a flush, then the rest.
+// a flush of the flushing store, then the rest.
 func (rs *rowStores) put(tb testing.TB, table, pkey string, rows []store.Row) {
+	resident, flushing := rs.dbs[0], rs.dbs[1]
 	for _, db := range rs.dbs {
 		half := len(rows) / 2
 		if err := db.PutBatch(table, pkey, cloneRows(rows[:half]), store.All); err != nil {
 			tb.Fatal(err)
 		}
-		if err := db.Flush(); err != nil {
-			tb.Fatal(err)
+		if db == flushing {
+			if err := db.Flush(); err != nil {
+				tb.Fatal(err)
+			}
 		}
 		if err := db.PutBatch(table, pkey, cloneRows(rows[half:]), store.All); err != nil {
 			tb.Fatal(err)
 		}
+	}
+	if n := resident.StorageStats().DiskSegments; n != 0 {
+		tb.Fatalf("the memtable-resident store wrote %d segments", n)
 	}
 }
 

@@ -8,9 +8,22 @@ import (
 	"hpclog/internal/store"
 )
 
+// openStore opens cfg under a fresh test directory with the commitlog
+// unsynced, and closes it when the test ends.
+func openStore(t testing.TB, cfg store.Config) *store.DB {
+	t.Helper()
+	cfg.Dir, cfg.WALNoSync = t.TempDir(), true
+	db, err := store.OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
 func session(t testing.TB) *Session {
 	t.Helper()
-	db := store.Open(store.Config{Nodes: 4, RF: 2, VNodes: 16})
+	db := openStore(t, store.Config{Nodes: 4, RF: 2, VNodes: 16})
 	db.CreateTable("event_by_time")
 	for i := 0; i < 50; i++ {
 		row := store.MapRow(store.EncodeTS(int64(1000+i))+":src", 0, map[string]string{

@@ -13,7 +13,7 @@ import (
 // amount 0..59, and a "sev" column on every third row.
 func richSession(t testing.TB) *Session {
 	t.Helper()
-	db := store.Open(store.Config{Nodes: 4, RF: 2, VNodes: 16})
+	db := openStore(t, store.Config{Nodes: 4, RF: 2, VNodes: 16})
 	db.CreateTable("events")
 	for i := 0; i < 60; i++ {
 		cols := map[string]string{
@@ -172,7 +172,7 @@ func TestExplain(t *testing.T) {
 }
 
 func TestRFC3339KeyBound(t *testing.T) {
-	db := store.Open(store.Config{Nodes: 2, RF: 1, VNodes: 8})
+	db := openStore(t, store.Config{Nodes: 2, RF: 1, VNodes: 8})
 	db.CreateTable("t")
 	// 2017-08-23T06:00:00Z == 1503468000.
 	for i, ts := range []int64{1503467999, 1503468000, 1503468001} {

@@ -16,7 +16,7 @@ func quoteCQL(s string) string {
 // TestInsertSelectRoundTripProperty: any printable value written through
 // the CQL layer reads back intact, including quotes.
 func TestInsertSelectRoundTripProperty(t *testing.T) {
-	db := store.Open(store.Config{Nodes: 2, RF: 1, VNodes: 8})
+	db := openStore(t, store.Config{Nodes: 2, RF: 1, VNodes: 8})
 	db.CreateTable("t")
 	s := &Session{DB: db, CL: store.One}
 	i := 0

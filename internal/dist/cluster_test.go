@@ -46,10 +46,13 @@ type testCluster struct {
 	// seals segments small enough to tier.
 	tierDir        string
 	flushThreshold int
+	// walNoSync leaves the members' commitlogs unsynced: a cluster no test
+	// restarts has no use for fsync.
+	walNoSync bool
 }
 
-// startCluster boots an n-node cluster. durable gives each node its own
-// temp data directory (required by restart tests).
+// startCluster boots an n-node cluster, each node over its own temp data
+// directory. durable syncs the commitlogs (restart tests).
 func startCluster(t *testing.T, n, rf, machines int, durable bool) *testCluster {
 	return startClusterCfg(t, n, rf, machines, durable, server.Config{})
 }
@@ -63,7 +66,8 @@ func startClusterCfg(t *testing.T, n, rf, machines int, durable bool, scfg serve
 		servers: make([]*http.Server, n),
 		clients: make([]*client.Client, n),
 	}
-	c.boot(n, durable)
+	c.walNoSync = !durable
+	c.boot(n)
 	return c
 }
 
@@ -79,12 +83,12 @@ func startClusterTiered(t *testing.T, n, rf, machines int) *testCluster {
 		servers:        make([]*http.Server, n),
 		clients:        make([]*client.Client, n),
 	}
-	c.boot(n, true)
+	c.boot(n)
 	return c
 }
 
 // boot allocates listeners, opens every node, and registers teardown.
-func (c *testCluster) boot(n int, durable bool) {
+func (c *testCluster) boot(n int) {
 	t := c.t
 	t.Helper()
 	lns := make([]net.Listener, n)
@@ -97,11 +101,7 @@ func (c *testCluster) boot(n int, durable bool) {
 		c.ids = append(c.ids, fmt.Sprintf("n%d", i))
 		c.addrs = append(c.addrs, ln.Addr().String())
 		c.urls = append(c.urls, "http://"+ln.Addr().String())
-		dir := ""
-		if durable {
-			dir = t.TempDir()
-		}
-		c.dirs = append(c.dirs, dir)
+		c.dirs = append(c.dirs, t.TempDir())
 	}
 	for i := 0; i < n; i++ {
 		c.startNode(i, lns[i])
@@ -128,6 +128,7 @@ func (c *testCluster) config(i int) dist.Config {
 			RF:             c.rf,
 			VNodes:         32,
 			Dir:            c.dirs[i],
+			WALNoSync:      c.walNoSync,
 			FlushThreshold: c.flushThreshold,
 		},
 		MachineNodes: c.machines,

@@ -22,9 +22,11 @@ import (
 	"hpclog/internal/topology"
 )
 
-// openSingle opens a no-peer node: every store member in this process.
+// openSingle opens a no-peer node — every store member in this process —
+// over a fresh test directory with the commitlog unsynced.
 func openSingle(t testing.TB, cfg dist.Config) *dist.Node {
 	t.Helper()
+	cfg.Store.Dir, cfg.Store.WALNoSync = t.TempDir(), true
 	n, err := dist.Open(cfg)
 	if err != nil {
 		t.Fatal(err)

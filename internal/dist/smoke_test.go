@@ -240,7 +240,9 @@ func TestClusterProcessSmoke(t *testing.T) {
 // corpus into a durable directory, serves a non-empty heat map with every
 // member local, exits 0 on SIGTERM within -drain-timeout, and, restarted
 // on the same directory without -generate, replays it into the same
-// heat-map bytes.
+// heat-map bytes. Without -data-dir the process stores under a directory
+// of its own in TMPDIR and leaves TMPDIR empty when it exits, and it
+// refuses -tier without touching the tier's objects.
 //
 // Gated behind HPCLOG_CLUSTER_SMOKE=1 with TestClusterProcessSmoke.
 func TestSingleProcessSmoke(t *testing.T) {
@@ -257,11 +259,13 @@ func TestSingleProcessSmoke(t *testing.T) {
 		proc   *exec.Cmd
 		exited chan error // receives proc's Wait result; nil once taken
 	)
-	start := func(extra ...string) {
+	// start runs hpclogd with env added to this process's environment.
+	start := func(env []string, extra ...string) {
 		t.Helper()
-		args := append([]string{"-listen", addr, "-data-dir", dir, "-store-nodes", "4",
+		args := append([]string{"-listen", addr, "-store-nodes", "4",
 			"-drain-timeout", drain.String()}, extra...)
 		proc = exec.Command(bin, args...)
+		proc.Env = append(os.Environ(), env...)
 		proc.Stdout, proc.Stderr = os.Stderr, os.Stderr
 		if err := proc.Start(); err != nil {
 			t.Fatalf("start hpclogd: %v", err)
@@ -289,7 +293,8 @@ func TestSingleProcessSmoke(t *testing.T) {
 		}
 	})
 
-	start("-generate", "-hours", "1", "-cabinets", "2")
+	generate := []string{"-generate", "-hours", "1", "-cabinets", "2"}
+	start(nil, append([]string{"-data-dir", dir}, generate...)...)
 	from := logs.DefaultConfig().Start
 	req := query.Request{Op: query.OpHeatmap, Context: query.Context{
 		EventType: string(model.MCE), From: from.Unix(), To: from.Add(time.Hour).Unix()}}
@@ -301,11 +306,16 @@ func TestSingleProcessSmoke(t *testing.T) {
 		}
 		return raw
 	}
-	first := heatmap()
-	var hm struct{ Total int }
-	if err := json.Unmarshal(first, &hm); err != nil || hm.Total == 0 {
-		t.Fatalf("empty MCE heat map (err %v): %s", err, first)
+	nonEmptyHeatmap := func() json.RawMessage {
+		t.Helper()
+		raw := heatmap()
+		var hm struct{ Total int }
+		if err := json.Unmarshal(raw, &hm); err != nil || hm.Total == 0 {
+			t.Fatalf("empty MCE heat map (err %v): %s", err, raw)
+		}
+		return raw
 	}
+	first := nonEmptyHeatmap()
 	st, err := cli.ClusterStatus(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -336,9 +346,54 @@ func TestSingleProcessSmoke(t *testing.T) {
 	}
 	stop()
 
-	start()
+	start(nil, "-data-dir", dir)
 	if again := heatmap(); !bytes.Equal(again, first) {
 		t.Fatalf("heat map after restart:\n%s\nwant:\n%s", again, first)
 	}
 	stop()
+
+	// No -data-dir: a directory of its own under TMPDIR, gone at exit.
+	tmp := t.TempDir()
+	emptyTmp := func(when string) {
+		t.Helper()
+		if left, err := os.ReadDir(tmp); err != nil || len(left) > 0 {
+			t.Fatalf("TMPDIR %s: %v %v", when, left, err)
+		}
+	}
+	start([]string{"TMPDIR=" + tmp}, generate...)
+	nonEmptyHeatmap()
+	storage, err := cli.StorageStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(storage.Dir, tmp+string(filepath.Separator)) {
+		t.Fatalf("storage dir %q, want one under TMPDIR %s", storage.Dir, tmp)
+	}
+	stop()
+	emptyTmp("after SIGTERM")
+
+	// -tier without -data-dir is refused before anything opens: a fresh
+	// directory's empty TIER manifest would have open delete the object.
+	tierDir := t.TempDir()
+	object := filepath.Join(tierDir, "node-store00", "000001.seg")
+	if err := os.MkdirAll(filepath.Dir(object), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(object, []byte("an object another directory's manifest names"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refusedCtx, cancel := context.WithTimeout(ctx, testutil.Scaled(30*time.Second))
+	defer cancel()
+	refused := exec.CommandContext(refusedCtx, bin, "-listen", addr, "-store-nodes", "4", "-tier", "fs", "-tier-dir", tierDir)
+	refused.Env = append(os.Environ(), "TMPDIR="+tmp)
+	if out, err := refused.CombinedOutput(); refused.ProcessState == nil || refused.ProcessState.ExitCode() != 1 {
+		t.Fatalf("hpclogd -tier without -data-dir: %v, want exit status 1:\n%s", err, out)
+	}
+	if b, err := os.ReadFile(object); err != nil || string(b) != "an object another directory's manifest names" {
+		t.Fatalf("tier object touched: %q %v", b, err)
+	}
+	if entries, err := os.ReadDir(tierDir); err != nil || len(entries) != 1 {
+		t.Fatalf("tier dir holds %v (%v), want the one prefix", entries, err)
+	}
+	emptyTmp("after the refused -tier run")
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // batchStacks are the stores the batch read path must be invisible on:
-// in memory, durable (segments, memtables, commitlog replay) and with
+// memtable-resident, durable (segments, memtables, commitlog replay) and with
 // every sealed segment evicted to the object tier.
 func batchStacks(t *testing.T) map[string]*Harness {
 	tiered := NewTiered(t)
@@ -36,7 +36,8 @@ func TestBatchScanMatchesRowScanOnCorpus(t *testing.T) {
 	defer persist.PoisonBatches.Store(false)
 	cols := []uint32{model.ColSourceID, model.ColAmountID, model.ColRawID, model.ColTypeID,
 		store.InternColumn("attr.ost"), store.InternColumn(model.ColApp), store.InternColumn("never-written")}
-	for name, h := range batchStacks(t) {
+	stacks := batchStacks(t)
+	for name, h := range stacks {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(23))
 			from, to := h.Window()
@@ -110,6 +111,7 @@ func TestBatchScanMatchesRowScanOnCorpus(t *testing.T) {
 			}
 		})
 	}
+	resident(t, stacks["memory"])
 }
 
 // renderRow appends the row's key, write timestamp and — cut to the
@@ -128,7 +130,7 @@ func renderRow(w *bytes.Buffer, r store.Row, project []uint32) {
 // and the evicted stack with every block buffer scribbled over after each
 // batch callback: a fold that kept a string aliasing a block — a word-count
 // token, a distribution label, a GROUP BY value — would answer differently
-// from the in-memory stack, which has no block buffers to poison.
+// from the memtable-resident stack, which has no block buffers to poison.
 func TestEngineCorpusUnderBatchPoison(t *testing.T) {
 	persist.PoisonBatches.Store(true)
 	defer persist.PoisonBatches.Store(false)
@@ -153,4 +155,5 @@ func TestEngineCorpusUnderBatchPoison(t *testing.T) {
 			t.Fatalf("%s: the corpus never took the chained path: %+v", name, st)
 		}
 	}
+	resident(t, mem)
 }

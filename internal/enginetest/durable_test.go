@@ -5,10 +5,19 @@ import (
 	"testing"
 )
 
-// TestDurableEngineCorpus proves the storage engine invisible to the query
+// resident fails the test once the memtable-resident harness h has written
+// a segment: the reference must never read the codec it checks.
+func resident(t *testing.T, h *Harness) {
+	t.Helper()
+	if n := h.DB.StorageStats().DiskSegments; n != 0 {
+		t.Fatalf("the memtable-resident harness wrote %d segments", n)
+	}
+}
+
+// TestDurableEngineCorpus proves the segment codec invisible to the query
 // layer: every query.Op result computed over disk-backed segments is
-// byte-identical to the in-memory path, both before and after a restart
-// (close + commitlog-replaying reopen).
+// byte-identical to the memtable-resident path, both before and after a
+// restart (close + commitlog-replaying reopen).
 func TestDurableEngineCorpus(t *testing.T) {
 	mem := New(t)
 	dur := NewDurable(t)
@@ -48,4 +57,5 @@ func TestDurableEngineCorpus(t *testing.T) {
 			}
 		})
 	}
+	resident(t, mem)
 }

@@ -92,7 +92,7 @@ func generations(t *testing.T, root string) map[string]int {
 // asks it the whole corpus: as found, after the compaction that merges
 // every two-segment partition into a v7 segment, after a forced tier sweep
 // that evicts v6 and v7 segments alike, and after a restart. Every answer
-// is, byte for byte, the in-memory harness's.
+// is, byte for byte, the memtable-resident harness's.
 func TestMixedCodecGenerations(t *testing.T) {
 	root := t.TempDir()
 	untar(t, filepath.Join("testdata", "v6store.tar.gz"), root)

@@ -55,8 +55,8 @@ type Harness struct {
 	// code every production consumer (logctl, the cluster runtime) uses,
 	// so a green corpus run also proves the SDK decodes faithfully.
 	Client *client.Client
-	// StoreCfg is the store configuration, kept so Reopen can recover a
-	// durable harness from its directory.
+	// StoreCfg is the store configuration, kept so Reopen can recover the
+	// harness from its directory.
 	StoreCfg store.Config
 }
 
@@ -92,20 +92,28 @@ func corpusConfig() logs.Config {
 	return cfg
 }
 
-// New builds an in-memory harness. Result caching is disabled on both
-// engines so the direct/wire comparison exercises two genuinely
-// independent executions.
+// New builds the memtable-resident harness: its flush threshold lies
+// above the corpus and its compactor is off, so the store never encodes a
+// block and its answers are the reference the durable and tiered harnesses
+// must match byte for byte. Result caching is disabled on both engines so
+// the direct/wire comparison exercises two genuinely independent
+// executions.
 func New(tb testing.TB) *Harness {
 	tb.Helper()
-	return build(tb, store.Config{Nodes: 8, RF: 2, VNodes: 32, FlushThreshold: 2048})
+	return build(tb, store.Config{
+		Nodes: 8, RF: 2, VNodes: 32,
+		FlushThreshold:  1 << 30,
+		CompactInterval: -1,
+		Dir:             tb.TempDir(),
+		WALNoSync:       true,
+	})
 }
 
-// NewDurable builds a harness whose store runs the durable engine in a
-// test temp directory, with a flush threshold low enough that the corpus
-// produces on-disk segment files (while small partitions stay in
+// NewDurable builds a harness with a flush threshold low enough that the
+// corpus produces on-disk segment files (while small partitions stay in
 // memtables, so reads and restarts exercise the segment + commitlog-replay
 // mix). The corpus and load path are identical to New, so query results
-// must be byte-identical to an in-memory harness.
+// must be byte-identical to the memtable-resident harness.
 func NewDurable(tb testing.TB) *Harness {
 	tb.Helper()
 	return build(tb, store.Config{
@@ -182,14 +190,11 @@ func (h *Harness) initEngines(tb testing.TB) {
 	})
 }
 
-// Reopen simulates a restart of a durable harness: the store is closed,
-// reopened from its directory (replaying the commitlog), and the engines
-// and wire server are rebuilt over the recovered DB.
+// Reopen simulates a restart: the store is closed, reopened from its
+// directory (replaying the commitlog), and the engines and wire server are
+// rebuilt over the recovered DB.
 func (h *Harness) Reopen(tb testing.TB) {
 	tb.Helper()
-	if h.StoreCfg.Dir == "" {
-		tb.Fatal("Reopen requires a durable harness (NewDurable)")
-	}
 	h.Srv.Close()
 	h.TS.Close()
 	if err := h.DB.Close(); err != nil {

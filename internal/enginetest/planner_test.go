@@ -329,12 +329,13 @@ func TestPlannerEquivalenceDurable(t *testing.T) {
 	runCorpusEquivalence(t, h)
 }
 
-// TestPlannerEquivalenceInMemory runs the same corpus against the pure
-// in-memory engine (no segments at all): the planner must behave
+// TestPlannerEquivalenceInMemory runs the same corpus against the
+// memtable-resident harness (no segments at all): the planner must behave
 // identically when there is nothing to prune.
 func TestPlannerEquivalenceInMemory(t *testing.T) {
 	h := New(t)
 	if _, pruned := runCorpusEquivalence(t, h); pruned != 0 {
-		t.Fatalf("in-memory engine reported %d pruned blocks", pruned)
+		t.Fatalf("memtable-resident engine reported %d pruned blocks", pruned)
 	}
+	resident(t, h)
 }

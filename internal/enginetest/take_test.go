@@ -42,7 +42,7 @@ func takenBy(t *testing.T, h *Harness, stage string, want map[string][]byte) int
 // TestCorpusFoldsTakeBlocks keeps the footer path of the count folds from
 // switching off unseen: on the durable corpus the histogram and
 // transfer-entropy cases take blocks from their footers, with answers equal
-// to the in-memory harness's (which has no segment to take) — and so they
+// to the memtable-resident harness's (which has no segment to take) — and so they
 // do on the v6 store of testdata, whose footers carry the fold section
 // too, as found and once compaction rewrote it as v7.
 func TestCorpusFoldsTakeBlocks(t *testing.T) {

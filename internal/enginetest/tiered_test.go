@@ -16,7 +16,7 @@ import (
 // TestTieredEngineCorpus proves the object-storage tier invisible to the
 // query layer: with every sealed segment force-evicted to a local-fs
 // object store (local data files replaced by footer stubs), every
-// query.Op result is byte-identical to the in-memory path — including
+// query.Op result is byte-identical to the memtable-resident path — including
 // after a restart, where recovery reattaches the tier from stubs and the
 // manifest alone.
 func TestTieredEngineCorpus(t *testing.T) {

@@ -23,7 +23,7 @@ import (
 // and force the scan fallback — the path this test must prove correct.
 func newTinyRingServer(t *testing.T, ring int) (*store.DB, *client.Client) {
 	t.Helper()
-	db, err := store.OpenDurable(store.Config{Nodes: 4, RF: 2, VNodes: 16, FlushThreshold: 1 << 14})
+	db, err := store.OpenDurable(store.Config{Nodes: 4, RF: 2, VNodes: 16, FlushThreshold: 1 << 14, Dir: t.TempDir(), WALNoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

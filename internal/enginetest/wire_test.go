@@ -74,7 +74,7 @@ func eventContexts(h *Harness) map[string]query.Context {
 }
 
 // TestPaginatedEventsMatchOneShot: for every request shape, paginated
-// pages concatenate to exactly the one-shot result (in-memory stack).
+// pages concatenate to exactly the one-shot result (memtable-resident stack).
 func TestPaginatedEventsMatchOneShot(t *testing.T) {
 	h := New(t)
 	for label, qc := range eventContexts(h) {

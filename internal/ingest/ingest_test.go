@@ -20,7 +20,11 @@ import (
 
 func testCluster(t testing.TB, nodes int) (*store.DB, *compute.Engine) {
 	t.Helper()
-	db := store.Open(store.Config{Nodes: nodes, RF: 2, VNodes: 16, FlushThreshold: 512})
+	db, err := store.OpenDurable(store.Config{Nodes: nodes, RF: 2, VNodes: 16, FlushThreshold: 512, Dir: t.TempDir(), WALNoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
 	if err := Bootstrap(db, topology.NodesPerCabinet); err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func cacheFixture(t *testing.T) (*Engine, *store.DB, logs.Config) {
 	cfg.Nodes = 2 * topology.NodesPerCabinet
 	cfg.Duration = time.Hour
 	corpus := logs.Generate(cfg)
-	db := store.Open(store.Config{Nodes: 4, RF: 2})
+	db := openStore(t, store.Config{Nodes: 4, RF: 2})
 	if err := ingest.Bootstrap(db, cfg.Nodes); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package query
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"slices"
 	"sort"
 	"testing"
@@ -17,9 +18,49 @@ import (
 	"hpclog/internal/topology"
 )
 
+// openShared opens the store of the fixture the package's tests share,
+// under a directory of its own that TestMain removes.
+func openShared(t testing.TB, cfg store.Config) *store.DB {
+	t.Helper()
+	dir, err := os.MkdirTemp("", "hpclog-fixture-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Dir, cfg.WALNoSync = dir, true
+	db, err := store.OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestMain closes the shared fixture's store and removes its directory.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if shared != nil {
+		shared.db.Close()
+		os.RemoveAll(shared.db.Config().Dir)
+	}
+	os.Exit(code)
+}
+
+// openStore opens cfg under a fresh test directory with the commitlog
+// unsynced, and closes it when the test ends.
+func openStore(t testing.TB, cfg store.Config) *store.DB {
+	t.Helper()
+	cfg.Dir, cfg.WALNoSync = t.TempDir(), true
+	db, err := store.OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
 type fixture struct {
 	cfg    logs.Config
 	corpus *logs.Corpus
+	db     *store.DB
 	q      *Engine
 }
 
@@ -38,7 +79,7 @@ func getFixture(t testing.TB) *fixture {
 	cfg.Storms[0].EventsPerSec = 20
 	cfg.Jobs.MaxNodes = 32
 	corpus := logs.Generate(cfg)
-	db := store.Open(store.Config{Nodes: 4, RF: 2, VNodes: 16, FlushThreshold: 1024})
+	db := openShared(t, store.Config{Nodes: 4, RF: 2, VNodes: 16, FlushThreshold: 1024})
 	if err := ingest.Bootstrap(db, cfg.Nodes); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +95,7 @@ func getFixture(t testing.TB) *fixture {
 	if err := ingest.RefreshSynopsis(eng, db, hours, store.Quorum); err != nil {
 		t.Fatal(err)
 	}
-	shared = &fixture{cfg: cfg, corpus: corpus, q: New(db, eng)}
+	shared = &fixture{cfg: cfg, corpus: corpus, db: db, q: New(db, eng)}
 	return shared
 }
 

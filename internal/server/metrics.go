@@ -87,9 +87,6 @@ func (s *Server) collectStoreMetrics(w *obs.Writer) {
 	const putsHelp = "Batches taken by memtables by write path: appended in key order past the last key, or sorted and merged in."
 	w.Counter("hpclog_store_memtable_puts_total", putsHelp, st.AppendPuts, "path", "append")
 	w.Counter("hpclog_store_memtable_puts_total", putsHelp, st.MergePuts, "path", "merge")
-	if !st.Durable {
-		return
-	}
 	w.Counter("hpclog_wal_appends_total", "Commitlog record appends.", st.WALAppends)
 	w.Counter("hpclog_wal_syncs_total", "Commitlog fsync batches (group commit).", st.WALSyncs)
 	w.Counter("hpclog_wal_rotations_total", "Commitlog segment rotations.", st.WALRotations)

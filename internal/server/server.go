@@ -532,7 +532,7 @@ func (s *Server) handleSlowV1(w http.ResponseWriter, r *http.Request) {
 	})(w, r)
 }
 
-// storageCore reports the durable engine's counters (commitlog, flush,
+// storageCore reports the storage engine's counters (commitlog, flush,
 // compaction, replay, on-disk footprint).
 func (s *Server) storageCore(http.ResponseWriter, *http.Request) (any, *api.Error) {
 	return s.db.StorageStats(), nil

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -22,6 +23,45 @@ import (
 	"hpclog/internal/store"
 	"hpclog/internal/topology"
 )
+
+// openShared opens the store of the fixture the package's tests share,
+// under a directory of its own that TestMain removes.
+func openShared(t testing.TB, cfg store.Config) *store.DB {
+	t.Helper()
+	dir, err := os.MkdirTemp("", "hpclog-fixture-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Dir, cfg.WALNoSync = dir, true
+	db, err := store.OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestMain closes the shared fixture's store and removes its directory.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if shared != nil {
+		shared.db.Close()
+		os.RemoveAll(shared.db.Config().Dir)
+	}
+	os.Exit(code)
+}
+
+// openStore opens cfg under a fresh test directory with the commitlog
+// unsynced, and closes it when the test ends.
+func openStore(t testing.TB, cfg store.Config) *store.DB {
+	t.Helper()
+	cfg.Dir, cfg.WALNoSync = t.TempDir(), true
+	db, err := store.OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
 
 type fixture struct {
 	cfg    logs.Config
@@ -45,7 +85,7 @@ func getFixture(t testing.TB) *fixture {
 	cfg.Storms = nil
 	cfg.Jobs.MaxNodes = 16
 	corpus := logs.Generate(cfg)
-	db := store.Open(store.Config{Nodes: 2, RF: 2, VNodes: 8, FlushThreshold: 1024})
+	db := openShared(t, store.Config{Nodes: 2, RF: 2, VNodes: 8, FlushThreshold: 1024})
 	if err := ingest.Bootstrap(db, cfg.Nodes); err != nil {
 		t.Fatal(err)
 	}

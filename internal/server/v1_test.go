@@ -25,7 +25,7 @@ import (
 // hardening config, for surface tests that need no corpus.
 func newHardenedServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	db := store.Open(store.Config{Nodes: 2, RF: 2, VNodes: 8})
+	db := openStore(t, store.Config{Nodes: 2, RF: 2, VNodes: 8})
 	if err := ingest.Bootstrap(db, 4); err != nil {
 		t.Fatal(err)
 	}

@@ -129,7 +129,7 @@ func TestHubWakeupAccounting(t *testing.T) {
 // ring must recover every event through the scan fallback, exactly once,
 // and the miss counter must prove the fallback fired.
 func TestHubRingOverflowFallsBackToScan(t *testing.T) {
-	db := store.Open(store.Config{Nodes: 2, RF: 2, VNodes: 8, FlushThreshold: 1024})
+	db := openStore(t, store.Config{Nodes: 2, RF: 2, VNodes: 8, FlushThreshold: 1024})
 	if err := ingest.Bootstrap(db, 2); err != nil {
 		t.Fatal(err)
 	}

@@ -75,8 +75,10 @@ func (p keyPruner) PruneBlock(b *persist.BlockStats) bool { return b.MaxKey < p.
 type batchScenario struct {
 	name    string
 	durable bool
-	// steps are applied in order; flush publishes the memtable as a
-	// segment (on disk when durable, in RAM otherwise).
+	// steps are applied in order; flush publishes the memtable as a disk
+	// segment when durable, and otherwise hands it to a flush round as the
+	// partition's flushing run, which stays resident because the round
+	// never ends.
 	steps []struct {
 		rows  []Row
 		flush bool
@@ -101,10 +103,7 @@ func scenarioRows(lo, hi int, writeTS int64, gen string) []Row {
 
 func (sc batchScenario) open(t *testing.T) *DB {
 	t.Helper()
-	cfg := Config{Nodes: 1, RF: 1, FlushThreshold: 1 << 20, MaxSegments: 1 << 20, CompactInterval: -1}
-	if sc.durable {
-		cfg.Dir = t.TempDir()
-	}
+	cfg := Config{Nodes: 1, RF: 1, FlushThreshold: 1 << 20, MaxSegments: 1 << 20, CompactInterval: -1, Dir: t.TempDir(), WALNoSync: true}
 	db, err := OpenDurable(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -130,10 +129,7 @@ func (sc batchScenario) open(t *testing.T) *DB {
 			continue
 		}
 		tbl, _ := n.table("t")
-		p := tbl.partition("p", false)
-		p.mu.Lock()
-		p.flushLocked()
-		p.mu.Unlock()
+		tbl.partition("p", false).beginFlush()
 	}
 	return db
 }
@@ -141,9 +137,10 @@ func (sc batchScenario) open(t *testing.T) *DB {
 // TestScanPartitionBatchesMatchesPruned is the differential test of the
 // batch read path: for one segment, disjoint segments plus a newer
 // memtable (chained), and overlapping inputs with duplicate keys and
-// write-timestamp ties (merged), on disk and in memory, random (range,
-// projection, pruner) triples must yield exactly the rows and cells of
-// ScanPartitionPruned — with the block buffer poisoned between batches.
+// write-timestamp ties (merged), on disk and in the resident runs alone (a
+// flushing run and the memtable), random (range, projection, pruner)
+// triples must yield exactly the rows and cells of ScanPartitionPruned —
+// with the block buffer poisoned between batches.
 func TestScanPartitionBatchesMatchesPruned(t *testing.T) {
 	persist.PoisonBatches.Store(true)
 	defer persist.PoisonBatches.Store(false)
@@ -163,14 +160,22 @@ func TestScanPartitionBatchesMatchesPruned(t *testing.T) {
 		{scenarioRows(100, 160, 5, "c"), true}, // ties with "a": the later input wins
 		{scenarioRows(290, 310, 9, "d"), false},
 	}
-	var scenarios []batchScenario
-	for _, durable := range []bool{true, false} {
-		kind := map[bool]string{true: "disk", false: "memory"}[durable]
-		scenarios = append(scenarios,
-			batchScenario{kind + "/one-segment", durable, oneSegment, true},
-			batchScenario{kind + "/disjoint+memtable", durable, disjoint, true},
-			batchScenario{kind + "/overlapping", durable, overlapping, false},
-		)
+	// In RAM only one flushing run stands beside the memtable, so the
+	// resident scenarios keep the first flush and fold the later steps
+	// into the memtable.
+	resident := []step{
+		{scenarioRows(0, 300, 5, "a"), true},
+		{scenarioRows(150, 450, 9, "b"), false},
+		{scenarioRows(100, 160, 5, "c"), false}, // ties with "a": the memtable wins
+		{scenarioRows(290, 310, 9, "d"), false},
+	}
+	scenarios := []batchScenario{
+		{"disk/one-segment", true, oneSegment, true},
+		{"disk/disjoint+memtable", true, disjoint, true},
+		{"disk/overlapping", true, overlapping, false},
+		{"memory/one-segment", false, oneSegment, true},
+		{"memory/disjoint+memtable", false, []step{disjoint[0], {scenarioRows(200, 450, 2, "b"), false}}, true},
+		{"memory/overlapping", false, resident, false},
 	}
 	all := []uint32{InternColumn("amount"), InternColumn("gen"), InternColumn("source"), InternColumn("raw"), InternColumn("never-written")}
 	for _, sc := range scenarios {

@@ -126,9 +126,8 @@ func (db *DB) Put(tableName, pkey string, row Row, cl Consistency) error {
 // replica has applied the batch and the consistency level is satisfied;
 // remote stragglers finish in the background, and down or failed replicas
 // get the batch as a hint, so entropy between replicas still arises and
-// Repair reconciles it. On a durable cluster each replica appends the
-// batch to its commitlog before applying it, so an acknowledged batch
-// survives a crash.
+// Repair reconciles it. Each replica appends the batch to its commitlog
+// before applying it, so an acknowledged batch survives a crash.
 func (db *DB) PutBatch(tableName, pkey string, rows []Row, cl Consistency) error {
 	return db.PutBatchCtx(context.Background(), tableName, pkey, rows, cl)
 }
@@ -172,10 +171,7 @@ func (db *DB) PutBatchCtx(ctx context.Context, tableName, pkey string, rows []Ro
 	}
 	// Replicas append byte-identical commitlog records: encode once, share
 	// the buffer (wal.Append copies it).
-	var encoded []byte
-	if db.cfg.Dir != "" {
-		encoded = encodePutRecord(nil, tableName, pkey, stamped)
-	}
+	encoded := encodePutRecord(nil, tableName, pkey, stamped)
 	// Replication must outlive the request: the handler returning (and the
 	// HTTP server cancelling its context) cannot abort straggler replicas
 	// of an already-acked batch. Values (request ID, trace span) survive.

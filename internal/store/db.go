@@ -80,17 +80,15 @@ type Config struct {
 	// FlushThreshold is the memtable row count that triggers a segment
 	// flush (default 4096).
 	FlushThreshold int
-	// MaxSegments bounds the per-partition segment count before
-	// compaction (default 4).
+	// MaxSegments bounds the per-partition on-disk segment count before
+	// the background compactor merges them (default 4).
 	MaxSegments int
 
-	// Dir, when non-empty, turns on the durable storage engine rooted at
-	// this directory: every write is appended to a per-node commitlog
-	// before it is acknowledged, memtable flushes produce immutable
-	// on-disk segment files, a background compactor merges segments and
-	// truncates obsolete commitlog segments, and OpenDurable replays the
-	// commitlog on startup. Empty (the default) keeps the store purely in
-	// memory.
+	// Dir is the directory the storage engine is rooted at (required):
+	// every write is appended to a per-node commitlog before it is
+	// acknowledged, memtable flushes produce immutable on-disk segment
+	// files, a background compactor merges segments and truncates obsolete
+	// commitlog segments, and OpenDurable replays the commitlog on startup.
 	Dir string
 	// WALSegmentBytes rotates commitlog segment files past this size
 	// (default 8 MiB).
@@ -127,11 +125,11 @@ type Config struct {
 	ZoneMapColumns []string
 
 	// Tier, when Backend is non-empty, attaches an object-storage tier to
-	// the durable engine: background maintenance uploads cold sealed
+	// the storage engine: background maintenance uploads cold sealed
 	// segments (verified by read-back), evicts their local data files —
 	// keeping the footer resident so block pruning needs no fetch — and
 	// reads of evicted segments go through a bounded block cache with
-	// per-block Merkle verification. Requires Dir.
+	// per-block Merkle verification.
 	Tier objstore.Config
 }
 
@@ -190,7 +188,6 @@ type DB struct {
 	notifyMu  sync.Mutex
 	notifiers atomic.Pointer[[]*writeNotifier]
 
-	// Durable state.
 	compactMu   sync.Mutex // serializes compaction passes
 	compactStop chan struct{}
 	compactDone chan struct{}
@@ -202,8 +199,7 @@ type DB struct {
 	tier *objstore.Tier
 }
 
-// ReplayStats summarizes commitlog recovery across all nodes of a durable
-// cluster.
+// ReplayStats summarizes commitlog recovery across all local nodes.
 type ReplayStats struct {
 	Records int64 `json:"records"`
 	Rows    int64 `json:"rows"`
@@ -304,29 +300,16 @@ func (db *DB) RegisterWriteNotify(fn func(*WriteDigest)) (cancel func()) {
 	}
 }
 
-// Open creates an in-process store cluster with cfg. cfg.Dir must be empty
-// — durable clusters are opened with OpenDurable, whose recovery can fail;
-// Open panics on a non-empty Dir so the error cannot be silently dropped.
-func Open(cfg Config) *DB {
-	if cfg.Dir != "" {
-		panic("store: Open with Config.Dir set; use OpenDurable")
-	}
-	db, err := OpenDurable(cfg)
-	if err != nil {
-		// Unreachable: the in-memory path has no error sources.
-		panic(err)
-	}
-	return db
-}
-
-// OpenDurable creates a store cluster with cfg. With cfg.Dir set, each
-// node opens (creating as needed) its commitlog and segment store under
-// <Dir>/node-<id>/, replays the commitlog into memtables — recovering
+// OpenDurable creates a store cluster with cfg. Each local node opens
+// (creating as needed) its commitlog and segment store under
+// <Dir>/node-<id>/ and replays the commitlog into memtables — recovering
 // every acknowledged write of a previous incarnation, while a torn tail
 // left by a crash mid-append is detected by CRC and cleanly ignored — and
-// the background compactor starts. With cfg.Dir empty it is equivalent to
-// Open.
+// the background compactor starts. cfg.Dir is required.
 func OpenDurable(cfg Config) (*DB, error) {
+	if cfg.Dir == "" {
+		return nil, errors.New("store: Config.Dir is required")
+	}
 	cfg = cfg.withDefaults()
 	db := &DB{
 		cfg:     cfg,
@@ -336,9 +319,6 @@ func OpenDurable(cfg Config) (*DB, error) {
 		hintLog: newHintLog(),
 	}
 	if cfg.Tier.Backend != "" {
-		if cfg.Dir == "" {
-			return nil, fmt.Errorf("store: tiered storage requires a durable Dir")
-		}
 		tier, err := objstore.Open(cfg.Tier)
 		if err != nil {
 			return nil, fmt.Errorf("store: open tier: %w", err)
@@ -385,26 +365,22 @@ func OpenDurable(cfg Config) (*DB, error) {
 			db.ring.SetUp(id, false)
 			continue
 		}
-		n := newNode(id, cfg.FlushThreshold, cfg.MaxSegments)
-		if cfg.Dir != "" {
-			if err := n.openDurable(filepath.Join(cfg.Dir, "node-"+id), cfg, db.tier); err != nil {
-				db.closeNodes()
-				return nil, err
-			}
+		n := newNode(id, cfg.FlushThreshold)
+		if err := n.openDurable(filepath.Join(cfg.Dir, "node-"+id), cfg, db.tier); err != nil {
+			db.closeNodes()
+			return nil, err
 		}
 		db.nodes = append(db.nodes, n)
 	}
 	slices.SortFunc(db.nodes, func(a, b *Node) int { return strings.Compare(a.id, b.id) })
-	if cfg.Dir != "" {
-		if err := db.recover(); err != nil {
-			db.closeNodes()
-			return nil, err
-		}
-		if cfg.CompactInterval > 0 {
-			db.compactStop = make(chan struct{})
-			db.compactDone = make(chan struct{})
-			go db.compactorLoop()
-		}
+	if err := db.recover(); err != nil {
+		db.closeNodes()
+		return nil, err
+	}
+	if cfg.CompactInterval > 0 {
+		db.compactStop = make(chan struct{})
+		db.compactDone = make(chan struct{})
+		go db.compactorLoop()
 	}
 	return db, nil
 }
@@ -453,10 +429,16 @@ func (db *DB) recover() error {
 	return nil
 }
 
-func (db *DB) closeNodes() {
+// closeNodes closes every local node's commitlog and segment store and
+// returns the first error.
+func (db *DB) closeNodes() error {
+	var first error
 	for _, n := range db.nodes {
-		n.closeDurable()
+		if err := n.closeDurable(); err != nil && first == nil {
+			first = err
+		}
 	}
+	return first
 }
 
 // Ring exposes the cluster ring (read-only use intended).
@@ -484,10 +466,9 @@ func (db *DB) Node(id string) *Node {
 	return db.nodes[i]
 }
 
-// CreateTable declares a table on every node (and, on a durable cluster,
-// in every node's commitlog). Creating an existing table is a no-op,
-// supporting the paper's requirement that new event types and schemas can
-// be added at any time.
+// CreateTable declares a table on every node and in every node's
+// commitlog. Creating an existing table is a no-op, supporting the paper's
+// requirement that new event types and schemas can be added at any time.
 func (db *DB) CreateTable(name string) error {
 	db.mu.Lock()
 	db.tables[name] = true

@@ -9,9 +9,22 @@ import (
 	"testing"
 )
 
+// openTest opens cfg under a fresh test directory with the commitlog
+// unsynced, and closes it when the test ends.
+func openTest(t testing.TB, cfg Config) *DB {
+	t.Helper()
+	cfg.Dir, cfg.WALNoSync = t.TempDir(), true
+	db, err := OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
 func testDB(t testing.TB, nodes, rf int) *DB {
 	t.Helper()
-	db := Open(Config{Nodes: nodes, RF: rf, VNodes: 32, FlushThreshold: 64, MaxSegments: 3})
+	db := openTest(t, Config{Nodes: nodes, RF: rf, VNodes: 32, FlushThreshold: 64, MaxSegments: 3})
 	db.CreateTable("events")
 	return db
 }
@@ -28,6 +41,17 @@ func partitionKeys(t testing.TB, db *DB, table string) []string {
 
 func eventRow(ts int64, disc, typ, loc string) Row {
 	return MapRow(EncodeTS(ts)+":"+disc, 0, map[string]string{"type": typ, "source": loc, "amount": "1"})
+}
+
+// TestOpenRequiresDir: there is one storage engine and it lives in a
+// directory, so a store without one does not open.
+func TestOpenRequiresDir(t *testing.T) {
+	for _, cfg := range []Config{{}, {Nodes: 2, RF: 1, WALNoSync: true, CompactInterval: -1}} {
+		if db, err := OpenDurable(cfg); err == nil {
+			db.Close()
+			t.Fatalf("OpenDurable(%+v) opened without a Dir", cfg)
+		}
+	}
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -83,7 +107,7 @@ func TestTimeRangeQuery(t *testing.T) {
 }
 
 func TestFlushCompactionPreservesData(t *testing.T) {
-	db := Open(Config{Nodes: 1, RF: 1, VNodes: 8, FlushThreshold: 10, MaxSegments: 2})
+	db := openTest(t, Config{Nodes: 1, RF: 1, VNodes: 8, FlushThreshold: 10, MaxSegments: 2, CompactInterval: -1})
 	db.CreateTable("events")
 	pkey := "p"
 	n := 500
@@ -93,14 +117,12 @@ func TestFlushCompactionPreservesData(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	node := db.Node(db.NodeIDs()[0])
-	tab, err := node.table("events")
-	if err != nil {
+	if _, err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	p := tab.partition(pkey, false)
-	if p.segmentCount() > 3 {
-		t.Fatalf("compaction left %d segments", p.segmentCount())
+	node := db.Node(db.NodeIDs()[0])
+	if segs := len(node.persist.Segments("events", pkey)); segs > db.Config().MaxSegments {
+		t.Fatalf("compaction left %d segments", segs)
 	}
 	rows, err := db.Get("events", pkey, Range{}, All)
 	if err != nil {

@@ -81,7 +81,7 @@ func TestDurableReopenPreservesData(t *testing.T) {
 		t.Fatalf("reopen mismatch: %d partitions vs %d", len(got), len(want))
 	}
 	st := db2.StorageStats()
-	if !st.Durable || st.ReplayedRecords == 0 {
+	if st.Dir != dir || st.ReplayedRecords == 0 {
 		t.Fatalf("expected replayed records, stats %+v", st)
 	}
 }
@@ -124,7 +124,7 @@ func TestDurableWriteTSResumes(t *testing.T) {
 // TestDurableScanMatchesGet drives enough rows through one partition to
 // force disk flushes, then checks the streaming scan (disk segments +
 // memtable merge) against the materialized read, and both against an
-// identically loaded in-memory cluster.
+// identically loaded cluster that holds everything in its memtables.
 func TestDurableScanMatchesGet(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg(dir)
@@ -134,8 +134,8 @@ func TestDurableScanMatchesGet(t *testing.T) {
 	}
 	defer ddb.Close()
 	memCfg := cfg
-	memCfg.Dir = ""
-	mdb := Open(memCfg)
+	memCfg.FlushThreshold = 1 << 30
+	mdb := openTest(t, memCfg)
 
 	for _, db := range []*DB{ddb, mdb} {
 		if err := db.CreateTable("events"); err != nil {
@@ -161,6 +161,9 @@ func TestDurableScanMatchesGet(t *testing.T) {
 	if ddb.StorageStats().DiskSegments == 0 {
 		t.Fatal("expected on-disk segments (FlushThreshold 32, 500 rows)")
 	}
+	if n := mdb.StorageStats().DiskSegments; n != 0 {
+		t.Fatalf("the memtable-resident reference wrote %d segments", n)
+	}
 
 	ranges := []Range{
 		{},
@@ -178,7 +181,7 @@ func TestDurableScanMatchesGet(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("durable Get(%+v) differs from in-memory: %d vs %d rows", rg, len(got), len(want))
+			t.Fatalf("durable Get(%+v) differs from the memtables: %d vs %d rows", rg, len(got), len(want))
 		}
 		it, err := ddb.ScanPartitionPruned("events", "p", rg, One, nil, nil)
 		if err != nil {
@@ -312,7 +315,7 @@ func TestDurableEmptyTableSurvivesCheckpoint(t *testing.T) {
 // one. Regressing this lets truncateWAL delete a segment whose acked rows
 // exist only in the memtable.
 func TestDirtySegTracksMinimum(t *testing.T) {
-	n := newNode("n1", 1<<30, 4)
+	n := newNode("n1", 1<<30)
 	p := &partition{node: n, table: "t", key: "k"}
 	if err := p.put([]Row{{Key: "b"}}, 7); err != nil {
 		t.Fatal(err)

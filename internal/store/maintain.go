@@ -12,9 +12,9 @@ import (
 	"hpclog/internal/store/persist"
 )
 
-// compactorLoop is the background maintenance goroutine of a durable
-// cluster: on every tick it merges overflowing on-disk segments and
-// truncates commitlog segments made obsolete by flushes.
+// compactorLoop is the background maintenance goroutine: on every tick it
+// merges overflowing on-disk segments and truncates commitlog segments
+// made obsolete by flushes.
 func (db *DB) compactorLoop() {
 	defer close(db.compactDone)
 	t := time.NewTicker(db.cfg.CompactInterval)
@@ -36,17 +36,11 @@ func (db *DB) compactorLoop() {
 	}
 }
 
-// eachDurableNode runs fn on every local durable node concurrently — each
-// owns its own directory, commitlog, manifest and object prefix — and
-// joins the per-node errors, so one node's failure stops no other node.
-func (db *DB) eachDurableNode(fn func(n *Node) error) error {
-	var nodes []*Node
-	for _, n := range db.nodes {
-		if n.persist != nil {
-			nodes = append(nodes, n)
-		}
-	}
-	return fsys.Parallel(len(nodes), len(nodes), func(i int) error { return fn(nodes[i]) })
+// eachNode runs fn on every local node concurrently — each owns its own
+// directory, commitlog, manifest and object prefix — and joins the
+// per-node errors, so one node's failure stops no other node.
+func (db *DB) eachNode(fn func(n *Node) error) error {
+	return fsys.Parallel(len(db.nodes), len(db.nodes), func(i int) error { return fn(db.nodes[i]) })
 }
 
 // maintain runs one compaction + commitlog-truncation + tiering pass,
@@ -59,7 +53,7 @@ func (db *DB) maintain(threshold int) (int, error) {
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
 	var total atomic.Int64
-	err := db.eachDurableNode(func(n *Node) error {
+	err := db.eachNode(func(n *Node) error {
 		c, err := n.persist.CompactOverflow(threshold)
 		total.Add(int64(c))
 		errs := []error{err}
@@ -88,7 +82,7 @@ func (db *DB) maintain(threshold int) (int, error) {
 // segment — the operator trigger behind POST /v1/storage/tier. Failures
 // count as maintenance errors. A no-op without a configured tier.
 func (db *DB) TierSweep(force bool) (uploaded, evicted int, err error) {
-	if db.cfg.Dir == "" || db.tier == nil {
+	if db.tier == nil {
 		return 0, 0, nil
 	}
 	if err := db.Flush(); err != nil {
@@ -97,7 +91,7 @@ func (db *DB) TierSweep(force bool) (uploaded, evicted int, err error) {
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
 	var up, ev atomic.Int64
-	err = db.eachDurableNode(func(n *Node) error {
+	err = db.eachNode(func(n *Node) error {
 		u, e, err := n.persist.TierSweep(context.Background(), force)
 		up.Add(int64(u))
 		ev.Add(int64(e))
@@ -122,25 +116,19 @@ type SegmentListing struct {
 // SegmentInfos lists every local node's on-disk segments — sequence, key
 // range, Merkle root, and tier placement — ordered by node id.
 func (db *DB) SegmentInfos() []SegmentListing {
-	var out []SegmentListing
-	for _, n := range db.nodes {
-		if n.persist != nil {
-			out = append(out, SegmentListing{Node: n.id, Segments: n.persist.SegmentInfos()})
-		}
+	out := make([]SegmentListing, len(db.nodes))
+	for i, n := range db.nodes {
+		out[i] = SegmentListing{Node: n.id, Segments: n.persist.SegmentInfos()}
 	}
 	return out
 }
 
-// Flush forces every dirty memtable of a durable cluster onto disk — one
-// flush round per node, all nodes at once — and truncates the commitlog
-// accordingly. A node's failure is joined into the returned error, counts
-// once as a maintenance error, and leaves the other nodes flushed. A
-// no-op on in-memory clusters.
+// Flush forces every dirty memtable onto disk — one flush round per
+// node, all nodes at once — and truncates the commitlog accordingly. A
+// node's failure is joined into the returned error, counts once as a
+// maintenance error, and leaves the other nodes flushed.
 func (db *DB) Flush() error {
-	if db.cfg.Dir == "" {
-		return nil
-	}
-	err := db.eachDurableNode(func(n *Node) error {
+	err := db.eachNode(func(n *Node) error {
 		if err := n.flushAll(); err != nil {
 			return err
 		}
@@ -159,13 +147,10 @@ func (db *DB) Flush() error {
 	return err
 }
 
-// Compact merges every multi-segment partition of a durable cluster down
-// to one on-disk segment per partition (after flushing memtables), and
-// truncates the commitlog. Returns the number of partitions compacted.
+// Compact merges every multi-segment partition down to one on-disk
+// segment per partition (after flushing memtables), and truncates the
+// commitlog. Returns the number of partitions compacted.
 func (db *DB) Compact() (int, error) {
-	if db.cfg.Dir == "" {
-		return 0, nil
-	}
 	if err := db.Flush(); err != nil {
 		return 0, err // Flush counted it
 	}
@@ -174,32 +159,23 @@ func (db *DB) Compact() (int, error) {
 
 // Close stops the background compactor and closes every node's commitlog
 // and segment store. The memtables are not flushed: recovery replays the
-// commitlog, so a clean close and a crash recover identically. Idempotent;
-// a no-op on in-memory clusters.
+// commitlog, so a clean close and a crash recover identically. Idempotent.
 func (db *DB) Close() error {
-	if db.cfg.Dir == "" || !db.closed.CompareAndSwap(false, true) {
+	if !db.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	if db.compactStop != nil {
 		close(db.compactStop)
 		<-db.compactDone
 	}
-	var first error
-	for _, n := range db.nodes {
-		if err := n.closeDurable(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return db.closeNodes()
 }
 
-// StorageStats aggregates the durable engine's counters across all nodes:
-// commitlog activity, memtable flushes, compaction work, recovery replay,
-// and the current on-disk footprint. Zero-valued (with Durable false) on
-// in-memory clusters.
+// StorageStats aggregates the storage engine's counters across all local
+// nodes: commitlog activity, memtable flushes, compaction work, recovery
+// replay, and the current on-disk footprint.
 type StorageStats struct {
-	Durable bool   `json:"durable"`
-	Dir     string `json:"dir,omitempty"`
+	Dir string `json:"dir,omitempty"`
 
 	WALAppends           int64 `json:"wal_appends"`
 	WALSyncs             int64 `json:"wal_syncs"`
@@ -237,40 +213,31 @@ type StorageStats struct {
 	// ChainedScans and MergedScans count the batch partition scans (the
 	// aggregation read path) of the local nodes by the path their snapshot
 	// took: disjoint inputs chained off the block decoder, or overlapping
-	// inputs through the last-write-wins merge. Counted on in-memory
-	// clusters too.
+	// inputs through the last-write-wins merge.
 	ChainedScans int64 `json:"partition_scans_chained"`
 	MergedScans  int64 `json:"partition_scans_merged"`
 
 	// AppendPuts and MergePuts count the batches the local nodes' memtables
 	// took by write path: appended past the memtable's last key, or sorted
 	// and merged into it. A writer whose batches arrive in key order stays
-	// on the append path. Counted on in-memory clusters too.
+	// on the append path.
 	AppendPuts int64 `json:"memtable_puts_append"`
 	MergePuts  int64 `json:"memtable_puts_merge"`
 }
 
-// StorageStats returns a snapshot of the durable engine's counters.
+// StorageStats returns a snapshot of the storage engine's counters.
 func (db *DB) StorageStats() StorageStats {
-	st := StorageStats{}
+	st := StorageStats{
+		Dir:               db.cfg.Dir,
+		ReplayedRecords:   db.replayStats.Records,
+		ReplayedRows:      db.replayStats.Rows,
+		MaintenanceErrors: db.maintErrors.Load(),
+	}
 	for _, n := range db.nodes {
 		st.ChainedScans += n.chainedScans.Load()
 		st.MergedScans += n.mergedScans.Load()
 		st.AppendPuts += n.appendPuts.Load()
 		st.MergePuts += n.mergePuts.Load()
-	}
-	if db.cfg.Dir == "" {
-		return st
-	}
-	st.Durable = true
-	st.Dir = db.cfg.Dir
-	st.ReplayedRecords = db.replayStats.Records
-	st.ReplayedRows = db.replayStats.Rows
-	st.MaintenanceErrors = db.maintErrors.Load()
-	for _, n := range db.nodes {
-		if n.wal == nil {
-			continue
-		}
 		ws := n.wal.Stats()
 		st.WALAppends += ws.Appends
 		st.WALSyncs += ws.Syncs
@@ -299,30 +266,26 @@ func (db *DB) StorageStats() StorageStats {
 	return st
 }
 
-// WALFsyncHists returns the per-node commitlog fsync-latency histograms
-// of a durable cluster (empty on in-memory clusters). The metrics
-// handler merges them into one hpclog_wal_fsync_seconds series.
+// WALFsyncHists returns the local nodes' commitlog fsync-latency
+// histograms. The metrics handler merges them into one
+// hpclog_wal_fsync_seconds series.
 func (db *DB) WALFsyncHists() []*obs.Hist {
-	var out []*obs.Hist
-	for _, n := range db.nodes {
-		if n.wal != nil {
-			out = append(out, n.wal.FsyncHist())
-		}
+	out := make([]*obs.Hist, len(db.nodes))
+	for i, n := range db.nodes {
+		out[i] = n.wal.FsyncHist()
 	}
 	return out
 }
 
 // RoundHists returns the duration histograms of the background storage
 // work, merged across local nodes: flush rounds, compaction rounds and
-// tier sweeps (empty on in-memory clusters).
+// tier sweeps.
 func (db *DB) RoundHists() (flush, compact, sweep *obs.Hist) {
 	flush, compact, sweep = &obs.Hist{}, &obs.Hist{}, &obs.Hist{}
 	for _, n := range db.nodes {
-		if ps := n.persist; ps != nil {
-			flush.Merge(&ps.FlushRoundHist)
-			compact.Merge(&ps.CompactRoundHist)
-			sweep.Merge(&ps.SweepHist)
-		}
+		flush.Merge(&n.persist.FlushRoundHist)
+		compact.Merge(&n.persist.CompactRoundHist)
+		sweep.Merge(&n.persist.SweepHist)
 	}
 	return flush, compact, sweep
 }

@@ -16,16 +16,9 @@ import (
 	"hpclog/internal/wal"
 )
 
-// segment is an immutable in-memory run of rows sorted by clustering key —
-// the SSTable equivalent of the pure-in-memory configuration. Durable
-// nodes flush to on-disk persist segments instead.
-type segment struct {
-	rows []Row
-}
-
 // partition is the per-node state of one partition: a mutable memtable of
-// recently written rows plus flushed immutable segments (in RAM or, on a
-// durable node, on disk).
+// recently written rows; its flushed immutable segments live in the
+// node's segment store.
 type partition struct {
 	mu    sync.RWMutex
 	node  *Node
@@ -37,9 +30,6 @@ type partition struct {
 	// barrier has passed and its segment is published. Writers meanwhile
 	// fill a fresh mem.
 	flushing []Row
-	// segments holds in-memory flushes (non-durable nodes only; durable
-	// flushes go to node.persist).
-	segments []segment
 	// dirtySeg is the minimum commitlog segment across all records whose
 	// rows are still only in the memtable; the commitlog may not be
 	// truncated at or past it. It must be the minimum, not the first
@@ -91,20 +81,11 @@ func (p *partition) put(rows []Row, walSeg uint64) error {
 	if walSeg != 0 && len(p.mem) > 0 {
 		p.noteDirty(walSeg)
 	}
-	if len(p.mem) >= p.node.flushThreshold {
-		if p.node.persist != nil {
-			if p.flushing != nil {
-				// A node flush round holds this partition's older rows and a
-				// lower sequence number; flushing mem past it would publish
-				// the two segments out of order. The next put retries.
-				return nil
-			}
-			return p.flushDiskLocked()
-		}
-		p.flushLocked()
-		if len(p.segments) > p.node.maxSegments {
-			p.compactLocked()
-		}
+	// While a node flush round holds this partition's older rows under a
+	// lower sequence number, flushing mem past it would publish the two
+	// segments out of order: the next put retries.
+	if len(p.mem) >= p.node.flushThreshold && p.flushing == nil {
+		return p.flushDiskLocked()
 	}
 	return nil
 }
@@ -132,15 +113,6 @@ func appendSorted(mem, rows []Row) (out []Row, ok bool) {
 		mem = append(mem, r)
 	}
 	return mem, true
-}
-
-func (p *partition) flushLocked() {
-	if len(p.mem) == 0 {
-		return
-	}
-	seg := segment{rows: p.mem}
-	p.mem = nil
-	p.segments = append(p.segments, seg)
 }
 
 // flushDiskLocked writes the memtable as an immutable on-disk segment — a
@@ -187,19 +159,6 @@ func (p *partition) endFlush(published bool) {
 	p.flushing, p.hasFlushingSeg = nil, false
 }
 
-func (p *partition) compactLocked() {
-	if len(p.segments) <= 1 {
-		return
-	}
-	// Later segments hold newer data; mergeRows breaks WriteTS ties in
-	// favour of later inputs, so pass them in write order.
-	lists := make([][]Row, len(p.segments))
-	for i, s := range p.segments {
-		lists[i] = s.rows
-	}
-	p.segments = []segment{{rows: mergeRows(lists...)}}
-}
-
 // pruneCfg carries a block pruner plus its counters through a pruned
 // partition scan; nil means scan everything (the default read path).
 type pruneCfg struct {
@@ -216,12 +175,11 @@ func newPruneCfg(pr persist.Pruner, stats *persist.PruneStats) *pruneCfg {
 
 // mergeInputs is a point-in-time view of the partition's merge inputs that
 // can hold keys of a range, oldest first: on-disk segments by sequence,
-// then the in-RAM runs (in-memory segments, the flushing run, the
-// memtable) cut to the range. The view outlives the partition lock (reads
-// drain after releasing it): disk segments are immutable and refcounted,
-// in-memory segment slices and the flushing run are never mutated, and the
-// in-range memtable rows are copied — sharing the live slice would race
-// with put's in-place merge over the memtable's tail.
+// then the in-RAM runs (the flushing run, the memtable) cut to the range.
+// The view outlives the partition lock (reads drain after releasing it):
+// disk segments are immutable and refcounted, the flushing run is never
+// mutated, and the in-range memtable rows are copied — sharing the live
+// slice would race with put's in-place merge over the memtable's tail.
 type mergeInputs struct {
 	segs []*persist.Segment
 	// cfgs, parallel to segs, carry (given a pruneCfg) the predicate pruner
@@ -235,20 +193,18 @@ type mergeInputs struct {
 
 func (p *partition) inputsLocked(rg Range, pc *pruneCfg) mergeInputs {
 	var in mergeInputs
-	if p.node.persist != nil {
-		segs := p.node.persist.Segments(p.table, p.key)
-		in.segs = segs[:0]
-		for _, seg := range segs {
-			if seg.Overlaps(rg) {
-				in.segs = append(in.segs, seg)
-			}
+	segs := p.node.persist.Segments(p.table, p.key)
+	in.segs = segs[:0]
+	for _, seg := range segs {
+		if seg.Overlaps(rg) {
+			in.segs = append(in.segs, seg)
 		}
 	}
 	in.cfgs = make([]persist.ScanConfig, len(in.segs))
 	if pc != nil && len(in.segs) > 0 {
 		// Key coverage of every merge input, disk segments first (index i
-		// = segment i), then the in-memory inputs.
-		cover := make([]persist.KeyRange, 0, len(in.segs)+len(p.segments)+2)
+		// = segment i), then the in-RAM runs.
+		cover := make([]persist.KeyRange, 0, len(in.segs)+2)
 		for _, seg := range in.segs {
 			min, max := seg.KeyRange()
 			cover = append(cover, persist.KeyRange{Min: min, Max: max})
@@ -261,9 +217,6 @@ func (p *partition) inputsLocked(rg Range, pc *pruneCfg) mergeInputs {
 			shadows = append(append(shadows, cover[:i]...), cover[i+1:]...)
 			in.cfgs[i] = persist.ScanConfig{Pruner: pc.pr, Shadows: shadows, Stats: pc.stats}
 		}
-	}
-	for _, s := range p.segments {
-		in.addRun(sliceRange(s.rows, rg))
 	}
 	in.addRun(sliceRange(p.flushing, rg))
 	in.addRun(slices.Clone(sliceRange(p.mem, rg)))
@@ -401,14 +354,8 @@ func (p *partition) snapshotBatches(rg Range, pc *pruneCfg, project []uint32) (i
 }
 
 // eachMemRun calls fn with each non-empty in-RAM merge input of the
-// partition, oldest first: in-memory segments, the flushing run, the
-// memtable.
+// partition, oldest first: the flushing run, the memtable.
 func (p *partition) eachMemRun(fn func(rows []Row)) {
-	for _, s := range p.segments {
-		if len(s.rows) > 0 {
-			fn(s.rows)
-		}
-	}
 	if len(p.flushing) > 0 {
 		fn(p.flushing)
 	}
@@ -418,8 +365,8 @@ func (p *partition) eachMemRun(fn func(rows []Row)) {
 }
 
 // keyBounds returns the partition's smallest and largest clustering key
-// without scanning: memtable ends, in-memory segment ends, and disk
-// segment footers. ok is false for an empty partition.
+// without scanning: the ends of the in-RAM runs and the disk segment
+// footers. ok is false for an empty partition.
 func (p *partition) keyBounds() (min, max string, ok bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -436,25 +383,13 @@ func (p *partition) keyBounds() (min, max string, ok bool) {
 		}
 	}
 	p.eachMemRun(func(rows []Row) { note(rows[0].Key, rows[len(rows)-1].Key) })
-	if p.node.persist != nil {
-		for _, seg := range p.node.persist.Segments(p.table, p.key) {
-			if seg.Rows() > 0 {
-				lo, hi := seg.KeyRange()
-				note(lo, hi)
-			}
+	for _, seg := range p.node.persist.Segments(p.table, p.key) {
+		if seg.Rows() > 0 {
+			lo, hi := seg.KeyRange()
+			note(lo, hi)
 		}
 	}
 	return min, max, ok
-}
-
-func (p *partition) segmentCount() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	n := len(p.segments)
-	if p.node.persist != nil {
-		n += len(p.node.persist.Segments(p.table, p.key))
-	}
-	return n
 }
 
 // table is the per-node collection of partitions for one table.
@@ -503,18 +438,16 @@ func (t *table) allPartitions() []*partition {
 }
 
 // Node is one storage node of the cluster. All methods are safe for
-// concurrent use. On a durable cluster each node owns a commitlog and a
-// segment store under its own directory, mirroring Cassandra's per-node
-// commitlog + SSTable layout.
+// concurrent use. Each node owns a commitlog and a segment store under
+// its own directory, mirroring Cassandra's per-node commitlog + SSTable
+// layout.
 type Node struct {
 	id     string
 	mu     sync.RWMutex
 	tables map[string]*table
 
 	flushThreshold int
-	maxSegments    int
 
-	// Durable state (nil on in-memory nodes).
 	wal     *wal.Log
 	persist *persist.Store
 	// flushMu serializes flushAll rounds, so at most one flushing run per
@@ -533,12 +466,11 @@ type Node struct {
 	truncMu sync.RWMutex
 }
 
-func newNode(id string, flushThreshold, maxSegments int) *Node {
+func newNode(id string, flushThreshold int) *Node {
 	return &Node{
 		id:             id,
 		tables:         make(map[string]*table),
 		flushThreshold: flushThreshold,
-		maxSegments:    maxSegments,
 	}
 }
 
@@ -552,24 +484,20 @@ func (n *Node) createTable(name string) error {
 	if exists {
 		return nil
 	}
-	if n.persist != nil {
-		// Manifest first: an empty table has no segment footers and its
-		// commitlog record dies with the next checkpoint truncation.
-		if err := n.persist.AddTable(name); err != nil {
-			return fmt.Errorf("store: node %s: persist create table: %w", n.id, err)
-		}
+	// Manifest first: an empty table has no segment footers and its
+	// commitlog record dies with the next checkpoint truncation.
+	if err := n.persist.AddTable(name); err != nil {
+		return fmt.Errorf("store: node %s: persist create table: %w", n.id, err)
 	}
-	if n.wal != nil {
-		if _, err := n.wal.Append(encodeCreateTableRecord(nil, name)); err != nil {
-			return fmt.Errorf("store: node %s: log create table: %w", n.id, err)
-		}
+	if _, err := n.wal.Append(encodeCreateTableRecord(nil, name)); err != nil {
+		return fmt.Errorf("store: node %s: log create table: %w", n.id, err)
 	}
 	n.createTableLocal(name)
 	return nil
 }
 
 // createTableLocal declares the table without touching the commitlog
-// (recovery replay, and the tail of the durable createTable path).
+// (recovery replay, and the tail of createTable).
 func (n *Node) createTableLocal(name string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -602,7 +530,7 @@ func (n *Node) partition(tableName, pkey string) *partition {
 }
 
 // apply writes rows to this node's partition, going through the commitlog
-// first on durable nodes, and records the "wal.append" stage when ctx
+// first, and records the "wal.append" stage when ctx
 // carries a trace. encoded, when non-nil, is the pre-built put record for
 // (tableName, pkey, rows) — replicas append byte-identical records, so the
 // coordinator encodes once and shares it (wal.Append copies the payload
@@ -614,20 +542,16 @@ func (n *Node) apply(ctx context.Context, tableName, pkey string, rows []Row, en
 	if err != nil {
 		return err
 	}
-	var seg uint64
-	if n.wal != nil {
-		n.truncMu.RLock()
-		defer n.truncMu.RUnlock()
-		if encoded == nil {
-			encoded = encodePutRecord(nil, tableName, pkey, rows)
-		}
-		lsn, err := n.wal.Append(encoded)
-		if err != nil {
-			return fmt.Errorf("store: node %s: commitlog append: %w", n.id, err)
-		}
-		seg = lsn.Seg
+	n.truncMu.RLock()
+	defer n.truncMu.RUnlock()
+	if encoded == nil {
+		encoded = encodePutRecord(nil, tableName, pkey, rows)
 	}
-	return t.partition(pkey, true).put(rows, seg)
+	lsn, err := n.wal.Append(encoded)
+	if err != nil {
+		return fmt.Errorf("store: node %s: commitlog append: %w", n.id, err)
+	}
+	return t.partition(pkey, true).put(rows, lsn.Seg)
 }
 
 // applyReplayed inserts recovered rows without re-appending to the
@@ -675,15 +599,12 @@ func (n *Node) MemtableRows() int {
 	return total
 }
 
-// flushAll flushes every dirty memtable of a durable node to disk as one
-// flush round. Each memtable is handed over as an immutable, still
+// flushAll flushes every dirty memtable of the node to disk as one flush
+// round. Each memtable is handed over as an immutable, still
 // readable flushing run — writers continue into a fresh memtable, readers
 // never lose sight of a row — and is dropped, with its commitlog mark,
 // only after the round's barrier has passed and its segment is published.
 func (n *Node) flushAll() error {
-	if n.persist == nil {
-		return nil
-	}
 	n.flushMu.Lock()
 	defer n.flushMu.Unlock()
 	var flushing []*partition
@@ -721,9 +642,6 @@ func (n *Node) allTables() []*table {
 // referenced by a dirty memtable (or below the active segment when all
 // memtables are clean).
 func (n *Node) truncateWAL() (int, error) {
-	if n.wal == nil {
-		return 0, nil
-	}
 	n.truncMu.Lock()
 	defer n.truncMu.Unlock()
 	cut := n.wal.ActiveSeg()
@@ -827,9 +745,6 @@ func (n *Node) recover() (maxWriteTS int64, records, rows int64, err error) {
 
 // closeDurable closes the commitlog and segment store.
 func (n *Node) closeDurable() error {
-	if n.wal == nil {
-		return nil
-	}
 	err := n.wal.Close()
 	if cerr := n.persist.Close(); err == nil {
 		err = cerr

@@ -97,7 +97,7 @@ func (h *headHeap) popMin() {
 // reconciliation on duplicate clustering keys: among equal keys the row
 // with the largest WriteTS wins, with later inputs breaking WriteTS ties.
 // Inputs must therefore be ordered oldest first (disk segments by
-// sequence, then in-memory segments, then the memtable).
+// sequence, then the flushing run, then the memtable).
 //
 // The merge is heap-based: advancing costs O(log k) comparisons for k
 // inputs instead of the O(k) linear probe, which matters for compaction
@@ -219,8 +219,8 @@ func (m *mergeIter) Close() error {
 // MergeSorted merges sorted row slices into one sorted slice with the same
 // last-write-wins semantics as MergeIters: duplicate clustering keys keep
 // the row with the largest WriteTS, later inputs winning ties. It is the
-// materialized counterpart used by replica reconciliation (store.mergeRows)
-// and in-memory segment compaction, sharing the merge heap rather than the
+// materialized counterpart used by replica reconciliation and memtable
+// merges (store.mergeRows), sharing the merge heap rather than the
 // iterator plumbing.
 func MergeSorted(lists [][]Row) []Row {
 	switch len(lists) {

@@ -25,7 +25,7 @@ func TestPartitionPutMatchesOracle(t *testing.T) {
 	valID := InternColumn("v")
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		n := newNode("n0", 1<<30, 4)
+		n := newNode("n0", 1<<30)
 		p := &partition{node: n, table: "t", key: "p"}
 		oracle := make(map[string]Row)
 		next, serial := 0, 0 // next fresh key, write serial number

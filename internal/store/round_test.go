@@ -354,7 +354,7 @@ func TestFlushRoundsConcurrentWritersAndScanners(t *testing.T) {
 	scanners.Wait()
 	<-flushed
 
-	serial := Open(Config{Nodes: cfg.Nodes, RF: cfg.RF, VNodes: cfg.VNodes})
+	serial := openTest(t, Config{Nodes: cfg.Nodes, RF: cfg.RF, VNodes: cfg.VNodes, FlushThreshold: 1 << 30, CompactInterval: -1})
 	if err := serial.CreateTable("events"); err != nil {
 		t.Fatal(err)
 	}

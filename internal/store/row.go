@@ -16,13 +16,12 @@
 // a coordinator through the ring with tunable consistency (ONE / QUORUM /
 // ALL).
 //
-// With Config.Dir set the store is durable: every write goes through a
-// per-node commitlog (internal/wal) before it is acknowledged, memtable
+// The store is durable and rooted at Config.Dir: every write goes through
+// a per-node commitlog (internal/wal) before it is acknowledged, memtable
 // flushes produce immutable on-disk segment files
 // (internal/store/persist), a background compactor merges segment files
 // and truncates obsolete commitlog segments, and OpenDurable replays the
-// commitlog into memtables on startup. With Dir empty everything stays in
-// RAM, exactly as before.
+// commitlog into memtables on startup.
 //
 // A row holds its cells in one form everywhere, from ingest to the wire:
 // interned (column ID, value) pairs sorted by ID (persist.Col). A map

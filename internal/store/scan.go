@@ -9,9 +9,9 @@ import (
 
 // RowIter streams rows of one partition in clustering-key order. It is the
 // streaming counterpart of Get: rows are produced on demand from a
-// point-in-time snapshot of the partition — on durable nodes straight off
-// the immutable on-disk segment files — so a scan never materializes the
-// whole partition and never blocks concurrent writers.
+// point-in-time snapshot of the partition — straight off the immutable
+// on-disk segment files — so a scan never materializes the whole
+// partition and never blocks concurrent writers.
 //
 // Iterators are not safe for concurrent use; each goroutine of a parallel
 // scan should open its own. RowIter is an alias of persist.Iterator so the
@@ -78,9 +78,9 @@ type PruneStats = persist.PruneStats
 
 // ScanPartitionPruned opens a streaming row scan over one partition's rows
 // within the clustering range. At consistency One it streams a snapshot
-// of the first live replica — on durable nodes pruned by each file's
-// footer key range and decoded lazily off disk, segment blocks whose zone
-// maps and Bloom filters prove that no row can satisfy pr skipped before
+// of the first live replica — pruned by each file's footer key range and
+// decoded lazily off disk, segment blocks whose zone maps and Bloom
+// filters prove that no row can satisfy pr skipped before
 // they are read (pruning is conservative: the stream is always every row
 // in range, and blocks whose keys may collide with other merge inputs are
 // read regardless, preserving last-write-wins reconciliation); stats, when

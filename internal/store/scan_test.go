@@ -50,7 +50,7 @@ func sameRows(a, b []Row) bool {
 // materialized Get returns, across segment flushes, in-place overwrites,
 // and clustering ranges.
 func TestScanMatchesGet(t *testing.T) {
-	db := Open(Config{Nodes: 4, RF: 2, FlushThreshold: 16, MaxSegments: 2})
+	db := openTest(t, Config{Nodes: 4, RF: 2, FlushThreshold: 16, MaxSegments: 2})
 	db.CreateTable("t")
 	const pkey = "p0"
 	// Enough rows to force several flushes and a compaction, plus
@@ -85,7 +85,7 @@ func TestScanMatchesGet(t *testing.T) {
 }
 
 func TestScanQuorumFallback(t *testing.T) {
-	db := Open(Config{Nodes: 4, RF: 3})
+	db := openTest(t, Config{Nodes: 4, RF: 3})
 	db.CreateTable("t")
 	for i := 0; i < 10; i++ {
 		if err := db.Put("t", "p", Row{Key: EncodeTS(int64(i))}, All); err != nil {
@@ -102,7 +102,7 @@ func TestScanQuorumFallback(t *testing.T) {
 }
 
 func TestScanMissingPartitionAndTable(t *testing.T) {
-	db := Open(Config{Nodes: 2, RF: 1})
+	db := openTest(t, Config{Nodes: 2, RF: 1})
 	db.CreateTable("t")
 	it, err := db.ScanPartitionPruned("t", "nope", Range{}, One, nil, nil)
 	if err != nil {
@@ -119,7 +119,7 @@ func TestScanMissingPartitionAndTable(t *testing.T) {
 // TestScanSnapshotIsolation checks that writes racing an open scan do not
 // corrupt or change the already-opened snapshot.
 func TestScanSnapshotIsolation(t *testing.T) {
-	db := Open(Config{Nodes: 2, RF: 1, FlushThreshold: 8})
+	db := openTest(t, Config{Nodes: 2, RF: 1, FlushThreshold: 8})
 	db.CreateTable("t")
 	for i := 0; i < 20; i++ {
 		if err := db.Put("t", "p", Row{Key: EncodeTS(int64(i))}, All); err != nil {
@@ -148,7 +148,7 @@ func TestScanSnapshotIsolation(t *testing.T) {
 }
 
 func TestGenerationAdvancesOnWrite(t *testing.T) {
-	db := Open(Config{Nodes: 2, RF: 1})
+	db := openTest(t, Config{Nodes: 2, RF: 1})
 	g0 := db.Generation()
 	db.CreateTable("t")
 	if db.Generation() == g0 {

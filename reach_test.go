@@ -37,9 +37,7 @@ var reachAllow = map[string]string{
 	"internal/query.AllOps":                         "test seam: the op list TestEveryOpCovered checks the corpus against",
 	"internal/store.DB.Put":                         "test seam: one-row write for store and planner tests",
 	"internal/store.DB.ReadRepairs":                 "test seam: the read-repair counter the repair tests assert on",
-	"internal/store.Open":                           "test seam: an in-memory cluster that cannot fail to open",
 	"internal/store.Consistency.String":             "test seam: names a consistency level in test failure messages",
-	"internal/store.partition.segmentCount":         "test seam: flush and compaction tests count a partition's segments",
 	"internal/store.Node.ID":                        "test seam: names the node a round test inspects",
 	"internal/store/persist.Batch.Dict":             "oracle: the dictionary view codec tests compare against Col",
 	"internal/store/persist.Dict.Len":               "test seam: column dictionary size for interning tests",

@@ -1,14 +1,15 @@
 // Identity tests for the partition-parallel streaming scan path: every
 // big-data operation is run with scan parallelism 1 (the serial
 // baseline) and with several larger pools, on a seeded corpus, and the
-// results must be byte-for-byte identical — in memory and off on-disk
-// segments. The scan splits hour partitions into 5-minute clustering
+// results must be byte-for-byte identical — out of memtables and off
+// on-disk segments. The scan splits hour partitions into 5-minute clustering
 // slices, so the task count far exceeds typical core counts.
 package hpclog_test
 
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -24,8 +25,8 @@ import (
 	"hpclog/internal/topology"
 )
 
-// scanFixture is the seeded corpus loaded into an in-memory cluster,
-// built once and shared by every test in this file.
+// scanFixture is the seeded corpus loaded into a cluster that holds it all
+// in its memtables, built once and shared by every test in this file.
 type scanFixture struct {
 	cfg    logs.Config
 	corpus *logs.Corpus
@@ -77,7 +78,14 @@ func getFixture(t testing.TB) *scanFixture {
 	fixOnce.Do(func() {
 		cfg := scanCorpusConfig()
 		corpus := logs.Generate(cfg)
-		db := store.Open(store.Config{Nodes: 8, RF: 3, FlushThreshold: 4096})
+		dir, err := os.MkdirTemp("", "hpclog-scan-")
+		if err != nil {
+			panic(err)
+		}
+		db, err := store.OpenDurable(store.Config{Nodes: 8, RF: 3, FlushThreshold: 1 << 30, CompactInterval: -1, Dir: dir, WALNoSync: true})
+		if err != nil {
+			panic(err)
+		}
 		if err := ingest.Bootstrap(db, cfg.Nodes); err != nil {
 			panic(err)
 		}
@@ -184,8 +192,8 @@ func TestScanParallelMatchesSerial(t *testing.T) {
 // TestScanParallelMatchesSerialDurable repeats the serial/parallel
 // identity on a durably-configured cluster whose flush threshold forces
 // the corpus onto on-disk segment files, and additionally asserts every
-// disk-backed result byte-identical to the in-memory fixture's — the
-// storage engine must be invisible to the scan planner. Block buffers are
+// disk-backed result byte-identical to the memtable-resident fixture's —
+// the segment codec must be invisible to the scan planner. Block buffers are
 // poisoned after every batch callback, so a fold that kept a string
 // aliasing a block diverges here at par 2/4/8/16.
 func TestScanParallelMatchesSerialDurable(t *testing.T) {
@@ -213,6 +221,9 @@ func TestScanParallelMatchesSerialDurable(t *testing.T) {
 	if ddb.StorageStats().DiskSegments == 0 {
 		t.Fatal("durable cluster produced no on-disk segments")
 	}
+	if n := f.db.StorageStats().DiskSegments; n != 0 {
+		t.Fatalf("the memtable-resident fixture wrote %d segments", n)
+	}
 	df := &scanFixture{cfg: f.cfg, corpus: f.corpus, db: ddb,
 		eng: compute.NewEngine(compute.Config{Workers: ddb.NodeIDs()})}
 	for _, op := range scanOps() {
@@ -235,7 +246,7 @@ func TestScanParallelMatchesSerialDurable(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, memJSON) {
-					t.Fatalf("durable scan (par %d) diverges from in-memory:\nmemory:  %.300s\ndurable: %.300s",
+					t.Fatalf("durable scan (par %d) diverges from the memtables:\nresident: %.300s\ndurable:  %.300s",
 						par, memJSON, got)
 				}
 			}

@@ -96,13 +96,10 @@ func benchIngest(b *testing.B, cfg store.Config) {
 }
 
 // BenchmarkDurableIngest measures PutBatch throughput (rows/sec via
-// B/op=rows) with the commitlog write-through enabled, against the
-// in-memory baseline.
+// B/op=rows) with the commitlog synced on every batch, against an
+// unsynced commitlog.
 func BenchmarkDurableIngest(b *testing.B) {
 	base := store.Config{Nodes: 4, RF: 2, VNodes: 16, CompactInterval: -1}
-	b.Run("memory", func(b *testing.B) {
-		benchIngest(b, base)
-	})
 	b.Run("durable", func(b *testing.B) {
 		cfg := base
 		cfg.Dir = b.TempDir()
