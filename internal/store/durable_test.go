@@ -279,9 +279,9 @@ func TestDurableBackgroundCompactor(t *testing.T) {
 }
 
 // TestDurableEmptyTableSurvivesCheckpoint guards the tables manifest: a
-// table with no rows has no segment footers, and its create-table
-// commitlog record is truncated away by a checkpoint — the manifest must
-// carry it across the restart anyway.
+// table with no rows has no segment footers and no commitlog record (the
+// commitlog carries puts only) — the manifest must carry it across the
+// checkpoint and the restart.
 func TestDurableEmptyTableSurvivesCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenDurable(durableCfg(dir))

@@ -484,20 +484,17 @@ func (n *Node) createTable(name string) error {
 	if exists {
 		return nil
 	}
-	// Manifest first: an empty table has no segment footers and its
-	// commitlog record dies with the next checkpoint truncation.
+	// The manifest is the table's only durable record: an empty table has
+	// no segment footers, and the commitlog carries puts only.
 	if err := n.persist.AddTable(name); err != nil {
 		return fmt.Errorf("store: node %s: persist create table: %w", n.id, err)
-	}
-	if _, err := n.wal.Append(encodeCreateTableRecord(nil, name)); err != nil {
-		return fmt.Errorf("store: node %s: log create table: %w", n.id, err)
 	}
 	n.createTableLocal(name)
 	return nil
 }
 
-// createTableLocal declares the table without touching the commitlog
-// (recovery replay, and the tail of createTable).
+// createTableLocal declares the table in memory only (recovery, and the
+// tail of createTable).
 func (n *Node) createTableLocal(name string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -721,26 +718,20 @@ func (n *Node) recover() (maxWriteTS int64, records, rows int64, err error) {
 		}
 	}
 	maxWriteTS = n.persist.MaxWriteTS()
-	rstats, err := n.wal.Replay(func(lsn wal.LSN, payload []byte) error {
+	records, err = n.wal.Replay(func(lsn wal.LSN, payload []byte) error {
 		rec, derr := decodeWALRecord(payload)
-		if derr != nil {
+		if derr != nil || rec.kind != recPut {
 			return derr
 		}
-		switch rec.kind {
-		case recCreateTable:
-			n.createTableLocal(rec.table)
-		case recPut:
-			for _, r := range rec.rows {
-				if r.WriteTS > maxWriteTS {
-					maxWriteTS = r.WriteTS
-				}
+		for _, r := range rec.rows {
+			if r.WriteTS > maxWriteTS {
+				maxWriteTS = r.WriteTS
 			}
-			rows += int64(len(rec.rows))
-			return n.applyReplayed(rec.table, rec.pkey, rec.rows, lsn.Seg)
 		}
-		return nil
+		rows += int64(len(rec.rows))
+		return n.applyReplayed(rec.table, rec.pkey, rec.rows, lsn.Seg)
 	})
-	return maxWriteTS, rstats.Records, rows, err
+	return maxWriteTS, records, rows, err
 }
 
 // closeDurable closes the commitlog and segment store.

@@ -218,9 +218,8 @@ func (s *Store) newWriter(table, pkey string, seq uint64) *Writer {
 }
 
 // tablesManifest is the durable table catalog: one table name per line.
-// Commitlog create-table records alone cannot survive a checkpoint — a
-// table with no rows has no segment footers and its WAL segment gets
-// truncated — so table creation also lands here, written atomically.
+// A table with no rows has no segment footers and the commitlog carries
+// puts only, so table creation lands here, written atomically.
 const tablesManifest = "TABLES"
 
 func (s *Store) loadTables() error {

@@ -8,13 +8,15 @@ import (
 	"hpclog/internal/store/persist"
 )
 
-// Commitlog record payloads. Two record types cover every durable
-// mutation: a put-batch (one partition's worth of stamped rows) and a
-// table creation. Rows are in the persist binary row codec: each put record
-// carries a name table (every distinct column name of the batch written
-// once) and rows reference table-local indexes — column names are never
-// repeated per row.
+// Commitlog record payloads. One record type covers every durable
+// mutation: a put-batch (one partition's worth of stamped rows); a table
+// is made durable by the segment store's manifest before its first put.
+// Rows are in the persist binary row codec: each put record carries a name
+// table (every distinct column name of the batch written once) and rows
+// reference table-local indexes — column names are never repeated per row.
 //
+// Table-creation records (kind byte 2) found in older logs are skipped at
+// replay: the manifest has held every table since they were written.
 // Records written by the v1 codec (kind byte 1, per-row name strings) are
 // rejected at replay with a clear error; checkpoint (Flush) a node with a
 // pre-v2 build before upgrading, or discard the commitlog.
@@ -46,16 +48,10 @@ func encodePutRecord(buf []byte, table, pkey string, rows []Row) []byte {
 	return persist.AppendRowsBlock(buf, rows)
 }
 
-// encodeCreateTableRecord encodes a table-creation commitlog record.
-func encodeCreateTableRecord(buf []byte, name string) []byte {
-	buf = append(buf, recCreateTable)
-	return appendString(buf, name)
-}
-
 // walRecord is a decoded commitlog record.
 type walRecord struct {
 	kind  byte
-	table string // recPut, recCreateTable (name)
+	table string // recPut
 	pkey  string // recPut
 	rows  []Row  // recPut
 }
@@ -73,11 +69,7 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 	d := persist.NewStringDec(s)
 	switch payload[0] {
 	case recCreateTable:
-		name, err := d.String()
-		if err != nil {
-			return walRecord{}, fmt.Errorf("store: wal create-table record: %w", err)
-		}
-		return walRecord{kind: recCreateTable, table: name}, nil
+		return walRecord{kind: recCreateTable}, nil
 	case recPut:
 		table, err := d.String()
 		if err != nil {

@@ -2,9 +2,11 @@ package store
 
 import (
 	"errors"
+	"path/filepath"
 	"testing"
 
 	"hpclog/internal/store/persist"
+	"hpclog/internal/wal"
 )
 
 func TestPutRecordRoundTrip(t *testing.T) {
@@ -49,5 +51,47 @@ func TestV1WALRecordRejectedClearly(t *testing.T) {
 	_, err := decodeWALRecord([]byte{recPutV1, 0x06, 'e', 'v', 'e', 'n', 't', 's'})
 	if !errors.Is(err, persist.ErrVersion) {
 		t.Fatalf("v1 record decode: %v, want persist.ErrVersion", err)
+	}
+}
+
+// TestOldCreateTableRecordSkipped: logs written before the commitlog
+// carried puts only may still hold table-creation records (kind byte 2).
+// Replay skips them; the rows logged around them replay as before.
+func TestOldCreateTableRecordSkipped(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDurable(durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable("events"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put("events", "p", durableRow(1), Quorum); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	walDirs, err := filepath.Glob(filepath.Join(dir, "node-*", "wal"))
+	if err != nil || len(walDirs) == 0 {
+		t.Fatalf("no commitlog directories: %v", err)
+	}
+	for _, d := range walDirs {
+		l, err := wal.Open(wal.Options{Dir: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append([]byte{recCreateTable, 3, 'o', 'l', 'd'}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db2, err := OpenDurable(durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if rows, err := db2.Get("events", "p", Range{}, Quorum); err != nil || len(rows) != 1 {
+		t.Fatalf("after replay: %d rows, %v; want the 1 logged row", len(rows), err)
 	}
 }

@@ -1,11 +1,12 @@
 // Package wal implements a per-node append-only commitlog: CRC-framed
 // records in rotating segment files, batched group-commit fsync, replay
-// with torn-tail tolerance, and truncation of segments whose records have
-// been flushed into immutable storage.
+// that cuts a torn tail and refuses damage with valid frames after it,
+// and truncation of segments whose records have been flushed into
+// immutable storage.
 //
 // The log is payload-agnostic — callers hand it opaque byte records (the
-// store encodes put-batch and create-table records with the persist row
-// codec) and get back an LSN whose segment index drives truncation.
+// store encodes put-batch records with the persist row codec) and get
+// back an LSN whose segment index drives truncation.
 //
 // Durability contract: in batch mode (the default, SyncPeriod == 0) Append
 // returns only after the record is flushed and fsynced, with concurrent
@@ -48,10 +49,10 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 var ErrClosed = errors.New("wal: log closed")
 
 // ErrCorrupt marks structural damage that is not an ordinary torn tail: a
-// bad record followed by well-formed ones in the newest segment (Open), or
-// any malformed frame in a sealed segment (Replay). Truncating silently
-// would discard records that may have been acknowledged, so both paths
-// fail instead. Options.TolerateCorruptTail downgrades the failure to
+// bad frame or segment header followed by a valid frame in the newest
+// segment (Open), or any malformed frame in a sealed segment (Replay).
+// Truncating silently would discard records that may have been
+// acknowledged, so both paths fail instead. Options.TolerateCorruptTail downgrades the failure to
 // skipping/truncating at the damage.
 var ErrCorrupt = errors.New("wal: segment corrupted")
 
@@ -81,16 +82,17 @@ type Options struct {
 	// segments). Nil stays silent — the counters in Stats record the same
 	// facts either way.
 	Logger *slog.Logger
-	// TolerateCorruptTail downgrades mid-segment corruption in the newest
-	// segment from a hard ErrCorrupt failure to the torn-tail treatment:
-	// truncate at the last valid record before the damage, counting the
-	// discarded bytes in Stats.TornBytes. This is an explicit recovery
-	// escape hatch for operators who prefer losing the records after the
-	// damage to a log that refuses to open. It matters after power loss:
-	// an unsynced multi-page write can persist out of order and mimic
-	// corruption without any acked record at risk — in periodic/NoSync
-	// mode, but also in the default batch mode for the final group-commit
-	// batch whose fsync never returned (none of its appends were acked).
+	// TolerateCorruptTail downgrades damage in the newest segment, its
+	// header included, from a hard ErrCorrupt failure to the torn-tail
+	// treatment: truncate at the last valid record before the damage,
+	// counting the discarded bytes in Stats.TornBytes. This is an explicit
+	// recovery escape hatch for operators who prefer losing the records
+	// after the damage to a log that refuses to open. It matters after
+	// power loss: an unsynced multi-page write can persist out of order
+	// and mimic corruption without any acked record at risk — in
+	// periodic/NoSync mode, but also in the default batch mode for the
+	// final group-commit batch whose fsync never returned (none of its
+	// appends were acked).
 	TolerateCorruptTail bool
 }
 
@@ -189,8 +191,9 @@ func (b *bufWriter) flush() error {
 // of the newest segment — a record cut mid-write by a crash — is detected
 // by CRC, counted in Stats.TornBytes, and truncated away so appends resume
 // at the last durable record boundary. Complete records are never touched:
-// a bad record with valid frames after it is corruption, not a torn tail,
-// and Open fails with ErrCorrupt rather than discarding the valid data.
+// damage, the segment header included, with a whole valid frame after it
+// is corruption, not a torn tail, and Open fails with ErrCorrupt rather
+// than discarding the valid data.
 func Open(opts Options) (*Log, error) {
 	opts = opts.withDefaults()
 	if err := fsys.OS.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -210,24 +213,28 @@ func Open(opts Options) (*Log, error) {
 	} else {
 		l.firstSeg = segs[0]
 		last := segs[len(segs)-1]
-		cleanEnd, tornBytes, err := scanSegment(segPath(opts.Dir, last), opts.TolerateCorruptTail)
+		clean, size, resumes, err := walkSegment(opts.Dir, last, -1, nil)
 		if err != nil {
 			return nil, err
 		}
-		if cleanEnd == 0 {
-			// Header itself torn (crash during segment creation): the whole
-			// file is garbage; start it afresh.
+		if resumes && !opts.TolerateCorruptTail {
+			return nil, fmt.Errorf("wal: %s@%d: damage followed by valid frames (reopen with TolerateCorruptTail to truncate at the damage, losing the records after it): %w",
+				segPath(opts.Dir, last), clean, ErrCorrupt)
+		}
+		if clean == 0 {
+			// Nothing before the damage survives, not even the header (a
+			// crash during segment creation): start the segment afresh.
 			err = l.createSegmentLocked(last)
 		} else {
-			err = l.reopenSegment(last, cleanEnd, tornBytes > 0)
+			err = l.reopenSegment(last, clean, clean < size)
 		}
 		if err != nil {
 			return nil, err
 		}
-		if tornBytes > 0 {
-			l.torn.Add(tornBytes)
+		if torn := size - clean; torn > 0 {
+			l.torn.Add(torn)
 			l.logger().Warn("wal: truncated torn tail",
-				"segment", last, "bytes", tornBytes, "clean_end", l.size)
+				"segment", last, "bytes", torn, "clean_end", l.size)
 		}
 	}
 	if opts.SyncPeriod > 0 {
@@ -386,12 +393,7 @@ func (l *Log) waitDurable(seq int64) error {
 			target, err := l.flushAndSync()
 			l.sm.Lock()
 			l.syncing = false
-			if err != nil {
-				l.syncErr = err
-			} else if target > l.syncedSeq {
-				l.syncedSeq = target
-			}
-			l.cond.Broadcast()
+			l.settle(target, err)
 		} else {
 			l.cond.Wait()
 		}
@@ -446,29 +448,33 @@ func (l *Log) rotateLocked() error {
 	if err == nil {
 		err = l.f.Close()
 	}
+	l.sm.Lock()
+	l.settle(l.appendSeq, err)
+	l.sm.Unlock()
 	if err != nil {
 		l.wErr = err
-		l.sm.Lock()
-		if l.syncErr == nil {
-			l.syncErr = err
-		}
-		l.cond.Broadcast()
-		l.sm.Unlock()
 		return err
 	}
 	l.syncs.Add(1)
 	l.rotations.Add(1)
-	l.sm.Lock()
-	if l.appendSeq > l.syncedSeq {
-		l.syncedSeq = l.appendSeq
-	}
-	l.cond.Broadcast()
-	l.sm.Unlock()
 	if err := l.createSegmentLocked(l.seg + 1); err != nil {
 		l.wErr = err
 		return err
 	}
 	return nil
+}
+
+// settle publishes that appends up to seq are durable, or latches err when
+// it is not nil, and wakes every waiter. Caller holds sm.
+func (l *Log) settle(seq int64, err error) {
+	if err != nil {
+		if l.syncErr == nil {
+			l.syncErr = err
+		}
+	} else if seq > l.syncedSeq {
+		l.syncedSeq = seq
+	}
+	l.cond.Broadcast()
 }
 
 // synced reports whether every append issued so far is already durable.
@@ -499,14 +505,7 @@ func (l *Log) periodicSync() {
 			}
 			target, err := l.flushAndSync()
 			l.sm.Lock()
-			if err != nil {
-				if l.syncErr == nil {
-					l.syncErr = err
-				}
-			} else if target > l.syncedSeq {
-				l.syncedSeq = target
-			}
-			l.cond.Broadcast()
+			l.settle(target, err)
 			l.sm.Unlock()
 		}
 	}
@@ -532,35 +531,6 @@ func (l *Log) Rotate() error {
 	return l.rotateLocked()
 }
 
-// Sync forces an fsync of everything appended so far. It fails once a
-// write, sync or rotation has failed, even when every append it covers is
-// durable.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	seq, err := l.appendSeq, l.wErr
-	l.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if l.opts.NoSync {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		if l.closed {
-			return nil
-		}
-		if err := l.w.flush(); err != nil {
-			// Latch the failure: bufWriter.flush drops its buffer, so the
-			// records are gone and later appends must not ack over them
-			// (a retried Sync would otherwise see an empty buffer and
-			// report success).
-			l.wErr = err
-			return err
-		}
-		return nil
-	}
-	return l.waitDurable(seq)
-}
-
 // ActiveSeg returns the index of the segment currently appended to.
 func (l *Log) ActiveSeg() uint64 {
 	l.mu.Lock()
@@ -568,17 +538,11 @@ func (l *Log) ActiveSeg() uint64 {
 	return l.seg
 }
 
-// ReplayStats summarizes a Replay pass.
-type ReplayStats struct {
-	Records  int64
-	Bytes    int64
-	Segments int64
-}
-
-// Replay invokes fn for every record in LSN order. It must complete before
-// the first Append (the store replays during open). Records live in
-// already-sealed files plus the active segment's durable prefix; the torn
-// tail, if any, was removed by Open.
+// Replay invokes fn for every record in LSN order and returns how many
+// it handed over. It must complete before the first Append (the store
+// replays during open). Records live in already-sealed files plus the
+// active segment's durable prefix; the torn tail, if any, was removed by
+// Open.
 //
 // Damage in a SEALED segment (possible when a NoSync rotation sealed it
 // without fsync and power was lost) surfaces as an ErrCorrupt-wrapped
@@ -587,214 +551,142 @@ type ReplayStats struct {
 // with the later segments — safe because rows carry logical write
 // timestamps, so last-write-wins reconciliation does not depend on replay
 // order. Errors returned by fn itself are never tolerated.
-func (l *Log) Replay(fn func(lsn LSN, payload []byte) error) (ReplayStats, error) {
+func (l *Log) Replay(fn func(lsn LSN, payload []byte) error) (int64, error) {
 	l.mu.Lock()
 	first, last, activeEnd := l.firstSeg, l.seg, l.size
 	l.mu.Unlock()
-	var st ReplayStats
+	var records int64
+	count := func(lsn LSN, payload []byte) error {
+		records++
+		return fn(lsn, payload)
+	}
 	for seg := first; seg <= last; seg++ {
 		end := int64(-1)
 		if seg == last {
 			end = activeEnd
 		}
-		path := segPath(l.opts.Dir, seg)
-		n, b, err := replaySegment(path, seg, end, fn)
-		st.Records += n
-		st.Bytes += b
-		st.Segments++
+		clean, end, _, err := walkSegment(l.opts.Dir, seg, end, count)
 		if err != nil {
-			if errors.Is(err, ErrCorrupt) {
-				if l.opts.TolerateCorruptTail {
-					if fi, serr := fsys.OS.Stat(path); serr == nil {
-						if skipped := fi.Size() - int64(headerLen) - b; skipped > 0 {
-							l.torn.Add(skipped)
-							l.logger().Warn("wal: skipped corrupt segment remainder",
-								"segment", seg, "bytes", skipped, "records_replayed", n)
-						}
-					}
-					continue
-				}
-				return st, fmt.Errorf("%w (reopen with TolerateCorruptTail to skip the damaged segment remainder, losing its records)", err)
-			}
-			return st, err
+			return records, err
 		}
+		if clean == end {
+			continue
+		}
+		if !l.opts.TolerateCorruptTail {
+			return records, fmt.Errorf("wal: %s@%d: damaged frame (reopen with TolerateCorruptTail to skip the damaged segment remainder, losing its records): %w",
+				segPath(l.opts.Dir, seg), clean, ErrCorrupt)
+		}
+		l.torn.Add(end - clean)
+		l.logger().Warn("wal: skipped corrupt segment remainder",
+			"segment", seg, "bytes", end-clean, "offset", clean)
 	}
-	return st, nil
+	return records, nil
 }
 
-// replaySegment streams one segment's records. end bounds the read (-1 =
-// whole file). A bad frame ends the segment silently only if it is the
-// torn tail case already handled by Open; sealed segments are expected to
-// be fully valid, so corruption mid-file is an ErrCorrupt-wrapped error
-// (Replay may tolerate it). Errors from fn are returned unwrapped so the
-// caller can tell structural damage from callback failure.
-func replaySegment(path string, seg uint64, end int64, fn func(LSN, []byte) error) (int64, int64, error) {
-	f, err := fsys.OS.Open(path)
+// frame is what readFrame finds at one offset of a segment.
+type frame struct {
+	whole   bool   // it lies before the end and its length is sane
+	valid   bool   // whole, and its checksum matches
+	next    int64  // where the following frame starts; set when whole
+	payload []byte // a record frame's payload, in buf when it was large enough
+}
+
+// readFrame reads the frame at off of segment seg, of which the first end
+// bytes are read. The segment header is the frame at offset 0: whole when
+// its headerLen bytes lie before end, valid when they hold the magic and
+// seg. A record frame is whole when its length is non-zero, at most
+// maxRecordBytes, and its payload ends by end; valid when the payload
+// matches its CRC. A zero length is never whole: Append rejects empty
+// records, and an all-zero frame (CRC32C of an empty payload is 0) is the
+// zero-filled pages of a torn write. buf is reused for the payload.
+func readFrame(f fsys.File, seg uint64, off, end int64, buf []byte) (frame, error) {
+	if off == 0 {
+		var hdr [headerLen]byte
+		if end < int64(headerLen) {
+			return frame{}, nil
+		}
+		if _, err := f.ReadAt(hdr[:], 0); err != nil {
+			return frame{}, err
+		}
+		valid := string(hdr[:len(fileHeader)]) == fileHeader &&
+			binary.LittleEndian.Uint64(hdr[len(fileHeader):]) == seg
+		return frame{whole: true, valid: valid, next: int64(headerLen)}, nil
+	}
+	var hdr [frameLen]byte
+	if off+frameLen > end {
+		return frame{}, nil
+	}
+	if _, err := f.ReadAt(hdr[:], off); err != nil {
+		return frame{}, err
+	}
+	plen := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+	next := off + frameLen + plen
+	if plen == 0 || plen > maxRecordBytes || next > end {
+		return frame{}, nil
+	}
+	if int64(cap(buf)) < plen {
+		buf = make([]byte, plen)
+	}
+	buf = buf[:plen]
+	if _, err := f.ReadAt(buf, off+frameLen); err != nil {
+		return frame{}, err
+	}
+	valid := crc32.Checksum(buf, crcTable) == binary.LittleEndian.Uint32(hdr[4:8])
+	return frame{whole: true, valid: valid, next: next, payload: buf}, nil
+}
+
+// walkSegment reads segment seg's frames, header first, over its first end
+// bytes (the whole file when end < 0), and hands fn each record before the
+// first frame that is not valid. It returns that frame's offset (clean ==
+// end when there is none), end, and whether a valid record frame lies
+// after the damage: the walk goes on past it by chaining the lengths of
+// whole frames, so damage spanning several payloads is still found while
+// their length fields survived, and stops at a frame that is not whole
+// (a torn write or zero fill), which is never evidence. Errors from fn are
+// returned as they are.
+func walkSegment(dir string, seg uint64, end int64, fn func(LSN, []byte) error) (clean, size int64, resumes bool, err error) {
+	f, err := fsys.OS.Open(segPath(dir, seg))
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, false, err
 	}
 	defer f.Close()
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, 0, fmt.Errorf("wal: %s: short header: %v: %w", path, err, ErrCorrupt)
-	}
-	if string(hdr[:len(fileHeader)]) != fileHeader {
-		return 0, 0, fmt.Errorf("wal: %s: bad magic: %w", path, ErrCorrupt)
-	}
-	if got := binary.LittleEndian.Uint64(hdr[len(fileHeader):]); got != seg {
-		return 0, 0, fmt.Errorf("wal: %s: header segment %d != filename %d: %w", path, got, seg, ErrCorrupt)
-	}
 	if end < 0 {
 		st, err := f.Stat()
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, false, err
 		}
 		end = st.Size()
 	}
-	var records, bytesRead int64
-	off := int64(headerLen)
-	var frame [frameLen]byte
-	var payload []byte
-	for off+frameLen <= end {
-		if _, err := io.ReadFull(f, frame[:]); err != nil {
-			return records, bytesRead, fmt.Errorf("wal: %s@%d: frame read: %v: %w", path, off, err, ErrCorrupt)
+	clean = -1 // no damage found yet
+	var buf []byte
+	for off := int64(0); off < end; {
+		fr, err := readFrame(f, seg, off, end, buf)
+		if err != nil {
+			return 0, end, false, err
 		}
-		plen := int64(binary.LittleEndian.Uint32(frame[0:4]))
-		want := binary.LittleEndian.Uint32(frame[4:8])
-		if plen == 0 && want == 0 {
-			// An all-zero frame self-validates (CRC32C of an empty payload
-			// is 0) but Append never writes empty records: this is a
-			// zero-filled region (lost page, unsynced sealed rotation), not
-			// data.
-			return records, bytesRead, fmt.Errorf("wal: %s@%d: all-zero frame in zero-filled region: %w", path, off, ErrCorrupt)
-		}
-		if plen > maxRecordBytes || off+frameLen+plen > end {
-			return records, bytesRead, fmt.Errorf("wal: %s@%d: frame length %d overruns segment: %w", path, off, plen, ErrCorrupt)
-		}
-		if int64(cap(payload)) < plen {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return records, bytesRead, fmt.Errorf("wal: %s@%d: payload read: %v: %w", path, off, err, ErrCorrupt)
-		}
-		if crc32.Checksum(payload, crcTable) != want {
-			return records, bytesRead, fmt.Errorf("wal: %s@%d: record checksum mismatch: %w", path, off, ErrCorrupt)
-		}
-		if err := fn(LSN{Seg: seg, Off: off}, payload); err != nil {
-			return records, bytesRead, err
-		}
-		records++
-		bytesRead += frameLen + plen
-		off += frameLen + plen
-	}
-	if off != end {
-		return records, bytesRead, fmt.Errorf("wal: %s: %d trailing bytes after last frame: %w", path, end-off, ErrCorrupt)
-	}
-	return records, bytesRead, nil
-}
-
-// scanSegment walks a segment's frames and returns the offset of the last
-// valid record boundary plus the number of torn bytes after it. A torn
-// write only ever damages the end of the file, so a checksum mismatch with
-// well-formed frames after it is mid-segment corruption and yields
-// ErrCorrupt rather than a silent truncation of the valid records behind
-// it — unless tolerateCorrupt downgrades that to the torn-tail treatment.
-// (A corrupted length field makes resynchronization impossible, so that
-// case is still treated as a torn tail.) cleanEnd is 0 when the header
-// itself is torn.
-func scanSegment(path string, tolerateCorrupt bool) (cleanEnd int64, tornBytes int64, err error) {
-	f, err := fsys.OS.Open(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 0, 0, err
-	}
-	size := st.Size()
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil || string(hdr[:len(fileHeader)]) != fileHeader {
-		return 0, size, nil
-	}
-	off := int64(headerLen)
-	var frame [frameLen]byte
-	var payload []byte
-	for {
-		if off+frameLen > size {
-			return off, size - off, nil
-		}
-		if _, err := io.ReadFull(f, frame[:]); err != nil {
-			return off, size - off, nil
-		}
-		plen := int64(binary.LittleEndian.Uint32(frame[0:4]))
-		want := binary.LittleEndian.Uint32(frame[4:8])
-		if plen == 0 && want == 0 {
-			// All-zero frame: zero-filled pages from a torn write, never a
-			// real record (Append rejects empty payloads). Accepting it
-			// here would replay an empty record the store cannot decode,
-			// permanently failing recovery.
-			return off, size - off, nil
-		}
-		if plen > maxRecordBytes || off+frameLen+plen > size {
-			return off, size - off, nil
-		}
-		if int64(cap(payload)) < plen {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return off, size - off, nil
-		}
-		if crc32.Checksum(payload, crcTable) != want {
-			if !tolerateCorrupt && framesResume(f, off+frameLen+plen, size) {
-				return 0, 0, fmt.Errorf("wal: %s@%d: checksum mismatch followed by valid frames (reopen with TolerateCorruptTail to truncate at the damage, losing the records after it): %w", path, off, ErrCorrupt)
+		switch {
+		case !fr.whole:
+			if clean < 0 {
+				clean = off
 			}
-			return off, size - off, nil
+			return clean, end, false, nil
+		case !fr.valid:
+			if clean < 0 {
+				clean = off
+			}
+		case clean >= 0:
+			return clean, end, true, nil
+		case off > 0 && fn != nil:
+			if err := fn(LSN{Seg: seg, Off: off}, fr.payload); err != nil {
+				return off, end, false, err
+			}
 		}
-		off += frameLen + plen
+		off, buf = fr.next, fr.payload
 	}
-}
-
-// framesResume reports whether a well-formed, CRC-valid, non-empty frame
-// parses at or after off — evidence that a bad frame before it is
-// corruption, not a torn tail. It walks forward by chaining length fields,
-// so damage spanning several consecutive payloads is still detected as
-// long as their length fields survived. An all-zero frame (plen=0, crc=0 —
-// and CRC32C of an empty payload is 0) is never evidence and stops the
-// walk: zero-filled pages are the signature of a torn write, not bit rot.
-func framesResume(f fsys.File, off, size int64) bool {
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return false
+	if clean < 0 {
+		clean = end
 	}
-	var frame [frameLen]byte
-	var payload []byte
-	for off+frameLen <= size {
-		if _, err := io.ReadFull(f, frame[:]); err != nil {
-			return false
-		}
-		plen := int64(binary.LittleEndian.Uint32(frame[0:4]))
-		want := binary.LittleEndian.Uint32(frame[4:8])
-		if plen == 0 && want == 0 {
-			return false
-		}
-		if plen > maxRecordBytes || off+frameLen+plen > size {
-			return false
-		}
-		if int64(cap(payload)) < plen {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return false
-		}
-		if crc32.Checksum(payload, crcTable) == want {
-			return true
-		}
-		off += frameLen + plen
-	}
-	return false
+	return clean, end, false, nil
 }
 
 // TruncateBelow removes sealed segment files with index < cut. The active
@@ -865,13 +757,7 @@ func (l *Log) Close() error {
 	seq := l.appendSeq
 	l.mu.Unlock()
 	l.sm.Lock()
-	if err == nil && seq > l.syncedSeq {
-		l.syncedSeq = seq
-	}
-	if err != nil && l.syncErr == nil {
-		l.syncErr = err
-	}
-	l.cond.Broadcast()
+	l.settle(seq, err)
 	l.sm.Unlock()
 	return err
 }

@@ -229,9 +229,6 @@ func TestPeriodicSyncMode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -321,6 +318,45 @@ func TestMidSegmentCorruptionRefusesOpen(t *testing.T) {
 	}
 }
 
+// TestDamagedHeaderRefusesOpen: the segment header is judged like a frame.
+// A flipped magic byte with valid records after it is corruption, not a
+// torn header: recreating the segment would drop every acked record in it.
+func TestDamagedHeaderRefusesOpen(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir})
+	for i := 0; i < 5; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	path := segPath(dir, 1)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l2, err := Open(Options{Dir: dir}); err == nil {
+		got := collect(t, l2)
+		l2.Close()
+		t.Fatalf("Open succeeded on a damaged header (replayed %d of 5 records), want ErrCorrupt", len(got))
+	} else if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open error = %v, want ErrCorrupt", err)
+	}
+	// The escape hatch cuts the whole segment, as for a torn header.
+	l3 := mustOpen(t, Options{Dir: dir, TolerateCorruptTail: true})
+	defer l3.Close()
+	if got := l3.Stats().TornBytes; got != int64(len(data)) {
+		t.Fatalf("TornBytes = %d, want the whole file, %d", got, len(data))
+	}
+	if got := collect(t, l3); len(got) != 0 {
+		t.Fatalf("replayed %d records from a cut segment, want 0", len(got))
+	}
+}
+
 func TestZeroFilledTornTailStillRepaired(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, Options{Dir: dir})
@@ -367,7 +403,7 @@ func TestMultiRecordCorruptionDetected(t *testing.T) {
 	}
 	l.Close()
 	// Damage the payloads of records 0 AND 1 (length fields intact):
-	// framesResume must chain past the second bad frame to the valid ones
+	// the recovery walk must chain past the second bad frame to the valid ones
 	// behind it instead of misreading the pair as a torn tail.
 	path := segPath(dir, 1)
 	data, err := os.ReadFile(path)
@@ -518,15 +554,12 @@ func TestSealedSegmentDamageToleratedOnReplay(t *testing.T) {
 	}
 }
 
-// checkLatched asserts that the log answers every Append, Sync and Rotate
-// with the fault that poisoned it, though the disk is healthy again.
+// checkLatched asserts that the log answers every Append and Rotate with
+// the fault that poisoned it, though the disk is healthy again.
 func checkLatched(t *testing.T, l *Log, fault error) {
 	t.Helper()
 	if _, err := l.Append([]byte("after the fault")); !errors.Is(err, fault) {
 		t.Fatalf("Append after the fault: %v, want %v", err, fault)
-	}
-	if err := l.Sync(); !errors.Is(err, fault) {
-		t.Fatalf("Sync after the fault: %v, want %v", err, fault)
 	}
 	if err := l.Rotate(); !errors.Is(err, fault) {
 		t.Fatalf("Rotate after the fault: %v, want %v", err, fault)
@@ -610,4 +643,136 @@ func TestFaultRotationDirSyncLatches(t *testing.T) {
 	if got := collect(t, l2); len(got) < len(acked) || len(got) > len(acked)+1 || !reflect.DeepEqual(got[:len(acked)], acked) {
 		t.Fatalf("reopen replayed %d records, want the %d acked first", len(got), len(acked))
 	}
+}
+
+// FuzzCommitlogRecovery damages a two-segment log of acked records with a
+// byte flip, a truncation or a zero fill at a point of its segments laid
+// end to end (a truncation drops the segments after the cut), then runs
+// Open and Replay with and without TolerateCorruptTail. Neither panics.
+// What replays is, in order, a prefix of what was appended; under
+// TolerateCorruptTail, which skips a sealed segment's damaged remainder
+// and goes on, a prefix of each segment's records. Every record lying
+// wholly before the first damaged byte replays, or, without
+// TolerateCorruptTail only, the run fails with ErrCorrupt.
+func FuzzCommitlogRecovery(f *testing.F) {
+	type record struct {
+		lsn     LSN
+		payload []byte
+	}
+	dir := f.TempDir()
+	l, err := Open(Options{Dir: dir, SegmentBytes: 256})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var recs []record
+	index := map[LSN]int{}
+	for i := 0; i < 12; i++ {
+		p := []byte(fmt.Sprintf("record-%02d-%014d", i, i))
+		lsn, err := l.Append(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		index[lsn] = len(recs)
+		recs = append(recs, record{lsn, p})
+	}
+	if err := l.Close(); err != nil {
+		f.Fatal(err)
+	}
+	if last := recs[len(recs)-1].lsn.Seg; last != 2 || recs[0].lsn.Seg != 1 {
+		f.Fatalf("records span segments 1..%d, want 1..2", last)
+	}
+	var image []byte
+	var segStart [3]int
+	for seg := 1; seg <= 2; seg++ {
+		data, err := os.ReadFile(segPath(dir, uint64(seg)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		segStart[seg] = len(image)
+		image = append(image, data...)
+	}
+	len1, total := segStart[2], len(image)
+	const flip, truncate, zero = 0, 1, 2
+	f.Add(uint8(flip), uint16(0), uint8(0))                             // sealed segment's magic
+	f.Add(uint8(flip), uint16(len1), uint8(0))                          // newest segment's magic
+	f.Add(uint8(flip), uint16(len1+headerLen-1), uint8(0))              // newest segment's index
+	f.Add(uint8(flip), uint16(headerLen+frameLen), uint8(7))            // sealed record 0's payload
+	f.Add(uint8(flip), uint16(len1+headerLen+32+frameLen), uint8(0x40)) // newest record 1's payload
+	f.Add(uint8(flip), uint16(len1+headerLen+64), uint8(1))             // newest record 2's length
+	f.Add(uint8(flip), uint16(total-1), uint8(0))                       // the last byte
+	f.Add(uint8(truncate), uint16(100), uint8(0))                       // inside the sealed segment
+	f.Add(uint8(truncate), uint16(len1+60), uint8(0))                   // inside the newest segment
+	f.Add(uint8(zero), uint16(headerLen+96), uint8(255))                // sealed records 3 on
+	f.Add(uint8(zero), uint16(len1+3), uint8(20))                       // newest header into record 0
+	f.Add(uint8(zero), uint16(total-32), uint8(31))                     // the newest record
+	f.Fuzz(func(t *testing.T, op uint8, pos uint16, n uint8) {
+		at := int(pos) % total
+		damaged := append([]byte(nil), image...)
+		first := at
+		switch op % 3 {
+		case flip:
+			damaged[at] ^= n%255 + 1
+		case truncate:
+			damaged = damaged[:at]
+		case zero:
+			first = total
+			for i := min(at+int(n), total-1); i >= at; i-- {
+				if damaged[i] != 0 {
+					damaged[i], first = 0, i
+				}
+			}
+		}
+		before := 0
+		for before < len(recs) {
+			r := recs[before]
+			if segStart[r.lsn.Seg]+int(r.lsn.Off)+frameLen+len(r.payload) > first {
+				break
+			}
+			before++
+		}
+		for _, tolerate := range []bool{false, true} {
+			d := t.TempDir()
+			if err := os.WriteFile(segPath(d, 1), damaged[:min(len(damaged), len1)], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if len(damaged) > len1 {
+				if err := os.WriteFile(segPath(d, 2), damaged[len1:], 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var got []record
+			l, err := Open(Options{Dir: d, NoSync: true, TolerateCorruptTail: tolerate})
+			if err == nil {
+				_, err = l.Replay(func(lsn LSN, p []byte) error {
+					got = append(got, record{lsn, append([]byte(nil), p...)})
+					return nil
+				})
+				l.Close()
+			}
+			if err != nil && (tolerate || !errors.Is(err, ErrCorrupt)) {
+				t.Fatalf("tolerate=%v: recovery failed: %v", tolerate, err)
+			}
+			seen := make([]bool, len(recs))
+			prev := -1
+			for i, r := range got {
+				j, ok := index[r.lsn]
+				if !ok || !bytes.Equal(r.payload, recs[j].payload) {
+					t.Fatalf("tolerate=%v: replayed %q at %+v, which was never appended there", tolerate, r.payload, r.lsn)
+				}
+				inSeg := j > 0 && recs[j-1].lsn.Seg == r.lsn.Seg
+				if j <= prev || (!tolerate && j != i) || (inSeg && prev != j-1) {
+					t.Fatalf("tolerate=%v: replayed record %d after record %d: not a prefix", tolerate, j, prev)
+				}
+				seen[j], prev = true, j
+			}
+			if err == nil {
+				for i := 0; i < before; i++ {
+					if !seen[i] {
+						t.Fatalf("tolerate=%v: record %d lies wholly before the first damaged byte %d but did not replay (%d replayed)",
+							tolerate, i, first, len(got))
+					}
+				}
+			}
+		}
+	})
 }

@@ -2,7 +2,10 @@
 // is linked into a binary (cmd/* or the benchmark), or is on reachAllow
 // with the reason it stays. Linking is the oracle, so calls through
 // interfaces and generic instantiations count exactly as the program
-// makes them.
+// makes them. Its blind spot: the linker also keeps a method whose name
+// and signature match an interface method some binary calls dynamically,
+// once its type can reach an interface value, so such a method passes
+// while nothing calls it (a `Sync() error` method matches fsys.File's).
 package hpclog_test
 
 import (
