@@ -154,7 +154,10 @@ bench-smoke:
 # and no file per segment), a durable partition read through
 # Get and through PartitionBatches at QUORUM (no per-row conversion), a
 # bulk import (objects per imported event), a batch histogram and
-# heat-map fold (constant per scan, zero per block), a put-record encode,
+# heat-map fold (constant per scan, zero per block), a TF-IDF text fold
+# over one-off hex terms off a pooled vocabulary (the same count at 2 048
+# and 4 096 rows: nothing per row or term, TestTextFoldAllocBudget), a
+# put-record encode,
 # predicate evaluation, the watch hub's write-path notify (one
 # allocation per digest, its encoded lines, at any subscriber count), a
 # late page of a paginated events request, the row wire path (events one-shot,

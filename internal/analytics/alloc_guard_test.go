@@ -89,6 +89,61 @@ func TestBatchFoldAllocBudget(t *testing.T) {
 	}
 }
 
+// TestTextFoldAllocBudget: once a pooled vocabulary has room for a
+// window's terms, TF-IDF over an hour partition of one-off hex terms (each
+// MCE status a word of its own) allocates the same small number of objects
+// over 2 048 rows as over 4 096 — no string, map entry or other object per
+// row or per term, only the k answer strings and the scan's fixed
+// bookkeeping. The window is one task, so each run draws the same pooled
+// accumulators for the same parts.
+func TestTextFoldAllocBudget(t *testing.T) {
+	db := openStore(t, store.Config{Nodes: 1, RF: 1, FlushThreshold: 1 << 20, CompactInterval: -1})
+	if err := db.CreateTable(model.TableEventByTime); err != nil {
+		t.Fatal(err)
+	}
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
+	hour := time.Unix(1503468000, 0).UTC()
+	sizes := map[string]int{"small": 2048, "large": 4096}
+	starts := map[string]time.Time{"small": hour, "large": hour.Add(time.Hour)}
+	for name, n := range sizes {
+		rows := make([]store.Row, n)
+		for i := range rows {
+			status := strconv.FormatUint(uint64(i+n)*0x9e3779b97f4a7c15, 16)
+			rows[i] = model.EventToTimeRow(model.Event{
+				Time: starts[name].Add(time.Duration(i) * time.Hour / time.Duration(n)), Type: model.MCE, Count: 1,
+				Source: topology.LocationOf(topology.NodeID(i % 512)).CName(),
+				Raw:    "Machine Check Exception: bank 4 status " + status,
+				Attrs:  map[string]string{"bank": "4", "status": status},
+			})
+		}
+		if err := db.PutBatch(model.TableEventByTime, model.EventByTimeKey(starts[name].Unix()/3600, model.MCE), rows, store.All); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	perScan := map[string]float64{}
+	for name, n := range sizes {
+		query := func() {
+			top, err := TFIDFScan(eng, db, model.MCE, starts[name], starts[name].Add(time.Hour), 10, ScanConfig{Parallelism: 1, Slice: time.Hour})
+			if err != nil || len(top) != 10 {
+				t.Fatalf("TF-IDF over %d rows: %v, %v", n, top, err)
+			}
+		}
+		query() // grow a pooled vocabulary to the window's terms
+		perScan[name] = testing.AllocsPerRun(20, query)
+	}
+	const budget = 64
+	if perScan["small"] > budget {
+		t.Errorf("TF-IDF over %d rows allocates %.0f objects/run, budget %d", sizes["small"], perScan["small"], budget)
+	}
+	if perScan["large"] != perScan["small"] {
+		t.Errorf("TF-IDF allocates %.0f objects over %d rows but %.0f over %d: something allocates per row or term",
+			perScan["small"], sizes["small"], perScan["large"], sizes["large"])
+	}
+}
+
 // TestHistogramLongWindowAllocs bounds what one histogram over a long
 // window allocates on an empty store: a task's accumulator holds only the
 // bins its rows touch, so a 30-day window of 60 s bins costs its one

@@ -1,11 +1,14 @@
 package analytics
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 	"unicode/utf8"
@@ -515,20 +518,155 @@ func TransferEntropyBetweenScan(eng *compute.Engine, db *store.DB, a, b model.Ev
 // containing it, and the last document that counted towards df.
 type termStat struct{ tf, df, lastDoc int }
 
-// termAcc is the vocabulary of a text fold. A token costs one map probe:
-// index knows every run the fold has seen, as spelled in the message, and
-// maps it to its term's position — or to -1 for a spelling that yields no
-// token (stopword, single character) — so case folding and the stopword
-// check run once per spelling, not once per occurrence. Every retained
-// key is a clone, never a substring of a (dying) batch.
+// termAcc is the vocabulary of a text fold. A token costs one hash probe:
+// the table knows every run the fold has seen, as spelled in the message,
+// and maps it to its term's position — or to -1 for a spelling that yields
+// no token (stopword, single character) — so case folding and the stopword
+// check run once per spelling, not once per occurrence. The table holds no
+// pointer: slots index parallel entries (hash, end of the spelling in
+// keys, value), and every spelling is copied into the keys arena, never
+// kept as a substring of a (dying) batch. Accumulators are recycled
+// through termAccs.
 type termAcc struct {
-	index map[string]int32
-	terms []string // the term at each position
-	stats []termStat
-	docs  int
+	slots []int32  // open-addressed, a power of two long: an entry + 1, or 0 for none
+	hash  []uint64 // each entry's spelling, hashed with vocabSeed
+	end   []uint32 // where each entry's spelling ends in keys
+	val   []int32  // each entry's term position, or -1
+	keys  []byte
+
+	terms  []int32 // the entry of the term at each position
+	stats  []termStat
+	docs   int
+	scores []termRank // topTerms' room
 
 	tmpls map[*persist.Template]*tmplTerms // what the task made of each template it met
 	holes []*holeTerms                     // and of each hole column's dictionary
+}
+
+// vocabSeed hashes every spelling, so that accumulators merge by the
+// hashes they stored.
+var vocabSeed = maphash.MakeSeed()
+
+// termAccs recycles text-fold accumulators; New makes one with the
+// smallest table.
+var termAccs = sync.Pool{New: func() any {
+	return &termAcc{slots: make([]int32, 16), tmpls: make(map[*persist.Template]*tmplTerms)}
+}}
+
+func newTermAcc() *termAcc { return termAccs.Get().(*termAcc) }
+
+// release returns a to termAccs, emptied.
+func (a *termAcc) release() {
+	a.reset()
+	termAccs.Put(a)
+}
+
+// reset empties a, keeping its room but no reference into a store: no
+// template, no section dictionary.
+func (a *termAcc) reset() {
+	clear(a.slots)
+	a.hash, a.end, a.val, a.keys = a.hash[:0], a.end[:0], a.val[:0], a.keys[:0]
+	a.terms, a.stats, a.docs = a.terms[:0], a.stats[:0], 0
+	clear(a.tmpls)
+	for _, h := range a.holes {
+		h.spans.Forget()
+		h.flat = h.flat[:0]
+	}
+}
+
+// key returns the spelling of entry e.
+func (a *termAcc) key(e int32) []byte {
+	lo := uint32(0)
+	if e > 0 {
+		lo = a.end[e-1]
+	}
+	return a.keys[lo:a.end[e]]
+}
+
+// find returns the entry spelled k, which hashes to h, or -1 and the free
+// slot where k goes.
+func find[K string | []byte](a *termAcc, k K, h uint64) (e int32, slot int) {
+	mask := len(a.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		x := a.slots[i] - 1
+		if x < 0 {
+			return -1, i
+		}
+		if a.hash[x] == h && string(a.key(x)) == string(k) {
+			return x, i
+		}
+	}
+}
+
+// insert adds the entry k, hashed h, with value v at the free slot find
+// returned for it, growing the table past half full, and returns it.
+func insert[K string | []byte](a *termAcc, k K, h uint64, v int32, slot int) int32 {
+	e := int32(len(a.val))
+	a.keys = append(a.keys, k...)
+	a.end = append(a.end, uint32(len(a.keys)))
+	a.hash = append(a.hash, h)
+	a.val = append(a.val, v)
+	if 2*len(a.val) <= len(a.slots) {
+		a.slots[slot] = e + 1
+		return e
+	}
+	a.slots = make([]int32, 2*len(a.slots))
+	mask := len(a.slots) - 1
+	for x, hx := range a.hash {
+		i := int(hx) & mask
+		for a.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		a.slots[i] = int32(x) + 1
+	}
+	return e
+}
+
+// addTerm adds the term k, hashed h, at the free slot find returned for
+// it, and returns its position.
+func addTerm[K string | []byte](a *termAcc, k K, h uint64, slot int) int32 {
+	p := int32(len(a.terms))
+	a.terms = append(a.terms, insert(a, k, h, p, slot))
+	a.stats = append(a.stats, termStat{})
+	return p
+}
+
+// termOf returns the position of the term k, hashed h, adding it on first
+// sight.
+func termOf[K string | []byte](a *termAcc, k K, h uint64) int32 {
+	e, slot := find(a, k, h)
+	if e < 0 {
+		return addTerm(a, k, h, slot)
+	}
+	return a.val[e]
+}
+
+// term returns the term at position p.
+func (a *termAcc) term(p int32) []byte { return a.key(a.terms[p]) }
+
+// positionOf returns the position of a run's term, or -1 for a run that is
+// none, filing a spelling seen for the first time.
+func (a *termAcc) positionOf(run string, clean bool) int32 {
+	if len(run) < 2 {
+		return -1 // one byte is one ASCII character: never a token
+	}
+	h := maphash.String(vocabSeed, run)
+	e, slot := find(a, run, h)
+	if e >= 0 {
+		return a.val[e]
+	}
+	switch tok := tokenOf(run, clean); {
+	case tok == "":
+		insert(a, run, h, -1, slot)
+		return -1
+	case clean:
+		return addTerm(a, run, h, slot) // the term itself
+	default: // folding made tok another spelling
+		p := termOf(a, tok, maphash.String(vocabSeed, tok))
+		_, slot = find(a, run, h) // termOf may have taken the slot or grown the table
+		insert(a, run, h, p, slot)
+		return p
+	}
 }
 
 // tmplTerms is what a text fold makes of a template, once per section:
@@ -560,49 +698,6 @@ type termSpan struct {
 // tokenise every cell reassembled (the differential tests' reference).
 var templateFolds = true
 
-func newTermAcc() *termAcc {
-	return &termAcc{index: make(map[string]int32), tmpls: make(map[*persist.Template]*tmplTerms)}
-}
-
-// position returns the position of a term (an owned string), adding it on
-// first sight.
-func (a *termAcc) position(term string) int32 {
-	i, ok := a.index[term]
-	if !ok {
-		i = int32(len(a.terms))
-		a.index[term] = i
-		a.terms = append(a.terms, term)
-		a.stats = append(a.stats, termStat{})
-	}
-	return i
-}
-
-// learn files a spelling seen for the first time.
-func (a *termAcc) learn(run string, clean bool) int32 {
-	i := int32(-1)
-	if tok := tokenOf(run, clean); tok != "" {
-		if clean {
-			return a.position(strings.Clone(tok)) // the term itself
-		}
-		i = a.position(tok) // folding made tok a fresh string
-	}
-	a.index[strings.Clone(run)] = i
-	return i
-}
-
-// position returns the position of a run's term, or -1 for a run that is
-// none.
-func (a *termAcc) positionOf(run string, clean bool) int32 {
-	if len(run) < 2 {
-		return -1 // one byte is one ASCII character: never a token
-	}
-	i, ok := a.index[run]
-	if !ok {
-		i = a.learn(run, clean)
-	}
-	return i
-}
-
 // note counts an occurrence of the term at i in the current document.
 func (a *termAcc) note(i int32) {
 	st := &a.stats[i]
@@ -613,33 +708,37 @@ func (a *termAcc) note(i int32) {
 	}
 }
 
+// count notes the term of a run, if it has one.
+func (a *termAcc) count(run string, clean bool) {
+	if i := a.positionOf(run, clean); i >= 0 {
+		a.note(i)
+	}
+}
+
+// doc counts a message's text as one document; "" is none.
+func (a *termAcc) doc(text string) {
+	if text != "" {
+		a.docs++
+		eachRun(text, a.count)
+	}
+}
+
 // foldDocs counts every raw message of a batch as one document. Events
 // without raw text are skipped. Where the batch holds the messages in
 // template form, a template's constants are tokenised once per section
 // and a hole value once per entry of its column's dictionary.
 func (a *termAcc) foldDocs(b *store.Batch) (*termAcc, error) {
-	count := func(run string, clean bool) {
-		if i := a.positionOf(run, clean); i >= 0 {
-			a.note(i)
-		}
-	}
 	codes, tmpls, cells := b.Template(model.ColRawID)
 	if codes == nil || !templateFolds {
 		for _, raw := range b.Col(model.ColRawID) {
-			if raw != "" {
-				a.docs++
-				eachRun(raw, count)
-			}
+			a.doc(raw)
 		}
 		return a, nil
 	}
 	var byCode [persist.MaxDictLen]*tmplTerms
 	for i, c := range codes {
 		if c == 0 {
-			if cells[i] != "" {
-				a.docs++
-				eachRun(cells[i], count)
-			}
+			a.doc(cells[i])
 			continue
 		}
 		t := &tmpls[c-1]
@@ -649,10 +748,7 @@ func (a *termAcc) foldDocs(b *store.Batch) (*termAcc, error) {
 			byCode[c] = tt
 		}
 		if !tt.apart {
-			if raw := b.Col(model.ColRawID)[i]; raw != "" {
-				a.docs++
-				eachRun(raw, count)
-			}
+			a.doc(b.Col(model.ColRawID)[i])
 			continue
 		}
 		if tt.bare && !holeText(b, t, i) {
@@ -663,7 +759,7 @@ func (a *termAcc) foldDocs(b *store.Batch) (*termAcc, error) {
 			a.note(p)
 		}
 		for _, id := range t.Holes {
-			a.holeDoc(b, id, i, count)
+			a.holeDoc(b, id, i)
 		}
 	}
 	return a, nil
@@ -713,7 +809,7 @@ func wordByte(c byte) bool { return c >= utf8.RuneSelf || asciiClass[c] != 0 }
 // holeDoc counts the tokens of row i's cell of hole column id in the
 // current document: off the column's dictionary, tokenised once per entry
 // per section, where the batch codes it so.
-func (a *termAcc) holeDoc(b *store.Batch, id uint32, i int, count func(string, bool)) {
+func (a *termAcc) holeDoc(b *store.Batch, id uint32, i int) {
 	var h *holeTerms
 	for _, x := range a.holes {
 		if x.id == id {
@@ -726,7 +822,7 @@ func (a *termAcc) holeDoc(b *store.Batch, id uint32, i int, count func(string, b
 	}
 	codes, dict, spans, fresh := h.spans.Resolve(b, id)
 	if dict == nil {
-		eachRun(b.Col(id)[i], count)
+		eachRun(b.Col(id)[i], a.count)
 		return
 	}
 	if fresh {
@@ -747,17 +843,19 @@ func (a *termAcc) holeDoc(b *store.Batch, id uint32, i int, count func(string, b
 	}
 }
 
+// merge folds the smaller of two vocabularies into the larger, probing
+// with the hashes it stored, and releases the smaller.
 func (a *termAcc) merge(b *termAcc) *termAcc {
-	if len(a.terms) == 0 {
-		b.docs += a.docs
-		return b
+	if len(a.terms) < len(b.terms) {
+		a, b = b, a
 	}
-	for j, term := range b.terms {
-		i := a.position(term)
+	for j, e := range b.terms {
+		i := termOf(a, b.key(e), b.hash[e])
 		a.stats[i].tf += b.stats[j].tf
 		a.stats[i].df += b.stats[j].df
 	}
 	a.docs += b.docs
+	b.release()
 	return a
 }
 
@@ -774,11 +872,17 @@ func WordCountScan(eng *compute.Engine, db *store.DB, typ model.EventType, from,
 	if err != nil {
 		return nil, err
 	}
-	counts := make(map[string]int, len(acc.terms))
-	for i, term := range acc.terms {
-		counts[term] = acc.stats[i].tf
+	defer acc.release()
+	return acc.wordCounts(), nil
+}
+
+// wordCounts returns each term's occurrences.
+func (a *termAcc) wordCounts() map[string]int {
+	counts := make(map[string]int, len(a.terms))
+	for p, e := range a.terms {
+		counts[string(a.key(e))] = a.stats[p].tf
 	}
-	return counts, nil
+	return counts
 }
 
 // TFIDFScan computes aggregate TF-IDF weights over the raw messages of one
@@ -795,16 +899,36 @@ func TFIDFScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to 
 	if err != nil {
 		return nil, err
 	}
-	if acc.docs == 0 {
-		return nil, nil
+	defer acc.release()
+	return acc.topTerms(k), nil
+}
+
+// termRank is the TF-IDF score of the term at position p.
+type termRank struct {
+	p     int32
+	score float64
+}
+
+// topTerms scores every term by position and builds the strings of only
+// the k best (TFIDFScan's order); nil when a holds no document.
+func (a *termAcc) topTerms(k int) []TermScore {
+	if a.docs == 0 {
+		return nil
 	}
-	out := make([]TermScore, len(acc.terms))
-	for i, term := range acc.terms {
-		st := acc.stats[i]
-		idf := math.Log(float64(1+acc.docs) / float64(1+st.df))
-		out[i] = TermScore{Term: term, Score: float64(st.tf) * idf}
+	a.scores = a.scores[:0]
+	idf, idfOf := 0.0, -1 // most terms share their df with the term before
+	for p, st := range a.stats {
+		if st.df != idfOf {
+			idf, idfOf = math.Log(float64(1+a.docs)/float64(1+st.df)), st.df
+		}
+		a.scores = append(a.scores, termRank{int32(p), float64(st.tf) * idf})
 	}
-	return TopK(out, k, func(a, b TermScore) int {
-		return cmp.Or(cmp.Compare(b.Score, a.Score), strings.Compare(a.Term, b.Term))
-	}), nil
+	top := TopK(a.scores, k, func(x, y termRank) int {
+		return cmp.Or(cmp.Compare(y.score, x.score), bytes.Compare(a.term(x.p), a.term(y.p)))
+	})
+	out := make([]TermScore, len(top))
+	for i, s := range top {
+		out[i] = TermScore{Term: string(a.term(s.p)), Score: s.score}
+	}
+	return out
 }

@@ -15,6 +15,14 @@ var stopwords = map[string]bool{
 	"error": true, "failed": true, "operation": true, // present in ~every line
 }
 
+// maxStopword is the length of the longest stopword: no longer run is one.
+var maxStopword = func() (n int) {
+	for w := range stopwords {
+		n = max(n, len(w))
+	}
+	return n
+}()
+
 // eachRun calls yield for every maximal run of letters and digits in text,
 // in order — a substring of text, never a copy — and says whether the run
 // is clean: already lowercase, the overwhelming case in log text. Only
@@ -72,7 +80,7 @@ func tokenOf(run string, clean bool) string {
 	if !clean {
 		run = strings.ToLower(run)
 	}
-	if len(run) < 2 || stopwords[run] {
+	if len(run) < 2 || len(run) <= maxStopword && stopwords[run] {
 		return ""
 	}
 	return run

@@ -12,7 +12,8 @@ import (
 // ost0012 survive), minus stopwords and single characters. Tokens are
 // fresh strings the caller owns outright, never aliases of the message
 // text. It is the reference tokenization the text folds of WordCountScan
-// and TFIDFScan — which learn each spelling once (termAcc) — are held to.
+// and TFIDFScan are held to; they hash each spelling into a termAcc table
+// and tokenise it only the first time it is seen.
 func Tokenize(text string) []string {
 	var tokens []string
 	eachRun(text, func(run string, clean bool) {

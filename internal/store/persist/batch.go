@@ -227,6 +227,10 @@ func (m *DictMemo[S]) Resolve(b *Batch, id uint32) (codes []uint8, dict []string
 	return codes, dict, m.vals, true
 }
 
+// Forget drops the dictionary the memo holds, keeping the room of its
+// vals for the next.
+func (m *DictMemo[S]) Forget() { m.sd = nil }
+
 // DictFunc is a function of dictionary values whose results a section
 // dictionary keeps: whichever scan asks first, it runs once per entry of a
 // section's dictionary for the life of the section — and once per entry of
