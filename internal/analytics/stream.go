@@ -75,8 +75,8 @@ func sliceBounds(lo, hi time.Time, slice time.Duration) [][2]time.Time {
 // — clustering keys plus the projected columns, never a store.Row or a
 // model.Event — into the task's accumulator; accumulators merge in task
 // order. A batch dies when fold returns, so fold must clone any string it
-// keeps. A fold of occurrence counts by time alone passes whole, which
-// takes blocks without reading them (see taker); others pass nil.
+// keeps. A fold of occurrence counts by time or by source passes whole,
+// which takes blocks without reading them (see taker); others pass nil.
 func foldType[A any](eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig,
 	project []uint32, newAcc func() A, fold func(A, *store.Batch) (A, error), whole wholeFunc[A], merge func(A, A) A) (A, error) {
 	units := PlanEvents(typ, "", from, to, cfg)
@@ -106,20 +106,19 @@ func foldType[A any](eng *compute.Engine, db *store.DB, typ model.EventType, fro
 	return acc, err
 }
 
-// wholeFunc adds to acc a block of rows whose clustering timestamps lie in
-// [minTS, maxTS] and whose occurrence counts sum to sum (wrapping as int64
-// does), reporting false — acc unchanged — when the fold cannot place the
-// block without its rows.
-type wholeFunc[A any] func(acc A, minTS, maxTS, sum int64) (A, bool)
+// wholeFunc adds to acc, from its footer statistics, a block whose every
+// amount is an occurrence count, the counts summing to sum (wrapping as
+// int64 does), reporting false — acc unchanged — when the fold cannot place
+// the block without its rows.
+type wholeFunc[A any] func(acc A, b *store.BlockStats, sum int64) (A, bool)
 
 // taker is the Pruner through which a fold task takes blocks whole. A
-// block inside the task's range, whose footer says every key carries a
-// timestamp and every amount is an occurrence count, and which whole
-// accepts from its first and last timestamps and its count sum, is added
-// to the accumulator from the footer and skipped: never read, fetched or
-// decoded. The store offers only blocks no other merge input shadows, so
-// the rows taken are exactly the rows the scan would have folded; they
-// count in the task's rows as if read.
+// block inside the task's range, whose footer says every amount is an
+// occurrence count, and which whole accepts, is added to the accumulator
+// from the footer and skipped: never read, fetched or decoded. The store
+// offers only blocks no other merge input shadows, so the rows taken are
+// exactly the rows the scan would have folded; they count in the task's
+// rows as if read.
 type taker[A any] struct {
 	rg     store.Range
 	whole  wholeFunc[A]
@@ -132,12 +131,11 @@ func (t *taker[A]) PruneBlock(b *store.BlockStats) bool {
 	if b.MinKey < t.rg.From || b.MaxKey >= t.rg.To {
 		return false
 	}
-	lo, hi, timed := b.TimeBounds()
 	counts, sum := b.Counts(model.ColAmountID)
-	if !timed || counts != b.Rows {
+	if counts != b.Rows {
 		return false
 	}
-	acc, ok := t.whole(*t.acc, lo, hi, sum)
+	acc, ok := t.whole(*t.acc, b, sum)
 	if ok {
 		*t.acc, *t.rows, t.blocks = acc, *t.rows+b.Rows, t.blocks+1
 	}
@@ -176,6 +174,27 @@ func foldCounts[A, S any](resolve *persist.DictFunc[S], add func(acc A, source s
 	}
 }
 
+// wholeBySource takes a block for a fold of occurrence counts by source,
+// foldCounts(resolve, add), from its footer: one add with the source every
+// row holds, where the zone map tells one, or one per entry of its group
+// list of sources — the entries resolved once per section dictionary.
+func wholeBySource[A, S any](resolve *persist.DictFunc[S], add func(acc A, source string, s S, n int)) wholeFunc[A] {
+	return func(acc A, b *store.BlockStats, sum int64) (A, bool) {
+		if source, ok := b.Only(model.ColSourceID); ok {
+			add(acc, source, resolve.Of(source), int(sum))
+			return acc, true
+		}
+		groups, dict, resolved, ok := resolve.Groups(b, model.ColSourceID)
+		if !ok {
+			return acc, false
+		}
+		for g, more := groups.Next(); more; g, more = groups.Next() {
+			add(acc, dict[g.Code], resolved[g.Code], int(g.Sum))
+		}
+		return acc, true
+	}
+}
+
 // cname is a source parsed as a node cname: its location, if it is one.
 type cname struct {
 	loc  topology.Location
@@ -206,19 +225,27 @@ func sumInts(a, b []int) []int {
 	return a
 }
 
-// heatFold counts occurrences per cabinet index; non-compute sources
+// heatAdd counts occurrences per cabinet index; non-compute sources
 // (servers) have no floor position.
-var heatFold = foldCounts(cnameOf, func(acc []int, _ string, c cname, n int) {
+func heatAdd(acc []int, _ string, c cname, n int) {
 	if c.node {
 		acc[c.loc.Cabinet()] += n
 	}
-})
+}
+
+var heatFold = foldCounts(cnameOf, heatAdd)
 
 // HeatmapScan computes the cabinet-level heat map of one event type over
-// [from, to).
+// [from, to). A block that lists its sources in its footer is counted from
+// there.
 func HeatmapScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) (*HeatMap, error) {
+	return heatmapScan(eng, db, typ, from, to, cfg, wholeBySource(cnameOf, heatAdd))
+}
+
+// heatmapScan is HeatmapScan taking blocks through whole (nil: none).
+func heatmapScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig, whole wholeFunc[[]int]) (*HeatMap, error) {
 	counts, err := foldType(eng, db, typ, from, to, cfg, projSourceAmount,
-		func() []int { return make([]int, topology.Cabinets) }, heatFold, nil, sumInts)
+		func() []int { return make([]int, topology.Cabinets) }, heatFold, whole, sumInts)
 	if err != nil {
 		return nil, err
 	}
@@ -237,36 +264,47 @@ func HeatmapScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, t
 // node cnames count under their own name.
 type distAcc struct {
 	locs  map[topology.Location]int
-	other map[string]int
+	other keyCounts
 }
 
 // DistributionByScan computes event occurrence distributions "over
 // cabinets, blades, nodes" (Fig 5) at the requested granularity, sorted by
-// descending count.
+// descending count. A block that lists its sources in its footer is
+// counted from there.
 func DistributionByScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, level topology.Level, cfg ScanConfig) ([]Bucket, error) {
-	// A source is a place on the floor, cut to the level, or — not a node
-	// cname — a name of its own.
+	return distributionScan(eng, db, typ, from, to, level, cfg, wholeBySource(cnameOf, distAdd(level)))
+}
+
+// distAdd counts a source at level: a place on the floor, cut to the
+// level, or — not a node cname — a name of its own.
+func distAdd(level topology.Level) func(acc distAcc, source string, c cname, n int) {
+	return func(acc distAcc, source string, c cname, n int) {
+		if c.node {
+			acc.locs[truncateLoc(c.loc, level)] += n
+		} else {
+			acc.other.add(source, n)
+		}
+	}
+}
+
+// distributionScan is DistributionByScan taking blocks through whole (nil:
+// none).
+func distributionScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, level topology.Level, cfg ScanConfig, whole wholeFunc[distAcc]) ([]Bucket, error) {
 	acc, err := foldType(eng, db, typ, from, to, cfg, projSourceAmount,
-		func() distAcc { return distAcc{newCountMap[topology.Location](), newCountMap[string]()} },
-		foldCounts(cnameOf, func(acc distAcc, source string, c cname, n int) {
-			if c.node {
-				acc.locs[truncateLoc(c.loc, level)] += n
-			} else {
-				countKey(acc.other, source, n)
-			}
-		}),
-		nil,
+		func() distAcc { return distAcc{newCountMap[topology.Location](), keyCounts{}} },
+		foldCounts(cnameOf, distAdd(level)), whole,
 		func(a, b distAcc) distAcc {
-			return distAcc{mergeCountMaps(a.locs, b.locs), mergeCountMaps(a.other, b.other)}
+			return distAcc{mergeCountMaps(a.locs, b.locs), a.other.merge(b.other)}
 		})
 	if err != nil {
 		return nil, err
 	}
 	// One label per bucket, not per event.
+	counts := acc.other.counts()
 	for loc, n := range acc.locs {
-		acc.other[topology.Component{Level: level, Loc: loc}.String()] += n
+		counts[topology.Component{Level: level, Loc: loc}.String()] += n
 	}
-	return sortBuckets(acc.other), nil
+	return sortBuckets(counts), nil
 }
 
 // DistributionByAppScan attributes event occurrences to the applications
@@ -343,20 +381,42 @@ func DistributionByAppScan(eng *compute.Engine, db *store.DB, typ model.EventTyp
 // EventSitesScan lists, for one event type and instant (to the second),
 // the nodes reporting it (Fig 6-top), with occurrence counts.
 func EventSitesScan(eng *compute.Engine, db *store.DB, typ model.EventType, at time.Time, cfg ScanConfig) (map[string]int, error) {
-	return foldType(eng, db, typ, at, at.Add(time.Second), cfg, projSourceAmount,
-		newCountMap[string],
-		foldCounts(cnameOf, func(acc map[string]int, source string, _ cname, n int) { countKey(acc, source, n) }),
-		nil, mergeCountMaps[string])
+	acc, err := foldType(eng, db, typ, at, at.Add(time.Second), cfg, projSourceAmount,
+		func() keyCounts { return keyCounts{} },
+		foldCounts(cnameOf, func(acc keyCounts, source string, _ cname, n int) { acc.add(source, n) }),
+		nil, keyCounts.merge)
+	return acc.counts(), err
 }
 
-// countKey adds n to acc[key], cloning key on first insert: batch strings
-// die with their batch, and result maps outlive the scan.
-func countKey(acc map[string]int, key string, n int) {
-	if v, ok := acc[key]; ok {
-		acc[key] = v + n
-	} else {
-		acc[strings.Clone(key)] = n
+// keyCounts counts by string keys, which may alias a batch: batch strings
+// die with their batch, and results outlive the scan. A key is cloned on
+// first insert, and its count sits behind a pointer so that no later add
+// assigns to the map — an assignment stores the key it is given, even
+// over an equal one.
+type keyCounts map[string]*int
+
+func (c keyCounts) add(key string, n int) {
+	if p, ok := c[key]; ok {
+		*p += n
+		return
 	}
+	c[strings.Clone(key)] = &n
+}
+
+func (c keyCounts) merge(d keyCounts) keyCounts {
+	for k, p := range d {
+		c.add(k, *p)
+	}
+	return c
+}
+
+// counts returns the counts as a plain map.
+func (c keyCounts) counts() map[string]int {
+	out := make(map[string]int, len(c))
+	for k, p := range c {
+		out[k] = *p
+	}
+	return out
 }
 
 // MaxBins is the most bins a histogram (and so a transfer-entropy series)
@@ -409,10 +469,12 @@ func (h bins) of(ts int64) int {
 	return min(int(time.Unix(ts, 0).Sub(h.from)/h.width), h.n-1)
 }
 
-// whole takes a block whose first and last rows fall in one bin.
-func (h bins) whole(acc binCounts, minTS, maxTS, sum int64) (binCounts, bool) {
-	bi := h.of(minTS)
-	if bi != h.of(maxTS) {
+// whole takes a block whose keys all carry timestamps and whose first and
+// last rows fall in one bin.
+func (h bins) whole(acc binCounts, b *store.BlockStats, sum int64) (binCounts, bool) {
+	lo, hi, timed := b.TimeBounds()
+	bi := h.of(lo)
+	if !timed || bi != h.of(hi) {
 		return acc, false
 	}
 	if bi >= 0 {

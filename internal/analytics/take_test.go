@@ -10,7 +10,9 @@ import (
 	"hpclog/internal/compute"
 	"hpclog/internal/model"
 	"hpclog/internal/objstore"
+	"hpclog/internal/plan"
 	"hpclog/internal/store"
+	"hpclog/internal/topology"
 )
 
 // rowHistogram is HistogramScan on the row path: the same fold with no
@@ -54,19 +56,91 @@ var takeStart = time.Unix(1503468000, 0).UTC()
 const absent = "\x00"
 
 // takeRows renders n events of typ from takeStart on, three a second from
-// distinct sources, amount(i) giving row i's amount cell.
+// the sources of takeSource, amount(i) giving row i's amount cell.
 func takeRows(typ model.EventType, n int, amount func(i int) string) []store.Row {
 	rows := make([]store.Row, n)
 	for i := range rows {
 		e := model.Event{Time: takeStart.Add(time.Duration(i/3) * time.Second), Type: typ,
-			Source: fmt.Sprintf("c0-0c0s%dn%d", i/4%8, i%4)}
-		cells := map[string]string{model.ColSource: e.Source}
+			Source: takeSource(typ, i)}
+		cells := map[string]string{}
+		if e.Source != absent {
+			cells[model.ColSource] = e.Source
+		}
 		if a := amount(i); a != absent {
 			cells[model.ColAmount] = a
 		}
 		rows[i] = store.MapRow(model.EventToTimeRow(e).Key, 0, cells)
 	}
 	return rows
+}
+
+// takeSource is row i's source for typ: 32 node cnames in turn, but for
+// TAKE_ONE one throughout, for TAKE_SPARSE one or — every third row —
+// none, for TAKE_MANY, four rows each, 300 in turn — more than a section
+// dictionary holds — every tenth a server's, and for TAKE_FLOAT's row 3000
+// one of its own.
+func takeSource(typ model.EventType, i int) string {
+	if typ == "TAKE_FLOAT" && i == 3000 {
+		return "c3-0c2s7n3"
+	}
+	switch typ {
+	case "TAKE_ONE":
+		return "c1-0c2s3n1"
+	case "TAKE_SPARSE":
+		if i%3 == 0 {
+			return absent
+		}
+		return "c1-0c2s3n1"
+	case "TAKE_MANY":
+		if j := i / 4 % 300; j%10 != 9 {
+			return fmt.Sprintf("c%d-0c%ds%dn%d", j%4, j/4%3, j/12%8, j/96%4)
+		}
+		return fmt.Sprintf("login%d", i/4%300)
+	}
+	return fmt.Sprintf("c0-0c0s%dn%d", i/4%8, i%4)
+}
+
+// groupCQL runs SELECT source, COUNT(*) [, SUM(amount)] … GROUP BY source
+// over [from, to) of each hour partition of typ through the planner's
+// group rule — or, noPrune, through the row path — and returns the rows.
+func groupCQL(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, sum, noPrune bool, parallelism int) ([][]plan.ResultRow, error) {
+	aggs := []string{""}
+	if sum {
+		aggs = append(aggs, model.ColAmount)
+	}
+	var specs []plan.AggSpec
+	for _, col := range aggs {
+		fn := plan.AggCount
+		if col != "" {
+			fn = plan.AggSum
+		}
+		spec, err := plan.NewAggSpec(fn, col)
+		if err != nil {
+			return nil, err
+		}
+		specs = append(specs, spec)
+	}
+	var out [][]plan.ResultRow
+	for _, hour := range model.HoursIn(from, to) {
+		p, err := plan.Build(&plan.Select{
+			Table: model.TableEventByTime, Partition: model.EventByTimeKey(hour, typ),
+			Columns: []string{model.ColSource}, Aggs: specs, GroupBy: []string{model.ColSource},
+			Where: &plan.And{Kids: []plan.Expr{
+				plan.NewCmp(plan.NewColRef("key"), plan.OpGe, store.EncodeTS(from.Unix())),
+				plan.NewCmp(plan.NewColRef("key"), plan.OpLt, store.EncodeTS(to.Unix())),
+			}},
+		})
+		if err != nil {
+			return nil, err
+		}
+		ex := &plan.Executor{DB: db, Eng: eng, CL: store.One, Opt: plan.ExecOptions{NoPrune: noPrune, Parallelism: parallelism}}
+		rows, err := ex.Run(p)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rows)
+	}
+	return out, nil
 }
 
 // putRows writes rows into their hour partitions of typ.
@@ -88,17 +162,24 @@ func putRows(db *store.DB, typ model.EventType, rows []store.Row) error {
 }
 
 // TestHistogramTakesBlocksExactly holds the histogram and transfer-entropy
-// folds, which take a block from its footer when it lies in one bin, to
-// the row path — the same folds taking nothing — on a durable store, and
-// on one whose segments are evicted to an object store: the results and
-// the errors must be identical. The corpus tempts the taker with amounts
-// that are counts only by strconv.Atoi's reading ("+2", "01"), a sum that
-// wraps, amounts that are not counts ("0", "-1", "1.0", empty, absent), a
+// folds, which take a block from its footer when it lies in one bin, and
+// the heat map and distribution folds and the planner's group rule for
+// SELECT source, COUNT(*) [, SUM(amount)] … GROUP BY source, which take a
+// block from its group list of sources or the zone map of its one source,
+// to the row path — the same folds, and the same plan unpruned, taking
+// nothing — on a durable store, and on one whose
+// segments are evicted to an object store: the results and the errors
+// must be identical. The corpus tempts the takers with amounts that are
+// counts only by strconv.Atoi's reading ("+2", "01"), a sum that wraps,
+// amounts that are not counts ("0", "-1", "1.0", "0.1", "x", empty,
+// absent), a
 // key without a timestamp inside a block and one written later over a
-// flushed block; the store holds overlapping segments, a memtable, and
+// flushed block, one source throughout, and more sources than a section
+// dictionary holds; the store holds overlapping segments, a memtable, and
 // flushing runs while a writer rewrites rows with their own values; the
-// windows cut blocks. A taken block's rows count as scanned. (Section-less footers, the v4 store's, are
-// enginetest's TestCorpusFoldsTakeBlocks.)
+// windows cut blocks. A taken block's rows count as scanned. (The v7
+// store's footers, which have no group lists, are enginetest's
+// TestCorpusFoldsTakeBlocks.)
 func TestHistogramTakesBlocksExactly(t *testing.T) {
 	for _, tiered := range []bool{false, true} {
 		name := "resident"
@@ -151,13 +232,30 @@ func testTakesBlocksExactly(t *testing.T, tiered bool) {
 			return counts(i)
 		}
 	}
+	// float tempts the CQL sums: rows 4 and 36, and 5 and 37, start two
+	// sources at 2^52 - 0.5, where adding counts one by one rounds otherwise
+	// than adding their sum; the sources' rows of the next block count 2
+	// then 1, and 1 and 1. Row 3000, of a source of its own, counts 2^53 + 1,
+	// past exact float sums.
+	float := func(i int) string {
+		switch i {
+		case 36, 37:
+			return "4503599627370494.5"
+		case 68:
+			return "2"
+		case 3000:
+			return "9007199254740993"
+		}
+		return "1"
+	}
 	ok, ok2 := model.EventType("TAKE_OK"), model.EventType("TAKE_OK2")
 	types := map[model.EventType]func(int) string{
 		ok:          counts,
 		ok2:         func(i int) string { return good[(i/5)%len(good)] },
 		"TAKE_ZERO": bad(1234, "0"), "TAKE_NEG": bad(2345, "-1"), "TAKE_FRAC": bad(6001, "1.0"),
-		"TAKE_EMPTY": bad(9000, ""), "TAKE_ABSENT": bad(17000, absent),
-		"TAKE_NOTS": counts, "TAKE_NOTS_LATE": counts,
+		"TAKE_TENTH": bad(6001, "0.1"), "TAKE_X": bad(4000, "x"), "TAKE_EMPTY": bad(9000, ""), "TAKE_ABSENT": bad(17000, absent),
+		"TAKE_NOTS": counts, "TAKE_NOTS_LATE": counts, "TAKE_ONE": counts, "TAKE_MANY": counts,
+		"TAKE_FLOAT": float, "TAKE_SPARSE": counts,
 	}
 	// noTS is a key without a timestamp that sorts after the keys of
 	// second s and before those of s+1 (s ends in 9).
@@ -199,12 +297,72 @@ func testTakesBlocksExactly(t *testing.T, tiered bool) {
 		}
 	}
 	sameErr := func(a, b error) bool { return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error()) }
-	// compare runs every query of every type both ways and returns how many
-	// blocks the taking side took.
-	compare := func(stage string) int {
+	// sameRows runs the row path, then the taking side, and holds the rows
+	// they scanned equal where the taking side succeeds.
+	sameRows := func(name string, row, take func() error) {
 		t.Helper()
-		before := eng.Stats().BlocksTaken
+		rows := eng.Stats().ScanRows
+		wantErr := row()
+		rows, wantRows := eng.Stats().ScanRows, eng.Stats().ScanRows-rows
+		if err := take(); err == nil && wantErr == nil && eng.Stats().ScanRows-rows != wantRows {
+			t.Fatalf("%s: %d rows scanned, row path %d", name, eng.Stats().ScanRows-rows, wantRows)
+		}
+	}
+	// compare runs every query of every type both ways and returns how many
+	// blocks the taking side took for histograms and transfer entropy, for
+	// heat maps and distributions, and for the CQL counts.
+	compare := func(stage string) (byTime, bySource, byCQL int) {
+		t.Helper()
+		type window struct {
+			from, to time.Time
+			cfg      ScanConfig
+		}
+		seen := map[window]bool{}
 		for _, q := range queries {
+			if w := (window{q.from, q.to, q.cfg}); !seen[w] {
+				seen[w] = true
+				before := eng.Stats().BlocksTaken
+				for typ := range types {
+					name := fmt.Sprintf("%s %s %s", stage, q.name, typ)
+					var want, got *HeatMap
+					var wantErr, err error
+					sameRows(name+" heat map", func() error {
+						want, wantErr = heatmapScan(eng, db, typ, q.from, q.to, q.cfg, nil)
+						return wantErr
+					}, func() error { got, err = HeatmapScan(eng, db, typ, q.from, q.to, q.cfg); return err })
+					if !sameErr(err, wantErr) || !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: heat map %+v (%v), row path %+v (%v)", name, got, err, want, wantErr)
+					}
+					for _, level := range []topology.Level{topology.LevelCabinet, topology.LevelNode} {
+						var want, got []Bucket
+						sameRows(name+" distribution", func() error {
+							want, wantErr = distributionScan(eng, db, typ, q.from, q.to, level, q.cfg, nil)
+							return wantErr
+						}, func() error { got, err = DistributionByScan(eng, db, typ, q.from, q.to, level, q.cfg); return err })
+						if !sameErr(err, wantErr) || !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: %v distribution %v (%v), row path %v (%v)", name, level, got, err, want, wantErr)
+						}
+					}
+					before := eng.Stats().BlocksTaken
+					for _, sum := range []bool{false, true} {
+						var want, got [][]plan.ResultRow
+						sameRows(name+" CQL", func() error {
+							want, wantErr = groupCQL(eng, db, typ, q.from, q.to, sum, true, q.cfg.Parallelism)
+							return wantErr
+						}, func() error {
+							got, err = groupCQL(eng, db, typ, q.from, q.to, sum, false, q.cfg.Parallelism)
+							return err
+						})
+						if !sameErr(err, wantErr) || !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: CQL counts by source (sum %v) %v (%v), row path %v (%v)", name, sum, got, err, want, wantErr)
+						}
+					}
+					byCQL += eng.Stats().BlocksTaken - before
+					bySource -= eng.Stats().BlocksTaken - before
+				}
+				bySource += eng.Stats().BlocksTaken - before
+			}
+			before := eng.Stats().BlocksTaken
 			for typ := range types {
 				rows := eng.Stats().ScanRows
 				want, wantErr := rowHistogram(eng, db, typ, q.from, q.to, q.bin, q.cfg)
@@ -224,14 +382,17 @@ func testTakesBlocksExactly(t *testing.T, tiered bool) {
 					t.Fatalf("%s %s %v: TE %+v (%v), row path %+v (%v)", stage, q.name, pair, got, err, want, wantErr)
 				}
 			}
+			byTime += eng.Stats().BlocksTaken - before
 		}
-		return eng.Stats().BlocksTaken - before
+		return byTime, bySource, byCQL
 	}
 	mustTake := func(stage string) {
 		t.Helper()
-		if taken := compare(stage); taken == 0 {
-			t.Fatalf("%s: no block taken", stage)
+		byTime, bySource, byCQL := compare(stage)
+		if byTime == 0 || bySource == 0 || byCQL == 0 {
+			t.Fatalf("%s: %d blocks taken by time, %d by source, %d by CQL", stage, byTime, bySource, byCQL)
 		}
+		t.Logf("%s: %d blocks taken by time, %d by source, %d by CQL", stage, byTime, bySource, byCQL)
 	}
 
 	mustTake("flushed")

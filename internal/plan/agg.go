@@ -75,27 +75,59 @@ func newCells(n int) []aggCell {
 	return cells
 }
 
+// group returns the group whose GROUP BY values val gives, by position,
+// made on first sight.
+func (a *aggAcc) group(val func(i int) string) *group {
+	// Composite key: length-prefix each value — a separator byte alone
+	// would merge groups whose values contain it.
+	a.scratch = a.scratch[:0]
+	for i := range a.groupBy {
+		v := val(i)
+		a.scratch = binary.AppendUvarint(a.scratch, uint64(len(v)))
+		a.scratch = append(a.scratch, v...)
+	}
+	g := a.groups[string(a.scratch)] // no allocation on the hit path
+	if g == nil {
+		vals := make([]string, len(a.groupBy))
+		for i := range vals {
+			vals[i] = strings.Clone(val(i))
+		}
+		g = &group{vals: vals, cells: newCells(len(a.specs))}
+		a.groups[string(a.scratch)] = g
+	}
+	return g
+}
+
+// foldGroup accumulates into g rows rows whose counts sum to sum, as fold
+// would one by one, for specs of COUNT(*) and SUM of the count column:
+// exactly where each row's count is below 2^53 — so its sum is exact — and
+// the rows all count 1 or are one row, so that the float sum adds what fold
+// adds.
+func (a *aggAcc) foldGroup(g *group, rows int, sum int64) {
+	for i := range a.specs {
+		c := &g.cells[i]
+		c.n += int64(rows)
+		if a.specs[i].Col == "" { // COUNT(*)
+			continue
+		}
+		if c.sumInt {
+			c.sumI += sum
+		}
+		if sum == int64(rows) {
+			for k := 0; k < rows; k++ {
+				c.sumF++
+			}
+		} else {
+			c.sumF += float64(sum)
+		}
+	}
+}
+
 // fold accumulates one row.
 func (a *aggAcc) fold(r store.Row) {
 	g := a.global
 	if g == nil {
-		// Composite key: length-prefix each value — a separator byte alone
-		// would merge groups whose values contain it.
-		a.scratch = a.scratch[:0]
-		for _, col := range a.groupBy {
-			v := col.value(r)
-			a.scratch = binary.AppendUvarint(a.scratch, uint64(len(v)))
-			a.scratch = append(a.scratch, v...)
-		}
-		g = a.groups[string(a.scratch)] // no allocation on the hit path
-		if g == nil {
-			vals := make([]string, len(a.groupBy))
-			for i, col := range a.groupBy {
-				vals[i] = strings.Clone(col.value(r))
-			}
-			g = &group{vals: vals, cells: newCells(len(a.specs))}
-			a.groups[string(a.scratch)] = g
-		}
+		g = a.group(func(i int) string { return a.groupBy[i].value(r) })
 	}
 	for i := range a.specs {
 		sp := &a.specs[i]

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"hpclog/internal/compute"
 	"hpclog/internal/obs"
@@ -157,22 +158,40 @@ type RowTask func(each func(b *store.Batch, i int) error) error
 // once, then calls done, which closes the scan stage and notes the block
 // counters.
 func (ex *Executor) RowTasks(p *Plan) (tasks []RowTask, done func(), err error) {
-	if ex.DB == nil || ex.Eng == nil {
-		return nil, nil, fmt.Errorf("plan: executor needs a store and a compute engine")
-	}
-	slices, err := ex.slices(p)
+	scans, _, finish, err := ex.sliceScans(p)
 	if err != nil {
 		return nil, nil, err
+	}
+	tasks = make([]RowTask, len(scans))
+	for i, scan := range scans {
+		tasks[i] = func(each func(*store.Batch, int) error) error { return scan(p.Pruner, each) }
+	}
+	return tasks, func() { finish(0) }, nil
+}
+
+// sliceScan is a RowTask whose scan offers its blocks to pr.
+type sliceScan func(pr persist.Pruner, each func(b *store.Batch, i int) error) error
+
+// sliceScans cuts a plan into the scans of RowTasks, with the slices they
+// read; finish closes the scan stage and notes the block counters, of
+// which taken blocks the scans' pruners took whole.
+func (ex *Executor) sliceScans(p *Plan) (scans []sliceScan, ranges []store.Range, finish func(taken int), err error) {
+	if ex.DB == nil || ex.Eng == nil {
+		return nil, nil, nil, fmt.Errorf("plan: executor needs a store and a compute engine")
+	}
+	ranges, err = ex.slices(p)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	project := p.scanColumns()
 	filter := newBatchFilter(p.Filter, project != nil)
 	stats := ex.stats()
 	st := obs.StartSpan(ex.ctx(), "scan")
-	tasks = make([]RowTask, len(slices))
-	for i, rg := range slices {
-		tasks[i] = func(each func(*store.Batch, int) error) error {
+	scans = make([]sliceScan, len(ranges))
+	for i, rg := range ranges {
+		scans[i] = func(pr persist.Pruner, each func(*store.Batch, int) error) error {
 			verdicts := filter.memos()
-			return ex.scanBatches(p, rg, project, stats, func(b *store.Batch) error {
+			return ex.scanBatches(p, rg, project, pr, stats, func(b *store.Batch) error {
 				var sel [store.MaxBatchRows]bool
 				filter.match(b, sel[:b.Len()], verdicts)
 				for j, ok := range sel[:b.Len()] {
@@ -186,9 +205,10 @@ func (ex *Executor) RowTasks(p *Plan) (tasks []RowTask, done func(), err error) 
 			})
 		}
 	}
-	return tasks, func() {
+	return scans, ranges, func(taken int) {
 		st.End()
-		ex.Eng.NotePruning(int(stats.BlocksRead.Load()), int(stats.BlocksPruned.Load()))
+		ex.Eng.NotePruning(int(stats.BlocksRead.Load()), int(stats.BlocksPruned.Load())-taken)
+		ex.Eng.NoteTaken(taken)
 	}, nil
 }
 
@@ -201,9 +221,9 @@ func (ex *Executor) stats() *persist.PruneStats {
 }
 
 // scanBatches streams one clustering slice of the plan's partition, at the
-// executor's consistency level, to fn as batches carrying project.
-func (ex *Executor) scanBatches(p *Plan, rg store.Range, project []uint32, stats *persist.PruneStats, fn func(*store.Batch) error) error {
-	pruner := p.Pruner
+// executor's consistency level, to fn as batches carrying project, offering
+// its blocks to pruner unless the executor prunes none.
+func (ex *Executor) scanBatches(p *Plan, rg store.Range, project []uint32, pruner persist.Pruner, stats *persist.PruneStats, fn func(*store.Batch) error) error {
 	if ex.Opt.NoPrune {
 		pruner = nil
 	}
@@ -221,19 +241,27 @@ func (ex *Executor) scanBatches(p *Plan, rg store.Range, project []uint32, stats
 }
 
 // runAggregate executes an aggregate plan: each slice's rows fold into an
-// accumulator of the slice's own, straight off the store's batches, and
-// ScanFold merges the accumulators in slice order, deterministic across
-// parallelism levels.
+// accumulator of the slice's own, straight off the store's batches — and,
+// under the group rule, the blocks its taker takes from their footers —
+// and ScanFold merges the accumulators in slice order, deterministic
+// across parallelism levels.
 func (ex *Executor) runAggregate(p *Plan) ([]ResultRow, error) {
-	tasks, done, err := ex.RowTasks(p)
+	scans, ranges, finish, err := ex.sliceScans(p)
 	if err != nil {
 		return nil, err
 	}
-	folds := make([]compute.FoldTask[*aggAcc], len(tasks))
-	for i, task := range tasks {
+	var taken atomic.Int64
+	folds := make([]compute.FoldTask[*aggAcc], len(scans))
+	for i, scan := range scans {
 		folds[i] = func(a *aggAcc) (*aggAcc, int, error) {
 			rows := 0
-			err := task(func(b *store.Batch, j int) error {
+			pr := p.Pruner
+			if p.groups != nil {
+				t := &groupTaker{groupRule: p.groups, rg: ranges[i], acc: a, rows: &rows}
+				defer func() { taken.Add(int64(t.blocks)) }()
+				pr = t
+			}
+			err := scan(pr, func(b *store.Batch, j int) error {
 				a.fold(b.Row(j))
 				rows++
 				return nil
@@ -244,11 +272,77 @@ func (ex *Executor) runAggregate(p *Plan) ([]ResultRow, error) {
 	acc, err := compute.ScanFold(ex.Eng, compute.ScanOptions{Parallelism: ex.Opt.Parallelism}, folds,
 		func() *aggAcc { return newAggAcc(p.Sel.Aggs, p.Sel.GroupBy) },
 		func(a, b *aggAcc) *aggAcc { return a.merge(b) })
-	done()
+	finish(int(taken.Load()))
 	if err != nil {
 		return nil, err
 	}
 	return acc.rows(p.Sel.GroupBy, p.Sel.Limit), nil
+}
+
+// groupTaker is the Pruner through which an aggregate task of the group
+// rule takes blocks whole. A block inside the task's slice whose every
+// amount is a count, and which lists its groups of the GROUP BY column —
+// or holds one value of it in every row — is folded into the task's
+// accumulator from its footer and skipped: never read, fetched or decoded.
+// A sum needs each count below 2^53 and every group's rows to count 1 each
+// or to be one row (see foldGroup). The store offers only blocks no other
+// merge input shadows, so the rows taken are exactly the rows the scan
+// would have folded; they count in the task's rows as if read.
+type groupTaker struct {
+	*groupRule
+	rg     store.Range
+	acc    *aggAcc
+	rows   *int
+	blocks int // taken
+	// byCode holds the group of each code of dict, the section dictionary
+	// of the list taken last, once seen.
+	dict   []string
+	byCode []*group
+}
+
+func (t *groupTaker) PruneBlock(b *persist.BlockStats) bool {
+	if b.MinKey < t.rg.From || t.rg.To != "" && b.MaxKey >= t.rg.To {
+		return false
+	}
+	counts, sum := b.Counts(t.count)
+	if counts != b.Rows {
+		return false
+	}
+	if z := b.Zone(t.count); t.sum && (z == nil || z.MaxNum >= 1<<53) {
+		return false
+	}
+	exact := func(rows int, sum int64) bool { return !t.sum || rows == 1 || sum == int64(rows) }
+	if v, ok := b.Only(t.col); ok {
+		if !exact(b.Rows, sum) {
+			return false
+		}
+		t.acc.foldGroup(t.acc.group(func(int) string { return v }), b.Rows, sum)
+	} else {
+		groups, dict, ok := b.Groups(t.col)
+		if !ok {
+			return false
+		}
+		check := groups
+		for g, more := check.Next(); more; g, more = check.Next() {
+			if !exact(g.Rows, g.Sum) {
+				return false
+			}
+		}
+		if len(dict) != len(t.dict) || &dict[0] != &t.dict[0] {
+			t.dict, t.byCode = dict, make([]*group, len(dict))
+		}
+		for g, more := groups.Next(); more; g, more = groups.Next() {
+			grp := t.byCode[g.Code]
+			if grp == nil {
+				grp = t.acc.group(func(int) string { return dict[g.Code] })
+				t.byCode[g.Code] = grp
+			}
+			t.acc.foldGroup(grp, g.Rows, g.Sum)
+		}
+	}
+	*t.rows += b.Rows
+	t.blocks++
+	return true
 }
 
 // batchFilter is a residual filter cut for batches: the top-level

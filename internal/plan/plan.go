@@ -25,6 +25,10 @@ type Plan struct {
 	// nil when no conjunct is prunable.
 	Pruner persist.Pruner
 
+	// groups, set by the group rule, lets an aggregate take whole blocks
+	// from their group lists (see groupTaker).
+	groups *groupRule
+
 	projRefs  []projRef // resolved projection (nil = all columns)
 	outCols   []projRef // the known projected columns by name, each once (nil = all columns)
 	pruneDesc []string  // explain text of the prunable conjuncts
@@ -103,6 +107,7 @@ func Build(sel *Select) (*Plan, error) {
 	if len(preds) > 0 {
 		p.Pruner = conjPruner(preds)
 	}
+	p.groups = groupRuleOf(sel, p.Filter)
 
 	// Projection: resolved to dictionary IDs once (lookup only — see
 	// ColRef; a never-written column is empty everywhere). Projection
@@ -124,6 +129,37 @@ func Build(sel *Select) (*Plan, error) {
 		}
 	}
 	return p, nil
+}
+
+// groupRule is the planner rule for counts by one column: SELECT c,
+// COUNT(*) [, SUM(amount)] … GROUP BY c, whose only predicates are the
+// partition and a key range. Its scan tasks take a block inside their
+// slice from the block's group list of c (persist.BlockStats.Groups) or
+// the zone map of its one value of c, in place of reading it.
+type groupRule struct {
+	col, count uint32 // dictionary IDs of c and of the count column
+	sum        bool   // the aggregates sum the count column
+}
+
+// groupRuleOf returns the group rule of sel, whose residual filter is
+// filter, or nil where the rule does not apply.
+func groupRuleOf(sel *Select, filter Expr) *groupRule {
+	count, ok := persist.DefaultDict().Lookup(persist.CountColumn)
+	if !ok || filter != nil || len(sel.GroupBy) != 1 {
+		return nil
+	}
+	col := NewColRef(sel.GroupBy[0])
+	if !col.Known || col.IsKey {
+		return nil
+	}
+	rule := &groupRule{col: col.ID, count: count}
+	for _, a := range sel.Aggs {
+		if a.Col != "" && (a.Fn != AggSum || !a.Known || a.ID != count) {
+			return nil
+		}
+		rule.sum = rule.sum || a.Col != ""
+	}
+	return rule
 }
 
 func (p *Plan) tightenFrom(from string) {
@@ -239,6 +275,9 @@ func (p *Plan) Explain() []string {
 	}
 	if len(p.pruneDesc) > 0 {
 		scan += " prune{" + strings.Join(p.pruneDesc, "; ") + "}"
+	}
+	if p.groups != nil {
+		scan += " take{groups " + p.Sel.GroupBy[0] + "}"
 	}
 	ops = append(ops, scan+")")
 

@@ -138,6 +138,7 @@ func (s *Server) collectComputeMetrics(w *obs.Writer) {
 	w.Counter("hpclog_compute_scan_rows_total", "Rows streamed through the scan planner.", int64(cs.ScanRows))
 	w.Counter("hpclog_store_blocks_read_total", "Segment blocks decoded by pruned scans.", int64(cs.BlocksRead))
 	w.Counter("hpclog_store_blocks_pruned_total", "Segment blocks skipped via zone maps and Bloom filters.", int64(cs.BlocksPruned))
+	w.Counter("hpclog_compute_blocks_taken_total", "Segment blocks count folds answered from their footers, never read.", int64(cs.BlocksTaken))
 }
 
 func (s *Server) collectQueryMetrics(w *obs.Writer) {

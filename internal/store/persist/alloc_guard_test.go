@@ -122,7 +122,7 @@ func TestBlockDecodeAllocBudget(t *testing.T) {
 	project := []uint32{InternColumn("hz-source"), InternColumn("hz-amount"), InternColumn("hz-raw")}
 	for i := 0; i < 40; i++ { // the same rows over and over: a chain scan checks no keys across segments
 		hs.name = fmt.Sprintf("chain%02d", i)
-		segs, cfgs = append(segs, writeV7(t, dir, hs, uint64(i+1))), append(cfgs, ScanConfig{Project: project})
+		segs, cfgs = append(segs, writeV8(t, dir, hs, uint64(i+1))), append(cfgs, ScanConfig{Project: project})
 	}
 	for _, keys := range []bool{false, true} {
 		t.Run(fmt.Sprintf("keys=%v", keys), func(t *testing.T) {

@@ -263,15 +263,32 @@ func (r *DictFunc[S]) Resolve(b *Batch, id uint32, buf *[MaxDictLen]S) (codes []
 		}
 		return codes, dict, vals
 	}
-	if v, ok := sd.derived.Load(r.slot); ok {
-		return codes, dict, v.([]S)
+	return codes, dict, r.section(sd)
+}
+
+// Groups returns the block's group list of column id, as BlockStats.Groups
+// does, and vals, what r makes of each entry of the dictionary, kept by
+// the dictionary as Resolve keeps it.
+func (r *DictFunc[S]) Groups(b *BlockStats, id uint32) (it Groups, dict []string, vals []S, ok bool) {
+	g := b.groups(id)
+	if g == nil {
+		return Groups{}, nil, nil, false
 	}
-	kept := make([]S, len(dict))
-	for k, v := range dict {
+	return g.read(), g.dict.vals, r.section(g.dict), true
+}
+
+// section returns what r makes of each entry of sd, computed by whichever
+// scan asks first and kept by sd.
+func (r *DictFunc[S]) section(sd *sectionDict) []S {
+	if v, ok := sd.derived.Load(r.slot); ok {
+		return v.([]S)
+	}
+	kept := make([]S, len(sd.vals))
+	for k, v := range sd.vals {
 		kept[k] = r.f(v)
 	}
 	sd.derived.Store(r.slot, kept)
-	return codes, dict, kept
+	return kept
 }
 
 // Row returns row i. On a projected batch the row carries only the
@@ -432,7 +449,7 @@ type scanInput struct {
 // chain of segments with disjoint key ranges: it reads each segment's
 // unpruned in-range blocks in order — off the local file, or through the
 // tier's verified block cache when the segment is evicted — and decodes
-// each into its Batch, v6 and v7 blocks alike, visiting the chunks of the
+// each into its Batch, v7 and v8 blocks alike, visiting the chunks of the
 // projected columns only and of the hole columns of a projected column in
 // template form.
 type BatchScanner struct {
@@ -458,7 +475,7 @@ type BatchScanner struct {
 	dir   []colChunk
 	order []int
 	// offer is what a Pruner is shown of a block: its statistics with its
-	// fold record attached.
+	// fold record, group list included, attached.
 	offer  BlockStats
 	b      Batch
 	err    error

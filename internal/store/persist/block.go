@@ -9,7 +9,7 @@ import (
 	"strings"
 )
 
-// Block body, codecs v6 and v7 alike. A block is the run of at most
+// Block body, codecs v7 and v8 alike. A block is the run of at most
 // indexEvery rows between two sparse-index offsets, stored column by
 // column, every chunk behind its length, so a reader hops over what it
 // does not want:
@@ -69,11 +69,22 @@ const (
 	maxTemplates   = 255
 )
 
+// CountColumn is the column that holds each row's occurrence count: the
+// footer's fold and group sections sum it, and it never fills a template's
+// hole — a count of 1 would cut any digit out of the text. GroupColumn is
+// the column whose values the group section counts the rows of.
+const (
+	CountColumn = "amount"
+	GroupColumn = "source"
+)
+
 // The template column is the raw message kept beside the fields cut out of
-// it: its cells are coded as templates over their row's other cells. The
-// amount column never fills a hole — a count of 1 would cut any digit out
-// of the text.
-var templateColID, holelessColID = defaultDict.Intern("raw"), defaultDict.Intern("amount")
+// it: its cells are coded as templates over their row's other cells.
+var (
+	templateColID = defaultDict.Intern("raw")
+	countColID    = defaultDict.Intern(CountColumn)
+	groupColID    = defaultDict.Intern(GroupColumn)
+)
 
 // Presence bitmaps and dictionary codes are sized for blocks of at most 64
 // rows.
@@ -126,6 +137,11 @@ type blockEnc struct {
 	tcodes [indexEvery]uint8
 	scodes [indexEvery]uint8
 	cands  []holeCand
+	// counts holds the rows' occurrence counts where countable says every
+	// row has one, and group the block's group list (groupsOf), if any.
+	counts    [indexEvery]int64
+	countable bool
+	group     *groupList
 }
 
 // secDict is one column's section dictionary while the section is written:
@@ -276,6 +292,7 @@ func (w *Writer) encodeBlock() (minWTS, maxWTS int64) {
 		}
 	}
 	out = binary.AppendUvarint(out, uint64(len(e.cols)))
+	e.countable, e.group = w.rowCounts(n), nil
 	for i := range e.cols {
 		out = w.encodeCol(out, &e.cols[i], n)
 	}
@@ -345,6 +362,11 @@ func (w *Writer) encodeCol(out []byte, col *encCol, n int) []byte {
 	if ok && ssize <= size {
 		enc = encSection
 		w.addSection(col, set, len(cells) < n)
+		// A column of one value in every row has its zone map to say so.
+		one := set.n == 1 && len(cells) == n && cells[0] != ""
+		if e.countable && !one && col.id == groupColID {
+			e.group = w.groupsOf(col, set, n)
+		}
 	}
 
 	tag := byte(enc)
@@ -483,6 +505,67 @@ func (w *Writer) addSection(col *encCol, set *valueSet, sparse bool) {
 	}
 }
 
+// rowCounts sets e.counts to the occurrence counts of the n rows and
+// reports whether every row has one: a cell of the count column, a hot
+// column, that PosInt accepts. Only then does the block get a group list.
+func (w *Writer) rowCounts(n int) bool {
+	e := &w.enc
+	if !slices.Contains(w.zoneIDs, countColID) {
+		return false
+	}
+	for i := range e.cols {
+		col := &e.cols[i]
+		if col.id != countColID {
+			continue
+		}
+		if bits.OnesCount64(col.present) != n {
+			return false
+		}
+		for r, v := range col.vals[:n] {
+			c, ok := 1, v == "1"
+			if _, num := ParseNum(v); !ok && num { // Atoi allocates its error
+				c, ok = PosInt(v)
+			}
+			if !ok {
+				return false
+			}
+			e.counts[r] = int64(c)
+		}
+		return true
+	}
+	return false
+}
+
+// groupsOf returns the group list of col, which the block codes into its
+// section dictionary: per code, the rows that hold it — a row without the
+// cell holds the code of "" — and the sum of their counts.
+func (w *Writer) groupsOf(col *encCol, set *valueSet, n int) *groupList {
+	e := &w.enc
+	var rows [sectionDictMax]int32
+	var sums [sectionDictMax]int64
+	g := &groupList{id: col.id, local: uint32(col.local)}
+	absent, k := e.dicts[col.local].codes[""], 0
+	for i := 0; i < n; i++ {
+		code := absent
+		if col.present&(1<<i) != 0 {
+			code = e.scodes[set.codes[k]]
+			k++
+		}
+		g.present[code/64] |= 1 << (code % 64)
+		rows[code]++
+		sums[code] += e.counts[i]
+	}
+	for wi, word := range g.present {
+		for ; word != 0; word &= word - 1 {
+			code := wi*64 + bits.TrailingZeros64(word)
+			if rows[code] != 1 || sums[code] != 1 {
+				g.exc = append(g.exc, groupExc{sum: sums[code], rows: rows[code], code: uint8(code)})
+			}
+		}
+	}
+	return g
+}
+
 // holeCand is a cell of a row that may fill a hole of the template of its
 // template cell.
 type holeCand struct {
@@ -571,7 +654,7 @@ func (w *Writer) deriveTemplate(v string, i int) (t Template, ok bool) {
 	cands := e.cands[:0]
 	for k := range e.cols {
 		col := &e.cols[k]
-		if col.id == templateColID || col.id == holelessColID || col.present&(1<<i) == 0 || col.vals[i] == "" {
+		if col.id == templateColID || col.id == countColID || col.present&(1<<i) == 0 || col.vals[i] == "" {
 			continue
 		}
 		cands = append(cands, holeCand{uint32(col.local), col.vals[i], -1})

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"math/bits"
 	"strconv"
 	"sync/atomic"
 )
@@ -63,11 +64,33 @@ type BlockStats struct {
 	fold *blockFold
 }
 
-// blockFold is a block's record in the footer's fold section: the facts a
-// fold of occurrence counts takes the block whole from.
+// blockFold is a block's record in the footer's fold and group sections:
+// the facts a fold of occurrence counts takes the block whole from.
 type blockFold struct {
 	timed  bool        // every key carries a clustering timestamp (tsOf >= 0)
 	counts []colCounts // one per hot column with numeric cells
+	// group is the block's group list of GroupColumn, where the block codes
+	// the column into its section dictionary, every amount is a count and
+	// the column holds more than one value; nil otherwise, and in a v7
+	// footer.
+	group *groupList
+}
+
+// groupList counts a block's rows by their code in one column's section
+// dictionary: each code set in present holds one row whose count is 1,
+// unless an exception says otherwise.
+type groupList struct {
+	id, local uint32       // dictionary ID and name-table index
+	dict      *sectionDict // what the codes index
+	present   [sectionDictMax / 64]uint64
+	exc       []groupExc // by ascending code
+}
+
+// groupExc is a code of a group list whose rows are not one row counting 1.
+type groupExc struct {
+	sum  int64 // of the rows' counts, wrapping as int64 does
+	rows int32
+	code uint8
 }
 
 // colCounts tells of one column's cells in a block how many PosInt
@@ -102,6 +125,73 @@ func (b *BlockStats) Counts(id uint32) (cells int, sum int64) {
 	}
 	return 0, 0
 }
+
+// Only returns the value every row of the block holds in column id, where
+// its zone map says there is one: such a block has no group list.
+func (b *BlockStats) Only(id uint32) (string, bool) {
+	z := b.Zone(id)
+	if z == nil || z.Cells != b.Rows || z.MinVal != z.MaxVal {
+		return "", false
+	}
+	return z.MinVal, true
+}
+
+// Group is one code of a block's group list: the rows that hold it and
+// the sum of their counts, wrapping as int64 does.
+type Group struct {
+	Code uint8
+	Rows int
+	Sum  int64
+}
+
+// Groups reads a block's group list code by code, ascending.
+type Groups struct {
+	g    *groupList
+	word int    // the word of g.present being read
+	left uint64 // its codes not read yet
+	exc  int    // the next exception
+}
+
+// Next returns the next code of the list; ok is false past the last.
+func (it *Groups) Next() (g Group, ok bool) {
+	for it.left == 0 {
+		if it.word++; it.word >= len(it.g.present) {
+			return Group{}, false
+		}
+		it.left = it.g.present[it.word]
+	}
+	code := it.word*64 + bits.TrailingZeros64(it.left)
+	it.left &= it.left - 1
+	g = Group{Code: uint8(code), Rows: 1, Sum: 1}
+	if it.exc < len(it.g.exc) && int(it.g.exc[it.exc].code) == code {
+		e := it.g.exc[it.exc]
+		g.Rows, g.Sum = int(e.rows), e.sum
+		it.exc++
+	}
+	return g, true
+}
+
+// Groups returns the block's group list of column id and the section
+// dictionary its codes index: how many of the block's rows hold each code
+// and the sum of their counts. ok is false where the footer has no list
+// — the block must be read, unless Only tells its one value; every amount
+// of a block with a list is a count.
+func (b *BlockStats) Groups(id uint32) (it Groups, dict []string, ok bool) {
+	g := b.groups(id)
+	if g == nil {
+		return Groups{}, nil, false
+	}
+	return g.read(), g.dict.vals, true
+}
+
+func (b *BlockStats) groups(id uint32) *groupList {
+	if b.fold == nil || b.fold.group == nil || b.fold.group.id != id {
+		return nil
+	}
+	return b.fold.group
+}
+
+func (g *groupList) read() Groups { return Groups{g: g, word: -1} }
 
 // Zone returns the zone map for a column ID, or nil when the column is
 // not in the segment's hot set.
@@ -163,8 +253,7 @@ func (kr KeyRange) overlaps(min, max string) bool {
 // i probes bit (h1 + i*h2) mod m. Sizing is bloomBitsPerCell bits per
 // distinct inserted cell with bloomHashes probes (~1% false positives):
 // a 64-row event block of ~8 columns holds ~150 distinct cells, so its
-// filter costs ~190 bytes. (A v6 footer's filters are sized by the
-// block's cells.)
+// filter costs ~190 bytes.
 // Hashes cover the column NAME and value (never the process-local
 // dictionary ID), so filters are portable across processes.
 const (

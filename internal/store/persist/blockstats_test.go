@@ -3,6 +3,8 @@ package persist
 import (
 	"fmt"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -254,7 +256,7 @@ func TestBloomSizedByDistinctCells(t *testing.T) {
 	dir := t.TempDir()
 	probes, hits := 0, 0
 	for i, hs := range hostileSegs() {
-		seg := writeV7(t, dir, hs, uint64(i+1))
+		seg := writeV8(t, dir, hs, uint64(i+1))
 		blocks := seg.meta.Blocks
 		b := 0
 		for _, r := range hs.rows {
@@ -283,3 +285,131 @@ func TestBloomSizedByDistinctCells(t *testing.T) {
 		t.Fatalf("%d of %d probes of values never written pass the filters, want at most 2 %% of at least 10 000", hits, probes)
 	}
 }
+
+// groupRows are the rows of TestGroupListsMatchRows, one block of each
+// shape it lists.
+func groupRows() []Row {
+	var rows []Row
+	add := func(src, amt string) {
+		var cols []Col
+		if src != "" {
+			cols = append(cols, C("source", src))
+		}
+		if amt != absentCell {
+			cols = append(cols, C("amount", amt))
+		}
+		rows = append(rows, MakeRow(EncodeTS(int64(4102732800+len(rows)))+":k", 1, cols))
+	}
+	for i := 0; i < indexEvery; i++ { // repeated sources, counts of 1 to 3
+		add(fmt.Sprintf("c0-0c0s%dn%d", i%7, i%3), fmt.Sprint(1+i%5/3*(i%3)))
+	}
+	for per := 2; per <= 5; per++ { // sources of per rows
+		for i := 0; i < indexEvery; i++ {
+			add(fmt.Sprintf("c1-0c0s%dn%d", i/per/4, i/per%4), "1")
+		}
+	}
+	for i := 0; i < indexEvery; i++ { // sources left out
+		src := fmt.Sprintf("c0-0c0s%dn0", i%9)
+		if i%4 == 0 {
+			src = ""
+		}
+		add(src, "1")
+	}
+	for i := 0; i < indexEvery; i++ { // one source
+		add("c0-0c0s0n0", "2")
+	}
+	for i := 0; i < indexEvery; i++ { // amounts that are not counts
+		amt := "1"
+		switch i {
+		case 3:
+			amt = "x"
+		case 9:
+			amt = absentCell
+		}
+		add(fmt.Sprintf("c0-0c0s%dn1", i%5), amt)
+	}
+	for i := 0; i < 5*indexEvery; i++ { // past the section dictionary
+		add(fmt.Sprintf("c1-0c%ds%dn%d", i/32%8, i/4%8, i%4), "1")
+	}
+	return rows
+}
+
+// TestGroupListsMatchRows holds each block's group list to the block's
+// rows — per source, the rows that hold it and the sum of their counts —
+// as the writer keeps it and as its file reads back. A block gets a list
+// where every amount is a count, the amount column is hot and the block
+// codes its sources into the section dictionary, unless every row holds
+// one source, which its zone map tells; no other block gets one. The
+// blocks: repeated sources with counts 1, 2 and 3; sources of 2, 3, 4 and
+// 5 rows counting 1 each; a source left out of some rows; one source
+// throughout; an amount that is not a count; more sources than a section
+// dictionary holds; and a segment whose hot set lacks the amount column.
+func TestGroupListsMatchRows(t *testing.T) {
+	source, amount := InternColumn("source"), InternColumn("amount")
+	rows := groupRows()
+	dir := t.TempDir()
+	for _, zones := range [][]string{{"source", "amount"}, {"source"}} {
+		written := writeV8(t, dir, hostileSeg{"groups-" + strings.Join(zones, "-"), zones, rows}, 1)
+		read, err := OpenSegment(written.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer read.Close()
+		for _, seg := range []*Segment{written, read} {
+			listed := 0
+			for i := range seg.meta.Blocks {
+				b := seg.meta.Blocks[i]
+				b.fold = &seg.fold[i]
+				// The block's rows and whether it codes sources into the section
+				// dictionary.
+				var blockRows []Row
+				sc, err := ChainBatches(Range{From: b.MinKey, To: b.MaxKey + "\x00"}, []*Segment{seg}, []ScanConfig{{Project: []uint32{source, amount}}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sectioned := false
+				for batch, ok := sc.Next(); ok; batch, ok = sc.Next() {
+					_, _, sd := batch.dictOf(source)
+					sectioned = sd != nil
+					for j := 0; j < batch.Len(); j++ {
+						blockRows = append(blockRows, MakeRow(batch.Keys()[j], 0, []Col{{source, strings.Clone(batch.Col(source)[j])}, {amount, strings.Clone(batch.Col(amount)[j])}}))
+					}
+				}
+				sc.Close()
+				type group struct {
+					rows int
+					sum  int64
+				}
+				want, counts := map[string]group{}, true
+				for _, r := range blockRows {
+					n, ok := PosInt(r.ColID(amount))
+					counts = counts && ok
+					g := want[r.ColID(source)]
+					want[r.ColID(source)] = group{g.rows + 1, g.sum + int64(n)}
+				}
+				_, one := b.Only(source)
+				it, dict, ok := b.Groups(source)
+				if wantList := counts && len(zones) == 2 && sectioned && !one; ok != wantList {
+					t.Fatalf("%v block %d: list %v, want %v (counts %v, section %v, one source %v)", zones, i, ok, wantList, counts, sectioned, one)
+				}
+				if !ok {
+					continue
+				}
+				listed++
+				got := map[string]group{}
+				for g, more := it.Next(); more; g, more = it.Next() {
+					got[dict[g.Code]] = group{g.Rows, g.Sum}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("block %d: groups %v, rows say %v", i, got, want)
+				}
+			}
+			if (listed >= 6) != (len(zones) == 2) {
+				t.Fatalf("%v: %d blocks listed", zones, listed)
+			}
+		}
+	}
+}
+
+// absentCell, as an amount, leaves the amount cell out of the row.
+const absentCell = "\x00"

@@ -12,11 +12,11 @@ import (
 
 // This process interns the ordered columns of the hostile generator in the
 // reverse of the order the fixtures' writer did, so that the name tables of
-// testdata/v6 list columns in an order that is not this reader's ID order.
+// testdata/v7 list columns in an order that is not this reader's ID order.
 var _ = [...]uint32{InternColumn("hz-ord-x"), InternColumn("hz-ord-y"), InternColumn("hz-ord-z")}
 
-// writeV7 writes hs through the (only) writer, as seq.
-func writeV7(t testing.TB, dir string, hs hostileSeg, seq uint64) *Segment {
+// writeV8 writes hs through the (only) writer, as seq.
+func writeV8(t testing.TB, dir string, hs hostileSeg, seq uint64) *Segment {
 	t.Helper()
 	w := NewWriter("hostile", hs.name, seq)
 	if hs.zones != nil {
@@ -37,19 +37,19 @@ func writeV7(t testing.TB, dir string, hs hostileSeg, seq uint64) *Segment {
 	return seg
 }
 
-// v6Fixture is the path of the checked-in v6 rendering of hs: the v6
+// v7Fixture is the path of the checked-in v7 rendering of hs: the v7
 // writer's round file of one section, written at the last commit that had
 // one.
-func v6Fixture(hs hostileSeg) string { return filepath.Join("testdata", "v6", hs.name+segFileExt) }
+func v7Fixture(hs hostileSeg) string { return filepath.Join("testdata", "v7", hs.name+segFileExt) }
 
-// openV6 opens the checked-in v6 rendering of hs.
-func openV6(t testing.TB, hs hostileSeg) *Segment {
+// openV7 opens the checked-in v7 rendering of hs.
+func openV7(t testing.TB, hs hostileSeg) *Segment {
 	t.Helper()
-	seg, err := OpenSegment(v6Fixture(hs))
+	seg, err := OpenSegment(v7Fixture(hs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg.version != segVersionV6 {
+	if seg.version != segVersionV7 {
 		t.Fatalf("fixture %s is codec v%d", hs.name, seg.version)
 	}
 	t.Cleanup(func() { seg.Close() })
@@ -175,74 +175,73 @@ func exactRows(a, b []Row) bool {
 	})
 }
 
-// TestCodecGenerationsAgree holds the v7 codec to the v6 one on the
-// hostile generator's segments: the v6 reader still returns what was
-// written at the last commit with a v6 writer, and the same rows through
-// the v7 writer give the same data region behind the header and so the
-// same Merkle leaves, the same footer statistics (zone maps, key bounds)
-// but for the Bloom filters' sizes, Bloom filters with no false negative,
-// the same rows through the Row adapter, the same batch under every
-// projection and range cut — a column in template form reassembling as its
-// templates say — and the same pruning decisions, from a smaller file.
+// TestCodecGenerationsAgree holds the v8 codec to the v7 one on the
+// hostile generator's segments: the v7 reader still returns what was
+// written at the last commit with a v7 writer, and the same rows through
+// the v8 writer give the same data region behind the header and so the
+// same Merkle leaves, the same footer statistics (zone maps, key bounds,
+// Bloom filters — with no false negative), the same rows through the Row
+// adapter, the same batch under every projection and range cut — a column
+// in template form reassembling as its templates say — and the same
+// pruning decisions, from a file larger by its group section alone.
 func TestCodecGenerationsAgree(t *testing.T) {
 	PoisonBatches.Store(true)
 	defer PoisonBatches.Store(false)
 	dir := t.TempDir()
 	for i, hs := range hostileSegs() {
 		t.Run(hs.name, func(t *testing.T) {
-			v6, v7 := openV6(t, hs), writeV7(t, dir, hs, uint64(i+1))
-			for _, seg := range []*Segment{v6, v7} {
+			v7, v8 := openV7(t, hs), writeV8(t, dir, hs, uint64(i+1))
+			for _, seg := range []*Segment{v7, v8} {
 				if err := seg.Verify(); err != nil {
 					t.Fatal(err)
 				}
 			}
 
 			// Rows.
-			got6, got7 := scanRows(t, v6, Range{}, ScanConfig{}), scanRows(t, v7, Range{}, ScanConfig{})
-			if !exactRows(got6, hs.rows) {
-				t.Fatalf("the v6 fixture no longer reads back the generator's %d rows (%d read)", len(hs.rows), len(got6))
-			}
+			got7, got8 := scanRows(t, v7, Range{}, ScanConfig{}), scanRows(t, v8, Range{}, ScanConfig{})
 			if !exactRows(got7, hs.rows) {
-				t.Fatalf("v7 reads back %d rows that differ from the %d written", len(got7), len(hs.rows))
+				t.Fatalf("the v7 fixture no longer reads back the generator's %d rows (%d read)", len(hs.rows), len(got7))
+			}
+			if !exactRows(got8, hs.rows) {
+				t.Fatalf("v8 reads back %d rows that differ from the %d written", len(got8), len(hs.rows))
 			}
 
 			// Data region: the blocks byte for byte, so the leaves — but for
 			// "shifting", whose blocks name columns by their index in a name
 			// table in the writing process's dictionary order.
 			if hs.name != "shifting" {
-				data6, data7 := sectionData(t, v6), sectionData(t, v7)
-				if string(data6[:len(segHeader)]) != segHeaderV6 || string(data7[:len(segHeader)]) != segHeader ||
-					string(data6[len(segHeader):]) != string(data7[len(segHeader):]) {
-					t.Fatalf("the v7 data region (%d bytes) is not the v6 one (%d) behind a new header", len(data7), len(data6))
+				data7, data8 := sectionData(t, v7), sectionData(t, v8)
+				if string(data7[:len(segHeader)]) != segHeaderV7 || string(data8[:len(segHeader)]) != segHeader ||
+					string(data7[len(segHeader):]) != string(data8[len(segHeader):]) {
+					t.Fatalf("the v8 data region (%d bytes) is not the v7 one (%d) behind a new header", len(data8), len(data7))
 				}
-				if !reflect.DeepEqual(v6.meta.Leaves, v7.meta.Leaves) || v6.root != v7.root {
+				if !reflect.DeepEqual(v7.meta.Leaves, v8.meta.Leaves) || v7.root != v8.root {
 					t.Fatal("the Merkle leaves differ")
 				}
 			}
 
-			// Footer: all but the Bloom filters' bits, the data CRC, which
-			// covers the header, and the leaves.
-			m6, m7 := *v6.meta, *v7.meta
-			m6.Blocks, m7.Blocks = withoutBlooms(m6.Blocks), withoutBlooms(m7.Blocks)
-			if !reflect.DeepEqual(m6.Blocks, m7.Blocks) {
-				for b := range m6.Blocks {
-					if !reflect.DeepEqual(m6.Blocks[b], m7.Blocks[b]) {
-						t.Fatalf("block %d statistics differ:\nv6 %+v\nv7 %+v", b, m6.Blocks[b], m7.Blocks[b])
+			// Footer: all but the data CRC, which covers the header, and the
+			// leaves.
+			m7, m8 := *v7.meta, *v8.meta
+			if !reflect.DeepEqual(m7.Blocks, m8.Blocks) {
+				for b := range m7.Blocks {
+					if !reflect.DeepEqual(m7.Blocks[b], m8.Blocks[b]) {
+						t.Fatalf("block %d statistics differ:\nv7 %+v\nv8 %+v", b, m7.Blocks[b], m8.Blocks[b])
 					}
 				}
-				t.Fatalf("%d v6 block statistics, %d v7", len(m6.Blocks), len(m7.Blocks))
+				t.Fatalf("%d v7 block statistics, %d v8", len(m7.Blocks), len(m8.Blocks))
 			}
-			d6, t6 := codecOf(&m6)
-			if d7, t7 := codecOf(&m7); !reflect.DeepEqual(d6, d7) || !slices.Equal(t6, t7) {
-				t.Fatalf("codec sections differ:\nv6 %q %q\nv7 %q %q", d6, t6, d7, t7)
+			d7, t7 := codecOf(&m7)
+			if d8, t8 := codecOf(&m8); !reflect.DeepEqual(d7, d8) || !slices.Equal(t7, t8) {
+				t.Fatalf("codec sections differ:\nv7 %q %q\nv8 %q %q", d7, t7, d8, t8)
 			}
-			for _, m := range []*footerMeta{&m6, &m7} {
+			for _, m := range []*footerMeta{&m7, &m8} {
 				m.DataCRC, m.Leaves, m.Blocks, m.Dicts, m.Templates, m.TmplCol = 0, nil, nil, nil, nil, 0
 				// The name table is in the writing process's dictionary order.
 				m.ColNames = slices.Sorted(slices.Values(m.ColNames))
 			}
-			if !reflect.DeepEqual(m6, m7) {
-				t.Fatalf("footers differ:\nv6 %+v\nv7 %+v", m6, m7)
+			if !reflect.DeepEqual(m7, m8) {
+				t.Fatalf("footers differ:\nv7 %+v\nv8 %+v", m7, m8)
 			}
 
 			// Bloom answers: every cell written is in its block's filter.
@@ -253,7 +252,7 @@ func TestCodecGenerationsAgree(t *testing.T) {
 						names = append(names, c.ID)
 					}
 					h1, h2 := BloomHash(ColumnName(c.ID), c.Value)
-					for _, seg := range []*Segment{v6, v7} {
+					for _, seg := range []*Segment{v7, v8} {
 						for b, blk := range seg.meta.Blocks {
 							if in := blk.MinKey <= r.Key && r.Key <= blk.MaxKey; in && c.Value != "" && !blk.MayContain(h1, h2) {
 								t.Fatalf("v%d block %d Bloom misses %s=%q", seg.version, b, ColumnName(c.ID), c.Value)
@@ -278,13 +277,13 @@ func TestCodecGenerationsAgree(t *testing.T) {
 					Range{From: hs.rows[n/2].Key + "\x00"}, Range{To: hs.rows[n/2].Key}, Range{From: hs.rows[n/2].Key, To: hs.rows[n/2].Key + "\x00"})
 			}
 			for _, rg := range ranges {
-				if r6, r7 := scanRows(t, v6, rg, ScanConfig{}), scanRows(t, v7, rg, ScanConfig{}); !exactRows(r6, r7) {
-					t.Fatalf("range %q: %d rows from v6, %d from v7", rg, len(r6), len(r7))
+				if r7, r8 := scanRows(t, v7, rg, ScanConfig{}), scanRows(t, v8, rg, ScanConfig{}); !exactRows(r7, r8) {
+					t.Fatalf("range %q: %d rows from v7, %d from v8", rg, len(r7), len(r8))
 				}
 				for _, project := range projections {
 					cfg := ScanConfig{Project: project}
-					if b6, b7 := batchImages(t, v6, rg, cfg), batchImages(t, v7, rg, cfg); !reflect.DeepEqual(b6, b7) {
-						t.Fatalf("range %q projection %v: batches differ\nv6 %+v\nv7 %+v", rg, project, b6, b7)
+					if b7, b8 := batchImages(t, v7, rg, cfg), batchImages(t, v8, rg, cfg); !reflect.DeepEqual(b7, b8) {
+						t.Fatalf("range %q projection %v: batches differ\nv7 %+v\nv8 %+v", rg, project, b7, b8)
 					}
 				}
 			}
@@ -293,23 +292,26 @@ func TestCodecGenerationsAgree(t *testing.T) {
 			for _, zone := range hs.zones {
 				id := InternColumn(zone)
 				for _, want := range []string{"", "0", "g1", "c1-0c1s1n1", "zzz"} {
-					var s6, s7 PruneStats
-					r6 := scanRows(t, v6, Range{}, ScanConfig{Pruner: zonePruner{id, want}, Stats: &s6})
+					var s7, s8 PruneStats
 					r7 := scanRows(t, v7, Range{}, ScanConfig{Pruner: zonePruner{id, want}, Stats: &s7})
-					if !exactRows(r6, r7) || s6.BlocksRead.Load() != s7.BlocksRead.Load() || s6.BlocksPruned.Load() != s7.BlocksPruned.Load() {
-						t.Fatalf("pruning %s=%q: v6 read %d pruned %d, v7 read %d pruned %d", zone, want,
-							s6.BlocksRead.Load(), s6.BlocksPruned.Load(), s7.BlocksRead.Load(), s7.BlocksPruned.Load())
+					r8 := scanRows(t, v8, Range{}, ScanConfig{Pruner: zonePruner{id, want}, Stats: &s8})
+					if !exactRows(r7, r8) || s7.BlocksRead.Load() != s8.BlocksRead.Load() || s7.BlocksPruned.Load() != s8.BlocksPruned.Load() {
+						t.Fatalf("pruning %s=%q: v7 read %d pruned %d, v8 read %d pruned %d", zone, want,
+							s7.BlocksRead.Load(), s7.BlocksPruned.Load(), s8.BlocksRead.Load(), s8.BlocksPruned.Load())
 					}
 				}
 			}
 
-			switch hs.name {
-			case "events", "distinct", "templates", "sources256", "sources257":
-				if f6, f7 := fileSize(t, v6.path), fileSize(t, v7.path); f7 >= f6 {
-					t.Fatalf("the segment's file takes %d bytes in v7, %d in v6", f7, f6)
+			// Size: the v8 file is the v7 one and its group section, which
+			// lists the groups of every hot column in section form but for a
+			// block whose amounts are not all counts.
+			if hs.name != "shifting" {
+				groups := appendGroupSection(nil, v8.fold)
+				if f7, f8 := fileSize(t, v7.path), fileSize(t, v8.path); f8-f7 != int64(len(groups)) {
+					t.Fatalf("the segment's file takes %d bytes in v8, %d in v7, with a %d-byte group section", f8, f7, len(groups))
 				}
 			}
-			if hs.name == "templates" && len(v7.meta.Templates) == 0 {
+			if hs.name == "templates" && len(v8.meta.Templates) == 0 {
 				t.Fatal("no raw cell of the segment took a template")
 			}
 		})
@@ -347,15 +349,6 @@ func codecOf(m *footerMeta) (map[string][]string, []string) {
 	return dicts, tmpls
 }
 
-// withoutBlooms copies block statistics without their Bloom filters.
-func withoutBlooms(blocks []BlockStats) []BlockStats {
-	out := slices.Clone(blocks)
-	for i := range out {
-		out[i].bloom = bloom{}
-	}
-	return out
-}
-
 func fileSize(t testing.TB, path string) int64 {
 	t.Helper()
 	st, err := os.Stat(path)
@@ -380,7 +373,7 @@ func TestV5WriterOrderNotReaders(t *testing.T) {
 		rows = append(rows, Row{Key: key, WriteTS: 1, cols: cols})
 		want = append(want, MakeRow(key, 1, slices.Clone(cols)))
 	}
-	seg := writeV7(t, t.TempDir(), hostileSeg{name: "order", rows: rows}, 1)
+	seg := writeV8(t, t.TempDir(), hostileSeg{name: "order", rows: rows}, 1)
 	if names := seg.meta.ColNames[:3]; !slices.Equal(names, []string{"hz-ord-z", "hz-ord-y", "hz-ord-x"}) {
 		t.Fatalf("name table %v: the test did not get the writer order it wanted", names)
 	}
@@ -403,7 +396,7 @@ func TestTemplatesAcrossColumnOrders(t *testing.T) {
 		}
 		rows = append(rows, MakeRow(EncodeTS(int64(i)), 1, cols))
 	}
-	seg := writeV7(t, t.TempDir(), hostileSeg{name: "orders", rows: rows}, 1)
+	seg := writeV8(t, t.TempDir(), hostileSeg{name: "orders", rows: rows}, 1)
 	sc, err := ChainBatches(Range{}, []*Segment{seg}, []ScanConfig{{Project: []uint32{templateColID}}})
 	if err != nil {
 		t.Fatal(err)
@@ -423,11 +416,11 @@ func TestTemplatesAcrossColumnOrders(t *testing.T) {
 }
 
 // TestMixedGenerationCrashImages cuts crash images at the four stages of a
-// compaction round over a directory that mixes v6 sections — the hostile
-// fixtures — and v7 sections written over half their keys: every image
-// reopens with every partition's last-write-wins rows, served by its v6
-// and v7 sections until the round's file has its final name and by one
-// v7 section after.
+// compaction round over a directory that mixes v7 sections — the hostile
+// fixtures — and v8 sections written over half their keys: every image
+// reopens with every partition's last-write-wins rows, served by its v7
+// and v8 sections until the round's file has its final name and by one
+// v8 section after.
 func TestMixedGenerationCrashImages(t *testing.T) {
 	dir := t.TempDir()
 	want := make(map[string][]Row)
@@ -436,7 +429,7 @@ func TestMixedGenerationCrashImages(t *testing.T) {
 		if hs.name != "events" && hs.name != "templates" && hs.name != "sources257" {
 			continue
 		}
-		data, err := os.ReadFile(v6Fixture(hs))
+		data, err := os.ReadFile(v7Fixture(hs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,7 +438,7 @@ func TestMixedGenerationCrashImages(t *testing.T) {
 		}
 		var over []Row
 		for _, r := range hs.rows[:len(hs.rows)/2] {
-			over = append(over, MakeRow(r.Key, r.WriteTS+1<<20, append(slices.Clone(r.Cols()), C("hz-v7", "over"))))
+			over = append(over, MakeRow(r.Key, r.WriteTS+1<<20, append(slices.Clone(r.Cols()), C("hz-v8", "over"))))
 		}
 		want[hs.name] = append(slices.Clone(over), hs.rows[len(over):]...)
 		parts = append(parts, FlushPart{"hostile", hs.name, over})
@@ -475,7 +468,7 @@ func TestMixedGenerationCrashImages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", img.stage, err)
 		}
-		versions := []int{segVersionV6, SegVersion}
+		versions := []int{segVersionV7, SegVersion}
 		if img.stage == "renamed" || img.stage == "published" {
 			versions = []int{SegVersion}
 		}

@@ -31,7 +31,7 @@ func TestStoreFooterFootprint(t *testing.T) {
 	}
 	t.Log(total)
 	persist.CheckFootprint(t, total, persist.FootprintBudget{
-		BloomPerBlock: 64, ZonesPerBlock: 112, IndexPerBlock: 34, FoldPerBlock: 5,
+		BloomPerBlock: 64, ZonesPerBlock: 112, IndexPerBlock: 34, FoldPerBlock: 5, GroupsPerBlock: 8,
 		RefsPerSection: 36, CodecPerSection: 13, MetaPerSection: 96,
 	})
 }

@@ -12,11 +12,12 @@ import (
 )
 
 // Footprint splits the footer bytes of a directory's round files by part:
-// what each part of the v7 footer costs, and what the string table of each
+// what each part of the v8 footer costs, and what the string table of each
 // file costs beside the per-section tables it replaces.
 type Footprint struct {
 	Files, Sections, Blocks           int
 	Bloom, Zones, Index, Leaves, Fold int // the footers' per-block parts
+	Groups                            int // the group section, per block too
 	Refs                              int // string-table entry numbers: column names, dictionary values, template constants
 	Codec                             int // the codec section but its entry numbers
 	Meta                              int // the rest: identity, key and time bounds, data length and CRC
@@ -29,22 +30,22 @@ func (f Footprint) Plus(g Footprint) Footprint {
 	return Footprint{
 		f.Files + g.Files, f.Sections + g.Sections, f.Blocks + g.Blocks,
 		f.Bloom + g.Bloom, f.Zones + g.Zones, f.Index + g.Index, f.Leaves + g.Leaves, f.Fold + g.Fold,
-		f.Refs + g.Refs, f.Codec + g.Codec, f.Meta + g.Meta, f.Table + g.Table, f.Inline + g.Inline,
+		f.Groups + g.Groups, f.Refs + g.Refs, f.Codec + g.Codec, f.Meta + g.Meta, f.Table + g.Table, f.Inline + g.Inline,
 	}
 }
 
 // Footer returns the bytes of every footer part.
 func (f Footprint) Footer() int {
-	return f.Bloom + f.Zones + f.Index + f.Leaves + f.Fold + f.Refs + f.Codec + f.Meta
+	return f.Bloom + f.Zones + f.Index + f.Leaves + f.Fold + f.Groups + f.Refs + f.Codec + f.Meta
 }
 
 func (f Footprint) String() string {
-	return fmt.Sprintf("%d files, %d sections, %d blocks: footers %d B = bloom %d + zones %d + index %d + leaves %d + fold %d + refs %d + codec %d + meta %d; string tables %d B for %d B inline",
-		f.Files, f.Sections, f.Blocks, f.Footer(), f.Bloom, f.Zones, f.Index, f.Leaves, f.Fold, f.Refs, f.Codec, f.Meta, f.Table, f.Inline)
+	return fmt.Sprintf("%d files, %d sections, %d blocks: footers %d B = bloom %d + zones %d + index %d + leaves %d + fold %d + groups %d + refs %d + codec %d + meta %d; string tables %d B for %d B inline",
+		f.Files, f.Sections, f.Blocks, f.Footer(), f.Bloom, f.Zones, f.Index, f.Leaves, f.Fold, f.Groups, f.Refs, f.Codec, f.Meta, f.Table, f.Inline)
 }
 
-// FooterFootprint measures the v7 sections of the round files under dir,
-// the data files and the stubs; it fails on a v6 section. Each footer is
+// FooterFootprint measures the v8 sections of the round files under dir,
+// the data files and the stubs; it fails on a v7 section. Each footer is
 // split by re-encoding its parts one by one, and the parts must add up to
 // the footer as written.
 func FooterFootprint(dir string) (Footprint, error) {
@@ -120,6 +121,7 @@ func (fp *Footprint) add(seg *Segment, ref map[string]uint32) error {
 		}
 	}
 	parts.Fold = len(appendFoldSection(nil, m.Blocks, seg.fold))
+	parts.Groups = len(appendGroupSection(nil, seg.fold))
 	parts.Refs = uvarintLen(uint64(len(m.ColNames)))
 	for _, name := range m.ColNames {
 		parts.Refs += entry(name)
@@ -148,6 +150,7 @@ func (fp *Footprint) add(seg *Segment, ref map[string]uint32) error {
 	fp.Index += parts.Index
 	fp.Leaves += parts.Leaves
 	fp.Fold += parts.Fold
+	fp.Groups += parts.Groups
 	fp.Refs += parts.Refs
 	fp.Codec += parts.Codec
 	fp.Meta += parts.Meta
@@ -189,7 +192,7 @@ func TestFooterFootprint(t *testing.T) {
 	}
 	t.Log(fp)
 	CheckFootprint(t, fp, FootprintBudget{
-		BloomPerBlock: 100, ZonesPerBlock: 75, IndexPerBlock: 30, FoldPerBlock: 4,
+		BloomPerBlock: 100, ZonesPerBlock: 75, IndexPerBlock: 30, FoldPerBlock: 4, GroupsPerBlock: 1,
 		RefsPerSection: 180, CodecPerSection: 16, MetaPerSection: 64,
 	})
 }
@@ -198,6 +201,7 @@ func TestFooterFootprint(t *testing.T) {
 // block has one of, per section for the rest.
 type FootprintBudget struct {
 	BloomPerBlock, ZonesPerBlock, IndexPerBlock, FoldPerBlock int
+	GroupsPerBlock                                            int
 	RefsPerSection, CodecPerSection, MetaPerSection           int
 }
 
@@ -217,6 +221,7 @@ func CheckFootprint(t *testing.T, fp Footprint, b FootprintBudget) {
 		{"index", fp.Index, b.IndexPerBlock * fp.Blocks},
 		{"leaves", fp.Leaves, (objstore.HashLen + 1) * fp.Blocks},
 		{"fold", fp.Fold, b.FoldPerBlock * fp.Blocks},
+		{"groups", fp.Groups, b.GroupsPerBlock * fp.Blocks},
 		{"refs", fp.Refs, b.RefsPerSection * fp.Sections},
 		{"codec", fp.Codec, b.CodecPerSection * fp.Sections},
 		{"meta", fp.Meta, b.MetaPerSection * fp.Sections},

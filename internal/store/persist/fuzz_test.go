@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"hpclog/internal/objstore"
@@ -197,17 +198,17 @@ func selfIDs(m *footerMeta) []uint32 {
 	return ids
 }
 
-// fuzzTable is the string table the footer fuzzer decodes v7 footers
+// fuzzTable is the string table the footer fuzzer decodes v8 footers
 // against: what the seeds' footers were encoded with.
 func fuzzTable() *strTable {
 	tab := &strTable{}
-	for _, s := range []string{"amount", "source", "raw", "all constant", "at ", " and ", ""} {
+	for _, s := range []string{"amount", "source", "raw", "all constant", "at ", " and ", "", "1", "7", "c0-0c0s0n0", "c0-0c0s0n1", "c0-0c0s0n3"} {
 		tab.ref(s)
 	}
 	return tab
 }
 
-// hostileFoldSections are v7 footers, against fuzzTable, whose fold
+// hostileFoldSections are v8 footers, against fuzzTable, whose fold
 // section is damaged: each must fail to decode.
 func hostileFoldSections() map[string][]byte {
 	meta, fold, ids := foldedFooter()
@@ -228,30 +229,54 @@ func hostileFoldSections() map[string][]byte {
 	}
 }
 
-// v6Footers returns the footers of the checked-in v6 fixtures.
-func v6Footers(t testing.TB) [][]byte {
+// fixtureFooters returns the footers of the hostile generator's segments
+// and of groupRows' re-encoded against tab: the checked-in v7 fixtures' in
+// the v7 layout and those the v8 writer writes, group lists included.
+func fixtureFooters(t testing.TB, tab *strTable) [][]byte {
 	t.Helper()
 	var out [][]byte
-	for _, hs := range hostileSegs() {
-		data, err := os.ReadFile(v6Fixture(hs))
-		if err != nil {
-			t.Fatal(err)
+	dir := t.TempDir()
+	segs := append(hostileSegs(), hostileSeg{"groups", []string{"source", "amount"}, groupRows()})
+	for i, hs := range segs {
+		paths := []string{writeV8(t, dir, hs, uint64(i+1)).path}
+		if hs.name != "groups" {
+			paths = append(paths, v7Fixture(hs))
 		}
-		secs, _, _, err := readSections(bytes.NewReader(data), int64(len(data)))
-		if err != nil || len(secs) != 1 {
-			t.Fatalf("%s: %d sections: %v", hs.name, len(secs), err)
+		for _, path := range paths {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			secs, _, own, err := readSections(bytes.NewReader(data), int64(len(data)))
+			if err != nil || len(secs) != 1 {
+				t.Fatalf("%s: %d sections: %v", path, len(secs), err)
+			}
+			sec := data[:secs[0].len]
+			foot := int(binary.LittleEndian.Uint32(sec[len(sec)-trailerLen:]))
+			version := segVersionV7
+			if string(sec[:len(segHeader)]) == segHeader {
+				version = SegVersion
+			}
+			m, fold, err := decodeFooter(sec[len(sec)-trailerLen-foot:len(sec)-trailerLen], version, own)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			fb := appendFooter(nil, m, fold, selfIDs(m), tab)
+			if version == segVersionV7 {
+				fb = appendCodecSection(appendFoldSection(appendMeta(nil, m, selfIDs(m), tab), m.Blocks, fold), m, tab)
+			}
+			out = append(out, fb)
 		}
-		sec := data[:secs[0].len]
-		foot := int(binary.LittleEndian.Uint32(sec[len(sec)-trailerLen:]))
-		out = append(out, sec[len(sec)-trailerLen-foot:len(sec)-trailerLen])
 	}
 	return out
 }
 
-// FuzzSegmentFooter feeds arbitrary bytes to the footer decoder, as a v6
-// footer and as a v7 one against fuzzTable: any outcome but a panic is
-// acceptable, and a valid decode must re-encode as v7 — what compaction
-// does with a v6 section it moves.
+// FuzzSegmentFooter feeds arbitrary bytes to the footer decoder, as a v7
+// footer and as a v8 one against fuzzTable, extended by the seeds: any
+// outcome but a panic is acceptable, and a valid decode must re-encode as
+// v8 — what compaction does with a v7 section it moves. The seeds hold
+// group lists, the hostile generator's among them, and each group section
+// the decoder must refuse.
 func FuzzSegmentFooter(f *testing.F) {
 	meta := footerMeta{
 		Table: "events", Partition: "p1", Seq: 7, Rows: 2,
@@ -280,17 +305,23 @@ func FuzzSegmentFooter(f *testing.F) {
 	for _, name := range slices.Sorted(maps.Keys(hostileCodecSections())) {
 		f.Add(hostileCodecSections()[name])
 	}
-	for _, fb := range v6Footers(f) {
+	gm, gfold, gids := groupFooter()
+	f.Add(appendFooter(nil, gm, gfold, gids, tab))
+	hostile = hostileGroupSections()
+	for _, name := range slices.Sorted(maps.Keys(hostile)) {
+		f.Add(hostile[name])
+	}
+	for _, fb := range fixtureFooters(f, tab) {
 		f.Add(fb)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkFooterRoundTrip(t, data, segVersionV6, nil)
-		checkFooterRoundTrip(t, data, SegVersion, fuzzTable())
+		checkFooterRoundTrip(t, data, segVersionV7, tab)
+		checkFooterRoundTrip(t, data, SegVersion, tab)
 	})
 }
 
 // checkFooterRoundTrip decodes data as a footer of codec version against
-// tab and, if that succeeds, holds its v7 re-encoding to it.
+// tab and, if that succeeds, holds its v8 re-encoding to it.
 func checkFooterRoundTrip(t *testing.T, data []byte, version int, tab *strTable) {
 	m, fold, err := decodeFooter(data, version, tab)
 	if err != nil {
@@ -324,7 +355,7 @@ func checkFooterRoundTrip(t *testing.T, data []byte, version int, tab *strTable)
 		t.Fatalf("footer round trip mismatch: %+v vs %+v", m, m2)
 	}
 	if len(m.Index) > 0 && m2.MinKey != m.Index[0].Key {
-		t.Fatalf("v7 minimum key %q, first index key %q", m2.MinKey, m.Index[0].Key)
+		t.Fatalf("v8 minimum key %q, first index key %q", m2.MinKey, m.Index[0].Key)
 	}
 	if !reflect.DeepEqual(fold, fold2) {
 		t.Fatalf("fold section round trip: %+v vs %+v", fold, fold2)
@@ -402,7 +433,7 @@ func codecFooter() (*footerMeta, []blockFold, []uint32) {
 	return m, fold, append(ids, 2)
 }
 
-// hostileCodecSections are v7 footers, against fuzzTable, whose codec
+// hostileCodecSections are v8 footers, against fuzzTable, whose codec
 // section is damaged or names strings past the table: each must fail to
 // decode.
 func hostileCodecSections() map[string][]byte {
@@ -414,33 +445,33 @@ func hostileCodecSections() map[string][]byte {
 		for _, v := range codec {
 			b = binary.AppendUvarint(b, v)
 		}
-		return b
+		return appendGroupSection(b, fold)
 	}
 	cm, cfold, cids := codecFooter()
 	good := appendFooter(nil, cm, cfold, cids, tab)
 	pastNames := appendMeta(nil, m, ids, &strTable{strs: []string{"amount"}, refs: map[string]uint32{"amount": 0, "source": 99}})
 	return map[string][]byte{
 		"missing":                  bare,
-		"truncated":                good[:len(good)-1],
+		"truncated":                good[:len(good)-len(fold)-1], // inside the codec section
 		"trailing byte":            append(slices.Clone(good), 0),
 		"dictionary past table":    with(1, 2, 1, 0, 0),
 		"empty dictionary":         with(1, 0, 0, 0),
 		"dictionaries descending":  with(2, 1, 1, 0, 0, 1, 1, 0),
-		"value past the table":     with(1, 0, 1, 7, 0),
+		"value past the table":     with(1, 0, 1, 99, 0),
 		"too large dictionary":     with(1, 0, sectionDictMax+1),
 		"too many templates":       with(0, maxTemplates+1),
 		"template column past":     with(0, 1, 2, 0, 0),
 		"hole past table":          with(0, 1, 0, 1, 0, 5, 0),
 		"hole in template column":  with(0, 1, 0, 1, 0, 0, 0),
 		"hole count past the rest": with(0, 1, 1, 200, 0),
-		"constant past the table":  with(0, 1, 0, 0, 7),
-		"name past the table":      appendCodecSection(appendFoldSection(pastNames, m.Blocks, fold), m, tab),
+		"constant past the table":  with(0, 1, 0, 0, 99),
+		"name past the table":      appendGroupSection(appendCodecSection(appendFoldSection(pastNames, m.Blocks, fold), m, tab), fold),
 	}
 }
 
 // TestCodecSectionRoundTrip pins the footer's codec section: the
 // dictionaries and templates come back as written, a footer without a
-// codec section or with a damaged one is refused, and a v7 footer read
+// codec section or with a damaged one is refused, and a v8 footer read
 // without a string table is refused too.
 func TestCodecSectionRoundTrip(t *testing.T) {
 	m, fold, ids := codecFooter()
@@ -469,7 +500,95 @@ func TestCodecSectionRoundTrip(t *testing.T) {
 		}
 	}
 	if _, _, err := decodeFooter(fb, SegVersion, nil); err == nil {
-		t.Error("a v7 footer decoded without its string table")
+		t.Error("a v8 footer decoded without its string table")
+	}
+}
+
+// groupFooter is codecFooter with a section dictionary of "source" and a
+// group list of it in the second block, whose two rows hold codes 0 and 2,
+// the second row counting 2.
+func groupFooter() (*footerMeta, []blockFold, []uint32) {
+	m, fold, ids := codecFooter()
+	m.Dicts[0].derived = new(sync.Map)
+	m.Dicts[1] = sectionDict{vals: []string{"c0-0c0s0n0", "c0-0c0s0n1", "c0-0c0s0n3"}, empty: -1, derived: new(sync.Map)}
+	fold[1].group = &groupList{id: 1, local: 1, dict: &m.Dicts[1], present: [4]uint64{0b101},
+		exc: []groupExc{{sum: 2, rows: 1, code: 2}}}
+	return m, fold, ids
+}
+
+// hostileGroupSections are v8 footers, against fuzzTable, whose group
+// section is missing, damaged or does not describe its blocks: each must
+// fail to decode.
+func hostileGroupSections() map[string][]byte {
+	tab := fuzzTable()
+	m, fold, ids := groupFooter()
+	old := appendCodecSection(appendFoldSection(appendMeta(nil, m, ids, tab), m.Blocks, fold), m, tab)
+	good := appendFooter(nil, m, fold, ids, tab)
+	flag := slices.Clone(good)
+	flag[len(old)] = 2 // the first block's
+	// listed gives the second block, of two rows counting 3, the group list
+	// list — bitmap, exception count, exceptions — and the first none.
+	listed := func(list ...byte) []byte { return append(append(slices.Clone(old), 0, 1), list...) }
+	with := func(damage func(m *footerMeta, fold []blockFold, g *groupList)) []byte {
+		m, fold, ids := groupFooter()
+		damage(m, fold, fold[1].group)
+		return appendFooter(nil, m, fold, ids, tab)
+	}
+	return map[string][]byte{
+		"missing":       old,
+		"truncated":     good[:len(good)-1],
+		"trailing byte": append(slices.Clone(good), 0),
+		"bad flag":      flag,
+		"in a block of non-counts": with(func(_ *footerMeta, fold []blockFold, g *groupList) {
+			fold[0].group = g
+		}),
+		"column without a dictionary": with(func(m *footerMeta, _ []blockFold, g *groupList) {
+			g.dict, m.Dicts[1] = &sectionDict{vals: m.Dicts[1].vals}, sectionDict{}
+		}),
+		"code past the dictionary": with(func(_ *footerMeta, _ []blockFold, g *groupList) { g.present[0] = 0b1100 }),
+		"more codes than rows":     listed(0b111, 0),
+		"more codes than a block holds": with(func(m *footerMeta, fold []blockFold, g *groupList) {
+			m.Blocks[1].Rows, m.Blocks[1].Zones[0].Cells, m.Blocks[1].Zones[0].NumCells = 300, 300, 300
+			fold[1].counts[0] = colCounts{id: 0, cells: 300, sum: 300}
+			m.Dicts[1].vals = slices.Repeat([]string{"1"}, 100)
+			g.present, g.exc = [4]uint64{1<<64 - 1, 1<<36 - 1}, nil
+		}),
+		"exception past the codes":  listed(0b101, 1, 2<<2|3, 1, 4),
+		"exceptions descending":     listed(0b101, 2, 1<<2|3, 1, 4, 0<<2|3, 1, 2),
+		"a short form spelt out":    listed(0b001, 1, 0<<2|3, 2, 4),
+		"one row counting 1, spelt": listed(0b101, 1, 1<<2|3, 1, 2),
+		"more exceptions than codes": with(func(_ *footerMeta, _ []blockFold, g *groupList) {
+			g.exc = append(g.exc, g.exc[0], g.exc[0])
+		}),
+		"one row counting 1":      with(func(_ *footerMeta, _ []blockFold, g *groupList) { g.exc[0].sum = 1 }),
+		"no rows":                 with(func(_ *footerMeta, _ []blockFold, g *groupList) { g.exc[0].rows = 0 }),
+		"rows short of the block": with(func(_ *footerMeta, _ []blockFold, g *groupList) { g.present[0], g.exc = 1, nil }),
+		"counts off the block's":  with(func(_ *footerMeta, _ []blockFold, g *groupList) { g.exc[0].sum = 5 }),
+	}
+}
+
+// TestGroupSectionRoundTrip pins the footer's group section: the lists
+// come back as written, each bound to its section dictionary; the same
+// footer without its group section reads as v7, with no list; and each
+// hostile group section is refused.
+func TestGroupSectionRoundTrip(t *testing.T) {
+	m, fold, ids := groupFooter()
+	tab := fuzzTable()
+	got, gotFold, err := decodeFooter(appendFooter(nil, m, fold, ids, tab), SegVersion, tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotFold, fold) || gotFold[1].group.dict != &got.Dicts[1] {
+		t.Fatalf("fold with groups %+v, want %+v", gotFold, fold)
+	}
+	v7 := appendCodecSection(appendFoldSection(appendMeta(nil, m, ids, tab), m.Blocks, fold), m, tab)
+	if _, oldFold, err := decodeFooter(v7, segVersionV7, tab); err != nil || oldFold[1].group != nil {
+		t.Fatalf("as v7: %+v, %v", oldFold, err)
+	}
+	for name, fb := range hostileGroupSections() {
+		if _, _, err := decodeFooter(fb, SegVersion, fuzzTable()); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
 	}
 }
 

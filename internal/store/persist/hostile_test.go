@@ -16,11 +16,11 @@ type hostileSeg struct {
 }
 
 // hostileSegs is THE generator of the codec differential: the same rows
-// were written through the v5 writer at the last commit that had one
-// (testdata/v5/<name>.seg) and are written through the v6 writer by the
+// were written through the v7 writer at the last commit that had one
+// (testdata/v7/<name>.seg) and are written through the v8 writer by the
 // tests. Deterministic; the names it interns are its own ("hz-" prefix), in
 // an order the differential test's process deliberately pre-empts — but
-// for "raw" and "amount", the names the v6 writer's templates key on, in
+// for "raw" and "amount", the names the v8 writer's templates key on, in
 // the segments written for them.
 func hostileSegs() []hostileSeg {
 	rng := rand.New(rand.NewSource(26))

@@ -36,23 +36,20 @@ import (
 //	           u32 crc32(index) | "HPSEGRX2" (24 bytes)
 //
 // The string table holds, each once, the column names, dictionary values
-// and template constants of the file's v7 sections, which their footers
-// name by entry number. A file of v6's rounds ends in u32 indexLen | u32
-// crc32(index) | "HPSEGRX1", with no string table: it holds v6 sections
-// only.
+// and template constants of the file's sections, which their footers name
+// by entry number.
 //
 // A dead mark names a section, of another file, that compaction retired
 // and left on disk (see compactRound): a seq once marked is dead in every
 // file. Each compaction file and each stub marks every dead section on
 // disk when it is written, so no dead section comes back at open.
 //
-// A file without a round trailer (one written before round files) is a
-// round of one v6 section. A footer stub has the same layout; its sections
-// are the stubs of the data file's live ones, and its string table is the
-// data file's.
+// A file without a round trailer (one written before round files) is
+// parsed as one section, which then fails for its codec generation. A
+// footer stub has the same layout; its sections are the stubs of the data
+// file's live ones, and its string table is the data file's.
 const (
 	roundTrailer    = "HPSEGRX2"
-	roundTrailerV6  = "HPSEGRX1"
 	roundTrailerLen = 4 + 4 + 4 + 4 + 8
 )
 
@@ -137,8 +134,8 @@ func appendRoundIndex(b []byte, strs []string, secs []section, dead []uint64) []
 }
 
 // readSections returns the sections, dead marks and string table of the
-// data file or stub r of size bytes; no sections when the file carries no
-// round index (one segment image), and no table when it is v6's.
+// data file or stub r of size bytes; no sections and no table when the
+// file carries no round index (one segment image).
 func readSections(r io.ReaderAt, size int64) ([]section, []uint64, *strTable, error) {
 	var tail [roundTrailerLen]byte
 	n := min(size, roundTrailerLen)
@@ -164,38 +161,30 @@ func readSections(r io.ReaderAt, size int64) ([]section, []uint64, *strTable, er
 		}
 		return b, end - l, nil
 	}
-	switch string(tail[roundTrailerLen-8:]) {
-	case roundTrailerV6:
-		idx, end, err := region("index", size-trailerLen, tail[roundTrailerLen-trailerLen:])
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		secs, dead, err := decodeRoundIndex(idx, end)
-		return secs, dead, nil, err
-	case roundTrailer:
-		if size < roundTrailerLen {
-			return nil, nil, nil, fmt.Errorf("%w: a %d-byte file", ErrRoundIndex, size)
-		}
-		idx, end, err := region("index", size-roundTrailerLen, tail[8:16])
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		strs, end, err := region("string table", end, tail[0:8])
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		tab, err := decodeStrTable(strs)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		secs, dead, err := decodeRoundIndex(idx, end)
-		return secs, dead, tab, err
+	if string(tail[roundTrailerLen-8:]) != roundTrailer {
+		return nil, nil, nil, nil
 	}
-	return nil, nil, nil, nil
+	if size < roundTrailerLen {
+		return nil, nil, nil, fmt.Errorf("%w: a %d-byte file", ErrRoundIndex, size)
+	}
+	idx, end, err := region("index", size-roundTrailerLen, tail[8:16])
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	strs, end, err := region("string table", end, tail[0:8])
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	tab, err := decodeStrTable(strs)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	secs, dead, err := decodeRoundIndex(idx, end)
+	return secs, dead, tab, err
 }
 
 // strTable is the string table of a round file: the column names,
-// dictionary values and template constants of its v7 sections' footers,
+// dictionary values and template constants of its sections' footers,
 // each once, which the footers name by entry number. The writers of a
 // round intern into it in parallel; a reader decodes it once per file and
 // resolves an entry that names a column to its dictionary ID once.
@@ -382,7 +371,7 @@ type dataFile struct {
 	path string
 	f    fsys.File // the temp file until the barrier; nil for a stub's
 	size int64
-	strs *strTable  // its string table; nil in a file of v6's rounds
+	strs *strTable  // its string table
 	segs []*Segment // its live sections
 	dead []section  // its sections compaction retired; changed under Store.mu
 	refs atomic.Int32
@@ -473,7 +462,7 @@ func (d *dataFile) add(seg *Segment, img []byte) error {
 }
 
 // copySection copies src, a live section of a resident file the round
-// reclaims, into the round's file as a v7 section: its data region byte for
+// reclaims, into the round's file as a v8 section: its data region byte for
 // byte, so the same seq, blocks and Merkle root, behind its footer encoded
 // anew against the round's string table.
 func (d *dataFile) copySection(src *Segment) (*Segment, error) {

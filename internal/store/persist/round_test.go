@@ -509,14 +509,15 @@ func TestRoundIndexHostile(t *testing.T) {
 	}
 }
 
-// hostileTableFiles returns round files whose index is sound but whose v7
+// hostileTableFiles returns round files whose index is sound but whose
 // sections name strings their file does not hold: each must fail to open,
 // with an error.
 func hostileTableFiles(t testing.TB) map[string][]byte {
 	data, end := roundFileBytes(t)
 	secs, _, tab, _ := readSections(bytes.NewReader(data), int64(len(data)))
 	region := data[:end]
-	// v6Index frames the region under a v6 round trailer: no string table.
+	// v6Index frames the region under the round trailer of codec v6, which
+	// this build no longer reads: no string table.
 	v6Index := func() []byte {
 		idx := binary.AppendUvarint(nil, uint64(len(secs)))
 		for _, sc := range secs {
@@ -526,17 +527,17 @@ func hostileTableFiles(t testing.TB) map[string][]byte {
 		b := append(slices.Clone(region), idx...)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(idx)))
 		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(idx, crcTable))
-		return append(b, roundTrailerV6...)
+		return append(b, "HPSEGRX1"...)
 	}
 	return map[string][]byte{
-		"entry past the table":         appendRoundIndex(slices.Clone(region), tab.strs[:len(tab.strs)-1], secs, nil),
-		"empty table":                  appendRoundIndex(slices.Clone(region), nil, secs, nil),
-		"v7 sections under v6's index": v6Index(),
-		"a v7 section alone":           slices.Clone(region[:secs[0].len]),
+		"entry past the table":      appendRoundIndex(slices.Clone(region), tab.strs[:len(tab.strs)-1], secs, nil),
+		"empty table":               appendRoundIndex(slices.Clone(region), nil, secs, nil),
+		"sections under v6's index": v6Index(),
+		"a section alone":           slices.Clone(region[:secs[0].len]),
 	}
 }
 
-// TestStringTableHostile: a v7 section that names an entry past its file's
+// TestStringTableHostile: a section that names an entry past its file's
 // string table, or lies in a file without one, fails to open with an
 // error — never a panic, never a section with a missing name.
 func TestStringTableHostile(t *testing.T) {

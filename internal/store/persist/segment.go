@@ -10,6 +10,7 @@ import (
 	"io"
 	"io/fs"
 	"math"
+	"math/bits"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -21,50 +22,53 @@ import (
 	"hpclog/internal/objstore"
 )
 
-// Segment image layout (codec v7), one section of a round's data file
+// Segment image layout (codec v8), one section of a round's data file
 // (round.go), offsets relative to the section:
 //
-//	header  : "HPSEG007" (8 bytes)
+//	header  : "HPSEG008" (8 bytes)
 //	data    : blocks of at most indexEvery rows in clustering-key order,
 //	          each stored column by column (see block.go)
 //	footer  : binary footerMeta (own deterministic codec, no gob)
 //	trailer : u32 footerLen | u32 crc32(footer) | "HPSEGFT4" (8 bytes)
 //
-// The footer carries the partition identity, the key and time ranges used
-// for scan pruning, the segment's column-name table (blocks reference
-// table-local indexes instead of repeating name strings), a sparse
-// clustering-key index (one entry every indexEvery rows) used to seek
-// near Range.From, a CRC of the data region, per-block statistics — a zone
-// map (key/WriteTS bounds, per-column min/max for the writer's hot set)
-// and a Bloom filter over the block's distinct column cells (see
-// blockstats.go) — one Merkle leaf per block, the fold section: per block
-// whether every key carries a timestamp and, per hot column, how many
-// cells are occurrence counts and their sum (appendFoldSection) and, last,
-// the codec section: the section dictionaries and the template table that
-// the blocks' codes index (appendCodecSection). Column names, dictionary
-// values and template constants are entry numbers into the round file's
-// string table, which every section of the file shares; the minimum key is
-// the first index key. Files are written to a temporary name and renamed into place, so a
-// segment either exists completely or not at all — torn writes are the
-// commitlog's problem, never the segment store's.
+// The footer holds, in order:
+//
+//	meta   : the partition identity, the key and time ranges that scans
+//	         prune on, the column-name table (blocks name columns by their
+//	         index in it), a sparse clustering-key index (one entry every
+//	         indexEvery rows, to seek near Range.From), a CRC of the data
+//	         region, per-block statistics — a zone map (key and WriteTS
+//	         bounds, per-column min/max for the writer's hot set) and a
+//	         Bloom filter over the block's distinct cells (blockstats.go) —
+//	         and one Merkle leaf per block (appendMeta)
+//	fold   : per block, whether every key carries a timestamp and, per hot
+//	         column, how many cells are occurrence counts and their sum
+//	         (appendFoldSection)
+//	codec  : the section dictionaries and the template table the blocks'
+//	         codes index (appendCodecSection)
+//	groups : per block, the rows and count sums of each code of the source
+//	         column, where the block codes it into its section dictionary
+//	         (appendGroupSection)
+//
+// Column names, dictionary values and template constants are entry
+// numbers into the round file's string table, which every section of the
+// file shares; the minimum key is the first index key. Files are written
+// under a temporary name and renamed into place, so a segment exists
+// completely or not at all: torn writes are the commitlog's problem.
 //
 // The sparse index is the block structure of the file: consecutive entries
 // delimit blocks of exactly indexEvery rows (the final block may be
 // short), and BlockStats[i] and Leaves[i] describe exactly the block
 // starting at Index[i]. Scans read and decode one block at a time.
 //
-// There is one writer generation and two reader generations. A codec v6
-// section (header "HPSEG006") has the same blocks, trailer and block
-// boundaries; its footer holds its strings itself — the minimum key, the
-// column names, the dictionary values, the template constants — and its
-// Bloom filters are sized
-// by the block's cells, not its distinct ones. v6 sections stay readable,
-// resident or tiered; compaction rewrites them as v7, whether it merges
-// them or moves them out of a file it reclaims. Files of codecs v1–v5 are
-// refused at open with ErrVersion.
+// There is one writer generation and two reader generations. A codec v7
+// section (header "HPSEG007") is a v8 one without the group section. v7
+// sections stay readable, resident or tiered; compaction rewrites them as
+// v8, whether it merges them or moves them out of a file it reclaims.
+// Files of codecs v1–v6 are refused at open with ErrVersion.
 const (
-	segHeader   = "HPSEG007"
-	segHeaderV6 = "HPSEG006"
+	segHeader   = "HPSEG008"
+	segHeaderV7 = "HPSEG007"
 	segTrailer  = "HPSEGFT4"
 	trailerLen  = 4 + 4 + 8
 	indexEvery  = 64
@@ -79,8 +83,8 @@ const (
 // Segment codec generations: the one written, and the one before it, still
 // read.
 const (
-	SegVersion   = 7
-	segVersionV6 = 6
+	SegVersion   = 8
+	segVersionV7 = 7
 )
 
 // IndexEntry is one sparse-index sample: the clustering key of a row and
@@ -125,7 +129,7 @@ type footerMeta struct {
 	// of column TmplCol (a name-table index) index.
 	Templates []Template
 	TmplCol   int
-	// nameRefs holds, from the decode of a v7 footer to its open, the
+	// nameRefs holds, from the decode of a footer to its open, the
 	// string-table entry of each name of ColNames.
 	nameRefs []uint32
 }
@@ -191,18 +195,14 @@ func appendCodecSection(b []byte, m *footerMeta, tab *strTable) []byte {
 	return b
 }
 
-// footerDec decodes one footer: a v7 one's strings are entries of tab, a
-// v6 one's (tab nil) are inline.
+// footerDec decodes one footer, whose strings are entries of tab.
 type footerDec struct {
 	*StringDec
 	tab *strTable
 }
 
-// str decodes a string the footer names: an entry of the table, or inline.
+// str decodes a string the footer names: an entry of the table.
 func (d footerDec) str() (string, error) {
-	if d.tab == nil {
-		return d.String()
-	}
 	e, err := d.Uvarint()
 	if err != nil {
 		return "", err
@@ -304,15 +304,16 @@ func decodeCodecSection(d footerDec, m *footerMeta) error {
 	return nil
 }
 
-// appendFooter encodes m, a v7 footer, with the package's own codec —
+// appendFooter encodes m, a v8 footer, with the package's own codec —
 // deterministic, compact, and no encoding/gob dependency: the metadata,
-// the fold section (fold parallel to m.Blocks) and the codec section.
-// Column names and template constants are entries of tab, the round file's
-// string table; colIDs maps the name table to the dictionary IDs the zone
-// maps and fold records carry.
+// the fold section (fold parallel to m.Blocks), the codec section and the
+// group section. Column names and template constants are entries of tab,
+// the round file's string table; colIDs maps the name table to the
+// dictionary IDs the zone maps and fold records carry.
 func appendFooter(b []byte, m *footerMeta, fold []blockFold, colIDs []uint32, tab *strTable) []byte {
 	b = appendMeta(b, m, colIDs, tab)
-	return appendCodecSection(appendFoldSection(b, m.Blocks, fold), m, tab)
+	b = appendCodecSection(appendFoldSection(b, m.Blocks, fold), m, tab)
+	return appendGroupSection(b, fold)
 }
 
 // appendMeta appends the footer up to its fold section.
@@ -377,7 +378,7 @@ func appendMeta(b []byte, m *footerMeta, colIDs []uint32, tab *strTable) []byte 
 	return b
 }
 
-// sealFooter appends the v7 footer of m and the section trailer to img, the
+// sealFooter appends the v8 footer of m and the section trailer to img, the
 // section's data region: the section is complete.
 func sealFooter(img []byte, m *footerMeta, fold []blockFold, colIDs []uint32, tab *strTable) []byte {
 	foot := len(img)
@@ -461,14 +462,136 @@ func decodeFoldSection(d *StringDec, m *footerMeta) ([]blockFold, error) {
 	return fold, nil
 }
 
-// decodeFooter reverses appendFooter for a section of codec version, whose
-// strings a v7 footer names in tab, its file's string table.
-func decodeFooter(fb []byte, version int, tab *strTable) (*footerMeta, []blockFold, error) {
-	if version == SegVersion && tab == nil {
-		return nil, nil, errors.New("persist: footer: a v7 section in a file without a string table")
+// appendGroupSection appends the blocks' group lists of GroupColumn (fold
+// parallel to the footer's blocks): per block a byte, 1 where it has one,
+// and then the bitmap of the codes the block holds — ceil(len(dictionary)/8)
+// bytes, code k in bit k%8 of byte k/8 — the number of exceptions and per
+// exception a byte: the rank of its code among the block's (a block of at
+// most 64 rows holds at most 64 codes) << 2 | c, where c < 3 says c+2 rows
+// counting 1 each, and c = 3 that uvarint rows and varint sum follow.
+func appendGroupSection(b []byte, fold []blockFold) []byte {
+	for _, f := range fold {
+		g := f.group
+		if g == nil {
+			b = append(b, 0)
+			continue
+		}
+		b = append(b, 1)
+		for k := 0; k < (len(g.dict.vals)+7)/8; k++ {
+			b = append(b, byte(g.present[k/8]>>(k%8*8)))
+		}
+		b = binary.AppendUvarint(b, uint64(len(g.exc)))
+		it, e := g.read(), 0
+		for rank := 0; e < len(g.exc); rank++ {
+			if c, ok := it.Next(); !ok {
+				break
+			} else if c.Code != g.exc[e].code {
+				continue
+			}
+			x := g.exc[e]
+			e++
+			if rows := x.rows; x.sum == int64(rows) && rows >= 2 && rows <= 4 {
+				b = append(b, byte(rank<<2|(int(rows)-2)))
+				continue
+			}
+			b = binary.AppendUvarint(append(b, byte(rank<<2|3)), uint64(x.rows))
+			b = binary.AppendVarint(b, x.sum)
+		}
 	}
-	if version != SegVersion {
-		tab = nil
+	return b
+}
+
+// decodeGroupSection reads what appendGroupSection wrote into fold,
+// strictly: a list is of GroupColumn, which must have a section dictionary,
+// in a block whose every amount is a count; its bitmap names codes of the
+// dictionary only, no more than the block's rows; an exception names a code
+// of the bitmap, ascending, in its shortest form and not as one row
+// counting 1; a list's rows add up to the block's, and their counts to the
+// block's amount counts.
+func decodeGroupSection(d *StringDec, m *footerMeta, fold []blockFold) error {
+	fail := func(what string, i int, e error) error {
+		return fmt.Errorf("persist: footer group section %s: block %d: %w", what, i, e)
+	}
+	amount := slices.Index(m.ColNames, CountColumn)
+	local := slices.Index(m.ColNames, GroupColumn)
+	for i := range fold {
+		f, rows := &fold[i], m.Blocks[i].Rows
+		flag, err := d.Raw(1)
+		if err != nil {
+			return fail("flag", i, err)
+		}
+		if flag[0] == 0 {
+			continue
+		}
+		k := slices.IndexFunc(f.counts, func(c colCounts) bool { return int(c.id) == amount })
+		if flag[0] != 1 || local < 0 || local >= len(m.Dicts) || len(m.Dicts[local].vals) == 0 || k < 0 || f.counts[k].cells != rows {
+			return fail("flag", i, fmt.Errorf("flag %d: a list where no %s dictionary is, or in a block whose amounts are not all counts", flag[0], GroupColumn))
+		}
+		f.group = &groupList{id: uint32(local), local: uint32(local), dict: &m.Dicts[local]}
+		g := f.group
+		size := len(g.dict.vals)
+		raw, err := d.Raw((size + 7) / 8)
+		if err != nil {
+			return fail("bitmap", i, err)
+		}
+		codes := 0
+		for b := 0; b < len(raw); b++ {
+			g.present[b/8] |= uint64(raw[b]) << (b % 8 * 8)
+			codes += bits.OnesCount8(raw[b])
+		}
+		if size < sectionDictMax && g.present[size/64]>>(size%64) != 0 || codes > min(rows, indexEvery) {
+			return fail("bitmap", i, fmt.Errorf("%d codes, or one past a dictionary of %d", codes, size))
+		}
+		var byRank [indexEvery]uint8
+		it := g.read()
+		for rank := range codes {
+			c, _ := it.Next()
+			byRank[rank] = c.Code
+		}
+		nexc, err := d.Uvarint()
+		if err != nil || nexc > uint64(codes) {
+			return fail("exceptions", i, fmt.Errorf("%d for %d codes (%v)", nexc, codes, err))
+		}
+		g.exc = make([]groupExc, nexc)
+		total, sum, last := codes-int(nexc), int64(codes-int(nexc)), -1
+		for e := range g.exc {
+			x, err := d.Raw(1)
+			if err != nil {
+				return fail("exception", i, err)
+			}
+			rank, c := int(x[0]>>2), uint64(x[0]&3)
+			r, s, err := c+2, int64(c+2), error(nil)
+			if c == 3 {
+				if r, err = d.Uvarint(); err == nil {
+					s, err = d.Varint()
+				}
+			}
+			switch {
+			case err != nil:
+				return fail("exception", i, err)
+			case rank <= last || rank >= codes:
+				return fail("exception", i, fmt.Errorf("rank %d after %d, of %d codes", rank, last, codes))
+			case r == 0 || r > uint64(rows) || r == 1 && s == 1 || c == 3 && s == int64(r) && r >= 2 && r <= 4:
+				return fail("exception", i, fmt.Errorf("rank %d: %d rows counting %d", rank, r, s))
+			}
+			last = rank
+			g.exc[e] = groupExc{sum: s, rows: int32(r), code: byRank[rank]}
+			total += int(r)
+			sum += s
+		}
+		if total != rows || sum != f.counts[k].sum {
+			return fail("rows", i, fmt.Errorf("%d rows counting %d, the block's %d counting %d", total, sum, rows, f.counts[k].sum))
+		}
+	}
+	return nil
+}
+
+// decodeFooter reverses appendFooter for a section of codec version, whose
+// strings the footer names in tab, its file's string table. A v7 footer
+// has no group section.
+func decodeFooter(fb []byte, version int, tab *strTable) (*footerMeta, []blockFold, error) {
+	if tab == nil {
+		return nil, nil, errors.New("persist: footer: a section in a file without a string table")
 	}
 	d := footerDec{NewStringDec(string(fb)), tab}
 	m, err := decodeMeta(d)
@@ -478,6 +601,9 @@ func decodeFooter(fb []byte, version int, tab *strTable) (*footerMeta, []blockFo
 	}
 	if err == nil {
 		err = decodeCodecSection(d, m)
+	}
+	if err == nil && version == SegVersion {
+		err = decodeGroupSection(d.StringDec, m, fold)
 	}
 	if err == nil && d.Rest() > 0 {
 		err = fmt.Errorf("persist: footer: %d trailing bytes", d.Rest())
@@ -509,11 +635,6 @@ func decodeMeta(d footerDec) (*footerMeta, error) {
 		return nil, fail("rows", err)
 	}
 	m.Rows = int(rows)
-	if d.tab == nil {
-		if m.MinKey, err = d.String(); err != nil {
-			return nil, fail("min key", err)
-		}
-	}
 	if m.MaxKey, err = d.String(); err != nil {
 		return nil, fail("max key", err)
 	}
@@ -546,25 +667,16 @@ func decodeMeta(d footerDec) (*footerMeta, error) {
 	if nNames > maxCols || nNames > uint64(d.Rest()) {
 		return nil, fail("name table", fmt.Errorf("size %d exceeds sanity bound", nNames))
 	}
-	m.ColNames = make([]string, nNames)
-	if d.tab != nil {
-		m.nameRefs = make([]uint32, nNames)
-	}
+	m.ColNames, m.nameRefs = make([]string, nNames), make([]uint32, nNames)
 	for i := range m.ColNames {
-		if d.tab != nil {
-			e, err := d.Uvarint()
-			if err == nil {
-				m.ColNames[i], err = d.tab.at(e)
-			}
-			if err != nil {
-				return nil, fail("name table entry", err)
-			}
-			m.nameRefs[i] = uint32(e)
-			continue
+		e, err := d.Uvarint()
+		if err == nil {
+			m.ColNames[i], err = d.tab.at(e)
 		}
-		if m.ColNames[i], err = d.String(); err != nil {
+		if err != nil {
 			return nil, fail("name table entry", err)
 		}
+		m.nameRefs[i] = uint32(e)
 	}
 	nIdx, err := d.Uvarint()
 	if err != nil {
@@ -595,7 +707,7 @@ func decodeMeta(d footerDec) (*footerMeta, error) {
 		}
 		m.Index[i] = IndexEntry{Key: k, Off: prev}
 	}
-	if d.tab != nil && len(m.Index) > 0 {
+	if len(m.Index) > 0 {
 		m.MinKey = m.Index[0].Key
 	}
 	nBlocks, err := d.Uvarint()
@@ -825,12 +937,12 @@ func (w *Writer) resetBlock() {
 	w.bb.reset()
 }
 
-// finishBlock encodes the buffered rows as one block of the image and
-// files its offset's companions in the footer: the Merkle leaf, the block
-// statistics and the fold record. The statistics' strings are cloned
-// because the rows and the zone maps reference values owned by the caller
-// (compaction feeds values that alias decoded blocks of the inputs); the
-// footer must not pin them.
+// finishBlock encodes the buffered rows as one block of the image and files
+// its offset's companions in the footer: the Merkle leaf, the block
+// statistics and the fold record with its group list. The statistics'
+// strings are cloned because the rows and the zone maps reference values
+// owned by the caller (compaction feeds values that alias decoded blocks of
+// the inputs); the footer must not pin them.
 func (w *Writer) finishBlock() {
 	if len(w.enc.rows) == 0 {
 		return
@@ -865,6 +977,7 @@ func (w *Writer) finishBlock() {
 		}
 	}
 	bs.bloom = w.bb.build()
+	fold.group = w.enc.group
 	w.meta.Blocks = append(w.meta.Blocks, bs)
 	w.fold = append(w.fold, fold)
 	w.resetBlock()
@@ -923,6 +1036,11 @@ func (w *Writer) seal(tab *strTable) {
 			w.meta.Dicts = make([]sectionDict, len(w.tb.names))
 		}
 		w.meta.Dicts[local] = sectionDict{vals: d.vals, empty: slices.Index(d.vals, ""), derived: new(sync.Map)}
+	}
+	for _, f := range w.fold {
+		if f.group != nil {
+			f.group.dict = &w.meta.Dicts[f.group.local]
+		}
 	}
 	if len(w.tmpls) > 0 {
 		w.meta.Templates, w.meta.TmplCol = w.tmpls, w.tb.localIdx(Col{ID: templateColID})
@@ -1039,11 +1157,11 @@ func parseSection(r io.ReaderAt, path string, base, size int64, tab *strTable) (
 	switch string(head[:]) {
 	case segHeader:
 		s.version = SegVersion
-	case segHeaderV6:
-		s.version = segVersionV6
-	case "HPSEG001", "HPSEG002", "HPSEG003", "HPSEG004", "HPSEG005":
+	case segHeaderV7:
+		s.version = segVersionV7
+	case "HPSEG001", "HPSEG002", "HPSEG003", "HPSEG004", "HPSEG005", "HPSEG006":
 		return nil, fmt.Errorf("%w: %s was written by segment codec v%c; this build reads v%d and v%d — compact the directory with a build that reads it, or re-ingest the data",
-			ErrVersion, path, head[7], segVersionV6, SegVersion)
+			ErrVersion, path, head[7], segVersionV7, SegVersion)
 	default:
 		return nil, fmt.Errorf("persist: %s: bad segment header %q", path, head)
 	}
@@ -1072,12 +1190,8 @@ func parseSection(r io.ReaderAt, path string, base, size int64, tab *strTable) (
 		return nil, fmt.Errorf("persist: %s: footer decode: %w", path, err)
 	}
 	s.meta, s.fold, s.colIDs = meta, fold, make([]uint32, len(meta.ColNames))
-	for i, name := range meta.ColNames {
-		if meta.nameRefs != nil {
-			s.colIDs[i] = tab.colID(meta.nameRefs[i]) // once per entry of the file
-		} else {
-			s.colIDs[i] = columnID(name)
-		}
+	for i := range meta.ColNames {
+		s.colIDs[i] = tab.colID(meta.nameRefs[i])        // once per entry of the file
 		meta.ColNames[i] = defaultDict.Name(s.colIDs[i]) // canonical instance
 	}
 	meta.nameRefs = nil
@@ -1094,6 +1208,9 @@ func parseSection(r io.ReaderAt, path string, base, size int64, tab *strTable) (
 	for i := range fold {
 		for j := range fold[i].counts {
 			fold[i].counts[j].id = s.colIDs[fold[i].counts[j].id]
+		}
+		if g := fold[i].group; g != nil {
+			g.id = s.colIDs[g.local]
 		}
 	}
 	for i := range meta.Templates {
