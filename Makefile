@@ -63,10 +63,14 @@ tier-smoke:
 # and keeps its rows; a failed tier-manifest write or catalog commit
 # leaves them as they were; a retired object outlives the scan that holds
 # it, and one a crash or a failed delete strands is collected at open.
-# The commitlog reads its frames with one reader: a torn tail is cut;
-# damage, the segment header included, with a whole valid frame after it
-# refuses to open (./internal/wal/, the damage tests and the recovery
-# fuzzer's seeds).
+# The commitlog and the tier manifest are one log (internal/wal) and read
+# their frames with one reader: a torn tail is cut; damage, the segment
+# header included, with a whole valid frame after it refuses to open (the
+# damage tests and the recovery fuzzers' seeds over each). A manifest
+# record lost after its stub was written fails the open, one torn before
+# any stub does not, a snapshot stands once its image is durable, and a
+# predecessor manifest file is carried over, crash images and its
+# retires' leftover stubs included (./internal/store/persist/ TestManifest*).
 # The one replica read fails whole: a scan that breaks off after some rows
 # never answers a Get (another replica does) and fails a Repair, and a
 # remote scan fails when its peer makes no progress within the RPC
@@ -75,8 +79,9 @@ tier-smoke:
 fault-smoke:
 	$(GO) test -count=1 -run 'TestDurableLayersDoNotImportOS|TestOSFailedOpenIsNilFile' ./internal/fsys/
 	$(GO) test -count=1 -run 'TestFault' ./internal/wal/ ./internal/objstore/ ./internal/store/ ./internal/dist/
-	$(GO) test -count=1 -run 'TestFault|TestRetiredObject' ./internal/store/persist/
+	$(GO) test -count=1 -run 'TestFault|TestRetiredObject|TestManifest' ./internal/store/persist/
 	$(GO) test -count=1 -run 'TestTorn|TestCorrupt|TestMidSegment|TestMultiRecord|TestZero|TestSealedSegmentDamage|TestDamagedHeader|FuzzCommitlogRecovery' ./internal/wal/
+	$(GO) test -count=1 -run 'TestManifestRejectsCorruption|TestManifestLogTornTailAndCorruption|TestManifestEmptySnapshot|FuzzManifestLogRecovery|FuzzDecodeManifest' ./internal/objstore/
 
 # Reachability: build every binary (cmd/* and the benchmark) with
 # inlining off and read its symbols with `go tool nm`; every non-test

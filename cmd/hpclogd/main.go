@@ -84,8 +84,8 @@ var (
 	generate    = flag.Bool("generate", false, "generate and import a demo corpus at startup")
 	hours       = flag.Float64("hours", 3, "demo corpus window (with -generate)")
 	cabinets    = flag.Int("cabinets", 8, "demo corpus cabinets (with -generate)")
-	storeNodes  = flag.Int("store-nodes", 32, "store members hosted in this process (without -peers)")
-	rf          = flag.Int("rf", 3, "replication factor (capped at member count)")
+	storeNodes  = flag.Int("store-nodes", 1, "store members hosted in this process (without -peers)")
+	rf          = flag.Int("rf", 3, "replication factor (capped at member count: 1 for the one member hosted by default)")
 	vnodes      = flag.Int("vnodes", 64, "virtual nodes per member")
 	machines    = flag.Int("machine-nodes", 0, "bootstrap topology size (nodeinfos; 0 = the whole machine)")
 	hbEvery     = flag.Duration("heartbeat-interval", 250*time.Millisecond, "peer probe period")

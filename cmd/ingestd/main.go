@@ -9,7 +9,7 @@
 // Usage:
 //
 //	ingestd -console /tmp/titan/console.log -jobs /tmp/titan/jobs.log \
-//	        -data-dir /tmp/titan/data -wal-nosync -store-nodes 32
+//	        -data-dir /tmp/titan/data -wal-nosync
 package main
 
 import (
@@ -57,8 +57,8 @@ func run(ctx context.Context) error {
 		dataDir     = flag.String("data-dir", "", "durable storage directory (commitlog + segment files) to load into; hpclogd serves it directly (required)")
 		walNoSync   = flag.Bool("wal-nosync", false, "skip commitlog fsync during the bulk load")
 		walTolerate = flag.Bool("wal-tolerate-corrupt", false, "truncate a corrupt commitlog tail instead of refusing to open; records after the damage are lost")
-		storeNodes  = flag.Int("store-nodes", 32, "store cluster size")
-		rf          = flag.Int("rf", 3, "replication factor")
+		storeNodes  = flag.Int("store-nodes", 1, "store cluster size")
+		rf          = flag.Int("rf", 1, "replication factor")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		logFormat   = flag.String("log-format", "text", "log format: text or json")
 	)

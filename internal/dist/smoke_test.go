@@ -262,8 +262,7 @@ func TestSingleProcessSmoke(t *testing.T) {
 	// start runs hpclogd with env added to this process's environment.
 	start := func(env []string, extra ...string) {
 		t.Helper()
-		args := append([]string{"-listen", addr, "-store-nodes", "4",
-			"-drain-timeout", drain.String()}, extra...)
+		args := append([]string{"-listen", addr, "-drain-timeout", drain.String()}, extra...)
 		proc = exec.Command(bin, args...)
 		proc.Env = append(os.Environ(), env...)
 		proc.Stdout, proc.Stderr = os.Stderr, os.Stderr
@@ -320,8 +319,8 @@ func TestSingleProcessSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Members) != 4 {
-		t.Fatalf("%d members, want 4", len(st.Members))
+	if len(st.Members) != 1 || st.RF != 1 {
+		t.Fatalf("%d members at RF %d, want the default of 1 at RF 1", len(st.Members), st.RF)
 	}
 	for _, m := range st.Members {
 		if !m.Local || !m.Up {
@@ -384,7 +383,7 @@ func TestSingleProcessSmoke(t *testing.T) {
 	}
 	refusedCtx, cancel := context.WithTimeout(ctx, testutil.Scaled(30*time.Second))
 	defer cancel()
-	refused := exec.CommandContext(refusedCtx, bin, "-listen", addr, "-store-nodes", "4", "-tier", "fs", "-tier-dir", tierDir)
+	refused := exec.CommandContext(refusedCtx, bin, "-listen", addr, "-tier", "fs", "-tier-dir", tierDir)
 	refused.Env = append(os.Environ(), "TMPDIR="+tmp)
 	if out, err := refused.CombinedOutput(); refused.ProcessState == nil || refused.ProcessState.ExitCode() != 1 {
 		t.Fatalf("hpclogd -tier without -data-dir: %v, want exit status 1:\n%s", err, out)

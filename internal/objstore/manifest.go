@@ -1,54 +1,54 @@
 package objstore
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io/fs"
-	"sort"
+	"maps"
+	"path/filepath"
+	"slices"
 	"sync"
 
 	"hpclog/internal/fsys"
+	"hpclog/internal/wal"
 )
 
 // Manifest is the per-node record of segments that live in the object
 // store: which local sequence number maps to which object key and which
 // section of it, how big the object is, and the Merkle root the section
 // must verify against. An object stays live while any entry names it. It
-// is the
-// tiering crash-safety anchor — entries are appended (one fsynced record
-// per batch) only after their objects are uploaded, read back verified
-// AND made durable, and a local data file is released only after its
-// entry is durable. So:
+// is the tiering crash-safety anchor: an entry is written only after its
+// object is uploaded, read back verified AND made durable, and a local
+// data file is released only after its entry is durable. So a crash
+// mid-upload leaves no entry (the next sweep re-uploads); a crash
+// mid-eviction leaves an entry and the local file, which is re-adopted
+// with no second transfer; and an entry with no local file is an evicted
+// segment, read through the object store and verified against Root.
 //
-//   - a crash mid-upload leaves no entry: recovery sees the local file
-//     as the only copy and the next sweep re-uploads;
-//   - a crash mid-eviction (entry durable, local file still present)
-//     re-adopts the local file and remembers the upload — the next
-//     eviction needs no second transfer;
-//   - an entry with no local file is an evicted segment: reads go
-//     through the object store, verified against Root.
-//
-// The manifest NEVER references a half-uploaded object (the upload is
-// verified before the entry is written), which the crash harness
-// asserts directly.
-//
-// On disk it is an append-only log: a snapshot image (EncodeManifest —
-// the whole file, for manifests written before the log existed) followed
-// by CRC-framed put and remove records. A record cut short by a crash is
-// a torn tail and is dropped at load — nothing acted on it, because
-// callers act only after the append returned; a complete record that
-// fails its CRC is corruption and refuses to load. When the log holds
-// more dead entries than live ones it is rewritten as one snapshot.
+// On disk it is a wal.Log in a directory of its own, under the wal's one
+// damage rule. Each Put or Remove appends one record: a kind byte, then
+// the entries or seqs. When dead entries would outnumber live ones the
+// write is a snapshot instead: a fresh segment whose one image record
+// replaces the state on replay, and the segments before it removed.
 type Manifest struct {
-	path string
+	dir string
 
-	mu      sync.Mutex
+	mu  sync.Mutex
+	log *wal.Log // nil until the first write, and after a failed one
+	state
+}
+
+// state is what a manifest's records lead to: the live entries, how
+// many entries the records since the last image logged, live or dead,
+// and whether the log holds nothing but a carried-over image.
+type state struct {
 	entries map[uint64]ManifestEntry
-	size    int64 // length of the valid log; the next record lands here
-	dead    int   // logged entries a snapshot would drop (superseded puts, removes)
-	torn    bool  // the file has bytes past size; cut before the next append
+	logged  int
+	carried bool
 }
 
 // ManifestEntry describes one uploaded segment: one section of an object.
@@ -64,61 +64,132 @@ type ManifestEntry struct {
 	Root      [HashLen]byte // Merkle root over the segment's blocks
 }
 
-// ErrBadManifest marks a manifest encoding that cannot be decoded.
-// Hostile or corrupt input yields it (never a panic); see
-// FuzzDecodeManifest.
+// ErrBadManifest marks a manifest encoding that cannot be decoded: what
+// hostile or corrupt input yields, never a panic (FuzzDecodeManifest).
 var ErrBadManifest = errors.New("objstore: malformed tier manifest")
 
 const (
+	// manifestMagic opens a manifest of the predecessor generation: one
+	// file holding a snapshot image, then records framed as kind | u32
+	// payload length | payload | u32 crc32c(everything before).
 	manifestMagic = "HPTIERM2"
-	// manifestMagicV1 and recPutV1 are the image and put record of entries
-	// without an offset (Off 0), written while an object held one segment.
-	manifestMagicV1 = "HPTIERM1"
+	recHeader     = 5 // a predecessor record's kind and length
 	// maxManifestEntries bounds decode allocation against hostile counts.
 	maxManifestEntries = 1 << 24
 
-	// Log record kinds. A record is kind | u32 payload length | payload |
-	// u32 crc32c(everything before).
-	recPutV1  = 1
-	recRemove = 2 // payload: uvarint count | uvarint seqs
-	recPut    = 3 // payload: uvarint count | entries
-	recHeader = 5
+	// Record kinds; the payload is a uvarint count, then as many seqs
+	// (remove) or entries (put, image).
+	recRemove = 2
+	recPut    = 3
+	recImage  = 4 // the whole state; only in the log
+	recCarry  = 5 // an image of a predecessor file carried over
 )
 
-// LoadManifest opens the manifest at path; a missing file is an empty
-// manifest (the node has uploaded nothing yet).
+// LoadManifest opens the manifest whose log is the directory path. A
+// predecessor file at path is moved aside, carried over as the log's
+// first image, and unlinked; a crash at any step makes the next load
+// carry it over again. With neither, the manifest is empty (the node has
+// uploaded nothing yet), and its first Put creates the log.
 func LoadManifest(path string) (*Manifest, error) {
-	m := &Manifest{path: path, entries: make(map[uint64]ManifestEntry)}
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return m, nil
-		}
-		return nil, err
+	m := &Manifest{dir: path, state: state{entries: make(map[uint64]ManifestEntry)}}
+	old := path + ".v2" // the predecessor file, moved aside
+	fi, err := fsys.OS.Stat(path)
+	if err == nil && !fi.IsDir() {
+		err = fsys.OS.Rename(path, old)
 	}
-	valid, logged, err := replayManifest(data, m.entries)
-	if err != nil {
-		return nil, fmt.Errorf("objstore: %s: %w", path, err)
+	if err == nil || errors.Is(err, fs.ErrNotExist) {
+		err = m.carryOver(old)
 	}
-	m.size, m.torn = int64(valid), valid < len(data)
-	m.dead = logged - len(m.entries)
+	if err == nil && fi != nil && m.log == nil {
+		err = m.open()
+	}
+	if err != nil {
+		m.Close()
+		return nil, fmt.Errorf("objstore: tier manifest %s: %w", path, err)
+	}
 	return m, nil
+}
+
+// carryOver makes the predecessor file old, if there is one, the log's
+// one image, and unlinks it once the log's directory entry is durable.
+// The unlink is made durable too before any record can follow the image:
+// a file that came back would be carried over again, over those records.
+func (m *Manifest) carryOver(old string) error {
+	data, err := fsys.ReadFile(old)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	prev := state{entries: make(map[uint64]ManifestEntry)}
+	if err == nil {
+		_, err = replayManifest(data, &prev)
+	}
+	if err == nil {
+		err = m.open()
+	}
+	if err == nil {
+		err = m.snapshot(recCarry, prev.entries)
+	}
+	if err == nil {
+		err = fsys.SyncPath(filepath.Dir(m.dir))
+	}
+	if err == nil {
+		err = fsys.OS.Remove(old)
+	}
+	if err == nil {
+		err = fsys.SyncPath(filepath.Dir(m.dir))
+	}
+	if err != nil {
+		return err
+	}
+	m.state = state{entries: prev.entries, logged: len(prev.entries), carried: true}
+	return nil
+}
+
+// open opens the log, creating it if need be, and loads the state its
+// records lead to.
+func (m *Manifest) open() error {
+	log, err := wal.Open(wal.Options{Dir: m.dir})
+	if err != nil {
+		return err
+	}
+	st := state{entries: make(map[uint64]ManifestEntry)}
+	if _, err := log.Replay(func(_ wal.LSN, rec []byte) error { _, err := st.apply(rec[0], rec[1:]); return err }); err != nil {
+		log.Close()
+		return err
+	}
+	m.log, m.state = log, st
+	return nil
+}
+
+// Close closes the log.
+func (m *Manifest) Close() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.log == nil {
+		return nil
+	}
+	return m.log.Close()
+}
+
+// CarriedOver reports whether the log holds nothing but the image a
+// predecessor file was carried over as. The predecessor's retires
+// removed entries before their stubs, so until the next write a stub no
+// entry names may be one such retire's leftover, not a lost record.
+func (m *Manifest) CarriedOver() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.carried
 }
 
 // Entries returns every entry, sorted by Seq.
 func (m *Manifest) Entries() []ManifestEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.sortedLocked()
+	return sortedEntries(m.entries)
 }
 
-func (m *Manifest) sortedLocked() []ManifestEntry {
-	out := make([]ManifestEntry, 0, len(m.entries))
-	for _, e := range m.entries {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+func sortedEntries(entries map[uint64]ManifestEntry) []ManifestEntry {
+	return slices.SortedFunc(maps.Values(entries), func(a, b ManifestEntry) int { return cmp.Compare(a.Seq, b.Seq) })
 }
 
 // Len returns the entry count.
@@ -131,16 +202,13 @@ func (m *Manifest) Len() int {
 // MaxSeq returns the largest recorded sequence number (0 when empty) —
 // recovery seeds the store's sequence counter past it so an evicted
 // segment's number is never reissued to a new file.
-func (m *Manifest) MaxSeq() uint64 {
+func (m *Manifest) MaxSeq() (top uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var max uint64
 	for seq := range m.entries {
-		if seq > max {
-			max = seq
-		}
+		top = max(top, seq)
 	}
-	return max
+	return top
 }
 
 // Put durably records the entries with one log record, replacing any
@@ -149,29 +217,9 @@ func (m *Manifest) Put(entries ...ManifestEntry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	payload := binary.AppendUvarint(nil, uint64(len(entries)))
-	for _, e := range entries {
-		payload = appendManifestEntry(payload, e)
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	prev := make(map[uint64]ManifestEntry)
-	for _, e := range entries {
-		if p, had := m.entries[e.Seq]; had {
-			prev[e.Seq] = p
-		}
-		m.entries[e.Seq] = e
-	}
-	if err := m.logLocked(recPut, payload, len(prev)); err != nil {
-		for _, e := range entries {
-			delete(m.entries, e.Seq)
-		}
-		for seq, p := range prev {
-			m.entries[seq] = p
-		}
-		return err
-	}
-	return nil
+	return m.commitLocked(record(recPut, entries))
 }
 
 // Remove durably drops the entries for seqs with one log record. Absent
@@ -179,86 +227,76 @@ func (m *Manifest) Put(entries ...ManifestEntry) error {
 func (m *Manifest) Remove(seqs ...uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var prev []ManifestEntry
+	var present []byte
+	n := 0
 	for _, seq := range seqs {
-		if p, had := m.entries[seq]; had {
-			prev = append(prev, p)
-			delete(m.entries, seq)
+		if _, had := m.entries[seq]; had {
+			present, n = binary.AppendUvarint(present, seq), n+1
 		}
 	}
-	if len(prev) == 0 {
+	if n == 0 {
 		return nil
 	}
-	payload := binary.AppendUvarint(nil, uint64(len(prev)))
-	for _, p := range prev {
-		payload = binary.AppendUvarint(payload, p.Seq)
-	}
-	// Each removed seq kills two logged entries: its put and itself.
-	if err := m.logLocked(recRemove, payload, 2*len(prev)); err != nil {
-		for _, p := range prev {
-			m.entries[p.Seq] = p
+	return m.commitLocked(append(binary.AppendUvarint([]byte{recRemove}, uint64(n)), present...))
+}
+
+// commitLocked makes rec durable, then the state it leads to current —
+// by a snapshot when that state's dead entries would outnumber its live
+// ones. A failed write poisons the log: it is closed, and the next write
+// reopens it and reloads the state from what reached it.
+func (m *Manifest) commitLocked(rec []byte) error {
+	if m.log == nil {
+		if err := m.open(); err != nil {
+			return err
 		}
+	}
+	next := state{entries: maps.Clone(m.entries), logged: m.logged}
+	if _, err := next.apply(rec[0], rec[1:]); err != nil {
 		return err
 	}
+	var err error
+	if dead := next.logged - len(next.entries); dead > len(next.entries) {
+		err = m.snapshot(recImage, next.entries)
+		next.logged = len(next.entries)
+	} else {
+		_, err = m.log.Append(rec)
+	}
+	if err != nil {
+		m.log.Close()
+		m.log = nil
+		return err
+	}
+	m.state = next
 	return nil
 }
 
-// logLocked makes the already-applied change durable: one appended
-// record, or — when the file does not exist yet or dead entries would
-// outnumber live ones — one snapshot of the current state. dead is how
-// many logged entries the record kills.
-func (m *Manifest) logLocked(kind byte, payload []byte, dead int) error {
-	if m.size == 0 || m.dead+dead > len(m.entries) {
-		return m.snapshotLocked()
-	}
-	rec := make([]byte, 0, recHeader+len(payload)+4)
-	rec = append(rec, kind)
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
-	rec = append(rec, payload...)
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(rec, manifestCRC))
-	f, err := fsys.OS.OpenFile(m.path, fsys.O_WRONLY, 0)
-	if err != nil {
+// snapshot starts a fresh segment holding one image of entries, of kind
+// recImage or recCarry, and removes the segments before it. The write is
+// done once the image is durable: a removal that fails, or that a crash
+// undoes, leaves segments that replay before the image and change
+// nothing, and the next snapshot removes them again. So its error is
+// not the write's.
+func (m *Manifest) snapshot(kind byte, entries map[uint64]ManifestEntry) error {
+	if err := m.log.Rotate(); err != nil {
 		return err
 	}
-	if m.torn {
-		err = f.Truncate(m.size)
-	}
+	lsn, err := m.log.Append(record(kind, sortedEntries(entries)))
 	if err == nil {
-		_, err = f.WriteAt(rec, m.size)
+		_, _ = m.log.TruncateBelow(lsn.Seg)
 	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		// Whatever reached the file past size is an unacknowledged tail.
-		m.torn = true
-		return err
-	}
-	m.torn = false
-	m.size += int64(len(rec))
-	m.dead += dead
-	return nil
-}
-
-// snapshotLocked rewrites the file as one image of the current entries,
-// atomically: a crash leaves either the old log or the new snapshot.
-func (m *Manifest) snapshotLocked() error {
-	data := EncodeManifest(m.sortedLocked())
-	if err := fsys.WriteTemp(m.path, data); err != nil {
-		return err
-	}
-	if err := fsys.Commit([]string{m.path}, nil); err != nil {
-		m.size = 0 // the file may be either generation: snapshot again, never append
-		return err
-	}
-	m.size, m.dead, m.torn = int64(len(data)), 0, false
-	return nil
+	return err
 }
 
 var manifestCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// record encodes a put or an image of entries.
+func record(kind byte, entries []ManifestEntry) []byte {
+	rec := binary.AppendUvarint([]byte{kind}, uint64(len(entries)))
+	for _, e := range entries {
+		rec = appendManifestEntry(rec, e)
+	}
+	return rec
+}
 
 func appendManifestEntry(b []byte, e ManifestEntry) []byte {
 	appendStr := func(s string) {
@@ -274,17 +312,6 @@ func appendManifestEntry(b []byte, e ManifestEntry) []byte {
 	appendStr(e.Table)
 	appendStr(e.Partition)
 	return append(b, e.Root[:]...)
-}
-
-// EncodeManifest renders entries to the snapshot image:
-// magic | uvarint count | entries | u32 crc32c(everything before).
-func EncodeManifest(entries []ManifestEntry) []byte {
-	b := []byte(manifestMagic)
-	b = binary.AppendUvarint(b, uint64(len(entries)))
-	for _, e := range entries {
-		b = appendManifestEntry(b, e)
-	}
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, manifestCRC))
 }
 
 // manifestDec reads the manifest's primitives off b; the first failure
@@ -328,24 +355,11 @@ func (d *manifestDec) str(what string) string {
 	return s
 }
 
-// count reads an entry count, bounded against hostile values.
-func (d *manifestDec) count() uint64 {
-	n := d.uvarint("entry count")
-	if n > maxManifestEntries {
-		d.fail("entry count exceeds sanity bound")
-		return 0
-	}
-	return n
-}
-
-// entry decodes one entry; a v1 entry has no offset.
-func (d *manifestDec) entry(v1 bool) (e ManifestEntry) {
+// entry decodes one entry.
+func (d *manifestDec) entry() (e ManifestEntry) {
 	e.Seq = d.uvarint("seq")
 	e.Key = d.str("key")
-	size, off := d.uvarint("size"), uint64(0)
-	if !v1 {
-		off = d.uvarint("offset")
-	}
+	size, off := d.uvarint("size"), d.uvarint("offset")
 	dataLen, rows := d.uvarint("data len"), d.uvarint("rows")
 	e.Table = d.str("table")
 	e.Partition = d.str("partition")
@@ -369,77 +383,70 @@ func (d *manifestDec) entry(v1 bool) (e ManifestEntry) {
 	return e
 }
 
-// decodeImage decodes the snapshot image at the front of data and returns
-// its entries and encoded length.
-func decodeImage(data []byte) ([]ManifestEntry, int, error) {
-	if len(data) < len(manifestMagic)+4 {
-		return nil, 0, fmt.Errorf("%w: too short", ErrBadManifest)
+// apply applies the record of kind at the front of b and returns the
+// bytes after it: an image replaces the state, a put adds or replaces
+// entries, a remove drops seqs (absent ones are skipped).
+func (st *state) apply(kind byte, b []byte) ([]byte, error) {
+	if kind < recRemove || kind > recCarry {
+		return nil, fmt.Errorf("%w: record kind %d", ErrBadManifest, kind)
 	}
-	magic := string(data[:len(manifestMagic)])
-	if magic != manifestMagic && magic != manifestMagicV1 {
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrBadManifest)
+	d := manifestDec{b: b}
+	count := d.uvarint("entry count")
+	if count > maxManifestEntries {
+		d.fail("entry count exceeds sanity bound")
+		count = 0
 	}
-	d := manifestDec{b: data[len(manifestMagic):]}
-	count := d.count()
-	entries := make([]ManifestEntry, 0, min(count, 1024))
+	if kind == recImage || kind == recCarry {
+		clear(st.entries)
+		st.logged = 0
+	}
+	st.carried = kind == recCarry
 	for i := uint64(0); i < count && d.err == nil; i++ {
-		entries = append(entries, d.entry(magic == manifestMagicV1))
+		if kind == recRemove {
+			delete(st.entries, d.uvarint("removed seq"))
+		} else if e := d.entry(); d.err == nil {
+			st.entries[e.Seq] = e
+		}
 	}
-	if d.err != nil {
-		return nil, 0, d.err
-	}
-	n := len(data) - len(d.b)
-	if len(d.b) < 4 || crc32.Checksum(data[:n], manifestCRC) != binary.LittleEndian.Uint32(d.b) {
-		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrBadManifest)
-	}
-	return entries, n + 4, nil
+	st.logged += int(count)
+	return d.b, d.err
 }
 
-// replayManifest folds a manifest file — snapshot image, then records —
-// into entries. valid is the length of the whole-record prefix and logged
-// the number of entries (puts and removes) that prefix holds. Bytes past
-// valid are a torn tail: zero fill, or an incomplete record with no whole
-// record after it. A complete record that is malformed or fails its CRC
-// is corruption, as is an incomplete one followed by a whole record.
-func replayManifest(data []byte, entries map[uint64]ManifestEntry) (valid, logged int, err error) {
-	image, valid, err := decodeImage(data)
+// replayManifest folds a predecessor file — snapshot image, then
+// records — into st and returns the length of its whole-record prefix.
+// Bytes past it are a torn tail: zero fill, or an incomplete record with
+// no whole record after it. A complete record that is malformed or fails
+// its CRC is corruption, as is an incomplete one followed by a whole
+// record.
+func replayManifest(data []byte, st *state) (valid int, err error) {
+	if len(data) < len(manifestMagic) || string(data[:len(manifestMagic)]) != manifestMagic {
+		return 0, fmt.Errorf("%w: bad magic", ErrBadManifest)
+	}
+	rest, err := st.apply(recImage, data[len(manifestMagic):])
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	logged = len(image)
-	for _, e := range image {
-		entries[e.Seq] = e
+	valid = len(data) - len(rest)
+	if len(rest) < 4 || crc32.Checksum(data[:valid], manifestCRC) != binary.LittleEndian.Uint32(rest) {
+		return 0, fmt.Errorf("%w: checksum mismatch", ErrBadManifest)
 	}
-	for valid < len(data) {
+	for valid += 4; valid < len(data); {
 		rest := data[valid:]
 		payload, kind, n := nextRecord(rest)
 		if n <= 0 {
-			if allZero(rest) || (n == 0 && !recordFollows(rest[1:])) {
-				return valid, logged, nil // torn tail
+			if len(bytes.TrimLeft(rest, "\x00")) == 0 || (n == 0 && !recordFollows(rest[1:])) {
+				return valid, nil // torn tail
 			}
-			return 0, 0, fmt.Errorf("%w: damaged record at offset %d", ErrBadManifest, valid)
+			return 0, fmt.Errorf("%w: damaged record at offset %d", ErrBadManifest, valid)
 		}
-		d := manifestDec{b: payload}
-		count := d.count()
-		for i := uint64(0); i < count && d.err == nil; i++ {
-			if kind != recRemove {
-				if e := d.entry(kind == recPutV1); d.err == nil {
-					entries[e.Seq] = e
-				}
-			} else {
-				delete(entries, d.uvarint("removed seq"))
-			}
+		if rest, err := st.apply(kind, payload); err != nil {
+			return 0, err
+		} else if len(rest) != 0 {
+			return 0, fmt.Errorf("%w: trailing bytes in record at offset %d", ErrBadManifest, valid)
 		}
-		if d.err == nil && len(d.b) != 0 {
-			d.fail("trailing bytes in record")
-		}
-		if d.err != nil {
-			return 0, 0, d.err
-		}
-		logged += int(count)
 		valid += n
 	}
-	return valid, logged, nil
+	return valid, nil
 }
 
 // nextRecord frames the record at the front of b: n > 0 is its encoded
@@ -453,10 +460,7 @@ func nextRecord(b []byte) (payload []byte, kind byte, n int) {
 	if end+4 > int64(len(b)) {
 		return nil, 0, 0
 	}
-	if kind = b[0]; kind != recPut && kind != recPutV1 && kind != recRemove {
-		return nil, 0, -1
-	}
-	if crc32.Checksum(b[:end], manifestCRC) != binary.LittleEndian.Uint32(b[end:]) {
+	if kind = b[0]; (kind != recPut && kind != recRemove) || crc32.Checksum(b[:end], manifestCRC) != binary.LittleEndian.Uint32(b[end:]) {
 		return nil, 0, -1
 	}
 	return b[recHeader:end], kind, int(end) + 4
@@ -472,13 +476,4 @@ func recordFollows(b []byte) bool {
 		}
 	}
 	return false
-}
-
-func allZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -1,17 +1,19 @@
 package objstore
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
-	"hpclog/internal/fsys"
 	"hpclog/internal/fsys/fsystest"
+	"hpclog/internal/wal"
 )
 
 func testEntry(seq uint64) ManifestEntry {
@@ -65,37 +67,49 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestManifestRejectsCorruption: damage in a record with a whole record
+// after it refuses to load with the wal's ErrCorrupt; damage in the last
+// record alone is a torn tail, cut at load.
 func TestManifestRejectsCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "TIER")
 	m, _ := LoadManifest(path)
-	if err := m.Put(testEntry(1)); err != nil {
-		t.Fatal(err)
+	for _, seq := range []uint64{1, 2} {
+		if err := m.Put(testEntry(seq)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	data, err := os.ReadFile(path)
+	m.Close()
+	seg := logSegments(t, path)[0]
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip one byte in the middle: the CRC must catch it.
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadManifest(path); !errors.Is(err, ErrBadManifest) {
-		t.Fatalf("want ErrBadManifest, got %v", err)
+	starts := frames(data)
+	for i, want := range []error{wal.ErrCorrupt, nil} {
+		bad := append([]byte{}, data...)
+		bad[starts[i]+frameHeader+10] ^= 0x40
+		if err := os.WriteFile(seg, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, err := LoadManifest(path)
+		if !errors.Is(err, want) || (err == nil && (re.Len() != 1 || re.Entries()[0] != testEntry(1))) {
+			t.Fatalf("flip in record %d of 2: %v, want %v and the records before it", i+1, err, want)
+		}
 	}
 }
 
-// decodeWhole decodes data as one snapshot image and nothing after it.
+// decodeWhole decodes data as a predecessor file and nothing after it.
 func decodeWhole(data []byte) ([]ManifestEntry, error) {
-	entries, n, err := decodeImage(data)
-	if err == nil && n != len(data) {
+	st := state{entries: make(map[uint64]ManifestEntry)}
+	valid, err := replayManifest(data, &st)
+	if err == nil && valid != len(data) {
 		err = fmt.Errorf("%w: trailing garbage", ErrBadManifest)
 	}
-	return entries, err
+	return sortedEntries(st.entries), err
 }
 
 func TestDecodeManifestHostile(t *testing.T) {
-	good := EncodeManifest([]ManifestEntry{testEntry(1), testEntry(2)})
+	good := predecessor([]ManifestEntry{testEntry(1), testEntry(2)})
 	cases := [][]byte{
 		nil,
 		[]byte("HPTIERM1"),
@@ -110,41 +124,73 @@ func TestDecodeManifestHostile(t *testing.T) {
 	}
 }
 
-// logBytes builds a manifest file the way the Manifest writes one: a
-// snapshot, then one record per op (op > 0 puts seq op, op < 0 removes
-// seq -op).
-func logBytes(t testing.TB, snapshot []ManifestEntry, ops ...int) []byte {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "TIER")
-	if err := os.WriteFile(path, EncodeManifest(snapshot), 0o644); err != nil {
-		t.Fatal(err)
+// predecessor renders a manifest file of the predecessor generation the
+// way its writer did: an image of snapshot, then one framed record per op
+// (op > 0 puts seq op, op < 0 removes seq -op).
+func predecessor(snapshot []ManifestEntry, ops ...int) []byte {
+	b := binary.AppendUvarint([]byte(manifestMagic), uint64(len(snapshot)))
+	for _, e := range snapshot {
+		b = appendManifestEntry(b, e)
 	}
-	m, err := LoadManifest(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.dead = -1 << 30 // never compact into a snapshot: the log itself is under test
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, manifestCRC))
 	for _, op := range ops {
+		kind, payload := byte(recPut), binary.AppendUvarint(nil, 1)
 		if op > 0 {
-			err = m.Put(testEntry(uint64(op)))
+			payload = appendManifestEntry(payload, testEntry(uint64(op)))
 		} else {
-			err = m.Remove(uint64(-op))
+			kind, payload = recRemove, binary.AppendUvarint(payload, uint64(-op))
 		}
+		rec := binary.LittleEndian.AppendUint32([]byte{kind}, uint32(len(payload)))
+		rec = append(rec, payload...)
+		b = binary.LittleEndian.AppendUint32(append(b, rec...), crc32.Checksum(rec, manifestCRC))
+	}
+	return b
+}
+
+// The wal's segment layout, as the manifest tests walk it: a header, then
+// frames of a length and a CRC before each record.
+const segHeader, frameHeader = 16, 8
+
+// frames returns the offset of each frame of a wal segment.
+func frames(seg []byte) (starts []int) {
+	for off := segHeader; off+frameHeader <= len(seg); {
+		starts = append(starts, off)
+		off += frameHeader + int(binary.LittleEndian.Uint32(seg[off:]))
+	}
+	return starts
+}
+
+// logSegments returns the segment files of the manifest log at path, oldest
+// first.
+func logSegments(t testing.TB, path string) []string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(path, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no log segments in %s (%v)", path, err)
+	}
+	return segs
+}
+
+// logBytes returns the bytes the manifest log at path holds.
+func logBytes(t testing.TB, path string) (n int64) {
+	t.Helper()
+	for _, seg := range logSegments(t, path) {
+		fi, err := os.Stat(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		n += fi.Size()
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return n
 }
 
 func TestManifestLogAppendsAndSnapshots(t *testing.T) {
 	rec := fsystest.Install(t)
 	path := filepath.Join(t.TempDir(), "TIER")
 	m, _ := LoadManifest(path)
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("loading an empty manifest created its log (%v)", err)
+	}
 	writes := manifestWrites(rec)
 	var batch []ManifestEntry
 	for seq := uint64(1); seq <= 100; seq++ {
@@ -153,20 +199,20 @@ func TestManifestLogAppendsAndSnapshots(t *testing.T) {
 	if err := m.Put(batch...); err != nil {
 		t.Fatal(err)
 	}
-	image, _ := os.Stat(path)
+	image := logBytes(t, path)
 	if err := m.Put(testEntry(101), testEntry(102)); err != nil {
 		t.Fatal(err)
 	}
 	if n := manifestWrites(rec) - writes; n != 2 {
 		t.Fatalf("%d manifest writes for two batches, want 2", n)
 	}
-	grown, _ := os.Stat(path)
-	if per := (grown.Size() - image.Size()) / 2; per > image.Size()/100+8 {
-		t.Fatalf("appended record costs %d B per entry, the image %d B", per, image.Size()/100)
+	if per := (logBytes(t, path) - image) / 2; per > image/100+8 {
+		t.Fatalf("appended record costs %d B per entry, the first batch %d B", per, image/100)
 	}
 
 	// Dropping most entries leaves more dead than live: the next write is
-	// a snapshot, and the file shrinks to the image of what is left.
+	// a snapshot, and the log shrinks to one segment holding one image of
+	// what is left.
 	var seqs []uint64
 	for seq := uint64(1); seq <= 90; seq++ {
 		seqs = append(seqs, seq)
@@ -174,9 +220,9 @@ func TestManifestLogAppendsAndSnapshots(t *testing.T) {
 	if err := m.Remove(seqs...); err != nil {
 		t.Fatal(err)
 	}
-	shrunk, _ := os.Stat(path)
-	if want := int64(len(EncodeManifest(m.Entries()))); shrunk.Size() != want {
-		t.Fatalf("after removing 90 of 102 the file is %d B, a snapshot of the rest is %d B", shrunk.Size(), want)
+	want := int64(segHeader + frameHeader + len(record(recImage, m.Entries())))
+	if segs, size := logSegments(t, path), logBytes(t, path); len(segs) != 1 || size != want {
+		t.Fatalf("after removing 90 of 102 the log is %d B in %d segments, one image of the rest is %d B", size, len(segs), want)
 	}
 	re, err := LoadManifest(path)
 	if err != nil || !reflect.DeepEqual(re.Entries(), m.Entries()) {
@@ -184,8 +230,60 @@ func TestManifestLogAppendsAndSnapshots(t *testing.T) {
 	}
 }
 
+// TestManifestEmptySnapshotOutlivesOldSegments: a remove that leaves
+// nothing live is a snapshot with an empty image. The write is done once
+// the image is durable: when the old segment then fails to go, the remove
+// still succeeds, and the segment left behind replays before the image
+// and changes nothing — reloads hold no entry, and so does the manifest
+// after the next snapshot removes the segment.
+func TestManifestEmptySnapshotOutlivesOldSegments(t *testing.T) {
+	rec := fsystest.Install(t)
+	path := filepath.Join(t.TempDir(), "TIER")
+	m, err := LoadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.Put(testEntry(1), testEntry(2), testEntry(3)); err != nil {
+		t.Fatal(err)
+	}
+	rec.Fail(func(op fsystest.Op) error {
+		if op.Kind == "remove" && strings.HasPrefix(filepath.Base(op.Path), "wal-") {
+			return errors.New("injected unlink failure")
+		}
+		return nil
+	})
+	err = m.Remove(1, 2, 3)
+	rec.Fail(nil)
+	if err != nil || m.Len() != 0 {
+		t.Fatalf("remove of every entry: %v, %d left", err, m.Len())
+	}
+	if segs := logSegments(t, path); len(segs) != 2 {
+		t.Fatalf("the failed unlink left segments %v, want the old one and the image's", segs)
+	}
+	if re, err := LoadManifest(path); err != nil || re.Len() != 0 {
+		t.Fatalf("reload over the segment left behind: %v, %d entries", err, re.Len())
+	}
+	for seq := uint64(4); seq <= 6; seq++ {
+		if err := m.Put(testEntry(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Remove(4, 5, 6); err != nil {
+		t.Fatal(err)
+	}
+	if segs := logSegments(t, path); len(segs) != 1 {
+		t.Fatalf("the next snapshot left segments %v, want its own alone", segs)
+	}
+	if re, err := LoadManifest(path); err != nil || re.Len() != 0 {
+		t.Fatalf("reload after the next snapshot: %v, %d entries", err, re.Len())
+	}
+}
+
+// TestManifestLogTornTailAndCorruption: a predecessor file is carried
+// over under its own damage rule.
 func TestManifestLogTornTailAndCorruption(t *testing.T) {
-	good := logBytes(t, []ManifestEntry{testEntry(1)}, 2, 3, -1, 4)
+	good := predecessor([]ManifestEntry{testEntry(1)}, 2, 3, -1, 4)
 	load := func(data []byte) (*Manifest, error) {
 		path := filepath.Join(t.TempDir(), "TIER")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -206,7 +304,7 @@ func TestManifestLogTornTailAndCorruption(t *testing.T) {
 
 	// Every cut inside the last record is a torn tail: the load succeeds
 	// with the records before it, and the next append lands cleanly.
-	last := len(logBytes(t, []ManifestEntry{testEntry(1)}, 2, 3, -1))
+	last := len(predecessor([]ManifestEntry{testEntry(1)}, 2, 3, -1))
 	for cut := last; cut < len(good); cut++ {
 		m, err := load(good[:cut])
 		if err != nil || !reflect.DeepEqual(seqs(m), []uint64{2, 3}) {
@@ -216,7 +314,7 @@ func TestManifestLogTornTailAndCorruption(t *testing.T) {
 			if err := m.Put(testEntry(9)); err != nil {
 				t.Fatal(err)
 			}
-			if re, err := LoadManifest(m.path); err != nil || !reflect.DeepEqual(seqs(re), []uint64{2, 3, 9}) {
+			if re, err := LoadManifest(m.dir); err != nil || !reflect.DeepEqual(seqs(re), []uint64{2, 3, 9}) {
 				t.Fatalf("append after a torn tail: %v %v", seqs(re), err)
 			}
 		}
@@ -237,7 +335,7 @@ func TestManifestLogTornTailAndCorruption(t *testing.T) {
 	}
 	// A record damaged so that it looks cut short, with whole records
 	// after it, is corruption, not a torn tail.
-	first := len(EncodeManifest([]ManifestEntry{testEntry(1)}))
+	first := len(predecessor([]ManifestEntry{testEntry(1)}))
 	bad := append([]byte{}, good...)
 	bad[first+3] = 0x7f // the first record's length now runs past the end
 	if _, err := load(bad); !errors.Is(err, ErrBadManifest) {
@@ -246,47 +344,47 @@ func TestManifestLogTornTailAndCorruption(t *testing.T) {
 }
 
 func FuzzDecodeManifest(f *testing.F) {
-	f.Add(EncodeManifest(nil))
-	f.Add(EncodeManifest([]ManifestEntry{testEntry(1)}))
-	f.Add(EncodeManifest([]ManifestEntry{testEntry(1), testEntry(7), testEntry(42)}))
-	f.Add([]byte("HPTIERM1"))
-	f.Add(logBytes(f, nil, 1, 2, -1, 3))
-	f.Add(logBytes(f, []ManifestEntry{testEntry(5)}, -5, 5, 6))
+	f.Add(predecessor(nil))
+	f.Add(predecessor([]ManifestEntry{testEntry(1)}))
+	f.Add(predecessor([]ManifestEntry{testEntry(1), testEntry(7), testEntry(42)}))
+	torn := predecessor([]ManifestEntry{testEntry(1)}, 2, 3)
+	f.Add(torn[:len(torn)-3])
+	f.Add(predecessor(nil, 1, 2, -1, 3))
+	f.Add(predecessor([]ManifestEntry{testEntry(5)}, -5, 5, 6))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := decodeWhole(data) // must never panic
+		// Never a panic; what replays replays the same from its own
+		// whole-record prefix, and its image replays to it.
+		got := state{entries: make(map[uint64]ManifestEntry)}
+		valid, err := replayManifest(data, &got)
 		if err != nil {
 			if !errors.Is(err, ErrBadManifest) {
-				t.Fatalf("non-typed decode error: %v", err)
-			}
-		} else if bytes.HasPrefix(data, []byte(manifestMagicV1)) {
-			// A v1 image re-encodes in the current format, to the same entries.
-			if again, err := decodeWhole(EncodeManifest(entries)); err != nil || !reflect.DeepEqual(again, entries) {
-				t.Fatalf("v1 image does not survive re-encoding: %v", err)
-			}
-		} else if !bytes.Equal(EncodeManifest(entries), data) {
-			// Anything else that decodes as an image must re-encode canonically.
-			t.Fatal("decode/encode not canonical")
-		}
-
-		// As a log: never a panic; what replays replays the same from its
-		// own whole-record prefix, and a pre-log image is a log of itself.
-		got := make(map[uint64]ManifestEntry)
-		valid, logged, lerr := replayManifest(data, got)
-		if lerr != nil {
-			if !errors.Is(lerr, ErrBadManifest) {
-				t.Fatalf("non-typed replay error: %v", lerr)
-			}
-			if err == nil {
-				t.Fatal("a valid image failed to load as a log")
+				t.Fatalf("non-typed replay error: %v", err)
 			}
 			return
 		}
-		if valid > len(data) || logged < len(got) {
-			t.Fatalf("valid=%d of %d bytes, logged=%d for %d live", valid, len(data), logged, len(got))
+		if valid > len(data) || got.logged < len(got.entries) {
+			t.Fatalf("valid=%d of %d bytes, logged=%d for %d live", valid, len(data), got.logged, len(got.entries))
 		}
-		again := make(map[uint64]ManifestEntry)
-		if v2, l2, err := replayManifest(data[:valid], again); err != nil || v2 != valid || l2 != logged || !reflect.DeepEqual(again, got) {
+		again := state{entries: make(map[uint64]ManifestEntry)}
+		if v2, err := replayManifest(data[:valid], &again); err != nil || v2 != valid || !reflect.DeepEqual(again, got) {
 			t.Fatalf("replay of the whole-record prefix differs: %v", err)
+		}
+		image := predecessor(sortedEntries(got.entries))
+		if entries, err := decodeWhole(image); err != nil || !reflect.DeepEqual(entries, sortedEntries(got.entries)) {
+			t.Fatalf("the image of what replayed does not replay to it: %v", err)
+		}
+
+		// Carried over, it loads as the same entries, and again from the log.
+		path := filepath.Join(t.TempDir(), "TIER")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			m, err := LoadManifest(path)
+			if err != nil || !reflect.DeepEqual(m.Entries(), sortedEntries(got.entries)) {
+				t.Fatalf("carried over, the file loads other entries (%v)", err)
+			}
+			m.Close()
 		}
 	})
 }
@@ -335,16 +433,130 @@ func FuzzManifestLogModel(f *testing.F) {
 	})
 }
 
-// manifestWrites counts the manifest writes rec saw: appended records and
-// snapshot images.
+// FuzzManifestLogRecovery runs FuzzCommitlogRecovery's model over a
+// manifest's log: a log of acked puts and removes across two segments —
+// the second opening with a snapshot image, the first kept as a failed
+// truncation leaves it — is damaged by a byte flip, a truncation or a
+// zero fill at a point of its segments laid end to end (a truncation
+// drops the segments after the cut), then loaded. The load never panics,
+// and fails only with wal.ErrCorrupt; otherwise it holds the state after
+// a prefix of the records, one holding every record that lies wholly
+// before the first damaged byte.
+func FuzzManifestLogRecovery(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "TIER")
+	m, err := LoadManifest(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	states := [][]ManifestEntry{nil} // after each record
+	var sealed []byte
+	for i, op := range []int{1, 2, 3, 4, -1, 5, 6, -4} {
+		if op > 0 {
+			err = m.Put(testEntry(uint64(op)))
+		} else if op == -1 {
+			// Three removes leave one entry of seven logged: a snapshot,
+			// which seals the first segment.
+			if sealed, err = os.ReadFile(logSegments(f, path)[0]); err == nil {
+				err = m.Remove(1, 2, 3)
+			}
+		} else {
+			err = m.Remove(uint64(-op))
+		}
+		if err != nil {
+			f.Fatalf("op %d: %v", i, err)
+		}
+		states = append(states, m.Entries())
+	}
+	m.Close()
+	if segs := logSegments(f, path); len(segs) != 1 || filepath.Base(segs[0]) != "wal-0000000000000002.log" {
+		f.Fatalf("the snapshot left segments %v, want the second alone", segs)
+	}
+	newest, err := os.ReadFile(logSegments(f, path)[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	image := append(append([]byte{}, sealed...), newest...)
+	var ends []int // where each record ends in image
+	for _, seg := range []struct{ at, n int }{{0, len(sealed)}, {len(sealed), len(newest)}} {
+		for _, off := range frames(image[seg.at : seg.at+seg.n]) {
+			ends = append(ends, seg.at+off+frameHeader+int(binary.LittleEndian.Uint32(image[seg.at+off:])))
+		}
+	}
+	if len(ends) != len(states)-1 {
+		f.Fatalf("%d records for %d ops", len(ends), len(states)-1)
+	}
+	len1, total := len(sealed), len(image)
+	const flip, truncate, zero = 0, 1, 2
+	f.Add(uint8(flip), uint16(0), uint8(0))                        // sealed segment's magic
+	f.Add(uint8(flip), uint16(len1), uint8(0))                     // newest segment's magic
+	f.Add(uint8(flip), uint16(segHeader+frameHeader+4), uint8(7))  // sealed record 0's payload
+	f.Add(uint8(flip), uint16(ends[4]+frameHeader+6), uint8(0x40)) // the image's payload
+	f.Add(uint8(flip), uint16(ends[6]+1), uint8(1))                // the last record's length
+	f.Add(uint8(flip), uint16(total-1), uint8(0))                  // the last byte
+	f.Add(uint8(truncate), uint16(ends[1]+3), uint8(0))            // inside the sealed segment
+	f.Add(uint8(truncate), uint16(ends[5]+20), uint8(0))           // inside the newest segment
+	f.Add(uint8(zero), uint16(ends[2]), uint8(255))                // sealed records 3 on
+	f.Add(uint8(zero), uint16(len1+3), uint8(20))                  // newest header into the image
+	f.Add(uint8(zero), uint16(total-16), uint8(15))                // the last record
+	f.Fuzz(func(t *testing.T, op uint8, pos uint16, n uint8) {
+		at := int(pos) % total
+		damaged := append([]byte(nil), image...)
+		first := at
+		switch op % 3 {
+		case flip:
+			damaged[at] ^= n%255 + 1
+		case truncate:
+			damaged = damaged[:at]
+		case zero:
+			first = total
+			for i := min(at+int(n), total-1); i >= at; i-- {
+				if damaged[i] != 0 {
+					damaged[i], first = 0, i
+				}
+			}
+		}
+		before := 0
+		for before < len(ends) && ends[before] <= first {
+			before++
+		}
+		d := filepath.Join(t.TempDir(), "TIER")
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for i, part := range [][]byte{damaged[:min(len(damaged), len1)], damaged[min(len(damaged), len1):]} {
+			if i == 0 || len(damaged) > len1 {
+				if err := os.WriteFile(filepath.Join(d, fmt.Sprintf("wal-%016d.log", i+1)), part, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		m, err := LoadManifest(d)
+		if err != nil {
+			if !errors.Is(err, wal.ErrCorrupt) {
+				t.Fatalf("load failed: %v", err)
+			}
+			return
+		}
+		defer m.Close()
+		got := m.Entries()
+		for k := before; k < len(states); k++ {
+			if reflect.DeepEqual(got, states[k]) || (len(got) == 0 && len(states[k]) == 0) {
+				return
+			}
+		}
+		t.Fatalf("loaded %v: the state after no prefix of at least the %d records before the first damaged byte %d", got, before, first)
+	})
+}
+
+// manifestWrites counts the manifest writes rec saw: fsyncs of its log.
 func manifestWrites(rec *fsystest.FS) int {
-	return rec.Count("openfile", "TIER") + rec.Count("create", "TIER"+fsys.TempExt)
+	return rec.Count("sync", "wal-*.log")
 }
 
 // TestFaultManifestWriteRollsBack: a Put or Remove whose record write, or
-// whose snapshot's rename, fails leaves Entries() and the reloaded file as
-// they were before the call, and the next Put cuts the unacknowledged tail
-// the failed write left.
+// whose snapshot's new segment, fails leaves Entries() and the reloaded
+// log as they were before the call, and the next Put reopens the log,
+// cutting the unacknowledged tail the failed write left.
 func TestFaultManifestWriteRollsBack(t *testing.T) {
 	rec := fsystest.Install(t)
 	path := filepath.Join(t.TempDir(), "TIER")
@@ -366,12 +578,12 @@ func TestFaultManifestWriteRollsBack(t *testing.T) {
 	}{
 		{"put record", "write", func() error { return m.Put(testEntry(50), replaced) }},
 		{"remove record", "write", func() error { return m.Remove(2, 4) }},
-		{"remove snapshot", "rename", func() error { return m.Remove(1, 2, 3, 4, 5, 6, 7, 8) }},
+		{"remove snapshot", "create", func() error { return m.Remove(1, 2, 3, 4, 5, 6, 7, 8) }},
 	}
 	for i, c := range cases {
 		before := m.Entries()
 		rec.Fail(func(op fsystest.Op) error {
-			if op.Kind == c.kind && strings.HasPrefix(filepath.Base(op.Path), "TIER") {
+			if op.Kind == c.kind && strings.HasPrefix(filepath.Base(op.Path), "wal-") {
 				return injected
 			}
 			return nil

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"path/filepath"
 	"slices"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"hpclog/internal/cluster"
+	"hpclog/internal/fsys"
 	"hpclog/internal/objstore"
 )
 
@@ -305,7 +307,8 @@ func (db *DB) RegisterWriteNotify(fn func(*WriteDigest)) (cancel func()) {
 // <Dir>/node-<id>/ and replays the commitlog into memtables — recovering
 // every acknowledged write of a previous incarnation, while a torn tail
 // left by a crash mid-append is detected by CRC and cleanly ignored — and
-// the background compactor starts. cfg.Dir is required.
+// the background compactor starts. cfg.Dir is required, and must hold
+// no node directory of an id outside the member set.
 func OpenDurable(cfg Config) (*DB, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("store: Config.Dir is required")
@@ -339,6 +342,9 @@ func OpenDurable(cfg Config) (*DB, error) {
 			}
 			seen[id] = true
 		}
+	}
+	if err := checkNodeDirs(cfg.Dir, members); err != nil {
+		return nil, err
 	}
 	local := make(map[string]bool, len(members))
 	if len(cfg.LocalMembers) == 0 {
@@ -383,6 +389,30 @@ func OpenDurable(cfg Config) (*DB, error) {
 		go db.compactorLoop()
 	}
 	return db, nil
+}
+
+// checkNodeDirs fails when dir holds node directories of ids outside
+// members: their rows would go unread, and every answer would lack them
+// without a word.
+func checkNodeDirs(dir string, members []string) error {
+	des, err := fsys.OS.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	var strays []string
+	for _, de := range des {
+		if id, ok := strings.CutPrefix(de.Name(), "node-"); ok && de.IsDir() && !slices.Contains(members, id) {
+			strays = append(strays, de.Name())
+		}
+	}
+	if len(strays) > 0 {
+		return fmt.Errorf("store: %s holds data of %d members outside the %d configured (%s): open it with the members that wrote it",
+			dir, len(strays), len(members), strings.Join(strays, ", "))
+	}
+	return nil
 }
 
 // recover replays every node's commitlog, reconciles the table catalog,

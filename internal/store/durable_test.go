@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -83,6 +84,40 @@ func TestDurableReopenPreservesData(t *testing.T) {
 	st := db2.StorageStats()
 	if st.Dir != dir || st.ReplayedRecords == 0 {
 		t.Fatalf("expected replayed records, stats %+v", st)
+	}
+}
+
+// TestDurableRefusesNodesOutsideMembers: a directory four members wrote,
+// opened with one, would serve answers without three members' rows. The
+// open fails and names their directories; the four reopen it whole.
+func TestDurableRefusesNodesOutsideMembers(t *testing.T) {
+	dir := t.TempDir()
+	four := durableCfg(dir)
+	four.Nodes, four.RF = 4, 1
+	db, err := OpenDurable(four)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillDurable(t, db, "events", 4, 100)
+	want := readAll(t, db, "events")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	one := durableCfg(dir)
+	one.Nodes, one.RF = 1, 1
+	if db, err := OpenDurable(one); err == nil {
+		db.Close()
+		t.Fatal("one member opened a directory four members wrote")
+	} else if !strings.Contains(err.Error(), "node-store01, node-store02, node-store03") {
+		t.Fatalf("the error does not name the three other members' directories: %v", err)
+	}
+	db, err = OpenDurable(four)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := readAll(t, db, "events"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopen by the four members: %d partitions, want %d", len(got), len(want))
 	}
 }
 

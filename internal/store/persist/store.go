@@ -84,8 +84,8 @@ func OpenStore(dir string) (*Store, error) {
 // attached: the tier manifest is replayed so evicted segments come back
 // as footer stubs (rebuilt from the object store when the disk is
 // fresh), local files that were uploaded but not yet evicted are
-// re-adopted, and orphan stubs from interrupted retires are swept.
-func OpenStoreTiered(dir string, ts *TierSetup) (*Store, error) {
+// re-adopted, and a stub whose object no entry names fails the open.
+func OpenStoreTiered(dir string, ts *TierSetup) (_ *Store, err error) {
 	if err := fsys.OS.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -100,14 +100,17 @@ func OpenStoreTiered(dir string, ts *TierSetup) (*Store, error) {
 			s.tierPrefix = "node"
 		}
 	}
-	m, err := objstore.LoadManifest(filepath.Join(dir, tierManifestName))
-	if err != nil {
+	if s.manifest, err = objstore.LoadManifest(filepath.Join(dir, tierManifestName)); err != nil {
 		return nil, err
 	}
-	if s.tier == nil && m.Len() > 0 {
+	defer func() {
+		if err != nil {
+			s.Close()
+		}
+	}()
+	if s.tier == nil && s.manifest.Len() > 0 {
 		return nil, ErrTierRequired
 	}
-	s.manifest = m
 	if err := s.loadTables(); err != nil {
 		return nil, err
 	}
@@ -660,11 +663,11 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Close lets go of every open data file.
+// Close lets go of every open data file and of the tier manifest.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var first error
+	first := s.manifest.Close()
 	for _, list := range s.segs {
 		for _, seg := range list {
 			if err := seg.Close(); err != nil && first == nil {

@@ -14,10 +14,11 @@ import (
 
 	"hpclog/internal/fsys"
 	"hpclog/internal/objstore"
+	"hpclog/internal/wal"
 )
 
-// tierManifestName is the per-node manifest of uploaded segments, stored
-// beside the segment files.
+// tierManifestName is the per-node manifest of uploaded segments: a log
+// directory beside the segment files.
 const tierManifestName = "TIER"
 
 // TierSetup attaches an object-store tier to a Store at open.
@@ -79,11 +80,17 @@ func (s *Store) keyStub(key string) string {
 //     manifest write and unlink, or eviction never ran): re-adopt the
 //     local file — a later eviction needs no second transfer;
 //   - entry of a section since copied into another file, or marked dead
-//     (crash before compaction dropped the entries): stale, removed;
+//     (crash before compaction dropped the entries): stale, removed after
+//     the stub of an object no other entry names;
 //   - entry + stub: open the evicted section, reads go through the tier;
 //   - entry alone (fresh disk): rebuild the object's stub from the object;
-//   - stub without an entry (crash mid-retire after the manifest entries
-//     were removed): garbage, swept;
+//   - stub without an entry: a stub is written only after its entries
+//     are durable, and every retire unlinks it (durably) before them, so
+//     the manifest lost an acknowledged record (a cut tail that was bit
+//     rot, not a torn append): wal.ErrCorrupt, before anything changes.
+//     Until the first write after a predecessor manifest file was carried
+//     over, such a stub may be left by that file's retires, which removed
+//     the entries first: swept, as they were then;
 //   - object without an entry (a crash, or a failed delete, after its
 //     retire): garbage, deleted. No upload is in flight at open.
 //
@@ -91,9 +98,38 @@ func (s *Store) keyStub(key string) string {
 // number is never reissued to a new file.
 func (s *Store) reconcileTier(local map[uint64]*Segment, dead map[uint64]bool) error {
 	ctx := context.Background()
-	var stale []uint64                                   // seqs
+	all := s.manifest.Entries()
+	named := make(map[string]bool) // the stub names of the objects entries name
+	for _, e := range all {
+		named[filepath.Base(s.keyStub(e.Key))] = true
+	}
+	entries, err := fsys.OS.ReadDir(s.dir)
+	if err != nil {
+		return err
+	}
+	swept := false
+	for _, de := range entries {
+		if !strings.HasSuffix(de.Name(), segStubExt) || named[de.Name()] {
+			continue
+		}
+		sp := filepath.Join(s.dir, de.Name())
+		if !s.manifest.CarriedOver() {
+			return fmt.Errorf("persist: %s: footer stub of an object no tier manifest entry names (the manifest lost an acknowledged record): %w", sp, wal.ErrCorrupt)
+		}
+		if err := fsys.OS.Remove(sp); err != nil {
+			return err
+		}
+		swept = true
+	}
+	if swept {
+		// Durable before a manifest write ends the carried-over state.
+		if err := fsys.SyncPath(s.dir); err != nil {
+			return err
+		}
+	}
+	stale := make(map[uint64]string)                     // seq → object key
 	evicted := make(map[string][]objstore.ManifestEntry) // by object key
-	for _, e := range s.manifest.Entries() {
+	for _, e := range all {
 		name := path.Base(e.Key)
 		seg, ok := local[e.Seq]
 		switch {
@@ -104,7 +140,7 @@ func (s *Store) reconcileTier(local map[uint64]*Segment, dead map[uint64]bool) e
 			seg.SetTier(s.tier, e.Key)
 			fsys.OS.Remove(s.keyStub(e.Key)) // interrupted eviction: local file re-adopted
 		case ok || dead[e.Seq]:
-			stale = append(stale, e.Seq)
+			stale[e.Seq] = e.Key
 		default:
 			evicted[e.Key] = append(evicted[e.Key], e)
 		}
@@ -126,11 +162,8 @@ func (s *Store) reconcileTier(local map[uint64]*Segment, dead map[uint64]bool) e
 	if err := fsys.Commit(rebuilt, nil); err != nil {
 		return err
 	}
-	live := make(map[string]bool)
 	for key, es := range evicted {
-		sp := s.keyStub(key)
-		live[filepath.Base(sp)] = true
-		segs, err := openStub(sp, s.tier, es)
+		segs, err := openStub(s.keyStub(key), s.tier, es)
 		if err != nil {
 			return err
 		}
@@ -142,27 +175,60 @@ func (s *Store) reconcileTier(local map[uint64]*Segment, dead map[uint64]bool) e
 	if ms := s.manifest.MaxSeq(); ms >= s.nextSeq {
 		s.nextSeq = ms + 1
 	}
-	if err := s.manifest.Remove(stale...); err != nil {
-		return fmt.Errorf("persist: drop manifest entries %v: %w", stale, err)
-	}
-	entries, err := fsys.OS.ReadDir(s.dir)
-	if err != nil {
-		return err
-	}
-	for _, de := range entries {
-		if strings.HasSuffix(de.Name(), segStubExt) && !live[de.Name()] {
-			fsys.OS.Remove(filepath.Join(s.dir, de.Name()))
-		}
+	// A stub that fails to go keeps its entries, for the next open.
+	seqs, _ := s.retireStubs(stale)
+	if err := s.manifest.Remove(seqs...); err != nil {
+		return fmt.Errorf("persist: drop manifest entries %v: %w", seqs, err)
 	}
 	// A failed listing or delete only leaves garbage for the next open.
 	keys, _ := s.tier.Store().List(ctx, s.tierPrefix+"/")
-	named := s.namedKeys()
+	named = s.namedKeys()
 	for _, key := range keys {
 		if !named[key] {
 			s.tier.Store().Delete(ctx, key)
 		}
 	}
 	return nil
+}
+
+// retireStubs unlinks the stub of each object only entries of keys (seq
+// → object key) name, and returns the seqs whose entries may go: those of
+// an object whose stub fails to go stay, so no stub outlives its entries,
+// and the failure is returned. The unlinks are made durable first, or no
+// entry goes: a crash must not bring back a stub whose entries are gone.
+func (s *Store) retireStubs(keys map[uint64]string) ([]uint64, error) {
+	done := make(map[string]bool) // objects other entries name, or whose stub went
+	for _, e := range s.manifest.Entries() {
+		if _, retiring := keys[e.Seq]; !retiring {
+			done[e.Key] = true
+		}
+	}
+	failed := make(map[string]bool)
+	var errs []error
+	unlinked := false
+	for _, key := range keys {
+		if done[key] || failed[key] {
+			continue
+		}
+		err := fsys.OS.Remove(s.keyStub(key))
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			failed[key], errs = true, append(errs, err)
+		}
+		done[key], unlinked = true, unlinked || err == nil
+	}
+	if unlinked {
+		if err := fsys.SyncPath(s.dir); err != nil {
+			return nil, errors.Join(append(errs, err)...)
+		}
+	}
+	var seqs []uint64
+	for seq, key := range keys {
+		if !failed[key] {
+			seqs = append(seqs, seq)
+		}
+	}
+	slices.Sort(seqs)
+	return seqs, errors.Join(errs...)
 }
 
 // namedKeys returns the object keys the manifest names.
@@ -426,34 +492,34 @@ func writeStub(df *dataFile, marks []uint64) error {
 }
 
 // dropTiered removes the object-store presence of retired segments, which
-// take no new reader: cached blocks, then manifest entries with one record
-// (so a crash cannot resurrect them beyond one LWW-harmless window), then
-// the stub of each object no entry names any more. Such an object goes
-// with its file's last reader; one a crash or a failed delete strands, at
-// the next open.
+// take no new reader: cached blocks, then the stub of each object no
+// entry will name any more, then the manifest entries with one record
+// (a crash in between leaves entries that dead marks already retire). An
+// object left unnamed goes with its file's last reader; one a crash or a
+// failed delete strands, at the next open.
 func (s *Store) dropTiered(segs []*Segment) error {
 	if s.tier == nil {
 		return nil
 	}
-	var seqs []uint64
+	keys := make(map[uint64]string)     // seq → object key
 	files := make(map[string]*dataFile) // by object key
 	for _, seg := range segs {
 		if key := seg.TierKey(); key != "" {
-			seqs, files[key] = append(seqs, seg.Seq()), seg.file
+			keys[seg.Seq()], files[key] = key, seg.file
 			s.tier.Cache().Drop(key, seg.base, seg.base+seg.size)
 		}
 	}
-	if err := s.manifest.Remove(seqs...); err != nil {
-		return fmt.Errorf("persist: drop manifest entries %v: %w", seqs, err)
+	seqs, err := s.retireStubs(keys)
+	if rerr := s.manifest.Remove(seqs...); rerr != nil {
+		return errors.Join(err, fmt.Errorf("persist: drop manifest entries %v: %w", seqs, rerr))
 	}
 	named := s.namedKeys()
 	for key, df := range files {
 		if !named[key] {
-			fsys.OS.Remove(s.keyStub(key))
 			df.retire(func() { s.tier.Store().Delete(context.Background(), key) })
 		}
 	}
-	return nil
+	return err
 }
 
 // SegmentInfo is the wire-facing description of one segment — the

@@ -1,12 +1,22 @@
-// Package wal implements a per-node append-only commitlog: CRC-framed
-// records in rotating segment files, batched group-commit fsync, replay
-// that cuts a torn tail and refuses damage with valid frames after it,
-// and truncation of segments whose records have been flushed into
-// immutable storage.
+// Package wal implements an append-only log: CRC-framed records in
+// rotating segment files, batched group-commit fsync, and truncation of
+// the segments whose records are kept elsewhere. It has two users: each
+// node's commitlog (store), whose records a flush makes redundant, and
+// each node's tier manifest (objstore.Manifest), whose records a snapshot
+// image makes redundant.
 //
-// The log is payload-agnostic — callers hand it opaque byte records (the
-// store encodes put-batch records with the persist row codec) and get
-// back an LSN whose segment index drives truncation.
+// One damage rule governs recovery, for both. A frame is read by length
+// and CRC, the segment header counting as the first frame. Damage in the
+// newest segment with no valid frame after it is a torn tail — an append
+// cut short by a crash, never acknowledged — and Open cuts it. Damage
+// with a valid frame after it, or anywhere in a sealed segment, may hold
+// acknowledged records, and fails with ErrCorrupt unless the caller
+// opted into TolerateCorruptTail. Bit rot in the last record looks like a
+// torn tail and is cut: a user that must tell the two apart cross-checks
+// what it acted on (the tier manifest's stubs, see persist).
+//
+// The log is payload-agnostic — callers hand it opaque byte records and
+// get back an LSN whose segment index drives truncation.
 //
 // Durability contract: in batch mode (the default, SyncPeriod == 0) Append
 // returns only after the record is flushed and fsynced, with concurrent
@@ -283,11 +293,17 @@ func (l *Log) reopenSegment(seg uint64, cleanEnd int64, torn bool) error {
 		return err
 	}
 	l.f, l.w, l.seg, l.size = f, &bufWriter{f: f}, seg, cleanEnd
+	// Neither the records it holds nor the cut is known durable: the
+	// next sync or rotation makes them so.
+	l.syncedSeq = -1
 	return nil
 }
 
 // createSegmentLocked starts segment seg as a fresh file, emptying one of
-// its name (caller holds mu, or the log is not yet shared).
+// its name (caller holds mu, or the log is not yet shared). Only its name
+// is synced: the first record's sync covers the header too, and a crash
+// that lost the header lost the first frame beside it, and with it every
+// record Open could replay, so Open starts the segment afresh.
 func (l *Log) createSegmentLocked(seg uint64) error {
 	f, err := fsys.OS.Create(segPath(l.opts.Dir, seg))
 	if err != nil {
@@ -301,10 +317,6 @@ func (l *Log) createSegmentLocked(seg uint64) error {
 		return err
 	}
 	if !l.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
 		if err := fsys.SyncPath(l.opts.Dir); err != nil {
 			f.Close()
 			return err
@@ -432,18 +444,25 @@ func (l *Log) flushAndSync() (int64, error) {
 }
 
 // rotateLocked seals the active segment (flush + fsync + close) and starts
-// the next one. Everything appended so far is durable afterwards. Any
-// failure poisons the log — buffered records of concurrent appenders may
-// be gone, so they must observe the error instead of a successful
-// (empty-buffer) sync advancing syncedSeq past them.
+// the next one. Everything appended so far is durable afterwards; when it
+// already was (every append acknowledged in batch mode), the fsync is
+// skipped. Any failure poisons the log — buffered records of concurrent
+// appenders may be gone, so they must observe the error instead of a
+// successful (empty-buffer) sync advancing syncedSeq past them.
 func (l *Log) rotateLocked() error {
+	l.sm.Lock()
+	durable := l.syncedSeq >= l.appendSeq
+	l.sm.Unlock()
 	err := l.w.flush()
-	if err == nil && !l.opts.NoSync {
+	if err == nil && !durable && !l.opts.NoSync {
 		started := time.Now()
 		err = l.f.Sync()
 		if err == nil {
 			l.fsync.Record(time.Since(started))
 		}
+	}
+	if err == nil && !durable {
+		l.syncs.Add(1)
 	}
 	if err == nil {
 		err = l.f.Close()
@@ -455,7 +474,6 @@ func (l *Log) rotateLocked() error {
 		l.wErr = err
 		return err
 	}
-	l.syncs.Add(1)
 	l.rotations.Add(1)
 	if err := l.createSegmentLocked(l.seg + 1); err != nil {
 		l.wErr = err

@@ -645,6 +645,55 @@ func TestFaultRotationDirSyncLatches(t *testing.T) {
 	}
 }
 
+// TestRotateSyncsOnlyWhatIsNotDurable: sealing a segment whose every
+// append was acknowledged in batch mode takes no fsync. Sealing one Open
+// reopened takes one: neither its records nor the cut of its torn tail
+// were synced by this log, and a crash must not bring the tail back in a
+// segment that is sealed by then.
+func TestRotateSyncsOnlyWhatIsNotDurable(t *testing.T) {
+	rec := fsystest.Install(t)
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir})
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("record-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seals := func(seg uint64, rotate func() error) int {
+		t.Helper()
+		before := rec.Count("sync", filepath.Base(segPath(dir, seg)))
+		if err := rotate(); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Count("sync", filepath.Base(segPath(dir, seg))) - before
+	}
+	if n := seals(1, l.Rotate); n != 0 {
+		t.Fatalf("sealing acknowledged appends took %d fsyncs, want 0", n)
+	}
+	if _, err := l.Append([]byte("record-3")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(segPath(dir, 2), os.O_APPEND|os.O_WRONLY, 0)
+	if err == nil {
+		_, err = f.Write([]byte{9, 0, 0, 0, 1, 2}) // a frame cut short
+		f.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	l = mustOpen(t, Options{Dir: dir})
+	defer l.Close()
+	if n := seals(2, l.Rotate); n != 1 {
+		t.Fatalf("sealing a reopened segment took %d fsyncs, want 1", n)
+	}
+	if got := collect(t, l); len(got) != 4 {
+		t.Fatalf("replayed %d records, want 4", len(got))
+	}
+}
+
 // FuzzCommitlogRecovery damages a two-segment log of acked records with a
 // byte flip, a truncation or a zero fill at a point of its segments laid
 // end to end (a truncation drops the segments after the cut), then runs
