@@ -11,7 +11,7 @@
 GO ?= go
 
 .PHONY: ci vet build test test-fresh race bench-smoke alloc-guard fmt-check \
-	test-wire cluster-smoke metrics-lint tier-smoke fault-smoke reach bench-test loc
+	test-wire cluster-smoke metrics-lint tier-smoke fault-smoke reach bench-test loc arch-cap
 
 # alloc-guard runs inside the plain (non-race) test pass, but is also
 # listed explicitly so the allocation budgets cannot rot out of CI.
@@ -22,7 +22,7 @@ GO ?= go
 # internally consistent and shows mid-traffic activity; cluster-smoke
 # proves the multi-process replicated cluster survives a kill -9;
 # bench-test drives every benchmark workload at small scale.
-ci: fmt-check vet build race test-fresh alloc-guard test-wire metrics-lint bench-smoke cluster-smoke tier-smoke fault-smoke reach bench-test
+ci: fmt-check vet build race test-fresh alloc-guard test-wire metrics-lint bench-smoke cluster-smoke tier-smoke fault-smoke reach bench-test arch-cap
 
 # The benchmark is a module of its own (bench/, contract in
 # BENCHMARK.json), so the root test run never reaches it. Its tests drive
@@ -125,6 +125,10 @@ cluster-smoke:
 # engine-test corpus over the SDK.
 test-wire:
 	$(GO) test -count=1 ./internal/api/ ./client/ ./internal/server/ ./internal/enginetest/
+
+# ARCHITECTURE.md stays a map, not a manual: it fails over 719 lines.
+arch-cap:
+	@n=$$(wc -l < ARCHITECTURE.md); [ $$n -le 719 ] || { echo "ARCHITECTURE.md is $$n lines, over 719"; exit 1; }
 
 # Root non-test Go: the line count ROADMAP's rider rule tracks —
 # internal/, cmd/ and client/ without their _test.go files (bench/ is a

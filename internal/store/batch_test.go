@@ -157,7 +157,7 @@ func TestScanPartitionBatchesMatchesPruned(t *testing.T) {
 	overlapping := []step{
 		{scenarioRows(0, 300, 5, "a"), true},
 		{scenarioRows(150, 450, 9, "b"), true}, // duplicate keys, newer
-		{scenarioRows(100, 160, 5, "c"), true}, // ties with "a": the later input wins
+		{scenarioRows(100, 160, 5, "c"), true}, // ties with "a": the greater cells ("gen" c) win
 		{scenarioRows(290, 310, 9, "d"), false},
 	}
 	// In RAM only one flushing run stands beside the memtable, so the
@@ -166,7 +166,7 @@ func TestScanPartitionBatchesMatchesPruned(t *testing.T) {
 	resident := []step{
 		{scenarioRows(0, 300, 5, "a"), true},
 		{scenarioRows(150, 450, 9, "b"), false},
-		{scenarioRows(100, 160, 5, "c"), false}, // ties with "a": the memtable wins
+		{scenarioRows(100, 160, 5, "c"), false}, // ties with "a": the greater cells ("gen" c) win
 		{scenarioRows(290, 310, 9, "d"), false},
 	}
 	scenarios := []batchScenario{

@@ -379,10 +379,11 @@ func (db *DB) ReadRepairs() int64 { return db.readRepairs.Load() }
 // reconcile is the one convergence step of read repair and anti-entropy:
 // it merges lists — what each of targets answered for one partition —
 // last-write-wins, and writes back to every target the rows its list
-// lacks or holds stale. It returns the merged rows, the rows written back
-// and the first failed write-back; a failure does not stop the others.
+// lacks or holds a losing version of. It returns the merged rows, the
+// rows written back and the first failed write-back; a failure does not
+// stop the others.
 func reconcile(ctx context.Context, tableName, pkey string, targets []replicaTarget, lists [][]Row) (merged []Row, copied int, err error) {
-	merged = mergeRows(lists...)
+	merged = persist.MergeRuns(lists...)
 	for i, tgt := range targets {
 		missing := diffRows(merged, lists[i])
 		if len(missing) == 0 {
@@ -461,7 +462,8 @@ func (db *DB) Repair(tableName string) (int, error) {
 }
 
 // diffRows returns rows in union that are absent from have (by clustering
-// key) or stale in have (smaller WriteTS). Both inputs are sorted by Key.
+// key) or that win over have's version (persist.Newer). Both inputs are
+// sorted by Key.
 func diffRows(union, have []Row) []Row {
 	var out []Row
 	j := 0
@@ -469,7 +471,7 @@ func diffRows(union, have []Row) []Row {
 		for j < len(have) && have[j].Key < r.Key {
 			j++
 		}
-		if j < len(have) && have[j].Key == r.Key && have[j].WriteTS >= r.WriteTS {
+		if j < len(have) && have[j].Key == r.Key && !persist.Newer(r, have[j]) {
 			continue
 		}
 		out = append(out, r)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"hpclog/internal/store/persist"
 	"hpclog/internal/testutil"
 )
 
@@ -46,7 +47,7 @@ func (f *fakeRemote) Apply(_ context.Context, table, pkey string, rows []Row) er
 	if f.fail {
 		return errFakeRemote
 	}
-	f.parts[table+"/"+pkey] = mergeRows(f.parts[table+"/"+pkey], rows)
+	f.parts[table+"/"+pkey] = persist.MergeRuns(f.parts[table+"/"+pkey], rows)
 	f.applied <- struct{}{}
 	return nil
 }

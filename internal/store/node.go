@@ -53,12 +53,13 @@ func (p *partition) noteDirty(seg uint64) {
 
 // put folds one batch into the sorted memtable as a unit. A batch that
 // arrives in key order and past the memtable's last key — a time-series
-// writer — is appended. Any other batch is merged last-write-wins (the
-// later row winning a WriteTS tie) over the memtable's tail from the
-// batch's first key on, after a stable sort on a copy when it was out of
-// order: the caller's slice is shared with the other replicas. Either way
-// a batch crosses the flush threshold at most once, so a partition-sized
-// batch leaves as one segment.
+// writer — is appended. Any other batch goes through the last-write-wins
+// merge (persist.MergeRuns) with the memtable's tail from the batch's
+// first key on, after a sort on a copy when it was out of order: the
+// caller's slice is shared with the other replicas. Either way a key
+// keeps the version persist.Newer ranks first, whatever order the
+// versions came in, and a batch crosses the flush threshold at most once,
+// so a partition-sized batch leaves as one segment.
 func (p *partition) put(rows []Row, walSeg uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -70,10 +71,10 @@ func (p *partition) put(rows []Row, walSeg uint64) error {
 			byKey := func(a, b Row) int { return strings.Compare(a.Key, b.Key) }
 			if !slices.IsSortedFunc(rows, byKey) {
 				rows = slices.Clone(rows)
-				slices.SortStableFunc(rows, byKey)
+				slices.SortFunc(rows, byKey)
 			}
 			tail := sort.Search(len(mem), func(i int) bool { return mem[i].Key >= rows[0].Key })
-			mem = append(mem[:tail], mergeRows(mem[tail:], rows)...)
+			mem = append(mem[:tail], persist.MergeRuns(mem[tail:], rows)...)
 			p.node.mergePuts.Add(1)
 		}
 		p.mem = mem
@@ -102,7 +103,7 @@ func appendSorted(mem, rows []Row) (out []Row, ok bool) {
 			switch prev := &mem[last]; {
 			case prev.Key < r.Key:
 			case prev.Key == r.Key && last >= n:
-				if r.WriteTS >= prev.WriteTS {
+				if persist.Newer(r, *prev) {
 					*prev = r
 				}
 				continue
@@ -145,13 +146,13 @@ func (p *partition) beginFlush() []Row {
 }
 
 // endFlush retires the flushing run once its round is over: dropped when
-// the segment holding it is published, merged back under the rows
-// written since when the round failed.
+// the segment holding it is published, merged back with the rows written
+// since when the round failed.
 func (p *partition) endFlush(published bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !published {
-		p.mem = mergeRows(p.flushing, p.mem)
+		p.mem = persist.MergeRuns(p.flushing, p.mem)
 		if p.hasFlushingSeg {
 			p.noteDirty(p.flushingSeg)
 		}
@@ -174,8 +175,8 @@ func newPruneCfg(pr persist.Pruner, stats *persist.PruneStats) *pruneCfg {
 }
 
 // mergeInputs is a point-in-time view of the partition's merge inputs that
-// can hold keys of a range, oldest first: on-disk segments by sequence,
-// then the in-RAM runs (the flushing run, the memtable) cut to the range.
+// can hold keys of a range: its on-disk segments and its in-RAM runs (the
+// flushing run, the memtable) cut to the range.
 // The view outlives the partition lock (reads drain after releasing it):
 // disk segments are immutable and refcounted, the flushing run is never
 // mutated, and the in-range memtable rows are copied — sharing the live
@@ -229,31 +230,12 @@ func (in *mergeInputs) addRun(rows []Row) {
 	}
 }
 
-// openRows opens every input as a row iterator, for the last-write-wins
-// merge.
-func (in mergeInputs) openRows(rg Range) ([]persist.Iterator, error) {
-	its := make([]persist.Iterator, 0, len(in.segs)+len(in.runs))
-	for i, seg := range in.segs {
-		it, err := seg.ScanPruned(rg, in.cfgs[i])
-		if err != nil {
-			for _, open := range its {
-				open.Close()
-			}
-			return nil, err
-		}
-		its = append(its, it)
-	}
-	for _, rows := range in.runs {
-		its = append(its, persist.NewSliceIter(rows))
-	}
-	return its, nil
-}
-
 // openBatches opens the inputs as one batch source. Inputs whose key
 // ranges clipped to rg are pairwise disjoint cannot hold two versions of
 // one key, so they are chained in key order straight from the block
 // decoder (in-RAM runs through the rows→Batch adapter); any overlap sends
-// every input through the last-write-wins merge, re-batched.
+// every input through the last-write-wins merge, whose winners are
+// batched under the projection.
 func (in mergeInputs) openBatches(rg Range, project []uint32) (_ persist.BatchIterator, chained bool, err error) {
 	type span struct {
 		min, max string
@@ -273,11 +255,11 @@ func (in mergeInputs) openBatches(rg Range, project []uint32) (_ persist.BatchIt
 	slices.SortFunc(spans, func(a, b span) int { return strings.Compare(a.min, b.min) })
 	for i := 1; i < len(spans); i++ {
 		if spans[i].min <= spans[i-1].max {
-			its, err := in.openRows(rg)
+			it, err := persist.Merge(rg, in.segs, in.cfgs, in.runs)
 			if err != nil {
 				return nil, false, err
 			}
-			return persist.BatchRows(persist.MergeIters(its), project), false, nil
+			return persist.BatchRows(it, project), false, nil
 		}
 	}
 	// Consecutive segments share one scanner; a run breaks the chain.
@@ -329,20 +311,21 @@ func retryRetired(open func() error) error {
 	}
 }
 
-// snapshotIters captures a point-in-time view of the partition restricted
-// to rg as merge inputs, oldest first, with block pruning on the disk
+// snapshotRows streams the last-write-wins merge of a point-in-time view
+// of the partition restricted to rg, with block pruning on the disk
 // segments when pc is set.
-func (p *partition) snapshotIters(rg Range, pc *pruneCfg) (its []persist.Iterator, err error) {
+func (p *partition) snapshotRows(rg Range, pc *pruneCfg) (it persist.Iterator, err error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	err = retryRetired(func() error {
-		its, err = p.inputsLocked(rg, pc).openRows(rg)
+		in := p.inputsLocked(rg, pc)
+		it, err = persist.Merge(rg, in.segs, in.cfgs, in.runs)
 		return err
 	})
-	return its, err
+	return it, err
 }
 
-// snapshotBatches is snapshotIters for the batch path (see openBatches).
+// snapshotBatches is snapshotRows for the batch path (see openBatches).
 func (p *partition) snapshotBatches(rg Range, pc *pruneCfg, project []uint32) (it persist.BatchIterator, chained bool, err error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -354,7 +337,7 @@ func (p *partition) snapshotBatches(rg Range, pc *pruneCfg, project []uint32) (i
 }
 
 // eachMemRun calls fn with each non-empty in-RAM merge input of the
-// partition, oldest first: the flushing run, the memtable.
+// partition: the flushing run, the memtable.
 func (p *partition) eachMemRun(fn func(rows []Row)) {
 	if len(p.flushing) > 0 {
 		fn(p.flushing)

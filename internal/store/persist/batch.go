@@ -908,34 +908,9 @@ func (sc *BatchScanner) Err() error { return sc.err }
 // the caller holds them: their strings are substrings of one immutable
 // copy of the block, or of an arena no later block reuses.
 func (s *Segment) ScanPruned(rg Range, cfg ScanConfig) (Iterator, error) {
-	cfg.Project = nil
-	it := &segIter{}
-	if err := it.sc.open(rg, true, []*Segment{s}, []ScanConfig{cfg}); err != nil {
+	c, err := s.openCursor(rg, cfg)
+	if err != nil {
 		return nil, err
 	}
-	return it, nil
-}
-
-// segIter is the Row adapter over the block decoder.
-type segIter struct {
-	sc  BatchScanner
-	pos int // next row within the current batch
-}
-
-func (it *segIter) Next() (Row, bool) {
-	if it.pos >= it.sc.b.Len() {
-		if !it.sc.fill() {
-			return Row{}, false
-		}
-		it.pos = 0
-	}
-	it.pos++
-	return it.sc.b.Row(it.pos - 1), true
-}
-
-func (it *segIter) Err() error { return it.sc.err }
-
-func (it *segIter) Close() error {
-	it.pos = 0
-	return it.sc.Close()
+	return c, nil
 }

@@ -211,8 +211,8 @@ func BenchmarkRowsBlockCodec(b *testing.B) {
 	})
 }
 
-// BenchmarkMergeSorted measures the shared k-way merge heap on a replica
-// reconciliation shape (3 lists, duplicate keys).
+// BenchmarkMergeSorted measures the one last-write-wins merge, collected,
+// on a replica reconciliation shape (3 lists, duplicate keys).
 func BenchmarkMergeSorted(b *testing.B) {
 	base := benchSegmentRows(4096)
 	lists := make([][]Row, 3)
@@ -228,7 +228,7 @@ func BenchmarkMergeSorted(b *testing.B) {
 	b.SetBytes(int64(3 * len(base)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := MergeSorted(lists); len(got) != len(base) {
+		if got := MergeRuns(lists...); len(got) != len(base) {
 			b.Fatal(len(got))
 		}
 	}

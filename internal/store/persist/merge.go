@@ -1,0 +1,284 @@
+package persist
+
+import (
+	"cmp"
+	"slices"
+	"strings"
+)
+
+// Iterator streams rows in clustering-key order. It is the persistence
+// layer's view of store.RowIter (the two are aliased); iterators are not
+// safe for concurrent use.
+type Iterator interface {
+	// Next returns the next row. ok == false means the scan is exhausted
+	// or failed; check Err afterwards.
+	Next() (Row, bool)
+	// Err reports the first error encountered, or nil.
+	Err() error
+	// Close releases the iterator. It is idempotent.
+	Close() error
+}
+
+// Newer reports whether row a wins over row b, another version of its
+// clustering key, under last-write-wins: the larger WriteTS wins and, on
+// equal WriteTS, the row whose cells are greater, compared as (column
+// name, value) pairs in name order, a proper prefix losing (Cassandra's
+// rule). The order is total over distinct versions, so every replica and
+// every merge keeps one winner whatever order the versions reach it in.
+// It compares names, never dictionary IDs: each process numbers names in
+// the order it meets them. It is the one comparison of two versions.
+func Newer(a, b Row) bool {
+	if a.WriteTS != b.WriteTS {
+		return a.WriteTS > b.WriteTS
+	}
+	return compareCells(a.cols, b.cols) > 0
+}
+
+// compareCells orders two rows' cells as (name, value) pairs in name
+// order, a proper prefix first.
+func compareCells(a, b []Col) int {
+	if slices.Equal(a, b) {
+		return 0 // within one process an ID names one column: a copy, the usual tie
+	}
+	var bufA, bufB [16]Col
+	x, y := byName(a, bufA[:0]), byName(b, bufB[:0])
+	for i := range min(len(x), len(y)) {
+		if c := strings.Compare(ColumnName(x[i].ID), ColumnName(y[i].ID)); c != 0 {
+			return c
+		}
+		if c := strings.Compare(x[i].Value, y[i].Value); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(x), len(y))
+}
+
+// byName appends cols to buf sorted by column name.
+func byName(cols, buf []Col) []Col {
+	buf = append(buf, cols...)
+	slices.SortFunc(buf, func(p, q Col) int { return strings.Compare(ColumnName(p.ID), ColumnName(q.ID)) })
+	return buf
+}
+
+// cursor is one sorted input of the merge, read a row at a time: a run of
+// rows, or the current batch of a segment scan that decodes every cell
+// into blocks of its own, so a row stays valid after the scan moves on.
+// It is the Iterator NewSliceIter and Segment.ScanPruned return.
+type cursor struct {
+	run []Row         // a run: the rows still to read
+	sc  *BatchScanner // a segment's scan; nil for a run
+	pos int           // the next row of sc's batch
+}
+
+// segCursor is a segment's cursor and its scan in one allocation.
+type segCursor struct {
+	cursor
+	sc BatchScanner
+}
+
+// NewSliceIter wraps an already-materialized, sorted row slice in an
+// Iterator.
+func NewSliceIter(rows []Row) Iterator { return &cursor{run: rows} }
+
+// openCursor opens the segment's rows within rg, every cell decoded, as a
+// merge input; cfg's projection is ignored.
+func (s *Segment) openCursor(rg Range, cfg ScanConfig) (*cursor, error) {
+	cfg.Project = nil
+	c := &segCursor{}
+	c.cursor.sc = &c.sc
+	if err := c.sc.open(rg, true, []*Segment{s}, []ScanConfig{cfg}); err != nil {
+		return nil, err
+	}
+	return &c.cursor, nil
+}
+
+func (c *cursor) Next() (Row, bool) {
+	if c.sc == nil {
+		if len(c.run) == 0 {
+			return Row{}, false
+		}
+		r := c.run[0]
+		c.run = c.run[1:]
+		return r, true
+	}
+	if c.pos >= c.sc.b.Len() {
+		if !c.sc.fill() {
+			return Row{}, false
+		}
+		c.pos = 0
+	}
+	c.pos++
+	return c.sc.b.Row(c.pos - 1), true
+}
+
+func (c *cursor) Err() error {
+	if c.sc == nil {
+		return nil
+	}
+	return c.sc.err
+}
+
+func (c *cursor) Close() error {
+	c.run, c.pos = nil, 0
+	if c.sc == nil {
+		return nil
+	}
+	return c.sc.Close()
+}
+
+// merger is the last-write-wins k-way merge, the only one: a binary
+// min-heap of cursors by head key. Of the heads that share the smallest
+// key it emits the one Newer ranks first and drops the others, so no
+// input's place in the list decides a winner. Advancing costs O(log k)
+// key comparisons for k cursors.
+type merger struct {
+	curs  []*cursor
+	heads []Row   // each cursor's current row, valid while it is on the heap
+	heap  []int32 // the cursors with a head
+	err   error
+}
+
+// Merge streams the last-write-wins merge of segs, each scanned within rg
+// under its cfg with every cell decoded, and of runs, sorted runs of rows.
+// A caller projects the output, never the inputs: a tie is decided on
+// every cell. One input is returned as it is.
+func Merge(rg Range, segs []*Segment, cfgs []ScanConfig, runs [][]Row) (Iterator, error) {
+	curs := make([]*cursor, 0, len(segs)+len(runs))
+	for i, seg := range segs {
+		c, err := seg.openCursor(rg, cfgs[i])
+		if err != nil {
+			for _, c := range curs {
+				c.Close()
+			}
+			return nil, err
+		}
+		curs = append(curs, c)
+	}
+	for _, run := range runs {
+		curs = append(curs, &cursor{run: run})
+	}
+	return mergeCursors(curs), nil
+}
+
+// MergeIters is Merge over iterators that NewSliceIter or
+// Segment.ScanPruned returned, for a caller that opens its own scans. It
+// takes ownership of them.
+func MergeIters(its []Iterator) Iterator {
+	curs := make([]*cursor, len(its))
+	for i, it := range its {
+		curs[i] = it.(*cursor)
+	}
+	return mergeCursors(curs)
+}
+
+// MergeRuns is the merge collected: the last-write-wins union of sorted
+// runs of rows as one sorted run.
+func MergeRuns(runs ...[]Row) []Row {
+	curs := make([]*cursor, len(runs))
+	total := 0
+	for i, run := range runs {
+		curs[i] = &cursor{run: run}
+		total += len(run)
+	}
+	m := newMerger(curs)
+	out := make([]Row, 0, total)
+	for r, ok := m.Next(); ok; r, ok = m.Next() {
+		out = append(out, r)
+	}
+	return out
+}
+
+// mergeCursors takes ownership of curs. A single cursor's keys are unique:
+// there is nothing to reconcile.
+func mergeCursors(curs []*cursor) Iterator {
+	if len(curs) == 1 {
+		return curs[0]
+	}
+	return newMerger(curs)
+}
+
+func newMerger(curs []*cursor) *merger {
+	m := &merger{curs: curs, heads: make([]Row, len(curs)), heap: make([]int32, 0, len(curs))}
+	for i := range curs {
+		if m.advance(int32(i)) {
+			m.heap = append(m.heap, int32(i))
+		}
+	}
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
+	return m
+}
+
+// advance reads cursor i's next row into its head; false once the cursor
+// is exhausted or failed.
+func (m *merger) advance(i int32) bool {
+	r, ok := m.curs[i].Next()
+	m.heads[i] = r
+	if !ok {
+		if err := m.curs[i].Err(); err != nil && m.err == nil {
+			m.err = err
+		}
+	}
+	return ok
+}
+
+func (m *merger) less(a, b int32) bool { return m.heads[a].Key < m.heads[b].Key }
+
+// down restores heap order below position i.
+func (m *merger) down(i int) {
+	h := m.heap
+	for {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && m.less(h[l], h[least]) {
+			least = l
+		}
+		if r < len(h) && m.less(h[r], h[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+}
+
+// pop returns the smallest head and moves its cursor on.
+func (m *merger) pop() Row {
+	i := m.heap[0]
+	r := m.heads[i]
+	if !m.advance(i) {
+		n := len(m.heap) - 1
+		m.heap[0] = m.heap[n]
+		m.heap = m.heap[:n]
+	}
+	m.down(0)
+	return r
+}
+
+func (m *merger) Next() (Row, bool) {
+	if m.err != nil || len(m.heap) == 0 {
+		return Row{}, false
+	}
+	win := m.pop()
+	for len(m.heap) > 0 && m.heads[m.heap[0]].Key == win.Key {
+		if r := m.pop(); Newer(r, win) {
+			win = r
+		}
+	}
+	return win, m.err == nil
+}
+
+func (m *merger) Err() error { return m.err }
+
+func (m *merger) Close() error {
+	var first error
+	for _, c := range m.curs {
+		if err := c.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	m.curs, m.heads, m.heap = nil, nil, nil
+	return first
+}

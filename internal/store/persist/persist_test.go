@@ -3,6 +3,7 @@ package persist
 import (
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -69,6 +70,11 @@ func writeTestSegment(t *testing.T, path string, rows []Row) *Segment {
 		t.Fatal(err)
 	}
 	return seg
+}
+
+// Scan streams the segment's rows within rg in clustering-key order.
+func (s *Segment) Scan(rg Range) (Iterator, error) {
+	return s.ScanPruned(rg, ScanConfig{})
 }
 
 func drain(t testing.TB, it Iterator) []Row {
@@ -268,14 +274,20 @@ func TestMergeItersLWW(t *testing.T) {
 	}
 	newer := []Row{
 		MapRow("a", 2, map[string]string{"v": "new"}),
-		MapRow("b", 5, map[string]string{"v": "tie-later-wins"}),
+		MapRow("b", 5, map[string]string{"v": "tie-greater-wins"}),
 		MapRow("c", 1, map[string]string{"v": "only"}),
 	}
 	got := drain(t, MergeIters([]Iterator{NewSliceIter(older), NewSliceIter(newer)}))
 	if len(got) != 3 {
 		t.Fatalf("merged %d rows, want 3", len(got))
 	}
-	if got[0].Col("v") != "new" || got[1].Col("v") != "tie-later-wins" || got[2].Col("v") != "only" {
+	if got[0].Col("v") != "new" || got[1].Col("v") != "tie-greater-wins" || got[2].Col("v") != "only" {
 		t.Fatalf("LWW merge wrong: %+v", got)
+	}
+	// Swapping the inputs changes nothing: a WriteTS tie goes to the
+	// greater cells, not to an input's place.
+	swapped := drain(t, MergeIters([]Iterator{NewSliceIter(newer), NewSliceIter(older)}))
+	if !reflect.DeepEqual(swapped, got) {
+		t.Fatalf("swapped inputs merged to %+v, want %+v", swapped, got)
 	}
 }

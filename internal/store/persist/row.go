@@ -45,7 +45,7 @@ type Row struct {
 	// chronological order.
 	Key string
 	// WriteTS is the logical write timestamp used for last-write-wins
-	// reconciliation between replicas and across segments.
+	// reconciliation between replicas and across segments (see Newer).
 	WriteTS int64
 
 	// cols holds the cells sorted by dictionary ID.

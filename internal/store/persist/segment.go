@@ -1517,8 +1517,3 @@ type ScanConfig struct {
 	// (ScanPruned) always decode every column.
 	Project []uint32
 }
-
-// Scan streams the segment's rows within rg in clustering-key order.
-func (s *Segment) Scan(rg Range) (Iterator, error) {
-	return s.ScanPruned(rg, ScanConfig{})
-}

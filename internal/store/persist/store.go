@@ -600,18 +600,10 @@ func deadMarks(files []*dataFile, more []uint64) []uint64 {
 // file as segment seq. A failure to read the inputs is mergeErr, and
 // leaves the file as it was; one to write the file is err.
 func (s *Store) mergeSegments(rf *dataFile, m *merge, seq uint64) (out *Segment, mergeErr, err error) {
-	its := make([]Iterator, 0, len(m.old))
-	for _, seg := range m.old {
-		it, err := seg.Scan(Range{})
-		if err != nil {
-			for _, open := range its {
-				open.Close()
-			}
-			return nil, err, nil
-		}
-		its = append(its, it)
+	merged, err := Merge(Range{}, m.old, make([]ScanConfig, len(m.old)), nil)
+	if err != nil {
+		return nil, err, nil
 	}
-	merged := MergeIters(its)
 	defer merged.Close()
 	w := s.newWriter(m.key.table, m.key.pkey, seq)
 	for {

@@ -20,7 +20,7 @@ import (
 // repeated inside the batch at equal and at distinct write timestamps —
 // interleaved with flush hand-overs that fail and merge back, and compares
 // the memtable with a map that applies the same rows one by one,
-// last write wins and the later row winning a tie.
+// last write wins and the greater value winning a tie.
 func TestPartitionPutMatchesOracle(t *testing.T) {
 	valID := InternColumn("v")
 	for seed := int64(1); seed <= 40; seed++ {
@@ -70,7 +70,8 @@ func TestPartitionPutMatchesOracle(t *testing.T) {
 				t.Fatalf("seed %d: put reordered the caller's batch, which the other replicas share", seed)
 			}
 			for _, r := range batch {
-				if cur, ok := oracle[r.Key]; !ok || r.WriteTS >= cur.WriteTS {
+				if cur, ok := oracle[r.Key]; !ok || r.WriteTS > cur.WriteTS ||
+					r.WriteTS == cur.WriteTS && r.ColID(valID) > cur.ColID(valID) {
 					oracle[r.Key] = r
 				}
 			}

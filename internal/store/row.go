@@ -10,10 +10,14 @@
 // range-scanned efficiently, exactly as in the paper's Fig 1 schemas.
 //
 // Each store node holds partitions in a memtable that is flushed into
-// immutable sorted segments (the SSTable equivalent); reads merge the
-// memtable with segments using last-write-wins reconciliation, and a
-// compaction pass bounds the segment count. Writes and reads are routed by
-// a coordinator through the ring with tunable consistency (ONE / QUORUM /
+// immutable sorted segments (the SSTable equivalent), and a compaction
+// pass bounds the segment count. Versions of one key meet in one
+// last-write-wins merge (persist.Merge, persist.MergeRuns) — reads,
+// compaction, memtable puts and replica reconciliation alike — and one
+// rule picks the winner (persist.Newer): the larger WriteTS, and on a tie
+// the greater cells by column name, so replicas converge whatever order
+// the versions reach them in. Writes and reads are routed by a
+// coordinator through the ring with tunable consistency (ONE / QUORUM /
 // ALL).
 //
 // The store is durable and rooted at Config.Dir: every write goes through
@@ -77,14 +81,6 @@ func AppendTS(b []byte, ts int64) []byte { return persist.AppendTS(b, ts) }
 
 // DecodeTS reverses EncodeTS on the leading 19 bytes of a clustering key.
 func DecodeTS(key string) (int64, error) { return persist.DecodeTS(key) }
-
-// mergeRows merges sorted row slices into one sorted slice, resolving
-// duplicate clustering keys by keeping the row with the largest WriteTS
-// (last write wins, later lists breaking ties). Inputs must each be sorted
-// by Key. It shares the merge heap with persist.MergeIters and compaction.
-func mergeRows(lists ...[]Row) []Row {
-	return persist.MergeSorted(lists)
-}
 
 // sliceRange returns the sub-slice of sorted rows within rg.
 func sliceRange(rows []Row, rg Range) []Row {

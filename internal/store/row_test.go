@@ -7,6 +7,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"hpclog/internal/store/persist"
 )
 
 func TestEncodeTSOrdering(t *testing.T) {
@@ -72,14 +74,14 @@ func TestRangeContains(t *testing.T) {
 func TestMergeRowsLastWriteWins(t *testing.T) {
 	a := []Row{MapRow("1", 1, map[string]string{"v": "old"})}
 	b := []Row{MapRow("1", 2, map[string]string{"v": "new"})}
-	got := mergeRows(a, b)
+	got := persist.MergeRuns(a, b)
 	if len(got) != 1 || got[0].Col("v") != "new" {
-		t.Fatalf("mergeRows LWW got %+v", got)
+		t.Fatalf("MergeRuns LWW got %+v", got)
 	}
 	// Order of inputs must not matter when WriteTS differs.
-	got = mergeRows(b, a)
+	got = persist.MergeRuns(b, a)
 	if len(got) != 1 || got[0].Col("v") != "new" {
-		t.Fatalf("mergeRows LWW (swapped) got %+v", got)
+		t.Fatalf("MergeRuns LWW (swapped) got %+v", got)
 	}
 }
 
@@ -111,7 +113,7 @@ func TestMergeRowsProperty(t *testing.T) {
 			}
 			lists[i] = dedup
 		}
-		got := mergeRows(lists...)
+		got := persist.MergeRuns(lists...)
 		if len(got) != len(keys) {
 			t.Fatalf("iter %d: merged %d rows, want %d distinct keys", iter, len(got), len(keys))
 		}

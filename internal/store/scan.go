@@ -22,19 +22,15 @@ type RowIter = persist.Iterator
 // RowIter. Used for the Quorum/All fallback and by tests.
 func NewSliceIter(rows []Row) RowIter { return persist.NewSliceIter(rows) }
 
-// scan streams one partition of this node: a lazy last-write-wins k-way
-// merge over the point-in-time snapshot captured by snapshotIters, with
-// block pruning when pc is set.
+// scan streams one partition of this node: the last-write-wins merge of
+// the point-in-time snapshot snapshotRows captures, with block pruning
+// when pc is set.
 func (n *Node) scan(_ context.Context, tableName, pkey string, rg Range, pc *pruneCfg) (RowIter, error) {
 	p := n.partition(tableName, pkey)
 	if p == nil {
 		return NewSliceIter(nil), nil
 	}
-	its, err := p.snapshotIters(rg, pc)
-	if err != nil {
-		return nil, err
-	}
-	return persist.MergeIters(its), nil
+	return p.snapshotRows(rg, pc)
 }
 
 // Scan streams this node's rows of one partition within the clustering
