@@ -2,8 +2,8 @@
 # gofmt + vet + build + full test suite under the race detector (the scan
 # planner, result cache, commitlog, and store are all concurrent), a
 # cache-defeating plain test run, a one-iteration smoke of the
-# durable-engine benchmarks (so the WAL path and the two block generations,
-# v6 fixture vs v7, cannot rot unexercised) and of the watch hub's notify
+# durable-engine benchmarks (so the WAL path and the two codec generations,
+# v8 fixture vs v9, cannot rot unexercised) and of the watch hub's notify
 # benchmark, the linker check that every function is reachable (reach),
 # and the benchmark's own tests (bench-test) — the one performance entry
 # point.
@@ -157,7 +157,7 @@ bench-smoke:
 	$(GO) test -run XXX -bench BenchmarkScanBatches -benchtime 1x ./internal/store/persist/
 	$(GO) test -run XXX -bench BenchmarkHubNotify -benchtime 1x ./internal/server/
 
-# Allocation regression guards: a segment scan, a projected v7 block
+# Allocation regression guards: a segment scan, a projected v8/v9 block
 # decode, templated cells reassembled or not (zero per block), a flush
 # round (constant per round, small constant per segment, no image buffer
 # and no file per segment), a durable partition read through

@@ -177,9 +177,8 @@ func putRows(db *store.DB, typ model.EventType, rows []store.Row) error {
 // flushed block, one source throughout, and more sources than a section
 // dictionary holds; the store holds overlapping segments, a memtable, and
 // flushing runs while a writer rewrites rows with their own values; the
-// windows cut blocks. A taken block's rows count as scanned. (The v7
-// store's footers, which have no group lists, are enginetest's
-// TestCorpusFoldsTakeBlocks.)
+// windows cut blocks. A taken block's rows count as scanned. (The v8
+// store of testdata is enginetest's TestCorpusFoldsTakeBlocks.)
 func TestHistogramTakesBlocksExactly(t *testing.T) {
 	for _, tiered := range []bool{false, true} {
 		name := "resident"

@@ -83,22 +83,22 @@ func generations(t *testing.T, root string) map[string]int {
 }
 
 // TestMixedCodecGenerations opens a store directory written at the last
-// commit that wrote codec v7 — testdata/v7store.tar.gz: the engine corpus
+// commit that wrote codec v8 — testdata/v8store.tar.gz: the engine corpus
 // on two nodes in round files, the first half of its events loaded,
 // flushed and evicted to a local-fs object store behind footer stubs and a
 // TIER manifest, then every event loaded again — so each evicted segment
 // is shadowed by a resident one holding the same keys — with the runs and
 // the synopsis, and the synopsis rows once more in the commitlog — and
 // asks it the whole corpus: as found, after the compaction that merges
-// every two-segment partition into a v8 segment, after a forced tier sweep
-// that evicts v7 and v8 segments alike, and after a restart. Every answer
+// every two-segment partition into a v9 segment, after a forced tier sweep
+// that evicts v8 and v9 segments alike, and after a restart. Every answer
 // is, byte for byte, the memtable-resident harness's.
 func TestMixedCodecGenerations(t *testing.T) {
 	root := t.TempDir()
-	untar(t, filepath.Join("testdata", "v7store.tar.gz"), root)
+	untar(t, filepath.Join("testdata", "v8store.tar.gz"), root)
 	storeDir, objDir := filepath.Join(root, "store"), filepath.Join(root, "objects")
-	if g := generations(t, root); g["HPSEG007.seg"] == 0 || g["HPSEG007.sft"] == 0 || len(g) != 2 {
-		t.Fatalf("the fixture should hold v7 segments and v7 stubs only: %v", g)
+	if g := generations(t, root); g["HPSEG008.seg"] == 0 || g["HPSEG008.sft"] == 0 || len(g) != 2 {
+		t.Fatalf("the fixture should hold v8 segments and v8 stubs only: %v", g)
 	}
 
 	mem := New(t)
@@ -134,20 +134,20 @@ func TestMixedCodecGenerations(t *testing.T) {
 		}
 	}
 
-	answer("v7")
+	answer("v8")
 	if h.DB.Tier().FetchedBlocks.Load() == 0 {
-		t.Fatal("the corpus ran without fetching a block of an evicted v7 segment")
+		t.Fatal("the corpus ran without fetching a block of an evicted v8 segment")
 	}
 
-	// Ordinary compaction is the upgrade: what it merges, it writes as v8,
-	// and drops the v7 inputs, evicted ones included.
+	// Ordinary compaction is the upgrade: what it merges, it writes as v9,
+	// and drops the v8 inputs, evicted ones included.
 	merged, err := h.DB.Compact()
 	if err != nil || merged == 0 {
 		t.Fatalf("compacted %d partitions: %v", merged, err)
 	}
 	g := generations(t, root)
-	if g["HPSEG008.seg"] == 0 || g["HPSEG007.seg"] == 0 || g["HPSEG007.sft"] != 0 {
-		t.Fatalf("after compaction want v8 beside v7 segments and no v7 stub left: %v", g)
+	if g["HPSEG009.seg"] == 0 || g["HPSEG008.seg"] == 0 || g["HPSEG008.sft"] != 0 {
+		t.Fatalf("after compaction want v9 beside v8 segments and no v8 stub left: %v", g)
 	}
 	answer("compacted")
 
@@ -155,7 +155,7 @@ func TestMixedCodecGenerations(t *testing.T) {
 	if err != nil || up == 0 || ev == 0 {
 		t.Fatalf("forced sweep: uploaded=%d evicted=%d: %v", up, ev, err)
 	}
-	if g = generations(t, storeDir); g["HPSEG007.sft"] == 0 || g["HPSEG008.sft"] == 0 || len(g) != 2 {
+	if g = generations(t, storeDir); g["HPSEG008.sft"] == 0 || g["HPSEG009.sft"] == 0 || len(g) != 2 {
 		t.Fatalf("after the sweep want stubs of both generations and nothing resident: %v", g)
 	}
 	answer("swept")

@@ -105,9 +105,8 @@ func takenBy(t *testing.T, h *Harness, stage string, want map[string][]byte, gro
 // transfer-entropy cases take blocks from their footers, and so do the
 // heat map and distribution cases and the CQL group rule, with answers
 // equal to the memtable-resident harness's (which has no segment to take).
-// So they do on the v7 store of testdata — but for those by source: a v7
-// footer has no group lists, and no block of the corpus holds one source
-// throughout — and once compaction rewrote it as v8, all of them.
+// So they do on the v8 store of testdata, whose footers carry group lists,
+// and once compaction rewrote it as v9.
 func TestCorpusFoldsTakeBlocks(t *testing.T) {
 	mem := New(t)
 	want := make(map[string][]byte)
@@ -125,17 +124,17 @@ func TestCorpusFoldsTakeBlocks(t *testing.T) {
 	takenBy(t, NewDurable(t), "durable", want, true)
 
 	root := t.TempDir()
-	untar(t, filepath.Join("testdata", "v7store.tar.gz"), root)
-	v7 := attach(t, store.Config{
+	untar(t, filepath.Join("testdata", "v8store.tar.gz"), root)
+	v8 := attach(t, store.Config{
 		Nodes: 2, RF: 1, VNodes: 32,
 		FlushThreshold:  512,
 		CompactInterval: -1,
 		Dir:             filepath.Join(root, "store"),
 		Tier:            objstore.Config{Backend: "fs", Dir: filepath.Join(root, "objects"), CacheBytes: 1 << 20},
 	})
-	takenBy(t, v7, "v7", want, false)
-	if merged, err := v7.DB.Compact(); err != nil || merged == 0 {
+	takenBy(t, v8, "v8", want, true)
+	if merged, err := v8.DB.Compact(); err != nil || merged == 0 {
 		t.Fatalf("compacted %d partitions: %v", merged, err)
 	}
-	takenBy(t, v7, "compacted", want, true)
+	takenBy(t, v8, "compacted", want, true)
 }

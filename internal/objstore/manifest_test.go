@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"hpclog/internal/fsys/fsystest"
+	"hpclog/internal/testutil"
 	"hpclog/internal/wal"
 )
 
@@ -486,6 +487,7 @@ func FuzzManifestLogRecovery(f *testing.F) {
 		f.Fatalf("%d records for %d ops", len(ends), len(states)-1)
 	}
 	len1, total := len(sealed), len(image)
+	// testutil.Damage's faults, by op.
 	const flip, truncate, zero = 0, 1, 2
 	f.Add(uint8(flip), uint16(0), uint8(0))                        // sealed segment's magic
 	f.Add(uint8(flip), uint16(len1), uint8(0))                     // newest segment's magic
@@ -499,22 +501,7 @@ func FuzzManifestLogRecovery(f *testing.F) {
 	f.Add(uint8(zero), uint16(len1+3), uint8(20))                  // newest header into the image
 	f.Add(uint8(zero), uint16(total-16), uint8(15))                // the last record
 	f.Fuzz(func(t *testing.T, op uint8, pos uint16, n uint8) {
-		at := int(pos) % total
-		damaged := append([]byte(nil), image...)
-		first := at
-		switch op % 3 {
-		case flip:
-			damaged[at] ^= n%255 + 1
-		case truncate:
-			damaged = damaged[:at]
-		case zero:
-			first = total
-			for i := min(at+int(n), total-1); i >= at; i-- {
-				if damaged[i] != 0 {
-					damaged[i], first = 0, i
-				}
-			}
-		}
+		damaged, first := testutil.Damage(image, op, pos, n)
 		before := 0
 		for before < len(ends) && ends[before] <= first {
 			before++

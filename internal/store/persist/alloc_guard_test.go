@@ -109,7 +109,7 @@ func TestFlushRoundAllocBudget(t *testing.T) {
 }
 
 // TestBlockDecodeAllocBudget pins the steady state of a projected batch
-// scan of v7 segments: nothing allocated per block — the block lands in
+// scan of v9 segments: nothing allocated per block — the block lands in
 // the pooled buffer, keys and long values in the pooled arena, values and
 // dictionaries in the batch's own vectors — and, chained, nothing per
 // segment beyond what acquiring it takes; whether a consumer builds the
@@ -122,7 +122,7 @@ func TestBlockDecodeAllocBudget(t *testing.T) {
 	project := []uint32{InternColumn("hz-source"), InternColumn("hz-amount"), InternColumn("hz-raw")}
 	for i := 0; i < 40; i++ { // the same rows over and over: a chain scan checks no keys across segments
 		hs.name = fmt.Sprintf("chain%02d", i)
-		segs, cfgs = append(segs, writeV8(t, dir, hs, uint64(i+1))), append(cfgs, ScanConfig{Project: project})
+		segs, cfgs = append(segs, writeV9(t, dir, hs, uint64(i+1))), append(cfgs, ScanConfig{Project: project})
 	}
 	for _, keys := range []bool{false, true} {
 		t.Run(fmt.Sprintf("keys=%v", keys), func(t *testing.T) {
@@ -146,7 +146,7 @@ func TestBlockDecodeAllocBudget(t *testing.T) {
 				next() // the first segments size the arena and the slots
 			}
 			if avg := testing.AllocsPerRun(blocks/2, next); avg != 0 {
-				t.Fatalf("a steady-state projected v7 block costs %.2f allocations, want 0", avg)
+				t.Fatalf("a steady-state projected v9 block costs %.2f allocations, want 0", avg)
 			}
 		})
 	}

@@ -449,7 +449,7 @@ type scanInput struct {
 // chain of segments with disjoint key ranges: it reads each segment's
 // unpruned in-range blocks in order — off the local file, or through the
 // tier's verified block cache when the segment is evicted — and decodes
-// each into its Batch, v7 and v8 blocks alike, visiting the chunks of the
+// each into its Batch, v8 and v9 blocks alike, visiting the chunks of the
 // projected columns only and of the hole columns of a projected column in
 // template form.
 type BatchScanner struct {
@@ -568,12 +568,9 @@ func (sc *BatchScanner) prunable(i int) bool {
 			return false
 		}
 	}
-	if sc.s.fold != nil {
-		sc.offer = *b
-		sc.offer.fold = &sc.s.fold[i]
-		b = &sc.offer
-	}
-	return sc.cfg.Pruner.PruneBlock(b)
+	sc.offer = *b
+	sc.offer.fold = &sc.s.fold[i]
+	return sc.cfg.Pruner.PruneBlock(&sc.offer)
 }
 
 // fill decodes blocks until one has rows in range.

@@ -119,7 +119,7 @@ func fuzzSection(t testing.TB) (*Segment, []uint32) {
 }
 
 // FuzzDecodeBlockProjected: on arbitrary block bytes, read against the
-// dictionaries and templates of a v7 section, the block decoder — with
+// dictionaries and templates of a v9 section, the block decoder — with
 // every projection of the section's column table, including none and all —
 // reads a block under a projection as it reads it whole, and reassembles
 // a templated cell as it does whole, never taking more arena than 64
@@ -228,7 +228,7 @@ func blockDir(t testing.TB, blk string) (head string, cols []rawChunk) {
 	return head, cols
 }
 
-// hostileBlocks returns blocks of seg (fuzzSection's) damaged where v7
+// hostileBlocks returns blocks of seg (fuzzSection's) damaged where v9
 // reads its tables: a section code and a template code past their tables,
 // and a block that uses a template without its hole column.
 func hostileBlocks(t testing.TB, seg *Segment) map[string][]byte {

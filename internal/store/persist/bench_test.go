@@ -129,13 +129,13 @@ func BenchmarkSegmentScanBatches(b *testing.B) {
 }
 
 // BenchmarkScanBatches holds the two codec generations side by side: the
-// event-shaped fixture as the v7 writer left it and re-encoded as v8 with
+// event-shaped fixture as the v8 writer left it and re-encoded as v9 with
 // its raw text under the column name templates code, batch-scanned whole,
 // for a heat map's two columns, and for the raw text. Run at -benchtime 1x
 // by `make bench-smoke`, so neither reader can rot.
 func BenchmarkScanBatches(b *testing.B) {
 	hs := hostileSegs()[0]
-	v7 := openV7(b, hs)
+	v8 := openV8(b, hs)
 	rawID := InternColumn("hz-raw")
 	for i, r := range hs.rows {
 		cols := slices.Clone(r.Cols())
@@ -150,7 +150,7 @@ func BenchmarkScanBatches(b *testing.B) {
 		name string
 		seg  *Segment
 		raw  uint32
-	}{{"v7", v7, rawID}, {"v8", writeV8(b, b.TempDir(), hs, 1), templateColID}} {
+	}{{"v8", v8, rawID}, {"v9", writeV9(b, b.TempDir(), hs, 1), templateColID}} {
 		projections := []struct {
 			name    string
 			project []uint32

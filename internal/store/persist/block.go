@@ -9,7 +9,7 @@ import (
 	"strings"
 )
 
-// Block body, codecs v7 and v8 alike. A block is the run of at most
+// Block body, codecs v8 and v9 alike. A block is the run of at most
 // indexEvery rows between two sparse-index offsets, stored column by
 // column, every chunk behind its length, so a reader hops over what it
 // does not want:

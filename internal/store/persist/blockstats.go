@@ -71,8 +71,7 @@ type blockFold struct {
 	counts []colCounts // one per hot column with numeric cells
 	// group is the block's group list of GroupColumn, where the block codes
 	// the column into its section dictionary, every amount is a count and
-	// the column holds more than one value; nil otherwise, and in a v7
-	// footer.
+	// the column holds more than one value; nil otherwise.
 	group *groupList
 }
 

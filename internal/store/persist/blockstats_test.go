@@ -256,7 +256,7 @@ func TestBloomSizedByDistinctCells(t *testing.T) {
 	dir := t.TempDir()
 	probes, hits := 0, 0
 	for i, hs := range hostileSegs() {
-		seg := writeV8(t, dir, hs, uint64(i+1))
+		seg := writeV9(t, dir, hs, uint64(i+1))
 		blocks := seg.meta.Blocks
 		b := 0
 		for _, r := range hs.rows {
@@ -349,7 +349,7 @@ func TestGroupListsMatchRows(t *testing.T) {
 	rows := groupRows()
 	dir := t.TempDir()
 	for _, zones := range [][]string{{"source", "amount"}, {"source"}} {
-		written := writeV8(t, dir, hostileSeg{"groups-" + strings.Join(zones, "-"), zones, rows}, 1)
+		written := writeV9(t, dir, hostileSeg{"groups-" + strings.Join(zones, "-"), zones, rows}, 1)
 		read, err := OpenSegment(written.path)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,11 +13,11 @@ import (
 
 // This process interns the ordered columns of the hostile generator in the
 // reverse of the order the fixtures' writer did, so that the name tables of
-// testdata/v7 list columns in an order that is not this reader's ID order.
+// testdata/v8 list columns in an order that is not this reader's ID order.
 var _ = [...]uint32{InternColumn("hz-ord-x"), InternColumn("hz-ord-y"), InternColumn("hz-ord-z")}
 
-// writeV8 writes hs through the (only) writer, as seq.
-func writeV8(t testing.TB, dir string, hs hostileSeg, seq uint64) *Segment {
+// writeV9 writes hs through the (only) writer, as seq.
+func writeV9(t testing.TB, dir string, hs hostileSeg, seq uint64) *Segment {
 	t.Helper()
 	w := NewWriter("hostile", hs.name, seq)
 	if hs.zones != nil {
@@ -37,23 +38,59 @@ func writeV8(t testing.TB, dir string, hs hostileSeg, seq uint64) *Segment {
 	return seg
 }
 
-// v7Fixture is the path of the checked-in v7 rendering of hs: the v7
+// v8Fixture is the path of the checked-in v8 rendering of hs: the v8
 // writer's round file of one section, written at the last commit that had
 // one.
-func v7Fixture(hs hostileSeg) string { return filepath.Join("testdata", "v7", hs.name+segFileExt) }
+func v8Fixture(hs hostileSeg) string { return filepath.Join("testdata", "v8", hs.name+segFileExt) }
 
-// openV7 opens the checked-in v7 rendering of hs.
-func openV7(t testing.TB, hs hostileSeg) *Segment {
+// openV8 opens the checked-in v8 rendering of hs.
+func openV8(t testing.TB, hs hostileSeg) *Segment {
 	t.Helper()
-	seg, err := OpenSegment(v7Fixture(hs))
+	seg, err := OpenSegment(v8Fixture(hs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg.version != segVersionV7 {
-		t.Fatalf("fixture %s is codec v%d", hs.name, seg.version)
+	if h := headerOf(t, seg); h != segHeaderV8 {
+		t.Fatalf("fixture %s has header %q", hs.name, h)
 	}
 	t.Cleanup(func() { seg.Close() })
 	return seg
+}
+
+// headerOf reads the header of a resident segment: its codec generation.
+func headerOf(t testing.TB, seg *Segment) string {
+	t.Helper()
+	head := make([]byte, len(segHeader))
+	if _, err := seg.file.f.ReadAt(head, seg.base); err != nil {
+		t.Fatal(err)
+	}
+	return string(head)
+}
+
+// footerBytes reads the footer of a resident segment and splits it into
+// its meta and the rest.
+func footerBytes(t testing.TB, seg *Segment) (meta, rest []byte) {
+	t.Helper()
+	fb := make([]byte, seg.size-trailerLen-seg.footOff)
+	if _, err := seg.file.f.ReadAt(fb, seg.base+seg.footOff); err != nil {
+		t.Fatal(err)
+	}
+	d := footerDec{NewStringDec(string(fb)), tableOf(t, seg)}
+	if _, err := decodeMeta(d); err != nil {
+		t.Fatal(err)
+	}
+	n := len(fb) - d.Rest()
+	return fb[:n], fb[n:]
+}
+
+// tableOf reads the string table of a resident segment's file.
+func tableOf(t testing.TB, seg *Segment) *strTable {
+	t.Helper()
+	_, _, tab, err := readSections(seg.file.f, fileSize(t, seg.path))
+	if err != nil || tab == nil {
+		t.Fatalf("%s: string table %v: %v", seg.path, tab, err)
+	}
+	return tab
 }
 
 // batchImage is a deep copy of everything a Batch shows.
@@ -175,73 +212,75 @@ func exactRows(a, b []Row) bool {
 	})
 }
 
-// TestCodecGenerationsAgree holds the v8 codec to the v7 one on the
-// hostile generator's segments: the v7 reader still returns what was
-// written at the last commit with a v7 writer, and the same rows through
-// the v8 writer give the same data region behind the header and so the
-// same Merkle leaves, the same footer statistics (zone maps, key bounds,
-// Bloom filters — with no false negative), the same rows through the Row
-// adapter, the same batch under every projection and range cut — a column
-// in template form reassembling as its templates say — and the same
-// pruning decisions, from a file larger by its group section alone.
+// TestCodecGenerationsAgree holds the v9 codec to the v8 one on the
+// hostile generator's segments: the v8 reader still returns what was
+// written at the last commit with a v8 writer, and the same rows through
+// the v9 writer give the same data region behind a new header and so the
+// same Merkle leaves; the same meta, footer statistics (zone maps, key
+// bounds, Bloom filters — with no false negative) and section bodies; the
+// same rows through the Row adapter, the same batch under every projection
+// and range cut — a column in template form reassembling as its templates
+// say — and the same pruning decisions; from a file that differs by the
+// section directory and the group section v9 leaves out where no block has
+// a list.
 func TestCodecGenerationsAgree(t *testing.T) {
 	PoisonBatches.Store(true)
 	defer PoisonBatches.Store(false)
 	dir := t.TempDir()
 	for i, hs := range hostileSegs() {
 		t.Run(hs.name, func(t *testing.T) {
-			v7, v8 := openV7(t, hs), writeV8(t, dir, hs, uint64(i+1))
-			for _, seg := range []*Segment{v7, v8} {
+			v8, v9 := openV8(t, hs), writeV9(t, dir, hs, uint64(i+1))
+			for _, seg := range []*Segment{v8, v9} {
 				if err := seg.Verify(); err != nil {
 					t.Fatal(err)
 				}
 			}
 
 			// Rows.
-			got7, got8 := scanRows(t, v7, Range{}, ScanConfig{}), scanRows(t, v8, Range{}, ScanConfig{})
-			if !exactRows(got7, hs.rows) {
-				t.Fatalf("the v7 fixture no longer reads back the generator's %d rows (%d read)", len(hs.rows), len(got7))
-			}
+			got8, got9 := scanRows(t, v8, Range{}, ScanConfig{}), scanRows(t, v9, Range{}, ScanConfig{})
 			if !exactRows(got8, hs.rows) {
-				t.Fatalf("v8 reads back %d rows that differ from the %d written", len(got8), len(hs.rows))
+				t.Fatalf("the v8 fixture no longer reads back the generator's %d rows (%d read)", len(hs.rows), len(got8))
+			}
+			if !exactRows(got9, hs.rows) {
+				t.Fatalf("v9 reads back %d rows that differ from the %d written", len(got9), len(hs.rows))
 			}
 
 			// Data region: the blocks byte for byte, so the leaves — but for
 			// "shifting", whose blocks name columns by their index in a name
 			// table in the writing process's dictionary order.
 			if hs.name != "shifting" {
-				data7, data8 := sectionData(t, v7), sectionData(t, v8)
-				if string(data7[:len(segHeader)]) != segHeaderV7 || string(data8[:len(segHeader)]) != segHeader ||
-					string(data7[len(segHeader):]) != string(data8[len(segHeader):]) {
-					t.Fatalf("the v8 data region (%d bytes) is not the v7 one (%d) behind a new header", len(data8), len(data7))
+				data8, data9 := sectionData(t, v8), sectionData(t, v9)
+				if string(data8[:len(segHeader)]) != segHeaderV8 || string(data9[:len(segHeader)]) != segHeader ||
+					string(data8[len(segHeader):]) != string(data9[len(segHeader):]) {
+					t.Fatalf("the v9 data region (%d bytes) is not the v8 one (%d) behind a new header", len(data9), len(data8))
 				}
-				if !reflect.DeepEqual(v7.meta.Leaves, v8.meta.Leaves) || v7.root != v8.root {
+				if !reflect.DeepEqual(v8.meta.Leaves, v9.meta.Leaves) || v8.root != v9.root {
 					t.Fatal("the Merkle leaves differ")
 				}
 			}
 
 			// Footer: all but the data CRC, which covers the header, and the
 			// leaves.
-			m7, m8 := *v7.meta, *v8.meta
-			if !reflect.DeepEqual(m7.Blocks, m8.Blocks) {
-				for b := range m7.Blocks {
-					if !reflect.DeepEqual(m7.Blocks[b], m8.Blocks[b]) {
-						t.Fatalf("block %d statistics differ:\nv7 %+v\nv8 %+v", b, m7.Blocks[b], m8.Blocks[b])
+			m8, m9 := *v8.meta, *v9.meta
+			if !reflect.DeepEqual(m8.Blocks, m9.Blocks) {
+				for b := range m8.Blocks {
+					if !reflect.DeepEqual(m8.Blocks[b], m9.Blocks[b]) {
+						t.Fatalf("block %d statistics differ:\nv8 %+v\nv9 %+v", b, m8.Blocks[b], m9.Blocks[b])
 					}
 				}
-				t.Fatalf("%d v7 block statistics, %d v8", len(m7.Blocks), len(m8.Blocks))
+				t.Fatalf("%d v8 block statistics, %d v9", len(m8.Blocks), len(m9.Blocks))
 			}
-			d7, t7 := codecOf(&m7)
-			if d8, t8 := codecOf(&m8); !reflect.DeepEqual(d7, d8) || !slices.Equal(t7, t8) {
-				t.Fatalf("codec sections differ:\nv7 %q %q\nv8 %q %q", d7, t7, d8, t8)
+			d8, t8 := codecOf(&m8)
+			if d9, t9 := codecOf(&m9); !reflect.DeepEqual(d8, d9) || !slices.Equal(t8, t9) {
+				t.Fatalf("codec sections differ:\nv8 %q %q\nv9 %q %q", d8, t8, d9, t9)
 			}
-			for _, m := range []*footerMeta{&m7, &m8} {
+			for _, m := range []*footerMeta{&m8, &m9} {
 				m.DataCRC, m.Leaves, m.Blocks, m.Dicts, m.Templates, m.TmplCol = 0, nil, nil, nil, nil, 0
 				// The name table is in the writing process's dictionary order.
 				m.ColNames = slices.Sorted(slices.Values(m.ColNames))
 			}
-			if !reflect.DeepEqual(m7, m8) {
-				t.Fatalf("footers differ:\nv7 %+v\nv8 %+v", m7, m8)
+			if !reflect.DeepEqual(m8, m9) {
+				t.Fatalf("footers differ:\nv8 %+v\nv9 %+v", m8, m9)
 			}
 
 			// Bloom answers: every cell written is in its block's filter.
@@ -252,10 +291,10 @@ func TestCodecGenerationsAgree(t *testing.T) {
 						names = append(names, c.ID)
 					}
 					h1, h2 := BloomHash(ColumnName(c.ID), c.Value)
-					for _, seg := range []*Segment{v7, v8} {
+					for _, seg := range []*Segment{v8, v9} {
 						for b, blk := range seg.meta.Blocks {
 							if in := blk.MinKey <= r.Key && r.Key <= blk.MaxKey; in && c.Value != "" && !blk.MayContain(h1, h2) {
-								t.Fatalf("v%d block %d Bloom misses %s=%q", seg.version, b, ColumnName(c.ID), c.Value)
+								t.Fatalf("%s block %d Bloom misses %s=%q", headerOf(t, seg), b, ColumnName(c.ID), c.Value)
 							}
 						}
 					}
@@ -277,13 +316,13 @@ func TestCodecGenerationsAgree(t *testing.T) {
 					Range{From: hs.rows[n/2].Key + "\x00"}, Range{To: hs.rows[n/2].Key}, Range{From: hs.rows[n/2].Key, To: hs.rows[n/2].Key + "\x00"})
 			}
 			for _, rg := range ranges {
-				if r7, r8 := scanRows(t, v7, rg, ScanConfig{}), scanRows(t, v8, rg, ScanConfig{}); !exactRows(r7, r8) {
-					t.Fatalf("range %q: %d rows from v7, %d from v8", rg, len(r7), len(r8))
+				if r8, r9 := scanRows(t, v8, rg, ScanConfig{}), scanRows(t, v9, rg, ScanConfig{}); !exactRows(r8, r9) {
+					t.Fatalf("range %q: %d rows from v8, %d from v9", rg, len(r8), len(r9))
 				}
 				for _, project := range projections {
 					cfg := ScanConfig{Project: project}
-					if b7, b8 := batchImages(t, v7, rg, cfg), batchImages(t, v8, rg, cfg); !reflect.DeepEqual(b7, b8) {
-						t.Fatalf("range %q projection %v: batches differ\nv7 %+v\nv8 %+v", rg, project, b7, b8)
+					if b8, b9 := batchImages(t, v8, rg, cfg), batchImages(t, v9, rg, cfg); !reflect.DeepEqual(b8, b9) {
+						t.Fatalf("range %q projection %v: batches differ\nv8 %+v\nv9 %+v", rg, project, b8, b9)
 					}
 				}
 			}
@@ -292,27 +331,65 @@ func TestCodecGenerationsAgree(t *testing.T) {
 			for _, zone := range hs.zones {
 				id := InternColumn(zone)
 				for _, want := range []string{"", "0", "g1", "c1-0c1s1n1", "zzz"} {
-					var s7, s8 PruneStats
-					r7 := scanRows(t, v7, Range{}, ScanConfig{Pruner: zonePruner{id, want}, Stats: &s7})
+					var s8, s9 PruneStats
 					r8 := scanRows(t, v8, Range{}, ScanConfig{Pruner: zonePruner{id, want}, Stats: &s8})
-					if !exactRows(r7, r8) || s7.BlocksRead.Load() != s8.BlocksRead.Load() || s7.BlocksPruned.Load() != s8.BlocksPruned.Load() {
-						t.Fatalf("pruning %s=%q: v7 read %d pruned %d, v8 read %d pruned %d", zone, want,
-							s7.BlocksRead.Load(), s7.BlocksPruned.Load(), s8.BlocksRead.Load(), s8.BlocksPruned.Load())
+					r9 := scanRows(t, v9, Range{}, ScanConfig{Pruner: zonePruner{id, want}, Stats: &s9})
+					if !exactRows(r8, r9) || s8.BlocksRead.Load() != s9.BlocksRead.Load() || s8.BlocksPruned.Load() != s9.BlocksPruned.Load() {
+						t.Fatalf("pruning %s=%q: v8 read %d pruned %d, v9 read %d pruned %d", zone, want,
+							s8.BlocksRead.Load(), s8.BlocksPruned.Load(), s9.BlocksRead.Load(), s9.BlocksPruned.Load())
 					}
 				}
 			}
+			if hs.name == "templates" && len(v9.meta.Templates) == 0 {
+				t.Fatal("no raw cell of the segment took a template")
+			}
+			if hs.name == "shifting" {
+				return // its footers name columns in two dictionary orders
+			}
+			if !reflect.DeepEqual(v8.fold, v9.fold) {
+				t.Fatalf("fold and group sections differ:\nv8 %+v\nv9 %+v", v8.fold, v9.fold)
+			}
 
-			// Size: the v8 file is the v7 one and its group section, which
-			// lists the groups of every hot column in section form but for a
-			// block whose amounts are not all counts.
-			if hs.name != "shifting" {
-				groups := appendGroupSection(nil, v8.fold)
-				if f7, f8 := fileSize(t, v7.path), fileSize(t, v8.path); f8-f7 != int64(len(groups)) {
-					t.Fatalf("the segment's file takes %d bytes in v8, %d in v7, with a %d-byte group section", f8, f7, len(groups))
+			// Footer bytes: the same meta but for the four of the data CRC,
+			// and v8's sections are v9's bodies in tag order — fold, codec
+			// and groups, all zero flags where v9 leaves the last out.
+			meta8, rest8 := footerBytes(t, v8)
+			meta9, rest9 := footerBytes(t, v9)
+			var diff []int
+			for k := 0; k < len(meta8) && len(meta8) == len(meta9); k++ {
+				if meta8[k] != meta9[k] {
+					diff = append(diff, k)
 				}
 			}
-			if hs.name == "templates" && len(v8.meta.Templates) == 0 {
-				t.Fatal("no raw cell of the segment took a template")
+			if len(meta8) != len(meta9) || len(diff) > 0 && diff[len(diff)-1]-diff[0] >= 4 {
+				t.Fatalf("meta of %d bytes in v8, %d in v9, differing at %v", len(meta8), len(meta9), diff)
+			}
+			d := NewStringDec(string(rest9))
+			var tags []uint64
+			var bodies []byte
+			dirBytes := 0
+			for d.Rest() > 0 {
+				tag, err := d.Uvarint()
+				body, err2 := d.String()
+				if err != nil || err2 != nil {
+					t.Fatal(err, err2)
+				}
+				tags, bodies = append(tags, tag), append(bodies, body...)
+				dirBytes += uvarintLen(tag) + uvarintLen(uint64(len(body)))
+			}
+			omitted, want := 0, v8Sections
+			if !slices.ContainsFunc(v9.fold, func(f blockFold) bool { return f.group != nil }) {
+				omitted, want = len(v9.meta.Blocks), v8Sections[:2]
+				bodies = append(bodies, make([]byte, omitted)...)
+			}
+			if !slices.Equal(tags, want) || !bytes.Equal(bodies, rest8) {
+				t.Fatalf("v9 sections %v of %d body bytes; v8's %d bytes are not the same bodies", tags, len(bodies), len(rest8))
+			}
+
+			// Size: v9 adds the directory and takes away the group section it
+			// leaves out.
+			if f8, f9 := fileSize(t, v8.path), fileSize(t, v9.path); f9-f8 != int64(dirBytes-omitted) {
+				t.Fatalf("the segment's file takes %d bytes in v9, %d in v8, with %d directory bytes and %d left out", f9, f8, dirBytes, omitted)
 			}
 		})
 	}
@@ -373,7 +450,7 @@ func TestV5WriterOrderNotReaders(t *testing.T) {
 		rows = append(rows, Row{Key: key, WriteTS: 1, cols: cols})
 		want = append(want, MakeRow(key, 1, slices.Clone(cols)))
 	}
-	seg := writeV8(t, t.TempDir(), hostileSeg{name: "order", rows: rows}, 1)
+	seg := writeV9(t, t.TempDir(), hostileSeg{name: "order", rows: rows}, 1)
 	if names := seg.meta.ColNames[:3]; !slices.Equal(names, []string{"hz-ord-z", "hz-ord-y", "hz-ord-x"}) {
 		t.Fatalf("name table %v: the test did not get the writer order it wanted", names)
 	}
@@ -396,7 +473,7 @@ func TestTemplatesAcrossColumnOrders(t *testing.T) {
 		}
 		rows = append(rows, MakeRow(EncodeTS(int64(i)), 1, cols))
 	}
-	seg := writeV8(t, t.TempDir(), hostileSeg{name: "orders", rows: rows}, 1)
+	seg := writeV9(t, t.TempDir(), hostileSeg{name: "orders", rows: rows}, 1)
 	sc, err := ChainBatches(Range{}, []*Segment{seg}, []ScanConfig{{Project: []uint32{templateColID}}})
 	if err != nil {
 		t.Fatal(err)
@@ -416,11 +493,11 @@ func TestTemplatesAcrossColumnOrders(t *testing.T) {
 }
 
 // TestMixedGenerationCrashImages cuts crash images at the four stages of a
-// compaction round over a directory that mixes v7 sections — the hostile
-// fixtures — and v8 sections written over half their keys: every image
-// reopens with every partition's last-write-wins rows, served by its v7
-// and v8 sections until the round's file has its final name and by one
-// v8 section after.
+// compaction round over a directory that mixes v8 sections — the hostile
+// fixtures — and v9 sections written over half their keys: every image
+// reopens with every partition's last-write-wins rows, served by its v8
+// and v9 sections until the round's file has its final name and by one
+// v9 section after.
 func TestMixedGenerationCrashImages(t *testing.T) {
 	dir := t.TempDir()
 	want := make(map[string][]Row)
@@ -429,7 +506,7 @@ func TestMixedGenerationCrashImages(t *testing.T) {
 		if hs.name != "events" && hs.name != "templates" && hs.name != "sources257" {
 			continue
 		}
-		data, err := os.ReadFile(v7Fixture(hs))
+		data, err := os.ReadFile(v8Fixture(hs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,7 +515,7 @@ func TestMixedGenerationCrashImages(t *testing.T) {
 		}
 		var over []Row
 		for _, r := range hs.rows[:len(hs.rows)/2] {
-			over = append(over, MakeRow(r.Key, r.WriteTS+1<<20, append(slices.Clone(r.Cols()), C("hz-v8", "over"))))
+			over = append(over, MakeRow(r.Key, r.WriteTS+1<<20, append(slices.Clone(r.Cols()), C("hz-v9", "over"))))
 		}
 		want[hs.name] = append(slices.Clone(over), hs.rows[len(over):]...)
 		parts = append(parts, FlushPart{"hostile", hs.name, over})
@@ -468,23 +545,23 @@ func TestMixedGenerationCrashImages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", img.stage, err)
 		}
-		versions := []int{segVersionV7, SegVersion}
+		headers := []string{segHeaderV8, segHeader}
 		if img.stage == "renamed" || img.stage == "published" {
-			versions = []int{SegVersion}
+			headers = []string{segHeader}
 		}
 		for pkey, rows := range want {
-			var got []int
+			var got []string
 			var its []Iterator
 			for _, seg := range r.Segments("hostile", pkey) {
-				got = append(got, seg.version)
+				got = append(got, headerOf(t, seg))
 				it, err := seg.Scan(Range{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				its = append(its, it)
 			}
-			if slices.Sort(got); !slices.Equal(got, versions) {
-				t.Errorf("%s: %s served by codecs %v, want %v", img.stage, pkey, got, versions)
+			if slices.Sort(got); !slices.Equal(got, headers) {
+				t.Errorf("%s: %s served by codecs %q, want %q", img.stage, pkey, got, headers)
 			}
 			if merged := drain(t, MergeIters(its)); !exactRows(merged, rows) {
 				t.Errorf("%s: %s reads %d rows that are not its %d last-write-wins rows", img.stage, pkey, len(merged), len(rows))

@@ -32,6 +32,6 @@ func TestStoreFooterFootprint(t *testing.T) {
 	t.Log(total)
 	persist.CheckFootprint(t, total, persist.FootprintBudget{
 		BloomPerBlock: 64, ZonesPerBlock: 112, IndexPerBlock: 34, FoldPerBlock: 5, GroupsPerBlock: 8,
-		RefsPerSection: 36, CodecPerSection: 13, MetaPerSection: 96,
+		DirPerSection: 5, RefsPerSection: 36, CodecPerSection: 13, MetaPerSection: 96,
 	})
 }

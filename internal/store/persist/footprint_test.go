@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,12 +13,13 @@ import (
 )
 
 // Footprint splits the footer bytes of a directory's round files by part:
-// what each part of the v8 footer costs, and what the string table of each
+// what each part of the v9 footer costs, and what the string table of each
 // file costs beside the per-section tables it replaces.
 type Footprint struct {
 	Files, Sections, Blocks           int
 	Bloom, Zones, Index, Leaves, Fold int // the footers' per-block parts
 	Groups                            int // the group section, per block too
+	Dir                               int // the sections' tags and lengths
 	Refs                              int // string-table entry numbers: column names, dictionary values, template constants
 	Codec                             int // the codec section but its entry numbers
 	Meta                              int // the rest: identity, key and time bounds, data length and CRC
@@ -30,22 +32,22 @@ func (f Footprint) Plus(g Footprint) Footprint {
 	return Footprint{
 		f.Files + g.Files, f.Sections + g.Sections, f.Blocks + g.Blocks,
 		f.Bloom + g.Bloom, f.Zones + g.Zones, f.Index + g.Index, f.Leaves + g.Leaves, f.Fold + g.Fold,
-		f.Groups + g.Groups, f.Refs + g.Refs, f.Codec + g.Codec, f.Meta + g.Meta, f.Table + g.Table, f.Inline + g.Inline,
+		f.Groups + g.Groups, f.Dir + g.Dir, f.Refs + g.Refs, f.Codec + g.Codec, f.Meta + g.Meta, f.Table + g.Table, f.Inline + g.Inline,
 	}
 }
 
 // Footer returns the bytes of every footer part.
 func (f Footprint) Footer() int {
-	return f.Bloom + f.Zones + f.Index + f.Leaves + f.Fold + f.Groups + f.Refs + f.Codec + f.Meta
+	return f.Bloom + f.Zones + f.Index + f.Leaves + f.Fold + f.Groups + f.Dir + f.Refs + f.Codec + f.Meta
 }
 
 func (f Footprint) String() string {
-	return fmt.Sprintf("%d files, %d sections, %d blocks: footers %d B = bloom %d + zones %d + index %d + leaves %d + fold %d + groups %d + refs %d + codec %d + meta %d; string tables %d B for %d B inline",
-		f.Files, f.Sections, f.Blocks, f.Footer(), f.Bloom, f.Zones, f.Index, f.Leaves, f.Fold, f.Groups, f.Refs, f.Codec, f.Meta, f.Table, f.Inline)
+	return fmt.Sprintf("%d files, %d sections, %d blocks: footers %d B = bloom %d + zones %d + index %d + leaves %d + fold %d + groups %d + dir %d + refs %d + codec %d + meta %d; string tables %d B for %d B inline",
+		f.Files, f.Sections, f.Blocks, f.Footer(), f.Bloom, f.Zones, f.Index, f.Leaves, f.Fold, f.Groups, f.Dir, f.Refs, f.Codec, f.Meta, f.Table, f.Inline)
 }
 
-// FooterFootprint measures the v8 sections of the round files under dir,
-// the data files and the stubs; it fails on a v7 section. Each footer is
+// FooterFootprint measures the v9 sections of the round files under dir,
+// the data files and the stubs; it fails on a v8 section. Each footer is
 // split by re-encoding its parts one by one, and the parts must add up to
 // the footer as written.
 func FooterFootprint(dir string) (Footprint, error) {
@@ -65,6 +67,15 @@ func FooterFootprint(dir string) (Footprint, error) {
 			return fp, err
 		}
 		segs, _, tab, err := parseSections(f, size, path, nil)
+		head := make([]byte, len(segHeader))
+		for _, seg := range segs {
+			if _, err = f.ReadAt(head, seg.base); err == nil && string(head) != segHeader {
+				err = fmt.Errorf("%s: segment %d has header %q", path, seg.Seq(), head)
+			}
+			if err != nil {
+				break
+			}
+		}
 		f.Close()
 		if err != nil {
 			return fp, err
@@ -77,9 +88,6 @@ func FooterFootprint(dir string) (Footprint, error) {
 		}
 		fp.Table += uvarintLen(uint64(len(tab.list())))
 		for _, seg := range segs {
-			if seg.version != SegVersion {
-				return fp, fmt.Errorf("%s: segment %d is codec v%d", path, seg.Seq(), seg.version)
-			}
 			if err := fp.add(seg, ref); err != nil {
 				return fp, fmt.Errorf("%s: segment %d: %w", path, seg.Seq(), err)
 			}
@@ -121,7 +129,10 @@ func (fp *Footprint) add(seg *Segment, ref map[string]uint32) error {
 		}
 	}
 	parts.Fold = len(appendFoldSection(nil, m.Blocks, seg.fold))
-	parts.Groups = len(appendGroupSection(nil, seg.fold))
+	if slices.ContainsFunc(seg.fold, func(f blockFold) bool { return f.group != nil }) {
+		parts.Groups = len(appendGroupSection(nil, seg.fold))
+		parts.Dir += uvarintLen(tagGroups) + uvarintLen(uint64(parts.Groups))
+	}
 	parts.Refs = uvarintLen(uint64(len(m.ColNames)))
 	for _, name := range m.ColNames {
 		parts.Refs += entry(name)
@@ -138,7 +149,9 @@ func (fp *Footprint) add(seg *Segment, ref map[string]uint32) error {
 		}
 	}
 	parts.Refs += codecRefs
-	parts.Codec = len(appendCodecSection(nil, m, &strTable{refs: ref})) - codecRefs
+	codec := len(appendCodecSection(nil, m, &strTable{refs: ref}))
+	parts.Codec = codec - codecRefs
+	parts.Dir += uvarintLen(tagFold) + uvarintLen(uint64(parts.Fold)) + uvarintLen(tagCodec) + uvarintLen(uint64(codec))
 	b := binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(nil, m.MinTS), m.MaxTS), m.MaxWriteTS)
 	parts.Meta = str(m.Table) + str(m.Partition) + uvarintLen(m.Seq) + uvarintLen(uint64(m.Rows)) + str(m.MaxKey) +
 		len(b) + uvarintLen(uint64(m.DataLen)) + 4
@@ -151,6 +164,7 @@ func (fp *Footprint) add(seg *Segment, ref map[string]uint32) error {
 	fp.Leaves += parts.Leaves
 	fp.Fold += parts.Fold
 	fp.Groups += parts.Groups
+	fp.Dir += parts.Dir
 	fp.Refs += parts.Refs
 	fp.Codec += parts.Codec
 	fp.Meta += parts.Meta
@@ -193,16 +207,16 @@ func TestFooterFootprint(t *testing.T) {
 	t.Log(fp)
 	CheckFootprint(t, fp, FootprintBudget{
 		BloomPerBlock: 100, ZonesPerBlock: 75, IndexPerBlock: 30, FoldPerBlock: 4, GroupsPerBlock: 1,
-		RefsPerSection: 180, CodecPerSection: 16, MetaPerSection: 64,
+		DirPerSection: 6, RefsPerSection: 180, CodecPerSection: 16, MetaPerSection: 64,
 	})
 }
 
 // FootprintBudget bounds each footer part: per block for the parts a
 // block has one of, per section for the rest.
 type FootprintBudget struct {
-	BloomPerBlock, ZonesPerBlock, IndexPerBlock, FoldPerBlock int
-	GroupsPerBlock                                            int
-	RefsPerSection, CodecPerSection, MetaPerSection           int
+	BloomPerBlock, ZonesPerBlock, IndexPerBlock, FoldPerBlock      int
+	GroupsPerBlock                                                 int
+	DirPerSection, RefsPerSection, CodecPerSection, MetaPerSection int
 }
 
 // CheckFootprint holds fp to budget b, and the string tables to less than
@@ -222,6 +236,7 @@ func CheckFootprint(t *testing.T, fp Footprint, b FootprintBudget) {
 		{"leaves", fp.Leaves, (objstore.HashLen + 1) * fp.Blocks},
 		{"fold", fp.Fold, b.FoldPerBlock * fp.Blocks},
 		{"groups", fp.Groups, b.GroupsPerBlock * fp.Blocks},
+		{"dir", fp.Dir, b.DirPerSection * fp.Sections},
 		{"refs", fp.Refs, b.RefsPerSection * fp.Sections},
 		{"codec", fp.Codec, b.CodecPerSection * fp.Sections},
 		{"meta", fp.Meta, b.MetaPerSection * fp.Sections},

@@ -198,7 +198,7 @@ func selfIDs(m *footerMeta) []uint32 {
 	return ids
 }
 
-// fuzzTable is the string table the footer fuzzer decodes v8 footers
+// fuzzTable is the string table the footer fuzzer decodes footers
 // against: what the seeds' footers were encoded with.
 func fuzzTable() *strTable {
 	tab := &strTable{}
@@ -208,39 +208,54 @@ func fuzzTable() *strTable {
 	return tab
 }
 
-// hostileFoldSections are v8 footers, against fuzzTable, whose fold
-// section is damaged: each must fail to decode.
+// withSection appends body to the footer b as the section of tag.
+func withSection(b []byte, tag uint64, body []byte) []byte {
+	return sealSection(append(b, body...), len(b), tag)
+}
+
+// v8Footer encodes m as a v8 footer: its sections untagged, unsized and
+// all three of them.
+func v8Footer(m *footerMeta, fold []blockFold, ids []uint32, tab *strTable) []byte {
+	b := appendFoldSection(appendMeta(nil, m, ids, tab), m.Blocks, fold)
+	return appendGroupSection(appendCodecSection(b, m, tab), fold)
+}
+
+// hostileFoldSections are footers, against fuzzTable, whose fold section
+// is damaged: each must fail to decode.
 func hostileFoldSections() map[string][]byte {
 	meta, fold, ids := foldedFooter()
 	tab := fuzzTable()
-	bare := appendMeta(nil, meta, ids, tab)
-	good := appendFooter(nil, meta, fold, ids, tab)
+	with := func(body []byte) []byte {
+		return withSection(withSection(appendMeta(nil, meta, ids, tab), tagFold, body), tagCodec, appendCodecSection(nil, meta, tab))
+	}
+	good := appendFoldSection(nil, meta.Blocks, fold)
 	flag := slices.Clone(good)
-	flag[len(bare)+1] = 2 // the first block's flag
+	flag[1] = 2 // the first block's flag
 	return map[string][]byte{
-		"truncated":     good[:len(bare)+3],
-		"count only":    binary.AppendUvarint(slices.Clone(bare), uint64(len(fold))),
-		"fewer blocks":  appendFoldSection(slices.Clone(bare), meta.Blocks, fold[:1]),
-		"more blocks":   appendFoldSection(slices.Clone(bare), append(slices.Clone(meta.Blocks), meta.Blocks[1]), append(fold, fold[1])),
-		"bad flag":      flag,
-		"trailing byte": append(slices.Clone(good), 0),
-		"counts beyond cells": appendCodecSection(appendFoldSection(slices.Clone(bare), meta.Blocks,
-			[]blockFold{fold[0], {counts: []colCounts{{id: 0, cells: 3, sum: 3}}}}), meta, tab),
+		"truncated":          with(good[:3]),
+		"count only":         with(binary.AppendUvarint(nil, uint64(len(fold)))),
+		"fewer blocks":       with(appendFoldSection(nil, meta.Blocks, fold[:1])),
+		"more blocks":        with(appendFoldSection(nil, append(slices.Clone(meta.Blocks), meta.Blocks[1]), append(fold, fold[1]))),
+		"bad flag":           with(flag),
+		"byte past the body": with(append(slices.Clone(good), 0)),
+		"trailing byte":      append(appendFooter(nil, meta, fold, ids, tab), 0),
+		"counts beyond cells": with(appendFoldSection(nil, meta.Blocks,
+			[]blockFold{fold[0], {counts: []colCounts{{id: 0, cells: 3, sum: 3}}}})),
 	}
 }
 
 // fixtureFooters returns the footers of the hostile generator's segments
-// and of groupRows' re-encoded against tab: the checked-in v7 fixtures' in
-// the v7 layout and those the v8 writer writes, group lists included.
+// and of groupRows' re-encoded against tab: the checked-in v8 fixtures' in
+// the v8 layout and those the v9 writer writes, group lists included.
 func fixtureFooters(t testing.TB, tab *strTable) [][]byte {
 	t.Helper()
 	var out [][]byte
 	dir := t.TempDir()
 	segs := append(hostileSegs(), hostileSeg{"groups", []string{"source", "amount"}, groupRows()})
 	for i, hs := range segs {
-		paths := []string{writeV8(t, dir, hs, uint64(i+1)).path}
+		paths := []string{writeV9(t, dir, hs, uint64(i+1)).path}
 		if hs.name != "groups" {
-			paths = append(paths, v7Fixture(hs))
+			paths = append(paths, v8Fixture(hs))
 		}
 		for _, path := range paths {
 			data, err := os.ReadFile(path)
@@ -253,17 +268,18 @@ func fixtureFooters(t testing.TB, tab *strTable) [][]byte {
 			}
 			sec := data[:secs[0].len]
 			foot := int(binary.LittleEndian.Uint32(sec[len(sec)-trailerLen:]))
-			version := segVersionV7
-			if string(sec[:len(segHeader)]) == segHeader {
-				version = SegVersion
+			v8 := string(sec[:len(segHeader)]) == segHeaderV8
+			var implied []uint64
+			if v8 {
+				implied = v8Sections
 			}
-			m, fold, err := decodeFooter(sec[len(sec)-trailerLen-foot:len(sec)-trailerLen], version, own)
+			m, fold, err := decodeFooter(sec[len(sec)-trailerLen-foot:len(sec)-trailerLen], implied, own)
 			if err != nil {
 				t.Fatalf("%s: %v", path, err)
 			}
 			fb := appendFooter(nil, m, fold, selfIDs(m), tab)
-			if version == segVersionV7 {
-				fb = appendCodecSection(appendFoldSection(appendMeta(nil, m, selfIDs(m), tab), m.Blocks, fold), m, tab)
+			if v8 {
+				fb = v8Footer(m, fold, selfIDs(m), tab)
 			}
 			out = append(out, fb)
 		}
@@ -271,12 +287,14 @@ func fixtureFooters(t testing.TB, tab *strTable) [][]byte {
 	return out
 }
 
-// FuzzSegmentFooter feeds arbitrary bytes to the footer decoder, as a v7
-// footer and as a v8 one against fuzzTable, extended by the seeds: any
+// FuzzSegmentFooter feeds arbitrary bytes to the footer decoder, as a v8
+// footer and as a v9 one against fuzzTable, extended by the seeds: any
 // outcome but a panic is acceptable, and a valid decode must re-encode as
-// v8 — what compaction does with a v7 section it moves. The seeds hold
-// group lists, the hostile generator's among them, and each group section
-// the decoder must refuse.
+// v9 — what compaction does with a v8 section it moves — and read the same
+// with a section of an unknown tag behind it. The seeds hold group lists,
+// the hostile generator's among them in both layouts, each section and
+// each directory the decoder must refuse, and a footer with unknown
+// sections.
 func FuzzSegmentFooter(f *testing.F) {
 	meta := footerMeta{
 		Table: "events", Partition: "p1", Seq: 7, Rows: 2,
@@ -311,19 +329,27 @@ func FuzzSegmentFooter(f *testing.F) {
 	for _, name := range slices.Sorted(maps.Keys(hostile)) {
 		f.Add(hostile[name])
 	}
+	f.Add(v8Footer(gm, gfold, gids, tab))
+	hostile = hostileDirectories()
+	for _, name := range slices.Sorted(maps.Keys(hostile)) {
+		f.Add(hostile[name])
+	}
+	f.Add(unknownSections(appendFooter(nil, gm, gfold, gids, tab)))
 	for _, fb := range fixtureFooters(f, tab) {
 		f.Add(fb)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkFooterRoundTrip(t, data, segVersionV7, tab)
-		checkFooterRoundTrip(t, data, SegVersion, tab)
+		checkFooterRoundTrip(t, data, v8Sections, tab)
+		checkFooterRoundTrip(t, data, nil, tab)
 	})
 }
 
-// checkFooterRoundTrip decodes data as a footer of codec version against
-// tab and, if that succeeds, holds its v8 re-encoding to it.
-func checkFooterRoundTrip(t *testing.T, data []byte, version int, tab *strTable) {
-	m, fold, err := decodeFooter(data, version, tab)
+// checkFooterRoundTrip decodes data as a footer against tab, of the
+// implied sections or of tagged ones where implied is nil, and, if that
+// succeeds, holds its v9 re-encoding to it, with and without unknown
+// sections behind it.
+func checkFooterRoundTrip(t *testing.T, data []byte, implied []uint64, tab *strTable) {
+	m, fold, err := decodeFooter(data, implied, tab)
 	if err != nil {
 		return
 	}
@@ -342,9 +368,13 @@ func checkFooterRoundTrip(t *testing.T, data []byte, version int, tab *strTable)
 	}
 	// Zone IDs are still name-table indexes here, as on disk.
 	out := &strTable{}
-	m2, fold2, err := decodeFooter(appendFooter(nil, m, fold, selfIDs(m), out), SegVersion, out)
+	fb := appendFooter(nil, m, fold, selfIDs(m), out)
+	m2, fold2, err := decodeFooter(fb, nil, out)
 	if err != nil {
 		t.Fatalf("re-decode of re-encoded footer failed: %v", err)
+	}
+	if m3, fold3, err := decodeFooter(unknownSections(fb), nil, out); err != nil || !reflect.DeepEqual(m2, m3) || !reflect.DeepEqual(fold2, fold3) {
+		t.Fatalf("unknown sections change the footer: %v", err)
 	}
 	m2.nameRefs = nil
 	if !reflect.DeepEqual(m.Dicts, m2.Dicts) || !reflect.DeepEqual(m.Templates, m2.Templates) || m.TmplCol != m2.TmplCol && m.Templates != nil {
@@ -355,7 +385,7 @@ func checkFooterRoundTrip(t *testing.T, data []byte, version int, tab *strTable)
 		t.Fatalf("footer round trip mismatch: %+v vs %+v", m, m2)
 	}
 	if len(m.Index) > 0 && m2.MinKey != m.Index[0].Key {
-		t.Fatalf("v8 minimum key %q, first index key %q", m2.MinKey, m.Index[0].Key)
+		t.Fatalf("v9 minimum key %q, first index key %q", m2.MinKey, m.Index[0].Key)
 	}
 	if !reflect.DeepEqual(fold, fold2) {
 		t.Fatalf("fold section round trip: %+v vs %+v", fold, fold2)
@@ -389,7 +419,7 @@ func TestFooterRoundTrip(t *testing.T) {
 	if bytes.Contains(fb, []byte(meta.ColNames[1])) || bytes.Count(fb, []byte(meta.MinKey)) != 1 {
 		t.Fatal("the footer holds a name, or the minimum key beside the first index key")
 	}
-	got, _, err := decodeFooter(fb, SegVersion, tab)
+	got, _, err := decodeFooter(fb, nil, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +434,7 @@ func TestFooterRoundTrip(t *testing.T) {
 	}
 
 	fm, wantFold, ids := foldedFooter()
-	withFold, gotFold, err := decodeFooter(appendFooter(nil, fm, wantFold, ids, tab), SegVersion, tab)
+	withFold, gotFold, err := decodeFooter(appendFooter(nil, fm, wantFold, ids, tab), nil, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +442,7 @@ func TestFooterRoundTrip(t *testing.T) {
 		t.Fatalf("fold section: got %+v, want %+v", gotFold, wantFold)
 	}
 	for name, fb := range hostileFoldSections() {
-		if _, _, err := decodeFooter(fb, SegVersion, fuzzTable()); err == nil {
+		if _, _, err := decodeFooter(fb, nil, fuzzTable()); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
 	}
@@ -433,27 +463,27 @@ func codecFooter() (*footerMeta, []blockFold, []uint32) {
 	return m, fold, append(ids, 2)
 }
 
-// hostileCodecSections are v8 footers, against fuzzTable, whose codec
+// hostileCodecSections are footers, against fuzzTable, whose codec
 // section is damaged or names strings past the table: each must fail to
 // decode.
 func hostileCodecSections() map[string][]byte {
 	m, fold, ids := foldedFooter()
 	tab := fuzzTable()
-	bare := appendFoldSection(appendMeta(nil, m, ids, tab), m.Blocks, fold)
+	bare := withSection(appendMeta(nil, m, ids, tab), tagFold, appendFoldSection(nil, m.Blocks, fold))
 	with := func(codec ...uint64) []byte {
-		b := slices.Clone(bare)
+		var b []byte
 		for _, v := range codec {
 			b = binary.AppendUvarint(b, v)
 		}
-		return appendGroupSection(b, fold)
+		return withSection(slices.Clone(bare), tagCodec, b)
 	}
-	cm, cfold, cids := codecFooter()
-	good := appendFooter(nil, cm, cfold, cids, tab)
+	cm, _, _ := codecFooter()
+	good := appendCodecSection(nil, cm, tab)
 	pastNames := appendMeta(nil, m, ids, &strTable{strs: []string{"amount"}, refs: map[string]uint32{"amount": 0, "source": 99}})
 	return map[string][]byte{
 		"missing":                  bare,
-		"truncated":                good[:len(good)-len(fold)-1], // inside the codec section
-		"trailing byte":            append(slices.Clone(good), 0),
+		"truncated":                withSection(slices.Clone(bare), tagCodec, good[:len(good)-1]),
+		"byte past the body":       withSection(slices.Clone(bare), tagCodec, append(slices.Clone(good), 0)),
 		"dictionary past table":    with(1, 2, 1, 0, 0),
 		"empty dictionary":         with(1, 0, 0, 0),
 		"dictionaries descending":  with(2, 1, 1, 0, 0, 1, 1, 0),
@@ -465,19 +495,20 @@ func hostileCodecSections() map[string][]byte {
 		"hole in template column":  with(0, 1, 0, 1, 0, 0, 0),
 		"hole count past the rest": with(0, 1, 1, 200, 0),
 		"constant past the table":  with(0, 1, 0, 0, 99),
-		"name past the table":      appendGroupSection(appendCodecSection(appendFoldSection(pastNames, m.Blocks, fold), m, tab), fold),
+		"name past the table": withSection(withSection(pastNames, tagFold, appendFoldSection(nil, m.Blocks, fold)),
+			tagCodec, appendCodecSection(nil, m, tab)),
 	}
 }
 
 // TestCodecSectionRoundTrip pins the footer's codec section: the
 // dictionaries and templates come back as written, a footer without a
-// codec section or with a damaged one is refused, and a v8 footer read
+// codec section or with a damaged one is refused, and a footer read
 // without a string table is refused too.
 func TestCodecSectionRoundTrip(t *testing.T) {
 	m, fold, ids := codecFooter()
 	tab := fuzzTable()
 	fb := appendFooter(nil, m, fold, ids, tab)
-	got, gotFold, err := decodeFooter(fb, SegVersion, tab)
+	got, gotFold, err := decodeFooter(fb, nil, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,12 +526,12 @@ func TestCodecSectionRoundTrip(t *testing.T) {
 		}
 	}
 	for name, fb := range hostileCodecSections() {
-		if _, _, err := decodeFooter(fb, SegVersion, fuzzTable()); err == nil {
+		if _, _, err := decodeFooter(fb, nil, fuzzTable()); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
 	}
-	if _, _, err := decodeFooter(fb, SegVersion, nil); err == nil {
-		t.Error("a v8 footer decoded without its string table")
+	if _, _, err := decodeFooter(fb, nil, nil); err == nil {
+		t.Error("a footer decoded without its string table")
 	}
 }
 
@@ -516,29 +547,29 @@ func groupFooter() (*footerMeta, []blockFold, []uint32) {
 	return m, fold, ids
 }
 
-// hostileGroupSections are v8 footers, against fuzzTable, whose group
-// section is missing, damaged or does not describe its blocks: each must
-// fail to decode.
+// hostileGroupSections are footers, against fuzzTable, whose group section
+// is damaged or does not describe its blocks: each must fail to decode.
 func hostileGroupSections() map[string][]byte {
 	tab := fuzzTable()
 	m, fold, ids := groupFooter()
-	old := appendCodecSection(appendFoldSection(appendMeta(nil, m, ids, tab), m.Blocks, fold), m, tab)
-	good := appendFooter(nil, m, fold, ids, tab)
+	old := withSection(withSection(appendMeta(nil, m, ids, tab), tagFold, appendFoldSection(nil, m.Blocks, fold)),
+		tagCodec, appendCodecSection(nil, m, tab))
+	good := appendGroupSection(nil, fold)
 	flag := slices.Clone(good)
-	flag[len(old)] = 2 // the first block's
+	flag[0] = 2 // the first block's
+	groups := func(body []byte) []byte { return withSection(slices.Clone(old), tagGroups, body) }
 	// listed gives the second block, of two rows counting 3, the group list
 	// list — bitmap, exception count, exceptions — and the first none.
-	listed := func(list ...byte) []byte { return append(append(slices.Clone(old), 0, 1), list...) }
+	listed := func(list ...byte) []byte { return groups(append([]byte{0, 1}, list...)) }
 	with := func(damage func(m *footerMeta, fold []blockFold, g *groupList)) []byte {
 		m, fold, ids := groupFooter()
 		damage(m, fold, fold[1].group)
 		return appendFooter(nil, m, fold, ids, tab)
 	}
 	return map[string][]byte{
-		"missing":       old,
-		"truncated":     good[:len(good)-1],
-		"trailing byte": append(slices.Clone(good), 0),
-		"bad flag":      flag,
+		"truncated":          groups(good[:len(good)-1]),
+		"byte past the body": groups(append(slices.Clone(good), 0)),
+		"bad flag":           groups(flag),
 		"in a block of non-counts": with(func(_ *footerMeta, fold []blockFold, g *groupList) {
 			fold[0].group = g
 		}),
@@ -568,25 +599,37 @@ func hostileGroupSections() map[string][]byte {
 }
 
 // TestGroupSectionRoundTrip pins the footer's group section: the lists
-// come back as written, each bound to its section dictionary; the same
-// footer without its group section reads as v7, with no list; and each
+// come back as written, each bound to its section dictionary, from a v9
+// footer and from the same footer in the v8 layout; the v9 footer without
+// its group section reads with no list, the v8 one is refused; and each
 // hostile group section is refused.
 func TestGroupSectionRoundTrip(t *testing.T) {
 	m, fold, ids := groupFooter()
 	tab := fuzzTable()
-	got, gotFold, err := decodeFooter(appendFooter(nil, m, fold, ids, tab), SegVersion, tab)
-	if err != nil {
-		t.Fatal(err)
+	fb := appendFooter(nil, m, fold, ids, tab)
+	for _, c := range []struct {
+		fb      []byte
+		implied []uint64
+	}{{fb, nil}, {v8Footer(m, fold, ids, tab), v8Sections}} {
+		got, gotFold, err := decodeFooter(c.fb, c.implied, tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotFold, fold) || gotFold[1].group.dict != &got.Dicts[1] {
+			t.Fatalf("fold with groups %+v, want %+v", gotFold, fold)
+		}
 	}
-	if !reflect.DeepEqual(gotFold, fold) || gotFold[1].group.dict != &got.Dicts[1] {
-		t.Fatalf("fold with groups %+v, want %+v", gotFold, fold)
+	noLists := slices.Clone(fold)
+	noLists[1].group = nil
+	if _, got, err := decodeFooter(appendFooter(nil, m, noLists, ids, tab), nil, tab); err != nil || !reflect.DeepEqual(got, noLists) {
+		t.Fatalf("without a group section: %+v, %v", got, err)
 	}
-	v7 := appendCodecSection(appendFoldSection(appendMeta(nil, m, ids, tab), m.Blocks, fold), m, tab)
-	if _, oldFold, err := decodeFooter(v7, segVersionV7, tab); err != nil || oldFold[1].group != nil {
-		t.Fatalf("as v7: %+v, %v", oldFold, err)
+	v8Bare := appendCodecSection(appendFoldSection(appendMeta(nil, m, ids, tab), m.Blocks, fold), m, tab)
+	if _, _, err := decodeFooter(v8Bare, v8Sections, tab); err == nil {
+		t.Fatal("a v8 footer without its group section decoded")
 	}
 	for name, fb := range hostileGroupSections() {
-		if _, _, err := decodeFooter(fb, SegVersion, fuzzTable()); err == nil {
+		if _, _, err := decodeFooter(fb, nil, fuzzTable()); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
 	}

@@ -1,10 +1,17 @@
 package persist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
+	"testing"
 )
 
 // hostileSeg is one segment's worth of rows that a block codec gets wrong
@@ -16,12 +23,12 @@ type hostileSeg struct {
 }
 
 // hostileSegs is THE generator of the codec differential: the same rows
-// were written through the v7 writer at the last commit that had one
-// (testdata/v7/<name>.seg) and are written through the v8 writer by the
+// were written through the v8 writer at the last commit that had one
+// (testdata/v8/<name>.seg) and are written through the v9 writer by the
 // tests. Deterministic; the names it interns are its own ("hz-" prefix), in
 // an order the differential test's process deliberately pre-empts — but
-// for "raw" and "amount", the names the v8 writer's templates key on, in
-// the segments written for them.
+// for "raw" and "amount", the names the writer's templates key on, in the
+// segments written for them.
 func hostileSegs() []hostileSeg {
 	rng := rand.New(rand.NewSource(26))
 	ts := func(i int) string { return EncodeTS(int64(4102732800 + i)) }
@@ -238,4 +245,107 @@ func hostileSegs() []hostileSeg {
 		add(fmt.Sprintf("sources%d", distinct), []string{"hz-source"}, rows)
 	}
 	return segs
+}
+
+// sectionEntry is one section of a footer built by hand.
+type sectionEntry struct {
+	tag  uint64
+	body []byte
+}
+
+// hostileDirectories are footers, against fuzzTable, whose sections are
+// sound but whose directory is not: a required section missing, a tag
+// repeated, out of order or zero, a length past the footer, a known
+// section with bytes left inside its length. Each must fail to decode.
+func hostileDirectories() map[string][]byte {
+	m, fold, ids := groupFooter()
+	tab := fuzzTable()
+	meta := appendMeta(nil, m, ids, tab)
+	foldS := sectionEntry{tagFold, appendFoldSection(nil, m.Blocks, fold)}
+	codecS := sectionEntry{tagCodec, appendCodecSection(nil, m, tab)}
+	groupS := sectionEntry{tagGroups, appendGroupSection(nil, fold)}
+	footer := func(secs ...sectionEntry) []byte {
+		b := slices.Clone(meta)
+		for _, s := range secs {
+			b = withSection(b, s.tag, s.body)
+		}
+		return b
+	}
+	past := func(s sectionEntry) sectionEntry { return sectionEntry{s.tag, append(slices.Clone(s.body), 0)} }
+	return map[string][]byte{
+		"no fold":                 footer(codecS, groupS),
+		"no codec":                footer(foldS, groupS),
+		"no codec, unknown after": footer(foldS, sectionEntry{tagGroups + 1, []byte("x")}),
+		"no sections":             footer(),
+		"fold twice":              footer(foldS, foldS, codecS, groupS),
+		"groups twice":            footer(foldS, codecS, groupS, groupS),
+		"codec before fold":       footer(codecS, foldS, groupS),
+		"unknown before fold":     footer(sectionEntry{tagGroups + 1, nil}, foldS, codecS),
+		"tag zero":                footer(sectionEntry{0, nil}, foldS, codecS),
+		"length past the footer":  append(binary.AppendUvarint(binary.AppendUvarint(slices.Clone(meta), tagFold), uint64(len(foldS.body)+1)), foldS.body...),
+		"length past any int":     binary.AppendUvarint(binary.AppendUvarint(slices.Clone(meta), tagFold), 1<<64-1),
+		"tag without a length":    binary.AppendUvarint(footer(foldS, codecS), tagGroups),
+		"byte left in fold":       footer(past(foldS), codecS, groupS),
+		"byte left in codec":      footer(foldS, past(codecS), groupS),
+		"byte left in groups":     footer(foldS, codecS, past(groupS)),
+	}
+}
+
+// unknownSections appends to the footer fb two sections of tags this build
+// does not know: the next free tag, and a far one with a body whose length
+// takes two bytes.
+func unknownSections(fb []byte) []byte {
+	fb = withSection(slices.Clone(fb), tagGroups+1, []byte("a future section"))
+	return withSection(fb, 1<<20, bytes.Repeat([]byte{0xff}, 200))
+}
+
+// TestFooterDirectoryHostile refuses every hostile directory. (A footer
+// with unknown sections behind its own reads as the footer without them:
+// TestUnknownSectionSkipped, and FuzzSegmentFooter on every input.)
+func TestFooterDirectoryHostile(t *testing.T) {
+	for name, fb := range hostileDirectories() {
+		if _, _, err := decodeFooter(fb, nil, fuzzTable()); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+}
+
+// TestUnknownSectionSkipped: each hostile segment, its footer rewritten
+// with sections of tags this build does not know behind its own, opens
+// and scans as the segment without them — rows, batches, footer and
+// Merkle root. The next footer section lands this way, with no new header.
+func TestUnknownSectionSkipped(t *testing.T) {
+	dir := t.TempDir()
+	for i, hs := range hostileSegs() {
+		t.Run(hs.name, func(t *testing.T) {
+			seg := writeV9(t, dir, hs, uint64(i+1))
+			data := sectionData(t, seg)
+			meta, rest := footerBytes(t, seg)
+			fb := unknownSections(slices.Concat(meta, rest))
+			img := append(append(data, fb...), binary.LittleEndian.AppendUint32(nil, uint32(len(fb)))...)
+			img = append(binary.LittleEndian.AppendUint32(img, crc32.Checksum(fb, crcTable)), segTrailer...)
+			img = appendRoundIndex(img, tableOf(t, seg).list(), []section{{seg.Seq(), 0, int64(len(img))}}, nil)
+			path := filepath.Join(dir, hs.name+"-unknown"+segFileExt)
+			if err := os.WriteFile(path, img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := OpenSegment(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer got.Close()
+			if err := got.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.meta, seg.meta) || !reflect.DeepEqual(got.fold, seg.fold) || got.root != seg.root {
+				t.Fatalf("footer with unknown sections reads differently:\n%+v\n%+v", got.meta, seg.meta)
+			}
+			if !exactRows(scanRows(t, got, Range{}, ScanConfig{}), hs.rows) {
+				t.Fatal("rows differ")
+			}
+			if a, b := batchImages(t, got, Range{}, ScanConfig{}), batchImages(t, seg, Range{}, ScanConfig{}); !reflect.DeepEqual(a, b) {
+				t.Fatal("batches differ")
+			}
+		})
+	}
 }

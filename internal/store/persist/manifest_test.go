@@ -160,7 +160,7 @@ func untarFixture(t *testing.T, tarball, dst string) {
 	}
 }
 
-// TestManifestCarriedOver: the predecessor manifests of the v7 store
+// TestManifestCarriedOver: the predecessor manifests of the v8 store
 // fixture (HPTIERM2 files) open, are carried over into logs, and reopen to
 // the same entries, each naming an object of its recorded size — also
 // from crash images cut between moving the file aside and the log's
@@ -168,7 +168,7 @@ func untarFixture(t *testing.T, tarball, dst string) {
 func TestManifestCarriedOver(t *testing.T) {
 	rec := fsystest.Install(t)
 	root := t.TempDir()
-	untarFixture(t, filepath.Join("..", "..", "enginetest", "testdata", "v7store.tar.gz"), root)
+	untarFixture(t, filepath.Join("..", "..", "enginetest", "testdata", "v8store.tar.gz"), root)
 	objDir := filepath.Join(root, "objects")
 	tier := newTestTier(t, objDir)
 	nodes, err := filepath.Glob(filepath.Join(root, "store", "node-*"))
@@ -254,7 +254,7 @@ func TestManifestCarriedOver(t *testing.T) {
 func TestManifestCarriedOverSweepsOrphanStub(t *testing.T) {
 	rec := fsystest.Install(t)
 	root := t.TempDir()
-	untarFixture(t, filepath.Join("..", "..", "enginetest", "testdata", "v7store.tar.gz"), root)
+	untarFixture(t, filepath.Join("..", "..", "enginetest", "testdata", "v8store.tar.gz"), root)
 	tier := newTestTier(t, filepath.Join(root, "objects"))
 	dir := t.TempDir()
 	copyTreeT(t, filepath.Join(root, "store", "node-store01", "seg"), dir)

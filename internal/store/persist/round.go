@@ -462,7 +462,7 @@ func (d *dataFile) add(seg *Segment, img []byte) error {
 }
 
 // copySection copies src, a live section of a resident file the round
-// reclaims, into the round's file as a v8 section: its data region byte for
+// reclaims, into the round's file as a v9 section: its data region byte for
 // byte, so the same seq, blocks and Merkle root, behind its footer encoded
 // anew against the round's string table.
 func (d *dataFile) copySection(src *Segment) (*Segment, error) {
@@ -489,7 +489,7 @@ func (d *dataFile) copySection(src *Segment) (*Segment, error) {
 	sc.img = sealFooter(sc.img, &m, src.fold, src.colIDs, d.strs)
 	cp := &Segment{
 		meta: &m, fold: src.fold, colIDs: src.colIDs, size: int64(len(sc.img)), footOff: m.DataLen,
-		version: SegVersion, tree: src.tree, root: src.root, mu: make(chan struct{}, 1),
+		tree: src.tree, root: src.root, mu: make(chan struct{}, 1),
 	}
 	return cp, d.add(cp, sc.img)
 }

@@ -39,10 +39,10 @@ func TestSealedSegmentMatchesOpenSegment(t *testing.T) {
 					t.Errorf("%s %s: footer held by the writer differs from the parsed one:\n%+v\n%+v", what, pkey, seg.meta, ref.meta)
 				}
 				if !reflect.DeepEqual(seg.colIDs, ref.colIDs) || seg.size != ref.size || seg.footOff != ref.footOff || seg.base != ref.base ||
-					seg.path != ref.path || seg.version != ref.version || seg.root != ref.root || (seg.tree == nil) != (ref.tree == nil) {
-					t.Errorf("%s %s: colIDs %v/%v size %d/%d footOff %d/%d base %d/%d path %s/%s version %d/%d", what, pkey,
+					seg.path != ref.path || seg.root != ref.root || (seg.tree == nil) != (ref.tree == nil) {
+					t.Errorf("%s %s: colIDs %v/%v size %d/%d footOff %d/%d base %d/%d path %s/%s", what, pkey,
 						seg.colIDs, ref.colIDs, seg.size, ref.size, seg.footOff, ref.footOff, seg.base, ref.base,
-						seg.path, ref.path, seg.version, ref.version)
+						seg.path, ref.path)
 				}
 				if err := seg.Verify(); err != nil {
 					t.Errorf("%s %s: %v", what, pkey, err)

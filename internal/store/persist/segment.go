@@ -22,16 +22,17 @@ import (
 	"hpclog/internal/objstore"
 )
 
-// Segment image layout (codec v8), one section of a round's data file
+// Segment image layout (codec v9), one section of a round's data file
 // (round.go), offsets relative to the section:
 //
-//	header  : "HPSEG008" (8 bytes)
+//	header  : "HPSEG009" (8 bytes)
 //	data    : blocks of at most indexEvery rows in clustering-key order,
 //	          each stored column by column (see block.go)
 //	footer  : binary footerMeta (own deterministic codec, no gob)
 //	trailer : u32 footerLen | u32 crc32(footer) | "HPSEGFT4" (8 bytes)
 //
-// The footer holds, in order:
+// The footer is meta, then sections in strictly ascending tag order, each
+// a uvarint tag, a uvarint length and that many bytes of body:
 //
 //	meta   : the partition identity, the key and time ranges that scans
 //	         prune on, the column-name table (blocks name columns by their
@@ -41,14 +42,14 @@ import (
 //	         bounds, per-column min/max for the writer's hot set) and a
 //	         Bloom filter over the block's distinct cells (blockstats.go) —
 //	         and one Merkle leaf per block (appendMeta)
-//	fold   : per block, whether every key carries a timestamp and, per hot
-//	         column, how many cells are occurrence counts and their sum
-//	         (appendFoldSection)
-//	codec  : the section dictionaries and the template table the blocks'
-//	         codes index (appendCodecSection)
-//	groups : per block, the rows and count sums of each code of the source
-//	         column, where the block codes it into its section dictionary
-//	         (appendGroupSection)
+//	fold   : (required) per block, whether every key carries a timestamp
+//	         and, per hot column, how many cells are occurrence counts and
+//	         their sum (appendFoldSection)
+//	codec  : (required) the section dictionaries and the template table
+//	         the blocks' codes index (appendCodecSection)
+//	groups : (optional: none where no block has a list) per block, the rows
+//	         and count sums of each code of the source column, where the
+//	         block codes it into its section dictionary (appendGroupSection)
 //
 // Column names, dictionary values and template constants are entry
 // numbers into the round file's string table, which every section of the
@@ -61,14 +62,15 @@ import (
 // short), and BlockStats[i] and Leaves[i] describe exactly the block
 // starting at Index[i]. Scans read and decode one block at a time.
 //
-// There is one writer generation and two reader generations. A codec v7
-// section (header "HPSEG007") is a v8 one without the group section. v7
-// sections stay readable, resident or tiered; compaction rewrites them as
-// v8, whether it merges them or moves them out of a file it reclaims.
-// Files of codecs v1–v6 are refused at open with ErrVersion.
+// A reader skips a section of an unknown tag by its length, and refuses a
+// missing required one, a repeated or descending tag, and a known body it
+// does not consume exactly: a new section needs no new header. The one
+// predecessor, codec v8 ("HPSEG008"), holds all three sections, untagged
+// and unsized; compaction rewrites it as v9, whether it merges it or moves
+// it out of a file it reclaims. Codecs v1–v7 get ErrVersion.
 const (
-	segHeader   = "HPSEG008"
-	segHeaderV7 = "HPSEG007"
+	segHeader   = "HPSEG009"
+	segHeaderV8 = "HPSEG008"
 	segTrailer  = "HPSEGFT4"
 	trailerLen  = 4 + 4 + 8
 	indexEvery  = 64
@@ -80,12 +82,14 @@ const (
 	maxFooterLen = 256 << 20
 )
 
-// Segment codec generations: the one written, and the one before it, still
-// read.
+// Footer section tags; v8Sections is the directory a v8 footer implies.
 const (
-	SegVersion   = 8
-	segVersionV7 = 7
+	tagFold = 1 + iota
+	tagCodec
+	tagGroups
 )
+
+var v8Sections = []uint64{tagFold, tagCodec, tagGroups}
 
 // IndexEntry is one sparse-index sample: the clustering key of a row and
 // the file offset where its encoding starts.
@@ -304,19 +308,29 @@ func decodeCodecSection(d footerDec, m *footerMeta) error {
 	return nil
 }
 
-// appendFooter encodes m, a v8 footer, with the package's own codec —
-// deterministic, compact, and no encoding/gob dependency: the metadata,
-// the fold section (fold parallel to m.Blocks), the codec section and the
-// group section. Column names and template constants are entries of tab,
-// the round file's string table; colIDs maps the name table to the
-// dictionary IDs the zone maps and fold records carry.
+// appendFooter encodes m with the package's own deterministic codec: the
+// metadata, the fold section (fold parallel to m.Blocks), the codec section
+// and, where a block has a list, the group section. Names and constants are
+// entries of tab, the round file's string table; colIDs maps the name table
+// to the dictionary IDs the zone maps and fold records carry.
 func appendFooter(b []byte, m *footerMeta, fold []blockFold, colIDs []uint32, tab *strTable) []byte {
 	b = appendMeta(b, m, colIDs, tab)
-	b = appendCodecSection(appendFoldSection(b, m.Blocks, fold), m, tab)
-	return appendGroupSection(b, fold)
+	b = sealSection(appendFoldSection(b, m.Blocks, fold), len(b), tagFold)
+	b = sealSection(appendCodecSection(b, m, tab), len(b), tagCodec)
+	if slices.ContainsFunc(fold, func(f blockFold) bool { return f.group != nil }) {
+		b = sealSection(appendGroupSection(b, fold), len(b), tagGroups)
+	}
+	return b
 }
 
-// appendMeta appends the footer up to its fold section.
+// sealSection makes the bytes of b past start, a body, section tag.
+func sealSection(b []byte, start int, tag uint64) []byte {
+	var head [2 * binary.MaxVarintLen64]byte
+	h := binary.AppendUvarint(binary.AppendUvarint(head[:0], tag), uint64(len(b)-start))
+	return slices.Insert(b, start, h...)
+}
+
+// appendMeta appends the footer up to its sections.
 func appendMeta(b []byte, m *footerMeta, colIDs []uint32, tab *strTable) []byte {
 	appendStr := func(s string) {
 		b = binary.AppendUvarint(b, uint64(len(s)))
@@ -378,7 +392,7 @@ func appendMeta(b []byte, m *footerMeta, colIDs []uint32, tab *strTable) []byte 
 	return b
 }
 
-// sealFooter appends the v8 footer of m and the section trailer to img, the
+// sealFooter appends the footer of m and the section trailer to img, the
 // section's data region: the section is complete.
 func sealFooter(img []byte, m *footerMeta, fold []blockFold, colIDs []uint32, tab *strTable) []byte {
 	foot := len(img)
@@ -586,26 +600,45 @@ func decodeGroupSection(d *StringDec, m *footerMeta, fold []blockFold) error {
 	return nil
 }
 
-// decodeFooter reverses appendFooter for a section of codec version, whose
-// strings the footer names in tab, its file's string table. A v7 footer
-// has no group section.
-func decodeFooter(fb []byte, version int, tab *strTable) (*footerMeta, []blockFold, error) {
+// decodeFooter reverses appendFooter against tab, its file's string table;
+// implied lists a v8 footer's untagged sections, and is nil for v9.
+func decodeFooter(fb []byte, implied []uint64, tab *strTable) (*footerMeta, []blockFold, error) {
 	if tab == nil {
 		return nil, nil, errors.New("persist: footer: a section in a file without a string table")
 	}
 	d := footerDec{NewStringDec(string(fb)), tab}
 	m, err := decodeMeta(d)
 	var fold []blockFold
-	if err == nil {
-		fold, err = decodeFoldSection(d.StringDec, m)
+	codec, last := false, uint64(0)
+	for i := 0; err == nil && (implied == nil && d.Rest() > 0 || i < len(implied)); i++ {
+		tag, sec := uint64(0), d
+		if implied != nil {
+			tag = implied[i]
+		} else if tag, err = d.Uvarint(); err == nil {
+			var body string
+			body, err = d.String()
+			sec = footerDec{NewStringDec(body), tab}
+		}
+		switch {
+		case err != nil:
+			err = fmt.Errorf("persist: footer section after %d: %w", last, err)
+		case tag <= last:
+			err = fmt.Errorf("persist: footer: section %d after %d", tag, last)
+		case tag == tagFold:
+			fold, err = decodeFoldSection(sec.StringDec, m)
+		case tag == tagCodec:
+			codec, err = true, decodeCodecSection(sec, m)
+		case tag == tagGroups:
+			err = decodeGroupSection(sec.StringDec, m, fold)
+		}
+		if last = tag; err == nil && implied == nil && tag <= tagGroups && sec.Rest() > 0 {
+			err = fmt.Errorf("persist: footer section %d: %d bytes past its body", tag, sec.Rest())
+		}
 	}
-	if err == nil {
-		err = decodeCodecSection(d, m)
-	}
-	if err == nil && version == SegVersion {
-		err = decodeGroupSection(d.StringDec, m, fold)
-	}
-	if err == nil && d.Rest() > 0 {
+	switch {
+	case err == nil && (fold == nil || !codec):
+		err = errors.New("persist: footer: no fold or no codec section")
+	case err == nil && d.Rest() > 0:
 		err = fmt.Errorf("persist: footer: %d trailing bytes", d.Rest())
 	}
 	if err != nil {
@@ -614,7 +647,7 @@ func decodeFooter(fb []byte, version int, tab *strTable) (*footerMeta, []blockFo
 	return m, fold, nil
 }
 
-// decodeMeta decodes the footer up to its fold section.
+// decodeMeta decodes the footer up to its sections.
 func decodeMeta(d footerDec) (*footerMeta, error) {
 	m := &footerMeta{}
 	var err error
@@ -1068,7 +1101,7 @@ func (w *Writer) writeTo(rf *dataFile) (*Segment, error) {
 	meta := w.meta
 	s := &Segment{
 		meta: &meta, fold: w.fold, colIDs: w.colIDs, size: int64(len(w.img)),
-		footOff: meta.DataLen, version: SegVersion, mu: make(chan struct{}, 1),
+		footOff: meta.DataLen, mu: make(chan struct{}, 1),
 	}
 	err := s.buildTree()
 	if err == nil {
@@ -1114,15 +1147,14 @@ type Segment struct {
 	file *dataFile // held by each reader, resident or evicted
 	base int64     // the section's offset within the data file and its object
 	meta *footerMeta
-	// fold is the footer's fold section, parallel to meta.Blocks with
-	// dictionary IDs; nil when the footer has none.
+	// fold is the footer's fold section and group lists, parallel to
+	// meta.Blocks with dictionary IDs.
 	fold []blockFold
 	// colIDs maps the footer name table's local indexes to process-wide
 	// dictionary IDs, resolved once at open and shared by all iterators.
 	colIDs  []uint32
 	size    int64 // the section's length
 	footOff int64 // section offset of the footer
-	version int
 
 	// Tiering state. tree/root are built at open from the footer's leaves;
 	// tier/tierKey are set once the segment has a manifest-recorded,
@@ -1154,14 +1186,14 @@ func parseSection(r io.ReaderAt, path string, base, size int64, tab *strTable) (
 		return nil, err
 	}
 	s := &Segment{path: path, size: size, mu: make(chan struct{}, 1)}
+	var implied []uint64
 	switch string(head[:]) {
 	case segHeader:
-		s.version = SegVersion
-	case segHeaderV7:
-		s.version = segVersionV7
-	case "HPSEG001", "HPSEG002", "HPSEG003", "HPSEG004", "HPSEG005", "HPSEG006":
-		return nil, fmt.Errorf("%w: %s was written by segment codec v%c; this build reads v%d and v%d — compact the directory with a build that reads it, or re-ingest the data",
-			ErrVersion, path, head[7], segVersionV7, SegVersion)
+	case segHeaderV8:
+		implied = v8Sections
+	case "HPSEG001", "HPSEG002", "HPSEG003", "HPSEG004", "HPSEG005", "HPSEG006", "HPSEG007":
+		return nil, fmt.Errorf("%w: %s was written by segment codec v%c; this build reads v%c and v%c — compact the directory with a build that reads it, or re-ingest the data",
+			ErrVersion, path, head[7], segHeaderV8[7], segHeader[7])
 	default:
 		return nil, fmt.Errorf("persist: %s: bad segment header %q", path, head)
 	}
@@ -1185,7 +1217,7 @@ func parseSection(r io.ReaderAt, path string, base, size int64, tab *strTable) (
 	if crc32.Checksum(fb, crcTable) != footCRC {
 		return nil, fmt.Errorf("persist: %s: footer checksum mismatch", path)
 	}
-	meta, fold, err := decodeFooter(fb, s.version, tab)
+	meta, fold, err := decodeFooter(fb, implied, tab)
 	if err != nil {
 		return nil, fmt.Errorf("persist: %s: footer decode: %w", path, err)
 	}

@@ -10,12 +10,12 @@ import (
 )
 
 // TestOldSegmentsRejectedClearly pins the upgrade story: a file of codec
-// v1 to v5 (old header magic) fails OpenSegment with ErrVersion
+// v1 to v7 (old header magic) fails OpenSegment with ErrVersion
 // and a message naming its version, never a decode panic or a silent skip
 // — and so does a store directory holding one.
 func TestOldSegmentsRejectedClearly(t *testing.T) {
 	dir := t.TempDir()
-	for v := 1; v <= 5; v++ {
+	for v := 1; v <= 7; v++ {
 		file := []byte{'H', 'P', 'S', 'E', 'G', '0', '0', byte('0' + v)}
 		file = append(file, make([]byte, 64)...)
 		var tail [trailerLen]byte

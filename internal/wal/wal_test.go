@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hpclog/internal/fsys/fsystest"
+	"hpclog/internal/testutil"
 )
 
 func mustOpen(t *testing.T, opts Options) *Log {
@@ -741,6 +742,7 @@ func FuzzCommitlogRecovery(f *testing.F) {
 		image = append(image, data...)
 	}
 	len1, total := segStart[2], len(image)
+	// testutil.Damage's faults, by op.
 	const flip, truncate, zero = 0, 1, 2
 	f.Add(uint8(flip), uint16(0), uint8(0))                             // sealed segment's magic
 	f.Add(uint8(flip), uint16(len1), uint8(0))                          // newest segment's magic
@@ -755,22 +757,7 @@ func FuzzCommitlogRecovery(f *testing.F) {
 	f.Add(uint8(zero), uint16(len1+3), uint8(20))                       // newest header into record 0
 	f.Add(uint8(zero), uint16(total-32), uint8(31))                     // the newest record
 	f.Fuzz(func(t *testing.T, op uint8, pos uint16, n uint8) {
-		at := int(pos) % total
-		damaged := append([]byte(nil), image...)
-		first := at
-		switch op % 3 {
-		case flip:
-			damaged[at] ^= n%255 + 1
-		case truncate:
-			damaged = damaged[:at]
-		case zero:
-			first = total
-			for i := min(at+int(n), total-1); i >= at; i-- {
-				if damaged[i] != 0 {
-					damaged[i], first = 0, i
-				}
-			}
-		}
+		damaged, first := testutil.Damage(image, op, pos, n)
 		before := 0
 		for before < len(recs) {
 			r := recs[before]
