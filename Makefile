@@ -76,8 +76,16 @@ tier-smoke:
 # remote scan fails when its peer makes no progress within the RPC
 # timeout but not when a flowing stream outlasts it, and is retried when
 # turned away before it opens (./internal/dist/).
+# A full memtable's flush is a node round, the one flush protocol: the
+# write path hands the memtable over as a readable flushing run and runs
+# the round with no partition lock held, so a Get or a PutBatch of the
+# partition returns while the round is held mid-way; crash images cut at
+# every stage of the write path's round and of Flush's recover every
+# acked row, and rounds back to back with concurrent writers and scanners
+# hide no acked row (./internal/store/ round tests, named).
 fault-smoke:
 	$(GO) test -count=1 -run 'TestDurableLayersDoNotImportOS|TestOSFailedOpenIsNilFile' ./internal/fsys/
+	$(GO) test -count=1 -run 'TestInlineFlushCrashImages|TestFlushRoundCrashImages|TestFlushRoundsConcurrentWritersAndScanners|TestThresholdFlushBlocksNoReader' ./internal/store/
 	$(GO) test -count=1 -run 'TestFault' ./internal/wal/ ./internal/objstore/ ./internal/store/ ./internal/dist/
 	$(GO) test -count=1 -run 'TestFault|TestRetiredObject|TestManifest' ./internal/store/persist/
 	$(GO) test -count=1 -run 'TestTorn|TestCorrupt|TestMidSegment|TestMultiRecord|TestZero|TestSealedSegmentDamage|TestDamagedHeader|FuzzCommitlogRecovery' ./internal/wal/

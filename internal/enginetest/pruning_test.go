@@ -15,10 +15,11 @@ import (
 
 // needleStore builds a single-replica durable store with one hot
 // partition spread over many segment files: nRows time-ordered rows, a
-// "job" column that is "batch-common" everywhere except a narrow window
+// "jobid" column that is "batch-common" everywhere except a narrow window
 // where it is "needle-rare" (<5% of rows), and an ascending numeric
-// "amount". FlushThreshold 512 with background compaction disabled
-// yields nRows/512 segments of 8 blocks each.
+// "amount" — both among persist.DefaultZoneColumns. FlushThreshold 512
+// with background compaction disabled yields nRows/512 segments of 8
+// blocks each.
 func needleStore(t testing.TB, nRows int) (*store.DB, int) {
 	t.Helper()
 	db, err := store.OpenDurable(store.Config{
@@ -26,7 +27,6 @@ func needleStore(t testing.TB, nRows int) (*store.DB, int) {
 		FlushThreshold:  512,
 		CompactInterval: -1,
 		Dir:             t.TempDir(),
-		ZoneMapColumns:  []string{"job", "amount", "source"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func needleStore(t testing.TB, nRows int) (*store.DB, int) {
 			needles++
 		}
 		batch = append(batch, store.MakeRow(store.EncodeTS(int64(100000+i)), 0, []store.Col{
-			store.C("job", job),
+			store.C("jobid", job),
 			store.C("amount", fmt.Sprintf("%d", i)),
 			store.C("source", fmt.Sprintf("c%d-0", i%4)),
 		}))
@@ -83,7 +83,7 @@ func TestPruningSelectivePredicate(t *testing.T) {
 	eng := compute.NewEngine(compute.Config{Workers: []string{"w0"}})
 	run := func(noPrune bool) ([]plan.ResultRow, *persist.PruneStats) {
 		t.Helper()
-		stmt, err := cql.Parse("SELECT * FROM runs WHERE partition = 'hot' AND job = 'needle-rare'")
+		stmt, err := cql.Parse("SELECT * FROM runs WHERE partition = 'hot' AND jobid = 'needle-rare'")
 		if err != nil {
 			t.Fatal(err)
 		}

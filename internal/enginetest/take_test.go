@@ -69,10 +69,9 @@ func cqlRows(t *testing.T, h *Harness, src string) []byte {
 }
 
 // takenBy runs the fold cases and the group statements on h, holding each
-// answer to want, and fails unless the cases by time took blocks from
-// their footers — and, with groups, the cases by source and the statements
-// too.
-func takenBy(t *testing.T, h *Harness, stage string, want map[string][]byte, groups bool) {
+// answer to want, and fails unless the cases by time, the cases by source
+// and the statements each took blocks from their footers.
+func takenBy(t *testing.T, h *Harness, stage string, want map[string][]byte) {
 	t.Helper()
 	timeCases, sourceCases := foldCases(h)
 	run := func(cases []Case) int {
@@ -95,7 +94,7 @@ func takenBy(t *testing.T, h *Harness, stage string, want map[string][]byte, gro
 	}
 	byCQL := h.Comp.Stats().BlocksTaken - before
 	t.Logf("%s: blocks taken by time %d, by source %d, by CQL %d", stage, byTime, bySource, byCQL)
-	if byTime == 0 || groups && (bySource == 0 || byCQL == 0) {
+	if byTime == 0 || bySource == 0 || byCQL == 0 {
 		t.Errorf("%s: a class of folds took no block: %d by time, %d by source, %d by CQL", stage, byTime, bySource, byCQL)
 	}
 }
@@ -121,7 +120,7 @@ func TestCorpusFoldsTakeBlocks(t *testing.T) {
 	for _, src := range groupStatements(mem) {
 		want[src] = cqlRows(t, mem, src)
 	}
-	takenBy(t, NewDurable(t), "durable", want, true)
+	takenBy(t, NewDurable(t), "durable", want)
 
 	root := t.TempDir()
 	untar(t, filepath.Join("testdata", "v8store.tar.gz"), root)
@@ -132,9 +131,9 @@ func TestCorpusFoldsTakeBlocks(t *testing.T) {
 		Dir:             filepath.Join(root, "store"),
 		Tier:            objstore.Config{Backend: "fs", Dir: filepath.Join(root, "objects"), CacheBytes: 1 << 20},
 	})
-	takenBy(t, v8, "v8", want, true)
+	takenBy(t, v8, "v8", want)
 	if merged, err := v8.DB.Compact(); err != nil || merged == 0 {
 		t.Fatalf("compacted %d partitions: %v", merged, err)
 	}
-	takenBy(t, v8, "compacted", want, true)
+	takenBy(t, v8, "compacted", want)
 }

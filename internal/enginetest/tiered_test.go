@@ -82,7 +82,7 @@ func TestTieredPruningFetchesOnlyNeededBlocks(t *testing.T) {
 	const nRows = 16384
 	db, needles := tieredNeedleStore(t, nRows)
 
-	stmt, err := cql.Parse("SELECT * FROM runs WHERE partition = 'hot' AND job = 'needle-rare'")
+	stmt, err := cql.Parse("SELECT * FROM runs WHERE partition = 'hot' AND jobid = 'needle-rare'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,6 @@ func tieredNeedleStore(t testing.TB, nRows int) (*store.DB, int) {
 		FlushThreshold:  512,
 		CompactInterval: -1,
 		Dir:             t.TempDir(),
-		ZoneMapColumns:  []string{"job", "amount", "source"},
 		Tier:            objstore.Config{Backend: "fs", Dir: t.TempDir(), CacheBytes: 1 << 20},
 	})
 	if err != nil {
@@ -159,7 +158,7 @@ func tieredNeedleStore(t testing.TB, nRows int) (*store.DB, int) {
 			needles++
 		}
 		batch = append(batch, store.MakeRow(store.EncodeTS(int64(100000+i)), 0, []store.Col{
-			store.C("job", job),
+			store.C("jobid", job),
 			store.C("amount", fmt.Sprintf("%d", i)),
 			store.C("source", fmt.Sprintf("c%d-0", i%4)),
 		}))

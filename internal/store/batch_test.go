@@ -103,7 +103,7 @@ func scenarioRows(lo, hi int, writeTS int64, gen string) []Row {
 
 func (sc batchScenario) open(t *testing.T) *DB {
 	t.Helper()
-	cfg := Config{Nodes: 1, RF: 1, FlushThreshold: 1 << 20, MaxSegments: 1 << 20, CompactInterval: -1, Dir: t.TempDir(), WALNoSync: true}
+	cfg := Config{Nodes: 1, RF: 1, FlushThreshold: 1 << 20, CompactInterval: -1, Dir: t.TempDir(), WALNoSync: true}
 	db, err := OpenDurable(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,13 +123,13 @@ func (sc batchScenario) open(t *testing.T) *DB {
 			continue
 		}
 		if sc.durable {
-			if err := n.flushAll(); err != nil {
+			if err := n.flush(1); err != nil {
 				t.Fatal(err)
 			}
 			continue
 		}
 		tbl, _ := n.table("t")
-		tbl.partition("p", false).beginFlush()
+		tbl.partition("p", false).beginFlush(1)
 	}
 	return db
 }

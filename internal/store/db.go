@@ -79,12 +79,9 @@ type Config struct {
 	LocalMembers []string
 	// VNodes is the number of virtual nodes per storage node (default 64).
 	VNodes int
-	// FlushThreshold is the memtable row count that triggers a segment
-	// flush (default 4096).
+	// FlushThreshold is the memtable row count at which a write runs a
+	// node flush round (default 4096).
 	FlushThreshold int
-	// MaxSegments bounds the per-partition on-disk segment count before
-	// the background compactor merges them (default 4).
-	MaxSegments int
 
 	// Dir is the directory the storage engine is rooted at (required):
 	// every write is appended to a per-node commitlog before it is
@@ -119,12 +116,6 @@ type Config struct {
 	// maintenance failures. Nil keeps the engine silent (counters in
 	// StorageStats record the same facts).
 	Logger *slog.Logger
-	// ZoneMapColumns is the hot set of columns that receive per-block
-	// min/max zone maps in newly written segment files (block pruning for
-	// predicate pushdown). Empty selects persist.DefaultZoneColumns.
-	// Deployments whose queries filter on bespoke attribute columns list
-	// them here.
-	ZoneMapColumns []string
 
 	// Tier, when Backend is non-empty, attaches an object-storage tier to
 	// the storage engine: background maintenance uploads cold sealed
@@ -153,9 +144,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlushThreshold <= 0 {
 		c.FlushThreshold = 4096
-	}
-	if c.MaxSegments <= 0 {
-		c.MaxSegments = 4
 	}
 	if c.WALSegmentBytes <= 0 {
 		c.WALSegmentBytes = 8 << 20

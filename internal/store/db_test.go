@@ -24,7 +24,7 @@ func openTest(t testing.TB, cfg Config) *DB {
 
 func testDB(t testing.TB, nodes, rf int) *DB {
 	t.Helper()
-	db := openTest(t, Config{Nodes: nodes, RF: rf, VNodes: 32, FlushThreshold: 64, MaxSegments: 3})
+	db := openTest(t, Config{Nodes: nodes, RF: rf, VNodes: 32, FlushThreshold: 64})
 	db.CreateTable("events")
 	return db
 }
@@ -107,7 +107,7 @@ func TestTimeRangeQuery(t *testing.T) {
 }
 
 func TestFlushCompactionPreservesData(t *testing.T) {
-	db := openTest(t, Config{Nodes: 1, RF: 1, VNodes: 8, FlushThreshold: 10, MaxSegments: 2, CompactInterval: -1})
+	db := openTest(t, Config{Nodes: 1, RF: 1, VNodes: 8, FlushThreshold: 10, CompactInterval: -1}) // 500 rows: 50 segments
 	db.CreateTable("events")
 	pkey := "p"
 	n := 500
@@ -121,8 +121,8 @@ func TestFlushCompactionPreservesData(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := db.Node(db.NodeIDs()[0])
-	if segs := len(node.persist.Segments("events", pkey)); segs > db.Config().MaxSegments {
-		t.Fatalf("compaction left %d segments", segs)
+	if segs := len(node.persist.Segments("events", pkey)); segs != 1 || db.StorageStats().Compactions == 0 {
+		t.Fatalf("compaction left %d segments (%d compactions)", segs, db.StorageStats().Compactions)
 	}
 	rows, err := db.Get("events", pkey, Range{}, All)
 	if err != nil {

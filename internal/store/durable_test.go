@@ -285,8 +285,7 @@ func TestDurableCompactAndWALTruncation(t *testing.T) {
 func TestDurableBackgroundCompactor(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg(dir)
-	cfg.FlushThreshold = 8
-	cfg.MaxSegments = 2
+	cfg.FlushThreshold = 8 // 200 rows: 10 segments, past maxSegments
 	cfg.CompactInterval = 5 * time.Millisecond
 	db, err := OpenDurable(cfg)
 	if err != nil {
@@ -352,23 +351,17 @@ func TestDurableEmptyTableSurvivesCheckpoint(t *testing.T) {
 func TestDirtySegTracksMinimum(t *testing.T) {
 	n := newNode("n1", 1<<30)
 	p := &partition{node: n, table: "t", key: "k"}
-	if err := p.put([]Row{{Key: "b"}}, 7); err != nil {
-		t.Fatal(err)
-	}
+	p.put([]Row{{Key: "b"}}, 7)
 	if !p.hasDirty || p.dirtySeg != 7 {
 		t.Fatalf("dirtySeg = %d (hasDirty=%v), want 7", p.dirtySeg, p.hasDirty)
 	}
 	// The late-arriving writer whose record landed in the older segment.
-	if err := p.put([]Row{{Key: "a"}}, 5); err != nil {
-		t.Fatal(err)
-	}
+	p.put([]Row{{Key: "a"}}, 5)
 	if p.dirtySeg != 5 {
 		t.Fatalf("dirtySeg = %d after older-segment put, want 5", p.dirtySeg)
 	}
 	// A newer segment must never raise the floor while rows are dirty.
-	if err := p.put([]Row{{Key: "c"}}, 9); err != nil {
-		t.Fatal(err)
-	}
+	p.put([]Row{{Key: "c"}}, 9)
 	if p.dirtySeg != 5 {
 		t.Fatalf("dirtySeg = %d after newer-segment put, want 5", p.dirtySeg)
 	}

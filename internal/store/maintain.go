@@ -12,6 +12,10 @@ import (
 	"hpclog/internal/store/persist"
 )
 
+// maxSegments is the per-partition on-disk segment count past which the
+// background compactor merges a partition's segments.
+const maxSegments = 4
+
 // compactorLoop is the background maintenance goroutine: on every tick it
 // merges overflowing on-disk segments and truncates commitlog segments
 // made obsolete by flushes.
@@ -24,7 +28,7 @@ func (db *DB) compactorLoop() {
 		case <-db.compactStop:
 			return
 		case <-t.C:
-			if _, err := db.maintain(db.cfg.MaxSegments); err != nil {
+			if _, err := db.maintain(maxSegments); err != nil {
 				// maintain already counted the failure (surfaced through
 				// StorageStats / /v1/metrics); the log line adds the error
 				// text monitoring counters cannot carry.
@@ -129,7 +133,7 @@ func (db *DB) SegmentInfos() []SegmentListing {
 // maintenance error, and leaves the other nodes flushed.
 func (db *DB) Flush() error {
 	err := db.eachNode(func(n *Node) error {
-		if err := n.flushAll(); err != nil {
+		if err := n.flush(1); err != nil {
 			return err
 		}
 		// Seal the active commitlog segment so the flush acts as a full

@@ -58,9 +58,11 @@ func (p *partition) noteDirty(seg uint64) {
 // first key on, after a sort on a copy when it was out of order: the
 // caller's slice is shared with the other replicas. Either way a key
 // keeps the version persist.Newer ranks first, whatever order the
-// versions came in, and a batch crosses the flush threshold at most once,
-// so a partition-sized batch leaves as one segment.
-func (p *partition) put(rows []Row, walSeg uint64) error {
+// versions came in. put never flushes: full reports that the memtable
+// reached the flush threshold, and the caller, its locks released, runs
+// a node flush round (Node.flush). The threshold is checked once per
+// batch, so a partition-sized batch leaves as one segment.
+func (p *partition) put(rows []Row, walSeg uint64) (full bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(rows) > 0 {
@@ -82,13 +84,7 @@ func (p *partition) put(rows []Row, walSeg uint64) error {
 	if walSeg != 0 && len(p.mem) > 0 {
 		p.noteDirty(walSeg)
 	}
-	// While a node flush round holds this partition's older rows under a
-	// lower sequence number, flushing mem past it would publish the two
-	// segments out of order: the next put retries.
-	if len(p.mem) >= p.node.flushThreshold && p.flushing == nil {
-		return p.flushDiskLocked()
-	}
-	return nil
+	return len(p.mem) >= p.node.flushThreshold
 }
 
 // appendSorted appends rows to the sorted, duplicate-free mem for as long
@@ -116,28 +112,14 @@ func appendSorted(mem, rows []Row) (out []Row, ok bool) {
 	return mem, true
 }
 
-// flushDiskLocked writes the memtable as an immutable on-disk segment — a
-// flush round of one, inline on the write path when the memtable fills.
-// Only after the round's barrier is the memtable dropped and the
-// partition marked clean for commitlog truncation.
-func (p *partition) flushDiskLocked() error {
-	if len(p.mem) == 0 {
-		return nil
-	}
-	if err := p.node.persist.Flush(p.table, p.key, p.mem); err != nil {
-		return fmt.Errorf("store: flush %s/%s: %w", p.table, p.key, err)
-	}
-	p.mem = nil
-	p.hasDirty = false
-	return nil
-}
-
 // beginFlush hands the memtable to a flush round as the immutable
-// flushing run and returns it (nil when there is nothing to flush).
-func (p *partition) beginFlush() []Row {
+// flushing run and returns it, or returns nil when the memtable holds
+// fewer than floor rows (floor >= 1). Rounds are serialized by
+// Node.flushMu, so no earlier run of this partition is still flushing.
+func (p *partition) beginFlush(floor int) []Row {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.mem) == 0 {
+	if len(p.mem) < floor {
 		return nil
 	}
 	p.flushing, p.mem = p.mem, nil
@@ -433,9 +415,10 @@ type Node struct {
 
 	wal     *wal.Log
 	persist *persist.Store
-	// flushMu serializes flushAll rounds, so at most one flushing run per
-	// partition exists and a returning Flush has seen every earlier row
-	// reach disk.
+	// flushMu serializes flush rounds, the write path's and DB.Flush's:
+	// at most one flushing run per partition exists, a partition's
+	// segments are published in the order its rows were handed over, and
+	// a returning Flush has seen every earlier row reach disk.
 	flushMu sync.Mutex
 	// chainedScans and mergedScans count this node's batch partition
 	// scans by the path their snapshot took (see mergeInputs.openBatches);
@@ -523,15 +506,19 @@ func (n *Node) apply(ctx context.Context, tableName, pkey string, rows []Row, en
 		return err
 	}
 	n.truncMu.RLock()
-	defer n.truncMu.RUnlock()
 	if encoded == nil {
 		encoded = encodePutRecord(nil, tableName, pkey, rows)
 	}
 	lsn, err := n.wal.Append(encoded)
+	full := err == nil && t.partition(pkey, true).put(rows, lsn.Seg)
+	n.truncMu.RUnlock()
 	if err != nil {
 		return fmt.Errorf("store: node %s: commitlog append: %w", n.id, err)
 	}
-	return t.partition(pkey, true).put(rows, lsn.Seg)
+	if full {
+		return n.flush(n.flushThreshold)
+	}
+	return nil
 }
 
 // applyReplayed inserts recovered rows without re-appending to the
@@ -542,7 +529,10 @@ func (n *Node) applyReplayed(tableName, pkey string, rows []Row, walSeg uint64) 
 	if err != nil {
 		return err
 	}
-	return t.partition(pkey, true).put(rows, walSeg)
+	if t.partition(pkey, true).put(rows, walSeg) {
+		return n.flush(n.flushThreshold)
+	}
+	return nil
 }
 
 // KeyBounds returns the smallest and largest clustering key this node
@@ -579,19 +569,22 @@ func (n *Node) MemtableRows() int {
 	return total
 }
 
-// flushAll flushes every dirty memtable of the node to disk as one flush
-// round. Each memtable is handed over as an immutable, still
-// readable flushing run — writers continue into a fresh memtable, readers
-// never lose sight of a row — and is dropped, with its commitlog mark,
-// only after the round's barrier has passed and its segment is published.
-func (n *Node) flushAll() error {
+// flush writes every memtable of the node holding at least floor rows to
+// disk as one flush round: the write path passes the flush threshold once
+// a put filled a memtable, DB.Flush passes 1. Each memtable is handed over
+// as an immutable, still readable flushing run — writers continue into a
+// fresh memtable, readers never lose sight of a row, and no partition
+// lock is held across encode, write and fsync — and is dropped, with its
+// commitlog mark, only after the round's barrier has passed and its
+// segment is published.
+func (n *Node) flush(floor int) error {
 	n.flushMu.Lock()
 	defer n.flushMu.Unlock()
 	var flushing []*partition
 	var parts []persist.FlushPart
 	for _, t := range n.allTables() {
 		for _, p := range t.allPartitions() {
-			if rows := p.beginFlush(); rows != nil {
+			if rows := p.beginFlush(floor); rows != nil {
 				flushing = append(flushing, p)
 				parts = append(parts, persist.FlushPart{Table: p.table, PKey: p.key, Rows: rows})
 			}
@@ -651,9 +644,6 @@ func (n *Node) openDurable(dir string, cfg Config, tier *objstore.Tier) error {
 	ps, err := persist.OpenStoreTiered(dir+"/seg", ts)
 	if err != nil {
 		return fmt.Errorf("store: node %s: %w", n.id, err)
-	}
-	if len(cfg.ZoneMapColumns) > 0 {
-		ps.SetZoneColumns(cfg.ZoneMapColumns)
 	}
 	log, err := wal.Open(wal.Options{
 		Dir:                 dir + "/wal",

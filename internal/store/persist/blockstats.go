@@ -21,10 +21,10 @@ import (
 // can satisfy the predicate, regardless of merge order (callers
 // additionally fence pruning with shadow ranges, see ScanConfig).
 
-// DefaultZoneColumns is the default hot set of columns that get per-block
-// min/max zone maps. It covers the data model's discriminator and metric
-// columns; deployments with bespoke attribute columns widen it through
-// store.Config.ZoneMapColumns.
+// DefaultZoneColumns is the hot set of columns that get per-block min/max
+// zone maps in every segment a store writes. It covers the data model's
+// discriminator and metric columns; Writer.SetZoneColumns picks another
+// set for a test segment.
 var DefaultZoneColumns = []string{"type", "source", "amount", "app", "user", "jobid"}
 
 // ColZone is the per-block zone map of one hot column.

@@ -7,6 +7,15 @@ import (
 	"testing"
 )
 
+// Flush writes rows as a new immutable segment of the partition — a
+// flush round of one.
+func (s *Store) Flush(table, pkey string, rows []Row) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	return s.FlushRound([]FlushPart{{table, pkey, rows}})
+}
+
 // sameRows compares logical row content (key, write timestamp, cells)
 // across representations: scans yield compact rows while fixtures build
 // map rows.

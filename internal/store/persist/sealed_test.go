@@ -20,7 +20,6 @@ func TestSealedSegmentMatchesOpenSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.SetZoneColumns([]string{"count", "msg", "absent"})
 	check := func(what string) {
 		t.Helper()
 		inside := 0
@@ -60,19 +59,31 @@ func TestSealedSegmentMatchesOpenSegment(t *testing.T) {
 		}
 	}
 	// 200 rows = three full blocks and a short one; 1 row = one block.
-	if err := s.FlushRound([]FlushPart{{"events", "p0", testRows(200, 1)}, {"events", "p1", testRows(1, 1)}, {"events", "p2", testRows(70, 1)}}); err != nil {
+	if err := s.FlushRound([]FlushPart{{"events", "p0", zonedRows(200, 1)}, {"events", "p1", zonedRows(1, 1)}, {"events", "p2", zonedRows(70, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 	check("flushed")
 	// Compacting p0 and p1 re-homes p2, its data region copied and its
 	// footer encoded anew, in the round's file.
-	if err := s.FlushRound([]FlushPart{{"events", "p0", testRows(90, 1000)}, {"events", "p1", testRows(70, 1000)}}); err != nil {
+	if err := s.FlushRound([]FlushPart{{"events", "p0", zonedRows(90, 1000)}, {"events", "p1", zonedRows(70, 1000)}}); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := s.CompactOverflow(1); err != nil || n != 2 {
 		t.Fatalf("compacted %d partitions, err=%v", n, err)
 	}
 	check("compacted")
+}
+
+// zonedRows is testRows with a numeric and a string column of
+// DefaultZoneColumns ("amount", "source") beside one outside it ("msg"),
+// the other zone columns absent: the footers compared carry zone maps.
+func zonedRows(n int, writeTS int64) []Row {
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = MapRow(EncodeTS(int64(1000+i))+fmt.Sprintf(":src%03d", i), writeTS+int64(i),
+			map[string]string{"amount": fmt.Sprint(i), "source": fmt.Sprintf("c0-0c0s%dn%d", i/4, i%4), "msg": "hello world"})
+	}
+	return rows
 }
 
 // smallParts builds n single-block parts of rows that are already compact

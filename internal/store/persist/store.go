@@ -25,9 +25,6 @@ import (
 // no escaping of partition keys into filenames is ever needed.
 type Store struct {
 	dir string
-	// zoneCols, when non-nil, replaces DefaultZoneColumns as the hot set
-	// receiving per-block zone maps in newly written segments.
-	zoneCols []string
 
 	// tier/manifest/tierPrefix are set when the store was opened with an
 	// object-store tier attached (OpenStoreTiered); nil tier means every
@@ -203,23 +200,6 @@ func (s *Store) segPath(seq uint64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%020d%s", seq, segFileExt))
 }
 
-// SetZoneColumns configures the hot set of columns that get per-block
-// zone maps in segments written by this store (flushes and compactions).
-// Call before writes begin; existing segments are unaffected.
-func (s *Store) SetZoneColumns(names []string) {
-	s.zoneCols = names
-}
-
-// newWriter creates a segment writer honoring the store's zone-column
-// configuration.
-func (s *Store) newWriter(table, pkey string, seq uint64) *Writer {
-	w := NewWriter(table, pkey, seq)
-	if s.zoneCols != nil {
-		w.setZoneColumnNames(s.zoneCols)
-	}
-	return w
-}
-
 // tablesManifest is the durable table catalog: one table name per line.
 // A table with no rows has no segment footers and the commitlog carries
 // puts only, so table creation lands here, written atomically.
@@ -284,15 +264,6 @@ type FlushPart struct {
 	Rows        []Row
 }
 
-// Flush writes rows as a new immutable segment of the partition — a
-// flush round of one.
-func (s *Store) Flush(table, pkey string, rows []Row) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	return s.FlushRound([]FlushPart{{table, pkey, rows}})
-}
-
 // FlushRound writes every part (none empty) as a segment of one new data
 // file and registers them all, with one durability barrier for the round.
 // On error nothing was registered and the caller still owns every row.
@@ -315,7 +286,7 @@ func (s *Store) FlushRound(parts []FlushPart) error {
 	segs := make([]*Segment, n)
 	err = fsys.Parallel(n, roundWorkers, func(i int) (err error) {
 		p := parts[i]
-		w := s.newWriter(p.Table, p.PKey, first+uint64(i))
+		w := NewWriter(p.Table, p.PKey, first+uint64(i))
 		for _, r := range p.Rows {
 			if err := w.Append(r); err != nil {
 				w.Abort()
@@ -605,7 +576,7 @@ func (s *Store) mergeSegments(rf *dataFile, m *merge, seq uint64) (out *Segment,
 		return nil, err, nil
 	}
 	defer merged.Close()
-	w := s.newWriter(m.key.table, m.key.pkey, seq)
+	w := NewWriter(m.key.table, m.key.pkey, seq)
 	for {
 		r, ok := merged.Next()
 		if !ok {

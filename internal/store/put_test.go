@@ -2,7 +2,7 @@ package store
 
 // The memtable's batch put: a property test against a map oracle, and a
 // crash image cut between the commitlog append of an over-threshold batch
-// and the inline flush it triggers.
+// and the return of the flush round it triggers.
 
 import (
 	"fmt"
@@ -34,7 +34,7 @@ func TestPartitionPutMatchesOracle(t *testing.T) {
 				// A flush round takes the memtable, writers go on, the round
 				// fails: the run comes back under the rows written since.
 				if p.flushing == nil {
-					p.beginFlush()
+					p.beginFlush(1)
 				} else {
 					p.endFlush(false)
 				}
@@ -63,9 +63,7 @@ func TestPartitionPutMatchesOracle(t *testing.T) {
 				rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
 			}
 			given := slices.Clone(batch)
-			if err := p.put(batch, 0); err != nil {
-				t.Fatal(err)
-			}
+			p.put(batch, 0)
 			if !reflect.DeepEqual(batch, given) {
 				t.Fatalf("seed %d: put reordered the caller's batch, which the other replicas share", seed)
 			}
@@ -116,11 +114,11 @@ func mustDecodeTS(t *testing.T, key string) int64 {
 }
 
 // TestInlineFlushCrashImages cuts crash images at every stage of the flush
-// round that one over-threshold batch triggers inline — the batch is in
-// the commitlog, its segment is being written, the put has not returned —
-// and recovers from each: the rows acked before and the batch itself are
-// all there, each key once, whichever of commitlog and segment supplies
-// them.
+// round that one over-threshold batch triggers on the write path — the
+// batch is in the commitlog, its segment is being written, the PutBatch
+// has not returned — and recovers from each: the rows acked before and
+// the batch itself are all there, each key once, whichever of commitlog
+// and segment supplies them.
 func TestInlineFlushCrashImages(t *testing.T) {
 	rec := fsystest.Install(t)
 	dir := t.TempDir()

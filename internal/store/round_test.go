@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hpclog/internal/fsys"
 	"hpclog/internal/fsys/fsystest"
@@ -141,8 +142,8 @@ func TestFlushRoundCrashImages(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	// 45 rows in each of 5 partitions: 40 flushed inline when the memtable
-	// crossed the threshold, 5 still dirty.
+	// 45 rows in each of 5 partitions: 40 flushed by the write path's
+	// round when the memtable crossed the threshold, 5 still dirty.
 	fillDurable(t, db, "events", 5, 45)
 	if db.MemtableRows() == 0 {
 		t.Fatal("no dirty memtables to flush")
@@ -223,7 +224,7 @@ func TestCompactRoundRehomesSurvivorsCrashImages(t *testing.T) {
 	rec := fsystest.Install(t)
 	dir := t.TempDir()
 	cfg := crashCfg(dir)
-	cfg.FlushThreshold = 1 << 20 // nothing flushes inline: one file per node per Flush
+	cfg.FlushThreshold = 1 << 20 // no write fills a memtable: one file per node per Flush
 	db, err := OpenDurable(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -379,12 +380,99 @@ func TestFlushRoundsConcurrentWritersAndScanners(t *testing.T) {
 	}
 }
 
+// TestThresholdFlushBlocksNoReader holds the flush round a full memtable
+// triggers at its "written" stage. Meanwhile a Get and a further PutBatch
+// to the same partition return, and the Get sees every row, the acked
+// ones and the held batch's alike: the write path's round holds no
+// partition lock across encode, write and fsync.
+func TestThresholdFlushBlocksNoReader(t *testing.T) {
+	cfg := crashCfg(t.TempDir())
+	cfg.Nodes, cfg.RF = 1, 1
+	db, err := OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateTable("events"); err != nil {
+		t.Fatal(err)
+	}
+	rows := func(from, n int) []Row {
+		out := make([]Row, n)
+		for i := range out {
+			out[i] = durableRow(int64(from + i))
+		}
+		return out
+	}
+	if err := db.PutBatch("events", "part-00", rows(0, 10), All); err != nil {
+		t.Fatal(err)
+	}
+
+	held, release := make(chan struct{}), make(chan struct{})
+	var holdOnce, releaseOnce sync.Once
+	persist.RoundCrashHook = func(stage string, _ []string) {
+		if stage == "written" {
+			holdOnce.Do(func() { close(held); <-release })
+		}
+	}
+	var wg sync.WaitGroup
+	defer func() { persist.RoundCrashHook = nil }()
+	defer wg.Wait()
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock()
+	start := func(fn func() error) <-chan error {
+		done := make(chan error, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			done <- fn()
+		}()
+		return done
+	}
+	wait := func(what string, done <-chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(5 * time.Second):
+			unblock()
+			t.Fatalf("%s did not return while the flush round was held", what)
+		}
+	}
+
+	filling := start(func() error { return db.PutBatch("events", "part-00", rows(100, cfg.FlushThreshold), All) })
+	select {
+	case <-held:
+	case err := <-filling:
+		t.Fatalf("the filling PutBatch returned (%v) before its round reached written", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("no flush round reached written")
+	}
+	wait("a PutBatch to the held partition", start(func() error {
+		return db.PutBatch("events", "part-00", rows(200, 5), All)
+	}))
+	var got []Row
+	wait("a Get of the held partition", start(func() (err error) {
+		got, err = db.Get("events", "part-00", Range{}, One)
+		return err
+	}))
+	if want := 10 + cfg.FlushThreshold + 5; len(got) != want {
+		t.Fatalf("the Get saw %d rows while the round was held, want %d", len(got), want)
+	}
+	unblock()
+	wait("the filling PutBatch", filling)
+	if st := db.StorageStats(); st.FlushRounds != 1 || db.MemtableRows() != 5 {
+		t.Fatalf("%d flush rounds, %d rows left in the memtable; want 1 and 5", st.FlushRounds, db.MemtableRows())
+	}
+}
+
 // TestFlushJoinsNodeErrors: one node's failed round is reported, counted
 // once as a maintenance error, loses nothing, and stops no other node.
 func TestFlushJoinsNodeErrors(t *testing.T) {
 	dir := t.TempDir()
 	cfg := crashCfg(dir)
-	cfg.FlushThreshold = 1 << 20 // nothing flushes inline
+	cfg.FlushThreshold = 1 << 20 // no write fills a memtable
 	db, err := OpenDurable(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -452,7 +540,7 @@ func TestFaultFlushRoundPublishesNothing(t *testing.T) {
 			rec := fsystest.Install(t)
 			dir := t.TempDir()
 			cfg := crashCfg(dir)
-			cfg.FlushThreshold = 1 << 20 // nothing flushes inline
+			cfg.FlushThreshold = 1 << 20 // no write fills a memtable
 			db, err := OpenDurable(cfg)
 			if err != nil {
 				t.Fatal(err)

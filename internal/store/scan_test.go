@@ -50,7 +50,7 @@ func sameRows(a, b []Row) bool {
 // materialized Get returns, across segment flushes, in-place overwrites,
 // and clustering ranges.
 func TestScanMatchesGet(t *testing.T) {
-	db := openTest(t, Config{Nodes: 4, RF: 2, FlushThreshold: 16, MaxSegments: 2})
+	db := openTest(t, Config{Nodes: 4, RF: 2, FlushThreshold: 16, CompactInterval: -1})
 	db.CreateTable("t")
 	const pkey = "p0"
 	// Enough rows to force several flushes and a compaction, plus
@@ -60,6 +60,10 @@ func TestScanMatchesGet(t *testing.T) {
 		if err := db.Put("t", pkey, row, All); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Six segments per replica: the compactor's pass merges them.
+	if _, err := db.maintain(maxSegments); err != nil || db.StorageStats().Compactions == 0 {
+		t.Fatalf("compaction pass: err=%v, %d compactions", err, db.StorageStats().Compactions)
 	}
 	ranges := []Range{
 		{},

@@ -196,7 +196,7 @@ func verifyTierManifests(t *testing.T, dataDir, tierDir string) {
 func TestTieredRoundObjectCrashRecovery(t *testing.T) {
 	dir, tierDir := t.TempDir(), t.TempDir()
 	cfg := tieredCrashCfg(dir, tierDir)
-	cfg.FlushThreshold = 1 << 20 // nothing flushes inline: the sweep's flush is one round per node
+	cfg.FlushThreshold = 1 << 20 // no write fills a memtable: the sweep's flush is one round per node
 	db, err := OpenDurable(cfg)
 	if err != nil {
 		t.Fatal(err)
