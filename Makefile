@@ -164,6 +164,7 @@ bench-smoke:
 	$(GO) test -run XXX -bench WAL -benchtime 1x .
 	$(GO) test -run XXX -bench BenchmarkScanBatches -benchtime 1x ./internal/store/persist/
 	$(GO) test -run XXX -bench BenchmarkHubNotify -benchtime 1x ./internal/server/
+	$(GO) test -run XXX -bench BenchmarkTextFolds -benchtime 1x ./internal/analytics/
 
 # Allocation regression guards: a segment scan, a projected v8/v9 block
 # decode, templated cells reassembled or not (zero per block), a flush
@@ -172,9 +173,10 @@ bench-smoke:
 # Get and through PartitionBatches at QUORUM (no per-row conversion), a
 # bulk import (objects per imported event), a batch histogram and
 # heat-map fold (constant per scan, zero per block), a TF-IDF text fold
-# over one-off hex terms off a pooled vocabulary (the same count at 2 048
-# and 4 096 rows: nothing per row or term, TestTextFoldAllocBudget), a
-# put-record encode,
+# over one-off hex terms and a word count over dictionary-coded holes
+# counted by code tuple, off pooled vocabularies (the same count at 2 048
+# and 4 096 rows: nothing per row, block or term, TestTextFoldAllocBudget),
+# a put-record encode,
 # predicate evaluation, the watch hub's write-path notify (one
 # allocation per digest, its encoded lines, at any subscriber count), a
 # late page of a paginated events request, the row wire path (events one-shot,

@@ -5,6 +5,7 @@ package analytics
 import (
 	"context"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
@@ -90,11 +91,13 @@ func TestBatchFoldAllocBudget(t *testing.T) {
 }
 
 // TestTextFoldAllocBudget: once a pooled vocabulary has room for a
-// window's terms, TF-IDF over an hour partition of one-off hex terms (each
-// MCE status a word of its own) allocates the same small number of objects
-// over 2 048 rows as over 4 096 — no string, map entry or other object per
-// row or per term, only the k answer strings and the scan's fixed
-// bookkeeping. The window is one task, so each run draws the same pooled
+// window's terms, a text fold over an hour partition allocates the same
+// small number of objects over 2 048 rows as over 4 096 — no string, map
+// entry or other object per row, per block or per term, only the answer
+// and the scan's fixed bookkeeping. TF-IDF runs over one-off hex terms
+// (each MCE status a word of its own, tokenised from its cell); word count
+// over messages whose holes a section dictionary codes, counted by code
+// tuple. The window is one task, so each run draws the same pooled
 // accumulators for the same parts.
 func TestTextFoldAllocBudget(t *testing.T) {
 	db := openStore(t, store.Config{Nodes: 1, RF: 1, FlushThreshold: 1 << 20, CompactInterval: -1})
@@ -106,41 +109,53 @@ func TestTextFoldAllocBudget(t *testing.T) {
 	sizes := map[string]int{"small": 2048, "large": 4096}
 	starts := map[string]time.Time{"small": hour, "large": hour.Add(time.Hour)}
 	for name, n := range sizes {
-		rows := make([]store.Row, n)
-		for i := range rows {
-			status := strconv.FormatUint(uint64(i+n)*0x9e3779b97f4a7c15, 16)
-			rows[i] = model.EventToTimeRow(model.Event{
-				Time: starts[name].Add(time.Duration(i) * time.Hour / time.Duration(n)), Type: model.MCE, Count: 1,
-				Source: topology.LocationOf(topology.NodeID(i % 512)).CName(),
-				Raw:    "Machine Check Exception: bank 4 status " + status,
-				Attrs:  map[string]string{"bank": "4", "status": status},
-			})
-		}
-		if err := db.PutBatch(model.TableEventByTime, model.EventByTimeKey(starts[name].Unix()/3600, model.MCE), rows, store.All); err != nil {
-			t.Fatal(err)
-		}
+		putTextRows(t, db, starts[name], n)
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	perScan := map[string]float64{}
-	for name, n := range sizes {
-		query := func() {
-			top, err := TFIDFScan(eng, db, model.MCE, starts[name], starts[name].Add(time.Hour), 10, ScanConfig{Parallelism: 1, Slice: time.Hour})
-			if err != nil || len(top) != 10 {
-				t.Fatalf("TF-IDF over %d rows: %v, %v", n, top, err)
+	cfg := ScanConfig{Parallelism: 1, Slice: time.Hour}
+	// A collection empties the pool of accumulators, which the counts
+	// below take as full: none runs while they are taken.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// A fold's budget is 64 objects, plus one string per term of a word
+	// count's answer, which holds them all.
+	folds := []struct {
+		name string
+		run  func(from time.Time) (terms int, err error)
+		own  bool // the answer's terms cost a string each beyond the budget
+	}{
+		{"TF-IDF over one-off terms", func(from time.Time) (int, error) {
+			top, err := TFIDFScan(eng, db, model.MCE, from, from.Add(time.Hour), 10, cfg)
+			return len(top), err
+		}, false},
+		{"word count over dictionary-coded holes", func(from time.Time) (int, error) {
+			counts, err := WordCountScan(eng, db, model.Lustre, from, from.Add(time.Hour), cfg)
+			return len(counts), err
+		}, true},
+	}
+	for _, f := range folds {
+		perScan, budget := map[string]float64{}, 64
+		for name, n := range sizes {
+			query := func() {
+				terms, err := f.run(starts[name])
+				if err != nil || terms < 10 {
+					t.Fatalf("%s over %d rows: %d terms, %v", f.name, n, terms, err)
+				}
+				if f.own {
+					budget = 64 + terms
+				}
 			}
+			query() // grow a pooled vocabulary to the window's terms
+			perScan[name] = testing.AllocsPerRun(20, query)
 		}
-		query() // grow a pooled vocabulary to the window's terms
-		perScan[name] = testing.AllocsPerRun(20, query)
-	}
-	const budget = 64
-	if perScan["small"] > budget {
-		t.Errorf("TF-IDF over %d rows allocates %.0f objects/run, budget %d", sizes["small"], perScan["small"], budget)
-	}
-	if perScan["large"] != perScan["small"] {
-		t.Errorf("TF-IDF allocates %.0f objects over %d rows but %.0f over %d: something allocates per row or term",
-			perScan["small"], sizes["small"], perScan["large"], sizes["large"])
+		if perScan["small"] > float64(budget) {
+			t.Errorf("%s over %d rows allocates %.0f objects/run, budget %d", f.name, sizes["small"], perScan["small"], budget)
+		}
+		if perScan["large"] != perScan["small"] {
+			t.Errorf("%s allocates %.0f objects over %d rows but %.0f over %d: something allocates per row, block or term",
+				f.name, perScan["small"], sizes["small"], perScan["large"], sizes["large"])
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -11,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 
 	"hpclog/internal/compute"
 	"hpclog/internal/model"
@@ -603,6 +603,12 @@ type termAcc struct {
 
 	tmpls map[*persist.Template]*tmplTerms // what the task made of each template it met
 	holes []*holeTerms                     // and of each hole column's dictionary
+
+	// The batch being folded: the templates its rows take, its view of
+	// each hole column they name, and each template's views in viewIx.
+	bt     []batchTmpl
+	views  []holeView
+	viewIx []int32
 }
 
 // vocabSeed hashes every spelling, so that accumulators merge by the
@@ -634,6 +640,9 @@ func (a *termAcc) reset() {
 		h.spans.Forget()
 		h.flat = h.flat[:0]
 	}
+	clear(a.bt[:cap(a.bt)])
+	clear(a.views[:cap(a.views)])
+	a.bt, a.views = a.bt[:0], a.views[:0]
 }
 
 // key returns the spelling of entry e.
@@ -756,24 +765,52 @@ type termSpan struct {
 	done   bool
 }
 
+// batchTmpl is a template as the batch being folded shows it: what the
+// fold makes of it, where the views of its holes start in viewIx, and
+// whether its rows are counted by tuple — every hole coded into a
+// dictionary, and no more holes than a tuple key packs.
+type batchTmpl struct {
+	t     *persist.Template
+	tt    *tmplTerms
+	holes int
+	tuple bool
+}
+
+// holeView is a hole column as the batch being folded shows it, resolved
+// once per batch: its codes, the dictionary they index and the term spans
+// of the entries, or — where the block does not code it so — its cells.
+type holeView struct {
+	h     *holeTerms
+	codes []uint8
+	dict  []string
+	spans []termSpan
+	cells []string
+}
+
+// maxTupleHoles is the most holes a tuple key packs: a byte for the
+// template's place in the batch, then a code byte per hole.
+const maxTupleHoles = 7
+
 // templateFolds switches the text folds' template path; off, they
 // tokenise every cell reassembled (the differential tests' reference).
 var templateFolds = true
 
-// note counts an occurrence of the term at i in the current document.
-func (a *termAcc) note(i int32) {
+// note counts n occurrences of the term at i in the current documents —
+// the last n counted, which share their terms: df grows by n the first
+// time the term is noted under the current document count.
+func (a *termAcc) note(i int32, n int) {
 	st := &a.stats[i]
-	st.tf++
+	st.tf += n
 	if st.lastDoc != a.docs {
 		st.lastDoc = a.docs
-		st.df++
+		st.df += n
 	}
 }
 
 // count notes the term of a run, if it has one.
 func (a *termAcc) count(run string, clean bool) {
 	if i := a.positionOf(run, clean); i >= 0 {
-		a.note(i)
+		a.note(i, 1)
 	}
 }
 
@@ -787,8 +824,10 @@ func (a *termAcc) doc(text string) {
 
 // foldDocs counts every raw message of a batch as one document. Events
 // without raw text are skipped. Where the batch holds the messages in
-// template form, a template's constants are tokenised once per section
-// and a hole value once per entry of its column's dictionary.
+// template form, a template's constants are tokenised once per section, a
+// hole column is resolved once per batch and a hole value tokenised once
+// per entry of its column's dictionary; the rows whose holes are all so
+// coded are counted once per distinct (template, hole codes) tuple.
 func (a *termAcc) foldDocs(b *store.Batch) (*termAcc, error) {
 	codes, tmpls, cells := b.Template(model.ColRawID)
 	if codes == nil || !templateFolds {
@@ -797,44 +836,161 @@ func (a *termAcc) foldDocs(b *store.Batch) (*termAcc, error) {
 		}
 		return a, nil
 	}
-	var byCode [persist.MaxDictLen]*tmplTerms
+	a.bt, a.views, a.viewIx = a.bt[:0], a.views[:0], a.viewIx[:0]
+	var place [persist.MaxDictLen]uint8 // by template code: 1 + the template's place in a.bt, 0 before its first row
+	var tuples tupleCounts
 	for i, c := range codes {
 		if c == 0 {
 			a.doc(cells[i])
 			continue
 		}
-		t := &tmpls[c-1]
-		tt := byCode[c]
-		if tt == nil {
-			tt = a.template(t)
-			byCode[c] = tt
+		if place[c] == 0 {
+			a.batchTemplate(b, &tmpls[c-1])
+			place[c] = uint8(len(a.bt))
 		}
-		if !tt.apart {
+		k := place[c] - 1
+		switch bt := &a.bt[k]; {
+		case !bt.tt.apart:
 			a.doc(b.Col(model.ColRawID)[i])
-			continue
+		case bt.tuple:
+			key := uint64(k)
+			for h, v := range a.viewIx[bt.holes : bt.holes+len(bt.t.Holes)] {
+				key |= uint64(a.views[v].codes[i]) << (8 * (h + 1))
+			}
+			tuples.add(key, i)
+		default:
+			a.rowDocs(bt, i, 1)
 		}
-		if tt.bare && !holeText(b, t, i) {
-			continue // the cell is ""
-		}
-		a.docs++
-		for _, p := range tt.terms {
-			a.note(p)
-		}
-		for _, id := range t.Holes {
-			a.holeDoc(b, id, i)
-		}
+	}
+	for t, i := range tuples.first[:tuples.len] {
+		a.rowDocs(&a.bt[place[codes[i]]-1], int(i), tuples.rows[t])
 	}
 	return a, nil
 }
 
-// holeText reports whether row i fills any hole of t with text.
-func holeText(b *store.Batch, t *persist.Template, i int) bool {
-	for _, id := range t.Holes {
-		if b.Col(id)[i] != "" {
-			return true
+// tupleCounts counts the rows of a batch by tuple key — a template's place
+// in the batch, then the codes of its holes, a byte each — and keeps each
+// key's first row.
+type tupleCounts struct {
+	slots [2 * store.MaxBatchRows]uint8 // open-addressed: 1 + the place of a key, or 0 for none
+	keys  [store.MaxBatchRows]uint64    // the keys in order of first sight
+	first [store.MaxBatchRows]uint8     // the first row of each
+	rows  [store.MaxBatchRows]int       // and the rows of each
+	len   int
+}
+
+// add counts row i, of tuple key.
+func (c *tupleCounts) add(key uint64, i int) {
+	for h := key * 0x9e3779b97f4a7c15 >> 32; ; h++ {
+		switch s := &c.slots[h%uint64(len(c.slots))]; {
+		case *s == 0:
+			c.keys[c.len], c.first[c.len], c.rows[c.len] = key, uint8(i), 1
+			c.len++
+			*s = uint8(c.len)
+			return
+		case c.keys[*s-1] == key:
+			c.rows[*s-1]++
+			return
 		}
 	}
-	return false
+}
+
+// batchTemplate adds t to the batch's templates, resolving each hole
+// column it names that no earlier template of the batch did.
+func (a *termAcc) batchTemplate(b *store.Batch, t *persist.Template) {
+	bt := batchTmpl{t: t, tt: a.template(t), holes: len(a.viewIx), tuple: len(t.Holes) <= maxTupleHoles}
+	if bt.tt.apart {
+		for _, id := range t.Holes {
+			v := a.view(b, id)
+			bt.tuple = bt.tuple && a.views[v].dict != nil
+			a.viewIx = append(a.viewIx, v)
+		}
+	}
+	a.bt = append(a.bt, bt)
+}
+
+// view returns the place in a.views of the batch's view of hole column id,
+// resolved on the first call of the batch.
+func (a *termAcc) view(b *store.Batch, id uint32) int32 {
+	for v := range a.views {
+		if a.views[v].h.id == id {
+			return int32(v)
+		}
+	}
+	var h *holeTerms
+	for _, x := range a.holes {
+		if x.id == id {
+			h = x
+		}
+	}
+	if h == nil {
+		h = &holeTerms{id: id}
+		a.holes = append(a.holes, h)
+	}
+	v := holeView{h: h}
+	var fresh bool
+	if v.codes, v.dict, v.spans, fresh = h.spans.Resolve(b, id); v.dict == nil {
+		v.cells = b.Col(id)
+	} else if fresh {
+		h.flat = h.flat[:0]
+	}
+	a.views = append(a.views, v)
+	return int32(len(a.views) - 1)
+}
+
+// span returns the term positions of entry c of v's dictionary, tokenised
+// on first use.
+func (a *termAcc) span(v *holeView, c uint8) []int32 {
+	sp, h := &v.spans[c], v.h
+	if !sp.done {
+		lo := len(h.flat)
+		eachRun(v.dict[c], func(run string, clean bool) {
+			if p := a.positionOf(run, clean); p >= 0 {
+				h.flat = append(h.flat, p)
+			}
+		})
+		*sp = termSpan{int32(lo), int32(len(h.flat)), true}
+	}
+	return h.flat[sp.lo:sp.hi]
+}
+
+// rowDocs counts n rows of template bt that hold row i's terms as n
+// documents: the constants' terms, then each hole's, off its dictionary or
+// tokenised from row i's cell (then n is 1). Each term counts n times per
+// occurrence, and in n documents once: note stamps it with the document
+// count, which the n rows share. A cell of a template without constant
+// text is "" where every hole is.
+func (a *termAcc) rowDocs(bt *batchTmpl, i, n int) {
+	views := a.viewIx[bt.holes : bt.holes+len(bt.t.Holes)]
+	empty := bt.tt.bare
+	for _, x := range views {
+		empty = empty && a.views[x].cell(i) == ""
+	}
+	if empty {
+		return
+	}
+	a.docs += n
+	for _, p := range bt.tt.terms {
+		a.note(p, n)
+	}
+	for _, x := range views {
+		v := &a.views[x]
+		if v.dict == nil {
+			eachRun(v.cells[i], a.count)
+			continue
+		}
+		for _, p := range a.span(v, v.codes[i]) {
+			a.note(p, n)
+		}
+	}
+}
+
+// cell returns row i's cell.
+func (v *holeView) cell(i int) string {
+	if v.dict != nil {
+		return v.dict[v.codes[i]]
+	}
+	return v.cells[i]
 }
 
 // template returns what the fold makes of t, made on first sight.
@@ -866,44 +1022,7 @@ func (a *termAcc) template(t *persist.Template) *tmplTerms {
 
 // wordByte reports whether c may be part of a run: a letter or digit, or
 // a byte of a multi-byte character.
-func wordByte(c byte) bool { return c >= utf8.RuneSelf || asciiClass[c] != 0 }
-
-// holeDoc counts the tokens of row i's cell of hole column id in the
-// current document: off the column's dictionary, tokenised once per entry
-// per section, where the batch codes it so.
-func (a *termAcc) holeDoc(b *store.Batch, id uint32, i int) {
-	var h *holeTerms
-	for _, x := range a.holes {
-		if x.id == id {
-			h = x
-		}
-	}
-	if h == nil {
-		h = &holeTerms{id: id}
-		a.holes = append(a.holes, h)
-	}
-	codes, dict, spans, fresh := h.spans.Resolve(b, id)
-	if dict == nil {
-		eachRun(b.Col(id)[i], a.count)
-		return
-	}
-	if fresh {
-		h.flat = h.flat[:0]
-	}
-	sp := &spans[codes[i]]
-	if !sp.done {
-		lo := len(h.flat)
-		eachRun(dict[codes[i]], func(run string, clean bool) {
-			if p := a.positionOf(run, clean); p >= 0 {
-				h.flat = append(h.flat, p)
-			}
-		})
-		*sp = termSpan{int32(lo), int32(len(h.flat)), true}
-	}
-	for _, p := range h.flat[sp.lo:sp.hi] {
-		a.note(p)
-	}
-}
+func wordByte(c byte) bool { return byteClass[c] != 0 }
 
 // merge folds the smaller of two vocabularies into the larger, probing
 // with the hashes it stored, and releases the smaller.
@@ -965,14 +1084,19 @@ func TFIDFScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to 
 	return acc.topTerms(k), nil
 }
 
-// termRank is the TF-IDF score of the term at position p.
+// termRank is the TF-IDF score of the term at position p, and the first
+// eight bytes of its spelling, big-endian and zero-padded: a term holds no
+// zero byte, so two prefixes order as their terms do unless they are equal.
 type termRank struct {
-	p     int32
-	score float64
+	p      int32
+	score  float64
+	prefix uint64
 }
 
 // topTerms scores every term by position and builds the strings of only
-// the k best (TFIDFScan's order); nil when a holds no document.
+// the k best (TFIDFScan's order); nil when a holds no document. Terms of
+// one score — every one-off term of a window has the same — are ordered
+// by their prefixes, and by their spellings only where those are equal.
 func (a *termAcc) topTerms(k int) []TermScore {
 	if a.docs == 0 {
 		return nil
@@ -983,10 +1107,18 @@ func (a *termAcc) topTerms(k int) []TermScore {
 		if st.df != idfOf {
 			idf, idfOf = math.Log(float64(1+a.docs)/float64(1+st.df)), st.df
 		}
-		a.scores = append(a.scores, termRank{int32(p), float64(st.tf) * idf})
+		var prefix [8]byte
+		copy(prefix[:], a.term(int32(p)))
+		a.scores = append(a.scores, termRank{int32(p), float64(st.tf) * idf, binary.BigEndian.Uint64(prefix[:])})
 	}
 	top := TopK(a.scores, k, func(x, y termRank) int {
-		return cmp.Or(cmp.Compare(y.score, x.score), bytes.Compare(a.term(x.p), a.term(y.p)))
+		if c := cmp.Compare(y.score, x.score); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.prefix, y.prefix); c != 0 {
+			return c
+		}
+		return bytes.Compare(a.term(x.p), a.term(y.p))
 	})
 	out := make([]TermScore, len(top))
 	for i, s := range top {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,7 +22,15 @@ const hostileType = model.EventType("TMPL_HOSTILE")
 // text breaks templates: a sibling value twice, or inside constant text,
 // or equal to the whole text; holes next to letters and next to each
 // other; no text; a hole column some rows lack; an explicit empty sibling;
-// non-ASCII text; the amount in the text; stopwords and mixed case.
+// non-ASCII text; the amount in the text; stopwords and mixed case. And
+// rows the count by code tuple must get right: a hole token equal to a
+// constant term of its own template (its df counts once per row); a bare
+// template beside rows whose hole is empty, which have no text (a writer
+// never templates an empty cell); one hole column named by several
+// templates of a block; templates of seven and eight holes, as many as a
+// tuple key packs and one more; and, in the first eight rows of every
+// 64-row block, a hole with values new to the block, which the block codes
+// into a dictionary of its own rather than the section's.
 func putHostile(t *testing.T, h *enginetest.Harness) {
 	t.Helper()
 	start := h.Cfg.Start.Add(time.Hour).Truncate(time.Hour)
@@ -30,7 +39,13 @@ func putHostile(t *testing.T, h *enginetest.Harness) {
 		n, ost := fmt.Sprint(i%4), fmt.Sprintf("OST%04x", i%5)
 		e := model.Event{Time: start.Add(time.Duration(i) * time.Second), Type: hostileType,
 			Source: fmt.Sprintf("c%d-0c0s%dn%d", i%3, i%8, i%4), Count: 1 + i%3}
-		switch i % 14 {
+		if i%64 < 8 {
+			job := fmt.Sprintf("job-%02d-%d", i/64, i%4)
+			e.Raw, e.Attrs = "Job "+job+" done", map[string]string{"job": job}
+			rows = append(rows, model.EventToTimeRow(e))
+			continue
+		}
+		switch i % 18 {
 		case 0:
 			e.Raw, e.Attrs = "Bank "+n+": "+n+" errors on Bank "+n, map[string]string{"bank": n}
 		case 1:
@@ -60,6 +75,21 @@ func putHostile(t *testing.T, h *enginetest.Harness) {
 			e.Raw, e.Attrs = "ab"+n+"cd"+n+"ef", map[string]string{"bank": n, "ost": "cd"}
 		case 13:
 			e.Raw, e.Attrs = "Machine Check Exception: CORRECTED Bank "+n+": 0x"+ost, map[string]string{"bank": n, "status": "0x" + ost}
+		case 14:
+			state := []string{"up", "down"}[i/18%2]
+			e.Raw, e.Attrs = "link "+state+" state "+state, map[string]string{"state": state}
+		case 15:
+			tag := []string{"alpha", "", "Beta"}[i/18%3]
+			e.Raw, e.Attrs = tag, map[string]string{"tag": tag}
+		case 16:
+			e.Raw, e.Attrs = "evict "+ost+" by bank "+n, map[string]string{"ost": ost, "bank": n}
+		case 17:
+			e.Attrs = map[string]string{}
+			for k := range 7 + i/18%2 {
+				v := fmt.Sprintf("%c%d", 'p'+k, i%3)
+				e.Raw += fmt.Sprintf(" f%d=%s", k, v)
+				e.Attrs[fmt.Sprint("f", k)] = v
+			}
 		}
 		rows = append(rows, model.EventToTimeRow(e))
 	}
@@ -146,5 +176,57 @@ func TestTextFoldsTemplatesMatchStrings(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHostileCorpusShapes holds putHostile to the shapes it claims, as the
+// flushed and compacted store codes them: blocks that code the job hole
+// into a dictionary of their own (a handful of entries, where a section's
+// would hold every block's), templates of seven and of eight holes, and a
+// template whose hole value is also one of its constant terms.
+func TestHostileCorpusShapes(t *testing.T) {
+	h := enginetest.NewDurable(t)
+	putHostile(t, h)
+	if err := h.DB.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.DB.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	jobID := store.InternColumn("attr.job")
+	ownDict, holes := 0, map[int]int{}
+	var sameTerm bool
+	start := h.Cfg.Start.Add(time.Hour).Truncate(time.Hour)
+	err := h.DB.ScanPartitionBatches(context.Background(), model.TableEventByTime, model.EventByTimeKey(start.Unix()/3600, hostileType),
+		store.Range{}, []uint32{model.ColRawID}, nil, nil, func(b *store.Batch) error {
+			codes, tmpls, _ := b.Template(model.ColRawID)
+			for i, c := range codes {
+				if c == 0 {
+					continue
+				}
+				tm := tmpls[c-1]
+				holes[len(tm.Holes)]++
+				for k, id := range tm.Holes {
+					if v := b.Col(id)[i]; v != "" && (strings.Contains(tm.Consts[k], " "+v+" ") || strings.HasSuffix(tm.Consts[k+1], " "+v)) {
+						sameTerm = true
+					}
+				}
+			}
+			if _, dict := b.Dict(jobID); dict != nil && len(dict) <= 5 {
+				ownDict++
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ownDict == 0 {
+		t.Error("no block codes the job hole into a dictionary of its own")
+	}
+	if holes[7] == 0 || holes[8] == 0 {
+		t.Errorf("rows by the hole count of their template: %v; want some of 7 and of 8", holes)
+	}
+	if !sameTerm {
+		t.Error("no template row fills a hole with one of its template's constant terms")
 	}
 }

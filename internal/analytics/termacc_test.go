@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -9,6 +10,10 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"hpclog/internal/model"
+	"hpclog/internal/store"
 )
 
 // FuzzTermAccMatchesMap holds the vocabulary of the text folds to a plain
@@ -120,5 +125,57 @@ func checkTermAcc(t *testing.T, a *termAcc, text string, k int) {
 	})
 	if len(a.terms) != len(tf) {
 		t.Fatalf("looking up the text's runs added terms: %d, the reference %d", len(a.terms), len(tf))
+	}
+}
+
+// TestFoldDocsOneViewPerHoleColumn: where two templates of a batch name one
+// hole column, the fold resolves the column once — one view per column ID
+// per batch — and counts what it counts from the reassembled messages.
+func TestFoldDocsOneViewPerHoleColumn(t *testing.T) {
+	db := openStore(t, store.Config{Nodes: 1, RF: 1, FlushThreshold: 1 << 20, CompactInterval: -1})
+	if err := db.CreateTable(model.TableEventByTime); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Unix(1503468000, 0).UTC()
+	rows := make([]store.Row, 64)
+	for i := range rows {
+		ost := fmt.Sprintf("OST%04x", i%5)
+		raw := "evict " + ost + " now"
+		if i%2 == 1 {
+			raw = "mount " + ost + " read only"
+		}
+		rows[i] = model.EventToTimeRow(model.Event{Time: start.Add(time.Duration(i) * time.Second), Type: model.Lustre,
+			Source: "c0-0c0s0n0", Count: 1, Raw: raw, Attrs: map[string]string{"ost": ost}})
+	}
+	pkey := model.EventByTimeKey(start.Unix()/3600, model.Lustre)
+	if err := db.PutBatch(model.TableEventByTime, pkey, rows, store.All); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fold := func(templates bool) *termAcc {
+		defer SetTemplateFolds(templates)()
+		a := newTermAcc()
+		err := db.ScanPartitionBatches(context.Background(), model.TableEventByTime, pkey, store.Range{}, projRaw, nil, nil,
+			func(b *store.Batch) error {
+				if _, err := a.foldDocs(b); err != nil || !templates {
+					return err
+				}
+				if len(a.bt) != 2 || len(a.views) != 1 {
+					t.Errorf("a batch of two templates naming one hole column: %d templates, %d views; want 2 and 1", len(a.bt), len(a.views))
+				}
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	got, want := fold(true), fold(false)
+	defer got.release()
+	defer want.release()
+	if !reflect.DeepEqual(got.wordCounts(), want.wordCounts()) || !slices.Equal(got.topTerms(0), want.topTerms(0)) {
+		t.Errorf("through templates: %v\n%v\nfrom the messages: %v\n%v", got.wordCounts(), got.topTerms(0), want.wordCounts(), want.topTerms(0))
 	}
 }

@@ -25,35 +25,42 @@ var maxStopword = func() (n int) {
 
 // eachRun calls yield for every maximal run of letters and digits in text,
 // in order — a substring of text, never a copy — and says whether the run
-// is clean: already lowercase, the overwhelming case in log text. Only
-// bytes from utf8.RuneSelf up are decoded as runes; asciiClass has the rest.
+// is clean: already lowercase, the overwhelming case in log text. byteClass
+// classifies every byte; only a byte from utf8.RuneSelf up starts a rune to
+// decode. Inside a run, lowercase ASCII — hex digits, words — is skipped by
+// a loop of one table load per byte.
 func eachRun(text string, yield func(run string, clean bool)) {
 	start, clean := -1, true // start: byte offset of the current run, -1 between runs
 	for i := 0; i < len(text); {
-		class, size := asciiClass[text[i]&0x7f], 1
-		if text[i] >= utf8.RuneSelf {
+		class, size := byteClass[text[i]], 1
+		if class == multiByte {
 			var r rune
 			r, size = utf8.DecodeRuneInString(text[i:])
 			class = runeClass(r)
 		}
-		if class != 0 {
-			if start < 0 {
-				start, clean = i, true
+		if class == 0 {
+			if start >= 0 {
+				yield(text[start:i], clean)
+				start = -1
 			}
-			clean = clean && class == alnumLower
-		} else if start >= 0 {
-			yield(text[start:i], clean)
-			start = -1
+			i += size
+			continue
 		}
-		i += size
+		if start < 0 {
+			start, clean = i, true
+		}
+		clean = clean && class == alnumLower
+		for i += size; i < len(text) && byteClass[text[i]] == alnumLower; i++ {
+		}
 	}
 	if start >= 0 {
 		yield(text[start:], clean)
 	}
 }
 
-// The classes of a letter or digit, by whether ToLower leaves it alone.
-const alnumLower, alnumUpper = 1, 2
+// The classes of a letter or digit, by whether ToLower leaves it alone, and
+// of a byte that starts or continues a multi-byte character.
+const alnumLower, alnumUpper, multiByte = 1, 2, 3
 
 // runeClass classifies r as the unicode package does (0: not alphanumeric).
 func runeClass(r rune) uint8 {
@@ -66,10 +73,13 @@ func runeClass(r rune) uint8 {
 	return alnumLower
 }
 
-// asciiClass is runeClass of every byte below utf8.RuneSelf.
-var asciiClass = func() (t [utf8.RuneSelf]uint8) {
+// byteClass is runeClass of every byte below utf8.RuneSelf and multiByte
+// of every other.
+var byteClass = func() (t [256]uint8) {
 	for c := range t {
-		t[c] = runeClass(rune(c))
+		if t[c] = multiByte; c < utf8.RuneSelf {
+			t[c] = runeClass(rune(c))
+		}
 	}
 	return t
 }()

@@ -42,6 +42,9 @@ type partition struct {
 	// while flushing != nil and hasFlushingSeg.
 	flushingSeg    uint64
 	hasFlushingSeg bool
+	// listed: the partition is on its node's list of full memtables
+	// (Node.full). Guarded by Node.fullMu.
+	listed bool
 }
 
 // noteDirty lowers dirtySeg to cover commitlog segment seg.
@@ -59,9 +62,10 @@ func (p *partition) noteDirty(seg uint64) {
 // caller's slice is shared with the other replicas. Either way a key
 // keeps the version persist.Newer ranks first, whatever order the
 // versions came in. put never flushes: full reports that the memtable
-// reached the flush threshold, and the caller, its locks released, runs
-// a node flush round (Node.flush). The threshold is checked once per
-// batch, so a partition-sized batch leaves as one segment.
+// reached the flush threshold — the partition is then on the node's list
+// of full memtables — and the caller, its locks released, runs a node
+// flush round (Node.flush). The threshold is checked once per batch, so a
+// partition-sized batch leaves as one segment.
 func (p *partition) put(rows []Row, walSeg uint64) (full bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -84,7 +88,11 @@ func (p *partition) put(rows []Row, walSeg uint64) (full bool) {
 	if walSeg != 0 && len(p.mem) > 0 {
 		p.noteDirty(walSeg)
 	}
-	return len(p.mem) >= p.node.flushThreshold
+	if len(p.mem) < p.node.flushThreshold {
+		return false
+	}
+	p.node.listFull(p)
+	return true
 }
 
 // appendSorted appends rows to the sorted, duplicate-free mem for as long
@@ -420,6 +428,11 @@ type Node struct {
 	// segments are published in the order its rows were handed over, and
 	// a returning Flush has seen every earlier row reach disk.
 	flushMu sync.Mutex
+	// full lists the partitions whose memtable reached the flush threshold
+	// since a round last took them: all a write-path round visits. A
+	// partition is on it at most once (partition.listed).
+	fullMu sync.Mutex
+	full   []*partition
 	// chainedScans and mergedScans count this node's batch partition
 	// scans by the path their snapshot took (see mergeInputs.openBatches);
 	// appendPuts and mergePuts its memtable puts (see partition.put).
@@ -571,33 +584,65 @@ func (n *Node) MemtableRows() int {
 
 // flush writes every memtable of the node holding at least floor rows to
 // disk as one flush round: the write path passes the flush threshold once
-// a put filled a memtable, DB.Flush passes 1. Each memtable is handed over
-// as an immutable, still readable flushing run — writers continue into a
-// fresh memtable, readers never lose sight of a row, and no partition
-// lock is held across encode, write and fsync — and is dropped, with its
-// commitlog mark, only after the round's barrier has passed and its
-// segment is published.
+// a put filled a memtable, DB.Flush passes 1. At the threshold the round
+// visits only the list of full memtables; below it, every partition. Each
+// memtable is handed over as an immutable, still readable flushing run —
+// writers continue into a fresh memtable, readers never lose sight of a
+// row, and no partition lock is held across encode, write and fsync — and
+// is dropped, with its commitlog mark, only after the round's barrier has
+// passed and its segment is published. A failed round's partitions go
+// back on the list, their rows merged back into their memtables.
 func (n *Node) flush(floor int) error {
 	n.flushMu.Lock()
 	defer n.flushMu.Unlock()
+	cands := n.takeFull()
+	if floor < n.flushThreshold {
+		cands = cands[:0]
+		for _, t := range n.allTables() {
+			cands = append(cands, t.allPartitions()...)
+		}
+	}
 	var flushing []*partition
 	var parts []persist.FlushPart
-	for _, t := range n.allTables() {
-		for _, p := range t.allPartitions() {
-			if rows := p.beginFlush(floor); rows != nil {
-				flushing = append(flushing, p)
-				parts = append(parts, persist.FlushPart{Table: p.table, PKey: p.key, Rows: rows})
-			}
+	for _, p := range cands {
+		if rows := p.beginFlush(floor); rows != nil {
+			flushing = append(flushing, p)
+			parts = append(parts, persist.FlushPart{Table: p.table, PKey: p.key, Rows: rows})
 		}
 	}
 	err := n.persist.FlushRound(parts)
 	for _, p := range flushing {
 		p.endFlush(err == nil)
+		if err != nil {
+			n.listFull(p)
+		}
 	}
 	if err != nil {
 		return fmt.Errorf("store: node %s: flush round of %d partitions: %w", n.id, len(parts), err)
 	}
 	return nil
+}
+
+// listFull puts p on the list of full memtables, unless it is on it.
+func (n *Node) listFull(p *partition) {
+	n.fullMu.Lock()
+	defer n.fullMu.Unlock()
+	if !p.listed {
+		p.listed = true
+		n.full = append(n.full, p)
+	}
+}
+
+// takeFull empties the list of full memtables and returns what it held.
+func (n *Node) takeFull() []*partition {
+	n.fullMu.Lock()
+	defer n.fullMu.Unlock()
+	full := n.full
+	n.full = nil
+	for _, p := range full {
+		p.listed = false
+	}
+	return full
 }
 
 func (n *Node) allTables() []*table {

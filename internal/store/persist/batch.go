@@ -44,10 +44,12 @@ type Batch struct {
 	// cols holds one vector per projected column, parallel to WriteTS (""
 	// = absent), then one per hole column of a projected column in
 	// template form that the projection lacks (holes, their IDs).
-	cols    []colVec
-	holes   []uint32
-	slots   []int32 // the segment's name-table index -> index into cols (-1: none)
-	text    []byte  // room for the templated cells, filled on first ask
+	cols  []colVec
+	holes []uint32
+	slots []int32 // the segment's name-table index -> index into cols (-1: none)
+	// room is where the templated cells are reassembled on first ask: the
+	// scanner's pooled buffer, or nil for fresh room each block.
+	room    *[]byte
 	lo, hi  int     // the rows of the decoded block that the batch shows
 	cells   []Col   // unprojected: every row's cells, each row sorted by ID
 	ends    []int32 // unprojected: ends[i] is the end of row i's cells
@@ -138,10 +140,9 @@ func (b *Batch) colOf(id uint32) *colVec {
 	return nil
 }
 
-// fill reassembles the templated cells of c into b.text, sized for them
-// when the block was decoded.
+// fill reassembles the templated cells of c, in room sized for them now.
 func (b *Batch) fill(c *colVec) {
-	b.text = fillTemplates(c, b.lo, b.hi, b.text, b.cols, b.slots)
+	fillTemplates(c, b.lo, b.hi, b.room, b.cols, b.slots)
 }
 
 // Template returns a projected column in template form when the batch's
@@ -506,6 +507,9 @@ func (sc *BatchScanner) open(rg Range, owned bool, segs []*Segment, cfgs []ScanC
 	if len(sc.next) > 0 {
 		sc.buf = scanBufPool.Get().(*scanBufs)
 		sc.b.setProject(cfgs[0].Project)
+		if !owned {
+			sc.b.room = &sc.buf.text
+		}
 	}
 	return nil
 }
@@ -666,8 +670,9 @@ func (sc *BatchScanner) read(blk int) (string, error) {
 // block) or kept past it, the keys stay front-coded until Keys is called;
 // only their timestamps are walked off the chunk. A column in template
 // form is decoded after its holes, and its templated cells are
-// reassembled — in room sized here — when first asked for, or at once
-// where the batch is unprojected.
+// reassembled when first asked for, in room sized then, or at once where
+// the batch is unprojected; either way every template a row takes is
+// checked against the block's columns here.
 func (sc *BatchScanner) decode(blk string) error {
 	b := &sc.b
 	b.reset()
@@ -748,7 +753,7 @@ func (sc *BatchScanner) decode(blk string) error {
 		}
 		v := &b.cols[sc.slots[tc.local]]
 		if _, err = tc.decode(n, v, nil); err == nil {
-			b.text, err = sc.textRoom(v, n, lo, hi, pb.cols, b.cols, sc.slots)
+			err = checkTemplates(v, n, pb.cols)
 		}
 		if err != nil {
 			return fmt.Errorf("%w (column %q)", err, sc.s.meta.ColNames[tc.local])
@@ -800,14 +805,13 @@ func (sc *BatchScanner) decode(blk string) error {
 		for i := range pb.cols {
 			place[pb.cols[i].local] = int32(i)
 		}
-		var text []byte
 		if _, err = c.decode(n, &vecs[tc], nil); err == nil {
-			text, err = sc.textRoom(&vecs[tc], n, lo, hi, pb.cols, vecs, place)
+			err = checkTemplates(&vecs[tc], n, pb.cols)
 		}
 		if err != nil {
 			return fmt.Errorf("%w (column %q)", err, sc.s.meta.ColNames[c.local])
 		}
-		fillTemplates(&vecs[tc], lo, hi, text, vecs, place)
+		fillTemplates(&vecs[tc], lo, hi, b.room, vecs, place)
 	}
 	slices.SortStableFunc(sc.order, func(x, y int) int { return int(pb.cols[x].id) - int(pb.cols[y].id) })
 	for _, i := range sc.order {
@@ -819,24 +823,6 @@ func (sc *BatchScanner) decode(blk string) error {
 		}
 	}
 	return nil
-}
-
-// textRoom returns empty room for the templated cells of rows [lo, hi) of
-// v, a column in template form of a block of n rows whose directory is
-// dir, its holes vecs[at[local]]: the pooled buffer, or a fresh one where
-// the scan owns its batches.
-func (sc *BatchScanner) textRoom(v *colVec, n, lo, hi int, dir []colChunk, vecs []colVec, at []int32) ([]byte, error) {
-	need, err := templateBytes(v, n, lo, hi, dir, vecs, at)
-	if err != nil {
-		return nil, err
-	}
-	if sc.owned {
-		return make([]byte, 0, need), nil
-	}
-	if cap(sc.buf.text) < need {
-		sc.buf.text = make([]byte, 0, need)
-	}
-	return sc.buf.text[:0:need], nil
 }
 
 // poison scribbles over the block buffer, the arena and the room for

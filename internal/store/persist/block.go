@@ -1247,42 +1247,59 @@ func (c *colChunk) decodeTemplate(v *colVec) error {
 	return nil
 }
 
-// templateBytes returns what the rows [lo, hi) of v, a column in template
-// form decoded from a block whose directory is dir, take once filled: the
-// hole of name-table index l is vecs[at[l]]. It fails where a template a
-// row of the block takes has a hole column the block lacks.
-func templateBytes(v *colVec, n, lo, hi int, dir []colChunk, vecs []colVec, at []int32) (int, error) {
+// checkTemplates fails where a template a row of v, a column in template
+// form of an n-row block whose directory is dir, takes has a hole column
+// the block lacks.
+func checkTemplates(v *colVec, n int, dir []colChunk) error {
 	var checked [4]uint64 // by template code
-	need := 0
-	for i := 0; i < n; i++ {
-		code := v.codes[i]
-		if code == 0 {
+	for _, code := range v.codes[:n] {
+		if code == 0 || checked[code/64]&(1<<(code%64)) != 0 {
 			continue
 		}
-		t := &v.tmpls[code-1]
-		if checked[code/64]&(1<<(code%64)) == 0 {
-			checked[code/64] |= 1 << (code % 64)
-			for _, local := range t.local {
-				if k := sort.Search(len(dir), func(k int) bool { return dir[k].local >= local }); k == len(dir) || dir[k].local != local {
-					return 0, corrupt("template %d has a hole in column %d, which the block lacks", code, local)
-				}
+		checked[code/64] |= 1 << (code % 64)
+		for _, local := range v.tmpls[code-1].local {
+			if k := sort.Search(len(dir), func(k int) bool { return dir[k].local >= local }); k == len(dir) || dir[k].local != local {
+				return corrupt("template %d has a hole in column %d, which the block lacks", code, local)
 			}
 		}
-		if i < lo || i >= hi {
-			continue
-		}
-		need += t.size
-		for _, local := range t.local {
-			need += len(vecs[at[local]].vec[i])
-		}
 	}
-	return need, nil
+	return nil
 }
 
-// fillTemplates reassembles the templated cells of rows [lo, hi) of v at
-// the end of text, which has room for them, and returns text extended; the
-// cells alias it. The hole of name-table index l is vecs[at[l]].
-func fillTemplates(v *colVec, lo, hi int, text []byte, vecs []colVec, at []int32) []byte {
+// templateBytes returns what the rows [lo, hi) of v, a column in template
+// form that checkTemplates accepted, take once filled: the hole of
+// name-table index l is vecs[at[l]].
+func templateBytes(v *colVec, lo, hi int, vecs []colVec, at []int32) int {
+	need := 0
+	for i := lo; i < hi; i++ {
+		if code := v.codes[i]; code > 0 {
+			t := &v.tmpls[code-1]
+			need += t.size
+			for _, local := range t.local {
+				need += len(vecs[at[local]].vec[i])
+			}
+		}
+	}
+	return need
+}
+
+// fillTemplates reassembles the templated cells of rows [lo, hi) of v, a
+// column in template form that checkTemplates accepted, in room sized for
+// them: the pooled buffer, grown where it is short, or fresh room where
+// pooled is nil. The cells alias it. The hole of name-table index l is
+// vecs[at[l]].
+func fillTemplates(v *colVec, lo, hi int, pooled *[]byte, vecs []colVec, at []int32) {
+	need := templateBytes(v, lo, hi, vecs, at)
+	var text []byte
+	switch {
+	case pooled == nil:
+		text = make([]byte, 0, need)
+	case cap(*pooled) < need:
+		*pooled = make([]byte, 0, need)
+		fallthrough
+	default:
+		text = (*pooled)[:0:need]
+	}
 	for i := lo; i < hi; i++ {
 		code := v.codes[i]
 		if code == 0 {
@@ -1298,5 +1315,4 @@ func fillTemplates(v *colVec, lo, hi int, text []byte, vecs []colVec, at []int32
 		v.vec[i] = unsafeString(text[start:])
 	}
 	v.filled = true
-	return text
 }

@@ -585,3 +585,59 @@ func TestFaultFlushRoundPublishesNothing(t *testing.T) {
 		})
 	}
 }
+
+// TestWriteRoundVisitsOnlyFullMemtables: the round a filling PutBatch runs
+// visits the partitions whose put reported them full and no other. With
+// 20 000 idle one-row partitions on the node, the threshold is lowered to
+// one row: every idle memtable now holds as much as a full one, but no put
+// said so, so a round that walked the node would flush them all. The
+// filling batch's round flushes its own partition alone. A round that
+// fails puts its partitions back on the list: the next filling batch, to
+// another partition, flushes them with its own.
+func TestWriteRoundVisitsOnlyFullMemtables(t *testing.T) {
+	rec := fsystest.Install(t)
+	cfg := Config{Nodes: 1, RF: 1, FlushThreshold: 256, CompactInterval: -1, Dir: t.TempDir(), WALNoSync: true}
+	db, err := OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateTable("events"); err != nil {
+		t.Fatal(err)
+	}
+	const idle = 20000
+	for i := range idle {
+		if err := db.PutBatch("events", fmt.Sprintf("idle-%05d", i), []Row{durableRow(int64(i))}, All); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.nodes[0].flushThreshold = 1
+
+	if err := db.PutBatch("events", "full-a", []Row{durableRow(1)}, All); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.StorageStats(); st.FlushRounds != 1 || st.Flushes != 1 || db.MemtableRows() != idle {
+		t.Fatalf("the filling batch's round wrote %d segments in %d rounds and left %d rows in memtables; want 1, 1 and %d",
+			st.Flushes, st.FlushRounds, db.MemtableRows(), idle)
+	}
+
+	fault := errors.New("injected write failure")
+	rec.Fail(func(op fsystest.Op) error {
+		if op.Kind == "write" && strings.HasSuffix(op.Path, ".seg"+fsys.TempExt) {
+			return fault
+		}
+		return nil
+	})
+	err = db.PutBatch("events", "full-b", []Row{durableRow(2)}, All)
+	rec.Fail(nil)
+	if !errors.Is(err, fault) {
+		t.Fatalf("a filling batch under the fault: %v, want %v", err, fault)
+	}
+	if err := db.PutBatch("events", "full-c", []Row{durableRow(3)}, All); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.StorageStats(); st.FlushRounds != 2 || st.Flushes != 3 || db.MemtableRows() != idle {
+		t.Fatalf("after a failed round and a filling batch to another partition: %d segments in %d rounds, %d rows in memtables; want 3, 2 and %d",
+			st.Flushes, st.FlushRounds, db.MemtableRows(), idle)
+	}
+}
