@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -1084,19 +1083,16 @@ func TFIDFScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to 
 	return acc.topTerms(k), nil
 }
 
-// termRank is the TF-IDF score of the term at position p, and the first
-// eight bytes of its spelling, big-endian and zero-padded: a term holds no
-// zero byte, so two prefixes order as their terms do unless they are equal.
+// termRank is the TF-IDF score of the term at position p.
 type termRank struct {
-	p      int32
-	score  float64
-	prefix uint64
+	p     int32
+	score float64
 }
 
 // topTerms scores every term by position and builds the strings of only
 // the k best (TFIDFScan's order); nil when a holds no document. Terms of
 // one score — every one-off term of a window has the same — are ordered
-// by their prefixes, and by their spellings only where those are equal.
+// by their spellings, which are read only on such a tie.
 func (a *termAcc) topTerms(k int) []TermScore {
 	if a.docs == 0 {
 		return nil
@@ -1107,15 +1103,10 @@ func (a *termAcc) topTerms(k int) []TermScore {
 		if st.df != idfOf {
 			idf, idfOf = math.Log(float64(1+a.docs)/float64(1+st.df)), st.df
 		}
-		var prefix [8]byte
-		copy(prefix[:], a.term(int32(p)))
-		a.scores = append(a.scores, termRank{int32(p), float64(st.tf) * idf, binary.BigEndian.Uint64(prefix[:])})
+		a.scores = append(a.scores, termRank{int32(p), float64(st.tf) * idf})
 	}
 	top := TopK(a.scores, k, func(x, y termRank) int {
 		if c := cmp.Compare(y.score, x.score); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(x.prefix, y.prefix); c != 0 {
 			return c
 		}
 		return bytes.Compare(a.term(x.p), a.term(y.p))

@@ -60,7 +60,7 @@ func putHostile(t *testing.T, h *enginetest.Harness) {
 			e.Raw, e.Attrs = "atlas2-"+ost+"-osc", map[string]string{"ostA": ost[:3], "ostB": ost[3:]}
 		case 6, 7:
 			e.Raw = "node c" + n + " down, node C" + n + " up"
-			if i%14 == 6 {
+			if i%18 == 6 {
 				e.Attrs = map[string]string{"node": "c" + n}
 			}
 		case 8:
@@ -182,8 +182,9 @@ func TestTextFoldsTemplatesMatchStrings(t *testing.T) {
 // TestHostileCorpusShapes holds putHostile to the shapes it claims, as the
 // flushed and compacted store codes them: blocks that code the job hole
 // into a dictionary of their own (a handful of entries, where a section's
-// would hold every block's), templates of seven and of eight holes, and a
-// template whose hole value is also one of its constant terms.
+// would hold every block's), templates of seven and of eight holes, a
+// template whose hole value is also one of its constant terms, and, in most
+// batches, the node hole whose value recurs, case changed, in its text.
 func TestHostileCorpusShapes(t *testing.T) {
 	h := enginetest.NewDurable(t)
 	putHostile(t, h)
@@ -193,19 +194,22 @@ func TestHostileCorpusShapes(t *testing.T) {
 	if _, err := h.DB.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	jobID := store.InternColumn("attr.job")
-	ownDict, holes := 0, map[int]int{}
+	jobID, nodeID := store.InternColumn("attr.job"), store.InternColumn("attr.node")
+	ownDict, nodeBatches, batches, holes := 0, 0, 0, map[int]int{}
 	var sameTerm bool
 	start := h.Cfg.Start.Add(time.Hour).Truncate(time.Hour)
 	err := h.DB.ScanPartitionBatches(context.Background(), model.TableEventByTime, model.EventByTimeKey(start.Unix()/3600, hostileType),
 		store.Range{}, []uint32{model.ColRawID}, nil, nil, func(b *store.Batch) error {
 			codes, tmpls, _ := b.Template(model.ColRawID)
+			batches++
+			node := false
 			for i, c := range codes {
 				if c == 0 {
 					continue
 				}
 				tm := tmpls[c-1]
 				holes[len(tm.Holes)]++
+				node = node || slices.Contains(tm.Holes, nodeID)
 				for k, id := range tm.Holes {
 					if v := b.Col(id)[i]; v != "" && (strings.Contains(tm.Consts[k], " "+v+" ") || strings.HasSuffix(tm.Consts[k+1], " "+v)) {
 						sameTerm = true
@@ -214,6 +218,9 @@ func TestHostileCorpusShapes(t *testing.T) {
 			}
 			if _, dict := b.Dict(jobID); dict != nil && len(dict) <= 5 {
 				ownDict++
+			}
+			if node {
+				nodeBatches++
 			}
 			return nil
 		})
@@ -225,6 +232,9 @@ func TestHostileCorpusShapes(t *testing.T) {
 	}
 	if holes[7] == 0 || holes[8] == 0 {
 		t.Errorf("rows by the hole count of their template: %v; want some of 7 and of 8", holes)
+	}
+	if nodeBatches*2 <= batches {
+		t.Errorf("%d of %d batches hold a row whose node hole repeats inside its constants; want most", nodeBatches, batches)
 	}
 	if !sameTerm {
 		t.Error("no template row fills a hole with one of its template's constant terms")

@@ -123,7 +123,7 @@ func (sc batchScenario) open(t *testing.T) *DB {
 			continue
 		}
 		if sc.durable {
-			if err := n.flush(1); err != nil {
+			if err := n.flushAll(); err != nil {
 				t.Fatal(err)
 			}
 			continue

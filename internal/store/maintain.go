@@ -133,7 +133,7 @@ func (db *DB) SegmentInfos() []SegmentListing {
 // maintenance error, and leaves the other nodes flushed.
 func (db *DB) Flush() error {
 	err := db.eachNode(func(n *Node) error {
-		if err := n.flush(1); err != nil {
+		if err := n.flushAll(); err != nil {
 			return err
 		}
 		// Seal the active commitlog segment so the flush acts as a full

@@ -64,7 +64,7 @@ func (p *partition) noteDirty(seg uint64) {
 // versions came in. put never flushes: full reports that the memtable
 // reached the flush threshold — the partition is then on the node's list
 // of full memtables — and the caller, its locks released, runs a node
-// flush round (Node.flush). The threshold is checked once per batch, so a
+// flush round (Node.flushFull). The threshold is checked once per batch, so a
 // partition-sized batch leaves as one segment.
 func (p *partition) put(rows []Row, walSeg uint64) (full bool) {
 	p.mu.Lock()
@@ -529,7 +529,7 @@ func (n *Node) apply(ctx context.Context, tableName, pkey string, rows []Row, en
 		return fmt.Errorf("store: node %s: commitlog append: %w", n.id, err)
 	}
 	if full {
-		return n.flush(n.flushThreshold)
+		return n.flushFull()
 	}
 	return nil
 }
@@ -543,7 +543,7 @@ func (n *Node) applyReplayed(tableName, pkey string, rows []Row, walSeg uint64) 
 		return err
 	}
 	if t.partition(pkey, true).put(rows, walSeg) {
-		return n.flush(n.flushThreshold)
+		return n.flushFull()
 	}
 	return nil
 }
@@ -582,26 +582,38 @@ func (n *Node) MemtableRows() int {
 	return total
 }
 
-// flush writes every memtable of the node holding at least floor rows to
-// disk as one flush round: the write path passes the flush threshold once
-// a put filled a memtable, DB.Flush passes 1. At the threshold the round
-// visits only the list of full memtables; below it, every partition. Each
-// memtable is handed over as an immutable, still readable flushing run —
-// writers continue into a fresh memtable, readers never lose sight of a
-// row, and no partition lock is held across encode, write and fsync — and
-// is dropped, with its commitlog mark, only after the round's barrier has
-// passed and its segment is published. A failed round's partitions go
-// back on the list, their rows merged back into their memtables.
-func (n *Node) flush(floor int) error {
+// flushFull is the write path's flush round: a put that filled a
+// memtable listed its partition as full, and the round writes the listed
+// partitions whose memtables still hold FlushThreshold rows.
+func (n *Node) flushFull() error {
 	n.flushMu.Lock()
 	defer n.flushMu.Unlock()
-	cands := n.takeFull()
-	if floor < n.flushThreshold {
-		cands = cands[:0]
-		for _, t := range n.allTables() {
-			cands = append(cands, t.allPartitions()...)
-		}
+	return n.flushRound(n.takeFull(), n.flushThreshold)
+}
+
+// flushAll is DB.Flush's round: every non-empty memtable of the node,
+// listed or not.
+func (n *Node) flushAll() error {
+	n.flushMu.Lock()
+	defer n.flushMu.Unlock()
+	n.takeFull() // the walk below covers the listed partitions
+	var cands []*partition
+	for _, t := range n.allTables() {
+		cands = append(cands, t.allPartitions()...)
 	}
+	return n.flushRound(cands, 1)
+}
+
+// flushRound writes every memtable among cands holding at least floor
+// rows to disk as one flush round; the caller holds flushMu. Each memtable
+// is handed over as an immutable, still readable flushing run — writers
+// continue into a fresh memtable, readers never lose sight of a row, and
+// no partition lock is held across encode, write and fsync — and is
+// dropped, with its commitlog mark, only after the round's barrier has
+// passed and its segment is published. A failed round's partitions go
+// back on the list of full memtables, their rows merged back into their
+// memtables.
+func (n *Node) flushRound(cands []*partition, floor int) error {
 	var flushing []*partition
 	var parts []persist.FlushPart
 	for _, p := range cands {
