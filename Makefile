@@ -82,12 +82,14 @@ tier-smoke:
 # partition returns while the round is held mid-way; crash images cut at
 # every stage of the write path's round and of Flush's recover every
 # acked row, and rounds back to back with concurrent writers and scanners
-# hide no acked row (./internal/store/ round tests, named).
+# hide no acked row (./internal/store/ round tests, named); the same flush
+# and compaction rounds write the same bytes, run after run
+# (./internal/store/persist/ TestRoundFilesReproducible).
 fault-smoke:
 	$(GO) test -count=1 -run 'TestDurableLayersDoNotImportOS|TestOSFailedOpenIsNilFile' ./internal/fsys/
 	$(GO) test -count=1 -run 'TestInlineFlushCrashImages|TestFlushRoundCrashImages|TestFlushRoundsConcurrentWritersAndScanners|TestThresholdFlushBlocksNoReader' ./internal/store/
 	$(GO) test -count=1 -run 'TestFault' ./internal/wal/ ./internal/objstore/ ./internal/store/ ./internal/dist/
-	$(GO) test -count=1 -run 'TestFault|TestRetiredObject|TestManifest' ./internal/store/persist/
+	$(GO) test -count=1 -run 'TestFault|TestRetiredObject|TestManifest|TestRoundFilesReproducible' ./internal/store/persist/
 	$(GO) test -count=1 -run 'TestTorn|TestCorrupt|TestMidSegment|TestMultiRecord|TestZero|TestSealedSegmentDamage|TestDamagedHeader|FuzzCommitlogRecovery' ./internal/wal/
 	$(GO) test -count=1 -run 'TestManifestRejectsCorruption|TestManifestLogTornTailAndCorruption|TestManifestEmptySnapshot|FuzzManifestLogRecovery|FuzzDecodeManifest' ./internal/objstore/
 

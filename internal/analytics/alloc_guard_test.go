@@ -104,7 +104,7 @@ func TestTextFoldAllocBudget(t *testing.T) {
 	if err := db.CreateTable(model.TableEventByTime); err != nil {
 		t.Fatal(err)
 	}
-	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Parallelism: 1})
 	hour := time.Unix(1503468000, 0).UTC()
 	sizes := map[string]int{"small": 2048, "large": 4096}
 	starts := map[string]time.Time{"small": hour, "large": hour.Add(time.Hour)}
@@ -114,7 +114,7 @@ func TestTextFoldAllocBudget(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	cfg := ScanConfig{Parallelism: 1, Slice: time.Hour}
+	cfg := ScanConfig{Slice: time.Hour}
 	// A collection empties the pool of accumulators, which the counts
 	// below take as full: none runs while they are taken.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

@@ -434,6 +434,7 @@ func TestTFIDFRanksCulpritHigh(t *testing.T) {
 func TestTFIDFTopKIsSortedPrefix(t *testing.T) {
 	f := getFixture(t)
 	from, to := f.window()
+	wide := compute.NewEngine(compute.Config{Parallelism: 3})
 	for _, typ := range []model.EventType{model.Lustre, model.MCE, model.MemECC} {
 		full, err := TFIDFScan(f.eng, f.db, typ, from, to, 0, ScanConfig{})
 		if err != nil {
@@ -449,7 +450,7 @@ func TestTFIDFTopKIsSortedPrefix(t *testing.T) {
 			}
 		}
 		for _, k := range []int{1, 2, 50, n - 1, n, n + 3} {
-			top, err := TFIDFScan(f.eng, f.db, typ, from, to, k, ScanConfig{Parallelism: 3})
+			top, err := TFIDFScan(wide, f.db, typ, from, to, k, ScanConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -508,7 +509,7 @@ func TestTextFoldsMatchTokenize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Parallelism: 3})
 	to := start.Add(time.Duration(5*len(docs)) * 10 * time.Minute)
 
 	tf, df, nDocs := map[string]int{}, map[string]int{}, 0
@@ -527,14 +528,14 @@ func TestTextFoldsMatchTokenize(t *testing.T) {
 			}
 		}
 	}
-	counts, err := WordCountScan(eng, db, model.Lustre, start, to, ScanConfig{Parallelism: 3})
+	counts, err := WordCountScan(eng, db, model.Lustre, start, to, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(counts, tf) {
 		t.Fatalf("WordCountScan = %v, Tokenize reference = %v", counts, tf)
 	}
-	scores, err := TFIDFScan(eng, db, model.Lustre, start, to, 0, ScanConfig{Parallelism: 3})
+	scores, err := TFIDFScan(eng, db, model.Lustre, start, to, 0, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,13 +20,13 @@ func BenchmarkTextFolds(b *testing.B) {
 	if err := db.CreateTable(model.TableEventByTime); err != nil {
 		b.Fatal(err)
 	}
-	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Parallelism: 1})
 	from := time.Unix(1503468000, 0).UTC()
 	putTextRows(b, db, from, 4096)
 	if err := db.Flush(); err != nil {
 		b.Fatal(err)
 	}
-	cfg := ScanConfig{Parallelism: 1, Slice: time.Hour}
+	cfg := ScanConfig{Slice: time.Hour}
 	b.Run("tfidf-oneoff", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {

@@ -316,7 +316,7 @@ func (r *EventRow) fill(key string, ts int64, part string, bySource bool, cells 
 // sink of the scan; a scan without rows returns an empty, non-nil slice.
 // A row dies when record returns, so record must copy what it keeps
 // (EventRow.Event does).
-func EventRecords[T any](eng *compute.Engine, db *store.DB, tasks []EventTask, cfg ScanConfig, record func(*EventRow) T) ([]T, error) {
+func EventRecords[T any](eng *compute.Engine, db *store.DB, tasks []EventTask, record func(*EventRow) T) ([]T, error) {
 	scan := make([]compute.ScanTask[T], len(tasks))
 	for i, t := range tasks {
 		scan[i] = compute.ScanTask[T]{Index: i, Run: func(yield func(T) error) error {
@@ -324,7 +324,7 @@ func EventRecords[T any](eng *compute.Engine, db *store.DB, tasks []EventTask, c
 		}}
 	}
 	out := []T{}
-	err := compute.StreamScan(eng, cfg.opts(), scan, func(_ int, batch []T) error {
+	err := compute.StreamScan(eng, scan, func(_ int, batch []T) error {
 		out = append(out, batch...)
 		return nil
 	})
@@ -334,17 +334,17 @@ func EventRecords[T any](eng *compute.Engine, db *store.DB, tasks []EventTask, c
 // EventsByTypeScan returns all events of one type in [from, to), in
 // clustering-key order.
 func EventsByTypeScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) ([]model.Event, error) {
-	return EventRecords(eng, db, PlanEvents(typ, "", from, to, cfg), cfg, (*EventRow).Event)
+	return EventRecords(eng, db, PlanEvents(typ, "", from, to, cfg), (*EventRow).Event)
 }
 
 // EventsBySourceScan returns all events reported by one component in
 // [from, to), read from event_by_location, in clustering-key order.
 func EventsBySourceScan(eng *compute.Engine, db *store.DB, source string, from, to time.Time, cfg ScanConfig) ([]model.Event, error) {
-	return EventRecords(eng, db, PlanEvents("", source, from, to, cfg), cfg, (*EventRow).Event)
+	return EventRecords(eng, db, PlanEvents("", source, from, to, cfg), (*EventRow).Event)
 }
 
 // EventsAllTypesScan returns all events of every type in [from, to),
 // ordered by clustering key, then type.
 func EventsAllTypesScan(eng *compute.Engine, db *store.DB, from, to time.Time, cfg ScanConfig) ([]model.Event, error) {
-	return EventRecords(eng, db, PlanEvents("", "", from, to, cfg), cfg, (*EventRow).Event)
+	return EventRecords(eng, db, PlanEvents("", "", from, to, cfg), (*EventRow).Event)
 }

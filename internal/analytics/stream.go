@@ -29,18 +29,13 @@ import (
 // proportional to aggregation state and throughput scales with
 // GOMAXPROCS.
 
-// ScanConfig parameterizes a partition-parallel scan.
+// ScanConfig parameterizes a partition-parallel scan, which runs as wide
+// as its compute engine.
 type ScanConfig struct {
-	// Parallelism bounds concurrent scan tasks; <= 0 means GOMAXPROCS.
-	Parallelism int
 	// Slice is the clustering-key time-slice width used to split one hour
 	// partition into multiple scan tasks; <= 0 means 15 minutes. Slicing
 	// never changes results, only the available parallelism.
 	Slice time.Duration
-}
-
-func (c ScanConfig) opts() compute.ScanOptions {
-	return compute.ScanOptions{Parallelism: c.Parallelism}
 }
 
 func (c ScanConfig) slice() time.Duration {
@@ -75,7 +70,7 @@ func sliceBounds(lo, hi time.Time, slice time.Duration) [][2]time.Time {
 // model.Event — into the task's accumulator; accumulators merge in task
 // order. A batch dies when fold returns, so fold must clone any string it
 // keeps. A fold of occurrence counts by time or by source passes whole,
-// which takes blocks without reading them (see taker); others pass nil.
+// the take func of a store.Taker; others pass nil.
 func foldType[A any](eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig,
 	project []uint32, newAcc func() A, fold func(A, *store.Batch) (A, error), whole wholeFunc[A], merge func(A, A) A) (A, error) {
 	units := PlanEvents(typ, "", from, to, cfg)
@@ -86,9 +81,12 @@ func foldType[A any](eng *compute.Engine, db *store.DB, typ model.EventType, fro
 		tasks[i] = func(acc A) (A, int, error) {
 			rows := 0
 			var pr store.Pruner
+			var t *store.Taker
 			if whole != nil {
-				t := &taker[A]{rg: u.Range, whole: whole, acc: &acc, rows: &rows}
-				defer func() { taken.Add(int64(t.blocks)) }()
+				t = &store.Taker{Range: u.Range, Take: func(b *store.BlockStats, sum int64) (ok bool) {
+					acc, ok = whole(acc, b, sum)
+					return ok
+				}}
 				pr = t
 			}
 			err := db.ScanPartitionBatches(context.TODO(), model.TableEventByTime, pkey, u.Range, project, pr, nil,
@@ -97,49 +95,23 @@ func foldType[A any](eng *compute.Engine, db *store.DB, typ model.EventType, fro
 					acc, err = fold(acc, b)
 					return err
 				})
+			if t != nil {
+				rows += t.Rows
+				taken.Add(int64(t.Blocks))
+			}
 			return acc, rows, err
 		}
 	}
-	acc, err := compute.ScanFold(eng, cfg.opts(), tasks, newAcc, merge)
+	acc, err := compute.ScanFold(eng, tasks, newAcc, merge)
 	eng.NoteTaken(int(taken.Load()))
 	return acc, err
 }
 
-// wholeFunc adds to acc, from its footer statistics, a block whose every
-// amount is an occurrence count, the counts summing to sum (wrapping as
-// int64 does), reporting false — acc unchanged — when the fold cannot place
-// the block without its rows.
+// wholeFunc is a fold's take func: it adds to acc, from its footer
+// statistics, a block whose every amount is an occurrence count, the
+// counts summing to sum (wrapping as int64 does), reporting false — acc
+// unchanged — when the fold cannot place the block without its rows.
 type wholeFunc[A any] func(acc A, b *store.BlockStats, sum int64) (A, bool)
-
-// taker is the Pruner through which a fold task takes blocks whole. A
-// block inside the task's range, whose footer says every amount is an
-// occurrence count, and which whole accepts, is added to the accumulator
-// from the footer and skipped: never read, fetched or decoded. The store
-// offers only blocks no other merge input shadows, so the rows taken are
-// exactly the rows the scan would have folded; they count in the task's
-// rows as if read.
-type taker[A any] struct {
-	rg     store.Range
-	whole  wholeFunc[A]
-	acc    *A
-	rows   *int
-	blocks int // taken
-}
-
-func (t *taker[A]) PruneBlock(b *store.BlockStats) bool {
-	if b.MinKey < t.rg.From || b.MaxKey >= t.rg.To {
-		return false
-	}
-	counts, sum := b.Counts(model.ColAmountID)
-	if counts != b.Rows {
-		return false
-	}
-	acc, ok := t.whole(*t.acc, b, sum)
-	if ok {
-		*t.acc, *t.rows, t.blocks = acc, *t.rows+b.Rows, t.blocks+1
-	}
-	return ok
-}
 
 // Projections of the folds below.
 var (

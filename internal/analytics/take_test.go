@@ -103,7 +103,7 @@ func takeSource(typ model.EventType, i int) string {
 // groupCQL runs SELECT source, COUNT(*) [, SUM(amount)] … GROUP BY source
 // over [from, to) of each hour partition of typ through the planner's
 // group rule — or, noPrune, through the row path — and returns the rows.
-func groupCQL(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, sum, noPrune bool, parallelism int) ([][]plan.ResultRow, error) {
+func groupCQL(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, sum, noPrune bool) ([][]plan.ResultRow, error) {
 	aggs := []string{""}
 	if sum {
 		aggs = append(aggs, model.ColAmount)
@@ -133,7 +133,7 @@ func groupCQL(eng *compute.Engine, db *store.DB, typ model.EventType, from, to t
 		if err != nil {
 			return nil, err
 		}
-		ex := &plan.Executor{DB: db, Eng: eng, CL: store.One, Opt: plan.ExecOptions{NoPrune: noPrune, Parallelism: parallelism}}
+		ex := &plan.Executor{DB: db, Eng: eng, CL: store.One, Opt: plan.ExecOptions{NoPrune: noPrune}}
 		rows, err := ex.Run(p)
 		if err != nil {
 			return nil, err
@@ -202,7 +202,10 @@ func testTakesBlocksExactly(t *testing.T, tiered bool) {
 	if err := db.CreateTable(model.TableEventByTime); err != nil {
 		t.Fatal(err)
 	}
-	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
+	// eng is the engine of the query compare runs: wide, or serial (width 1).
+	wide := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
+	serial := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Parallelism: 1})
+	eng := wide
 	flush := func() {
 		t.Helper()
 		if err := db.Flush(); err != nil {
@@ -282,16 +285,17 @@ func testTakesBlocksExactly(t *testing.T, tiered bool) {
 		from, to time.Time
 		bin      time.Duration
 		cfg      ScanConfig
+		eng      *compute.Engine
 	}
 	var queries []query
 	for wi, w := range [][2]time.Duration{{0, 2 * time.Hour}, {37 * time.Second, 5013 * time.Second}, {59*time.Minute + 50*time.Second, 61 * time.Minute}} {
 		for _, bin := range []time.Duration{7 * time.Second, time.Minute, 10 * time.Minute, time.Hour} {
-			for si, sc := range []ScanConfig{{}, {Slice: 10 * time.Minute, Parallelism: 1}} {
+			for si, sc := range []ScanConfig{{}, {Slice: 10 * time.Minute}} {
 				if w[1]-w[0] < bin || si > 0 && wi > 0 {
 					continue
 				}
 				queries = append(queries, query{fmt.Sprintf("[%v,%v)/%v/slice%v", w[0], w[1], bin, sc.Slice),
-					takeStart.Add(w[0]), takeStart.Add(w[1]), bin, sc})
+					takeStart.Add(w[0]), takeStart.Add(w[1]), bin, sc, []*compute.Engine{wide, serial}[si]})
 			}
 		}
 	}
@@ -318,6 +322,7 @@ func testTakesBlocksExactly(t *testing.T, tiered bool) {
 		}
 		seen := map[window]bool{}
 		for _, q := range queries {
+			eng = q.eng
 			if w := (window{q.from, q.to, q.cfg}); !seen[w] {
 				seen[w] = true
 				before := eng.Stats().BlocksTaken
@@ -346,10 +351,10 @@ func testTakesBlocksExactly(t *testing.T, tiered bool) {
 					for _, sum := range []bool{false, true} {
 						var want, got [][]plan.ResultRow
 						sameRows(name+" CQL", func() error {
-							want, wantErr = groupCQL(eng, db, typ, q.from, q.to, sum, true, q.cfg.Parallelism)
+							want, wantErr = groupCQL(eng, db, typ, q.from, q.to, sum, true)
 							return wantErr
 						}, func() error {
-							got, err = groupCQL(eng, db, typ, q.from, q.to, sum, false, q.cfg.Parallelism)
+							got, err = groupCQL(eng, db, typ, q.from, q.to, sum, false)
 							return err
 						})
 						if !sameErr(err, wantErr) || !reflect.DeepEqual(got, want) {

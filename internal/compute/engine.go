@@ -1,26 +1,34 @@
 // Package compute is the framework's big data processing unit — the Apache
 // Spark substitute of Section III-A — reduced to the one job shape the
 // analytic server runs: a partition-parallel scan. A scan's tasks (one
-// store partition, or one clustering-key slice of it) run on a bounded
-// pool of goroutines; StreamScan hands every task's items to the caller in
-// task order, ScanFold folds each task into an accumulator of its own and
-// merges the accumulators in task order. The Engine names the workers —
-// one per storage node, as the paper pairs a Spark worker with every
-// Cassandra node — and counts what the scans did.
+// store partition, or one clustering-key slice of it) run on the engine's
+// pool; StreamScan hands every task's items to the caller in task order,
+// ScanFold folds each task into an accumulator of its own and merges the
+// accumulators in task order. The Engine names the workers — one per
+// storage node, as the paper pairs a Spark worker with every Cassandra
+// node — sets the pool's width, and counts what the scans did.
 package compute
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+)
 
 // Config parameterizes an Engine.
 type Config struct {
 	// Workers lists worker ids. Pinning a worker per storage node is done
 	// by using the storage node ids here.
 	Workers []string
+	// Parallelism is the scan pool's width, the most tasks of a scan in
+	// flight at once; <= 0 means runtime.GOMAXPROCS(0) at NewEngine,
+	// sizing the pool to the machine.
+	Parallelism int
 }
 
-// Engine is the scan pool's worker roster and counters.
+// Engine is the scan pool's worker roster, width and counters.
 type Engine struct {
 	workers []string
+	width   int // of the scan pool
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -35,8 +43,9 @@ type Stats struct {
 	// and Bloom filters.
 	BlocksRead   int
 	BlocksPruned int
-	// BlocksTaken counts segment blocks the count folds answered from
-	// their footer statistics without reading them.
+	// BlocksTaken counts segment blocks the count folds — the analytics
+	// folds and the CQL planner's group rule — answered from their footer
+	// statistics without reading them.
 	BlocksTaken int
 }
 
@@ -45,7 +54,10 @@ func NewEngine(cfg Config) *Engine {
 	if len(cfg.Workers) == 0 {
 		cfg.Workers = []string{"worker0"}
 	}
-	return &Engine{workers: cfg.Workers}
+	if cfg.Parallelism <= 0 {
+		cfg.Parallelism = runtime.GOMAXPROCS(0)
+	}
+	return &Engine{workers: cfg.Workers, width: cfg.Parallelism}
 }
 
 // Workers returns the worker ids.

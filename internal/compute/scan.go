@@ -2,7 +2,6 @@ package compute
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 )
 
@@ -11,20 +10,6 @@ import (
 // a bounded worker pool and merges results in partition order, so memory
 // stays proportional to the fan-out window (StreamScan) or to the
 // aggregation state (ScanFold) rather than to the scanned data.
-
-// ScanOptions parameterizes a partition-parallel scan.
-type ScanOptions struct {
-	// Parallelism bounds the number of scan tasks in flight; <= 0 means
-	// runtime.GOMAXPROCS(0), sizing the pool to the machine.
-	Parallelism int
-}
-
-func (o ScanOptions) parallelism() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // ScanTask is one unit of a partition-parallel scan: typically one store
 // partition, or one clustering-key slice of a partition when finer-grained
@@ -62,11 +47,11 @@ func safeRun(f func() error) (err error) {
 	return f()
 }
 
-// StreamScan executes tasks on a bounded pool and delivers each task's
+// StreamScan executes tasks on the engine's pool and delivers each task's
 // batch to emit in ascending task order (ordered merge). A task may run at
-// most `parallelism` positions ahead of the emit cursor, bounding buffered
-// results. emit runs on one goroutine at a time and must not be called
-// concurrently by the caller elsewhere. The first task or emit error
+// most the engine's width positions ahead of the emit cursor, bounding
+// buffered results. emit runs on one goroutine at a time and must not be
+// called concurrently by the caller elsewhere. The first task or emit error
 // cancels the remaining work.
 //
 // Delivered batches are recycled: once emit returns, the batch's backing
@@ -74,14 +59,11 @@ func safeRun(f func() error) (err error) {
 // footprint is the look-ahead window, not the row count. emit must copy
 // out any values it wants to keep (appending the batch's elements into an
 // accumulator — what every caller does — is a copy).
-func StreamScan[T any](eng *Engine, opts ScanOptions, tasks []ScanTask[T], emit func(index int, batch []T) error) error {
+func StreamScan[T any](eng *Engine, tasks []ScanTask[T], emit func(index int, batch []T) error) error {
 	if len(tasks) == 0 {
 		return nil
 	}
-	par := opts.parallelism()
-	if par > len(tasks) {
-		par = len(tasks)
-	}
+	par := min(eng.width, len(tasks))
 
 	var zero T
 	_, counted := any(zero).(RowCounter)
@@ -192,22 +174,19 @@ func StreamScan[T any](eng *Engine, opts ScanOptions, tasks []ScanTask[T], emit 
 // it scanned.
 type FoldTask[A any] func(acc A) (out A, rows int, err error)
 
-// ScanFold executes tasks on a bounded pool, each folding its stream into
+// ScanFold executes tasks on the engine's pool, each folding its stream into
 // a fresh accumulator of its own, then merges the accumulators in task
 // order. Aggregation state is the only memory the scan holds, so this is
 // the path of heat maps, histograms, distributions, word counts and CQL
 // aggregates. The in-order merge makes results deterministic even when
 // the merge operation is not commutative; the reported row counts land in
 // Stats.ScanRows.
-func ScanFold[A any](eng *Engine, opts ScanOptions, tasks []FoldTask[A], newAcc func() A, merge func(A, A) A) (A, error) {
+func ScanFold[A any](eng *Engine, tasks []FoldTask[A], newAcc func() A, merge func(A, A) A) (A, error) {
 	out := newAcc()
 	if len(tasks) == 0 {
 		return out, nil
 	}
-	par := opts.parallelism()
-	if par > len(tasks) {
-		par = len(tasks)
-	}
+	par := min(eng.width, len(tasks))
 	var (
 		mu       sync.Mutex
 		next     int

@@ -3,9 +3,11 @@ package compute
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func rangeTasks(n, perTask int) []ScanTask[int] {
@@ -28,11 +30,10 @@ func rangeTasks(n, perTask int) []ScanTask[int] {
 }
 
 func TestStreamScanOrdered(t *testing.T) {
-	eng := NewEngine(Config{})
 	for _, par := range []int{1, 2, 4, 16} {
 		var got []int
 		lastIndex := -1
-		err := StreamScan(eng, ScanOptions{Parallelism: par}, rangeTasks(23, 7),
+		err := StreamScan(NewEngine(Config{Parallelism: par}), rangeTasks(23, 7),
 			func(index int, batch []int) error {
 				if index != lastIndex+1 {
 					t.Fatalf("par=%d: emit out of order: %d after %d", par, index, lastIndex)
@@ -56,11 +57,10 @@ func TestStreamScanOrdered(t *testing.T) {
 }
 
 func TestStreamScanTaskError(t *testing.T) {
-	eng := NewEngine(Config{})
 	boom := errors.New("boom")
 	tasks := rangeTasks(10, 3)
 	tasks[4].Run = func(func(int) error) error { return boom }
-	err := StreamScan(eng, ScanOptions{Parallelism: 4}, tasks,
+	err := StreamScan(NewEngine(Config{Parallelism: 4}), tasks,
 		func(int, []int) error { return nil })
 	if !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
@@ -68,9 +68,8 @@ func TestStreamScanTaskError(t *testing.T) {
 }
 
 func TestStreamScanEmitError(t *testing.T) {
-	eng := NewEngine(Config{})
 	boom := errors.New("emit boom")
-	err := StreamScan(eng, ScanOptions{Parallelism: 4}, rangeTasks(10, 3),
+	err := StreamScan(NewEngine(Config{Parallelism: 4}), rangeTasks(10, 3),
 		func(index int, _ []int) error {
 			if index == 2 {
 				return boom
@@ -83,48 +82,55 @@ func TestStreamScanEmitError(t *testing.T) {
 }
 
 func TestStreamScanPanicRecovered(t *testing.T) {
-	eng := NewEngine(Config{})
 	tasks := rangeTasks(4, 2)
 	tasks[1].Run = func(func(int) error) error { panic("bad record") }
-	err := StreamScan(eng, ScanOptions{Parallelism: 2}, tasks,
+	err := StreamScan(NewEngine(Config{Parallelism: 2}), tasks,
 		func(int, []int) error { return nil })
 	if err == nil {
 		t.Fatal("expected panic to surface as error")
 	}
 }
 
-func TestStreamScanBoundedLookahead(t *testing.T) {
-	eng := NewEngine(Config{})
-	const par = 3
-	var inFlight, maxInFlight atomic.Int32
-	tasks := make([]ScanTask[int], 20)
-	for i := range tasks {
-		tasks[i] = ScanTask[int]{
-			Index: i,
-			Run: func(yield func(int) error) error {
-				v := inFlight.Add(1)
-				for {
-					m := maxInFlight.Load()
-					if v <= m || maxInFlight.CompareAndSwap(m, v) {
-						break
-					}
+// TestEngineWidthBoundsTasksInFlight holds both scans of a width-w engine
+// to at most w tasks running at once.
+func TestEngineWidthBoundsTasksInFlight(t *testing.T) {
+	for _, w := range []int{1, 3} {
+		var inFlight, maxInFlight atomic.Int32
+		run := func() {
+			v := inFlight.Add(1)
+			for {
+				m := maxInFlight.Load()
+				if v <= m || maxInFlight.CompareAndSwap(m, v) {
+					break
 				}
-				defer inFlight.Add(-1)
-				return yield(0)
-			},
+			}
+			time.Sleep(time.Millisecond)
+			inFlight.Add(-1)
 		}
-	}
-	if err := StreamScan(eng, ScanOptions{Parallelism: par}, tasks,
-		func(int, []int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if m := maxInFlight.Load(); m > par {
-		t.Fatalf("observed %d concurrent tasks, pool bound is %d", m, par)
+		scan := make([]ScanTask[int], 20)
+		fold := make([]FoldTask[int], 20)
+		for i := range scan {
+			scan[i] = ScanTask[int]{Index: i, Run: func(yield func(int) error) error { run(); return yield(0) }}
+			fold[i] = func(acc int) (int, int, error) { run(); return acc, 1, nil }
+		}
+		eng := NewEngine(Config{Parallelism: w})
+		if err := StreamScan(eng, scan, func(int, []int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if m := maxInFlight.Load(); m > int32(w) {
+			t.Fatalf("StreamScan: observed %d concurrent tasks on a width-%d engine", m, w)
+		}
+		maxInFlight.Store(0)
+		if _, err := ScanFold(eng, fold, func() int { return 0 }, func(a, b int) int { return a + b }); err != nil {
+			t.Fatal(err)
+		}
+		if m := maxInFlight.Load(); m > int32(w) {
+			t.Fatalf("ScanFold: observed %d concurrent tasks on a width-%d engine", m, w)
+		}
 	}
 }
 
 func TestScanFoldDeterministicOrder(t *testing.T) {
-	eng := NewEngine(Config{})
 	// A non-commutative merge (string concatenation) must still produce
 	// the task-order result at any parallelism.
 	tasks := make([]FoldTask[string], 12)
@@ -134,8 +140,8 @@ func TestScanFoldDeterministicOrder(t *testing.T) {
 		want += fmt.Sprintf("<%d>", i)
 	}
 	for _, par := range []int{1, 3, 12} {
-		eng.ResetStats()
-		got, err := ScanFold(eng, ScanOptions{Parallelism: par}, tasks,
+		eng := NewEngine(Config{Parallelism: par})
+		got, err := ScanFold(eng, tasks,
 			func() string { return "" },
 			func(a, b string) string { return a + b })
 		if err != nil {
@@ -151,14 +157,14 @@ func TestScanFoldDeterministicOrder(t *testing.T) {
 }
 
 func TestScanFoldError(t *testing.T) {
-	eng := NewEngine(Config{})
+	eng := NewEngine(Config{Parallelism: 4})
 	boom := errors.New("fold boom")
 	tasks := make([]FoldTask[int], 8)
 	for i := range tasks {
 		tasks[i] = func(acc int) (int, int, error) { return acc + i, 4, nil }
 	}
 	tasks[6] = func(acc int) (int, int, error) { return acc, 0, boom }
-	_, err := ScanFold(eng, ScanOptions{Parallelism: 4}, tasks,
+	_, err := ScanFold(eng, tasks,
 		func() int { return 0 },
 		func(a, b int) int { return a + b })
 	if !errors.Is(err, boom) {
@@ -167,10 +173,10 @@ func TestScanFoldError(t *testing.T) {
 }
 
 func TestTaskErrorPropagates(t *testing.T) {
-	eng := NewEngine(Config{})
+	eng := NewEngine(Config{Parallelism: 1})
 	boom := errors.New("boom")
 	tasks := []FoldTask[int]{func(int) (int, int, error) { return 0, 0, boom }}
-	_, err := ScanFold(eng, ScanOptions{Parallelism: 1}, tasks,
+	_, err := ScanFold(eng, tasks,
 		func() int { return 0 },
 		func(a, b int) int { return a + b })
 	if !errors.Is(err, boom) {
@@ -182,7 +188,7 @@ func TestTaskErrorPropagates(t *testing.T) {
 }
 
 func TestScanFoldPanicRecovered(t *testing.T) {
-	eng := NewEngine(Config{})
+	eng := NewEngine(Config{Parallelism: 1})
 	var ran atomic.Int32
 	tasks := make([]FoldTask[int], 8)
 	for i := range tasks {
@@ -193,7 +199,7 @@ func TestScanFoldPanicRecovered(t *testing.T) {
 	}
 	tasks[2] = func(int) (int, int, error) { panic("bad record") }
 	// One worker claims tasks in order, so nothing after the panic may run.
-	_, err := ScanFold(eng, ScanOptions{Parallelism: 1}, tasks,
+	_, err := ScanFold(eng, tasks,
 		func() int { return 0 },
 		func(a, b int) int { return a + b })
 	if err == nil || !strings.Contains(err.Error(), "bad record") {
@@ -212,7 +218,13 @@ func TestEngineDefaults(t *testing.T) {
 	if len(eng.Workers()) != 1 {
 		t.Fatalf("default workers = %v", eng.Workers())
 	}
-	if err := StreamScan(eng, ScanOptions{}, rangeTasks(3, 2),
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	for w, want := range map[int]int{0: 3, -1: 3, 1: 1, 5: 5} {
+		if got := NewEngine(Config{Parallelism: w}).width; got != want {
+			t.Fatalf("width of Parallelism %d under GOMAXPROCS 3 = %d, want %d", w, got, want)
+		}
+	}
+	if err := StreamScan(eng, rangeTasks(3, 2),
 		func(int, []int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +236,7 @@ func TestEngineDefaults(t *testing.T) {
 
 func TestScanStatsCounted(t *testing.T) {
 	eng := NewEngine(Config{})
-	if err := StreamScan(eng, ScanOptions{}, rangeTasks(5, 10),
+	if err := StreamScan(eng, rangeTasks(5, 10),
 		func(int, []int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}

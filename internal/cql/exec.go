@@ -37,10 +37,10 @@ type Result struct {
 type Session struct {
 	DB *store.DB
 	CL store.Consistency
-	// Eng executes SELECT plans; nil lazily creates a private
-	// single-worker engine (tests, embedded use).
+	// Eng executes SELECT plans; nil lazily creates a private engine of
+	// one worker id, as wide as the machine (tests, embedded use).
 	Eng *compute.Engine
-	// Exec tunes plan execution (parallelism, time slicing, pruning).
+	// Exec tunes plan execution (pruning).
 	Exec plan.ExecOptions
 	// Ctx, when set, is the request context: its request ID rides remote
 	// shard calls, and its trace span (if any) records the parse,

@@ -5,8 +5,8 @@
 // query.Engine and over the wire through internal/server — asserting the
 // two byte-for-byte identical.
 //
-// The direct path runs a serial engine (scan parallelism 1) and the HTTP
-// path a partition-parallel one, so a green run simultaneously proves
+// The direct path runs on a serial compute engine (width 1) and the HTTP
+// path on a partition-parallel one, so a green run simultaneously proves
 // (a) the serial and parallel scan paths compute identical results and
 // (b) nothing is lost or reshaped crossing the JSON wire.
 //
@@ -42,10 +42,12 @@ type Harness struct {
 	Cfg    logs.Config
 	Corpus *logs.Corpus
 	DB     *store.DB
-	Comp   *compute.Engine
-	// Serial executes the direct path with scan parallelism 1.
+	// Comp is the default-width compute engine the wire path and the
+	// loader run on, and SerialComp the width-1 one of the direct path.
+	Comp, SerialComp *compute.Engine
+	// Serial executes the direct path on SerialComp.
 	Serial *query.Engine
-	// Parallel executes behind the HTTP server with default parallelism.
+	// Parallel executes behind the HTTP server on Comp.
 	Parallel *query.Engine
 	// TS is the wire-path test server.
 	TS *httptest.Server
@@ -167,7 +169,8 @@ func attach(tb testing.TB, scfg store.Config) *Harness {
 	}
 	tb.Cleanup(func() { db.Close() })
 	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
-	h := &Harness{Cfg: cfg, Corpus: logs.Generate(cfg), DB: db, Comp: eng, StoreCfg: scfg}
+	serial := compute.NewEngine(compute.Config{Workers: db.NodeIDs(), Parallelism: 1})
+	h := &Harness{Cfg: cfg, Corpus: logs.Generate(cfg), DB: db, Comp: eng, SerialComp: serial, StoreCfg: scfg}
 	h.initEngines(tb)
 	return h
 }
@@ -175,7 +178,7 @@ func attach(tb testing.TB, scfg store.Config) *Harness {
 // initEngines (re)builds the query engines and the wire-path test server
 // over the harness's current DB.
 func (h *Harness) initEngines(tb testing.TB) {
-	h.Serial = query.NewWithOptions(h.DB, h.Comp, query.Options{Parallelism: 1, CacheSize: -1})
+	h.Serial = query.NewWithOptions(h.DB, h.SerialComp, query.Options{CacheSize: -1})
 	h.Parallel = query.NewWithOptions(h.DB, h.Comp, query.Options{CacheSize: -1})
 	h.Srv = server.NewWithConfig(h.Parallel, h.DB, h.Comp, server.Config{})
 	h.TS = httptest.NewServer(h.Srv)

@@ -281,8 +281,8 @@ func runCorpusEquivalence(t *testing.T, h *Harness) (read, pruned int64) {
 		read += stats.BlocksRead.Load()
 		pruned += stats.BlocksPruned.Load()
 
-		serial := &plan.Executor{DB: h.DB, Eng: h.Comp, CL: store.One,
-			Opt: plan.ExecOptions{NoPrune: true, Parallelism: 1}}
+		serial := &plan.Executor{DB: h.DB, Eng: h.SerialComp, CL: store.One,
+			Opt: plan.ExecOptions{NoPrune: true}}
 		serialRows, err := serial.Run(p)
 		if err != nil {
 			t.Fatalf("serial run %q: %v", src, err)

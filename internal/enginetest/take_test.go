@@ -74,8 +74,10 @@ func cqlRows(t *testing.T, h *Harness, src string) []byte {
 func takenBy(t *testing.T, h *Harness, stage string, want map[string][]byte) {
 	t.Helper()
 	timeCases, sourceCases := foldCases(h)
+	// The direct path takes on SerialComp, the wire path on Comp.
+	taken := func() int { return h.Comp.Stats().BlocksTaken + h.SerialComp.Stats().BlocksTaken }
 	run := func(cases []Case) int {
-		before := h.Comp.Stats().BlocksTaken
+		before := taken()
 		for _, c := range cases {
 			t.Run(stage+"/"+c.Name, func(t *testing.T) {
 				if got := h.Run(t, c); !bytes.Equal(got, want[c.Name]) {
@@ -83,16 +85,16 @@ func takenBy(t *testing.T, h *Harness, stage string, want map[string][]byte) {
 				}
 			})
 		}
-		return h.Comp.Stats().BlocksTaken - before
+		return taken() - before
 	}
 	byTime, bySource := run(timeCases), run(sourceCases)
-	before := h.Comp.Stats().BlocksTaken
+	before := taken()
 	for _, src := range groupStatements(h) {
 		if got := cqlRows(t, h, src); !bytes.Equal(got, want[src]) {
 			t.Fatalf("%s: %s differs from in-memory:\nmem: %.300s\ngot: %.300s", stage, src, want[src], got)
 		}
 	}
-	byCQL := h.Comp.Stats().BlocksTaken - before
+	byCQL := taken() - before
 	t.Logf("%s: blocks taken by time %d, by source %d, by CQL %d", stage, byTime, bySource, byCQL)
 	if byTime == 0 || bySource == 0 || byCQL == 0 {
 		t.Errorf("%s: a class of folds took no block: %d by time, %d by source, %d by CQL", stage, byTime, bySource, byCQL)

@@ -213,13 +213,12 @@ type shard struct {
 }
 
 // bulkLoad is the parallel ETL of Section III-D. Per chunk of lines:
-// nparts shards are parsed in parallel, each bucketing its rows straight
-// into per-partition batches; the shards' buckets are concatenated in
-// line order; then every partition is sorted and written as one batch,
-// largest first, on the same pool. parseInto turns one line into rows of
-// b or reports why it cannot.
+// nparts shards are parsed in parallel on eng's pool, each bucketing its
+// rows straight into per-partition batches; the shards' buckets are
+// concatenated in line order; then every partition is sorted and written
+// as one batch, largest first, on the same pool. parseInto turns one line
+// into rows of b or reports why it cannot.
 func (l *Loader) bulkLoad(eng *compute.Engine, lines []string, nparts int, parseInto func(b batches, line string) error) (parse.Result, error) {
-	var opts compute.ScanOptions // a pool the size of the machine
 	var total parse.Result
 	for len(lines) > 0 {
 		chunk := lines[:min(chunkLines, len(lines))]
@@ -242,7 +241,7 @@ func (l *Loader) bulkLoad(eng *compute.Engine, lines []string, nparts int, parse
 				return s, len(part), nil
 			})
 		}
-		all, err := compute.ScanFold(eng, opts, parsers,
+		all, err := compute.ScanFold(eng, parsers,
 			func() *shard { return &shard{b: make(batches)} },
 			func(all, s *shard) *shard {
 				addResult(&all.res, s.res)
@@ -264,7 +263,7 @@ func (l *Loader) bulkLoad(eng *compute.Engine, lines []string, nparts int, parse
 				return struct{}{}, len(all.b[k]), l.write(k, all.b[k])
 			}
 		}
-		_, err = compute.ScanFold(eng, opts, writers,
+		_, err = compute.ScanFold(eng, writers,
 			func() struct{} { return struct{}{} }, func(a, _ struct{}) struct{} { return a })
 		if err != nil {
 			return total, err
@@ -349,7 +348,7 @@ func RefreshSynopsis(eng *compute.Engine, db *store.DB, hours []int64, cl store.
 			})
 		}
 	}
-	results, err := compute.ScanFold(eng, compute.ScanOptions{}, tasks,
+	results, err := compute.ScanFold(eng, tasks,
 		func() []synRow { return nil }, func(a, b []synRow) []synRow { return append(a, b...) })
 	if err != nil {
 		return err

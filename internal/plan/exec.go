@@ -23,8 +23,6 @@ type ResultRow struct {
 
 // ExecOptions tunes plan execution.
 type ExecOptions struct {
-	// Parallelism bounds concurrent scan tasks; <= 0 means GOMAXPROCS.
-	Parallelism int
 	// NoPrune disables storage-level block pruning (benchmarks and
 	// equivalence baselines; results are identical either way).
 	NoPrune bool
@@ -39,7 +37,7 @@ const (
 )
 
 // Executor runs physical plans against a store through the compute scan
-// pool.
+// pool, as wide as Eng.
 type Executor struct {
 	DB  *store.DB
 	Eng *compute.Engine
@@ -115,7 +113,7 @@ func (ex *Executor) Run(p *Plan) ([]ResultRow, error) {
 		}}
 	}
 	out := []ResultRow{}
-	err = compute.StreamScan(ex.Eng, compute.ScanOptions{Parallelism: ex.Opt.Parallelism}, scan,
+	err = compute.StreamScan(ex.Eng, scan,
 		func(_ int, batch []ResultRow) error {
 			if limit > 0 && len(batch) > limit-len(out) {
 				batch = batch[:limit-len(out)]
@@ -242,9 +240,9 @@ func (ex *Executor) scanBatches(p *Plan, rg store.Range, project []uint32, prune
 
 // runAggregate executes an aggregate plan: each slice's rows fold into an
 // accumulator of the slice's own, straight off the store's batches — and,
-// under the group rule, the blocks its taker takes from their footers —
-// and ScanFold merges the accumulators in slice order, deterministic
-// across parallelism levels.
+// under the group rule, the blocks a store.Taker takes from their footers
+// — and ScanFold merges the accumulators in slice order, deterministic
+// across pool widths.
 func (ex *Executor) runAggregate(p *Plan) ([]ResultRow, error) {
 	scans, ranges, finish, err := ex.sliceScans(p)
 	if err != nil {
@@ -256,9 +254,9 @@ func (ex *Executor) runAggregate(p *Plan) ([]ResultRow, error) {
 		folds[i] = func(a *aggAcc) (*aggAcc, int, error) {
 			rows := 0
 			pr := p.Pruner
+			var t *store.Taker
 			if p.groups != nil {
-				t := &groupTaker{groupRule: p.groups, rg: ranges[i], acc: a, rows: &rows}
-				defer func() { taken.Add(int64(t.blocks)) }()
+				t = &store.Taker{Range: ranges[i], Take: p.groups.take(a)}
 				pr = t
 			}
 			err := scan(pr, func(b *store.Batch, j int) error {
@@ -266,10 +264,14 @@ func (ex *Executor) runAggregate(p *Plan) ([]ResultRow, error) {
 				rows++
 				return nil
 			})
+			if t != nil {
+				rows += t.Rows
+				taken.Add(int64(t.Blocks))
+			}
 			return a, rows, err
 		}
 	}
-	acc, err := compute.ScanFold(ex.Eng, compute.ScanOptions{Parallelism: ex.Opt.Parallelism}, folds,
+	acc, err := compute.ScanFold(ex.Eng, folds,
 		func() *aggAcc { return newAggAcc(p.Sel.Aggs, p.Sel.GroupBy) },
 		func(a, b *aggAcc) *aggAcc { return a.merge(b) })
 	finish(int(taken.Load()))
@@ -279,46 +281,29 @@ func (ex *Executor) runAggregate(p *Plan) ([]ResultRow, error) {
 	return acc.rows(p.Sel.GroupBy, p.Sel.Limit), nil
 }
 
-// groupTaker is the Pruner through which an aggregate task of the group
-// rule takes blocks whole. A block inside the task's slice whose every
-// amount is a count, and which lists its groups of the GROUP BY column —
-// or holds one value of it in every row — is folded into the task's
-// accumulator from its footer and skipped: never read, fetched or decoded.
-// A sum needs each count below 2^53 and every group's rows to count 1 each
-// or to be one row (see foldGroup). The store offers only blocks no other
-// merge input shadows, so the rows taken are exactly the rows the scan
-// would have folded; they count in the task's rows as if read.
-type groupTaker struct {
-	*groupRule
-	rg     store.Range
-	acc    *aggAcc
-	rows   *int
-	blocks int // taken
+// take returns the take func of an aggregate task of the group rule,
+// folding into acc: a block that lists its groups of the GROUP BY column —
+// or holds one value of it in every row — is folded from its footer. A
+// sum needs each count below 2^53 and every group's rows to count 1 each
+// or to be one row (see foldGroup).
+func (r *groupRule) take(acc *aggAcc) func(b *persist.BlockStats, sum int64) bool {
 	// byCode holds the group of each code of dict, the section dictionary
 	// of the list taken last, once seen.
-	dict   []string
-	byCode []*group
-}
-
-func (t *groupTaker) PruneBlock(b *persist.BlockStats) bool {
-	if b.MinKey < t.rg.From || t.rg.To != "" && b.MaxKey >= t.rg.To {
-		return false
-	}
-	counts, sum := b.Counts(t.count)
-	if counts != b.Rows {
-		return false
-	}
-	if z := b.Zone(t.count); t.sum && (z == nil || z.MaxNum >= 1<<53) {
-		return false
-	}
-	exact := func(rows int, sum int64) bool { return !t.sum || rows == 1 || sum == int64(rows) }
-	if v, ok := b.Only(t.col); ok {
-		if !exact(b.Rows, sum) {
+	var dict []string
+	var byCode []*group
+	exact := func(rows int, sum int64) bool { return !r.sum || rows == 1 || sum == int64(rows) }
+	return func(b *persist.BlockStats, sum int64) bool {
+		if z := b.Zone(r.count); r.sum && (z == nil || z.MaxNum >= 1<<53) {
 			return false
 		}
-		t.acc.foldGroup(t.acc.group(func(int) string { return v }), b.Rows, sum)
-	} else {
-		groups, dict, ok := b.Groups(t.col)
+		if v, ok := b.Only(r.col); ok {
+			if !exact(b.Rows, sum) {
+				return false
+			}
+			acc.foldGroup(acc.group(func(int) string { return v }), b.Rows, sum)
+			return true
+		}
+		groups, d, ok := b.Groups(r.col)
 		if !ok {
 			return false
 		}
@@ -328,21 +313,19 @@ func (t *groupTaker) PruneBlock(b *persist.BlockStats) bool {
 				return false
 			}
 		}
-		if len(dict) != len(t.dict) || &dict[0] != &t.dict[0] {
-			t.dict, t.byCode = dict, make([]*group, len(dict))
+		if len(d) != len(dict) || &d[0] != &dict[0] {
+			dict, byCode = d, make([]*group, len(d))
 		}
 		for g, more := groups.Next(); more; g, more = groups.Next() {
-			grp := t.byCode[g.Code]
+			grp := byCode[g.Code]
 			if grp == nil {
-				grp = t.acc.group(func(int) string { return dict[g.Code] })
-				t.byCode[g.Code] = grp
+				grp = acc.group(func(int) string { return dict[g.Code] })
+				byCode[g.Code] = grp
 			}
-			t.acc.foldGroup(grp, g.Rows, g.Sum)
+			acc.foldGroup(grp, g.Rows, g.Sum)
 		}
+		return true
 	}
-	*t.rows += b.Rows
-	t.blocks++
-	return true
 }
 
 // batchFilter is a residual filter cut for batches: the top-level

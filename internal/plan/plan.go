@@ -26,7 +26,7 @@ type Plan struct {
 	Pruner persist.Pruner
 
 	// groups, set by the group rule, lets an aggregate take whole blocks
-	// from their group lists (see groupTaker).
+	// from their group lists (see groupRule.take).
 	groups *groupRule
 
 	projRefs  []projRef // resolved projection (nil = all columns)

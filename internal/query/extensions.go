@@ -33,13 +33,13 @@ func (q *Engine) runExtension(req Request) (any, error) {
 	}
 	switch req.Op {
 	case OpRules:
-		events, err := analytics.EventsAllTypesScan(q.compute, q.db, from, to, q.scanCfg())
+		events, err := analytics.EventsAllTypesScan(q.compute, q.db, from, to, analytics.ScanConfig{})
 		if err != nil {
 			return nil, err
 		}
 		return mining.MineRules(events, req.bin(), 0.01, 0.2)
 	case OpSequences:
-		events, err := analytics.EventsAllTypesScan(q.compute, q.db, from, to, q.scanCfg())
+		events, err := analytics.EventsAllTypesScan(q.compute, q.db, from, to, analytics.ScanConfig{})
 		if err != nil {
 			return nil, err
 		}
@@ -49,7 +49,7 @@ func (q *Engine) runExtension(req Request) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		events, err := analytics.EventsByTypeScan(q.compute, q.db, typ, from, to, q.scanCfg())
+		events, err := analytics.EventsByTypeScan(q.compute, q.db, typ, from, to, analytics.ScanConfig{})
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +66,7 @@ func (q *Engine) runExtension(req Request) (any, error) {
 	case OpRunReport:
 		return q.runReport(req, from, to)
 	case OpReliability:
-		events, err := analytics.EventsAllTypesScan(q.compute, q.db, from, to, q.scanCfg())
+		events, err := analytics.EventsAllTypesScan(q.compute, q.db, from, to, analytics.ScanConfig{})
 		if err != nil {
 			return nil, err
 		}
@@ -90,7 +90,7 @@ func (q *Engine) runExtension(req Request) (any, error) {
 }
 
 func (q *Engine) buildProfiles(from, to time.Time) (map[string]*profile.Profile, error) {
-	events, err := analytics.EventsAllTypesScan(q.compute, q.db, from, to, q.scanCfg())
+	events, err := analytics.EventsAllTypesScan(q.compute, q.db, from, to, analytics.ScanConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +117,7 @@ func (q *Engine) runReport(req Request, from, to time.Time) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	events, err := analytics.EventsAllTypesScan(q.compute, q.db, from, to, q.scanCfg())
+	events, err := analytics.EventsAllTypesScan(q.compute, q.db, from, to, analytics.ScanConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -86,12 +86,9 @@ type Stats struct {
 	BigData int64
 }
 
-// Options tunes the engine's partition-parallel execution and result
-// caching. The zero value selects sensible defaults.
+// Options tunes the engine's result caching; its scans run as wide as its
+// compute engine. The zero value selects sensible defaults.
 type Options struct {
-	// Parallelism bounds concurrent scan tasks for big-data operations;
-	// <= 0 means GOMAXPROCS.
-	Parallelism int
 	// CacheSize is the big-data result cache capacity in entries; 0 means
 	// 256, negative disables caching.
 	CacheSize int
@@ -101,7 +98,6 @@ type Options struct {
 type Engine struct {
 	db      *store.DB
 	compute *compute.Engine
-	opts    Options
 	cache   *resultCache
 
 	simple  atomic.Int64
@@ -117,13 +113,13 @@ func New(db *store.DB, eng *compute.Engine) *Engine {
 	return NewWithOptions(db, eng, Options{})
 }
 
-// NewWithOptions creates a query engine with explicit execution options.
+// NewWithOptions creates a query engine with explicit options.
 func NewWithOptions(db *store.DB, eng *compute.Engine, opts Options) *Engine {
 	if opts.CacheSize == 0 {
 		opts.CacheSize = 256
 	}
 	return &Engine{
-		db: db, compute: eng, opts: opts,
+		db: db, compute: eng,
 		cache: newResultCache(opts.CacheSize),
 		ops:   make(map[Op]*opCounter),
 	}
@@ -132,20 +128,6 @@ func NewWithOptions(db *store.DB, eng *compute.Engine, opts Options) *Engine {
 // Stats returns how many queries each routing class has served.
 func (q *Engine) Stats() Stats {
 	return Stats{Simple: q.simple.Load(), BigData: q.bigdata.Load()}
-}
-
-// ScanTuning exposes the engine's scan parallelism so other query
-// surfaces (the CQL planner behind POST /v1/cql) share one execution
-// configuration. Every surface slices hour partitions into the same
-// default 15-minute scan tasks.
-func (q *Engine) ScanTuning() (parallelism int) {
-	return q.opts.Parallelism
-}
-
-// scanCfg is the streaming-scan configuration the engine plans big-data
-// operations with.
-func (q *Engine) scanCfg() analytics.ScanConfig {
-	return analytics.ScanConfig{Parallelism: q.opts.Parallelism}
 }
 
 // CacheStats returns a snapshot of result-cache counters.
@@ -340,7 +322,7 @@ func (q *Engine) dispatch(req Request) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return analytics.EventSitesScan(q.compute, q.db, typ, time.Unix(req.At, 0).UTC(), q.scanCfg())
+		return analytics.EventSitesScan(q.compute, q.db, typ, time.Unix(req.At, 0).UTC(), analytics.ScanConfig{})
 	case OpHeatmap:
 		typ, err := req.eventType()
 		if err != nil {
@@ -350,7 +332,7 @@ func (q *Engine) dispatch(req Request) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return analytics.HeatmapScan(q.compute, q.db, typ, from, to, q.scanCfg())
+		return analytics.HeatmapScan(q.compute, q.db, typ, from, to, analytics.ScanConfig{})
 	case OpDistribution:
 		return q.distribution(req)
 	case OpHistogram:
@@ -362,7 +344,7 @@ func (q *Engine) dispatch(req Request) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return analytics.HistogramScan(q.compute, q.db, typ, from, to, req.bin(), q.scanCfg())
+		return analytics.HistogramScan(q.compute, q.db, typ, from, to, req.bin(), analytics.ScanConfig{})
 	case OpTE:
 		return q.transferEntropy(req)
 	case OpWordCount:
@@ -459,7 +441,7 @@ func (q *Engine) EventTasks(req Request) ([]analytics.EventTask, error) {
 	if err != nil {
 		return nil, err
 	}
-	return analytics.PlanEvents(model.EventType(req.Context.EventType), req.Context.Source, from, to, q.scanCfg()), nil
+	return analytics.PlanEvents(model.EventType(req.Context.EventType), req.Context.Source, from, to, analytics.ScanConfig{}), nil
 }
 
 func (q *Engine) events(req Request) ([]EventRecord, error) {
@@ -467,7 +449,7 @@ func (q *Engine) events(req Request) ([]EventRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := analytics.EventRecords(q.compute, q.db, tasks, q.scanCfg(), func(r *analytics.EventRow) EventRecord {
+	out, err := analytics.EventRecords(q.compute, q.db, tasks, func(r *analytics.EventRow) EventRecord {
 		e := r.Event()
 		return EventRecord{
 			Time: r.Time, Type: string(e.Type), Source: e.Source,
@@ -601,15 +583,15 @@ func (q *Engine) distribution(req Request) ([]analytics.Bucket, error) {
 	var buckets []analytics.Bucket
 	switch req.Level {
 	case "app":
-		buckets, err = analytics.DistributionByAppScan(q.compute, q.db, typ, from, to, q.scanCfg())
+		buckets, err = analytics.DistributionByAppScan(q.compute, q.db, typ, from, to, analytics.ScanConfig{})
 	case "cabinet", "":
-		buckets, err = analytics.DistributionByScan(q.compute, q.db, typ, from, to, topology.LevelCabinet, q.scanCfg())
+		buckets, err = analytics.DistributionByScan(q.compute, q.db, typ, from, to, topology.LevelCabinet, analytics.ScanConfig{})
 	case "cage":
-		buckets, err = analytics.DistributionByScan(q.compute, q.db, typ, from, to, topology.LevelCage, q.scanCfg())
+		buckets, err = analytics.DistributionByScan(q.compute, q.db, typ, from, to, topology.LevelCage, analytics.ScanConfig{})
 	case "blade":
-		buckets, err = analytics.DistributionByScan(q.compute, q.db, typ, from, to, topology.LevelBlade, q.scanCfg())
+		buckets, err = analytics.DistributionByScan(q.compute, q.db, typ, from, to, topology.LevelBlade, analytics.ScanConfig{})
 	case "node":
-		buckets, err = analytics.DistributionByScan(q.compute, q.db, typ, from, to, topology.LevelNode, q.scanCfg())
+		buckets, err = analytics.DistributionByScan(q.compute, q.db, typ, from, to, topology.LevelNode, analytics.ScanConfig{})
 	default:
 		return nil, fmt.Errorf("query: unknown distribution level %q", req.Level)
 	}
@@ -644,7 +626,7 @@ func (q *Engine) transferEntropy(req Request) (TEResponse, error) {
 		return TEResponse{}, err
 	}
 	res, err := analytics.TransferEntropyBetweenScan(q.compute, q.db, typ,
-		model.EventType(req.SecondType), from, to, req.bin(), q.scanCfg())
+		model.EventType(req.SecondType), from, to, req.bin(), analytics.ScanConfig{})
 	if err != nil {
 		return TEResponse{}, err
 	}
@@ -672,7 +654,7 @@ func (q *Engine) wordCount(req Request) ([]WordCountEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	counts, err := analytics.WordCountScan(q.compute, q.db, typ, from, to, q.scanCfg())
+	counts, err := analytics.WordCountScan(q.compute, q.db, typ, from, to, analytics.ScanConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -694,5 +676,5 @@ func (q *Engine) tfidf(req Request) ([]analytics.TermScore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return analytics.TFIDFScan(q.compute, q.db, typ, from, to, req.topK(), q.scanCfg())
+	return analytics.TFIDFScan(q.compute, q.db, typ, from, to, req.topK(), analytics.ScanConfig{})
 }

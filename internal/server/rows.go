@@ -98,8 +98,7 @@ func (s *Server) scanChunks(tasks []func(*chunk) error, limit int, emit func(*ch
 			return yield(c)
 		}}
 	}
-	par := s.q.ScanTuning()
-	err := compute.StreamScan(s.eng, compute.ScanOptions{Parallelism: par}, scan, func(_ int, cs []*chunk) error {
+	err := compute.StreamScan(s.eng, scan, func(_ int, cs []*chunk) error {
 		for _, c := range cs {
 			if err := emit(c); err != nil {
 				return err

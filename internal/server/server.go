@@ -32,7 +32,6 @@ import (
 	"hpclog/internal/compute"
 	"hpclog/internal/cql"
 	"hpclog/internal/obs"
-	"hpclog/internal/plan"
 	"hpclog/internal/query"
 	"hpclog/internal/store"
 )
@@ -445,15 +444,12 @@ func parseConsistency(c string) (store.Consistency, *api.Error) {
 	}
 }
 
-// session builds a CQL session sharing the query engine's scan tuning,
-// so column predicates push down to storage on the server's compute
-// pool. ctx carries the request ID and trace span through parsing,
-// planning, and the (possibly remote) scan.
+// session builds a CQL session on the server's compute engine, so column
+// predicates push down to storage on the server's scan pool. ctx carries
+// the request ID and trace span through parsing, planning, and the
+// (possibly remote) scan.
 func (s *Server) session(ctx context.Context, cl store.Consistency) *cql.Session {
-	return &cql.Session{
-		DB: s.db, CL: cl, Eng: s.eng, Ctx: ctx,
-		Exec: plan.ExecOptions{Parallelism: s.q.ScanTuning()},
-	}
+	return &cql.Session{DB: s.db, CL: cl, Eng: s.eng, Ctx: ctx}
 }
 
 // handleCQLV1 answers POST /v1/cql, optionally paginated for

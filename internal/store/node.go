@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -604,18 +605,19 @@ func (n *Node) flushAll() error {
 	return n.flushRound(cands, 1)
 }
 
-// flushRound writes every memtable among cands holding at least floor
-// rows to disk as one flush round; the caller holds flushMu. Each memtable
-// is handed over as an immutable, still readable flushing run — writers
-// continue into a fresh memtable, readers never lose sight of a row, and
-// no partition lock is held across encode, write and fsync — and is
-// dropped, with its commitlog mark, only after the round's barrier has
-// passed and its segment is published. A failed round's partitions go
-// back on the list of full memtables, their rows merged back into their
-// memtables.
+// flushRound writes, in partition order, every memtable among cands
+// holding at least floor rows as one flush round; the caller holds
+// flushMu. Each memtable is handed over as an immutable, still readable
+// flushing run — writers continue into a fresh memtable, readers never
+// lose sight of a row, and no partition lock is held across encode, write
+// and fsync — and is dropped, with its commitlog mark, only after the
+// round's barrier has passed and its segment is published. A failed
+// round's partitions go back on the list of full memtables, their rows
+// merged back into their memtables.
 func (n *Node) flushRound(cands []*partition, floor int) error {
 	var flushing []*partition
 	var parts []persist.FlushPart
+	slices.SortFunc(cands, func(a, b *partition) int { return cmp.Or(cmp.Compare(a.table, b.table), cmp.Compare(a.key, b.key)) })
 	for _, p := range cands {
 		if rows := p.beginFlush(floor); rows != nil {
 			flushing = append(flushing, p)

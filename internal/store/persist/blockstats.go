@@ -227,6 +227,36 @@ type Pruner interface {
 	PruneBlock(b *BlockStats) bool
 }
 
+// Taker is the Pruner through which a fold task takes blocks whole. A
+// block inside Range whose every cell of CountColumn is an occurrence
+// count, and which Take accepts, is added to the task's accumulator from
+// its footer and skipped: never read, fetched or decoded. The store offers
+// only blocks no other merge input shadows, so the rows taken are exactly
+// the rows the scan would have folded. A Taker serves one scan task.
+type Taker struct {
+	// Range is the task's key range; an open To is allowed.
+	Range Range
+	// Take adds b, whose counts sum to sum (wrapping as int64 does), to the
+	// fold's accumulator from its footer, or reports false — the
+	// accumulator unchanged — where the fold cannot place it without rows.
+	Take func(b *BlockStats, sum int64) bool
+	// Rows and Blocks tally what the Taker took.
+	Rows, Blocks int
+}
+
+func (t *Taker) PruneBlock(b *BlockStats) bool {
+	if b.MinKey < t.Range.From || t.Range.To != "" && b.MaxKey >= t.Range.To {
+		return false
+	}
+	counts, sum := b.Counts(countColID)
+	if counts != b.Rows || !t.Take(b, sum) {
+		return false
+	}
+	t.Rows += b.Rows
+	t.Blocks++
+	return true
+}
+
 // PruneStats accumulates block-level counters across the (possibly
 // concurrent) iterators of one scan.
 type PruneStats struct {

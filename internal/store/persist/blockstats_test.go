@@ -413,3 +413,49 @@ func TestGroupListsMatchRows(t *testing.T) {
 
 // absentCell, as an amount, leaves the amount cell out of the row.
 const absentCell = "\x00"
+
+// TestTaker: a Taker takes a block inside its range, every cell of
+// CountColumn a count, that its take func accepts, and tallies exactly
+// the blocks it took; it asks the take func of no other block.
+func TestTaker(t *testing.T) {
+	block := func(min, max string, rows, counts int) *BlockStats {
+		return &BlockStats{MinKey: min, MaxKey: max, Rows: rows,
+			fold: &blockFold{counts: []colCounts{{id: countColID, cells: counts, sum: 40}}}}
+	}
+	rg := Range{From: "b", To: "y"}
+	for _, c := range []struct {
+		name   string
+		rg     Range
+		b      *BlockStats
+		refuse bool // the take func refuses
+		asked  bool // the take func is asked
+		taken  bool
+	}{
+		{"inside", rg, block("b", "x", 8, 8), false, true, true},
+		{"straddles From", rg, block("a", "x", 8, 8), false, false, false},
+		{"straddles To", rg, block("b", "y", 8, 8), false, false, false},
+		{"open To", Range{From: "b"}, block("b", "zz", 8, 8), false, true, true},
+		{"open From", Range{To: "y"}, block("", "x", 8, 8), false, true, true},
+		{"counts not rows", rg, block("c", "d", 8, 7), false, false, false},
+		{"no counts", rg, &BlockStats{MinKey: "c", MaxKey: "d", Rows: 8}, false, false, false},
+		{"take refuses", rg, block("c", "d", 8, 8), true, true, false},
+	} {
+		asked := false
+		tk := &Taker{Range: c.rg, Take: func(b *BlockStats, sum int64) bool {
+			if asked = true; b != c.b || sum != 40 {
+				t.Errorf("%s: take asked of %p with sum %d", c.name, b, sum)
+			}
+			return !c.refuse
+		}}
+		if got := tk.PruneBlock(c.b); got != c.taken || asked != c.asked {
+			t.Errorf("%s: took %v, take func asked %v; want %v, %v", c.name, got, asked, c.taken, c.asked)
+		}
+		rows, blocks := 0, 0
+		if c.taken {
+			rows, blocks = 8, 1
+		}
+		if tk.Rows != rows || tk.Blocks != blocks {
+			t.Errorf("%s: tallied %d rows, %d blocks; want %d, %d", c.name, tk.Rows, tk.Blocks, rows, blocks)
+		}
+	}
+}

@@ -57,8 +57,9 @@ const (
 // trailer around an empty footer.
 const minSection = int64(len(segHeader)) + trailerLen
 
-// roundWorkers bounds the goroutines encoding one round's segments.
-const roundWorkers = 4
+// roundWorkers bounds a round's encoding goroutines; a section waiting for
+// its turn (dataFile.turn) holds one, so 8 keep encoding past a large one.
+const roundWorkers = 8
 
 // RoundCrashHook, when non-nil, is invoked at each boundary of a flush or
 // compaction round with the stage name and the final path of the data
@@ -186,8 +187,9 @@ func readSections(r io.ReaderAt, size int64) ([]section, []uint64, *strTable, er
 // strTable is the string table of a round file: the column names,
 // dictionary values and template constants of its sections' footers,
 // each once, which the footers name by entry number. The writers of a
-// round intern into it in parallel; a reader decodes it once per file and
-// resolves an entry that names a column to its dictionary ID once.
+// round intern into it in their turns (dataFile.turn); a reader decodes it
+// once per file and resolves an entry that names a column to its
+// dictionary ID once.
 type strTable struct {
 	mu   sync.Mutex
 	strs []string
@@ -197,8 +199,6 @@ type strTable struct {
 
 // ref returns the entry of s, adding it to the table on first use.
 func (t *strTable) ref(s string) uint32 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	e, ok := t.refs[s]
 	if !ok {
 		if t.refs == nil {
@@ -217,8 +217,6 @@ func (t *strTable) list() []string {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.strs
 }
 
@@ -360,9 +358,9 @@ func openSized(path string) (fsys.File, int64, error) {
 	return f, st.Size(), nil
 }
 
-// dataFile is one data file. While its round writes it, workers fill it
-// in parallel, each reserving a sealed section's range with an atomic
-// add; from the barrier on, its sections share its descriptor. refs counts
+// dataFile is one data file. While its round writes it, workers encode
+// its sections in parallel and place them in their turns (turn); from the
+// barrier on, its sections share its descriptor. refs counts
 // the holds on the file, resident or evicted: one per resident section
 // and one per reader. The store unlinks it whole and once: once a sweep
 // evicts it, or compaction retires its last section or reclaims it. Its
@@ -376,7 +374,10 @@ type dataFile struct {
 	dead []section  // its sections compaction retired; changed under Store.mu
 	refs atomic.Int32
 	gone atomic.Bool
-	end  atomic.Int64 // the next free offset, while written
+	end  int64      // the next free offset, while written
+	next int        // the section whose turn it is, while written (turn)
+	mu   sync.Mutex // guards next
+	due  *sync.Cond // announces each turn
 	// closed ends the descriptor once; del, set by retire, the object.
 	closed atomic.Bool
 	del    atomic.Pointer[func()]
@@ -447,25 +448,52 @@ func createRound(path string) (*dataFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: create round file: %w", err)
 	}
-	return &dataFile{path: path, f: f, strs: &strTable{}}, nil
+	d := &dataFile{path: path, f: f, strs: &strTable{}}
+	d.due = sync.NewCond(&d.mu)
+	return d, nil
 }
 
-// add writes img, the image of seg, into the next free range of the file.
+// turn waits for section i's turn — every section before it placed or
+// passed — runs place and passes the turn on. A turn is taken once: the
+// worker of section i defers turn(i, nil) to pass it where it failed.
+// Placing interns the footer's strings and takes the next offset, so a
+// round's file is the same bytes for the same input.
+func (d *dataFile) turn(i int, place func() error) (err error) {
+	d.mu.Lock()
+	for d.next < i {
+		d.due.Wait()
+	}
+	taken := d.next > i
+	d.mu.Unlock()
+	if taken {
+		return nil
+	}
+	if place != nil {
+		err = place()
+	}
+	d.mu.Lock()
+	d.next++
+	d.mu.Unlock()
+	d.due.Broadcast()
+	return err
+}
+
+// add writes img, the image of seg, at the next free offset of the file;
+// the caller holds the turn.
 func (d *dataFile) add(seg *Segment, img []byte) error {
-	n := int64(len(img))
-	off := d.end.Add(n) - n
-	if _, err := d.f.WriteAt(img, off); err != nil {
+	if _, err := d.f.WriteAt(img, d.end); err != nil {
 		return fmt.Errorf("persist: write round file: %w", err)
 	}
-	seg.base = off
+	seg.base = d.end
+	d.end += int64(len(img))
 	return nil
 }
 
 // copySection copies src, a live section of a resident file the round
-// reclaims, into the round's file as a v9 section: its data region byte for
-// byte, so the same seq, blocks and Merkle root, behind its footer encoded
-// anew against the round's string table.
-func (d *dataFile) copySection(src *Segment) (*Segment, error) {
+// reclaims, into the round's file as its section i, a v9 section: its data
+// region byte for byte, so the same seq, blocks and Merkle root, behind
+// its footer encoded anew against the round's string table.
+func (d *dataFile) copySection(src *Segment, i int) (*Segment, error) {
 	local, err := src.acquire()
 	if err != nil {
 		return nil, err
@@ -486,12 +514,15 @@ func (d *dataFile) copySection(src *Segment) (*Segment, error) {
 	}
 	copy(sc.img, segHeader)
 	m.DataCRC = crc32.Checksum(sc.img, crcTable)
-	sc.img = sealFooter(sc.img, &m, src.fold, src.colIDs, d.strs)
 	cp := &Segment{
-		meta: &m, fold: src.fold, colIDs: src.colIDs, size: int64(len(sc.img)), footOff: m.DataLen,
+		meta: &m, fold: src.fold, colIDs: src.colIDs, footOff: m.DataLen,
 		tree: src.tree, root: src.root, mu: make(chan struct{}, 1),
 	}
-	return cp, d.add(cp, sc.img)
+	return cp, d.turn(i, func() error {
+		sc.img = sealFooter(sc.img, &m, src.fold, src.colIDs, d.strs)
+		cp.size = int64(len(sc.img))
+		return d.add(cp, sc.img)
+	})
 }
 
 // finish writes the string table and the round index, with the dead
@@ -501,7 +532,7 @@ func (d *dataFile) finish(segs []*Segment, dead []uint64, err error) error {
 	var idx []byte
 	if err == nil {
 		idx = appendRoundIndex(nil, d.strs.list(), sectionsOf(segs), dead)
-		_, err = d.f.WriteAt(idx, d.end.Load())
+		_, err = d.f.WriteAt(idx, d.end)
 	}
 	if err == nil {
 		err = commitRound([]string{d.path})
@@ -511,7 +542,7 @@ func (d *dataFile) finish(segs []*Segment, dead []uint64, err error) error {
 		fsys.Discard(d.path)
 		return err
 	}
-	d.own(segs, d.end.Load()+int64(len(idx)))
+	d.own(segs, d.end+int64(len(idx)))
 	return nil
 }
 

@@ -640,3 +640,78 @@ func TestFaultAddTableLeavesCatalog(t *testing.T) {
 		t.Fatalf("tables %v after a reopen, want %v", got, want)
 	}
 }
+
+// roundImage runs one flush round of 64 partitions of the same size, each
+// with column names and dictionary values of its own, then a second over
+// the first 40 and a compaction round, which merges those 40 and copies
+// the other 24 out of the first file. It returns the bytes of every file
+// of dir after the flush rounds and after the compaction round, by stage
+// and name.
+func roundImage(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	parts := func(n int, ts int64) []FlushPart {
+		var out []FlushPart
+		for p := 0; p < n; p++ {
+			rows := make([]Row, 200)
+			for i := range rows {
+				rows[i] = MapRow(EncodeTS(int64(1000+i)), ts+int64(i), map[string]string{
+					"source": fmt.Sprintf("src-%d-%d", p, i%7), fmt.Sprintf("col%d", p): fmt.Sprint(i), "amount": "1",
+				})
+			}
+			out = append(out, FlushPart{"events", fmt.Sprintf("p%02d", p), rows})
+		}
+		return out
+	}
+	files := make(map[string][]byte)
+	snap := func(stage string) {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if e.Type().IsRegular() {
+				if files[stage+"/"+e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if err := s.FlushRound(parts(64, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FlushRound(parts(40, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	snap("flushed")
+	if n, err := s.CompactOverflow(1); err != nil || n != 40 {
+		t.Fatalf("compacted %d partitions: %v", n, err)
+	}
+	snap("compacted")
+	return files
+}
+
+// TestRoundFilesReproducible: the same flush and compaction rounds write
+// the same bytes, however the round's workers finish — each section
+// interns its footer strings and takes its offset in section order.
+func TestRoundFilesReproducible(t *testing.T) {
+	want := roundImage(t, t.TempDir())
+	if len(want) == 0 {
+		t.Fatal("the rounds wrote no file")
+	}
+	for run := 1; run < 10; run++ {
+		got := roundImage(t, t.TempDir())
+		if !slices.Equal(slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want))) {
+			t.Fatalf("run %d wrote files %v, run 0 %v", run, slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want)))
+		}
+		for _, name := range slices.Sorted(maps.Keys(want)) {
+			if b := want[name]; !bytes.Equal(got[name], b) {
+				t.Fatalf("run %d: %s differs from run 0's (%d and %d bytes)", run, name, len(got[name]), len(b))
+			}
+		}
+	}
+}

@@ -1043,10 +1043,9 @@ func (w *Writer) Append(r Row) error {
 	return nil
 }
 
-// seal encodes the last block, the footer — its strings interned in tab,
-// the string table of the round file the segment goes to — and the
-// trailer: the image is complete.
-func (w *Writer) seal(tab *strTable) {
+// seal encodes the last block and completes the footer's metadata: what
+// is left of the image is the footer and the trailer (sealFooter).
+func (w *Writer) seal() {
 	w.done = true
 	w.finishBlock()
 	w.meta.DataLen = int64(len(w.img))
@@ -1080,7 +1079,6 @@ func (w *Writer) seal(tab *strTable) {
 	}
 	w.meta.ColNames = slices.Clone(w.tb.names)
 	w.colIDs = slices.Clone(w.tb.ids)
-	w.img = sealFooter(w.img, &w.meta, w.fold, w.colIDs, tab)
 }
 
 // release hands the scratch back to the pool; the writer is finished.
@@ -1091,21 +1089,24 @@ func (w *Writer) release() {
 	w.writerScratch = nil
 }
 
-// writeTo seals the segment into the round file rf and returns it, built
-// from the footer the writer holds rather than parsed back.
-func (w *Writer) writeTo(rf *dataFile) (*Segment, error) {
+// writeTo seals the segment and writes it into the round file rf as its
+// section i, in its turn — the footer's strings interned in rf's string
+// table — and returns it, built from the footer the writer holds rather
+// than parsed back.
+func (w *Writer) writeTo(rf *dataFile, i int) (*Segment, error) {
 	if w.done {
 		return nil, fmt.Errorf("persist: double Finish")
 	}
-	w.seal(rf.strs)
+	w.seal()
 	meta := w.meta
-	s := &Segment{
-		meta: &meta, fold: w.fold, colIDs: w.colIDs, size: int64(len(w.img)),
-		footOff: meta.DataLen, mu: make(chan struct{}, 1),
-	}
+	s := &Segment{meta: &meta, fold: w.fold, colIDs: w.colIDs, footOff: meta.DataLen, mu: make(chan struct{}, 1)}
 	err := s.buildTree()
 	if err == nil {
-		err = rf.add(s, w.img)
+		err = rf.turn(i, func() error {
+			w.img = sealFooter(w.img, &w.meta, w.fold, w.colIDs, rf.strs)
+			s.size = int64(len(w.img))
+			return rf.add(s, w.img)
+		})
 	}
 	w.release()
 	return s, err
@@ -1119,7 +1120,7 @@ func (w *Writer) Finish(path string) (*Segment, error) {
 		w.Abort()
 		return nil, err
 	}
-	seg, err := w.writeTo(d)
+	seg, err := w.writeTo(d, 0)
 	return seg, d.finish([]*Segment{seg}, nil, err)
 }
 

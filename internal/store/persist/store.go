@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -285,6 +286,7 @@ func (s *Store) FlushRound(parts []FlushPart) error {
 	}
 	segs := make([]*Segment, n)
 	err = fsys.Parallel(n, roundWorkers, func(i int) (err error) {
+		defer rf.turn(i, nil)
 		p := parts[i]
 		w := NewWriter(p.Table, p.PKey, first+uint64(i))
 		for _, r := range p.Rows {
@@ -293,7 +295,7 @@ func (s *Store) FlushRound(parts []FlushPart) error {
 				return err
 			}
 		}
-		segs[i], err = w.writeTo(rf)
+		segs[i], err = w.writeTo(rf, i)
 		return err
 	})
 	if err := rf.finish(segs, nil, err); err != nil {
@@ -386,6 +388,7 @@ func (s *Store) CompactOverflow(threshold int) (int, error) {
 		}
 	}
 	s.mu.RUnlock()
+	slices.SortFunc(keys, func(a, b segKey) int { return cmp.Or(cmp.Compare(a.table, b.table), cmp.Compare(a.pkey, b.pkey)) })
 	total := 0
 	var errs []error
 	for len(keys) > 0 {
@@ -446,9 +449,11 @@ func (s *Store) compactRound(keys []segKey, threshold int) (int, error) {
 	}
 	outs, failed := make([]*Segment, len(merges)), make([]error, len(merges))
 	err = fsys.Parallel(len(merges), roundWorkers, func(i int) (err error) {
-		outs[i], failed[i], err = s.mergeSegments(rf, merges[i], first+uint64(i))
+		defer rf.turn(i, nil)
+		outs[i], failed[i], err = s.mergeSegments(rf, merges[i], first+uint64(i), i)
 		return err
 	})
+	copied := len(merges) // the round's section of moves[0]
 	n, retired, marks := 0, make(map[*Segment]bool), []uint64(nil)
 	touched := make(map[*dataFile]bool) // the resident files holding an input
 	for i, m := range merges {
@@ -486,9 +491,11 @@ func (s *Store) compactRound(keys []segKey, threshold int) (int, error) {
 		}
 	}
 	if err == nil {
+		slices.SortFunc(moves, func(a, b *Segment) int { return cmp.Compare(a.Seq(), b.Seq()) })
 		outs = append(outs, make([]*Segment, len(moves))...)
 		err = fsys.Parallel(len(moves), roundWorkers, func(j int) (err error) {
-			outs[n+j], err = rf.copySection(moves[j])
+			defer rf.turn(copied+j, nil)
+			outs[n+j], err = rf.copySection(moves[j], copied+j)
 			return err
 		})
 	}
@@ -568,9 +575,9 @@ func deadMarks(files []*dataFile, more []uint64) []uint64 {
 }
 
 // mergeSegments streams the last-write-wins merge of m.old into the round
-// file as segment seq. A failure to read the inputs is mergeErr, and
-// leaves the file as it was; one to write the file is err.
-func (s *Store) mergeSegments(rf *dataFile, m *merge, seq uint64) (out *Segment, mergeErr, err error) {
+// file as segment seq, its section i. A failure to read the inputs is
+// mergeErr, and leaves the file as it was; one to write the file is err.
+func (s *Store) mergeSegments(rf *dataFile, m *merge, seq uint64, i int) (out *Segment, mergeErr, err error) {
 	merged, err := Merge(Range{}, m.old, make([]ScanConfig, len(m.old)), nil)
 	if err != nil {
 		return nil, err, nil
@@ -592,7 +599,7 @@ func (s *Store) mergeSegments(rf *dataFile, m *merge, seq uint64) (out *Segment,
 		w.Abort()
 		return nil, err, nil
 	}
-	out, err = w.writeTo(rf)
+	out, err = w.writeTo(rf, i)
 	return out, nil, err
 }
 

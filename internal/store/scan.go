@@ -64,6 +64,9 @@ func (n *Node) batches(_ context.Context, tableName, pkey string, rg Range, proj
 // them whole from their statistics (see persist.Pruner).
 type Pruner = persist.Pruner
 
+// Taker is re-exported from the persistence layer (see persist.Taker).
+type Taker = persist.Taker
+
 // BlockStats is re-exported from the persistence layer: the footer
 // statistics of one segment block, what a Pruner decides on.
 type BlockStats = persist.BlockStats

@@ -1,6 +1,6 @@
 // Identity tests for the partition-parallel streaming scan path: every
-// big-data operation is run with scan parallelism 1 (the serial
-// baseline) and with several larger pools, on a seeded corpus, and the
+// big-data operation is run on a compute engine of width 1 (the serial
+// baseline) and on several wider ones, on a seeded corpus, and the
 // results must be byte-for-byte identical — out of memtables and off
 // on-disk segments. The scan splits hour partitions into 5-minute clustering
 // slices, so the task count far exceeds typical core counts.
@@ -108,8 +108,7 @@ func (f *scanFixture) window() (time.Time, time.Time) {
 	return f.cfg.Start, f.cfg.Start.Add(f.cfg.Duration)
 }
 
-// scanOp is one big-data operation executed at a given scan
-// parallelism.
+// scanOp is one big-data operation, run on the fixture's engine.
 type scanOp struct {
 	name string
 	run  func(f *scanFixture, cfg analytics.ScanConfig) (any, error)
@@ -118,8 +117,13 @@ type scanOp struct {
 // scanCfg slices hour partitions into 5-minute clustering ranges so a
 // 3-hour window yields 36 tasks per event type — enough fan-out for any
 // reasonable core count.
-func scanCfg(parallelism int) analytics.ScanConfig {
-	return analytics.ScanConfig{Parallelism: parallelism, Slice: 5 * time.Minute}
+var scanCfg = analytics.ScanConfig{Slice: 5 * time.Minute}
+
+// at returns f scanning on an engine of width par.
+func (f *scanFixture) at(par int) *scanFixture {
+	g := *f
+	g.eng = compute.NewEngine(compute.Config{Workers: f.db.NodeIDs(), Parallelism: par})
+	return &g
 }
 
 func scanOps() []scanOp {
@@ -163,7 +167,7 @@ func TestScanParallelMatchesSerial(t *testing.T) {
 	f := getFixture(t)
 	for _, op := range scanOps() {
 		t.Run(op.name, func(t *testing.T) {
-			serialRes, err := op.run(f, scanCfg(1))
+			serialRes, err := op.run(f.at(1), scanCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +176,7 @@ func TestScanParallelMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, par := range []int{2, 4, 8, 16} {
-				parRes, err := op.run(f, scanCfg(par))
+				parRes, err := op.run(f.at(par), scanCfg)
 				if err != nil {
 					t.Fatalf("parallelism %d: %v", par, err)
 				}
@@ -228,7 +232,7 @@ func TestScanParallelMatchesSerialDurable(t *testing.T) {
 		eng: compute.NewEngine(compute.Config{Workers: ddb.NodeIDs()})}
 	for _, op := range scanOps() {
 		t.Run(op.name, func(t *testing.T) {
-			memRes, err := op.run(f, scanCfg(1))
+			memRes, err := op.run(f.at(1), scanCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,7 +241,7 @@ func TestScanParallelMatchesSerialDurable(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, par := range []int{1, 2, 4, 8, 16} {
-				res, err := op.run(df, scanCfg(par))
+				res, err := op.run(df.at(par), scanCfg)
 				if err != nil {
 					t.Fatalf("durable parallelism %d: %v", par, err)
 				}
@@ -258,12 +262,11 @@ func TestScanParallelMatchesSerialDurable(t *testing.T) {
 // planner must produce substantially more tasks than a typical core
 // count, so a GOMAXPROCS-sized pool can actually use 4+ cores.
 func TestScanFanOutAvailable(t *testing.T) {
-	f := getFixture(t)
-	before := f.eng.Stats().ScanTasks
-	if _, err := scanOps()[0].run(f, scanCfg(1)); err != nil {
+	f := getFixture(t).at(1)
+	if _, err := scanOps()[0].run(f, scanCfg); err != nil {
 		t.Fatal(err)
 	}
-	tasks := f.eng.Stats().ScanTasks - before
+	tasks := f.eng.Stats().ScanTasks
 	if tasks < 16 {
 		t.Fatalf("heatmap scan planned only %d tasks; parallel speedup would cap below 4x", tasks)
 	}
@@ -281,13 +284,13 @@ func TestScanSpeedupReport(t *testing.T) {
 	op := scanOps()[0]
 	measure := func(par int) time.Duration {
 		// Warm once, then take the best of 3 runs.
-		if _, err := op.run(f, scanCfg(par)); err != nil {
+		if _, err := op.run(f.at(par), scanCfg); err != nil {
 			t.Fatal(err)
 		}
 		best := time.Duration(1<<63 - 1)
 		for i := 0; i < 3; i++ {
 			start := time.Now()
-			if _, err := op.run(f, scanCfg(par)); err != nil {
+			if _, err := op.run(f.at(par), scanCfg); err != nil {
 				t.Fatal(err)
 			}
 			if d := time.Since(start); d < best {
