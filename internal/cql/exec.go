@@ -40,8 +40,6 @@ type Session struct {
 	// Eng executes SELECT plans; nil lazily creates a private engine of
 	// one worker id, as wide as the machine (tests, embedded use).
 	Eng *compute.Engine
-	// Exec tunes plan execution (pruning).
-	Exec plan.ExecOptions
 	// Ctx, when set, is the request context: its request ID rides remote
 	// shard calls, and its trace span (if any) records the parse,
 	// plan.build, and scan stages plus the statement text and EXPLAIN
@@ -61,9 +59,9 @@ func (s *Session) ctx() context.Context {
 }
 
 // Executor builds the plan executor sharing the session's store,
-// consistency, engine, tuning and context.
+// consistency, engine and context.
 func (s *Session) Executor() *plan.Executor {
-	return &plan.Executor{DB: s.DB, Eng: s.engine(), CL: s.CL, Opt: s.Exec, Ctx: s.Ctx}
+	return &plan.Executor{DB: s.DB, Eng: s.engine(), CL: s.CL, Ctx: s.Ctx}
 }
 
 func (s *Session) engine() *compute.Engine {

@@ -57,9 +57,8 @@ const (
 // trailer around an empty footer.
 const minSection = int64(len(segHeader)) + trailerLen
 
-// roundWorkers bounds a round's encoding goroutines; a section waiting for
-// its turn (dataFile.turn) holds one, so 8 keep encoding past a large one.
-const roundWorkers = 8
+// roundWorkers bounds the goroutines encoding one round's segments.
+const roundWorkers = 4
 
 // RoundCrashHook, when non-nil, is invoked at each boundary of a flush or
 // compaction round with the stage name and the final path of the data

@@ -5,11 +5,15 @@ package store
 // and the error contract of a node-parallel Flush.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"maps"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -640,4 +644,83 @@ func TestWriteRoundVisitsOnlyFullMemtables(t *testing.T) {
 		t.Fatalf("after a failed round and a filling batch to another partition: %d segments in %d rounds, %d rows in memtables; want 3, 2 and %d",
 			st.Flushes, st.FlushRounds, db.MemtableRows(), idle)
 	}
+}
+
+// TestNodeRoundFilesReproducible: a node's flush and compaction rounds
+// write the same bytes for the same rows and write timestamps, whatever
+// order the rows and partitions arrived in — the round takes its
+// memtables in partition order, not in the node's map order.
+func TestNodeRoundFilesReproducible(t *testing.T) {
+	want := nodeRoundFiles(t, 0)
+	if len(want) == 0 {
+		t.Fatal("the rounds wrote no file")
+	}
+	for seed := int64(1); seed < 6; seed++ {
+		got := nodeRoundFiles(t, seed)
+		if !slices.Equal(slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want))) {
+			t.Fatalf("seed %d wrote files %v, seed 0 %v", seed, slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want)))
+		}
+		for _, name := range slices.Sorted(maps.Keys(want)) {
+			if !bytes.Equal(got[name], want[name]) {
+				t.Fatalf("seed %d: %s differs from seed 0's (%d and %d bytes)", seed, name, len(got[name]), len(want[name]))
+			}
+		}
+	}
+}
+
+// nodeRoundFiles puts the same rows, each with its own write timestamp,
+// into 24 partitions of a fresh one-node store, shuffled by seed, in two
+// waves each ended by DB.Flush, then compacts. It returns the data files
+// present after each round, by round and name.
+func nodeRoundFiles(t *testing.T, seed int64) map[string][]byte {
+	t.Helper()
+	dir := t.TempDir()
+	db, err := OpenDurable(Config{Nodes: 1, RF: 1, FlushThreshold: 1 << 20, CompactInterval: -1, Dir: dir, WALNoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateTable("events"); err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte)
+	snapshot := func(round string) {
+		paths, err := filepath.Glob(filepath.Join(dir, "node-*", "seg", "*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range paths {
+			b, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[round+strings.TrimPrefix(p, dir)] = b
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for wave := range 2 {
+		var puts [][2]int
+		for p := range 24 {
+			for i := range 20 {
+				puts = append(puts, [2]int{p, wave*20 + i})
+			}
+		}
+		rng.Shuffle(len(puts), func(i, j int) { puts[i], puts[j] = puts[j], puts[i] })
+		for _, pi := range puts {
+			i := int64(pi[0]*100 + pi[1])
+			row := MakeRow(EncodeTS(1000+i), 1+i, []Col{C("count", fmt.Sprint(i)), C("node", fmt.Sprintf("c0-0c%d", i%3))})
+			if err := db.PutBatch("events", fmt.Sprintf("part-%02d", pi[0]), []Row{row}, All); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		snapshot(fmt.Sprintf("flush-%d", wave))
+	}
+	if _, err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	snapshot("compact")
+	return files
 }
