@@ -51,8 +51,8 @@ func TestBatchFoldAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hist := histFold(bins{from: start, width: time.Minute, n: 120})
-	var histAcc binCounts
+	hist := bins{from: start, width: time.Minute, n: 120}.fold
+	var histAcc BinCounts
 	heatAcc := make([]int, topology.Cabinets)
 	folds := []struct {
 		name    string
@@ -60,7 +60,7 @@ func TestBatchFoldAllocBudget(t *testing.T) {
 		fold    func(*store.Batch) error
 	}{
 		{"histogram", projAmount, func(b *store.Batch) (err error) { histAcc, err = hist(histAcc, b); return err }},
-		{"heatmap", projSourceAmount, func(b *store.Batch) (err error) { heatAcc, err = heatFold(heatAcc, b); return err }},
+		{"heatmap", projSourceAmount, func(b *store.Batch) (err error) { heatAcc, err = HeatmapFold.Fold(heatAcc, b); return err }},
 	}
 	for _, f := range folds {
 		perScan := map[string]float64{}
@@ -126,11 +126,11 @@ func TestTextFoldAllocBudget(t *testing.T) {
 		own  bool // the answer's terms cost a string each beyond the budget
 	}{
 		{"TF-IDF over one-off terms", func(from time.Time) (int, error) {
-			top, err := TFIDFScan(eng, db, model.MCE, from, from.Add(time.Hour), 10, cfg)
+			top, err := tfidf(eng, db, model.MCE, from, from.Add(time.Hour), 10, cfg)
 			return len(top), err
 		}, false},
 		{"word count over dictionary-coded holes", func(from time.Time) (int, error) {
-			counts, err := WordCountScan(eng, db, model.Lustre, from, from.Add(time.Hour), cfg)
+			counts, err := wordCounts(eng, db, model.Lustre, from, from.Add(time.Hour), cfg)
 			return len(counts), err
 		}, true},
 	}
@@ -175,7 +175,7 @@ func TestHistogramLongWindowAllocs(t *testing.T) {
 	to := from.Add(30 * 24 * time.Hour)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	hist, err := HistogramScan(eng, db, model.MCE, from, to, time.Minute, ScanConfig{})
+	hist, err := histogram(eng, db, model.MCE, from, to, time.Minute, ScanConfig{}, false)
 	runtime.ReadMemStats(&after)
 	if err != nil || len(hist) != 30*24*60 {
 		t.Fatalf("%d bins: %v", len(hist), err)
@@ -183,7 +183,7 @@ func TestHistogramLongWindowAllocs(t *testing.T) {
 	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 8 {
 		t.Errorf("a 30-day histogram of 60 s bins allocates %.1f MB, budget 8 MB", mb)
 	}
-	if _, err := HistogramScan(eng, db, model.MCE, from, to, time.Second, ScanConfig{}); err == nil || !strings.Contains(err.Error(), strconv.Itoa(MaxBins)) {
+	if _, err := HistogramFold(from, to, time.Second); err == nil || !strings.Contains(err.Error(), strconv.Itoa(MaxBins)) {
 		t.Errorf("%d bins of 1 s: error %v, want one naming the limit %d", 30*24*3600, err, MaxBins)
 	}
 }

@@ -123,14 +123,33 @@ func (f *fixture) window() (time.Time, time.Time) {
 	return f.cfg.Start, f.cfg.Start.Add(f.cfg.Duration)
 }
 
+// wordCounts reads the word count off TextFold over typ.
+func wordCounts(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) (map[string]int, error) {
+	v, err := TextFold.Scan(eng, db, typ, from, to, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return v.WordCounts(), nil
+}
+
+// tfidf reads the k best TF-IDF terms off TextFold over typ.
+func tfidf(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, k int, cfg ScanConfig) ([]TermScore, error) {
+	v, err := TextFold.Scan(eng, db, typ, from, to, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return v.TopTerms(k), nil
+}
+
 func TestHeatmapFindsHotspot(t *testing.T) {
 	// E5: the MCE heat map must be dominated by the injected hot cabinet.
 	f := getFixture(t)
 	from, to := f.window()
-	hm, err := HeatmapScan(f.eng, f.db, model.MCE, from, to, ScanConfig{})
+	counts, err := HeatmapFold.Scan(f.eng, f.db, model.MCE, from, to, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hm := NewHeatMap(model.MCE, from, to, counts)
 	if hm.Total == 0 {
 		t.Fatal("heat map empty")
 	}
@@ -143,10 +162,11 @@ func TestHeatmapFindsHotspot(t *testing.T) {
 func TestHeatmapMatchesGroundTruth(t *testing.T) {
 	f := getFixture(t)
 	from, to := f.window()
-	hm, err := HeatmapScan(f.eng, f.db, model.MemECC, from, to, ScanConfig{})
+	counts, err := HeatmapFold.Scan(f.eng, f.db, model.MemECC, from, to, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hm := NewHeatMap(model.MemECC, from, to, counts)
 	truth := map[int]int{}
 	seen := map[string]bool{}
 	for _, e := range f.corpus.Events {
@@ -173,10 +193,14 @@ func TestHeatmapMatchesGroundTruth(t *testing.T) {
 func TestDistributionLevels(t *testing.T) {
 	f := getFixture(t)
 	from, to := f.window()
-	cabs, err := DistributionByScan(f.eng, f.db, model.MCE, from, to, topology.LevelCabinet, ScanConfig{})
-	if err != nil {
-		t.Fatal(err)
+	distribution := func(level topology.Level) []Bucket {
+		acc, err := DistributionFold(level).Scan(f.eng, f.db, model.MCE, from, to, ScanConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return acc.Buckets()
 	}
+	cabs := distribution(topology.LevelCabinet)
 	if len(cabs) == 0 {
 		t.Fatal("no cabinet distribution")
 	}
@@ -188,14 +212,7 @@ func TestDistributionLevels(t *testing.T) {
 			t.Fatal("distribution not sorted descending")
 		}
 	}
-	nodes, err := DistributionByScan(f.eng, f.db, model.MCE, from, to, topology.LevelNode, ScanConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blades, err := DistributionByScan(f.eng, f.db, model.MCE, from, to, topology.LevelBlade, ScanConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	nodes, blades := distribution(topology.LevelNode), distribution(topology.LevelBlade)
 	if len(nodes) < len(blades) || len(blades) < len(cabs) {
 		t.Fatalf("granularity ordering violated: %d nodes, %d blades, %d cabinets",
 			len(nodes), len(blades), len(cabs))
@@ -213,13 +230,25 @@ func TestDistributionLevels(t *testing.T) {
 	}
 }
 
-func TestDistributionByApp(t *testing.T) {
-	f := getFixture(t)
+// appDistribution is the per-application distribution of typ over the
+// fixture's window.
+func appDistribution(t *testing.T, f *fixture, typ model.EventType) []Bucket {
+	t.Helper()
 	from, to := f.window()
-	buckets, err := DistributionByAppScan(f.eng, f.db, model.Lustre, from, to, ScanConfig{})
+	runs, err := RunsIn(f.db, from, to, 24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
+	acc, err := AppDistributionFold(runs).Scan(f.eng, f.db, typ, from, to, ScanConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return acc.Buckets()
+}
+
+func TestDistributionByApp(t *testing.T) {
+	f := getFixture(t)
+	buckets := appDistribution(t, f, model.Lustre)
 	if len(buckets) == 0 {
 		t.Fatal("no app distribution")
 	}
@@ -272,7 +301,7 @@ func TestPlacementAndEventSites(t *testing.T) {
 	if found.IsZero() {
 		t.Fatal("no lustre event after storm midpoint")
 	}
-	sites, err := EventSitesScan(f.eng, f.db, model.Lustre, found, ScanConfig{})
+	sites, err := SitesFold.Scan(f.eng, f.db, model.Lustre, found, found.Add(time.Second), ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +313,7 @@ func TestPlacementAndEventSites(t *testing.T) {
 func TestHistogramShowsStorm(t *testing.T) {
 	f := getFixture(t)
 	from, to := f.window()
-	hist, err := HistogramScan(f.eng, f.db, model.Lustre, from, to, time.Minute, ScanConfig{})
+	hist, err := histogram(f.eng, f.db, model.Lustre, from, to, time.Minute, ScanConfig{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,10 +330,10 @@ func TestHistogramShowsStorm(t *testing.T) {
 	if peakBin < stormBin || peakBin >= stormBin+4 {
 		t.Fatalf("histogram peak at bin %d, storm at bins [%d,%d)", peakBin, stormBin, stormBin+4)
 	}
-	if _, err := HistogramScan(f.eng, f.db, model.Lustre, from, to, 0, ScanConfig{}); err == nil {
+	if _, err := HistogramFold(from, to, 0); err == nil {
 		t.Fatal("zero bin accepted")
 	}
-	if _, err := HistogramScan(f.eng, f.db, model.Lustre, from, from, time.Minute, ScanConfig{}); err == nil {
+	if _, err := HistogramFold(from, from, time.Minute); err == nil {
 		t.Fatal("empty window accepted")
 	}
 }
@@ -314,7 +343,7 @@ func TestTransferEntropyDetectsInjectedCausality(t *testing.T) {
 	// transfer entropy must be asymmetric in that direction.
 	f := getFixture(t)
 	from, to := f.window()
-	res, err := TransferEntropyBetweenScan(f.eng, f.db, model.Lustre, model.AppAbort, from, to, 30*time.Second, ScanConfig{})
+	res, err := transferEntropy(f.eng, f.db, model.Lustre, model.AppAbort, from, to, 30*time.Second, ScanConfig{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +418,7 @@ func TestWordCountLocatesOST(t *testing.T) {
 	// OST as a dominant token.
 	f := getFixture(t)
 	storm := f.cfg.Storms[0]
-	counts, err := WordCountScan(f.eng, f.db, model.Lustre, storm.Start, storm.Start.Add(storm.Duration), ScanConfig{})
+	counts, err := wordCounts(f.eng, f.db, model.Lustre, storm.Start, storm.Start.Add(storm.Duration), ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +438,7 @@ func TestWordCountLocatesOST(t *testing.T) {
 func TestTFIDFRanksCulpritHigh(t *testing.T) {
 	f := getFixture(t)
 	storm := f.cfg.Storms[0]
-	top, err := TFIDFScan(f.eng, f.db, model.Lustre, storm.Start, storm.Start.Add(storm.Duration), 10, ScanConfig{})
+	top, err := tfidf(f.eng, f.db, model.Lustre, storm.Start, storm.Start.Add(storm.Duration), 10, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +456,7 @@ func TestTFIDFRanksCulpritHigh(t *testing.T) {
 	}
 }
 
-// TestTFIDFTopKIsSortedPrefix: the k-heap selection of TFIDFScan returns
+// TestTFIDFTopKIsSortedPrefix: the k-heap selection of TopTerms returns
 // exactly the first k terms of the fully sorted vocabulary, for k around
 // the edges, on three vocabularies — Lustre's storm words, MCE's unique
 // status words (far more than 50), MemECC's handful.
@@ -436,7 +465,7 @@ func TestTFIDFTopKIsSortedPrefix(t *testing.T) {
 	from, to := f.window()
 	wide := compute.NewEngine(compute.Config{Parallelism: 3})
 	for _, typ := range []model.EventType{model.Lustre, model.MCE, model.MemECC} {
-		full, err := TFIDFScan(f.eng, f.db, typ, from, to, 0, ScanConfig{})
+		full, err := tfidf(f.eng, f.db, typ, from, to, 0, ScanConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,7 +479,7 @@ func TestTFIDFTopKIsSortedPrefix(t *testing.T) {
 			}
 		}
 		for _, k := range []int{1, 2, 50, n - 1, n, n + 3} {
-			top, err := TFIDFScan(wide, f.db, typ, from, to, k, ScanConfig{})
+			top, err := tfidf(wide, f.db, typ, from, to, k, ScanConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -528,19 +557,19 @@ func TestTextFoldsMatchTokenize(t *testing.T) {
 			}
 		}
 	}
-	counts, err := WordCountScan(eng, db, model.Lustre, start, to, ScanConfig{})
+	counts, err := wordCounts(eng, db, model.Lustre, start, to, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(counts, tf) {
-		t.Fatalf("WordCountScan = %v, Tokenize reference = %v", counts, tf)
+		t.Fatalf("word count = %v, Tokenize reference = %v", counts, tf)
 	}
-	scores, err := TFIDFScan(eng, db, model.Lustre, start, to, 0, ScanConfig{})
+	scores, err := tfidf(eng, db, model.Lustre, start, to, 0, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(scores) != len(tf) {
-		t.Fatalf("TFIDFScan scores %d terms, reference has %d", len(scores), len(tf))
+		t.Fatalf("TF-IDF scores %d terms, reference has %d", len(scores), len(tf))
 	}
 	for _, sc := range scores {
 		want := float64(tf[sc.Term]) * math.Log(float64(1+nDocs)/float64(1+df[sc.Term]))
@@ -584,9 +613,9 @@ func TestHistogramBadAmountNamesRow(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, err := HistogramScan(eng, db, model.MCE, start, start.Add(time.Hour), time.Minute, ScanConfig{})
+		_, err := histogram(eng, db, model.MCE, start, start.Add(time.Hour), time.Minute, ScanConfig{}, false)
 		if err == nil || err.Error() != want {
-			t.Errorf("%s: HistogramScan error %v, want %s", stage, err, want)
+			t.Errorf("%s: histogram error %v, want %s", stage, err, want)
 		}
 	}
 }
@@ -595,7 +624,7 @@ func TestTFIDFEmptyCorpus(t *testing.T) {
 	// A window after the corpus holds no messages: no documents, no scores.
 	f := getFixture(t)
 	_, to := f.window()
-	scores, err := TFIDFScan(f.eng, f.db, model.Lustre, to.Add(48*time.Hour), to.Add(49*time.Hour), 0, ScanConfig{})
+	scores, err := tfidf(f.eng, f.db, model.Lustre, to.Add(48*time.Hour), to.Add(49*time.Hour), 0, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -678,10 +707,7 @@ func TestEventsBySourceMatchesByType(t *testing.T) {
 func TestDistributionByAppAttributesAborts(t *testing.T) {
 	f := getFixture(t)
 	from, to := f.window()
-	buckets, err := DistributionByAppScan(f.eng, f.db, model.AppAbort, from, to, ScanConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	buckets := appDistribution(t, f, model.AppAbort)
 	got := map[string]int{}
 	for _, b := range buckets {
 		got[b.Label] = b.Count

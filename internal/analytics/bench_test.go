@@ -30,7 +30,7 @@ func BenchmarkTextFolds(b *testing.B) {
 	b.Run("tfidf-oneoff", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			if _, err := TFIDFScan(eng, db, model.MCE, from, from.Add(time.Hour), 10, cfg); err != nil {
+			if _, err := tfidf(eng, db, model.MCE, from, from.Add(time.Hour), 10, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -38,7 +38,7 @@ func BenchmarkTextFolds(b *testing.B) {
 	b.Run("wordcount-dict", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			if _, err := WordCountScan(eng, db, model.Lustre, from, from.Add(time.Hour), cfg); err != nil {
+			if _, err := wordCounts(eng, db, model.Lustre, from, from.Add(time.Hour), cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,25 +3,31 @@ package analytics
 import (
 	"fmt"
 	"math"
-	"time"
-
-	"hpclog/internal/model"
 )
 
-// Series is a regularly binned event-count time series.
-type Series struct {
-	Type model.EventType
-	From time.Time
-	Bin  time.Duration
-	// Counts holds occurrence totals per bin.
-	Counts []int
+// TransferEntropyBetween measures transfer entropy in both directions
+// between two event-count series of the same bins, reduced to presence
+// indicators (count > 0) — the "investigation of correlation between two
+// event occurrences within a selected time interval, which can provide a
+// causal relationship between the two" (Section III-C).
+func TransferEntropyBetween(x, y []int) (TEResult, error) {
+	bx, by := binary(x), binary(y)
+	xy, err := TransferEntropy(bx, by)
+	if err != nil {
+		return TEResult{}, err
+	}
+	yx, err := TransferEntropy(by, bx)
+	if err != nil {
+		return TEResult{}, err
+	}
+	return TEResult{XToY: xy, YToX: yx}, nil
 }
 
-// Binary reduces the series to presence indicators (count > 0), the
-// symbolization used for information-theoretic measures.
-func (s *Series) Binary() []int {
-	out := make([]int, len(s.Counts))
-	for i, c := range s.Counts {
+// binary reduces counts to presence indicators, the symbolization used
+// for information-theoretic measures.
+func binary(counts []int) []int {
+	out := make([]int, len(counts))
+	for i, c := range counts {
 		if c > 0 {
 			out[i] = 1
 		}

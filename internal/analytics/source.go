@@ -9,8 +9,9 @@
 // Every heavy computation is one partition-parallel scan on the compute
 // engine: store partitions, cut into clustering-key time slices, are read
 // as batches by a bounded pool of scan tasks and folded (or, for raw
-// events, streamed) in task order. Each operation has one exported
-// function, shared by the query engine and the core facade.
+// events, streamed) in task order. An aggregation is a Fold value, which
+// Fold.Scan runs; the query engine's op table makes its answer of the
+// accumulator.
 package analytics
 
 import (

@@ -64,15 +64,32 @@ func sliceBounds(lo, hi time.Time, slice time.Duration) [][2]time.Time {
 	return out
 }
 
-// foldType is the aggregation path: it scans one event type over
-// event_by_time in (partition, slice) tasks and folds every task's batches
-// — clustering keys plus the projected columns, never a store.Row or a
-// model.Event — into the task's accumulator; accumulators merge in task
-// order. A batch dies when fold returns, so fold must clone any string it
-// keeps. A fold of occurrence counts by time or by source passes whole,
-// the take func of a store.Taker; others pass nil.
-func foldType[A any](eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig,
-	project []uint32, newAcc func() A, fold func(A, *store.Batch) (A, error), whole wholeFunc[A], merge func(A, A) A) (A, error) {
+// Fold is an aggregating operation as a value: Scan reads one event type
+// over event_by_time in (partition, slice) tasks and folds every task's
+// batches — clustering keys plus the projected columns, never a store.Row
+// or a model.Event — into the task's accumulator; accumulators merge in
+// task order.
+type Fold[A any] struct {
+	// Project lists the columns Fold reads.
+	Project []uint32
+	// New makes a task's empty accumulator.
+	New func() A
+	// Fold adds a batch's rows to acc. A batch dies when Fold returns, so
+	// Fold clones any string it keeps.
+	Fold func(acc A, b *store.Batch) (A, error)
+	// Take, when not nil, is the take func of a store.Taker: it adds to acc,
+	// from its footer statistics, a block whose every amount is an
+	// occurrence count, the counts summing to sum (wrapping as int64 does),
+	// reporting false — acc unchanged — when it cannot place the block
+	// without its rows. Folds of occurrence counts by time or by source
+	// have one.
+	Take func(acc A, b *store.BlockStats, sum int64) (A, bool)
+	// Merge merges the accumulator of the next task into acc.
+	Merge func(acc, next A) A
+}
+
+// Scan runs f over the events of typ in [from, to).
+func (f Fold[A]) Scan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) (A, error) {
 	units := PlanEvents(typ, "", from, to, cfg)
 	tasks := make([]compute.FoldTask[A], len(units))
 	var taken atomic.Int64
@@ -82,17 +99,17 @@ func foldType[A any](eng *compute.Engine, db *store.DB, typ model.EventType, fro
 			rows := 0
 			var pr store.Pruner
 			var t *store.Taker
-			if whole != nil {
+			if f.Take != nil {
 				t = &store.Taker{Range: u.Range, Take: func(b *store.BlockStats, sum int64) (ok bool) {
-					acc, ok = whole(acc, b, sum)
+					acc, ok = f.Take(acc, b, sum)
 					return ok
 				}}
 				pr = t
 			}
-			err := db.ScanPartitionBatches(context.TODO(), model.TableEventByTime, pkey, u.Range, project, pr, nil,
+			err := db.ScanPartitionBatches(context.TODO(), model.TableEventByTime, pkey, u.Range, f.Project, pr, nil,
 				func(b *store.Batch) (err error) {
 					rows += b.Len()
-					acc, err = fold(acc, b)
+					acc, err = f.Fold(acc, b)
 					return err
 				})
 			if t != nil {
@@ -102,16 +119,10 @@ func foldType[A any](eng *compute.Engine, db *store.DB, typ model.EventType, fro
 			return acc, rows, err
 		}
 	}
-	acc, err := compute.ScanFold(eng, tasks, newAcc, merge)
+	acc, err := compute.ScanFold(eng, tasks, f.New, f.Merge)
 	eng.NoteTaken(int(taken.Load()))
 	return acc, err
 }
-
-// wholeFunc is a fold's take func: it adds to acc, from its footer
-// statistics, a block whose every amount is an occurrence count, the
-// counts summing to sum (wrapping as int64 does), reporting false — acc
-// unchanged — when the fold cannot place the block without its rows.
-type wholeFunc[A any] func(acc A, b *store.BlockStats, sum int64) (A, bool)
 
 // Projections of the folds below.
 var (
@@ -119,6 +130,14 @@ var (
 	projSourceAmount = []uint32{model.ColSourceID, model.ColAmountID}
 	projRaw          = []uint32{model.ColRawID}
 )
+
+// countFold is the fold of occurrence counts by source: each row, or each
+// source of a block taken whole, adds its occurrence count under its
+// source and what resolve makes of it.
+func countFold[A, S any](resolve *persist.DictFunc[S], newAcc func() A, add func(acc A, source string, s S, n int), merge func(A, A) A) Fold[A] {
+	return Fold[A]{Project: projSourceAmount, New: newAcc,
+		Fold: foldCounts(resolve, add), Take: wholeBySource(resolve, add), Merge: merge}
+}
 
 // foldCounts folds (source, amount) batches: each row adds its occurrence
 // count under its source and what resolve makes of it. Where a batch
@@ -149,7 +168,7 @@ func foldCounts[A, S any](resolve *persist.DictFunc[S], add func(acc A, source s
 // foldCounts(resolve, add), from its footer: one add with the source every
 // row holds, where the zone map tells one, or one per entry of its group
 // list of sources — the entries resolved once per section dictionary.
-func wholeBySource[A, S any](resolve *persist.DictFunc[S], add func(acc A, source string, s S, n int)) wholeFunc[A] {
+func wholeBySource[A, S any](resolve *persist.DictFunc[S], add func(acc A, source string, s S, n int)) func(A, *store.BlockStats, int64) (A, bool) {
 	return func(acc A, b *store.BlockStats, sum int64) (A, bool) {
 		if source, ok := b.Only(model.ColSourceID); ok {
 			add(acc, source, resolve.Of(source), int(sum))
@@ -178,8 +197,6 @@ var cnameOf = persist.NewDictFunc(func(source string) cname {
 	return cname{loc, err == nil}
 })
 
-func newCountMap[K comparable]() map[K]int { return make(map[K]int) }
-
 func mergeCountMaps[K comparable](a, b map[K]int) map[K]int {
 	for k, v := range b {
 		a[k] += v
@@ -189,12 +206,15 @@ func mergeCountMaps[K comparable](a, b map[K]int) map[K]int {
 
 // --- Streaming aggregations ---
 
-func sumInts(a, b []int) []int {
-	for i, v := range b {
-		a[i] += v
-	}
-	return a
-}
+// HeatmapFold counts occurrences per cabinet index, topology.Cabinets of
+// them; NewHeatMap lays the counts out on the floor.
+var HeatmapFold = countFold(cnameOf, func() []int { return make([]int, topology.Cabinets) }, heatAdd,
+	func(a, b []int) []int {
+		for i, v := range b {
+			a[i] += v
+		}
+		return a
+	})
 
 // heatAdd counts occurrences per cabinet index; non-compute sources
 // (servers) have no floor position.
@@ -204,22 +224,9 @@ func heatAdd(acc []int, _ string, c cname, n int) {
 	}
 }
 
-var heatFold = foldCounts(cnameOf, heatAdd)
-
-// HeatmapScan computes the cabinet-level heat map of one event type over
-// [from, to). A block that lists its sources in its footer is counted from
-// there.
-func HeatmapScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) (*HeatMap, error) {
-	return heatmapScan(eng, db, typ, from, to, cfg, wholeBySource(cnameOf, heatAdd))
-}
-
-// heatmapScan is HeatmapScan taking blocks through whole (nil: none).
-func heatmapScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig, whole wholeFunc[[]int]) (*HeatMap, error) {
-	counts, err := foldType(eng, db, typ, from, to, cfg, projSourceAmount,
-		func() []int { return make([]int, topology.Cabinets) }, heatFold, whole, sumInts)
-	if err != nil {
-		return nil, err
-	}
+// NewHeatMap is the heat map of typ over [from, to) with counts per
+// cabinet index.
+func NewHeatMap(typ model.EventType, from, to time.Time, counts []int) *HeatMap {
 	hm := &HeatMap{Type: typ, From: from, To: to}
 	for cab, n := range counts {
 		hm.Counts[cab/topology.Cols][cab%topology.Cols] = n
@@ -228,86 +235,80 @@ func heatmapScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, t
 			hm.Max = n
 		}
 	}
-	return hm, nil
+	return hm
 }
 
-// distAcc counts occurrences per truncated location; sources that are not
-// node cnames count under their own name.
-type distAcc struct {
+// LocCounts counts occurrences per location truncated to a level; sources
+// that are not node cnames count under their own name.
+type LocCounts struct {
+	level topology.Level
 	locs  map[topology.Location]int
-	other keyCounts
+	other KeyCounts
 }
 
-// DistributionByScan computes event occurrence distributions "over
-// cabinets, blades, nodes" (Fig 5) at the requested granularity, sorted by
-// descending count. A block that lists its sources in its footer is
-// counted from there.
-func DistributionByScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, level topology.Level, cfg ScanConfig) ([]Bucket, error) {
-	return distributionScan(eng, db, typ, from, to, level, cfg, wholeBySource(cnameOf, distAdd(level)))
-}
-
-// distAdd counts a source at level: a place on the floor, cut to the
-// level, or — not a node cname — a name of its own.
-func distAdd(level topology.Level) func(acc distAcc, source string, c cname, n int) {
-	return func(acc distAcc, source string, c cname, n int) {
-		if c.node {
-			acc.locs[truncateLoc(c.loc, level)] += n
-		} else {
-			acc.other.add(source, n)
-		}
-	}
-}
-
-// distributionScan is DistributionByScan taking blocks through whole (nil:
-// none).
-func distributionScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, level topology.Level, cfg ScanConfig, whole wholeFunc[distAcc]) ([]Bucket, error) {
-	acc, err := foldType(eng, db, typ, from, to, cfg, projSourceAmount,
-		func() distAcc { return distAcc{newCountMap[topology.Location](), keyCounts{}} },
-		foldCounts(cnameOf, distAdd(level)), whole,
-		func(a, b distAcc) distAcc {
-			return distAcc{mergeCountMaps(a.locs, b.locs), a.other.merge(b.other)}
+// DistributionFold computes event occurrence distributions "over
+// cabinets, blades, nodes" (Fig 5) at the requested granularity.
+func DistributionFold(level topology.Level) Fold[LocCounts] {
+	return countFold(cnameOf,
+		func() LocCounts { return LocCounts{level, make(map[topology.Location]int), KeyCounts{}} },
+		LocCounts.add,
+		func(a, b LocCounts) LocCounts {
+			return LocCounts{a.level, mergeCountMaps(a.locs, b.locs), a.other.merge(b.other)}
 		})
-	if err != nil {
-		return nil, err
-	}
-	// One label per bucket, not per event.
-	counts := acc.other.counts()
-	for loc, n := range acc.locs {
-		counts[topology.Component{Level: level, Loc: loc}.String()] += n
-	}
-	return sortBuckets(counts), nil
 }
 
-// DistributionByAppScan attributes event occurrences to the applications
-// that were running on the reporting node at the reporting time (Fig 5's
-// per-application distribution), returning descending buckets keyed by
-// application name.
-func DistributionByAppScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) ([]Bucket, error) {
-	runs, err := RunsIn(db, from, to, 24*time.Hour)
-	if err != nil {
-		return nil, err
+// add counts a source: a place on the floor, cut to the level, or — not
+// a node cname — a name of its own.
+func (c LocCounts) add(source string, cn cname, n int) {
+	if cn.node {
+		c.locs[truncateLoc(cn.loc, c.level)] += n
+	} else {
+		c.other.add(source, n)
 	}
-	type span struct {
-		start, end time.Time
-		app        string
+}
+
+// Buckets returns the distribution sorted by descending count.
+func (c LocCounts) Buckets() []Bucket {
+	// One label per bucket, not per event.
+	counts := c.other.Map()
+	for loc, n := range c.locs {
+		counts[topology.Component{Level: c.level, Loc: loc}.String()] += n
 	}
+	return sortBuckets(counts)
+}
+
+// span is a run on one node.
+type span struct {
+	start, end time.Time
+	app        string
+}
+
+// AppCounts is a task's counts by application, and the runs of each node
+// its batches name, looked up once per distinct source where a block says
+// which those are — and once per section where it codes them into the
+// section's dictionary.
+type AppCounts struct {
+	counts map[string]int
+	runsOf *persist.DictMemo[[]span]
+}
+
+// Buckets returns the counts sorted by descending count.
+func (c AppCounts) Buckets() []Bucket { return sortBuckets(c.counts) }
+
+// AppDistributionFold attributes event occurrences to the applications of
+// runs that were running on the reporting node at the reporting time (Fig
+// 5's per-application distribution), keyed by application name.
+func AppDistributionFold(runs []model.AppRun) Fold[AppCounts] {
 	byNode := make(map[string][]span)
 	for _, r := range runs {
 		for _, n := range r.Nodes {
 			byNode[n] = append(byNode[n], span{r.Start, r.End, r.App})
 		}
 	}
-	// A task's counts by application, and the runs of each node its
-	// batches name, looked up once per distinct source where a block says
-	// which those are — and once per section where it codes them into the
-	// section's dictionary.
-	type appAcc struct {
-		counts map[string]int
-		runsOf *persist.DictMemo[[]span]
-	}
-	acc, err := foldType(eng, db, typ, from, to, cfg, projSourceAmount,
-		func() appAcc { return appAcc{newCountMap[string](), new(persist.DictMemo[[]span])} },
-		func(acc appAcc, b *store.Batch) (appAcc, error) {
+	return Fold[AppCounts]{
+		Project: projSourceAmount,
+		New:     func() AppCounts { return AppCounts{make(map[string]int), new(persist.DictMemo[[]span])} },
+		Fold: func(acc AppCounts, b *store.Batch) (AppCounts, error) {
 			var counts [store.MaxBatchRows]int
 			if err := model.EventCounts(b, counts[:b.Len()]); err != nil {
 				return acc, err
@@ -342,31 +343,23 @@ func DistributionByAppScan(eng *compute.Engine, db *store.DB, typ model.EventTyp
 			}
 			return acc, nil
 		},
-		nil, func(a, b appAcc) appAcc { return appAcc{mergeCountMaps(a.counts, b.counts), a.runsOf} })
-	if err != nil {
-		return nil, err
+		Merge: func(a, b AppCounts) AppCounts { return AppCounts{mergeCountMaps(a.counts, b.counts), a.runsOf} },
 	}
-	return sortBuckets(acc.counts), nil
 }
 
-// EventSitesScan lists, for one event type and instant (to the second),
-// the nodes reporting it (Fig 6-top), with occurrence counts.
-func EventSitesScan(eng *compute.Engine, db *store.DB, typ model.EventType, at time.Time, cfg ScanConfig) (map[string]int, error) {
-	acc, err := foldType(eng, db, typ, at, at.Add(time.Second), cfg, projSourceAmount,
-		func() keyCounts { return keyCounts{} },
-		foldCounts(cnameOf, func(acc keyCounts, source string, _ cname, n int) { acc.add(source, n) }),
-		nil, keyCounts.merge)
-	return acc.counts(), err
-}
+// SitesFold counts occurrences by reporting source — run over one second,
+// the nodes reporting an event type at an instant (Fig 6-top).
+var SitesFold = countFold(cnameOf, func() KeyCounts { return KeyCounts{} },
+	func(acc KeyCounts, source string, _ cname, n int) { acc.add(source, n) }, KeyCounts.merge)
 
-// keyCounts counts by string keys, which may alias a batch: batch strings
+// KeyCounts counts by string keys, which may alias a batch: batch strings
 // die with their batch, and results outlive the scan. A key is cloned on
 // first insert, and its count sits behind a pointer so that no later add
 // assigns to the map — an assignment stores the key it is given, even
 // over an equal one.
-type keyCounts map[string]*int
+type KeyCounts map[string]*int
 
-func (c keyCounts) add(key string, n int) {
+func (c KeyCounts) add(key string, n int) {
 	if p, ok := c[key]; ok {
 		*p += n
 		return
@@ -374,15 +367,15 @@ func (c keyCounts) add(key string, n int) {
 	c[strings.Clone(key)] = &n
 }
 
-func (c keyCounts) merge(d keyCounts) keyCounts {
+func (c KeyCounts) merge(d KeyCounts) KeyCounts {
 	for k, p := range d {
 		c.add(k, *p)
 	}
 	return c
 }
 
-// counts returns the counts as a plain map.
-func (c keyCounts) counts() map[string]int {
+// Map returns the counts as a plain map.
+func (c KeyCounts) Map() map[string]int {
 	out := make(map[string]int, len(c))
 	for k, p := range c {
 		out[k] = *p
@@ -394,19 +387,16 @@ func (c keyCounts) counts() map[string]int {
 // may have.
 const MaxBins = 1 << 20
 
-// HistogramScan bins occurrences of one event type over [from, to) into
-// fixed-width bins — the temporal map's data (Fig 5-top). A block that
-// lies in one bin is counted from its footer.
-func HistogramScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, bin time.Duration, cfg ScanConfig) ([]int, error) {
-	h, err := binning(from, to, bin)
+// HistogramFold bins occurrences over [from, to) into fixed-width bins —
+// the temporal map's data (Fig 5-top). A block that lies in one bin is
+// counted from its footer. It fails on a binning of no bins or more than
+// MaxBins.
+func HistogramFold(from, to time.Time, width time.Duration) (Fold[BinCounts], error) {
+	h, err := binning(from, to, width)
 	if err != nil {
-		return nil, err
+		return Fold[BinCounts]{}, err
 	}
-	acc, err := foldType(eng, db, typ, from, to, cfg, projAmount, newBinCounts, histFold(h), h.whole, h.merge)
-	if err != nil {
-		return nil, err
-	}
-	return h.merge(acc, binCounts{}).counts, nil
+	return Fold[BinCounts]{Project: projAmount, New: h.newCounts, Fold: h.fold, Take: h.whole, Merge: h.merge}, nil
 }
 
 // bins is the binning of a histogram: n bins of the width, the first
@@ -442,7 +432,7 @@ func (h bins) of(ts int64) int {
 
 // whole takes a block whose keys all carry timestamps and whose first and
 // last rows fall in one bin.
-func (h bins) whole(acc binCounts, b *store.BlockStats, sum int64) (binCounts, bool) {
+func (h bins) whole(acc BinCounts, b *store.BlockStats, sum int64) (BinCounts, bool) {
 	lo, hi, timed := b.TimeBounds()
 	bi := h.of(lo)
 	if !timed || bi != h.of(hi) {
@@ -456,7 +446,7 @@ func (h bins) whole(acc binCounts, b *store.BlockStats, sum int64) (binCounts, b
 
 // merge adds a task's counts into out, which spans all n bins once merged
 // into.
-func (h bins) merge(out, a binCounts) binCounts {
+func (h bins) merge(out, a BinCounts) BinCounts {
 	if out.counts == nil {
 		out.counts = make([]int, h.n) // out.lo is 0
 	}
@@ -466,19 +456,27 @@ func (h bins) merge(out, a binCounts) binCounts {
 	return out
 }
 
-// binCounts is a histogram task's accumulator: the counts of bins lo,
+// BinCounts is a histogram task's accumulator: the counts of bins lo,
 // lo+1, … as far as the task's rows reach. It grows on first use, so a
 // task that folds nothing allocates nothing, and one over a 15-minute
 // slice of a 30-day window of 60 s bins holds 15 bins, not 43 200.
-type binCounts struct {
-	lo     int
+type BinCounts struct {
+	lo, n  int
 	counts []int
 }
 
-func newBinCounts() binCounts { return binCounts{} }
+func (h bins) newCounts() BinCounts { return BinCounts{n: h.n} }
+
+// Counts returns the counts of every bin, once the tasks are merged.
+func (c BinCounts) Counts() []int {
+	if c.counts == nil {
+		return make([]int, c.n)
+	}
+	return c.counts
+}
 
 // add adds n to bin i.
-func (c *binCounts) add(i, n int) {
+func (c *BinCounts) add(i, n int) {
 	switch {
 	case c.counts == nil:
 		c.lo, c.counts = i, make([]int, 1)
@@ -491,67 +489,29 @@ func (c *binCounts) add(i, n int) {
 	c.counts[i-c.lo] += n
 }
 
-// histFold bins (key, amount) batches.
-func histFold(h bins) func(binCounts, *store.Batch) (binCounts, error) {
-	return func(acc binCounts, b *store.Batch) (binCounts, error) {
-		var counts [store.MaxBatchRows]int
-		if err := model.EventCounts(b, counts[:b.Len()]); err != nil {
-			return acc, err
+// fold bins (key, amount) batches.
+func (h bins) fold(acc BinCounts, b *store.Batch) (BinCounts, error) {
+	var counts [store.MaxBatchRows]int
+	if err := model.EventCounts(b, counts[:b.Len()]); err != nil {
+		return acc, err
+	}
+	times, err := model.EventTimes(b)
+	if err != nil {
+		return acc, err
+	}
+	for i, n := range counts[:b.Len()] {
+		if bi := h.of(times[i]); bi >= 0 {
+			acc.add(bi, n)
 		}
-		times, err := model.EventTimes(b)
-		if err != nil {
-			return acc, err
-		}
-		for i, n := range counts[:b.Len()] {
-			if bi := h.of(times[i]); bi >= 0 {
-				acc.add(bi, n)
-			}
-		}
-		return acc, nil
 	}
-}
-
-// BuildSeriesScan bins occurrences of one type over [from, to) into a
-// series.
-func BuildSeriesScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, bin time.Duration, cfg ScanConfig) (*Series, error) {
-	hist, err := HistogramScan(eng, db, typ, from, to, bin, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Series{Type: typ, From: from, Bin: bin, Counts: hist}, nil
-}
-
-// TransferEntropyBetweenScan builds binary series for two event types
-// over the window and measures transfer entropy in both directions — the
-// "investigation of correlation between two event occurrences within a
-// selected time interval, which can provide a causal relationship between
-// the two" (Section III-C).
-func TransferEntropyBetweenScan(eng *compute.Engine, db *store.DB, a, b model.EventType, from, to time.Time, bin time.Duration, cfg ScanConfig) (TEResult, error) {
-	sa, err := BuildSeriesScan(eng, db, a, from, to, bin, cfg)
-	if err != nil {
-		return TEResult{}, err
-	}
-	sb, err := BuildSeriesScan(eng, db, b, from, to, bin, cfg)
-	if err != nil {
-		return TEResult{}, err
-	}
-	x, y := sa.Binary(), sb.Binary()
-	xy, err := TransferEntropy(x, y)
-	if err != nil {
-		return TEResult{}, err
-	}
-	yx, err := TransferEntropy(y, x)
-	if err != nil {
-		return TEResult{}, err
-	}
-	return TEResult{XToY: xy, YToX: yx}, nil
+	return acc, nil
 }
 
 // termStat is one term's running statistics: occurrences, documents
 // containing it, and the last document that counted towards df.
 type termStat struct{ tf, df, lastDoc int }
 
-// termAcc is the vocabulary of a text fold. A token costs one hash probe:
+// Vocabulary is a text fold's accumulator. A token costs one hash probe:
 // the table knows every run the fold has seen, as spelled in the message,
 // and maps it to its term's position — or to -1 for a spelling that yields
 // no token (stopword, single character) — so case folding and the stopword
@@ -559,8 +519,8 @@ type termStat struct{ tf, df, lastDoc int }
 // pointer: slots index parallel entries (hash, end of the spelling in
 // keys, value), and every spelling is copied into the keys arena, never
 // kept as a substring of a (dying) batch. Accumulators are recycled
-// through termAccs.
-type termAcc struct {
+// through vocabularies.
+type Vocabulary struct {
 	slots []int32  // open-addressed, a power of two long: an entry + 1, or 0 for none
 	hash  []uint64 // each entry's spelling, hashed with vocabSeed
 	end   []uint32 // where each entry's spelling ends in keys
@@ -586,23 +546,23 @@ type termAcc struct {
 // hashes they stored.
 var vocabSeed = maphash.MakeSeed()
 
-// termAccs recycles text-fold accumulators; New makes one with the
+// vocabularies recycles text-fold accumulators; New makes one with the
 // smallest table.
-var termAccs = sync.Pool{New: func() any {
-	return &termAcc{slots: make([]int32, 16), tmpls: make(map[*persist.Template]*tmplTerms)}
+var vocabularies = sync.Pool{New: func() any {
+	return &Vocabulary{slots: make([]int32, 16), tmpls: make(map[*persist.Template]*tmplTerms)}
 }}
 
-func newTermAcc() *termAcc { return termAccs.Get().(*termAcc) }
+func newVocabulary() *Vocabulary { return vocabularies.Get().(*Vocabulary) }
 
-// release returns a to termAccs, emptied.
-func (a *termAcc) release() {
+// release returns a to vocabularies, emptied.
+func (a *Vocabulary) release() {
 	a.reset()
-	termAccs.Put(a)
+	vocabularies.Put(a)
 }
 
 // reset empties a, keeping its room but no reference into a store: no
 // template, no section dictionary.
-func (a *termAcc) reset() {
+func (a *Vocabulary) reset() {
 	clear(a.slots)
 	a.hash, a.end, a.val, a.keys = a.hash[:0], a.end[:0], a.val[:0], a.keys[:0]
 	a.terms, a.stats, a.docs = a.terms[:0], a.stats[:0], 0
@@ -617,7 +577,7 @@ func (a *termAcc) reset() {
 }
 
 // key returns the spelling of entry e.
-func (a *termAcc) key(e int32) []byte {
+func (a *Vocabulary) key(e int32) []byte {
 	lo := uint32(0)
 	if e > 0 {
 		lo = a.end[e-1]
@@ -627,7 +587,7 @@ func (a *termAcc) key(e int32) []byte {
 
 // find returns the entry spelled k, which hashes to h, or -1 and the free
 // slot where k goes.
-func find[K string | []byte](a *termAcc, k K, h uint64) (e int32, slot int) {
+func find[K string | []byte](a *Vocabulary, k K, h uint64) (e int32, slot int) {
 	mask := len(a.slots) - 1
 	for i := int(h) & mask; ; i = (i + 1) & mask {
 		x := a.slots[i] - 1
@@ -642,7 +602,7 @@ func find[K string | []byte](a *termAcc, k K, h uint64) (e int32, slot int) {
 
 // insert adds the entry k, hashed h, with value v at the free slot find
 // returned for it, growing the table past half full, and returns it.
-func insert[K string | []byte](a *termAcc, k K, h uint64, v int32, slot int) int32 {
+func insert[K string | []byte](a *Vocabulary, k K, h uint64, v int32, slot int) int32 {
 	e := int32(len(a.val))
 	a.keys = append(a.keys, k...)
 	a.end = append(a.end, uint32(len(a.keys)))
@@ -666,7 +626,7 @@ func insert[K string | []byte](a *termAcc, k K, h uint64, v int32, slot int) int
 
 // addTerm adds the term k, hashed h, at the free slot find returned for
 // it, and returns its position.
-func addTerm[K string | []byte](a *termAcc, k K, h uint64, slot int) int32 {
+func addTerm[K string | []byte](a *Vocabulary, k K, h uint64, slot int) int32 {
 	p := int32(len(a.terms))
 	a.terms = append(a.terms, insert(a, k, h, p, slot))
 	a.stats = append(a.stats, termStat{})
@@ -675,7 +635,7 @@ func addTerm[K string | []byte](a *termAcc, k K, h uint64, slot int) int32 {
 
 // termOf returns the position of the term k, hashed h, adding it on first
 // sight.
-func termOf[K string | []byte](a *termAcc, k K, h uint64) int32 {
+func termOf[K string | []byte](a *Vocabulary, k K, h uint64) int32 {
 	e, slot := find(a, k, h)
 	if e < 0 {
 		return addTerm(a, k, h, slot)
@@ -684,11 +644,11 @@ func termOf[K string | []byte](a *termAcc, k K, h uint64) int32 {
 }
 
 // term returns the term at position p.
-func (a *termAcc) term(p int32) []byte { return a.key(a.terms[p]) }
+func (a *Vocabulary) term(p int32) []byte { return a.key(a.terms[p]) }
 
 // positionOf returns the position of a run's term, or -1 for a run that is
 // none, filing a spelling seen for the first time.
-func (a *termAcc) positionOf(run string, clean bool) int32 {
+func (a *Vocabulary) positionOf(run string, clean bool) int32 {
 	if len(run) < 2 {
 		return -1 // one byte is one ASCII character: never a token
 	}
@@ -769,7 +729,7 @@ var templateFolds = true
 // note counts n occurrences of the term at i in the current documents —
 // the last n counted, which share their terms: df grows by n the first
 // time the term is noted under the current document count.
-func (a *termAcc) note(i int32, n int) {
+func (a *Vocabulary) note(i int32, n int) {
 	st := &a.stats[i]
 	st.tf += n
 	if st.lastDoc != a.docs {
@@ -779,14 +739,14 @@ func (a *termAcc) note(i int32, n int) {
 }
 
 // count notes the term of a run, if it has one.
-func (a *termAcc) count(run string, clean bool) {
+func (a *Vocabulary) count(run string, clean bool) {
 	if i := a.positionOf(run, clean); i >= 0 {
 		a.note(i, 1)
 	}
 }
 
 // doc counts a message's text as one document; "" is none.
-func (a *termAcc) doc(text string) {
+func (a *Vocabulary) doc(text string) {
 	if text != "" {
 		a.docs++
 		eachRun(text, a.count)
@@ -799,7 +759,7 @@ func (a *termAcc) doc(text string) {
 // hole column is resolved once per batch and a hole value tokenised once
 // per entry of its column's dictionary; the rows whose holes are all so
 // coded are counted once per distinct (template, hole codes) tuple.
-func (a *termAcc) foldDocs(b *store.Batch) (*termAcc, error) {
+func (a *Vocabulary) foldDocs(b *store.Batch) (*Vocabulary, error) {
 	codes, tmpls, cells := b.Template(model.ColRawID)
 	if codes == nil || !templateFolds {
 		for _, raw := range b.Col(model.ColRawID) {
@@ -868,7 +828,7 @@ func (c *tupleCounts) add(key uint64, i int) {
 
 // batchTemplate adds t to the batch's templates, resolving each hole
 // column it names that no earlier template of the batch did.
-func (a *termAcc) batchTemplate(b *store.Batch, t *persist.Template) {
+func (a *Vocabulary) batchTemplate(b *store.Batch, t *persist.Template) {
 	bt := batchTmpl{t: t, tt: a.template(t), holes: len(a.viewIx), tuple: len(t.Holes) <= maxTupleHoles}
 	if bt.tt.apart {
 		for _, id := range t.Holes {
@@ -882,7 +842,7 @@ func (a *termAcc) batchTemplate(b *store.Batch, t *persist.Template) {
 
 // view returns the place in a.views of the batch's view of hole column id,
 // resolved on the first call of the batch.
-func (a *termAcc) view(b *store.Batch, id uint32) int32 {
+func (a *Vocabulary) view(b *store.Batch, id uint32) int32 {
 	for v := range a.views {
 		if a.views[v].h.id == id {
 			return int32(v)
@@ -911,7 +871,7 @@ func (a *termAcc) view(b *store.Batch, id uint32) int32 {
 
 // span returns the term positions of entry c of v's dictionary, tokenised
 // on first use.
-func (a *termAcc) span(v *holeView, c uint8) []int32 {
+func (a *Vocabulary) span(v *holeView, c uint8) []int32 {
 	sp, h := &v.spans[c], v.h
 	if !sp.done {
 		lo := len(h.flat)
@@ -931,7 +891,7 @@ func (a *termAcc) span(v *holeView, c uint8) []int32 {
 // occurrence, and in n documents once: note stamps it with the document
 // count, which the n rows share. A cell of a template without constant
 // text is "" where every hole is.
-func (a *termAcc) rowDocs(bt *batchTmpl, i, n int) {
+func (a *Vocabulary) rowDocs(bt *batchTmpl, i, n int) {
 	views := a.viewIx[bt.holes : bt.holes+len(bt.t.Holes)]
 	empty := bt.tt.bare
 	for _, x := range views {
@@ -965,7 +925,7 @@ func (v *holeView) cell(i int) string {
 }
 
 // template returns what the fold makes of t, made on first sight.
-func (a *termAcc) template(t *persist.Template) *tmplTerms {
+func (a *Vocabulary) template(t *persist.Template) *tmplTerms {
 	if tt, ok := a.tmpls[t]; ok {
 		return tt
 	}
@@ -997,7 +957,7 @@ func wordByte(c byte) bool { return byteClass[c] != 0 }
 
 // merge folds the smaller of two vocabularies into the larger, probing
 // with the hashes it stored, and releases the smaller.
-func (a *termAcc) merge(b *termAcc) *termAcc {
+func (a *Vocabulary) merge(b *Vocabulary) *Vocabulary {
 	if len(a.terms) < len(b.terms) {
 		a, b = b, a
 	}
@@ -1011,25 +971,19 @@ func (a *termAcc) merge(b *termAcc) *termAcc {
 	return a
 }
 
-// scanTerms folds the raw messages of one type into a vocabulary.
-func scanTerms(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) (*termAcc, error) {
-	return foldType(eng, db, typ, from, to, cfg, projRaw, newTermAcc, (*termAcc).foldDocs, nil, (*termAcc).merge)
+// TextFold folds the raw messages of one type into a vocabulary, each
+// message one document; events without raw text are skipped. The word
+// count and TF-IDF are read off it — "a simple word counts, which is
+// rapidly executed by Spark, can locate the source of the problem".
+var TextFold = Fold[*Vocabulary]{Project: projRaw, New: newVocabulary, Fold: (*Vocabulary).foldDocs, Merge: (*Vocabulary).merge}
+
+// WordCounts returns each term's occurrences and releases a.
+func (a *Vocabulary) WordCounts() map[string]int {
+	defer a.release()
+	return a.wordCounts()
 }
 
-// WordCountScan runs the word count over the raw messages of one type —
-// "a simple word counts, which is rapidly executed by Spark, can locate
-// the source of the problem".
-func WordCountScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, cfg ScanConfig) (map[string]int, error) {
-	acc, err := scanTerms(eng, db, typ, from, to, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer acc.release()
-	return acc.wordCounts(), nil
-}
-
-// wordCounts returns each term's occurrences.
-func (a *termAcc) wordCounts() map[string]int {
+func (a *Vocabulary) wordCounts() map[string]int {
 	counts := make(map[string]int, len(a.terms))
 	for p, e := range a.terms {
 		counts[string(a.key(e))] = a.stats[p].tf
@@ -1037,22 +991,17 @@ func (a *termAcc) wordCounts() map[string]int {
 	return counts
 }
 
-// TFIDFScan computes aggregate TF-IDF weights over the raw messages of one
-// type. Each message is a document; term frequency is summed across
-// documents and weighted by inverse document frequency, so boilerplate
-// shared by every message scores near zero while discriminating
-// identifiers (an unresponsive OST, an error code) float to the top.
-// Document frequency is counted once per document, so the result does not
-// depend on how the scan is partitioned. It returns the k best terms — all
-// of them when k <= 0 — by descending score, ties by term; a window
-// without messages yields nil.
-func TFIDFScan(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, k int, cfg ScanConfig) ([]TermScore, error) {
-	acc, err := scanTerms(eng, db, typ, from, to, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer acc.release()
-	return acc.topTerms(k), nil
+// TopTerms returns aggregate TF-IDF weights and releases a. Term frequency
+// is summed across documents and weighted by inverse document frequency,
+// so boilerplate shared by every message scores near zero while
+// discriminating identifiers (an unresponsive OST, an error code) float to
+// the top. Document frequency is counted once per document, so the result
+// does not depend on how the scan is partitioned. It returns the k best
+// terms — all of them when k <= 0 — by descending score, ties by term; a
+// window without messages yields nil.
+func (a *Vocabulary) TopTerms(k int) []TermScore {
+	defer a.release()
+	return a.topTerms(k)
 }
 
 // termRank is the TF-IDF score of the term at position p.
@@ -1062,10 +1011,10 @@ type termRank struct {
 }
 
 // topTerms scores every term by position and builds the strings of only
-// the k best (TFIDFScan's order); nil when a holds no document. Terms of
+// the k best (TopTerms' order); nil when a holds no document. Terms of
 // one score — every one-off term of a window has the same — are ordered
 // by their spellings, which are read only on such a tie.
-func (a *termAcc) topTerms(k int) []TermScore {
+func (a *Vocabulary) topTerms(k int) []TermScore {
 	if a.docs == 0 {
 		return nil
 	}

@@ -15,37 +15,35 @@ import (
 	"hpclog/internal/topology"
 )
 
-// rowHistogram is HistogramScan on the row path: the same fold with no
-// block taken whole — the oracle of a histogram that takes blocks.
-func rowHistogram(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, bin time.Duration, cfg ScanConfig) ([]int, error) {
-	h, err := binning(from, to, bin)
+// histogram runs HistogramFold over typ; on the row path (rows) it takes
+// no block whole — the oracle of a histogram that takes blocks.
+func histogram(eng *compute.Engine, db *store.DB, typ model.EventType, from, to time.Time, bin time.Duration, cfg ScanConfig, rows bool) ([]int, error) {
+	f, err := HistogramFold(from, to, bin)
 	if err != nil {
 		return nil, err
 	}
-	acc, err := foldType(eng, db, typ, from, to, cfg, projAmount, newBinCounts, histFold(h), nil, h.merge)
+	if rows {
+		f.Take = nil
+	}
+	acc, err := f.Scan(eng, db, typ, from, to, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return h.merge(acc, binCounts{}).counts, nil
+	return acc.Counts(), nil
 }
 
-// rowTE is TransferEntropyBetweenScan over rowHistogram.
-func rowTE(eng *compute.Engine, db *store.DB, a, b model.EventType, from, to time.Time, bin time.Duration, cfg ScanConfig) (TEResult, error) {
-	x, err := rowHistogram(eng, db, a, from, to, bin, cfg)
+// transferEntropy is the transfer entropy between the histograms of a and
+// b, on the row path when rows.
+func transferEntropy(eng *compute.Engine, db *store.DB, a, b model.EventType, from, to time.Time, bin time.Duration, cfg ScanConfig, rows bool) (TEResult, error) {
+	x, err := histogram(eng, db, a, from, to, bin, cfg, rows)
 	if err != nil {
 		return TEResult{}, err
 	}
-	y, err := rowHistogram(eng, db, b, from, to, bin, cfg)
+	y, err := histogram(eng, db, b, from, to, bin, cfg, rows)
 	if err != nil {
 		return TEResult{}, err
 	}
-	sx, sy := (&Series{Counts: x}).Binary(), (&Series{Counts: y}).Binary()
-	xy, err := TransferEntropy(sx, sy)
-	if err != nil {
-		return TEResult{}, err
-	}
-	yx, err := TransferEntropy(sy, sx)
-	return TEResult{XToY: xy, YToX: yx}, err
+	return TransferEntropyBetween(x, y)
 }
 
 // takeStart is the first second of the taker's test corpus, an hour
@@ -328,21 +326,31 @@ func testTakesBlocksExactly(t *testing.T, tiered bool) {
 				before := eng.Stats().BlocksTaken
 				for typ := range types {
 					name := fmt.Sprintf("%s %s %s", stage, q.name, typ)
-					var want, got *HeatMap
+					var want, got []int
 					var wantErr, err error
+					rows := HeatmapFold
+					rows.Take = nil
 					sameRows(name+" heat map", func() error {
-						want, wantErr = heatmapScan(eng, db, typ, q.from, q.to, q.cfg, nil)
+						want, wantErr = rows.Scan(eng, db, typ, q.from, q.to, q.cfg)
 						return wantErr
-					}, func() error { got, err = HeatmapScan(eng, db, typ, q.from, q.to, q.cfg); return err })
+					}, func() error { got, err = HeatmapFold.Scan(eng, db, typ, q.from, q.to, q.cfg); return err })
 					if !sameErr(err, wantErr) || !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: heat map %+v (%v), row path %+v (%v)", name, got, err, want, wantErr)
 					}
 					for _, level := range []topology.Level{topology.LevelCabinet, topology.LevelNode} {
 						var want, got []Bucket
+						take := DistributionFold(level)
+						rows := take
+						rows.Take = nil
 						sameRows(name+" distribution", func() error {
-							want, wantErr = distributionScan(eng, db, typ, q.from, q.to, level, q.cfg, nil)
+							acc, err := rows.Scan(eng, db, typ, q.from, q.to, q.cfg)
+							want, wantErr = acc.Buckets(), err
 							return wantErr
-						}, func() error { got, err = DistributionByScan(eng, db, typ, q.from, q.to, level, q.cfg); return err })
+						}, func() error {
+							acc, err2 := take.Scan(eng, db, typ, q.from, q.to, q.cfg)
+							got, err = acc.Buckets(), err2
+							return err
+						})
 						if !sameErr(err, wantErr) || !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s: %v distribution %v (%v), row path %v (%v)", name, level, got, err, want, wantErr)
 						}
@@ -369,9 +377,9 @@ func testTakesBlocksExactly(t *testing.T, tiered bool) {
 			before := eng.Stats().BlocksTaken
 			for typ := range types {
 				rows := eng.Stats().ScanRows
-				want, wantErr := rowHistogram(eng, db, typ, q.from, q.to, q.bin, q.cfg)
+				want, wantErr := histogram(eng, db, typ, q.from, q.to, q.bin, q.cfg, true)
 				rows, wantRows := eng.Stats().ScanRows, eng.Stats().ScanRows-rows
-				got, err := HistogramScan(eng, db, typ, q.from, q.to, q.bin, q.cfg)
+				got, err := histogram(eng, db, typ, q.from, q.to, q.bin, q.cfg, false)
 				if !sameErr(err, wantErr) || !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s %s %s: histogram %v (%v), row path %v (%v)", stage, q.name, typ, got, err, want, wantErr)
 				}
@@ -380,8 +388,8 @@ func testTakesBlocksExactly(t *testing.T, tiered bool) {
 				}
 			}
 			for _, pair := range [][2]model.EventType{{ok, ok2}, {ok2, ok}, {ok, "TAKE_ZERO"}, {"TAKE_NOTS", ok}} {
-				want, wantErr := rowTE(eng, db, pair[0], pair[1], q.from, q.to, q.bin, q.cfg)
-				got, err := TransferEntropyBetweenScan(eng, db, pair[0], pair[1], q.from, q.to, q.bin, q.cfg)
+				want, wantErr := transferEntropy(eng, db, pair[0], pair[1], q.from, q.to, q.bin, q.cfg, true)
+				got, err := transferEntropy(eng, db, pair[0], pair[1], q.from, q.to, q.bin, q.cfg, false)
 				if !sameErr(err, wantErr) || got != want {
 					t.Fatalf("%s %s %v: TE %+v (%v), row path %+v (%v)", stage, q.name, pair, got, err, want, wantErr)
 				}

@@ -151,15 +151,14 @@ func TestTextFoldsTemplatesMatchStrings(t *testing.T) {
 			for _, typ := range append(slices.Clone(model.EventTypes), hostileType) {
 				fold := func(templates bool) (map[string]int, []analytics.TermScore) {
 					defer analytics.SetTemplateFolds(templates)()
-					wc, err := analytics.WordCountScan(h.Comp, h.DB, typ, from, to, analytics.ScanConfig{})
-					if err != nil {
-						t.Fatal(err)
+					scan := func() *analytics.Vocabulary {
+						v, err := analytics.TextFold.Scan(h.Comp, h.DB, typ, from, to, analytics.ScanConfig{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						return v
 					}
-					tfidf, err := analytics.TFIDFScan(h.Comp, h.DB, typ, from, to, 0, analytics.ScanConfig{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return wc, tfidf
+					return scan().WordCounts(), scan().TopTerms(0)
 				}
 				wc, tfidf := fold(true)
 				wantWC, wantTFIDF := fold(false)

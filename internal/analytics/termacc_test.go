@@ -37,18 +37,18 @@ func FuzzTermAccMatchesMap(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, text string, order uint64, k uint8) {
 		tasks := strings.Split(text, "|")
-		fold := func(a *termAcc, task string) {
+		fold := func(a *Vocabulary, task string) {
 			for _, doc := range strings.Split(task, "\n") {
 				a.doc(doc)
 			}
 		}
-		accs := make([]*termAcc, len(tasks))
+		accs := make([]*Vocabulary, len(tasks))
 		for i, task := range tasks {
-			accs[i] = termAccs.New().(*termAcc)
+			accs[i] = vocabularies.New().(*Vocabulary)
 			fold(accs[i], task)
 		}
 		rand.New(rand.NewPCG(order, 0)).Shuffle(len(accs), func(i, j int) { accs[i], accs[j] = accs[j], accs[i] })
-		acc := termAccs.New().(*termAcc)
+		acc := vocabularies.New().(*Vocabulary)
 		for _, b := range accs {
 			acc = acc.merge(b)
 		}
@@ -65,7 +65,7 @@ func FuzzTermAccMatchesMap(f *testing.F) {
 
 // checkTermAcc compares a, the fold of every document of text, with a
 // map reference built with Tokenize.
-func checkTermAcc(t *testing.T, a *termAcc, text string, k int) {
+func checkTermAcc(t *testing.T, a *Vocabulary, text string, k int) {
 	t.Helper()
 	tf, df, docs := map[string]int{}, map[string]int{}, 0
 	for _, task := range strings.Split(text, "|") {
@@ -154,9 +154,9 @@ func TestFoldDocsOneViewPerHoleColumn(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	fold := func(templates bool) *termAcc {
+	fold := func(templates bool) *Vocabulary {
 		defer SetTemplateFolds(templates)()
-		a := newTermAcc()
+		a := newVocabulary()
 		err := db.ScanPartitionBatches(context.Background(), model.TableEventByTime, pkey, store.Range{}, projRaw, nil, nil,
 			func(b *store.Batch) error {
 				if _, err := a.foldDocs(b); err != nil || !templates {

@@ -11,8 +11,8 @@ import (
 // runs of letters/digits (so hexadecimal codes and component ids like
 // ost0012 survive), minus stopwords and single characters. Tokens are
 // fresh strings the caller owns outright, never aliases of the message
-// text. It is the reference tokenization the text folds of WordCountScan
-// and TFIDFScan are held to; they hash each spelling into a termAcc table
+// text. It is the reference tokenization TextFold's word count and
+// TF-IDF are held to; they hash each spelling into a Vocabulary table
 // and tokenise it only the first time it is seen.
 func Tokenize(text string) []string {
 	var tokens []string

@@ -318,6 +318,17 @@ func Cases(h *Harness) []Case {
 			},
 		},
 		{
+			Name: "tfidf_default_top_k",
+			Req:  query.Request{Op: query.OpTFIDF, Context: withType(model.MCE)},
+			// MCE's one-off status words are far more than the default top_k,
+			// so the answer pinned in testdata/answers.txt holds that many.
+			Check: func(t *testing.T, h *Harness, raw json.RawMessage) {
+				if scores := mustDecode[[]analytics.TermScore](t, raw); len(scores) == 0 {
+					t.Fatal("no TF-IDF scores")
+				}
+			},
+		},
+		{
 			Name: "rules",
 			Req:  query.Request{Op: query.OpRules, Context: win, BinSeconds: 60},
 			Check: func(t *testing.T, h *Harness, raw json.RawMessage) {

@@ -40,6 +40,7 @@ func TestDurableEngineCorpus(t *testing.T) {
 				t.Fatalf("disk-backed result differs from in-memory:\nmem:  %.300s\ndisk: %.300s", memRes, durRes)
 			}
 			want[c.Name] = durRes
+			pinAnswer(t, c.Name, durRes)
 		})
 	}
 
@@ -52,6 +53,7 @@ func TestDurableEngineCorpus(t *testing.T) {
 	for _, c := range Cases(dur) {
 		t.Run("reopen/"+c.Name, func(t *testing.T) {
 			got := dur.Run(t, c)
+			pinAnswer(t, c.Name, got)
 			if !bytes.Equal(got, want[c.Name]) {
 				t.Fatalf("result changed across restart:\nbefore: %.300s\nafter:  %.300s", want[c.Name], got)
 			}

@@ -50,6 +50,7 @@ func TestTieredEngineCorpus(t *testing.T) {
 				t.Fatalf("tiered result differs from in-memory:\nmem:    %.300s\ntiered: %.300s", memRes, trRes)
 			}
 			want[c.Name] = trRes
+			pinAnswer(t, c.Name, trRes)
 		})
 	}
 	if tr.DB.Tier().FetchedBlocks.Load() == 0 {
@@ -67,6 +68,7 @@ func TestTieredEngineCorpus(t *testing.T) {
 	for _, c := range Cases(tr) {
 		t.Run("reopen/"+c.Name, func(t *testing.T) {
 			got := tr.Run(t, c)
+			pinAnswer(t, c.Name, got)
 			if !bytes.Equal(got, want[c.Name]) {
 				t.Fatalf("result changed across restart:\nbefore: %.300s\nafter:  %.300s", want[c.Name], got)
 			}

@@ -7,14 +7,13 @@
 package query
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,6 +60,15 @@ const (
 	OpTFIDF        Op = "tfidf"            // big data: TF-IDF over raw text
 	OpPlacement    Op = "placement"        // simple: app placement at an instant
 	OpSites        Op = "sites"            // big data: event sites at an instant
+
+	// The paper's Section V roadmap: event mining (rules, sequences,
+	// episodes), application profiles and reliability statistics.
+	OpRules       Op = "rules"       // big data: association rules between types
+	OpSequences   Op = "sequences"   // big data: A-followed-by-B patterns
+	OpEpisodes    Op = "episodes"    // big data: time-coalesced episodes
+	OpProfiles    Op = "profiles"    // big data: application event profiles
+	OpRunReport   Op = "run_report"  // big data: one run vs its profile
+	OpReliability Op = "reliability" // big data: failure interarrival stats
 )
 
 // Request is one frontend query.
@@ -103,8 +111,7 @@ type Engine struct {
 	simple  atomic.Int64
 	bigdata atomic.Int64
 
-	opMu sync.Mutex
-	ops  map[Op]*opCounter
+	counters map[Op]*opCounter // one per entry of ops
 }
 
 // New creates a query engine over the backend database and the big data
@@ -118,11 +125,11 @@ func NewWithOptions(db *store.DB, eng *compute.Engine, opts Options) *Engine {
 	if opts.CacheSize == 0 {
 		opts.CacheSize = 256
 	}
-	return &Engine{
-		db: db, compute: eng,
-		cache: newResultCache(opts.CacheSize),
-		ops:   make(map[Op]*opCounter),
+	q := &Engine{db: db, compute: eng, cache: newResultCache(opts.CacheSize), counters: make(map[Op]*opCounter, len(ops))}
+	for op := range ops {
+		q.counters[op] = &opCounter{}
 	}
+	return q
 }
 
 // Stats returns how many queries each routing class has served.
@@ -149,19 +156,8 @@ type OpMetric struct {
 	CacheHits   int64 `json:"cache_hits"`
 }
 
-func (q *Engine) counter(op Op) *opCounter {
-	q.opMu.Lock()
-	defer q.opMu.Unlock()
-	c := q.ops[op]
-	if c == nil {
-		c = &opCounter{}
-		q.ops[op] = c
-	}
-	return c
-}
-
 func (q *Engine) note(op Op, elapsed time.Duration, cacheHit bool) {
-	c := q.counter(op)
+	c := q.counters[op]
 	c.count.Add(1)
 	c.micros.Add(elapsed.Microseconds())
 	if cacheHit {
@@ -169,12 +165,11 @@ func (q *Engine) note(op Op, elapsed time.Duration, cacheHit bool) {
 	}
 }
 
-// Metrics returns per-operation counters keyed by operation name.
+// Metrics returns per-operation counters keyed by operation name, for
+// every operation that has run.
 func (q *Engine) Metrics() map[string]OpMetric {
-	q.opMu.Lock()
-	defer q.opMu.Unlock()
-	out := make(map[string]OpMetric, len(q.ops))
-	for op, c := range q.ops {
+	out := make(map[string]OpMetric)
+	for op, c := range q.counters {
 		m := OpMetric{
 			Count:       c.count.Load(),
 			TotalMicros: c.micros.Load(),
@@ -182,8 +177,8 @@ func (q *Engine) Metrics() map[string]OpMetric {
 		}
 		if m.Count > 0 {
 			m.AvgMicros = m.TotalMicros / m.Count
+			out[string(op)] = m
 		}
-		out[string(op)] = m
 	}
 	return out
 }
@@ -209,28 +204,9 @@ type RunRecord struct {
 	ExitOK bool     `json:"exit_ok"`
 }
 
-// opClass maps every supported operation to its routing class:
-// true routes to the big data processing unit (partition-parallel scan,
-// result cache), false is served directly from the store.
-var opClass = map[Op]bool{
-	OpEvents: false, OpRuns: false, OpSynopsis: false, OpNodeInfo: false,
-	OpTypes: false, OpPlacement: false,
-	OpHeatmap: true, OpDistribution: true, OpHistogram: true, OpTE: true,
-	OpWordCount: true, OpTFIDF: true, OpSites: true,
-	OpRules: true, OpSequences: true, OpEpisodes: true,
-	OpProfiles: true, OpRunReport: true, OpReliability: true,
-}
-
 // AllOps lists every operation the engine supports, sorted. The
 // engine-test corpus uses it to prove each op has coverage.
-func AllOps() []Op {
-	ops := make([]Op, 0, len(opClass))
-	for op := range opClass {
-		ops = append(ops, op)
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
-	return ops
-}
+func AllOps() []Op { return slices.Sorted(maps.Keys(ops)) }
 
 // cacheKey canonically encodes a request for the result cache. Request is
 // a flat struct, so its JSON encoding is deterministic.
@@ -254,16 +230,16 @@ func (q *Engine) Execute(req Request) (any, error) {
 
 // ExecuteCtx is Execute with a request context: the context's trace span
 // (if any) records the operation name as the slow-query text and a
-// query.exec stage around the dispatch, so slow frontend queries land in
+// query.exec stage around the op's run, so slow frontend queries land in
 // the slow-query log alongside slow CQL.
 func (q *Engine) ExecuteCtx(ctx context.Context, req Request) (any, error) {
-	bigdata, known := opClass[req.Op]
+	o, known := ops[req.Op]
 	if !known {
 		return nil, fmt.Errorf("query: unknown op %q", req.Op)
 	}
-	if !bigdata {
+	if !o.bigData {
 		defer q.Track(ctx, req.Op)()
-		return q.dispatch(req)
+		return o.exec(q, req)
 	}
 	obs.SpanFromContext(ctx).SetQuery("op:" + string(req.Op))
 	started := time.Now()
@@ -275,7 +251,7 @@ func (q *Engine) ExecuteCtx(ctx context.Context, req Request) (any, error) {
 		return res, nil
 	}
 	st := obs.StartSpan(ctx, "query.exec")
-	res, err := q.dispatch(req)
+	res, err := o.exec(q, req)
 	st.End()
 	if err == nil && q.db.Generation() == gen {
 		// Only cache results whose input data provably did not change
@@ -287,7 +263,7 @@ func (q *Engine) ExecuteCtx(ctx context.Context, req Request) (any, error) {
 }
 
 // Track opens the accounting of one simple operation — what ExecuteCtx
-// does around its own dispatch, for a result the caller produces itself
+// does around a simple op's run, for a result the caller produces itself
 // (the server encodes events straight off the scan): the operation counts
 // as simple and in its per-op counters, and the context's trace span gets
 // the operation name and a query.exec stage. The returned func closes it.
@@ -302,75 +278,8 @@ func (q *Engine) Track(ctx context.Context, op Op) (end func()) {
 	}
 }
 
-// dispatch routes one request to its implementation.
-func (q *Engine) dispatch(req Request) (any, error) {
-	switch req.Op {
-	case OpTypes:
-		return q.types()
-	case OpNodeInfo:
-		return q.nodeInfo(req)
-	case OpEvents:
-		return q.events(req)
-	case OpRuns:
-		return q.runs(req)
-	case OpSynopsis:
-		return q.synopsis(req)
-	case OpPlacement:
-		return analytics.Placement(q.db, time.Unix(req.At, 0).UTC())
-	case OpSites:
-		typ, err := req.eventType()
-		if err != nil {
-			return nil, err
-		}
-		return analytics.EventSitesScan(q.compute, q.db, typ, time.Unix(req.At, 0).UTC(), analytics.ScanConfig{})
-	case OpHeatmap:
-		typ, err := req.eventType()
-		if err != nil {
-			return nil, err
-		}
-		from, to, err := req.window()
-		if err != nil {
-			return nil, err
-		}
-		return analytics.HeatmapScan(q.compute, q.db, typ, from, to, analytics.ScanConfig{})
-	case OpDistribution:
-		return q.distribution(req)
-	case OpHistogram:
-		typ, err := req.eventType()
-		if err != nil {
-			return nil, err
-		}
-		from, to, err := req.window()
-		if err != nil {
-			return nil, err
-		}
-		return analytics.HistogramScan(q.compute, q.db, typ, from, to, req.bin(), analytics.ScanConfig{})
-	case OpTE:
-		return q.transferEntropy(req)
-	case OpWordCount:
-		return q.wordCount(req)
-	case OpTFIDF:
-		return q.tfidf(req)
-	case OpRules, OpSequences, OpEpisodes, OpProfiles, OpRunReport, OpReliability:
-		return q.runExtension(req)
-	}
-	panic("unreachable")
-}
-
-func (r Request) eventType() (model.EventType, error) {
-	if r.Context.EventType == "" {
-		return "", fmt.Errorf("query: op %q requires context.event_type", r.Op)
-	}
-	return model.EventType(r.Context.EventType), nil
-}
-
-func (r Request) window() (time.Time, time.Time, error) {
-	from, to := r.Context.Window()
-	if !to.After(from) {
-		return from, to, fmt.Errorf("query: op %q requires a non-empty [from, to) window", r.Op)
-	}
-	return from, to, nil
-}
+// typ is the request's event type.
+func (r Request) typ() model.EventType { return model.EventType(r.Context.EventType) }
 
 func (r Request) bin() time.Duration {
 	if r.BinSeconds <= 0 {
@@ -386,7 +295,7 @@ func (r Request) topK() int {
 	return r.TopK
 }
 
-func (q *Engine) types() (any, error) {
+func (q *Engine) types(Request) (any, error) {
 	rows, err := q.db.Get(model.TableEventTypes, "all", store.Range{}, store.One)
 	if err != nil {
 		return nil, err
@@ -399,9 +308,6 @@ func (q *Engine) types() (any, error) {
 }
 
 func (q *Engine) nodeInfo(req Request) (any, error) {
-	if req.Context.Source == "" {
-		return nil, fmt.Errorf("query: nodeinfo requires context.source (a cabinet cname)")
-	}
 	comp, err := topology.ParseComponent(req.Context.Source)
 	if err != nil {
 		return nil, err
@@ -433,66 +339,44 @@ func mustLoc(cname string) topology.Location {
 	return l
 }
 
-// EventTasks plans the scan of an events request under the engine's scan
-// tuning — the one scan behind the records OpEvents returns and behind the
-// server's encoded one-shot, streamed and paged event results.
+// EventTasks plans the scan of an events request — the one scan behind
+// the records OpEvents returns and behind the server's encoded one-shot,
+// streamed and paged event results.
 func (q *Engine) EventTasks(req Request) ([]analytics.EventTask, error) {
-	from, to, err := req.window()
-	if err != nil {
+	if err := hasWindow(req); err != nil {
 		return nil, err
 	}
+	from, to := req.Context.Window()
 	return analytics.PlanEvents(model.EventType(req.Context.EventType), req.Context.Source, from, to, analytics.ScanConfig{}), nil
 }
 
-func (q *Engine) events(req Request) ([]EventRecord, error) {
+func (q *Engine) events(req Request) (any, error) {
 	tasks, err := q.EventTasks(req)
 	if err != nil {
 		return nil, err
 	}
-	out, err := analytics.EventRecords(q.compute, q.db, tasks, func(r *analytics.EventRow) EventRecord {
+	return analytics.EventRecords(q.compute, q.db, tasks, func(r *analytics.EventRow) EventRecord {
 		e := r.Event()
 		return EventRecord{
 			Time: r.Time, Type: string(e.Type), Source: e.Source,
 			Count: e.Count, Raw: e.Raw, Attrs: e.Attrs,
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
-func (q *Engine) runs(req Request) ([]RunRecord, error) {
+func (q *Engine) runs(req Request) (any, error) {
 	var runs []model.AppRun
-	switch {
+	var err error
+	switch from, to := req.Context.Window(); {
 	case req.Context.User != "":
-		rows, err := q.db.Get(model.TableAppByUser, req.Context.User, store.Range{}, store.One)
-		if err != nil {
-			return nil, err
-		}
-		runs, err = decodeRuns(rows)
-		if err != nil {
-			return nil, err
-		}
+		runs, err = q.runsOf(model.TableAppByUser, req.Context.User)
 	case req.Context.App != "":
-		rows, err := q.db.Get(model.TableAppByLoc, req.Context.App, store.Range{}, store.One)
-		if err != nil {
-			return nil, err
-		}
-		var err2 error
-		runs, err2 = decodeRuns(rows)
-		if err2 != nil {
-			return nil, err2
-		}
+		runs, err = q.runsOf(model.TableAppByLoc, req.Context.App)
 	default:
-		from, to, err := req.window()
-		if err != nil {
-			return nil, err
-		}
 		runs, err = analytics.RunsIn(q.db, from, to, 24*time.Hour)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	if req.Context.From != 0 || req.Context.To != 0 {
 		from, to := req.Context.Window()
@@ -523,7 +407,12 @@ func (q *Engine) runs(req Request) ([]RunRecord, error) {
 	return out, nil
 }
 
-func decodeRuns(rows []store.Row) ([]model.AppRun, error) {
+// runsOf reads the runs of one partition of an application table.
+func (q *Engine) runsOf(table, pkey string) ([]model.AppRun, error) {
+	rows, err := q.db.Get(table, pkey, store.Range{}, store.One)
+	if err != nil {
+		return nil, err
+	}
 	runs := make([]model.AppRun, 0, len(rows))
 	for _, r := range rows {
 		run, err := model.AppFromRow(r)
@@ -542,11 +431,7 @@ type SynopsisEntry struct {
 	Sources int   `json:"sources"`
 }
 
-func (q *Engine) synopsis(req Request) ([]SynopsisEntry, error) {
-	typ, err := req.eventType()
-	if err != nil {
-		return nil, err
-	}
+func (q *Engine) synopsis(req Request) (any, error) {
 	rg := store.Range{}
 	if req.Context.From != 0 {
 		rg.From = store.EncodeTS(req.Context.From / 3600)
@@ -554,7 +439,7 @@ func (q *Engine) synopsis(req Request) ([]SynopsisEntry, error) {
 	if req.Context.To != 0 {
 		rg.To = store.EncodeTS((req.Context.To + 3599) / 3600)
 	}
-	rows, err := q.db.Get(model.TableEventSynopsis, string(typ), rg, store.One)
+	rows, err := q.db.Get(model.TableEventSynopsis, req.Context.EventType, rg, store.One)
 	if err != nil {
 		return nil, err
 	}
@@ -571,39 +456,6 @@ func (q *Engine) synopsis(req Request) ([]SynopsisEntry, error) {
 	return out, nil
 }
 
-func (q *Engine) distribution(req Request) ([]analytics.Bucket, error) {
-	typ, err := req.eventType()
-	if err != nil {
-		return nil, err
-	}
-	from, to, err := req.window()
-	if err != nil {
-		return nil, err
-	}
-	var buckets []analytics.Bucket
-	switch req.Level {
-	case "app":
-		buckets, err = analytics.DistributionByAppScan(q.compute, q.db, typ, from, to, analytics.ScanConfig{})
-	case "cabinet", "":
-		buckets, err = analytics.DistributionByScan(q.compute, q.db, typ, from, to, topology.LevelCabinet, analytics.ScanConfig{})
-	case "cage":
-		buckets, err = analytics.DistributionByScan(q.compute, q.db, typ, from, to, topology.LevelCage, analytics.ScanConfig{})
-	case "blade":
-		buckets, err = analytics.DistributionByScan(q.compute, q.db, typ, from, to, topology.LevelBlade, analytics.ScanConfig{})
-	case "node":
-		buckets, err = analytics.DistributionByScan(q.compute, q.db, typ, from, to, topology.LevelNode, analytics.ScanConfig{})
-	default:
-		return nil, fmt.Errorf("query: unknown distribution level %q", req.Level)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if k := req.topK(); len(buckets) > k {
-		buckets = buckets[:k]
-	}
-	return buckets, nil
-}
-
 // TEResponse carries a transfer entropy measurement.
 type TEResponse struct {
 	First     string  `json:"first"`
@@ -613,68 +465,8 @@ type TEResponse struct {
 	Direction string  `json:"direction,omitempty"`
 }
 
-func (q *Engine) transferEntropy(req Request) (TEResponse, error) {
-	typ, err := req.eventType()
-	if err != nil {
-		return TEResponse{}, err
-	}
-	if req.SecondType == "" {
-		return TEResponse{}, fmt.Errorf("query: transfer_entropy requires second_type")
-	}
-	from, to, err := req.window()
-	if err != nil {
-		return TEResponse{}, err
-	}
-	res, err := analytics.TransferEntropyBetweenScan(q.compute, q.db, typ,
-		model.EventType(req.SecondType), from, to, req.bin(), analytics.ScanConfig{})
-	if err != nil {
-		return TEResponse{}, err
-	}
-	return TEResponse{
-		First:     string(typ),
-		Second:    req.SecondType,
-		TEForward: res.XToY,
-		TEReverse: res.YToX,
-		Direction: res.Direction(0),
-	}, nil
-}
-
 // WordCountEntry is one term count.
 type WordCountEntry struct {
 	Term  string `json:"term"`
 	Count int    `json:"count"`
-}
-
-func (q *Engine) wordCount(req Request) ([]WordCountEntry, error) {
-	typ, err := req.eventType()
-	if err != nil {
-		return nil, err
-	}
-	from, to, err := req.window()
-	if err != nil {
-		return nil, err
-	}
-	counts, err := analytics.WordCountScan(q.compute, q.db, typ, from, to, analytics.ScanConfig{})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]WordCountEntry, 0, len(counts))
-	for term, c := range counts {
-		out = append(out, WordCountEntry{Term: term, Count: c})
-	}
-	return analytics.TopK(out, req.topK(), func(a, b WordCountEntry) int {
-		return cmp.Or(cmp.Compare(b.Count, a.Count), strings.Compare(a.Term, b.Term))
-	}), nil
-}
-
-func (q *Engine) tfidf(req Request) ([]analytics.TermScore, error) {
-	typ, err := req.eventType()
-	if err != nil {
-		return nil, err
-	}
-	from, to, err := req.window()
-	if err != nil {
-		return nil, err
-	}
-	return analytics.TFIDFScan(q.compute, q.db, typ, from, to, req.topK(), analytics.ScanConfig{})
 }

@@ -362,12 +362,12 @@ func TestWordCountTopKIsSortedPrefix(t *testing.T) {
 	f := getFixture(t)
 	ctx := f.ctx()
 	for _, typ := range []model.EventType{model.Lustre, model.MCE, model.MemECC} {
-		counts, err := analytics.WordCountScan(f.q.compute, f.q.db, typ, f.cfg.Start, f.cfg.Start.Add(f.cfg.Duration), analytics.ScanConfig{})
+		vocab, err := analytics.TextFold.Scan(f.q.compute, f.q.db, typ, f.cfg.Start, f.cfg.Start.Add(f.cfg.Duration), analytics.ScanConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var full []WordCountEntry
-		for term, c := range counts {
+		for term, c := range vocab.WordCounts() {
 			full = append(full, WordCountEntry{term, c})
 		}
 		sort.Slice(full, func(i, j int) bool {

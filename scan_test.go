@@ -126,31 +126,59 @@ func (f *scanFixture) at(par int) *scanFixture {
 	return &g
 }
 
+// histogram bins the occurrences of typ over [from, to).
+func histogram(f *scanFixture, typ model.EventType, from, to time.Time, bin time.Duration, cfg analytics.ScanConfig) ([]int, error) {
+	fold, err := analytics.HistogramFold(from, to, bin)
+	if err != nil {
+		return nil, err
+	}
+	acc, err := fold.Scan(f.eng, f.db, typ, from, to, cfg)
+	return acc.Counts(), err
+}
+
 func scanOps() []scanOp {
 	return []scanOp{
 		{"heatmap", func(f *scanFixture, cfg analytics.ScanConfig) (any, error) {
 			from, to := f.window()
-			return analytics.HeatmapScan(f.eng, f.db, model.MCE, from, to, cfg)
+			counts, err := analytics.HeatmapFold.Scan(f.eng, f.db, model.MCE, from, to, cfg)
+			return analytics.NewHeatMap(model.MCE, from, to, counts), err
 		}},
 		{"distribution", func(f *scanFixture, cfg analytics.ScanConfig) (any, error) {
 			from, to := f.window()
-			return analytics.DistributionByScan(f.eng, f.db, model.MCE, from, to, topology.LevelCabinet, cfg)
+			acc, err := analytics.DistributionFold(topology.LevelCabinet).Scan(f.eng, f.db, model.MCE, from, to, cfg)
+			return acc.Buckets(), err
 		}},
 		{"histogram", func(f *scanFixture, cfg analytics.ScanConfig) (any, error) {
 			from, to := f.window()
-			return analytics.HistogramScan(f.eng, f.db, model.Lustre, from, to, time.Minute, cfg)
+			return histogram(f, model.Lustre, from, to, time.Minute, cfg)
 		}},
 		{"transfer_entropy", func(f *scanFixture, cfg analytics.ScanConfig) (any, error) {
 			from, to := f.window()
-			return analytics.TransferEntropyBetweenScan(f.eng, f.db, model.Lustre, model.AppAbort, from, to, 30*time.Second, cfg)
+			x, err := histogram(f, model.Lustre, from, to, 30*time.Second, cfg)
+			if err != nil {
+				return nil, err
+			}
+			y, err := histogram(f, model.AppAbort, from, to, 30*time.Second, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return analytics.TransferEntropyBetween(x, y)
 		}},
 		{"wordcount", func(f *scanFixture, cfg analytics.ScanConfig) (any, error) {
 			from, to := f.window()
-			return analytics.WordCountScan(f.eng, f.db, model.Lustre, from, to, cfg)
+			vocab, err := analytics.TextFold.Scan(f.eng, f.db, model.Lustre, from, to, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return vocab.WordCounts(), nil
 		}},
 		{"tfidf", func(f *scanFixture, cfg analytics.ScanConfig) (any, error) {
 			from, to := f.window()
-			return analytics.TFIDFScan(f.eng, f.db, model.Lustre, from, to, 0, cfg)
+			vocab, err := analytics.TextFold.Scan(f.eng, f.db, model.Lustre, from, to, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return vocab.TopTerms(0), nil
 		}},
 		{"events", func(f *scanFixture, cfg analytics.ScanConfig) (any, error) {
 			from, to := f.window()
