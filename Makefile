@@ -35,7 +35,8 @@ bench-test:
 # Tiered-storage smoke: force-evict every sealed segment to a local-fs
 # object store and prove the engine corpus stays byte-identical through
 # Merkle-verified read-through (including across a reopen), crash images
-# cut at every upload/eviction stage recover without losing acked rows —
+# cut by the recording FS before the operation that ends each
+# upload/eviction stage recover without losing acked rows —
 # for single-segment objects and for round objects of many sections —
 # a flipped object byte falls back to a replica, the sections of one round
 # object never read each other's cached blocks and outlive a retired
@@ -69,8 +70,9 @@ tier-smoke:
 # damage tests and the recovery fuzzers' seeds over each). A manifest
 # record lost after its stub was written fails the open, one torn before
 # any stub does not, a snapshot stands once its image is durable, and a
-# predecessor manifest file is carried over, crash images and its
-# retires' leftover stubs included (./internal/store/persist/ TestManifest*).
+# predecessor manifest file is carried over, crash images (cut or
+# failed between two operations) and its retires' leftover stubs included
+# (./internal/store/persist/ TestManifest*).
 # The one replica read fails whole: a scan that breaks off after some rows
 # never answers a Get (another replica does) and fails a Repair, and a
 # remote scan fails when its peer makes no progress within the RPC
@@ -79,17 +81,23 @@ tier-smoke:
 # A full memtable's flush is a node round, the one flush protocol: the
 # write path hands the memtable over as a readable flushing run and runs
 # the round with no partition lock held, so a Get or a PutBatch of the
-# partition returns while the round is held mid-way; crash images cut at
-# every stage of the write path's round and of Flush's recover every
-# acked row, and rounds back to back with concurrent writers and scanners
-# hide no acked row (./internal/store/ round tests, named); the same flush
-# and compaction rounds write the same bytes, run after run
+# partition returns while the round is held mid-way; crash images —
+# cut by the recording FS (./internal/fsys/fsystest/, itself tested:
+# a cut falls between two operations) before the operation that ends
+# each stage of the write path's round, of Flush's and of a compaction
+# round, and before every create, fsync, rename, directory fsync and
+# remove of a flush, a compaction and a sweep — recover every acked row,
+# and rounds back to back with concurrent writers and scanners hide no
+# acked row (./internal/store/ round and crash tests, named); so do the
+# persist-level compaction and sweep images (named); the same flush and
+# compaction rounds write the same bytes, run after run
 # (./internal/store/persist/ TestRoundFilesReproducible).
 fault-smoke:
 	$(GO) test -count=1 -run 'TestDurableLayersDoNotImportOS|TestOSFailedOpenIsNilFile' ./internal/fsys/
-	$(GO) test -count=1 -run 'TestInlineFlushCrashImages|TestFlushRoundCrashImages|TestNodeRoundFilesReproducible|TestFlushRoundsConcurrentWritersAndScanners|TestThresholdFlushBlocksNoReader' ./internal/store/
+	$(GO) test -count=1 ./internal/fsys/fsystest/
+	$(GO) test -count=1 -run 'TestInlineFlushCrashImages|TestFlushRoundCrashImages|TestCompactRoundCrashImages|TestCompactRoundRehomesSurvivorsCrashImages|TestCrashRecoveryAckedBatches|TestCrashStatesAtEveryOperation|TestNodeRoundFilesReproducible|TestFlushRoundsConcurrentWritersAndScanners|TestThresholdFlushBlocksNoReader' ./internal/store/
 	$(GO) test -count=1 -run 'TestFault' ./internal/wal/ ./internal/objstore/ ./internal/store/ ./internal/dist/
-	$(GO) test -count=1 -run 'TestFault|TestRetiredObject|TestManifest|TestRoundFilesReproducible' ./internal/store/persist/
+	$(GO) test -count=1 -run 'TestFault|TestRetiredObject|TestManifest|TestRoundFilesReproducible|TestDeadSectionsStayDeadCrashImages|TestMixedGenerationCrashImages|TestReconcileReAdoptsLocalFile|TestReconcileMidUploadImage' ./internal/store/persist/
 	$(GO) test -count=1 -run 'TestTorn|TestCorrupt|TestMidSegment|TestMultiRecord|TestZero|TestSealedSegmentDamage|TestDamagedHeader|FuzzCommitlogRecovery' ./internal/wal/
 	$(GO) test -count=1 -run 'TestManifestRejectsCorruption|TestManifestLogTornTailAndCorruption|TestManifestEmptySnapshot|FuzzManifestLogRecovery|FuzzDecodeManifest' ./internal/objstore/
 

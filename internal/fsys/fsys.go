@@ -1,8 +1,9 @@
 // Package fsys is the one file-system seam under the durable layers: the
 // commitlog, the segment store and the object store's local backend and
 // tier manifest open, write, sync, rename and remove files only through
-// OS, so a test can put a file system in its place that records or fails
-// any of those operations. It also holds the round barrier they share:
+// OS, so a test can put a file system in its place (fsystest) that
+// records or fails any of those operations, or cuts a crash image between
+// two of them. It also holds the round barrier they share:
 // files written under temp names, fsynced, renamed into place, and their
 // directories fsynced once.
 package fsys
@@ -136,11 +137,9 @@ const syncWorkers = 4
 // its final name, then fsync each distinct parent directory once. Only
 // after it returns nil may the caller act on the files being durable
 // (publish segments, drop memtables, append to the manifest, unlink
-// inputs). stage, when non-nil, is called with "synced" after the file
-// fsyncs and "renamed" after the renames. On failure the remaining temp
-// files are removed; files already renamed stay — they are complete, and
-// nothing references them.
-func Commit(paths []string, stage func(string)) (err error) {
+// inputs). On failure the remaining temp files are removed; files
+// already renamed stay — they are complete, and nothing references them.
+func Commit(paths []string) (err error) {
 	defer func() {
 		if err != nil {
 			Discard(paths...)
@@ -149,14 +148,8 @@ func Commit(paths []string, stage func(string)) (err error) {
 	if err := syncFiles(paths, TempExt); err != nil {
 		return err
 	}
-	if stage != nil {
-		stage("synced")
-	}
 	if err := Publish(paths...); err != nil {
 		return err
-	}
-	if stage != nil {
-		stage("renamed")
 	}
 	return syncDirs(paths)
 }

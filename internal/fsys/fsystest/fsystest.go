@@ -1,5 +1,7 @@
-// Package fsystest puts a recording, failing file system under the
-// durable layers (fsys.OS) for the length of one test.
+// Package fsystest records, fails and cuts images: for the length of one
+// test it puts a file system under the durable layers (fsys.OS) that
+// records every operation, fails those a rule picks, and copies
+// directories between two operations — the crash image kill -9 leaves.
 package fsystest
 
 import (
@@ -13,7 +15,7 @@ import (
 )
 
 // Op is one operation: open, create, openfile, remove, rename (of the old
-// path), write, sync (of a file) or syncdir.
+// path), write, truncate, sync (of a file) or syncdir.
 type Op struct{ Kind, Path string }
 
 // FS records every operation on the file system it wraps and fails those
@@ -23,6 +25,9 @@ type FS struct {
 	mu   sync.Mutex
 	ops  []Op
 	rule func(Op) error
+	// cut is held for reading by each operation while it runs and for
+	// writing by Cut, so an image falls between two operations.
+	cut sync.RWMutex
 }
 
 // Install makes a recording FS fsys.OS until the test ends. Call it before
@@ -35,7 +40,52 @@ func Install(t testing.TB) *FS {
 }
 
 // Fail fails each later operation rule returns an error for (nil: none).
+// The rule runs before its operation and outside any lock, so it may
+// block, call Fail or Cut; operations on several goroutines call it
+// concurrently.
 func (r *FS) Fail(rule func(Op) error) { r.mu.Lock(); r.rule = rule; r.mu.Unlock() }
+
+// Cut copies each of dirs into a fresh directory of t while no operation
+// runs and returns the copies in order.
+func (r *FS) Cut(t testing.TB, dirs ...string) []string {
+	t.Helper()
+	r.cut.Lock()
+	defer r.cut.Unlock()
+	imgs := make([]string, len(dirs))
+	for i, dir := range dirs {
+		imgs[i] = t.TempDir()
+		if err := os.CopyFS(imgs[i], os.DirFS(dir)); err != nil {
+			t.Errorf("cut %s: %v", dir, err) // not Fatal: a rule runs on the store's goroutines
+		}
+	}
+	return imgs
+}
+
+// CopyTree copies the directory src into dst, past the recording FS.
+func CopyTree(t testing.TB, src, dst string) {
+	t.Helper()
+	if err := os.CopyFS(dst, os.DirFS(src)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// CommitStage returns the stage the commit (fsys.Commit) of the temp
+// file tmp has reached when op begins, if op is the step that ends it:
+// "written" at the file's fsync, "synced" at its rename and "renamed" at
+// the fsync of its directory; else "". An image cut before op shows the
+// stage. The directory's fsync may be another commit's: the caller takes
+// it only once the rename has passed.
+func CommitStage(op Op, tmp string) string {
+	switch {
+	case op.Kind == "sync" && op.Path == tmp:
+		return "written"
+	case op.Kind == "rename" && op.Path == tmp:
+		return "synced"
+	case op.Kind == "syncdir" && op.Path == filepath.Dir(tmp):
+		return "renamed"
+	}
+	return ""
+}
 
 // Count returns how many operations of kind were recorded on paths whose
 // base name matches glob.
@@ -50,17 +100,27 @@ func (r *FS) Count(kind, glob string) (n int) {
 	return n
 }
 
-// do records an operation and runs op unless the rule fails it.
-func (r *FS) do(kind, path string, op func() error) error {
+// record records an operation and returns the error its rule fails it
+// with.
+func (r *FS) record(kind, path string) error {
 	r.mu.Lock()
 	r.ops = append(r.ops, Op{kind, path})
 	rule := r.rule
 	r.mu.Unlock()
-	if rule != nil {
-		if err := rule(Op{kind, path}); err != nil {
-			return err
-		}
+	if rule == nil {
+		return nil
 	}
+	return rule(Op{kind, path})
+}
+
+// do records an operation and runs op, outside any cut, unless the rule
+// fails it.
+func (r *FS) do(kind, path string, op func() error) error {
+	if err := r.record(kind, path); err != nil {
+		return err
+	}
+	r.cut.RLock()
+	defer r.cut.RUnlock()
 	return op()
 }
 
@@ -97,11 +157,20 @@ func (f *file) WriteAt(p []byte, off int64) (int, error) {
 }
 
 func (f *file) write(p []byte, w func([]byte) (int, error)) (n int, err error) {
-	ran := false
-	if err = f.r.do("write", f.path, func() error { ran = true; n, err = w(p); return err }); !ran {
-		n, _ = w(p[:len(p)/2])
+	if err = f.r.record("write", f.path); err != nil {
+		p = p[:len(p)/2]
+	}
+	f.r.cut.RLock()
+	defer f.r.cut.RUnlock()
+	n, werr := w(p)
+	if err == nil {
+		err = werr
 	}
 	return n, err
+}
+
+func (f *file) Truncate(size int64) error {
+	return f.r.do("truncate", f.path, func() error { return f.File.Truncate(size) })
 }
 
 func (f *file) Sync() error {

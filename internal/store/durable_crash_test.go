@@ -5,58 +5,28 @@ package store
 // replay.
 //
 // A "crash" is simulated two ways:
-//   - image capture: the durable directory is copied byte-for-byte while
-//     the cluster is still live (no Close, no flush) and the copy is
-//     reopened — the moral equivalent of kill -9 plus restart. Because
-//     every PutBatch ack implies a group-commit fsync, the image must
-//     contain every acked batch.
+//   - image capture: the recording file system (fsystest) copies the
+//     durable directory between two of its operations while the cluster
+//     is still live (no Close, no flush) and the copy is reopened — the
+//     moral equivalent of kill -9 plus restart. Because every PutBatch
+//     ack implies a group-commit fsync, the image must contain every
+//     acked batch. Round and sweep tests cut theirs before the operation
+//     that ends a stage (captureRounds, sweepImages).
 //   - torn tail: a partial commitlog frame is appended to the newest WAL
 //     segment of every node, simulating records that were mid-append when
 //     the process died. Recovery must drop exactly the torn bytes.
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
-)
 
-// copyTree copies a directory recursively (the crash image).
-func copyTree(t *testing.T, src, dst string) {
-	t.Helper()
-	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		target := filepath.Join(dst, rel)
-		if info.IsDir() {
-			return os.MkdirAll(target, 0o755)
-		}
-		in, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer in.Close()
-		out, err := os.Create(target)
-		if err != nil {
-			return err
-		}
-		defer out.Close()
-		_, err = io.Copy(out, in)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
+	"hpclog/internal/fsys/fsystest"
+)
 
 func crashCfg(dir string) Config {
 	return Config{
@@ -71,6 +41,7 @@ func crashCfg(dir string) Config {
 // ingest run and asserts every batch acked before the cut survives
 // recovery from the image.
 func TestCrashRecoveryAckedBatches(t *testing.T) {
+	rec := fsystest.Install(t)
 	dir := t.TempDir()
 	db, err := OpenDurable(crashCfg(dir))
 	if err != nil {
@@ -100,9 +71,7 @@ func TestCrashRecoveryAckedBatches(t *testing.T) {
 		// Cut a crash image at irregular points, including right after the
 		// first ack and right after the last.
 		if b == 0 || b == 7 || b == 23 || b == batches-1 {
-			img := t.TempDir()
-			copyTree(t, dir, img)
-			images = append(images, image{dir: img, acked: b + 1})
+			images = append(images, image{dir: rec.Cut(t, dir)[0], acked: b + 1})
 		}
 	}
 

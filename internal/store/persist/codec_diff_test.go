@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"hpclog/internal/fsys/fsystest"
 )
 
 // This process interns the ordered columns of the hostile generator in the
@@ -499,6 +501,7 @@ func TestTemplatesAcrossColumnOrders(t *testing.T) {
 // and v9 sections until the round's file has its final name and by one
 // v9 section after.
 func TestMixedGenerationCrashImages(t *testing.T) {
+	rec := fsystest.Install(t)
 	dir := t.TempDir()
 	want := make(map[string][]Row)
 	var parts []FlushPart
@@ -528,20 +531,13 @@ func TestMixedGenerationCrashImages(t *testing.T) {
 	if err := s.FlushRound(parts); err != nil {
 		t.Fatal(err)
 	}
-	type image struct{ stage, dir string }
-	var images []image
-	RoundCrashHook = func(stage string, _ []string) {
-		img := image{stage, t.TempDir()}
-		copyTreeT(t, dir, img.dir)
-		images = append(images, img)
-	}
-	n, err := s.CompactOverflow(1)
-	RoundCrashHook = nil
+	var n int
+	images, err := roundImages(t, rec, func() (err error) { n, err = s.CompactOverflow(1); return err }, dir)
 	if err != nil || n != len(want) || len(images) != 4 {
 		t.Fatalf("compacted %d of %d partitions (%v) in %d stage images, want 4", n, len(want), err, len(images))
 	}
 	for _, img := range images {
-		r, err := OpenStore(img.dir)
+		r, err := OpenStore(img.dirs[0])
 		if err != nil {
 			t.Fatalf("%s: %v", img.stage, err)
 		}

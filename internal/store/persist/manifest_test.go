@@ -83,6 +83,7 @@ func TestManifestLostRecordFailsOpen(t *testing.T) {
 // the store opens, serves the segment from its local file, and a sweep
 // evicts it again.
 func TestManifestTornRecordBeforeStub(t *testing.T) {
+	rec := fsystest.Install(t)
 	dir, objDir := t.TempDir(), t.TempDir()
 	s := openTiered(t, dir, newTestTier(t, objDir))
 	defer s.Close()
@@ -90,18 +91,11 @@ func TestManifestTornRecordBeforeStub(t *testing.T) {
 	if err := s.Flush("events", "p1", rows); err != nil {
 		t.Fatal(err)
 	}
-	imgDir, imgObj := t.TempDir(), t.TempDir()
-	TierCrashHook = func(stage string, _ uint64) {
-		if stage == "post-manifest" {
-			copyTreeT(t, dir, imgDir)
-			copyTreeT(t, objDir, imgObj)
-		}
+	img, err := cutBefore(t, rec, postManifest, func() error { _, _, err := s.TierSweep(context.Background(), true); return err }, dir, objDir)
+	if err != nil || img == nil {
+		t.Fatalf("sweep: %v; image cut: %v", err, img != nil)
 	}
-	defer func() { TierCrashHook = nil }()
-	if _, _, err := s.TierSweep(context.Background(), true); err != nil {
-		t.Fatal(err)
-	}
-	TierCrashHook = nil
+	imgDir, imgObj := img[0], img[1]
 	seg, data, last := lastManifestRecord(t, imgDir)
 	data[last+8+20] ^= 0x10
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
@@ -185,7 +179,7 @@ func TestManifestCarriedOver(t *testing.T) {
 			t.Fatalf("%s: the fixture's manifest is not an HPTIERM2 file (%v)", node, err)
 		}
 		dir := t.TempDir()
-		copyTreeT(t, pristine, dir)
+		fsystest.CopyTree(t, pristine, dir)
 		s, err := open(node, dir)
 		if err != nil {
 			t.Fatalf("%s: open: %v", node, err)
@@ -226,7 +220,7 @@ func TestManifestCarriedOver(t *testing.T) {
 			{"remove", tierManifestName + ".v2"},   // the image durable, the file not unlinked
 		} {
 			img := t.TempDir()
-			copyTreeT(t, pristine, img)
+			fsystest.CopyTree(t, pristine, img)
 			injected := errors.New("injected crash")
 			rec.Fail(func(op fsystest.Op) error {
 				if op.Kind == step.kind && filepath.Base(op.Path) == step.base && strings.HasPrefix(op.Path, img) {
@@ -257,7 +251,7 @@ func TestManifestCarriedOverSweepsOrphanStub(t *testing.T) {
 	untarFixture(t, filepath.Join("..", "..", "enginetest", "testdata", "v8store.tar.gz"), root)
 	tier := newTestTier(t, filepath.Join(root, "objects"))
 	dir := t.TempDir()
-	copyTreeT(t, filepath.Join(root, "store", "node-store01", "seg"), dir)
+	fsystest.CopyTree(t, filepath.Join(root, "store", "node-store01", "seg"), dir)
 	stub, err := os.ReadFile(filepath.Join(dir, "00000000000000000001"+segStubExt))
 	if err != nil {
 		t.Fatal(err)

@@ -60,43 +60,6 @@ const minSection = int64(len(segHeader)) + trailerLen
 // roundWorkers bounds the goroutines encoding one round's segments.
 const roundWorkers = 4
 
-// RoundCrashHook, when non-nil, is invoked at each boundary of a flush or
-// compaction round with the stage name and the final path of the data
-// file the round writes. The crash harness uses it to capture directory
-// images mid-round and prove recovery from each. Stages:
-//
-//	written   — the file written under its temp name, nothing synced
-//	synced    — the file fsynced, not renamed
-//	renamed   — the file under its final name, directory not yet fsynced
-//	published — barrier passed; segments visible, inputs retired
-var RoundCrashHook func(stage string, paths []string)
-
-// hookMu serializes rounds and sweeps across every store of the process
-// while a crash hook is installed, so the directory image a hook copies
-// is cut at one well-defined stage of one round and races no other node.
-var hookMu sync.Mutex
-
-// hooked must bracket every round and sweep: defer hooked()().
-func hooked() (done func()) {
-	if RoundCrashHook == nil && TierCrashHook == nil {
-		return func() {}
-	}
-	hookMu.Lock()
-	return hookMu.Unlock
-}
-
-func roundHook(stage string, paths []string) {
-	if RoundCrashHook != nil {
-		RoundCrashHook(stage, paths)
-	}
-}
-
-// commitRound is the barrier of a segment round.
-func commitRound(paths []string) error {
-	roundHook("written", paths)
-	return fsys.Commit(paths, func(stage string) { roundHook(stage, paths) })
-}
-
 // section locates one segment within a data file (or stub).
 type section struct {
 	seq      uint64
@@ -534,7 +497,7 @@ func (d *dataFile) finish(segs []*Segment, dead []uint64, err error) error {
 		_, err = d.f.WriteAt(idx, d.end)
 	}
 	if err == nil {
-		err = commitRound([]string{d.path})
+		err = fsys.Commit([]string{d.path})
 	}
 	if err != nil {
 		d.f.Close()

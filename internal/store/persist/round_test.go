@@ -13,6 +13,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"hpclog/internal/fsys"
@@ -357,12 +359,63 @@ func TestCompactionRoundIsolatesAFailedMerge(t *testing.T) {
 	}
 }
 
+// crashImage is the copies of a store's directories cut at stage.
+type crashImage struct {
+	stage string
+	dirs  []string
+}
+
+// roundImages runs op under rec and cuts an image of dirs at each stage
+// of the first round to commit a data file — written, synced and renamed
+// (fsystest.CommitStage) — and at published, once op returns.
+func roundImages(t *testing.T, rec *fsystest.FS, op func() error, dirs ...string) ([]crashImage, error) {
+	t.Helper()
+	var mu sync.Mutex
+	var images []crashImage
+	var tmp string // the round's data file under its temp name
+	stages := []string{"written", "synced", "renamed"}
+	rec.Fail(func(o fsystest.Op) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if tmp == "" && o.Kind == "sync" && strings.HasSuffix(o.Path, segFileExt+fsys.TempExt) {
+			tmp = o.Path
+		}
+		if tmp != "" && len(images) < len(stages) && fsystest.CommitStage(o, tmp) == stages[len(images)] {
+			images = append(images, crashImage{stages[len(images)], rec.Cut(t, dirs...)})
+		}
+		return nil
+	})
+	err := op()
+	rec.Fail(nil)
+	return append(images, crashImage{"published", rec.Cut(t, dirs...)}), err
+}
+
+// cutBefore runs op under rec and cuts one image of dirs before the first
+// operation at picks; nil if none.
+func cutBefore(t *testing.T, rec *fsystest.FS, at func(fsystest.Op) bool, op func() error, dirs ...string) ([]string, error) {
+	t.Helper()
+	var mu sync.Mutex
+	var img []string
+	rec.Fail(func(o fsystest.Op) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if img == nil && at(o) {
+			img = rec.Cut(t, dirs...)
+		}
+		return nil
+	})
+	err := op()
+	rec.Fail(nil)
+	return img, err
+}
+
 // TestDeadSectionsStayDeadCrashImages cuts an image at each stage of a
 // background round that leaves its inputs as dead sections of a live
 // file. Every image reopens to the acked rows; it serves the inputs until
 // the round's file has its final name and never after, and the flush file
 // that holds them stays.
 func TestDeadSectionsStayDeadCrashImages(t *testing.T) {
+	rec := fsystest.Install(t)
 	dir := t.TempDir()
 	s, err := OpenStore(dir)
 	if err != nil {
@@ -377,20 +430,13 @@ func TestDeadSectionsStayDeadCrashImages(t *testing.T) {
 	for i := int64(1); i <= 2; i++ {
 		want["pa"] = overwrite(t, s, "pa", 10, 100*i, want["pa"])
 	}
-	type image struct{ stage, dir string }
-	var images []image
-	RoundCrashHook = func(stage string, _ []string) {
-		img := image{stage, t.TempDir()}
-		copyTreeT(t, dir, img.dir)
-		images = append(images, img)
-	}
-	n, err := s.CompactOverflow(2)
-	RoundCrashHook = nil
+	var n int
+	images, err := roundImages(t, rec, func() (err error) { n, err = s.CompactOverflow(2); return err }, dir)
 	if err != nil || n != 1 || len(images) != 4 {
 		t.Fatalf("compacted %d (%v) in %d stage images, want 1 in 4", n, err, len(images))
 	}
 	for _, img := range images {
-		r, err := OpenStore(img.dir)
+		r, err := OpenStore(img.dirs[0])
 		if err != nil {
 			t.Fatalf("%s: %v", img.stage, err)
 		}
@@ -406,7 +452,7 @@ func TestDeadSectionsStayDeadCrashImages(t *testing.T) {
 				t.Errorf("%s: %s lost acked rows", img.stage, pkey)
 			}
 		}
-		if _, err := os.Stat(filepath.Join(img.dir, filepath.Base(flushFile))); err != nil {
+		if _, err := os.Stat(filepath.Join(img.dirs[0], filepath.Base(flushFile))); err != nil {
 			t.Errorf("%s: the flush file holding pb went: %v", img.stage, err)
 		}
 		r.Close()

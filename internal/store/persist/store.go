@@ -239,7 +239,7 @@ func (s *Store) AddTable(name string) error {
 	if err := fsys.WriteTemp(path, []byte(strings.Join(names, "\n")+"\n")); err != nil {
 		return err
 	}
-	if err := fsys.Commit([]string{path}, nil); err != nil {
+	if err := fsys.Commit([]string{path}); err != nil {
 		return err
 	}
 	s.tables[name] = true
@@ -273,7 +273,6 @@ func (s *Store) FlushRound(parts []FlushPart) error {
 	if n == 0 {
 		return nil
 	}
-	defer hooked()()
 	start := time.Now()
 	s.mu.Lock()
 	first := s.nextSeq
@@ -313,7 +312,6 @@ func (s *Store) FlushRound(parts []FlushPart) error {
 	s.flushes.Add(int64(n))
 	s.flushRounds.Add(1)
 	s.FlushRoundHist.Record(time.Since(start))
-	roundHook("published", []string{rf.path})
 	return nil
 }
 
@@ -426,7 +424,6 @@ type merge struct {
 // drop of the retired segments' manifest entries is reported and stops
 // nothing. Their objects go with their last reader (dataFile.retire).
 func (s *Store) compactRound(keys []segKey, threshold int) (int, error) {
-	defer hooked()()
 	start := time.Now()
 	s.mu.Lock()
 	var merges []*merge
@@ -542,7 +539,6 @@ func (s *Store) compactRound(keys []segKey, threshold int) (int, error) {
 	}
 	s.compactions.Add(int64(len(merges)))
 	s.CompactRoundHist.Record(time.Since(start))
-	roundHook("published", []string{rf.path})
 	return len(merges), errors.Join(append(failed, dropErr)...)
 }
 

@@ -35,26 +35,6 @@ type TierSetup struct {
 // stub barrier per batch.
 const tierBatch = 128
 
-// TierCrashHook, when non-nil, is invoked at each durability boundary of
-// the upload/eviction pipeline with the stage name and the sequence
-// number of each segment in the batch at that stage. The crash harness
-// uses it to capture directory images "mid-upload" and "mid-eviction" and
-// prove recovery from each. Stages, in pipeline order:
-//
-//	pre-upload    — about to stream the segment's file to the object store
-//	post-upload   — object uploaded and read-back verified, manifest not yet written
-//	post-manifest — manifest record durable, local data files still authoritative
-//	post-stub     — footer stubs durable, data files not yet unlinked
-var TierCrashHook func(stage string, seq uint64)
-
-func tierHook(stage string, segs []*Segment) {
-	if TierCrashHook != nil {
-		for _, seg := range segs {
-			TierCrashHook(stage, seg.Seq())
-		}
-	}
-}
-
 // ErrTierRequired marks a segment directory whose manifest references
 // evicted segments opened without a tier configuration — refusing to
 // open beats silently serving partial data.
@@ -159,7 +139,7 @@ func (s *Store) reconcileTier(local map[uint64]*Segment, dead map[uint64]bool) e
 			rebuilt = append(rebuilt, sp)
 		}
 	}
-	if err := fsys.Commit(rebuilt, nil); err != nil {
+	if err := fsys.Commit(rebuilt); err != nil {
 		return err
 	}
 	for key, es := range evicted {
@@ -315,7 +295,6 @@ func (s *Store) TierSweep(ctx context.Context, force bool) (uploaded, evicted in
 	if s.tier == nil {
 		return 0, 0, nil
 	}
-	defer hooked()()
 	start := time.Now()
 	type load struct {
 		cold, live int64
@@ -409,7 +388,6 @@ func (s *Store) sweepBatch(ctx context.Context, files []*dataFile, marks []uint6
 				for _, seg := range df.segs {
 					seg.SetTier(s.tier, keys[i])
 				}
-				tierHook("post-manifest", df.segs)
 				uploaded += len(df.segs)
 			}
 			ready = append(ready, fresh...)
@@ -425,11 +403,8 @@ func (s *Store) sweepBatch(ctx context.Context, files []*dataFile, marks []uint6
 		}
 		stubs = append(stubs, stubPath(df.path))
 	}
-	if err := fsys.Commit(stubs, nil); err != nil {
+	if err := fsys.Commit(stubs); err != nil {
 		return uploaded, 0, errors.Join(append(errs, err)...)
-	}
-	for _, df := range ready {
-		tierHook("post-stub", df.segs)
 	}
 	for _, df := range ready {
 		for _, seg := range df.segs {
@@ -463,11 +438,9 @@ func pinFile(df *dataFile) bool {
 // returning the manifest entries that will record its sections.
 func (s *Store) uploadFile(ctx context.Context, df *dataFile) ([]objstore.ManifestEntry, error) {
 	key := s.tierObjKey(df)
-	tierHook("pre-upload", df.segs)
 	if err := s.tier.UploadAndVerify(ctx, key, df.f, df.size); err != nil {
 		return nil, fmt.Errorf("persist: upload %s: %w", df.path, err)
 	}
-	tierHook("post-upload", df.segs)
 	es := make([]objstore.ManifestEntry, len(df.segs))
 	for i, seg := range df.segs {
 		es[i] = objstore.ManifestEntry{

@@ -3,13 +3,13 @@ package persist
 import (
 	"context"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"hpclog/internal/fsys"
 	"hpclog/internal/fsys/fsystest"
 	"hpclog/internal/objstore"
 )
@@ -234,6 +234,7 @@ func TestEvictedFileKeepsItsDeadMarks(t *testing.T) {
 // reopen drops the entry and serves the section from neither stub nor
 // object, while its sibling in the object stays readable.
 func TestCrashBeforeEntryDropKeepsSectionDead(t *testing.T) {
+	rec := fsystest.Install(t)
 	dir, objDir := t.TempDir(), t.TempDir()
 	s := openTiered(t, dir, newTestTier(t, objDir))
 	defer s.Close()
@@ -247,19 +248,15 @@ func TestCrashBeforeEntryDropKeepsSectionDead(t *testing.T) {
 	for i := int64(1); i <= 2; i++ {
 		want["pa"] = overwrite(t, s, "pa", 10, 100*i, want["pa"])
 	}
-	imgDir, imgObj := t.TempDir(), t.TempDir()
-	RoundCrashHook = func(stage string, _ []string) {
-		if stage == "renamed" {
-			copyTreeT(t, dir, imgDir)
-			copyTreeT(t, objDir, imgObj)
-		}
-	}
-	n, err := s.CompactOverflow(2)
-	RoundCrashHook = nil
+	var n int
+	images, err := roundImages(t, rec, func() (err error) { n, err = s.CompactOverflow(2); return err }, dir, objDir)
 	if err != nil || n != 1 {
 		t.Fatalf("compacted %d: %v", n, err)
 	}
-	r := openTiered(t, imgDir, newTestTier(t, imgObj))
+	if len(images) != 4 || images[2].stage != "renamed" {
+		t.Fatalf("images cut at %v, want renamed third of four", images)
+	}
+	r := openTiered(t, images[2].dirs[0], newTestTier(t, images[2].dirs[1]))
 	defer r.Close()
 	if segs := r.Segments("events", "pa"); len(segs) != 1 || segs[0].Tiered() {
 		t.Fatalf("pa reopens as %d segments, want its merge alone", len(segs))
@@ -332,34 +329,34 @@ func TestOpenStoreWithoutTierFails(t *testing.T) {
 	}
 }
 
+// postManifest picks a sweep's first stub create: the manifest record of
+// its uploads is durable, no stub is.
+func postManifest(op fsystest.Op) bool {
+	return op.Kind == "create" && strings.HasSuffix(op.Path, segStubExt+fsys.TempExt)
+}
+
 func TestReconcileReAdoptsLocalFile(t *testing.T) {
 	// Crash window: manifest entry durable, data file still local (stub
 	// may or may not exist). Recovery must re-adopt the local file and a
 	// later sweep must evict without a second upload.
+	rec := fsystest.Install(t)
 	dir, objDir := t.TempDir(), t.TempDir()
 	tier := newTestTier(t, objDir)
 	s := openTiered(t, dir, tier)
 	if err := s.Flush("events", "p1", testRows(120, 1)); err != nil {
 		t.Fatal(err)
 	}
-	var image string
-	TierCrashHook = func(stage string, seq uint64) {
-		if stage == "post-manifest" && image == "" {
-			image = t.TempDir()
-			copyTreeT(t, dir, image)
-		}
-	}
-	defer func() { TierCrashHook = nil }()
-	if _, _, err := s.TierSweep(context.Background(), true); err != nil {
+	img, err := cutBefore(t, rec, postManifest, func() error { _, _, err := s.TierSweep(context.Background(), true); return err }, dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	if image == "" {
-		t.Fatal("hook never fired")
+	if img == nil {
+		t.Fatal("the sweep created no stub")
 	}
 
 	uploadsBefore := tier.Uploads.Load()
-	s2 := openTiered(t, image, tier)
+	s2 := openTiered(t, img[0], tier)
 	defer s2.Close()
 	segs := s2.Segments("events", "p1")
 	if len(segs) != 1 || segs[0].Tiered() || !segs[0].Uploaded() {
@@ -381,26 +378,30 @@ func TestReconcileMidUploadImage(t *testing.T) {
 	// Crash window: object uploaded (or half-uploaded) but no manifest
 	// entry. The manifest must never reference it; recovery re-uploads to
 	// the same deterministic key.
+	rec := fsystest.Install(t)
 	dir, objDir := t.TempDir(), t.TempDir()
 	tier := newTestTier(t, objDir)
 	s := openTiered(t, dir, tier)
 	if err := s.Flush("events", "p1", testRows(120, 1)); err != nil {
 		t.Fatal(err)
 	}
-	var image string
-	TierCrashHook = func(stage string, seq uint64) {
-		if stage == "post-upload" && image == "" {
-			image = t.TempDir()
-			copyTreeT(t, dir, image)
+	renamed := false // an object has its final name
+	postUpload := func(op fsystest.Op) bool {
+		if !strings.HasPrefix(op.Path, objDir) {
+			return false
 		}
+		if op.Kind == "rename" {
+			renamed = true
+		}
+		return renamed && (op.Kind == "create" || op.Kind == "sync")
 	}
-	defer func() { TierCrashHook = nil }()
-	if _, _, err := s.TierSweep(context.Background(), true); err != nil {
-		t.Fatal(err)
+	img, err := cutBefore(t, rec, postUpload, func() error { _, _, err := s.TierSweep(context.Background(), true); return err }, dir)
+	if err != nil || img == nil {
+		t.Fatalf("sweep: %v; image cut: %v", err, img != nil)
 	}
 	s.Close()
 
-	s2 := openTiered(t, image, tier)
+	s2 := openTiered(t, img[0], tier)
 	defer s2.Close()
 	segs := s2.Segments("events", "p1")
 	if len(segs) != 1 || segs[0].Tiered() || segs[0].Uploaded() {
@@ -551,42 +552,6 @@ func TestSegmentInfosReportTierAndRoot(t *testing.T) {
 		if in.MinKey == "" || in.MaxKey == "" || in.Rows != 80 {
 			t.Fatalf("info incomplete: %+v", in)
 		}
-	}
-}
-
-// copyTreeT snapshots src into dst, as the crash harness does with
-// directory images.
-func copyTreeT(t *testing.T, src, dst string) {
-	t.Helper()
-	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		target := filepath.Join(dst, rel)
-		if info.IsDir() {
-			return os.MkdirAll(target, 0o755)
-		}
-		in, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer in.Close()
-		out, err := os.Create(target)
-		if err != nil {
-			return err
-		}
-		if _, err := io.Copy(out, in); err != nil {
-			out.Close()
-			return err
-		}
-		return out.Close()
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -787,8 +752,8 @@ func TestRetiredObjectCrashImageCollected(t *testing.T) {
 	sc, _, _ := retireUnderScan(t, s)
 	defer sc.Close()
 	imgDir, imgObj := t.TempDir(), t.TempDir()
-	copyTreeT(t, dir, imgDir)
-	copyTreeT(t, objDir, imgObj)
+	fsystest.CopyTree(t, dir, imgDir)
+	fsystest.CopyTree(t, objDir, imgObj)
 	tier := newTestTier(t, imgObj)
 	if n := len(listObjects(t, tier)); n != 2 {
 		t.Fatalf("the image holds %d objects, want the retired one and pb's", n)

@@ -22,12 +22,11 @@ import (
 
 	"hpclog/internal/fsys"
 	"hpclog/internal/fsys/fsystest"
-	"hpclog/internal/store/persist"
 )
 
 // roundImage is a crash image cut inside a round: the copied data
 // directory, the round's segment paths rebased into the copy, and the
-// fsyncs of round files rec saw since the round began.
+// fsyncs of those files rec saw before the cut.
 type roundImage struct {
 	stage     string
 	dir       string
@@ -35,43 +34,67 @@ type roundImage struct {
 	fileSyncs int
 }
 
-// captureRounds runs op with a round hook that cuts one image per stage
-// (the first round to reach it) and returns them in stage order.
+// captureRounds runs op under rec and cuts one image at each stage of the
+// first round to fsync a data file: written, synced and renamed
+// (fsystest.CommitStage), and published before its node's next commitlog
+// operation, or once op returns if none follows. The round's files are
+// the temp data files of its directory fsynced before its rename. It
+// returns the images in stage order.
 func captureRounds(t *testing.T, rec *fsystest.FS, dir string, op func() error) []roundImage {
 	t.Helper()
+	var mu sync.Mutex
 	var images []roundImage
-	var syncs0 int
-	roundSyncs := func() int { return rec.Count("sync", "*.seg"+fsys.TempExt) }
-	persist.RoundCrashHook = func(stage string, paths []string) {
-		if stage == "written" {
-			syncs0 = roundSyncs()
-		}
-		for _, img := range images {
-			if img.stage == stage {
-				return
-			}
-		}
-		img := roundImage{stage: stage, dir: t.TempDir(), fileSyncs: roundSyncs() - syncs0}
-		copyTree(t, dir, img.dir)
-		for _, p := range paths {
-			rel, err := filepath.Rel(dir, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			img.paths = append(img.paths, filepath.Join(img.dir, rel))
+	var tmp, wal string           // the round's first file under its temp name; its node's commitlog directory
+	syncs := make(map[string]int) // of each of the round's files
+	stages := []string{"written", "synced", "renamed", "published"}
+	cut := func() {
+		img := roundImage{stage: stages[len(images)], dir: rec.Cut(t, dir)[0]}
+		for _, n := range syncs {
+			img.fileSyncs += n
 		}
 		images = append(images, img)
 	}
-	defer func() { persist.RoundCrashHook = nil }()
-	if err := op(); err != nil {
+	isTemp := func(path string) bool { return strings.HasSuffix(path, ".seg"+fsys.TempExt) }
+	rec.Fail(func(op fsystest.Op) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if tmp == "" && op.Kind == "sync" && isTemp(op.Path) {
+			tmp, wal = op.Path, filepath.Join(filepath.Dir(filepath.Dir(op.Path)), "wal")
+		}
+		if tmp == "" || len(images) == len(stages) {
+			return nil
+		}
+		if next := stages[len(images)]; fsystest.CommitStage(op, tmp) == next || next == "published" && filepath.Dir(op.Path) == wal {
+			cut()
+		}
+		if len(images) < 2 && op.Kind == "sync" && isTemp(op.Path) && filepath.Dir(op.Path) == filepath.Dir(tmp) {
+			syncs[op.Path]++
+		}
+		return nil
+	})
+	err := op()
+	rec.Fail(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var stages []string
-	for _, img := range images {
-		stages = append(stages, img.stage)
+	if len(images) == len(stages)-1 {
+		cut() // published: no commitlog operation followed the round
 	}
-	if want := []string{"written", "synced", "renamed", "published"}; !reflect.DeepEqual(stages, want) {
-		t.Fatalf("captured stages %v, want %v", stages, want)
+	for i := range images {
+		for p := range syncs {
+			rel, err := filepath.Rel(dir, strings.TrimSuffix(p, fsys.TempExt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			images[i].paths = append(images[i].paths, filepath.Join(images[i].dir, rel))
+		}
+	}
+	var got []string
+	for _, img := range images {
+		got = append(got, img.stage)
+	}
+	if !reflect.DeepEqual(got, stages) {
+		t.Fatalf("captured stages %v, want %v", got, stages)
 	}
 	return images
 }
@@ -390,6 +413,7 @@ func TestFlushRoundsConcurrentWritersAndScanners(t *testing.T) {
 // ones and the held batch's alike: the write path's round holds no
 // partition lock across encode, write and fsync.
 func TestThresholdFlushBlocksNoReader(t *testing.T) {
+	rec := fsystest.Install(t)
 	cfg := crashCfg(t.TempDir())
 	cfg.Nodes, cfg.RF = 1, 1
 	db, err := OpenDurable(cfg)
@@ -413,13 +437,13 @@ func TestThresholdFlushBlocksNoReader(t *testing.T) {
 
 	held, release := make(chan struct{}), make(chan struct{})
 	var holdOnce, releaseOnce sync.Once
-	persist.RoundCrashHook = func(stage string, _ []string) {
-		if stage == "written" {
+	rec.Fail(func(op fsystest.Op) error {
+		if op.Kind == "sync" && strings.HasSuffix(op.Path, ".seg"+fsys.TempExt) { // the round is written
 			holdOnce.Do(func() { close(held); <-release })
 		}
-	}
+		return nil
+	})
 	var wg sync.WaitGroup
-	defer func() { persist.RoundCrashHook = nil }()
 	defer wg.Wait()
 	unblock := func() { releaseOnce.Do(func() { close(release) }) }
 	defer unblock()

@@ -6,14 +6,18 @@ package store
 // never references a half-uploaded object.
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
+	"hpclog/internal/fsys"
+	"hpclog/internal/fsys/fsystest"
 	"hpclog/internal/objstore"
-	"hpclog/internal/store/persist"
 )
 
 func tieredCrashCfg(dir, tierDir string) Config {
@@ -83,12 +87,62 @@ func TestTieredCorruptionFallsBackToReplica(t *testing.T) {
 	}
 }
 
+// sweepImage is a crash image of the data directory and the object store.
+type sweepImage struct{ stage, data, tier string }
+
+// sweepImages runs op under rec and cuts one image of dir and tierDir at
+// each stage of a tier sweep, each before an operation: pre-upload before
+// the first object's temp file is created, post-upload before the next
+// create or fsync in that object's directory (the next upload, or the
+// objects' barrier), post-manifest before the first stub is created and
+// post-stub before the first data file is removed.
+func sweepImages(t *testing.T, rec *fsystest.FS, dir, tierDir string, op func() error) ([]sweepImage, error) {
+	t.Helper()
+	var objDir string // of the first object
+	stages := []struct {
+		name string
+		at   func(fsystest.Op) bool
+	}{
+		{"pre-upload", func(op fsystest.Op) bool {
+			if op.Kind != "create" || !strings.HasPrefix(op.Path, tierDir+string(filepath.Separator)) {
+				return false
+			}
+			objDir = filepath.Dir(op.Path)
+			return true
+		}},
+		{"post-upload", func(op fsystest.Op) bool {
+			return (op.Kind == "create" || op.Kind == "sync") && filepath.Dir(op.Path) == objDir
+		}},
+		{"post-manifest", func(op fsystest.Op) bool {
+			return op.Kind == "create" && strings.HasSuffix(op.Path, ".sft"+fsys.TempExt)
+		}},
+		{"post-stub", func(op fsystest.Op) bool {
+			return op.Kind == "remove" && strings.HasSuffix(op.Path, ".seg") && strings.HasPrefix(op.Path, dir+string(filepath.Separator))
+		}},
+	}
+	var mu sync.Mutex
+	var images []sweepImage
+	rec.Fail(func(op fsystest.Op) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(images) < len(stages) && stages[len(images)].at(op) {
+			img := rec.Cut(t, dir, tierDir)
+			images = append(images, sweepImage{stages[len(images)].name, img[0], img[1]})
+		}
+		return nil
+	})
+	err := op()
+	rec.Fail(nil)
+	return images, err
+}
+
 // TestTieredCrashRecovery cuts crash images at every durability boundary
-// of the upload/eviction pipeline (via persist.TierCrashHook) and proves,
+// of the upload/eviction pipeline (sweepImages) and proves,
 // for each: recovery loses no acked row, the manifest references only
 // fully-uploaded objects, and a fresh sweep converges back to 100%
 // evicted — re-uploading or re-adopting as the stage demands.
 func TestTieredCrashRecovery(t *testing.T) {
+	rec := fsystest.Install(t)
 	dir, tierDir := t.TempDir(), t.TempDir()
 	db, err := OpenDurable(tieredCrashCfg(dir, tierDir))
 	if err != nil {
@@ -111,22 +165,8 @@ func TestTieredCrashRecovery(t *testing.T) {
 
 	// Capture one crash image per pipeline stage, mid-sweep: both the data
 	// directory (WAL, segments, stubs, manifest) and the object root.
-	type image struct{ stage, data, tier string }
-	var images []image
-	persist.TierCrashHook = func(stage string, seq uint64) {
-		for _, img := range images {
-			if img.stage == stage {
-				return
-			}
-		}
-		d, o := t.TempDir(), t.TempDir()
-		copyTree(t, dir, d)
-		copyTree(t, tierDir, o)
-		images = append(images, image{stage, d, o})
-	}
-	defer func() { persist.TierCrashHook = nil }()
-	up, ev, err := db.TierSweep(true)
-	persist.TierCrashHook = nil
+	var up, ev int
+	images, err := sweepImages(t, rec, dir, tierDir, func() (err error) { up, ev, err = db.TierSweep(true); return err })
 	if err != nil || up == 0 || ev == 0 {
 		t.Fatalf("sweep: uploaded=%d evicted=%d err=%v", up, ev, err)
 	}
@@ -136,28 +176,44 @@ func TestTieredCrashRecovery(t *testing.T) {
 	}
 
 	for _, img := range images {
-		t.Run(img.stage, func(t *testing.T) {
-			rdb, err := OpenDurable(tieredCrashCfg(img.data, img.tier))
-			if err != nil {
-				t.Fatalf("recover from %s image: %v", img.stage, err)
+		t.Run(img.stage, func(t *testing.T) { checkTieredImage(t, img.data, img.tier, want) })
+	}
+}
+
+// checkTieredImage recovers a tiered store from the image in data and
+// tier and checks the crash oracle: no acked row lost, no segment served
+// twice, the manifest naming only whole objects, and a forced sweep that
+// finishes the job the crash interrupted — every segment evicted, every
+// row still there.
+func checkTieredImage(t *testing.T, data, tier string, want map[string][]Row) {
+	t.Helper()
+	rdb, err := OpenDurable(tieredCrashCfg(data, tier))
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer rdb.Close()
+	if got := readAll(t, rdb, "events"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("lost acked rows: %d partitions vs %d", len(got), len(want))
+	}
+	for _, l := range rdb.SegmentInfos() {
+		seen := make(map[uint64]bool)
+		for _, si := range l.Segments {
+			if seen[si.Seq] {
+				t.Fatalf("node %s serves segment %d twice", l.Node, si.Seq)
 			}
-			defer rdb.Close()
-			if got := readAll(t, rdb, "events"); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s image lost acked rows: %d partitions vs %d", img.stage, len(got), len(want))
-			}
-			verifyTierManifests(t, img.data, img.tier)
-			// Recovery must be able to finish the job the crash interrupted.
-			if _, _, err := rdb.TierSweep(true); err != nil {
-				t.Fatalf("sweep after %s recovery: %v", img.stage, err)
-			}
-			if st := rdb.StorageStats(); st.DiskSegments == 0 || st.TieredSegments != st.DiskSegments {
-				t.Fatalf("%s recovery did not reconverge: %d of %d evicted", img.stage, st.TieredSegments, st.DiskSegments)
-			}
-			verifyTierManifests(t, img.data, img.tier)
-			if got := readAll(t, rdb, "events"); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s image lost rows after re-sweep", img.stage)
-			}
-		})
+			seen[si.Seq] = true
+		}
+	}
+	verifyTierManifests(t, data, tier)
+	if _, _, err := rdb.TierSweep(true); err != nil {
+		t.Fatalf("sweep after recovery: %v", err)
+	}
+	if st := rdb.StorageStats(); st.DiskSegments == 0 || st.TieredSegments != st.DiskSegments {
+		t.Fatalf("recovery did not reconverge: %d of %d evicted", st.TieredSegments, st.DiskSegments)
+	}
+	verifyTierManifests(t, data, tier)
+	if got := readAll(t, rdb, "events"); !reflect.DeepEqual(got, want) {
+		t.Fatal("lost rows after the re-sweep")
 	}
 }
 
@@ -175,7 +231,9 @@ func verifyTierManifests(t *testing.T, dataDir, tierDir string) {
 		if err != nil {
 			t.Fatalf("load %s: %v", mp, err)
 		}
-		for _, e := range m.Entries() {
+		entries := m.Entries()
+		m.Close()
+		for _, e := range entries {
 			fi, err := os.Stat(filepath.Join(tierDir, filepath.FromSlash(e.Key)))
 			if err != nil {
 				t.Fatalf("%s references missing object %s: %v", mp, e.Key, err)
@@ -194,6 +252,7 @@ func verifyTierManifests(t *testing.T, dataDir, tierDir string) {
 // half-uploaded object referenced, no segment served twice, and a fresh
 // sweep converges to one object and one stub per node.
 func TestTieredRoundObjectCrashRecovery(t *testing.T) {
+	rec := fsystest.Install(t)
 	dir, tierDir := t.TempDir(), t.TempDir()
 	cfg := tieredCrashCfg(dir, tierDir)
 	cfg.FlushThreshold = 1 << 20 // no write fills a memtable: the sweep's flush is one round per node
@@ -204,24 +263,11 @@ func TestTieredRoundObjectCrashRecovery(t *testing.T) {
 	defer db.Close()
 	fillDurable(t, db, "events", 5, 30)
 
-	type image struct{ stage, data, tier string }
-	var images []image
-	persist.TierCrashHook = func(stage string, seq uint64) {
-		for _, img := range images {
-			if img.stage == stage {
-				return
-			}
-		}
-		d, o := t.TempDir(), t.TempDir()
-		copyTree(t, dir, d)
-		copyTree(t, tierDir, o)
-		images = append(images, image{stage, d, o})
-	}
-	defer func() { persist.TierCrashHook = nil }()
-	if _, ev, err := db.TierSweep(true); err != nil || ev != 10 {
+	var ev int
+	images, err := sweepImages(t, rec, dir, tierDir, func() (err error) { _, ev, err = db.TierSweep(true); return err })
+	if err != nil || ev != 10 {
 		t.Fatalf("sweep evicted %d segments: %v", ev, err)
 	}
-	persist.TierCrashHook = nil
 	want := readAll(t, db, "events")
 	if len(images) != 4 {
 		t.Fatalf("captured %d stage images, want 4", len(images))
@@ -254,4 +300,112 @@ func TestTieredRoundObjectCrashRecovery(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCrashStatesAtEveryOperation cuts a crash image before every create,
+// fsync, rename, directory fsync and remove of a flush, a compaction and
+// a forced sweep of one tiered node — the states between the stages the
+// round and sweep tests name, such as one commitlog segment gone and the
+// next not, or a sweep batch's first data file unlinked and its second
+// not — and recovers each (checkTieredImage).
+// A kill -9 keeps what an fsync was about to make durable, so images
+// equal byte for byte are one state, recovered once, under the first of
+// their names in sort order.
+func TestCrashStatesAtEveryOperation(t *testing.T) {
+	rec := fsystest.Install(t)
+	dir, tierDir := t.TempDir(), t.TempDir()
+	cfg := tieredCrashCfg(dir, tierDir)
+	cfg.Nodes, cfg.RF = 1, 1
+	cfg.FlushThreshold = 1 << 20 // rounds run only when a phase calls them
+	db, err := OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	fillDurable(t, db, "events", 3, 30)
+	put := func(pkey string, from int) error {
+		var rows []Row
+		for i := from; i < from+20; i++ {
+			rows = append(rows, durableRow(int64(i)))
+		}
+		return db.PutBatch("events", pkey, rows, All)
+	}
+	phases := []struct {
+		name string
+		run  func() error
+	}{
+		{"flush", db.Flush},
+		// part-00 gains a second segment, which compaction merges with
+		// its first: the flush round's file loses a section.
+		{"compact", func() error {
+			if err := put("part-00", 1000); err != nil {
+				return err
+			}
+			_, err := db.Compact()
+			return err
+		}},
+		// The sweep's own flush adds a file: the batch carries three.
+		{"sweep", func() error {
+			if err := put("part-02", 2000); err != nil {
+				return err
+			}
+			_, _, err := db.TierSweep(true)
+			return err
+		}},
+	}
+	type state struct{ name, data, tier string }
+	for _, ph := range phases {
+		var mu sync.Mutex
+		var states []*state // in the order the phase reached them
+		byDigest := make(map[[sha256.Size]byte]*state)
+		rec.Fail(func(op fsystest.Op) error {
+			switch op.Kind {
+			case "create", "sync", "rename", "syncdir", "remove":
+				mu.Lock()
+				defer mu.Unlock()
+				img := rec.Cut(t, dir, tierDir)
+				name := ph.name + "/" + op.Kind + "-" + filepath.Base(op.Path)
+				if d := treeDigest(t, img...); byDigest[d] == nil {
+					byDigest[d] = &state{name, img[0], img[1]}
+					states = append(states, byDigest[d])
+				} else if seen := byDigest[d]; name < seen.name {
+					seen.name = name
+				}
+			}
+			return nil
+		})
+		err := ph.run()
+		rec.Fail(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", ph.name, err)
+		}
+		want := readAll(t, db, "events") // every row was acked before the phase began
+		for _, st := range states {
+			t.Run(st.name, func(t *testing.T) { // t.Run numbers repeated names
+				t.Parallel()
+				checkTieredImage(t, st.data, st.tier, want)
+			})
+		}
+	}
+}
+
+// treeDigest hashes the relative path and bytes of every file under dirs.
+func treeDigest(t *testing.T, dirs ...string) [sha256.Size]byte {
+	h := sha256.New()
+	for i, dir := range dirs {
+		err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+			if err != nil || info.IsDir() {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			rel, _ := filepath.Rel(dir, path)
+			fmt.Fprintf(h, "%d/%s %d\n", i, rel, len(data))
+			h.Write(data)
+			return err
+		})
+		if err != nil {
+			t.Error(err) // not Fatal: a rule runs on the store's goroutines
+		}
+	}
+	return [sha256.Size]byte(h.Sum(nil))
 }

@@ -646,6 +646,67 @@ func TestFaultRotationDirSyncLatches(t *testing.T) {
 	}
 }
 
+// TestFaultTornTailTruncate: the cut of a torn tail at open fails. Open
+// fails with the fault and leaves the segment as it was; the next clean
+// open drops exactly the torn bytes and keeps every acked record.
+func TestFaultTornTailTruncate(t *testing.T) {
+	rec := fsystest.Install(t)
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir})
+	var acked [][]byte
+	for i := 0; i < 5; i++ {
+		p := []byte(fmt.Sprintf("acked-%d", i))
+		if _, err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		acked = append(acked, p)
+	}
+	l.Close()
+	path := segPath(dir, 1)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := []byte{0x20, 0, 0, 0, 0xde, 0xad} // claims 32-byte payload, cut off
+	if _, err := f.Write(torn); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fault := errors.New("injected truncate failure")
+	rec.Fail(func(op fsystest.Op) error {
+		if op.Kind == "truncate" && op.Path == path {
+			return fault
+		}
+		return nil
+	})
+	if l, err := Open(Options{Dir: dir}); !errors.Is(err, fault) {
+		if err == nil {
+			l.Close()
+		}
+		t.Fatalf("Open under a failing truncate: %v, want %v", err, fault)
+	}
+	rec.Fail(nil)
+	if now, err := os.Stat(path); err != nil || now.Size() != st.Size() {
+		t.Fatalf("the failed open changed the segment: %v", err)
+	}
+	l2 := mustOpen(t, Options{Dir: dir})
+	defer l2.Close()
+	if got := l2.Stats().TornBytes; got != int64(len(torn)) {
+		t.Fatalf("TornBytes = %d, want %d", got, len(torn))
+	}
+	if now, err := os.Stat(path); err != nil || now.Size() != st.Size()-int64(len(torn)) {
+		t.Fatalf("the clean open did not cut the segment to %d bytes (%v)", st.Size()-int64(len(torn)), err)
+	}
+	if got := collect(t, l2); !reflect.DeepEqual(got, acked) {
+		t.Fatalf("reopen replayed %q, want the acked %q", got, acked)
+	}
+}
+
 // TestRotateSyncsOnlyWhatIsNotDurable: sealing a segment whose every
 // append was acknowledged in batch mode takes no fsync. Sealing one Open
 // reopened takes one: neither its records nor the cut of its torn tail
