@@ -200,9 +200,11 @@ bench-smoke:
 # parsing a valid cname in particular must allocate ZERO per op. A
 # 30-day histogram of 60 s bins must allocate under 8 MB, its task
 # accumulators holding only the bins they touch
-# (TestHistogramLongWindowAllocs).
+# (TestHistogramLongWindowAllocs). A source read under a persist.Match
+# allocates nothing per kept block and builds the text of the rows it
+# selects alone, never a whole block's (TestSourceScanAllocBudget).
 alloc-guard:
-	$(GO) test -run 'AllocBudget|TestHistogramLongWindowAllocs' -count=1 ./internal/store/... ./internal/ingest/ ./internal/analytics/ ./internal/plan/ ./internal/server/ ./internal/obs/ ./internal/api/ ./client/ ./internal/topology/
+	$(GO) test -run 'AllocBudget|TestSourceScanAllocBudget|TestHistogramLongWindowAllocs' -count=1 ./internal/store/... ./internal/ingest/ ./internal/analytics/ ./internal/plan/ ./internal/server/ ./internal/obs/ ./internal/api/ ./client/ ./internal/topology/
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -658,49 +658,6 @@ func TestRunsInWindowFiltering(t *testing.T) {
 	}
 }
 
-func TestEventsBySourceMatchesByType(t *testing.T) {
-	// The dual tables must agree: for one source, the union over types of
-	// by-type events filtered to the source equals the by-source query.
-	f := getFixture(t)
-	from, to := f.window()
-	source := ""
-	for _, e := range f.corpus.Events {
-		if e.Type == model.MCE {
-			source = e.Source
-			break
-		}
-	}
-	if source == "" {
-		t.Skip("no MCE events")
-	}
-	bySource, err := EventsBySourceScan(f.eng, f.db, source, from, to, ScanConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byType, err := EventsAllTypesScan(f.eng, f.db, from, to, ScanConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nFiltered := 0
-	for _, e := range byType {
-		if e.Source == source {
-			nFiltered++
-		}
-	}
-	if len(bySource) != nFiltered {
-		t.Fatalf("event_by_location gives %d events, event_by_time filter gives %d",
-			len(bySource), nFiltered)
-	}
-	for _, e := range bySource {
-		if e.Source != source {
-			t.Fatalf("by-source query returned foreign source %s", e.Source)
-		}
-		if e.Type == "" {
-			t.Fatal("by-source event lost its type")
-		}
-	}
-}
-
 // TestDistributionByAppAttributesAborts: the APP_ABORT distribution by
 // application credits each abort to the run that held its node at that
 // second, or to "(idle)", exactly as the corpus's runs say.

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"time"
+	"unsafe"
 
 	"hpclog/internal/compute"
 	"hpclog/internal/model"
@@ -15,10 +16,13 @@ import (
 // every events consumer — the server's one-shot, streamed and paged wire
 // results, the query engine's records and the event collections below. A
 // scan is planned as (hour, time slice) tasks; a task reads its slice
-// from every partition of the hour it needs as store batches and yields
-// each row as an EventRow, a view built over the batch without allocating.
-// Consumers encode the view or copy it out; nothing in between builds a
-// store.Row or a model.Event.
+// from every event_by_time partition of the hour it needs as store
+// batches and yields each row as an EventRow, a view built over the batch
+// without allocating. A component's events are the same read under a
+// source Match, which the store's block decoder selects rows by, in place
+// of the paper's second, per-component table (Fig 1). Consumers encode
+// the view or copy it out; nothing in between builds a store.Row or a
+// model.Event.
 
 // Attr is one attribute of an event: an attr.* cell, named without the
 // prefix.
@@ -32,9 +36,11 @@ const attrPrefix = "attr."
 // scan's current batch. Every string in it is valid only until the
 // callback it was handed to returns; Event copies the row out.
 type EventRow struct {
-	// Key is the clustering key the row was read at and Disc its order
-	// tie-breaker among equal keys: the event type in an all-types scan,
-	// "" otherwise. (Key, Disc) is what a page cursor records.
+	// Key is the clustering key the row was read at — in a source scan
+	// time:type, the key of the per-component table of the paper's Fig 1 —
+	// and Disc its order tie-breaker among equal keys: the event type in an
+	// all-types scan, "" otherwise. (Key, Disc) is what a page cursor
+	// records.
 	Key, Disc string
 	// Time is the occurrence timestamp, unix seconds.
 	Time   int64
@@ -46,6 +52,7 @@ type EventRow struct {
 	// kept.
 	Attrs []Attr
 	attrs [8]Attr
+	key   []byte // where a source scan's Key is spelled
 }
 
 // addAttr inserts one attribute in name order; of a duplicated cell the
@@ -102,9 +109,10 @@ func catalogType(typ string) model.EventType {
 	return model.EventType(strings.Clone(typ))
 }
 
-// eventScan is what an events request reads: event_by_location keyed by
-// source, or event_by_time keyed by type; typ is a type scan's type, a
-// source scan's filter, or "" for every type.
+// eventScan is what an events request reads of event_by_time, the one
+// event table: typ's partitions, or every type's; with source set, only
+// the rows that component reported, found by a source read of the type
+// partitions instead of a second, per-component copy of every event.
 type eventScan struct {
 	source string
 	typ    model.EventType
@@ -119,17 +127,22 @@ type EventTask struct {
 }
 
 // PlanEvents plans the scan behind an events request over [from, to): one
-// task per time slice of each hour, in result order. A source scan reads
-// the source's event_by_location partitions, keeping only typ's rows when
-// typ is set; a type scan reads typ's event_by_time partitions; with
-// neither, every task reads all type partitions of its hour at once,
-// merged on (clustering key, type).
+// task per time slice of each hour, in result order. A task reads typ's
+// event_by_time partition of its hour or, with no type, all nine at once,
+// merged on (clustering key, type). With a source it keeps that
+// component's rows alone — selected in the block decoder — merged on
+// (time, type) and reported as the per-component table of the paper's
+// Fig 1 keyed them (EventRow.Key).
 func PlanEvents(typ model.EventType, source string, from, to time.Time, cfg ScanConfig) []EventTask {
 	s := &eventScan{source: source, typ: typ}
+	slice := cfg.slice()
+	if source != "" {
+		slice = time.Hour // a source keeps few rows of an hour: a slice would only open its partitions again
+	}
 	var tasks []EventTask
 	for _, hour := range model.HoursIn(from, to) {
 		lo, hi := hourWindow(hour, from, to)
-		for _, b := range sliceBounds(lo, hi, cfg.slice()) {
+		for _, b := range sliceBounds(lo, hi, slice) {
 			tasks = append(tasks, EventTask{Hour: hour, Range: model.EventTimeRange(b[0], b[1]), scan: s})
 		}
 	}
@@ -148,29 +161,29 @@ func hourWindow(h int64, from, to time.Time) (time.Time, time.Time) {
 	return lo, hi
 }
 
-// partitions returns the task's partition keys, in tie-break order, and
-// what each keys by: the event type, or the source.
-func (t EventTask) partitions() (table string, pkeys, parts []string) {
-	switch s := t.scan; {
-	case s.source != "":
-		return model.TableEventByLoc, []string{model.EventByLocKey(t.Hour, s.source)}, []string{s.source}
-	case s.typ != "":
-		return model.TableEventByTime, []string{model.EventByTimeKey(t.Hour, s.typ)}, []string{string(s.typ)}
+// partitions returns the task's event_by_time partition keys and their
+// types, in tie-break order.
+func (t EventTask) partitions() (pkeys, types []string) {
+	if typ := t.scan.typ; typ != "" {
+		return []string{model.EventByTimeKey(t.Hour, typ)}, []string{string(typ)}
 	}
-	pkeys, parts = make([]string, len(model.EventTypes)), make([]string, len(model.EventTypes))
+	pkeys, types = make([]string, len(model.EventTypes)), make([]string, len(model.EventTypes))
 	for i, typ := range model.EventTypes {
-		pkeys[i], parts[i] = model.EventByTimeKey(t.Hour, typ), string(typ)
+		pkeys[i], types[i] = model.EventByTimeKey(t.Hour, typ), string(typ)
 	}
-	return model.TableEventByTime, pkeys, parts
+	return pkeys, types
 }
+
+// tsKeyLen is the length of a clustering key's timestamp head.
+var tsKeyLen = len(store.EncodeTS(0))
 
 // eventCursor is one partition's position in a task's merge.
 type eventCursor struct {
 	it   store.BatchIterator
 	b    *store.Batch
 	i    int
-	part string // what the partition key holds: the type, or the source
-	disc string
+	typ  string // the partition's event type
+	disc string // what the rows report as their tie-breaker
 }
 
 // advance moves to the next row, reading the next batch when this one is
@@ -187,19 +200,32 @@ func (c *eventCursor) advance() bool {
 	return ok
 }
 
-// before orders two cursors' rows by (clustering key, tie-breaker).
-func (c *eventCursor) before(o *eventCursor) bool {
+// before orders two cursors' rows by (clustering key, type) or, in a
+// source scan, whose keys all end in the one source, by (time, type),
+// which reads no key.
+func (c *eventCursor) before(o *eventCursor, bySource bool) bool {
+	if bySource {
+		t, ot := c.b.TS()[c.i], o.b.TS()[o.i]
+		return t < ot || t == ot && c.typ < o.typ
+	}
 	k, ok := c.b.Keys()[c.i], o.b.Keys()[o.i]
-	return k < ok || k == ok && c.disc < o.disc
+	return k < ok || k == ok && c.typ < o.typ
 }
 
 // Run reads the task's rows in result order — by clustering key, then by
-// event type across the partitions of an all-types scan — and hands each
-// to each; each's error stops the scan and is returned. A row whose key
-// carries no timestamp, or whose amount is not a count, fails the scan
-// with the error model.EventFromTimeRow gives it.
+// event type across the partitions of an all-types scan; by time, then
+// type, in a source scan — and hands each to each; each's error stops the
+// scan and is returned. A row whose key carries no timestamp, or whose
+// amount is not a count, fails the scan with the error
+// model.EventFromTimeRow gives it.
 func (t EventTask) Run(ctx context.Context, db *store.DB, each func(*EventRow) error) error {
-	table, pkeys, parts := t.partitions()
+	s := t.scan
+	bySource := s.source != ""
+	pkeys, types := t.partitions()
+	rg := t.Range
+	if bySource { // a bound in the reported (time, type) keys reads from its second on
+		rg.From = rg.From[:min(len(rg.From), tsKeyLen)]
+	}
 	heads := make([]eventCursor, 0, len(pkeys))
 	defer func() {
 		for _, h := range heads {
@@ -207,13 +233,17 @@ func (t EventTask) Run(ctx context.Context, db *store.DB, each func(*EventRow) e
 		}
 	}()
 	for i, pkey := range pkeys {
-		it, err := db.PartitionBatches(ctx, table, pkey, t.Range, store.One, nil, nil, nil)
+		var sel store.Pruner
+		if bySource { // one per partition: a Match remembers its section's code
+			sel = store.NewMatch(model.ColSource, s.source)
+		}
+		it, err := db.PartitionBatches(ctx, model.TableEventByTime, pkey, rg, store.One, nil, sel, nil)
 		if err != nil {
 			return err
 		}
-		heads = append(heads, eventCursor{it: it, part: parts[i]})
-		if len(pkeys) > 1 {
-			heads[len(heads)-1].disc = parts[i]
+		heads = append(heads, eventCursor{it: it, typ: types[i]})
+		if len(pkeys) > 1 && !bySource {
+			heads[len(heads)-1].disc = types[i]
 		}
 	}
 	live := make([]*eventCursor, 0, len(heads))
@@ -225,18 +255,23 @@ func (t EventTask) Run(ctx context.Context, db *store.DB, each func(*EventRow) e
 		}
 	}
 	r := &EventRow{}
+	lastTS, lastType := int64(-1), ""
 	for len(live) > 0 {
 		m := 0
 		for k := 1; k < len(live); k++ {
-			if live[k].before(live[m]) {
+			if live[k].before(live[m], bySource) {
 				m = k
 			}
 		}
 		h := live[m]
-		if err := t.scan.view(r, h); err != nil {
-			return err
-		}
-		if t.scan.source == "" || t.scan.typ == "" || r.Type == string(t.scan.typ) {
+		// Of a source's rows that share (time, type) — only an INSERT keying
+		// an event under another name makes two — the first in key order
+		// stands for them all, as the per-component table's one row did.
+		if ts := h.b.TS()[h.i]; !bySource || ts < 0 || ts != lastTS || h.typ != lastType {
+			if err := s.view(r, h); err != nil {
+				return err
+			}
+			lastTS, lastType = ts, h.typ
 			if err := each(r); err != nil {
 				return err
 			}
@@ -251,10 +286,18 @@ func (t EventTask) Run(ctx context.Context, db *store.DB, each func(*EventRow) e
 	return nil
 }
 
-// view fills r with the cursor's row.
+// view fills r with the cursor's row. A source scan's row reports the key
+// the per-component table gave it, time:type, with no tie-breaker, which
+// is what a page cursor records.
 func (s *eventScan) view(r *EventRow, c *eventCursor) error {
 	r.Disc = c.disc
-	return r.fill(c.b.Keys()[c.i], c.b.TS()[c.i], c.part, s.source != "", c.b.Row(c.i).Cols())
+	cells := c.b.Cells(c.i)
+	ts := c.b.TS()[c.i]
+	if s.source == "" || ts < 0 {
+		return r.fill(c.b.Keys()[c.i], ts, c.typ, cells)
+	}
+	r.key = append(append(store.AppendTS(r.key[:0], ts), ':'), c.typ...)
+	return r.fill(unsafe.String(unsafe.SliceData(r.key), len(r.key)), ts, c.typ, cells)
 }
 
 // ViewTimeRow fills r with one event_by_time row of type typ — an acked
@@ -262,14 +305,13 @@ func (s *eventScan) view(r *EventRow, c *eventCursor) error {
 // it. r's strings are row's.
 func (r *EventRow) ViewTimeRow(typ string, row store.Row) error {
 	r.Disc = ""
-	return r.fill(row.Key, -1, typ, false, row.Cols())
+	return r.fill(row.Key, -1, typ, row.Cols())
 }
 
-// fill sets r to the event read at clustering key key, stamped ts (-1:
-// read it off the key): what its partition key holds, part, is the source
-// when bySource and the type otherwise; the cells give the other, the
-// count, the text and the attributes.
-func (r *EventRow) fill(key string, ts int64, part string, bySource bool, cells []store.Col) error {
+// fill sets r to the event of type typ read at clustering key key, stamped
+// ts (-1: read it off the key): the cells give the source, the count, the
+// text and the attributes.
+func (r *EventRow) fill(key string, ts int64, typ string, cells []store.Col) error {
 	if ts == -1 { // no timestamp digits in a batch, or none decoded yet
 		var err error
 		if ts, err = store.DecodeTS(key); err != nil {
@@ -279,12 +321,7 @@ func (r *EventRow) fill(key string, ts int64, part string, bySource bool, cells 
 	if r.Attrs == nil {
 		r.Attrs = r.attrs[:0]
 	}
-	r.Key, r.Time, r.Raw, r.Attrs = key, ts, "", r.Attrs[:0]
-	if bySource {
-		r.Source, r.Type = part, ""
-	} else {
-		r.Type, r.Source = part, ""
-	}
+	r.Key, r.Time, r.Type, r.Source, r.Raw, r.Attrs = key, ts, typ, "", "", r.Attrs[:0]
 	amount := ""
 	for _, cell := range cells {
 		switch cell.ID {
@@ -293,13 +330,7 @@ func (r *EventRow) fill(key string, ts int64, part string, bySource bool, cells 
 		case model.ColRawID:
 			r.Raw = cell.Value
 		case model.ColSourceID:
-			if !bySource {
-				r.Source = cell.Value
-			}
-		case model.ColTypeID:
-			if bySource {
-				r.Type = cell.Value
-			}
+			r.Source = cell.Value
 		default:
 			if name, ok := strings.CutPrefix(store.ColumnName(cell.ID), attrPrefix); ok {
 				r.addAttr(name, cell.Value)
@@ -338,7 +369,7 @@ func EventsByTypeScan(eng *compute.Engine, db *store.DB, typ model.EventType, fr
 }
 
 // EventsBySourceScan returns all events reported by one component in
-// [from, to), read from event_by_location, in clustering-key order.
+// [from, to), by time, then type: a source read of event_by_time.
 func EventsBySourceScan(eng *compute.Engine, db *store.DB, source string, from, to time.Time, cfg ScanConfig) ([]model.Event, error) {
 	return EventRecords(eng, db, PlanEvents("", source, from, to, cfg), (*EventRow).Event)
 }

@@ -25,7 +25,7 @@ import (
 // into segment blocks, half left in the memtable), then read back two
 // ways — by the scans and encoders every row result leaves the server
 // through, and by a chain of rows and records, the oracle: store.Row →
-// model.EventFromTimeRow/EventFromLocRow → query.EventRecord →
+// model.EventFromTimeRow → query.EventRecord →
 // encoding/json for events, store.Row → the residual filter → a
 // projected column map → encoding/json for CQL rows. The bytes, and the
 // error a bad row fails the read with, must be the same.
@@ -73,7 +73,7 @@ func (rs *rowStores) input(tb testing.TB) int64 {
 			rs.dbs = append(rs.dbs, db)
 		}
 		for _, db := range rs.dbs {
-			for _, table := range []string{model.TableEventByTime, model.TableEventByLoc, "t"} {
+			for _, table := range []string{model.TableEventByTime, "t"} {
 				if err := db.CreateTable(table); err != nil {
 					tb.Fatal(err)
 				}
@@ -155,7 +155,7 @@ func (g *gen) eventRows(hour int64, disc string) []store.Row {
 		}
 		if g.byte()%4 != 0 {
 			cols[model.ColSource] = g.pick(hostileValues)
-			cols[model.ColType] = g.pick([]string{disc, disc, "MCE", "LUSTRE", ""})
+			cols["type"] = g.pick([]string{disc, disc, "MCE", "LUSTRE", ""})
 		}
 		switch n := g.byte() % 64; {
 		case n == 0:
@@ -178,50 +178,78 @@ func (g *gen) eventRows(hour int64, disc string) []store.Row {
 	return rows
 }
 
-// oracleEvents reads the partitions as rows and encodes each event
-// with encoding/json: rows merged on (key, type) across partitions, each
-// decoded by the model, a source scan keeping only typ's rows.
-func oracleEvents(tb testing.TB, db *store.DB, table string, pkeys []string, typ string) (string, string) {
+// oracleEvents reads event_by_time partitions as rows and encodes each
+// event with encoding/json: rows merged on (key, type) across partitions,
+// each decoded by the model. With source set only that source's rows are
+// kept, each partition's in key order merged on (time, type) — a key
+// without a timestamp sorting first — of which a row sharing (time, type)
+// with the last kept is dropped; a row is decoded at time:type, the key of
+// the per-component table, unless its key has no timestamp.
+func oracleEvents(tb testing.TB, db *store.DB, pkeys []string, source string) (string, string) {
 	type row struct {
-		pkey, disc string
-		r          store.Row
+		pkey, typ string
+		ts        int64
+		r         store.Row
 	}
-	var all []row
+	var parts [][]row
 	for _, pkey := range pkeys {
-		it, err := db.ScanPartitionPruned(table, pkey, store.Range{}, store.One, nil, nil)
+		it, err := db.ScanPartitionPruned(model.TableEventByTime, pkey, store.Range{}, store.One, nil, nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
+		var part []row
 		for r, ok := it.Next(); ok; r, ok = it.Next() {
-			disc := ""
-			if len(pkeys) > 1 {
-				_, disc, _ = strings.Cut(pkey, ":")
+			_, typ, _ := strings.Cut(pkey, ":")
+			ts, err := store.DecodeTS(r.Key)
+			if err != nil {
+				ts = -1
 			}
-			all = append(all, row{pkey, disc, r})
+			if source == "" || r.ColID(model.ColSourceID) == source {
+				part = append(part, row{pkey, typ, ts, r.Clone()})
+			}
 		}
 		if err := it.Err(); err != nil {
 			tb.Fatal(err)
 		}
 		it.Close()
+		parts = append(parts, part)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].r.Key != all[j].r.Key {
-			return all[i].r.Key < all[j].r.Key
+	var all []row
+	if source == "" {
+		for _, part := range parts {
+			all = append(all, part...)
 		}
-		return all[i].disc < all[j].disc
-	})
+		sort.SliceStable(all, func(i, j int) bool {
+			if all[i].r.Key != all[j].r.Key {
+				return all[i].r.Key < all[j].r.Key
+			}
+			return len(pkeys) > 1 && all[i].typ < all[j].typ
+		})
+	} else {
+		for {
+			m := -1
+			for i, part := range parts {
+				if len(part) > 0 && (m < 0 || part[0].ts < parts[m][0].ts || part[0].ts == parts[m][0].ts && part[0].typ < parts[m][0].typ) {
+					m = i
+				}
+			}
+			if m < 0 {
+				break
+			}
+			if a, n := parts[m][0], len(all); a.ts < 0 || n == 0 || all[n-1].ts != a.ts || all[n-1].typ != a.typ {
+				all = append(all, a)
+			}
+			parts[m] = parts[m][1:]
+		}
+	}
 	var out bytes.Buffer
 	for _, a := range all {
-		decode := model.EventFromTimeRow
-		if table == model.TableEventByLoc {
-			decode = model.EventFromLocRow
+		if source != "" && a.ts >= 0 {
+			a.r.Key = store.EncodeTS(a.ts) + ":" + a.typ
 		}
-		e, err := decode(a.pkey, a.r)
+		e, err := model.EventFromTimeRow(a.pkey, a.r)
 		if err != nil {
 			return out.String(), err.Error()
-		}
-		if typ != "" && string(e.Type) != typ {
-			continue
 		}
 		b, err := json.Marshal(query.EventRecord{Time: e.Time.Unix(), Type: string(e.Type), Source: e.Source, Count: e.Count, Raw: e.Raw, Attrs: e.Attrs})
 		if err != nil {
@@ -254,33 +282,28 @@ func checkEventBatchEncode(t *testing.T, rs *rowStores, seed []byte) {
 	g := &gen{data: seed}
 	n := rs.input(t)
 	hour := 400000 + n
-	src := fmt.Sprintf("src-%d", n)
+	src := g.pick(hostileValues[1:])
 	types := []model.EventType{model.MCE, model.Lustre, model.DVS}
 	for _, typ := range types[:1+int(g.byte())%3] {
 		rs.put(t, model.TableEventByTime, model.EventByTimeKey(hour, typ), g.eventRows(hour, string(typ)))
 	}
-	rs.put(t, model.TableEventByLoc, model.EventByLocKey(hour, src), g.eventRows(hour, "MCE"))
 	var allKeys []string
 	for _, typ := range model.EventTypes {
 		allKeys = append(allKeys, model.EventByTimeKey(hour, typ))
 	}
 	for _, db := range rs.dbs {
 		for _, c := range []struct {
-			label         string
-			typ           model.EventType
-			source, table string
-			pkeys         []string
+			label  string
+			typ    model.EventType
+			source string
+			pkeys  []string
 		}{
-			{"by type", model.MCE, "", model.TableEventByTime, []string{model.EventByTimeKey(hour, model.MCE)}},
-			{"all types", "", "", model.TableEventByTime, allKeys},
-			{"by source", "", src, model.TableEventByLoc, []string{model.EventByLocKey(hour, src)}},
-			{"source+type", model.MCE, src, model.TableEventByLoc, []string{model.EventByLocKey(hour, src)}},
+			{"by type", model.MCE, "", []string{model.EventByTimeKey(hour, model.MCE)}},
+			{"all types", "", "", allKeys},
+			{"by source", "", src, allKeys},
+			{"source+type", model.MCE, src, []string{model.EventByTimeKey(hour, model.MCE)}},
 		} {
-			filter := ""
-			if c.source != "" {
-				filter = string(c.typ)
-			}
-			want, wantErr := oracleEvents(t, db, c.table, c.pkeys, filter)
+			want, wantErr := oracleEvents(t, db, c.pkeys, c.source)
 			got, gotErr := scanEvents(db, c.typ, c.source, hour)
 			if got != want || gotErr != wantErr {
 				t.Fatalf("%s: the scan encodes\n%s(error %q)\nthe row chain\n%s(error %q)", c.label, got, gotErr, want, wantErr)

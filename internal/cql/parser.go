@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"hpclog/internal/model"
 	"hpclog/internal/plan"
 )
 
@@ -128,6 +129,23 @@ func (p *parser) ident() (string, error) {
 	return t.text, nil
 }
 
+// ErrRetiredTable refuses a statement on event_by_location, the
+// per-component event table of the paper's Fig 1: events are stored once,
+// in event_by_time, and a store written before keeps that table's
+// partitions unread.
+var ErrRetiredTable = fmt.Errorf("cql: table %s is retired: every event is stored once, in %s; "+
+	"read a component's events with the events op and a context source, or select its rows of %s by source",
+	model.TableEventByLoc, model.TableEventByTime, model.TableEventByTime)
+
+// table reads a table name, refusing the retired one.
+func (p *parser) table() (string, error) {
+	name, err := p.ident()
+	if err == nil && strings.EqualFold(name, model.TableEventByLoc) {
+		return "", ErrRetiredTable
+	}
+	return name, err
+}
+
 func (p *parser) stringLit() (string, error) {
 	t := p.peek()
 	if t.kind != tokString {
@@ -183,7 +201,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
 	}
-	table, err := p.ident()
+	table, err := p.table()
 	if err != nil {
 		return nil, err
 	}
@@ -461,7 +479,7 @@ func (p *parser) parseInsert() (*InsertStmt, error) {
 	if err := p.expectKeyword("INTO"); err != nil {
 		return nil, err
 	}
-	table, err := p.ident()
+	table, err := p.table()
 	if err != nil {
 		return nil, err
 	}
@@ -534,7 +552,7 @@ func (p *parser) parseDescribe() (*DescribeStmt, error) {
 		return &DescribeStmt{}, nil
 	case p.peekKeyword("TABLE"):
 		p.pos++
-		table, err := p.ident()
+		table, err := p.table()
 		if err != nil {
 			return nil, err
 		}

@@ -34,14 +34,14 @@ func batchStacks(t *testing.T) map[string]*Harness {
 func TestBatchScanMatchesRowScanOnCorpus(t *testing.T) {
 	persist.PoisonBatches.Store(true)
 	defer persist.PoisonBatches.Store(false)
-	cols := []uint32{model.ColSourceID, model.ColAmountID, model.ColRawID, model.ColTypeID,
+	cols := []uint32{model.ColSourceID, model.ColAmountID, model.ColRawID,
 		store.InternColumn("attr.ost"), store.InternColumn(model.ColApp), store.InternColumn("never-written")}
 	stacks := batchStacks(t)
 	for name, h := range stacks {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(23))
 			from, to := h.Window()
-			for _, table := range []string{model.TableEventByTime, model.TableEventByLoc, model.TableAppByTime} {
+			for _, table := range []string{model.TableEventByTime, model.TableAppByTime} {
 				pkeys, err := h.DB.PartitionKeys(context.Background(), table)
 				if err != nil || len(pkeys) == 0 {
 					t.Fatalf("partitions of %s: %v (%d)", table, err, len(pkeys))

@@ -46,7 +46,7 @@ func rowRequests(h *Harness) []rowRequest {
 		fmt.Sprintf("SELECT * FROM event_by_time WHERE partition = '%d:MCE'", hour),
 		fmt.Sprintf("SELECT source, amount, raw FROM event_by_time WHERE partition = '%d:LUSTRE' LIMIT 40", hour+1),
 		fmt.Sprintf("SELECT attr.ost, raw FROM event_by_time WHERE partition = '%d:LUSTRE' AND attr.ost = 'OST0012' AND key >= '%019d'", hour+1, from.Unix()+5500),
-		fmt.Sprintf("SELECT * FROM event_by_location WHERE partition = '%d:c2-0c0s0n1' AND (amount > '1' OR type = 'MCE')", hour),
+		fmt.Sprintf("SELECT * FROM event_by_time WHERE partition = '%d:MCE' AND (amount > '1' OR source = 'c2-0c0s0n1')", hour),
 	} {
 		for _, cl := range []string{"ONE", "QUORUM"} {
 			out = append(out, rowRequest{name: fmt.Sprintf("cql%d/%s", i, cl), stmt: stmt, cl: cl})

@@ -6,7 +6,10 @@
 // Every load goes the same way: rows are bucketed by store partition
 // (batches), each bucket is sorted by clustering key, and each leaves as
 // ONE PutBatch — which the store's memtable appends rather than merges,
-// and which crosses the flush threshold at most once.
+// and which crosses the flush threshold at most once. An event is one
+// row, of event_by_time: the paper's second, per-component copy (Fig 1)
+// is a source read of that table (analytics.PlanEvents), so no load
+// writes it and a CQL INSERT is every reader's event at once.
 package ingest
 
 import (
@@ -51,7 +54,7 @@ func (l *Loader) putBatch(table, pkey string, rows []store.Row) error {
 // NewLoader returns a loader writing at Quorum.
 func NewLoader(db *store.DB) *Loader { return &Loader{DB: db, CL: store.Quorum} }
 
-// Bootstrap creates the eight tables of the data model and loads the
+// Bootstrap creates the seven tables of the data model and loads the
 // static nodeinfos and eventtypes tables.
 func Bootstrap(db *store.DB, nodes int) error {
 	return BootstrapCL(db, nodes, store.Quorum)
@@ -121,11 +124,10 @@ func (b batches) add(table, pkey string, r store.Row) {
 	b[k] = append(b[k], r)
 }
 
-// addEvent buckets the event's rows for both event tables (the dual
-// schemas of Fig 1).
+// addEvent buckets the event's one row, for event_by_time: a component's
+// events are a source read of it, not a second copy (package model).
 func (b batches) addEvent(e model.Event) {
 	b.add(model.TableEventByTime, model.EventByTimeKey(e.Hour(), e.Type), model.EventToTimeRow(e))
-	b.add(model.TableEventByLoc, model.EventByLocKey(e.Hour(), e.Source), model.EventToLocRow(e))
 }
 
 // addRun buckets the run's rows for the three denormalized views of Fig 2.

@@ -97,17 +97,10 @@ func TestLoadAndReadBackEvents(t *testing.T) {
 	if total == 0 || total > len(corpus.Events) {
 		t.Fatalf("event_by_time holds %d rows for %d events", total, len(corpus.Events))
 	}
-	// The dual table must hold the same logical rows.
-	locTotal := 0
-	for _, pkey := range partitionKeys(t, db, model.TableEventByLoc) {
-		rows, err := db.Get(model.TableEventByLoc, pkey, store.Range{}, store.Quorum)
-		if err != nil {
-			t.Fatal(err)
-		}
-		locTotal += len(rows)
-	}
-	if locTotal != total {
-		t.Fatalf("event_by_location has %d rows, event_by_time %d", locTotal, total)
+	// Events are stored once: the per-component table of Fig 1 is a
+	// source read of event_by_time, not a table.
+	if db.HasTable(model.TableEventByLoc) {
+		t.Fatal("the load created event_by_location")
 	}
 }
 
@@ -228,7 +221,7 @@ func importOnce(t *testing.T, lines []string, chunk int) (*store.DB, uint64) {
 		t.Fatal(err)
 	}
 	h := fnv.New64a()
-	for _, table := range []string{model.TableEventByTime, model.TableEventByLoc} {
+	for _, table := range []string{model.TableEventByTime} {
 		for _, pkey := range partitionKeys(t, db, table) {
 			rows, err := db.Get(table, pkey, store.Range{}, store.All)
 			if err != nil {
@@ -325,7 +318,7 @@ func TestLoadersTolerateUnavailable(t *testing.T) {
 	if err := tolerant.LoadRuns(corpus.Runs); err != nil {
 		t.Fatalf("tolerant LoadRuns: %v", err)
 	}
-	for _, table := range []string{model.TableEventByLoc, model.TableAppByUser} {
+	for _, table := range []string{model.TableEventByTime, model.TableAppByUser} {
 		if keys, err := db.PartitionKeys(context.Background(), table); err != nil || len(keys) == 0 {
 			t.Fatalf("a tolerant load wrote nothing to the %s partitions that were available: %v", table, err)
 		}

@@ -5,11 +5,14 @@
 //
 // An event is "occurrence(s) of a certain type reported at a particular
 // timestamp", associated with the location (source component) where it was
-// reported. Events are stored twice — once partitioned by (hour, type) and
-// once by (hour, source) — so both "where did type X occur during hour H"
-// and "what happened on component C during hour H" are single-partition
-// range scans (Fig 1). Application runs are stored three times, keyed by
-// hour, by application name, and by user (Fig 2).
+// reported. Fig 1 stores events twice, partitioned by (hour, type) and by
+// (hour, source); here they are stored once, in event_by_time, and "what
+// happened on component C during hour H" is a source read of the hour's
+// type partitions that the block footers' source group lists and Bloom
+// filters prune and the block decoder selects (analytics.PlanEvents).
+// event_by_location is a retired name: CQL refuses it, and stores written
+// before keep its partitions, unread. Application runs are stored three
+// times, keyed by hour, by application name, and by user (Fig 2).
 package model
 
 import (
@@ -24,7 +27,8 @@ import (
 	"hpclog/internal/store/persist"
 )
 
-// Table names, one per schema in Section II-B.
+// Table names, one per schema in Section II-B. TableEventByLoc is the
+// per-component event table of Fig 1, no longer written or read.
 const (
 	TableNodeInfos     = "nodeinfos"
 	TableEventTypes    = "eventtypes"
@@ -39,7 +43,7 @@ const (
 // AllTables lists every table of the data model.
 var AllTables = []string{
 	TableNodeInfos, TableEventTypes, TableEventSynopsis,
-	TableEventByTime, TableEventByLoc,
+	TableEventByTime,
 	TableAppByTime, TableAppByUser, TableAppByLoc,
 }
 
@@ -127,10 +131,6 @@ func HourOf(t time.Time) int64 { return t.Unix() / 3600 }
 // type within one hour share a partition.
 func EventByTimeKey(hour int64, typ EventType) string { return hourKey(hour, string(typ)) }
 
-// EventByLocKey is the partition key of event_by_location: all events on
-// one component within one hour share a partition.
-func EventByLocKey(hour int64, source string) string { return hourKey(hour, source) }
-
 // hourKey renders "<hour>:<disc>".
 func hourKey(hour int64, disc string) string {
 	var buf [48]byte // on the stack: the key string is the one allocation
@@ -172,10 +172,9 @@ func EventTimeRange(from, to time.Time) store.Range {
 
 // --- Row encoding ---
 
-// Column names shared by the event rows (Fig 1: Timestamp, Source/Type,
-// Amount).
+// Column names of the event rows (Fig 1: Timestamp, Source, Amount; the
+// type is the partition's).
 const (
-	ColType   = "type"
 	ColSource = "source"
 	ColAmount = "amount"
 	ColRaw    = "raw"
@@ -186,7 +185,6 @@ const (
 // per-row work is integer-keyed with no map construction. Batch folds name
 // the columns they need by these IDs (store.DB.ScanPartitionBatches).
 var (
-	ColTypeID   = store.InternColumn(ColType)
 	ColSourceID = store.InternColumn(ColSource)
 	ColAmountID = store.InternColumn(ColAmount)
 	ColRawID    = store.InternColumn(ColRaw)
@@ -195,19 +193,9 @@ var (
 // EventToTimeRow renders the event for the event_by_time table, where the
 // partition key carries the type and the row stores the source.
 func EventToTimeRow(e Event) store.Row {
-	return eventRow(e, e.Source, ColSourceID, e.Source)
-}
-
-// EventToLocRow renders the event for the event_by_location table, where
-// the partition key carries the source and the row stores the type.
-func EventToLocRow(e Event) store.Row {
-	return eventRow(e, string(e.Type), ColTypeID, string(e.Type))
-}
-
-func eventRow(e Event, disc string, dualCol uint32, dualVal string) store.Row {
 	cols := make([]store.Col, 0, 3+len(e.Attrs))
 	cols = append(cols,
-		store.Col{ID: dualCol, Value: dualVal},
+		store.Col{ID: ColSourceID, Value: e.Source},
 		store.Col{ID: ColAmountID, Value: strconv.Itoa(max(1, e.Count))},
 	)
 	if e.Raw != "" {
@@ -216,7 +204,7 @@ func eventRow(e Event, disc string, dualCol uint32, dualVal string) store.Row {
 	for k, v := range e.Attrs {
 		cols = append(cols, store.Col{ID: attrColID(k), Value: v})
 	}
-	return store.MakeRow(eventClustering(e.Time, disc), 0, cols)
+	return store.MakeRow(eventClustering(e.Time, e.Source), 0, cols)
 }
 
 // attrCols remembers the column ID of every attribute name seen, so an
@@ -246,49 +234,17 @@ func EventFromTimeRow(pkey string, r store.Row) (Event, error) {
 	if err != nil {
 		return Event{}, err
 	}
-	e, err := eventFromRow(r)
+	ts, err := store.DecodeTS(r.Key)
 	if err != nil {
 		return Event{}, err
 	}
-	e.Type = typ
-	e.Source = r.ColID(ColSourceID)
-	return e, nil
-}
-
-// EventFromLocRow decodes an event_by_location row. The partition key
-// supplies the source.
-func EventFromLocRow(pkey string, r store.Row) (Event, error) {
-	source, err := sourceFromKey(pkey)
+	n, err := EventCount(r.Key, r.ColID(ColAmountID))
 	if err != nil {
 		return Event{}, err
 	}
-	e, err := eventFromRow(r)
-	if err != nil {
-		return Event{}, err
-	}
-	e.Source = source
-	e.Type = EventType(r.ColID(ColTypeID))
-	return e, nil
-}
-
-func eventFromRow(r store.Row) (Event, error) {
-	ts, amount, err := EventTimeCount(r.Key, r.ColID(ColAmountID))
-	if err != nil {
-		return Event{}, err
-	}
-	e := Event{Time: time.Unix(ts, 0).UTC(), Count: amount, Raw: r.ColID(ColRawID)}
+	e := Event{Time: time.Unix(ts, 0).UTC(), Type: typ, Source: r.ColID(ColSourceID), Count: n, Raw: r.ColID(ColRawID)}
 	e.Attrs = prefixedCols(r, "attr.", e.Attrs)
 	return e, nil
-}
-
-// EventTimeCount decodes what a time-binned fold needs of an event row:
-// the timestamp (unix seconds) of its clustering key and its count.
-func EventTimeCount(key, amount string) (ts int64, n int, err error) {
-	if ts, err = store.DecodeTS(key); err != nil {
-		return 0, 0, err
-	}
-	n, err = EventCount(key, amount)
-	return ts, n, err
 }
 
 // EventCount parses the amount cell of the event row at clustering key
@@ -392,14 +348,6 @@ func typeFromKey(pkey string) (EventType, error) {
 // key ("<hour>:<type>") — the order tie-breaker of hour-merged scans in
 // the analytic server's pagination and streaming paths.
 func TypeFromKey(pkey string) (EventType, error) { return typeFromKey(pkey) }
-
-func sourceFromKey(pkey string) (string, error) {
-	_, src, ok := strings.Cut(pkey, ":")
-	if !ok {
-		return "", fmt.Errorf("model: malformed event_by_location partition key %q", pkey)
-	}
-	return src, nil
-}
 
 // --- Application run rows (Fig 2) ---
 

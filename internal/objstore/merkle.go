@@ -43,13 +43,11 @@ func HashBlock(data []byte) [HashLen]byte {
 }
 
 func hashNode(l, r [HashLen]byte) [HashLen]byte {
-	h := sha256.New()
-	h.Write(nodeDomain)
-	h.Write(l[:])
-	h.Write(r[:])
-	var out [HashLen]byte
-	h.Sum(out[:0])
-	return out
+	var b [1 + 2*HashLen]byte // nodeDomain || l || r, on the stack
+	b[0] = nodeDomain[0]
+	copy(b[1:], l[:])
+	copy(b[1+HashLen:], r[:])
+	return sha256.Sum256(b[:])
 }
 
 // Tree is an immutable Merkle tree built from leaf hashes. All levels are
@@ -102,7 +100,7 @@ func (t *Tree) Proof(i int) (Proof, error) {
 	if i < 0 || i >= t.N() {
 		return Proof{}, fmt.Errorf("objstore: proof index %d outside [0,%d)", i, t.N())
 	}
-	p := Proof{Index: i, N: t.N()}
+	p := Proof{Index: i, N: t.N(), Sibs: make([][HashLen]byte, 0, len(t.levels)-1)}
 	idx := i
 	for _, level := range t.levels[:len(t.levels)-1] {
 		if idx%2 == 0 {

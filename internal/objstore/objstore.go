@@ -26,6 +26,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 
 	"hpclog/internal/fsys"
 )
@@ -85,7 +86,15 @@ func validKey(key string) error {
 // round discipline the segment store itself uses.
 type FS struct {
 	root string
+	// open keeps up to maxOpenObjects objects open between range reads: a
+	// scan of an evicted segment reads its object block by block. Put and
+	// Delete close the key's handle; a read holds mu for reading.
+	mu   sync.RWMutex
+	open map[string]fsys.File
 }
+
+// maxOpenObjects bounds the file handles an FS keeps open.
+const maxOpenObjects = 256
 
 // OpenFS opens (creating if needed) a filesystem object store rooted at
 // dir, sweeping temp files left by a previous crash.
@@ -103,7 +112,7 @@ func OpenFS(dir string) (*FS, error) {
 		}
 		return nil
 	})
-	return &FS{root: dir}, nil
+	return &FS{root: dir, open: make(map[string]fsys.File)}, nil
 }
 
 func (s *FS) path(key string) string {
@@ -136,6 +145,7 @@ func (s *FS) Put(_ context.Context, key string, r io.Reader, size int64) error {
 	if err != nil {
 		fsys.Discard(path)
 	}
+	s.forget(key)
 	return err
 }
 
@@ -157,19 +167,57 @@ func (s *FS) ReadRange(_ context.Context, key string, off, n int64) ([]byte, err
 	if err := validKey(key); err != nil {
 		return nil, err
 	}
+	buf := make([]byte, n)
+	for {
+		s.mu.RLock()
+		if f := s.open[key]; f != nil {
+			_, err := f.ReadAt(buf, off)
+			s.mu.RUnlock()
+			if err != nil {
+				return nil, fmt.Errorf("objstore: read %s [%d,+%d): %w", key, off, n, err)
+			}
+			return buf, nil
+		}
+		s.mu.RUnlock()
+		if err := s.keepOpen(key); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// keepOpen opens the object at key, to stay open for the reads after.
+func (s *FS) keepOpen(key string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.open[key] != nil {
+		return nil
+	}
 	f, err := fsys.OS.Open(s.path(key))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("%w: %s", ErrNotExist, key)
+			return fmt.Errorf("%w: %s", ErrNotExist, key)
 		}
-		return nil, err
+		return err
 	}
-	defer f.Close()
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(io.NewSectionReader(f, off, n), buf); err != nil {
-		return nil, fmt.Errorf("objstore: read %s [%d,+%d): %w", key, off, n, err)
+	for k, old := range s.open {
+		if len(s.open) < maxOpenObjects {
+			break
+		}
+		old.Close()
+		delete(s.open, k)
 	}
-	return buf, nil
+	s.open[key] = f
+	return nil
+}
+
+// forget closes the handle kept open on key, if any.
+func (s *FS) forget(key string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if f := s.open[key]; f != nil {
+		f.Close()
+		delete(s.open, key)
+	}
 }
 
 // Stat implements ObjectStore.
@@ -192,6 +240,7 @@ func (s *FS) Delete(_ context.Context, key string) error {
 	if err := validKey(key); err != nil {
 		return err
 	}
+	s.forget(key)
 	if err := fsys.OS.Remove(s.path(key)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}

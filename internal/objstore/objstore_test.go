@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -65,6 +66,20 @@ func testObjectStore(t *testing.T, s ObjectStore) {
 	if _, err := s.Stat(ctx, "node-0/b.seg"); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("deleted object still visible: %v", err)
 	}
+	// A read after a Put over a key, or after its Delete, sees what the
+	// store holds then, not what an earlier read of the key saw.
+	if err := s.Put(ctx, "node-0/a.seg", bytes.NewReader(body[10:]), 10); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.ReadRange(ctx, "node-0/a.seg", 0, 10); err != nil || !bytes.Equal(got, body[10:]) {
+		t.Fatalf("range of a replaced object: %q %v", got, err)
+	}
+	if err := s.Delete(ctx, "node-0/a.seg"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ReadRange(ctx, "node-0/a.seg", 0, 1); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("range of a deleted object: %v", err)
+	}
 
 	// Hostile keys are rejected, not resolved.
 	for _, bad := range []string{"", "/abs", "a//b", "../escape", "a/../../b", "a/./b"} {
@@ -83,6 +98,33 @@ func TestFSConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	testObjectStore(t, s)
+}
+
+// TestFSReadsMoreObjectsThanItKeepsOpen: reads of more objects than the
+// store keeps open, each twice, read every object right.
+func TestFSReadsMoreObjectsThanItKeepsOpen(t *testing.T) {
+	s, err := OpenFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	key := func(i int) string { return fmt.Sprintf("node-%d/%d.seg", i%3, i) }
+	for i := 0; i < maxOpenObjects+40; i++ {
+		body := fmt.Sprintf("object %04d", i)
+		if err := s.Put(ctx, key(i), strings.NewReader(body), int64(len(body))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < maxOpenObjects+40; i++ {
+			if got, err := s.ReadRange(ctx, key(i), 7, 4); err != nil || string(got) != fmt.Sprintf("%04d", i) {
+				t.Fatalf("pass %d, object %d: %q %v", pass, i, got, err)
+			}
+		}
+	}
+	if len(s.open) > maxOpenObjects {
+		t.Fatalf("%d objects kept open, at most %d", len(s.open), maxOpenObjects)
+	}
 }
 
 func TestFSPutAtomicAndTempSweep(t *testing.T) {

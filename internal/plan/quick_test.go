@@ -152,7 +152,7 @@ func TestBatchFilterMatchesEval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, src := range []persist.BatchIterator{sc, persist.BatchRows(persist.NewSliceIter(rows), project)} {
+		for _, src := range []persist.BatchIterator{sc, persist.BatchRows(persist.NewSliceIter(rows), project, nil)} {
 			verdicts := filter.memos()
 			for b, ok := src.Next(); ok; b, ok = src.Next() {
 				var sel [store.MaxBatchRows]bool

@@ -39,12 +39,12 @@ func (w wireReplica) scan(ctx context.Context, table, pkey string, rg Range, _ *
 	return w.Scan(ctx, table, pkey, rg)
 }
 
-func (w wireReplica) batches(ctx context.Context, table, pkey string, rg Range, project []uint32, _ *pruneCfg) (BatchIterator, error) {
+func (w wireReplica) batches(ctx context.Context, table, pkey string, rg Range, project []uint32, pc *pruneCfg) (BatchIterator, error) {
 	it, err := w.Scan(ctx, table, pkey, rg)
 	if err != nil {
 		return nil, err
 	}
-	return persist.BatchRows(it, project), nil
+	return persist.BatchRows(it, project, pc.selection()), nil
 }
 
 // isLocal reports whether r is hosted in this process: its apply is a WAL

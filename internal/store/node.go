@@ -156,13 +156,23 @@ func (p *partition) endFlush(published bool) {
 type pruneCfg struct {
 	pr    persist.Pruner
 	stats *persist.PruneStats
+	sel   *persist.Match // pr, where it is a Match: a batch scan selects by it
 }
 
 func newPruneCfg(pr persist.Pruner, stats *persist.PruneStats) *pruneCfg {
 	if pr == nil {
 		return nil
 	}
-	return &pruneCfg{pr: pr, stats: stats}
+	sel, _ := pr.(*persist.Match)
+	return &pruneCfg{pr: pr, stats: stats, sel: sel}
+}
+
+// selection returns the Match a batch scan selects by, if any.
+func (pc *pruneCfg) selection() *persist.Match {
+	if pc == nil {
+		return nil
+	}
+	return pc.sel
 }
 
 // mergeInputs is a point-in-time view of the partition's merge inputs that
@@ -226,8 +236,11 @@ func (in *mergeInputs) addRun(rows []Row) {
 // one key, so they are chained in key order straight from the block
 // decoder (in-RAM runs through the rows→Batch adapter); any overlap sends
 // every input through the last-write-wins merge, whose winners are
-// batched under the projection.
-func (in mergeInputs) openBatches(rg Range, project []uint32) (_ persist.BatchIterator, chained bool, err error) {
+// batched under the projection. With sel set only the rows it matches are
+// batched: selected in the block decoder where inputs are chained, after
+// the merge otherwise, so that a version sel rejects still shadows an
+// older one it would accept.
+func (in mergeInputs) openBatches(rg Range, project []uint32, sel *persist.Match) (_ persist.BatchIterator, chained bool, err error) {
 	type span struct {
 		min, max string
 		input    int // < len(in.segs): a segment; otherwise a run
@@ -250,7 +263,7 @@ func (in mergeInputs) openBatches(rg Range, project []uint32) (_ persist.BatchIt
 			if err != nil {
 				return nil, false, err
 			}
-			return persist.BatchRows(it, project), false, nil
+			return persist.BatchRows(it, project, sel), false, nil
 		}
 	}
 	// Consecutive segments share one scanner; a run breaks the chain.
@@ -270,14 +283,14 @@ func (in mergeInputs) openBatches(rg Range, project []uint32) (_ persist.BatchIt
 	for _, sp := range spans {
 		if sp.input < len(in.segs) {
 			cfg := in.cfgs[sp.input]
-			cfg.Project = project
+			cfg.Project, cfg.Select = project, sel
 			segs, cfgs = append(segs, in.segs[sp.input]), append(cfgs, cfg)
 			continue
 		}
 		if err = chain(); err != nil {
 			break
 		}
-		srcs = append(srcs, persist.BatchRows(persist.NewSliceIter(in.runs[sp.input-len(in.segs)]), project))
+		srcs = append(srcs, persist.BatchRows(persist.NewSliceIter(in.runs[sp.input-len(in.segs)]), project, sel))
 	}
 	if err == nil {
 		err = chain()
@@ -321,7 +334,7 @@ func (p *partition) snapshotBatches(rg Range, pc *pruneCfg, project []uint32) (i
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	err = retryRetired(func() error {
-		it, chained, err = p.inputsLocked(rg, pc).openBatches(rg, project)
+		it, chained, err = p.inputsLocked(rg, pc).openBatches(rg, project, pc.selection())
 		return err
 	})
 	return it, chained, err

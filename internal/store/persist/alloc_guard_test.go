@@ -151,3 +151,55 @@ func TestBlockDecodeAllocBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestSourceScanAllocBudget pins what a source read costs: a chain scan
+// under a Match, unprojected as the events scanner reads it, over blocks
+// that each hold one row of the source among 63 of others — a busy
+// component, which no footer can prune. A kept block allocates nothing in
+// steady state, and where the scan takes fresh room for every block's
+// templated text (as a Row cursor's does) it builds the text of the
+// selected row alone: a decoder that reassembled whole blocks and then
+// dropped the rows the Match rejects would build 64 rows' text a block.
+func TestSourceScanAllocBudget(t *testing.T) {
+	const blocks = 64
+	rows := eventRows(blocks*indexEvery, 1000, false, func(i int) string {
+		if i%indexEvery == 7 {
+			return "busy"
+		}
+		return fmt.Sprintf("c%d-0c0s%dn%d", i%4, i%7, i%3)
+	})
+	seg := matchSegment(t, "busy", nil, rows)
+	m := NewMatch(GroupColumn, "busy")
+	sc, err := ChainBatches(Range{}, []*Segment{seg}, []ScanConfig{{Pruner: m, Select: m}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	next := func() {
+		b, ok := sc.Next()
+		if !ok || b.Len() != 1 {
+			t.Fatalf("a block of the busy source yields %v rows (%v)", b, sc.Err())
+		}
+		if b.TS()[0] < 0 || len(b.Cells(0)) != 4 {
+			t.Fatalf("selected row: timestamp %d, cells %v", b.TS()[0], b.Cells(0))
+		}
+	}
+	for i := 0; i < 4; i++ {
+		next() // the first blocks size the arena and the room
+	}
+	if avg := testing.AllocsPerRun(blocks/2, next); avg != 0 {
+		t.Fatalf("a steady-state kept block of a source read costs %.2f allocations, want 0", avg)
+	}
+	sc.b.room = nil
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const measured = 8
+	for i := 0; i < measured; i++ {
+		next()
+	}
+	runtime.ReadMemStats(&after)
+	text := len(rows[7].ColID(templateColID))
+	if perBlock := int(after.TotalAlloc-before.TotalAlloc) / measured; perBlock > 2*text {
+		t.Fatalf("a kept block builds %d bytes of fresh text, its one selected row's is %d", perBlock, text)
+	}
+}

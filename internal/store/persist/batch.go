@@ -34,10 +34,13 @@ type Batch struct {
 
 	keys []string // Keys' vector, once built
 	// keyChunk is the front-coded key chunk of a block whose keys no one
-	// has asked for yet ("" once built): Keys rebuilds them in keyArena, the
-	// room at the head of the arena that the decoder left for them.
+	// has asked for yet ("" once built): Keys rebuilds those of the rows set
+	// in keyRows, of the chunk's keyN, in keyArena, the room at the head of
+	// the arena that the decoder left for them.
 	keyChunk string
 	keyArena []byte
+	keyRows  uint64
+	keyN     int
 
 	ts      []int64  // TS's vector, once asked for or walked off keyChunk
 	project []uint32 // projected column IDs, ascending; nil = every column
@@ -50,7 +53,6 @@ type Batch struct {
 	// room is where the templated cells are reassembled on first ask: the
 	// scanner's pooled buffer, or nil for fresh room each block.
 	room    *[]byte
-	lo, hi  int     // the rows of the decoded block that the batch shows
 	cells   []Col   // unprojected: every row's cells, each row sorted by ID
 	ends    []int32 // unprojected: ends[i] is the end of row i's cells
 	rowCols []Col   // Row's scratch on a projected batch
@@ -78,7 +80,6 @@ func (b *Batch) setProject(project []uint32) {
 func (b *Batch) reset() {
 	b.keys, b.keyChunk, b.keyArena, b.WriteTS, b.ts, b.ends = b.keyBuf[:0], "", nil, b.wtsBuf[:0], nil, b.endBuf[:0]
 	b.cells = b.cells[:0]
-	b.lo, b.hi = 0, 0
 	for j := range b.cols {
 		c := &b.cols[j]
 		c.vals, c.dict, c.sdict, c.tmpls = c.vec[:0], nil, nil, nil
@@ -100,14 +101,29 @@ func (b *Batch) Keys() []string {
 	return b.keys
 }
 
-// buildKeys rebuilds the keys of keyChunk, which frontTS accepted, out of
-// line so that Keys stays inlinable.
+// buildKeys rebuilds the keys of the batch's rows off keyChunk, which
+// frontTS accepted, out of line so that Keys stays inlinable.
 func (b *Batch) buildKeys() {
-	b.keys = b.keyBuf[:len(b.WriteTS)]
-	if _, err := decodeFrontCoded(b.keyChunk, len(b.keyArena), b.keys, b.keyArena[:0]); err != nil {
+	keys := b.keyBuf[:bits.Len64(b.keyRows)]
+	if _, err := decodeFrontCoded(b.keyChunk, len(b.keyArena), b.keyN, b.keyRows, keys, b.keyArena[:0]); err != nil {
 		panic(fmt.Sprintf("persist: key chunk accepted by frontTS: %v", err))
 	}
+	b.keys = compact(keys, b.keyRows)
 	b.keyChunk, b.keyArena = "", nil
+}
+
+// compact moves the elements of v at the positions set in rows to its
+// front, in order, and returns them.
+func compact[T any](v []T, rows uint64) []T {
+	if rows == ^uint64(0)>>(64-len(v)) {
+		return v
+	}
+	k := 0
+	for ; rows != 0; rows &= rows - 1 {
+		v[k] = v[bits.TrailingZeros64(rows)]
+		k++
+	}
+	return v[:k]
 }
 
 // Col returns the value vector of a projected column, parallel to WriteTS; an
@@ -142,7 +158,7 @@ func (b *Batch) colOf(id uint32) *colVec {
 
 // fill reassembles the templated cells of c, in room sized for them now.
 func (b *Batch) fill(c *colVec) {
-	fillTemplates(c, b.lo, b.hi, b.room, b.cols, b.slots)
+	fillTemplates(c, ^uint64(0)>>(64-b.Len()), b.room, b.cols, b.slots)
 }
 
 // Template returns a projected column in template form when the batch's
@@ -156,7 +172,7 @@ func (b *Batch) fill(c *colVec) {
 func (b *Batch) Template(id uint32) (codes []uint8, tmpls []Template, cells []string) {
 	for j, p := range b.project {
 		if c := &b.cols[j]; p == id && c.tmpls != nil {
-			return c.codes[b.lo:b.hi], c.tmpls, c.vals
+			return c.codes[:b.Len()], c.tmpls, c.vals
 		}
 	}
 	return nil, nil, nil
@@ -196,7 +212,7 @@ func (b *Batch) Dict(id uint32) (codes []uint8, dict []string) {
 // dictOf is Dict, and the section dictionary dict is, if it is one.
 func (b *Batch) dictOf(id uint32) (codes []uint8, dict []string, sd *sectionDict) {
 	if c := b.colOf(id); c != nil && len(c.dict) > 0 {
-		return c.codes[b.lo:b.hi], c.dict, c.sdict
+		return c.codes[:b.Len()], c.dict, c.sdict
 	}
 	return nil, nil, nil
 }
@@ -295,16 +311,22 @@ func (r *DictFunc[S]) section(sd *sectionDict) []S {
 // Row returns row i. On a projected batch the row carries only the
 // projected, non-empty cells and is valid until the next call of Row.
 func (b *Batch) Row(i int) Row {
-	r := Row{Key: b.Keys()[i], WriteTS: b.WriteTS[i]}
+	return Row{Key: b.Keys()[i], WriteTS: b.WriteTS[i], cols: b.Cells(i)}
+}
+
+// Cells returns the cells of row i, sorted by ID, as Row(i).Cols() does,
+// without the row's key: a consumer that reads no key builds none. On a
+// projected batch they are valid until the next call of Cells or Row.
+func (b *Batch) Cells(i int) []Col {
 	if b.project == nil {
 		lo := 0
 		if i > 0 {
 			lo = int(b.ends[i-1])
 		}
 		if hi := int(b.ends[i]); hi > lo {
-			r.cols = b.cells[lo:hi:hi]
+			return b.cells[lo:hi:hi]
 		}
-		return r
+		return nil
 	}
 	b.rowCols = b.rowCols[:0]
 	for j, id := range b.project {
@@ -316,9 +338,9 @@ func (b *Batch) Row(i int) Row {
 		}
 	}
 	if len(b.rowCols) > 0 {
-		r.cols = b.rowCols
+		return b.rowCols
 	}
-	return r
+	return nil
 }
 
 // appendRow adds a row (rows→Batch adapter).
@@ -350,16 +372,18 @@ type BatchIterator interface {
 
 // BatchRows adapts a row iterator to a BatchIterator: the one rows→Batch
 // path, used for merged inputs, in-memory runs and remote scan streams.
-// It takes ownership of it.
-func BatchRows(it Iterator, project []uint32) BatchIterator {
-	rb := &rowBatcher{it: it}
+// With sel set it keeps the rows sel matches alone. It takes ownership of
+// it.
+func BatchRows(it Iterator, project []uint32, sel *Match) BatchIterator {
+	rb := &rowBatcher{it: it, sel: sel}
 	rb.b.setProject(project)
 	return rb
 }
 
 type rowBatcher struct {
-	it Iterator
-	b  Batch
+	it  Iterator
+	sel *Match
+	b   Batch
 }
 
 func (rb *rowBatcher) Next() (*Batch, bool) {
@@ -369,7 +393,9 @@ func (rb *rowBatcher) Next() (*Batch, bool) {
 		if !ok {
 			break
 		}
-		rb.b.appendRow(r)
+		if rb.sel == nil || rb.sel.matches(r) {
+			rb.b.appendRow(r)
+		}
 	}
 	return &rb.b, rb.b.Len() > 0
 }
@@ -427,6 +453,10 @@ type scanBufs struct {
 	// index among them.
 	vecs []colVec
 	at   []int32
+	// The column a Select tests, decoded before the rest of the block, and
+	// the room its front-coded values take.
+	sel      colVec
+	selArena []byte
 }
 
 var scanBufPool = sync.Pool{New: func() any { return &scanBufs{block: make([]byte, 0, 32<<10)} }}
@@ -457,6 +487,8 @@ type BatchScanner struct {
 	scanInput             // the segment being scanned; s == nil between segments
 	next      []scanInput // the segments still to come
 	rg        Range
+	// sel, when set, keeps the rows it matches alone (ScanConfig.Select).
+	sel *Match
 	// lo and hi are rg as far as it can cut the block being decoded: ""
 	// where the footer already proves every key of the block inside, so
 	// interior blocks compare no keys.
@@ -493,6 +525,9 @@ type BatchScanner struct {
 func (sc *BatchScanner) open(rg Range, owned bool, segs []*Segment, cfgs []ScanConfig) error {
 	sc.rg, sc.owned = rg, owned
 	sc.next, sc.dir, sc.order = sc.nextBuf[:0], sc.dirBuf[:0], sc.orderBuf[:0]
+	if len(cfgs) > 0 {
+		sc.sel = cfgs[0].Select
+	}
 	for i, s := range segs {
 		if !s.Overlaps(rg) {
 			continue
@@ -666,13 +701,16 @@ func (sc *BatchScanner) read(blk int) (string, error) {
 
 // decode expands one block into the batch: the keys and write
 // timestamps, cut to the range, then the chunks of the columns the scan
-// wants and no others. Where no key is compared (the range holds the
-// block) or kept past it, the keys stay front-coded until Keys is called;
-// only their timestamps are walked off the chunk. A column in template
-// form is decoded after its holes, and its templated cells are
-// reassembled when first asked for, in room sized then, or at once where
-// the batch is unprojected; either way every template a row takes is
-// checked against the block's columns here.
+// wants and no others. Under a Select the column it tests is decoded first
+// and a block none of whose rows it matches is dropped there; of the
+// others only the matched rows are materialised — keys, front-coded values
+// and templated cells of the rest are never built. Where no key is
+// compared (the range holds the block) or kept past it, the keys stay
+// front-coded until Keys is called; only their timestamps are walked off
+// the chunk. A column in template form is decoded after its holes, and its
+// templated cells are reassembled when first asked for, in room sized
+// then, or at once where the batch is unprojected; either way every
+// template a row takes is checked against the block's columns here.
 func (sc *BatchScanner) decode(blk string) error {
 	b := &sc.b
 	b.reset()
@@ -682,6 +720,15 @@ func (sc *BatchScanner) decode(blk string) error {
 	}
 	sc.dir = pb.cols
 	n := pb.n
+	// rows is the set of the block's rows the batch shows; the vectors are
+	// decoded by block row, then compacted to them.
+	rows := ^uint64(0) >> (64 - n)
+	if sc.sel != nil {
+		var err error
+		if rows, err = sc.selected(&pb); err != nil || rows == 0 {
+			return err
+		}
+	}
 
 	// Every string rebuilt from a front coding lives in one arena, sized
 	// up front so that it never moves under the strings already in it;
@@ -693,37 +740,35 @@ func (sc *BatchScanner) decode(blk string) error {
 		arena = make([]byte, 0, need)
 		sc.buf.arena = arena
 	}
+	// Of the keys and write timestamps, a walk stops at the last row shown.
 	var err error
-	lo, hi := 0, n
 	if !sc.owned && sc.lo == "" && sc.hi == "" {
-		if err := frontTS(pb.keys, pb.keyBytes, b.tsBuf[:n]); err != nil {
+		if err := frontTS(pb.keys, pb.keyBytes, n, b.tsBuf[:bits.Len64(rows)]); err != nil {
 			return corrupt("keys: %w", err)
 		}
-		b.ts, b.keyChunk, b.keyArena = b.tsBuf[:n], pb.keys, arena[:pb.keyBytes]
+		b.ts, b.keyChunk, b.keyArena = compact(b.tsBuf[:bits.Len64(rows)], rows), pb.keys, arena[:pb.keyBytes]
+		b.keyRows, b.keyN = rows, n
 		arena = b.keyArena
 	} else {
-		if arena, err = decodeFrontCoded(pb.keys, pb.keyBytes, b.keyBuf[:n], arena); err != nil {
+		if arena, err = decodeFrontCoded(pb.keys, pb.keyBytes, n, rows, b.keyBuf[:bits.Len64(rows)], arena); err != nil {
 			return corrupt("keys: %w", err)
 		}
-		if sc.lo != "" {
-			for lo < n && b.keyBuf[lo] < sc.lo {
-				lo++ // before the range, behind the sparse-index seek point
-			}
+		for rows != 0 && sc.lo != "" && b.keyBuf[bits.TrailingZeros64(rows)] < sc.lo {
+			rows &= rows - 1 // before the range, behind the sparse-index seek point
 		}
-		if sc.hi != "" {
-			for hi = lo; hi < n && b.keyBuf[hi] < sc.hi; hi++ {
-			}
+		for rows != 0 && sc.hi != "" && b.keyBuf[63-bits.LeadingZeros64(rows)] >= sc.hi {
+			rows &^= 1 << (63 - bits.LeadingZeros64(rows))
 		}
-		if lo == hi {
+		if rows == 0 {
 			return nil
 		}
-		b.keys = b.keyBuf[lo:hi]
+		b.keys = compact(b.keyBuf[:bits.Len64(rows)], rows)
 	}
-	if err := decodeWriteTS(pb.wts, b.wtsBuf[:n]); err != nil {
+	if err := decodeWriteTS(pb.wts, n, b.wtsBuf[:bits.Len64(rows)]); err != nil {
 		return err
 	}
-	b.WriteTS = b.wtsBuf[lo:hi]
-	b.lo, b.hi = lo, hi
+	b.WriteTS = compact(b.wtsBuf[:bits.Len64(rows)], rows)
+	m := len(b.WriteTS)
 
 	if sc.slots != nil {
 		var tc *colChunk
@@ -733,49 +778,51 @@ func (sc *BatchScanner) decode(blk string) error {
 			if j < 0 || len(b.cols[j].vals) > 0 {
 				continue // of two columns under one ID the first counts, as for Row.ColID
 			}
-			b.cols[j].vals = b.cols[j].vec[lo:hi]
+			b.cols[j].vals = b.cols[j].vec[:n]
 			if c.enc == encTemplate {
 				tc = c // after the columns its holes name
 				continue
 			}
-			if arena, err = c.decode(n, &b.cols[j], arena); err != nil {
+			if arena, err = c.decode(n, &b.cols[j], arena, rows); err != nil {
 				return fmt.Errorf("%w (column %q)", err, sc.s.meta.ColNames[c.local])
 			}
 		}
-		for j := range b.cols {
-			if c := &b.cols[j]; len(c.vals) == 0 { // no cell of the column in this block
-				c.vals = c.vec[lo:hi]
-				clear(c.vals)
+		if tc != nil {
+			v := &b.cols[sc.slots[tc.local]]
+			if _, err = tc.decode(n, v, nil, rows); err == nil {
+				err = checkTemplates(v, rows, pb.cols)
+			}
+			if err != nil {
+				return fmt.Errorf("%w (column %q)", err, sc.s.meta.ColNames[tc.local])
 			}
 		}
-		if tc == nil {
-			return nil
-		}
-		v := &b.cols[sc.slots[tc.local]]
-		if _, err = tc.decode(n, v, nil); err == nil {
-			err = checkTemplates(v, n, pb.cols)
-		}
-		if err != nil {
-			return fmt.Errorf("%w (column %q)", err, sc.s.meta.ColNames[tc.local])
+		for j := range b.cols {
+			c := &b.cols[j]
+			if len(c.vals) == 0 { // no cell of the column in this block
+				c.vals = c.vec[:m]
+				clear(c.vals)
+				continue
+			}
+			c.vals = compact(c.vec[:n], rows)
+			compact(c.codes[:n], rows)
 		}
 		return nil
 	}
 
-	// Every column: count each row's cells off the presence bitmaps, then
-	// transpose column by column in ID order, which leaves every row's
+	// Every column: count each shown row's cells off the presence bitmaps,
+	// then transpose column by column in ID order, which leaves every row's
 	// cells sorted as the Row form wants them.
-	window := ^uint64(0) >> (64 - (hi - lo)) << lo
-	var at [indexEvery + 1]int32 // at[i+1]: cells of row lo+i, then where its next cell goes
+	var at [indexEvery + 1]int32 // at[k+1]: cells of shown row k, then where its next cell goes
 	for i := range pb.cols {
-		for m := pb.cols[i].present & window; m != 0; m &= m - 1 {
-			at[bits.TrailingZeros64(m)-lo+1]++
+		for p := pb.cols[i].present & rows; p != 0; p &= p - 1 {
+			at[rank(rows, p)+1]++
 		}
 	}
-	for i := 1; i <= hi-lo; i++ {
-		at[i] += at[i-1]
-		b.ends = append(b.ends, at[i])
+	for k := 1; k <= m; k++ {
+		at[k] += at[k-1]
+		b.ends = append(b.ends, at[k])
 	}
-	if total := int(at[hi-lo]); sc.owned {
+	if total := int(at[m]); sc.owned {
 		b.cells = make([]Col, total)
 	} else {
 		b.cells = slices.Grow(b.cells, total)[:total]
@@ -794,7 +841,7 @@ func (sc *BatchScanner) decode(blk string) error {
 			tc = i
 			continue
 		}
-		if arena, err = c.decode(n, &vecs[i], arena); err != nil {
+		if arena, err = c.decode(n, &vecs[i], arena, rows); err != nil {
 			return fmt.Errorf("%w (column %q)", err, sc.s.meta.ColNames[c.local])
 		}
 	}
@@ -805,24 +852,80 @@ func (sc *BatchScanner) decode(blk string) error {
 		for i := range pb.cols {
 			place[pb.cols[i].local] = int32(i)
 		}
-		if _, err = c.decode(n, &vecs[tc], nil); err == nil {
-			err = checkTemplates(&vecs[tc], n, pb.cols)
+		if _, err = c.decode(n, &vecs[tc], nil, rows); err == nil {
+			err = checkTemplates(&vecs[tc], rows, pb.cols)
 		}
 		if err != nil {
 			return fmt.Errorf("%w (column %q)", err, sc.s.meta.ColNames[c.local])
 		}
-		fillTemplates(&vecs[tc], lo, hi, b.room, vecs, place)
+		fillTemplates(&vecs[tc], rows, b.room, vecs, place)
 	}
 	slices.SortStableFunc(sc.order, func(x, y int) int { return int(pb.cols[x].id) - int(pb.cols[y].id) })
 	for _, i := range sc.order {
 		c := &pb.cols[i]
-		for m := c.present & window; m != 0; m &= m - 1 {
-			row := bits.TrailingZeros64(m)
-			b.cells[at[row-lo]] = Col{ID: c.id, Value: vecs[i].vec[row]}
-			at[row-lo]++
+		for p := c.present & rows; p != 0; p &= p - 1 {
+			k := rank(rows, p)
+			b.cells[at[k]] = Col{ID: c.id, Value: vecs[i].vec[bits.TrailingZeros64(p)]}
+			at[k]++
 		}
 	}
 	return nil
+}
+
+// rank returns how many rows of rows come before the lowest set in p.
+func rank(rows, p uint64) int { return bits.OnesCount64(rows & (p&-p - 1)) }
+
+// selected returns the rows of the parsed block that the scan's Select
+// matches: the tested column's codes are decoded and, where the block
+// codes it into a dictionary, each entry is decided once.
+func (sc *BatchScanner) selected(pb *parsedBlock) (uint64, error) {
+	m := sc.sel
+	for i := range pb.cols {
+		c := &pb.cols[i]
+		if c.id != m.col {
+			continue
+		}
+		if c.enc == encSection { // the common case: codes compared, no value built
+			k := m.codeIn(c.sdict)
+			if k < 0 {
+				return 0, nil
+			}
+			return c.sectionRows(uint8(k), &sc.buf.sel)
+		}
+		v, n := &sc.buf.sel, pb.n
+		arena := slices.Grow(sc.buf.selArena[:0], c.total)
+		if _, err := c.decode(n, v, arena, ^uint64(0)>>(64-n)); err != nil {
+			return 0, fmt.Errorf("%w (column %q)", err, sc.s.meta.ColNames[c.local])
+		}
+		sc.buf.selArena = arena
+		var hit [sectionDictMax]bool // by code
+		switch {
+		case v.sdict != nil:
+			if k := m.codeIn(v.sdict); k >= 0 {
+				hit[k] = true
+			}
+		case len(v.dict) > 0:
+			for k, s := range v.dict {
+				hit[k] = s == m.value
+			}
+		default:
+			var rows uint64
+			for r, s := range v.vec[:n] {
+				if s == m.value {
+					rows |= 1 << r
+				}
+			}
+			return rows, nil
+		}
+		var rows uint64
+		for r, k := range v.codes[:n] {
+			if hit[k] {
+				rows |= 1 << r
+			}
+		}
+		return rows, nil
+	}
+	return 0, nil // no row of the block carries the column
 }
 
 // poison scribbles over the block buffer, the arena and the room for

@@ -120,10 +120,10 @@ func fuzzSection(t testing.TB) (*Segment, []uint32) {
 
 // FuzzDecodeBlockProjected: on arbitrary block bytes, read against the
 // dictionaries and templates of a v9 section, the block decoder — with
-// every projection of the section's column table, including none and all —
-// reads a block under a projection as it reads it whole, and reassembles
-// a templated cell as it does whole, never taking more arena than 64
-// times the block. Codes past their tables and holes in columns the block
+// every projection of the section's column table, including none and all,
+// and under a selection on its section-coded column — reads a block as it
+// reads it whole, and reassembles a templated cell as it does whole,
+// never taking more arena than 64 times the block. Codes past their tables and holes in columns the block
 // lacks fail, whole and projected alike (TestDecodeRejectsCodesPastTables).
 func FuzzDecodeBlockProjected(f *testing.F) {
 	seg, ids := fuzzSection(f)
@@ -181,6 +181,27 @@ func FuzzDecodeBlockProjected(f *testing.F) {
 				t.Fatalf("projection %v: %v, though the whole block decodes", project, err)
 			}
 			checkBatch(t, &sc.b, rows, project)
+		}
+		// Under a selection on the section-coded column the block decodes
+		// its matched rows alone, as the whole decode has them.
+		value := fmt.Sprint(mask % 21)
+		var matched []Row
+		for _, r := range rows {
+			if r.ColID(ids[1]) == value {
+				matched = append(matched, r)
+			}
+		}
+		for _, project := range projections {
+			sc := blockScanner(seg, project)
+			sc.sel = NewMatch("fz-b", value)
+			err := sc.decode(blk)
+			if wholeErr != nil {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("selection %q, projection %v: %v, though the whole block decodes", value, project, err)
+			}
+			checkBatch(t, &sc.b, matched, project)
 		}
 	})
 }
@@ -437,7 +458,7 @@ func TestScanBatchesMatchesScan(t *testing.T) {
 			t.Fatalf("range %+v projection %v: batch scan yields %d rows that differ from the row scan's %d", rg, project, len(got), len(want))
 		}
 		// The rows→Batch adapter must agree with the block decoder.
-		if got := collectBatches(t, BatchRows(NewSliceIter(want), project)); !sameRows(got, want) {
+		if got := collectBatches(t, BatchRows(NewSliceIter(want), project, nil)); !sameRows(got, want) {
 			t.Fatalf("range %+v projection %v: BatchRows changes the rows", rg, project)
 		}
 	}

@@ -895,13 +895,17 @@ func (b *parsedBlock) parse(blk string, m *footerMeta, ids []uint32, dir []colCh
 	return nil
 }
 
-// decodeFrontCoded rebuilds len(dst) front-coded strings of total bytes at
-// the end of arena, which has room for them, and returns the arena
-// extended; the strings alias it.
-func decodeFrontCoded(body string, total int, dst []string, arena []byte) ([]byte, error) {
+// decodeFrontCoded walks the first len(dst) of the n front-coded strings
+// of total bytes of body and rebuilds string i into dst[i] where bit i of
+// sel is set, "" elsewhere; only a walk of all n checks that the chunk
+// ends with the last. The selected strings go to the end of arena, which
+// has room for all of them, and alias it; the arena is returned extended
+// by them alone. An unselected string is walked through the arena's free
+// room, where the next string overwrites it: it keeps no bytes and builds
+// no string.
+func decodeFrontCoded(body string, total, n int, sel uint64, dst []string, arena []byte) ([]byte, error) {
 	d := StringDec{s: body}
-	end := len(arena) + total
-	prev := ""
+	prev, sum := "", 0 // prev: the previous string; sum: bytes of the strings so far
 	for i := range dst {
 		var shared, slen uint64
 		if s, p := d.s, d.pos; p+1 < len(s) && s[p] < 0x80 && s[p+1] < 0x80 {
@@ -915,28 +919,30 @@ func decodeFrontCoded(body string, total int, dst []string, arena []byte) ([]byt
 				return arena, err
 			}
 		}
-		if shared > uint64(len(prev)) || slen > uint64(d.Rest()) || uint64(len(arena))+shared+slen > uint64(end) {
+		if shared > uint64(len(prev)) || slen > uint64(d.Rest()) || uint64(sum)+shared+slen > uint64(total) {
 			return arena, fmt.Errorf("front-coded string %d: prefix %d of %d, suffix %d of %d", i, shared, len(prev), slen, d.Rest())
 		}
+		sum += int(shared + slen)
 		start := len(arena)
-		arena = append(arena, prev[:shared]...)
-		arena = append(arena, d.s[d.pos:d.pos+int(slen)]...)
+		room := append(append(arena, prev[:shared]...), d.s[d.pos:d.pos+int(slen)]...)
 		d.pos += int(slen)
-		prev = unsafeString(arena[start:])
-		dst[i] = prev
+		prev, dst[i] = unsafeString(room[start:]), ""
+		if sel&(1<<i) != 0 {
+			arena, dst[i] = room, prev
+		}
 	}
-	if d.Rest() != 0 || len(arena) != end {
-		return arena, fmt.Errorf("front-coded strings end %d bytes early with %d bytes unread", end-len(arena), d.Rest())
+	if len(dst) == n && (d.Rest() != 0 || sum != total) {
+		return arena, fmt.Errorf("front-coded strings end %d bytes early with %d bytes unread", total-sum, d.Rest())
 	}
 	return arena, nil
 }
 
-// frontTS walks len(ts) front-coded keys of total bytes as decodeFrontCoded
-// would rebuild them, accepting and rejecting exactly what it does, and
-// sets ts[i] to tsOf of key i without copying a byte. Of a key's first
+// frontTS walks the first len(ts) of n front-coded keys of total bytes as
+// decodeFrontCoded would rebuild them, accepting and rejecting exactly what
+// it does, and sets ts[i] to tsOf of key i without copying a byte. Of a key's first
 // encodedTSLen bytes, all tsOf reads, it keeps the length of their leading
 // run of digits and val[j], the value of the first j of those.
-func frontTS(body string, total int, ts []int64) error {
+func frontTS(body string, total, n int, ts []int64) error {
 	d := StringDec{s: body}
 	var val [encodedTSLen + 1]int64
 	digits, prev, sum := 0, 0, 0 // prev: the previous key's length; sum: bytes of the keys so far
@@ -979,7 +985,7 @@ func frontTS(body string, total int, ts []int64) error {
 			ts[i] = val[encodedTSLen]
 		}
 	}
-	if d.Rest() != 0 || sum != total {
+	if len(ts) == n && (d.Rest() != 0 || sum != total) {
 		return fmt.Errorf("front-coded strings end %d bytes early with %d bytes unread", total-sum, d.Rest())
 	}
 	return nil
@@ -1001,8 +1007,10 @@ func tsOf(key string) int64 {
 	return ts
 }
 
-// decodeWriteTS decodes the write-timestamp chunk into dst, one per row.
-func decodeWriteTS(chunk string, dst []int64) error {
+// decodeWriteTS decodes the write timestamps of the first len(dst) of
+// the n rows of the chunk into dst; only a walk of all n checks that the
+// chunk ends with the last.
+func decodeWriteTS(chunk string, n int, dst []int64) error {
 	if chunk == "" {
 		return corrupt("empty write-ts chunk")
 	}
@@ -1034,7 +1042,7 @@ func decodeWriteTS(chunk string, dst []int64) error {
 	default:
 		return corrupt("unknown write-ts mode %d", chunk[0])
 	}
-	if d.Rest() != 0 {
+	if len(dst) == n && d.Rest() != 0 {
 		return corrupt("%d trailing write-ts bytes", d.Rest())
 	}
 	return nil
@@ -1062,40 +1070,22 @@ type colVec struct {
 }
 
 // decode expands column c of an n-row block into v. Front-coded values are
-// rebuilt in arena, which has room for them; the rest alias the block.
-func (c *colChunk) decode(n int, v *colVec, arena []byte) ([]byte, error) {
+// rebuilt in arena, which has room for them, for the rows set in rows
+// alone ("" elsewhere); the rest alias the block.
+func (c *colChunk) decode(n int, v *colVec, arena []byte, rows uint64) ([]byte, error) {
+	if rows != ^uint64(0)>>(64-n) && c.enc != encFront {
+		return arena, c.decodeRows(n, v, rows)
+	}
 	d := StringDec{s: c.body}
 	vec, cells := v.vec[:n], c.cells
 	v.dict, v.sdict, v.tmpls, v.filled = v.dictBuf[:0], nil, nil, false
 	switch c.enc {
 	case encConst, encDict4, encDict8:
-		nd := uint64(1)
-		if c.enc != encConst {
-			var err error
-			if nd, err = d.Uvarint(); err != nil {
-				return arena, corrupt("dictionary size: %w", err)
-			}
-			if nd == 0 || nd > uint64(cells) {
-				return arena, corrupt("dictionary of %d values for %d cells", nd, cells)
-			}
+		packed, _, err := c.codedCells(v)
+		if err != nil {
+			return arena, err
 		}
-		for k := uint64(0); k < nd; k++ {
-			s, err := d.String()
-			if err != nil {
-				return arena, corrupt("dictionary value %d: %w", k, err)
-			}
-			v.dict = append(v.dict, s)
-		}
-		codes, packed, want := v.codes[:cells], d.s[d.pos:], 0
-		switch c.enc {
-		case encDict8:
-			want = cells
-		case encDict4:
-			want = (cells + 1) / 2
-		}
-		if len(packed) != want {
-			return arena, corrupt("%d code bytes for %d cells", len(packed), cells)
-		}
+		codes, nd := v.codes[:cells], uint64(len(v.dict))
 		switch c.enc {
 		case encConst:
 			clear(codes)
@@ -1137,7 +1127,7 @@ func (c *colChunk) decode(n int, v *colVec, arena []byte) ([]byte, error) {
 		}
 	case encFront:
 		var err error
-		if arena, err = decodeFrontCoded(c.body, c.total, vec[:cells], arena); err != nil {
+		if arena, err = decodeFrontCoded(c.body, c.total, cells, cellsOf(rows, c.present), vec[:cells], arena); err != nil {
 			return arena, corrupt("%w", err)
 		}
 	case encSection:
@@ -1176,26 +1166,212 @@ func (c *colChunk) decode(n int, v *colVec, arena []byte) ([]byte, error) {
 	return arena, nil
 }
 
+// decodeRows is decode for a selection of a column in any form but front
+// coding: only the rows set in rows are decoded, and v.vec and v.codes of
+// the others are left as they were; what a walk of the chunk reads past
+// the last of them is not looked at.
+func (c *colChunk) decodeRows(n int, v *colVec, rows uint64) error {
+	v.dict, v.sdict, v.tmpls, v.filled = v.dictBuf[:0], nil, nil, false
+	if c.enc == encTemplate {
+		if len(c.body) < c.cells {
+			return corrupt("%d template code bytes for %d cells", len(c.body), c.cells)
+		}
+		// Code k is byte k; the cells stored whole follow the codes, in order.
+		d := StringDec{s: c.body, pos: c.cells}
+		for k, p := 0, c.present&(1<<bits.Len64(rows)-1); p != 0; k, p = k+1, p&(p-1) {
+			code, cell := c.body[k], ""
+			if int(code) > len(c.tmpls) {
+				return corrupt("template code %d past a table of %d", code, len(c.tmpls))
+			}
+			if code == 0 {
+				var err error
+				if cell, err = d.String(); err != nil {
+					return corrupt("cell %d: %w", k, err)
+				}
+			}
+			if r := bits.TrailingZeros64(p); rows&(1<<r) != 0 {
+				v.codes[r], v.vec[r] = code, cell
+			}
+		}
+		for p := rows &^ c.present; p != 0; p &= p - 1 {
+			r := bits.TrailingZeros64(p)
+			v.codes[r], v.vec[r] = 0, ""
+		}
+		v.tmpls = c.tmpls
+		return nil
+	}
+	if c.enc == encPlain {
+		d := StringDec{s: c.body}
+		var at [indexEvery + 1]int // at[k]: where cell k starts, past the lengths
+		for k := 0; k < c.cells; k++ {
+			l := uint64(0)
+			if p := d.pos; p < len(d.s) && d.s[p] < 0x80 {
+				l, d.pos = uint64(d.s[p]), p+1 // a length in one byte
+			} else {
+				var err error
+				if l, err = d.Uvarint(); err != nil {
+					return corrupt("value length: %w", err)
+				}
+			}
+			if l > uint64(len(c.body)) {
+				return corrupt("value of %d bytes in a %d-byte chunk", l, len(c.body))
+			}
+			at[k+1] = at[k] + int(l)
+		}
+		if at[c.cells] != d.Rest() {
+			return corrupt("%d value bytes where the lengths say %d", d.Rest(), at[c.cells])
+		}
+		vals := c.body[d.pos:]
+		for ; rows != 0; rows &= rows - 1 {
+			r := bits.TrailingZeros64(rows)
+			v.vec[r] = ""
+			if c.present&(1<<r) != 0 {
+				k := bits.OnesCount64(c.present & (1<<r - 1))
+				v.vec[r] = vals[at[k]:at[k+1]]
+			}
+		}
+		return nil
+	}
+	packed, width, err := c.codedCells(v)
+	if err != nil {
+		return err
+	}
+	coded, absent := len(v.dict), -1 // coded: the entries a present cell may code for
+	switch {
+	case c.cells == n:
+	case c.enc == encSection:
+		if absent = c.sdict.empty; absent < 0 {
+			return corrupt("rows without the cell and no \"\" in a section dictionary")
+		}
+	default:
+		absent = coded
+		v.dict = append(v.dict, "")
+	}
+	for ; rows != 0; rows &= rows - 1 {
+		r := bits.TrailingZeros64(rows)
+		code := absent
+		if c.present&(1<<r) != 0 {
+			switch k := bits.OnesCount64(c.present & (1<<r - 1)); width {
+			case -1:
+				code = 0
+			case 0:
+				code = int(packed[0])
+			case 4:
+				code = int(packed[k/2] >> (k % 2 * 4) & 0x0f)
+			default:
+				code = int(packed[k])
+			}
+			if code >= coded {
+				return corrupt("code %d past a dictionary of %d", code, coded)
+			}
+		}
+		v.codes[r], v.vec[r] = uint8(code), v.dict[code]
+	}
+	return nil
+}
+
+// sectionRows returns the rows whose cell of c, a column in section
+// codes, codes for k; v is scratch.
+func (c *colChunk) sectionRows(k uint8, v *colVec) (uint64, error) {
+	packed, width, err := c.codedCells(v)
+	if err != nil {
+		return 0, err
+	}
+	var rows uint64
+	for j, p := 0, c.present; p != 0; j, p = j+1, p&(p-1) {
+		code := packed[0]
+		switch width {
+		case 4:
+			code = packed[j/2] >> (j % 2 * 4) & 0x0f
+		case 8:
+			code = packed[j]
+		}
+		if code == k {
+			rows |= p & -p
+		}
+	}
+	return rows, nil
+}
+
+// codedCells reads the head of a column in codes — constant, dictionary
+// or section codes: what the codes index into v.dict (a block's own
+// values, or its section's dictionary) and the packed codes, width bits a
+// cell (0: a section's one code for every cell; -1: a constant's, none).
+func (c *colChunk) codedCells(v *colVec) (packed string, width int, err error) {
+	if c.enc == encSection {
+		if c.body == "" {
+			return "", 0, corrupt("empty section-code chunk")
+		}
+		width, packed = int(c.body[0]), c.body[1:]
+		if width != 0 && width != 4 && width != 8 || len(packed) != codeBytes(width, c.cells) {
+			return "", 0, corrupt("%d section code bytes for %d cells of width %d", len(packed), c.cells, width)
+		}
+		v.dict, v.sdict = c.sdict.vals, c.sdict
+		return packed, width, nil
+	}
+	d := StringDec{s: c.body}
+	nd, width := uint64(1), -1
+	if c.enc != encConst {
+		if nd, err = d.Uvarint(); err != nil {
+			return "", 0, corrupt("dictionary size: %w", err)
+		}
+		if nd == 0 || nd > uint64(c.cells) {
+			return "", 0, corrupt("dictionary of %d values for %d cells", nd, c.cells)
+		}
+		width = 8
+		if c.enc == encDict4 {
+			width = 4
+		}
+	}
+	for k := uint64(0); k < nd; k++ {
+		s, err := d.String()
+		if err != nil {
+			return "", 0, corrupt("dictionary value %d: %w", k, err)
+		}
+		v.dict = append(v.dict, s)
+	}
+	if packed = d.s[d.pos:]; len(packed) != codeBytes(width, c.cells) {
+		return "", 0, corrupt("%d code bytes for %d cells", len(packed), c.cells)
+	}
+	return packed, width, nil
+}
+
+// codeBytes is how many bytes code cells at width bits each: 0 for a
+// constant's (width -1), 1 for a section's of width 0.
+func codeBytes(width, cells int) int {
+	switch width {
+	case 0:
+		return 1
+	case 4:
+		return (cells + 1) / 2
+	case 8:
+		return cells
+	}
+	return 0
+}
+
+// cellsOf maps rows, a set of a block's rows, onto the cells of a column
+// whose rows present carry it: bit k is set where the k-th of them is in
+// rows.
+func cellsOf(rows, present uint64) uint64 {
+	if present&(present+1) == 0 { // rows 0 to k, the usual column
+		return rows & present
+	}
+	var sel uint64
+	for k := 0; present != 0; present, k = present&(present-1), k+1 {
+		if rows&(present&-present) != 0 {
+			sel |= 1 << k
+		}
+	}
+	return sel
+}
+
 // decodeSection expands the section codes of c's present cells into v.
 func (c *colChunk) decodeSection(v *colVec) error {
 	cells, vals := c.cells, c.sdict.vals
-	if c.body == "" {
-		return corrupt("empty section-code chunk")
-	}
-	width, packed := c.body[0], c.body[1:]
-	want := 0
-	switch width {
-	case 0:
-		want = 1
-	case 4:
-		want = (cells + 1) / 2
-	case 8:
-		want = cells
-	default:
-		return corrupt("section code width %d", width)
-	}
-	if len(packed) != want {
-		return corrupt("%d section code bytes for %d cells of width %d", len(packed), cells, width)
+	packed, width, err := c.codedCells(v)
+	if err != nil {
+		return err
 	}
 	codes := v.codes[:cells]
 	for k := range codes {
@@ -1212,7 +1388,6 @@ func (c *colChunk) decodeSection(v *colVec) error {
 		}
 		v.vec[k] = vals[codes[k]]
 	}
-	v.dict, v.sdict = vals, c.sdict
 	return nil
 }
 
@@ -1247,12 +1422,13 @@ func (c *colChunk) decodeTemplate(v *colVec) error {
 	return nil
 }
 
-// checkTemplates fails where a template a row of v, a column in template
-// form of an n-row block whose directory is dir, takes has a hole column
-// the block lacks.
-func checkTemplates(v *colVec, n int, dir []colChunk) error {
+// checkTemplates fails where a template a row set in rows of v, a column
+// in template form of a block whose directory is dir, takes has a hole
+// column the block lacks.
+func checkTemplates(v *colVec, rows uint64, dir []colChunk) error {
 	var checked [4]uint64 // by template code
-	for _, code := range v.codes[:n] {
+	for ; rows != 0; rows &= rows - 1 {
+		code := v.codes[bits.TrailingZeros64(rows)]
 		if code == 0 || checked[code/64]&(1<<(code%64)) != 0 {
 			continue
 		}
@@ -1266,12 +1442,13 @@ func checkTemplates(v *colVec, n int, dir []colChunk) error {
 	return nil
 }
 
-// templateBytes returns what the rows [lo, hi) of v, a column in template
-// form that checkTemplates accepted, take once filled: the hole of
-// name-table index l is vecs[at[l]].
-func templateBytes(v *colVec, lo, hi int, vecs []colVec, at []int32) int {
+// templateBytes returns what the rows set in rows of v, a column in
+// template form that checkTemplates accepted, take once filled: the hole
+// of name-table index l is vecs[at[l]].
+func templateBytes(v *colVec, rows uint64, vecs []colVec, at []int32) int {
 	need := 0
-	for i := lo; i < hi; i++ {
+	for ; rows != 0; rows &= rows - 1 {
+		i := bits.TrailingZeros64(rows)
 		if code := v.codes[i]; code > 0 {
 			t := &v.tmpls[code-1]
 			need += t.size
@@ -1283,13 +1460,13 @@ func templateBytes(v *colVec, lo, hi int, vecs []colVec, at []int32) int {
 	return need
 }
 
-// fillTemplates reassembles the templated cells of rows [lo, hi) of v, a
-// column in template form that checkTemplates accepted, in room sized for
-// them: the pooled buffer, grown where it is short, or fresh room where
-// pooled is nil. The cells alias it. The hole of name-table index l is
-// vecs[at[l]].
-func fillTemplates(v *colVec, lo, hi int, pooled *[]byte, vecs []colVec, at []int32) {
-	need := templateBytes(v, lo, hi, vecs, at)
+// fillTemplates reassembles the templated cells of the rows set in rows of
+// v, a column in template form that checkTemplates accepted, in room sized
+// for them: the pooled buffer, grown where it is short, or fresh room where
+// pooled is nil. The cells alias it; no other row's is built. The hole of
+// name-table index l is vecs[at[l]].
+func fillTemplates(v *colVec, rows uint64, pooled *[]byte, vecs []colVec, at []int32) {
+	need := templateBytes(v, rows, vecs, at)
 	var text []byte
 	switch {
 	case pooled == nil:
@@ -1300,7 +1477,8 @@ func fillTemplates(v *colVec, lo, hi int, pooled *[]byte, vecs []colVec, at []in
 	default:
 		text = (*pooled)[:0:need]
 	}
-	for i := lo; i < hi; i++ {
+	for ; rows != 0; rows &= rows - 1 {
+		i := bits.TrailingZeros64(rows)
 		code := v.codes[i]
 		if code == 0 {
 			continue

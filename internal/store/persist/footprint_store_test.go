@@ -30,8 +30,12 @@ func TestStoreFooterFootprint(t *testing.T) {
 		total = total.Plus(fp)
 	}
 	t.Log(total)
+	// Every block is an event_by_time, application or reference block: a
+	// block of many sources, each a Bloom cell and a group-list code, where
+	// the per-component event table's one-source blocks once halved the
+	// averages.
 	persist.CheckFootprint(t, total, persist.FootprintBudget{
-		BloomPerBlock: 64, ZonesPerBlock: 112, IndexPerBlock: 34, FoldPerBlock: 5, GroupsPerBlock: 8,
-		DirPerSection: 5, RefsPerSection: 36, CodecPerSection: 13, MetaPerSection: 96,
+		BloomPerBlock: 128, ZonesPerBlock: 112, IndexPerBlock: 34, FoldPerBlock: 5, GroupsPerBlock: 26,
+		DirPerSection: 5, RefsPerSection: 38, CodecPerSection: 13, MetaPerSection: 96,
 	})
 }

@@ -91,9 +91,9 @@ func FuzzRowCodec(f *testing.F) {
 func checkFrontTS(t *testing.T, body string, total, n int) bool {
 	t.Helper()
 	keys := make([]string, n)
-	_, keyErr := decodeFrontCoded(body, total, keys, make([]byte, 0, total))
+	_, keyErr := decodeFrontCoded(body, total, n, ^uint64(0), keys, make([]byte, 0, total))
 	ts := make([]int64, n)
-	tsErr := frontTS(body, total, ts)
+	tsErr := frontTS(body, total, n, ts)
 	if (keyErr == nil) != (tsErr == nil) {
 		t.Fatalf("%q (%d keys, %d bytes): rebuild says %v, walk says %v", body, n, total, keyErr, tsErr)
 	}
@@ -107,6 +107,27 @@ func checkFrontTS(t *testing.T, body string, total, n int) bool {
 		if ts[i] != tsOf(key) {
 			t.Fatalf("key %d %q: walk reads timestamp %d, tsOf %d", i, key, ts[i], tsOf(key))
 		}
+	}
+	// A selective rebuild builds the selected keys alone, byte for byte.
+	const sel uint64 = 0x9249249249249249 // every third key
+	some := make([]string, n)
+	arena, err := decodeFrontCoded(body, total, n, sel, some, make([]byte, 0, total))
+	if err != nil {
+		t.Fatalf("%q: selective rebuild fails with %v where the whole one passes", body, err)
+	}
+	kept := 0
+	for i, key := range some {
+		if sel&(1<<i) != 0 {
+			kept += len(keys[i])
+			if key != keys[i] {
+				t.Fatalf("selected key %d: %q, want %q", i, key, keys[i])
+			}
+		} else if key != "" {
+			t.Fatalf("unselected key %d rebuilt as %q", i, key)
+		}
+	}
+	if len(arena) != kept {
+		t.Fatalf("a selective rebuild keeps %d bytes, its keys take %d", len(arena), kept)
 	}
 	return true
 }

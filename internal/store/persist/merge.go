@@ -81,9 +81,9 @@ type segCursor struct {
 func NewSliceIter(rows []Row) Iterator { return &cursor{run: rows} }
 
 // openCursor opens the segment's rows within rg, every cell decoded, as a
-// merge input; cfg's projection is ignored.
+// merge input; cfg's projection and selection are ignored.
 func (s *Segment) openCursor(rg Range, cfg ScanConfig) (*cursor, error) {
-	cfg.Project = nil
+	cfg.Project, cfg.Select = nil, nil
 	c := &segCursor{}
 	c.cursor.sc = &c.sc
 	if err := c.sc.open(rg, true, []*Segment{s}, []ScanConfig{cfg}); err != nil {

@@ -1549,4 +1549,8 @@ type ScanConfig struct {
 	// only). Other columns are hopped over, chunk by chunk. Row scans
 	// (ScanPruned) always decode every column.
 	Project []uint32
+	// Select, when non-nil, keeps only the rows it matches (see Match). A
+	// batch scan reads it off the first configuration, as it does Project;
+	// row scans, merge inputs, ignore it.
+	Select *Match
 }

@@ -67,6 +67,15 @@ type Pruner = persist.Pruner
 // Taker is re-exported from the persistence layer (see persist.Taker).
 type Taker = persist.Taker
 
+// Match is re-exported from the persistence layer: the selection column =
+// value, a Pruner that PartitionBatches also selects rows by (see
+// persist.Match).
+type Match = persist.Match
+
+// NewMatch returns the selection of the rows whose cell of column name is
+// value (see persist.NewMatch).
+func NewMatch(name, value string) *Match { return persist.NewMatch(name, value) }
+
 // BlockStats is re-exported from the persistence layer: the footer
 // statistics of one segment block, what a Pruner decides on.
 type BlockStats = persist.BlockStats
@@ -138,15 +147,17 @@ const MaxBatchRows = persist.MaxBatchRows
 // inputs are chained off the segment block decoder without a merge,
 // overlapping ones go through the last-write-wins merge, and a remote
 // shard's row stream is re-batched. Above One it re-batches the
-// reconciled, read-repaired rows of GetCtx. A batch and every string in it
-// is valid only until the next Next; the caller closes the iterator.
+// reconciled, read-repaired rows of GetCtx. A *Match pruner also selects:
+// on every path the batches carry only the rows it matches. A batch and
+// every string in it is valid only until the next Next; the caller closes
+// the iterator.
 func (db *DB) PartitionBatches(ctx context.Context, tableName, pkey string, rg Range, cl Consistency, project []uint32, pr Pruner, stats *PruneStats) (BatchIterator, error) {
 	if cl != One {
 		rows, err := db.GetCtx(ctx, tableName, pkey, rg, cl)
 		if err != nil {
 			return nil, err
 		}
-		return persist.BatchRows(NewSliceIter(rows), project), nil
+		return persist.BatchRows(NewSliceIter(rows), project, newPruneCfg(pr, stats).selection()), nil
 	}
 	tgt, err := db.scanTarget(tableName, pkey)
 	if err != nil {

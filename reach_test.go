@@ -33,10 +33,6 @@ var reachAllow = map[string]string{
 	"internal/cql.Session.Execute":                  "oracle: the in-process CQL answer a wire answer must equal byte for byte",
 	"internal/ingest.Loader.LoadRuns":               "test seam: loads ground-truth runs without the job-log parser",
 	"internal/model.EventFromTimeRow":               "oracle: decodes an event_by_time row for the row-wire codec tests",
-	"internal/model.EventFromLocRow":                "oracle: decodes an event_by_location row for the row-wire codec tests",
-	"internal/model.eventFromRow":                   "oracle: shared half of EventFromTimeRow and EventFromLocRow",
-	"internal/model.EventTimeCount":                 "oracle: timestamp and count half of eventFromRow",
-	"internal/model.sourceFromKey":                  "oracle: partition-key half of EventFromLocRow",
 	"internal/query.AllOps":                         "test seam: the op list TestEveryOpCovered checks the corpus against",
 	"internal/store.DB.Put":                         "test seam: one-row write for store and planner tests",
 	"internal/store.DB.ReadRepairs":                 "test seam: the read-repair counter the repair tests assert on",
