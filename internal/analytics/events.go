@@ -233,11 +233,13 @@ func (t EventTask) Run(ctx context.Context, db *store.DB, each func(*EventRow) e
 		}
 	}()
 	for i, pkey := range pkeys {
-		var sel store.Pruner
+		var sel *store.Match
+		var pr store.Pruner
 		if bySource { // one per partition: a Match remembers its section's code
 			sel = store.NewMatch(model.ColSource, s.source)
+			pr = sel
 		}
-		it, err := db.PartitionBatches(ctx, model.TableEventByTime, pkey, rg, store.One, nil, sel, nil)
+		it, err := db.PartitionBatches(ctx, model.TableEventByTime, pkey, rg, store.One, nil, sel, pr, nil)
 		if err != nil {
 			return err
 		}

@@ -234,19 +234,29 @@ func TestSourceReadMatchesGetThenFilter(t *testing.T) {
 			}
 			// The probe partition's blocks are mostly skipped before they
 			// are read; some have no group list, so Bloom filters did it.
-			stats := &store.PruneStats{}
-			it, err := h.DB.PartitionBatches(context.Background(), model.TableEventByTime,
-				model.EventByTimeKey(model.HourOf(from), model.KernelPanic), store.Range{}, store.One, nil, store.NewMatch(model.ColSource, "probe-150"), stats)
-			if err != nil {
-				t.Fatal(err)
+			// As a pruner alone the Match only skips blocks: every row of
+			// the blocks it keeps comes back.
+			probe := store.NewMatch(model.ColSource, "probe-150")
+			probeRead := func(sel *store.Match) (rows int, stats *store.PruneStats) {
+				stats = &store.PruneStats{}
+				it, err := h.DB.PartitionBatches(context.Background(), model.TableEventByTime,
+					model.EventByTimeKey(model.HourOf(from), model.KernelPanic), store.Range{}, store.One, nil, sel, probe, stats)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for b, ok := it.Next(); ok; b, ok = it.Next() {
+					rows += b.Len()
+				}
+				if err := it.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return rows, stats
 			}
-			rows := 0
-			for b, ok := it.Next(); ok; b, ok = it.Next() {
-				rows += b.Len()
-			}
-			it.Close()
-			if rows != 1 || stats.BlocksPruned.Load() < 4 {
+			if rows, stats := probeRead(probe); rows != 1 || stats.BlocksPruned.Load() < 4 {
 				t.Fatalf("probe-150: %d rows, %d blocks read, %d pruned", rows, stats.BlocksRead.Load(), stats.BlocksPruned.Load())
+			}
+			if rows, stats := probeRead(nil); rows <= 1 || stats.BlocksPruned.Load() < 4 {
+				t.Fatalf("probe-150 as a pruner alone: %d rows, %d blocks read, %d pruned", rows, stats.BlocksRead.Load(), stats.BlocksPruned.Load())
 			}
 			if st := h.DB.StorageStats(); st.MergedScans == 0 {
 				t.Fatal("no scan went through the merge of a memtable and a segment")

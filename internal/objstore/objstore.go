@@ -240,8 +240,11 @@ func (s *FS) Delete(_ context.Context, key string) error {
 	if err := validKey(key); err != nil {
 		return err
 	}
+	// Unlink first: a read that reopens the key between the two then fails,
+	// or its handle is closed by forget.
+	err := fsys.OS.Remove(s.path(key))
 	s.forget(key)
-	if err := fsys.OS.Remove(s.path(key)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"hpclog/internal/fsys"
@@ -79,6 +80,46 @@ func testObjectStore(t *testing.T, s ObjectStore) {
 	}
 	if _, err := s.ReadRange(ctx, "node-0/a.seg", 0, 1); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("range of a deleted object: %v", err)
+	}
+	// Reads racing a Delete: once it returns, no read sees the object.
+	for round := 0; round < 20; round++ {
+		if err := s.Put(ctx, "node-0/d.seg", bytes.NewReader(body), int64(len(body))); err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var started, done sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			started.Add(1)
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				for first := true; ; first = false {
+					got, err := s.ReadRange(ctx, "node-0/d.seg", 0, 4)
+					if err == nil && string(got) != "0123" || err != nil && !errors.Is(err, ErrNotExist) {
+						t.Errorf("racing read: %q %v", got, err)
+					}
+					if first {
+						started.Done()
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		started.Wait()
+		err := s.Delete(ctx, "node-0/d.seg")
+		_, rerr := s.ReadRange(ctx, "node-0/d.seg", 0, 1)
+		close(stop)
+		done.Wait()
+		if err != nil || !errors.Is(rerr, ErrNotExist) {
+			t.Fatalf("round %d: delete %v, then a read %v", round, err, rerr)
+		}
+		if _, err := s.ReadRange(ctx, "node-0/d.seg", 0, 1); !errors.Is(err, ErrNotExist) {
+			t.Fatalf("round %d: a deleted object read once its readers stopped: %v", round, err)
+		}
 	}
 
 	// Hostile keys are rejected, not resolved.

@@ -225,7 +225,7 @@ func (ex *Executor) scanBatches(p *Plan, rg store.Range, project []uint32, prune
 	if ex.Opt.NoPrune {
 		pruner = nil
 	}
-	it, err := ex.DB.PartitionBatches(ex.ctx(), p.Sel.Table, p.Sel.Partition, rg, ex.CL, project, pruner, stats)
+	it, err := ex.DB.PartitionBatches(ex.ctx(), p.Sel.Table, p.Sel.Partition, rg, ex.CL, project, nil, pruner, stats)
 	if err != nil {
 		return err
 	}

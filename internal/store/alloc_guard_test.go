@@ -87,7 +87,7 @@ func TestDurableReadAllocBudget(t *testing.T) {
 		}
 	}) / nRows
 	batches := testing.AllocsPerRun(5, func() {
-		it, err := db.PartitionBatches(context.Background(), "events", "412:MCE", Range{}, Quorum, nil, nil, nil)
+		it, err := db.PartitionBatches(context.Background(), "events", "412:MCE", Range{}, Quorum, nil, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,7 @@ import (
 type replica interface {
 	apply(ctx context.Context, table, pkey string, rows []Row, encoded []byte) error
 	scan(ctx context.Context, table, pkey string, rg Range, pc *pruneCfg) (RowIter, error)
-	batches(ctx context.Context, table, pkey string, rg Range, project []uint32, pc *pruneCfg) (BatchIterator, error)
+	batches(ctx context.Context, table, pkey string, rg Range, project []uint32, sel *persist.Match, pc *pruneCfg) (BatchIterator, error)
 	KeyBounds(ctx context.Context, table, pkey string) (min, max string, ok bool, err error)
 	PartitionKeys(ctx context.Context, table string) ([]string, error)
 }
@@ -39,12 +39,12 @@ func (w wireReplica) scan(ctx context.Context, table, pkey string, rg Range, _ *
 	return w.Scan(ctx, table, pkey, rg)
 }
 
-func (w wireReplica) batches(ctx context.Context, table, pkey string, rg Range, project []uint32, pc *pruneCfg) (BatchIterator, error) {
+func (w wireReplica) batches(ctx context.Context, table, pkey string, rg Range, project []uint32, sel *persist.Match, _ *pruneCfg) (BatchIterator, error) {
 	it, err := w.Scan(ctx, table, pkey, rg)
 	if err != nil {
 		return nil, err
 	}
-	return persist.BatchRows(it, project, pc.selection()), nil
+	return persist.BatchRows(it, project, sel), nil
 }
 
 // isLocal reports whether r is hosted in this process: its apply is a WAL

@@ -156,23 +156,13 @@ func (p *partition) endFlush(published bool) {
 type pruneCfg struct {
 	pr    persist.Pruner
 	stats *persist.PruneStats
-	sel   *persist.Match // pr, where it is a Match: a batch scan selects by it
 }
 
 func newPruneCfg(pr persist.Pruner, stats *persist.PruneStats) *pruneCfg {
 	if pr == nil {
 		return nil
 	}
-	sel, _ := pr.(*persist.Match)
-	return &pruneCfg{pr: pr, stats: stats, sel: sel}
-}
-
-// selection returns the Match a batch scan selects by, if any.
-func (pc *pruneCfg) selection() *persist.Match {
-	if pc == nil {
-		return nil
-	}
-	return pc.sel
+	return &pruneCfg{pr: pr, stats: stats}
 }
 
 // mergeInputs is a point-in-time view of the partition's merge inputs that
@@ -330,11 +320,11 @@ func (p *partition) snapshotRows(rg Range, pc *pruneCfg) (it persist.Iterator, e
 }
 
 // snapshotBatches is snapshotRows for the batch path (see openBatches).
-func (p *partition) snapshotBatches(rg Range, pc *pruneCfg, project []uint32) (it persist.BatchIterator, chained bool, err error) {
+func (p *partition) snapshotBatches(rg Range, pc *pruneCfg, project []uint32, sel *persist.Match) (it persist.BatchIterator, chained bool, err error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	err = retryRetired(func() error {
-		it, chained, err = p.inputsLocked(rg, pc).openBatches(rg, project, pc.selection())
+		it, chained, err = p.inputsLocked(rg, pc).openBatches(rg, project, sel)
 		return err
 	})
 	return it, chained, err

@@ -312,7 +312,9 @@ func hostileBlocks(t testing.TB, seg *Segment) map[string][]byte {
 
 // TestDecodeRejectsCodesPastTables: a section code or a template code past
 // its table, and a template whose hole column the block lacks, fail the
-// block, whole and under every projection that reads the column.
+// block, whole and under every projection that reads the column. A code
+// past its table fails it also under a selection that leaves the damaged
+// row out but keeps others of the block.
 func TestDecodeRejectsCodesPastTables(t *testing.T) {
 	seg, ids := fuzzSection(t)
 	for name, blk := range hostileBlocks(t, seg) {
@@ -320,9 +322,15 @@ func TestDecodeRejectsCodesPastTables(t *testing.T) {
 			if name != "section" && slices.Equal(project, []uint32{InternColumn("fz-b")}) {
 				continue // a projection that reads no template
 			}
-			sc := blockScanner(seg, project)
-			if err := sc.decode(string(blk)); err == nil {
-				t.Errorf("%s, projection %v: decoded", name, project)
+			for _, sel := range []*Match{nil, NewMatch("fz-b", "1")} {
+				if sel != nil && name == "hole" {
+					continue // the block lacks the selected column too: no row is kept
+				}
+				sc := blockScanner(seg, project)
+				sc.sel = sel
+				if err := sc.decode(string(blk)); err == nil {
+					t.Errorf("%s, projection %v, selection %v: decoded %d rows", name, project, sel != nil, sc.b.Len())
+				}
 			}
 		}
 	}

@@ -1069,138 +1069,69 @@ type colVec struct {
 	dictBuf [indexEvery + 1]string
 }
 
-// decode expands column c of an n-row block into v. Front-coded values are
-// rebuilt in arena, which has room for them, for the rows set in rows
-// alone ("" elsewhere); the rest alias the block.
+// decode expands the rows set in rows of column c of an n-row block into
+// v: v.vec[i] is row i's value ("" where the row has no cell) and, for a
+// column in codes or template form, v.codes[i] its code. Only those rows
+// are materialised — the other rows' entries are left as they were or
+// scribbled over — and front-coded values are rebuilt in arena, which has
+// room for them, for those rows alone; the rest alias the block. Every
+// cell's code and length is checked; a walk of strings (front-coded
+// values, template cells stored whole) stops at the last row set, and only
+// a walk of them all checks that the chunk ends with the last.
 func (c *colChunk) decode(n int, v *colVec, arena []byte, rows uint64) ([]byte, error) {
-	if rows != ^uint64(0)>>(64-n) && c.enc != encFront {
-		return arena, c.decodeRows(n, v, rows)
-	}
-	d := StringDec{s: c.body}
-	vec, cells := v.vec[:n], c.cells
 	v.dict, v.sdict, v.tmpls, v.filled = v.dictBuf[:0], nil, nil, false
+	walk := bits.OnesCount64(c.present & (1<<bits.Len64(rows) - 1)) // the cells up to the last row set
 	switch c.enc {
-	case encConst, encDict4, encDict8:
-		packed, _, err := c.codedCells(v)
-		if err != nil {
-			return arena, err
-		}
-		codes, nd := v.codes[:cells], uint64(len(v.dict))
-		switch c.enc {
-		case encConst:
-			clear(codes)
-		case encDict8:
-			copy(codes, packed)
-		case encDict4:
-			for k := range codes {
-				codes[k] = packed[k/2] >> (k % 2 * 4) & 0x0f
-			}
-		}
-		for k, code := range codes {
-			if uint64(code) >= nd {
-				return arena, corrupt("code %d beyond a dictionary of %d", code, nd)
-			}
-			vec[k] = v.dict[code]
-		}
-	case encPlain:
-		// Lengths first: the value bytes start where the last length ends.
-		var lens [indexEvery]int
-		sum := 0
-		for k := 0; k < cells; k++ {
-			l, err := d.Uvarint()
-			if err != nil {
-				return arena, corrupt("value length: %w", err)
-			}
-			if l > uint64(len(c.body)) {
-				return arena, corrupt("value of %d bytes in a %d-byte chunk", l, len(c.body))
-			}
-			lens[k] = int(l)
-			sum += int(l)
-		}
-		if sum != d.Rest() {
-			return arena, corrupt("%d value bytes where the lengths say %d", d.Rest(), sum)
-		}
-		pos := d.pos
-		for k, l := range lens[:cells] {
-			vec[k] = d.s[pos : pos+l]
-			pos += l
-		}
 	case encFront:
 		var err error
-		if arena, err = decodeFrontCoded(c.body, c.total, cells, cellsOf(rows, c.present), vec[:cells], arena); err != nil {
+		if arena, err = decodeFrontCoded(c.body, c.total, c.cells, cellsOf(rows, c.present), v.vec[:walk], arena); err != nil {
 			return arena, corrupt("%w", err)
 		}
-	case encSection:
-		if err := c.decodeSection(v); err != nil {
-			return arena, err
+		if c.cells == n {
+			return arena, nil
 		}
-	case encTemplate:
-		if err := c.decodeTemplate(v); err != nil {
-			return arena, err
+		// Spread the cells, decoded densely, over the rows that carry them;
+		// back to front, so that no cell is overwritten before it moves.
+		for i, k := bits.Len64(rows)-1, walk; i >= 0; i-- {
+			if c.present&(1<<i) != 0 {
+				k--
+				v.vec[i] = v.vec[k]
+			} else {
+				v.vec[i] = ""
+			}
 		}
-	}
-	if cells == n {
 		return arena, nil
-	}
-	// Spread the cells, decoded densely, over the rows that carry them;
-	// back to front, so that no cell is overwritten before it moves.
-	absent := uint8(len(v.dict))
-	switch {
-	case c.enc == encSection:
-		if c.sdict.empty < 0 {
-			return arena, corrupt("rows without the cell and no \"\" in a section dictionary")
-		}
-		absent = uint8(c.sdict.empty)
-	case absent > 0:
-		v.dict = append(v.dict, "")
-	}
-	k := cells
-	for i := n - 1; i >= 0; i-- {
-		if c.present&(1<<i) != 0 {
-			k--
-			vec[i], v.codes[i] = vec[k], v.codes[k]
-		} else {
-			vec[i], v.codes[i] = "", absent
-		}
-	}
-	return arena, nil
-}
-
-// decodeRows is decode for a selection of a column in any form but front
-// coding: only the rows set in rows are decoded, and v.vec and v.codes of
-// the others are left as they were; what a walk of the chunk reads past
-// the last of them is not looked at.
-func (c *colChunk) decodeRows(n int, v *colVec, rows uint64) error {
-	v.dict, v.sdict, v.tmpls, v.filled = v.dictBuf[:0], nil, nil, false
-	if c.enc == encTemplate {
+	case encTemplate:
 		if len(c.body) < c.cells {
-			return corrupt("%d template code bytes for %d cells", len(c.body), c.cells)
+			return arena, corrupt("%d template code bytes for %d cells", len(c.body), c.cells)
 		}
 		// Code k is byte k; the cells stored whole follow the codes, in order.
+		if top := topCode(c.body[:c.cells], 8, c.cells); top > len(c.tmpls) {
+			return arena, corrupt("template code %d past a table of %d", top, len(c.tmpls))
+		}
 		d := StringDec{s: c.body, pos: c.cells}
 		for k, p := 0, c.present&(1<<bits.Len64(rows)-1); p != 0; k, p = k+1, p&(p-1) {
 			code, cell := c.body[k], ""
-			if int(code) > len(c.tmpls) {
-				return corrupt("template code %d past a table of %d", code, len(c.tmpls))
-			}
 			if code == 0 {
 				var err error
 				if cell, err = d.String(); err != nil {
-					return corrupt("cell %d: %w", k, err)
+					return arena, corrupt("cell %d: %w", k, err)
 				}
 			}
 			if r := bits.TrailingZeros64(p); rows&(1<<r) != 0 {
 				v.codes[r], v.vec[r] = code, cell
 			}
 		}
+		if walk == c.cells && d.Rest() != 0 {
+			return arena, corrupt("%d trailing template-chunk bytes", d.Rest())
+		}
 		for p := rows &^ c.present; p != 0; p &= p - 1 {
 			r := bits.TrailingZeros64(p)
 			v.codes[r], v.vec[r] = 0, ""
 		}
 		v.tmpls = c.tmpls
-		return nil
-	}
-	if c.enc == encPlain {
+		return arena, nil
+	case encPlain:
 		d := StringDec{s: c.body}
 		var at [indexEvery + 1]int // at[k]: where cell k starts, past the lengths
 		for k := 0; k < c.cells; k++ {
@@ -1210,64 +1141,54 @@ func (c *colChunk) decodeRows(n int, v *colVec, rows uint64) error {
 			} else {
 				var err error
 				if l, err = d.Uvarint(); err != nil {
-					return corrupt("value length: %w", err)
+					return arena, corrupt("value length: %w", err)
 				}
 			}
 			if l > uint64(len(c.body)) {
-				return corrupt("value of %d bytes in a %d-byte chunk", l, len(c.body))
+				return arena, corrupt("value of %d bytes in a %d-byte chunk", l, len(c.body))
 			}
 			at[k+1] = at[k] + int(l)
 		}
 		if at[c.cells] != d.Rest() {
-			return corrupt("%d value bytes where the lengths say %d", d.Rest(), at[c.cells])
+			return arena, corrupt("%d value bytes where the lengths say %d", d.Rest(), at[c.cells])
 		}
 		vals := c.body[d.pos:]
-		for ; rows != 0; rows &= rows - 1 {
-			r := bits.TrailingZeros64(rows)
-			v.vec[r] = ""
-			if c.present&(1<<r) != 0 {
-				k := bits.OnesCount64(c.present & (1<<r - 1))
+		for k, p := 0, c.present; p != 0; k, p = k+1, p&(p-1) {
+			if r := bits.TrailingZeros64(p); rows&(1<<r) != 0 {
 				v.vec[r] = vals[at[k]:at[k+1]]
 			}
 		}
-		return nil
+		for p := rows &^ c.present; p != 0; p &= p - 1 {
+			v.vec[bits.TrailingZeros64(p)] = ""
+		}
+		return arena, nil
 	}
 	packed, width, err := c.codedCells(v)
 	if err != nil {
-		return err
+		return arena, err
 	}
 	coded, absent := len(v.dict), -1 // coded: the entries a present cell may code for
 	switch {
 	case c.cells == n:
 	case c.enc == encSection:
 		if absent = c.sdict.empty; absent < 0 {
-			return corrupt("rows without the cell and no \"\" in a section dictionary")
+			return arena, corrupt("rows without the cell and no \"\" in a section dictionary")
 		}
 	default:
 		absent = coded
 		v.dict = append(v.dict, "")
 	}
+	if top := topCode(packed, width, c.cells); top >= coded {
+		return arena, corrupt("code %d past a dictionary of %d", top, coded)
+	}
 	for ; rows != 0; rows &= rows - 1 {
-		r := bits.TrailingZeros64(rows)
-		code := absent
+		r, code := bits.TrailingZeros64(rows), absent
 		if c.present&(1<<r) != 0 {
-			switch k := bits.OnesCount64(c.present & (1<<r - 1)); width {
-			case -1:
-				code = 0
-			case 0:
-				code = int(packed[0])
-			case 4:
-				code = int(packed[k/2] >> (k % 2 * 4) & 0x0f)
-			default:
-				code = int(packed[k])
-			}
-			if code >= coded {
-				return corrupt("code %d past a dictionary of %d", code, coded)
-			}
+			code = codeAt(packed, width, bits.OnesCount64(c.present&(1<<r-1)))
 		}
 		v.codes[r], v.vec[r] = uint8(code), v.dict[code]
 	}
-	return nil
+	return arena, nil
 }
 
 // sectionRows returns the rows whose cell of c, a column in section
@@ -1279,18 +1200,50 @@ func (c *colChunk) sectionRows(k uint8, v *colVec) (uint64, error) {
 	}
 	var rows uint64
 	for j, p := 0, c.present; p != 0; j, p = j+1, p&(p-1) {
-		code := packed[0]
-		switch width {
-		case 4:
-			code = packed[j/2] >> (j % 2 * 4) & 0x0f
-		case 8:
-			code = packed[j]
-		}
-		if code == k {
+		switch code := codeAt(packed, width, j); {
+		case code == int(k):
 			rows |= p & -p
+		case code >= len(v.dict):
+			return 0, corrupt("code %d past a dictionary of %d", code, len(v.dict))
 		}
 	}
 	return rows, nil
+}
+
+// topCode returns the largest of the codes of cells cells packed width
+// bits a cell, as codedCells returns them.
+func topCode(packed string, width, cells int) int {
+	top := byte(0)
+	switch width {
+	case 0:
+		top = packed[0]
+	case 4:
+		for _, b := range []byte(packed[:cells/2]) {
+			top = max(top, b&0x0f, b>>4)
+		}
+		if cells%2 != 0 {
+			top = max(top, packed[cells/2]&0x0f)
+		}
+	case 8:
+		for _, b := range []byte(packed) {
+			top = max(top, b)
+		}
+	}
+	return int(top)
+}
+
+// codeAt returns the code of cell k of packed codes width bits a cell, as
+// codedCells returns them.
+func codeAt(packed string, width, k int) int {
+	switch width {
+	case -1:
+		return 0
+	case 0:
+		return int(packed[0])
+	case 4:
+		return int(packed[k/2] >> (k % 2 * 4) & 0x0f)
+	}
+	return int(packed[k])
 }
 
 // codedCells reads the head of a column in codes — constant, dictionary
@@ -1364,62 +1317,6 @@ func cellsOf(rows, present uint64) uint64 {
 		}
 	}
 	return sel
-}
-
-// decodeSection expands the section codes of c's present cells into v.
-func (c *colChunk) decodeSection(v *colVec) error {
-	cells, vals := c.cells, c.sdict.vals
-	packed, width, err := c.codedCells(v)
-	if err != nil {
-		return err
-	}
-	codes := v.codes[:cells]
-	for k := range codes {
-		switch width {
-		case 0:
-			codes[k] = packed[0]
-		case 4:
-			codes[k] = packed[k/2] >> (k % 2 * 4) & 0x0f
-		case 8:
-			codes[k] = packed[k]
-		}
-		if int(codes[k]) >= len(vals) {
-			return corrupt("section code %d past a dictionary of %d", codes[k], len(vals))
-		}
-		v.vec[k] = vals[codes[k]]
-	}
-	return nil
-}
-
-// decodeTemplate reads the template codes of c's present cells into v and
-// the cells stored whole into v.vec; the templated ones stay "" until
-// filled.
-func (c *colChunk) decodeTemplate(v *colVec) error {
-	cells := c.cells
-	if len(c.body) < cells {
-		return corrupt("%d template code bytes for %d cells", len(c.body), cells)
-	}
-	d := StringDec{s: c.body, pos: cells}
-	for k := 0; k < cells; k++ {
-		code := c.body[k]
-		v.codes[k], v.vec[k] = code, ""
-		if int(code) > len(c.tmpls) {
-			return corrupt("template code %d past a table of %d", code, len(c.tmpls))
-		}
-		if code > 0 {
-			continue
-		}
-		s, err := d.String()
-		if err != nil {
-			return corrupt("cell %d: %w", k, err)
-		}
-		v.vec[k] = s
-	}
-	if d.Rest() != 0 {
-		return corrupt("%d trailing template-chunk bytes", d.Rest())
-	}
-	v.tmpls = c.tmpls
-	return nil
 }
 
 // checkTemplates fails where a template a row set in rows of v, a column

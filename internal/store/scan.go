@@ -42,12 +42,12 @@ func (n *Node) Scan(ctx context.Context, tableName, pkey string, rg Range) (RowI
 // batches opens one partition of this node as a batch scan, chained off
 // the block decoder when the snapshot's inputs are disjoint and through
 // the last-write-wins merge otherwise.
-func (n *Node) batches(_ context.Context, tableName, pkey string, rg Range, project []uint32, pc *pruneCfg) (BatchIterator, error) {
+func (n *Node) batches(_ context.Context, tableName, pkey string, rg Range, project []uint32, sel *persist.Match, pc *pruneCfg) (BatchIterator, error) {
 	p := n.partition(tableName, pkey)
 	if p == nil {
 		return persist.Concat(nil), nil
 	}
-	it, chained, err := p.snapshotBatches(rg, pc, project)
+	it, chained, err := p.snapshotBatches(rg, pc, project, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -68,8 +68,8 @@ type Pruner = persist.Pruner
 type Taker = persist.Taker
 
 // Match is re-exported from the persistence layer: the selection column =
-// value, a Pruner that PartitionBatches also selects rows by (see
-// persist.Match).
+// value, which PartitionBatches selects rows by and which, as a Pruner,
+// skips blocks (see persist.Match).
 type Match = persist.Match
 
 // NewMatch returns the selection of the rows whose cell of column name is
@@ -147,29 +147,30 @@ const MaxBatchRows = persist.MaxBatchRows
 // inputs are chained off the segment block decoder without a merge,
 // overlapping ones go through the last-write-wins merge, and a remote
 // shard's row stream is re-batched. Above One it re-batches the
-// reconciled, read-repaired rows of GetCtx. A *Match pruner also selects:
-// on every path the batches carry only the rows it matches. A batch and
-// every string in it is valid only until the next Next; the caller closes
-// the iterator.
-func (db *DB) PartitionBatches(ctx context.Context, tableName, pkey string, rg Range, cl Consistency, project []uint32, pr Pruner, stats *PruneStats) (BatchIterator, error) {
+// reconciled, read-repaired rows of GetCtx. With sel set, on every path
+// the batches carry only the rows it matches; pr only skips blocks, so a
+// read that selects by sel and wants its blocks skipped passes it as pr
+// too. A batch and every string in it is valid only until the next Next;
+// the caller closes the iterator.
+func (db *DB) PartitionBatches(ctx context.Context, tableName, pkey string, rg Range, cl Consistency, project []uint32, sel *Match, pr Pruner, stats *PruneStats) (BatchIterator, error) {
 	if cl != One {
 		rows, err := db.GetCtx(ctx, tableName, pkey, rg, cl)
 		if err != nil {
 			return nil, err
 		}
-		return persist.BatchRows(NewSliceIter(rows), project, newPruneCfg(pr, stats).selection()), nil
+		return persist.BatchRows(NewSliceIter(rows), project, sel), nil
 	}
 	tgt, err := db.scanTarget(tableName, pkey)
 	if err != nil {
 		return nil, err
 	}
-	return tgt.batches(ctx, tableName, pkey, rg, project, newPruneCfg(pr, stats))
+	return tgt.batches(ctx, tableName, pkey, rg, project, sel, newPruneCfg(pr, stats))
 }
 
 // ScanPartitionBatches drains PartitionBatches at consistency One into fn,
 // batch by batch; fn's error stops the scan and is returned.
 func (db *DB) ScanPartitionBatches(ctx context.Context, tableName, pkey string, rg Range, project []uint32, pr Pruner, stats *PruneStats, fn func(*Batch) error) error {
-	it, err := db.PartitionBatches(ctx, tableName, pkey, rg, One, project, pr, stats)
+	it, err := db.PartitionBatches(ctx, tableName, pkey, rg, One, project, nil, pr, stats)
 	if err != nil {
 		return err
 	}
