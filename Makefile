@@ -70,9 +70,9 @@ tier-smoke:
 # damage tests and the recovery fuzzers' seeds over each). A manifest
 # record lost after its stub was written fails the open, one torn before
 # any stub does not, a snapshot stands once its image is durable, and a
-# predecessor manifest file is carried over, crash images (cut or
-# failed between two operations) and its retires' leftover stubs included
-# (./internal/store/persist/ TestManifest*).
+# predecessor manifest file is carried over, crash states (computed from
+# the trace, or failed between two operations) and its retires' leftover
+# stubs included (./internal/store/persist/ TestManifest*).
 # The one replica read fails whole: a scan that breaks off after some rows
 # never answers a Get (another replica does) and fails a Repair, and a
 # remote scan fails when its peer makes no progress within the RPC
@@ -81,15 +81,20 @@ tier-smoke:
 # A full memtable's flush is a node round, the one flush protocol: the
 # write path hands the memtable over as a readable flushing run and runs
 # the round with no partition lock held, so a Get or a PutBatch of the
-# partition returns while the round is held mid-way; crash images —
-# cut by the recording FS (./internal/fsys/fsystest/, itself tested:
-# a cut falls between two operations) before the operation that ends
-# each stage of the write path's round, of Flush's and of a compaction
-# round, and before every create, fsync, rename, directory fsync and
-# remove of a flush, a compaction and a sweep — recover every acked row,
-# and rounds back to back with concurrent writers and scanners hide no
-# acked row (./internal/store/ round and crash tests, named); so do the
-# persist-level compaction and sweep images (named); the same flush and
+# partition returns while the round is held mid-way; crash states —
+# computed after the run from the recording FS's trace
+# (./internal/fsys/fsystest/, its model itself tested: an unsynced write,
+# and a create, rename, remove or mkdir before its directory's fsync, are
+# gone after power loss; torn states are prefixes) at the operation that
+# ends each stage of the write path's round, of Flush's and of a
+# compaction round, at every create, fsync, rename, directory fsync and
+# remove of a flush, a compaction and a sweep, and at every boundary of
+# an ingest — recover every acked row, as kill -9 leaves them and as
+# power loss does (only what was fsynced, and torn states between), and
+# at least one power-loss state equals no kill -9 state; rounds back to
+# back with concurrent writers and scanners hide no acked row
+# (./internal/store/ round and crash tests, named); so do the
+# persist-level compaction and sweep states (named); the same flush and
 # compaction rounds write the same bytes, run after run
 # (./internal/store/persist/ TestRoundFilesReproducible).
 fault-smoke:

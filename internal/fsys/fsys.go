@@ -1,11 +1,12 @@
 // Package fsys is the one file-system seam under the durable layers: the
 // commitlog, the segment store and the object store's local backend and
-// tier manifest open, write, sync, rename and remove files only through
-// OS, so a test can put a file system in its place (fsystest) that
-// records or fails any of those operations, or cuts a crash image between
-// two of them. It also holds the round barrier they share:
-// files written under temp names, fsynced, renamed into place, and their
-// directories fsynced once.
+// tier manifest open, write, sync, rename, remove files and make
+// directories only through OS, so a test can put a file system in its
+// place (fsystest) that records or fails any of those operations and
+// computes the crash states they leave. It also holds the round barrier
+// they share: files written under temp names, fsynced, renamed into
+// place, and their directories fsynced once; and MkdirSync, which fsyncs
+// the parent of each directory it makes.
 package fsys
 
 import (
@@ -195,6 +196,25 @@ func SyncPath(path string) error {
 	}
 	defer f.Close()
 	return f.Sync()
+}
+
+// MkdirSync creates the directory path and any parents it lacks, and
+// fsyncs the parent of each directory it created, so the new entries
+// survive power loss. A directory that exists costs one Stat.
+func MkdirSync(path string) error {
+	if st, err := OS.Stat(path); err == nil && st.IsDir() {
+		return nil
+	}
+	parent := filepath.Dir(path)
+	if parent != path {
+		if err := MkdirSync(parent); err != nil {
+			return err
+		}
+	}
+	if err := OS.MkdirAll(path, 0o755); err != nil {
+		return err
+	}
+	return SyncPath(parent)
 }
 
 // syncDirs fsyncs the parent directory of each path once.

@@ -102,7 +102,7 @@ func OpenFS(dir string) (*FS, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("objstore: fs store needs a root directory")
 	}
-	if err := fsys.OS.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.MkdirSync(dir); err != nil {
 		return nil, err
 	}
 	// Sweep crash leftovers: a *.tmp was never visible as an object.
@@ -125,7 +125,7 @@ func (s *FS) Put(_ context.Context, key string, r io.Reader, size int64) error {
 		return err
 	}
 	path := s.path(key)
-	if err := fsys.OS.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := fsys.MkdirSync(filepath.Dir(path)); err != nil {
 		return err
 	}
 	f, err := fsys.CreateTemp(path)

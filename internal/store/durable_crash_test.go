@@ -1,17 +1,18 @@
 package store
 
-// Crash-recovery harness: acked writes must survive a kill at any point,
-// and a write torn mid-record by the crash must be cleanly ignored on
-// replay.
+// Crash-recovery harness: acked writes must survive a kill -9 or a power
+// loss at any point, and a write torn mid-record by the crash must be
+// cleanly ignored on replay.
 //
 // A "crash" is simulated two ways:
-//   - image capture: the recording file system (fsystest) copies the
-//     durable directory between two of its operations while the cluster
-//     is still live (no Close, no flush) and the copy is reopened — the
-//     moral equivalent of kill -9 plus restart. Because every PutBatch
-//     ack implies a group-commit fsync, the image must contain every
-//     acked batch. Round and sweep tests cut theirs before the operation
-//     that ends a stage (captureRounds, sweepImages).
+//   - crash states: the recording file system (fsystest) records the run
+//     and, after it, builds the state a crash at any operation boundary
+//     leaves: kill -9 (every effect so far), power loss (only what was
+//     fsynced) and torn states between them. Each is written to a fresh
+//     directory and reopened. Because every PutBatch ack implies a
+//     group-commit fsync, every state must contain every acked batch.
+//     Round and sweep tests take theirs at the operation that ends a
+//     stage (captureRounds, sweepImages).
 //   - torn tail: a partial commitlog frame is appended to the newest WAL
 //     segment of every node, simulating records that were mid-append when
 //     the process died. Recovery must drop exactly the torn bytes.
@@ -37,9 +38,10 @@ func crashCfg(dir string) Config {
 	}
 }
 
-// TestCrashRecoveryAckedBatches cuts crash images at several points of an
-// ingest run and asserts every batch acked before the cut survives
-// recovery from the image.
+// TestCrashRecoveryAckedBatches recovers from crash states of an ingest
+// run: the kill -9 state after several acks, and the power-loss and torn
+// states at every operation boundary. Every batch acked before the crash
+// survives, and a batch in flight is there whole or not at all.
 func TestCrashRecoveryAckedBatches(t *testing.T) {
 	rec := fsystest.Install(t)
 	dir := t.TempDir()
@@ -52,34 +54,36 @@ func TestCrashRecoveryAckedBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	type image struct {
-		dir   string
-		acked int // batches acked when the image was cut
-	}
-	var images []image
 	const batches = 40
 	const rowsPerBatch = 7
+	key := func(b, i int) string { return EncodeTS(int64(5000+b*rowsPerBatch+i)) + ":src" }
+	var acks []int // the boundary after each batch's ack
 	for b := 0; b < batches; b++ {
 		var rows []Row
 		for i := 0; i < rowsPerBatch; i++ {
-			rows = append(rows, MapRow(EncodeTS(int64(5000+b*rowsPerBatch+i))+":src", 0, map[string]string{"batch": fmt.Sprint(b), "i": fmt.Sprint(i)}))
+			rows = append(rows, MapRow(key(b, i), 0, map[string]string{"batch": fmt.Sprint(b), "i": fmt.Sprint(i)}))
 		}
 		pkey := fmt.Sprintf("part-%d", b%3)
 		if err := db.PutBatch("events", pkey, rows, All); err != nil {
 			t.Fatal(err)
 		}
-		// Cut a crash image at irregular points, including right after the
-		// first ack and right after the last.
-		if b == 0 || b == 7 || b == 23 || b == batches-1 {
-			images = append(images, image{dir: rec.Cut(t, dir)[0], acked: b + 1})
+		acks = append(acks, len(rec.Ops()))
+	}
+	acked := func(at int) (n int) {
+		for n < len(acks) && acks[n] <= at {
+			n++
 		}
+		return n
 	}
 
-	for _, img := range images {
-		rdb, err := OpenDurable(crashCfg(img.dir))
+	check := func(s fsystest.State) {
+		t.Helper()
+		name := fmt.Sprintf("%s state@%d batches", s.Kind, acked(s.At))
+		rdb, err := OpenDurable(crashCfg(s.Write(t)[0]))
 		if err != nil {
-			t.Fatalf("recover image@%d batches: %v", img.acked, err)
+			t.Fatalf("recover %s: %v", name, err)
 		}
+		defer rdb.Close()
 		got := make(map[string]Row)
 		for _, pkey := range partitionKeys(t, rdb, "events") {
 			rows, err := rdb.Get("events", pkey, Range{}, All)
@@ -90,19 +94,43 @@ func TestCrashRecoveryAckedBatches(t *testing.T) {
 				got[r.Key] = r
 			}
 		}
-		for b := 0; b < img.acked; b++ {
+		seen := 0
+		for b := 0; b < batches; b++ {
+			n := 0
 			for i := 0; i < rowsPerBatch; i++ {
-				key := EncodeTS(int64(5000+b*rowsPerBatch+i)) + ":src"
-				r, ok := got[key]
+				r, ok := got[key(b, i)]
 				if !ok {
-					t.Fatalf("image@%d batches lost acked row %s (batch %d)", img.acked, key, b)
+					continue
 				}
-				if r.Col("batch") != fmt.Sprint(b) {
-					t.Fatalf("image@%d batches: row %s has wrong content %+v", img.acked, key, r.ColumnsMap())
+				if n++; r.Col("batch") != fmt.Sprint(b) {
+					t.Fatalf("%s: row %s has wrong content %+v", name, key(b, i), r.ColumnsMap())
 				}
 			}
+			if b < acked(s.At) && n != rowsPerBatch {
+				t.Fatalf("%s lost %d acked rows of batch %d", name, rowsPerBatch-n, b)
+			}
+			if n != 0 && n != rowsPerBatch {
+				t.Fatalf("%s holds %d of the %d rows of batch %d", name, n, rowsPerBatch, b)
+			}
+			seen += n
 		}
-		rdb.Close()
+		if len(got) != seen {
+			t.Fatalf("%s holds %d rows no batch wrote", name, len(got)-seen)
+		}
+	}
+	// kill -9 right after the first ack, at irregular points, and right
+	// after the last.
+	for _, b := range []int{0, 7, 23, batches - 1} {
+		check(rec.States(acks[b], 0, dir)[0])
+	}
+	// Power loss: a state at a later boundary has at least the acks of an
+	// earlier one of the same bytes, so each is checked at its last.
+	var states []fsystest.State
+	for at := acks[len(acks)-1]; at >= 0; at-- {
+		states = append(states, rec.States(at, tornStates, dir)[1:]...)
+	}
+	for _, s := range fsystest.Distinct(states) {
+		check(s)
 	}
 }
 

@@ -494,12 +494,13 @@ func TestTemplatesAcrossColumnOrders(t *testing.T) {
 	}
 }
 
-// TestMixedGenerationCrashImages cuts crash images at the four stages of a
-// compaction round over a directory that mixes v8 sections — the hostile
-// fixtures — and v9 sections written over half their keys: every image
-// reopens with every partition's last-write-wins rows, served by its v8
-// and v9 sections until the round's file has its final name and by one
-// v9 section after.
+// TestMixedGenerationCrashImages takes crash states at the four stages of
+// a compaction round over a directory that mixes v8 sections — the
+// hostile fixtures — and v9 sections written over half their keys: every
+// kill -9 image reopens with every partition's last-write-wins rows,
+// served by its v8 and v9 sections until the round's file has its final
+// name and by one v9 section after; every power-loss and torn state
+// reopens with those rows.
 func TestMixedGenerationCrashImages(t *testing.T) {
 	rec := fsystest.Install(t)
 	dir := t.TempDir()
@@ -532,10 +533,25 @@ func TestMixedGenerationCrashImages(t *testing.T) {
 		t.Fatal(err)
 	}
 	var n int
-	images, err := roundImages(t, rec, func() (err error) { n, err = s.CompactOverflow(1); return err }, dir)
+	images, power, err := roundImages(t, rec, func() (err error) { n, err = s.CompactOverflow(1); return err }, dir)
 	if err != nil || n != len(want) || len(images) != 4 {
 		t.Fatalf("compacted %d of %d partitions (%v) in %d stage images, want 4", n, len(want), err, len(images))
 	}
+	checkPower(t, power, func(dirs []string) (*Store, error) { return OpenStore(dirs[0]) }, func(name string, r *Store) {
+		for pkey, rows := range want {
+			var its []Iterator
+			for _, seg := range r.Segments("hostile", pkey) {
+				it, err := seg.Scan(Range{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				its = append(its, it)
+			}
+			if merged := drain(t, MergeIters(its)); !exactRows(merged, rows) {
+				t.Errorf("%s: %s reads %d rows that are not its %d last-write-wins rows", name, pkey, len(merged), len(rows))
+			}
+		}
+	})
 	for _, img := range images {
 		r, err := OpenStore(img.dirs[0])
 		if err != nil {

@@ -77,11 +77,12 @@ func TestManifestLostRecordFailsOpen(t *testing.T) {
 	}
 }
 
-// TestManifestTornRecordBeforeStub: a crash image cut after the manifest
+// TestManifestTornRecordBeforeStub: a kill -9 image after the manifest
 // record of an upload, before its stub, whose record then tears (one
 // flipped payload bit, nothing after it). The record was never acted on:
 // the store opens, serves the segment from its local file, and a sweep
-// evicts it again.
+// evicts it again. The power-loss and torn states there reopen to the
+// rows.
 func TestManifestTornRecordBeforeStub(t *testing.T) {
 	rec := fsystest.Install(t)
 	dir, objDir := t.TempDir(), t.TempDir()
@@ -91,10 +92,17 @@ func TestManifestTornRecordBeforeStub(t *testing.T) {
 	if err := s.Flush("events", "p1", rows); err != nil {
 		t.Fatal(err)
 	}
-	img, err := cutBefore(t, rec, postManifest, func() error { _, _, err := s.TierSweep(context.Background(), true); return err }, dir, objDir)
+	img, power, err := crashBefore(t, rec, postManifest, func() error { _, _, err := s.TierSweep(context.Background(), true); return err }, dir, objDir)
 	if err != nil || img == nil {
-		t.Fatalf("sweep: %v; image cut: %v", err, img != nil)
+		t.Fatalf("sweep: %v; image found: %v", err, img != nil)
 	}
+	checkPower(t, power, func(dirs []string) (*Store, error) {
+		return OpenStoreTiered(dirs[0], &TierSetup{Tier: newTestTier(t, dirs[1]), Prefix: "n1"})
+	}, func(name string, r *Store) {
+		if !sameRows(scanAll(t, r, "events", "p1"), rows) {
+			t.Fatalf("%s: rows changed", name)
+		}
+	})
 	imgDir, imgObj := img[0], img[1]
 	seg, data, last := lastManifestRecord(t, imgDir)
 	data[last+8+20] ^= 0x10
@@ -157,7 +165,7 @@ func untarFixture(t *testing.T, tarball, dst string) {
 // TestManifestCarriedOver: the predecessor manifests of the v8 store
 // fixture (HPTIERM2 files) open, are carried over into logs, and reopen to
 // the same entries, each naming an object of its recorded size — also
-// from crash images cut between moving the file aside and the log's
+// from crash images left between moving the file aside and the log's
 // image, and between the image and the file's unlink.
 func TestManifestCarriedOver(t *testing.T) {
 	rec := fsystest.Install(t)

@@ -14,7 +14,6 @@ import (
 	"reflect"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"hpclog/internal/fsys"
@@ -74,14 +73,17 @@ func TestRoundSyncBudget(t *testing.T) {
 	}
 
 	// Sweep: one object, one stub and the manifest log's first segment (a
-	// create), each behind its own barrier, and one manifest write.
+	// create), each behind its own barrier, and one manifest write. This
+	// first sweep also makes two directories, the object's key prefix and
+	// the manifest log, and fsyncs each into its parent (fsys.MkdirSync):
+	// two more directory fsyncs.
 	since = ioDelta(rec)
 	up, ev, err := s.TierSweep(context.Background(), true)
 	if err != nil || up != n || ev != n {
 		t.Fatalf("sweep: uploaded=%d evicted=%d err=%v", up, ev, err)
 	}
-	if c, f, d, m := since(); c != 3 || m != 1 || d != 3 || f != 3 {
-		t.Fatalf("sweep of a round of %d segments: %d creates, %d manifest writes, %d directory fsyncs, %d file fsyncs; want 3, 1, 3, 3", n, c, m, d, f)
+	if c, f, d, m := since(); c != 3 || m != 1 || d != 5 || f != 3 {
+		t.Fatalf("sweep of a round of %d segments: %d creates, %d manifest writes, %d directory fsyncs, %d file fsyncs; want 3, 1, 5, 3", n, c, m, d, f)
 	}
 	if o, stubs := objects(), countFiles(t, dir, segStubExt); o != 1 || stubs != 1 {
 		t.Fatalf("sweep left %d objects and %d stubs, want 1 of each", o, stubs)
@@ -359,61 +361,88 @@ func TestCompactionRoundIsolatesAFailedMerge(t *testing.T) {
 	}
 }
 
-// crashImage is the copies of a store's directories cut at stage.
+// crashImage is the kill -9 image of a store's directories at stage.
 type crashImage struct {
 	stage string
 	dirs  []string
 }
 
-// roundImages runs op under rec and cuts an image of dirs at each stage
-// of the first round to commit a data file — written, synced and renamed
-// (fsystest.CommitStage) — and at published, once op returns.
-func roundImages(t *testing.T, rec *fsystest.FS, op func() error, dirs ...string) ([]crashImage, error) {
+// tornStates is how many torn states a crash test checks at each
+// boundary beside its power-loss state.
+const tornStates = 2
+
+// roundImages runs op under rec and finds, in the trace it leaves, each
+// stage of the first round to commit a data file — written, synced and
+// renamed (fsystest.CommitStage) — and published, once op returns. It
+// returns the kill -9 image of dirs at each stage, and the power-loss and
+// torn states there.
+func roundImages(t *testing.T, rec *fsystest.FS, op func() error, dirs ...string) ([]crashImage, []fsystest.State, error) {
 	t.Helper()
-	var mu sync.Mutex
-	var images []crashImage
+	from := len(rec.Ops())
+	err := op()
+	ops := rec.Ops()
+	stages := []string{"written", "synced", "renamed", "published"}
+	var at []int
 	var tmp string // the round's data file under its temp name
-	stages := []string{"written", "synced", "renamed"}
-	rec.Fail(func(o fsystest.Op) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if tmp == "" && o.Kind == "sync" && strings.HasSuffix(o.Path, segFileExt+fsys.TempExt) {
-			tmp = o.Path
+	for i := from; i < len(ops) && len(at) < len(stages)-1; i++ {
+		if tmp == "" && ops[i].Kind == "sync" && strings.HasSuffix(ops[i].Path, segFileExt+fsys.TempExt) {
+			tmp = ops[i].Path
 		}
-		if tmp != "" && len(images) < len(stages) && fsystest.CommitStage(o, tmp) == stages[len(images)] {
-			images = append(images, crashImage{stages[len(images)], rec.Cut(t, dirs...)})
+		if tmp != "" && fsystest.CommitStage(ops[i], tmp) == stages[len(at)] {
+			at = append(at, i)
 		}
-		return nil
-	})
-	err := op()
-	rec.Fail(nil)
-	return append(images, crashImage{"published", rec.Cut(t, dirs...)}), err
+	}
+	names := append(slices.Clone(stages[:len(at)]), "published")
+	var images []crashImage
+	var states []fsystest.State
+	for k, b := range append(at, len(ops)) {
+		st := rec.States(b, tornStates, dirs...)
+		images = append(images, crashImage{names[k], st[0].Write(t)})
+		states = append(states, st[1:]...)
+	}
+	return images, fsystest.Distinct(states), err
 }
 
-// cutBefore runs op under rec and cuts one image of dirs before the first
-// operation at picks; nil if none.
-func cutBefore(t *testing.T, rec *fsystest.FS, at func(fsystest.Op) bool, op func() error, dirs ...string) ([]string, error) {
+// crashBefore runs op under rec and returns the kill -9 image of dirs at
+// the first operation at picks, nil if none, and the power-loss and torn
+// states there.
+func crashBefore(t *testing.T, rec *fsystest.FS, at func(fsystest.Op) bool, op func() error, dirs ...string) ([]string, []fsystest.State, error) {
 	t.Helper()
-	var mu sync.Mutex
-	var img []string
-	rec.Fail(func(o fsystest.Op) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if img == nil && at(o) {
-			img = rec.Cut(t, dirs...)
-		}
-		return nil
-	})
+	from := len(rec.Ops())
 	err := op()
-	rec.Fail(nil)
-	return img, err
+	for i, o := range rec.Ops()[from:] {
+		if at(o) {
+			st := rec.States(from+i, tornStates, dirs...)
+			return st[0].Write(t), fsystest.Distinct(st[1:]), err
+		}
+	}
+	return nil, nil, err
 }
 
-// TestDeadSectionsStayDeadCrashImages cuts an image at each stage of a
-// background round that leaves its inputs as dead sections of a live
-// file. Every image reopens to the acked rows; it serves the inputs until
-// the round's file has its final name and never after, and the flush file
-// that holds them stays.
+// checkPower opens a store on each power-loss or torn state with open —
+// which must succeed — and checks it with check.
+func checkPower(t *testing.T, states []fsystest.State, open func(dirs []string) (*Store, error), check func(name string, r *Store)) {
+	t.Helper()
+	if len(states) == 0 {
+		t.Fatal("no power-loss state to check")
+	}
+	for _, s := range states {
+		name := fmt.Sprintf("%s state at %d", s.Kind, s.At)
+		r, err := open(s.Write(t))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check(name, r)
+		r.Close()
+	}
+}
+
+// TestDeadSectionsStayDeadCrashImages takes crash states at each stage of
+// a background round that leaves its inputs as dead sections of a live
+// file. Every kill -9 image reopens to the acked rows; it serves the
+// inputs until the round's file has its final name and never after, and
+// the flush file that holds them stays. Every power-loss and torn state
+// reopens to the acked rows.
 func TestDeadSectionsStayDeadCrashImages(t *testing.T) {
 	rec := fsystest.Install(t)
 	dir := t.TempDir()
@@ -431,10 +460,17 @@ func TestDeadSectionsStayDeadCrashImages(t *testing.T) {
 		want["pa"] = overwrite(t, s, "pa", 10, 100*i, want["pa"])
 	}
 	var n int
-	images, err := roundImages(t, rec, func() (err error) { n, err = s.CompactOverflow(2); return err }, dir)
+	images, power, err := roundImages(t, rec, func() (err error) { n, err = s.CompactOverflow(2); return err }, dir)
 	if err != nil || n != 1 || len(images) != 4 {
 		t.Fatalf("compacted %d (%v) in %d stage images, want 1 in 4", n, err, len(images))
 	}
+	checkPower(t, power, func(dirs []string) (*Store, error) { return OpenStore(dirs[0]) }, func(name string, r *Store) {
+		for pkey, rows := range want {
+			if !sameRows(mergedRows(t, r, pkey), rows) {
+				t.Errorf("%s: %s lost acked rows", name, pkey)
+			}
+		}
+	})
 	for _, img := range images {
 		r, err := OpenStore(img.dirs[0])
 		if err != nil {

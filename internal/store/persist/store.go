@@ -84,7 +84,7 @@ func OpenStore(dir string) (*Store, error) {
 // fresh), local files that were uploaded but not yet evicted are
 // re-adopted, and a stub whose object no entry names fails the open.
 func OpenStoreTiered(dir string, ts *TierSetup) (_ *Store, err error) {
-	if err := fsys.OS.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.MkdirSync(dir); err != nil {
 		return nil, err
 	}
 	s := &Store{dir: dir, segs: make(map[segKey][]*Segment), tables: make(map[string]bool)}

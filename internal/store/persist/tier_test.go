@@ -232,7 +232,8 @@ func TestEvictedFileKeepsItsDeadMarks(t *testing.T) {
 // round's barrier, before the round drops its inputs' manifest entries,
 // leaves an entry of an evicted section the round's file marks dead. The
 // reopen drops the entry and serves the section from neither stub nor
-// object, while its sibling in the object stays readable.
+// object, while its sibling in the object stays readable. The power-loss
+// and torn states of every stage reopen to the acked rows.
 func TestCrashBeforeEntryDropKeepsSectionDead(t *testing.T) {
 	rec := fsystest.Install(t)
 	dir, objDir := t.TempDir(), t.TempDir()
@@ -249,13 +250,22 @@ func TestCrashBeforeEntryDropKeepsSectionDead(t *testing.T) {
 		want["pa"] = overwrite(t, s, "pa", 10, 100*i, want["pa"])
 	}
 	var n int
-	images, err := roundImages(t, rec, func() (err error) { n, err = s.CompactOverflow(2); return err }, dir, objDir)
+	images, power, err := roundImages(t, rec, func() (err error) { n, err = s.CompactOverflow(2); return err }, dir, objDir)
 	if err != nil || n != 1 {
 		t.Fatalf("compacted %d: %v", n, err)
 	}
 	if len(images) != 4 || images[2].stage != "renamed" {
-		t.Fatalf("images cut at %v, want renamed third of four", images)
+		t.Fatalf("images at %v, want renamed third of four", images)
 	}
+	checkPower(t, power, func(dirs []string) (*Store, error) {
+		return OpenStoreTiered(dirs[0], &TierSetup{Tier: newTestTier(t, dirs[1]), Prefix: "n1"})
+	}, func(name string, r *Store) {
+		for pkey, rows := range want {
+			if !sameRows(mergedRows(t, r, pkey), rows) {
+				t.Fatalf("%s: %s rows changed", name, pkey)
+			}
+		}
+	})
 	r := openTiered(t, images[2].dirs[0], newTestTier(t, images[2].dirs[1]))
 	defer r.Close()
 	if segs := r.Segments("events", "pa"); len(segs) != 1 || segs[0].Tiered() {
@@ -346,7 +356,7 @@ func TestReconcileReAdoptsLocalFile(t *testing.T) {
 	if err := s.Flush("events", "p1", testRows(120, 1)); err != nil {
 		t.Fatal(err)
 	}
-	img, err := cutBefore(t, rec, postManifest, func() error { _, _, err := s.TierSweep(context.Background(), true); return err }, dir)
+	img, power, err := crashBefore(t, rec, postManifest, func() error { _, _, err := s.TierSweep(context.Background(), true); return err }, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,6 +364,13 @@ func TestReconcileReAdoptsLocalFile(t *testing.T) {
 	if img == nil {
 		t.Fatal("the sweep created no stub")
 	}
+	checkPower(t, power, func(dirs []string) (*Store, error) {
+		return OpenStoreTiered(dirs[0], &TierSetup{Tier: tier, Prefix: "n1"})
+	}, func(name string, r *Store) {
+		if !sameRows(scanAll(t, r, "events", "p1"), testRows(120, 1)) {
+			t.Fatalf("%s: rows changed", name)
+		}
+	})
 
 	uploadsBefore := tier.Uploads.Load()
 	s2 := openTiered(t, img[0], tier)
@@ -395,11 +412,18 @@ func TestReconcileMidUploadImage(t *testing.T) {
 		}
 		return renamed && (op.Kind == "create" || op.Kind == "sync")
 	}
-	img, err := cutBefore(t, rec, postUpload, func() error { _, _, err := s.TierSweep(context.Background(), true); return err }, dir)
+	img, power, err := crashBefore(t, rec, postUpload, func() error { _, _, err := s.TierSweep(context.Background(), true); return err }, dir)
 	if err != nil || img == nil {
-		t.Fatalf("sweep: %v; image cut: %v", err, img != nil)
+		t.Fatalf("sweep: %v; image found: %v", err, img != nil)
 	}
 	s.Close()
+	checkPower(t, power, func(dirs []string) (*Store, error) {
+		return OpenStoreTiered(dirs[0], &TierSetup{Tier: tier, Prefix: "n1"})
+	}, func(name string, r *Store) {
+		if !sameRows(scanAll(t, r, "events", "p1"), testRows(120, 1)) {
+			t.Fatalf("%s: rows changed", name)
+		}
+	})
 
 	s2 := openTiered(t, img[0], tier)
 	defer s2.Close()

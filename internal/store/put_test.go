@@ -1,7 +1,7 @@
 package store
 
-// The memtable's batch put: a property test against a map oracle, and a
-// crash image cut between the commitlog append of an over-threshold batch
+// The memtable's batch put: a property test against a map oracle, and
+// crash states between the commitlog append of an over-threshold batch
 // and the return of the flush round it triggers.
 
 import (
@@ -113,12 +113,13 @@ func mustDecodeTS(t *testing.T, key string) int64 {
 	return ts
 }
 
-// TestInlineFlushCrashImages cuts crash images at every stage of the flush
-// round that one over-threshold batch triggers on the write path — the
-// batch is in the commitlog, its segment is being written, the PutBatch
-// has not returned — and recovers from each: the rows acked before and
-// the batch itself are all there, each key once, whichever of commitlog
-// and segment supplies them.
+// TestInlineFlushCrashImages takes crash states at every stage of the
+// flush round that one over-threshold batch triggers on the write path —
+// the batch is in the commitlog, its segment is being written, the
+// PutBatch has not returned — and recovers from each kill -9 image and
+// each power-loss and torn state: the rows acked before and the batch
+// itself are all there, each key once, whichever of commitlog and
+// segment supplies them.
 func TestInlineFlushCrashImages(t *testing.T) {
 	rec := fsystest.Install(t)
 	dir := t.TempDir()
@@ -134,7 +135,7 @@ func TestInlineFlushCrashImages(t *testing.T) {
 	for i := range batch {
 		batch[i] = durableRow(int64(1000 + i))
 	}
-	images := captureRounds(t, rec, dir, func() error { return db.PutBatch("events", "part-00", batch, All) })
+	images, power := captureRounds(t, rec, dir, func() error { return db.PutBatch("events", "part-00", batch, All) })
 	if got := db.StorageStats().Flushes - before; got != int64(cfg.RF) {
 		t.Fatalf("a batch of three thresholds flushed %d segments on %d replicas, want one each", got, cfg.RF)
 	}
@@ -145,4 +146,5 @@ func TestInlineFlushCrashImages(t *testing.T) {
 	for _, img := range images {
 		checkRoundImage(t, img, cfg, want)
 	}
+	checkPowerStates(t, power, cfg, want)
 }

@@ -1,6 +1,6 @@
 package store
 
-// Durability rounds: crash images cut at every stage of a flush and of a
+// Durability rounds: crash states at every stage of a flush and of a
 // compaction round, the concurrency contract of handed-over memtables,
 // and the error contract of a node-parallel Flush.
 
@@ -24,9 +24,9 @@ import (
 	"hpclog/internal/fsys/fsystest"
 )
 
-// roundImage is a crash image cut inside a round: the copied data
-// directory, the round's segment paths rebased into the copy, and the
-// fsyncs of those files rec saw before the cut.
+// roundImage is the kill -9 image of a stage of a round: the data
+// directory, the round's segment paths rebased into it, and the fsyncs of
+// those files rec saw before the stage.
 type roundImage struct {
 	stage     string
 	dir       string
@@ -34,69 +34,72 @@ type roundImage struct {
 	fileSyncs int
 }
 
-// captureRounds runs op under rec and cuts one image at each stage of the
-// first round to fsync a data file: written, synced and renamed
-// (fsystest.CommitStage), and published before its node's next commitlog
-// operation, or once op returns if none follows. The round's files are
-// the temp data files of its directory fsynced before its rename. It
-// returns the images in stage order.
-func captureRounds(t *testing.T, rec *fsystest.FS, dir string, op func() error) []roundImage {
+// tornStates is how many torn states a crash test checks at each
+// boundary beside its power-loss state.
+const tornStates = 2
+
+// captureRounds runs op under rec and finds, in the trace it leaves, each
+// stage of the first round to fsync a data file: written, synced and
+// renamed (fsystest.CommitStage), and published before its node's next
+// commitlog operation, or once op returns if none follows. The round's
+// files are the temp data files of its directory fsynced before its
+// rename. It returns the kill -9 image of dir at each stage, in stage
+// order, and the power-loss and torn states there.
+func captureRounds(t *testing.T, rec *fsystest.FS, dir string, op func() error) ([]roundImage, []fsystest.State) {
 	t.Helper()
-	var mu sync.Mutex
-	var images []roundImage
-	var tmp, wal string           // the round's first file under its temp name; its node's commitlog directory
-	syncs := make(map[string]int) // of each of the round's files
-	stages := []string{"written", "synced", "renamed", "published"}
-	cut := func() {
-		img := roundImage{stage: stages[len(images)], dir: rec.Cut(t, dir)[0]}
-		for _, n := range syncs {
-			img.fileSyncs += n
-		}
-		images = append(images, img)
-	}
-	isTemp := func(path string) bool { return strings.HasSuffix(path, ".seg"+fsys.TempExt) }
-	rec.Fail(func(op fsystest.Op) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if tmp == "" && op.Kind == "sync" && isTemp(op.Path) {
-			tmp, wal = op.Path, filepath.Join(filepath.Dir(filepath.Dir(op.Path)), "wal")
-		}
-		if tmp == "" || len(images) == len(stages) {
-			return nil
-		}
-		if next := stages[len(images)]; fsystest.CommitStage(op, tmp) == next || next == "published" && filepath.Dir(op.Path) == wal {
-			cut()
-		}
-		if len(images) < 2 && op.Kind == "sync" && isTemp(op.Path) && filepath.Dir(op.Path) == filepath.Dir(tmp) {
-			syncs[op.Path]++
-		}
-		return nil
-	})
-	err := op()
-	rec.Fail(nil)
-	if err != nil {
+	from := len(rec.Ops())
+	if err := op(); err != nil {
 		t.Fatal(err)
 	}
-	if len(images) == len(stages)-1 {
-		cut() // published: no commitlog operation followed the round
+	ops := rec.Ops()
+	isTemp := func(path string) bool { return strings.HasSuffix(path, ".seg"+fsys.TempExt) }
+	stages := []string{"written", "synced", "renamed", "published"}
+	var at []int
+	var tmp, wal string // the round's first file under its temp name; its node's commitlog directory
+	for i := from; i < len(ops) && len(at) < len(stages); i++ {
+		if tmp == "" && ops[i].Kind == "sync" && isTemp(ops[i].Path) {
+			tmp, wal = ops[i].Path, filepath.Join(filepath.Dir(filepath.Dir(ops[i].Path)), "wal")
+		}
+		if tmp == "" {
+			continue
+		}
+		if next := stages[len(at)]; fsystest.CommitStage(ops[i], tmp) == next || next == "published" && filepath.Dir(ops[i].Path) == wal {
+			at = append(at, i)
+		}
 	}
-	for i := range images {
+	if len(at) == len(stages)-1 {
+		at = append(at, len(ops)) // published: no commitlog operation followed the round
+	}
+	if len(at) != len(stages) {
+		t.Fatalf("found %d of the stages %v", len(at), stages)
+	}
+	syncs := make(map[string]int) // of each of the round's files
+	for i := at[0]; i < at[1]; i++ {
+		if ops[i].Kind == "sync" && isTemp(ops[i].Path) && filepath.Dir(ops[i].Path) == filepath.Dir(tmp) {
+			syncs[ops[i].Path]++
+		}
+	}
+	var images []roundImage
+	var power []fsystest.State
+	for k, b := range at {
+		states := rec.States(b, tornStates, dir)
+		img := roundImage{stage: stages[k], dir: states[0].Write(t)[0]}
+		for i := at[0]; i < min(b, at[1]); i++ {
+			if _, ok := syncs[ops[i].Path]; ok && ops[i].Kind == "sync" {
+				img.fileSyncs++
+			}
+		}
 		for p := range syncs {
 			rel, err := filepath.Rel(dir, strings.TrimSuffix(p, fsys.TempExt))
 			if err != nil {
 				t.Fatal(err)
 			}
-			images[i].paths = append(images[i].paths, filepath.Join(images[i].dir, rel))
+			img.paths = append(img.paths, filepath.Join(img.dir, rel))
 		}
+		images = append(images, img)
+		power = append(power, states[1:]...)
 	}
-	var got []string
-	for _, img := range images {
-		got = append(got, img.stage)
-	}
-	if !reflect.DeepEqual(got, stages) {
-		t.Fatalf("captured stages %v, want %v", got, stages)
-	}
-	return images
+	return images, fsystest.Distinct(power)
 }
 
 // countDataFiles counts the data files of every node under dir.
@@ -117,8 +120,8 @@ func exists(path string) bool {
 // checkRoundImage asserts the round invariant on one image: the round's
 // files carry their final names only from "renamed" on, and by "synced"
 // every one of them has been fsynced — no segment is ever visible that
-// was not synced before its rename. Then it recovers from the image:
-// every acked row is present and no temp file survives the open.
+// was not synced before its rename. Then it recovers from the image
+// (checkRecovery).
 func checkRoundImage(t *testing.T, img roundImage, cfg Config, want map[string][]Row) {
 	t.Helper()
 	renamed := img.stage == "renamed" || img.stage == "published"
@@ -134,30 +137,50 @@ func checkRoundImage(t *testing.T, img roundImage, cfg Config, want map[string][
 		t.Fatalf("%s: %d file fsyncs for %d files", img.stage, img.fileSyncs, len(img.paths))
 	}
 
-	cfg.Dir = img.dir
+	checkRecovery(t, img.stage, img.dir, cfg, want)
+}
+
+// checkRecovery recovers from the crash state in dir: every acked row is
+// present and nothing else, no segment is served twice, and no temp file
+// survives the open.
+func checkRecovery(t *testing.T, name, dir string, cfg Config, want map[string][]Row) {
+	t.Helper()
+	cfg.Dir = dir
 	rdb, err := OpenDurable(cfg)
 	if err != nil {
-		t.Fatalf("recover from %s image: %v", img.stage, err)
+		t.Fatalf("recover from %s: %v", name, err)
 	}
 	defer rdb.Close()
 	if got := readAll(t, rdb, "events"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s image lost acked rows: %d partitions vs %d", img.stage, len(got), len(want))
+		t.Fatalf("%s lost acked rows: %d partitions vs %d", name, len(got), len(want))
 	}
 	for _, l := range rdb.SegmentInfos() {
 		seen := make(map[uint64]bool)
 		for _, si := range l.Segments {
 			if seen[si.Seq] {
-				t.Fatalf("%s: node %s serves segment %d twice", img.stage, l.Node, si.Seq)
+				t.Fatalf("%s: node %s serves segment %d twice", name, l.Node, si.Seq)
 			}
 			seen[si.Seq] = true
 		}
 	}
-	filepath.Walk(img.dir, func(path string, _ os.FileInfo, _ error) error {
+	filepath.Walk(dir, func(path string, _ os.FileInfo, _ error) error {
 		if strings.HasSuffix(path, fsys.TempExt) {
-			t.Errorf("%s: %s survived recovery", img.stage, path)
+			t.Errorf("%s: %s survived recovery", name, path)
 		}
 		return nil
 	})
+}
+
+// checkPowerStates recovers from each power-loss or torn state
+// (checkRecovery).
+func checkPowerStates(t *testing.T, states []fsystest.State, cfg Config, want map[string][]Row) {
+	t.Helper()
+	if len(states) == 0 {
+		t.Fatal("no power-loss state to check")
+	}
+	for _, s := range states {
+		checkRecovery(t, fmt.Sprintf("%s state at %d", s.Kind, s.At), s.Write(t)[0], cfg, want)
+	}
 }
 
 func TestFlushRoundCrashImages(t *testing.T) {
@@ -178,12 +201,14 @@ func TestFlushRoundCrashImages(t *testing.T) {
 	want := readAll(t, db, "events")
 	st0, files0 := db.StorageStats(), countDataFiles(t, dir)
 
-	for _, img := range captureRounds(t, rec, dir, db.Flush) {
+	images, power := captureRounds(t, rec, dir, db.Flush)
+	for _, img := range images {
 		if len(img.paths) != 1 {
 			t.Fatalf("%s: a round wrote %d data files, want 1", img.stage, len(img.paths))
 		}
 		checkRoundImage(t, img, cfg, want)
 	}
+	checkPowerStates(t, power, cfg, want)
 	// Each node's round wrote its segments into its one file.
 	st := db.StorageStats()
 	if rounds, files, segs := st.FlushRounds-st0.FlushRounds, int64(countDataFiles(t, dir)-files0), st.Flushes-st0.Flushes; files != rounds || segs <= files {
@@ -222,7 +247,8 @@ func TestCompactRoundCrashImages(t *testing.T) {
 	// Inputs are unlinked only after the barrier: every image before
 	// "published" still holds every input of the round's node, until
 	// recovery removes the inputs the round's file marks dead.
-	for _, img := range captureRounds(t, rec, dir, func() error { _, err := db.Compact(); return err }) {
+	images, power := captureRounds(t, rec, dir, func() error { _, err := db.Compact(); return err })
+	for _, img := range images {
 		node := filepath.Dir(img.paths[0])
 		missing := 0
 		for _, in := range inputs {
@@ -236,6 +262,7 @@ func TestCompactRoundCrashImages(t *testing.T) {
 		}
 		checkRoundImage(t, img, cfg, want)
 	}
+	checkPowerStates(t, power, cfg, want)
 	if got := readAll(t, db, "events"); !reflect.DeepEqual(got, want) {
 		t.Fatal("rows changed across the compaction round")
 	}
@@ -276,9 +303,11 @@ func TestCompactRoundRehomesSurvivorsCrashImages(t *testing.T) {
 	want := readAll(t, db, "events")
 	st0 := db.StorageStats()
 
-	for _, img := range captureRounds(t, rec, dir, func() error { _, err := db.Compact(); return err }) {
+	images, power := captureRounds(t, rec, dir, func() error { _, err := db.Compact(); return err })
+	for _, img := range images {
 		checkRoundImage(t, img, cfg, want)
 	}
+	checkPowerStates(t, power, cfg, want)
 	// Per node: part-00 merged; the four others re-homed, not compacted.
 	st := db.StorageStats()
 	if n := st.CompactedSegments - st0.CompactedSegments; n != 4 || st.DiskSegments != st0.DiskSegments-2 || st.DiskFiles != 2 {

@@ -11,8 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"hpclog/internal/fsys"
@@ -87,17 +87,21 @@ func TestTieredCorruptionFallsBackToReplica(t *testing.T) {
 	}
 }
 
-// sweepImage is a crash image of the data directory and the object store.
+// sweepImage is the kill -9 image of the data directory and the object
+// store at a stage of a sweep.
 type sweepImage struct{ stage, data, tier string }
 
-// sweepImages runs op under rec and cuts one image of dir and tierDir at
-// each stage of a tier sweep, each before an operation: pre-upload before
-// the first object's temp file is created, post-upload before the next
-// create or fsync in that object's directory (the next upload, or the
-// objects' barrier), post-manifest before the first stub is created and
-// post-stub before the first data file is removed.
-func sweepImages(t *testing.T, rec *fsystest.FS, dir, tierDir string, op func() error) ([]sweepImage, error) {
+// sweepImages runs op under rec and finds, in the trace it leaves, each
+// stage of a tier sweep, each at an operation: pre-upload at the create
+// of the first object's temp file, post-upload at the next create or
+// fsync in that object's directory (the next upload, or the objects'
+// barrier), post-manifest at the first stub's create and post-stub at the
+// first data file's remove. It returns the kill -9 image of dir and
+// tierDir at each stage found, and the power-loss and torn states there.
+func sweepImages(t *testing.T, rec *fsystest.FS, dir, tierDir string, op func() error) ([]sweepImage, []fsystest.State, error) {
 	t.Helper()
+	from := len(rec.Ops())
+	err := op()
 	var objDir string // of the first object
 	stages := []struct {
 		name string
@@ -120,27 +124,25 @@ func sweepImages(t *testing.T, rec *fsystest.FS, dir, tierDir string, op func() 
 			return op.Kind == "remove" && strings.HasSuffix(op.Path, ".seg") && strings.HasPrefix(op.Path, dir+string(filepath.Separator))
 		}},
 	}
-	var mu sync.Mutex
 	var images []sweepImage
-	rec.Fail(func(op fsystest.Op) error {
-		mu.Lock()
-		defer mu.Unlock()
+	var states []fsystest.State
+	for i, op := range rec.Ops()[from:] {
 		if len(images) < len(stages) && stages[len(images)].at(op) {
-			img := rec.Cut(t, dir, tierDir)
+			st := rec.States(from+i, tornStates, dir, tierDir)
+			img := st[0].Write(t)
 			images = append(images, sweepImage{stages[len(images)].name, img[0], img[1]})
+			states = append(states, st[1:]...)
 		}
-		return nil
-	})
-	err := op()
-	rec.Fail(nil)
-	return images, err
+	}
+	return images, fsystest.Distinct(states), err
 }
 
-// TestTieredCrashRecovery cuts crash images at every durability boundary
-// of the upload/eviction pipeline (sweepImages) and proves,
-// for each: recovery loses no acked row, the manifest references only
-// fully-uploaded objects, and a fresh sweep converges back to 100%
-// evicted — re-uploading or re-adopting as the stage demands.
+// TestTieredCrashRecovery takes crash states at every durability
+// boundary of the upload/eviction pipeline (sweepImages) and proves, for
+// each kill -9 image and each power-loss and torn state: recovery loses
+// no acked row, the manifest references only fully-uploaded objects, and
+// a fresh sweep converges back to 100% evicted — re-uploading or
+// re-adopting as the stage demands.
 func TestTieredCrashRecovery(t *testing.T) {
 	rec := fsystest.Install(t)
 	dir, tierDir := t.TempDir(), t.TempDir()
@@ -166,7 +168,7 @@ func TestTieredCrashRecovery(t *testing.T) {
 	// Capture one crash image per pipeline stage, mid-sweep: both the data
 	// directory (WAL, segments, stubs, manifest) and the object root.
 	var up, ev int
-	images, err := sweepImages(t, rec, dir, tierDir, func() (err error) { up, ev, err = db.TierSweep(true); return err })
+	images, power, err := sweepImages(t, rec, dir, tierDir, func() (err error) { up, ev, err = db.TierSweep(true); return err })
 	if err != nil || up == 0 || ev == 0 {
 		t.Fatalf("sweep: uploaded=%d evicted=%d err=%v", up, ev, err)
 	}
@@ -178,22 +180,40 @@ func TestTieredCrashRecovery(t *testing.T) {
 	for _, img := range images {
 		t.Run(img.stage, func(t *testing.T) { checkTieredImage(t, img.data, img.tier, want) })
 	}
+	checkTieredPower(t, power, want)
+}
+
+// checkTieredPower checks each power-loss or torn state as a kill -9
+// image (checkTieredImage).
+func checkTieredPower(t *testing.T, states []fsystest.State, want ...map[string][]Row) {
+	t.Helper()
+	if len(states) == 0 {
+		t.Fatal("no power-loss state to check")
+	}
+	for _, s := range states {
+		t.Run(fmt.Sprintf("%s-%d", s.Kind, s.At), func(t *testing.T) {
+			img := s.Write(t)
+			checkTieredImage(t, img[0], img[1], want...)
+		})
+	}
 }
 
 // checkTieredImage recovers a tiered store from the image in data and
-// tier and checks the crash oracle: no acked row lost, no segment served
-// twice, the manifest naming only whole objects, and a forced sweep that
-// finishes the job the crash interrupted — every segment evicted, every
+// tier and checks the crash oracle: the rows are one of want — the acked
+// rows, or those and a write in flight, whole — no segment is served
+// twice, the manifest names only whole objects, and a forced sweep
+// finishes the job the crash interrupted: every segment evicted, every
 // row still there.
-func checkTieredImage(t *testing.T, data, tier string, want map[string][]Row) {
+func checkTieredImage(t *testing.T, data, tier string, want ...map[string][]Row) {
 	t.Helper()
 	rdb, err := OpenDurable(tieredCrashCfg(data, tier))
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	defer rdb.Close()
-	if got := readAll(t, rdb, "events"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("lost acked rows: %d partitions vs %d", len(got), len(want))
+	got := readAll(t, rdb, "events")
+	if !slices.ContainsFunc(want, func(w map[string][]Row) bool { return reflect.DeepEqual(got, w) }) {
+		t.Fatalf("lost acked rows: %d partitions vs %d", len(got), len(want[0]))
 	}
 	for _, l := range rdb.SegmentInfos() {
 		seen := make(map[uint64]bool)
@@ -212,7 +232,7 @@ func checkTieredImage(t *testing.T, data, tier string, want map[string][]Row) {
 		t.Fatalf("recovery did not reconverge: %d of %d evicted", st.TieredSegments, st.DiskSegments)
 	}
 	verifyTierManifests(t, data, tier)
-	if got := readAll(t, rdb, "events"); !reflect.DeepEqual(got, want) {
+	if again := readAll(t, rdb, "events"); !reflect.DeepEqual(again, got) {
 		t.Fatal("lost rows after the re-sweep")
 	}
 }
@@ -245,12 +265,14 @@ func verifyTierManifests(t *testing.T, dataDir, tierDir string) {
 	}
 }
 
-// TestTieredRoundObjectCrashRecovery cuts crash images at every stage of
-// the sweep of round objects — each node's data is one flush round's file
-// of five partitions, uploaded as one object behind one stub — and proves
-// for each what TestTieredCrashRecovery does: no acked row lost, no
-// half-uploaded object referenced, no segment served twice, and a fresh
-// sweep converges to one object and one stub per node.
+// TestTieredRoundObjectCrashRecovery takes crash states at every stage
+// of the sweep of round objects — each node's data is one flush round's
+// file of five partitions, uploaded as one object behind one stub — and
+// proves for each kill -9 image what TestTieredCrashRecovery does — no
+// acked row lost, no half-uploaded object referenced, no segment served
+// twice — and that a fresh sweep converges to one object and one stub per
+// node; and for each power-loss and torn state what
+// TestTieredCrashRecovery does.
 func TestTieredRoundObjectCrashRecovery(t *testing.T) {
 	rec := fsystest.Install(t)
 	dir, tierDir := t.TempDir(), t.TempDir()
@@ -264,7 +286,7 @@ func TestTieredRoundObjectCrashRecovery(t *testing.T) {
 	fillDurable(t, db, "events", 5, 30)
 
 	var ev int
-	images, err := sweepImages(t, rec, dir, tierDir, func() (err error) { _, ev, err = db.TierSweep(true); return err })
+	images, power, err := sweepImages(t, rec, dir, tierDir, func() (err error) { _, ev, err = db.TierSweep(true); return err })
 	if err != nil || ev != 10 {
 		t.Fatalf("sweep evicted %d segments: %v", ev, err)
 	}
@@ -272,45 +294,55 @@ func TestTieredRoundObjectCrashRecovery(t *testing.T) {
 	if len(images) != 4 {
 		t.Fatalf("captured %d stage images, want 4", len(images))
 	}
-	for _, img := range images {
-		t.Run(img.stage, func(t *testing.T) {
-			rcfg := tieredCrashCfg(img.data, img.tier)
+	check := func(stage, data, tier string) {
+		t.Run(stage, func(t *testing.T) {
+			rcfg := tieredCrashCfg(data, tier)
 			rcfg.FlushThreshold = cfg.FlushThreshold
 			rdb, err := OpenDurable(rcfg)
 			if err != nil {
-				t.Fatalf("recover from %s image: %v", img.stage, err)
+				t.Fatalf("recover from %s image: %v", stage, err)
 			}
 			defer rdb.Close()
 			if got := readAll(t, rdb, "events"); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s image lost acked rows", img.stage)
+				t.Fatalf("%s image lost acked rows", stage)
 			}
-			verifyTierManifests(t, img.data, img.tier)
+			verifyTierManifests(t, data, tier)
 			if _, _, err := rdb.TierSweep(true); err != nil {
-				t.Fatalf("sweep after %s recovery: %v", img.stage, err)
+				t.Fatalf("sweep after %s recovery: %v", stage, err)
 			}
 			st := rdb.StorageStats()
-			objs, _ := filepath.Glob(filepath.Join(img.tier, "node-*", "*.seg"))
+			objs, _ := filepath.Glob(filepath.Join(tier, "node-*", "*.seg"))
 			if st.DiskSegments != 10 || st.TieredSegments != 10 || st.DiskFiles != 2 || len(objs) != 2 {
 				t.Fatalf("%s recovery converged to %d of %d segments tiered, %d stubs, %d objects; want 10 of 10 in 2 and 2",
-					img.stage, st.TieredSegments, st.DiskSegments, st.DiskFiles, len(objs))
+					stage, st.TieredSegments, st.DiskSegments, st.DiskFiles, len(objs))
 			}
-			verifyTierManifests(t, img.data, img.tier)
+			verifyTierManifests(t, data, tier)
 			if got := readAll(t, rdb, "events"); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s image lost rows after re-sweep", img.stage)
+				t.Fatalf("%s image lost rows after re-sweep", stage)
 			}
 		})
 	}
+	for _, img := range images {
+		check(img.stage, img.data, img.tier)
+	}
+	// A commitlog segment whose unlink no directory fsync covered comes
+	// back after power loss and replays into segments of its own: the
+	// rows are the same, the layout is not one object a node.
+	checkTieredPower(t, power, want)
 }
 
-// TestCrashStatesAtEveryOperation cuts a crash image before every create,
-// fsync, rename, directory fsync and remove of a flush, a compaction and
-// a forced sweep of one tiered node — the states between the stages the
-// round and sweep tests name, such as one commitlog segment gone and the
-// next not, or a sweep batch's first data file unlinked and its second
-// not — and recovers each (checkTieredImage).
-// A kill -9 keeps what an fsync was about to make durable, so images
-// equal byte for byte are one state, recovered once, under the first of
-// their names in sort order.
+// TestCrashStatesAtEveryOperation recovers the crash states at every
+// create, fsync, rename, directory fsync and remove of a flush, a
+// compaction and a forced sweep of one tiered node — the states between
+// the stages the round and sweep tests name, such as one commitlog
+// segment gone and the next not, or a sweep batch's first data file
+// unlinked and its second not — each kill -9 state as a subtest named
+// after its operation, and each power-loss and torn state as one under
+// "power" (checkTieredImage). States of a phase equal byte for byte are
+// one state, recovered once: a kill -9 state under the first of its
+// names in sort order, a power-loss state at its last boundary, where
+// the most is acked. At least one power-loss state must equal no kill -9
+// state of the run: one a copy of the live directory could not show.
 func TestCrashStatesAtEveryOperation(t *testing.T) {
 	rec := fsystest.Install(t)
 	dir, tierDir := t.TempDir(), t.TempDir()
@@ -323,89 +355,113 @@ func TestCrashStatesAtEveryOperation(t *testing.T) {
 	}
 	defer db.Close()
 	fillDurable(t, db, "events", 3, 30)
-	put := func(pkey string, from int) error {
-		var rows []Row
-		for i := from; i < from+20; i++ {
-			rows = append(rows, durableRow(int64(i)))
+	put := func(pkey string, from int) func() error {
+		return func() error {
+			var rows []Row
+			for i := from; i < from+20; i++ {
+				rows = append(rows, durableRow(int64(i)))
+			}
+			return db.PutBatch("events", pkey, rows, All)
 		}
-		return db.PutBatch("events", pkey, rows, All)
 	}
 	phases := []struct {
 		name string
+		put  func() error // a write acked inside the phase
 		run  func() error
 	}{
-		{"flush", db.Flush},
+		{"flush", nil, db.Flush},
 		// part-00 gains a second segment, which compaction merges with
 		// its first: the flush round's file loses a section.
-		{"compact", func() error {
-			if err := put("part-00", 1000); err != nil {
-				return err
-			}
-			_, err := db.Compact()
-			return err
-		}},
+		{"compact", put("part-00", 1000), func() error { _, err := db.Compact(); return err }},
 		// The sweep's own flush adds a file: the batch carries three.
-		{"sweep", func() error {
-			if err := put("part-02", 2000); err != nil {
-				return err
-			}
-			_, _, err := db.TierSweep(true)
-			return err
-		}},
+		{"sweep", put("part-02", 2000), func() error { _, _, err := db.TierSweep(true); return err }},
 	}
-	type state struct{ name, data, tier string }
+	type named struct {
+		name string
+		s    fsystest.State
+		want []map[string][]Row
+	}
+	everyKill := make(map[[sha256.Size]byte]bool) // the kill -9 state at every boundary of the run
+	for i := 0; i < len(rec.Ops()); i++ {
+		everyKill[rec.States(i, 0, dir, tierDir)[0].Digest] = true
+	}
+	var kills, power []*named
 	for _, ph := range phases {
-		var mu sync.Mutex
-		var states []*state // in the order the phase reached them
-		byDigest := make(map[[sha256.Size]byte]*state)
-		rec.Fail(func(op fsystest.Op) error {
-			switch op.Kind {
-			case "create", "sync", "rename", "syncdir", "remove":
-				mu.Lock()
-				defer mu.Unlock()
-				img := rec.Cut(t, dir, tierDir)
-				name := ph.name + "/" + op.Kind + "-" + filepath.Base(op.Path)
-				if d := treeDigest(t, img...); byDigest[d] == nil {
-					byDigest[d] = &state{name, img[0], img[1]}
-					states = append(states, byDigest[d])
-				} else if seen := byDigest[d]; name < seen.name {
-					seen.name = name
-				}
+		byDigest := make(map[[sha256.Size]byte]*named)
+		before := readAll(t, db, "events") // acked before the phase
+		from, acked := len(rec.Ops()), len(rec.Ops())
+		if ph.put != nil {
+			if err := ph.put(); err != nil {
+				t.Fatalf("%s: %v", ph.name, err)
 			}
-			return nil
-		})
-		err := ph.run()
-		rec.Fail(nil)
-		if err != nil {
+			acked = len(rec.Ops())
+		}
+		if err := ph.run(); err != nil {
 			t.Fatalf("%s: %v", ph.name, err)
 		}
-		want := readAll(t, db, "events") // every row was acked before the phase began
-		for _, st := range states {
-			t.Run(st.name, func(t *testing.T) { // t.Run numbers repeated names
-				t.Parallel()
-				checkTieredImage(t, st.data, st.tier, want)
-			})
-		}
-	}
-}
-
-// treeDigest hashes the relative path and bytes of every file under dirs.
-func treeDigest(t *testing.T, dirs ...string) [sha256.Size]byte {
-	h := sha256.New()
-	for i, dir := range dirs {
-		err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-			if err != nil || info.IsDir() {
-				return err
+		want := readAll(t, db, "events") // every row was acked before the phase ended
+		ops := rec.Ops()
+		var phase []*named
+		for i := from; i < len(ops); i++ {
+			st := rec.States(i, tornStates, dir, tierDir)
+			everyKill[st[0].Digest] = true
+			switch ops[i].Kind {
+			case "create", "sync", "rename", "syncdir", "remove":
+			default:
+				continue
 			}
-			data, err := os.ReadFile(path)
-			rel, _ := filepath.Rel(dir, path)
-			fmt.Fprintf(h, "%d/%s %d\n", i, rel, len(data))
-			h.Write(data)
-			return err
-		})
-		if err != nil {
-			t.Error(err) // not Fatal: a rule runs on the store's goroutines
+			name := ph.name + "/" + ops[i].Kind + "-" + filepath.Base(ops[i].Path)
+			if seen := byDigest[st[0].Digest]; seen == nil {
+				byDigest[st[0].Digest] = &named{name, st[0], []map[string][]Row{want}}
+				kills = append(kills, byDigest[st[0].Digest])
+			} else if name < seen.name {
+				seen.name = name
+			}
+			w := []map[string][]Row{want}
+			if i < acked {
+				w = append(w, before) // the phase's write is in flight
+			}
+			for _, s := range st[1:] {
+				phase = append(phase, &named{ph.name + "/" + s.Kind + "-" + ops[i].Kind + "-" + filepath.Base(ops[i].Path), s, w})
+			}
+		}
+		slices.Reverse(phase)
+		seen := make(map[[sha256.Size]byte]bool)
+		for _, p := range phase {
+			if !seen[p.s.Digest] && byDigest[p.s.Digest] == nil {
+				seen[p.s.Digest] = true
+				power = append(power, p)
+			}
 		}
 	}
-	return [sha256.Size]byte(h.Sum(nil))
+	// The copies of the live directory the store's round tests took
+	// before every such operation came to 32 distinct states.
+	if len(kills) != 32 {
+		t.Errorf("%d distinct kill -9 states, want 32", len(kills))
+	}
+	everyKill[rec.States(len(rec.Ops()), 0, dir, tierDir)[0].Digest] = true
+	powerOnly := 0
+	for _, p := range power {
+		if !everyKill[p.s.Digest] {
+			powerOnly++
+			t.Logf("power loss only: %s", p.name)
+		}
+	}
+	if powerOnly == 0 {
+		t.Fatal("every power-loss state equals a kill -9 state")
+	}
+	for _, st := range kills {
+		t.Run(st.name, func(t *testing.T) { // t.Run numbers repeated names
+			t.Parallel()
+			img := st.s.Write(t)
+			checkTieredImage(t, img[0], img[1], st.want...)
+		})
+	}
+	for _, p := range power {
+		t.Run("power/"+p.name, func(t *testing.T) {
+			t.Parallel()
+			img := p.s.Write(t)
+			checkTieredImage(t, img[0], img[1], p.want...)
+		})
+	}
 }

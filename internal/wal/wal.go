@@ -206,7 +206,7 @@ func (b *bufWriter) flush() error {
 // than discarding the valid data.
 func Open(opts Options) (*Log, error) {
 	opts = opts.withDefaults()
-	if err := fsys.OS.MkdirAll(opts.Dir, 0o755); err != nil {
+	if err := fsys.MkdirSync(opts.Dir); err != nil {
 		return nil, err
 	}
 	l := &Log{opts: opts}
