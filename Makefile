@@ -96,15 +96,20 @@ tier-smoke:
 # (./internal/store/ round and crash tests, named); so do the
 # persist-level compaction and sweep states (named); the same flush and
 # compaction rounds write the same bytes, run after run
-# (./internal/store/persist/ TestRoundFilesReproducible).
+# (./internal/store/persist/ TestRoundFilesReproducible). A batch at the
+# flush threshold is a round of its own and no commitlog record: at every
+# boundary of it, acked means whole, and before the ack whole or absent
+# (TestOwnRoundBatchCrashStates). The line scanners of internal/parse are fuzzed for 10 s against the regexps they
+# replace (FuzzMatchText).
 fault-smoke:
 	$(GO) test -count=1 -run 'TestDurableLayersDoNotImportOS|TestOSFailedOpenIsNilFile' ./internal/fsys/
 	$(GO) test -count=1 ./internal/fsys/fsystest/
-	$(GO) test -count=1 -run 'TestInlineFlushCrashImages|TestFlushRoundCrashImages|TestCompactRoundCrashImages|TestCompactRoundRehomesSurvivorsCrashImages|TestCrashRecoveryAckedBatches|TestCrashStatesAtEveryOperation|TestNodeRoundFilesReproducible|TestFlushRoundsConcurrentWritersAndScanners|TestThresholdFlushBlocksNoReader' ./internal/store/
+	$(GO) test -count=1 -run 'TestInlineFlushCrashImages|TestFlushRoundCrashImages|TestCompactRoundCrashImages|TestCompactRoundRehomesSurvivorsCrashImages|TestCrashRecoveryAckedBatches|TestOwnRoundBatchCrashStates|TestCrashStatesAtEveryOperation|TestNodeRoundFilesReproducible|TestFlushRoundsConcurrentWritersAndScanners|TestThresholdFlushBlocksNoReader' ./internal/store/
 	$(GO) test -count=1 -run 'TestFault' ./internal/wal/ ./internal/objstore/ ./internal/store/ ./internal/dist/
 	$(GO) test -count=1 -run 'TestFault|TestRetiredObject|TestManifest|TestRoundFilesReproducible|TestDeadSectionsStayDeadCrashImages|TestMixedGenerationCrashImages|TestReconcileReAdoptsLocalFile|TestReconcileMidUploadImage' ./internal/store/persist/
 	$(GO) test -count=1 -run 'TestTorn|TestCorrupt|TestMidSegment|TestMultiRecord|TestZero|TestSealedSegmentDamage|TestDamagedHeader|FuzzCommitlogRecovery' ./internal/wal/
 	$(GO) test -count=1 -run 'TestManifestRejectsCorruption|TestManifestLogTornTailAndCorruption|TestManifestEmptySnapshot|FuzzManifestLogRecovery|FuzzDecodeManifest' ./internal/objstore/
+	$(GO) test -count=1 -run XXX -fuzz FuzzMatchText -fuzztime 10s -fuzzminimizetime 3s ./internal/parse/
 
 # Reachability: build every binary (cmd/* and the benchmark) with
 # inlining off and read its symbols with `go tool nm`; every non-test
@@ -184,7 +189,8 @@ bench-smoke:
 # Allocation regression guards: a segment scan, a projected v8/v9 block
 # decode, templated cells reassembled or not (zero per block), a flush
 # round (constant per round, small constant per segment, no image buffer
-# and no file per segment), a durable partition read through
+# and no file per segment), a parsed line (its attribute map's own
+# allocations and nothing else), a durable partition read through
 # Get and through PartitionBatches at QUORUM (no per-row conversion), a
 # bulk import (objects per imported event), a batch histogram and
 # heat-map fold (constant per scan, zero per block), a TF-IDF text fold
@@ -209,7 +215,7 @@ bench-smoke:
 # allocates nothing per kept block and builds the text of the rows it
 # selects alone, never a whole block's (TestSourceScanAllocBudget).
 alloc-guard:
-	$(GO) test -run 'AllocBudget|TestSourceScanAllocBudget|TestHistogramLongWindowAllocs' -count=1 ./internal/store/... ./internal/ingest/ ./internal/analytics/ ./internal/plan/ ./internal/server/ ./internal/obs/ ./internal/api/ ./client/ ./internal/topology/
+	$(GO) test -run 'AllocBudget|TestSourceScanAllocBudget|TestHistogramLongWindowAllocs' -count=1 ./internal/store/... ./internal/parse/ ./internal/ingest/ ./internal/analytics/ ./internal/plan/ ./internal/server/ ./internal/obs/ ./internal/api/ ./client/ ./internal/topology/
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

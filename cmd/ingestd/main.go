@@ -1,9 +1,9 @@
 // Command ingestd runs the batch ETL of Section III-D: it reads raw
-// console and job logs, parses them in parallel with the regex pattern
-// tables, bulk-loads the events and application runs into an in-process
-// store cluster, refreshes the eventsynopsis table, and hands the result
-// to hpclogd as a durable data directory (commitlog + on-disk segment
-// files, served directly with -data-dir). It opens hpclogd's stack but
+// console and job logs, parses them in parallel (package parse's line
+// scanners), bulk-loads the events and application runs into an
+// in-process store cluster, refreshes the eventsynopsis table, and hands
+// the result to hpclogd as a durable data directory (commitlog + on-disk
+// segment files, served directly with -data-dir). It opens hpclogd's stack but
 // never serves it, so -wal-nosync stays a load-time knob.
 //
 // Usage:

@@ -217,6 +217,19 @@ func MkdirSync(path string) error {
 	return SyncPath(parent)
 }
 
+// Unlink removes the files at paths, then fsyncs each distinct parent
+// directory once, so that power loss cannot bring them back. A file
+// already gone counts as removed. On a failed removal no directory is
+// synced: the caller has not removed all it asked to.
+func Unlink(paths ...string) error {
+	for _, p := range paths {
+		if err := OS.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+	}
+	return syncDirs(paths)
+}
+
 // syncDirs fsyncs the parent directory of each path once.
 func syncDirs(paths []string) error {
 	seen := make(map[string]bool, 1)

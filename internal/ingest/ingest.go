@@ -1,12 +1,14 @@
 // Package ingest implements the batch import of Section III-D: the
-// traditional ETL procedure — collocate, parse with the per-type regex
-// patterns, bulk upload — parallelized over the compute engine. Live
-// writes arrive as /v1 CQL INSERTs instead.
+// traditional ETL procedure — collocate, parse with the per-type line
+// scanners (package parse), bulk upload — parallelized over the compute
+// engine. Live writes arrive as /v1 CQL INSERTs instead.
 //
 // Every load goes the same way: rows are bucketed by store partition
 // (batches), each bucket is sorted by clustering key, and each leaves as
 // ONE PutBatch — which the store's memtable appends rather than merges,
-// and which crosses the flush threshold at most once. An event is one
+// and which crosses the flush threshold at most once; a bucket of a flush
+// threshold's rows or more is written by each replica as a segment of its
+// own, with no commitlog record. An event is one
 // row, of event_by_time: the paper's second, per-component copy (Fig 1)
 // is a source read of that table (analytics.PlanEvents), so no load
 // writes it and a CQL INSERT is every reader's event at once.
@@ -281,9 +283,9 @@ func addResult(sum *parse.Result, r parse.Result) {
 	sum.Malformed += r.Malformed
 }
 
-// BatchImport parses raw console lines with the regex patterns and bulk
-// uploads the recognized events (see bulkLoad). Returns aggregate parse
-// statistics.
+// BatchImport parses raw console lines with the pattern table's scanners
+// (parse.ParseLine) and bulk uploads the recognized events (see
+// bulkLoad). Returns aggregate parse statistics.
 func BatchImport(eng *compute.Engine, db *store.DB, lines []string, cl store.Consistency, nparts int) (BatchResult, error) {
 	l := &Loader{DB: db, CL: cl}
 	res, err := l.bulkLoad(eng, lines, nparts, func(b batches, line string) error {

@@ -7,8 +7,8 @@
 // OST flooding every client), causal event chains, and a job scheduler
 // whose applications are struck by node failures.
 //
-// The generator emits both raw log lines (to exercise the regex ETL
-// parsers) and ground-truth events/runs (to validate the pipeline).
+// The generator emits both raw log lines (to exercise the ETL parsers)
+// and ground-truth events/runs (to validate the pipeline).
 package logs
 
 import (

@@ -133,10 +133,7 @@ func (m *Manifest) carryOver(old string) error {
 		err = fsys.SyncPath(filepath.Dir(m.dir))
 	}
 	if err == nil {
-		err = fsys.OS.Remove(old)
-	}
-	if err == nil {
-		err = fsys.SyncPath(filepath.Dir(m.dir))
+		err = fsys.Unlink(old)
 	}
 	if err != nil {
 		return err

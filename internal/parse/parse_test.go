@@ -1,6 +1,8 @@
 package parse
 
 import (
+	"math/rand"
+	"regexp"
 	"testing"
 	"time"
 
@@ -185,4 +187,153 @@ func TestJobRoundTrip(t *testing.T) {
 			t.Fatalf("run %d mismatch:\n got %+v\nwant %+v", i, r, want)
 		}
 	}
+}
+
+// oracle is the pattern table as the regular expressions it was first
+// written in, in table order: each Pattern's scanner must match exactly
+// the text its expression matches, capturing the same substrings.
+var oracle = []*regexp.Regexp{
+	regexp.MustCompile(`^Machine Check Exception: (\S+) Bank (\d+): (0x[0-9a-f]{16})`),
+	regexp.MustCompile(`^EDAC amd64 MC0: (CE|UE) ECC error at DIMM (\S+)`),
+	regexp.MustCompile(`GPU has fallen off the bus \(reason (\S+)\)`),
+	regexp.MustCompile(`Xid \(PCI:[^)]*\): 48, Double Bit ECC Error, (\d+) retired pages`),
+	regexp.MustCompile(`^LustreError: 11-0: atlas2-(OST[0-9a-f]{4})-osc: Communicating with (\S+), operation (\S+) failed with (-?\d+)`),
+	regexp.MustCompile(`^DVS: file_node_down: removing (\S+) from server list`),
+	regexp.MustCompile(`^HWERR\[(\S+)\]: LCB lane\(s\) (\d+) degraded`),
+	regexp.MustCompile(`^\[NID (\d+)\] Apid (\d+): initiated application termination, exit code (\d+)`),
+	regexp.MustCompile(`^Kernel panic - not syncing`),
+}
+
+// checkOracle fails t unless MatchText classifies text as the first
+// oracle expression that matches it, with that expression's captures.
+func checkOracle(t *testing.T, text string) {
+	t.Helper()
+	typ, attrs, ok := MatchText(text)
+	for i, re := range oracle {
+		m := re.FindStringSubmatch(text)
+		if m == nil {
+			continue
+		}
+		p := Patterns[i]
+		if !ok || typ != p.Type || len(attrs) != len(p.Names) {
+			t.Fatalf("%q: got %v %q %v, regexp matches %s %q", text, ok, typ, attrs, p.Type, m[1:])
+		}
+		for j, name := range p.Names {
+			if attrs[name] != m[j+1] {
+				t.Fatalf("%q: %s %s = %q, regexp captures %q", text, typ, name, attrs[name], m[j+1])
+			}
+		}
+		return
+	}
+	if ok {
+		t.Fatalf("%q: got %s %q, no regexp matches", text, typ, attrs)
+	}
+}
+
+// generatedTexts returns the message text of an hour of generator output.
+func generatedTexts() []string {
+	cfg := logs.DefaultConfig()
+	cfg.Nodes = topology.NodesPerCabinet
+	cfg.Duration = time.Hour
+	cfg.Jobs.ArrivalsPerHour = 10
+	cfg.Jobs.MaxNodes = 32
+	corpus := logs.Generate(cfg)
+	texts := make([]string, len(corpus.Lines))
+	for i, l := range corpus.Lines {
+		texts[i] = l.Text
+	}
+	return texts
+}
+
+func TestMatchTextAgreesWithRegexps(t *testing.T) {
+	if len(Patterns) != len(oracle) {
+		t.Fatalf("%d patterns, %d oracle expressions", len(Patterns), len(oracle))
+	}
+	for i, p := range Patterns {
+		if got := oracle[i].NumSubexp(); got != len(p.Names) {
+			t.Fatalf("%s: %d names, oracle has %d groups", p.Type, len(p.Names), got)
+		}
+	}
+	for _, text := range generatedTexts() {
+		checkOracle(t, text)
+	}
+}
+
+// BenchmarkParseLine parses an hour of generator output, line by line.
+func BenchmarkParseLine(b *testing.B) {
+	texts := generatedTexts()
+	lines := make([]string, len(texts))
+	for i, text := range texts {
+		lines[i] = "2017-08-23T10:11:12Z c3-0c1s2n0 " + text
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseLine(lines[i%len(lines)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// typeTexts returns one generator message text of every event type.
+func typeTexts() []string {
+	attrs := map[string]string{
+		"severity": "FATAL", "bank": "4", "status": "0xb200000000070f0f",
+		"kind": "UE", "dimm": "DIMM3", "reason": "bus-off", "pages": "2",
+		"ost": "OST00a2", "peer": "10.36.226.77@o2ib", "op": "ost_read", "errno": "-110",
+		"failed": "c3-0", "lcb": "LCB021", "lane": "2", "nid": "01234", "apid": "4567890", "exit": "137",
+	}
+	rng := rand.New(rand.NewSource(1))
+	texts := make([]string, len(model.EventTypes))
+	for i, typ := range model.EventTypes {
+		texts[i] = logs.RenderText(model.Event{Type: typ, Attrs: attrs}, rng)
+	}
+	return texts
+}
+
+// FuzzMatchText checks the scanners against the regexps on arbitrary text.
+// Seeds: one generator line of every type, then the cases where a
+// backtracking regexp and a scanner most easily part: an unanchored
+// pattern behind another pattern's prefix, captures that contain the byte
+// that ends them, whitespace beyond the space, non-ASCII and invalid UTF-8.
+func FuzzMatchText(f *testing.F) {
+	for _, text := range typeTexts() {
+		f.Add(text)
+	}
+	for _, s := range []string{
+		"Machine Check Exception: NVRM: GPU has fallen off the bus (reason x)",
+		"Machine Check Exception: FATAL Bank 4: 0xb200000000070f0f Xid (PCI:0): 48, Double Bit ECC Error, 2 retired pages",
+		"LustreError: 11-0: atlas2-OST0001-osc: Communicating with a, operation b failed with -5 Xid (PCI:1): 48, Double Bit ECC Error, 3 retired pages",
+		"DVS: file_node_down: removing GPU has fallen off the bus (reason r) from server list",
+		"Xid (PCI:a) Xid (PCI:b): 48, Double Bit ECC Error, 7 retired pages",
+		"GPU has fallen off the bus (reason  GPU has fallen off the bus (reason b)",
+		"GPU has fallen off the bus (reason a)b)) c)",
+		"GPU has fallen off the bus (reason )",
+		"LustreError: 11-0: atlas2-OST00ab-osc: Communicating with a,b,, operation c,d, failed with 7",
+		"LustreError: 11-0: atlas2-OST00ab-osc: Communicating with , operation x failed with -",
+		"LustreError: 11-0: atlas2-OST00AB-osc: Communicating with p, operation o failed with --1",
+		"HWERR[a]:b]:]: LCB lane(s) 3 degraded",
+		"HWERR[]: LCB lane(s) 3 degraded",
+		"[NID 1] Apid 2] Apid 3: initiated application termination, exit code 4",
+		"Machine Check Exception: A\vB Bank 1: 0x0123456789abcdef",
+		"Machine Check Exception: A\tB Bank 1: 0x0123456789abcdef",
+		"Machine Check Exception: A Bank 1: 0x0123456789abcdeF",
+		"DVS: file_node_down: removing c0\tfrom server list",
+		"DVS: file_node_down: removing c0\f from server list",
+		"GPU has fallen off the bus (reason a\r)",
+		"GPU has fallen off the bus (reason a\v)",
+		"EDAC amd64 MC0: CE ECC error at DIMM \vD\n",
+		"EDAC amd64 MC0: UE ECC error at DIMM \r",
+		"DVS: file_node_down: removing c\xff\xfe from server list",
+		"HWERR[é]: LCB lane(s) 1 degraded",
+		"GPU has fallen off the bus (reason \xe2)",
+		"Xid (PCI:\xe2\x29): 48, Double Bit ECC Error, 9 retired pages",
+		"Xid (PCI:\xff\n): 48, Double Bit ECC Error, 9 retired pages",
+		"[NID ٣] Apid 2: initiated application termination, exit code 4",
+		"Kernel panic - not syncin",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		checkOracle(t, text)
+	})
 }

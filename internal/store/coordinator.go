@@ -127,7 +127,8 @@ func (db *DB) Put(tableName, pkey string, row Row, cl Consistency) error {
 // remote stragglers finish in the background, and down or failed replicas
 // get the batch as a hint, so entropy between replicas still arises and
 // Repair reconciles it. Each replica appends the batch to its commitlog
-// before applying it, so an acknowledged batch survives a crash.
+// before applying it — or, at FlushThreshold rows or more, writes it as a
+// durable segment of its own — so an acknowledged batch survives a crash.
 func (db *DB) PutBatch(tableName, pkey string, rows []Row, cl Consistency) error {
 	return db.PutBatchCtx(context.Background(), tableName, pkey, rows, cl)
 }
@@ -170,8 +171,12 @@ func (db *DB) PutBatchCtx(ctx context.Context, tableName, pkey string, rows []Ro
 		st.End()
 	}
 	// Replicas append byte-identical commitlog records: encode once, share
-	// the buffer (wal.Append copies it).
-	encoded := encodePutRecord(nil, tableName, pkey, stamped)
+	// the buffer (wal.Append copies it). A batch at the flush threshold
+	// logs nothing: each replica writes it as a round (Node.applyRound).
+	var encoded []byte
+	if len(stamped) < db.cfg.FlushThreshold {
+		encoded = encodePutRecord(nil, tableName, pkey, stamped)
+	}
 	// Replication must outlive the request: the handler returning (and the
 	// HTTP server cancelling its context) cannot abort straggler replicas
 	// of an already-acked batch. Values (request ID, trace span) survive.

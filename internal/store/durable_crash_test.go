@@ -134,6 +134,79 @@ func TestCrashRecoveryAckedBatches(t *testing.T) {
 	}
 }
 
+// TestOwnRoundBatchCrashStates recovers from the crash states at every
+// operation boundary of a PutBatch at the flush threshold, which each
+// replica writes as a round of its own instead of logging it: the kill -9,
+// power-loss and torn states. The batch never touches a commitlog; once
+// acked it is there whole, one version per key, the newest; before, it is
+// there whole or not at all, and the rows acked before it are there.
+func TestOwnRoundBatchCrashStates(t *testing.T) {
+	rec := fsystest.Install(t)
+	dir := t.TempDir()
+	cfg := crashCfg(dir)
+	db, err := OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	fillDurable(t, db, "events", 2, 10) // acked, logged, in memtables
+	before := readAll(t, db, "events")
+	appends := db.StorageStats().WALAppends
+
+	// FlushThreshold rows, out of order, with two versions of one key:
+	// the later one is stamped later and must win.
+	batch := make([]Row, cfg.FlushThreshold)
+	for i := range batch {
+		batch[i] = durableRow(int64(2000 + (i*7)%(len(batch)-1)))
+	}
+	batch[len(batch)-1] = durableRow(2000, C("version", "newer"))
+	from := len(rec.Ops())
+	if err := db.PutBatch("events", "part-00", batch, All); err != nil {
+		t.Fatal(err)
+	}
+	acked := len(rec.Ops())
+	after := readAll(t, db, "events")
+	if n := len(after["part-00"]) - len(before["part-00"]); n != len(batch)-1 {
+		t.Fatalf("the batch added %d rows, want %d", n, len(batch)-1)
+	}
+	if got := after["part-00"][len(before["part-00"])]; got.Col("version") != "newer" {
+		t.Fatalf("the batch's duplicate key kept %v, want the newer version", got.ColumnsMap())
+	}
+	if n := db.StorageStats().WALAppends - appends; n != 0 {
+		t.Fatalf("the batch appended %d commitlog records", n)
+	}
+	for _, op := range rec.Ops()[from:acked] {
+		if strings.Contains(op.Path, string(filepath.Separator)+"wal"+string(filepath.Separator)) {
+			t.Fatalf("the batch's round did %s %s", op.Kind, op.Path)
+		}
+	}
+
+	// A state at a later boundary holds at least what an earlier one of the
+	// same bytes does, so each is checked at its last.
+	var states []fsystest.State
+	for at := acked; at >= from; at-- {
+		states = append(states, rec.States(at, tornStates, dir)...)
+	}
+	for _, s := range fsystest.Distinct(states) {
+		name := fmt.Sprintf("%s state at %d (acked at %d)", s.Kind, s.At, acked)
+		rcfg := cfg
+		rcfg.Dir = s.Write(t)[0]
+		rdb, err := OpenDurable(rcfg)
+		if err != nil {
+			t.Fatalf("recover %s: %v", name, err)
+		}
+		got := readAll(t, rdb, "events")
+		rdb.Close()
+		switch {
+		case reflect.DeepEqual(got, after):
+		case s.At >= acked:
+			t.Fatalf("%s lost rows of the acked batch", name)
+		case !reflect.DeepEqual(got, before):
+			t.Fatalf("%s holds part of the batch, or lost rows acked before it", name)
+		}
+	}
+}
+
 // newestWALSegment returns the path of the highest-numbered commitlog
 // segment under a node directory.
 func newestWALSegment(t *testing.T, nodeDir string) string {

@@ -244,7 +244,6 @@ func TestDurableScanMatchesGet(t *testing.T) {
 func TestDurableCompactAndWALTruncation(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg(dir)
-	cfg.FlushThreshold = 16
 	cfg.WALSegmentBytes = 4 << 10 // force commitlog rotations
 	db, err := OpenDurable(cfg)
 	if err != nil {
@@ -262,7 +261,7 @@ func TestDurableCompactAndWALTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if compacted == 0 {
-		t.Fatal("expected compaction work (FlushThreshold 16, 400 rows/partition)")
+		t.Fatal("expected compaction work (FlushThreshold 32, 400 rows/partition)")
 	}
 	st2 := db.StorageStats()
 	if st2.Compactions == 0 || st2.WALTruncatedSegments == 0 {

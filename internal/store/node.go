@@ -509,19 +509,23 @@ func (n *Node) partition(tableName, pkey string) *partition {
 	return t.partition(pkey, false)
 }
 
-// apply writes rows to this node's partition, going through the commitlog
-// first, and records the "wal.append" stage when ctx
-// carries a trace. encoded, when non-nil, is the pre-built put record for
-// (tableName, pkey, rows) — replicas append byte-identical records, so the
-// coordinator encodes once and shares it (wal.Append copies the payload
-// into its own buffer). nil means encode here.
+// apply writes rows to this node's partition. A batch of fewer than
+// flushThreshold rows goes through the commitlog first, recording the
+// "wal.append" stage when ctx carries a trace; encoded, when non-nil, is
+// its pre-built put record for (tableName, pkey, rows) — replicas append
+// byte-identical records, so the coordinator encodes once and shares it
+// (wal.Append copies the payload into its own buffer). nil means encode
+// here. A larger batch is its own log (applyRound).
 func (n *Node) apply(ctx context.Context, tableName, pkey string, rows []Row, encoded []byte) error {
-	st := obs.StartSpan(ctx, "wal.append")
-	defer st.End()
 	t, err := n.table(tableName)
 	if err != nil {
 		return err
 	}
+	if len(rows) >= n.flushThreshold {
+		return n.applyRound(ctx, t, pkey, rows)
+	}
+	st := obs.StartSpan(ctx, "wal.append")
+	defer st.End()
 	n.truncMu.RLock()
 	if encoded == nil {
 		encoded = encodePutRecord(nil, tableName, pkey, rows)
@@ -536,6 +540,48 @@ func (n *Node) apply(ctx context.Context, tableName, pkey string, rows []Row, en
 		return n.flushFull()
 	}
 	return nil
+}
+
+// applyRound writes a batch of at least flushThreshold rows as a node
+// flush round of its own — write, fsys.Commit, publish — and records the
+// "store.round" stage. Logged, the batch would fill a memtable that a
+// round writes moments later; instead its segment is its log, with no
+// commitlog record. It returns, and the batch is acked, only once the
+// round's file is durable and its segment published, so a crash leaves
+// the batch whole or absent. The versions of one key collapse to the one
+// persist.Newer ranks first, as in a memtable.
+func (n *Node) applyRound(ctx context.Context, t *table, pkey string, rows []Row) error {
+	st := obs.StartSpan(ctx, "store.round")
+	defer st.End()
+	part := persist.FlushPart{Table: t.name, PKey: pkey, Rows: collapse(rows)}
+	n.flushMu.Lock()
+	err := n.persist.FlushRound([]persist.FlushPart{part})
+	n.flushMu.Unlock()
+	if err != nil {
+		return fmt.Errorf("store: node %s: round of a %d-row batch: %w", n.id, len(rows), err)
+	}
+	t.partition(pkey, true)
+	return nil
+}
+
+// collapse returns rows in key order with one version per key. rows is
+// shared with the other replicas: it is returned as it is when already
+// strictly ordered, and otherwise left untouched.
+func collapse(rows []Row) []Row {
+	i := 1
+	for i < len(rows) && rows[i-1].Key < rows[i].Key {
+		i++
+	}
+	if i >= len(rows) {
+		return rows
+	}
+	if out, ok := appendSorted(make([]Row, 0, len(rows)), rows); ok {
+		return out
+	}
+	sorted := slices.Clone(rows)
+	slices.SortFunc(sorted, func(a, b Row) int { return strings.Compare(a.Key, b.Key) })
+	out, _ := appendSorted(sorted[:0], sorted) // in place: it writes no further than it has read
+	return out
 }
 
 // applyReplayed inserts recovered rows without re-appending to the

@@ -87,7 +87,7 @@ func (s *Store) reconcileTier(local map[uint64]*Segment, dead map[uint64]bool) e
 	if err != nil {
 		return err
 	}
-	swept := false
+	var strays []string
 	for _, de := range entries {
 		if !strings.HasSuffix(de.Name(), segStubExt) || named[de.Name()] {
 			continue
@@ -96,16 +96,11 @@ func (s *Store) reconcileTier(local map[uint64]*Segment, dead map[uint64]bool) e
 		if !s.manifest.CarriedOver() {
 			return fmt.Errorf("persist: %s: footer stub of an object no tier manifest entry names (the manifest lost an acknowledged record): %w", sp, wal.ErrCorrupt)
 		}
-		if err := fsys.OS.Remove(sp); err != nil {
-			return err
-		}
-		swept = true
+		strays = append(strays, sp)
 	}
-	if swept {
-		// Durable before a manifest write ends the carried-over state.
-		if err := fsys.SyncPath(s.dir); err != nil {
-			return err
-		}
+	// Durable before a manifest write ends the carried-over state.
+	if err := fsys.Unlink(strays...); err != nil {
+		return err
 	}
 	stale := make(map[uint64]string)                     // seq → object key
 	evicted := make(map[string][]objstore.ManifestEntry) // by object key

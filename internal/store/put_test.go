@@ -114,12 +114,13 @@ func mustDecodeTS(t *testing.T, key string) int64 {
 }
 
 // TestInlineFlushCrashImages takes crash states at every stage of the
-// flush round that one over-threshold batch triggers on the write path —
-// the batch is in the commitlog, its segment is being written, the
-// PutBatch has not returned — and recovers from each kill -9 image and
-// each power-loss and torn state: the rows acked before and the batch
-// itself are all there, each key once, whichever of commitlog and
-// segment supplies them.
+// flush round that one logged batch triggers on the write path when it
+// fills its memtable — the batch is in the commitlog, its segment is
+// being written, the PutBatch has not returned — and recovers from each
+// kill -9 image and each power-loss and torn state: the rows acked before
+// and the batch itself are all there, each key once, whichever of
+// commitlog and segment supplies them. (A batch at the threshold is no
+// logged batch: TestOwnRoundBatchCrashStates.)
 func TestInlineFlushCrashImages(t *testing.T) {
 	rec := fsystest.Install(t)
 	dir := t.TempDir()
@@ -131,13 +132,13 @@ func TestInlineFlushCrashImages(t *testing.T) {
 	defer db.Close()
 	fillDurable(t, db, "events", 2, 10) // acked, below the threshold, in memtables only
 	before := db.StorageStats().Flushes
-	batch := make([]Row, 3*cfg.FlushThreshold)
+	batch := make([]Row, cfg.FlushThreshold-1) // logged, and fills the memtable
 	for i := range batch {
 		batch[i] = durableRow(int64(1000 + i))
 	}
 	images, power := captureRounds(t, rec, dir, func() error { return db.PutBatch("events", "part-00", batch, All) })
 	if got := db.StorageStats().Flushes - before; got != int64(cfg.RF) {
-		t.Fatalf("a batch of three thresholds flushed %d segments on %d replicas, want one each", got, cfg.RF)
+		t.Fatalf("a filling batch flushed %d segments on %d replicas, want one each", got, cfg.RF)
 	}
 	want := readAll(t, db, "events")
 	if len(want["part-00"]) != 10+len(batch) {

@@ -498,7 +498,8 @@ func TestThresholdFlushBlocksNoReader(t *testing.T) {
 		}
 	}
 
-	filling := start(func() error { return db.PutBatch("events", "part-00", rows(100, cfg.FlushThreshold), All) })
+	// Under the threshold, so logged, and filling the memtable.
+	filling := start(func() error { return db.PutBatch("events", "part-00", rows(100, cfg.FlushThreshold-10), All) })
 	select {
 	case <-held:
 	case err := <-filling:
@@ -514,7 +515,7 @@ func TestThresholdFlushBlocksNoReader(t *testing.T) {
 		got, err = db.Get("events", "part-00", Range{}, One)
 		return err
 	}))
-	if want := 10 + cfg.FlushThreshold + 5; len(got) != want {
+	if want := cfg.FlushThreshold + 5; len(got) != want {
 		t.Fatalf("the Get saw %d rows while the round was held, want %d", len(got), want)
 	}
 	unblock()
@@ -645,10 +646,11 @@ func TestFaultFlushRoundPublishesNothing(t *testing.T) {
 
 // TestWriteRoundVisitsOnlyFullMemtables: the round a filling PutBatch runs
 // visits the partitions whose put reported them full and no other. With
-// 20 000 idle one-row partitions on the node, the threshold is lowered to
-// one row: every idle memtable now holds as much as a full one, but no put
-// said so, so a round that walked the node would flush them all. The
-// filling batch's round flushes its own partition alone. A round that
+// 20 000 idle two-row partitions on the node, the threshold is lowered to
+// two rows: every idle memtable now holds as much as a full one, but no
+// put said so, so a round that walked the node would flush them all. A
+// one-row batch — logged, under the threshold — fills a partition that
+// held one row, and its round flushes that partition alone. A round that
 // fails puts its partitions back on the list: the next filling batch, to
 // another partition, flushes them with its own.
 func TestWriteRoundVisitsOnlyFullMemtables(t *testing.T) {
@@ -664,18 +666,23 @@ func TestWriteRoundVisitsOnlyFullMemtables(t *testing.T) {
 	}
 	const idle = 20000
 	for i := range idle {
-		if err := db.PutBatch("events", fmt.Sprintf("idle-%05d", i), []Row{durableRow(int64(i))}, All); err != nil {
+		if err := db.PutBatch("events", fmt.Sprintf("idle-%05d", i), []Row{durableRow(int64(i)), durableRow(int64(idle + i))}, All); err != nil {
 			t.Fatal(err)
 		}
 	}
-	db.nodes[0].flushThreshold = 1
+	for _, pkey := range []string{"full-a", "full-b", "full-c"} {
+		if err := db.PutBatch("events", pkey, []Row{durableRow(0)}, All); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.nodes[0].flushThreshold = 2
 
 	if err := db.PutBatch("events", "full-a", []Row{durableRow(1)}, All); err != nil {
 		t.Fatal(err)
 	}
-	if st := db.StorageStats(); st.FlushRounds != 1 || st.Flushes != 1 || db.MemtableRows() != idle {
+	if st := db.StorageStats(); st.FlushRounds != 1 || st.Flushes != 1 || db.MemtableRows() != 2*idle+2 {
 		t.Fatalf("the filling batch's round wrote %d segments in %d rounds and left %d rows in memtables; want 1, 1 and %d",
-			st.Flushes, st.FlushRounds, db.MemtableRows(), idle)
+			st.Flushes, st.FlushRounds, db.MemtableRows(), 2*idle+2)
 	}
 
 	fault := errors.New("injected write failure")
@@ -693,9 +700,9 @@ func TestWriteRoundVisitsOnlyFullMemtables(t *testing.T) {
 	if err := db.PutBatch("events", "full-c", []Row{durableRow(3)}, All); err != nil {
 		t.Fatal(err)
 	}
-	if st := db.StorageStats(); st.FlushRounds != 2 || st.Flushes != 3 || db.MemtableRows() != idle {
+	if st := db.StorageStats(); st.FlushRounds != 2 || st.Flushes != 3 || db.MemtableRows() != 2*idle {
 		t.Fatalf("after a failed round and a filling batch to another partition: %d segments in %d rounds, %d rows in memtables; want 3, 2 and %d",
-			st.Flushes, st.FlushRounds, db.MemtableRows(), idle)
+			st.Flushes, st.FlushRounds, db.MemtableRows(), 2*idle)
 	}
 }
 
