@@ -97,7 +97,12 @@ type sweepImage struct{ stage, data, tier string }
 // fsync in that object's directory (the next upload, or the objects'
 // barrier), post-manifest at the first stub's create and post-stub at the
 // first data file's remove. It returns the kill -9 image of dir and
-// tierDir at each stage found, and the power-loss and torn states there.
+// tierDir at each stage found, and the power-loss and torn states at every
+// boundary of op's trace: tornStates torn states at each, where one with
+// no effect unsynced to tear is the power-loss state. The nodes sweep
+// concurrently, so the boundary of a stage, and whether anything is
+// unsynced at a boundary, change from run to run; the length of the trace
+// does not, nor the states' names.
 func sweepImages(t *testing.T, rec *fsystest.FS, dir, tierDir string, op func() error) ([]sweepImage, []fsystest.State, error) {
 	t.Helper()
 	from := len(rec.Ops())
@@ -126,23 +131,29 @@ func sweepImages(t *testing.T, rec *fsystest.FS, dir, tierDir string, op func() 
 	}
 	var images []sweepImage
 	var states []fsystest.State
-	for i, op := range rec.Ops()[from:] {
-		if len(images) < len(stages) && stages[len(images)].at(op) {
-			st := rec.States(from+i, tornStates, dir, tierDir)
+	ops := rec.Ops()
+	for i := from; i <= len(ops); i++ {
+		st := rec.States(i, tornStates, dir, tierDir)
+		if i < len(ops) && len(images) < len(stages) && stages[len(images)].at(ops[i]) {
 			img := st[0].Write(t)
 			images = append(images, sweepImage{stages[len(images)].name, img[0], img[1]})
-			states = append(states, st[1:]...)
 		}
+		for len(st) < 2+tornStates {
+			torn := st[1]
+			torn.Kind = fsystest.Torn
+			st = append(st, torn)
+		}
+		states = append(states, st[1:]...)
 	}
-	return images, fsystest.Distinct(states), err
+	return images, states, err
 }
 
-// TestTieredCrashRecovery takes crash states at every durability
-// boundary of the upload/eviction pipeline (sweepImages) and proves, for
-// each kill -9 image and each power-loss and torn state: recovery loses
-// no acked row, the manifest references only fully-uploaded objects, and
-// a fresh sweep converges back to 100% evicted — re-uploading or
-// re-adopting as the stage demands.
+// TestTieredCrashRecovery takes a kill -9 image at every stage of the
+// upload/eviction pipeline and the power-loss and torn states at every
+// operation boundary of the sweep (sweepImages) and proves, for each:
+// recovery loses no acked row, the manifest references only
+// fully-uploaded objects, and a fresh sweep converges back to 100%
+// evicted — re-uploading or re-adopting as the stage demands.
 func TestTieredCrashRecovery(t *testing.T) {
 	rec := fsystest.Install(t)
 	dir, tierDir := t.TempDir(), t.TempDir()
@@ -184,14 +195,24 @@ func TestTieredCrashRecovery(t *testing.T) {
 }
 
 // checkTieredPower checks each power-loss or torn state as a kill -9
-// image (checkTieredImage).
+// image (checkTieredImage), in a subtest named after its kind and
+// boundary. States of one digest recover alike: each is recovered once,
+// under the first of its names, and the subtests of its later names
+// name that one.
 func checkTieredPower(t *testing.T, states []fsystest.State, want ...map[string][]Row) {
 	t.Helper()
 	if len(states) == 0 {
 		t.Fatal("no power-loss state to check")
 	}
+	first := make(map[[sha256.Size]byte]string)
 	for _, s := range states {
-		t.Run(fmt.Sprintf("%s-%d", s.Kind, s.At), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s-%d", s.Kind, s.At), func(t *testing.T) { // t.Run numbers repeated names
+			if name, ok := first[s.Digest]; ok {
+				t.Logf("the state of %s", name)
+				return
+			}
+			first[s.Digest] = t.Name()
+			t.Parallel()
 			img := s.Write(t)
 			checkTieredImage(t, img[0], img[1], want...)
 		})
