@@ -99,12 +99,20 @@ tier-smoke:
 # (./internal/store/persist/ TestRoundFilesReproducible). A batch at the
 # flush threshold is a round of its own and no commitlog record: at every
 # boundary of it, acked means whole, and before the ack whole or absent
-# (TestOwnRoundBatchCrashStates). The line scanners of internal/parse are fuzzed for 10 s against the regexps they
-# replace (FuzzMatchText).
+# (TestOwnRoundBatchCrashStates). A write's in-process replicas append to
+# the process's one commitlog and share one fsync
+# (TestLocalReplicasShareOneSync), and a truncation that comes while a
+# write's records are appended but not yet in the memtables waits for
+# them and keeps their segment (TestTruncateWhileWriting); a store written
+# with per-node commitlogs recovers every row from them, and the first
+# truncation after they are flushed removes them, crash states at every
+# boundary included (TestPredecessorNodeLogs). The line scanners of
+# internal/parse are fuzzed for 10 s against the regexps they replace
+# (FuzzMatchText).
 fault-smoke:
 	$(GO) test -count=1 -run 'TestDurableLayersDoNotImportOS|TestOSFailedOpenIsNilFile' ./internal/fsys/
 	$(GO) test -count=1 ./internal/fsys/fsystest/
-	$(GO) test -count=1 -run 'TestInlineFlushCrashImages|TestFlushRoundCrashImages|TestCompactRoundCrashImages|TestCompactRoundRehomesSurvivorsCrashImages|TestCrashRecoveryAckedBatches|TestOwnRoundBatchCrashStates|TestCrashStatesAtEveryOperation|TestNodeRoundFilesReproducible|TestFlushRoundsConcurrentWritersAndScanners|TestThresholdFlushBlocksNoReader' ./internal/store/
+	$(GO) test -count=1 -run 'TestInlineFlushCrashImages|TestFlushRoundCrashImages|TestCompactRoundCrashImages|TestCompactRoundRehomesSurvivorsCrashImages|TestCrashRecoveryAckedBatches|TestOwnRoundBatchCrashStates|TestCrashStatesAtEveryOperation|TestNodeRoundFilesReproducible|TestFlushRoundsConcurrentWritersAndScanners|TestThresholdFlushBlocksNoReader|TestLocalReplicasShareOneSync|TestPredecessorNodeLogs|TestTruncateWhileWriting' ./internal/store/
 	$(GO) test -count=1 -run 'TestFault' ./internal/wal/ ./internal/objstore/ ./internal/store/ ./internal/dist/
 	$(GO) test -count=1 -run 'TestFault|TestRetiredObject|TestManifest|TestRoundFilesReproducible|TestDeadSectionsStayDeadCrashImages|TestMixedGenerationCrashImages|TestReconcileReAdoptsLocalFile|TestReconcileMidUploadImage' ./internal/store/persist/
 	$(GO) test -count=1 -run 'TestTorn|TestCorrupt|TestMidSegment|TestMultiRecord|TestZero|TestSealedSegmentDamage|TestDamagedHeader|FuzzCommitlogRecovery' ./internal/wal/

@@ -94,11 +94,7 @@ func (s *Server) collectStoreMetrics(w *obs.Writer) {
 	w.Gauge("hpclog_wal_segments", "Live commitlog segments on disk.", float64(st.WALSegments))
 	w.Counter("hpclog_wal_truncated_segments_total", "Commitlog segments truncated after flush.", st.WALTruncatedSegments)
 	w.Counter("hpclog_wal_torn_bytes_total", "Bytes discarded from torn commitlog tails at recovery.", st.TornBytes)
-	fsync := &obs.Hist{}
-	for _, h := range s.db.WALFsyncHists() {
-		fsync.Merge(h)
-	}
-	w.Hist("hpclog_wal_fsync_seconds", "Commitlog fsync latency (group commit and rotation).", fsync)
+	w.Hist("hpclog_wal_fsync_seconds", "Commitlog fsync latency (group commit and rotation).", s.db.WALFsyncHist())
 	w.Counter("hpclog_store_flushes_total", "Memtable flushes to disk segments.", st.Flushes)
 	w.Counter("hpclog_store_flush_rounds_total", "Flush rounds (one durability barrier each, any number of segments).", st.FlushRounds)
 	w.Counter("hpclog_store_flushed_rows_total", "Rows flushed from memtables.", st.FlushedRows)

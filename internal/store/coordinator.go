@@ -170,9 +170,10 @@ func (db *DB) PutBatchCtx(ctx context.Context, tableName, pkey string, rows []Ro
 		}
 		st.End()
 	}
-	// Replicas append byte-identical commitlog records: encode once, share
-	// the buffer (wal.Append copies it). A batch at the flush threshold
-	// logs nothing: each replica writes it as a round (Node.applyRound).
+	// Replicas share one put record: encode once; each local replica's
+	// commitlog record is its node tag ahead of it (wal.Log.Write copies
+	// both). A batch at the flush threshold logs nothing: each replica
+	// writes it as a round (Node.applyRound).
 	var encoded []byte
 	if len(stamped) < db.cfg.FlushThreshold {
 		encoded = encodePutRecord(nil, tableName, pkey, stamped)
@@ -187,10 +188,12 @@ func (db *DB) PutBatchCtx(ctx context.Context, tableName, pkey string, rows []Ro
 // once. It returns when every in-process replica has answered and W acks
 // are in (or can no longer arrive): a local apply costs no network wait,
 // and awaiting it keeps every local replica readable the moment PutBatch
-// returns. Remote stragglers keep writing in the background. A replica
-// that fails, local or remote, gets the batch queued as a hint, so an
-// acked batch eventually reaches every replica (handoff on recovery,
-// anti-entropy as the backstop) even though only W were waited on.
+// returns. The in-process replicas append to the one commitlog together
+// and share its sync (commitlog.apply). Remote stragglers keep writing in
+// the background. A replica that fails, local or remote, gets the batch
+// queued as a hint, so an acked batch eventually reaches every replica
+// (handoff on recovery, anti-entropy as the backstop) even though only W
+// were waited on.
 func (db *DB) replicate(ctx context.Context, tableName, pkey string, stamped []Row, encoded []byte, live []replicaTarget, need int) error {
 	type applyResult struct {
 		idx int
@@ -198,31 +201,33 @@ func (db *DB) replicate(ctx context.Context, tableName, pkey string, stamped []R
 	}
 	st := obs.StartSpan(ctx, "replicate.quorum")
 	ch := make(chan applyResult, len(live))
-	locals := 0
+	var locals []*Node // live[:len(locals)]: liveTargets puts them first
 	for i, tgt := range live {
-		if isLocal(tgt.replica) {
-			locals++
+		if n, ok := tgt.replica.(*Node); ok {
+			locals = append(locals, n)
+			continue
 		}
 		go func() { ch <- applyResult{i, tgt.apply(ctx, tableName, pkey, stamped, encoded)} }()
 	}
 	acks, fails, received := 0, 0, 0
 	var errs []error
-	for received < len(live) {
-		res := <-ch
+	tally := func(res applyResult) {
 		received++
-		if isLocal(live[res.idx].replica) {
-			locals--
-		}
 		if res.err == nil {
 			acks++
-		} else {
-			fails++
-			errs = append(errs, res.err)
-			db.hintLog.add(live[res.idx].id, hint{table: tableName, pkey: pkey, rows: stamped})
+			return
 		}
-		if locals == 0 && (acks >= need || len(live)-fails < need) {
-			break
+		fails++
+		errs = append(errs, res.err)
+		db.hintLog.add(live[res.idx].id, hint{table: tableName, pkey: pkey, rows: stamped})
+	}
+	if len(locals) > 0 {
+		for i, err := range db.log.apply(ctx, locals, tableName, pkey, stamped, encoded) {
+			tally(applyResult{i, err})
 		}
+	}
+	for received < len(live) && acks < need && len(live)-fails >= need {
+		tally(<-ch)
 	}
 	st.End()
 	if received < len(live) {

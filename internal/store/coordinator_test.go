@@ -213,10 +213,11 @@ func TestCoordinatorAllLocalReplicasHoldAckedWrite(t *testing.T) {
 }
 
 // TestCoordinatorHintsFailedLocalReplica: an in-process replica whose
-// apply fails (its commitlog is gone) is hinted like a failed remote, and
-// the write still acks on the others.
+// apply fails (its segment store is closed, and at a flush threshold of
+// one row every batch is a round of its own) is hinted like a failed
+// remote, and the write still acks on the others.
 func TestCoordinatorHintsFailedLocalReplica(t *testing.T) {
-	db, err := OpenDurable(Config{Nodes: 3, RF: 3, VNodes: 8, Dir: t.TempDir(), WALNoSync: true, CompactInterval: -1})
+	db, err := OpenDurable(Config{Nodes: 3, RF: 3, VNodes: 8, FlushThreshold: 1, Dir: t.TempDir(), WALNoSync: true, CompactInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestCoordinatorHintsFailedLocalReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	broken := db.Ring().Replicas("p")[1]
-	if err := db.Node(broken).wal.Close(); err != nil {
+	if err := db.Node(broken).persist.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Put("events", "p", eventRow(1, "d", "MCE", "L"), Quorum); err != nil {

@@ -16,6 +16,7 @@ import (
 	"hpclog/internal/cluster"
 	"hpclog/internal/fsys"
 	"hpclog/internal/objstore"
+	"hpclog/internal/wal"
 )
 
 // Consistency is the number-of-replicas contract for an operation,
@@ -72,10 +73,11 @@ type Config struct {
 	// every process so all of them compute identical replica placement.
 	Members []string
 	// LocalMembers is the subset of Members hosted by this process (each
-	// gets its own storage node — WAL + segment files under Dir). Empty
-	// means all members are local (the single-process default). Remote
-	// members join the ring marked down until a Remote transport is
-	// attached and the liveness detector hears from them.
+	// gets its own storage node — segment files under Dir/node-<id> — and
+	// appends to the process's one commitlog). Empty means all members are
+	// local (the single-process default). Remote members join the ring
+	// marked down until a Remote transport is attached and the liveness
+	// detector hears from them.
 	LocalMembers []string
 	// VNodes is the number of virtual nodes per storage node (default 64).
 	VNodes int
@@ -84,10 +86,12 @@ type Config struct {
 	FlushThreshold int
 
 	// Dir is the directory the storage engine is rooted at (required):
-	// every write is appended to a per-node commitlog before it is
-	// acknowledged, memtable flushes produce immutable on-disk segment
-	// files, a background compactor merges segments and truncates obsolete
-	// commitlog segments, and OpenDurable replays the commitlog on startup.
+	// every write is appended to the process's one commitlog (Dir/wal,
+	// each record naming its node) before it is acknowledged, memtable
+	// flushes produce immutable on-disk segment files under
+	// Dir/node-<id>, a background compactor merges segments and truncates
+	// obsolete commitlog segments, and OpenDurable replays the commitlog
+	// on startup.
 	Dir string
 	// WALSegmentBytes rotates commitlog segment files past this size
 	// (default 8 MiB).
@@ -162,7 +166,9 @@ type DB struct {
 	ring *cluster.Ring
 	// nodes are the members this process hosts, sorted by id. Fixed at
 	// open, so it is read without a lock.
-	nodes   []*Node
+	nodes []*Node
+	// log is the process's one commitlog, shared by every local node.
+	log     *commitlog
 	mu      sync.RWMutex       // guards remotes and tables
 	remotes map[string]replica // transports for members hosted elsewhere
 	tables  map[string]bool
@@ -290,13 +296,16 @@ func (db *DB) RegisterWriteNotify(fn func(*WriteDigest)) (cancel func()) {
 	}
 }
 
-// OpenDurable creates a store cluster with cfg. Each local node opens
-// (creating as needed) its commitlog and segment store under
-// <Dir>/node-<id>/ and replays the commitlog into memtables — recovering
-// every acknowledged write of a previous incarnation, while a torn tail
-// left by a crash mid-append is detected by CRC and cleanly ignored — and
-// the background compactor starts. cfg.Dir is required, and must hold
-// no node directory of an id outside the member set.
+// OpenDurable creates a store cluster with cfg. It opens (creating as
+// needed) the process's commitlog under <Dir>/wal and each local node's
+// segment store under <Dir>/node-<id>/, replays the commitlog into the
+// nodes' memtables — recovering every acknowledged write of a previous
+// incarnation, while a torn tail left by a crash mid-append is detected
+// by CRC and cleanly ignored — and starts the background compactor. The
+// per-node commitlogs of the predecessor layout (<Dir>/node-<id>/wal)
+// are replayed first and removed by the first truncation after their
+// rows are flushed. cfg.Dir is required, and must hold no node directory
+// of an id outside the member set.
 func OpenDurable(cfg Config) (*DB, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("store: Config.Dir is required")
@@ -351,6 +360,11 @@ func OpenDurable(cfg Config) (*DB, error) {
 			local[id] = true
 		}
 	}
+	log, err := wal.Open(walOptions(cfg, filepath.Join(cfg.Dir, "wal")))
+	if err != nil {
+		return nil, fmt.Errorf("store: commitlog: %w", err)
+	}
+	db.log = &commitlog{Log: log}
 	for _, id := range members {
 		db.ring.AddNode(id)
 		if !local[id] {
@@ -360,7 +374,8 @@ func OpenDurable(cfg Config) (*DB, error) {
 			continue
 		}
 		n := newNode(id, cfg.FlushThreshold)
-		if err := n.openDurable(filepath.Join(cfg.Dir, "node-"+id), cfg, db.tier); err != nil {
+		n.log = db.log
+		if err := n.openDurable(filepath.Join(cfg.Dir, "node-"+id), db.tier); err != nil {
 			db.closeNodes()
 			return nil, err
 		}
@@ -403,21 +418,24 @@ func checkNodeDirs(dir string, members []string) error {
 	return nil
 }
 
-// recover replays every node's commitlog, reconciles the table catalog,
-// and restores the logical write-timestamp counter.
+// recover materializes every node's tables and partitions from its
+// segment store, replays the commitlog, reconciles the table catalog, and
+// restores the logical write-timestamp counter.
 func (db *DB) recover() error {
 	var maxTS int64
 	for _, n := range db.nodes {
-		ts, records, rows, err := n.recover()
+		ts, err := n.recover()
 		if err != nil {
 			return fmt.Errorf("store: recover node %s: %w", n.id, err)
 		}
-		if ts > maxTS {
-			maxTS = ts
-		}
-		db.replayStats.Records += records
-		db.replayStats.Rows += rows
+		maxTS = max(maxTS, ts)
 	}
+	stats, ts, err := db.log.replay(db)
+	if err != nil {
+		return fmt.Errorf("store: replay commitlog: %w", err)
+	}
+	maxTS = max(maxTS, ts)
+	db.replayStats = stats
 	// Tables known to any node become cluster-wide (a put record implies
 	// its table, so recovery never loses a table that holds data).
 	names := make(map[string]bool)
@@ -447,16 +465,15 @@ func (db *DB) recover() error {
 	return nil
 }
 
-// closeNodes closes every local node's commitlog and segment store and
-// returns the first error.
+// closeNodes closes every local node's segment store and the commitlog,
+// and returns their errors joined.
 func (db *DB) closeNodes() error {
-	var first error
+	var errs []error
 	for _, n := range db.nodes {
-		if err := n.closeDurable(); err != nil && first == nil {
-			first = err
-		}
+		errs = append(errs, n.persist.Close())
 	}
-	return first
+	errs = append(errs, db.log.Close())
+	return errors.Join(errs...)
 }
 
 // Ring exposes the cluster ring (read-only use intended).

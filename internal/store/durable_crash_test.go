@@ -14,7 +14,7 @@ package store
 //     Round and sweep tests take theirs at the operation that ends a
 //     stage (captureRounds, sweepImages).
 //   - torn tail: a partial commitlog frame is appended to the newest WAL
-//     segment of every node, simulating records that were mid-append when
+//     segment of the commitlog, simulating records that were mid-append when
 //     the process died. Recovery must drop exactly the torn bytes.
 
 import (
@@ -208,10 +208,10 @@ func TestOwnRoundBatchCrashStates(t *testing.T) {
 }
 
 // newestWALSegment returns the path of the highest-numbered commitlog
-// segment under a node directory.
-func newestWALSegment(t *testing.T, nodeDir string) string {
+// segment under a store directory.
+func newestWALSegment(t *testing.T, dir string) string {
 	t.Helper()
-	walDir := filepath.Join(nodeDir, "wal")
+	walDir := filepath.Join(dir, "wal")
 	entries, err := os.ReadDir(walDir)
 	if err != nil {
 		t.Fatal(err)
@@ -244,58 +244,48 @@ func TestCrashRecoveryTornWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tear every node's commitlog tail two ways: node 0 gets a partial
-	// frame (record cut mid-write), node 1 gets a frame whose payload is
-	// cut short. Both are what kill -9 during an append leaves behind.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	// Tear the commitlog's tail two ways, one after the other: first a
+	// partial frame (record cut mid-write), then, after a recovery and a
+	// write, a frame whose payload is cut short. Both are what kill -9
+	// during an append leaves behind.
+	tails := [][]byte{
+		{0x40, 0, 0, 0}, // half a frame header
+		{0x40, 0, 0, 0, 0xaa, 0xbb, 0xcc, 0xdd, 'p', 'a', 'r'}, // frame + cut payload
 	}
-	torn := 0
-	for i, e := range entries {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "node-") {
-			continue
-		}
-		seg := newestWALSegment(t, filepath.Join(dir, e.Name()))
+	var extra Row
+	for i, tail := range tails {
+		seg := newestWALSegment(t, dir)
 		f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
 		if err != nil {
 			t.Fatal(err)
-		}
-		var tail []byte
-		if i%2 == 0 {
-			tail = []byte{0x40, 0, 0, 0} // half a frame header
-		} else {
-			tail = []byte{0x40, 0, 0, 0, 0xaa, 0xbb, 0xcc, 0xdd, 'p', 'a', 'r'} // frame + cut payload
 		}
 		if _, err := f.Write(tail); err != nil {
 			t.Fatal(err)
 		}
 		f.Close()
-		torn += len(tail)
-	}
-	if torn == 0 {
-		t.Fatal("no node directories found to tear")
-	}
 
-	rdb, err := OpenDurable(cfg)
-	if err != nil {
-		t.Fatalf("recovery after torn write: %v", err)
+		rdb, err := OpenDurable(cfg)
+		if err != nil {
+			t.Fatalf("recovery after torn write %d: %v", i, err)
+		}
+		st := rdb.StorageStats()
+		if st.TornBytes != int64(len(tail)) {
+			t.Fatalf("tear %d: TornBytes = %d, want %d", i, st.TornBytes, len(tail))
+		}
+		got := readAll(t, rdb, "events")
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("tear %d: torn-tail recovery lost data: %d partitions vs %d", i, len(got), len(want))
+		}
+		// The repaired log must accept and persist new writes.
+		extra = durableRow(9999 + int64(i))
+		if err := rdb.Put("events", "part-00", extra, All); err != nil {
+			t.Fatal(err)
+		}
+		want = readAll(t, rdb, "events")
+		if err := rdb.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer rdb.Close()
-	st := rdb.StorageStats()
-	if st.TornBytes != int64(torn) {
-		t.Fatalf("TornBytes = %d, want %d", st.TornBytes, torn)
-	}
-	got := readAll(t, rdb, "events")
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("torn-tail recovery lost data: %d partitions vs %d", len(got), len(want))
-	}
-	// The repaired log must accept and persist new writes.
-	extra := durableRow(9999)
-	if err := rdb.Put("events", "part-00", extra, All); err != nil {
-		t.Fatal(err)
-	}
-	rdb.Close()
 	rdb2, err := OpenDurable(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -323,10 +313,10 @@ func TestTolerateCorruptTailReachable(t *testing.T) {
 	}
 	fillDurable(t, db, "events", 2, 8)
 	db.Close()
-	// Flip a payload byte in the first record of every node's newest WAL
-	// segment that holds records (header 16 + frame 8).
+	// Flip a payload byte in the first record of every commitlog segment
+	// that holds records (header 16 + frame 8).
 	damaged := 0
-	walFiles, err := filepath.Glob(filepath.Join(dir, "node-*", "wal", "*.log"))
+	walFiles, err := filepath.Glob(filepath.Join(dir, "wal", "*.log"))
 	if err != nil {
 		t.Fatal(err)
 	}

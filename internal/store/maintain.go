@@ -41,13 +41,13 @@ func (db *DB) compactorLoop() {
 }
 
 // eachNode runs fn on every local node concurrently — each owns its own
-// directory, commitlog, manifest and object prefix — and joins the
-// per-node errors, so one node's failure stops no other node.
+// directory, manifest and object prefix — and joins the per-node errors,
+// so one node's failure stops no other node.
 func (db *DB) eachNode(fn func(n *Node) error) error {
 	return fsys.Parallel(len(db.nodes), len(db.nodes), func(i int) error { return fn(db.nodes[i]) })
 }
 
-// maintain runs one compaction + commitlog-truncation + tiering pass,
+// maintain runs one commitlog-truncation + compaction + tiering pass,
 // every node at once. Per-node failures are joined rather than aborting
 // the pass — a broken object-store endpoint must not stop other nodes
 // from compacting — and every failed pass increments MaintenanceErrors,
@@ -57,24 +57,20 @@ func (db *DB) maintain(threshold int) (int, error) {
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
 	var total atomic.Int64
+	terr := db.log.truncate(db.nodes)
 	err := db.eachNode(func(n *Node) error {
 		c, err := n.persist.CompactOverflow(threshold)
 		total.Add(int64(c))
-		errs := []error{err}
-		if _, err := n.truncateWAL(); err != nil {
-			errs = append(errs, err)
-		}
 		if db.tier != nil {
-			if _, _, err := n.persist.TierSweep(context.Background(), false); err != nil {
-				errs = append(errs, err)
-			}
+			_, _, serr := n.persist.TierSweep(context.Background(), false)
+			err = errors.Join(err, serr)
 		}
-		return errors.Join(errs...)
+		return err
 	})
 	if total.Load() > 0 {
 		db.bumpGeneration()
 	}
-	if err != nil {
+	if err = errors.Join(terr, err); err != nil {
 		db.maintErrors.Add(1)
 	}
 	return int(total.Load()), err
@@ -128,23 +124,19 @@ func (db *DB) SegmentInfos() []SegmentListing {
 }
 
 // Flush forces every dirty memtable onto disk — one flush round per
-// node, all nodes at once — and truncates the commitlog accordingly. A
-// node's failure is joined into the returned error, counts once as a
+// node, all nodes at once — then rotates the commitlog and truncates it.
+// A node's failure is joined into the returned error, counts once as a
 // maintenance error, and leaves the other nodes flushed.
 func (db *DB) Flush() error {
-	err := db.eachNode(func(n *Node) error {
-		if err := n.flushAll(); err != nil {
-			return err
-		}
-		// Seal the active commitlog segment so the flush acts as a full
-		// checkpoint: with every memtable clean, truncation can then
-		// retire the entire log and the next open replays ~nothing.
-		if err := n.wal.Rotate(); err != nil {
-			return err
-		}
-		_, err := n.truncateWAL()
-		return err
-	})
+	err := db.eachNode((*Node).flushAll)
+	// Seal the active commitlog segment so the flush acts as a full
+	// checkpoint: with every memtable clean, truncation can then retire
+	// the entire log and the next open replays ~nothing.
+	if rerr := db.log.Rotate(); rerr != nil {
+		err = errors.Join(err, rerr)
+	} else {
+		err = errors.Join(err, db.log.truncate(db.nodes))
+	}
 	if err != nil {
 		db.maintErrors.Add(1)
 	}
@@ -161,9 +153,10 @@ func (db *DB) Compact() (int, error) {
 	return db.maintain(1)
 }
 
-// Close stops the background compactor and closes every node's commitlog
-// and segment store. The memtables are not flushed: recovery replays the
-// commitlog, so a clean close and a crash recover identically. Idempotent.
+// Close stops the background compactor and closes the commitlog and
+// every node's segment store. The memtables are not flushed: recovery
+// replays the commitlog, so a clean close and a crash recover
+// identically. Idempotent.
 func (db *DB) Close() error {
 	if !db.closed.CompareAndSwap(false, true) {
 		return nil
@@ -237,19 +230,19 @@ func (db *DB) StorageStats() StorageStats {
 		ReplayedRows:      db.replayStats.Rows,
 		MaintenanceErrors: db.maintErrors.Load(),
 	}
+	ws := db.log.Stats()
+	st.WALAppends = ws.Appends
+	st.WALSyncs = ws.Syncs
+	st.WALRotations = ws.Rotations
+	st.WALBytes = ws.BytesWritten
+	st.WALSegments = ws.Segments
+	st.WALTruncatedSegments = ws.TruncatedSegments
+	st.TornBytes = ws.TornBytes + db.log.predTorn
 	for _, n := range db.nodes {
 		st.ChainedScans += n.chainedScans.Load()
 		st.MergedScans += n.mergedScans.Load()
 		st.AppendPuts += n.appendPuts.Load()
 		st.MergePuts += n.mergePuts.Load()
-		ws := n.wal.Stats()
-		st.WALAppends += ws.Appends
-		st.WALSyncs += ws.Syncs
-		st.WALRotations += ws.Rotations
-		st.WALBytes += ws.BytesWritten
-		st.WALSegments += ws.Segments
-		st.WALTruncatedSegments += ws.TruncatedSegments
-		st.TornBytes += ws.TornBytes
 		ps := n.persist.Stats()
 		st.Flushes += ps.Flushes
 		st.FlushRounds += ps.FlushRounds
@@ -270,16 +263,9 @@ func (db *DB) StorageStats() StorageStats {
 	return st
 }
 
-// WALFsyncHists returns the local nodes' commitlog fsync-latency
-// histograms. The metrics handler merges them into one
+// WALFsyncHist returns the commitlog's fsync-latency histogram, the
 // hpclog_wal_fsync_seconds series.
-func (db *DB) WALFsyncHists() []*obs.Hist {
-	out := make([]*obs.Hist, len(db.nodes))
-	for i, n := range db.nodes {
-		out[i] = n.wal.FsyncHist()
-	}
-	return out
-}
+func (db *DB) WALFsyncHist() *obs.Hist { return db.log.FsyncHist() }
 
 // RoundHists returns the duration histograms of the background storage
 // work, merged across local nodes: flush rounds, compaction rounds and

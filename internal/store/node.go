@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -14,7 +15,6 @@ import (
 	"hpclog/internal/objstore"
 	"hpclog/internal/obs"
 	"hpclog/internal/store/persist"
-	"hpclog/internal/wal"
 )
 
 // partition is the per-node state of one partition: a mutable memtable of
@@ -415,9 +415,10 @@ func (t *table) allPartitions() []*partition {
 }
 
 // Node is one storage node of the cluster. All methods are safe for
-// concurrent use. Each node owns a commitlog and a segment store under
-// its own directory, mirroring Cassandra's per-node commitlog + SSTable
-// layout.
+// concurrent use. Each node owns a segment store under its own directory
+// and appends its puts, tagged with its id, to the process's one
+// commitlog, which it shares with every other local node — Cassandra's
+// one commitlog per process beside per-table SSTables.
 type Node struct {
 	id     string
 	mu     sync.RWMutex
@@ -425,7 +426,8 @@ type Node struct {
 
 	flushThreshold int
 
-	wal     *wal.Log
+	log     *commitlog
+	walTag  []byte // nodeTag(id), ahead of each of its commitlog records
 	persist *persist.Store
 	// flushMu serializes flush rounds, the write path's and DB.Flush's:
 	// at most one flushing run per partition exists, a partition's
@@ -442,11 +444,6 @@ type Node struct {
 	// appendPuts and mergePuts its memtable puts (see partition.put).
 	chainedScans, mergedScans atomic.Int64
 	appendPuts, mergePuts     atomic.Int64
-	// truncMu fences commitlog truncation against in-flight applies: an
-	// apply holds it shared between the WAL append and the memtable
-	// insert, so the truncator can never observe "appended but not yet
-	// dirty-tracked" records.
-	truncMu sync.RWMutex
 }
 
 func newNode(id string, flushThreshold int) *Node {
@@ -454,6 +451,7 @@ func newNode(id string, flushThreshold int) *Node {
 		id:             id,
 		tables:         make(map[string]*table),
 		flushThreshold: flushThreshold,
+		walTag:         nodeTag(id),
 	}
 }
 
@@ -509,37 +507,11 @@ func (n *Node) partition(tableName, pkey string) *partition {
 	return t.partition(pkey, false)
 }
 
-// apply writes rows to this node's partition. A batch of fewer than
-// flushThreshold rows goes through the commitlog first, recording the
-// "wal.append" stage when ctx carries a trace; encoded, when non-nil, is
-// its pre-built put record for (tableName, pkey, rows) — replicas append
-// byte-identical records, so the coordinator encodes once and shares it
-// (wal.Append copies the payload into its own buffer). nil means encode
-// here. A larger batch is its own log (applyRound).
+// apply writes rows to this node's partition, through the commitlog or,
+// at flushThreshold rows or more, as a round of its own (see
+// commitlog.apply). encoded, when non-nil, is the batch's put record.
 func (n *Node) apply(ctx context.Context, tableName, pkey string, rows []Row, encoded []byte) error {
-	t, err := n.table(tableName)
-	if err != nil {
-		return err
-	}
-	if len(rows) >= n.flushThreshold {
-		return n.applyRound(ctx, t, pkey, rows)
-	}
-	st := obs.StartSpan(ctx, "wal.append")
-	defer st.End()
-	n.truncMu.RLock()
-	if encoded == nil {
-		encoded = encodePutRecord(nil, tableName, pkey, rows)
-	}
-	lsn, err := n.wal.Append(encoded)
-	full := err == nil && t.partition(pkey, true).put(rows, lsn.Seg)
-	n.truncMu.RUnlock()
-	if err != nil {
-		return fmt.Errorf("store: node %s: commitlog append: %w", n.id, err)
-	}
-	if full {
-		return n.flushFull()
-	}
-	return nil
+	return n.log.apply(ctx, []*Node{n}, tableName, pkey, rows, encoded)[0]
 }
 
 // applyRound writes a batch of at least flushThreshold rows as a node
@@ -550,12 +522,16 @@ func (n *Node) apply(ctx context.Context, tableName, pkey string, rows []Row, en
 // round's file is durable and its segment published, so a crash leaves
 // the batch whole or absent. The versions of one key collapse to the one
 // persist.Newer ranks first, as in a memtable.
-func (n *Node) applyRound(ctx context.Context, t *table, pkey string, rows []Row) error {
+func (n *Node) applyRound(ctx context.Context, tableName, pkey string, rows []Row) error {
+	t, err := n.table(tableName)
+	if err != nil {
+		return err
+	}
 	st := obs.StartSpan(ctx, "store.round")
 	defer st.End()
 	part := persist.FlushPart{Table: t.name, PKey: pkey, Rows: collapse(rows)}
 	n.flushMu.Lock()
-	err := n.persist.FlushRound([]persist.FlushPart{part})
+	err = n.persist.FlushRound([]persist.FlushPart{part})
 	n.flushMu.Unlock()
 	if err != nil {
 		return fmt.Errorf("store: node %s: round of a %d-row batch: %w", n.id, len(rows), err)
@@ -718,33 +694,30 @@ func (n *Node) allTables() []*table {
 	return tables
 }
 
-// truncateWAL removes commitlog segments whose every record has been
-// flushed into on-disk segments: everything below the oldest segment still
-// referenced by a dirty memtable (or below the active segment when all
-// memtables are clean).
-func (n *Node) truncateWAL() (int, error) {
-	n.truncMu.Lock()
-	defer n.truncMu.Unlock()
-	cut := n.wal.ActiveSeg()
+// oldestDirty returns the oldest commitlog segment that a dirty or
+// flushing memtable of the node still needs, or math.MaxUint64 when none
+// does.
+func (n *Node) oldestDirty() uint64 {
+	seg := uint64(math.MaxUint64)
 	for _, t := range n.allTables() {
 		for _, p := range t.allPartitions() {
 			p.mu.RLock()
-			if p.hasDirty && p.dirtySeg < cut {
-				cut = p.dirtySeg
+			if p.hasDirty {
+				seg = min(seg, p.dirtySeg)
 			}
-			if p.hasFlushingSeg && p.flushingSeg < cut {
-				cut = p.flushingSeg
+			if p.hasFlushingSeg {
+				seg = min(seg, p.flushingSeg)
 			}
 			p.mu.RUnlock()
 		}
 	}
-	return n.wal.TruncateBelow(cut)
+	return seg
 }
 
-// openDurable attaches a commitlog and a segment store rooted at dir.
-// With a non-nil tier, the segment store opens tiered: evicted segments
-// come back as footer stubs and its objects live under the node's id.
-func (n *Node) openDurable(dir string, cfg Config, tier *objstore.Tier) error {
+// openDurable attaches a segment store rooted at dir/seg. With a non-nil
+// tier, the segment store opens tiered: evicted segments come back as
+// footer stubs and its objects live under the node's id.
+func (n *Node) openDurable(dir string, tier *objstore.Tier) error {
 	var ts *persist.TierSetup
 	if tier != nil {
 		ts = &persist.TierSetup{Tier: tier, Prefix: "node-" + n.id}
@@ -753,28 +726,14 @@ func (n *Node) openDurable(dir string, cfg Config, tier *objstore.Tier) error {
 	if err != nil {
 		return fmt.Errorf("store: node %s: %w", n.id, err)
 	}
-	log, err := wal.Open(wal.Options{
-		Dir:                 dir + "/wal",
-		SegmentBytes:        cfg.WALSegmentBytes,
-		SyncPeriod:          cfg.WALSyncPeriod,
-		NoSync:              cfg.WALNoSync,
-		TolerateCorruptTail: cfg.WALTolerateCorruptTail,
-		Logger:              cfg.Logger,
-	})
-	if err != nil {
-		ps.Close()
-		return fmt.Errorf("store: node %s: %w", n.id, err)
-	}
 	n.persist = ps
-	n.wal = log
 	return nil
 }
 
-// recover rebuilds the node's in-memory state from its segment store and
-// commitlog: tables and partitions present on disk are materialized, then
-// the commitlog is replayed into memtables. It returns the largest logical
-// write timestamp observed, so the cluster's timestamp counter can resume
-// past it, and the number of records and rows replayed.
+// recover rebuilds the node's in-memory state from its segment store:
+// tables and partitions present on disk are materialized. It returns the
+// largest logical write timestamp the segments hold. The commitlog's
+// replay (commitlog.replay) then refills the memtables.
 //
 // Replay may re-insert rows already persisted in on-disk segments: a crash
 // between a memtable flush and the next commitlog truncation leaves the
@@ -784,42 +743,19 @@ func (n *Node) openDurable(dir string, cfg Config, tier *objstore.Tier) error {
 // truncation can re-flush the same rows into a new segment. This is the
 // standard LSM recovery tradeoff (idempotent replay instead of a
 // flushed-through LSN per partition).
-func (n *Node) recover() (maxWriteTS int64, records, rows int64, err error) {
+func (n *Node) recover() (maxWriteTS int64, err error) {
 	for _, tbl := range n.persist.Tables() {
 		n.createTableLocal(tbl)
 	}
 	for tbl, pkeys := range n.persist.Partitions() {
 		n.createTableLocal(tbl)
-		t, terr := n.table(tbl)
-		if terr != nil {
-			return 0, 0, 0, terr
+		t, err := n.table(tbl)
+		if err != nil {
+			return 0, err
 		}
 		for _, pkey := range pkeys {
 			t.partition(pkey, true)
 		}
 	}
-	maxWriteTS = n.persist.MaxWriteTS()
-	records, err = n.wal.Replay(func(lsn wal.LSN, payload []byte) error {
-		rec, derr := decodeWALRecord(payload)
-		if derr != nil || rec.kind != recPut {
-			return derr
-		}
-		for _, r := range rec.rows {
-			if r.WriteTS > maxWriteTS {
-				maxWriteTS = r.WriteTS
-			}
-		}
-		rows += int64(len(rec.rows))
-		return n.applyReplayed(rec.table, rec.pkey, rec.rows, lsn.Seg)
-	})
-	return maxWriteTS, records, rows, err
-}
-
-// closeDurable closes the commitlog and segment store.
-func (n *Node) closeDurable() error {
-	err := n.wal.Close()
-	if cerr := n.persist.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return n.persist.MaxWriteTS(), nil
 }

@@ -35,6 +35,7 @@ type Store struct {
 	tierPrefix string
 
 	mu      sync.RWMutex // read-locked by the accessors every scan task goes through
+	closed  bool
 	nextSeq uint64
 	segs    map[segKey][]*Segment // ordered by Seq, oldest first
 	tables  map[string]bool       // durable table catalog (tables manifest)
@@ -275,6 +276,10 @@ func (s *Store) FlushRound(parts []FlushPart) error {
 	}
 	start := time.Now()
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrClosed
+	}
 	first := s.nextSeq
 	s.nextSeq += uint64(n)
 	s.mu.Unlock()
@@ -629,10 +634,18 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Close lets go of every open data file and of the tier manifest.
+// ErrClosed is returned by a flush round of a closed store.
+var ErrClosed = errors.New("persist: store closed")
+
+// Close lets go of every open data file and of the tier manifest. A
+// flush round after it fails with ErrClosed. Idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	s.closed = true
 	first := s.manifest.Close()
 	for _, list := range s.segs {
 		for _, seg := range list {

@@ -40,7 +40,7 @@ const tornStates = 2
 
 // captureRounds runs op under rec and finds, in the trace it leaves, each
 // stage of the first round to fsync a data file: written, synced and
-// renamed (fsystest.CommitStage), and published before its node's next
+// renamed (fsystest.CommitStage), and published before the next
 // commitlog operation, or once op returns if none follows. The round's
 // files are the temp data files of its directory fsynced before its
 // rename. It returns the kill -9 image of dir at each stage, in stage
@@ -55,10 +55,11 @@ func captureRounds(t *testing.T, rec *fsystest.FS, dir string, op func() error) 
 	isTemp := func(path string) bool { return strings.HasSuffix(path, ".seg"+fsys.TempExt) }
 	stages := []string{"written", "synced", "renamed", "published"}
 	var at []int
-	var tmp, wal string // the round's first file under its temp name; its node's commitlog directory
+	var tmp string // the round's first file under its temp name
+	wal := filepath.Join(dir, "wal")
 	for i := from; i < len(ops) && len(at) < len(stages); i++ {
 		if tmp == "" && ops[i].Kind == "sync" && isTemp(ops[i].Path) {
-			tmp, wal = ops[i].Path, filepath.Join(filepath.Dir(filepath.Dir(ops[i].Path)), "wal")
+			tmp = ops[i].Path
 		}
 		if tmp == "" {
 			continue

@@ -8,6 +8,7 @@ package store
 import (
 	"crypto/sha256"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -150,10 +151,11 @@ func sweepImages(t *testing.T, rec *fsystest.FS, dir, tierDir string, op func() 
 
 // TestTieredCrashRecovery takes a kill -9 image at every stage of the
 // upload/eviction pipeline and the power-loss and torn states at every
-// operation boundary of the sweep (sweepImages) and proves, for each:
-// recovery loses no acked row, the manifest references only
-// fully-uploaded objects, and a fresh sweep converges back to 100%
-// evicted — re-uploading or re-adopting as the stage demands.
+// operation boundary of the sweep and of a second ingest and sweep after
+// it (sweepImages), and proves, for each: recovery loses no acked row,
+// the manifest references only fully-uploaded objects, and a fresh sweep
+// converges back to 100% evicted — re-uploading or re-adopting as the
+// stage demands.
 func TestTieredCrashRecovery(t *testing.T) {
 	rec := fsystest.Install(t)
 	dir, tierDir := t.TempDir(), t.TempDir()
@@ -166,24 +168,42 @@ func TestTieredCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	const batches, rowsPerBatch = 20, 10
-	for b := 0; b < batches; b++ {
+	batch := func(b int) []Row {
 		var rows []Row
 		for i := 0; i < rowsPerBatch; i++ {
 			rows = append(rows, MapRow(EncodeTS(int64(5000+b*rowsPerBatch+i))+":src", 0, map[string]string{"batch": fmt.Sprint(b)}))
 		}
-		if err := db.PutBatch("events", fmt.Sprintf("part-%d", b%3), rows, All); err != nil {
+		return rows
+	}
+	for b := 0; b < batches; b++ {
+		if err := db.PutBatch("events", fmt.Sprintf("part-%d", b%3), batch(b), All); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// Capture one crash image per pipeline stage, mid-sweep: both the data
-	// directory (WAL, segments, stubs, manifest) and the object root.
-	var up, ev int
-	images, power, err := sweepImages(t, rec, dir, tierDir, func() (err error) { up, ev, err = db.TierSweep(true); return err })
-	if err != nil || up == 0 || ev == 0 {
-		t.Fatalf("sweep: uploaded=%d evicted=%d err=%v", up, ev, err)
+	// directory (WAL, segments, stubs, manifest) and the object root. Then
+	// a batch to a new partition and a second sweep, whose objects go
+	// beside the first's, into manifests that hold entries.
+	var up, ev, swept, acked int
+	images, power, err := sweepImages(t, rec, dir, tierDir, func() (err error) {
+		if up, ev, err = db.TierSweep(true); err != nil || up == 0 || ev == 0 {
+			return fmt.Errorf("sweep: uploaded=%d evicted=%d err=%v", up, ev, err)
+		}
+		swept = len(rec.Ops())
+		if err := db.PutBatch("events", "part-3", batch(batches), All); err != nil {
+			return err
+		}
+		acked = len(rec.Ops())
+		_, _, err = db.TierSweep(true)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := readAll(t, db, "events")
+	after := readAll(t, db, "events")
+	want := maps.Clone(after)
+	delete(want, "part-3")
 	if len(images) != 4 {
 		t.Fatalf("captured %d stage images, want 4 (pre-upload post-upload post-manifest post-stub)", len(images))
 	}
@@ -191,7 +211,23 @@ func TestTieredCrashRecovery(t *testing.T) {
 	for _, img := range images {
 		t.Run(img.stage, func(t *testing.T) { checkTieredImage(t, img.data, img.tier, want) })
 	}
-	checkTieredPower(t, power, want)
+	checkSecondIngestPower(t, power, swept, acked, want, after)
+}
+
+// checkSecondIngestPower checks the power-loss and torn states of a sweep,
+// a batch and a second sweep (checkTieredPower) against the rows acked at
+// their boundary: before up to the first sweep's end at swept, before or
+// after while the batch is in flight, after from its ack at acked on.
+func checkSecondIngestPower(t *testing.T, states []fsystest.State, swept, acked int, before, after map[string][]Row) {
+	t.Helper()
+	i := slices.IndexFunc(states, func(s fsystest.State) bool { return s.At > swept })
+	j := slices.IndexFunc(states, func(s fsystest.State) bool { return s.At >= acked })
+	if i < 0 || j < 0 {
+		t.Fatalf("no state after the first sweep (%d) or the ack (%d)", swept, acked)
+	}
+	checkTieredPower(t, states[:i], before)
+	checkTieredPower(t, states[i:j], before, after)
+	checkTieredPower(t, states[j:], after)
 }
 
 // checkTieredPower checks each power-loss or torn state as a kill -9
@@ -292,8 +328,8 @@ func verifyTierManifests(t *testing.T, dataDir, tierDir string) {
 // proves for each kill -9 image what TestTieredCrashRecovery does — no
 // acked row lost, no half-uploaded object referenced, no segment served
 // twice — and that a fresh sweep converges to one object and one stub per
-// node; and for each power-loss and torn state what
-// TestTieredCrashRecovery does.
+// node; and for each power-loss and torn state, of that sweep and of a
+// second ingest and sweep after it, what TestTieredCrashRecovery does.
 func TestTieredRoundObjectCrashRecovery(t *testing.T) {
 	rec := fsystest.Install(t)
 	dir, tierDir := t.TempDir(), t.TempDir()
@@ -306,12 +342,31 @@ func TestTieredRoundObjectCrashRecovery(t *testing.T) {
 	defer db.Close()
 	fillDurable(t, db, "events", 5, 30)
 
-	var ev int
-	images, power, err := sweepImages(t, rec, dir, tierDir, func() (err error) { _, ev, err = db.TierSweep(true); return err })
-	if err != nil || ev != 10 {
-		t.Fatalf("sweep evicted %d segments: %v", ev, err)
+	// After the sweep, a batch to a new partition and a second sweep, as
+	// in TestTieredCrashRecovery.
+	var ev, swept, acked int
+	images, power, err := sweepImages(t, rec, dir, tierDir, func() (err error) {
+		if _, ev, err = db.TierSweep(true); err != nil || ev != 10 {
+			return fmt.Errorf("sweep evicted %d segments: %v", ev, err)
+		}
+		swept = len(rec.Ops())
+		var rows []Row
+		for i := 150; i < 180; i++ {
+			rows = append(rows, durableRow(int64(i)))
+		}
+		if err := db.PutBatch("events", "part-05", rows, All); err != nil {
+			return err
+		}
+		acked = len(rec.Ops())
+		_, _, err = db.TierSweep(true)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := readAll(t, db, "events")
+	after := readAll(t, db, "events")
+	want := maps.Clone(after)
+	delete(want, "part-05")
 	if len(images) != 4 {
 		t.Fatalf("captured %d stage images, want 4", len(images))
 	}
@@ -349,7 +404,7 @@ func TestTieredRoundObjectCrashRecovery(t *testing.T) {
 	// A commitlog segment whose unlink no directory fsync covered comes
 	// back after power loss and replays into segments of its own: the
 	// rows are the same, the layout is not one object a node.
-	checkTieredPower(t, power, want)
+	checkSecondIngestPower(t, power, swept, acked, want, after)
 }
 
 // TestCrashStatesAtEveryOperation recovers the crash states at every

@@ -70,7 +70,7 @@ func TestOldCreateTableRecordSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Close()
-	walDirs, err := filepath.Glob(filepath.Join(dir, "node-*", "wal"))
+	walDirs, err := filepath.Glob(filepath.Join(dir, "wal"))
 	if err != nil || len(walDirs) == 0 {
 		t.Fatalf("no commitlog directories: %v", err)
 	}

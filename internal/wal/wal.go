@@ -1,9 +1,9 @@
 // Package wal implements an append-only log: CRC-framed records in
 // rotating segment files, batched group-commit fsync, and truncation of
-// the segments whose records are kept elsewhere. It has two users: each
-// node's commitlog (store), whose records a flush makes redundant, and
-// each node's tier manifest (objstore.Manifest), whose records a snapshot
-// image makes redundant.
+// the segments whose records are kept elsewhere. It has two users: the
+// store's commitlog, one per process for all of its nodes, whose records
+// a flush makes redundant, and each node's tier manifest
+// (objstore.Manifest), whose records a snapshot image makes redundant.
 //
 // One damage rule governs recovery, for both. A frame is read by length
 // and CRC, the segment header counting as the first frame. Damage in the
@@ -162,7 +162,7 @@ type Log struct {
 	// fsync accumulates the latency of every data fsync (group-commit,
 	// periodic, and rotation syncs). Recording is wait-free, so it adds
 	// nanoseconds to a path that just paid a disk flush; /v1/metrics
-	// merges the per-node histograms into hpclog_wal_fsync_seconds.
+	// exposes the store commitlog's as hpclog_wal_fsync_seconds.
 	fsync obs.Hist
 }
 
@@ -340,53 +340,71 @@ func (l *Log) createSegmentLocked(seg uint64) error {
 // may be truncated only once every memtable holding its records has been
 // flushed to immutable storage.
 func (l *Log) Append(payload []byte) (LSN, error) {
-	if len(payload) == 0 {
+	lsn, seq, err := l.Write(nil, payload)
+	if err != nil {
+		return lsn, err
+	}
+	return lsn, l.Wait(seq)
+}
+
+// Write writes one record, head followed by body, and returns without
+// waiting for it to be durable: Wait(seq) does. Records written before a
+// Wait share its sync, so a caller that writes several records and then
+// waits once pays one fsync in batch mode. head may be nil; the frame's
+// payload is the two side by side.
+func (l *Log) Write(head, body []byte) (LSN, int64, error) {
+	plen := len(head) + len(body)
+	if plen == 0 {
 		// An empty record's frame (plen=0, crc=0 — CRC32C of an empty
 		// payload is 0) is byte-identical to zero-filled pages left by a
 		// torn write, so recovery treats all-zero frames as a torn tail.
 		// Forbidding empty appends keeps that rule unambiguous.
-		return LSN{}, errors.New("wal: empty record")
+		return LSN{}, 0, errors.New("wal: empty record")
 	}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return LSN{}, ErrClosed
+		return LSN{}, 0, ErrClosed
 	}
 	if l.wErr != nil {
 		err := l.wErr
 		l.mu.Unlock()
-		return LSN{}, err
+		return LSN{}, 0, err
 	}
 	lsn := LSN{Seg: l.seg, Off: l.size}
 	var frame [frameLen]byte
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(plen))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Update(crc32.Checksum(head, crcTable), crcTable, body))
 	l.w.write(frame[:])
-	l.w.write(payload)
-	l.size += int64(frameLen + len(payload))
+	l.w.write(head)
+	l.w.write(body)
+	l.size += int64(frameLen + plen)
 	l.appendSeq++
 	seq := l.appendSeq
 	l.appends.Add(1)
-	l.bytes.Add(int64(frameLen + len(payload)))
+	l.bytes.Add(int64(frameLen + plen))
 	var rerr error
 	if l.size >= l.opts.SegmentBytes {
 		rerr = l.rotateLocked()
 	}
 	l.mu.Unlock()
-	if rerr != nil {
-		return lsn, rerr
-	}
+	return lsn, seq, rerr
+}
+
+// Wait returns once the records written up to seq are durable: in batch
+// mode it blocks for them, sharing one fsync with every concurrent waiter
+// (group commit); in periodic and NoSync mode it returns at once.
+func (l *Log) Wait(seq int64) error {
 	if l.opts.NoSync || l.opts.SyncPeriod > 0 {
 		// Even on the no-wait paths a latched sync failure must surface:
 		// acking writes that a poisoned background sync will never persist
 		// would turn the bounded periodic-mode loss window into unbounded
 		// silent loss.
 		l.sm.Lock()
-		serr := l.syncErr
-		l.sm.Unlock()
-		return lsn, serr
+		defer l.sm.Unlock()
+		return l.syncErr
 	}
-	return lsn, l.waitDurable(seq)
+	return l.waitDurable(seq)
 }
 
 // waitDurable blocks until appends up to seq are fsynced, electing the
