@@ -404,14 +404,32 @@ func (g *gen) tableRows() []store.Row {
 // the residual filter evaluated row by row, the projection as a map, the
 // LIMIT counted, each row through encoding/json.
 func oracleSelect(tb testing.TB, db *store.DB, p *plan.Plan, cl store.Consistency) string {
-	it, err := db.ScanPartitionPruned(p.Sel.Table, p.Sel.Partition, p.Range, cl, nil, nil)
-	if err != nil {
-		tb.Fatal(err)
+	// At One the row scan, above it the reconciled rows of Get.
+	var rows []store.Row
+	if cl == store.One {
+		it, err := db.ScanPartitionPruned(p.Sel.Table, p.Sel.Partition, p.Range, cl, nil, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for r, ok := it.Next(); ok; r, ok = it.Next() {
+			rows = append(rows, r)
+		}
+		if err := it.Err(); err != nil {
+			tb.Fatal(err)
+		}
+		it.Close()
+	} else {
+		var err error
+		if rows, err = db.Get(p.Sel.Table, p.Sel.Partition, p.Range, cl); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	defer it.Close()
 	var out bytes.Buffer
 	n := 0
-	for r, ok := it.Next(); ok && (p.Sel.Limit == 0 || n < p.Sel.Limit); r, ok = it.Next() {
+	for _, r := range rows {
+		if p.Sel.Limit > 0 && n >= p.Sel.Limit {
+			break
+		}
 		if p.Filter != nil && !p.Filter.Eval(r) {
 			continue
 		}
@@ -436,9 +454,6 @@ func oracleSelect(tb testing.TB, db *store.DB, p *plan.Plan, cl store.Consistenc
 		}
 		out.Write(append(b, '\n'))
 		n++
-	}
-	if err := it.Err(); err != nil {
-		tb.Fatal(err)
 	}
 	return out.String()
 }

@@ -151,14 +151,16 @@ func ownRows(db *store.DB, id, table, pkey string) ([]store.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	it, err := n.Scan(context.Background(), table, pkey, store.Range{})
+	it, err := n.Batches(context.Background(), table, pkey, store.Range{})
 	if err != nil {
 		return nil, err
 	}
 	defer it.Close()
 	var rows []store.Row
-	for r, ok := it.Next(); ok; r, ok = it.Next() {
-		rows = append(rows, r)
+	for b, ok := it.Next(); ok; b, ok = it.Next() {
+		for i := range b.Len() {
+			rows = append(rows, b.Row(i).Clone())
+		}
 	}
 	return rows, it.Err()
 }

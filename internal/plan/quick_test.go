@@ -148,11 +148,15 @@ func TestBatchFilterMatchesEval(t *testing.T) {
 		p := &Plan{Filter: randExpr(rng, 2), Sel: &Select{}, outCols: []projRef{}} // a projection: the scan carries the filter's columns
 		project := p.scanColumns()
 		filter := newBatchFilter(p.Filter, project != nil)
-		sc, err := persist.ChainBatches(store.Range{}, []*persist.Segment{seg}, []persist.ScanConfig{{Project: project}})
+		sc, err := persist.ChainBatches(store.Range{}, false, []*persist.Segment{seg}, []persist.ScanConfig{{Project: project}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, src := range []persist.BatchIterator{sc, persist.BatchRows(persist.NewSliceIter(rows), project, nil)} {
+		run, err := persist.Merge(store.Range{}, nil, nil, [][]store.Row{rows}, project, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []persist.BatchIterator{sc, run} {
 			verdicts := filter.memos()
 			for b, ok := src.Next(); ok; b, ok = src.Next() {
 				var sel [store.MaxBatchRows]bool

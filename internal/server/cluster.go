@@ -79,9 +79,10 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	})(w, r)
 }
 
-// handleShardScan answers POST /v1/shard/scan: the partition as an NDJSON
-// stream of WireRows, trailer last — the transport behind a remote
-// coordinator's store.RowIter, and the one row read a peer serves. The
+// handleShardScan answers POST /v1/shard/scan: the member's batch scan of
+// the partition as an NDJSON stream of WireRows, each encoded before the
+// next batch is read, trailer last — the transport behind a remote
+// coordinator's store.RowIter, and the one read a peer serves. The
 // headers go out as soon as the scan is open: the coordinator bounds the
 // wait for them, and for each next row, by its RPC timeout, never the
 // whole stream.
@@ -107,7 +108,7 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 		s.writeV1(w, started, reqID, nil, toAPIError(err))
 		return
 	}
-	it, err := n.Scan(r.Context(), req.Table, req.PKey, store.Range{From: req.From, To: req.To})
+	it, err := n.Batches(r.Context(), req.Table, req.PKey, store.Range{From: req.From, To: req.To})
 	if err != nil {
 		s.writeV1(w, started, reqID, nil, toAPIError(err))
 		return
@@ -119,14 +120,12 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 	if nd.flush() != nil {
 		return
 	}
-	for {
-		row, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := nd.emit(api.RowToWire(row)); err != nil {
-			// The peer hung up mid-stream; nothing sensible left to write.
-			return
+	for b, ok := it.Next(); ok; b, ok = it.Next() {
+		for i := range b.Len() {
+			if err := nd.emit(api.RowToWire(b.Row(i))); err != nil {
+				// The peer hung up mid-stream; nothing sensible left to write.
+				return
+			}
 		}
 	}
 	nd.finish(it.Err())

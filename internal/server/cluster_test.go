@@ -38,13 +38,15 @@ func TestShardScanAnswersWhilePublicStreamsSaturated(t *testing.T) {
 	if err != nil || len(keys) == 0 {
 		t.Fatalf("partition keys of %s: %v, %v", node, keys, err)
 	}
-	it, err := n.Scan(ctx, model.TableEventByTime, keys[0], store.Range{})
+	it, err := n.Batches(ctx, model.TableEventByTime, keys[0], store.Range{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []store.Row
-	for row, ok := it.Next(); ok; row, ok = it.Next() {
-		want = append(want, row)
+	for b, ok := it.Next(); ok; b, ok = it.Next() {
+		for i := range b.Len() {
+			want = append(want, b.Row(i).Clone())
+		}
 	}
 	if err := it.Close(); err != nil {
 		t.Fatal(err)

@@ -53,6 +53,8 @@ type hub struct {
 	shards map[model.EventType]*watchShard
 	closed chan struct{}
 	done   bool
+	// dispatchers counts the running shard dispatchers; close waits them out.
+	dispatchers sync.WaitGroup
 
 	// scanEpoch advances on every digest-free notification: rows may have
 	// become readable without row-level detail, so each subscriber's next
@@ -250,6 +252,7 @@ func (sh *watchShard) append(entries []tailEntry, h *hub) {
 // arriving while a pass runs produce one more pass, not N more. Exits
 // when the hub closes or the shard's last subscriber leaves.
 func (sh *watchShard) dispatch(h *hub) {
+	defer h.dispatchers.Done()
 	var subs []*subscriber
 	for {
 		select {
@@ -299,6 +302,7 @@ func (h *hub) subscribe(typ model.EventType) *subscriber {
 		}
 		h.shards[typ] = sh
 		if !h.done {
+			h.dispatchers.Add(1)
 			go sh.dispatch(h)
 		}
 	}
@@ -347,7 +351,7 @@ func (h *hub) shardCounts() map[string]int64 {
 
 // close wakes every subscriber permanently; parked requests complete
 // their response (graceful shutdown drains the hub before the HTTP
-// listener) and every shard dispatcher exits.
+// listener) and every shard dispatcher exits before close returns.
 func (h *hub) close() {
 	h.mu.Lock()
 	if !h.done {
@@ -355,6 +359,7 @@ func (h *hub) close() {
 		close(h.closed)
 	}
 	h.mu.Unlock()
+	h.dispatchers.Wait()
 }
 
 // collect gathers the newly arrived events for one watch subscription as

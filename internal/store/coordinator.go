@@ -15,31 +15,26 @@ import (
 // replica is one ring member as the coordinator reaches it: a *Node hosted
 // in this process, or a wireReplica around the Remote of a member hosted
 // elsewhere. KeyBounds and PartitionKeys are Remote's own methods (and the
-// /v1/shard/* routes serve a Node's); the lowercase three carry what only
-// an in-process node can use — the put record encoded once per batch,
-// block pruning and column projection — and a wire replica drops it. scan
-// is the one row read: Get and Repair drain it (see readReplica).
+// /v1/shard/* routes serve a Node's); the lowercase two carry what only
+// an in-process node can use — the put record, pruning, projection, owned
+// decoding — and a wire replica drops it. batches is the one read at every
+// consistency level: Get and Repair drain it (see readReplica).
 type replica interface {
 	apply(ctx context.Context, table, pkey string, rows []Row, encoded []byte) error
-	scan(ctx context.Context, table, pkey string, rg Range, pc *pruneCfg) (RowIter, error)
-	batches(ctx context.Context, table, pkey string, rg Range, project []uint32, sel *persist.Match, pc *pruneCfg) (BatchIterator, error)
+	batches(ctx context.Context, table, pkey string, rg Range, project []uint32, sel *persist.Match, pc *pruneCfg, owned bool) (BatchIterator, error)
 	KeyBounds(ctx context.Context, table, pkey string) (min, max string, ok bool, err error)
 	PartitionKeys(ctx context.Context, table string) ([]string, error)
 }
 
 // wireReplica adapts a Remote: it sends rows rather than the encoded
-// record, scans unpruned, and re-batches the row stream.
+// record, scans unpruned, and batches the row stream.
 type wireReplica struct{ Remote }
 
 func (w wireReplica) apply(ctx context.Context, table, pkey string, rows []Row, _ []byte) error {
 	return w.Apply(ctx, table, pkey, rows)
 }
 
-func (w wireReplica) scan(ctx context.Context, table, pkey string, rg Range, _ *pruneCfg) (RowIter, error) {
-	return w.Scan(ctx, table, pkey, rg)
-}
-
-func (w wireReplica) batches(ctx context.Context, table, pkey string, rg Range, project []uint32, sel *persist.Match, _ *pruneCfg) (BatchIterator, error) {
+func (w wireReplica) batches(ctx context.Context, table, pkey string, rg Range, project []uint32, sel *persist.Match, _ *pruneCfg, _ bool) (BatchIterator, error) {
 	it, err := w.Scan(ctx, table, pkey, rg)
 	if err != nil {
 		return nil, err
@@ -73,7 +68,7 @@ func (db *DB) replicaOf(id string) replica {
 
 // LocalReplica returns the locally hosted ring member nodeID, fenced: a
 // member this process does not host is ErrWrongShard. The /v1/shard/*
-// routes serve its Scan, KeyBounds and PartitionKeys.
+// routes serve its Batches, KeyBounds and PartitionKeys.
 func (db *DB) LocalReplica(nodeID string) (*Node, error) {
 	if n := db.Node(nodeID); n != nil {
 		return n, nil
@@ -269,14 +264,17 @@ func (db *DB) Get(tableName, pkey string, rg Range, cl Consistency) ([]Row, erro
 	return db.GetCtx(context.Background(), tableName, pkey, rg, cl)
 }
 
-// readReplica drains one replica's unpruned scan of a partition within rg. A
-// stream that fails part-way returns its error and no rows, so a caller
-// never takes a partial list for a replica's answer.
+// readReplica drains one replica's unpruned batch scan of a partition
+// within rg into rows that outlive their batches: a local scan is opened
+// owned, a merge's and a remote's batches own their cells. A stream that
+// fails part-way returns its error and no rows, so a caller never takes a
+// partial list for a replica's answer.
 func readReplica(ctx context.Context, r replica, tableName, pkey string, rg Range) ([]Row, error) {
-	it, err := r.scan(ctx, tableName, pkey, rg, nil)
+	bi, err := r.batches(ctx, tableName, pkey, rg, nil, nil, nil, true)
 	if err != nil {
 		return nil, err
 	}
+	it := persist.Rows(bi)
 	var rows []Row
 	for row, ok := it.Next(); ok; row, ok = it.Next() {
 		rows = append(rows, row)

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -57,10 +58,25 @@ func (f *fakeRemote) Scan(_ context.Context, table, pkey string, rg Range) (RowI
 	defer f.mu.Unlock()
 	rows := slices.Clone(sliceRange(f.parts[table+"/"+pkey], rg))
 	if k := f.scanFailAfter; k > 0 && k < len(rows) {
-		return brokenIter{NewSliceIter(rows[:k])}, nil
+		return brokenIter{&sliceIter{rows[:k]}}, nil
 	}
-	return NewSliceIter(rows), nil
+	return &sliceIter{rows}, nil
 }
+
+// sliceIter streams a sorted run of rows, as a remote's scan does.
+type sliceIter struct{ rows []Row }
+
+func (s *sliceIter) Next() (Row, bool) {
+	if len(s.rows) == 0 {
+		return Row{}, false
+	}
+	r := s.rows[0]
+	s.rows = s.rows[1:]
+	return r, true
+}
+
+func (s *sliceIter) Err() error   { return nil }
+func (s *sliceIter) Close() error { return nil }
 
 // brokenIter is a stream that broke off: its rows end early and Err
 // reports why.
@@ -109,23 +125,15 @@ func mixedRing(t *testing.T) (db *DB, b, c *fakeRemote) {
 	return db, b, c
 }
 
-func rowCount(t *testing.T, r interface {
-	Scan(context.Context, string, string, Range) (RowIter, error)
-}, pkey string) int {
+// rowCount counts one replica's rows of partition pkey: a local node, or a
+// fake remote behind the wire adapter.
+func rowCount(t *testing.T, r replica, pkey string) int {
 	t.Helper()
-	it, err := r.Scan(context.Background(), "events", pkey, Range{})
+	rows, err := readReplica(context.Background(), r, "events", pkey, Range{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer it.Close()
-	n := 0
-	for _, ok := it.Next(); ok; _, ok = it.Next() {
-		n++
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return n
+	return len(rows)
 }
 
 // TestCoordinatorQuorumAcksWhileRemoteBlocks: a QUORUM write returns on
@@ -150,16 +158,16 @@ func TestCoordinatorQuorumAcksWhileRemoteBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rowCount(t, a, "p") != 1 || rowCount(t, b, "p") != 1 {
+	if rowCount(t, a, "p") != 1 || rowCount(t, wireReplica{b}, "p") != 1 {
 		t.Fatal("acked write missing from the in-process replica or the acking remote")
 	}
-	if rowCount(t, c, "p") != 0 {
+	if rowCount(t, wireReplica{c}, "p") != 0 {
 		t.Fatal("blocked remote applied the write")
 	}
 	c.block <- struct{}{} // let the straggler's Apply through
 	<-c.applied
-	if rowCount(t, c, "p") != 1 || db.PendingHints("c") != 0 {
-		t.Fatalf("straggler holds %d rows with %d hinted; want 1 and 0", rowCount(t, c, "p"), db.PendingHints("c"))
+	if rowCount(t, wireReplica{c}, "p") != 1 || db.PendingHints("c") != 0 {
+		t.Fatalf("straggler holds %d rows with %d hinted; want 1 and 0", rowCount(t, wireReplica{c}, "p"), db.PendingHints("c"))
 	}
 }
 
@@ -190,9 +198,9 @@ func TestCoordinatorHintsFailedRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delivered != 2 || db.PendingHints("c") != 0 || rowCount(t, c, "p") != 2 {
+	if delivered != 2 || db.PendingHints("c") != 0 || rowCount(t, wireReplica{c}, "p") != 2 {
 		t.Fatalf("recovery delivered %d rows, %d still pending, remote holds %d; want 2, 0, 2",
-			delivered, db.PendingHints("c"), rowCount(t, c, "p"))
+			delivered, db.PendingHints("c"), rowCount(t, wireReplica{c}, "p"))
 	}
 }
 
@@ -238,48 +246,62 @@ func TestCoordinatorHintsFailedLocalReplica(t *testing.T) {
 }
 
 // partitionRows writes n rows of partition p at ALL, so every replica of
-// a mixed ring holds all of them.
-func partitionRows(t *testing.T, db *DB, n int) {
+// a mixed ring holds all of them, and returns them. No two rows share
+// their cells.
+func partitionRows(t *testing.T, db *DB, n int) []Row {
 	t.Helper()
 	rows := make([]Row, n)
 	for i := range rows {
-		rows[i] = eventRow(int64(i), "d", "MCE", "L")
+		rows[i] = MapRow(EncodeTS(int64(i))+":d", 0, map[string]string{"type": "MCE", "source": "L", "amount": fmt.Sprint(i)})
 	}
 	if err := db.PutBatch("events", "p", rows, All); err != nil {
 		t.Fatal(err)
 	}
+	return rows
 }
 
 // TestFaultPartialScanNeverAnswersGet: a remote whose scan breaks off
-// after a few rows is a failed replica, not a short answer. Get at One and
-// at Quorum returns another replica's complete rows, and the partial list
-// never reaches read repair.
+// after some rows is a failed replica, not a short answer. Get at One and
+// at Quorum returns another replica's complete rows, cell for cell — for
+// a partition of many batches, drained off the hop across their
+// boundaries — and the partial list never reaches read repair.
 func TestFaultPartialScanNeverAnswersGet(t *testing.T) {
-	db, b, c := mixedRing(t)
-	const n = 10
-	partitionRows(t, db, n)
-	// Break the remote read first: Quorum reads the local replica and it,
-	// One (with the local replica down) reads it alone.
-	var first *fakeRemote
-	for _, id := range db.Ring().Replicas("p") {
-		if id == "b" || id == "c" {
-			first = map[string]*fakeRemote{"b": b, "c": c}[id]
-			break
-		}
-	}
-	first.scanFailAfter = 3
-
-	rows, err := db.Get("events", "p", Range{}, Quorum)
-	if err != nil || len(rows) != n {
-		t.Fatalf("QUORUM read with a broken remote: %d rows, %v; want %d", len(rows), err, n)
-	}
-	if got := db.ReadRepairs(); got != 0 {
-		t.Fatalf("read repair wrote back %d rows: a partial list was taken for an answer", got)
-	}
-	db.Ring().SetUp("a", false)
-	rows, err = db.Get("events", "p", Range{}, One)
-	if err != nil || len(rows) != n {
-		t.Fatalf("ONE read with a broken remote: %d rows, %v; want %d", len(rows), err, n)
+	for _, tc := range []struct{ rows, failAfter int }{
+		{10, 3},
+		{3*MaxBatchRows + 5, MaxBatchRows + 7},
+	} {
+		t.Run(fmt.Sprint(tc.rows), func(t *testing.T) {
+			db, b, c := mixedRing(t)
+			want := partitionRows(t, db, tc.rows)
+			// Break the remote read first: Quorum reads the local replica and
+			// it, One (with the local replica down) reads it alone.
+			var first *fakeRemote
+			for _, id := range db.Ring().Replicas("p") {
+				if id == "b" || id == "c" {
+					first = map[string]*fakeRemote{"b": b, "c": c}[id]
+					break
+				}
+			}
+			first.scanFailAfter = tc.failAfter
+			check := func(cl Consistency) {
+				t.Helper()
+				rows, err := db.Get("events", "p", Range{}, cl)
+				if err != nil || len(rows) != len(want) {
+					t.Fatalf("%v read with a broken remote: %d rows, %v; want %d", cl, len(rows), err, len(want))
+				}
+				for i, r := range rows {
+					if r.Key != want[i].Key || !slices.Equal(r.Cols(), want[i].Cols()) {
+						t.Fatalf("%v read, row %d: %q %v, want %q %v", cl, i, r.Key, r.ColumnsMap(), want[i].Key, want[i].ColumnsMap())
+					}
+				}
+			}
+			check(Quorum)
+			if got := db.ReadRepairs(); got != 0 {
+				t.Fatalf("read repair wrote back %d rows: a partial list was taken for an answer", got)
+			}
+			db.Ring().SetUp("a", false)
+			check(One)
+		})
 	}
 }
 

@@ -264,11 +264,11 @@ func TestRepairPatchesMissedOverwrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := db.Node(victim).Scan(context.Background(), "events", pkey, Range{})
+	rows, err := readReplica(context.Background(), db.Node(victim), "events", pkey, Range{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range collectIter(t, it) {
+	for _, r := range rows {
 		if r.Key == key && r.Col("amount") != "99" {
 			t.Fatalf("after repair the replica holds amount %q for %s, want 99", r.Col("amount"), key)
 		}

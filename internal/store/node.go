@@ -224,13 +224,14 @@ func (in *mergeInputs) addRun(rows []Row) {
 // openBatches opens the inputs as one batch source. Inputs whose key
 // ranges clipped to rg are pairwise disjoint cannot hold two versions of
 // one key, so they are chained in key order straight from the block
-// decoder (in-RAM runs through the rows→Batch adapter); any overlap sends
-// every input through the last-write-wins merge, whose winners are
-// batched under the projection. With sel set only the rows it matches are
+// decoder (an in-RAM run through the merge as its one input); any overlap
+// sends every input through the last-write-wins merge, which batches its
+// winners under the projection. With sel set only the rows it matches are
 // batched: selected in the block decoder where inputs are chained, after
 // the merge otherwise, so that a version sel rejects still shadows an
-// older one it would accept.
-func (in mergeInputs) openBatches(rg Range, project []uint32, sel *persist.Match) (_ persist.BatchIterator, chained bool, err error) {
+// older one it would accept. owned decodes chained segments into storage
+// of their own, for a caller that keeps the rows.
+func (in mergeInputs) openBatches(rg Range, project []uint32, sel *persist.Match, owned bool) (_ persist.BatchIterator, chained bool, err error) {
 	type span struct {
 		min, max string
 		input    int // < len(in.segs): a segment; otherwise a run
@@ -249,11 +250,8 @@ func (in mergeInputs) openBatches(rg Range, project []uint32, sel *persist.Match
 	slices.SortFunc(spans, func(a, b span) int { return strings.Compare(a.min, b.min) })
 	for i := 1; i < len(spans); i++ {
 		if spans[i].min <= spans[i-1].max {
-			it, err := persist.Merge(rg, in.segs, in.cfgs, in.runs)
-			if err != nil {
-				return nil, false, err
-			}
-			return persist.BatchRows(it, project, sel), false, nil
+			it, err := persist.Merge(rg, in.segs, in.cfgs, in.runs, project, sel)
+			return it, false, err
 		}
 	}
 	// Consecutive segments share one scanner; a run breaks the chain.
@@ -264,7 +262,7 @@ func (in mergeInputs) openBatches(rg Range, project []uint32, sel *persist.Match
 		if len(segs) == 0 {
 			return nil
 		}
-		bs, err := persist.ChainBatches(rg, segs, cfgs)
+		bs, err := persist.ChainBatches(rg, owned, segs, cfgs)
 		if err == nil {
 			srcs, segs, cfgs = append(srcs, bs), nil, nil
 		}
@@ -280,7 +278,11 @@ func (in mergeInputs) openBatches(rg Range, project []uint32, sel *persist.Match
 		if err = chain(); err != nil {
 			break
 		}
-		srcs = append(srcs, persist.BatchRows(persist.NewSliceIter(in.runs[sp.input-len(in.segs)]), project, sel))
+		var run persist.BatchIterator
+		if run, err = persist.Merge(rg, nil, nil, [][]Row{in.runs[sp.input-len(in.segs)]}, project, sel); err != nil {
+			break
+		}
+		srcs = append(srcs, run)
 	}
 	if err == nil {
 		err = chain()
@@ -293,41 +295,19 @@ func (in mergeInputs) openBatches(rg Range, project []uint32, sel *persist.Match
 	return it, true, nil
 }
 
-// retryRetired runs open on a fresh snapshot of the partition's inputs.
-// The segment list of a snapshot may race the background compactor, which
-// can retire a listed segment before open acquires it; the merged
-// replacement holds the same rows, so re-fetch and retry.
-func retryRetired(open func() error) error {
+// snapshot runs open on a point-in-time view of the partition restricted
+// to rg, with block pruning on the disk segments when pc is set. The
+// segment list of a view may race the background compactor, which can
+// retire a listed segment before open acquires it; the merged replacement
+// holds the same rows, so open is retried on a fresh view.
+func (p *partition) snapshot(rg Range, pc *pruneCfg, open func(mergeInputs) error) error {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	for attempt := 0; ; attempt++ {
-		if err := open(); !errors.Is(err, persist.ErrRetired) || attempt >= 16 {
+		if err := open(p.inputsLocked(rg, pc)); !errors.Is(err, persist.ErrRetired) || attempt >= 16 {
 			return err
 		}
 	}
-}
-
-// snapshotRows streams the last-write-wins merge of a point-in-time view
-// of the partition restricted to rg, with block pruning on the disk
-// segments when pc is set.
-func (p *partition) snapshotRows(rg Range, pc *pruneCfg) (it persist.Iterator, err error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	err = retryRetired(func() error {
-		in := p.inputsLocked(rg, pc)
-		it, err = persist.Merge(rg, in.segs, in.cfgs, in.runs)
-		return err
-	})
-	return it, err
-}
-
-// snapshotBatches is snapshotRows for the batch path (see openBatches).
-func (p *partition) snapshotBatches(rg Range, pc *pruneCfg, project []uint32, sel *persist.Match) (it persist.BatchIterator, chained bool, err error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	err = retryRetired(func() error {
-		it, chained, err = p.inputsLocked(rg, pc).openBatches(rg, project, sel)
-		return err
-	})
-	return it, chained, err
 }
 
 // eachMemRun calls fn with each non-empty in-RAM merge input of the

@@ -126,7 +126,7 @@ func TestBlockDecodeAllocBudget(t *testing.T) {
 	}
 	for _, keys := range []bool{false, true} {
 		t.Run(fmt.Sprintf("keys=%v", keys), func(t *testing.T) {
-			sc, err := ChainBatches(Range{}, segs, cfgs)
+			sc, err := ChainBatches(Range{}, false, segs, cfgs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func TestSourceScanAllocBudget(t *testing.T) {
 	})
 	seg := matchSegment(t, "busy", nil, rows)
 	m := NewMatch(GroupColumn, "busy")
-	sc, err := ChainBatches(Range{}, []*Segment{seg}, []ScanConfig{{Pruner: m, Select: m}})
+	sc, err := ChainBatches(Range{}, false, []*Segment{seg}, []ScanConfig{{Pruner: m, Select: m}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -370,11 +370,17 @@ type BatchIterator interface {
 	Close() error
 }
 
-// BatchRows adapts a row iterator to a BatchIterator: the one rows→Batch
-// path, used for merged inputs, in-memory runs and remote scan streams.
-// With sel set it keeps the rows sel matches alone. It takes ownership of
-// it.
+// BatchRows adapts a remote shard's row stream to a BatchIterator under
+// project; with sel set it keeps the rows sel matches alone. It takes
+// ownership of it.
 func BatchRows(it Iterator, project []uint32, sel *Match) BatchIterator {
+	return newRowBatcher(it, project, sel)
+}
+
+// newRowBatcher is the one rows→Batch path: a merge's winners and a remote
+// shard's rows. Each batch copies its rows' cells into storage of its own,
+// so a row of it stays valid for as long as its strings do.
+func newRowBatcher(it Iterator, project []uint32, sel *Match) *rowBatcher {
 	rb := &rowBatcher{it: it, sel: sel}
 	rb.b.setProject(project)
 	return rb
@@ -388,6 +394,7 @@ type rowBatcher struct {
 
 func (rb *rowBatcher) Next() (*Batch, bool) {
 	rb.b.reset()
+	rb.b.cells = make([]Col, 0, cap(rb.b.cells))
 	for rb.b.Len() < indexEvery {
 		r, ok := rb.it.Next()
 		if !ok {
@@ -969,10 +976,11 @@ func (sc *BatchScanner) Close() error {
 // all. Only the projected columns are materialized and blocks a
 // configuration's Pruner proves irrelevant are skipped. cfgs is parallel
 // to segs; the projection is that of cfgs[0]. Batches alias the scanner's
-// read buffer; see Batch for the lifetime contract.
-func ChainBatches(rg Range, segs []*Segment, cfgs []ScanConfig) (*BatchScanner, error) {
+// read buffer (see Batch for the lifetime contract) unless owned: then
+// each is decoded into storage of its own.
+func ChainBatches(rg Range, owned bool, segs []*Segment, cfgs []ScanConfig) (*BatchScanner, error) {
 	sc := &BatchScanner{}
-	if err := sc.open(rg, false, segs, cfgs); err != nil {
+	if err := sc.open(rg, owned, segs, cfgs); err != nil {
 		return nil, err
 	}
 	return sc, nil
@@ -992,7 +1000,8 @@ func (sc *BatchScanner) Err() error { return sc.err }
 // ScanPruned streams the segment's rows within rg, skipping blocks the
 // configuration's Pruner proves irrelevant. Rows stay valid for as long as
 // the caller holds them: their strings are substrings of one immutable
-// copy of the block, or of an arena no later block reuses.
+// copy of the block, or of an arena no later block reuses. Bench adapter:
+// 1a-scale deletes it.
 func (s *Segment) ScanPruned(rg Range, cfg ScanConfig) (Iterator, error) {
 	c, err := s.openCursor(rg, cfg)
 	if err != nil {

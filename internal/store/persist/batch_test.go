@@ -458,7 +458,7 @@ func TestScanBatchesMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		it.Close()
-		bs, err := ChainBatches(rg, []*Segment{seg}, []ScanConfig{{Project: project}})
+		bs, err := ChainBatches(rg, false, []*Segment{seg}, []ScanConfig{{Project: project}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,7 +466,7 @@ func TestScanBatchesMatchesScan(t *testing.T) {
 			t.Fatalf("range %+v projection %v: batch scan yields %d rows that differ from the row scan's %d", rg, project, len(got), len(want))
 		}
 		// The rows→Batch adapter must agree with the block decoder.
-		if got := collectBatches(t, BatchRows(NewSliceIter(want), project, nil)); !sameRows(got, want) {
+		if got := collectBatches(t, BatchRows(sliceIter(want), project, nil)); !sameRows(got, want) {
 			t.Fatalf("range %+v projection %v: BatchRows changes the rows", rg, project)
 		}
 	}

@@ -103,7 +103,7 @@ func BenchmarkSegmentScanBatches(b *testing.B) {
 	b.SetBytes(int64(len(rows)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bs, err := ChainBatches(Range{}, []*Segment{seg}, []ScanConfig{cfg})
+		bs, err := ChainBatches(Range{}, false, []*Segment{seg}, []ScanConfig{cfg})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func BenchmarkScanBatches(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(gen.seg.meta.DataLen)
 				for i := 0; i < b.N; i++ {
-					sc, err := ChainBatches(Range{}, []*Segment{gen.seg}, []ScanConfig{{Project: p.project}})
+					sc, err := ChainBatches(Range{}, false, []*Segment{gen.seg}, []ScanConfig{{Project: p.project}})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -363,7 +363,7 @@ func TestGroupListsMatchRows(t *testing.T) {
 				// The block's rows and whether it codes sources into the section
 				// dictionary.
 				var blockRows []Row
-				sc, err := ChainBatches(Range{From: b.MinKey, To: b.MaxKey + "\x00"}, []*Segment{seg}, []ScanConfig{{Project: []uint32{source, amount}}})
+				sc, err := ChainBatches(Range{From: b.MinKey, To: b.MaxKey + "\x00"}, false, []*Segment{seg}, []ScanConfig{{Project: []uint32{source, amount}}})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -148,7 +148,7 @@ func imageOf(t testing.TB, b *Batch, project []uint32) batchImage {
 
 func batchImages(t testing.TB, seg *Segment, rg Range, cfg ScanConfig) []batchImage {
 	t.Helper()
-	sc, err := ChainBatches(rg, []*Segment{seg}, []ScanConfig{cfg})
+	sc, err := ChainBatches(rg, false, []*Segment{seg}, []ScanConfig{cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestTemplatesAcrossColumnOrders(t *testing.T) {
 		rows = append(rows, MakeRow(EncodeTS(int64(i)), 1, cols))
 	}
 	seg := writeV9(t, t.TempDir(), hostileSeg{name: "orders", rows: rows}, 1)
-	sc, err := ChainBatches(Range{}, []*Segment{seg}, []ScanConfig{{Project: []uint32{templateColID}}})
+	sc, err := ChainBatches(Range{}, false, []*Segment{seg}, []ScanConfig{{Project: []uint32{templateColID}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,7 +167,7 @@ func TestMatchSelectsAsFilter(t *testing.T) {
 					it.Close()
 					m := NewMatch(GroupColumn, value)
 					stats := &PruneStats{}
-					bs, err := ChainBatches(rg, []*Segment{seg}, []ScanConfig{{Pruner: m, Select: m, Stats: stats, Project: project}})
+					bs, err := ChainBatches(rg, false, []*Segment{seg}, []ScanConfig{{Pruner: m, Select: m, Stats: stats, Project: project}})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -216,7 +216,7 @@ func TestMatchFiltersRowBatches(t *testing.T) {
 			want = append(want, r)
 		}
 	}
-	if got := collectBatches(t, BatchRows(NewSliceIter(rows), nil, NewMatch(GroupColumn, "b"))); !sameRows(got, want) {
+	if got := collectBatches(t, BatchRows(sliceIter(rows), nil, NewMatch(GroupColumn, "b"))); !sameRows(got, want) {
 		t.Fatalf("BatchRows under a Match yields %d rows, want %d", len(got), len(want))
 	}
 }

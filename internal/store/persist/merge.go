@@ -61,39 +61,34 @@ func byName(cols, buf []Col) []Col {
 }
 
 // cursor is one sorted input of the merge, read a row at a time: a run of
-// rows, or the current batch of a segment scan that decodes every cell
-// into blocks of its own, so a row stays valid after the scan moves on.
-// It is the Iterator NewSliceIter and Segment.ScanPruned return.
+// rows, or the current batch of a batch scan — a segment's that decodes
+// every cell into blocks of its own — so a row stays valid after the scan
+// moves on. It is the Iterator Segment.ScanPruned and Rows return.
 type cursor struct {
 	run []Row         // a run: the rows still to read
-	sc  *BatchScanner // a segment's scan; nil for a run
-	pos int           // the next row of sc's batch
+	src BatchIterator // a batch scan; nil for a run
+	b   *Batch        // src's current batch
+	pos int           // the next row of b
 }
 
-// segCursor is a segment's cursor and its scan in one allocation.
-type segCursor struct {
-	cursor
-	sc BatchScanner
-}
-
-// NewSliceIter wraps an already-materialized, sorted row slice in an
-// Iterator.
-func NewSliceIter(rows []Row) Iterator { return &cursor{run: rows} }
+// Rows streams the rows of it's unprojected batches, each valid while held
+// where the batches own their cells and strings: an owned segment scan, a
+// merge, a remote shard's stream. It takes ownership of it.
+func Rows(it BatchIterator) Iterator { return &cursor{src: it} }
 
 // openCursor opens the segment's rows within rg, every cell decoded, as a
 // merge input; cfg's projection and selection are ignored.
 func (s *Segment) openCursor(rg Range, cfg ScanConfig) (*cursor, error) {
 	cfg.Project, cfg.Select = nil, nil
-	c := &segCursor{}
-	c.cursor.sc = &c.sc
-	if err := c.sc.open(rg, true, []*Segment{s}, []ScanConfig{cfg}); err != nil {
+	sc, err := ChainBatches(rg, true, []*Segment{s}, []ScanConfig{cfg})
+	if err != nil {
 		return nil, err
 	}
-	return &c.cursor, nil
+	return &cursor{src: sc}, nil
 }
 
 func (c *cursor) Next() (Row, bool) {
-	if c.sc == nil {
+	if c.src == nil {
 		if len(c.run) == 0 {
 			return Row{}, false
 		}
@@ -101,29 +96,30 @@ func (c *cursor) Next() (Row, bool) {
 		c.run = c.run[1:]
 		return r, true
 	}
-	if c.pos >= c.sc.b.Len() {
-		if !c.sc.fill() {
+	if c.b == nil || c.pos >= c.b.Len() {
+		b, ok := c.src.Next()
+		if !ok {
 			return Row{}, false
 		}
-		c.pos = 0
+		c.b, c.pos = b, 0
 	}
 	c.pos++
-	return c.sc.b.Row(c.pos - 1), true
+	return c.b.Row(c.pos - 1), true
 }
 
 func (c *cursor) Err() error {
-	if c.sc == nil {
+	if c.src == nil {
 		return nil
 	}
-	return c.sc.err
+	return c.src.Err()
 }
 
 func (c *cursor) Close() error {
-	c.run, c.pos = nil, 0
-	if c.sc == nil {
+	c.run, c.b, c.pos = nil, nil, 0
+	if c.src == nil {
 		return nil
 	}
-	return c.sc.Close()
+	return c.src.Close()
 }
 
 // merger is the last-write-wins k-way merge, the only one: a binary
@@ -139,10 +135,31 @@ type merger struct {
 }
 
 // Merge streams the last-write-wins merge of segs, each scanned within rg
-// under its cfg with every cell decoded, and of runs, sorted runs of rows.
-// A caller projects the output, never the inputs: a tie is decided on
-// every cell. One input is returned as it is.
-func Merge(rg Range, segs []*Segment, cfgs []ScanConfig, runs [][]Row) (Iterator, error) {
+// under its cfg with every cell decoded (a tie is decided on all of them),
+// and of runs, sorted runs of rows, as batches of the winners under
+// project, of which sel keeps its matches: a version it rejects still
+// shadows an older one. An unprojected batch's rows stay valid while held.
+func Merge(rg Range, segs []*Segment, cfgs []ScanConfig, runs [][]Row, project []uint32, sel *Match) (BatchIterator, error) {
+	if len(segs) == 1 && len(runs) == 0 {
+		// One segment holds one version of a key: its owned scan is the merge.
+		cfg := cfgs[0]
+		cfg.Project, cfg.Select = project, sel
+		sc, err := ChainBatches(rg, true, segs, []ScanConfig{cfg})
+		if err != nil {
+			return nil, err
+		}
+		return sc, nil
+	}
+	it, err := mergeRows(rg, segs, cfgs, runs)
+	if err != nil {
+		return nil, err
+	}
+	return newRowBatcher(it, project, sel), nil
+}
+
+// mergeRows is Merge's row stream, which compaction writes out as it is.
+// One input is returned as it is.
+func mergeRows(rg Range, segs []*Segment, cfgs []ScanConfig, runs [][]Row) (Iterator, error) {
 	curs := make([]*cursor, 0, len(segs)+len(runs))
 	for i, seg := range segs {
 		c, err := seg.openCursor(rg, cfgs[i])
@@ -160,9 +177,9 @@ func Merge(rg Range, segs []*Segment, cfgs []ScanConfig, runs [][]Row) (Iterator
 	return mergeCursors(curs), nil
 }
 
-// MergeIters is Merge over iterators that NewSliceIter or
-// Segment.ScanPruned returned, for a caller that opens its own scans. It
-// takes ownership of them.
+// MergeIters is Merge's row stream over iterators that Segment.ScanPruned
+// returned, for a caller that opens its own scans. It takes ownership of
+// them. Bench adapter: 1a-scale deletes it.
 func MergeIters(its []Iterator) Iterator {
 	curs := make([]*cursor, len(its))
 	for i, it := range its {

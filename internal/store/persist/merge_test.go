@@ -146,11 +146,11 @@ func FuzzMergeOrderFree(f *testing.F) {
 			rng.Shuffle(len(segs), func(i, j int) { segs[i], segs[j] = segs[j], segs[i] })
 			rng.Shuffle(len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
 			read := func(segs []*Segment, runs [][]Row) []Row {
-				it, err := Merge(Range{}, segs, make([]ScanConfig, len(segs)), runs)
+				it, err := Merge(Range{}, segs, make([]ScanConfig, len(segs)), runs, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return drain(t, it)
+				return drain(t, Rows(it))
 			}
 			if got := read(segs, runs); !exactRows(got, want) {
 				t.Fatalf("seed %d split %d: %d segments and %d runs merge to %v, want %v", seed, split, len(segs), len(runs), got, want)

@@ -86,6 +86,9 @@ func (s *Segment) Scan(rg Range) (Iterator, error) {
 	return s.ScanPruned(rg, ScanConfig{})
 }
 
+// sliceIter streams a sorted run of rows, as a merge input does.
+func sliceIter(rows []Row) Iterator { return &cursor{run: rows} }
+
 func drain(t testing.TB, it Iterator) []Row {
 	t.Helper()
 	defer it.Close()
@@ -286,7 +289,7 @@ func TestMergeItersLWW(t *testing.T) {
 		MapRow("b", 5, map[string]string{"v": "tie-greater-wins"}),
 		MapRow("c", 1, map[string]string{"v": "only"}),
 	}
-	got := drain(t, MergeIters([]Iterator{NewSliceIter(older), NewSliceIter(newer)}))
+	got := drain(t, MergeIters([]Iterator{sliceIter(older), sliceIter(newer)}))
 	if len(got) != 3 {
 		t.Fatalf("merged %d rows, want 3", len(got))
 	}
@@ -295,7 +298,7 @@ func TestMergeItersLWW(t *testing.T) {
 	}
 	// Swapping the inputs changes nothing: a WriteTS tie goes to the
 	// greater cells, not to an input's place.
-	swapped := drain(t, MergeIters([]Iterator{NewSliceIter(newer), NewSliceIter(older)}))
+	swapped := drain(t, MergeIters([]Iterator{sliceIter(newer), sliceIter(older)}))
 	if !reflect.DeepEqual(swapped, got) {
 		t.Fatalf("swapped inputs merged to %+v, want %+v", swapped, got)
 	}

@@ -1527,7 +1527,7 @@ func (s *Segment) blockBounds(i int) (lo, hi int64) {
 	return lo, s.meta.DataLen
 }
 
-// ScanConfig parameterizes a pruned scan (see ScanPruned and ScanBatches).
+// ScanConfig parameterizes one segment's scan (see ChainBatches, Merge).
 // The zero value scans every in-range block and decodes every column.
 type ScanConfig struct {
 	// Pruner, when non-nil, is consulted before each block read: a pruned
@@ -1546,11 +1546,11 @@ type ScanConfig struct {
 	Stats *PruneStats
 	// Project lists the dictionary IDs of the columns a batch scan
 	// materializes (nil = every column; empty = keys and write timestamps
-	// only). Other columns are hopped over, chunk by chunk. Row scans
-	// (ScanPruned) always decode every column.
+	// only). Other columns are hopped over, chunk by chunk. A merge input
+	// always decodes every column.
 	Project []uint32
 	// Select, when non-nil, keeps only the rows it matches (see Match). A
 	// batch scan reads it off the first configuration, as it does Project;
-	// row scans, merge inputs, ignore it.
+	// a merge input ignores it.
 	Select *Match
 }

@@ -21,7 +21,7 @@ func TestTemplateDecodeAllocBudget(t *testing.T) {
 	}
 	for _, reassemble := range []bool{false, true} {
 		t.Run(fmt.Sprintf("reassemble=%v", reassemble), func(t *testing.T) {
-			sc, err := ChainBatches(Range{}, segs, cfgs)
+			sc, err := ChainBatches(Range{}, false, segs, cfgs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -712,7 +712,7 @@ func retireUnderScan(t *testing.T, s *Store) (*BatchScanner, string, []Row) {
 		t.Fatal(err)
 	}
 	evicted := s.Segments("events", "pa")[0]
-	sc, err := ChainBatches(Range{}, []*Segment{evicted}, []ScanConfig{{}})
+	sc, err := ChainBatches(Range{}, false, []*Segment{evicted}, []ScanConfig{{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,12 +18,12 @@ import (
 // Implementations (see internal/dist) speak the /v1/replicate and
 // /v1/shard/* RPCs over the hpclog/client SDK.
 //
-// Contract: Scan is the one row read — the coordinator drains it for Get,
-// read repair and anti-entropy, and re-batches it for batch scans. It
-// yields rows sorted by clustering key, the same shape a local replica
-// yields, and reports a stream that broke off through Err, never as a
-// short clean stream. Apply is idempotent (rows carry their WriteTS;
-// replicas reconcile last-write-wins), so callers may safely retry.
+// Contract: Scan is the hop of the one replica read, batched by
+// wireReplica.batches, which Get, repair and batch scans drain. It yields
+// rows sorted by clustering key, each valid while held, and reports a
+// stream that broke off through Err, never as a short clean stream. Apply
+// is idempotent (rows carry their WriteTS; replicas reconcile
+// last-write-wins), so callers may safely retry.
 //
 // Every method takes the coordinator's request context: transports
 // derive their RPC deadline from it and propagate the request ID it

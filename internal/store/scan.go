@@ -7,47 +7,26 @@ import (
 	"hpclog/internal/store/persist"
 )
 
-// RowIter streams rows of one partition in clustering-key order. It is the
-// streaming counterpart of Get: rows are produced on demand from a
-// point-in-time snapshot of the partition — straight off the immutable
-// on-disk segment files — so a scan never materializes the whole
-// partition and never blocks concurrent writers.
-//
-// Iterators are not safe for concurrent use; each goroutine of a parallel
-// scan should open its own. RowIter is an alias of persist.Iterator so the
-// storage and persistence layers share one streaming contract.
+// RowIter streams rows of one partition in clustering-key order: a remote
+// shard's stream (Remote.Scan) and ScanPartitionPruned's. Iterators are
+// not safe for concurrent use. RowIter is an alias of persist.Iterator so
+// the storage and persistence layers share one streaming contract.
 type RowIter = persist.Iterator
 
-// NewSliceIter wraps an already-materialized, sorted row slice in a
-// RowIter. Used for the Quorum/All fallback and by tests.
-func NewSliceIter(rows []Row) RowIter { return persist.NewSliceIter(rows) }
-
-// scan streams one partition of this node: the last-write-wins merge of
-// the point-in-time snapshot snapshotRows captures, with block pruning
-// when pc is set.
-func (n *Node) scan(_ context.Context, tableName, pkey string, rg Range, pc *pruneCfg) (RowIter, error) {
-	p := n.partition(tableName, pkey)
-	if p == nil {
-		return NewSliceIter(nil), nil
-	}
-	return p.snapshotRows(rg, pc)
-}
-
-// Scan streams this node's rows of one partition within the clustering
-// range, unpruned.
-func (n *Node) Scan(ctx context.Context, tableName, pkey string, rg Range) (RowIter, error) {
-	return n.scan(ctx, tableName, pkey, rg, nil)
-}
-
-// batches opens one partition of this node as a batch scan, chained off
-// the block decoder when the snapshot's inputs are disjoint and through
-// the last-write-wins merge otherwise.
-func (n *Node) batches(_ context.Context, tableName, pkey string, rg Range, project []uint32, sel *persist.Match, pc *pruneCfg) (BatchIterator, error) {
+// batches opens one partition of this node as a batch scan of a
+// point-in-time snapshot, chained off the block decoder when its inputs
+// are disjoint and through the last-write-wins merge otherwise.
+func (n *Node) batches(_ context.Context, tableName, pkey string, rg Range, project []uint32, sel *persist.Match, pc *pruneCfg, owned bool) (BatchIterator, error) {
 	p := n.partition(tableName, pkey)
 	if p == nil {
 		return persist.Concat(nil), nil
 	}
-	it, chained, err := p.snapshotBatches(rg, pc, project, sel)
+	var it BatchIterator
+	var chained bool
+	err := p.snapshot(rg, pc, func(in mergeInputs) (err error) {
+		it, chained, err = in.openBatches(rg, project, sel, owned)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -57,6 +36,13 @@ func (n *Node) batches(_ context.Context, tableName, pkey string, rg Range, proj
 		n.mergedScans.Add(1)
 	}
 	return it, nil
+}
+
+// Batches streams this node's rows of one partition within the clustering
+// range as unprojected batches, valid until the next Next (the
+// /v1/shard/scan route serves it).
+func (n *Node) Batches(ctx context.Context, tableName, pkey string, rg Range) (BatchIterator, error) {
+	return n.batches(ctx, tableName, pkey, rg, nil, nil, nil, false)
 }
 
 // Pruner is re-exported from the persistence layer: a block-statistics
@@ -84,33 +70,38 @@ type BlockStats = persist.BlockStats
 // counters accumulated across one scan's iterators.
 type PruneStats = persist.PruneStats
 
-// ScanPartitionPruned opens a streaming row scan over one partition's rows
-// within the clustering range. At consistency One it streams a snapshot
-// of the first live replica — pruned by each file's footer key range and
-// decoded lazily off disk, segment blocks whose zone maps and Bloom
-// filters prove that no row can satisfy pr skipped before
-// they are read (pruning is conservative: the stream is always every row
-// in range, and blocks whose keys may collide with other merge inputs are
-// read regardless, preserving last-write-wins reconciliation); stats, when
-// non-nil, receives the block counters. A remote shard streams over the
-// wire unpruned. Quorum/All need cross-replica reconciliation and read
-// repair, so they stream the rows of Get.
+// ScanPartitionPruned streams one partition's rows within rg off the first
+// live replica, at consistency One only: a local snapshot with every input
+// through the last-write-wins merge, skipping the blocks whose zone maps
+// and Bloom filters prove no row can satisfy pr and no other input shadows
+// (stats, when non-nil, counts them), or a remote shard's stream. It is the
+// row oracle of the batch path, and a bench adapter: 1a-scale deletes it.
 //
 // Read cells through Row.Col/ColID/Cols. Rows share storage with the
 // store and must be treated as read-only.
 func (db *DB) ScanPartitionPruned(tableName, pkey string, rg Range, cl Consistency, pr Pruner, stats *PruneStats) (RowIter, error) {
 	if cl != One {
-		rows, err := db.Get(tableName, pkey, rg, cl)
-		if err != nil {
-			return nil, err
-		}
-		return NewSliceIter(rows), nil
+		return nil, fmt.Errorf("store: ScanPartitionPruned reads at consistency One, not %v", cl)
 	}
 	tgt, err := db.scanTarget(tableName, pkey)
 	if err != nil {
 		return nil, err
 	}
-	return tgt.scan(context.Background(), tableName, pkey, rg, newPruneCfg(pr, stats))
+	n, ok := tgt.replica.(*Node)
+	if !ok {
+		return tgt.replica.(wireReplica).Scan(context.Background(), tableName, pkey, rg)
+	}
+	var it BatchIterator = persist.Concat(nil)
+	if p := n.partition(tableName, pkey); p != nil {
+		err = p.snapshot(rg, newPruneCfg(pr, stats), func(in mergeInputs) (err error) {
+			it, err = persist.Merge(rg, in.segs, in.cfgs, in.runs, nil, nil)
+			return err
+		})
+	}
+	if err != nil {
+		return nil, err
+	}
+	return persist.Rows(it), nil
 }
 
 // scanTarget picks the replica a consistency-One scan of the partition
@@ -142,29 +133,28 @@ const MaxBatchRows = persist.MaxBatchRows
 // PartitionBatches opens a scan of the partition's rows within rg, in
 // clustering-key order, as batches that carry the clustering keys, the
 // write timestamps and the projected columns (dictionary IDs; nil = every
-// column). At consistency One it reads the first live replica and yields
-// exactly the rows and cells ScanPartitionPruned would: disjoint snapshot
-// inputs are chained off the segment block decoder without a merge,
-// overlapping ones go through the last-write-wins merge, and a remote
-// shard's row stream is re-batched. Above One it re-batches the
-// reconciled, read-repaired rows of GetCtx. With sel set, on every path
-// the batches carry only the rows it matches; pr only skips blocks, so a
-// read that selects by sel and wants its blocks skipped passes it as pr
-// too. A batch and every string in it is valid only until the next Next;
-// the caller closes the iterator.
+// column). At consistency One it reads the first live replica: disjoint
+// snapshot inputs are chained off the segment block decoder without a
+// merge, overlapping ones go through the last-write-wins merge, and a
+// remote shard's row stream is batched. Above One the reconciled,
+// read-repaired rows of GetCtx go through the merge as its one input.
+// With sel set, on every path the batches carry only the rows it matches;
+// pr only skips blocks, so a read that selects by sel and wants its
+// blocks skipped passes it as pr too. A batch and every string in it is
+// valid only until the next Next; the caller closes the iterator.
 func (db *DB) PartitionBatches(ctx context.Context, tableName, pkey string, rg Range, cl Consistency, project []uint32, sel *Match, pr Pruner, stats *PruneStats) (BatchIterator, error) {
 	if cl != One {
 		rows, err := db.GetCtx(ctx, tableName, pkey, rg, cl)
 		if err != nil {
 			return nil, err
 		}
-		return persist.BatchRows(NewSliceIter(rows), project, sel), nil
+		return persist.Merge(rg, nil, nil, [][]Row{rows}, project, sel)
 	}
 	tgt, err := db.scanTarget(tableName, pkey)
 	if err != nil {
 		return nil, err
 	}
-	return tgt.batches(ctx, tableName, pkey, rg, project, sel, newPruneCfg(pr, stats))
+	return tgt.batches(ctx, tableName, pkey, rg, project, sel, newPruneCfg(pr, stats), false)
 }
 
 // ScanPartitionBatches drains PartitionBatches at consistency One into fn,

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -20,6 +21,24 @@ func collectIter(t *testing.T, it RowIter) []Row {
 	}
 	if err := it.Close(); err != nil {
 		t.Fatalf("iter close: %v", err)
+	}
+	return out
+}
+
+// collectBatches drains a batch scan into rows that outlive its batches.
+func collectBatches(t *testing.T, it BatchIterator) []Row {
+	t.Helper()
+	var out []Row
+	for b, ok := it.Next(); ok; b, ok = it.Next() {
+		for i := range b.Len() {
+			out = append(out, b.Row(i).Clone())
+		}
+	}
+	if err := it.Err(); err != nil {
+		t.Fatalf("batch scan error: %v", err)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatalf("batch scan close: %v", err)
 	}
 	return out
 }
@@ -77,11 +96,11 @@ func TestScanMatchesGet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		it, err := db.ScanPartitionPruned("t", pkey, rg, One, nil, nil)
+		it, err := db.PartitionBatches(context.Background(), "t", pkey, rg, One, nil, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := collectIter(t, it)
+		got := collectBatches(t, it)
 		if !sameRows(got, want) {
 			t.Fatalf("scan mismatch for range %+v: got %d rows, want %d", rg, len(got), len(want))
 		}
@@ -96,11 +115,11 @@ func TestScanQuorumFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it, err := db.ScanPartitionPruned("t", "p", Range{}, Quorum, nil, nil)
+	it, err := db.PartitionBatches(context.Background(), "t", "p", Range{}, Quorum, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := collectIter(t, it); len(got) != 10 {
+	if got := collectBatches(t, it); len(got) != 10 {
 		t.Fatalf("quorum scan returned %d rows, want 10", len(got))
 	}
 }
@@ -108,14 +127,14 @@ func TestScanQuorumFallback(t *testing.T) {
 func TestScanMissingPartitionAndTable(t *testing.T) {
 	db := openTest(t, Config{Nodes: 2, RF: 1})
 	db.CreateTable("t")
-	it, err := db.ScanPartitionPruned("t", "nope", Range{}, One, nil, nil)
+	it, err := db.PartitionBatches(context.Background(), "t", "nope", Range{}, One, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := collectIter(t, it); len(got) != 0 {
+	if got := collectBatches(t, it); len(got) != 0 {
 		t.Fatalf("expected empty scan, got %d rows", len(got))
 	}
-	if _, err := db.ScanPartitionPruned("missing", "p", Range{}, One, nil, nil); err == nil {
+	if _, err := db.PartitionBatches(context.Background(), "missing", "p", Range{}, One, nil, nil, nil, nil); err == nil {
 		t.Fatal("expected error for missing table")
 	}
 }
