@@ -164,11 +164,13 @@ func TestPredecessorNodeLogs(t *testing.T) {
 		t.Fatalf("Flush made %d removals under node directories, want the %d segment files and their directories", removed, len(segs))
 	}
 
+	// Every state is recovered under its kind and boundary, not just the
+	// first of each digest: the nodes flush at once, so which boundaries
+	// hold distinct bytes differs from run to run.
 	var states []fsystest.State
 	for at := from; at <= end; at++ {
 		states = append(states, rec.States(at, tornStates, dir)...)
 	}
-	states = fsystest.Distinct(states)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
