@@ -230,6 +230,15 @@ func TestScanPartitionBatchesMatchesPruned(t *testing.T) {
 			if chained := after.ChainedScans > before.ChainedScans; chained != sc.wantChained {
 				t.Fatalf("full scan chained = %v, want %v", chained, sc.wantChained)
 			}
+			// Get's replica read is not an aggregation scan: it counts on
+			// neither path.
+			if _, err := db.Get("t", "p", Range{}, One); err != nil {
+				t.Fatal(err)
+			}
+			if st := db.StorageStats(); st.ChainedScans != after.ChainedScans || st.MergedScans != after.MergedScans {
+				t.Fatalf("a Get moved the path counters from %d+%d to %d+%d",
+					after.ChainedScans, after.MergedScans, st.ChainedScans, st.MergedScans)
+			}
 		})
 	}
 }

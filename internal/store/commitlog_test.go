@@ -1,6 +1,7 @@
 package store
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -164,9 +165,10 @@ func TestPredecessorNodeLogs(t *testing.T) {
 		t.Fatalf("Flush made %d removals under node directories, want the %d segment files and their directories", removed, len(segs))
 	}
 
-	// Every state is recovered under its kind and boundary, not just the
-	// first of each digest: the nodes flush at once, so which boundaries
-	// hold distinct bytes differs from run to run.
+	// Every state runs under its kind and boundary, not just the first of
+	// each digest: the nodes flush at once, so which boundaries hold
+	// distinct bytes differs from run to run. States of one digest recover
+	// alike, so each digest is recovered once.
 	var states []fsystest.State
 	for at := from; at <= end; at++ {
 		states = append(states, rec.States(at, tornStates, dir)...)
@@ -186,8 +188,16 @@ func TestPredecessorNodeLogs(t *testing.T) {
 	}
 	db2.Close()
 
+	recovered := make(map[[sha256.Size]byte]bool)
 	for _, s := range states {
 		t.Run(fmt.Sprintf("%s-%d", s.Kind, s.At-from), func(t *testing.T) {
+			if ok, seen := recovered[s.Digest]; seen {
+				if !ok {
+					t.Fatal("an earlier state of the same bytes failed to recover")
+				}
+				return
+			}
+			recovered[s.Digest] = false
 			rcfg := cfg
 			rcfg.Dir = s.Write(t)[0]
 			rdb, err := OpenDurable(rcfg)
@@ -198,6 +208,7 @@ func TestPredecessorNodeLogs(t *testing.T) {
 			if got := rowPrints(readAll(t, rdb, "events")); !reflect.DeepEqual(got, want) {
 				t.Fatal("recovered rows differ from the logged rows")
 			}
+			recovered[s.Digest] = true
 		})
 	}
 }

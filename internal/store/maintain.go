@@ -207,10 +207,10 @@ type StorageStats struct {
 	// passes — nonzero means the disk is misbehaving.
 	MaintenanceErrors int64 `json:"maintenance_errors"`
 
-	// ChainedScans and MergedScans count the batch partition scans (the
-	// aggregation read path) of the local nodes by the path their snapshot
-	// took: disjoint inputs chained off the block decoder, or overlapping
-	// inputs through the last-write-wins merge.
+	// ChainedScans and MergedScans count the batch partition scans of the
+	// aggregation read (PartitionBatches at One) on the local nodes by the
+	// path their snapshot took: disjoint inputs chained off the block
+	// decoder, or overlapping inputs through the last-write-wins merge.
 	ChainedScans int64 `json:"partition_scans_chained"`
 	MergedScans  int64 `json:"partition_scans_merged"`
 

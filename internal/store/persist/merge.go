@@ -140,26 +140,16 @@ type merger struct {
 // project, of which sel keeps its matches: a version it rejects still
 // shadows an older one. An unprojected batch's rows stay valid while held.
 func Merge(rg Range, segs []*Segment, cfgs []ScanConfig, runs [][]Row, project []uint32, sel *Match) (BatchIterator, error) {
-	if len(segs) == 1 && len(runs) == 0 {
-		// One segment holds one version of a key: its owned scan is the merge.
-		cfg := cfgs[0]
-		cfg.Project, cfg.Select = project, sel
-		sc, err := ChainBatches(rg, true, segs, []ScanConfig{cfg})
-		if err != nil {
-			return nil, err
-		}
-		return sc, nil
-	}
-	it, err := mergeRows(rg, segs, cfgs, runs)
+	it, err := MergeRows(rg, segs, cfgs, runs)
 	if err != nil {
 		return nil, err
 	}
 	return newRowBatcher(it, project, sel), nil
 }
 
-// mergeRows is Merge's row stream, which compaction writes out as it is.
-// One input is returned as it is.
-func mergeRows(rg Range, segs []*Segment, cfgs []ScanConfig, runs [][]Row) (Iterator, error) {
+// MergeRows is Merge's row stream, which compaction writes out as it is;
+// each row stays valid while held. One input is returned as it is.
+func MergeRows(rg Range, segs []*Segment, cfgs []ScanConfig, runs [][]Row) (Iterator, error) {
 	curs := make([]*cursor, 0, len(segs)+len(runs))
 	for i, seg := range segs {
 		c, err := seg.openCursor(rg, cfgs[i])

@@ -579,7 +579,7 @@ func deadMarks(files []*dataFile, more []uint64) []uint64 {
 // file as segment seq, its section i. A failure to read the inputs is
 // mergeErr, and leaves the file as it was; one to write the file is err.
 func (s *Store) mergeSegments(rf *dataFile, m *merge, seq uint64, i int) (out *Segment, mergeErr, err error) {
-	merged, err := mergeRows(Range{}, m.old, make([]ScanConfig, len(m.old)), nil)
+	merged, err := MergeRows(Range{}, m.old, make([]ScanConfig, len(m.old)), nil)
 	if err != nil {
 		return nil, err, nil
 	}

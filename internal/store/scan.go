@@ -17,6 +17,12 @@ type RowIter = persist.Iterator
 // point-in-time snapshot, chained off the block decoder when its inputs
 // are disjoint and through the last-write-wins merge otherwise.
 func (n *Node) batches(_ context.Context, tableName, pkey string, rg Range, project []uint32, sel *persist.Match, pc *pruneCfg, owned bool) (BatchIterator, error) {
+	return n.open(tableName, pkey, rg, project, sel, pc, owned, false)
+}
+
+// open is batches; with count set it counts the scan by the path its
+// snapshot took, as PartitionBatches does for the aggregation read.
+func (n *Node) open(tableName, pkey string, rg Range, project []uint32, sel *persist.Match, pc *pruneCfg, owned, count bool) (BatchIterator, error) {
 	p := n.partition(tableName, pkey)
 	if p == nil {
 		return persist.Concat(nil), nil
@@ -27,12 +33,13 @@ func (n *Node) batches(_ context.Context, tableName, pkey string, rg Range, proj
 		it, chained, err = in.openBatches(rg, project, sel, owned)
 		return err
 	})
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if chained {
+	case !count:
+	case chained:
 		n.chainedScans.Add(1)
-	} else {
+	default:
 		n.mergedScans.Add(1)
 	}
 	return it, nil
@@ -91,17 +98,16 @@ func (db *DB) ScanPartitionPruned(tableName, pkey string, rg Range, cl Consisten
 	if !ok {
 		return tgt.replica.(wireReplica).Scan(context.Background(), tableName, pkey, rg)
 	}
-	var it BatchIterator = persist.Concat(nil)
-	if p := n.partition(tableName, pkey); p != nil {
-		err = p.snapshot(rg, newPruneCfg(pr, stats), func(in mergeInputs) (err error) {
-			it, err = persist.Merge(rg, in.segs, in.cfgs, in.runs, nil, nil)
-			return err
-		})
+	p := n.partition(tableName, pkey)
+	if p == nil {
+		return persist.MergeRows(rg, nil, nil, nil)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return persist.Rows(it), nil
+	var it RowIter
+	err = p.snapshot(rg, newPruneCfg(pr, stats), func(in mergeInputs) (err error) {
+		it, err = persist.MergeRows(rg, in.segs, in.cfgs, in.runs)
+		return err
+	})
+	return it, err
 }
 
 // scanTarget picks the replica a consistency-One scan of the partition
@@ -136,7 +142,8 @@ const MaxBatchRows = persist.MaxBatchRows
 // column). At consistency One it reads the first live replica: disjoint
 // snapshot inputs are chained off the segment block decoder without a
 // merge, overlapping ones go through the last-write-wins merge, and a
-// remote shard's row stream is batched. Above One the reconciled,
+// remote shard's row stream is batched; a local scan counts in
+// StorageStats' ChainedScans or MergedScans. Above One the reconciled,
 // read-repaired rows of GetCtx go through the merge as its one input.
 // With sel set, on every path the batches carry only the rows it matches;
 // pr only skips blocks, so a read that selects by sel and wants its
@@ -154,7 +161,10 @@ func (db *DB) PartitionBatches(ctx context.Context, tableName, pkey string, rg R
 	if err != nil {
 		return nil, err
 	}
-	return tgt.batches(ctx, tableName, pkey, rg, project, sel, newPruneCfg(pr, stats), false)
+	if n, ok := tgt.replica.(*Node); ok {
+		return n.open(tableName, pkey, rg, project, sel, newPruneCfg(pr, stats), false, true)
+	}
+	return tgt.batches(ctx, tableName, pkey, rg, project, sel, nil, false)
 }
 
 // ScanPartitionBatches drains PartitionBatches at consistency One into fn,
