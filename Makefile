@@ -77,7 +77,10 @@ tier-smoke:
 # never answers a Get (another replica does) and fails a Repair, and a
 # remote scan fails when its peer makes no progress within the RPC
 # timeout but not when a flowing stream outlasts it, and is retried when
-# turned away before it opens (./internal/dist/).
+# turned away before it opens (./internal/dist/). A reconciling read
+# replaces a replica that breaks off after batches were handed out with a
+# spare, read from after the last key it delivered, and holds a few
+# batches a replica however long the partition (TestFaultQuorumRead*).
 # A full memtable's flush is a node round, the one flush protocol: the
 # write path hands the memtable over as a readable flushing run and runs
 # the round with no partition lock held, so a Get or a PutBatch of the

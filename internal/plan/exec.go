@@ -151,8 +151,8 @@ type RowTask func(each func(b *store.Batch, i int) error) error
 // clustering order: the one scan behind every SELECT result — rows encoded
 // for the wire, rows built as records by Run, rows folded into aggregates.
 // A task reads its slice as batches — projected to the columns the plan
-// reads, re-batched from the reconciled rows above consistency One — and
-// decides the filter on their vectors. The caller runs each task at most
+// reads, merged across the replicas above consistency One — and decides
+// the filter on their vectors. The caller runs each task at most
 // once, then calls done, which closes the scan stage and notes the block
 // counters.
 func (ex *Executor) RowTasks(p *Plan) (tasks []RowTask, done func(), err error) {
@@ -432,11 +432,6 @@ func exprColumns(e Expr, add func(ColRef)) bool {
 // reproduces the full range exactly.
 func (ex *Executor) slices(p *Plan) ([]store.Range, error) {
 	whole := []store.Range{p.Range}
-	if ex.CL != store.One {
-		// Reconciling reads materialize per replica; slicing would
-		// multiply that cost.
-		return whole, nil
-	}
 	min, max, ok, err := ex.DB.PartitionKeyBoundsCtx(ex.ctx(), p.Sel.Table, p.Sel.Partition)
 	if err != nil || !ok {
 		return whole, err

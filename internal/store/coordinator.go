@@ -1,12 +1,12 @@
 package store
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"hpclog/internal/obs"
 	"hpclog/internal/store/persist"
@@ -16,30 +16,30 @@ import (
 // in this process, or a wireReplica around the Remote of a member hosted
 // elsewhere. KeyBounds and PartitionKeys are Remote's own methods (and the
 // /v1/shard/* routes serve a Node's); the lowercase two carry what only
-// an in-process node can use — the put record, pruning, projection, owned
-// decoding — and a wire replica drops it. batches is the one read at every
-// consistency level: Get and Repair drain it (see readReplica).
+// an in-process node can use — the put record, owned decoding — and a
+// wire replica drops it. batches, unpruned and unprojected, is the one
+// read at every consistency level: every reconciling read streams it.
 type replica interface {
 	apply(ctx context.Context, table, pkey string, rows []Row, encoded []byte) error
-	batches(ctx context.Context, table, pkey string, rg Range, project []uint32, sel *persist.Match, pc *pruneCfg, owned bool) (BatchIterator, error)
+	batches(ctx context.Context, table, pkey string, rg Range, owned bool) (BatchIterator, error)
 	KeyBounds(ctx context.Context, table, pkey string) (min, max string, ok bool, err error)
 	PartitionKeys(ctx context.Context, table string) ([]string, error)
 }
 
 // wireReplica adapts a Remote: it sends rows rather than the encoded
-// record, scans unpruned, and batches the row stream.
+// record and batches the row stream.
 type wireReplica struct{ Remote }
 
 func (w wireReplica) apply(ctx context.Context, table, pkey string, rows []Row, _ []byte) error {
 	return w.Apply(ctx, table, pkey, rows)
 }
 
-func (w wireReplica) batches(ctx context.Context, table, pkey string, rg Range, project []uint32, sel *persist.Match, _ *pruneCfg, _ bool) (BatchIterator, error) {
+func (w wireReplica) batches(ctx context.Context, table, pkey string, rg Range, _ bool) (BatchIterator, error) {
 	it, err := w.Scan(ctx, table, pkey, rg)
 	if err != nil {
 		return nil, err
 	}
-	return persist.BatchRows(it, project, sel), nil
+	return persist.BatchRows(it, nil, nil), nil
 }
 
 // isLocal reports whether r is hosted in this process: its apply is a WAL
@@ -264,16 +264,10 @@ func (db *DB) Get(tableName, pkey string, rg Range, cl Consistency) ([]Row, erro
 	return db.GetCtx(context.Background(), tableName, pkey, rg, cl)
 }
 
-// readReplica drains one replica's unpruned batch scan of a partition
-// within rg into rows that outlive their batches: a local scan is opened
-// owned, a merge's and a remote's batches own their cells. A stream that
-// fails part-way returns its error and no rows, so a caller never takes a
-// partial list for a replica's answer.
-func readReplica(ctx context.Context, r replica, tableName, pkey string, rg Range) ([]Row, error) {
-	bi, err := r.batches(ctx, tableName, pkey, rg, nil, nil, nil, true)
-	if err != nil {
-		return nil, err
-	}
+// drain collects the rows of bi's unprojected batches, which own their
+// cells, and closes it. A stream that fails part-way returns its error and
+// no rows, so a caller never takes a partial list for an answer.
+func drain(bi BatchIterator) ([]Row, error) {
 	it := persist.Rows(bi)
 	var rows []Row
 	for row, ok := it.Next(); ok; row, ok = it.Next() {
@@ -287,126 +281,173 @@ func readReplica(ctx context.Context, r replica, tableName, pkey string, rg Rang
 
 // GetCtx is Get under the caller's context: replica transports derive
 // their deadline from it and forward its request ID, so a scatter-gather
-// read traces under one ID on every process it touches.
+// read traces under one ID on every process it touches. It drains the
+// reconciling read, which above One is what PartitionBatches streams and
+// at One the first live replica's stream alone; a replica that errors —
+// typically a peer that died inside the failure detector's window and is
+// not yet marked down — is substituted by the next.
 func (db *DB) GetCtx(ctx context.Context, tableName, pkey string, rg Range, cl Consistency) ([]Row, error) {
+	live, need, err := db.readTargets(tableName, pkey, cl)
+	if err != nil {
+		return nil, err
+	}
+	r, err := db.reconcile(ctx, tableName, pkey, rg, live, need, nil, nil, true)
+	if err != nil {
+		return nil, err
+	}
+	return drain(r)
+}
+
+// readTargets resolves the live replicas a read of the partition at cl
+// may use, locals first, and how many of them it needs.
+func (db *DB) readTargets(tableName, pkey string, cl Consistency) (live []replicaTarget, need int, err error) {
 	if !db.HasTable(tableName) {
-		return nil, fmt.Errorf("store: no such table %q", tableName)
+		return nil, 0, fmt.Errorf("store: no such table %q", tableName)
 	}
 	replicas := db.ring.Replicas(pkey)
-	need := cl.required(len(replicas))
-	live, _ := db.liveTargets(replicas)
-	if len(live) < need {
-		return nil, fmt.Errorf("%w: table %s partition %s needs %d, have %d live",
+	need = cl.required(len(replicas))
+	if live, _ = db.liveTargets(replicas); len(live) < need {
+		return nil, 0, fmt.Errorf("%w: table %s partition %s needs %d, have %d live",
 			ErrUnavailable, tableName, pkey, need, len(live))
 	}
-	// A replica that errors (typically a peer that died inside the failure
-	// detector's window and is not yet marked down) is substituted by the
-	// next live target, so the read succeeds as long as `need` replicas
-	// answer. Consistency One walks the preference order inline (local
-	// first — the hot path stays goroutine-free).
-	if need == 1 {
-		var firstErr error
-		for _, tgt := range live {
-			rows, err := readReplica(ctx, tgt, tableName, pkey, rg)
-			if err == nil {
-				return rows, nil
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-		return nil, fmt.Errorf("%w: table %s partition %s: no replica answered: %w",
-			ErrUnavailable, tableName, pkey, firstErr)
-	}
-	// Quorum/All: read the first `need` live replicas in parallel,
-	// substituting on failure.
-	type readRes struct {
-		idx  int
-		rows []Row
-		err  error
-	}
-	ch := make(chan readRes, len(live))
-	launch := func(i int) {
-		go func() {
-			rows, err := readReplica(ctx, live[i], tableName, pkey, rg)
-			ch <- readRes{i, rows, err}
-		}()
-	}
-	next := need
-	for i := 0; i < need; i++ {
-		launch(i)
-	}
-	var answered []int
-	results := make([][]Row, len(live))
-	var firstErr error
-	for inflight := need; inflight > 0 && len(answered) < need; {
-		res := <-ch
-		inflight--
-		if res.err != nil {
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			if next < len(live) {
-				launch(next)
-				next++
-				inflight++
-			}
-			continue
-		}
-		results[res.idx] = res.rows
-		answered = append(answered, res.idx)
-	}
-	if len(answered) < need {
-		return nil, fmt.Errorf("%w: table %s partition %s: %d of %d required replicas answered: %w",
-			ErrUnavailable, tableName, pkey, len(answered), need, firstErr)
-	}
-	sort.Ints(answered)
-	targets := make([]replicaTarget, len(answered))
-	lists := make([][]Row, len(answered))
-	for i, idx := range answered {
-		targets[i], lists[i] = live[idx], results[idx]
-	}
-	// Read repair: patch replicas observed stale within the read range. A
-	// failed write-back leaves the replica to hints and anti-entropy.
-	merged, repaired, _ := reconcile(context.WithoutCancel(ctx), tableName, pkey, targets, lists)
-	if repaired > 0 {
-		db.readRepairs.Add(int64(repaired))
-		// A previously stale replica can now answer consistency-One reads
-		// with more rows, so cached results must be revalidated and
-		// watchers woken (digest-free: the repaired rows may never have
-		// been digested on this coordinator).
-		db.notifyScan()
-	}
-	return merged, nil
+	return live, need, nil
 }
 
 // ReadRepairs reports the total number of rows written back to stale
 // replicas by read repair.
 func (db *DB) ReadRepairs() int64 { return db.readRepairs.Load() }
 
-// reconcile is the one convergence step of read repair and anti-entropy:
-// it merges lists — what each of targets answered for one partition —
-// last-write-wins, and writes back to every target the rows its list
-// lacks or holds a losing version of. It returns the merged rows, the
-// rows written back and the first failed write-back; a failure does not
-// stop the others.
-func reconcile(ctx context.Context, tableName, pkey string, targets []replicaTarget, lists [][]Row) (merged []Row, copied int, err error) {
-	merged = persist.MergeRuns(lists...)
-	for i, tgt := range targets {
-		missing := diffRows(merged, lists[i])
-		if len(missing) == 0 {
-			continue
-		}
-		if werr := tgt.apply(ctx, tableName, pkey, missing, nil); werr != nil {
-			if err == nil {
-				err = werr
-			}
-			continue
-		}
-		copied += len(missing)
-	}
-	return merged, copied, err
+// repairChunk is the most rows one write-back carries to a replica, and
+// so the most of a replica's stale rows a reconciling read holds.
+const repairChunk = 16 * MaxBatchRows
+
+// reconciling is the one convergence step of reads, read repair and
+// anti-entropy: replicas' owned, unpruned, unprojected batch streams of a
+// partition through the one merge (persist.MergeBatches), which reports
+// each input's stale rows — those its replica lacks or holds a losing
+// version of — to be written back to that replica in chunks as the merge
+// runs. A stream that fails, at open or mid-stream, is replaced by the
+// next spare replica, read from after the last key it delivered:
+// substituted, never read short.
+type reconciling struct {
+	BatchIterator // the merge
+	db            *DB
+	ctx           context.Context
+	table, pkey   string
+	rg            Range
+	ins           []*replicaStream
+	spares        []replicaTarget
+	readRepair    bool  // count the write-backs as read repairs
+	copied        int   // rows written back and not yet counted
+	werr          error // the first failed write-back
 }
+
+// replicaStream is one input of a reconciling read: the batch stream of
+// the replica that answers for it now, and the rows that replica was
+// found stale for and has not been sent yet.
+type replicaStream struct {
+	r *reconciling
+	replicaTarget
+	BatchIterator
+	last  string // the last key delivered; "" before the first
+	stale []Row
+	err   error
+}
+
+// reconcile streams rg over need of targets, the first that open, the
+// others kept as spares. Batches carry project; sel keeps its matches.
+func (db *DB) reconcile(ctx context.Context, tableName, pkey string, rg Range, targets []replicaTarget, need int, project []uint32, sel *Match, readRepair bool) (*reconciling, error) {
+	r := &reconciling{db: db, ctx: ctx, table: tableName, pkey: pkey, rg: rg, spares: targets, readRepair: readRepair}
+	srcs := make([]BatchIterator, need)
+	for i := range srcs {
+		s := &replicaStream{r: r}
+		if err := r.open(s, nil); err != nil {
+			for _, s := range r.ins {
+				s.Close()
+			}
+			return nil, err
+		}
+		r.ins, srcs[i] = append(r.ins, s), s
+	}
+	r.BatchIterator = persist.MergeBatches(srcs, project, sel, r.stale)
+	return r, nil
+}
+
+// open points s at the next spare replica that opens, read from after the
+// last key s delivered; cause is why s needs one (nil at the start).
+func (r *reconciling) open(s *replicaStream, cause error) error {
+	rg := r.rg
+	if s.last != "" {
+		rg.From = s.last + "\x00"
+	}
+	for ; len(r.spares) > 0; r.spares = r.spares[1:] {
+		it, err := r.spares[0].batches(r.ctx, r.table, r.pkey, rg, true)
+		if err == nil {
+			s.replicaTarget, s.BatchIterator, r.spares = r.spares[0], it, r.spares[1:]
+			return nil
+		}
+		cause = cmp.Or(cause, err)
+	}
+	return fmt.Errorf("%w: table %s partition %s: %d replicas needed, no spare answered: %w",
+		ErrUnavailable, r.table, r.pkey, len(r.ins), cause)
+}
+
+// stale takes the merge's report that input i lacks win or holds a losing
+// version of it.
+func (r *reconciling) stale(i int, win Row) {
+	s := r.ins[i]
+	if s.stale = append(s.stale, win); len(s.stale) == repairChunk {
+		r.writeBack(s)
+	}
+}
+
+// writeBack sends s's stale rows to the replica that answers for it, past
+// the read's cancellation. A failure does not stop the read.
+func (r *reconciling) writeBack(s *replicaStream) {
+	if len(s.stale) == 0 {
+		return
+	}
+	if err := s.apply(context.WithoutCancel(r.ctx), r.table, r.pkey, s.stale, nil); err != nil {
+		r.werr = cmp.Or(r.werr, err)
+	} else {
+		r.copied += len(s.stale)
+	}
+	s.stale = nil // apply may keep the slice
+}
+
+// Close writes back the stale rows still held and closes the streams. A
+// read repair that patched a replica revalidates cached results and wakes
+// watchers, digest-free: the rows may never have been digested here.
+func (r *reconciling) Close() error {
+	for _, s := range r.ins {
+		r.writeBack(s)
+	}
+	if r.readRepair && r.copied > 0 {
+		r.db.readRepairs.Add(int64(r.copied))
+		r.db.notifyScan()
+		r.copied = 0
+	}
+	return r.BatchIterator.Close()
+}
+
+func (s *replicaStream) Next() (*Batch, bool) {
+	for s.err == nil {
+		if b, ok := s.BatchIterator.Next(); ok {
+			s.last = b.Keys()[b.Len()-1]
+			return b, true
+		}
+		if s.err = s.BatchIterator.Err(); s.err == nil {
+			return nil, false
+		}
+		// The rows found stale so far are the failed replica's own.
+		s.r.writeBack(s)
+		s.BatchIterator.Close()
+		s.err = s.r.open(s, s.err)
+	}
+	return nil, false
+}
+
+func (s *replicaStream) Err() error { return s.err }
 
 // PartitionKeys returns the union of a table's partition keys across the
 // whole cluster, sorted: local members directly, live attached remote
@@ -429,10 +470,10 @@ func (db *DB) PartitionKeys(ctx context.Context, tableName string) ([]string, er
 // Repair runs anti-entropy for one table: for every partition, the
 // reachable replicas (live local members and live attached remotes — a
 // down node cannot participate; it converges through hinted handoff and a
-// repair after it returns) exchange rows and converge on the
-// last-write-wins union. It returns the number of rows copied to lagging
-// replicas; a replica that fails to answer or to take its rows stops the
-// walk with that error.
+// repair after it returns) are drained through one reconciling read and
+// converge on the last-write-wins union. It returns the number of rows
+// copied to lagging replicas; a replica that fails to answer or to take
+// its rows stops the walk with that error.
 func (db *DB) Repair(tableName string) (int, error) {
 	if !db.HasTable(tableName) {
 		return 0, fmt.Errorf("store: no such table %q", tableName)
@@ -448,16 +489,12 @@ func (db *DB) Repair(tableName string) (int, error) {
 		if len(live) < 2 {
 			continue
 		}
-		lists := make([][]Row, len(live))
-		for i, tgt := range live {
-			if lists[i], err = readReplica(ctx, tgt, tableName, pkey, Range{}); err != nil {
-				break
+		var r *reconciling
+		if r, err = db.reconcile(ctx, tableName, pkey, Range{}, live, len(live), nil, nil, false); err == nil {
+			for _, ok := r.Next(); ok; _, ok = r.Next() {
 			}
-		}
-		if err == nil {
-			var n int
-			_, n, err = reconcile(ctx, tableName, pkey, live, lists)
-			copied += n
+			err = cmp.Or(errors.Join(r.Err(), r.Close()), r.werr)
+			copied += r.copied
 		}
 		if err != nil {
 			break
@@ -467,22 +504,4 @@ func (db *DB) Repair(tableName string) (int, error) {
 		db.notifyScan()
 	}
 	return copied, err
-}
-
-// diffRows returns rows in union that are absent from have (by clustering
-// key) or that win over have's version (persist.Newer). Both inputs are
-// sorted by Key.
-func diffRows(union, have []Row) []Row {
-	var out []Row
-	j := 0
-	for _, r := range union {
-		for j < len(have) && have[j].Key < r.Key {
-			j++
-		}
-		if j < len(have) && have[j].Key == r.Key && !persist.Newer(r, have[j]) {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,6 +28,8 @@ type fakeRemote struct {
 	// scanFailAfter > 0 makes a Scan of more rows than that break off
 	// after them with errFakeRemote.
 	scanFailAfter int
+	pulled        atomic.Int64     // rows its scans have handed out
+	onApply       func(rows []Row) // when set, sees each Apply's rows first
 }
 
 func newFakeRemote() *fakeRemote {
@@ -43,6 +46,9 @@ func (f *fakeRemote) Apply(_ context.Context, table, pkey string, rows []Row) er
 	if f.block != nil {
 		<-f.block
 	}
+	if f.onApply != nil {
+		f.onApply(rows)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.fail {
@@ -58,13 +64,17 @@ func (f *fakeRemote) Scan(_ context.Context, table, pkey string, rg Range) (RowI
 	defer f.mu.Unlock()
 	rows := slices.Clone(sliceRange(f.parts[table+"/"+pkey], rg))
 	if k := f.scanFailAfter; k > 0 && k < len(rows) {
-		return brokenIter{&sliceIter{rows[:k]}}, nil
+		return brokenIter{&sliceIter{rows[:k], &f.pulled}}, nil
 	}
-	return &sliceIter{rows}, nil
+	return &sliceIter{rows, &f.pulled}, nil
 }
 
-// sliceIter streams a sorted run of rows, as a remote's scan does.
-type sliceIter struct{ rows []Row }
+// sliceIter streams a sorted run of rows, as a remote's scan does,
+// counting the rows it hands out.
+type sliceIter struct {
+	rows   []Row
+	pulled *atomic.Int64
+}
 
 func (s *sliceIter) Next() (Row, bool) {
 	if len(s.rows) == 0 {
@@ -72,6 +82,7 @@ func (s *sliceIter) Next() (Row, bool) {
 	}
 	r := s.rows[0]
 	s.rows = s.rows[1:]
+	s.pulled.Add(1)
 	return r, true
 }
 
@@ -123,6 +134,17 @@ func mixedRing(t *testing.T) (db *DB, b, c *fakeRemote) {
 		db.Ring().SetUp(id, true)
 	}
 	return db, b, c
+}
+
+// readReplica collects one replica's unpruned rows of a partition within
+// rg, as a reconciling read streams them: a local scan is opened owned, a
+// merge's and a remote's batches own their cells.
+func readReplica(ctx context.Context, r replica, tableName, pkey string, rg Range) ([]Row, error) {
+	bi, err := r.batches(ctx, tableName, pkey, rg, true)
+	if err != nil {
+		return nil, err
+	}
+	return drain(bi)
 }
 
 // rowCount counts one replica's rows of partition pkey: a local node, or a
@@ -269,6 +291,7 @@ func TestFaultPartialScanNeverAnswersGet(t *testing.T) {
 	for _, tc := range []struct{ rows, failAfter int }{
 		{10, 3},
 		{3*MaxBatchRows + 5, MaxBatchRows + 7},
+		{20 * MaxBatchRows, 8*MaxBatchRows + 5},
 	} {
 		t.Run(fmt.Sprint(tc.rows), func(t *testing.T) {
 			db, b, c := mixedRing(t)
@@ -313,5 +336,140 @@ func TestFaultPartialScanFailsRepair(t *testing.T) {
 	b.scanFailAfter = 3
 	if _, err := db.Repair("events"); !errors.Is(err, errFakeRemote) {
 		t.Fatalf("repair over a broken scan: err = %v, want %v", err, errFakeRemote)
+	}
+}
+
+// remoteOrder returns a mixed ring's two fake remotes in the order a read
+// of partition p reaches them: a quorum read opens first beside the local
+// replica and keeps spare for a substitute.
+func remoteOrder(db *DB, b, c *fakeRemote) (first, spare *fakeRemote) {
+	for _, id := range db.Ring().Replicas("p") {
+		switch id {
+		case "b":
+			return b, c
+		case "c":
+			return c, b
+		}
+	}
+	panic("partition p has no remote replica")
+}
+
+// TestFaultQuorumReadHoldsFewBatches: a read above One streams its
+// replicas through the merge instead of collecting them. Over a 100 000-row
+// partition, at every batch PartitionBatches(Quorum) hands out, no remote
+// replica's stream has handed out more than two batches past the rows
+// delivered. Repair over a remote that lacks every other row keeps the
+// same bound at every write-back, and each write-back carries at most one
+// chunk.
+func TestFaultQuorumReadHoldsFewBatches(t *testing.T) {
+	const n, ahead = 100_000, 2 * MaxBatchRows
+	db, b, c := mixedRing(t)
+	partitionRows(t, db, n)
+	bound := func(what string, delivered int64) bool {
+		t.Helper()
+		for name, f := range map[string]*fakeRemote{"b": b, "c": c} {
+			if got := f.pulled.Load(); got > delivered+ahead {
+				t.Errorf("%s: remote %s's stream handed out %d rows with %d delivered, want at most %d more",
+					what, name, got, delivered, ahead)
+				return false
+			}
+		}
+		return true
+	}
+
+	it, err := db.PartitionBatches(context.Background(), "events", "p", Range{}, Quorum, nil, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	for batch, ok := it.Next(); ok; batch, ok = it.Next() {
+		if delivered += batch.Len(); !bound("PartitionBatches(Quorum)", int64(delivered)) {
+			break
+		}
+	}
+	if err := errors.Join(it.Err(), it.Close()); err != nil || delivered != n {
+		t.Fatalf("quorum read: %d rows, %v; want %d", delivered, err, n)
+	}
+	if first, _ := remoteOrder(db, b, c); first.pulled.Load() != n {
+		t.Fatalf("the quorum read took %d rows off its remote replica, want %d", first.pulled.Load(), n)
+	}
+
+	b.pulled.Store(0)
+	c.pulled.Store(0)
+	c.mu.Lock()
+	var even []Row // the stamped rows at even offsets
+	for i, r := range c.parts["events/p"] {
+		if i%2 == 0 {
+			even = append(even, r)
+		}
+	}
+	c.parts["events/p"] = even
+	c.applied = make(chan struct{}, n)
+	c.mu.Unlock()
+	applies := 0
+	c.onApply = func(rows []Row) {
+		applies++
+		if len(rows) > repairChunk {
+			t.Errorf("write-back %d carries %d rows, over the %d-row chunk", applies, len(rows), repairChunk)
+		}
+		last, err := DecodeTS(rows[len(rows)-1].Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound(fmt.Sprintf("Repair write-back %d", applies), last+1)
+	}
+	copied, err := db.Repair("events")
+	if err != nil || copied != n/2 {
+		t.Fatalf("repair copied %d rows, %v; want %d", copied, err, n/2)
+	}
+	if want := (n/2 + repairChunk - 1) / repairChunk; applies != want {
+		t.Fatalf("repair wrote back in %d applies, want %d", applies, want)
+	}
+	if got := rowCount(t, wireReplica{c}, "p"); got != n {
+		t.Fatalf("the repaired remote holds %d rows, want %d", got, n)
+	}
+}
+
+// TestFaultQuorumReadSubstitutesMidStream: a remote whose stream breaks
+// off after a quorum read has handed out batches is replaced by the spare
+// remote, read from after the last key the broken one delivered. The read
+// yields every row once, cell for cell, and writes nothing back.
+func TestFaultQuorumReadSubstitutesMidStream(t *testing.T) {
+	const n, failAfter = 20 * MaxBatchRows, 8*MaxBatchRows + 5
+	db, b, c := mixedRing(t)
+	want := partitionRows(t, db, n)
+	first, spare := remoteOrder(db, b, c)
+	first.scanFailAfter = failAfter
+	it, err := db.PartitionBatches(context.Background(), "events", "p", Range{}, Quorum, nil, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Row
+	before := -1 // rows handed out when the spare was first read
+	for batch, ok := it.Next(); ok; batch, ok = it.Next() {
+		if before < 0 && spare.pulled.Load() > 0 {
+			before = len(got)
+		}
+		for i := range batch.Len() {
+			got = append(got, batch.Row(i))
+		}
+	}
+	if err := errors.Join(it.Err(), it.Close()); err != nil || len(got) != n {
+		t.Fatalf("quorum read over a remote that breaks off: %d rows, %v; want %d", len(got), err, n)
+	}
+	for i, r := range got {
+		if r.Key != want[i].Key || !slices.Equal(r.Cols(), want[i].Cols()) {
+			t.Fatalf("row %d: %q %v, want %q %v", i, r.Key, r.ColumnsMap(), want[i].Key, want[i].ColumnsMap())
+		}
+	}
+	if before <= 0 {
+		t.Fatalf("the spare was read after %d rows were handed out: the break came before any batch", before)
+	}
+	if first.pulled.Load() != failAfter || spare.pulled.Load() != n-failAfter {
+		t.Fatalf("the broken remote handed out %d rows and the spare %d, want %d and the %d after them",
+			first.pulled.Load(), spare.pulled.Load(), failAfter, n-failAfter)
+	}
+	if got := db.ReadRepairs(); got != 0 {
+		t.Fatalf("the substituted read wrote back %d rows", got)
 	}
 }

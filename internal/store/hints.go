@@ -14,7 +14,8 @@ import (
 //     it when the replica returns, so a brief outage does not require a
 //     full repair;
 //   - read repair: when a multi-replica read observes divergent replicas,
-//     the reconciled rows are written back to the stale ones inline.
+//     the merge of their streams reports each stale replica's rows, written
+//     back to it in chunks while the read runs (see reconciling).
 
 // hint is one row awaiting delivery to a down replica.
 type hint struct {

@@ -129,8 +129,9 @@ func (c *cursor) Close() error {
 // key comparisons for k cursors.
 type merger struct {
 	curs  []*cursor
-	heads []Row   // each cursor's current row, valid while it is on the heap
+	heads []Row   // each cursor's current row, valid while it is on the heap; Row{} off it
 	heap  []int32 // the cursors with a head
+	stale func(input int, win Row)
 	err   error
 }
 
@@ -165,6 +166,27 @@ func MergeRows(rg Range, segs []*Segment, cfgs []ScanConfig, runs [][]Row) (Iter
 		curs = append(curs, &cursor{run: run})
 	}
 	return mergeCursors(curs), nil
+}
+
+// MergeBatches streams the last-write-wins merge of srcs — unprojected
+// batch scans of unique keys whose batches own their cells: an owned
+// segment scan, a merge, a remote shard's stream — as batches of the
+// winners under project, of which sel keeps the matches. With stale set it
+// reports, for each winner, every input that lacked its key or held a
+// version Newer ranks below it, before any input is read past the key. It
+// takes ownership of srcs; one unprojected, unselected input is returned
+// as it is.
+func MergeBatches(srcs []BatchIterator, project []uint32, sel *Match, stale func(input int, win Row)) BatchIterator {
+	if len(srcs) == 1 && project == nil && sel == nil {
+		return srcs[0]
+	}
+	curs := make([]*cursor, len(srcs))
+	for i, src := range srcs {
+		curs[i] = &cursor{src: src}
+	}
+	m := newMerger(curs)
+	m.stale = stale
+	return newRowBatcher(m, project, sel)
 }
 
 // MergeIters is Merge's row stream over iterators that Segment.ScanPruned
@@ -268,6 +290,9 @@ func (m *merger) Next() (Row, bool) {
 	if m.err != nil || len(m.heap) == 0 {
 		return Row{}, false
 	}
+	if m.stale != nil {
+		m.report()
+	}
 	win := m.pop()
 	for len(m.heap) > 0 && m.heads[m.heap[0]].Key == win.Key {
 		if r := m.pop(); Newer(r, win) {
@@ -275,6 +300,24 @@ func (m *merger) Next() (Row, bool) {
 		}
 	}
 	return win, m.err == nil
+}
+
+// report tells stale of every input that lacks the smallest head's key or
+// holds a version of it Newer ranks below the winner, while every version
+// of the key is still a head. An input that repeats a key is judged by its
+// first version: a reporting merge's inputs are scans.
+func (m *merger) report() {
+	win := m.heads[m.heap[0]]
+	for _, r := range m.heads {
+		if r.Key == win.Key && Newer(r, win) {
+			win = r
+		}
+	}
+	for i, r := range m.heads {
+		if r.Key != win.Key || Newer(win, r) {
+			m.stale(i, win)
+		}
+	}
 }
 
 func (m *merger) Err() error { return m.err }

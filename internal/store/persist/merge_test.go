@@ -95,8 +95,10 @@ func fuzzWrites(rng *rand.Rand) []Row {
 // FuzzMergeOrderFree permutes one set of writes and splits it into one to
 // six merge inputs, each a run or a flushed segment, several ways: every
 // split merges to the rows the oracle ranks first — so every split to the
-// same rows — runs with repeated keys included, and compacting the
-// segments writes exactly the rows a read of them returns.
+// same rows — runs with repeated keys included; a merge of the splits as
+// scans reports each input stale for exactly the winners it lacks or
+// holds another version of; and compacting the segments writes exactly
+// the rows a read of them returns.
 func FuzzMergeOrderFree(f *testing.F) {
 	for seed := int64(1); seed <= 16; seed++ {
 		f.Add(seed)
@@ -126,6 +128,31 @@ func FuzzMergeOrderFree(f *testing.F) {
 			}
 			if got := MergeRuns(raw...); !exactRows(got, want) {
 				t.Fatalf("seed %d split %d: MergeRuns over %d runs: %v, want %v", seed, split, k, got, want)
+			}
+			// Each group, one version a key, is a replica's scan: the merge
+			// reports a group for every winner it lacks or holds a losing
+			// version of.
+			srcs := make([]BatchIterator, k)
+			reports := make([][]Row, k)
+			for g, rows := range groups {
+				srcs[g] = BatchRows(&cursor{run: lwwOracle(rows)}, nil, nil)
+			}
+			merged := drain(t, Rows(MergeBatches(srcs, nil, nil, func(g int, win Row) { reports[g] = append(reports[g], win) })))
+			for g, rows := range groups {
+				held := make(map[string]Row)
+				for _, r := range lwwOracle(rows) {
+					held[r.Key] = r
+				}
+				var stale []Row
+				for _, w := range want {
+					if r, ok := held[w.Key]; !ok || !exactRows([]Row{r}, []Row{w}) {
+						stale = append(stale, w)
+					}
+				}
+				if !exactRows(merged, want) || !exactRows(reports[g], stale) {
+					t.Fatalf("seed %d split %d: a merge of %d scans gave %v and reported input %d stale for %v, want %v and %v",
+						seed, split, k, merged, g, reports[g], want, stale)
+				}
 			}
 			pkey := fmt.Sprint("p", split)
 			var runs [][]Row

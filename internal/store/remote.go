@@ -19,9 +19,11 @@ import (
 // /v1/shard/* RPCs over the hpclog/client SDK.
 //
 // Contract: Scan is the hop of the one replica read, batched by
-// wireReplica.batches, which Get, repair and batch scans drain. It yields
-// rows sorted by clustering key, each valid while held, and reports a
-// stream that broke off through Err, never as a short clean stream. Apply
+// wireReplica.batches, which every reconciling read — Get, a batch scan
+// past a local replica or above One, read repair and Repair — streams. It
+// yields rows sorted by clustering key, each valid while held, and reports
+// a stream that broke off through Err, never as a short clean stream: the
+// read then substitutes another replica from after the last row. Apply
 // is idempotent (rows carry their WriteTS; replicas reconcile
 // last-write-wins), so callers may safely retry.
 //

@@ -13,15 +13,17 @@ import (
 // the storage and persistence layers share one streaming contract.
 type RowIter = persist.Iterator
 
-// batches opens one partition of this node as a batch scan of a
-// point-in-time snapshot, chained off the block decoder when its inputs
-// are disjoint and through the last-write-wins merge otherwise.
-func (n *Node) batches(_ context.Context, tableName, pkey string, rg Range, project []uint32, sel *persist.Match, pc *pruneCfg, owned bool) (BatchIterator, error) {
-	return n.open(tableName, pkey, rg, project, sel, pc, owned, false)
+// batches opens one partition of this node as an unpruned, unprojected
+// batch scan of a point-in-time snapshot, chained off the block decoder
+// when its inputs are disjoint and through the last-write-wins merge
+// otherwise.
+func (n *Node) batches(_ context.Context, tableName, pkey string, rg Range, owned bool) (BatchIterator, error) {
+	return n.open(tableName, pkey, rg, nil, nil, nil, owned, false)
 }
 
-// open is batches; with count set it counts the scan by the path its
-// snapshot took, as PartitionBatches does for the aggregation read.
+// open is batches under a projection, a selection and a pruner; with
+// count set it counts the scan by the path its snapshot took, as
+// PartitionBatches does for the aggregation read.
 func (n *Node) open(tableName, pkey string, rg Range, project []uint32, sel *persist.Match, pc *pruneCfg, owned, count bool) (BatchIterator, error) {
 	p := n.partition(tableName, pkey)
 	if p == nil {
@@ -49,7 +51,7 @@ func (n *Node) open(tableName, pkey string, rg Range, project []uint32, sel *per
 // range as unprojected batches, valid until the next Next (the
 // /v1/shard/scan route serves it).
 func (n *Node) Batches(ctx context.Context, tableName, pkey string, rg Range) (BatchIterator, error) {
-	return n.batches(ctx, tableName, pkey, rg, nil, nil, nil, false)
+	return n.batches(ctx, tableName, pkey, rg, false)
 }
 
 // Pruner is re-exported from the persistence layer: a block-statistics
@@ -90,13 +92,13 @@ func (db *DB) ScanPartitionPruned(tableName, pkey string, rg Range, cl Consisten
 	if cl != One {
 		return nil, fmt.Errorf("store: ScanPartitionPruned reads at consistency One, not %v", cl)
 	}
-	tgt, err := db.scanTarget(tableName, pkey)
+	live, _, err := db.readTargets(tableName, pkey, One)
 	if err != nil {
 		return nil, err
 	}
-	n, ok := tgt.replica.(*Node)
+	n, ok := live[0].replica.(*Node)
 	if !ok {
-		return tgt.replica.(wireReplica).Scan(context.Background(), tableName, pkey, rg)
+		return live[0].replica.(wireReplica).Scan(context.Background(), tableName, pkey, rg)
 	}
 	p := n.partition(tableName, pkey)
 	if p == nil {
@@ -108,20 +110,6 @@ func (db *DB) ScanPartitionPruned(tableName, pkey string, rg Range, cl Consisten
 		return err
 	})
 	return it, err
-}
-
-// scanTarget picks the replica a consistency-One scan of the partition
-// reads: the first live one, locals first.
-func (db *DB) scanTarget(tableName, pkey string) (replicaTarget, error) {
-	if !db.HasTable(tableName) {
-		return replicaTarget{}, fmt.Errorf("store: no such table %q", tableName)
-	}
-	live, _ := db.liveTargets(db.ring.Replicas(pkey))
-	if len(live) == 0 {
-		return replicaTarget{}, fmt.Errorf("%w: table %s partition %s needs 1, have 0 live",
-			ErrUnavailable, tableName, pkey)
-	}
-	return live[0], nil
 }
 
 // Batch is re-exported from the persistence layer: a run of rows in vector
@@ -139,32 +127,31 @@ const MaxBatchRows = persist.MaxBatchRows
 // PartitionBatches opens a scan of the partition's rows within rg, in
 // clustering-key order, as batches that carry the clustering keys, the
 // write timestamps and the projected columns (dictionary IDs; nil = every
-// column). At consistency One it reads the first live replica: disjoint
-// snapshot inputs are chained off the segment block decoder without a
-// merge, overlapping ones go through the last-write-wins merge, and a
-// remote shard's row stream is batched; a local scan counts in
-// StorageStats' ChainedScans or MergedScans. Above One the reconciled,
-// read-repaired rows of GetCtx go through the merge as its one input.
-// With sel set, on every path the batches carry only the rows it matches;
-// pr only skips blocks, so a read that selects by sel and wants its
+// column). At consistency One a local first live replica is read alone:
+// disjoint snapshot inputs are chained off the segment block decoder
+// without a merge, overlapping ones go through the last-write-wins merge,
+// and the scan counts in StorageStats' ChainedScans or MergedScans.
+// Otherwise it is the reconciling read: the required live replicas'
+// streams, locals first and unpruned, through the one merge, a failed one
+// substituted and stale ones read-repaired as it goes; it holds a few
+// batches a replica, not the range. With sel set, on every path the
+// batches carry only the rows it matches; pr only skips blocks, and only
+// in a local read at One, so a read that selects by sel and wants its
 // blocks skipped passes it as pr too. A batch and every string in it is
 // valid only until the next Next; the caller closes the iterator.
 func (db *DB) PartitionBatches(ctx context.Context, tableName, pkey string, rg Range, cl Consistency, project []uint32, sel *Match, pr Pruner, stats *PruneStats) (BatchIterator, error) {
-	if cl != One {
-		rows, err := db.GetCtx(ctx, tableName, pkey, rg, cl)
-		if err != nil {
-			return nil, err
-		}
-		return persist.Merge(rg, nil, nil, [][]Row{rows}, project, sel)
-	}
-	tgt, err := db.scanTarget(tableName, pkey)
+	live, need, err := db.readTargets(tableName, pkey, cl)
 	if err != nil {
 		return nil, err
 	}
-	if n, ok := tgt.replica.(*Node); ok {
+	if n, ok := live[0].replica.(*Node); ok && cl == One {
 		return n.open(tableName, pkey, rg, project, sel, newPruneCfg(pr, stats), false, true)
 	}
-	return tgt.batches(ctx, tableName, pkey, rg, project, sel, nil, false)
+	r, err := db.reconcile(ctx, tableName, pkey, rg, live, need, project, sel, true)
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // ScanPartitionBatches drains PartitionBatches at consistency One into fn,
@@ -189,9 +176,9 @@ func (db *DB) ScanPartitionBatches(ctx context.Context, tableName, pkey string, 
 // unknown. The query planner uses it to slice a partition scan into
 // parallel clustering-range tasks.
 func (db *DB) PartitionKeyBoundsCtx(ctx context.Context, tableName, pkey string) (min, max string, ok bool, err error) {
-	tgt, err := db.scanTarget(tableName, pkey)
+	live, _, err := db.readTargets(tableName, pkey, One)
 	if err != nil {
 		return "", "", false, err
 	}
-	return tgt.KeyBounds(ctx, tableName, pkey)
+	return live[0].KeyBounds(ctx, tableName, pkey)
 }

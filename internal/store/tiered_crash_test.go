@@ -6,6 +6,7 @@ package store
 // never references a half-uploaded object.
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"fmt"
 	"maps"
@@ -412,13 +413,16 @@ func TestTieredRoundObjectCrashRecovery(t *testing.T) {
 // compaction and a forced sweep of one tiered node — the states between
 // the stages the round and sweep tests name, such as one commitlog
 // segment gone and the next not, or a sweep batch's first data file
-// unlinked and its second not — each kill -9 state as a subtest named
-// after its operation, and each power-loss and torn state as one under
-// "power" (checkTieredImage). States of a phase equal byte for byte are
-// one state, recovered once: a kill -9 state under the first of its
-// names in sort order, a power-loss state at its last boundary, where
-// the most is acked. At least one power-loss state must equal no kill -9
-// state of the run: one a copy of the live directory could not show.
+// unlinked and its second not (checkTieredImage). Each state of each such
+// boundary is a subtest, named by its phase, its kind, its operation's kind
+// and base name and, within that, the boundary's label: the operation's
+// path under the test's root and the occurrence of that kind and path.
+// States of a phase equal byte for byte are one state, recovered once, by
+// the first subtest that meets it, against the narrowest acked rows any of
+// them allows: a kill -9
+// state's, else a power-loss state's at its last boundary, where the most
+// is acked. At least one power-loss state must equal no kill -9 state of
+// the run: one a copy of the live directory could not show.
 func TestCrashStatesAtEveryOperation(t *testing.T) {
 	rec := fsystest.Install(t)
 	dir, tierDir := t.TempDir(), t.TempDir()
@@ -452,18 +456,25 @@ func TestCrashStatesAtEveryOperation(t *testing.T) {
 		// The sweep's own flush adds a file: the batch carries three.
 		{"sweep", put("part-02", 2000), func() error { _, _, err := db.TierSweep(true); return err }},
 	}
-	type named struct {
-		name string
-		s    fsystest.State
-		want []map[string][]Row
+	type digest = [sha256.Size]byte
+	type boundary struct {
+		phase  int
+		op     string // kind-base, the name the test has always given it
+		label  string // its path under the test root # the occurrence of that kind and path
+		states []fsystest.State
 	}
-	everyKill := make(map[[sha256.Size]byte]bool) // the kill -9 state at every boundary of the run
+	var bounds []boundary
+	// wants[phase][digest] is what a phase's state of those bytes must
+	// recover to.
+	wants := make([]map[digest][]map[string][]Row, len(phases))
+	kills := 0
+	var power []fsystest.State         // the power-loss and torn states no kill -9 state of their phase equals
+	everyKill := make(map[digest]bool) // the kill -9 state at every boundary of the run
 	for i := 0; i < len(rec.Ops()); i++ {
 		everyKill[rec.States(i, 0, dir, tierDir)[0].Digest] = true
 	}
-	var kills, power []*named
-	for _, ph := range phases {
-		byDigest := make(map[[sha256.Size]byte]*named)
+	root := filepath.Dir(dir)
+	for p, ph := range phases {
 		before := readAll(t, db, "events") // acked before the phase
 		from, acked := len(rec.Ops()), len(rec.Ops())
 		if ph.put != nil {
@@ -476,8 +487,11 @@ func TestCrashStatesAtEveryOperation(t *testing.T) {
 			t.Fatalf("%s: %v", ph.name, err)
 		}
 		want := readAll(t, db, "events") // every row was acked before the phase ended
+		wants[p] = make(map[digest][]map[string][]Row)
 		ops := rec.Ops()
-		var phase []*named
+		seen := make(map[string]int)
+		var powerAt [][]map[string][]Row // the wants of the phase's power-loss and torn states, by boundary
+		var phaseBounds []boundary
 		for i := from; i < len(ops); i++ {
 			st := rec.States(i, tornStates, dir, tierDir)
 			everyKill[st[0].Digest] = true
@@ -486,58 +500,91 @@ func TestCrashStatesAtEveryOperation(t *testing.T) {
 			default:
 				continue
 			}
-			name := ph.name + "/" + ops[i].Kind + "-" + filepath.Base(ops[i].Path)
-			if seen := byDigest[st[0].Digest]; seen == nil {
-				byDigest[st[0].Digest] = &named{name, st[0], []map[string][]Row{want}}
-				kills = append(kills, byDigest[st[0].Digest])
-			} else if name < seen.name {
-				seen.name = name
+			rel, err := filepath.Rel(root, ops[i].Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel = filepath.ToSlash(rel)
+			seen[ops[i].Kind+" "+rel]++
+			phaseBounds = append(phaseBounds, boundary{p, ops[i].Kind + "-" + filepath.Base(ops[i].Path),
+				fmt.Sprintf("%s#%d", rel, seen[ops[i].Kind+" "+rel]), st})
+			if wants[p][st[0].Digest] == nil {
+				wants[p][st[0].Digest] = []map[string][]Row{want}
+				kills++
 			}
 			w := []map[string][]Row{want}
 			if i < acked {
 				w = append(w, before) // the phase's write is in flight
 			}
-			for _, s := range st[1:] {
-				phase = append(phase, &named{ph.name + "/" + s.Kind + "-" + ops[i].Kind + "-" + filepath.Base(ops[i].Path), s, w})
+			powerAt = append(powerAt, w)
+		}
+		// A power-loss state no kill -9 state equals recovers as at its
+		// last boundary.
+		for j := len(phaseBounds) - 1; j >= 0; j-- {
+			for _, s := range phaseBounds[j].states[1:] {
+				if wants[p][s.Digest] == nil {
+					wants[p][s.Digest] = powerAt[j]
+					power = append(power, s)
+				}
 			}
 		}
-		slices.Reverse(phase)
-		seen := make(map[[sha256.Size]byte]bool)
-		for _, p := range phase {
-			if !seen[p.s.Digest] && byDigest[p.s.Digest] == nil {
-				seen[p.s.Digest] = true
-				power = append(power, p)
-			}
-		}
+		bounds = append(bounds, phaseBounds...)
 	}
 	// The copies of the live directory the store's round tests took
 	// before every such operation came to 32 distinct states.
-	if len(kills) != 32 {
-		t.Errorf("%d distinct kill -9 states, want 32", len(kills))
+	if kills != 32 {
+		t.Errorf("%d distinct kill -9 states, want 32", kills)
 	}
 	everyKill[rec.States(len(rec.Ops()), 0, dir, tierDir)[0].Digest] = true
 	powerOnly := 0
-	for _, p := range power {
-		if !everyKill[p.s.Digest] {
+	for _, s := range power {
+		if !everyKill[s.Digest] {
 			powerOnly++
-			t.Logf("power loss only: %s", p.name)
 		}
 	}
 	if powerOnly == 0 {
 		t.Fatal("every power-loss state equals a kill -9 state")
 	}
-	for _, st := range kills {
-		t.Run(st.name, func(t *testing.T) { // t.Run numbers repeated names
-			t.Parallel()
-			img := st.s.Write(t)
-			checkTieredImage(t, img[0], img[1], st.want...)
-		})
+	// The kill -9 state of a boundary runs under phase/kind-base, its
+	// power-loss and torn states under power/phase/<state kind>-kind-base,
+	// each holding the boundary's label. t.Run numbers repeated names, here
+	// in label order, and a boundary with no unsynced write to tear keeps
+	// its torn subtests, so every run names the same subtests, whichever
+	// boundaries share bytes.
+	slices.SortStableFunc(bounds, func(a, b boundary) int {
+		return cmp.Or(a.phase-b.phase, strings.Compare(a.op, b.op), strings.Compare(a.label, b.label))
+	})
+	recovered := make([]map[digest]string, len(phases)) // the subtest that recovered each digest; "" if it failed
+	for p := range recovered {
+		recovered[p] = make(map[digest]string)
 	}
-	for _, p := range power {
-		t.Run("power/"+p.name, func(t *testing.T) {
-			t.Parallel()
-			img := p.s.Write(t)
-			checkTieredImage(t, img[0], img[1], p.want...)
-		})
+	for _, b := range bounds {
+		ph := phases[b.phase].name
+		for k := range 2 + tornStates {
+			name := ph + "/" + b.op
+			if k > 0 {
+				name = "power/" + ph + "/" + []string{fsystest.Power, fsystest.Torn}[min(k, 2)-1] + "-" + b.op
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Run(b.label, func(t *testing.T) {
+					if k >= len(b.states) {
+						t.Log("no unsynced write to tear")
+						return
+					}
+					s := b.states[k]
+					if by, seen := recovered[b.phase][s.Digest]; seen {
+						if by == "" {
+							t.Fatal("an earlier state of the same bytes failed to recover")
+						}
+						t.Logf("recovered as %s", by)
+						return
+					}
+					recovered[b.phase][s.Digest] = ""
+					img := s.Write(t)
+					checkTieredImage(t, img[0], img[1], wants[b.phase][s.Digest]...)
+					recovered[b.phase][s.Digest] = t.Name()
+				})
+			})
+		}
 	}
 }
