@@ -4,14 +4,14 @@
 # cache-defeating plain test run, a one-iteration smoke of the
 # durable-engine benchmarks (so the WAL path and the two codec generations,
 # v8 fixture vs v9, cannot rot unexercised) and of the watch hub's notify
-# benchmark, the linker check that every function is reachable (reach),
-# and the benchmark's own tests (bench-test) — the one performance entry
-# point.
+# benchmark, the check that every smoke's -run names a test (smoke-names),
+# the linker check that every function is reachable (reach), and the
+# benchmark's own tests (bench-test) — the one performance entry point.
 
 GO ?= go
 
 .PHONY: ci vet build test test-fresh race bench-smoke alloc-guard fmt-check \
-	test-wire cluster-smoke metrics-lint tier-smoke fault-smoke reach bench-test loc arch-cap
+	test-wire cluster-smoke metrics-lint tier-smoke fault-smoke smoke-names reach bench-test loc arch-cap
 
 # alloc-guard runs inside the plain (non-race) test pass, but is also
 # listed explicitly so the allocation budgets cannot rot out of CI.
@@ -22,7 +22,7 @@ GO ?= go
 # internally consistent and shows mid-traffic activity; cluster-smoke
 # proves the multi-process replicated cluster survives a kill -9;
 # bench-test drives every benchmark workload at small scale.
-ci: fmt-check vet build race test-fresh alloc-guard test-wire metrics-lint bench-smoke cluster-smoke tier-smoke fault-smoke reach bench-test arch-cap
+ci: fmt-check vet build race test-fresh alloc-guard test-wire metrics-lint bench-smoke cluster-smoke tier-smoke fault-smoke smoke-names reach bench-test arch-cap
 
 # The benchmark is a module of its own (bench/, contract in
 # BENCHMARK.json), so the root test run never reaches it. Its tests drive
@@ -121,6 +121,21 @@ fault-smoke:
 	$(GO) test -count=1 -run 'TestTorn|TestCorrupt|TestMidSegment|TestMultiRecord|TestZero|TestSealedSegmentDamage|TestDamagedHeader|FuzzCommitlogRecovery' ./internal/wal/
 	$(GO) test -count=1 -run 'TestManifestRejectsCorruption|TestManifestLogTornTailAndCorruption|TestManifestEmptySnapshot|FuzzManifestLogRecovery|FuzzDecodeManifest' ./internal/objstore/
 	$(GO) test -count=1 -run XXX -fuzz FuzzMatchText -fuzztime 10s -fuzzminimizetime 3s ./internal/parse/
+
+# Smoke names: a `go test -run` whose regex matches nothing passes, so a
+# renamed test would drop out of its smoke unnoticed. Every |-alternative
+# of the smokes' -run regexes (a subtest path by its top-level name) must
+# list at least one test, benchmark or fuzz target under `go test -list`
+# in the packages its line names.
+SMOKES = fault-smoke tier-smoke metrics-lint cluster-smoke
+smoke-names:
+	@$(MAKE) -s -n $(SMOKES) | sed -n "s/.*-run '\([^']*\)' \(.*\)/\1 \2/p" | { bad=0; \
+	while read -r re pkgs; do \
+		for alt in $$(echo "$$re" | tr -d '^$$()' | tr '|' ' '); do \
+			$(GO) test -list "$${alt%%/*}" $$pkgs | grep -qE '^(Test|Benchmark|Fuzz|Example)' || \
+				{ echo "smoke-names: $$alt matches no test in $$pkgs"; bad=1; }; \
+		done; \
+	done; exit $$bad; }
 
 # Reachability: build every binary (cmd/* and the benchmark) with
 # inlining off and read its symbols with `go tool nm`; every non-test

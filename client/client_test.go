@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -354,6 +355,110 @@ func TestPaginationConcatenatesToOneShot(t *testing.T) {
 			cursor = next
 		}
 		assertSameEvents(t, oneShot, paged, fmt.Sprintf("pageSize=%d (%d pages)", pageSize, pages))
+	}
+}
+
+// TestRunsPaginationConcatenatesToOneShot pages the window's runs in
+// pages smaller than the run set: the pages concatenate to the one-shot
+// Runs result.
+func TestRunsPaginationConcatenatesToOneShot(t *testing.T) {
+	f := getFixture(t)
+	ctx := context.Background()
+	qc := window(f.cfg)
+	oneShot, err := f.cli.Runs(ctx, qc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(oneShot) < 3 {
+		t.Fatalf("corpus too small: %d runs", len(oneShot))
+	}
+	for _, pageSize := range []int{1, 2, len(oneShot) - 1} {
+		var paged []query.RunRecord
+		cursor := ""
+		pages := 0
+		for {
+			items, next, err := f.cli.RunsPage(ctx, qc, pageSize, cursor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(items) > pageSize {
+				t.Fatalf("page of %d runs exceeds limit %d", len(items), pageSize)
+			}
+			paged = append(paged, items...)
+			pages++
+			if next == "" {
+				break
+			}
+			cursor = next
+		}
+		if pages < 2 || !reflect.DeepEqual(paged, oneShot) {
+			t.Fatalf("pageSize=%d: %d pages of %d runs differ from the %d one-shot runs", pageSize, pages, len(paged), len(oneShot))
+		}
+	}
+}
+
+// TestStorageStatsAndCompact drives /v1/storage and /v1/storage/compact
+// on a store of its own: StorageStats reports the store's segment and
+// byte counts, and Compact leaves one segment per partition.
+func TestStorageStatsAndCompact(t *testing.T) {
+	db := openShared(t, store.Config{Nodes: 2, RF: 2, VNodes: 8, CompactInterval: -1})
+	defer os.RemoveAll(db.Config().Dir)
+	defer db.Close()
+	cfg := logs.DefaultConfig()
+	cfg.Nodes = topology.NodesPerCabinet
+	cfg.Duration = time.Hour
+	if err := ingest.Bootstrap(db, cfg.Nodes); err != nil {
+		t.Fatal(err)
+	}
+	// Three loads, each flushed, give a partition up to three segments.
+	events := logs.Generate(cfg).Events
+	for i := range 3 {
+		if err := ingest.NewLoader(db).LoadEvents(events[i*len(events)/3 : (i+1)*len(events)/3]); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := compute.NewEngine(compute.Config{Workers: db.NodeIDs()})
+	ts := httptest.NewServer(server.NewWithConfig(query.New(db, eng), db, eng, server.Config{}))
+	defer ts.Close()
+	cli := New(ts.URL)
+	ctx := context.Background()
+
+	partitions := 0
+	for _, id := range db.NodeIDs() {
+		for _, table := range db.Tables() {
+			keys, err := db.Node(id).PartitionKeys(ctx, table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			partitions += len(keys)
+		}
+	}
+	disk := func(st store.StorageStats) [3]int64 { return [3]int64{st.DiskSegments, st.DiskFiles, st.DiskBytes} }
+	st, err := cli.StorageStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := db.StorageStats(); disk(st) != disk(want) || st.Flushes != want.Flushes {
+		t.Fatalf("StorageStats = %+v, want the store's %+v", st, want)
+	}
+	if st.DiskSegments <= int64(partitions) || st.DiskBytes == 0 {
+		t.Fatalf("before compaction %d segments of %d bytes for %d partitions, want several segments a partition",
+			st.DiskSegments, st.DiskBytes, partitions)
+	}
+
+	res, err := cli.Compact(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PartitionsCompacted == 0 || res.Storage.DiskSegments != int64(partitions) || res.Storage.DiskBytes == 0 {
+		t.Fatalf("Compact = %d partitions compacted, %d segments of %d bytes, want one segment for each of %d partitions",
+			res.PartitionsCompacted, res.Storage.DiskSegments, res.Storage.DiskBytes, partitions)
+	}
+	if st, err = cli.StorageStats(ctx); err != nil || disk(st) != disk(res.Storage) {
+		t.Fatalf("StorageStats after Compact = %+v, %v, want %+v", st, err, res.Storage)
 	}
 }
 

@@ -48,27 +48,33 @@ func stream[T any](ctx context.Context, c *Client, path string, body any, retrie
 	}
 	var resp *http.Response
 	err = c.retry(ctx, retries, func() (retry bool, err error) {
-		resp, retry, err = c.openStream(ctx, path, payload)
+		resp, retry, err = c.openStream(ctx, http.MethodPost, path, payload)
 		return retry, err
 	})
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	return decodeNDJSON(resp.Body, fn)
+	lines := newLineReader[T](resp.Body)
+	for v, ok := lines.next(); ok; v, ok = lines.next() {
+		if err := fn(v); err != nil {
+			return err
+		}
+	}
+	return lines.err
 }
 
-// openStream POSTs payload and returns the response once the server has
-// committed to NDJSON. retry reports whether a failure is worth another
-// attempt, as for an enveloped exchange.
-func (c *Client) openStream(ctx context.Context, path string, payload []byte) (resp *http.Response, retry bool, err error) {
-	req, err := c.newRequest(ctx, http.MethodPost, path, payload)
+// openStream sends method path with payload (nil: no body) and returns the
+// response once the server has committed to NDJSON. retry reports whether
+// a failure is worth another attempt, as for an enveloped exchange.
+func (c *Client) openStream(ctx context.Context, method, path string, payload []byte) (resp *http.Response, retry bool, err error) {
+	req, err := c.newRequest(ctx, method, path, payload)
 	if err != nil {
 		return nil, false, err
 	}
 	resp, err = c.hc.Do(req)
 	if err != nil {
-		return nil, true, fmt.Errorf("client: POST %s: %w", path, err)
+		return nil, true, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != api.MediaTypeNDJSON {
 		// The server answered with an enveloped error before streaming.
@@ -76,46 +82,66 @@ func (c *Client) openStream(ctx context.Context, path string, payload []byte) (r
 		if aerr := errorEnvelope(resp); aerr != nil {
 			return nil, retryable(aerr), aerr
 		}
-		return nil, resp.StatusCode >= 300, fmt.Errorf("client: POST %s: HTTP %d with content type %q", path, resp.StatusCode, ct)
+		return nil, resp.StatusCode >= 300, fmt.Errorf("client: %s %s: HTTP %d with content type %q", method, path, resp.StatusCode, ct)
 	}
 	return resp, false, nil
 }
 
-// decodeNDJSON consumes data lines until the trailer. An EOF before the
-// trailer means the stream was truncated mid-flight and is an error.
-func decodeNDJSON[T any](r io.Reader, fn func(T) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
+// lineReader pulls the data lines of an NDJSON stream one at a time,
+// decoded into T, up to the trailer.
+type lineReader[T any] struct {
+	sc *bufio.Scanner
 	// One decoder and one heap slot serve every line: the decoder's
 	// string cache spans the stream, and &v converts to any without a
 	// fresh allocation per row.
-	var dec api.Decoder
-	var v, zero T
-	for sc.Scan() {
-		line := sc.Bytes()
+	dec api.Decoder
+	v   T
+	end bool // the trailer was read
+	// err is why the stream ended: nil after a clean trailer, else the
+	// trailer's error, a bad line, a read failure, or an EOF before the
+	// trailer — the stream was truncated mid-flight.
+	err error
+}
+
+func newLineReader[T any](r io.Reader) *lineReader[T] {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
+	return &lineReader[T]{sc: sc}
+}
+
+// next returns the next data line decoded, or false once the stream has
+// ended (see err).
+func (r *lineReader[T]) next() (T, bool) {
+	var zero T
+	if r.end || r.err != nil {
+		return zero, false
+	}
+	for r.sc.Scan() {
+		line := r.sc.Bytes()
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
 		if bytes.HasPrefix(line, trailerPrefix) {
+			r.end = true
 			var tr api.StreamTrailer
 			if err := json.Unmarshal(line, &tr); err != nil {
-				return fmt.Errorf("client: bad stream trailer: %w", err)
+				r.err = fmt.Errorf("client: bad stream trailer: %w", err)
+			} else if tr.Err != nil {
+				r.err = tr.Err
 			}
-			if tr.Err != nil {
-				return tr.Err
-			}
-			return nil
+			return zero, false
 		}
-		v = zero
-		if err := dec.Unmarshal(line, &v); err != nil {
-			return fmt.Errorf("client: bad stream line: %w", err)
+		r.v = zero
+		if err := r.dec.Unmarshal(line, &r.v); err != nil {
+			r.err = fmt.Errorf("client: bad stream line: %w", err)
+			return zero, false
 		}
-		if err := fn(v); err != nil {
-			return err
-		}
+		return r.v, true
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("client: stream read: %w", err)
+	if err := r.sc.Err(); err != nil {
+		r.err = fmt.Errorf("client: stream read: %w", err)
+	} else {
+		r.err = fmt.Errorf("client: stream truncated (no trailer)")
 	}
-	return fmt.Errorf("client: stream truncated (no trailer)")
+	return zero, false
 }

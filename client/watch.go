@@ -1,11 +1,7 @@
 package client
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -13,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hpclog/internal/api"
 	"hpclog/internal/query"
 )
 
@@ -24,21 +19,11 @@ import (
 // goroutine at a time; Close may be called concurrently from another
 // (it unblocks a parked Next, like closing an http response body).
 type Watch struct {
-	body interface{ Close() error }
-	sc   *bufio.Scanner
-	// dec and event are Next's, reused from line to line.
-	dec     api.Decoder
-	event   query.EventRecord
-	closed  atomic.Bool
-	mu      sync.Mutex
-	err     error
-	trailer *api.StreamTrailer
-}
-
-func (w *Watch) setErr(err error) {
-	w.mu.Lock()
-	w.err = err
-	w.mu.Unlock()
+	body   interface{ Close() error }
+	lines  *lineReader[query.EventRecord]
+	closed atomic.Bool
+	mu     sync.Mutex
+	err    error
 }
 
 // WatchOptions tunes a subscription.
@@ -63,64 +48,27 @@ func (c *Client) Watch(ctx context.Context, eventType string, opts WatchOptions)
 	if opts.Timeout > 0 {
 		q.Set("timeout_ms", strconv.FormatInt(opts.Timeout.Milliseconds(), 10))
 	}
-	req, err := c.newRequest(ctx, http.MethodGet, "/v1/watch?"+q.Encode(), nil)
+	resp, _, err := c.openStream(ctx, http.MethodGet, "/v1/watch?"+q.Encode(), nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: watch: %w", err)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != api.MediaTypeNDJSON {
-		defer resp.Body.Close()
-		if aerr := errorEnvelope(resp); aerr != nil {
-			return nil, aerr
-		}
-		return nil, fmt.Errorf("client: watch: HTTP %d with content type %q", resp.StatusCode, ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
-	return &Watch{body: resp.Body, sc: sc}, nil
+	return &Watch{body: resp.Body, lines: newLineReader[query.EventRecord](resp.Body)}, nil
 }
 
 // Next blocks until the next pushed event arrives. It returns false when
 // the subscription ends — server timeout, shutdown, Close, or a failure
 // (see Err).
 func (w *Watch) Next() (query.EventRecord, bool) {
-	var zero query.EventRecord
-	if w.closed.Load() || w.Err() != nil || w.trailer != nil {
-		return zero, false
+	if w.closed.Load() {
+		return query.EventRecord{}, false
 	}
-	for w.sc.Scan() {
-		line := w.sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		if bytes.HasPrefix(line, trailerPrefix) {
-			var tr api.StreamTrailer
-			if err := json.Unmarshal(line, &tr); err != nil {
-				w.setErr(fmt.Errorf("client: bad watch trailer: %w", err))
-				return zero, false
-			}
-			w.trailer = &tr
-			if tr.Err != nil {
-				w.setErr(tr.Err)
-			}
-			return zero, false
-		}
-		w.event = zero
-		if err := w.dec.Unmarshal(line, &w.event); err != nil {
-			w.setErr(fmt.Errorf("client: bad watch line: %w", err))
-			return zero, false
-		}
-		return w.event, true
+	e, ok := w.lines.next()
+	if !ok && !w.closed.Load() {
+		w.mu.Lock()
+		w.err = w.lines.err
+		w.mu.Unlock()
 	}
-	if err := w.sc.Err(); err != nil && !w.closed.Load() {
-		w.setErr(fmt.Errorf("client: watch read: %w", err))
-	} else if w.trailer == nil && !w.closed.Load() {
-		w.setErr(fmt.Errorf("client: watch truncated (no trailer)"))
-	}
-	return zero, false
+	return e, ok
 }
 
 // Err reports why the subscription ended; nil after a clean server-side

@@ -67,7 +67,7 @@ func TestBatchFoldAllocBudget(t *testing.T) {
 		for pkey, n := range sizes {
 			scan := func() {
 				rows := 0
-				err := db.ScanPartitionBatches(context.Background(), model.TableEventByTime, pkey, store.Range{}, f.project, nil, nil,
+				err := db.ScanPartitionBatches(context.Background(), model.TableEventByTime, pkey, store.Range{}, store.One, f.project, nil, nil,
 					func(b *store.Batch) error {
 						rows += b.Len()
 						return f.fold(b)

@@ -352,12 +352,12 @@ func (r *EventRow) fill(key string, ts int64, typ string, cells []store.Col) err
 func EventRecords[T any](eng *compute.Engine, db *store.DB, tasks []EventTask, record func(*EventRow) T) ([]T, error) {
 	scan := make([]compute.ScanTask[T], len(tasks))
 	for i, t := range tasks {
-		scan[i] = compute.ScanTask[T]{Index: i, Run: func(yield func(T) error) error {
+		scan[i] = func(yield func(T) error) error {
 			return t.Run(context.TODO(), db, func(r *EventRow) error { return yield(record(r)) })
-		}}
+		}
 	}
 	out := []T{}
-	err := compute.StreamScan(eng, scan, func(_ int, batch []T) error {
+	err := compute.StreamScan(eng, scan, func(batch []T) error {
 		out = append(out, batch...)
 		return nil
 	})

@@ -106,7 +106,7 @@ func (f Fold[A]) Scan(eng *compute.Engine, db *store.DB, typ model.EventType, fr
 				}}
 				pr = t
 			}
-			err := db.ScanPartitionBatches(context.TODO(), model.TableEventByTime, pkey, u.Range, f.Project, pr, nil,
+			err := db.ScanPartitionBatches(context.TODO(), model.TableEventByTime, pkey, u.Range, store.One, f.Project, pr, nil,
 				func(b *store.Batch) (err error) {
 					rows += b.Len()
 					acc, err = f.Fold(acc, b)

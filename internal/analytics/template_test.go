@@ -106,7 +106,7 @@ func templatedBatches(t *testing.T, h *enginetest.Harness, typ model.EventType) 
 	n := 0
 	for _, hour := range model.HoursIn(from, to) {
 		err := h.DB.ScanPartitionBatches(context.Background(), model.TableEventByTime, model.EventByTimeKey(hour, typ),
-			store.Range{}, []uint32{model.ColRawID}, nil, nil, func(b *store.Batch) error {
+			store.Range{}, store.One, []uint32{model.ColRawID}, nil, nil, func(b *store.Batch) error {
 				if codes, _, _ := b.Template(model.ColRawID); codes != nil {
 					n++
 				}
@@ -198,7 +198,7 @@ func TestHostileCorpusShapes(t *testing.T) {
 	var sameTerm bool
 	start := h.Cfg.Start.Add(time.Hour).Truncate(time.Hour)
 	err := h.DB.ScanPartitionBatches(context.Background(), model.TableEventByTime, model.EventByTimeKey(start.Unix()/3600, hostileType),
-		store.Range{}, []uint32{model.ColRawID}, nil, nil, func(b *store.Batch) error {
+		store.Range{}, store.One, []uint32{model.ColRawID}, nil, nil, func(b *store.Batch) error {
 			codes, tmpls, _ := b.Template(model.ColRawID)
 			batches++
 			node := false

@@ -157,7 +157,7 @@ func TestFoldDocsOneViewPerHoleColumn(t *testing.T) {
 	fold := func(templates bool) *Vocabulary {
 		defer SetTemplateFolds(templates)()
 		a := newVocabulary()
-		err := db.ScanPartitionBatches(context.Background(), model.TableEventByTime, pkey, store.Range{}, projRaw, nil, nil,
+		err := db.ScanPartitionBatches(context.Background(), model.TableEventByTime, pkey, store.Range{}, store.One, projRaw, nil, nil,
 			func(b *store.Batch) error {
 				if _, err := a.foldDocs(b); err != nil || !templates {
 					return err

@@ -14,16 +14,13 @@ func rangeTasks(n, perTask int) []ScanTask[int] {
 	tasks := make([]ScanTask[int], n)
 	for i := 0; i < n; i++ {
 		i := i
-		tasks[i] = ScanTask[int]{
-			Index: i,
-			Run: func(yield func(int) error) error {
-				for j := 0; j < perTask; j++ {
-					if err := yield(i*perTask + j); err != nil {
-						return err
-					}
+		tasks[i] = func(yield func(int) error) error {
+			for j := 0; j < perTask; j++ {
+				if err := yield(i*perTask + j); err != nil {
+					return err
 				}
-				return nil
-			},
+			}
+			return nil
 		}
 	}
 	return tasks
@@ -32,13 +29,8 @@ func rangeTasks(n, perTask int) []ScanTask[int] {
 func TestStreamScanOrdered(t *testing.T) {
 	for _, par := range []int{1, 2, 4, 16} {
 		var got []int
-		lastIndex := -1
 		err := StreamScan(NewEngine(Config{Parallelism: par}), rangeTasks(23, 7),
-			func(index int, batch []int) error {
-				if index != lastIndex+1 {
-					t.Fatalf("par=%d: emit out of order: %d after %d", par, index, lastIndex)
-				}
-				lastIndex = index
+			func(batch []int) error {
 				got = append(got, batch...)
 				return nil
 			})
@@ -59,9 +51,9 @@ func TestStreamScanOrdered(t *testing.T) {
 func TestStreamScanTaskError(t *testing.T) {
 	boom := errors.New("boom")
 	tasks := rangeTasks(10, 3)
-	tasks[4].Run = func(func(int) error) error { return boom }
+	tasks[4] = func(func(int) error) error { return boom }
 	err := StreamScan(NewEngine(Config{Parallelism: 4}), tasks,
-		func(int, []int) error { return nil })
+		func([]int) error { return nil })
 	if !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
@@ -69,9 +61,10 @@ func TestStreamScanTaskError(t *testing.T) {
 
 func TestStreamScanEmitError(t *testing.T) {
 	boom := errors.New("emit boom")
+	emitted := 0
 	err := StreamScan(NewEngine(Config{Parallelism: 4}), rangeTasks(10, 3),
-		func(index int, _ []int) error {
-			if index == 2 {
+		func([]int) error {
+			if emitted++; emitted == 3 {
 				return boom
 			}
 			return nil
@@ -83,9 +76,9 @@ func TestStreamScanEmitError(t *testing.T) {
 
 func TestStreamScanPanicRecovered(t *testing.T) {
 	tasks := rangeTasks(4, 2)
-	tasks[1].Run = func(func(int) error) error { panic("bad record") }
+	tasks[1] = func(func(int) error) error { panic("bad record") }
 	err := StreamScan(NewEngine(Config{Parallelism: 2}), tasks,
-		func(int, []int) error { return nil })
+		func([]int) error { return nil })
 	if err == nil {
 		t.Fatal("expected panic to surface as error")
 	}
@@ -110,11 +103,11 @@ func TestEngineWidthBoundsTasksInFlight(t *testing.T) {
 		scan := make([]ScanTask[int], 20)
 		fold := make([]FoldTask[int], 20)
 		for i := range scan {
-			scan[i] = ScanTask[int]{Index: i, Run: func(yield func(int) error) error { run(); return yield(0) }}
+			scan[i] = func(yield func(int) error) error { run(); return yield(0) }
 			fold[i] = func(acc int) (int, int, error) { run(); return acc, 1, nil }
 		}
 		eng := NewEngine(Config{Parallelism: w})
-		if err := StreamScan(eng, scan, func(int, []int) error { return nil }); err != nil {
+		if err := StreamScan(eng, scan, func([]int) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if m := maxInFlight.Load(); m > int32(w) {
@@ -225,7 +218,7 @@ func TestEngineDefaults(t *testing.T) {
 		}
 	}
 	if err := StreamScan(eng, rangeTasks(3, 2),
-		func(int, []int) error { return nil }); err != nil {
+		func([]int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	eng.ResetStats()
@@ -237,7 +230,7 @@ func TestEngineDefaults(t *testing.T) {
 func TestScanStatsCounted(t *testing.T) {
 	eng := NewEngine(Config{})
 	if err := StreamScan(eng, rangeTasks(5, 10),
-		func(int, []int) error { return nil }); err != nil {
+		func([]int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	st := eng.Stats()

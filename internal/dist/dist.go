@@ -58,8 +58,8 @@ type Config struct {
 	// Store configures this member's store (RF, virtual nodes, Dir for
 	// its commitlog and segments, the object-storage tier: each cluster
 	// process should point at the same bucket, whose objects are
-	// namespaced per member id). With Peers, Open sets Members and
-	// LocalMembers from ID and Peers. Store.Logger also receives the
+	// namespaced per member id). With Peers, Open sets Members from ID
+	// and Peers, and Store.ID to ID. Store.Logger also receives the
 	// cluster runtime's events (peer up/down, hint delivery, repair
 	// results); nil discards them.
 	Store store.Config
@@ -155,7 +155,7 @@ func Open(cfg Config) (*Node, error) {
 		}
 		sort.Strings(members)
 		cfg.Store.Members = members
-		cfg.Store.LocalMembers = []string{cfg.ID}
+		cfg.Store.ID = cfg.ID
 	}
 	db, err := store.OpenDurable(cfg.Store)
 	if err != nil {

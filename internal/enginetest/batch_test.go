@@ -86,7 +86,7 @@ func TestBatchScanMatchesRowScanOnCorpus(t *testing.T) {
 					}
 					it.Close()
 					var got bytes.Buffer
-					err = h.DB.ScanPartitionBatches(context.Background(), table, pkey, rg, project, pruner, nil, func(b *store.Batch) error {
+					err = h.DB.ScanPartitionBatches(context.Background(), table, pkey, rg, store.One, project, pruner, nil, func(b *store.Batch) error {
 						for i := range b.Keys() {
 							r := b.Row(i)
 							for _, id := range project {

@@ -331,7 +331,7 @@ func RefreshSynopsis(eng *compute.Engine, db *store.DB, hours []int64, cl store.
 				total, rows := 0, 0
 				sources := make(map[string]struct{})
 				err := db.ScanPartitionBatches(context.TODO(), model.TableEventByTime, model.EventByTimeKey(hour, typ),
-					store.Range{}, project, nil, nil, func(b *store.Batch) error {
+					store.Range{}, store.One, project, nil, nil, func(b *store.Batch) error {
 						var counts [store.MaxBatchRows]int
 						if err := model.EventCounts(b, counts[:b.Len()]); err != nil {
 							return err

@@ -92,7 +92,7 @@ func (ex *Executor) Run(p *Plan) ([]ResultRow, error) {
 	limit := p.Sel.Limit
 	scan := make([]compute.ScanTask[ResultRow], len(tasks))
 	for i, task := range tasks {
-		scan[i] = compute.ScanTask[ResultRow]{Index: i, Run: func(yield func(ResultRow) error) error {
+		scan[i] = func(yield func(ResultRow) error) error {
 			n := 0
 			var fields []Field
 			err := task(func(b *store.Batch, j int) error {
@@ -110,11 +110,11 @@ func (ex *Executor) Run(p *Plan) ([]ResultRow, error) {
 				return nil
 			}
 			return err
-		}}
+		}
 	}
 	out := []ResultRow{}
 	err = compute.StreamScan(ex.Eng, scan,
-		func(_ int, batch []ResultRow) error {
+		func(batch []ResultRow) error {
 			if limit > 0 && len(batch) > limit-len(out) {
 				batch = batch[:limit-len(out)]
 			}
@@ -188,8 +188,11 @@ func (ex *Executor) sliceScans(p *Plan) (scans []sliceScan, ranges []store.Range
 	scans = make([]sliceScan, len(ranges))
 	for i, rg := range ranges {
 		scans[i] = func(pr persist.Pruner, each func(*store.Batch, int) error) error {
+			if ex.Opt.NoPrune {
+				pr = nil
+			}
 			verdicts := filter.memos()
-			return ex.scanBatches(p, rg, project, pr, stats, func(b *store.Batch) error {
+			return ex.DB.ScanPartitionBatches(ex.ctx(), p.Sel.Table, p.Sel.Partition, rg, ex.CL, project, pr, stats, func(b *store.Batch) error {
 				var sel [store.MaxBatchRows]bool
 				filter.match(b, sel[:b.Len()], verdicts)
 				for j, ok := range sel[:b.Len()] {
@@ -216,26 +219,6 @@ func (ex *Executor) stats() *persist.PruneStats {
 		return ex.Stats
 	}
 	return &persist.PruneStats{}
-}
-
-// scanBatches streams one clustering slice of the plan's partition, at the
-// executor's consistency level, to fn as batches carrying project, offering
-// its blocks to pruner unless the executor prunes none.
-func (ex *Executor) scanBatches(p *Plan, rg store.Range, project []uint32, pruner persist.Pruner, stats *persist.PruneStats, fn func(*store.Batch) error) error {
-	if ex.Opt.NoPrune {
-		pruner = nil
-	}
-	it, err := ex.DB.PartitionBatches(ex.ctx(), p.Sel.Table, p.Sel.Partition, rg, ex.CL, project, nil, pruner, stats)
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	for b, ok := it.Next(); ok; b, ok = it.Next() {
-		if err := fn(b); err != nil {
-			return err
-		}
-	}
-	return it.Err()
 }
 
 // runAggregate executes an aggregate plan: each slice's rows fold into an

@@ -290,7 +290,7 @@ func TestMetricsExpositionScanPaths(t *testing.T) {
 		}
 	}
 	scan := func() {
-		err := db.ScanPartitionBatches(context.Background(), "paths", "p", store.Range{}, nil, nil, nil,
+		err := db.ScanPartitionBatches(context.Background(), "paths", "p", store.Range{}, store.One, nil, nil, nil,
 			func(*store.Batch) error { return nil })
 		if err != nil {
 			t.Fatal(err)

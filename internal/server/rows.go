@@ -88,7 +88,7 @@ func (c *chunk) row(i int) []byte {
 func (s *Server) scanChunks(tasks []func(*chunk) error, limit int, emit func(*chunk) error) error {
 	scan := make([]compute.ScanTask[*chunk], len(tasks))
 	for i, task := range tasks {
-		scan[i] = compute.ScanTask[*chunk]{Index: i, Run: func(yield func(*chunk) error) error {
+		scan[i] = func(yield func(*chunk) error) error {
 			c := chunkPool.Get().(*chunk)
 			c.limit, c.cursors = limit, false
 			if err := task(c); err != nil && err != errChunkFull {
@@ -96,9 +96,9 @@ func (s *Server) scanChunks(tasks []func(*chunk) error, limit int, emit func(*ch
 				return err
 			}
 			return yield(c)
-		}}
+		}
 	}
-	err := compute.StreamScan(s.eng, scan, func(_ int, cs []*chunk) error {
+	err := compute.StreamScan(s.eng, scan, func(cs []*chunk) error {
 		for _, c := range cs {
 			if err := emit(c); err != nil {
 				return err

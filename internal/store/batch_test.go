@@ -17,7 +17,7 @@ import (
 func collectBatchScan(t testing.TB, db *DB, table, pkey string, rg Range, project []uint32, pr Pruner, stats *PruneStats) []Row {
 	t.Helper()
 	var out []Row
-	err := db.ScanPartitionBatches(context.Background(), table, pkey, rg, project, pr, stats, func(b *Batch) error {
+	err := db.ScanPartitionBatches(context.Background(), table, pkey, rg, One, project, pr, stats, func(b *Batch) error {
 		for i := range b.Len() {
 			// The cells first, then the row — whose key the first row of a
 			// batch builds.
@@ -311,7 +311,7 @@ func TestBatchScanConcurrentWithMaintenance(t *testing.T) {
 			floor := acked.Load()
 			var rows int64
 			last := ""
-			err := db.ScanPartitionBatches(context.Background(), "t", "p", Range{}, []uint32{amount}, nil, nil, func(b *Batch) error {
+			err := db.ScanPartitionBatches(context.Background(), "t", "p", Range{}, One, []uint32{amount}, nil, nil, func(b *Batch) error {
 				for i, k := range b.Keys() {
 					if k <= last {
 						return fmt.Errorf("key %q after %q", k, last)

@@ -122,7 +122,7 @@ func (f *fakeRemote) PartitionKeys(_ context.Context, table string) ([]string, e
 // b and c behind fake Remotes, all up.
 func mixedRing(t *testing.T) (db *DB, b, c *fakeRemote) {
 	t.Helper()
-	db = openTest(t, Config{Members: []string{"a", "b", "c"}, LocalMembers: []string{"a"}, RF: 3, VNodes: 8})
+	db = openTest(t, Config{Members: []string{"a", "b", "c"}, ID: "a", RF: 3, VNodes: 8})
 	if err := db.CreateTable("events"); err != nil {
 		t.Fatal(err)
 	}

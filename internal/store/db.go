@@ -72,13 +72,13 @@ type Config struct {
 	// overrides Nodes. A multi-process cluster lists the same Members on
 	// every process so all of them compute identical replica placement.
 	Members []string
-	// LocalMembers is the subset of Members hosted by this process (each
-	// gets its own storage node — segment files under Dir/node-<id> — and
-	// appends to the process's one commitlog). Empty means all members are
-	// local (the single-process default). Remote members join the ring
-	// marked down until a Remote transport is attached and the liveness
-	// detector hears from them.
-	LocalMembers []string
+	// ID, when set, names the one member of Members this process hosts
+	// (a storage node with segment files under Dir/node-<id>, appending to
+	// the process's one commitlog); empty hosts every member (the
+	// single-process default). The other members join the ring marked down
+	// until a Remote transport is attached and the liveness detector hears
+	// from them.
+	ID string
 	// VNodes is the number of virtual nodes per storage node (default 64).
 	VNodes int
 	// FlushThreshold is the memtable row count at which a write runs a
@@ -343,22 +343,8 @@ func OpenDurable(cfg Config) (*DB, error) {
 	if err := checkNodeDirs(cfg.Dir, members); err != nil {
 		return nil, err
 	}
-	local := make(map[string]bool, len(members))
-	if len(cfg.LocalMembers) == 0 {
-		for _, id := range members {
-			local[id] = true
-		}
-	} else {
-		member := make(map[string]bool, len(members))
-		for _, id := range members {
-			member[id] = true
-		}
-		for _, id := range cfg.LocalMembers {
-			if !member[id] {
-				return nil, fmt.Errorf("store: local member %q is not in Members", id)
-			}
-			local[id] = true
-		}
+	if cfg.ID != "" && !slices.Contains(members, cfg.ID) {
+		return nil, fmt.Errorf("store: member %q is not in Members", cfg.ID)
 	}
 	log, err := wal.Open(walOptions(cfg, filepath.Join(cfg.Dir, "wal")))
 	if err != nil {
@@ -367,7 +353,7 @@ func OpenDurable(cfg Config) (*DB, error) {
 	db.log = &commitlog{Log: log}
 	for _, id := range members {
 		db.ring.AddNode(id)
-		if !local[id] {
+		if cfg.ID != "" && id != cfg.ID {
 			// Remote members start down; the cluster runtime marks them up
 			// once a heartbeat succeeds over their attached transport.
 			db.ring.SetUp(id, false)

@@ -6,8 +6,8 @@ import (
 	"fmt"
 )
 
-// The multi-process cluster support: a DB can host only a subset of the
-// ring's members locally (Config.LocalMembers) and reach the rest through
+// The multi-process cluster support: a DB can host only one of the ring's
+// members locally (Config.ID) and reach the rest through
 // Remote transports attached per member id. The coordinator (replica
 // placement, quorum counting, hinted handoff, read repair, full
 // anti-entropy) reaches both kinds through one replica interface (see

@@ -154,10 +154,10 @@ func (db *DB) PartitionBatches(ctx context.Context, tableName, pkey string, rg R
 	return r, nil
 }
 
-// ScanPartitionBatches drains PartitionBatches at consistency One into fn,
+// ScanPartitionBatches drains PartitionBatches at consistency cl into fn,
 // batch by batch; fn's error stops the scan and is returned.
-func (db *DB) ScanPartitionBatches(ctx context.Context, tableName, pkey string, rg Range, project []uint32, pr Pruner, stats *PruneStats, fn func(*Batch) error) error {
-	it, err := db.PartitionBatches(ctx, tableName, pkey, rg, One, project, nil, pr, stats)
+func (db *DB) ScanPartitionBatches(ctx context.Context, tableName, pkey string, rg Range, cl Consistency, project []uint32, pr Pruner, stats *PruneStats, fn func(*Batch) error) error {
+	it, err := db.PartitionBatches(ctx, tableName, pkey, rg, cl, project, nil, pr, stats)
 	if err != nil {
 		return err
 	}
